@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench serve-bench bench-encode bench-index bench-index-smoke
+.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench serve-bench bench-encode bench-index bench-index-smoke bench-e2e bench-e2e-selftest
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini).
@@ -10,7 +10,8 @@ test:
 
 # Everything: lint first (cheapest gate), then the full pytest suite
 # (including the slow serving stress tests) with the runtime lock-order
-# sanitizer armed, then all four real-process smoke runs.
+# sanitizer armed, then the real-process smoke runs and the end-to-end
+# benchmark's selftest.
 test-all: lint
 	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -x -q -m ""
 	$(PYTHON) scripts/serve_smoke.py
@@ -19,6 +20,7 @@ test-all: lint
 	$(PYTHON) scripts/http_smoke.py
 	$(PYTHON) scripts/lint_smoke.py
 	$(PYTHON) scripts/bench_index_smoke.py
+	$(PYTHON) benchmarks/e2e/run.py --selftest
 
 # Concurrency-aware static analysis over src/ (see src/repro/analysis):
 # lock-order cycles, unlocked shared writes, blocking calls under locks,
@@ -90,3 +92,13 @@ bench-index:
 
 bench-index-smoke:
 	$(PYTHON) scripts/bench_index_smoke.py
+
+# The repo's declared benchmark (BENCHMARK.json; workloads, metrics and
+# bounds in benchmarks/e2e/README.md): every workload end to end plus
+# the traced per-layer ladder, written to benchmarks/e2e/results/. The
+# selftest checks the harness's own helpers in seconds, no services.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+bench-e2e-selftest:
+	$(PYTHON) benchmarks/e2e/run.py --selftest

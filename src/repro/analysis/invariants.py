@@ -1,10 +1,12 @@
-"""Repo-invariant rules: R301–R309.
+"""Repo-invariant rules: R301–R306, R308, R309.
 
 These encode decisions this codebase has already made, so drift is
 caught at lint time instead of in review:
 
 * **R301** — pickle is a deserialization attack surface; the repo
-  confines it to the framed-RPC codec in ``repro/api/transport.py``.
+  uses it nowhere. The framed RPC carries a closed tag vocabulary
+  (``repro.api.wire``) and artifacts are ``.npz``/json, so there is no
+  exempt module.
 * **R302** — similarity methods and indexes are dispatched through the
   ``repro.api`` registries; a hand-rolled ``if name == "trajcl": ...``
   chain silently misses newly registered backends.
@@ -16,13 +18,6 @@ caught at lint time instead of in review:
   (PR 4) made embedding dtype part of the contract.
 * **R306** — every ``.npz`` artifact writer stamps ``format_version``
   so snapshots stay loadable across releases.
-* **R307** — numpy arrays cross the wire as ``dtype + shape + raw
-  buffer`` (see ``repro.api.wire``); ``pickle.dumps`` of an array-like
-  value re-introduces the serialization tax the binary codec removed.
-  Unlike R301 this fires *everywhere*, including ``transport.py`` — the
-  only exempt spots are functions whose name says ``fallback``, the
-  codec's audited escape hatch for objects the tag vocabulary cannot
-  express.
 * **R308** — a retry loop that sleeps a *constant* between attempts has
   no backoff: every retrier in a fleet wakes in lockstep and hammers
   the recovering peer (the serving stack's connect/retry paths all
@@ -48,15 +43,14 @@ from .core import Checker, FileContext, Finding, Rule, register_checker
 
 __all__ = [
     "RULE_R301", "RULE_R302", "RULE_R303",
-    "RULE_R304", "RULE_R305", "RULE_R306", "RULE_R307", "RULE_R308",
-    "RULE_R309",
+    "RULE_R304", "RULE_R305", "RULE_R306", "RULE_R308", "RULE_R309",
 ]
 
 RULE_R301 = Rule(
     "R301", "error",
-    "pickle use outside repro/api/transport.py",
-    "route serialization through repro.api.transport (the one audited "
-    "pickle boundary) or use an explicit format (json, npz)",
+    "pickle use (deserializing it runs arbitrary code)",
+    "send values through repro.api.wire (typed tags, raw array buffers) "
+    "or store them in an explicit format (json, npz)",
 )
 RULE_R302 = Rule(
     "R302", "warning",
@@ -87,13 +81,6 @@ RULE_R306 = Rule(
     "include format_version in the saved mapping so the artifact can be "
     "validated on load",
 )
-RULE_R307 = Rule(
-    "R307", "warning",
-    "pickle.dumps of a numpy array outside the wire fallback path",
-    "encode arrays through repro.api.wire (typed tag + dtype + shape + "
-    "raw buffer); the pickle fallback exists only for objects the codec "
-    "cannot express, inside functions named *fallback*",
-)
 RULE_R308 = Rule(
     "R308", "warning",
     "constant time.sleep in a retry loop (no backoff)",
@@ -109,13 +96,6 @@ RULE_R309 = Rule(
     "inside ADC/int8/graph scan code",
 )
 
-#: modules where pickle use is by design
-_PICKLE_ALLOWED_MODULES = {"transport"}
-#: identifier fragments that mark a value as (probably) a numpy array
-_ARRAY_LIKE = re.compile(
-    r"(arr|array|ndarray|emb|matrix|vector|distanc|tensor)",
-    re.IGNORECASE,
-)
 #: modules that legitimately compare backend/index names
 _DISPATCH_ALLOWED_MODULES = {"registry", "backends", "indexes", "service"}
 #: registered similarity backends + index kinds (see repro.api.registry)
@@ -148,13 +128,11 @@ def _attr_chain(node: ast.AST) -> str:
 
 @register_checker
 class PickleBoundaryChecker(Checker):
-    """R301 — pickle stays inside the transport codec."""
+    """R301 — no pickle anywhere, the wire codec included."""
 
     rules = (RULE_R301,)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.module_name in _PICKLE_ALLOWED_MODULES:
-            return ()
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -166,7 +144,7 @@ class PickleBoundaryChecker(Checker):
                 "cPickle.load",
             }:
                 findings.append(ctx.finding(
-                    RULE_R301, node, f"{chain}(...) outside transport.py",
+                    RULE_R301, node, f"{chain}(...)",
                 ))
                 continue
             if chain.endswith("np.load") or chain == "numpy.load":
@@ -178,8 +156,7 @@ class PickleBoundaryChecker(Checker):
                     ):
                         findings.append(ctx.finding(
                             RULE_R301, node,
-                            "np.load(..., allow_pickle=True) outside "
-                            "transport.py",
+                            "np.load(..., allow_pickle=True)",
                         ))
         return findings
 
@@ -324,55 +301,6 @@ class EmbeddingDtypeChecker(Checker):
                         f"the embedding dtype contract",
                     ))
         return findings
-
-
-@register_checker
-class ArrayPickleChecker(Checker):
-    """R307 — arrays serialized with pickle instead of the wire codec.
-
-    R301 draws the module boundary (pickle only in ``transport.py``);
-    R307 polices *what* gets pickled inside it: an ndarray through
-    ``pickle.dumps`` pays header-parsing and copy costs the typed codec
-    was built to remove, so even the allowed module must route arrays
-    through ``repro.api.wire`` and keep pickle to the ``*fallback*``
-    escape hatch.
-    """
-
-    rules = (RULE_R307,)
-
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attr_chain(node.func)
-            if chain not in {"pickle.dumps", "pickle.dump"}:
-                continue
-            if not node.args or not self._array_like(node.args[0]):
-                continue
-            scope = ctx.enclosing(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if scope is not None and "fallback" in scope.name.lower():
-                continue  # the codec's audited escape hatch
-            findings.append(ctx.finding(
-                RULE_R307, node,
-                f"{chain}(...) of an array-like value; the wire codec "
-                f"sends arrays as dtype+shape+buffer — pickle belongs "
-                f"only in the fallback path",
-            ))
-        return findings
-
-    @staticmethod
-    def _array_like(arg: ast.AST) -> bool:
-        if isinstance(arg, (ast.Name, ast.Attribute)):
-            return bool(_ARRAY_LIKE.search(_attr_chain(arg)))
-        if isinstance(arg, ast.Call):
-            chain = _attr_chain(arg.func)
-            return (
-                chain.startswith(("np.", "numpy."))
-                or bool(_ARRAY_LIKE.search(chain))
-            )
-        return False
 
 
 @register_checker

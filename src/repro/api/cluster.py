@@ -103,7 +103,6 @@ from .transport import (
     TransportError,
     merge_transport_stats,
     request,
-    resolve_wire_format,
 )
 
 __all__ = ["ShardWorker", "ClusterCoordinator", "run_worker",
@@ -144,12 +143,12 @@ class ShardWorker(ThreadedNodeServer):
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 backlog: int = 16, wire_format: Optional[str] = None):
+                 backlog: int = 16):
         self._lock = threading.Lock()
         self._services: Dict[int, SimilarityService] = {}
         self._recipe: Optional[Dict] = None
         self._worker_id: Optional[str] = None
-        super().__init__(host, port, backlog=backlog, wire_format=wire_format)
+        super().__init__(host, port, backlog=backlog)
 
     def _thread_name(self) -> str:
         return f"repro-shard-worker:{self.address[1]}"
@@ -327,10 +326,9 @@ class ShardWorker(ThreadedNodeServer):
 
 
 def run_worker(host: str = "127.0.0.1", port: int = 0,
-               ready_file: Optional[str] = None,
-               wire_format: Optional[str] = None) -> int:
+               ready_file: Optional[str] = None) -> int:
     """Boot a :class:`ShardWorker` and serve until shutdown (the CLI body)."""
-    worker = ShardWorker(host, port, wire_format=wire_format)
+    worker = ShardWorker(host, port)
     # SIGTERM runs the same graceful shutdown as Ctrl-C / a coordinator's
     # shutdown command, so launcher teardown never needs terminate→kill.
     install_signal_shutdown(worker.shutdown)
@@ -425,7 +423,6 @@ class ClusterCoordinator(ShardMergeMixin):
         connect_retries: int = 5,
         retry_wait: float = 0.1,
         shutdown_workers_on_close: bool = False,
-        wire_format: Optional[str] = None,
         chaos: Union[ChaosConfig, str, None] = None,
         catchup_limit: int = 4096,
         rereplicate: bool = True,
@@ -457,7 +454,6 @@ class ClusterCoordinator(ShardMergeMixin):
         self._cache_size = int(cache_size)
         self.heartbeat_interval = float(heartbeat_interval or 0.0)
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self._wire_format = resolve_wire_format(wire_format)
         self.shutdown_workers_on_close = bool(shutdown_workers_on_close)
         self.replication = replication
         self._connect_retries = int(connect_retries)
@@ -517,7 +513,7 @@ class ClusterCoordinator(ShardMergeMixin):
     def _new_transport(self, address: Tuple[str, int]):
         transport = SocketTransport.connect(
             *address, retries=self._connect_retries,
-            retry_wait=self._connect_wait, wire_format=self._wire_format)
+            retry_wait=self._connect_wait)
         if self._chaos is not None and self._chaos.active:
             # Distinct per-connection seed: the fault schedules of
             # different links are decorrelated but still reproducible.
@@ -1178,7 +1174,6 @@ class ClusterCoordinator(ShardMergeMixin):
             "shard_sizes": shard_sizes,
             "shards": shards,
             "worker_links": worker_links,
-            "wire_format": self._wire_format,
             "transport": transport_stats,
             "cache": merge_cache_counters(
                 [entry["cache"] for entry in worker_links
@@ -1376,8 +1371,7 @@ class ClusterCoordinator(ShardMergeMixin):
             # connection attempt.
             try:
                 transport = SocketTransport.connect(
-                    *link.address, timeout=1.0,
-                    wire_format=self._wire_format)
+                    *link.address, timeout=1.0)
             except (TransportError, OSError):
                 return
             link.transport = transport  # closed by close()'s sweep

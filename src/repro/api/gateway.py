@@ -1,6 +1,6 @@
 """The production edge: an HTTP/JSON gateway over any kNN service.
 
-Non-Python clients cannot speak the pickle frame protocol of
+Non-Python clients cannot speak the binary frame protocol of
 :mod:`repro.api.transport`; this module gives the serving stack an
 HTTP/1.1 front door with the traffic machinery heavy load needs. It is
 stdlib-only (:mod:`http.server` with one thread per connection) and wraps

@@ -15,9 +15,9 @@ Three pieces, all speaking the :mod:`repro.api.transport` frame protocol:
   asyncio streams, byte-compatible with the threaded server, so
   notebook and event-loop callers stop blocking threads.
 
-Round-tripping through the server is loss-free: requests and replies are
-pickled numpy arrays, so a remote ``knn`` returns bit-identical
-``(distances, ids)`` to the wrapped service. Quickstart::
+Round-tripping through the server is loss-free: requests and replies
+carry numpy arrays as raw typed buffers, so a remote ``knn`` returns
+bit-identical ``(distances, ids)`` to the wrapped service. Quickstart::
 
     from repro.api import (SimilarityService, SimilarityServer,
                            RemoteSimilarityClient)
@@ -120,10 +120,9 @@ class ThreadedNodeServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 backlog: int = 32, wire_format: Optional[str] = None):
+                 backlog: int = 32):
         # The flag exists before the accept thread does, so close() can
         # never race a half-built server.
-        self._wire_format = wire_format
         self._shutdown = threading.Event()
         self._connections: List[SocketTransport] = []
         self._connection_threads: List[threading.Thread] = []
@@ -176,7 +175,7 @@ class ThreadedNodeServer:
             ]
             self._connections = [transport for transport, _ in alive]
             self._connection_threads = [thread for _, thread in alive]
-            transport = SocketTransport(sock, wire_format=self._wire_format)
+            transport = SocketTransport(sock)
             thread = threading.Thread(target=self._serve_connection,
                                       args=(transport,), daemon=True)
             self._connections.append(transport)
@@ -262,15 +261,13 @@ class SimilarityServer(ThreadedNodeServer):
         *,
         backlog: int = 32,
         max_requests: Optional[int] = None,
-        wire_format: Optional[str] = None,
     ):
         self.service = service
         self._lock = threading.Lock()
         self._count_lock = threading.Lock()
         self._request_count = 0
         self._max_requests = max_requests
-        super().__init__(host, port, backlog=backlog,
-                         wire_format=wire_format)
+        super().__init__(host, port, backlog=backlog)
 
     def _thread_name(self) -> str:
         return f"repro-similarity-server:{self.address[1]}"
@@ -409,13 +406,11 @@ class RemoteSimilarityClient:
     def __init__(self, address: Union[str, Tuple[str, int]],
                  port: Optional[int] = None, *,
                  timeout: Optional[float] = None,
-                 connect_retries: int = 3, retry_wait: float = 0.1,
-                 wire_format: Optional[str] = None):
+                 connect_retries: int = 3, retry_wait: float = 0.1):
         self.address = parse_address(address, port)
         self._lock = threading.Lock()
         self._timeout = timeout
         self._retry_wait = float(retry_wait)
-        self._wire_format = wire_format
         self._retries = 0
         # Bounded connect retry with backoff: a client launched alongside
         # the server no longer races its bind (a --ready-file only helps
@@ -423,8 +418,7 @@ class RemoteSimilarityClient:
         self._transport = SocketTransport.connect(*self.address,
                                                   timeout=timeout,
                                                   retries=connect_retries,
-                                                  retry_wait=retry_wait,
-                                                  wire_format=wire_format)
+                                                  retry_wait=retry_wait)
         self._closed = False
 
     def transport_stats(self) -> Dict:
@@ -455,8 +449,7 @@ class RemoteSimilarityClient:
                 # reconnect in lockstep against a restarting server.
                 time.sleep(self._retry_wait * (1.0 + random.random()))  # repro: allow[C204] single bounded backoff before the one retry; the client lock serializes whole exchanges by design
                 self._transport = SocketTransport.connect(
-                    *self.address, timeout=self._timeout,
-                    wire_format=self._wire_format)
+                    *self.address, timeout=self._timeout)
                 # repro: allow[C204] the one retry of the exchange above, same single-exchange discipline
                 return request(self._transport, command, payload, who=who)
 
@@ -553,25 +546,22 @@ class AsyncSimilarityClient:
     them); open several clients for true fan-out.
     """
 
-    def __init__(self, reader, writer, address: Tuple[str, int], *,
-                 wire_format: Optional[str] = None):
+    def __init__(self, reader, writer, address: Tuple[str, int]):
         self._reader = reader
         self._writer = writer
         self.address = address
-        self._wire_format = wire_format
         self._lock = None  # created lazily on the running loop
         self._closed = False
 
     @classmethod
     async def connect(cls, address: Union[str, Tuple[str, int]],
-                      port: Optional[int] = None, *,
-                      wire_format: Optional[str] = None,
+                      port: Optional[int] = None,
                       ) -> "AsyncSimilarityClient":
         import asyncio
 
         host, port = parse_address(address, port)
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, (host, port), wire_format=wire_format)
+        return cls(reader, writer, (host, port))
 
     async def _call(self, command: str, payload=None):
         import asyncio
@@ -581,8 +571,7 @@ class AsyncSimilarityClient:
         if self._lock is None:
             self._lock = asyncio.Lock()
         async with self._lock:
-            self._writer.write(
-                encode_frame((command, payload), self._wire_format))
+            self._writer.write(encode_frame((command, payload)))
             await self._writer.drain()
             header = await self._reader.readexactly(FRAME_HEADER.size)
             body = await self._reader.readexactly(frame_length(header))
@@ -632,8 +621,7 @@ class AsyncSimilarityClient:
             return
         self._closed = True
         try:
-            self._writer.write(encode_frame(("stop", None),
-                                            self._wire_format))
+            self._writer.write(encode_frame(("stop", None)))
             await self._writer.drain()
         except (ConnectionError, OSError):
             pass

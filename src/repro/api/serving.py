@@ -54,17 +54,14 @@ from .registry import get_backend
 from .service import SimilarityService, _default_index_for
 from . import wire
 from .transport import (
-    WIRE_FORMAT_PICKLE,
     PipeTransport,
     RemoteCallError,
     ServiceNode,
     TransportError,
     broadcast,
     broadcast_encoded,
-    encode_payload,
     merge_transport_stats,
     read_reply,
-    resolve_wire_format,
 )
 
 #: one batch-normalization rule shared with the single-process service —
@@ -382,7 +379,6 @@ class ShardedSimilarityService(ShardMergeMixin):
         batch_size: int = 256,
         cache_size: int = 4096,
         start_method: Optional[str] = None,
-        wire_format: Optional[str] = None,
         shm_threshold: Optional[int] = wire.DEFAULT_SHM_THRESHOLD,
     ):
         if num_workers < 1:
@@ -423,11 +419,6 @@ class ShardedSimilarityService(ShardMergeMixin):
         # an add() half-committed (shard_sizes summing to something other
         # than size). Never held across an RPC.
         self._state_lock = threading.Lock()
-        self._wire_format = resolve_wire_format(wire_format)
-        # Shared memory only exists in the binary format's vocabulary;
-        # forced-pickle mode (old-peer interop) keeps arrays in-band.
-        if self._wire_format == WIRE_FORMAT_PICKLE:
-            shm_threshold = None
         self._shm_threshold = shm_threshold
         # Fan-out requests are encoded once through this pool (large
         # query matrices go out-of-band via /dev/shm); per-transport
@@ -445,9 +436,7 @@ class ShardedSimilarityService(ShardMergeMixin):
         service_kwargs = {"batch_size": batch_size, "cache_size": cache_size}
         for _ in range(self.num_workers):
             parent_transport, child_transport = PipeTransport.pair(
-                context, wire_format=self._wire_format,
-                shm_threshold=shm_threshold,
-            )
+                context, shm_threshold=shm_threshold)
             process = context.Process(
                 target=_shard_worker,
                 args=(child_transport, meta, arrays, index, index_kwargs,
@@ -498,9 +487,8 @@ class ShardedSimilarityService(ShardMergeMixin):
         try:
             with self._rpc_lock:
                 try:
-                    encoded = encode_payload((command, payload),
-                                             self._wire_format,
-                                             self._shm_pool)
+                    encoded = wire.encode((command, payload),
+                                          self._shm_pool)
                     # repro: allow[C204] the shard fan-out must own the pipes end-to-end: _rpc_lock exists precisely to keep concurrent RPCs from interleaving frames
                     return broadcast_encoded(self._transports, encoded,
                                              who="shard worker")
@@ -593,7 +581,6 @@ class ShardedSimilarityService(ShardMergeMixin):
             "workers": self.num_workers,
             "shard_sizes": shard_sizes,
             "shards": shards,
-            "wire_format": self._wire_format,
             "transport": transport_stats,
             "cache": merge_cache_counters(
                 [entry["cache"] for entry in shards if "cache" in entry]),

@@ -4,14 +4,11 @@ Every hop in the serving stack — parent process to shard worker, TCP
 client to :class:`~repro.api.remote.SimilarityServer`, asyncio caller to
 the same server — speaks one wire protocol: a *frame* is an 8-byte
 big-endian length prefix followed by a payload encoded by the typed
-binary codec in :mod:`repro.api.wire` (numpy buffers raw, pickle only as
-a tagged fallback for odd objects).  The payload's first byte carries
-the format version: :data:`wire.WIRE_VERSION` for the typed codec,
-``0x80`` (pickle's own ``PROTO`` opcode) for a legacy pickle peer —
-:func:`decode_payload` sniffs it, so mixed-version peers negotiate
-without a handshake and ``wire_format="pickle"`` can force the legacy
-encoding for interop tests.  The abstractions here keep the callers
-transport-oblivious:
+binary codec in :mod:`repro.api.wire` (numpy buffers raw, a closed tag
+vocabulary, nothing ever unpickled).  A value the codec cannot express
+raises :class:`wire.WireError` at the sender; bytes that do not decode
+are a :class:`FrameError` at the receiver.  The abstractions here keep
+the callers transport-oblivious:
 
 * :class:`Transport` — the ``send``/``recv``/``poll``/``close`` contract;
 * :class:`PipeTransport` — a :mod:`multiprocessing` pipe endpoint (the
@@ -39,8 +36,6 @@ these pieces; neither owns any framing or dispatch logic of its own.
 
 from __future__ import annotations
 
-import os
-import pickle
 import struct
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -57,7 +52,6 @@ __all__ = [
     "SocketTransport",
     "ServiceNode",
     "encode_frame",
-    "encode_payload",
     "decode_payload",
     "request",
     "broadcast",
@@ -66,10 +60,6 @@ __all__ = [
     "merge_transport_stats",
     "FRAME_HEADER",
     "MAX_FRAME_BYTES",
-    "WIRE_FORMAT_BINARY",
-    "WIRE_FORMAT_PICKLE",
-    "default_wire_format",
-    "resolve_wire_format",
 ]
 
 #: length prefix of a socket frame: 8-byte unsigned big-endian
@@ -78,28 +68,6 @@ FRAME_HEADER = struct.Struct(">Q")
 #: refuse frames larger than this (a garbage header must not trigger a
 #: multi-terabyte read; 1 GiB comfortably holds any real payload here)
 MAX_FRAME_BYTES = 1 << 30
-
-#: the typed binary codec in :mod:`repro.api.wire` (the default)
-WIRE_FORMAT_BINARY = "binary"
-#: the legacy pickle payload, for old peers and interop tests
-WIRE_FORMAT_PICKLE = "pickle"
-
-_WIRE_FORMATS = (WIRE_FORMAT_BINARY, WIRE_FORMAT_PICKLE)
-
-
-def default_wire_format() -> str:
-    """Session-wide default send format (``REPRO_WIRE_FORMAT`` env)."""
-    return os.environ.get("REPRO_WIRE_FORMAT", WIRE_FORMAT_BINARY)
-
-
-def resolve_wire_format(wire_format: Optional[str]) -> str:
-    """Normalize a ``wire_format`` argument (None means the default)."""
-    fmt = wire_format if wire_format is not None else default_wire_format()
-    if fmt not in _WIRE_FORMATS:
-        raise ValueError(
-            f"unknown wire_format {fmt!r}; expected one of {_WIRE_FORMATS}"
-        )
-    return fmt
 
 
 class TransportError(ConnectionError):
@@ -134,54 +102,25 @@ class RemoteCallError(RuntimeError):
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def encode_payload(
-    message,
-    wire_format: Optional[str] = None,
-    pool: Optional[wire.ShmPool] = None,
-) -> bytes:
-    """Encode one message into frame-payload bytes (no length prefix)."""
-    fmt = resolve_wire_format(wire_format)
-    if fmt == WIRE_FORMAT_PICKLE:
-        # protocol >= 2 guarantees the 0x80 PROTO first byte that
-        # decode_payload's version sniff relies on
-        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return wire.encode(message, pool)
-
-
-def encode_frame(
-    message,
-    wire_format: Optional[str] = None,
-    pool: Optional[wire.ShmPool] = None,
-) -> bytes:
-    """One wire frame: length prefix + encoded payload."""
-    payload = encode_payload(message, wire_format, pool)
+def encode_frame(message) -> bytes:
+    """One socket frame: length prefix + encoded payload."""
+    payload = wire.encode(message)
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
-def decode_payload(payload):
+def decode_payload(payload, attach_shm: bool = False):
     """Decode a frame payload, normalizing failures to :class:`FrameError`.
 
-    The first payload byte selects the codec: :data:`wire.WIRE_VERSION`
-    is the typed binary format; anything else (``0x80`` from a pickle
-    protocol >= 2 peer, or the pre-2 opcodes of even older pickles) is
-    handed to pickle.  Malformed input of either kind surfaces as
-    :class:`FrameError`, never as a truncated ``np.frombuffer``.
+    Malformed input — truncated, unknown version byte or tag, a pickle
+    blob — surfaces as :class:`FrameError`, never as a truncated
+    ``np.frombuffer`` and never as code run on the receiver.  Only a
+    pipe endpoint passes *attach_shm*; anywhere else a shared-memory
+    tag is malformed too.
     """
-    if len(payload) == 0:
-        raise FrameError("empty frame payload")
-    first = payload[0] if isinstance(payload, (bytes, bytearray)) \
-        else memoryview(payload)[0]
-    if first == wire.WIRE_VERSION:
-        try:
-            return wire.decode(payload)
-        except wire.WireError as error:
-            raise FrameError(
-                f"frame payload does not decode: {error}"
-            ) from error
     try:
-        return pickle.loads(payload)
-    except Exception as error:
-        raise FrameError(f"frame payload does not unpickle: {error}") from error
+        return wire.decode(payload, attach_shm)
+    except wire.WireError as error:
+        raise FrameError(f"frame payload does not decode: {error}") from error
 
 
 def frame_length(header: bytes) -> int:
@@ -209,7 +148,7 @@ class Transport(Protocol):
         ...
 
     def send_encoded(self, payload: bytes) -> None:
-        """Deliver a message already encoded by :func:`encode_payload`."""
+        """Deliver a message already encoded by :func:`wire.encode`."""
         ...
 
     def recv(self):
@@ -231,13 +170,9 @@ def merge_transport_stats(stats_list: Sequence[Dict]) -> Dict:
         "bytes_sent": 0, "frames_sent": 0,
         "bytes_recv": 0, "frames_recv": 0, "shm_hits": 0,
     }
-    wire_formats = set()
     for stats in stats_list:
-        wire_formats.add(stats.get("wire_format"))
         for key in total:
             total[key] += stats.get(key, 0)
-    if len(wire_formats) == 1:
-        total["wire_format"] = wire_formats.pop()
     return total
 
 
@@ -245,7 +180,7 @@ class PipeTransport:
     """A :mod:`multiprocessing` pipe endpoint as a :class:`Transport`.
 
     Messages cross the pipe as raw payload bytes (``send_bytes`` /
-    ``recv_bytes``) encoded by :func:`encode_payload`, so the pipe's own
+    ``recv_bytes``) encoded by :func:`wire.encode`, so the pipe's own
     pickling is out of the data path; the adapter also supplies the
     uniform error vocabulary (``EOFError``/``OSError`` become
     :class:`TransportClosed`).  Instances survive being passed as
@@ -262,11 +197,9 @@ class PipeTransport:
     whatever is still outstanding so no ``/dev/shm`` litter survives.
     """
 
-    def __init__(self, connection, *, wire_format: Optional[str] = None,
-                 shm_threshold: Optional[int] = None):
+    def __init__(self, connection, *, shm_threshold: Optional[int] = None):
         self._connection = connection
         self._closed = False
-        self._wire_format = resolve_wire_format(wire_format)
         self._shm_threshold = shm_threshold
         self._pool: Optional[wire.ShmPool] = None
         self.bytes_sent = 0
@@ -275,16 +208,15 @@ class PipeTransport:
         self.frames_recv = 0
 
     @classmethod
-    def pair(cls, context=None, *, wire_format: Optional[str] = None,
-             shm_threshold: Optional[int] = None,
+    def pair(cls, context=None, *, shm_threshold: Optional[int] = None,
              ) -> Tuple["PipeTransport", "PipeTransport"]:
         """A connected ``(parent, child)`` transport pair."""
         if context is None:
             import multiprocessing as context
         left, right = context.Pipe()
         return (
-            cls(left, wire_format=wire_format, shm_threshold=shm_threshold),
-            cls(right, wire_format=wire_format, shm_threshold=shm_threshold),
+            cls(left, shm_threshold=shm_threshold),
+            cls(right, shm_threshold=shm_threshold),
         )
 
     def _shm_pool(self) -> Optional[wire.ShmPool]:
@@ -293,9 +225,7 @@ class PipeTransport:
         return self._pool
 
     def send(self, message) -> None:
-        self.send_encoded(
-            encode_payload(message, self._wire_format, self._shm_pool())
-        )
+        self.send_encoded(wire.encode(message, self._shm_pool()))
 
     def send_encoded(self, payload: bytes) -> None:
         try:
@@ -317,7 +247,8 @@ class PipeTransport:
             self._pool.release()
         self.bytes_recv += len(payload)
         self.frames_recv += 1
-        return decode_payload(payload)
+        # a pipe peer is a process of this machine: M tags may attach
+        return decode_payload(payload, attach_shm=True)
 
     def poll(self, timeout: Optional[float] = None) -> bool:
         try:
@@ -329,7 +260,6 @@ class PipeTransport:
     def stats(self) -> Dict:
         pool = self._pool
         return {
-            "wire_format": self._wire_format,
             "bytes_sent": self.bytes_sent,
             "frames_sent": self.frames_sent,
             "bytes_recv": self.bytes_recv,
@@ -351,13 +281,13 @@ class SocketTransport:
     The frame layout (8-byte big-endian length, versioned payload) is
     shared with :class:`~repro.api.remote.AsyncSimilarityClient`, so a
     server never knows whether a thread or an event loop sits at the
-    other end.  No shared-memory pool here: sockets may cross machines.
+    other end.  No shared-memory pool here, and a received ``M`` tag is a
+    :class:`FrameError`: sockets may cross machines.
     """
 
-    def __init__(self, sock, *, wire_format: Optional[str] = None):
+    def __init__(self, sock):
         self._socket = sock
         self._closed = False
-        self._wire_format = resolve_wire_format(wire_format)
         self.bytes_sent = 0
         self.frames_sent = 0
         self.bytes_recv = 0
@@ -367,7 +297,6 @@ class SocketTransport:
     def connect(
         cls, host: str, port: int, timeout: Optional[float] = None,
         *, retries: int = 0, retry_wait: float = 0.1,
-        wire_format: Optional[str] = None,
     ) -> "SocketTransport":
         """Connect, optionally retrying with exponential backoff.
 
@@ -388,7 +317,7 @@ class SocketTransport:
                 sock = socket_module.create_connection((host, port),
                                                        timeout=timeout)
                 sock.settimeout(None)
-                return cls(sock, wire_format=wire_format)
+                return cls(sock)
             except OSError as error:
                 last_error = error
                 if attempt < retries:
@@ -400,7 +329,7 @@ class SocketTransport:
         ) from last_error
 
     def send(self, message) -> None:
-        self.send_encoded(encode_payload(message, self._wire_format))
+        self.send_encoded(wire.encode(message))
 
     def send_encoded(self, payload: bytes) -> None:
         frame = FRAME_HEADER.pack(len(payload)) + payload
@@ -441,7 +370,6 @@ class SocketTransport:
 
     def stats(self) -> Dict:
         return {
-            "wire_format": self._wire_format,
             "bytes_sent": self.bytes_sent,
             "frames_sent": self.frames_sent,
             "bytes_recv": self.bytes_recv,
@@ -530,10 +458,22 @@ def broadcast(transports: Sequence[Transport], command: str,
     """Fan one command out over many peers, then gather every reply.
 
     All sends complete before the first recv so the peers work
-    concurrently; the reply discipline is :func:`drain_replies`.
+    concurrently; the reply discipline is :func:`drain_replies`.  A
+    payload the codec cannot express raises the sender's
+    :class:`wire.WireError` — after the replies of the peers already
+    sent to were read, so no channel is left one reply ahead.
     """
-    for transport, payload in zip(transports, payloads):
-        transport.send((command, payload))
+    sent = []
+    try:
+        for transport, payload in zip(transports, payloads):
+            transport.send((command, payload))
+            sent.append(transport)
+    except wire.WireError:
+        try:
+            drain_replies(sent, who)
+        except RemoteCallError:
+            pass  # the caller's bug outranks what those peers answered
+        raise
     return drain_replies(transports, who)
 
 
@@ -541,7 +481,7 @@ def broadcast_encoded(transports: Sequence[Transport], encoded: bytes,
                       who: str = "peer") -> List:
     """:func:`broadcast` a message that was encoded exactly once.
 
-    *encoded* is the :func:`encode_payload` bytes of one ``(command,
+    *encoded* is the :func:`wire.encode` bytes of one ``(command,
     payload)`` message every peer should receive; the same buffer is
     written to each transport, so an N-way fan-out pays for one
     serialization instead of N.
@@ -627,26 +567,12 @@ class ServiceNode:
     def _reply(self, reply) -> None:
         try:
             self.transport.send(reply)
+        except wire.WireError as error:
+            # A handler returned something outside the codec's
+            # vocabulary: nothing was sent yet, so the peer gets a typed
+            # error (two strings always encode) and the node serves on.
+            self._reply((ERROR, str(error)))
         except TransportError:
             # The peer vanished between request and reply; nothing to do —
             # the loop will notice on the next recv().
             pass
-
-
-# ----------------------------------------------------------------------
-# Pickle fallback for the typed codec (wire tag ``P``)
-# ----------------------------------------------------------------------
-# wire.py itself never imports pickle (rule R301 confines pickle to this
-# module); it calls back into these at encode/decode time for objects
-# the tagged format has no representation for.
-def _wire_pickle_fallback_encode(obj) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _wire_pickle_fallback_decode(blob: bytes):
-    return pickle.loads(blob)
-
-
-wire.register_fallback(
-    _wire_pickle_fallback_encode, _wire_pickle_fallback_decode
-)

@@ -1,7 +1,7 @@
 """Typed binary wire codec for the serving stack's framed RPC.
 
-Replaces pickle as the frame payload between serving peers.  A payload
-is a one-byte format version followed by a tagged value tree::
+The one payload format between serving peers.  A payload is a one-byte
+format version followed by a tagged value tree::
 
     +---------+-----------------------------------------------------+
     | version | tagged value                                        |
@@ -27,24 +27,18 @@ Tags (one ASCII byte each):
 ``x``     numpy scalar: u8 dtype-str length + dtype-str + item bytes
 ``M``     shared-memory ndarray: u8 name length + segment name +
           u8 dtype-str length + dtype-str + u8 ndim + u64 x ndim shape
-``P``     pickle fallback: u64 length + opaque blob
 ========  ============================================================
 
-Version negotiation rides on the first payload byte: pickle payloads at
-protocol >= 2 always start with ``0x80`` (the pickle ``PROTO`` opcode),
-so :func:`repro.api.transport.decode_payload` sniffs byte 0 — ``0x80``
-means a legacy pickle peer, :data:`WIRE_VERSION` means this codec, and
-anything else is a malformed frame.  Old and new peers therefore
-interoperate without a handshake.
+That vocabulary is closed: a value outside it (a set, a custom class,
+an array whose dtype carries Python objects or structured fields) raises
+:class:`WireError` in :func:`encode`, at the sender, and any other first
+byte or tag is a :class:`WireError` in :func:`decode`.  Nothing on the
+wire is ever handed to :mod:`pickle`.  Containers nest at most
+:data:`MAX_DEPTH` levels in either direction.
 
 Arrays are encoded from a C-contiguous ``memoryview`` (no intermediate
 ``tobytes`` copy for contiguous native-order input) and decoded as
-zero-copy ``np.frombuffer`` views over the received payload.  Arrays
-whose dtype carries Python objects or structured fields travel through
-the pickle fallback.  This module itself never imports :mod:`pickle`
-(rule R301 confines pickle to ``transport.py``): the fallback
-encoder/decoder pair is injected by :func:`register_fallback` when
-:mod:`repro.api.transport` is imported.
+zero-copy ``np.frombuffer`` views over the received payload.
 
 Shared memory: an :class:`ShmPool` attached to the sending side moves
 large arrays through ``multiprocessing.shared_memory`` segments so the
@@ -56,18 +50,22 @@ drains its replies, or — for a worker's reply — when the next request
 arrives).  Unlinking while the receiver still maps the segment is safe
 on POSIX: the memory persists until the last mapping closes, which the
 receiver does via a ``weakref.finalize`` hook on the decoded view.
-Segments are named ``repro_wire_<pid>_<seq>`` so smoke tests can assert
-``/dev/shm`` holds no litter after a run.
+:func:`decode` attaches a segment only when its caller asks for it
+(``attach_shm=True``, which only a pipe endpoint does): a name arriving
+over a socket is a malformed frame.  Segments are named
+``repro_wire_<pid>_<seq>`` so smoke tests can assert ``/dev/shm`` holds
+no litter after a run.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import re
 import struct
 import threading
 import weakref
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 from multiprocessing import shared_memory
@@ -78,9 +76,9 @@ __all__ = [
     "ShmPool",
     "SHM_NAME_PREFIX",
     "DEFAULT_SHM_THRESHOLD",
+    "MAX_DEPTH",
     "encode",
     "decode",
-    "register_fallback",
 ]
 
 #: first byte of every payload produced by :func:`encode`
@@ -92,6 +90,10 @@ SHM_NAME_PREFIX = "repro_wire"
 #: arrays at or above this many bytes ride shared memory when a pool is
 #: attached; below it the segment bookkeeping costs more than the copy
 DEFAULT_SHM_THRESHOLD = 64 * 1024
+
+#: containers may nest this deep (the protocol's own messages stay under
+#: 6); a hostile frame must fail typed, not exhaust the interpreter stack
+MAX_DEPTH = 64
 
 
 class WireError(ValueError):
@@ -112,7 +114,6 @@ _TAG_DICT = b"d"
 _TAG_ARRAY = b"a"
 _TAG_SCALAR = b"x"
 _TAG_SHM = b"M"
-_TAG_PICKLE = b"P"
 
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
@@ -122,36 +123,6 @@ _F64 = struct.Struct(">d")
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
-
-# ---------------------------------------------------------------------------
-# pickle fallback injection (keeps this module pickle-free for R301)
-
-_FALLBACK_ENCODE: Optional[Callable[[Any], bytes]] = None
-_FALLBACK_DECODE: Optional[Callable[[bytes], Any]] = None
-
-
-def register_fallback(
-    encode_fn: Callable[[Any], bytes],
-    decode_fn: Callable[[bytes], Any],
-) -> None:
-    """Install the opaque-object fallback codec (tag ``P``).
-
-    Called by :mod:`repro.api.transport` at import time with a
-    pickle-backed pair; :mod:`wire` itself stays pickle-free.
-    """
-    global _FALLBACK_ENCODE, _FALLBACK_DECODE
-    _FALLBACK_ENCODE = encode_fn
-    _FALLBACK_DECODE = decode_fn
-
-
-def _require_fallback() -> None:
-    if _FALLBACK_ENCODE is None or _FALLBACK_DECODE is None:
-        # transport registers the pickle fallback on import; pulling it
-        # in lazily keeps `import repro.api.wire` standalone-usable.
-        from . import transport  # noqa: F401  (import for side effect)
-    if _FALLBACK_ENCODE is None or _FALLBACK_DECODE is None:
-        raise WireError("no fallback codec registered for opaque objects")
-
 
 # ---------------------------------------------------------------------------
 # shared-memory pool (sender side)
@@ -342,15 +313,10 @@ def _encode_array(array: np.ndarray, out: List[Any], pool: Optional[ShmPool]) ->
     out.append(_array_body(array))
 
 
-def _encode_fallback(value: Any, out: List[Any]) -> None:
-    _require_fallback()
-    blob = _FALLBACK_ENCODE(value)
-    out.append(_TAG_PICKLE)
-    out.append(_U64.pack(len(blob)))
-    out.append(blob)
-
-
-def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool]) -> None:
+def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool],
+                  depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise WireError(f"containers nest deeper than {MAX_DEPTH} levels")
     # np.generic before bool/int/float: numpy scalars subclass Python
     # numbers (np.float64 is a float) and would lose their dtype.
     if value is None:
@@ -359,7 +325,8 @@ def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool]) -> None:
         if _plain_dtype(value.dtype):
             _encode_array(value, out, pool)
         else:
-            _encode_fallback(value, out)
+            raise WireError(
+                f"ndarray of dtype {value.dtype} is not wire-encodable")
     elif isinstance(value, np.generic):
         dtype = np.dtype(type(value))
         if _plain_dtype(dtype) and dtype.kind not in "OUS":
@@ -369,7 +336,8 @@ def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool]) -> None:
             out.append(dtype_str)
             out.append(value.tobytes())
         else:
-            _encode_fallback(value, out)
+            raise WireError(
+                f"{type(value).__name__} is not wire-encodable")
     elif value is True:
         out.append(_TAG_TRUE)
     elif value is False:
@@ -401,20 +369,20 @@ def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool]) -> None:
         out.append(_TAG_LIST)
         out.append(_U32.pack(len(value)))
         for item in value:
-            _encode_value(item, out, pool)
+            _encode_value(item, out, pool, depth + 1)
     elif type(value) is tuple:
         out.append(_TAG_TUPLE)
         out.append(_U32.pack(len(value)))
         for item in value:
-            _encode_value(item, out, pool)
+            _encode_value(item, out, pool, depth + 1)
     elif type(value) is dict:
         out.append(_TAG_DICT)
         out.append(_U32.pack(len(value)))
         for key, item in value.items():
-            _encode_value(key, out, pool)
-            _encode_value(item, out, pool)
+            _encode_value(key, out, pool, depth + 1)
+            _encode_value(item, out, pool, depth + 1)
     else:
-        _encode_fallback(value, out)
+        raise WireError(f"{type(value).__name__} is not wire-encodable")
 
 
 def encode(message: Any, pool: Optional[ShmPool] = None) -> bytes:
@@ -425,7 +393,7 @@ def encode(message: Any, pool: Optional[ShmPool] = None) -> bytes:
     caller owns releasing the pool once the peer has consumed them.
     """
     out: List[Any] = [_U8.pack(WIRE_VERSION)]
-    _encode_value(message, out, pool)
+    _encode_value(message, out, pool, 0)
     return b"".join(out)
 
 
@@ -434,12 +402,13 @@ def encode(message: Any, pool: Optional[ShmPool] = None) -> bytes:
 
 
 class _Reader:
-    __slots__ = ("view", "pos", "end")
+    __slots__ = ("view", "pos", "end", "attach_shm")
 
-    def __init__(self, view: memoryview):
+    def __init__(self, view: memoryview, attach_shm: bool):
         self.view = view
         self.pos = 0
         self.end = len(view)
+        self.attach_shm = attach_shm
 
     def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > self.end:
@@ -461,12 +430,20 @@ class _Reader:
         return _U64.unpack(self.take(8))[0]
 
 
+#: the shape of every ``dtype.str`` a plain dtype produces; ``np.dtype``
+#: itself also parses comma lists, shapes and dict literals out of a
+#: string — none of that is reachable from a frame
+_DTYPE_STR = re.compile(rb"[<>|][biufcmMSU][0-9]+(\[[0-9]*[A-Za-z]+\])?")
+
+
 def _read_dtype(reader: _Reader) -> np.dtype:
     length = reader.u8()
     text = bytes(reader.take(length))
+    if _DTYPE_STR.fullmatch(text) is None:
+        raise WireError(f"bad dtype in payload: {text!r}")
     try:
         dtype = np.dtype(text.decode("ascii"))
-    except (TypeError, ValueError, UnicodeDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise WireError(f"bad dtype in payload: {text!r}") from exc
     if not _plain_dtype(dtype):
         raise WireError(f"refusing non-plain wire dtype {dtype!r}")
@@ -493,13 +470,22 @@ def _decode_array(reader: _Reader) -> np.ndarray:
             f"{shape} of dtype {dtype}"
         )
     body = reader.take(nbytes)
-    # zero-copy: the view aliases the received payload buffer
-    return np.frombuffer(body, dtype=dtype, count=count).reshape(shape)
+    try:
+        # zero-copy: the view aliases the received payload buffer
+        return np.frombuffer(body, dtype=dtype, count=count).reshape(shape)
+    except ValueError as exc:  # zero itemsize, a dimension past ssize_t
+        raise WireError(f"array of shape {shape}, dtype {dtype}: {exc}") from exc
 
 
 def _decode_shm(reader: _Reader) -> np.ndarray:
+    if not reader.attach_shm:
+        # only a pipe peer shares this machine's /dev/shm by construction
+        raise WireError("shared-memory tag on a transport without one")
     name_len = reader.u8()
-    name = bytes(reader.take(name_len)).decode("ascii")
+    try:
+        name = bytes(reader.take(name_len)).decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise WireError("undecodable shared-memory segment name") from exc
     dtype = _read_dtype(reader)
     shape = _read_shape(reader)
     count = 1
@@ -507,7 +493,7 @@ def _decode_shm(reader: _Reader) -> np.ndarray:
         count *= dim
     try:
         shm = _attach_segment(name)
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # missing, or not a valid name
         raise WireError(f"shared-memory segment {name!r} unavailable") from exc
     if count * dtype.itemsize > len(shm.buf):
         _close_attachment(shm)
@@ -521,7 +507,9 @@ def _decode_shm(reader: _Reader) -> np.ndarray:
     return array
 
 
-def _decode_value(reader: _Reader) -> Any:
+def _decode_value(reader: _Reader, depth: int) -> Any:
+    if depth > MAX_DEPTH:
+        raise WireError(f"containers nest deeper than {MAX_DEPTH} levels")
     tag = bytes(reader.take(1))
     if tag == _TAG_NONE:
         return None
@@ -543,15 +531,21 @@ def _decode_value(reader: _Reader) -> Any:
     if tag == _TAG_BYTES:
         return bytes(reader.take(reader.u64()))
     if tag == _TAG_LIST:
-        return [_decode_value(reader) for _ in range(reader.u32())]
+        return [_decode_value(reader, depth + 1)
+                for _ in range(reader.u32())]
     if tag == _TAG_TUPLE:
-        return tuple(_decode_value(reader) for _ in range(reader.u32()))
+        return tuple(_decode_value(reader, depth + 1)
+                     for _ in range(reader.u32()))
     if tag == _TAG_DICT:
         count = reader.u32()
         result = {}
         for _ in range(count):
-            key = _decode_value(reader)
-            result[key] = _decode_value(reader)
+            key = _decode_value(reader, depth + 1)
+            value = _decode_value(reader, depth + 1)
+            try:
+                result[key] = value
+            except TypeError as exc:
+                raise WireError(f"unhashable dict key: {exc}") from exc
         return result
     if tag == _TAG_ARRAY:
         return _decode_array(reader)
@@ -559,28 +553,28 @@ def _decode_value(reader: _Reader) -> Any:
         return _decode_shm(reader)
     if tag == _TAG_SCALAR:
         dtype = _read_dtype(reader)
+        if dtype.kind in "US":  # never sent; a bad code point is fatal
+            raise WireError(f"refusing string scalar dtype {dtype!r}")
         body = reader.take(dtype.itemsize)
         return np.frombuffer(body, dtype=dtype, count=1)[0]
-    if tag == _TAG_PICKLE:
-        _require_fallback()
-        blob = bytes(reader.take(reader.u64()))
-        return _FALLBACK_DECODE(blob)
     raise WireError(f"unknown wire tag {tag!r}")
 
 
-def decode(payload) -> Any:
+def decode(payload, attach_shm: bool = False) -> Any:
     """Decode a payload produced by :func:`encode`.
 
     Raises :class:`WireError` on any malformed input — a short body is
     caught by bounds checks before it could reach ``np.frombuffer``.
+    *attach_shm* permits ``M`` tags to map the named ``/dev/shm``
+    segment; leave it off for bytes that may come from another machine.
     """
     _sweep_attachments()
     view = memoryview(payload)
-    reader = _Reader(view)
+    reader = _Reader(view, attach_shm)
     version = reader.u8()
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version:#04x}")
-    value = _decode_value(reader)
+    value = _decode_value(reader, 0)
     if reader.pos != reader.end:
         raise WireError(
             f"{reader.end - reader.pos} trailing bytes after payload"

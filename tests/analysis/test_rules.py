@@ -184,20 +184,6 @@ R306_GOOD = """
         np.savez_compressed(path, format_version=np.array(1), **arrays)
 """
 
-R307_BAD = """
-    import pickle
-    import numpy as np
-
-    def freeze(array):
-        return pickle.dumps(array)
-"""
-R307_GOOD = """
-    import pickle
-
-    def _encode_array_fallback(array):
-        return pickle.dumps(array)
-"""
-
 R308_BAD = """
     import time
 
@@ -261,7 +247,6 @@ GOLDEN = [
     ("R304", R304_BAD, R304_GOOD),
     ("R305", R305_BAD, R305_GOOD),
     ("R306", R306_BAD, R306_GOOD),
-    ("R307", R307_BAD, R307_GOOD),
     ("R308", R308_BAD, R308_GOOD),
     ("R308", R308_BAD, R308_POLL),
 ]
@@ -366,8 +351,16 @@ def test_c204_ignores_asyncio_locks(lint_rules):
     assert "C204" not in fired
 
 
-def test_r301_allowed_inside_transport_module(lint_rules):
-    assert "R301" not in lint_rules(R301_BAD, filename="transport.py")
+def test_r301_has_no_exempt_module(lint_rules):
+    # transport.py was the audited pickle boundary until the wire went
+    # pickle-free; a *fallback* function name excuses nothing either.
+    assert "R301" in lint_rules(R301_BAD, filename="transport.py")
+    assert "R301" in lint_rules("""
+        import pickle
+
+        def _encode_array_fallback(array):
+            return pickle.dumps(array)
+    """, filename="transport.py")
 
 
 def test_r301_flags_allow_pickle_numpy_load(lint_rules):
@@ -378,33 +371,6 @@ def test_r301_flags_allow_pickle_numpy_load(lint_rules):
             return np.load(path, allow_pickle=True)
     """)
     assert "R301" in fired
-
-
-def test_r307_fires_even_inside_transport_module(lint_rules):
-    # R301's module allowance does NOT extend to R307: arrays must go
-    # through the wire codec even inside the audited pickle boundary.
-    assert "R307" in lint_rules(R307_BAD, filename="transport.py")
-
-
-def test_r307_ignores_non_array_payloads(lint_rules):
-    fired = lint_rules("""
-        import pickle
-
-        def freeze(message):
-            return pickle.dumps(message)
-    """)
-    assert "R307" not in fired
-
-
-def test_r307_flags_inline_numpy_constructors(lint_rules):
-    fired = lint_rules("""
-        import pickle
-        import numpy as np
-
-        def freeze(n):
-            return pickle.dumps(np.zeros(n))
-    """)
-    assert "R307" in fired
 
 
 def test_r302_single_comparison_is_not_dispatch(lint_rules):

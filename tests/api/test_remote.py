@@ -23,9 +23,15 @@ from repro.api import (
     get_backend,
 )
 from repro.api.remote import parse_address
-from repro.api.transport import FRAME_HEADER, SocketTransport, encode_frame
+from repro.api.transport import (
+    FRAME_HEADER,
+    FrameError,
+    SocketTransport,
+    TransportClosed,
+)
 
 from .test_registry import make_trajectories
+from .test_wire import HOSTILE, hostile_payloads
 
 
 @pytest.fixture(scope="module")
@@ -146,40 +152,25 @@ class TestRemoteParity:
             np.testing.assert_array_equal(local_d, remote_d)
 
 
-class TestMixedVersionParity:
-    """A new-codec peer and a forced-pickle peer must agree bit-for-bit:
-    the version sniff in decode_payload negotiates per payload, so every
-    client/server format pairing serves identical kNN answers."""
-
-    @pytest.mark.parametrize("client_fmt,server_fmt", [
-        ("binary", "pickle"), ("pickle", "binary"),
-        ("binary", "binary"), ("pickle", "pickle"),
-    ])
-    def test_knn_bit_identical_across_formats(self, local_service,
-                                              trajectories, client_fmt,
-                                              server_fmt):
+class TestWireParity:
+    def test_batched_knn_bit_identical(self, local_service, trajectories):
         queries = trajectories[:4]
         local_d, local_i = local_service.knn(queries, k=4, exclude=1)
-        with SimilarityServer(local_service,
-                              wire_format=server_fmt) as server:
-            with RemoteSimilarityClient(*server.address,
-                                        wire_format=client_fmt) as client:
+        with SimilarityServer(local_service) as server:
+            with RemoteSimilarityClient(*server.address) as client:
                 remote_d, remote_i = client.knn(queries, k=4, exclude=1)
         assert local_d.tobytes() == remote_d.tobytes()
         assert local_i.tobytes() == remote_i.tobytes()
 
     def test_transport_stats_visible_on_both_ends(self, local_service,
                                                   trajectories):
-        with SimilarityServer(local_service,
-                              wire_format="binary") as server:
-            with RemoteSimilarityClient(*server.address,
-                                        wire_format="binary") as client:
+        with SimilarityServer(local_service) as server:
+            with RemoteSimilarityClient(*server.address) as client:
                 client.knn(trajectories[0], k=2)
                 client_stats = client.transport_stats()
                 info = client.stats()
         assert client_stats["frames_sent"] >= 1
         assert client_stats["bytes_sent"] > 0
-        assert client_stats["wire_format"] == "binary"
         server_side = info["server_transport"]
         assert server_side["frames_recv"] >= 1
         assert server_side["bytes_recv"] > 0
@@ -271,6 +262,57 @@ class TestErrorPaths:
         with RemoteSimilarityClient(*server.address) as client:
             _, ids = client.knn(trajectories[0], k=2)
             assert ids.shape == (1, 2)
+
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_hostile_payload_gets_a_typed_reply_and_nothing_runs(
+            self, server, trajectories, tmp_path, name):
+        sentinel = tmp_path / "ran"
+        transport = SocketTransport(
+            socket.create_connection(server.address, timeout=5))
+        try:
+            transport.send_encoded(hostile_payloads(sentinel)[name])
+            status, detail = transport.recv()
+            assert status == "error" and "malformed frame" in detail
+            assert HOSTILE[name] in detail
+            with pytest.raises(TransportClosed):
+                transport.recv()  # the stream is abandoned after the reply
+        finally:
+            transport.close()
+        assert not sentinel.exists()
+        with RemoteSimilarityClient(*server.address) as client:
+            _, ids = client.knn(trajectories[0], k=2)
+            assert ids.shape == (1, 2)
+
+    def test_async_client_refuses_a_shared_memory_reply(self):
+        # A fake server that answers with a segment name: only pipe
+        # endpoints attach, so the asyncio client sees a malformed frame.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            connection, _ = listener.accept()
+            with connection:
+                SocketTransport(connection).recv()
+                payload = hostile_payloads(None)["shm_tag"]
+                connection.sendall(FRAME_HEADER.pack(len(payload)) + payload)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+
+        async def go():
+            cli = await AsyncSimilarityClient.connect(
+                listener.getsockname()[:2])
+            try:
+                with pytest.raises(FrameError, match="shared-memory tag"):
+                    await cli.size()
+            finally:
+                await cli.close()
+
+        try:
+            asyncio.run(go())
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
 
     def test_disconnect_mid_request_is_isolated(self, server, trajectories):
         raw = socket.create_connection(server.address, timeout=5)

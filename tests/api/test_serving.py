@@ -214,25 +214,11 @@ class TestWireTransportParity:
             assert i_single.tobytes() == i_sharded.tobytes()
             np.testing.assert_allclose(d_single, d_sharded)
             stats = service.stats()
-            assert stats["wire_format"] == "binary"
             assert stats["transport"]["shm_hits"] > 0
         finally:
             service.close()
         if check_fs:
             assert self._shm_segments() <= baseline
-
-    def test_forced_pickle_parity_and_no_shm(self, trajcl_backend,
-                                             single_service, trajectories):
-        with ShardedSimilarityService(backend=trajcl_backend, num_workers=2,
-                                      wire_format="pickle") as service:
-            service.add(trajectories)
-            d_single, i_single = single_service.knn(trajectories[:5], k=4)
-            d_sharded, i_sharded = service.knn(trajectories[:5], k=4)
-            assert i_single.tobytes() == i_sharded.tobytes()
-            np.testing.assert_allclose(d_single, d_sharded)
-            stats = service.stats()
-            assert stats["wire_format"] == "pickle"
-            assert stats["transport"]["shm_hits"] == 0
 
     def test_stats_expose_transport_counters(self, sharded_service):
         transport = sharded_service.stats()["transport"]

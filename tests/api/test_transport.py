@@ -1,13 +1,13 @@
 """Tests for the framed-message transport layer: codecs, pipe/socket
 transports, the ServiceNode dispatcher, and the broadcast discipline."""
 
-import pickle
 import socket
 import threading
 
 import numpy as np
 import pytest
 
+from repro.api import wire
 from repro.api.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -21,7 +21,6 @@ from repro.api.transport import (
     broadcast_encoded,
     decode_payload,
     encode_frame,
-    encode_payload,
     frame_length,
     merge_transport_stats,
     request,
@@ -49,8 +48,8 @@ class TestFraming:
             frame_length(header)
 
     def test_garbage_payload_is_a_frame_error(self):
-        with pytest.raises(FrameError, match="unpickle"):
-            decode_payload(b"this is not a pickle")
+        with pytest.raises(FrameError, match="does not decode"):
+            decode_payload(b"this is not a frame")
 
 
 def socket_transport_pair():
@@ -122,7 +121,7 @@ class TestSocketFraming:
 class TestShortReads:
     """A TCP peer may deliver a frame in arbitrarily small pieces, or stop
     mid-frame. Partial reads must reassemble; truncation must surface as a
-    clean transport error — never a truncated unpickle."""
+    clean transport error — never a truncated decode."""
 
     def test_byte_dribble_reassembles_the_frame(self):
         left, right = socket.socketpair()
@@ -164,14 +163,13 @@ class TestShortReads:
             transport.recv()
         transport.close()
 
-    def test_close_mid_body_is_a_frame_error_not_an_unpickle(self):
+    def test_close_mid_body_is_a_frame_error_not_a_decode(self):
         left, right = socket.socketpair()
         transport = SocketTransport(right)
         frame = encode_frame({"payload": np.arange(100)})
         left.sendall(frame[:-5])  # everything but the last 5 body bytes
         left.close()
-        # FrameError, not pickle.UnpicklingError: the truncated bytes must
-        # never reach the unpickler.
+        # The truncated bytes must never reach the decoder.
         with pytest.raises(FrameError, match="mid-frame"):
             transport.recv()
         transport.close()
@@ -221,6 +219,33 @@ class TestServiceNode:
         assert status == "error" and "malformed request" in detail
         assert request(caller, "ping") == "pong"
         caller.close()
+
+    def test_unencodable_reply_is_reported_and_survived(self):
+        caller, server = PipeTransport.pair()
+        run_node(server, {"tags": lambda _: {"a", "b"},
+                          "ping": lambda _: "pong"})
+        with pytest.raises(RemoteCallError,
+                           match="set is not wire-encodable"):
+            request(caller, "tags")
+        assert request(caller, "ping") == "pong"
+        caller.close()
+
+    def test_unencodable_request_raises_at_the_caller_and_stays_in_sync(self):
+        pairs = [PipeTransport.pair() for _ in range(2)]
+        callers = [left for left, _ in pairs]
+        for _, server in pairs:
+            run_node(server, {"echo": lambda payload: payload})
+        with pytest.raises(wire.WireError, match="set is not wire-encodable"):
+            request(callers[0], "echo", {1})
+        assert callers[0].stats()["frames_sent"] == 0
+        # Mid-fan-out the first peer has already been sent to: its reply
+        # is read before the error surfaces, not left for the next call.
+        with pytest.raises(wire.WireError, match="set is not wire-encodable"):
+            broadcast(callers, "echo", ["first", {1}])
+        assert request(callers[0], "echo", "second") == "second"
+        assert request(callers[1], "echo", [1]) == [1]
+        for caller in callers:
+            caller.close()
 
     def test_peer_hangup_ends_the_loop(self):
         caller, server = PipeTransport.pair()
@@ -306,29 +331,20 @@ class TestBroadcast:
         caller.close()
 
 
-class TestPipeUnpickling:
-    def test_unpicklable_bytes_surface_as_frame_error(self):
+class TestPipeGarbage:
+    def test_undecodable_bytes_surface_as_frame_error(self):
         # Drive the raw connection underneath to inject garbage bytes.
         left, right = PipeTransport.pair()
-        left._connection.send_bytes(b"\x80garbage that is not a pickle")
-        with pytest.raises((FrameError, TransportClosed)):
+        left._connection.send_bytes(b"\x80garbage that is not a frame")
+        with pytest.raises(FrameError):
             right.recv()
         left.close()
         right.close()
 
 
-class TestWireFormats:
-    """Per-payload version sniffing: a binary sender and a pickle sender
-    interoperate on the same channel with no handshake."""
-
-    @pytest.mark.parametrize("sender_fmt,receiver_fmt", [
-        ("binary", "pickle"), ("pickle", "binary"),
-        ("binary", "binary"), ("pickle", "pickle"),
-    ])
-    def test_mixed_format_pipe_round_trip(self, sender_fmt, receiver_fmt):
+class TestPipeRoundTrip:
+    def test_request_and_reply_arrays_are_bit_identical(self):
         left, right = PipeTransport.pair()
-        left._wire_format = sender_fmt
-        right._wire_format = receiver_fmt
         payload = np.random.default_rng(7).normal(size=(5, 2))
         left.send(("echo", payload))
         command, received = right.recv()
@@ -339,16 +355,6 @@ class TestWireFormats:
         assert back.tobytes() == (payload * 2).tobytes()
         left.close()
         right.close()
-
-    def test_unknown_wire_format_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire_format"):
-            PipeTransport.pair(wire_format="capnproto")
-
-    def test_binary_beats_pickle_on_array_bytes(self):
-        message = ("knn", {"queries": np.zeros((64, 16)), "k": 5})
-        binary = encode_payload(message, "binary")
-        legacy = encode_payload(message, "pickle")
-        assert len(binary) < len(legacy)
 
 
 class TestTransportStats:
@@ -378,25 +384,15 @@ class TestTransportStats:
         left.close()
         right.close()
 
-    def test_merge_sums_counters_and_keeps_uniform_format(self):
+    def test_merge_sums_counters(self):
         merged = merge_transport_stats([
-            {"wire_format": "binary", "bytes_sent": 10, "frames_sent": 1,
+            {"bytes_sent": 10, "frames_sent": 1,
              "bytes_recv": 5, "frames_recv": 1, "shm_hits": 2},
-            {"wire_format": "binary", "bytes_sent": 20, "frames_sent": 2,
+            {"bytes_sent": 20, "frames_sent": 2,
              "bytes_recv": 15, "frames_recv": 3, "shm_hits": 0},
         ])
-        assert merged["bytes_sent"] == 30
-        assert merged["frames_sent"] == 3
-        assert merged["shm_hits"] == 2
-        assert merged["wire_format"] == "binary"
-
-    def test_merge_drops_format_when_mixed(self):
-        merged = merge_transport_stats([
-            {"wire_format": "binary", "bytes_sent": 1},
-            {"wire_format": "pickle", "bytes_sent": 2},
-        ])
-        assert merged["bytes_sent"] == 3
-        assert "wire_format" not in merged
+        assert merged == {"bytes_sent": 30, "frames_sent": 3,
+                          "bytes_recv": 20, "frames_recv": 4, "shm_hits": 2}
 
 
 class TestBroadcastEncoded:
@@ -405,7 +401,7 @@ class TestBroadcastEncoded:
         callers = [left for left, _ in pairs]
         for _, server in pairs:
             run_node(server, {"echo": lambda payload: payload})
-        encoded = encode_payload(("echo", "shared"))
+        encoded = wire.encode(("echo", "shared"))
         assert broadcast_encoded(callers, encoded) == ["shared"] * 3
         # Each peer received the same byte count: the payload was
         # serialized once and written verbatim to every channel.
@@ -427,7 +423,7 @@ class TestBroadcastEncoded:
         for n, (_, server) in enumerate(pairs):
             run_node(server, {"echo": handler_for(n)})
         with pytest.raises(RemoteCallError, match="shard exploded"):
-            broadcast_encoded(callers, encode_payload(("echo", "boom")),
+            broadcast_encoded(callers, wire.encode(("echo", "boom")),
                               who="shard worker")
         # Replies were drained: the channels stay usable and in sync.
         assert broadcast(callers, "echo", ["a", "b", "c"]) == ["a", "b", "c"]
@@ -449,13 +445,5 @@ class TestPipeSharedMemory:
         right.send(("ack", None))
         left.recv()
         assert left._pool is not None and not left._pool._segments
-        left.close()
-        right.close()
-
-    def test_pickle_format_pair_never_builds_a_pool(self):
-        left, right = PipeTransport.pair(wire_format="pickle")
-        left.send(("x", np.zeros((64, 64))))
-        right.recv()
-        assert left.stats()["shm_hits"] == 0
         left.close()
         right.close()

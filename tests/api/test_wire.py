@@ -1,24 +1,77 @@
 """Tests for the typed binary wire codec: round-trips over the full tag
-vocabulary, malformed-payload rejection (never a truncated
-``np.frombuffer``), the shared-memory pool lifecycle, and the version
-sniff that lets binary and pickle peers interoperate."""
+vocabulary (hand-picked and generated), the closed vocabulary (what the
+codec cannot express fails at the sender, pickle blobs fail at the
+receiver without running), malformed-payload rejection (every prefix
+and bit flip is a typed error, never a truncated ``np.frombuffer``),
+and the shared-memory pool lifecycle."""
 
 import os
+import pickle
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.api import wire
-from repro.api.transport import (
-    FrameError,
-    decode_payload,
-    encode_payload,
-)
+from repro.api.transport import FrameError, decode_payload
 from repro.api.wire import ShmPool, WireError
 
 
 def round_trip(message, pool=None):
-    return wire.decode(wire.encode(message, pool))
+    return wire.decode(wire.encode(message, pool), attach_shm=True)
+
+
+class Detonator:
+    """Unpickling an instance touches ``path`` — proof that code ran."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _u32(value):
+    return struct.pack(">I", value)
+
+
+def _u64(value):
+    return struct.pack(">Q", value)
+
+
+#: hostile payload name -> what the receiver's FrameError says about it
+HOSTILE = {
+    "pickle_blob": "unsupported wire version",
+    "pickle_blob_protocol_0": "unsupported wire version",
+    "fallback_tag": "unknown wire tag",
+    "deep_nesting": "nest deeper",
+    "unhashable_key": "unhashable dict key",
+    "shm_tag": "shared-memory tag",
+}
+
+
+def hostile_payloads(sentinel):
+    """Payloads a peer could put inside a well-formed frame, by name."""
+    blob = pickle.dumps(Detonator(sentinel), protocol=pickle.HIGHEST_PROTOCOL)
+    version = bytes([wire.WIRE_VERSION])
+    return {
+        "pickle_blob": blob,  # starts 0x80, like every protocol >= 2
+        # the text protocol: no 0x80 marker to recognise
+        "pickle_blob_protocol_0": pickle.dumps(Detonator(sentinel),
+                                               protocol=0),
+        # the tag that used to carry opaque pickles
+        "fallback_tag": version + b"P" + _u64(len(blob)) + blob,
+        # 5000 one-element lists around a None: 25 KB, well-formed
+        "deep_nesting": version + (b"l" + _u32(1)) * 5000 + b"N",
+        # {[]: None}
+        "unhashable_key": version + b"d" + _u32(1) + b"l" + _u32(0) + b"N",
+        # float64[4] in a /dev/shm segment of the receiver's machine
+        "shm_tag": (version + b"M" + b"\x10repro_wire_0_0000"
+                    + b"\x03<f8" + b"\x01" + _u64(4)),
+    }
 
 
 class TestScalarRoundTrips:
@@ -114,22 +167,21 @@ class TestArrayRoundTrips:
         assert type(result[2]["k"]) is tuple
 
 
-class TestFallback:
-    def test_sets_travel_via_pickle_tag(self):
-        payload = wire.encode({"tags": {"a", "b"}})
-        assert wire._TAG_PICKLE in payload
-        assert round_trip({"tags": {"a", "b"}}) == {"tags": {"a", "b"}}
+class TestClosedVocabulary:
+    """Outside the tag table there is no escape hatch: the sender fails
+    (here), the receiver refuses (``TestDecodePayload``)."""
 
-    def test_object_dtype_array_falls_back(self):
-        array = np.array([{"odd": 1}, None], dtype=object)
-        result = round_trip(array)
-        assert result.dtype == object
-        assert result[0] == {"odd": 1} and result[1] is None
-
-    def test_structured_dtype_falls_back(self):
-        array = np.zeros(3, dtype=[("x", "f8"), ("y", "i4")])
-        result = round_trip(array)
-        assert result.dtype == array.dtype
+    @pytest.mark.parametrize("value", [
+        {1},
+        frozenset("ab"),
+        object(),
+        np.array([{"odd": 1}, None], dtype=object),
+        np.zeros(3, dtype=[("x", "f8"), ("y", "i4")]),
+        np.str_("numpy text"),
+    ], ids=lambda value: type(value).__name__)
+    def test_unencodable_values_fail_at_the_sender(self, value):
+        with pytest.raises(WireError, match="not wire-encodable"):
+            wire.encode(("reply", [value]))
 
 
 class TestMalformedPayloads:
@@ -180,43 +232,169 @@ class TestMalformedPayloads:
         with pytest.raises(WireError, match="rank"):
             wire.decode(bytes(payload))
 
+    def test_nesting_limit_is_the_same_in_both_directions(self):
+        def nested(levels):
+            value = None
+            for _ in range(levels):
+                value = [value]
+            return value
 
-class TestVersionSniffing:
-    """decode_payload negotiates codec per-payload off the first byte."""
+        assert round_trip(nested(wire.MAX_DEPTH)) == nested(wire.MAX_DEPTH)
+        with pytest.raises(WireError, match="nest deeper"):
+            wire.encode(nested(wire.MAX_DEPTH + 1))
 
-    def test_binary_payload_decodes(self):
+    @pytest.mark.parametrize("dtype_str", [b"<f8,<f8", b"(2,)<f8", b",", b"O",
+                                           b"|V4", b"{'names':[]}"])
+    def test_dtype_strings_numpy_would_parse_further_are_refused(
+            self, dtype_str):
+        payload = (bytes([wire.WIRE_VERSION]) + b"a"
+                   + bytes([len(dtype_str)]) + dtype_str
+                   + b"\x00" + struct.pack(">Q", 0))
+        with pytest.raises(WireError, match="dtype"):
+            wire.decode(payload)
+
+    def test_string_scalar_is_refused_before_numpy_builds_it(self):
+        # an out-of-range code point in a numpy str scalar is a SystemError
+        payload = (bytes([wire.WIRE_VERSION]) + b"x\x03<U1"
+                   + b"\xff\xff\xff\xff")
+        with pytest.raises(WireError, match="string scalar"):
+            wire.decode(payload)
+
+    def test_zero_itemsize_dtype_is_a_wire_error(self):
+        payload = bytearray(wire.encode(np.zeros(0, dtype="S1")))
+        assert payload[3:6] == b"|S1"
+        payload[5:6] = b"0"
+        with pytest.raises(WireError, match="itemsize"):
+            wire.decode(bytes(payload))
+
+
+class TestDecodePayload:
+    """decode_payload is the receiver's one door: FrameError or a value."""
+
+    def test_payload_decodes(self):
         message = {"x": np.arange(3)}
-        result = decode_payload(encode_payload(message, "binary"))
+        result = decode_payload(wire.encode(message))
         np.testing.assert_array_equal(result["x"], message["x"])
-
-    def test_pickle_payload_decodes(self):
-        message = {"x": np.arange(3)}
-        payload = encode_payload(message, "pickle")
-        assert payload[0] == 0x80  # pickle PROTO opcode, not WIRE_VERSION
-        result = decode_payload(payload)
-        np.testing.assert_array_equal(result["x"], message["x"])
-
-    def test_formats_agree_bit_for_bit(self):
-        message = ("knn", {"queries": np.random.default_rng(1).normal(
-            size=(4, 3)), "k": 2})
-        binary = decode_payload(encode_payload(message, "binary"))
-        legacy = decode_payload(encode_payload(message, "pickle"))
-        assert binary[0] == legacy[0]
-        assert binary[1]["queries"].tobytes() == \
-            legacy[1]["queries"].tobytes()
 
     def test_empty_payload_is_a_frame_error(self):
-        with pytest.raises(FrameError, match="empty"):
+        with pytest.raises(FrameError, match="does not decode"):
             decode_payload(b"")
 
-    def test_malformed_binary_payload_is_a_frame_error(self):
-        payload = encode_payload(np.arange(50), "binary")
+    def test_malformed_payload_is_a_frame_error(self):
+        payload = wire.encode(np.arange(50))
         with pytest.raises(FrameError, match="does not decode"):
             decode_payload(payload[:-5])
 
-    def test_unknown_wire_format_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire_format"):
-            encode_payload({}, "msgpack")
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_hostile_payload_is_a_frame_error_and_nothing_runs(self, tmp_path,
+                                                               name):
+        # not RecursionError, not TypeError, not an unpickle, not a mapping
+        sentinel = tmp_path / "ran"
+        with pytest.raises(FrameError, match=HOSTILE[name]):
+            decode_payload(hostile_payloads(sentinel)[name])
+        assert not sentinel.exists()
+
+
+# ----------------------------------------------------------------------
+# Generated inputs: one law per test, derandomized and bounded
+# ----------------------------------------------------------------------
+PLAIN_DTYPES = [
+    "?", "|i1", "|u1", "<i2", ">i2", "<u2", ">u2", "<i4", ">i4", "<u4",
+    ">u4", "<i8", ">i8", "<u8", ">u8", "<f2", ">f2", "<f4", ">f4", "<f8",
+    ">f8", "<c8", ">c8", "<c16", ">c16", "<M8[ns]", ">M8[D]", "<m8[s]",
+    ">m8[ms]", "|S3", "<U2", ">U2",
+]
+LAYOUTS = [
+    lambda a: a,
+    np.asfortranarray,
+    lambda a: a[::2] if a.ndim else a,       # strided: non-contiguous
+    lambda a: a.T,
+]
+
+array_values = st.builds(
+    lambda array, layout: layout(array),
+    st.sampled_from(PLAIN_DTYPES).flatmap(lambda dtype: arrays(
+        np.dtype(dtype), array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                      max_side=4))),
+    st.sampled_from(LAYOUTS),
+)
+scalar_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True), st.text(max_size=8), st.binary(max_size=8),
+    st.sampled_from([np.float32(1.5), np.int16(-3), np.uint64(2**63),
+                     np.bool_(False), np.complex64(1 + 2j)]),
+)
+trees = st.recursive(
+    st.one_of(scalar_values, array_values),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()),
+                        children, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def assert_same(got, want):
+    """Equality in value *and* type/dtype/shape; NaN equals itself."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # both copy out in C order
+    elif isinstance(want, np.generic):
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(want, float):
+        assert struct.pack(">d", got) == struct.pack(">d", want)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for got_item, want_item in zip(got, want):
+            assert_same(got_item, want_item)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    else:
+        assert got == want
+
+
+def decodes_or_frame_error(payload):
+    try:
+        decode_payload(payload)
+    except FrameError:
+        pass
+
+
+#: the stack's own busiest message, pinned beside the generated ones
+KNN_REQUEST = ("knn", ([np.arange(6, dtype=np.float64).reshape(3, 2)],
+                       10, None, None))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trees)
+def test_round_trip_is_lossless_in_value_dtype_and_shape(tree):
+    assert_same(wire.decode(wire.encode(tree)), tree)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trees)
+@example(KNN_REQUEST)
+def test_every_strict_prefix_decodes_or_is_a_frame_error(tree):
+    payload = wire.encode(tree)
+    for length in range(len(payload)):
+        decodes_or_frame_error(payload[:length])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trees)
+@example(KNN_REQUEST)
+def test_every_single_bit_flip_decodes_or_is_a_frame_error(tree):
+    payload = bytearray(wire.encode(tree))
+    for position in range(len(payload)):
+        for bit in range(8):
+            payload[position] ^= 1 << bit
+            decodes_or_frame_error(bytes(payload))
+            payload[position] ^= 1 << bit
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
@@ -234,7 +412,7 @@ class TestShmPool:
             # The big buffer is out-of-band: the payload holds a name,
             # not the 4 KiB of data.
             assert len(payload) < array.nbytes
-            result = wire.decode(payload)
+            result = wire.decode(payload, attach_shm=True)
             np.testing.assert_array_equal(result["big"], array)
             np.testing.assert_array_equal(result["small"], np.arange(3))
             del result
@@ -258,7 +436,7 @@ class TestShmPool:
         names = [seg.name for seg in pool._segments]
         assert names and all(
             os.path.exists(f"/dev/shm/{name}") for name in names)
-        result = wire.decode(payload)
+        result = wire.decode(payload, attach_shm=True)
         np.testing.assert_array_equal(result, array)
         del result
         pool.release()
@@ -269,7 +447,7 @@ class TestShmPool:
         pool = ShmPool(threshold=1)
         array = np.random.default_rng(3).normal(size=(128,))
         payload = wire.encode(array, pool)
-        result = wire.decode(payload)
+        result = wire.decode(payload, attach_shm=True)
         pool.release()  # segment unlinked while the view is alive
         np.testing.assert_array_equal(result, array)
 
@@ -278,7 +456,7 @@ class TestShmPool:
         payload = wire.encode(np.arange(16, dtype=np.float64), pool)
         pool.release()  # unlink before the receiver attaches
         with pytest.raises(WireError, match="unavailable"):
-            wire.decode(payload)
+            wire.decode(payload, attach_shm=True)
 
     def test_segment_names_carry_the_prefix(self):
         pool = ShmPool(threshold=1)
