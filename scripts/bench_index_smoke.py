@@ -8,7 +8,11 @@ checks the acceptance envelope the full 10^5 run is held to:
 * pq reaches recall@10 >= 0.8 at >= 4x memory reduction vs float32;
 * hnsw reaches recall@10 >= 0.9 while evaluating far fewer distances
   per query than the bruteforce scan (one per database vector);
-* int8 lands at ~4x memory reduction with near-exact recall.
+* int8 lands at ~4x memory reduction with near-exact recall;
+* the float indexes store what they are given: the sweep's float64
+  vectors cost bruteforce ``8 * dim`` bytes each, and float32 vectors
+  cost bruteforce and the (untrained) pq adapter ``4 * dim`` — 256 at
+  d = 64, not 512 — before and after a snapshot round-trip.
 
 Exits nonzero on the first failure, like the other smoke scripts.
 """
@@ -28,6 +32,27 @@ QUERIES = 100
 def fail(message: str) -> None:
     print(f"FAIL: {message}", flush=True)
     sys.exit(1)
+
+
+def check_float32_residency(root: str, dim: int) -> None:
+    """float32 in -> itemsize x dim bytes per vector, snapshot included."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    sys.path.insert(0, os.path.join(root, "benchmarks"))
+    import numpy as np
+    from bench_index import synthetic_embeddings
+    from repro.api import get_index
+
+    vectors = synthetic_embeddings(COUNT, dim).astype(np.float32)
+    for name in ("bruteforce", "pq"):  # pq: the buffer its first search trains on
+        index = get_index(name)
+        for start in range(0, COUNT, 512):
+            index.add(vectors[start:start + 512])
+        restored = type(index).restore(*index.state())
+        for label, candidate in (("", index), (" after a snapshot", restored)):
+            per_vector = candidate.stats()["bytes_per_vector"]
+            if per_vector != 4 * dim:
+                fail(f"{name}{label} holds float32 vectors at {per_vector} "
+                     f"B/vector, not {4 * dim}")
 
 
 def main() -> None:
@@ -80,6 +105,13 @@ def main() -> None:
     if int8["memory_reduction_vs_float32"] < 3.5:
         fail(f"int8 memory reduction "
              f"{int8['memory_reduction_vs_float32']} < 3.5x")
+
+    dim = payload["scenarios"][f"bruteforce_n{COUNT}"]["config"]["dim"]
+    if results("bruteforce")["bytes_per_vector"] != 8 * dim:
+        fail(f"bruteforce stored the sweep's float64 vectors at "
+             f"{results('bruteforce')['bytes_per_vector']} B/vector, "
+             f"not {8 * dim}")
+    check_float32_residency(root, dim)
 
     print(f"bench-index smoke OK: pq recall {pq['recall_at_10']} at "
           f"{pq['memory_reduction_vs_float32']}x reduction, hnsw recall "

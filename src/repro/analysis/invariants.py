@@ -1,4 +1,4 @@
-"""Repo-invariant rules: R301–R306, R308, R309.
+"""Repo-invariant rules: R301–R306, R308–R310.
 
 These encode decisions this codebase has already made, so drift is
 caught at lint time instead of in review:
@@ -30,12 +30,22 @@ caught at lint time instead of in review:
   modules' search/scan/ADC/LUT functions, an ``astype(float64)``, a
   ``dtype=np.float64`` keyword, or a default-float64 allocator
   (``np.zeros``/``np.empty``/... without ``dtype=``) silently doubles
-  the scan's working set and fires this rule.
+  the scan's working set and fires this rule. The shared float kernel
+  and its nearest callers (``distance.py``, ``bruteforce.py``,
+  ``kmeans.py``) keep the *caller's* dtype, so float64 is legitimate
+  there — but only ever by name: a dtype-less allocator fires anywhere
+  in those modules.
+* **R310** — ``a[:, None, :] - b[None, :, :]`` materializes a
+  ``(q, n, d)`` cube; at 16 x 5000 x 64 that is a 41 MB temporary per
+  scan. ``repro/index/distance.py`` is the one place allowed to form it
+  (blocked, in a cache-sized scratch); everything under ``repro/index``,
+  ``repro/api`` and ``repro/core`` calls that kernel instead.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
 from typing import Iterable, List, Optional
 
@@ -44,6 +54,7 @@ from .core import Checker, FileContext, Finding, Rule, register_checker
 __all__ = [
     "RULE_R301", "RULE_R302", "RULE_R303",
     "RULE_R304", "RULE_R305", "RULE_R306", "RULE_R308", "RULE_R309",
+    "RULE_R310",
 ]
 
 RULE_R301 = Rule(
@@ -90,10 +101,16 @@ RULE_R308 = Rule(
 )
 RULE_R309 = Rule(
     "R309", "warning",
-    "float64 intermediate materialized in a quantized-index scan path",
-    "quantized kernels are dtype-preserving: allocate with an explicit "
-    "narrow dtype (float32/uint8/int16) and never astype/dtype=float64 "
-    "inside ADC/int8/graph scan code",
+    "float64 intermediate materialized in an index scan path",
+    "scan kernels are dtype-preserving: allocate with an explicit dtype "
+    "(the caller's in the float kernel; float32/uint8/int16 in quantized "
+    "code) and never astype/dtype=float64 inside ADC/int8/graph scans",
+)
+RULE_R310 = Rule(
+    "R310", "warning",
+    "3-D difference cube built outside the shared distance kernel",
+    "call repro.index.distance.pairwise/assign/topk: they block the "
+    "(q, n, d) cube into a cache-sized scratch and keep the dtype",
 )
 
 #: modules that legitimately compare backend/index names
@@ -112,8 +129,14 @@ _QUANTIZED_SCAN_MODULES = {"quant", "pq", "hnsw"}
 _QUANTIZED_SCAN_FUNC = re.compile(
     r"(search|scan|adc|lut|decode|distance)", re.IGNORECASE
 )
+#: the shared float kernel and its nearest callers: float64 is the
+#: caller's choice there, so only a *default* float64 allocation fires —
+#: in any function, not just the scan-named ones
+_DTYPE_PRESERVING_MODULES = {"distance", "bruteforce", "kmeans"}
 #: numpy allocators whose dtype defaults to float64
 _DEFAULT_FLOAT64_ALLOCATORS = {"zeros", "empty", "ones", "full"}
+#: packages whose distance arithmetic must go through the kernel (R310)
+_KERNEL_CLIENT_PACKAGES = {"index", "api", "core"}
 
 
 def _attr_chain(node: ast.AST) -> str:
@@ -383,6 +406,15 @@ def _is_float64_ref(node: ast.AST) -> bool:
     return chain is not None and chain.endswith("float64")
 
 
+def _is_default_float64_allocator(node: ast.Call) -> bool:
+    chain = _attr_chain(node.func)
+    return (
+        chain.startswith(("np.", "numpy."))
+        and chain.rsplit(".", 1)[-1] in _DEFAULT_FLOAT64_ALLOCATORS
+        and not any(kw.arg == "dtype" for kw in node.keywords)
+    )
+
+
 @register_checker
 class QuantizedScanDtypeChecker(Checker):
     """R309 — float64 intermediates in quantized-index scan paths.
@@ -398,7 +430,8 @@ class QuantizedScanDtypeChecker(Checker):
     rules = (RULE_R309,)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.module_name not in _QUANTIZED_SCAN_MODULES:
+        preserving = ctx.module_name in _DTYPE_PRESERVING_MODULES
+        if not preserving and ctx.module_name not in _QUANTIZED_SCAN_MODULES:
             return []
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
@@ -407,7 +440,18 @@ class QuantizedScanDtypeChecker(Checker):
             scope = ctx.enclosing(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
             )
-            if scope is None or not _QUANTIZED_SCAN_FUNC.search(scope.name):
+            if scope is None:
+                continue
+            if preserving:
+                if _is_default_float64_allocator(node):
+                    findings.append(ctx.finding(
+                        RULE_R309, node,
+                        f"dtype-less numpy allocator in {scope.name}() "
+                        f"allocates float64 whatever the caller's dtype; "
+                        f"name the dtype",
+                    ))
+                continue
+            if not _QUANTIZED_SCAN_FUNC.search(scope.name):
                 continue
             func = node.func
             if (
@@ -437,17 +481,60 @@ class QuantizedScanDtypeChecker(Checker):
                     f"quantized kernels must stay float32-or-narrower",
                 ))
                 continue
-            chain = _attr_chain(func)
-            if (
-                chain is not None
-                and chain.startswith(("np.", "numpy."))
-                and chain.rsplit(".", 1)[-1] in _DEFAULT_FLOAT64_ALLOCATORS
-                and not any(kw.arg == "dtype" for kw in node.keywords)
-            ):
+            if _is_default_float64_allocator(node):
                 findings.append(ctx.finding(
                     RULE_R309, node,
-                    f"np.{chain.rsplit('.', 1)[-1]}(...) without dtype= in "
+                    f"np.{node.func.attr}(...) without dtype= in "
                     f"scan path {scope.name}() allocates float64; pass an "
                     f"explicit narrow dtype",
+                ))
+        return findings
+
+
+def _newaxis_position(node: ast.AST) -> Optional[int]:
+    """Where the lone ``None`` sits in a 3-axis subscript, else ``None``."""
+    if not isinstance(node, ast.Subscript):
+        return None
+    index = node.slice
+    if not isinstance(index, ast.Tuple) or len(index.elts) != 3:
+        return None
+    inserted = [
+        position for position, element in enumerate(index.elts)
+        if (isinstance(element, ast.Constant) and element.value is None)
+        or _attr_chain(element).endswith("newaxis")
+    ]
+    return inserted[0] if len(inserted) == 1 else None
+
+
+@register_checker
+class DifferenceCubeChecker(Checker):
+    """R310 — ``a[:, None, :] - b[None, :, :]`` outside the distance kernel.
+
+    Fires on a subtraction whose operands are both 3-axis subscripts that
+    insert one new axis each, at different positions (either operand
+    order) — the broadcast that materializes every pairwise difference.
+    Scoped by directory: files under ``index/``, ``api/`` or ``core/``,
+    except ``distance.py``, which is where the cube is allowed to live.
+    """
+
+    rules = (RULE_R310,)
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        package = os.path.basename(os.path.dirname(os.path.abspath(ctx.path)))
+        if (package not in _KERNEL_CLIENT_PACKAGES
+                or ctx.module_name == "distance"):
+            return []
+        findings: List[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Sub)):
+                continue
+            left = _newaxis_position(node.left)
+            right = _newaxis_position(node.right)
+            if left is not None and right is not None and left != right:
+                findings.append(ctx.finding(
+                    RULE_R310, node,
+                    "pairwise difference cube (q, n, d) materialized here; "
+                    "route it through repro.index.distance",
                 ))
         return findings

@@ -282,7 +282,9 @@ class ShardWorker(ThreadedNodeServer):
             return info
 
         def handle_shutdown(_payload):
-            self._shutdown.set()
+            # Answered like any command; the flag flips in _after_reply,
+            # because close() aborts connections and would otherwise race
+            # this very reply off the wire.
             return None
 
         locked = {name: self._locked(fn) for name, fn in {
@@ -304,6 +306,13 @@ class ShardWorker(ThreadedNodeServer):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _node_kwargs(self) -> Dict:
+        return {**super()._node_kwargs(), "on_reply": self._after_reply}
+
+    def _after_reply(self, command: str) -> None:
+        if command == "shutdown":
+            self._shutdown.set()
+
     def close(self) -> None:
         """Stop serving and drop open connections (idempotent)."""
         super().close(abort_connections=True)

@@ -38,6 +38,7 @@ from ..index import (
     IVFFlatIndex,
     PQIndex,
     SegmentHausdorffIndex,
+    distance,
 )
 from ..trajectory import as_points
 from .protocols import Index
@@ -56,6 +57,16 @@ __all__ = [
 ]
 
 _INDEXES: Dict[str, Callable[..., Index]] = {}
+
+
+def _as_vectors(items) -> np.ndarray:
+    """``items`` as 2-D float vectors in the dtype they arrived in.
+
+    An index stores what the encoder emits: float32 stays float32 (half
+    the bytes per vector), float64 stays float64, anything else becomes
+    float64.
+    """
+    return np.atleast_2d(distance.as_floats(items))
 
 
 def register_index(name: str):
@@ -112,7 +123,7 @@ class BruteForceBackendIndex(Index):
         self._inner: Optional[BruteForceIndex] = None
 
     def add(self, items) -> None:
-        vectors = np.atleast_2d(np.asarray(items, dtype=np.float64))
+        vectors = _as_vectors(items)
         if self._inner is None:
             self._inner = BruteForceIndex(vectors.shape[1], metric=self.metric)
         self._inner.add(vectors)
@@ -128,7 +139,7 @@ class BruteForceBackendIndex(Index):
     @property
     def memory_bytes(self) -> int:
         """Approximate resident size of the stored vectors."""
-        return 0 if self._inner is None else self._inner._data.nbytes
+        return 0 if self._inner is None else self._inner.memory_bytes
 
     def state(self):
         meta = {"type": self.name, "metric": self.metric}
@@ -182,7 +193,7 @@ class IVFBackendIndex(Index):
         self._inner: Optional[IVFFlatIndex] = None
 
     def add(self, items) -> None:
-        vectors = np.atleast_2d(np.asarray(items, dtype=np.float64))
+        vectors = _as_vectors(items)
         if self._vectors.size == 0:
             self._vectors = vectors.copy()
         else:
@@ -363,7 +374,7 @@ class PQBackendIndex(Index):
         )
 
     def add(self, items) -> None:
-        vectors = np.atleast_2d(np.asarray(items, dtype=np.float64))
+        vectors = _as_vectors(items)
         if self._inner is not None:
             self._inner.add(vectors)  # encode against existing codebooks
             return
@@ -404,23 +415,17 @@ class PQBackendIndex(Index):
         return self._buffer.nbytes
 
     def stats(self) -> Dict:
-        info = {
-            "name": self.name, "size": len(self), "exact": self.exact,
-            "memory_bytes": int(self.memory_bytes),
+        info = super().stats()
+        info.update({
             "trained": self._inner is not None,
             "train_count": self.train_count,
             "n_subspaces": self.n_subspaces,
             "n_centroids": self.n_centroids,
             "coarse_lists": self.coarse_lists,
             "refine_dtype": self.refine_dtype,
-        }
+        })
         if self._inner is not None:
-            pq = self._inner.pq
-            info["codebook_shape"] = list(pq.codebooks.shape)
-            info["bytes_per_vector"] = (
-                round(self._inner.memory_bytes / len(self._inner), 2)
-                if len(self._inner) else 0.0
-            )
+            info["codebook_shape"] = list(self._inner.pq.codebooks.shape)
         return info
 
     def state(self):
@@ -464,7 +469,7 @@ class PQBackendIndex(Index):
         inner._codes = np.asarray(arrays["codes"], dtype=np.uint8)
         if "assign" in arrays:
             inner._assign = np.asarray(arrays["assign"], dtype=np.int32)
-            inner.centers = np.asarray(arrays["centers"], dtype=np.float64)
+            inner.centers = np.asarray(arrays["centers"], dtype=np.float32)
             inner.coarse_lists = len(inner.centers)  # clamped at build time
         if "tail" in arrays:
             inner._tail = np.asarray(arrays["tail"])
@@ -499,7 +504,7 @@ class Int8BackendIndex(Index):
         self._inner: Optional[Int8FlatIndex] = None
 
     def add(self, items) -> None:
-        vectors = np.atleast_2d(np.asarray(items, dtype=np.float64))
+        vectors = _as_vectors(items)
         if self._inner is not None:
             self._inner.add(vectors)  # clip onto the existing grid
             return
@@ -534,16 +539,9 @@ class Int8BackendIndex(Index):
         return self._buffer.nbytes
 
     def stats(self) -> Dict:
-        info = {
-            "name": self.name, "size": len(self), "exact": self.exact,
-            "memory_bytes": int(self.memory_bytes),
-            "trained": self._inner is not None,
-            "train_count": self.train_count,
-        }
-        if self._inner is not None and len(self._inner):
-            info["bytes_per_vector"] = round(
-                self._inner.memory_bytes / len(self._inner), 2
-            )
+        info = super().stats()
+        info.update({"trained": self._inner is not None,
+                     "train_count": self.train_count})
         return info
 
     def state(self):
@@ -614,7 +612,7 @@ class HNSWBackendIndex(Index):
         )
 
     def add(self, items) -> None:
-        vectors = np.atleast_2d(np.asarray(items, dtype=np.float64))
+        vectors = _as_vectors(items)
         if self._inner is None:
             self._inner = self._make_inner(vectors.shape[1])
         self._inner.add(vectors)

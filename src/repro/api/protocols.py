@@ -129,9 +129,9 @@ class EmbeddingBackend(SimilarityBackend):
         own = getattr(self.model, "distance_matrix", None)
         if callable(own):
             return own(queries, database)
-        from ..index.bruteforce import pairwise_distances
+        from ..index import distance
 
-        return self.scale * pairwise_distances(
+        return self.scale * distance.pairwise(
             self.encode(queries), self.encode(database), self.metric
         )
 
@@ -278,14 +278,19 @@ class Index(ABC):
     def stats(self) -> Dict:
         """JSON-able introspection: name, size, exactness, memory.
 
-        The compressed indexes extend this with codebook/knob detail;
-        the service surfaces it as ``stats()["index_stats"]`` all the way
-        up through the gateway's ``/stats`` endpoint.
+        ``bytes_per_vector`` is resident bytes over stored items — 4 or 8
+        per dimension for the float indexes (whatever dtype was added),
+        far less once a quantized index has trained. The compressed
+        indexes extend this with codebook/knob detail; the service
+        surfaces it as ``stats()["index_stats"]`` all the way up through
+        the gateway's ``/stats`` endpoint.
         """
         info: Dict = {"name": self.name, "size": len(self), "exact": self.exact}
         memory = getattr(self, "memory_bytes", None)
         if isinstance(memory, (int, np.integer)):
             info["memory_bytes"] = int(memory)
+            if len(self):
+                info["bytes_per_vector"] = round(memory / len(self), 2)
         return info
 
     # ------------------------------------------------------------------

@@ -246,11 +246,11 @@ class SimilarityService:
             # Route through the embedding cache for the stored database.
             # ``scale`` keeps parity with backends whose distances live on a
             # target measure's scale (the supervised approximators).
-            from ..index.bruteforce import pairwise_distances
+            from ..index import distance
 
             metric = getattr(self.backend, "metric", "l1")
             scale = getattr(self.backend, "scale", 1.0)
-            return scale * pairwise_distances(
+            return scale * distance.pairwise(
                 self.encode_batch(queries), self.encode_batch(database), metric
             )
         return self.backend.pairwise(queries, database)

@@ -511,6 +511,7 @@ class ServiceNode:
         should_stop: Optional[Callable[[], bool]] = None,
         poll_interval: float = 0.1,
         on_request: Optional[Callable[[str], None]] = None,
+        on_reply: Optional[Callable[[str], None]] = None,
     ):
         self.transport = transport
         self.handlers = dict(handlers)
@@ -518,6 +519,7 @@ class ServiceNode:
         self._should_stop = should_stop
         self._poll_interval = poll_interval
         self._on_request = on_request
+        self._on_reply = on_reply
 
     def serve_forever(self) -> None:
         """Answer requests until stop, peer exit, or an unframeable stream."""
@@ -563,6 +565,10 @@ class ServiceNode:
                 self._reply((ERROR, traceback.format_exc()))
                 continue
             self._reply((OK, result))
+            if self._on_reply is not None:
+                # For effects that must not beat the answer out of the
+                # door — a worker's shutdown drops its connections.
+                self._on_reply(command)
 
     def _reply(self, reply) -> None:
         try:

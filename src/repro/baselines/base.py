@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
-from ..core.infer import chunked_l1_distances
+from ..index import distance
 from ..trajectory import as_points, pad_point_arrays
 from ..trajectory.trajectory import TrajectoryLike
 
@@ -93,9 +93,9 @@ class LearnedSimilarityMeasure(nn.Module):
     ) -> np.ndarray:
         """L1 distances between query and database embeddings.
 
-        Chunked over the database axis — no ``(|Q|, |D|, d)`` broadcast.
+        Blocked (:mod:`repro.index.distance`) — no ``(|Q|, |D|, d)`` broadcast.
         """
-        return chunked_l1_distances(self.encode(queries), self.encode(database))
+        return distance.pairwise(self.encode(queries), self.encode(database))
 
 
 def sample_training_pairs(

@@ -28,7 +28,7 @@ from .dual_attention import DualMSM
 from .encoder import ConcatSTB, DualSTB, DualSTBLayer, VanillaSTB, build_encoder
 from .features import FeatureEnrichment, sinusoidal_position_encoding, spatial_features
 from .finetune import FinetuneHistory, FrozenBackboneApproximator, HeuristicApproximator
-from .infer import InferenceEncoder, chunked_l1_distances
+from .infer import InferenceEncoder
 from .model import NegativeQueue, TrajCL
 from .trainer import TrainHistory, TrajCLTrainer
 
@@ -59,7 +59,6 @@ __all__ = [
     "TrajCL",
     "NegativeQueue",
     "InferenceEncoder",
-    "chunked_l1_distances",
     "TrajCLTrainer",
     "TrainHistory",
     "HeuristicApproximator",

@@ -24,9 +24,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .. import nn
+from ..index import distance
 from ..measures.base import TrajectorySimilarityMeasure
 from ..trajectory.trajectory import TrajectoryLike
-from .infer import chunked_l1_distances
 from .model import TrajCL
 
 FINETUNE_MODES = ("last_layer", "all", "head_only")
@@ -67,7 +67,7 @@ class FrozenBackboneApproximator(nn.Module):
         return refined.data.copy()
 
     def distance_matrix(self, queries, database) -> np.ndarray:
-        return self.target_scale * chunked_l1_distances(
+        return self.target_scale * distance.pairwise(
             self.encode(queries), self.encode(database)
         )
 
@@ -196,7 +196,7 @@ class HeuristicApproximator(nn.Module):
         database: Sequence[TrajectoryLike],
     ) -> np.ndarray:
         """Predicted heuristic distances ``(|Q|, |D|)`` (L1 in refined space)."""
-        return self.target_scale * chunked_l1_distances(
+        return self.target_scale * distance.pairwise(
             self.encode(queries), self.encode(database)
         )
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..trajectory.trajectory import TrajectoryLike
 
-__all__ = ["InferenceEncoder", "chunked_l1_distances", "resolve_dtype"]
+__all__ = ["InferenceEncoder", "resolve_dtype"]
 
 #: additive attention bias at padded key positions (matches
 #: :func:`repro.nn.functional.attention_mask_bias`)
@@ -70,36 +70,6 @@ def resolve_dtype(dtype) -> np.dtype:
             f"inference dtype must be float32 or float64, got {resolved}"
         )
     return resolved
-
-
-def chunked_l1_distances(
-    queries: np.ndarray,
-    database: np.ndarray,
-    max_elements: int = 2 ** 24,
-) -> np.ndarray:
-    """Dense L1 distances ``(|Q|, |D|)`` without the full 3-D broadcast.
-
-    ``np.abs(q[:, None, :] - d[None, :, :]).sum(2)`` materializes
-    ``|Q|·|D|·dim`` floats; for a 1k×100k×256 workload that is 200 GB. This
-    computes the same matrix in chunks over the database axis so peak extra
-    memory stays ``O(|Q| · chunk · dim)`` ≈ ``max_elements`` scalars.
-    """
-    queries = np.atleast_2d(np.asarray(queries))
-    database = np.atleast_2d(np.asarray(database))
-    out = np.empty(
-        (len(queries), len(database)),
-        dtype=np.result_type(queries.dtype, database.dtype),
-    )
-    if out.size == 0:
-        return out
-    dim = max(queries.shape[1], 1)
-    step = max(1, int(max_elements // max(1, len(queries) * dim)))
-    for start in range(0, len(database), step):
-        chunk = database[start:start + step]
-        out[:, start:start + len(chunk)] = np.abs(
-            queries[:, None, :] - chunk[None, :, :]
-        ).sum(axis=2)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -24,11 +24,12 @@ import numpy as np
 
 from .. import nn
 from ..nn.losses import info_nce_loss
+from ..index import distance
 from ..trajectory.trajectory import TrajectoryLike
 from .config import TrajCLConfig
 from .encoder import build_encoder
 from .features import FeatureEnrichment
-from .infer import InferenceEncoder, chunked_l1_distances, resolve_dtype
+from .infer import InferenceEncoder, resolve_dtype
 
 
 class NegativeQueue:
@@ -273,9 +274,7 @@ class TrajCL(nn.Module):
     ) -> np.ndarray:
         """L1 embedding distances ``(|Q|, |D|)`` — the paper's similarity.
 
-        Computed in chunks over the database axis (no ``(|Q|, |D|, d)``
-        broadcast), so memory stays bounded for large databases.
+        Computed by the blocked kernel of :mod:`repro.index.distance` (no
+        ``(|Q|, |D|, d)`` broadcast), in the encoder's dtype.
         """
-        query_emb = self.encode(queries)
-        database_emb = self.encode(database)
-        return chunked_l1_distances(query_emb, database_emb)
+        return distance.pairwise(self.encode(queries), self.encode(database))

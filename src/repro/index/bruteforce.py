@@ -1,7 +1,8 @@
 """Exact brute-force kNN over embedding vectors (the accuracy reference).
 
-Supports the L1 metric used throughout the paper and L2. The IVF index's
-recall is measured against this index in the tests.
+Supports the L1 metric used throughout the paper and L2, both through
+the shared kernel in :mod:`repro.index.distance`. The IVF index's recall
+is measured against this index in the tests.
 """
 
 from __future__ import annotations
@@ -10,72 +11,65 @@ from typing import Tuple
 
 import numpy as np
 
+from . import distance
+
 
 def pairwise_distances(queries: np.ndarray, data: np.ndarray, metric: str) -> np.ndarray:
     """Dense ``(|Q|, |D|)`` distances under ``l1`` or ``l2``."""
-    if metric == "l1":
-        # Chunk the queries so memory stays bounded for large databases.
-        out = np.empty((len(queries), len(data)))
-        step = max(1, int(2e7 // max(data.size, 1)))
-        for start in range(0, len(queries), step):
-            chunk = queries[start:start + step]
-            out[start:start + step] = np.abs(
-                chunk[:, None, :] - data[None, :, :]
-            ).sum(axis=2)
-        return out
-    if metric == "l2":
-        sq = (
-            (queries ** 2).sum(axis=1)[:, None]
-            - 2.0 * queries @ data.T
-            + (data ** 2).sum(axis=1)[None, :]
-        )
-        return np.sqrt(np.maximum(sq, 0.0))
-    raise ValueError(f"unknown metric {metric!r}")
+    return distance.pairwise(queries, data, metric)
 
 
 class BruteForceIndex:
-    """Store vectors; answer kNN by full scan."""
+    """Store vectors; answer kNN by full scan.
+
+    Vectors are kept in the dtype of the first :meth:`add` (float32 or
+    float64; anything else is stored as float64) in a buffer that doubles
+    when full, so ingest is linear and a float32 encoder pays 4 bytes per
+    dimension, not 8.
+    """
 
     def __init__(self, dim: int, metric: str = "l1"):
         if metric not in ("l1", "l2"):
             raise ValueError("metric must be 'l1' or 'l2'")
         self.dim = dim
         self.metric = metric
-        self._data = np.empty((0, dim))
+        self._buffer = np.empty((0, dim), dtype=np.float64)
+        self._size = 0
+
+    @property
+    def _data(self) -> np.ndarray:
+        """The stored vectors (a view of the used rows)."""
+        return self._buffer[:self._size]
 
     def add(self, vectors: np.ndarray) -> None:
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = distance.as_floats(vectors)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
-        self._data = np.concatenate([self._data, vectors], axis=0)
+        if self._size == 0 and len(vectors):
+            self._buffer = np.empty((0, self.dim), dtype=vectors.dtype)
+        needed = self._size + len(vectors)
+        if needed > len(self._buffer):
+            grown = np.empty((max(needed, 2 * len(self._buffer)), self.dim),
+                             dtype=self._buffer.dtype)
+            grown[:self._size] = self._data
+            self._buffer = grown
+        self._buffer[self._size:needed] = vectors
+        self._size = needed
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
+
+    @property
+    def memory_bytes(self) -> int:
+        """Bytes of the stored vectors (used rows, not spare capacity)."""
+        return self._size * self.dim * self._buffer.itemsize
 
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(distances, indices)`` of the k nearest, sorted ascending."""
-        if len(self._data) == 0:
+        if self._size == 0:
             raise RuntimeError("index is empty")
-        k = min(k, len(self._data))
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if k <= 0:
-            return (np.empty((len(queries), 0)),
-                    np.empty((len(queries), 0), dtype=np.int64))
-        distances = pairwise_distances(queries, self._data, self.metric)
-        out_distances = np.empty((len(queries), k))
-        out_indices = np.empty((len(queries), k), dtype=np.int64)
-        for row, row_distances in enumerate(distances):
-            # argpartition keeps search O(n + t log t), but picks an
-            # arbitrary subset of equal-distance ties at the k boundary —
-            # widen to *all* candidates tied with the k-th distance, then
-            # rank by (distance, id) so this exact index, the service's
-            # stable scan path and the sharded merge all agree.
-            kth = row_distances[
-                np.argpartition(row_distances, k - 1)[:k]
-            ].max()
-            candidates = np.flatnonzero(row_distances <= kth)
-            order = np.lexsort((candidates, row_distances[candidates]))[:k]
-            chosen = candidates[order]
-            out_distances[row] = row_distances[chosen]
-            out_indices[row] = chosen
-        return out_distances, out_indices
+        # The scan runs in the stored dtype: casting the few queries is
+        # free, promoting the whole database per search is not.
+        queries = np.asarray(queries, dtype=self._buffer.dtype)
+        return distance.topk(queries, self._data, max(0, min(k, self._size)),
+                             self.metric)

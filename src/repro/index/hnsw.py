@@ -24,6 +24,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import distance
+
 
 class HNSWIndex:
     """Navigable small-world graph over embedding vectors.
@@ -182,11 +184,7 @@ class HNSWIndex:
         # single-element numpy round-trip per (candidate, kept) pair.
         ids = np.array([node for _, node in candidates], dtype=np.int64)
         vectors = self._data[ids]
-        diff = vectors[:, None, :] - vectors[None, :, :]
-        if self.metric == "l1":
-            cross = np.abs(diff, out=diff).sum(axis=2)
-        else:
-            cross = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+        cross = distance.pairwise(vectors, vectors, self.metric)
         self.distance_evaluations += len(ids) * (len(ids) - 1) // 2
         target = np.array([distance for distance, _ in candidates],
                           dtype=np.float32)

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bruteforce import pairwise_distances
+from . import distance
 from .kmeans import kmeans
 
 
@@ -52,13 +52,15 @@ class IVFFlatIndex:
         Re-training empties the inverted lists, so previously added vectors
         must be re-added by the caller; the id counter resets with them.
         """
-        vectors = np.asarray(vectors, dtype=np.float64)
         if len(vectors) < self.n_lists:
             raise ValueError(
                 f"need at least n_lists={self.n_lists} training vectors"
             )
+        # Centres — and with them the inverted lists — take the dtype of
+        # the training vectors (float32 stays float32).
         self.centers, _ = kmeans(vectors, self.n_lists, rng=rng)
-        self._lists = [np.empty((0, self.dim)) for _ in range(self.n_lists)]
+        self._lists = [np.empty((0, self.dim), dtype=self.centers.dtype)
+                       for _ in range(self.n_lists)]
         self._ids = [np.empty(0, dtype=np.int64) for _ in range(self.n_lists)]
         self._trained = True
         self._size = 0
@@ -68,10 +70,10 @@ class IVFFlatIndex:
         """Assign vectors to their Voronoi cells' inverted lists."""
         if not self._trained:
             raise RuntimeError("index must be trained before adding vectors")
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=self.centers.dtype)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
-        assignment = pairwise_distances(vectors, self.centers, self.metric).argmin(axis=1)
+        assignment = distance.assign(vectors, self.centers, self.metric)
         ids = np.arange(self._size, self._size + len(vectors))
         for cell in np.unique(assignment):
             members = assignment == cell
@@ -102,22 +104,24 @@ class IVFFlatIndex:
         """
         if not self._trained or self._size == 0:
             raise RuntimeError("index is empty")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = np.atleast_2d(np.asarray(queries, dtype=self.centers.dtype))
         probe = max(1, min(n_probe if n_probe is not None else self.n_probe,
                            self.n_lists))
-        center_distances = pairwise_distances(queries, self.centers, self.metric)
+        center_distances = distance.pairwise(queries, self.centers, self.metric)
         probed = np.argsort(center_distances, axis=1)[:, :probe]
 
-        out_distances = np.full((len(queries), k), np.inf)
+        out_distances = np.full((len(queries), k), np.inf,
+                                dtype=self.centers.dtype)
         out_indices = np.full((len(queries), k), -1, dtype=np.int64)
         for row, cells in enumerate(probed):
-            candidate_vectors = np.concatenate([self._lists[c] for c in cells])
             candidate_ids = np.concatenate([self._ids[c] for c in cells])
-            if len(candidate_vectors) == 0:
+            if len(candidate_ids) == 0:
                 continue
-            distances = pairwise_distances(
-                queries[row:row + 1], candidate_vectors, self.metric
-            )[0]
+            distances = np.concatenate([
+                distance.pairwise(queries[row:row + 1], self._lists[c],
+                                  self.metric)[0]
+                for c in cells
+            ])
             take = min(k, len(distances))
             # Rank all probed candidates by (distance, database id) — the
             # id tie-break must span the k boundary (argpartition would

@@ -2,7 +2,7 @@
 
 A vector is split into ``n_subspaces`` contiguous sub-vectors and each
 subspace gets its own k-means codebook (≤256 centroids, so one uint8 per
-subspace). Stored vectors shrink from ``8 * dim`` bytes to ``n_subspaces``
+subspace). Stored vectors shrink from ``4 * dim`` bytes to ``n_subspaces``
 bytes. A query builds a per-subspace table of sub-distances once (the LUT)
 and scores every code row with table gathers only — asymmetric distance
 computation (ADC), no vector arithmetic in the scan.
@@ -18,8 +18,10 @@ Two optional stages trade memory back for recall:
   vector and exactly re-rank the best ``refine_factor * k`` ADC candidates
   against it before answering.
 
-Scan kernels are dtype-preserving: LUTs, ADC accumulators and outputs are
-float32 and codes stay uint8 (lint rule R309 guards this module).
+Everything here is float32 — training vectors, codebooks, LUTs, ADC
+accumulators and outputs — and codes stay uint8 (lint rule R309 guards
+this module); sub-space assignment, the LUTs and the re-rank all go
+through :mod:`repro.index.distance`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bruteforce import pairwise_distances
+from . import distance
 from .kmeans import kmeans
-from .quant import topk_rows
 
 _REFINE_DTYPES = (None, "float16", "float32")
 
@@ -71,12 +72,12 @@ class ProductQuantizer:
         return self.codebooks is not None
 
     def _pad(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
         if self.padded_dim == self.dim:
             return vectors
-        out = np.zeros((len(vectors), self.padded_dim), dtype=vectors.dtype)
+        out = np.zeros((len(vectors), self.padded_dim), dtype=np.float32)
         out[:, :self.dim] = vectors
         return out
 
@@ -91,7 +92,7 @@ class ProductQuantizer:
             sub = padded[:, j * self.sub_dim:(j + 1) * self.sub_dim]
             centers, _ = kmeans(sub, k, iterations=self.iterations, rng=rng)
             books.append(centers)
-        self.codebooks = np.stack(books).astype(np.float32)
+        self.codebooks = np.stack(books)
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Nearest-centroid uint8 code per subspace: ``(N, n_subspaces)``."""
@@ -101,8 +102,7 @@ class ProductQuantizer:
         codes = np.empty((len(padded), self.n_subspaces), dtype=np.uint8)
         for j in range(self.n_subspaces):
             sub = padded[:, j * self.sub_dim:(j + 1) * self.sub_dim]
-            distances = pairwise_distances(sub, self.codebooks[j], self.metric)
-            codes[:, j] = distances.argmin(axis=1)
+            codes[:, j] = distance.assign(sub, self.codebooks[j], self.metric)
         return codes
 
     def lut(self, queries: np.ndarray) -> np.ndarray:
@@ -117,12 +117,10 @@ class ProductQuantizer:
         k = self.codebooks.shape[1]
         tables = np.empty((len(padded), self.n_subspaces, k), dtype=np.float32)
         for j in range(self.n_subspaces):
-            sub = padded[:, j * self.sub_dim:(j + 1) * self.sub_dim].astype(np.float32)
-            diff = sub[:, None, :] - self.codebooks[j][None, :, :]
-            if self.metric == "l1":
-                tables[:, j, :] = np.abs(diff).sum(axis=2)
-            else:
-                tables[:, j, :] = (diff * diff).sum(axis=2)
+            sub = padded[:, j * self.sub_dim:(j + 1) * self.sub_dim]
+            tables[:, j, :] = distance.pairwise(sub, self.codebooks[j], self.metric)
+        if self.metric == "l2":
+            np.square(tables, out=tables)
         return tables
 
     def adc(self, tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -212,7 +210,7 @@ class PQIndex:
 
     def train(self, vectors: np.ndarray, rng: Optional[np.random.Generator] = None) -> None:
         """Fit coarse centres (IVF-PQ) and per-subspace codebooks."""
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
         if self.coarse_lists:
@@ -232,13 +230,13 @@ class PQIndex:
     def add(self, vectors: np.ndarray) -> None:
         if not self._trained:
             raise RuntimeError("index must be trained before adding vectors")
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
         if self.coarse_lists:
-            assignment = pairwise_distances(
+            assignment = distance.assign(
                 vectors, self.centers, self.metric
-            ).argmin(axis=1).astype(np.int32)
+            ).astype(np.int32)
             encoded = self.pq.encode(vectors - self.centers[assignment])
             self._assign = np.concatenate([self._assign, assignment])
             self._cell_members = None
@@ -291,7 +289,8 @@ class PQIndex:
             distances, indices = self._search_coarse(queries, fetch, n_probe)
         else:
             tables = self.pq.lut(queries)
-            distances, indices = topk_rows(self.pq.adc(tables, self._codes), fetch)
+            distances, indices = distance.topk_rows(
+                self.pq.adc(tables, self._codes), fetch)
         if self._tail is not None:
             distances, indices = self._refine(queries, indices, k)
         return distances[:, :k], indices[:, :k]
@@ -300,7 +299,7 @@ class PQIndex:
                        n_probe: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
         probe = max(1, min(n_probe if n_probe is not None else self.n_probe,
                            self.coarse_lists))
-        center_distances = pairwise_distances(queries, self.centers, self.metric)
+        center_distances = distance.pairwise(queries, self.centers, self.metric)
         probed = np.argsort(center_distances, axis=1)[:, :probe]
         members = self._members()
         out_distances = np.full((len(queries), fetch), np.inf, dtype=np.float32)
@@ -337,13 +336,11 @@ class PQIndex:
             ids = ids[ids >= 0]
             if len(ids) == 0:
                 continue
-            exact = pairwise_distances(
-                queries[row:row + 1],
-                self._tail[ids].astype(np.float64),
-                self.metric,
+            exact = distance.pairwise(
+                queries[row:row + 1], self._tail[ids], self.metric
             )[0]
             take = min(k, len(ids))
             chosen = np.lexsort((ids, exact))[:take]
-            out_distances[row, :take] = exact[chosen].astype(np.float32)
+            out_distances[row, :take] = exact[chosen]
             out_indices[row, :take] = ids[chosen]
         return out_distances, out_indices

@@ -15,35 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-
-def topk_rows(distances: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row top-k over a dense ``(|Q|, N)`` distance matrix.
-
-    Equal-distance ties at the k boundary are widened and ranked by
-    ``(distance, id)`` — the convention shared by the brute-force
-    reference, the service scan path and the sharded merge — and rows are
-    padded with ``inf``/``-1`` when ``N < k``. Output distances keep the
-    input dtype.
-    """
-    n_queries, n = distances.shape
-    take = min(k, n)
-    out_distances = np.full((n_queries, k), np.inf, dtype=distances.dtype)
-    out_indices = np.full((n_queries, k), -1, dtype=np.int64)
-    if take <= 0:
-        return out_distances, out_indices
-    for row, row_distances in enumerate(distances):
-        if take < n:
-            kth = row_distances[
-                np.argpartition(row_distances, take - 1)[:take]
-            ].max()
-            candidates = np.flatnonzero(row_distances <= kth)
-        else:
-            candidates = np.arange(n)
-        order = np.lexsort((candidates, row_distances[candidates]))[:take]
-        chosen = candidates[order]
-        out_distances[row, :take] = row_distances[chosen]
-        out_indices[row, :take] = chosen
-    return out_distances, out_indices
+from . import distance
 
 
 class ScalarQuantizer:
@@ -143,22 +115,10 @@ class Int8FlatIndex:
         if queries.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) queries")
         qcodes = self.quantizer.encode(queries).astype(np.int16)
-        return topk_rows(self._scan(qcodes), k)
+        return distance.topk_rows(self._scan(qcodes), k)
 
     def _scan(self, qcodes: np.ndarray) -> np.ndarray:
         """Dense ``(|Q|, N)`` float32 distances from int16 query codes."""
-        n = len(self._codes)
         scale = self.quantizer.scale
         weights = scale * scale if self.metric == "l2" else scale
-        out = np.empty((len(qcodes), n), dtype=np.float32)
-        # Chunk the database so the (|Q|, chunk, dim) diff cube stays small.
-        step = max(1, int(8e6 // max(qcodes.shape[0] * self.dim, 1)))
-        for start in range(0, n, step):
-            chunk = self._codes[start:start + step].astype(np.int16)
-            diff = np.abs(qcodes[:, None, :] - chunk[None, :, :]).astype(np.float32)
-            if self.metric == "l2":
-                diff *= diff
-            out[:, start:start + step] = diff @ weights
-        if self.metric == "l2":
-            np.sqrt(out, out=out)
-        return out
+        return distance.pairwise(qcodes, self._codes, self.metric, weights)

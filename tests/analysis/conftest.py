@@ -12,7 +12,8 @@ def lint_source(tmp_path):
     """Write ``source`` to a temp file and lint it; returns the report."""
 
     def run(source, filename="snippet.py", rules=None):
-        path = tmp_path / filename
+        path = tmp_path / filename  # may name a package: "index/ivf.py"
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
         return lint_paths([str(path)], rules=rules)
 

@@ -215,8 +215,9 @@ R308_POLL = """
             time.sleep(0.1)
 """
 
-# R309 is scoped to the quantized-index modules (quant/pq/hnsw); these
-# snippets lint under filename="quant.py" in their dedicated tests below.
+# R309 is scoped to the index-kernel modules (quant/pq/hnsw, and the float
+# kernel's distance/bruteforce/kmeans); these snippets lint under
+# filename="quant.py" in their dedicated tests below.
 R309_BAD = """
     import numpy as np
 
@@ -234,6 +235,21 @@ R309_GOOD = """
         for j in range(codes.shape[1]):
             out += lut[j, codes[:, j]]
         return out
+"""
+
+# R310 is scoped by directory (index/, api/, core/ — not distance.py);
+# these lint under filename="index/ivf.py" in their dedicated tests below.
+R310_BAD = """
+    import numpy as np
+
+    def scan(queries, data):
+        return np.abs(queries[:, None, :] - data[None, :, :]).sum(axis=2)
+"""
+R310_GOOD = """
+    from repro.index import distance
+
+    def scan(queries, data):
+        return distance.pairwise(queries, data, "l1")
 """
 
 GOLDEN = [
@@ -412,6 +428,51 @@ def test_r309_flags_dtype_kwarg_and_astype_float(lint_rules):
     assert "R309" in fired
 
 
+def test_r309_names_every_dtype_in_the_float_kernel_modules(lint_rules):
+    # distance/bruteforce/kmeans keep the caller's dtype, so float64 is
+    # legitimate there — but never by default, in any function.
+    source = """
+        import numpy as np
+
+        def grow(rows, dim):
+            return np.empty((rows, dim))
+    """
+    for filename in ("distance.py", "bruteforce.py", "kmeans.py"):
+        assert "R309" in lint_rules(source, filename=filename)
+    assert "R309" not in lint_rules(source, filename="ivf.py")
+    assert "R309" not in lint_rules("""
+        import numpy as np
+
+        def grow(rows, dim, like):
+            wide = like.astype(np.float64)
+            return np.empty((rows, dim), dtype=np.float64), wide
+    """, filename="kmeans.py")
+
+
+def test_r310_fires_on_a_difference_cube_in_kernel_client_packages(lint_rules):
+    for filename in ("index/ivf.py", "api/service.py", "core/infer.py"):
+        assert "R310" in lint_rules(R310_BAD, filename=filename)
+        assert "R310" not in lint_rules(R310_GOOD, filename=filename)
+    # either operand order, np.newaxis spelled out
+    assert "R310" in lint_rules("""
+        import numpy as np
+
+        def cross(a, b):
+            return b[np.newaxis, :, :] - a[:, np.newaxis, :]
+    """, filename="index/hnsw.py")
+
+
+def test_r310_leaves_the_kernel_and_other_packages_alone(lint_rules):
+    assert "R310" not in lint_rules(R310_BAD, filename="index/distance.py")
+    assert "R310" not in lint_rules(R310_BAD, filename="measures/edwp.py")
+    assert "R310" not in lint_rules(R310_BAD)
+    # one vector against many, or the same axis inserted twice: no cube
+    assert "R310" not in lint_rules("""
+        def gaps(query, data, other):
+            return data - query[None, :], data[:, None, :] - other[:, None, :]
+    """, filename="index/ivf.py")
+
+
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
@@ -470,7 +531,7 @@ def test_suppression_matches_only_named_rules(lint_rules):
 # ----------------------------------------------------------------------
 def test_catalog_has_at_least_ten_rules_with_hints():
     rules = all_rules()
-    assert len(rules) >= 10
+    assert len(rules) == 16  # the README table lists exactly these
     assert len({rule.id for rule in rules}) == len(rules)
     for rule in rules:
         assert rule.severity in ("error", "warning")

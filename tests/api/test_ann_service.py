@@ -134,6 +134,34 @@ class TestSnapshots:
         assert len(restored) == len(trajectories)
 
 
+class TestDtypeResidency:
+    """An index stores what it was given: 4 bytes per dimension for a
+    float32 encoder, 8 for float64 — through a snapshot as well."""
+
+    @pytest.mark.parametrize("name", ["bruteforce", "pq", "int8"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_buffers_keep_their_dtype(self, name, dtype):
+        vectors = np.random.default_rng(0).normal(size=(50, 16)).astype(dtype)
+        index = get_index(name)
+        index.add(vectors[:20])
+        index.add(vectors[20:])
+        per_vector = 16 * np.dtype(dtype).itemsize
+        assert index.stats()["bytes_per_vector"] == per_vector
+        meta, arrays = index.state()
+        restored = type(index).restore(meta, arrays)
+        assert restored.stats()["bytes_per_vector"] == per_vector
+        assert len(restored) == 50
+
+    def test_bruteforce_answers_in_the_stored_dtype(self):
+        vectors = np.random.default_rng(1).normal(size=(30, 8)).astype(
+            np.float32)
+        index = get_index("bruteforce")
+        index.add(vectors)
+        distances, ids = index.search(vectors[:3].astype(np.float64), 4)
+        assert distances.dtype == np.float32
+        np.testing.assert_array_equal(ids[:, 0], [0, 1, 2])
+
+
 class TestIncrementalAdd:
     @pytest.mark.parametrize("name", ANN_NAMES)
     def test_add_after_first_search_stays_queryable(self, backend,

@@ -3,18 +3,16 @@
 Covers the acceptance bars of the engine: float64 near-bit-exact /
 float32 ~1e-5-relative parity against the reference Tensor-graph encoder
 for every Fig. 7 encoder variant, invariance to length bucketing (input
-order and chunking must not change embeddings), recompilation after
-weight updates, and the chunked L1 distance helper.
+order and chunking must not change embeddings) and recompilation after
+weight updates. (The L1 distance helper that used to live beside the
+engine is now ``repro.index.distance``; its tests are in
+``tests/index/test_distance.py``.)
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    InferenceEncoder,
-    TrajCL,
-    chunked_l1_distances,
-)
+from repro.core import InferenceEncoder, TrajCL
 from repro.core.infer import resolve_dtype
 
 from .conftest import make_trajectories
@@ -147,39 +145,8 @@ class TestEngineLifecycle:
             model.encode([])
 
 
-class TestChunkedL1:
-    def test_matches_broadcast(self):
-        rng = np.random.default_rng(0)
-        queries = rng.standard_normal((7, 5))
-        database = rng.standard_normal((23, 5))
-        expected = np.abs(
-            queries[:, None, :] - database[None, :, :]
-        ).sum(axis=2)
-        np.testing.assert_allclose(
-            chunked_l1_distances(queries, database), expected, atol=1e-12
-        )
-        # Force many database chunks.
-        np.testing.assert_allclose(
-            chunked_l1_distances(queries, database, max_elements=8),
-            expected, atol=1e-12,
-        )
-
-    def test_preserves_float32(self):
-        rng = np.random.default_rng(1)
-        queries = rng.standard_normal((3, 4)).astype(np.float32)
-        database = rng.standard_normal((5, 4)).astype(np.float32)
-        out = chunked_l1_distances(queries, database)
-        assert out.dtype == np.float32
-        assert out.shape == (3, 5)
-
-    def test_empty_inputs(self):
-        out = chunked_l1_distances(np.empty((0, 4)), np.empty((6, 4)))
-        assert out.shape == (0, 6)
-        out = chunked_l1_distances(np.empty((2, 4)), np.empty((0, 4)))
-        assert out.shape == (2, 0)
-
-    def test_distance_matrix_uses_chunking(self, small_setup,
-                                           mixed_trajectories):
+class TestDistanceMatrix:
+    def test_matches_broadcast(self, small_setup, mixed_trajectories):
         model = make_model(small_setup)
         matrix = model.distance_matrix(mixed_trajectories[:3],
                                        mixed_trajectories[:6])

@@ -113,6 +113,33 @@ class TestBruteForceIndex:
         with pytest.raises(ValueError):
             BruteForceIndex(2, metric="cosine")
 
+    @pytest.mark.parametrize("given,stored", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int32, np.float64),
+    ])
+    def test_stores_the_dtype_of_the_first_add(self, given, stored):
+        index = BruteForceIndex(4)
+        index.add(np.arange(8).reshape(2, 4).astype(given))
+        index.add(np.ones((3, 4)))  # later adds are cast to the store
+        assert index._data.dtype == stored
+        assert index.memory_bytes == 5 * 4 * np.dtype(stored).itemsize
+        distances, _ = index.search(np.zeros(4, dtype=np.float64), k=2)
+        assert distances.dtype == stored
+
+    def test_many_small_adds_equal_one_big_add(self):
+        """Capacity doubles; only used rows count, and they are the rows."""
+        vectors = RNG.standard_normal((300, 6)).astype(np.float32)
+        whole, pieces = BruteForceIndex(6), BruteForceIndex(6)
+        whole.add(vectors)
+        for start in range(0, 300, 7):
+            pieces.add(vectors[start:start + 7])
+        assert len(pieces) == 300
+        assert pieces.memory_bytes == whole.memory_bytes == 300 * 6 * 4
+        np.testing.assert_array_equal(pieces._data, vectors)
+        for got, want in zip(pieces.search(vectors[:5], 4),
+                             whole.search(vectors[:5], 4)):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestIVFFlatIndex:
     def build(self, n=400, dim=8, n_lists=8, seed=0):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.api.transport import TransportClosed
 from repro.cli import _load_trajectories, build_parser, main, save_trajectories
 
 
@@ -404,13 +403,6 @@ class TestClusterCli:
         assert not thread.is_alive()
         assert rc.get("cluster") == 0
 
-    @pytest.mark.xfail(
-        raises=TransportClosed, strict=False,
-        reason="known race, older than the test's last change: ShardWorker."
-               "handle_shutdown flips the flag before ServiceNode._reply "
-               "runs, so the accept loop can abort the connection before "
-               "the shutdown command is answered (about 1 run in 4); the "
-               "fix is a product change — reply first, then stop")
     def test_cluster_worker_serves_until_shutdown(self, tmp_path):
         import threading
         import time
