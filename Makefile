@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench serve-bench bench-encode bench-index bench-index-smoke bench-e2e bench-e2e-selftest
+.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench serve-bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini).
@@ -92,6 +92,15 @@ bench-index:
 
 bench-index-smoke:
 	$(PYTHON) scripts/bench_index_smoke.py
+
+# Cold start: per entry point (numpy as the floor, repro, repro.index,
+# repro.api, .cluster, .gateway, repro.cli) the median import wall time,
+# ru_maxrss and loaded-module counts over fresh interpreters, plus a
+# cluster-worker's exec-to-ready time, kept by label in the startup
+# record (`make bench-startup LABEL=pr15`; the script's `--src` measures
+# another checkout, e.g. the parent commit).
+bench-startup:
+	$(PYTHON) benchmarks/bench_startup.py --label $(or $(LABEL),current) --output benchmarks/results/BENCH_startup.json
 
 # The repo's declared benchmark (BENCHMARK.json; workloads, metrics and
 # bounds in benchmarks/e2e/README.md): every workload end to end plus

@@ -18,6 +18,11 @@
 * :mod:`repro.index` — IVFFlat and segment-based kNN indexes;
 * :mod:`repro.eval` — mean rank, HR@k, experiment pipeline.
 
+Subpackages and the five re-exported names below load on first access
+(``repro.api``, ``repro.TrajCL``, ``from repro import index``), so
+``import repro`` — and a process that imports only ``repro.api`` — pays
+for nothing it does not use.
+
 Quickstart — every method is a named backend behind one service::
 
     from repro.api import SimilarityService, available_backends
@@ -41,24 +46,11 @@ segment index) or ``SimilarityService(backend="t2vec",
 backend_kwargs={"trajectories": trajs})``.
 """
 
-from . import (
-    api,
-    baselines,
-    core,
-    datasets,
-    eval,
-    graph,
-    index,
-    measures,
-    nn,
-    trajectory,
-)
-from .api import SimilarityService, available_backends, get_backend
-from .core import TrajCL, TrajCLConfig
+from importlib import import_module
 
 __version__ = "1.1.0"
 
-__all__ = [
+_SUBPACKAGES = (
     "nn",
     "trajectory",
     "measures",
@@ -69,10 +61,30 @@ __all__ = [
     "index",
     "eval",
     "api",
-    "SimilarityService",
-    "available_backends",
-    "get_backend",
-    "TrajCL",
-    "TrajCLConfig",
-    "__version__",
-]
+)
+#: re-exported name -> the subpackage that defines it
+_REEXPORTS = {
+    "SimilarityService": "api",
+    "available_backends": "api",
+    "get_backend": "api",
+    "TrajCL": "core",
+    "TrajCLConfig": "core",
+}
+
+__all__ = [*_SUBPACKAGES, *_REEXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    # PEP 562: a serving process that imports ``repro.api`` should not pay
+    # for the baselines, datasets and evaluation harness it never calls.
+    if name in _SUBPACKAGES:
+        return import_module(f"{__name__}.{name}")
+    if name in _REEXPORTS:
+        value = getattr(import_module(f"{__name__}.{_REEXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

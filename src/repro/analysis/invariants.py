@@ -1,4 +1,4 @@
-"""Repo-invariant rules: R301–R306, R308–R310.
+"""Repo-invariant rules: R301–R306, R308–R311.
 
 These encode decisions this codebase has already made, so drift is
 caught at lint time instead of in review:
@@ -40,6 +40,12 @@ caught at lint time instead of in review:
   scan. ``repro/index/distance.py`` is the one place allowed to form it
   (blocked, in a cache-sized scratch); everything under ``repro/index``,
   ``repro/api`` and ``repro/core`` calls that kernel instead.
+* **R311** — scipy (0.37 s, 45 MB) and networkx (0.13 s, 11 MB) are
+  used by a handful of calls — the heuristic measures' ``cdist`` and
+  ``GridGraph.to_networkx`` — that no serving process makes. Imported
+  at module scope they were three quarters of a shard worker's start-up
+  (PR 15); imported inside the function that needs them they cost a
+  process nothing until that function runs.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .core import Checker, FileContext, Finding, Rule, register_checker
 __all__ = [
     "RULE_R301", "RULE_R302", "RULE_R303",
     "RULE_R304", "RULE_R305", "RULE_R306", "RULE_R308", "RULE_R309",
-    "RULE_R310",
+    "RULE_R310", "RULE_R311",
 ]
 
 RULE_R301 = Rule(
@@ -112,6 +118,12 @@ RULE_R310 = Rule(
     "call repro.index.distance.pairwise/assign/topk: they block the "
     "(q, n, d) cube into a cache-sized scratch and keep the dtype",
 )
+RULE_R311 = Rule(
+    "R311", "error",
+    "module-scope import of scipy/networkx (paid by every process at "
+    "start-up)",
+    "import inside the function that needs it",
+)
 
 #: modules that legitimately compare backend/index names
 _DISPATCH_ALLOWED_MODULES = {"registry", "backends", "indexes", "service"}
@@ -137,6 +149,8 @@ _DTYPE_PRESERVING_MODULES = {"distance", "bruteforce", "kmeans"}
 _DEFAULT_FLOAT64_ALLOCATORS = {"zeros", "empty", "ones", "full"}
 #: packages whose distance arithmetic must go through the kernel (R310)
 _KERNEL_CLIENT_PACKAGES = {"index", "api", "core"}
+#: third-party packages only ever imported where they are called (R311)
+_DEFERRED_PACKAGES = {"scipy", "networkx"}
 
 
 def _attr_chain(node: ast.AST) -> str:
@@ -537,4 +551,36 @@ class DifferenceCubeChecker(Checker):
                     "pairwise difference cube (q, n, d) materialized here; "
                     "route it through repro.index.distance",
                 ))
+        return findings
+
+
+@register_checker
+class DeferredImportChecker(Checker):
+    """R311 — ``import scipy`` / ``import networkx`` at module scope.
+
+    Module scope is everything that runs when the module is imported:
+    the module body, class bodies and ``if``/``try`` blocks around them.
+    An import nested in a function (or method) passes.
+    """
+
+    rules = (RULE_R311,)
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if ctx.enclosing(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for module in modules:
+                if module.split(".")[0] in _DEFERRED_PACKAGES:
+                    findings.append(ctx.finding(
+                        RULE_R311, node,
+                        f"`{module}` imported at module scope: every "
+                        "process that imports this module loads it",
+                    ))
         return findings

@@ -96,10 +96,10 @@ def _baseline_class(name: str):
 # Heuristic measures
 # ----------------------------------------------------------------------
 def _register_heuristics() -> None:
-    from ..measures import get_measure
-
     for name, description in _HEURISTICS.items():
         def factory(_name=name, **kwargs):
+            from ..measures import get_measure
+
             return MeasureBackend(get_measure(_name, **kwargs))
 
         register_backend(name, DISTANCE, description)(factory)

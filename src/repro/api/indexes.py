@@ -37,6 +37,7 @@ from ..index import (
     Int8FlatIndex,
     IVFFlatIndex,
     PQIndex,
+    RowStore,
     SegmentHausdorffIndex,
     distance,
 )
@@ -442,12 +443,12 @@ class PQBackendIndex(Index):
             return meta, {"buffer": self._buffer}
         inner = self._inner
         meta["dim"] = inner.dim
-        arrays = {"codebooks": inner.pq.codebooks, "codes": inner._codes}
+        arrays = {"codebooks": inner.pq.codebooks, "codes": inner._codes.rows}
         if inner._assign is not None:
-            arrays["assign"] = inner._assign
+            arrays["assign"] = inner._assign.rows
             arrays["centers"] = inner.centers
         if inner._tail is not None:
-            arrays["tail"] = inner._tail
+            arrays["tail"] = inner._tail.rows
         return meta, arrays
 
     @classmethod
@@ -466,13 +467,14 @@ class PQBackendIndex(Index):
         inner = index._make_inner(int(meta["dim"]))
         inner._reset_storage()
         inner.pq.codebooks = np.asarray(arrays["codebooks"], dtype=np.float32)
-        inner._codes = np.asarray(arrays["codes"], dtype=np.uint8)
+        inner._codes = RowStore(np.asarray(arrays["codes"], dtype=np.uint8))
         if "assign" in arrays:
-            inner._assign = np.asarray(arrays["assign"], dtype=np.int32)
+            inner._assign = RowStore(
+                np.asarray(arrays["assign"], dtype=np.int32))
             inner.centers = np.asarray(arrays["centers"], dtype=np.float32)
             inner.coarse_lists = len(inner.centers)  # clamped at build time
         if "tail" in arrays:
-            inner._tail = np.asarray(arrays["tail"])
+            inner._tail = RowStore(np.asarray(arrays["tail"]))
         inner._trained = True
         inner.train_count = 1
         index._inner = inner
@@ -553,7 +555,7 @@ class Int8BackendIndex(Index):
         meta["dim"] = self._inner.dim
         quantizer = self._inner.quantizer
         return meta, {
-            "codes": self._inner._codes,
+            "codes": self._inner._codes.rows,
             "scale": quantizer.scale,
             "offset": quantizer.offset,
         }
@@ -569,7 +571,7 @@ class Int8BackendIndex(Index):
         inner = Int8FlatIndex(int(meta["dim"]), metric=meta["metric"])
         inner.quantizer.scale = np.asarray(arrays["scale"], dtype=np.float32)
         inner.quantizer.offset = np.asarray(arrays["offset"], dtype=np.float32)
-        inner._codes = np.asarray(arrays["codes"], dtype=np.uint8)
+        inner._codes = RowStore(np.asarray(arrays["codes"], dtype=np.uint8))
         inner.train_count = 1
         index._inner = inner
         index.train_count = 1

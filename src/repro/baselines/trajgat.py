@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .. import nn
+from ..measures.base import point_distances
 from ..nn import functional as F
 from ..trajectory.trajectory import TrajectoryLike
 from .base import CoordinateScaler
@@ -98,7 +98,7 @@ class TrajGAT(SupervisedApproximator):
         # attend to each other more (soft adjacency).
         bias = np.empty((batch, seq_len, seq_len))
         for i in range(batch):
-            bias[i] = -cdist(coords[i], coords[i])
+            bias[i] = -point_distances(coords[i], coords[i])
         mask = np.arange(seq_len)[None, :] >= lengths[:, None]
 
         x = self.input_proj(nn.Tensor(coords))

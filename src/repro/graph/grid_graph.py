@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..trajectory import Grid
@@ -58,8 +57,15 @@ class GridGraph:
         col_diff = np.abs(a % self._n_cols - b % self._n_cols)
         return (row_diff <= 1) & (col_diff <= 1) & (a != b)
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self) -> "networkx.Graph":
         """Materialize as a networkx graph (analysis / visualization)."""
+        try:
+            import networkx as nx
+        except ImportError as error:
+            raise ImportError(
+                "GridGraph.to_networkx needs the 'networkx' package, which "
+                "is not installed; nothing else in repro uses it"
+            ) from error
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n_nodes))
         for node in range(self.n_nodes):

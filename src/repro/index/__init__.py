@@ -12,6 +12,7 @@ from .ivf import IVFFlatIndex
 from .kmeans import kmeans, kmeans_plus_plus_init
 from .pq import PQIndex, ProductQuantizer
 from .quant import Int8FlatIndex, ScalarQuantizer
+from .rows import RowStore
 from .segment import SegmentHausdorffIndex
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "ProductQuantizer",
     "PQIndex",
     "HNSWIndex",
+    "RowStore",
 ]

@@ -12,6 +12,7 @@ from typing import Tuple
 import numpy as np
 
 from . import distance
+from .rows import RowStore
 
 
 def pairwise_distances(queries: np.ndarray, data: np.ndarray, metric: str) -> np.ndarray:
@@ -23,9 +24,9 @@ class BruteForceIndex:
     """Store vectors; answer kNN by full scan.
 
     Vectors are kept in the dtype of the first :meth:`add` (float32 or
-    float64; anything else is stored as float64) in a buffer that doubles
-    when full, so ingest is linear and a float32 encoder pays 4 bytes per
-    dimension, not 8.
+    float64; anything else is stored as float64) in a
+    :class:`~repro.index.rows.RowStore`, so ingest is linear and a float32
+    encoder pays 4 bytes per dimension, not 8.
     """
 
     def __init__(self, dim: int, metric: str = "l1"):
@@ -33,43 +34,35 @@ class BruteForceIndex:
             raise ValueError("metric must be 'l1' or 'l2'")
         self.dim = dim
         self.metric = metric
-        self._buffer = np.empty((0, dim), dtype=np.float64)
-        self._size = 0
+        self._store = RowStore(np.empty((0, dim), dtype=np.float64))
 
     @property
     def _data(self) -> np.ndarray:
         """The stored vectors (a view of the used rows)."""
-        return self._buffer[:self._size]
+        return self._store.rows
 
     def add(self, vectors: np.ndarray) -> None:
         vectors = distance.as_floats(vectors)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
-        if self._size == 0 and len(vectors):
-            self._buffer = np.empty((0, self.dim), dtype=vectors.dtype)
-        needed = self._size + len(vectors)
-        if needed > len(self._buffer):
-            grown = np.empty((max(needed, 2 * len(self._buffer)), self.dim),
-                             dtype=self._buffer.dtype)
-            grown[:self._size] = self._data
-            self._buffer = grown
-        self._buffer[self._size:needed] = vectors
-        self._size = needed
+        if len(self._store) == 0 and len(vectors):
+            self._store = RowStore(np.empty((0, self.dim), dtype=vectors.dtype))
+        self._store.append(vectors)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._store)
 
     @property
     def memory_bytes(self) -> int:
         """Bytes of the stored vectors (used rows, not spare capacity)."""
-        return self._size * self.dim * self._buffer.itemsize
+        return self._data.nbytes
 
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(distances, indices)`` of the k nearest, sorted ascending."""
-        if self._size == 0:
+        if len(self._store) == 0:
             raise RuntimeError("index is empty")
         # The scan runs in the stored dtype: casting the few queries is
         # free, promoting the whole database per search is not.
-        queries = np.asarray(queries, dtype=self._buffer.dtype)
-        return distance.topk(queries, self._data, max(0, min(k, self._size)),
-                             self.metric)
+        queries = np.asarray(queries, dtype=self._store.dtype)
+        return distance.topk(queries, self._data,
+                             max(0, min(k, len(self._store))), self.metric)

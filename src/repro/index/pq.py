@@ -32,6 +32,7 @@ import numpy as np
 
 from . import distance
 from .kmeans import kmeans
+from .rows import RowStore
 
 _REFINE_DTYPES = (None, "float16", "float32")
 
@@ -185,11 +186,12 @@ class PQIndex:
         self.refine_factor = refine_factor
         self.refine_dtype = refine_dtype
         self.centers: Optional[np.ndarray] = None
-        self._codes = np.empty((0, self.pq.n_subspaces), dtype=np.uint8)
+        self._codes = RowStore(
+            np.empty((0, self.pq.n_subspaces), dtype=np.uint8))
         # Cell assignment per stored vector (IVF-PQ only; None when flat).
-        self._assign: Optional[np.ndarray] = None
+        self._assign: Optional[RowStore] = None
         self._cell_members: Optional[List[np.ndarray]] = None
-        self._tail: Optional[np.ndarray] = None
+        self._tail: Optional[RowStore] = None
         self._trained = False
         self.train_count = 0
 
@@ -198,13 +200,15 @@ class PQIndex:
         return self._trained
 
     def _reset_storage(self) -> None:
-        self._codes = np.empty((0, self.pq.n_subspaces), dtype=np.uint8)
+        self._codes = RowStore(
+            np.empty((0, self.pq.n_subspaces), dtype=np.uint8))
         self._assign = (
-            np.empty(0, dtype=np.int32) if self.coarse_lists else None
+            RowStore(np.empty(0, dtype=np.int32)) if self.coarse_lists
+            else None
         )
         self._cell_members = None
         self._tail = (
-            np.empty((0, self.dim), dtype=self.refine_dtype)
+            RowStore(np.empty((0, self.dim), dtype=self.refine_dtype))
             if self.refine_dtype else None
         )
 
@@ -238,15 +242,13 @@ class PQIndex:
                 vectors, self.centers, self.metric
             ).astype(np.int32)
             encoded = self.pq.encode(vectors - self.centers[assignment])
-            self._assign = np.concatenate([self._assign, assignment])
+            self._assign.append(assignment)
             self._cell_members = None
         else:
             encoded = self.pq.encode(vectors)
-        self._codes = np.concatenate([self._codes, encoded], axis=0)
+        self._codes.append(encoded)
         if self._tail is not None:
-            self._tail = np.concatenate(
-                [self._tail, vectors.astype(self.refine_dtype)], axis=0
-            )
+            self._tail.append(vectors)
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -254,21 +256,21 @@ class PQIndex:
     @property
     def memory_bytes(self) -> int:
         """Approximate resident size (codes + codebooks + centres + tail)."""
-        total = self._codes.nbytes
+        total = self._codes.rows.nbytes
         if self.pq.codebooks is not None:
             total += self.pq.codebooks.nbytes
         if self._assign is not None:
-            total += self._assign.nbytes
+            total += self._assign.rows.nbytes
         if self.centers is not None:
             total += self.centers.nbytes
         if self._tail is not None:
-            total += self._tail.nbytes
+            total += self._tail.rows.nbytes
         return total
 
     def _members(self) -> List[np.ndarray]:
         if self._cell_members is None:
             self._cell_members = [
-                np.flatnonzero(self._assign == cell)
+                np.flatnonzero(self._assign.rows == cell)
                 for cell in range(self.coarse_lists)
             ]
         return self._cell_members
@@ -290,7 +292,7 @@ class PQIndex:
         else:
             tables = self.pq.lut(queries)
             distances, indices = distance.topk_rows(
-                self.pq.adc(tables, self._codes), fetch)
+                self.pq.adc(tables, self._codes.rows), fetch)
         if self._tail is not None:
             distances, indices = self._refine(queries, indices, k)
         return distances[:, :k], indices[:, :k]
@@ -314,7 +316,8 @@ class PQIndex:
                 # ADC then scores |(q - c) - decode(code)| = full distance.
                 residual = queries[row:row + 1] - self.centers[cell]
                 tables = self.pq.lut(residual)
-                distance_parts.append(self.pq.adc(tables, self._codes[ids])[0])
+                distance_parts.append(
+                    self.pq.adc(tables, self._codes.rows[ids])[0])
                 ids_parts.append(ids)
             if not ids_parts:
                 continue
@@ -337,7 +340,7 @@ class PQIndex:
             if len(ids) == 0:
                 continue
             exact = distance.pairwise(
-                queries[row:row + 1], self._tail[ids], self.metric
+                queries[row:row + 1], self._tail.rows[ids], self.metric
             )[0]
             take = min(k, len(ids))
             chosen = np.lexsort((ids, exact))[:take]

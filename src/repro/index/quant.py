@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import distance
+from .rows import RowStore
 
 
 class ScalarQuantizer:
@@ -73,7 +74,7 @@ class Int8FlatIndex:
         self.dim = dim
         self.metric = metric
         self.quantizer = ScalarQuantizer(dim)
-        self._codes = np.empty((0, dim), dtype=np.uint8)
+        self._codes = RowStore(np.empty((0, dim), dtype=np.uint8))
         self.train_count = 0
 
     @property
@@ -83,7 +84,7 @@ class Int8FlatIndex:
     def train(self, vectors: np.ndarray) -> None:
         """Fit the per-dimension grid; empties stored codes."""
         self.quantizer.train(vectors)
-        self._codes = np.empty((0, self.dim), dtype=np.uint8)
+        self._codes = RowStore(np.empty((0, self.dim), dtype=np.uint8))
         self.train_count += 1
 
     def add(self, vectors: np.ndarray) -> None:
@@ -92,9 +93,7 @@ class Int8FlatIndex:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
-        self._codes = np.concatenate(
-            [self._codes, self.quantizer.encode(vectors)], axis=0
-        )
+        self._codes.append(self.quantizer.encode(vectors))
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -105,7 +104,7 @@ class Int8FlatIndex:
         grid = 0
         if self.trained:
             grid = self.quantizer.scale.nbytes + self.quantizer.offset.nbytes
-        return self._codes.nbytes + grid
+        return self._codes.rows.nbytes + grid
 
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """kNN by symmetric int-domain scan; rows padded with ``inf``/``-1``."""
@@ -121,4 +120,4 @@ class Int8FlatIndex:
         """Dense ``(|Q|, N)`` float32 distances from int16 query codes."""
         scale = self.quantizer.scale
         weights = scale * scale if self.metric == "l2" else scale
-        return distance.pairwise(qcodes, self._codes, self.metric, weights)
+        return distance.pairwise(qcodes, self._codes.rows, self.metric, weights)

@@ -9,12 +9,29 @@ benchmark harnesses a single lookup point.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Sequence
 
 import numpy as np
 
 from ..trajectory import TrajectoryLike, as_points
+
+
+@functools.cache
+def _cdist():
+    """scipy's ``cdist``, imported by the first distance a process computes
+    (so importing the measures, and everything that registers them, is
+    free) and kept: an ``import`` statement per call costs 1.5 us of a 9 us
+    ``cdist``, and a Hausdorff scan makes one call per candidate."""
+    from scipy.spatial.distance import cdist
+
+    return cdist
+
+
+def point_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean ``(len(a), len(b))`` point-distance matrix."""
+    return _cdist()(a, b)
 
 
 class TrajectorySimilarityMeasure(ABC):

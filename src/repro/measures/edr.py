@@ -15,10 +15,13 @@ III–V, where EDR degrades fastest among the heuristics.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..trajectory import TrajectoryLike, as_points
-from .base import TrajectorySimilarityMeasure, register_measure
+from .base import (
+    TrajectorySimilarityMeasure,
+    point_distances,
+    register_measure,
+)
 
 #: Default match tolerance in the coordinate unit (metres here). Studies on
 #: the taxi datasets conventionally use around 100 m ≈ the grid cell size.
@@ -33,7 +36,7 @@ def edr_distance_reference(
         raise ValueError("epsilon must be non-negative")
     pa, pb = as_points(a), as_points(b)
     n, m = len(pa), len(pb)
-    mismatch = (cdist(pa, pb) > epsilon).astype(np.float64)
+    mismatch = (point_distances(pa, pb) > epsilon).astype(np.float64)
 
     previous = np.arange(m + 1, dtype=np.float64)  # EDR(0, j) = j
     current = np.empty(m + 1, dtype=np.float64)
@@ -64,7 +67,7 @@ def edr_distance(a: TrajectoryLike, b: TrajectoryLike, epsilon: float = DEFAULT_
         raise ValueError("epsilon must be non-negative")
     pa, pb = as_points(a), as_points(b)
     n, m = len(pa), len(pb)
-    mismatch = (cdist(pa, pb) > epsilon).astype(np.float64)
+    mismatch = (point_distances(pa, pb) > epsilon).astype(np.float64)
 
     js = np.arange(m + 1, dtype=np.float64)
     previous = js.copy()                      # EDR(0, j) = j

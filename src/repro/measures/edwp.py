@@ -25,10 +25,13 @@ public re-implementations in the trajectory-similarity literature.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..trajectory import TrajectoryLike, as_points
-from .base import TrajectorySimilarityMeasure, register_measure
+from .base import (
+    TrajectorySimilarityMeasure,
+    point_distances,
+    register_measure,
+)
 
 
 def _project_onto_segment(point: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -48,7 +51,7 @@ def edwp_distance_reference(a: TrajectoryLike, b: TrajectoryLike) -> float:
     if n == 1 and m == 1:
         return float(np.linalg.norm(pa[0] - pb[0]))
 
-    point_dist = cdist(pa, pb)
+    point_dist = point_distances(pa, pb)
     seg_a = np.linalg.norm(np.diff(pa, axis=0), axis=1)
     seg_b = np.linalg.norm(np.diff(pb, axis=0), axis=1)
 
@@ -130,7 +133,7 @@ def edwp_distance(a: TrajectoryLike, b: TrajectoryLike) -> float:
     if n == 1 and m == 1:
         return float(np.linalg.norm(pa[0] - pb[0]))
 
-    point_dist = cdist(pa, pb)
+    point_dist = point_distances(pa, pb)
     seg_a = np.linalg.norm(np.diff(pa, axis=0), axis=1)  # (n-1,)
     seg_b = np.linalg.norm(np.diff(pb, axis=0), axis=1)  # (m-1,)
 

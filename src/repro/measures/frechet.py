@@ -15,16 +15,19 @@ embedding distances can (paper Table VIII discussion).
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..trajectory import TrajectoryLike, as_points
-from .base import TrajectorySimilarityMeasure, register_measure
+from .base import (
+    TrajectorySimilarityMeasure,
+    point_distances,
+    register_measure,
+)
 
 
 def frechet_distance_reference(a: TrajectoryLike, b: TrajectoryLike) -> float:
     """Textbook row-scan discrete Fréchet; oracle for the vectorized path."""
     pa, pb = as_points(a), as_points(b)
-    dists = cdist(pa, pb)
+    dists = point_distances(pa, pb)
     n, m = dists.shape
 
     previous = np.empty(m)
@@ -55,7 +58,7 @@ def frechet_distance(a: TrajectoryLike, b: TrajectoryLike) -> float:
     predecessor contributes +inf to the inner ``min``.
     """
     pa, pb = as_points(a), as_points(b)
-    dists = cdist(pa, pb)
+    dists = point_distances(pa, pb)
     n, m = dists.shape
     if n == 1 or m == 1:
         # Degenerate coupling: forced to walk the longer polyline.

@@ -13,16 +13,19 @@ and costs O(n·m) per pair (here one vectorized ``cdist``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..trajectory import TrajectoryLike, as_points
-from .base import TrajectorySimilarityMeasure, register_measure
+from .base import (
+    TrajectorySimilarityMeasure,
+    point_distances,
+    register_measure,
+)
 
 
 def hausdorff_distance(a: TrajectoryLike, b: TrajectoryLike) -> float:
     """Symmetric point-set Hausdorff distance."""
     pa, pb = as_points(a), as_points(b)
-    dists = cdist(pa, pb)
+    dists = point_distances(pa, pb)
     forward = dists.min(axis=1).max()
     backward = dists.min(axis=0).max()
     return float(max(forward, backward))

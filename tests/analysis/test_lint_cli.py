@@ -82,7 +82,7 @@ def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("C201", "C202", "C203", "C204", "R301", "R306",
-                    "R308", "R309", "R310", "S001", "S002", "E001"):
+                    "R308", "R309", "R310", "R311", "S001", "S002", "E001"):
         assert rule_id in out
     assert "R307" not in out  # folded into R301 when pickle left the wire
 

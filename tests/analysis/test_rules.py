@@ -252,6 +252,31 @@ R310_GOOD = """
         return distance.pairwise(queries, data, "l1")
 """
 
+R311_BAD = """
+    import numpy as np
+    from scipy.spatial.distance import cdist
+
+    class Graph:
+        import networkx as nx
+
+    def gaps(a, b):
+        return cdist(a, b)
+"""
+R311_GOOD = """
+    import numpy as np
+
+    def gaps(a, b):
+        from scipy.spatial.distance import cdist
+
+        return cdist(a, b)
+
+    class Graph:
+        def to_networkx(self):
+            import networkx as nx
+
+            return nx.Graph()
+"""
+
 GOLDEN = [
     ("C202", C202_BAD, C202_GOOD),
     ("C202", C202_MUTATOR_BAD, None),
@@ -265,6 +290,7 @@ GOLDEN = [
     ("R306", R306_BAD, R306_GOOD),
     ("R308", R308_BAD, R308_GOOD),
     ("R308", R308_BAD, R308_POLL),
+    ("R311", R311_BAD, R311_GOOD),
 ]
 
 
@@ -531,7 +557,7 @@ def test_suppression_matches_only_named_rules(lint_rules):
 # ----------------------------------------------------------------------
 def test_catalog_has_at_least_ten_rules_with_hints():
     rules = all_rules()
-    assert len(rules) == 16  # the README table lists exactly these
+    assert len(rules) == 17  # the README table lists exactly these
     assert len({rule.id for rule in rules}) == len(rules)
     for rule in rules:
         assert rule.severity in ("error", "warning")

@@ -174,6 +174,39 @@ class TestIncrementalAdd:
         # The newly added trajectories are their own nearest neighbours.
         np.testing.assert_array_equal(ids[:, 0], [12, 13])
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("int8", {}),
+        ("pq", {"n_subspaces": 4, "n_centroids": 16, "seed": 0}),
+        ("pq", {"n_subspaces": 4, "n_centroids": 16, "seed": 0,
+                "coarse_lists": 4, "refine_dtype": "float16"}),
+    ], ids=["int8", "pq", "ivf-pq-refine"])
+    def test_many_small_adds_equal_one_big_add(self, name, kwargs):
+        """Code storage doubles its capacity; state, bytes and answers
+        only ever see the used rows."""
+        rng = np.random.default_rng(3)
+        first = rng.standard_normal((256, 8))
+        rows = rng.standard_normal((3200, 8))
+        whole, pieces = get_index(name, **kwargs), get_index(name, **kwargs)
+        for index in (whole, pieces):
+            index.add(first)
+            index.search(first[:1], 1)  # trains; later adds are incremental
+        whole.add(rows)
+        for start in range(0, len(rows), 16):
+            pieces.add(rows[start:start + 16])
+        (want_meta, want_arrays), (got_meta, got_arrays) = (
+            whole.state(), pieces.state())
+        assert got_meta == want_meta
+        assert got_arrays.keys() == want_arrays.keys()
+        for key, want in want_arrays.items():
+            assert len(got_arrays[key]) == len(want), key
+            np.testing.assert_array_equal(got_arrays[key], want, err_msg=key)
+        assert len(pieces) == len(whole) == 256 + 3200
+        assert (pieces.stats()["memory_bytes"]
+                == whole.stats()["memory_bytes"])
+        for got, want in zip(pieces.search(rows[:8], 5),
+                             whole.search(rows[:8], 5)):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestShardedAndCluster:
     def test_sharded_service_with_hnsw(self, backend, trajectories):

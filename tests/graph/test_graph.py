@@ -1,5 +1,7 @@
 """Tests for the grid graph, biased walks, SGNS and node2vec pipeline."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,15 @@ class TestGridGraph:
         g = graph.to_networkx()
         assert g.number_of_nodes() == 9
         assert g.number_of_edges() == 20  # 8-neighbour 3x3 grid: 12 + 8 diagonals
+
+    def test_to_networkx_without_networkx_names_method_and_package(
+            self, monkeypatch):
+        # None in sys.modules makes `import networkx` raise ImportError,
+        # exactly as on a box where the package is not installed.
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        graph = GridGraph(make_grid(3, 3))  # everything else still works
+        with pytest.raises(ImportError, match=r"to_networkx.*'networkx'"):
+            graph.to_networkx()
 
 
 class TestWalks:

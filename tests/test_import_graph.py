@@ -1,0 +1,94 @@
+"""The import graph follows the layering: a process loads what it serves.
+
+Each case starts a fresh interpreter, imports one entry point and reads
+``sys.modules`` back — module *sets*, not wall-clock, so nothing here can
+flake. scipy (the heuristic measures' ``cdist``) and networkx
+(``GridGraph.to_networkx``) load on the call that needs them, never on
+import; ``repro`` resolves its subpackages on first attribute access, so
+the serving stack does not drag in the baselines, datasets or evaluation
+harness. ``make bench-startup`` records what this buys in seconds and MB.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+ENTRY_POINTS = [
+    "repro", "repro.index", "repro.api", "repro.api.cluster",
+    "repro.api.gateway", "repro.cli",
+]
+
+
+def fresh_interpreter(code):
+    """Run ``code`` in a new interpreter; it prints one JSON document."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def loaded(modules, *packages):
+    """The loaded modules that are, or live under, one of ``packages``."""
+    return sorted(
+        name for name in modules
+        if any(name == p or name.startswith(p + ".") for p in packages)
+    )
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_entry_point_loads_no_scipy_or_networkx(entry_point):
+    modules = fresh_interpreter(
+        f"import json, sys, {entry_point}; print(json.dumps(sorted(sys.modules)))"
+    )
+    assert entry_point in modules
+    assert loaded(modules, "scipy", "networkx") == []
+    if entry_point.startswith("repro.api"):
+        assert loaded(modules, "repro.baselines", "repro.eval",
+                      "repro.datasets") == []
+    if entry_point == "repro.index":
+        assert loaded(modules, "repro.api", "repro.baselines") == []
+
+
+def test_lazy_surface_still_works():
+    report = fresh_interpreter("""
+import json, sys
+import repro
+
+report = {"bare": sorted(m for m in sys.modules if m.startswith("repro."))}
+report["dir_lists_all"] = set(repro.__all__) <= set(dir(repro))
+report["trajcl"] = repro.TrajCL.__module__
+report["service"] = repro.SimilarityService.__module__
+try:
+    repro.no_such_name
+except AttributeError as error:
+    report["missing"] = str(error)
+
+namespace = {}
+exec("from repro import *", namespace)
+report["star"] = sorted(set(repro.__all__) - set(namespace))
+
+service = repro.SimilarityService(backend="hausdorff")
+service.add([[(0.0, 0.0), (1.0, 1.0)], [(0.0, 1.0), (2.0, 2.0)],
+             [(5.0, 5.0), (6.0, 6.0)]])
+report["scipy_before_knn"] = "scipy.spatial" in sys.modules
+distances, ids = service.knn([[(0.0, 0.0), (1.0, 1.5)]], k=2)
+report["scipy_after_knn"] = "scipy.spatial" in sys.modules
+report["ids"] = [int(i) for i in ids.ravel()]
+print(json.dumps(report))
+""")
+    assert report["bare"] == []  # `import repro` alone loads no subpackage
+    assert report["dir_lists_all"]
+    assert report["trajcl"].startswith("repro.core")
+    assert report["service"] == "repro.api.service"
+    assert "no_such_name" in report["missing"]
+    assert report["star"] == []  # every name in __all__ resolved
+    assert not report["scipy_before_knn"]
+    assert report["scipy_after_knn"]
+    assert report["ids"] == [0, 1]
