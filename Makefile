@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench serve-bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest
+.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini).
@@ -66,15 +66,6 @@ http-smoke:
 # Paper-table benchmark harnesses (slow; needs pytest-benchmark).
 bench:
 	$(PYTHON) -m pytest benchmarks -q
-
-# Serving-layer throughput sweep (queries/sec plus p50/p95/p99 latency:
-# in-process at 1/2/4 workers, remote, asyncio, cluster, HTTP clients
-# and the 50k-trajectory large_db scenario where sharding must win)
-# merged scenario-by-scenario into the perf-trajectory record.
-serve-bench:
-	$(PYTHON) -m repro serve-bench \
-		--scenarios in_process,remote,async,cluster,http,large_db \
-		--output benchmarks/results/BENCH_serving.json
 
 # Encode-throughput sweep (traj/sec: fused inference engine in
 # float64/float32 vs the reference Tensor path, by batch size), merged

@@ -8,9 +8,9 @@ call; the fast path additionally splits it into length buckets of
 ``bucket_size`` rows (the engine default), which is part of what is
 being measured.
 Results merge scenario-by-scenario into
-``benchmarks/results/BENCH_encode.json`` (same preserve-prior-numbers
-discipline as ``BENCH_serving.json``), so the encode perf trajectory
-accumulates across PRs instead of resetting.
+``benchmarks/results/BENCH_encode.json`` (scenarios not re-run keep
+their previous numbers), so the encode perf trajectory accumulates across
+PRs instead of resetting.
 
 Run via ``make bench-encode`` or::
 
@@ -129,7 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ["scenario", "batch", "dtype", "traj/s", "vs reference"], rows))
 
     if args.output:
-        from repro.cli import merge_bench_scenarios
+        from common import merge_bench_scenarios
 
         existing = None
         if os.path.exists(args.output):

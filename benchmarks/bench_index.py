@@ -15,8 +15,8 @@ data is the PQ worst case and says nothing about embedding workloads.
 
 Results merge scenario-by-scenario into
 ``benchmarks/results/BENCH_index.json`` (same preserve-prior-numbers
-discipline as ``BENCH_serving.json`` / ``BENCH_encode.json``), so the
-recall/memory/latency trajectory accumulates across PRs.
+discipline as ``BENCH_encode.json``), so the recall/memory/latency
+trajectory accumulates across PRs.
 
 Run via ``make bench-index`` (10^5 vectors) or directly::
 
@@ -192,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
          f"recall@{args.k}", "evals/q"], rows))
 
     if args.output:
-        from repro.cli import merge_bench_scenarios
+        from common import merge_bench_scenarios
 
         existing = None
         if os.path.exists(args.output):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,19 @@ def save_result(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n(written to {path})")
+
+
+def merge_bench_scenarios(existing: Optional[dict], scenarios: dict,
+                          config: dict) -> dict:
+    """Merge one run's scenarios into a prior ``BENCH_*.json`` record.
+
+    Scenarios not re-run this time survive untouched, so the perf
+    trajectory across PRs accumulates instead of resetting.
+    """
+    merged = {"scenarios": dict((existing or {}).get("scenarios", {}))}
+    for name, payload in scenarios.items():
+        merged["scenarios"][name] = {**payload, "config": config}
+    return merged
 
 
 def heuristic_backends() -> Dict[str, object]:

@@ -14,54 +14,55 @@ Two halves, one lock model:
   ``REPRO_LOCK_SANITIZER=1`` in the slow suite, which order-checks real
   acquisitions and raises *before* an ABBA deadlock can form.
 
-Importing this package registers every shipped checker.
+The names below resolve on first access (PEP 562, like ``repro``
+itself): registering ``repro lint``'s four options costs a serving
+process nothing, and resolving any ``core`` name first imports every
+checker module, so the rule registry is complete by the time it is read.
 """
 
-from .core import (
-    Checker,
-    FileContext,
-    Finding,
-    LintReport,
-    Rule,
-    all_rules,
-    lint_paths,
-    register_checker,
-    rule_catalog,
-)
+from importlib import import_module
 
-# Importing the checker modules registers their rules.
-from . import concurrency  # noqa: F401  (registration side effect)
-from . import invariants  # noqa: F401  (registration side effect)
-from . import lockgraph  # noqa: F401  (registration side effect)
-from .sanitizer import (
-    ENV_VAR,
-    LockOrderError,
-    disable_lock_sanitizer,
-    enable_lock_sanitizer,
-    install_from_env,
-    lock_graph_snapshot,
-    reset_lock_graph,
-    sanitizer_active,
-    sanitizer_enabled,
-)
+#: modules whose import registers their rules with :mod:`.core`
+_CHECKER_MODULES = ("concurrency", "invariants", "lockgraph")
+#: re-exported name -> the submodule that defines it
+_REEXPORTS = {
+    **dict.fromkeys((
+        "Checker",
+        "FileContext",
+        "Finding",
+        "LintReport",
+        "Rule",
+        "all_rules",
+        "lint_paths",
+        "register_checker",
+        "rule_catalog",
+    ), "core"),
+    **dict.fromkeys((
+        "ENV_VAR",
+        "LockOrderError",
+        "disable_lock_sanitizer",
+        "enable_lock_sanitizer",
+        "install_from_env",
+        "lock_graph_snapshot",
+        "reset_lock_graph",
+        "sanitizer_active",
+        "sanitizer_enabled",
+    ), "sanitizer"),
+}
 
-__all__ = [
-    "Checker",
-    "FileContext",
-    "Finding",
-    "LintReport",
-    "Rule",
-    "all_rules",
-    "lint_paths",
-    "register_checker",
-    "rule_catalog",
-    "ENV_VAR",
-    "LockOrderError",
-    "disable_lock_sanitizer",
-    "enable_lock_sanitizer",
-    "install_from_env",
-    "lock_graph_snapshot",
-    "reset_lock_graph",
-    "sanitizer_active",
-    "sanitizer_enabled",
-]
+__all__ = list(_REEXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _REEXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if _REEXPORTS[name] == "core":
+        for checker in _CHECKER_MODULES:
+            import_module(f"{__name__}.{checker}")
+    value = getattr(import_module(f"{__name__}.{_REEXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

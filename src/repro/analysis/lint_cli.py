@@ -13,7 +13,9 @@ import json
 import sys
 from typing import List, Optional
 
-from .core import LintReport, all_rules, lint_paths
+# The checkers (``from . import all_rules, lint_paths``) load inside the
+# functions that run them: ``repro.cli.build_parser`` imports this module
+# for ``add_lint_arguments`` on every command, including ``serve``.
 
 __all__ = ["add_lint_arguments", "cmd_lint", "main"]
 
@@ -39,13 +41,15 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_rules(stream) -> None:
+    from . import all_rules
+
     for rule in all_rules():
         print(f"{rule.id}  {rule.severity:<7}  {rule.summary}", file=stream)
         if rule.fix_hint:
             print(f"      fix: {rule.fix_hint}", file=stream)
 
 
-def _print_text(report: LintReport, stream) -> None:
+def _print_text(report, stream) -> None:
     for finding in report.findings:
         print(
             f"{finding.location} {finding.rule} "
@@ -63,6 +67,8 @@ def _print_text(report: LintReport, stream) -> None:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from . import lint_paths
+
     stream = sys.stdout
     if getattr(args, "list_rules", False):
         _print_rules(stream)

@@ -86,7 +86,12 @@ from .chaos import ChaosConfig, ChaosTransport
 from .protocols import SimilarityBackend, as_backend
 from .indexes import index_is_exact
 from .registry import get_backend
-from .remote import ThreadedNodeServer, install_signal_shutdown, parse_address
+from .remote import (
+    ThreadedNodeServer,
+    install_signal_shutdown,
+    parse_address,
+    write_ready_file,
+)
 from .service import SimilarityService, _default_index_for
 from .serving import (
     ShardLostError,
@@ -345,11 +350,9 @@ def run_worker(host: str = "127.0.0.1", port: int = 0,
     print(f"cluster worker listening on {bound_host}:{bound_port}",
           flush=True)
     if ready_file:
-        # Written only after the port is bound: launchers poll this file
-        # instead of racing the bind (off-machine callers rely on the
-        # coordinator's connect retries instead).
-        with open(ready_file, "w") as handle:
-            handle.write(f"{bound_host}:{bound_port}\n")
+        # Same-machine launchers poll this file; off-machine callers rely
+        # on the coordinator's connect retries instead.
+        write_ready_file(ready_file, worker.address)
     try:
         worker.serve_forever()
     except KeyboardInterrupt:

@@ -30,6 +30,7 @@ bit-identical ``(distances, ids)`` to the wrapped service. Quickstart::
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import threading
@@ -64,6 +65,7 @@ __all__ = [
     "AsyncSimilarityClient",
     "parse_address",
     "install_signal_shutdown",
+    "write_ready_file",
 ]
 
 
@@ -84,6 +86,21 @@ def install_signal_shutdown(callback, signals=("SIGTERM",)) -> bool:
         if signum is not None:
             signal.signal(signum, lambda _signum, _frame: callback())
     return True
+
+
+def write_ready_file(path: str, address: Tuple[str, int]) -> None:
+    """Publish a bound ``host:port`` for launchers polling ``--ready-file``.
+
+    Call it only once the port is bound: tests and the smoke scripts wait
+    for this file instead of racing the bind. The line goes to a sibling
+    temporary name that ``os.replace`` moves into place, so a poller that
+    sees the file exist never reads it empty or half-written.
+    """
+    host, port = address
+    temporary = f"{path}.{os.getpid()}.tmp"
+    with open(temporary, "w") as handle:
+        handle.write(f"{host}:{port}\n")
+    os.replace(temporary, path)
 
 
 def parse_address(address: Union[str, Tuple[str, int]],

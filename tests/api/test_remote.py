@@ -486,6 +486,32 @@ class TestSignalShutdown:
         assert outcome == [False]
 
 
+class TestReadyFile:
+    def test_appears_complete_and_leaves_no_temporary(self, tmp_path,
+                                                      monkeypatch):
+        """Launchers poll for the file and then read it: it must never be
+        visible before its content is."""
+        import os
+
+        from repro.api.remote import write_ready_file
+
+        path = tmp_path / "ready"
+        real_replace = os.replace
+        moved = []
+
+        def checking_replace(source, target):
+            assert not path.exists()  # nothing to read until the move...
+            with open(source) as handle:  # ...which moves a finished file
+                moved.append(handle.read())
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", checking_replace)
+        write_ready_file(str(path), ("127.0.0.1", 4242))
+        assert moved == ["127.0.0.1:4242\n"]
+        assert parse_address(path.read_text().strip()) == ("127.0.0.1", 4242)
+        assert os.listdir(tmp_path) == ["ready"]
+
+
 @pytest.mark.slow
 class TestSustainedServing:
     """Stress the full stack: many threaded clients hammering a server

@@ -1,9 +1,22 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import argparse
+import time
+
 import numpy as np
 import pytest
 
 from repro.cli import _load_trajectories, build_parser, main, save_trajectories
+
+
+def wait_for_ready(path) -> str:
+    """The address a command wrote to its ``--ready-file`` (written
+    atomically, so existing means complete)."""
+    for _ in range(200):
+        if path.exists():
+            break
+        time.sleep(0.05)
+    return path.read_text().strip()
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +82,134 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "--city", "london",
                                        "--output", "x.npz"])
+
+
+def opt(*strings, type=None, default=None, required=False, choices=None):
+    """One row of the CLI contract below."""
+    return (strings, type, default, required, choices)
+
+
+_CITY = opt("--city", default="porto",
+            choices=("porto", "chengdu", "xian", "germany"))
+_ENCODE = {
+    opt("--no-fast-encode", default=True),
+    opt("--encode-dtype", default="float64", choices=("float32", "float64")),
+}
+_SERVICE = _ENCODE | {
+    opt("--checkpoint"),
+    opt("--backend", default="trajcl"),
+    opt("--index", default="auto",
+        choices=("auto", "bruteforce", "ivf", "pq", "int8", "hnsw", "segment")),
+    opt("--lists", type=int, default=16),
+    opt("--pq-subspaces", type=int, default=16),
+    opt("--pq-centroids", type=int, default=256),
+    opt("--pq-coarse", default=False),
+    opt("--pq-refine", type=int, default=0),
+    opt("--hnsw-m", type=int, default=16),
+    opt("--ef-construction", type=int, default=64),
+    opt("--ef-search", type=int, default=32),
+    opt("--train-epochs", type=int, default=1),
+    opt("--seed", type=int, default=0),
+}
+_LOCAL_WORKERS = opt("--workers", type=int, default=1)
+_LISTEN = {
+    opt("--host", default="127.0.0.1"),
+    opt("--port", type=int, default=0),
+    opt("--ready-file"),
+}
+_SERVED = _LISTEN | {
+    opt("--max-requests", type=int),
+    opt("--max-batch", type=int, default=64),
+}
+
+#: every subcommand's settable points as captured from the tree before the
+#: serving commands were collapsed onto shared argument groups: (option
+#: strings, type, default, required, choices) — 134 rows.
+CLI_CONTRACT = {
+    "generate": {
+        _CITY, opt("--count", type=int, default=300),
+        opt("--seed", type=int, default=0), opt("--output", required=True),
+    },
+    "train": {
+        _CITY, opt("--count", type=int, default=300),
+        opt("--epochs", type=int, default=3),
+        opt("--seed", type=int, default=0), opt("--output", required=True),
+    },
+    "encode": _ENCODE | {
+        opt("--checkpoint", required=True), opt("--data", required=True),
+        opt("--output", required=True),
+    },
+    "backends": set(),
+    "evaluate": _ENCODE | {
+        opt("--checkpoint"), opt("--data", required=True), opt("--backend"),
+        opt("--queries", type=int, default=15),
+        opt("--database", type=int, default=100),
+        opt("--heuristics", default=False),
+        opt("--train-epochs", type=int, default=1),
+        opt("--seed", type=int, default=0),
+    },
+    "knn": _SERVICE | {
+        opt("--data", required=True), _LOCAL_WORKERS,
+        opt("--query", type=int, default=0), opt("--k", type=int, default=3),
+        opt("--batch-wait", type=float, default=0.0), opt("--remote"),
+    },
+    "serve": _SERVICE | _SERVED | {
+        opt("--data", required=True), _LOCAL_WORKERS,
+        opt("--batch-wait", type=float, default=0.0),
+    },
+    "serve-http": _SERVICE | _SERVED | {
+        opt("--data"), _LOCAL_WORKERS,
+        opt("--batch-wait", type=float, default=0.002), opt("--remote"),
+        opt("--max-pending", type=int, default=1024),
+        opt("--rate-limit", type=float), opt("--burst", type=float),
+        opt("--max-inflight", type=int, default=64),
+        opt("--max-body", type=int, default=8 << 20),
+    },
+    "cluster-worker": _LISTEN,
+    "cluster": _SERVICE | _SERVED | {
+        opt("--data", required=True), opt("--workers", required=True),
+        opt("--batch-wait", type=float, default=0.0),
+        opt("--heartbeat-interval", type=float, default=2.0),
+        opt("--heartbeat-timeout", type=float, default=10.0),
+        opt("--connect-retries", type=int, default=5),
+        opt("--retry-wait", type=float, default=0.1),
+        opt("--shutdown-workers", default=False),
+        opt("--replication", type=int, default=1), opt("--chaos"),
+    },
+    "lint": {
+        opt("paths", default=("src",)),
+        opt("--format", default="text", choices=("text", "json")),
+        opt("--rules"), opt("--list-rules", default=False),
+    },
+}
+
+
+def subcommands():
+    parser = build_parser()
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+class TestCliContract:
+    def test_subcommands(self):
+        # exactly these: the serving benchmark is no longer a subcommand
+        assert set(subcommands()) == set(CLI_CONTRACT)
+
+    @pytest.mark.parametrize("command", sorted(CLI_CONTRACT))
+    def test_options_are_the_recorded_ones(self, command):
+        def freeze(value):
+            return tuple(value) if isinstance(value, list) else value
+
+        actual = {
+            (tuple(a.option_strings) or (a.dest,), a.type, freeze(a.default),
+             a.required, freeze(a.choices))
+            for a in subcommands()[command]._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert actual == CLI_CONTRACT[command]
+
+    def test_settable_points(self):
+        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 134
 
 
 class TestGenerate:
@@ -182,6 +323,17 @@ class TestBackendsCommand:
         assert re.search(r"#\d+: trajectory 0 \(", out) is None
         assert "#4:" in out  # ...and the result is still k long
 
+    @pytest.mark.parametrize("query", ["-1", "40"])
+    @pytest.mark.parametrize("remote", [[], ["--remote", "127.0.0.1:9"]])
+    def test_knn_query_out_of_range(self, dataset_path, query, remote):
+        """--query -1 used to wrap to the last trajectory (which came back
+        as its own nearest neighbour); 40 of 40 was a bare IndexError. The
+        check runs before any service is built or any server dialled."""
+        with pytest.raises(SystemExit, match=f"--query {query} is out of "
+                                             "range for the 40 trajectories"):
+            main(["knn", "--data", dataset_path, "--backend", "hausdorff",
+                  "--query", query, "--k", "2"] + remote)
+
     def test_knn_matches_similarity_service(self, checkpoint_path,
                                             dataset_path, capsys):
         """Acceptance: the CLI and the service return identical neighbours."""
@@ -228,95 +380,8 @@ class TestServingCli:
         queued_out = capsys.readouterr().out
         assert direct_out.splitlines()[1:] == queued_out.splitlines()[1:]
 
-    def test_serve_bench_writes_json(self, dataset_path, tmp_path, capsys):
-        import json
-
-        out_path = str(tmp_path / "BENCH_serving.json")
-        assert main(["serve-bench", "--data", dataset_path,
-                     "--backend", "hausdorff", "--queries", "4", "--k", "2",
-                     "--workers", "1,2", "--repeats", "1",
-                     "--output", out_path]) == 0
-        printed = capsys.readouterr().out
-        assert "unbatched q/s" in printed
-        assert "remote:" in printed and "async:" in printed
-        assert "cluster:" in printed and "http:" in printed
-        payload = json.loads(open(out_path).read())
-        scenarios = payload["scenarios"]
-        assert set(scenarios) == {"in_process", "remote", "async", "cluster",
-                                  "http"}
-        assert scenarios["in_process"]["config"]["backend"] == "hausdorff"
-        rows = scenarios["in_process"]["results"]
-        assert [r["workers"] for r in rows] == [1, 2]
-        for row in rows:
-            assert row["unbatched_qps"] > 0
-            assert row["batched_qps"] > 0
-        assert scenarios["remote"]["results"]["qps"] > 0
-        assert scenarios["remote"]["results"]["batched_qps"] > 0
-        assert scenarios["async"]["results"]["qps"] > 0
-        assert scenarios["cluster"]["results"]["qps"] > 0
-        assert scenarios["cluster"]["results"]["workers"] == 2
-        assert scenarios["http"]["results"]["qps"] > 0
-        assert scenarios["http"]["results"]["concurrent_qps"] > 0
-        # Every scenario reports latency percentiles beside its q/s.
-        for name, results in scenarios.items():
-            rows = results["results"]
-            for row in rows if isinstance(rows, list) else [rows]:
-                summary = row["latency_ms"]
-                assert summary["p50"] > 0
-                assert summary["p50"] <= summary["p95"] <= summary["p99"]
-
-    def test_serve_bench_merges_by_scenario(self, dataset_path, tmp_path,
-                                            capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_serving.json"
-        # A pre-scenario record (the PR 2 flat layout) must be migrated,
-        # not clobbered, when only other scenarios are re-run.
-        legacy = {"backend": "hausdorff", "database_size": 12,
-                  "results": [{"workers": 1, "unbatched_qps": 123.0,
-                               "batched_qps": 45.0, "batches": 1,
-                               "largest_batch": 4}]}
-        out_path.write_text(json.dumps(legacy))
-        assert main(["serve-bench", "--data", dataset_path,
-                     "--backend", "hausdorff", "--queries", "4", "--k", "2",
-                     "--repeats", "1", "--scenarios", "remote",
-                     "--output", str(out_path)]) == 0
-        capsys.readouterr()
-        payload = json.loads(out_path.read_text())
-        assert payload["scenarios"]["in_process"]["results"] == legacy["results"]
-        assert payload["scenarios"]["remote"]["results"]["qps"] > 0
-        assert "async" not in payload["scenarios"]
-
-    def test_serve_bench_large_db_scenario(self, dataset_path, tmp_path,
-                                           capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_serving.json"
-        assert main(["serve-bench", "--data", dataset_path,
-                     "--backend", "hausdorff", "--queries", "4", "--k", "2",
-                     "--repeats", "1", "--scenarios", "large_db",
-                     "--db-size", "60",
-                     "--output", str(out_path)]) == 0
-        printed = capsys.readouterr().out
-        # The effective config is printed so recorded numbers can never
-        # drift silently from the parameters that produced them.
-        assert "config:" in printed
-        assert "db_size=60" in printed
-        payload = json.loads(out_path.read_text())
-        record = payload["scenarios"]["large_db"]
-        assert record["db_size"] == 60
-        assert "embedding_dim" in record  # None for distance backends
-        rows = record["results"]
-        assert [r["workers"] for r in rows] == [1, 2]
-        for row in rows:
-            assert row["unbatched_qps"] > 0
-            assert row["latency_ms"]["p50"] > 0
-        # The sharded row carries the merged transport counters.
-        assert rows[1]["transport"]["frames_sent"] > 0
-
     def test_serve_and_remote_knn(self, dataset_path, tmp_path, capsys):
         import threading
-        import time
 
         ready = tmp_path / "ready"
         # knn --remote issues two requests (knn + stats); the server then
@@ -329,11 +394,7 @@ class TestServingCli:
             target=lambda: rc.setdefault("serve", main(server_argv)))
         thread.start()
         try:
-            for _ in range(200):
-                if ready.exists():
-                    break
-                time.sleep(0.05)
-            address = ready.read_text().strip()
+            address = wait_for_ready(ready)
             assert main(["knn", "--data", dataset_path, "--query", "1",
                          "--k", "3", "--remote", address]) == 0
             out = capsys.readouterr().out
@@ -359,7 +420,6 @@ class TestClusterCli:
     def test_cluster_front_end_and_remote_knn(self, dataset_path, tmp_path,
                                               capsys):
         import threading
-        import time
 
         from repro.api import ShardWorker
 
@@ -378,11 +438,7 @@ class TestClusterCli:
             target=lambda: rc.setdefault("cluster", main(front_argv)))
         thread.start()
         try:
-            for _ in range(200):
-                if ready.exists():
-                    break
-                time.sleep(0.05)
-            address = ready.read_text().strip()
+            address = wait_for_ready(ready)
             assert main(["knn", "--data", dataset_path, "--query", "1",
                          "--k", "3", "--remote", address]) == 0
             out = capsys.readouterr().out
@@ -405,7 +461,6 @@ class TestClusterCli:
 
     def test_cluster_worker_serves_until_shutdown(self, tmp_path):
         import threading
-        import time
 
         from repro.api.transport import SocketTransport, request
 
@@ -416,11 +471,7 @@ class TestClusterCli:
                             "--ready-file", str(ready)])))
         thread.start()
         try:
-            for _ in range(200):
-                if ready.exists():
-                    break
-                time.sleep(0.05)
-            host, port = ready.read_text().strip().rsplit(":", 1)
+            host, port = wait_for_ready(ready).rsplit(":", 1)
             transport = SocketTransport.connect(host, int(port),
                                                 retries=10)
             try:
@@ -439,7 +490,6 @@ class TestServeHttpCli:
                                          capsys):
         import json
         import threading
-        import time
         import urllib.request
 
         from repro.api import SimilarityService
@@ -455,11 +505,7 @@ class TestServeHttpCli:
             target=lambda: rc.setdefault("serve", main(argv)))
         thread.start()
         try:
-            for _ in range(200):
-                if ready.exists():
-                    break
-                time.sleep(0.05)
-            address = ready.read_text().strip()
+            address = wait_for_ready(ready)
             trajectories = _load_trajectories(dataset_path)
             body = json.dumps({
                 "queries": [np.asarray(trajectories[1]).tolist()],

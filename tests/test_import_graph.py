@@ -92,3 +92,38 @@ print(json.dumps(report))
     assert not report["scipy_before_knn"]
     assert report["scipy_after_knn"]
     assert report["ids"] == [0, 1]
+
+
+ANALYZERS = ["repro.analysis." + name for name in
+             ("core", "lockgraph", "concurrency", "invariants", "sanitizer")]
+
+
+def test_build_parser_loads_no_analyzer():
+    """Every `repro knn`/`serve`/`cluster-worker` builds the whole parser;
+    registering lint's four options must not import the checkers."""
+    modules = fresh_interpreter(
+        "import json, sys, repro.cli; repro.cli.build_parser(); "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert "repro.analysis.lint_cli" in modules
+    assert loaded(modules, *ANALYZERS) == []
+
+
+def test_lint_still_finds_every_rule():
+    report = fresh_interpreter("""
+import contextlib, io, json, sys
+from repro.cli import main
+
+printed = io.StringIO()
+with contextlib.redirect_stdout(printed):
+    status = main(["lint", "--list-rules"])
+rules = [line.split()[0] for line in printed.getvalue().splitlines()
+         if line[:1].isalpha()]
+print(json.dumps({"status": status, "rules": rules,
+                  "modules": sorted(sys.modules)}))
+""")
+    assert report["status"] == 0
+    assert len(report["rules"]) == len(set(report["rules"])) == 17
+    # running the linter is what loads the checkers (the sanitizer is the
+    # runtime half: REPRO_LOCK_SANITIZER=1 loads it, lint does not)
+    assert set(ANALYZERS[:4]) <= set(report["modules"])
