@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest
+.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest bench-e2e-smoke
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini).
@@ -11,7 +11,7 @@ test:
 # Everything: lint first (cheapest gate), then the full pytest suite
 # (including the slow serving stress tests) with the runtime lock-order
 # sanitizer armed, then the real-process smoke runs and the end-to-end
-# benchmark's selftest.
+# benchmark's smoke run.
 test-all: lint
 	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -x -q -m ""
 	$(PYTHON) scripts/serve_smoke.py
@@ -20,7 +20,7 @@ test-all: lint
 	$(PYTHON) scripts/http_smoke.py
 	$(PYTHON) scripts/lint_smoke.py
 	$(PYTHON) scripts/bench_index_smoke.py
-	$(PYTHON) benchmarks/e2e/run.py --selftest
+	$(MAKE) bench-e2e-smoke
 
 # Concurrency-aware static analysis over src/ (see src/repro/analysis):
 # lock-order cycles, unlocked shared writes, blocking calls under locks,
@@ -68,11 +68,14 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q
 
 # Encode-throughput sweep (traj/sec: fused inference engine in
-# float64/float32 vs the reference Tensor path, by batch size), merged
-# scenario-by-scenario into the encode perf-trajectory record. Outside
-# tier-1.
+# float64/float32 vs the reference Tensor path, by batch size) plus the
+# end-to-end benchmark's encoder shape (d = 64, L = 32: 256 per call and
+# one per call), medians with quartiles, merged scenario-by-scenario into
+# the encode perf-trajectory record; one BLAS thread and no huge pages,
+# as the e2e benchmark pins them. `--label` + another checkout on
+# PYTHONPATH records a before row (see the script). Outside tier-1.
 bench-encode:
-	$(PYTHON) benchmarks/bench_encode.py --output benchmarks/results/BENCH_encode.json
+	OPENBLAS_NUM_THREADS=1 NUMPY_MADVISE_HUGEPAGE=0 $(PYTHON) benchmarks/bench_encode.py --output benchmarks/results/BENCH_encode.json
 
 # ANN index sweep at 10^5 vectors (recall@10 vs bytes/vector vs q/s for
 # bruteforce/ivf/pq/int8/hnsw), merged scenario-by-scenario into the
@@ -102,3 +105,11 @@ bench-e2e:
 
 bench-e2e-selftest:
 	$(PYTHON) benchmarks/e2e/run.py --selftest
+
+# The benchmark keeps running against the product: the selftest, one
+# traced in-process run (every name the span shims patch resolves) and
+# one untraced run through the HTTP edge, each once at --quick length.
+# Exit 0 only when every answer matches the oracle and nothing leaked.
+bench-e2e-smoke: bench-e2e-selftest
+	$(PYTHON) benchmarks/e2e/run.py --quick --workload scan_inproc --trace 1
+	$(PYTHON) benchmarks/e2e/run.py --quick --workload edge_http --trace 0

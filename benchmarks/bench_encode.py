@@ -1,22 +1,31 @@
 """Encode-throughput benchmark: fused inference engine vs reference path.
 
-Measures trajectories/second of ``TrajCL.encode`` on a synthetic-preset
-database across batch sizes, for the reference Tensor-graph path and the
-fused numpy :class:`~repro.core.InferenceEncoder` in float64 and float32.
-``batch`` is the workload handed to one ``encode(batch_size=batch)``
-call; the fast path additionally splits it into length buckets of
-``bucket_size`` rows (the engine default), which is part of what is
-being measured.
+Two families of scenario, every timing a median with its quartiles:
+
+* the **sweep** (``reference_b*`` / ``fast_<dtype>_b*``) — trajectories per
+  second of ``TrajCL.encode`` on a synthetic-preset database across batch
+  sizes, for the reference Tensor-graph path and the fused numpy
+  :class:`~repro.core.InferenceEncoder` in float64 and float32 (``batch``
+  is the workload handed to one ``encode(batch_size=batch)`` call);
+* the **e2e shape** (``e2e_chunk256`` / ``e2e_single``) — the encoder the
+  end-to-end benchmark serves (d = 64, ``max_len`` 32, dual variant,
+  float64): 5000 trajectories in calls of 256 (the service's
+  ``batch_size``), and one trajectory per call. These are the numbers the
+  ROADMAP's encoder budget quotes.
+
 Results merge scenario-by-scenario into
 ``benchmarks/results/BENCH_encode.json`` (scenarios not re-run keep
 their previous numbers), so the encode perf trajectory accumulates across
-PRs instead of resetting.
+PRs instead of resetting. ``--label`` suffixes the e2e row names, and the
+script only needs ``TrajCL.encode``, so a before/after pair is the same
+command run against two checkouts::
 
-Run via ``make bench-encode`` or::
-
+    PYTHONPATH=/path/to/parent/src python benchmarks/bench_encode.py \
+        --scenarios e2e --label parent --output benchmarks/results/BENCH_encode.json
     python benchmarks/bench_encode.py --output benchmarks/results/BENCH_encode.json
 
-Not part of the tier-1 test suite.
+Run via ``make bench-encode`` (which pins one BLAS thread, as the e2e
+benchmark does). Not part of the tier-1 test suite.
 """
 
 from __future__ import annotations
@@ -26,64 +35,93 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
+
+#: the end-to-end benchmark's encoder shape (``benchmarks/e2e/workloads.py``)
+E2E_DIM, E2E_MAX_LEN = 64, 32
+E2E_COUNT, E2E_CHUNK, E2E_SINGLES = 5000, 256, 400
 
 
-def _build(args):
+def _build(args, count: int, dim: int, max_len: int):
     from repro.api import get_backend
     from repro.datasets import generate_city, get_preset
 
-    trajectories = generate_city(get_preset(args.city), args.count,
-                                 seed=args.seed)
+    trajectories = generate_city(get_preset(args.city), count, seed=args.seed)
     # Throughput does not depend on training; epochs=0 keeps setup fast.
     backend = get_backend(
-        "trajcl", trajectories=trajectories, dim=args.dim,
-        max_len=args.max_len, epochs=args.train_epochs,
-        train=args.train_epochs > 0, seed=args.seed,
+        "trajcl", trajectories=trajectories, dim=dim, max_len=max_len,
+        epochs=args.train_epochs, train=args.train_epochs > 0, seed=args.seed,
     )
     return backend.model, trajectories
 
 
-def _throughput(encode, n_trajectories: int, repeats: int) -> float:
-    """Best-of-``repeats`` trajectories/second (after one warm-up call)."""
-    encode()  # warm-up: engine compilation, caches, BLAS threads
-    best = float("inf")
+def _time_calls(encode: Callable, batches: Sequence[Sequence],
+                repeats: int) -> Dict:
+    """Median and quartiles of ms per trajectory over ``repeats`` passes
+    of one ``encode(batch)`` call per batch, after one warm-up call
+    (engine compilation, caches, BLAS threads)."""
+    encode(batches[0])
+    samples = []
     for _ in range(repeats):
-        start = time.perf_counter()
-        encode()
-        best = min(best, time.perf_counter() - start)
-    return n_trajectories / max(best, 1e-9)
+        for batch in batches:
+            start = time.perf_counter()
+            encode(batch)
+            samples.append((time.perf_counter() - start) * 1e3 / len(batch))
+    q1, median, q3 = (round(float(q), 4)
+                      for q in np.percentile(samples, [25, 50, 75]))
+    return {
+        "ms_per_traj": {"median": median, "q1": q1, "q3": q3,
+                        "samples": len(samples)},
+        "traj_per_sec": round(1e3 / max(median, 1e-9), 2),
+    }
 
 
-def run_scenarios(args) -> Dict[str, Dict]:
-    """``{scenario_name: {"results": {...}}}`` for the requested sweep."""
-    model, trajectories = _build(args)
+def run_sweep(args) -> Dict[str, Dict]:
+    model, trajectories = _build(args, args.count, args.dim, args.max_len)
     scenarios: Dict[str, Dict] = {}
     for batch in args.batch_sizes:
         batch = min(batch, len(trajectories))
-        subset = trajectories[:batch]
-        reference = _throughput(
-            lambda: model.encode(subset, batch_size=batch, fast=False),
-            batch, args.repeats,
+        subset = [trajectories[:batch]]
+        reference = _time_calls(
+            lambda b: model.encode(b, batch_size=batch, fast=False),
+            subset, args.repeats,
         )
         scenarios[f"reference_b{batch}"] = {"results": {
             "mode": "reference", "dtype": "float64", "batch": batch,
-            "traj_per_sec": round(reference, 2),
+            **reference,
         }}
         for dtype in args.dtypes:
-            fast = _throughput(
-                lambda: model.encode(subset, batch_size=batch, fast=True,
-                                     dtype=dtype,
-                                     bucket_size=args.bucket_size),
-                batch, args.repeats,
+            fast = _time_calls(
+                lambda b: model.encode(b, batch_size=batch, fast=True,
+                                       dtype=dtype),
+                subset, args.repeats,
             )
             scenarios[f"fast_{dtype}_b{batch}"] = {"results": {
-                "mode": "fast", "dtype": dtype, "batch": batch,
-                "traj_per_sec": round(fast, 2),
-                "reference_traj_per_sec": round(reference, 2),
-                "speedup_vs_reference": round(fast / reference, 2),
+                "mode": "fast", "dtype": dtype, "batch": batch, **fast,
+                "reference_traj_per_sec": reference["traj_per_sec"],
+                "speedup_vs_reference": round(
+                    fast["traj_per_sec"] / reference["traj_per_sec"], 2),
             }}
     return scenarios
+
+
+def run_e2e_shape(args) -> Dict[str, Dict]:
+    model, trajectories = _build(args, E2E_COUNT, E2E_DIM, E2E_MAX_LEN)
+    suffix = f"@{args.label}" if args.label else ""
+    chunks = [trajectories[start:start + E2E_CHUNK]
+              for start in range(0, E2E_COUNT, E2E_CHUNK)]
+    singles = [[t] for t in trajectories[:E2E_SINGLES]]
+    row = {"mode": "fast", "dtype": "float64"}
+    return {
+        f"e2e_chunk{E2E_CHUNK}{suffix}": {"results": {
+            **row, "batch": E2E_CHUNK, **_time_calls(model.encode, chunks, 3),
+        }},
+        f"e2e_single{suffix}": {"results": {
+            **row, "batch": 1, **_time_calls(model.encode, singles, 1),
+        }},
+    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -100,9 +138,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default=[32, 256])
     parser.add_argument("--dtypes", nargs="+", default=["float64", "float32"],
                         choices=["float32", "float64"])
-    parser.add_argument("--bucket-size", type=int, default=64,
-                        help="fast-path length-bucket width (rows)")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed calls per sweep scenario")
+    parser.add_argument("--scenarios", nargs="+", default=["sweep", "e2e"],
+                        choices=["sweep", "e2e"])
+    parser.add_argument("--label",
+                        help="suffix the e2e rows `@label` (a before/after "
+                             "pair from two checkouts in one record)")
     parser.add_argument("--train-epochs", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output",
@@ -110,23 +152,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(e.g. benchmarks/results/BENCH_encode.json)")
     args = parser.parse_args(argv)
 
-    scenarios = run_scenarios(args)
-    config = {
-        "city": args.city, "count": args.count, "dim": args.dim,
-        "max_len": args.max_len, "bucket_size": args.bucket_size,
-        "repeats": args.repeats,
-        "train_epochs": args.train_epochs, "seed": args.seed,
-    }
+    shared = {"city": args.city, "train_epochs": args.train_epochs,
+              "seed": args.seed}
+    runs = []  # (scenarios, the config they ran under)
+    if "sweep" in args.scenarios:
+        runs.append((run_sweep(args), {
+            **shared, "count": args.count, "dim": args.dim,
+            "max_len": args.max_len, "repeats": args.repeats}))
+    if "e2e" in args.scenarios:
+        runs.append((run_e2e_shape(args), {
+            **shared, "count": E2E_COUNT, "dim": E2E_DIM,
+            "max_len": E2E_MAX_LEN}))
+    scenarios = {name: row for rows, _ in runs for name, row in rows.items()}
 
     from repro.eval import format_table
 
     rows: List[List] = []
     for name in sorted(scenarios):
         r = scenarios[name]["results"]
-        rows.append([name, r["batch"], r["dtype"], r["traj_per_sec"],
-                     r.get("speedup_vs_reference", 1.0)])
+        ms = r["ms_per_traj"]
+        rows.append([name, r["batch"], r["dtype"], ms["median"],
+                     f"{ms['q1']}-{ms['q3']}", r["traj_per_sec"],
+                     r.get("speedup_vs_reference", "")])
     print(format_table(
-        ["scenario", "batch", "dtype", "traj/s", "vs reference"], rows))
+        ["scenario", "batch", "dtype", "ms/traj", "quartiles", "traj/s",
+         "vs reference"], rows))
 
     if args.output:
         from common import merge_bench_scenarios
@@ -138,7 +188,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     existing = json.load(handle)
             except (OSError, ValueError):
                 existing = None
-        merged = merge_bench_scenarios(existing, scenarios, config)
+        merged = existing
+        for rows, ran_under in runs:
+            merged = merge_bench_scenarios(merged, rows, ran_under)
         os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         with open(args.output, "w") as handle:
             json.dump(merged, handle, indent=2)

@@ -153,13 +153,22 @@ class SimilarityService:
         keys = [self._cache_key(points) for points in batch]
         out: List[Optional[np.ndarray]] = [None] * len(batch)
         missing: List[int] = []
+        # A key repeated inside one call (N queued clients asking the same
+        # thing) is encoded once: later occurrences are hits, served from
+        # the row its first occurrence is about to compute.
+        first: Dict[str, int] = {}
+        repeats: List[Tuple[int, int]] = []
         for position, key in enumerate(keys):
             hit = self._cache.get(key)
             if hit is not None:
                 self._cache.move_to_end(key)
                 out[position] = hit
                 self.cache_hits += 1
+            elif key in first:
+                repeats.append((position, first[key]))
+                self.cache_hits += 1
             else:
+                first[key] = position
                 missing.append(position)
                 self.cache_misses += 1
         for start in range(0, len(missing), self.batch_size):
@@ -171,6 +180,8 @@ class SimilarityService:
                 vector = as_float_array(encoded[row])
                 out[position] = vector
                 self._cache_put(keys[position], vector)
+        for position, source in repeats:
+            out[position] = out[source]
         return np.stack(out) if out else np.empty((0, self._embedding_dim()))
 
     def _embedding_dim(self) -> int:

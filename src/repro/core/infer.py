@@ -7,21 +7,40 @@ pairwise query in the ``repro.api`` stack funnels into
 wrapper per operation, computes in float64 only, and pads every batch to the
 model's ``max_len`` regardless of the actual trajectory lengths.
 
-:class:`InferenceEncoder` removes all three costs:
+:class:`InferenceEncoder` removes five costs: those three, and two a plain
+numpy forward brings with it — memory traffic and per-row reduction
+overhead that the arithmetic does not need (the matmuls are under half of
+a trajectory's encode time):
 
 * :meth:`InferenceEncoder.from_model` exports a trained encoder's weights
   into plain contiguous numpy arrays (Q/K/V projections fused into one
-  matrix per attention block) — the forward pass is raw numpy with no
-  ``Tensor`` objects or tape on the hot path;
+  matrix per attention block, ``1/sqrt(head_dim)`` folded into its query
+  columns) — the forward pass is raw numpy with no ``Tensor`` objects or
+  tape on the hot path;
 * compute runs in a caller-chosen ``dtype`` — ``float64`` tracks the
   reference path to ~1e-10 relative tolerance, ``float32`` to ~1e-5 at
   roughly twice the matmul throughput and half the memory;
 * :meth:`InferenceEncoder.encode` sorts the batch by length and pads each
-  chunk to *its own* maximum length (length-bucketed batching), so a chunk
-  of short trajectories never pays ``max_len``-sized attention. Padded key
-  positions receive a ``-1e9`` logit bias exactly as in the reference
-  attention, so embeddings are independent of the padding width and the
-  bucketing is invisible to callers.
+  bucket to *its own* maximum length (length-bucketed batching), so a
+  bucket of short trajectories never pays ``max_len``-sized attention.
+  Padded key positions receive a ``-1e9`` logit bias exactly as in the
+  reference attention, so embeddings are independent of the padding width
+  and the bucketing is invisible to callers;
+* activations stay 2-D row-major ``(B·L, d)`` from the one reshape at entry
+  to the one at the masked pooling, and every residual, LayerNorm and
+  FFN stage writes in place into an array the forward allocated itself
+  (never its input). Q, K and V are strided head views of the fused
+  product, not copies. Attention is computed *transposed*: the logits are
+  ``K Qᵀ`` with the key axis outermost, ``(L_key, B, H, L_query)``, because
+  softmax reduces over keys — its max and sum then add whole contiguous
+  rows of ``B·H·L`` elements instead of reducing inside ``L``-long ones,
+  which is what numpy is slow at. The per-query max shift stays: it is the
+  overflow guard;
+* the bucket size is derived, not passed: as many trajectories as keep the
+  forward's widest temporary — the FFN hidden or one softmax's logits —
+  at about 1 MiB, so a bucket's working set stays in L2 (16 trajectories
+  at d = 64, L = 32 in float64; 1 at the paper's d = 256, L = 200). A
+  value the code can work out from its inputs is not an option.
 
 All three encoder variants of the paper's Fig. 7 ablation are supported
 (``dual``/``msm``/``concat``). Dropout is inactive at inference, so the
@@ -42,6 +61,10 @@ __all__ = ["InferenceEncoder", "resolve_dtype"]
 #: additive attention bias at padded key positions (matches
 #: :func:`repro.nn.functional.attention_mask_bias`)
 _MASK_BIAS = -1e9
+
+#: target size of a forward's widest temporary: a bucket of this many bytes
+#: (and the handful of same-sized arrays alive beside it) stays in L2
+_BUCKET_BYTES = 1 << 20
 
 #: compute dtypes the engine supports
 _SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -74,66 +97,61 @@ def resolve_dtype(dtype) -> np.dtype:
 
 # ----------------------------------------------------------------------
 # Raw-numpy building blocks (eval-mode forward only, no tape)
+#
+# Activations are 2-D row-major ``(B·L, d)``; a block never writes to its
+# input, only to arrays it allocated itself.
 # ----------------------------------------------------------------------
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis, in place on ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
-
-
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) * (1.0 / np.sqrt(var + eps)) * gamma + beta
-
-
-def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    batch, seq_len, dim = x.shape
-    head_dim = dim // num_heads
-    return np.ascontiguousarray(
-        x.reshape(batch, seq_len, num_heads, head_dim).transpose(0, 2, 1, 3)
-    )
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    batch, num_heads, seq_len, head_dim = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(batch, seq_len, num_heads * head_dim)
-
-
 class _Attention:
     """Fused Q/K/V self-attention weights of one MSM block."""
 
-    __slots__ = ("wqkv", "wo", "num_heads", "scale")
+    __slots__ = ("wqkv", "wo", "num_heads")
 
     def __init__(self, w_query, w_key, w_value, w_out, num_heads: int, dtype):
+        # 1/sqrt(head_dim) rides in the query columns: no pass over the logits
+        scale = 1.0 / np.sqrt(w_query.shape[0] // num_heads)
         self.wqkv = np.ascontiguousarray(
-            np.concatenate([w_query, w_key, w_value], axis=1), dtype=dtype
+            np.concatenate([w_query * scale, w_key, w_value], axis=1),
+            dtype=dtype,
         )
         self.wo = np.ascontiguousarray(w_out, dtype=dtype)
         self.num_heads = num_heads
-        self.scale = 1.0 / np.sqrt((w_query.shape[0] // num_heads))
 
     def coefficients(
-        self, x: np.ndarray, bias: Optional[np.ndarray]
+        self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(attention (B,H,L,L), value (B,H,L,hd))`` of Eq. 12."""
-        qkv = x @ self.wqkv
-        dim = x.shape[-1]
-        query = _split_heads(qkv[..., :dim], self.num_heads)
-        key = _split_heads(qkv[..., dim:2 * dim], self.num_heads)
-        value = _split_heads(qkv[..., 2 * dim:], self.num_heads)
-        logits = query @ key.swapaxes(-1, -2)
-        logits *= self.scale
+        """``(attention (L_key,B,H,L_query), value (B,H,L,hd))`` of Eq. 12.
+
+        Q, K, V are strided head views of the fused product (unit inner
+        stride: BLAS takes the row stride, nothing is copied). The logits
+        are ``K Qᵀ`` laid out keys-outermost, so the softmax's max and sum
+        run down axis 0, across contiguous rows of ``B·H·L`` elements.
+        """
+        heads = self.num_heads
+        qkv = (x @ self.wqkv).reshape(batch, -1, 3, heads, x.shape[1] // heads)
+        query, key, value = qkv.transpose(2, 0, 3, 1, 4)       # (B,H,L,hd)
+        if qkv.shape[-1] == 1:
+            # head_dim 1 (the 4-wide spatial stream): K = 1 is an outer
+            # product, not a matmul
+            logits = (key.transpose(2, 0, 1, 3)
+                      * np.ascontiguousarray(query[..., 0]))
+        else:
+            seq_len = qkv.shape[1]
+            logits = np.empty((seq_len, batch, heads, seq_len), dtype=x.dtype)
+            np.matmul(key, query.swapaxes(-1, -2),
+                      out=logits.transpose(1, 2, 0, 3))
         if bias is not None:
             logits += bias
-        return _softmax(logits), value
+        # the per-query max shift is the overflow guard: exp sees <= 0
+        logits -= logits.max(axis=0)
+        np.exp(logits, out=logits)
+        logits *= 1.0 / logits.sum(axis=0)
+        return logits, value
 
-    def project(self, context: np.ndarray) -> np.ndarray:
-        """Head concatenation through ``W_o`` (Eq. 14 analogue)."""
-        return _merge_heads(context) @ self.wo
+    def project(self, attention: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """``A V`` with the heads concatenated through ``W_o`` (Eq. 14)."""
+        context = attention.transpose(1, 2, 3, 0) @ value      # (B,H,L,hd)
+        merged = context.transpose(0, 2, 1, 3).reshape(-1, self.wo.shape[0])
+        return merged @ self.wo
 
 
 class _FeedForward:
@@ -155,21 +173,48 @@ class _FeedForward:
 
 
 class _LayerNormP:
-    __slots__ = ("gamma", "beta", "eps")
+    __slots__ = ("gamma", "beta", "eps", "mean")
 
     def __init__(self, norm, dtype):
         self.gamma = np.ascontiguousarray(norm.gamma.data, dtype=dtype)
         self.beta = np.ascontiguousarray(norm.beta.data, dtype=dtype)
         self.eps = float(norm.eps)
+        #: ``x @ mean`` is the row mean as one BLAS call
+        dim = len(self.gamma)
+        self.mean = np.full((dim, 1), 1.0 / dim, dtype=dtype)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _layer_norm(x, self.gamma, self.beta, self.eps)
+        """LayerNorm over the last axis, overwriting ``x``."""
+        x -= x @ self.mean
+        var = np.multiply(x, x) @ self.mean
+        x *= 1.0 / np.sqrt(var + self.eps)
+        x *= self.gamma
+        x += self.beta
+        return x
+
+
+class _Residual:
+    """The two Add&LN stages every block ends with (Eq. 10–11)."""
+
+    __slots__ = ("norm1", "norm2", "ffn")
+
+    def __init__(self, layer, dtype):
+        self.norm1 = _LayerNormP(layer.norm1, dtype)
+        self.norm2 = _LayerNormP(layer.norm2, dtype)
+        self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2, dtype)
+
+    def __call__(self, x: np.ndarray, attended: np.ndarray) -> np.ndarray:
+        attended += x
+        x = self.norm1(attended)                               # Eq. 10
+        out = self.ffn(x)
+        out += x
+        return self.norm2(out)                                 # Eq. 11
 
 
 class _TransformerLayer:
     """Post-norm block: MSM → Add&LN → MLP → Add&LN (Eq. 10–11)."""
 
-    __slots__ = ("attn", "norm1", "norm2", "ffn")
+    __slots__ = ("attn", "residual")
 
     def __init__(self, layer, dtype):
         attn = layer.attn
@@ -178,23 +223,19 @@ class _TransformerLayer:
             attn.w_value.weight.data, attn.w_out.weight.data,
             attn.num_heads, dtype,
         )
-        self.norm1 = _LayerNormP(layer.norm1, dtype)
-        self.norm2 = _LayerNormP(layer.norm2, dtype)
-        self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2, dtype)
+        self.residual = _Residual(layer, dtype)
 
     def __call__(
-        self, x: np.ndarray, bias: Optional[np.ndarray]
+        self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        attention, value = self.attn.coefficients(x, bias)
-        x = self.norm1(x + self.attn.project(attention @ value))
-        x = self.norm2(x + self.ffn(x))
-        return x, attention
+        attention, value = self.attn.coefficients(x, batch, bias)
+        return self.residual(x, self.attn.project(attention, value)), attention
 
 
 class _DualLayer:
     """One DualSTB block: DualMSM fusion + the residual stages."""
 
-    __slots__ = ("attn", "gamma", "spatial_layers", "norm1", "norm2", "ffn")
+    __slots__ = ("attn", "gamma", "spatial_layers", "residual")
 
     def __init__(self, layer, dtype):
         msm = layer.dual_msm
@@ -208,25 +249,24 @@ class _DualLayer:
             _TransformerLayer(spatial, dtype)
             for spatial in msm.spatial_encoder.layers
         ]
-        self.norm1 = _LayerNormP(layer.norm1, dtype)
-        self.norm2 = _LayerNormP(layer.norm2, dtype)
-        self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2, dtype)
+        self.residual = _Residual(layer, dtype)
 
     def __call__(
         self,
         structural: np.ndarray,
         spatial: np.ndarray,
+        batch: int,
         bias: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        attn_structural, value = self.attn.coefficients(structural, bias)
+        fused, value = self.attn.coefficients(structural, batch, bias)
         attn_spatial = None
         for spatial_layer in self.spatial_layers:
-            spatial, attn_spatial = spatial_layer(spatial, bias)
+            spatial, attn_spatial = spatial_layer(spatial, batch, bias)
         # Eq. 15: C_ts = (A_t + γ A_s) V_t, heads merged through W_o.
-        fused = attn_structural + self.gamma * attn_spatial
-        c_ts = self.attn.project(fused @ value)
-        x = self.norm1(structural + c_ts)                      # Eq. 10
-        return self.norm2(x + self.ffn(x)), spatial            # Eq. 11
+        attn_spatial *= self.gamma
+        fused += attn_spatial
+        c_ts = self.attn.project(fused, value)
+        return self.residual(structural, c_ts), spatial
 
 
 # ----------------------------------------------------------------------
@@ -328,64 +368,81 @@ class InferenceEncoder:
         self,
         structural: np.ndarray,
         spatial: np.ndarray,
-        mask: np.ndarray,
         lengths: np.ndarray,
     ) -> np.ndarray:
+        batch, seq_len, _ = structural.shape
+        valid = np.arange(seq_len) < lengths[:, None]               # (B, L)
         bias = None
-        if mask.any():
-            bias = np.where(mask, _MASK_BIAS, 0.0).astype(self.dtype)
-            bias = bias[:, None, None, :]
+        if not valid.all():
+            # keys are axis 0 of the logits
+            bias = np.where(valid, 0.0, _MASK_BIAS).astype(self.dtype)
+            bias = bias.T[:, :, None, None]
+        structural = structural.reshape(batch * seq_len, -1)
+        spatial = spatial.reshape(batch * seq_len, -1)
         if self.variant == "dual":
-            t_hidden, s_hidden = structural, spatial
             for layer in self.layers:
-                t_hidden, s_hidden = layer(t_hidden, s_hidden, bias)
-            hidden = t_hidden
+                structural, spatial = layer(structural, spatial, batch, bias)
+            hidden = structural
         else:
             if self.variant == "concat":
-                hidden = np.concatenate([structural, spatial], axis=2)
+                hidden = np.concatenate([structural, spatial], axis=1)
             else:  # msm: structural stream only
                 hidden = structural
             for layer in self.layers:
-                hidden, _ = layer(hidden, bias)
+                hidden, _ = layer(hidden, batch, bias)
         # Masked average pooling over valid positions (§IV-C).
-        seq_len = hidden.shape[1]
-        valid = (np.arange(seq_len)[None, :] < lengths[:, None]).astype(self.dtype)
+        hidden = hidden.reshape(batch, seq_len, -1)
+        if bias is not None:
+            hidden = hidden * valid[:, :, None]
         denom = np.maximum(lengths, 1).astype(self.dtype)[:, None]
-        return (hidden * valid[:, :, None]).sum(axis=1) / denom
+        return hidden.sum(axis=1) / denom
+
+    def _bucket_rows(self, pad_len: int) -> int:
+        """Trajectories per bucket: the widest temporary of a forward —
+        the FFN hidden ``(B·L, ffn)`` or one softmax's logits
+        ``(B·L, heads·L)`` — stays about :data:`_BUCKET_BYTES`."""
+        width = max(
+            (max(layer.residual.ffn.w1.shape[1], layer.attn.num_heads * pad_len)
+             for layer in self.layers), default=1)
+        return max(1, _BUCKET_BYTES // (width * self.dtype.itemsize * pad_len))
 
     def encode(
         self,
         trajectories: Sequence[TrajectoryLike],
         batch_size: int = 256,
-        bucket_size: int = 64,
     ) -> np.ndarray:
         """Embed trajectories as ``(N, output_dim)`` in the engine dtype.
 
-        Trajectories are sorted by (truncated) length and processed in
-        buckets of ``min(batch_size, bucket_size)``, each padded only to
-        its own maximum length — so attention (O(L²)) is paid at the
-        bucket's true length, not the model's ``max_len``. Embeddings are
-        returned in the input order and are independent of the bucketing
-        (padded positions are excluded from attention and pooling exactly
-        as in the reference path).
+        Trajectories are sorted by (truncated) length and featurised in
+        groups of ``batch_size``; a group runs through the forward in
+        buckets, each padded only to its own maximum length — so attention
+        (O(L²)) is paid at the bucket's true length, not the model's
+        ``max_len`` — and sized so its temporaries stay cache-resident
+        (:meth:`_bucket_rows`). Embeddings are returned in the input order
+        and are independent of the bucketing (padded positions are excluded
+        from attention and pooling exactly as in the reference path).
         """
         points = self.features.prepare(trajectories)
         lengths = np.array([len(p) for p in points], dtype=np.int64)
         order = np.argsort(lengths, kind="stable")
         out = np.empty((len(points), self.output_dim), dtype=self.dtype)
-        step = max(1, min(int(batch_size), int(bucket_size)))
-        for start in range(0, len(order), step):
-            chunk_ids = order[start:start + step]
-            chunk = [points[i] for i in chunk_ids]
-            pad_len = int(lengths[chunk_ids].max())
-            structural, spatial, mask, chunk_lengths = \
-                self.features.stack_features(chunk, pad_len=pad_len)
-            out[chunk_ids] = self._forward(
-                structural.astype(self.dtype, copy=False),
-                spatial.astype(self.dtype, copy=False),
-                mask,
-                chunk_lengths,
-            )
+        group_size = max(1, int(batch_size))
+        for start in range(0, len(order), group_size):
+            group = order[start:start + group_size]
+            group_lengths = lengths[group]              # ascending
+            longest = int(group_lengths[-1])
+            structural, spatial, _, _ = self.features.stack_features(
+                [points[i] for i in group], pad_len=longest)
+            structural = structural.astype(self.dtype, copy=False)
+            spatial = spatial.astype(self.dtype, copy=False)
+            step = self._bucket_rows(longest)
+            for low in range(0, len(group), step):
+                bucket = slice(low, low + step)
+                pad_len = int(group_lengths[bucket][-1])
+                out[group[bucket]] = self._forward(
+                    structural[bucket, :pad_len], spatial[bucket, :pad_len],
+                    group_lengths[bucket],
+                )
         return out
 
     def __repr__(self) -> str:

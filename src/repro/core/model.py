@@ -231,7 +231,6 @@ class TrajCL(nn.Module):
         batch_size: int = 256,
         fast: Optional[bool] = None,
         dtype=None,
-        bucket_size: int = 64,
     ) -> np.ndarray:
         """Embed trajectories with the trained backbone ``F``: ``(N, d)``.
 
@@ -242,10 +241,10 @@ class TrajCL(nn.Module):
         ``fast`` (default: :attr:`encode_fast`, True) routes through the
         autograd-free :class:`~repro.core.infer.InferenceEncoder` —
         fused numpy forward with length-bucketed batching — in ``dtype``
-        (default: :attr:`encode_dtype`, float64). On the fast path the
-        batch runs in length buckets of ``min(batch_size, bucket_size)``
-        rows, each padded to its own maximum length; raise
-        ``bucket_size`` to ``batch_size`` to force full-width batches.
+        (default: :attr:`encode_dtype`, float64). On the fast path
+        ``batch_size`` trajectories are featurised at a time and run in
+        length buckets, each padded to its own maximum length and sized
+        by the engine to stay cache-resident.
         The reference Tensor path remains available with ``fast=False``
         (where ``batch_size`` is the exact chunk width) and is the
         automatic fallback for unexported encoder variants.
@@ -254,8 +253,7 @@ class TrajCL(nn.Module):
         if fast:
             engine = self.inference_encoder(dtype)
             if engine is not None:
-                return engine.encode(trajectories, batch_size=batch_size,
-                                     bucket_size=bucket_size)
+                return engine.encode(trajectories, batch_size=batch_size)
         was_training = self.encoder.training
         self.encoder.eval()
         chunks = []

@@ -196,6 +196,44 @@ class TestCache:
         info = service.cache_info()
         assert info == (4, 4, 4, service.cache_size)
 
+    @pytest.fixture()
+    def encode_calls(self, trajcl_backend, monkeypatch):
+        """Batch sizes the backend was asked to encode, call by call."""
+        calls = []
+        encode = trajcl_backend.encode
+
+        def counting(batch):
+            calls.append(len(batch))
+            return encode(batch)
+
+        monkeypatch.setattr(trajcl_backend, "encode", counting)
+        return calls
+
+    @pytest.mark.parametrize("cache_size", [4096, 0])
+    def test_duplicates_in_one_call_encode_once(self, trajcl_backend,
+                                                trajectories, encode_calls,
+                                                cache_size):
+        service = SimilarityService(backend=trajcl_backend,
+                                    cache_size=cache_size)
+        t = trajectories[0]
+        service.add([t, t, t.copy()])
+        assert encode_calls == [1]
+        info = service.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        assert info.size == min(1, cache_size)
+        distances, ids = service.knn(t, k=3)
+        np.testing.assert_array_equal(ids[0], [0, 1, 2])
+        assert distances[0, 0] == distances[0, 1] == distances[0, 2]
+
+    def test_duplicates_keep_row_order(self, trajcl_backend, trajectories,
+                                       encode_calls):
+        a, b, c = trajectories[:3]
+        service = SimilarityService(backend=trajcl_backend)
+        rows = service.encode_batch([a, b, a, c, b])
+        assert encode_calls == [3]
+        expected = trajcl_backend.encode([a, b, c])
+        np.testing.assert_array_equal(rows, expected[[0, 1, 0, 2, 1]])
+
 
 class TestSaveLoad:
     def test_trajcl_roundtrip_knn_identical(self, trajcl_service, trajectories,

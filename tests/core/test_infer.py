@@ -11,9 +11,12 @@ engine is now ``repro.index.distance``; its tests are in
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import InferenceEncoder, TrajCL
+from repro.core import FeatureEnrichment, InferenceEncoder, TrajCL, TrajCLConfig
 from repro.core.infer import resolve_dtype
+from repro.trajectory import Grid
 
 from .conftest import make_trajectories
 
@@ -154,3 +157,103 @@ class TestDistanceMatrix:
         emb_d = model.encode(mixed_trajectories[:6])
         expected = np.abs(emb_q[:, None, :] - emb_d[None, :, :]).sum(axis=2)
         np.testing.assert_allclose(matrix, expected, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Laws of the in-place, keys-outermost, re-bucketed forward: one per
+# test, generated cases derandomized and bounded
+# ----------------------------------------------------------------------
+def walks(lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(rng.standard_normal((n, 2)) * 60, axis=0) + 3000.0
+            for n in lengths]
+
+
+class TestForwardLaws:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.integers(1, 80), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["dual", "msm", "concat"]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        batch_size=st.sampled_from([4, 256]),
+    )
+    def test_row_equals_single_encode(self, small_setup, lengths, seed,
+                                      variant, dtype, batch_size):
+        """Padding width, bucket mates and the derived step are invisible."""
+        model = make_model(small_setup, variant)
+        batch = walks(lengths, seed)
+        together = model.encode(batch, dtype=dtype, batch_size=batch_size)
+        alone = np.concatenate([model.encode([t], dtype=dtype) for t in batch])
+        rtol, atol = (1e-9, 1e-12) if dtype == "float64" else (1e-4, 1e-5)
+        np.testing.assert_allclose(together, alone, rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("variant", ["dual", "msm", "concat"])
+    def test_shortest_beside_longest(self, small_setup, variant):
+        """One point next to ``max_len`` points: the bias branch at its
+        widest, 39 of 40 keys masked."""
+        model = make_model(small_setup, variant)
+        batch = walks([1, 40, 1, 40, 40, 1], seed=11)
+        np.testing.assert_allclose(
+            model.encode(batch), model.encode(batch, fast=False),
+            rtol=1e-10, atol=1e-12)
+
+    def test_logits_beyond_exp_range(self, small_setup, mixed_trajectories):
+        """Logits in the 1e5s: without the per-query max shift ``exp``
+        overflows to inf and the softmax is nan."""
+        model = make_model(small_setup)
+        for name, param in model.encoder.named_parameters():
+            if "w_query" in name or "w_key" in name:
+                param.data *= 1e3
+        fast = model.encode(mixed_trajectories)
+        assert np.isfinite(fast).all()
+        np.testing.assert_allclose(
+            fast, model.encode(mixed_trajectories, fast=False),
+            rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["dual", "msm", "concat"])
+    def test_encode_has_no_side_effects(self, small_setup, variant):
+        """Equal lengths make every bucket a contiguous view of the
+        featurised group — an in-place op on a block's input would write
+        through it."""
+        model = make_model(small_setup, variant)
+        features = model.features
+        batch = walks([40] * 30, seed=12)
+        state = [features.cell_embeddings, features._pe_structural,
+                 features._pe_spatial, *batch]
+        before = [array.copy() for array in state]
+        first = model.encode(batch)
+        second = model.encode(batch)
+        assert first.tobytes() == second.tobytes()
+        for array, copy in zip(state, before):
+            assert array.tobytes() == copy.tobytes()
+
+        engine = model.inference_encoder()
+        structural, spatial, _, lengths = features.encode_batch(batch[:4])
+        kept = structural.copy(), spatial.copy()
+        engine._forward(structural, spatial, lengths)
+        assert structural.tobytes() == kept[0].tobytes()
+        assert spatial.tobytes() == kept[1].tobytes()
+
+    def test_paper_scale_bucket_is_one_trajectory(self):
+        """d = 256, L = 200: one trajectory's logits already pass the
+        bucket's byte budget — the derived step bottoms out at 1, not 0."""
+        config = TrajCLConfig.paper_scale()
+        batch = walks([200, 150, 7], seed=13)
+        grid = Grid.covering(batch, cell_size=1000)
+        cells = np.random.default_rng(3).standard_normal(
+            (grid.n_cells, config.structural_dim))
+        features = FeatureEnrichment(grid, cells, max_len=config.max_len)
+        model = TrajCL(features, config, rng=np.random.default_rng(4))
+        engine = model.inference_encoder()
+        assert engine._bucket_rows(config.max_len) == 1
+        out = engine.encode(batch)
+        assert out.shape == (3, config.structural_dim)
+        assert np.isfinite(out).all()
+
+    def test_bucket_size_is_not_an_option(self, small_setup):
+        model = make_model(small_setup)
+        with pytest.raises(TypeError):
+            model.encode(walks([5], seed=0), bucket_size=64)
+        with pytest.raises(TypeError):
+            model.inference_encoder().encode(walks([5], seed=0), bucket_size=64)
