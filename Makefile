@@ -90,7 +90,9 @@ bench-index-smoke:
 # Cold start: per entry point (numpy as the floor, repro, repro.index,
 # repro.api, .cluster, .gateway, repro.cli) the median import wall time,
 # ru_maxrss and loaded-module counts over fresh interpreters, plus a
-# cluster-worker's exec-to-ready time, kept by label in the startup
+# cluster-worker's exec-to-ready time and a trajcl cluster's two
+# recovery costs (join handshake ms + bytes per worker; rejoin() of a
+# 2000-trajectory worker from a replica), kept by label in the startup
 # record (`make bench-startup LABEL=pr15`; the script's `--src` measures
 # another checkout, e.g. the parent commit).
 bench-startup:
@@ -107,9 +109,14 @@ bench-e2e-selftest:
 	$(PYTHON) benchmarks/e2e/run.py --selftest
 
 # The benchmark keeps running against the product: the selftest, one
-# traced in-process run (every name the span shims patch resolves) and
-# one untraced run through the HTTP edge, each once at --quick length.
-# Exit 0 only when every answer matches the oracle and nothing leaked.
+# traced in-process run (every name the span shims patch resolves), one
+# untraced run through the HTTP edge and one traced run behind the
+# forked pipe workers — the run that crosses both a fork and the vector
+# path (its 512-row set-up chunks deal each shard a 128 KiB array, the
+# one payload that really rides /dev/shm) — each once at --quick length.
+# Exit 0 only when every answer matches the oracle and nothing leaked:
+# no process, no /dev/shm/repro_wire_* segment.
 bench-e2e-smoke: bench-e2e-selftest
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload scan_inproc --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload edge_http --trace 0
+	$(PYTHON) benchmarks/e2e/run.py --quick --workload remote_sharded --trace 1

@@ -5,9 +5,15 @@ For each entry point — ``numpy`` (the floor), ``repro``, ``repro.index``,
 ``repro.cli`` — a fresh interpreter imports it and reports the import's
 wall time, ``ru_maxrss`` afterwards, and how many ``repro.*`` and
 third-party modules ended up in ``sys.modules``; the record keeps the
-median over ``--repeats`` interpreters. The last row is a real
+median over ``--repeats`` interpreters. Then a real
 ``python -m repro cluster-worker`` from ``exec`` to its ready file: the
-price of every worker a coordinator starts, restarts or rejoins.
+price of every worker a coordinator starts, restarts or rejoins. The
+last rows are the two recovery costs of a ``trajcl`` cluster (the
+end-to-end benchmark's model: d = 64, L = 32, a 16 x 16 cell table) over
+two workers with replication 2: the ``join`` handshake in milliseconds
+and bytes per worker, and ``rejoin()`` of a worker whose two shards hold
+2000 trajectories, refilled from the surviving replica — seconds, and
+how many trajectories were encoded again on the way.
 
 Runs are kept by ``--label`` in ``benchmarks/results/BENCH_startup.json``
 so a before/after pair sits side by side; ``--src`` points the child
@@ -57,6 +63,65 @@ print(json.dumps({{
     "third_party_modules": len(third_party),
     "third_party": sorted({{name.split(".")[0] for name in third_party
                            if not name.startswith("_")}}),
+}}))
+"""
+
+
+#: trajectories held by the worker that ``rejoin()`` refills
+REJOIN_TRAJECTORIES = 2000
+RECOVERY_REPEATS = 3
+
+_RECOVERY_CHILD = """
+import json, time
+import numpy as np
+from repro.api import get_backend
+from repro.api.cluster import ClusterCoordinator, ShardWorker
+from repro.core import FeatureEnrichment, TrajCL, TrajCLConfig
+from repro.trajectory import Grid
+
+rng = np.random.default_rng(20230403)
+extent = 10000.0
+grid = Grid(0.0, 0.0, extent, extent, extent / 16)
+config = TrajCLConfig(structural_dim=64, max_len=32, projection_dim=16,
+                      queue_size=64, batch_size=8, max_epochs=1,
+                      momentum=0.95)
+features = FeatureEnrichment(
+    grid, rng.normal(0.0, 0.1, size=(grid.n_cells, 64)), max_len=32)
+backend = get_backend("trajcl", model=TrajCL(
+    features, config, encoder_variant="dual", rng=np.random.default_rng(1)))
+trajectories = [
+    extent / 2 + np.cumsum(rng.normal(0.0, 30.0, size=(length, 2)), axis=0)
+    for length in rng.integers(10, 32, size={count})]
+
+
+def sent(cluster):
+    return cluster.stats()["transport"]["bytes_sent"]
+
+
+workers = [ShardWorker(), ShardWorker()]
+start = time.perf_counter()
+cluster = ClusterCoordinator([w.address for w in workers], backend=backend,
+                             replication=2, heartbeat_interval=0)
+join_s = time.perf_counter() - start
+# each stats() is one small round to every worker: two isolate the joins
+first, second = sent(cluster), sent(cluster)
+cluster.add(trajectories)
+workers[1].close()
+cluster.knn(trajectories[0], k=1)  # the coordinator notices the death
+replacement = ShardWorker()
+encoded = cluster.stats()["cache"]["misses"]
+start = time.perf_counter()
+cluster.rejoin("worker-1", address=replacement.address)
+rejoin_s = time.perf_counter() - start
+encoded = cluster.stats()["cache"]["misses"] - encoded
+cluster.close()
+for worker in (workers[0], replacement):
+    worker.close()
+print(json.dumps({{
+    "join_ms": join_s * 1e3 / 2,
+    "join_bytes": (first - (second - first)) / 2,
+    "rejoin_s": rejoin_s,
+    "rejoin_encodes": encoded,
 }}))
 """
 
@@ -132,6 +197,26 @@ def measure_worker_ready(src: str, repeats: int) -> Dict:
     }
 
 
+def measure_recovery(src: str) -> Dict:
+    """``join`` per worker and ``rejoin()`` from a replica (medians)."""
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c",
+         _RECOVERY_CHILD.format(count=REJOIN_TRAJECTORIES)],
+        check=True, capture_output=True, text=True, env=_env(src),
+    ).stdout) for _ in range(RECOVERY_REPEATS)]
+
+    def middle(key: str, digits: int) -> float:
+        return round(statistics.median(run[key] for run in runs), digits)
+
+    return {
+        "join_ms_per_worker": middle("join_ms", 2),
+        "join_bytes_per_worker": int(middle("join_bytes", 0)),
+        "rejoin_s": middle("rejoin_s", 4),
+        "rejoin_trajectories": REJOIN_TRAJECTORIES,
+        "rejoin_encodes": int(middle("rejoin_encodes", 0)),
+    }
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(
@@ -159,6 +244,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{row['third_party_modules']:4d} third-party")
     worker = measure_worker_ready(src, args.repeats)
     print(f"{'cluster-worker ready':20s} {worker['ready_s']:7.3f} s")
+    recovery = measure_recovery(src)
+    print(f"{'join (per worker)':20s} {recovery['join_ms_per_worker']:7.2f} ms"
+          f"  {recovery['join_bytes_per_worker']:8d} bytes")
+    print(f"{'rejoin from replica':20s} {recovery['rejoin_s']:7.3f} s  "
+          f"{recovery['rejoin_trajectories']:6d} trajectories, "
+          f"{recovery['rejoin_encodes']} encoded again")
 
     if args.output:
         record = {"runs": {}}
@@ -168,6 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         record["runs"][args.label] = {
             "fingerprint": fingerprint(), "repeats": args.repeats,
             "entry_points": entry_points, "cluster_worker": worker,
+            "recovery": recovery,
         }
         os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         with open(args.output, "w") as handle:

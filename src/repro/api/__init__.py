@@ -40,64 +40,33 @@ framed-message protocol in :mod:`repro.api.transport`; see each module's
 docstring for composition examples.
 """
 
-from .protocols import (
-    DISTANCE,
-    EMBEDDING,
-    EmbeddingBackend,
-    Index,
-    KnnService,
-    MeasureBackend,
-    SimilarityBackend,
-    as_backend,
-)
-from .registry import (
-    BackendSpec,
-    available_backends,
-    backend_spec,
-    get_backend,
-    register_backend,
-)
-from . import backends as _backends  # populate the registry  # noqa: F401
-from .backends import backend_state, restore_backend
-from .indexes import (
-    BruteForceBackendIndex,
-    HNSWBackendIndex,
-    Int8BackendIndex,
-    IVFBackendIndex,
-    PQBackendIndex,
-    SegmentBackendIndex,
-    available_indexes,
-    get_index,
-    index_is_exact,
-    register_index,
-)
-from .service import CacheInfo, SimilarityService
-from .serving import (
-    DeadlineExceededError,
-    QueryQueue,
-    QueueFullError,
-    QueueStats,
-    ShardLostError,
-    ShardedSimilarityService,
-)
-from .transport import (
-    PipeTransport,
-    RemoteCallError,
-    ServiceNode,
-    SocketTransport,
-    TransientError,
-    Transport,
-    TransportClosed,
-    TransportError,
-)
-from .chaos import ChaosConfig, ChaosTransport
-from .remote import (
-    AsyncSimilarityClient,
-    RemoteSimilarityClient,
-    SimilarityServer,
-)
-from .cluster import ClusterCoordinator, ShardWorker
-from .gateway import SimilarityGateway
+from importlib import import_module
+
+#: submodule -> the names it defines that ``repro.api`` re-exports
+_EXPORTS = {
+    "protocols": ("DISTANCE", "EMBEDDING", "EmbeddingBackend", "Index",
+                  "KnnService", "MeasureBackend", "SimilarityBackend",
+                  "as_backend"),
+    "registry": ("BackendSpec", "available_backends", "backend_spec",
+                 "get_backend", "register_backend"),
+    "backends": ("backend_state", "restore_backend"),
+    "indexes": ("BruteForceBackendIndex", "HNSWBackendIndex",
+                "Int8BackendIndex", "IVFBackendIndex", "PQBackendIndex",
+                "SegmentBackendIndex", "available_indexes", "get_index",
+                "index_is_exact", "register_index"),
+    "service": ("CacheInfo", "SimilarityService"),
+    "serving": ("DeadlineExceededError", "QueryQueue", "QueueFullError",
+                "QueueStats", "ShardLostError", "ShardedSimilarityService"),
+    "transport": ("PipeTransport", "RemoteCallError", "ServiceNode",
+                  "SocketTransport", "TransientError", "Transport",
+                  "TransportClosed", "TransportError"),
+    "chaos": ("ChaosConfig", "ChaosTransport"),
+    "remote": ("AsyncSimilarityClient", "RemoteSimilarityClient",
+               "SimilarityServer"),
+    "cluster": ("ClusterCoordinator", "ShardWorker"),
+    "gateway": ("SimilarityGateway",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "EMBEDDING",
@@ -150,3 +119,23 @@ __all__ = [
     "ShardWorker",
     "SimilarityGateway",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: a process imports what it serves. A shard worker that takes
+    # ``repro.api.cluster`` pays for no HTTP gateway (``http.server``,
+    # ``ssl``); one fed vectors never loads the model code either. The
+    # stock backends register themselves when the registry is first asked
+    # (:func:`repro.api.registry.backend_spec`), not here.
+    if name in _EXPORTS or name == "wire":  # a submodule, by attribute
+        return import_module(f"{__name__}.{name}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

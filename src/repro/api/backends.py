@@ -25,10 +25,12 @@ import numpy as np
 
 from ..trajectory import Grid, as_points
 from ..trajectory.trajectory import TrajectoryLike
-from .protocols import DISTANCE, EMBEDDING, EmbeddingBackend, MeasureBackend
+from .protocols import (
+    DISTANCE, EMBEDDING, BackendDescription, EmbeddingBackend, MeasureBackend,
+)
 from .registry import get_backend, register_backend
 
-__all__ = ["backend_state", "restore_backend"]
+__all__ = ["backend_state", "restore_backend", "shard_backend_state"]
 
 _STATE_PREFIX = "weights/"
 _AUX_PREFIX = "aux/"
@@ -339,11 +341,28 @@ def backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
     return meta, arrays
 
 
+def shard_backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """What a shard is sent of its owner's backend, in :func:`backend_state`
+    form: a distance backend whole (it is only a name), an embedding
+    backend as its :class:`BackendDescription` — the owner keeps the
+    model, so no weights travel and any ``encode()``-bearing model can be
+    sharded, saveable or not."""
+    if backend.kind == DISTANCE:
+        return backend_state(backend)
+    return {"family": "description", "name": backend.name,
+            "metric": getattr(backend, "metric", "l1"),
+            "scale": float(getattr(backend, "scale", 1.0)),
+            "output_dim": backend.output_dim}, {}
+
+
 def restore_backend(meta: Dict, arrays: Dict[str, np.ndarray]):
-    """Inverse of :func:`backend_state`."""
+    """Inverse of :func:`backend_state` (and :func:`shard_backend_state`)."""
     family = meta.get("family")
     if family == "measure":
         return get_backend(meta["name"])
+    if family == "description":
+        return BackendDescription(meta["name"], meta["metric"],
+                                  meta["scale"], meta["output_dim"])
     if family == "trajcl":
         from ..core import pipeline_from_state
 

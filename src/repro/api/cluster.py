@@ -5,23 +5,26 @@ module fans the same stack out across *machines*, still speaking the one
 framed-message protocol from :mod:`repro.api.transport`:
 
 * :class:`ShardWorker` — a standalone TCP server hosting one or more
-  *logical shards*, each a local
-  :class:`~repro.api.service.SimilarityService`. It boots empty; a
-  coordinator's ``join`` handshake ships the backend (via
-  ``backend_state``, the same representation snapshots use), the index
-  recipe, and the shard assignment, after which the worker answers the
-  shard-addressed commands (``add``/``knn``/``pairwise``/``export``/
-  ``host``/``ping``/``leave``). The CLI wrapper is
-  ``python -m repro cluster-worker``;
+  *logical shards*, each a local :class:`~repro.api.serving.Shard`. It
+  boots empty; a coordinator's ``join`` handshake ships the shard recipe
+  (:func:`~repro.api.serving.shard_recipe`: the index recipe plus a
+  distance backend's name or an embedding backend's four-field
+  description — never weights) and the shard assignment, after which
+  the worker answers the shard-addressed commands (``add``/``knn``/
+  ``pairwise``/``export``/``host``/``ping``/``leave``). The CLI wrapper
+  is ``python -m repro cluster-worker``;
 * :class:`ClusterCoordinator` — connects to N workers, joins each one,
   deals the database across the *logical shards*, and merges per-shard
   top-k with the exact frontier certificate shared with
   :class:`~repro.api.serving.ShardedSimilarityService` (via
   :class:`~repro.api.serving.ShardMergeMixin`) — bit-identical to a
-  single service for exact indexes, recall-≥ for IVF. It satisfies the
-  :class:`~repro.api.protocols.KnnService` protocol, so ``QueryQueue``,
-  ``SimilarityServer`` and both remote clients compose with it unchanged
-  (``python -m repro cluster`` is exactly that composition).
+  single service for exact indexes, recall-≥ for IVF. It owns the
+  request, so it holds the only model and embedding cache and feeds its
+  workers vectors ("Encode once" in :mod:`repro.api.serving`). It
+  satisfies the :class:`~repro.api.protocols.KnnService` protocol, so
+  ``QueryQueue``, ``SimilarityServer`` and both remote clients compose
+  with it unchanged (``python -m repro cluster`` is exactly that
+  composition).
 
 Fault tolerance (``replication=R``): each logical shard is placed on R
 distinct workers. ``add`` writes to every replica and commits on the
@@ -40,7 +43,11 @@ Recovery: :meth:`ClusterCoordinator.rejoin` brings a restarted worker
 back — it is re-identified by worker id, restored from a healthy replica
 (authoritative ``export``/re-``add``), or, when none exists, from the
 latest snapshot plus the catch-up log, then promoted from degraded back
-to up. The heartbeat loop additionally *re-replicates* in the
+to up. ``export`` returns what a replica holds in the form ``add`` takes
+back — vectors included — and the catch-up log keeps each vector beside
+its points, so neither source re-encodes anything; only trajectories
+read back from a snapshot file (points alone) are embedded again, by
+the coordinator. The heartbeat loop additionally *re-replicates* in the
 background: a shard below R healthy copies is exported onto a spare
 worker, so replication heals without operator action. ``add`` deals
 each trajectory to the currently-smallest eligible shard (ties broken by
@@ -83,7 +90,7 @@ from ..trajectory import as_points
 from ..trajectory.trajectory import TrajectoryLike
 from .backends import backend_state, restore_backend
 from .chaos import ChaosConfig, ChaosTransport
-from .protocols import SimilarityBackend, as_backend
+from .protocols import EMBEDDING, SimilarityBackend, as_backend
 from .indexes import index_is_exact
 from .registry import get_backend
 from .remote import (
@@ -92,13 +99,17 @@ from .remote import (
     parse_address,
     write_ready_file,
 )
-from .service import SimilarityService, _default_index_for
+from .service import CachedEncoder, _default_index_for
 from .serving import (
+    Shard,
     ShardLostError,
     ShardMergeMixin,
     _as_batch,
     freeze_shard_ids,
     merge_cache_counters,
+    owner_cache_counters,
+    shard_recipe,
+    shard_share,
 )
 from .transport import (
     OK,
@@ -126,14 +137,15 @@ _SNAPSHOT_KIND = "repro-cluster-snapshot"
 class ShardWorker(ThreadedNodeServer):
     """One cluster worker: a TCP server hosting logical shards.
 
-    Boots with no shards; the coordinator's ``join`` carries the backend
-    state, the index recipe, and the shard assignment, and (re)builds
-    one local service per assigned shard — a later ``join`` from a new
-    coordinator replaces everything, ``leave`` drops it, ``host`` adds
-    empty shards (the re-replication path). Shard commands address
-    shards explicitly (``add`` maps ``{shard: points}``, ``knn`` asks
-    ``(shards, (queries, fetch))``), so one worker can serve several
-    replicas without ever pooling their ids.
+    Boots with no shards; the coordinator's ``join`` carries the shard
+    recipe and the shard assignment, and (re)builds one local
+    :class:`~repro.api.serving.Shard` per assigned shard — a later
+    ``join`` from a new coordinator replaces everything, ``leave`` drops
+    it, ``host`` adds empty shards (the re-replication path). Shard
+    commands address shards explicitly (``add`` maps ``{shard: share}``,
+    ``knn`` asks ``(shards, (queries, fetch))``, in the forms
+    :class:`~repro.api.serving.Shard` takes), so one worker can serve
+    several replicas without ever pooling their ids.
 
     Connections are independent (the coordinator keeps one for requests
     and one for heartbeats); shard commands are serialized through one
@@ -150,7 +162,7 @@ class ShardWorker(ThreadedNodeServer):
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  backlog: int = 16):
         self._lock = threading.Lock()
-        self._services: Dict[int, SimilarityService] = {}
+        self._services: Dict[int, Shard] = {}
         self._recipe: Optional[Dict] = None
         self._worker_id: Optional[str] = None
         super().__init__(host, port, backlog=backlog)
@@ -158,23 +170,16 @@ class ShardWorker(ThreadedNodeServer):
     def _thread_name(self) -> str:
         return f"repro-shard-worker:{self.address[1]}"
 
-    def _build_service(self) -> SimilarityService:
-        recipe = self._recipe
-        if recipe is None:
+    def _build_service(self) -> Shard:
+        if self._recipe is None:
             raise RuntimeError(
                 "worker holds no shard; the coordinator must send "
                 "'join' first"
             )
-        backend_meta, backend_arrays = recipe["backend"]
-        return SimilarityService(
-            backend=restore_backend(backend_meta, dict(backend_arrays)),
-            index=recipe.get("index"),
-            index_kwargs=recipe.get("index_kwargs"),
-            **(recipe.get("service_kwargs") or {}),
-        )
+        return Shard(**self._recipe)
 
     def _handlers(self) -> Dict:
-        def service_for(shard) -> SimilarityService:
+        def service_for(shard) -> Shard:
             service = self._services.get(int(shard))
             if service is None:
                 raise RuntimeError(
@@ -203,11 +208,6 @@ class ShardWorker(ThreadedNodeServer):
                               for s, svc in self._services.items()}}
 
         def handle_host(shards):
-            if self._recipe is None:
-                raise RuntimeError(
-                    "worker holds no shard; the coordinator must send "
-                    "'join' first"
-                )
             services = dict(self._services)
             for shard in shards:
                 if int(shard) not in services:
@@ -227,29 +227,12 @@ class ShardWorker(ThreadedNodeServer):
                     "size": sum(len(s) for s in services.values())}
 
         def handle_add(payload):
-            sizes = {}
-            for shard, points in payload.items():
-                service = service_for(shard)
-                service.add(points)
-                sizes[shard] = len(service)
-            return sizes
+            return {shard: service_for(shard).add(items)
+                    for shard, items in payload.items()}
 
         def handle_knn(payload):
-            shards, (queries, fetch) = payload
-            out = {}
-            for shard in shards:
-                service = service_for(shard)
-                if len(service) == 0:
-                    # An empty shard (database smaller than the cluster)
-                    # contributes an all-padding pool.
-                    out[shard] = (
-                        np.full((len(queries), fetch), np.inf),
-                        np.full((len(queries), fetch), -1, dtype=np.int64))
-                else:
-                    # No exclude/dedupe here: the coordinator filters after
-                    # the merge, where global ids are known.
-                    out[shard] = service.knn(queries, k=fetch)
-            return out
+            shards, asked = payload
+            return {shard: service_for(shard).knn(asked) for shard in shards}
 
         def handle_pairwise(payload):
             shards, queries = payload
@@ -260,8 +243,7 @@ class ShardWorker(ThreadedNodeServer):
             shards, _ = payload
             if shards is None:
                 shards = sorted(self._services)
-            return {shard: list(service_for(shard).trajectories)
-                    for shard in shards}
+            return {shard: service_for(shard).export() for shard in shards}
 
         def handle_len(_payload):
             return sum(len(s) for s in self._services.values())
@@ -277,13 +259,15 @@ class ShardWorker(ThreadedNodeServer):
                 "size": sum(len(svc) for svc in services.values()),
             }
             if services:
-                per_service = [svc.stats() for svc in services.values()]
+                per_service = [svc.service.stats()
+                               for svc in services.values()]
                 first = per_service[0]
                 for key in ("backend", "kind", "index"):
                     if key in first:
                         info[key] = first[key]
-                info["cache"] = merge_cache_counters(
-                    [s["cache"] for s in per_service if "cache" in s])
+                if "cache" in first:  # vector-fed shards have none
+                    info["cache"] = merge_cache_counters(
+                        [s["cache"] for s in per_service])
             return info
 
         def handle_shutdown(_payload):
@@ -380,8 +364,9 @@ class _WorkerLink:
         self.reason: Optional[str] = None
         #: logical shards this worker hosts (mirrors coordinator placement)
         self.shards: List[int] = list(shards)
-        #: per-shard (global_id, points) adds committed while this worker
-        #: was down — replayed on rejoin, bounded by catchup_limit
+        #: per-shard (global_id, points, vector-or-None) adds committed
+        #: while this worker was down — replayed on rejoin, bounded by
+        #: catchup_limit
         self.catchup: Dict[int, deque] = {}
         #: shards whose catch-up log overflowed (replay no longer possible)
         self.catchup_overflow: Set[int] = set()
@@ -397,8 +382,10 @@ class ClusterCoordinator(ShardMergeMixin):
     The multi-machine sibling of
     :class:`~repro.api.serving.ShardedSimilarityService`: trajectories
     are dealt across ``len(workers)`` logical shards (each placed on
-    ``replication`` distinct workers), the backend ships once per worker
-    in the ``join`` handshake, and queries merge per-shard top-k through
+    ``replication`` distinct workers), the shard recipe ships once per
+    worker in the ``join`` handshake (an embedding backend stays here,
+    its encoder sized by ``batch_size``/``cache_size``), and queries
+    merge per-shard top-k through
     the shared :class:`~repro.api.serving.ShardMergeMixin` —
     bit-identical to a single
     :class:`~repro.api.service.SimilarityService` for exact shard
@@ -457,6 +444,8 @@ class ClusterCoordinator(ShardMergeMixin):
         else:
             backend = as_backend(backend)
         self.backend = backend
+        self._encoder = (CachedEncoder(backend, batch_size, cache_size)
+                         if backend.kind == EMBEDDING else None)
         if index is None:
             index = _default_index_for(backend)
         self.index_name = index
@@ -535,16 +524,10 @@ class ClusterCoordinator(ShardMergeMixin):
         return transport
 
     def _join_payload(self, link: _WorkerLink) -> Dict:
-        meta, arrays = backend_state(self.backend)  # wire-portable form
-        return {
-            "backend": (meta, arrays),
-            "index": self.index_name,
-            "index_kwargs": self._index_kwargs,
-            "service_kwargs": {"batch_size": self._batch_size,
-                               "cache_size": self._cache_size},
-            "shards": list(link.shards),
-            "worker_id": link.worker_id,
-        }
+        return dict(
+            shard_recipe(self.backend, self.index_name, self._index_kwargs,
+                         self._batch_size, self._cache_size),
+            shards=list(link.shards), worker_id=link.worker_id)
 
     @property
     def num_workers(self) -> int:
@@ -741,6 +724,11 @@ class ClusterCoordinator(ShardMergeMixin):
                     # failures were already recorded via _degrade.
                     pass
 
+    def _exported_points(self, exported) -> List[np.ndarray]:
+        """The trajectories of one shard's ``export`` reply (which an
+        embedding shard gives as ``(points, vectors)``)."""
+        return exported if self._encoder is None else exported[0]
+
     def _rereplicate_once(self) -> bool:
         """Copy one under-replicated shard onto a spare worker.
 
@@ -777,13 +765,14 @@ class ClusterCoordinator(ShardMergeMixin):
                     return False
                 except RemoteCallError:
                     return False
-                if len(exported) != len(self._shard_ids[shard]):
+                held = len(self._exported_points(exported))
+                if held != len(self._shard_ids[shard]):
                     return False  # torn view; retry next sweep
                 try:
                     # repro: allow[C204] same repair transaction as the export above; the host/add pair must not interleave with queries
                     request(target.transport, "host", [shard],
                             who=f"cluster worker {target.label}")
-                    if exported:
+                    if held:
                         # repro: allow[C204] same repair transaction as the export above
                         request(target.transport, "add", {shard: exported},
                                 who=f"cluster worker {target.label}")
@@ -815,14 +804,19 @@ class ClusterCoordinator(ShardMergeMixin):
         placement, so the reassignment is invisible to queries. A dead
         worker can never answer again without a state-rebuilding rejoin,
         so a write it applied without acking can never surface twice.
+
+        An embedding backend embeds the batch here, once, outside the RPC
+        lock: replication R costs one encode, not R.
         """
         if self._closed:
             raise RuntimeError("coordinator is closed")
         batch = [as_points(t) for t in _as_batch(trajectories)]
         if not batch:
             return self
+        vectors = (self._encoder.encode(batch)
+                   if self._encoder is not None else None)
         with self._rpc_lock:
-            self._add_locked(batch)
+            self._add_locked(batch, vectors)
         return self
 
     def _eligible_shards(self) -> List[int]:
@@ -833,27 +827,30 @@ class ClusterCoordinator(ShardMergeMixin):
                 f"no alive cluster workers ({degraded} degraded)")
         return shards
 
-    def _add_locked(self, batch: List[np.ndarray]) -> None:
+    def _add_locked(self, batch: List[np.ndarray], vectors) -> None:
         eligible = self._eligible_shards()
         sizes = {s: len(self._shard_ids[s]) for s in eligible}
         chunks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}
+        base = self._size  # global id of the batch's (and vectors') row 0
         for offset, points in enumerate(batch):
             shard = min(eligible, key=lambda s: (sizes[s], s))
             sizes[shard] += 1
             chunk = chunks.setdefault(shard, ([], []))
             chunk[0].append(points)
-            chunk[1].append(self._size + offset)
+            chunk[1].append(base + offset)
         while chunks:
             # (Re)plan against the currently-alive replicas.
-            plan: Dict[int, Dict[int, List[np.ndarray]]] = {}
+            plan: Dict[int, Dict[int, object]] = {}
             orphans = []
             for shard in sorted(chunks):
                 replicas = self._replicas(shard)
                 if not replicas:
                     orphans.append(shard)
                     continue
+                points, ids = chunks[shard]
+                share = shard_share(points, vectors, [g - base for g in ids])
                 for link in replicas:
-                    plan.setdefault(link.worker, {})[shard] = chunks[shard][0]
+                    plan.setdefault(link.worker, {})[shard] = share
             if orphans:
                 # Every replica of these shards died before any ack:
                 # requeue the chunks onto shards that can still commit.
@@ -923,19 +920,23 @@ class ClusterCoordinator(ShardMergeMixin):
                     self._shard_ids[shard])
                 # repro: allow[C202] same _rpc_lock transaction as the line above
                 self._size += len(ids)
-                for worker in self._placement[shard]:
-                    dead = self._links[worker]
-                    if not dead.alive:
-                        self._log_catchup(dead, shard, points, ids)
+                dead = [self._links[worker]
+                        for worker in self._placement[shard]
+                        if not self._links[worker].alive]
+                if dead:
+                    missed = [(g, pts, None if vectors is None
+                               else vectors[g - base])
+                              for g, pts in zip(ids, points)]
+                    for link in dead:
+                        self._log_catchup(link, shard, missed)
 
     def _log_catchup(self, link: _WorkerLink, shard: int,
-                     points: Sequence[np.ndarray],
-                     ids: Sequence[int]) -> None:
+                     missed: Sequence[Tuple]) -> None:
         """Record a committed write a dead replica missed (bounded)."""
         if shard in link.catchup_overflow:
             return
         log = link.catchup.setdefault(shard, deque())
-        for pts, global_id in zip(points, ids):
+        for entry in missed:
             if len(log) >= self._catchup_limit:
                 # Overflow: the tail is no longer complete, so replay is
                 # off the table — drop the log (rejoin falls back to a
@@ -943,7 +944,7 @@ class ClusterCoordinator(ShardMergeMixin):
                 link.catchup_overflow.add(shard)
                 link.catchup.pop(shard, None)
                 return
-            log.append((global_id, pts))
+            log.append(entry)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -1026,11 +1027,12 @@ class ClusterCoordinator(ShardMergeMixin):
                 # next one rather than failing the rejoin.
                 self._degrade(source, f"rejoin export failed: {error}")
                 continue
-            if len(exported) != len(want):
+            held = len(self._exported_points(exported))
+            if held != len(want):
                 raise RuntimeError(
-                    f"replica of shard {shard} exported {len(exported)} "
+                    f"replica of shard {shard} exported {held} "
                     f"trajectories but the coordinator owns {len(want)} ids")
-            if exported:
+            if held:
                 request(transport, "add", {shard: exported},
                         who=f"cluster worker {link.label}")
             link.catchup.pop(shard, None)
@@ -1054,7 +1056,7 @@ class ClusterCoordinator(ShardMergeMixin):
         # recorded (it exports live replicas); replay only the ids the
         # snapshot does not cover.
         remaining_want = list(want[len(restored_ids):])
-        tail_map = {global_id: pts for global_id, pts in tail}
+        tail_map = {entry[0]: entry[1:] for entry in tail}
         if remaining_want:
             if not (tail_usable
                     and all(g in tail_map for g in remaining_want)):
@@ -1064,10 +1066,17 @@ class ClusterCoordinator(ShardMergeMixin):
                     f"({len(restored_ids)} of {len(want)} trajectories "
                     "recoverable); restore from an older snapshot or "
                     "accept the loss")
-            restored_ids += remaining_want
-            restored_points += [tail_map[g] for g in remaining_want]
-        if restored_points:
-            request(transport, "add", {shard: restored_points},
+        points = restored_points + [tail_map[g][0] for g in remaining_want]
+        if points:
+            vectors = None
+            if self._encoder is not None:
+                # Snapshot files store points alone: those, and only
+                # those, are embedded again (under _rpc_lock: the encoder
+                # takes no other lock). The log kept its vectors.
+                vectors = np.stack(
+                    list(self._encoder.encode(restored_points))
+                    + [tail_map[g][1] for g in remaining_want])
+            request(transport, "add", {shard: shard_share(points, vectors)},
                     who=f"cluster worker {link.label}")
         link.catchup.pop(shard, None)
         link.catchup_overflow.discard(shard)
@@ -1096,9 +1105,10 @@ class ClusterCoordinator(ShardMergeMixin):
         data is unreachable), ``"underreplicated"`` those still served
         but below the replication factor; each ``"shards"`` entry carries
         its replica set (worker, address, alive, failure reason). Worker-
-        level detail (hosted shards, catch-up backlog, cache counters)
-        lives under ``"worker_links"``; cache and transport counters
-        aggregate over the alive workers.
+        level detail (hosted shards, catch-up backlog) lives under
+        ``"worker_links"``; transport counters aggregate over the alive
+        workers, and so does ``"cache"`` — unless the coordinator embeds,
+        in which case it is its own encoder's.
         """
         per_worker: Dict[int, Dict] = {}
         if not self._closed:
@@ -1187,9 +1197,7 @@ class ClusterCoordinator(ShardMergeMixin):
             "shards": shards,
             "worker_links": worker_links,
             "transport": transport_stats,
-            "cache": merge_cache_counters(
-                [entry["cache"] for entry in worker_links
-                 if "cache" in entry]),
+            "cache": owner_cache_counters(self._encoder, worker_links),
         }
         if chaos_stats is not None:
             result["chaos"] = chaos_stats
@@ -1232,7 +1240,8 @@ class ClusterCoordinator(ShardMergeMixin):
                 "a shard was lost while exporting; snapshot aborted")
         os.makedirs(directory, exist_ok=True)
         shard_files = []
-        for shard, (ids, trajectories) in enumerate(exports):
+        for shard, (ids, exported) in enumerate(exports):
+            trajectories = self._exported_points(exported)
             if len(ids) != len(trajectories):
                 raise RuntimeError(
                     f"shard {shard} exported {len(trajectories)} "

@@ -628,16 +628,16 @@ class SimilarityGateway:
     def _post_add(self, body: Dict):
         trajectories = _parse_trajectories(body.get("trajectories"),
                                            "trajectories")
-        service = self.service
-        target = service.service if hasattr(service, "submit") else service
+        service = self.service  # a QueryQueue fits its add between flushes
+        target = getattr(service, "service", service)
         if not hasattr(target, "add"):
             raise _HttpError(
                 400, f"{type(target).__name__} does not accept add()")
         with self._service_lock:
-            result = target.add(trajectories)
-        # RemoteSimilarityClient.add returns the new size; local services
-        # return self — normalize to a size either way.
-        size = result if isinstance(result, int) else len(target)
+            result = service.add(trajectories)
+        # RemoteSimilarityClient.add and QueryQueue.add return the new
+        # size; local services return self — normalize to a size either way.
+        size = result if isinstance(result, int) else len(service)
         return self._json(200, {"size": int(size), "added": len(trajectories)})
 
     @staticmethod

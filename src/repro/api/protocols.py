@@ -15,6 +15,10 @@ one of two backend *kinds*:
 ``encode``. :class:`Index` is the matching contract for kNN structures so
 :class:`~repro.api.service.SimilarityService` can swap brute-force, IVF
 and segment indexes behind one interface.
+
+The tier that owns a request embeds it once: a sharded owner hands its
+shards :class:`Embedded` input, and a shard's backend is a
+:class:`BackendDescription` — enough to *compare* vectors, no model.
 """
 
 from __future__ import annotations
@@ -88,6 +92,78 @@ class SimilarityBackend(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, kind={self.kind!r})"
+
+
+class EmbeddedInputError(ValueError):
+    """:class:`Embedded` input that is not a 2-D float array, one row per
+    trajectory, of the service's embedding dimensionality."""
+
+
+class NoEncoderError(RuntimeError):
+    """A vector-fed service was asked to embed trajectories itself."""
+
+
+class Embedded:
+    """Trajectories that arrive already embedded.
+
+    ``vectors`` is the ``(N, d)`` float array an encoder produced;
+    ``trajectories`` are the N point arrays behind the rows — required
+    by ``add`` (a service stores what it indexes), absent on queries.
+    :class:`~repro.api.service.SimilarityService` accepts one wherever
+    it accepts trajectories and skips only the encode.
+    """
+
+    __slots__ = ("vectors", "trajectories")
+
+    def __init__(self, vectors, trajectories=None):
+        vectors = np.asarray(vectors)  # never coerced: floats or refused
+        if vectors.ndim != 2 or vectors.dtype.kind != "f":
+            raise EmbeddedInputError(
+                f"embedded input must be a 2-D float array, got "
+                f"{vectors.dtype} of shape {vectors.shape}")
+        if trajectories is not None and len(trajectories) != len(vectors):
+            raise EmbeddedInputError(
+                f"{len(vectors)} vectors for {len(trajectories)} "
+                "trajectories")
+        self.vectors = vectors
+        self.trajectories = trajectories
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+
+class BackendDescription(SimilarityBackend):
+    """What a vector-fed shard knows of its owner's embedding backend.
+
+    ``name``, ``metric``, ``scale`` and ``output_dim`` are all it takes
+    to index and compare vectors; model, weights and embedding cache
+    stay with the owner, which hands every shard :class:`Embedded` input.
+    """
+
+    kind = EMBEDDING
+
+    def __init__(self, name: str, metric: str = "l1", scale: float = 1.0,
+                 output_dim: Optional[int] = None):
+        self.name = name
+        self.metric = metric
+        self.scale = float(scale)
+        self._output_dim = output_dim
+
+    @property
+    def output_dim(self) -> Optional[int]:
+        return self._output_dim
+
+    def _refuse(self, *_args):
+        raise NoEncoderError(
+            f"backend {self.name!r} is a description: this service is fed "
+            "vectors and holds no model — the owner that shards the "
+            "database (ShardedSimilarityService / ClusterCoordinator) "
+            "encodes; pass Embedded(vectors) input")
+
+    # Everything that would need the model refuses alike (``model`` is
+    # what ``backend_state`` would snapshot).
+    encode = distance = pairwise = _refuse
+    model = property(_refuse)
 
 
 class EmbeddingBackend(SimilarityBackend):

@@ -12,8 +12,9 @@ the benchmarks and the examples all resolve methods through::
 
 Backend factories are registered with :func:`register_backend`; the stock
 factories for TrajCL, the eight learned baselines and the four heuristic
-measures live in :mod:`repro.api.backends` (imported by the package
-``__init__`` so the registry is always populated).
+measures live in :mod:`repro.api.backends`, which the first lookup
+imports — so the registry is populated whichever module of the package
+a process came in through.
 """
 
 from __future__ import annotations
@@ -68,10 +69,16 @@ def register_backend(
     return decorate
 
 
+def _registered() -> Dict[str, BackendSpec]:
+    from . import backends  # noqa: F401  (registers the stock factories)
+
+    return _REGISTRY
+
+
 def backend_spec(name: str) -> BackendSpec:
     """The :class:`BackendSpec` registered under ``name``."""
     try:
-        return _REGISTRY[name]
+        return _registered()[name]
     except KeyError:
         raise KeyError(
             f"unknown backend {name!r}; available: {available_backends()}"
@@ -92,4 +99,4 @@ def get_backend(name: str, **kwargs) -> SimilarityBackend:
 
 def available_backends() -> List[str]:
     """Sorted names of every registered backend."""
-    return sorted(_REGISTRY)
+    return sorted(_registered())

@@ -195,9 +195,12 @@ class ThreadedNodeServer:
             transport = SocketTransport(sock)
             thread = threading.Thread(target=self._serve_connection,
                                       args=(transport,), daemon=True)
+            # Started before it is listed: a close() that gives this loop
+            # no grace must never find a thread it cannot join (one it
+            # misses ends by itself at its next shutdown-flag poll).
+            thread.start()
             self._connections.append(transport)
             self._connection_threads.append(thread)
-            thread.start()
 
     def _serve_connection(self, transport: SocketTransport) -> None:
         node = ServiceNode(transport, self._handlers(), **self._node_kwargs())
@@ -324,9 +327,11 @@ class SimilarityServer(ThreadedNodeServer):
             return service.pairwise(queries, database)
 
         def handle_add(payload):
-            if not hasattr(service, "add"):
+            # a QueryQueue's own add fits between two of its flushes
+            target = getattr(service, "service", service)
+            if not hasattr(target, "add"):
                 raise RuntimeError(
-                    f"{type(service).__name__} does not accept remote add()"
+                    f"{type(target).__name__} does not accept remote add()"
                 )
             service.add(payload)
             return len(service)

@@ -11,32 +11,42 @@ workloads: pick a backend by name, add a database, ask for neighbours::
     distances, indices = service.knn(trajectories[7], k=3, exclude=7)
     service.save("service.npz")               # config + weights + index state
 
-Embeddings are computed in chunks with a content-addressed cache, so
-repeated queries over the same trajectories never re-run the encoder. The
-kNN path over-fetches and filters, so self-matches (an explicit ``exclude``
-id, or near-zero distances under ``dedupe_eps``) never silently shrink the
-result below ``k``.
+Embeddings are computed in chunks with a content-addressed cache
+(:class:`CachedEncoder`), so repeated queries over the same trajectories
+never re-run the encoder. The kNN path over-fetches and filters, so
+self-matches (an explicit ``exclude`` id, or near-zero distances under
+``dedupe_eps``) never silently shrink the result below ``k``.
+
+``add`` / ``knn`` / ``pairwise`` also take
+:class:`~repro.api.protocols.Embedded` input — vectors another tier
+already computed — and then skip only the encode. A service built over a
+:class:`~repro.api.protocols.BackendDescription` is *vector-fed* (every
+shard of a sharded embedding service is): no model, nothing but
+``Embedded`` input, the vectors kept beside the trajectories.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import OrderedDict, namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..index import RowStore
 from ..trajectory import as_points
 from ..trajectory.trajectory import TrajectoryLike
 from .backends import backend_state, restore_backend
 from .indexes import get_index
 from .protocols import (
-    DISTANCE, EMBEDDING, Index, SimilarityBackend, as_backend, as_float_array,
+    DISTANCE, EMBEDDING, BackendDescription, Embedded, EmbeddedInputError,
+    Index, SimilarityBackend, as_backend, as_float_array,
 )
 from .registry import get_backend
 
-__all__ = ["CacheInfo", "SimilarityService"]
+__all__ = ["CacheInfo", "CachedEncoder", "SimilarityService"]
 
 _FORMAT_VERSION = 1
 _META_KEY = "__service__"
@@ -55,6 +65,113 @@ def _default_index_for(backend: SimilarityBackend) -> Optional[str]:
     if backend.name == "hausdorff":
         return "segment"
     return None  # generic distance backends fall back to a pairwise scan
+
+
+def _as_batch(trajectories) -> List:
+    """A bare (L, 2) array is one trajectory, not L of them."""
+    if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
+        return [trajectories]
+    return list(trajectories)
+
+
+def _lru_put(cache: "OrderedDict[str, np.ndarray]", key: str,
+             vector: np.ndarray, maxsize: int) -> None:
+    if maxsize <= 0:
+        return
+    cache[key] = vector
+    cache.move_to_end(key)
+    while len(cache) > maxsize:
+        cache.popitem(last=False)
+
+
+class CachedEncoder:
+    """``backend.encode`` in ``batch_size`` chunks behind a content-addressed
+    LRU cache — the one place trajectories become vectors.
+
+    A :class:`SimilarityService` holds one; so does every sharded owner
+    (whose shards hold none): the same trajectories go through the same
+    code in the same chunks, so a sharded answer is bit-identical to a
+    single service's *including the encoder*. Its own lock guards the
+    cache and the backend call; no owner holds its RPC lock around it.
+    """
+
+    def __init__(self, backend: SimilarityBackend, batch_size: int = 256,
+                 cache_size: int = 4096):
+        self.backend = backend
+        self.batch_size = int(batch_size)
+        self.cache_size = int(cache_size)
+        self.cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self._lock = threading.Lock()
+
+    def encode(self, trajectories: Sequence[TrajectoryLike]) -> np.ndarray:
+        """Chunked, cached embeddings ``(N, d)`` (embedding backends only)."""
+        batch = [as_points(t) for t in _as_batch(trajectories)]
+        keys = [self.key(points) for points in batch]  # hashed unlocked
+        with self._lock:
+            out: List[Optional[np.ndarray]] = [None] * len(batch)
+            missing: List[int] = []
+            # A key repeated inside one call (N queued clients asking the same
+            # thing) is encoded once: later occurrences are hits, served from
+            # the row its first occurrence is about to compute.
+            first: Dict[str, int] = {}
+            repeats: List[Tuple[int, int]] = []
+            for position, key in enumerate(keys):
+                hit = self.cache.get(key)
+                if hit is not None:
+                    self.cache.move_to_end(key)
+                    out[position] = hit
+                    self.hits += 1
+                elif key in first:
+                    repeats.append((position, first[key]))
+                    self.hits += 1
+                else:
+                    first[key] = position
+                    missing.append(position)
+                    self.misses += 1
+            for start in range(0, len(missing), self.batch_size):
+                chunk = missing[start:start + self.batch_size]
+                encoded = self.backend.encode([batch[i] for i in chunk])
+                for row, position in enumerate(chunk):
+                    # Keep the backend's own dtype in the cache: a float32
+                    # backend's vectors stay float32, halving cache memory.
+                    vector = as_float_array(encoded[row])
+                    out[position] = vector
+                    _lru_put(self.cache, keys[position], vector,
+                             self.cache_size)
+            for position, source in repeats:
+                out[position] = out[source]
+            return np.stack(out) if out else np.empty((0, self.dim))
+
+    @property
+    def dim(self) -> int:
+        """Best-known embedding dimensionality (0 when undeterminable)."""
+        dim = self.backend.output_dim
+        if isinstance(dim, int) and dim > 0:
+            return dim
+        if self.cache:
+            return len(next(iter(self.cache.values())))
+        return 0
+
+    @staticmethod
+    def key(points: np.ndarray) -> str:
+        digest = hashlib.sha1(np.ascontiguousarray(points).tobytes())
+        # Shape and dtype both feed the hash: byte-identical buffers of a
+        # different shape *or* dtype must never collide.
+        digest.update(str(points.shape).encode())
+        digest.update(str(points.dtype).encode())
+        return digest.hexdigest()
+
+    def info(self) -> CacheInfo:
+        """Embedding-cache counters: ``(hits, misses, size, maxsize)``."""
+        return CacheInfo(self.hits, self.misses, len(self.cache),
+                         self.cache_size)
+
+    def put(self, key: str, vector: np.ndarray) -> None:
+        """Insert one entry (a snapshot's warm cache, oldest first)."""
+        with self._lock:
+            _lru_put(self.cache, key, vector, self.cache_size)
 
 
 class SimilarityService:
@@ -111,108 +228,100 @@ class SimilarityService:
                     )
         self.index = index
 
-        self.batch_size = int(batch_size)
-        self.cache_size = int(cache_size)
+        self.encoder = CachedEncoder(backend, batch_size, cache_size)
         self.trajectories: List[np.ndarray] = []
-        self._cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: the vectors behind ``trajectories``, kept only by a vector-fed
+        #: service (anyone else re-derives them through the encoder)
+        self.vectors: Optional[RowStore] = None
+
+    @property
+    def vector_fed(self) -> bool:
+        """True when the backend is a description: no model here, every
+        input arrives :class:`~repro.api.protocols.Embedded`."""
+        return isinstance(self.backend, BackendDescription)
 
     # ------------------------------------------------------------------
     # Database
     # ------------------------------------------------------------------
     def add(self, trajectories: Sequence[TrajectoryLike]) -> "SimilarityService":
         """Append trajectories to the database (and the index, if any)."""
+        given = self._given(trajectories)
+        if given is not None:
+            if given.trajectories is None:
+                raise EmbeddedInputError(
+                    "add() stores what it indexes: pass "
+                    "Embedded(vectors, trajectories)")
+            trajectories = given.trajectories
         points = [as_points(t) for t in self._as_batch(trajectories)]
         if not points:
             return self
-        self.trajectories.extend(points)
         if self.index is not None:
             if self.index.consumes == "vectors":
-                self.index.add(self.encode_batch(points))
+                vectors = self._vectors_of(points if given is None
+                                           else given)
+                self.index.add(vectors)
+                if self.vector_fed:
+                    if self.vectors is None:
+                        self.vectors = RowStore(np.empty_like(vectors[:0]))
+                    self.vectors.append(vectors)
             else:
                 self.index.add(points)
+        self.trajectories.extend(points)
         return self
 
     def __len__(self) -> int:
         return len(self.trajectories)
 
-    @staticmethod
-    def _as_batch(trajectories) -> List:
-        """A bare (L, 2) array is one trajectory, not L of them."""
-        if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
-            return [trajectories]
-        return list(trajectories)
+    _as_batch = staticmethod(_as_batch)
 
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
     def encode_batch(self, trajectories: Sequence[TrajectoryLike]) -> np.ndarray:
         """Chunked, cached embeddings ``(N, d)`` (embedding backends only)."""
-        batch = [as_points(t) for t in self._as_batch(trajectories)]
-        keys = [self._cache_key(points) for points in batch]
-        out: List[Optional[np.ndarray]] = [None] * len(batch)
-        missing: List[int] = []
-        # A key repeated inside one call (N queued clients asking the same
-        # thing) is encoded once: later occurrences are hits, served from
-        # the row its first occurrence is about to compute.
-        first: Dict[str, int] = {}
-        repeats: List[Tuple[int, int]] = []
-        for position, key in enumerate(keys):
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                out[position] = hit
-                self.cache_hits += 1
-            elif key in first:
-                repeats.append((position, first[key]))
-                self.cache_hits += 1
-            else:
-                first[key] = position
-                missing.append(position)
-                self.cache_misses += 1
-        for start in range(0, len(missing), self.batch_size):
-            chunk = missing[start:start + self.batch_size]
-            encoded = self.backend.encode([batch[i] for i in chunk])
-            for row, position in enumerate(chunk):
-                # Keep the backend's own dtype in the cache: a float32
-                # backend's vectors stay float32, halving cache memory.
-                vector = as_float_array(encoded[row])
-                out[position] = vector
-                self._cache_put(keys[position], vector)
-        for position, source in repeats:
-            out[position] = out[source]
-        return np.stack(out) if out else np.empty((0, self._embedding_dim()))
+        return self.encoder.encode(trajectories)
 
-    def _embedding_dim(self) -> int:
-        """Best-known embedding dimensionality (0 when undeterminable)."""
-        dim = self.backend.output_dim
-        if isinstance(dim, int) and dim > 0:
-            return dim
-        if self._cache:
-            return len(next(iter(self._cache.values())))
-        return 0
+    def _given(self, items) -> Optional[Embedded]:
+        """``items`` when it is already-embedded input, checked against
+        this service before anything is stored or searched; else None."""
+        if not isinstance(items, Embedded):
+            return None
+        if self.backend.kind != EMBEDDING:
+            raise EmbeddedInputError(
+                f"backend {self.backend.name!r} is a distance backend; it "
+                "compares trajectories, not embeddings")
+        dim = (self.vectors.rows.shape[1] if self.vectors is not None
+               else self.encoder.dim)
+        if dim and items.vectors.shape[1] != dim:
+            raise EmbeddedInputError(
+                f"embedded input has {items.vectors.shape[1]} dimensions, "
+                f"this service compares {dim}")
+        return items
 
-    @staticmethod
-    def _cache_key(points: np.ndarray) -> str:
-        digest = hashlib.sha1(np.ascontiguousarray(points).tobytes())
-        # Shape and dtype both feed the hash: byte-identical buffers of a
-        # different shape *or* dtype must never collide.
-        digest.update(str(points.shape).encode())
-        digest.update(str(points.dtype).encode())
-        return digest.hexdigest()
+    def _vectors_of(self, items) -> np.ndarray:
+        """Embeddings of ``items``: read off :class:`Embedded` input,
+        computed (chunked, cached) for trajectories."""
+        if isinstance(items, Embedded):
+            return items.vectors
+        return self.encoder.encode(items)
+
+    # The knobs and counters that predate :class:`CachedEncoder` read through.
+    batch_size = property(lambda self: self.encoder.batch_size)
+    cache_size = property(lambda self: self.encoder.cache_size)
+    cache_hits = property(lambda self: self.encoder.hits)
+    cache_misses = property(lambda self: self.encoder.misses)
 
     def cache_info(self) -> CacheInfo:
         """Embedding-cache counters: ``(hits, misses, size, maxsize)``."""
-        return CacheInfo(self.cache_hits, self.cache_misses,
-                         len(self._cache), self.cache_size)
+        return self.encoder.info()
 
     def stats(self) -> Dict:
         """Serving metadata: backend, index, size, cache counters.
 
         One JSON-able dict shared by ``repr``-style introspection and the
         remote serving layer's ``stats`` command
-        (:class:`~repro.api.remote.SimilarityServer`).
+        (:class:`~repro.api.remote.SimilarityServer`). A vector-fed
+        service has no cache to report: the counters are its owner's.
         """
         info = {
             "type": type(self).__name__,
@@ -220,22 +329,15 @@ class SimilarityService:
             "kind": self.backend.kind,
             "index": self.index.name if self.index is not None else "scan",
             "size": len(self),
-            "cache": self.cache_info()._asdict(),
         }
+        if not self.vector_fed:
+            info["cache"] = self.cache_info()._asdict()
         if self.index is not None:
             # Unified index introspection (exactness, memory_bytes, and the
             # quantized indexes' codebook/knob detail) — JSON-able all the
             # way up to the gateway's /stats endpoint.
             info["index_stats"] = self.index.stats()
         return info
-
-    def _cache_put(self, key: str, vector: np.ndarray) -> None:
-        if self.cache_size <= 0:
-            return
-        self._cache[key] = vector
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Queries
@@ -246,7 +348,8 @@ class SimilarityService:
         database: Optional[Sequence[TrajectoryLike]] = None,
     ) -> np.ndarray:
         """Dense ``(|Q|, |D|)`` distances; D defaults to the added database."""
-        queries = self._as_batch(queries)
+        if self._given(queries) is None:
+            queries = self._as_batch(queries)
         if database is None:
             database = self.trajectories
         if len(queries) == 0 or len(database) == 0:
@@ -254,16 +357,22 @@ class SimilarityService:
             # otherwise hand shapeless results to downstream reshapes.
             return np.zeros((len(queries), len(database)))
         if self.backend.kind == EMBEDDING and database is self.trajectories:
-            # Route through the embedding cache for the stored database.
+            # Route through the embedding cache for the stored database (a
+            # vector-fed service reads the vectors it was handed instead).
             # ``scale`` keeps parity with backends whose distances live on a
             # target measure's scale (the supervised approximators).
             from ..index import distance
 
             metric = getattr(self.backend, "metric", "l1")
             scale = getattr(self.backend, "scale", 1.0)
+            stored = (self.vectors.rows if self.vectors is not None
+                      else self.encode_batch(database))
             return scale * distance.pairwise(
-                self.encode_batch(queries), self.encode_batch(database), metric
-            )
+                self._vectors_of(queries), stored, metric)
+        if isinstance(queries, Embedded):
+            raise EmbeddedInputError(
+                "already-embedded queries compare against the stored "
+                "database of an embedding backend only")
         return self.backend.pairwise(queries, database)
 
     # ``evaluate_mean_rank`` and friends dispatch on this name.
@@ -290,8 +399,9 @@ class SimilarityService:
             raise RuntimeError("service database is empty; call add() first")
         if k < 1:
             raise ValueError("k must be >= 1")
-        queries = [as_points(t) for t in self._as_batch(queries)]
-        if not queries:
+        if self._given(queries) is None:
+            queries = [as_points(t) for t in self._as_batch(queries)]
+        if not len(queries):
             return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
         n = len(self.trajectories)
         dropped = (1 if exclude is not None else 0)
@@ -322,11 +432,11 @@ class SimilarityService:
                 out_i[row, :len(row_i)] = row_i
             return out_d, out_i
 
-    def _raw_knn(self, queries: List[np.ndarray], fetch: int):
+    def _raw_knn(self, queries, fetch: int):
         if self.index is not None:
             if self.index.consumes == "vectors":
                 distances, indices = self.index.search(
-                    self.encode_batch(queries), fetch
+                    self._vectors_of(queries), fetch
                 )
                 return distances * getattr(self.backend, "scale", 1.0), indices
             return self.index.search(queries, fetch)
@@ -364,11 +474,12 @@ class SimilarityService:
             "cache_size": self.cache_size,
             "count": len(self.trajectories),
         }
-        if include_cache and self._cache:
+        cache = self.encoder.cache
+        if include_cache and cache:
             # Keys in LRU order (oldest first) so the restored OrderedDict
             # evicts in the same order the live one would have.
-            meta["cache_keys"] = list(self._cache)
-            payload[_CACHE_VECTORS_KEY] = np.stack(list(self._cache.values()))
+            meta["cache_keys"] = list(cache)
+            payload[_CACHE_VECTORS_KEY] = np.stack(list(cache.values()))
         payload[_META_KEY] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         )
@@ -416,7 +527,7 @@ class SimilarityService:
         if meta.get("cache_keys") and _CACHE_VECTORS_KEY in state:
             vectors = state[_CACHE_VECTORS_KEY]
             for key, vector in zip(meta["cache_keys"], vectors):
-                service._cache_put(key, vector)
+                service.encoder.put(key, vector)
         return service
 
     def __repr__(self) -> str:

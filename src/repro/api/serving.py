@@ -4,11 +4,12 @@ Two compositions turn the single-process :class:`SimilarityService` into
 the scalable serving path the ROADMAP calls for:
 
 * :class:`ShardedSimilarityService` — partitions the database across N
-  worker *processes* (each holding a full ``SimilarityService`` with its
-  own index shard), fans ``add``/``knn``/``pairwise`` out over
-  :mod:`~repro.api.transport` channels, and merges per-shard top-k with
-  distance-then-id tie-breaking. For exact indexes the merged result is
-  identical to a single service over the same database;
+  worker *processes* (each a :class:`Shard`: a ``SimilarityService``
+  with its own index over a slice of the database), fans
+  ``add``/``knn``/``pairwise`` out over :mod:`~repro.api.transport`
+  channels, and merges per-shard top-k with distance-then-id
+  tie-breaking. For exact indexes the merged result is identical to a
+  single service over the same database;
 * :class:`QueryQueue` — coalesces many concurrent ``knn`` (and
   ``pairwise``) calls into batched service calls (up to ``max_batch``
   queries per flush, waiting at most ``max_wait`` seconds for
@@ -27,9 +28,16 @@ Both compose: put a ``QueryQueue`` in front of a
             futures = [queue.submit(q, k=10) for q in queries]
             results = [f.result() for f in futures]
 
-Backends travel to the workers through ``backend_state``/``restore_backend``
-(the same representation snapshots use), so every registry backend that can
-be saved can be sharded. All shard traffic flows through the
+Encode once: for an embedding backend the tier that owns a request (the
+sharded service here, the cluster coordinator) holds the only model and
+the only embedding cache, a :class:`~repro.api.service.CachedEncoder`.
+It embeds each added trajectory and each query once, and its shards
+store and search *vectors*: a worker is sent a four-field
+:class:`~repro.api.protocols.BackendDescription`, never weights, ``add``
+deals ``(points, vectors)`` and ``knn``/``pairwise`` fan out one
+``(N, d)`` array. A distance backend is only a name: it travels whole
+and its shards are asked with trajectories. ``backend.kind`` decides.
+All shard traffic flows through the
 :class:`~repro.api.transport.Transport` abstraction — the workers never
 know whether a pipe or a socket sits underneath, which is what lets
 :mod:`repro.api.remote` serve the same stack over TCP.
@@ -47,11 +55,13 @@ import numpy as np
 
 from ..trajectory import as_points
 from ..trajectory.trajectory import TrajectoryLike
-from .backends import backend_state, restore_backend
-from .protocols import KnnService, SimilarityBackend, as_backend
+from .backends import restore_backend, shard_backend_state
+from .protocols import (
+    EMBEDDING, Embedded, KnnService, SimilarityBackend, as_backend,
+)
 from .indexes import index_is_exact
 from .registry import get_backend
-from .service import SimilarityService, _default_index_for
+from .service import CachedEncoder, SimilarityService, _default_index_for
 from . import wire
 from .transport import (
     PipeTransport,
@@ -70,7 +80,7 @@ _as_batch = SimilarityService._as_batch
 
 __all__ = ["ShardedSimilarityService", "QueryQueue", "QueueStats",
            "QueueFullError", "DeadlineExceededError", "ShardLostError",
-           "ShardMergeMixin", "merge_cache_counters"]
+           "Shard", "ShardMergeMixin", "merge_cache_counters"]
 
 
 class QueueFullError(RuntimeError):
@@ -115,6 +125,17 @@ def merge_cache_counters(counters: Sequence[Dict]) -> Dict:
     return total
 
 
+def owner_cache_counters(encoder: Optional[CachedEncoder],
+                         entries: Sequence[Dict]) -> Dict:
+    """The ``"cache"`` of a sharded owner's ``stats()``: its own encoder's
+    when it embeds (vector-fed shards report none), else the sum over the
+    per-shard or per-worker ``entries`` that report one."""
+    if encoder is not None:
+        return encoder.info()._asdict()
+    return merge_cache_counters(
+        [entry["cache"] for entry in entries if "cache" in entry])
+
+
 def freeze_shard_ids(ids: Sequence[int]) -> np.ndarray:
     """Immutable int64 snapshot of one shard's global-id list.
 
@@ -130,49 +151,110 @@ def freeze_shard_ids(ids: Sequence[int]) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Worker process
+# Shard side
 # ----------------------------------------------------------------------
-def _shard_worker(transport, backend_meta, backend_arrays, index,
-                  index_kwargs, service_kwargs) -> None:
-    """One shard: a full ``SimilarityService`` over a slice of the database.
+def shard_recipe(backend: SimilarityBackend, index: Optional[str],
+                 index_kwargs: Optional[Dict], batch_size: int,
+                 cache_size: int) -> Dict:
+    """What an owner sends a worker to build its :class:`Shard` from:
+    wire- and process-portable, weight-free for embedding backends."""
+    return {
+        "backend": shard_backend_state(backend),
+        "index": index,
+        "index_kwargs": index_kwargs,
+        "service_kwargs": {"batch_size": batch_size,
+                           "cache_size": cache_size},
+    }
 
-    Runs in a child process; a :class:`~repro.api.transport.ServiceNode`
-    answers the parent's ``(command, payload)`` requests until the parent
-    sends ``stop`` or hangs up.
+
+def shard_share(points: List[np.ndarray], vectors, rows=slice(None)):
+    """One shard's share of an owner's ``add``, as :meth:`Shard.add` takes
+    it: ``points`` are rows ``rows`` of the batch that ``vectors`` embeds
+    (``None`` for a distance backend, whose shards take the points)."""
+    if vectors is None:
+        return points
+    return points, vectors[rows]
+
+
+class Shard:
+    """One shard as both hosts run it (a pipe-fed process here, a
+    :class:`~repro.api.cluster.ShardWorker` over TCP): a
+    :class:`SimilarityService` over a slice of the database, plus the
+    translation between what crosses the wire and what the service takes.
+
+    Under a distance backend the wire carries trajectories. Built from
+    a description the service is vector-fed: ``add`` takes and
+    :meth:`export` returns ``(points, vectors)`` and queries arrive as
+    one bare ``(N, d)`` array — plain tuples and arrays, so the codec's
+    tag vocabulary does not grow.
+    """
+
+    def __init__(self, backend, index=None, index_kwargs=None,
+                 service_kwargs=None):
+        meta, arrays = backend
+        self.service = SimilarityService(
+            backend=restore_backend(meta, dict(arrays)), index=index,
+            index_kwargs=index_kwargs, **(service_kwargs or {}))
+
+    def __len__(self) -> int:
+        return len(self.service)
+
+    def _queries(self, queries):
+        return Embedded(queries) if self.service.vector_fed else queries
+
+    def add(self, payload) -> int:
+        if self.service.vector_fed:
+            points, vectors = payload
+            payload = Embedded(vectors, points)
+        self.service.add(payload)
+        return len(self.service)
+
+    def knn(self, payload):
+        queries, fetch = payload
+        if len(self.service) == 0:
+            # This shard got no data (database smaller than the shard
+            # count); contribute an all-padding pool.
+            return (np.full((len(queries), fetch), np.inf),
+                    np.full((len(queries), fetch), -1, dtype=np.int64))
+        # No exclude/dedupe here: the owner filters after the merge,
+        # where global ids are known.
+        return self.service.knn(self._queries(queries), k=fetch)
+
+    def pairwise(self, queries):
+        return self.service.pairwise(self._queries(queries))
+
+    def export(self):
+        """Everything this shard holds, in the form :meth:`add` takes back
+        — so refilling a replica from it costs no encode."""
+        points = list(self.service.trajectories)
+        if not self.service.vector_fed:
+            return points
+        held = self.service.vectors
+        return points, (held.rows if held is not None else np.empty((0, 0)))
+
+
+def _shard_worker(transport, recipe: Dict) -> None:
+    """One pipe-fed shard process.
+
+    A :class:`~repro.api.transport.ServiceNode` answers the parent's
+    ``(command, payload)`` requests until the parent sends ``stop`` or
+    hangs up.
     """
     import traceback
 
     try:
-        backend = restore_backend(backend_meta, backend_arrays)
-        service = SimilarityService(backend=backend, index=index,
-                                    index_kwargs=index_kwargs,
-                                    **service_kwargs)
+        shard = Shard(**recipe)
         transport.send(("ok", None))
     except Exception:
         transport.send(("error", traceback.format_exc()))
         return
 
-    def handle_add(trajectories):
-        service.add(trajectories)
-        return len(service)
-
-    def handle_knn(payload):
-        queries, fetch = payload
-        if len(service) == 0:
-            # This shard got no data (database smaller than the worker
-            # count); contribute an all-padding pool.
-            return (np.full((len(queries), fetch), np.inf),
-                    np.full((len(queries), fetch), -1, dtype=np.int64))
-        # No exclude/dedupe here: the parent filters after the merge,
-        # where global ids are known.
-        return service.knn(queries, k=fetch)
-
     node = ServiceNode(transport, {
-        "add": handle_add,
-        "knn": handle_knn,
-        "pairwise": service.pairwise,
-        "len": lambda _payload: len(service),
-        "stats": lambda _payload: service.stats(),
+        "add": shard.add,
+        "knn": shard.knn,
+        "pairwise": shard.pairwise,
+        "len": lambda _payload: len(shard),
+        "stats": lambda _payload: shard.service.stats(),
     })
     try:
         node.serve_forever()
@@ -202,6 +284,10 @@ class ShardMergeMixin:
       approximately (IVF), which disables the frontier certificate;
     * ``self.backend`` — for ad-hoc ``pairwise`` against an explicit
       database;
+    * ``self._encoder`` — the owner's
+      :class:`~repro.api.service.CachedEncoder` (the shards are asked
+      with vectors, embedded here once per call, outside any RPC lock),
+      or ``None`` for a distance backend;
     * ``_shard_query(command, payload)`` — deliver one command to every
       reachable shard and return ``[(global_ids, reply), ...]`` for the
       shards that answered, raising only when none can. A subclass with
@@ -225,7 +311,8 @@ class ShardMergeMixin:
         if not queries or self._size == 0:
             return out
         filled = np.zeros(self._size, dtype=bool)
-        for ids, block in self._shard_query("pairwise", list(queries)):
+        for ids, block in self._shard_query("pairwise",
+                                            self._for_shards(queries)):
             if len(ids):
                 out[:, ids] = block
                 filled[ids] = True
@@ -257,10 +344,11 @@ class ShardMergeMixin:
         queries = [as_points(t) for t in _as_batch(queries)]
         if not queries:
             return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
+        asked = self._for_shards(queries)  # embedded once, not per round
         dropped = (1 if exclude is not None else 0)
         fetch = k + dropped + (1 if dedupe_eps is not None else 0)
         while True:
-            pool_d, pool_i, frontiers = self._fetch_candidates(queries, fetch)
+            pool_d, pool_i, frontiers = self._fetch_candidates(asked, fetch)
             # Shard sizes come from the shards that actually answered, so
             # a worker lost mid-query shrinks the merge instead of
             # stalling it (a shard's over-fetch never exceeds its size).
@@ -298,6 +386,13 @@ class ShardMergeMixin:
                 fetch = min(largest_shard, max(fetch * 2, k + 1))
                 continue
             return out_d, out_i
+
+    def _for_shards(self, trajectories):
+        """What the shards are asked with: the trajectories themselves, or
+        — the owner of an embedding backend encodes — their vectors."""
+        if self._encoder is None:
+            return list(trajectories)
+        return self._encoder.encode(trajectories)
 
     @staticmethod
     def _frontiers_cover(frontiers, row, fetch, kth_d, kth_i) -> bool:
@@ -355,17 +450,18 @@ class ShardedSimilarityService(ShardMergeMixin):
     """kNN serving over a database partitioned across worker processes.
 
     Trajectories are assigned round-robin to ``num_workers`` shards, each a
-    :class:`~repro.api.service.SimilarityService` in its own process (the
-    backend is shipped once via ``backend_state``). ``knn`` fans the query
-    batch out, over-fetches per shard, and merges the candidate pools with
+    :class:`Shard` in its own process. ``knn`` fans the query batch out,
+    over-fetches per shard, and merges the candidate pools with
     distance-then-id tie-breaking — so with exact per-shard indexes
     (``bruteforce``/``segment``/scan) the merged result is *identical* to a
     single service over the unsharded database, and with IVF shards the
     union of probed cells can only grow recall.
 
-    The parent keeps its own backend instance for ``pairwise`` against
-    ad-hoc databases and for metadata; worker lifecycle is explicit:
-    :meth:`close`, or use the service as a context manager.
+    An embedding backend never leaves the parent: ``batch_size`` and
+    ``cache_size`` size the one encoder here and the workers are fed
+    vectors. The parent also answers ``pairwise`` against ad-hoc
+    databases; worker lifecycle is explicit: :meth:`close`, or use the
+    service as a context manager.
     """
 
     def __init__(
@@ -393,6 +489,8 @@ class ShardedSimilarityService(ShardMergeMixin):
         else:
             backend = as_backend(backend)
         self.backend = backend
+        self._encoder = (CachedEncoder(backend, batch_size, cache_size)
+                         if backend.kind == EMBEDDING else None)
         if index is None:
             # Resolve the backend's default here so the name is reportable
             # and the workers build exactly what a single service would.
@@ -426,21 +524,19 @@ class ShardedSimilarityService(ShardMergeMixin):
         self._shm_pool = (wire.ShmPool(shm_threshold)
                           if shm_threshold is not None else None)
 
-        meta, arrays = backend_state(backend)  # process-portable form
+        recipe = shard_recipe(backend, index, index_kwargs, batch_size,
+                              cache_size)
         if start_method is None:
             start_method = ("fork" if "fork" in mp.get_all_start_methods()
                             else "spawn")
         context = mp.get_context(start_method)
         self._transports = []
         self._processes = []
-        service_kwargs = {"batch_size": batch_size, "cache_size": cache_size}
         for _ in range(self.num_workers):
             parent_transport, child_transport = PipeTransport.pair(
                 context, shm_threshold=shm_threshold)
             process = context.Process(
-                target=_shard_worker,
-                args=(child_transport, meta, arrays, index, index_kwargs,
-                      service_kwargs),
+                target=_shard_worker, args=(child_transport, recipe),
                 daemon=True,
             )
             process.start()
@@ -511,10 +607,13 @@ class ShardedSimilarityService(ShardMergeMixin):
     # Database
     # ------------------------------------------------------------------
     def add(self, trajectories: Sequence[TrajectoryLike]) -> "ShardedSimilarityService":
-        """Round-robin the trajectories across the shards."""
+        """Round-robin the trajectories across the shards (embedded here,
+        once, when the backend embeds)."""
         batch = [as_points(t) for t in _as_batch(trajectories)]
         if not batch:
             return self
+        vectors = (self._encoder.encode(batch)
+                   if self._encoder is not None else None)
         chunks: List[List[np.ndarray]] = [[] for _ in range(self.num_workers)]
         pending: List[List[int]] = [[] for _ in range(self.num_workers)]
         for offset, points in enumerate(batch):
@@ -523,7 +622,9 @@ class ShardedSimilarityService(ShardMergeMixin):
             chunks[shard].append(points)
             pending[shard].append(global_id)
         try:
-            self._broadcast("add", chunks)
+            self._broadcast("add", [
+                shard_share(points, vectors, [g - self._size for g in ids])
+                for points, ids in zip(chunks, pending)])
         except Exception:
             # Some shards may have stored their chunk, others not; the
             # local-to-global mapping can no longer be trusted, so refuse
@@ -550,7 +651,8 @@ class ShardedSimilarityService(ShardMergeMixin):
 
     def stats(self) -> Dict:
         """Serving metadata on the shared key set: backend/index/size plus
-        aggregated cache counters and a per-shard breakdown."""
+        cache counters (:func:`owner_cache_counters`) and a per-shard
+        breakdown."""
         shard_stats: List[Optional[Dict]] = [None] * self.num_workers
         if not self._closed:
             try:
@@ -582,8 +684,7 @@ class ShardedSimilarityService(ShardMergeMixin):
             "shard_sizes": shard_sizes,
             "shards": shards,
             "transport": transport_stats,
-            "cache": merge_cache_counters(
-                [entry["cache"] for entry in shards if "cache" in entry]),
+            "cache": owner_cache_counters(self._encoder, shards),
         }
 
     # ------------------------------------------------------------------
@@ -686,8 +787,10 @@ class QueryQueue:
       expired entries with :class:`DeadlineExceededError` rather than
       spending encoder time on them.
 
-    Only the flush thread touches the underlying service, which keeps the
-    (thread-oblivious) :class:`SimilarityService` safe under concurrency.
+    One call at a time reaches the underlying (thread-oblivious)
+    service: queries only through the flush thread, :meth:`add` under the
+    lock a flush holds around each of its service calls — so an add never
+    overlaps a query batch, and never waits out ``max_wait`` either.
     """
 
     def __init__(self, service: KnnService, max_batch: int = 64,
@@ -704,6 +807,8 @@ class QueryQueue:
         self.max_pending = None if max_pending is None else int(max_pending)
         self._pending: deque = deque()
         self._condition = threading.Condition()
+        # Held around every call into the wrapped service (see add()).
+        self._service_lock = threading.Lock()
         self._closed = False
         self._queries = 0
         self._batches = 0
@@ -752,6 +857,16 @@ class QueryQueue:
             self._pending.append((future,) + entry + (deadline,))
             self._condition.notify_all()
         return future
+
+    def add(self, trajectories: Sequence[TrajectoryLike]) -> int:
+        """Append to the wrapped service's database, between two flushes;
+        returns the new database size (as the remote client's ``add``)."""
+        with self._service_lock:
+            size = self.service.add(trajectories)
+            return size if isinstance(size, int) else len(self.service)
+
+    def __len__(self) -> int:
+        return len(self.service)
 
     def knn(self, query: TrajectoryLike, k: int,
             exclude: Optional[int] = None,
@@ -894,7 +1009,8 @@ class QueryQueue:
     def _serve(self, futures, call):
         """Run one service call; on failure fail every waiting future."""
         try:
-            return call()
+            with self._service_lock:
+                return call()
         except Exception as error:  # propagate to every caller
             for future in futures:
                 self._fail(future, error)

@@ -80,7 +80,7 @@ class TestDtypePreservation:
                                     cache_size=64).add(trajectories)
         vectors = service.encode_batch(trajectories[:4])
         assert vectors.dtype == np.float32
-        assert all(v.dtype == np.float32 for v in service._cache.values())
+        assert all(v.dtype == np.float32 for v in service.encoder.cache.values())
 
     def test_float32_cache_halves_memory(self, trajectories):
         class Encoder:
@@ -96,8 +96,8 @@ class TestDtypePreservation:
         f64 = SimilarityService(backend=Encoder(np.float64)).add(trajectories)
         f32.encode_batch(trajectories)
         f64.encode_batch(trajectories)
-        bytes32 = sum(v.nbytes for v in f32._cache.values())
-        bytes64 = sum(v.nbytes for v in f64._cache.values())
+        bytes32 = sum(v.nbytes for v in f32.encoder.cache.values())
+        bytes64 = sum(v.nbytes for v in f64.encoder.cache.values())
         assert bytes32 * 2 == bytes64
 
     def test_non_float_encoders_upcast(self, trajectories):

@@ -412,6 +412,56 @@ class TestQueueIntegration:
                                    service.pairwise(trajectories[:2]))
 
 
+    def test_add_and_knn_never_overlap_inside_the_service(self, trajectories):
+        """``/add`` goes through the queue, between two flushes: a
+        thread-oblivious service behind ``serve-http`` never has its index
+        and cache mutated while a flush is inside ``knn``."""
+
+        class OneAtATime:
+            """An embedding model that notices a second caller inside."""
+
+            output_dim = 2
+
+            def __init__(self):
+                self.inside = self.overlaps = 0
+                self.lock = threading.Lock()
+
+            def encode(self, batch):
+                with self.lock:
+                    self.inside += 1
+                    self.overlaps += self.inside > 1
+                time.sleep(0.004)
+                with self.lock:
+                    self.inside -= 1
+                return np.stack([np.asarray(t)[[0, -1], 0] for t in batch])
+
+        model = OneAtATime()
+        service = SimilarityService(backend=model).add(trajectories[:4])
+        statuses = []
+
+        def post(path, key, shift):
+            for step in range(6):  # fresh content: every call must encode
+                moved = [t + shift + step for t in trajectories[:2]]
+                statuses.append(request_json(
+                    gw, path, {key: as_lists(moved), "k": 1})[0])
+
+        with QueryQueue(service, max_batch=8, max_wait=0.002) as queue:
+            with SimilarityGateway(queue) as gw:
+                threads = [threading.Thread(target=post, args=arguments)
+                           for arguments in (("/add", "trajectories", 1e3),
+                                             ("/add", "trajectories", 2e3),
+                                             ("/knn", "queries", 3e3),
+                                             ("/knn", "queries", 4e3))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                size = request_json(gw, "/stats")[2]["size"]
+        assert statuses == [200] * 24
+        assert size == len(service) == 4 + 2 * 6 * 2
+        assert model.overlaps == 0
+
+
 # ----------------------------------------------------------------------
 # Metrics and health
 # ----------------------------------------------------------------------

@@ -217,6 +217,16 @@ class TestComposition:
             np.testing.assert_array_equal(local_i, remote_i)
             np.testing.assert_allclose(local_d, remote_d)
 
+    def test_server_over_query_queue_accepts_add(self, trajectories):
+        service = SimilarityService(backend="hausdorff").add(trajectories[:5])
+        with QueryQueue(service, max_wait=0.01) as queue:
+            with SimilarityServer(queue) as server:
+                with RemoteSimilarityClient(*server.address) as client:
+                    assert client.add(trajectories[5:8]) == 8
+                    assert len(client) == len(service) == 8
+                    _, ids = client.knn(trajectories[6], k=1)
+        assert ids[0, 0] == 6
+
     def test_server_over_sharded_service(self, local_service, trajectories):
         with ShardedSimilarityService(backend="hausdorff",
                                       num_workers=2) as shards:

@@ -6,10 +6,12 @@ import pytest
 
 from repro.api import (
     SimilarityService,
+    as_backend,
     available_indexes,
     get_backend,
     get_index,
 )
+from repro.api.service import CachedEncoder
 
 from .test_registry import make_trajectories
 
@@ -177,15 +179,63 @@ class TestCache:
     def test_cache_eviction_bounds_memory(self, trajcl_backend, trajectories):
         service = SimilarityService(backend=trajcl_backend, cache_size=4)
         service.encode_batch(trajectories)
-        assert len(service._cache) <= 4
+        assert len(service.encoder.cache) <= 4
 
     def test_cache_key_distinguishes_dtypes(self):
         # Byte-identical buffers under different dtypes must never collide.
         as_float = np.zeros((4, 2), dtype=np.float64)
         as_int = np.zeros((4, 2), dtype=np.int64)
         assert as_float.tobytes() == as_int.tobytes()
-        assert (SimilarityService._cache_key(as_float)
-                != SimilarityService._cache_key(as_int))
+        assert (CachedEncoder.key(as_float)
+                != CachedEncoder.key(as_int))
+
+    def test_concurrent_encodes_lose_no_update(self, trajectories):
+        """The encoder is shared by every thread that calls its owner (a
+        stats probe beside a flush, handler threads of a server): its own
+        lock keeps the LRU and its counters whole, and two callers that
+        miss the same trajectory do not both pay for it."""
+        import sys
+        import threading
+        import time
+
+        class Model:
+            output_dim = 2
+            rows = 0
+
+            def encode(self, batch):
+                self.rows += len(batch)
+                time.sleep(0.0005)  # lets every other caller in
+                return np.stack([np.asarray(t)[[0, -1], 0] for t in batch])
+
+        model = Model()
+        encoder = CachedEncoder(as_backend(model), batch_size=3)
+        expected = np.stack([np.asarray(t)[[0, -1], 0] for t in trajectories])
+        wrong = []
+
+        def caller(offset):
+            for step in range(len(trajectories)):
+                rows = [(offset + step + i) % len(trajectories)
+                        for i in range(4)]
+                got = encoder.encode([trajectories[r] for r in rows])
+                if not np.array_equal(got, expected[rows]):
+                    wrong.append(rows)
+
+        threads = [threading.Thread(target=caller, args=(offset,))
+                   for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        info = encoder.info()
+        assert info.hits + info.misses == 6 * len(trajectories) * 4
+        assert info.misses == info.size == model.rows == len(trajectories)
 
     def test_cache_info_counters(self, trajcl_backend, trajectories):
         service = SimilarityService(backend=trajcl_backend)

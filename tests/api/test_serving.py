@@ -50,7 +50,7 @@ class TestShardedParity:
         d_single, i_single = single_service.knn(queries, k=5)
         d_sharded, i_sharded = sharded_service.knn(queries, k=5)
         np.testing.assert_array_equal(i_single, i_sharded)
-        np.testing.assert_allclose(d_single, d_sharded)
+        np.testing.assert_array_equal(d_single, d_sharded)
 
     def test_knn_parity_with_exclude_and_dedupe(self, single_service,
                                                 sharded_service,
@@ -62,7 +62,7 @@ class TestShardedParity:
             d_sharded, i_sharded = sharded_service.knn(
                 trajectories[3], k=4, **kwargs)
             np.testing.assert_array_equal(i_single, i_sharded)
-            np.testing.assert_allclose(d_single, d_sharded)
+            np.testing.assert_array_equal(d_single, d_sharded)
 
     def test_distance_backend_parity(self, trajectories):
         single = SimilarityService(backend="hausdorff").add(trajectories)
@@ -87,9 +87,9 @@ class TestShardedParity:
     def test_pairwise_matches_single_service(self, single_service,
                                              sharded_service, trajectories):
         queries = trajectories[:4]
-        np.testing.assert_allclose(single_service.pairwise(queries),
-                                   sharded_service.pairwise(queries))
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(single_service.pairwise(queries),
+                                      sharded_service.pairwise(queries))
+        np.testing.assert_array_equal(
             single_service.pairwise(queries, trajectories[:3]),
             sharded_service.pairwise(queries, trajectories[:3]),
         )
@@ -107,7 +107,7 @@ class TestShardedParity:
             d_single, i_single = single.knn(trajectories[9], k=6, exclude=9)
             d_sharded, i_sharded = sharded.knn(trajectories[9], k=6, exclude=9)
             np.testing.assert_array_equal(i_single, i_sharded)
-            np.testing.assert_allclose(d_single, d_sharded)
+            np.testing.assert_array_equal(d_single, d_sharded)
 
     def test_ivf_recall_at_least_single_service(self, trajcl_backend,
                                                 trajectories):
@@ -212,7 +212,7 @@ class TestWireTransportParity:
             d_single, i_single = single_service.knn(queries, k=4)
             d_sharded, i_sharded = service.knn(queries, k=4)
             assert i_single.tobytes() == i_sharded.tobytes()
-            np.testing.assert_allclose(d_single, d_sharded)
+            np.testing.assert_array_equal(d_single, d_sharded)
             stats = service.stats()
             assert stats["transport"]["shm_hits"] > 0
         finally:
@@ -481,6 +481,16 @@ class TestQueueAdmission:
                 future.result(timeout=30)
         assert queue.queue_stats.expired == 1
 
+    def test_add_does_not_wait_out_the_batching_window(self, trajectories):
+        import time
+
+        service = SimilarityService(backend="hausdorff").add(trajectories[:4])
+        with QueryQueue(service, max_wait=10.0) as queue:
+            start = time.monotonic()
+            assert queue.add(trajectories[4:7]) == len(queue) == 7
+            assert time.monotonic() - start < 5.0
+        assert service.knn(trajectories[5], k=1)[1][0, 0] == 5
+
     def test_counters_surface_in_stats(self, single_service, trajectories):
         with QueryQueue(single_service, max_wait=0.01,
                         max_pending=8) as queue:
@@ -557,7 +567,7 @@ class TestUnifiedStats:
             for _ in range(50):
                 got = sharded_service.knn(trajectories[:2], k=3)
                 np.testing.assert_array_equal(got[1], expected[1])
-                np.testing.assert_allclose(got[0], expected[0])
+                np.testing.assert_array_equal(got[0], expected[0])
         finally:
             stop.set()
             thread.join(timeout=30)
