@@ -1,12 +1,19 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest bench-e2e-smoke
+.PHONY: test test-sanitized test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest bench-e2e-smoke
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini).
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The files whose lock discipline is the sharding engine's (one
+# _rpc_lock under both link kinds), slow tests included, with the runtime
+# lock-order sanitizer armed: an ABBA inversion raises instead of
+# deadlocking. CI's `sanitizer` job.
+test-sanitized:
+	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -q -m "" tests/api/test_serving.py tests/api/test_cluster.py tests/api/test_encode_once.py tests/api/test_transport.py tests/api/test_chaos.py tests/analysis
 
 # Everything: lint first (cheapest gate), then the full pytest suite
 # (including the slow serving stress tests) with the runtime lock-order

@@ -14,8 +14,8 @@ All three ride on the held-lock event walk from :mod:`.lockgraph`:
   explicit ``daemon=``: the repo's shutdown paths rely on every thread
   declaring its lifetime intent.
 * **C204 blocking-call-in-lock** — a blocking call (``recv``, ``join``,
-  ``wait``, ``accept``, queue ``get``, transport ``request`` /
-  ``broadcast`` / ``read_reply``, ...) inside a ``with <lock>:`` body.
+  ``wait``, ``accept``, queue ``get``, transport ``request``, ...)
+  inside a ``with <lock>:`` body.
   Calls on the very object being held are exempt
   (``self._condition.wait()`` releases the condition's lock while
   waiting — that is the point of a condition variable).
@@ -55,11 +55,10 @@ RULE_C204 = Rule(
 #: method names that block the calling thread
 _BLOCKING_METHODS = {
     "recv", "recv_into", "accept", "join", "wait", "result",
-    "readexactly", "read_reply", "select", "sleep",
+    "readexactly", "select", "sleep",
 }
 #: module-level helpers in repro.api.transport that block on the socket
-_BLOCKING_FUNCTIONS = {"request", "broadcast", "broadcast_encoded",
-                       "drain_replies", "read_reply"}
+_BLOCKING_FUNCTIONS = {"request"}
 #: ``.get`` / ``.join`` only block when the receiver looks like one of these
 _QUEUE_LIKE = re.compile(r"(queue|pending|_q$|_q\.)", re.IGNORECASE)
 _THREAD_LIKE = re.compile(r"(thread|worker|proc|_t$)", re.IGNORECASE)

@@ -11,8 +11,9 @@ the unlucky interleaving. This validates the static C201 graph (see
 :mod:`.lockgraph`) against what the serving stack actually does under
 test traffic.
 
-Enabled in the slow suite via ``REPRO_LOCK_SANITIZER=1`` (see
-``tests/conftest.py`` and the ``test-all`` make target). Scope notes:
+Enabled via ``REPRO_LOCK_SANITIZER=1`` (see ``tests/conftest.py``; the
+``test-sanitized`` make target CI runs, and the ``test-all`` slow lane).
+Scope notes:
 
 * patching the ``threading`` module globals means everything created
   *after* :func:`enable_lock_sanitizer` is instrumented — including
@@ -276,6 +277,11 @@ class _SanitizedRLock(_SanitizedLock):
 
     def locked(self):
         return self._inner._is_owned()
+
+    def _recursion_count(self):
+        # Not instrumented, only forwarded: CPython's own
+        # multiprocessing.resource_tracker asks its RLock for this.
+        return self._inner._recursion_count()
 
 
 _enabled = False

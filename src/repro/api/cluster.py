@@ -1,8 +1,11 @@
 """Multi-machine serving: replicated shard workers, recovery, failover.
 
-PR 2 sharded the database across worker *processes* on one box; this
-module fans the same stack out across *machines*, still speaking the one
-framed-message protocol from :mod:`repro.api.transport`:
+The sharding engine of :mod:`repro.api.serving`
+(:class:`~repro.api.serving.ShardMergeMixin`: placement, routing with
+failover, write-all ``add``, the merge) runs the same over worker
+*processes* on one box and worker *machines*; this module is the second
+link kind — TCP — and what only a fleet of machines needs: heartbeat,
+replication repair, rejoin and snapshots.
 
 * :class:`ShardWorker` — a standalone TCP server hosting one or more
   *logical shards*, each a local :class:`~repro.api.serving.Shard`. It
@@ -11,20 +14,20 @@ framed-message protocol from :mod:`repro.api.transport`:
   distance backend's name or an embedding backend's four-field
   description — never weights) and the shard assignment, after which
   the worker answers the shard-addressed commands (``add``/``knn``/
-  ``pairwise``/``export``/``host``/``ping``/``leave``). The CLI wrapper
-  is ``python -m repro cluster-worker``;
-* :class:`ClusterCoordinator` — connects to N workers, joins each one,
-  deals the database across the *logical shards*, and merges per-shard
-  top-k with the exact frontier certificate shared with
-  :class:`~repro.api.serving.ShardedSimilarityService` (via
-  :class:`~repro.api.serving.ShardMergeMixin`) — bit-identical to a
-  single service for exact indexes, recall-≥ for IVF. It owns the
-  request, so it holds the only model and embedding cache and feeds its
-  workers vectors ("Encode once" in :mod:`repro.api.serving`). It
-  satisfies the :class:`~repro.api.protocols.KnnService` protocol, so
-  ``QueryQueue``, ``SimilarityServer`` and both remote clients compose
-  with it unchanged (``python -m repro cluster`` is exactly that
-  composition).
+  ``pairwise``/``export``/``host``/``ping``/``leave``) — the table a
+  pipe-fed worker process of
+  :class:`~repro.api.serving.ShardedSimilarityService` answers too. The
+  CLI wrapper is ``python -m repro cluster-worker``;
+* :class:`ClusterCoordinator` — the engine over TCP links: it connects
+  to N workers (with retries), joins each one, and from there deals the
+  database, routes and merges exactly as the process-sharded service
+  does — bit-identical to a single service for exact indexes, recall-≥
+  for IVF. It owns the request, so it holds the only model and
+  embedding cache and feeds its workers vectors ("Encode once" in
+  :mod:`repro.api.serving`). It satisfies the
+  :class:`~repro.api.protocols.KnnService` protocol, so ``QueryQueue``,
+  ``SimilarityServer`` and both remote clients compose with it
+  unchanged (``python -m repro cluster`` is exactly that composition).
 
 Fault tolerance (``replication=R``): each logical shard is placed on R
 distinct workers. ``add`` writes to every replica and commits on the
@@ -36,8 +39,8 @@ replicas, so a kill mid-traffic costs zero failed queries and the
 answers stay bit-identical (replicas hold byte-identical shard state by
 construction). Only when *every* replica of a shard is down does a query
 raise :class:`~repro.api.serving.ShardLostError`; an unreplicated
-cluster (R=1) keeps the legacy capacity-loss semantics instead (the
-degraded shard is skipped and reported via ``stats()``).
+cluster (R=1) loses capacity instead (the degraded shard is skipped and
+reported via ``stats()``) — the engine's policy, the same behind pipes.
 
 Recovery: :meth:`ClusterCoordinator.rejoin` brings a restarted worker
 back — it is re-identified by worker id, restored from a healthy replica
@@ -81,34 +84,24 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..trajectory import as_points
-from ..trajectory.trajectory import TrajectoryLike
 from .backends import backend_state, restore_backend
 from .chaos import ChaosConfig, ChaosTransport
-from .protocols import EMBEDDING, SimilarityBackend, as_backend
-from .indexes import index_is_exact
-from .registry import get_backend
+from .protocols import SimilarityBackend
 from .remote import (
     ThreadedNodeServer,
     install_signal_shutdown,
     parse_address,
     write_ready_file,
 )
-from .service import CachedEncoder, _default_index_for
 from .serving import (
-    Shard,
     ShardLostError,
     ShardMergeMixin,
-    _as_batch,
-    freeze_shard_ids,
-    merge_cache_counters,
-    owner_cache_counters,
-    shard_recipe,
+    _ShardHost,
+    _WorkerLink,
     shard_share,
 )
 from .transport import (
@@ -117,7 +110,6 @@ from .transport import (
     SocketTransport,
     TransportClosed,
     TransportError,
-    merge_transport_stats,
     request,
 )
 
@@ -134,18 +126,12 @@ _SNAPSHOT_KIND = "repro-cluster-snapshot"
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-class ShardWorker(ThreadedNodeServer):
+class ShardWorker(_ShardHost, ThreadedNodeServer):
     """One cluster worker: a TCP server hosting logical shards.
 
-    Boots with no shards; the coordinator's ``join`` carries the shard
-    recipe and the shard assignment, and (re)builds one local
-    :class:`~repro.api.serving.Shard` per assigned shard — a later
-    ``join`` from a new coordinator replaces everything, ``leave`` drops
-    it, ``host`` adds empty shards (the re-replication path). Shard
-    commands address shards explicitly (``add`` maps ``{shard: share}``,
-    ``knn`` asks ``(shards, (queries, fetch))``, in the forms
-    :class:`~repro.api.serving.Shard` takes), so one worker can serve
-    several replicas without ever pooling their ids.
+    Boots with no shards and answers the shard-addressed table of
+    :class:`~repro.api.serving._ShardHost` — the one a pipe-fed worker
+    process answers too — on every connection.
 
     Connections are independent (the coordinator keeps one for requests
     and one for heartbeats); shard commands are serialized through one
@@ -162,135 +148,23 @@ class ShardWorker(ThreadedNodeServer):
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  backlog: int = 16):
         self._lock = threading.Lock()
-        self._services: Dict[int, Shard] = {}
-        self._recipe: Optional[Dict] = None
-        self._worker_id: Optional[str] = None
-        super().__init__(host, port, backlog=backlog)
+        _ShardHost.__init__(self)
+        ThreadedNodeServer.__init__(self, host, port, backlog=backlog)
 
     def _thread_name(self) -> str:
         return f"repro-shard-worker:{self.address[1]}"
 
-    def _build_service(self) -> Shard:
-        if self._recipe is None:
-            raise RuntimeError(
-                "worker holds no shard; the coordinator must send "
-                "'join' first"
-            )
-        return Shard(**self._recipe)
-
     def _handlers(self) -> Dict:
-        def service_for(shard) -> Shard:
-            service = self._services.get(int(shard))
-            if service is None:
-                raise RuntimeError(
-                    f"worker hosts no shard {shard}; the coordinator must "
-                    "send 'join' (or 'host') first"
-                )
-            return service
-
-        def handle_join(payload):
-            self._recipe = {
-                "backend": payload["backend"],
-                "index": payload.get("index"),
-                "index_kwargs": payload.get("index_kwargs"),
-                "service_kwargs": payload.get("service_kwargs"),
-            }
-            self._worker_id = payload.get("worker_id")
-            shards = payload.get("shards")
-            if shards is None:
-                shards = [0]
-            # A re-join replaces the hosted shards wholesale (the dict is
-            # swapped, never mutated, so the lock-free ping can iterate a
-            # stable snapshot).
-            self._services = {int(s): self._build_service() for s in shards}
-            return {"pid": os.getpid(), "worker_id": self._worker_id,
-                    "sizes": {s: len(svc)
-                              for s, svc in self._services.items()}}
-
-        def handle_host(shards):
-            services = dict(self._services)
-            for shard in shards:
-                if int(shard) not in services:
-                    services[int(shard)] = self._build_service()
-            self._services = services
-            return {s: len(svc) for s, svc in self._services.items()}
-
-        def handle_leave(_payload):
-            self._services = {}
-            self._recipe = None
-            return None
-
-        def handle_ping(_payload):
-            services = self._services  # swapped wholesale, safe to iterate
-            return {"joined": bool(services),
-                    "worker_id": self._worker_id,
-                    "size": sum(len(s) for s in services.values())}
-
-        def handle_add(payload):
-            return {shard: service_for(shard).add(items)
-                    for shard, items in payload.items()}
-
-        def handle_knn(payload):
-            shards, asked = payload
-            return {shard: service_for(shard).knn(asked) for shard in shards}
-
-        def handle_pairwise(payload):
-            shards, queries = payload
-            return {shard: service_for(shard).pairwise(queries)
-                    for shard in shards}
-
-        def handle_export(payload):
-            shards, _ = payload
-            if shards is None:
-                shards = sorted(self._services)
-            return {shard: service_for(shard).export() for shard in shards}
-
-        def handle_len(_payload):
-            return sum(len(s) for s in self._services.values())
-
-        def handle_stats(_payload):
-            services = self._services
-            info: Dict = {
-                "type": type(self).__name__,
-                "joined": bool(services),
-                "pid": os.getpid(),
-                "worker_id": self._worker_id,
-                "shards": {s: len(svc) for s, svc in services.items()},
-                "size": sum(len(svc) for svc in services.values()),
-            }
-            if services:
-                per_service = [svc.service.stats()
-                               for svc in services.values()]
-                first = per_service[0]
-                for key in ("backend", "kind", "index"):
-                    if key in first:
-                        info[key] = first[key]
-                if "cache" in first:  # vector-fed shards have none
-                    info["cache"] = merge_cache_counters(
-                        [s["cache"] for s in per_service])
-            return info
-
-        def handle_shutdown(_payload):
-            # Answered like any command; the flag flips in _after_reply,
-            # because close() aborts connections and would otherwise race
-            # this very reply off the wire.
-            return None
-
-        locked = {name: self._locked(fn) for name, fn in {
-            "join": handle_join,
-            "host": handle_host,
-            "leave": handle_leave,
-            "add": handle_add,
-            "knn": handle_knn,
-            "pairwise": handle_pairwise,
-            "export": handle_export,
-            "len": handle_len,
-            "stats": handle_stats,
-        }.items()}
+        handlers = self.shard_handlers()
         # ping/shutdown bypass the shard lock: liveness checks and kill
         # switches must answer while a long request holds the shards busy
-        # (they only read or flip flag state).
-        return {**locked, "ping": handle_ping, "shutdown": handle_shutdown}
+        # (they only read or flip flag state). shutdown is answered like
+        # any command; the flag flips in _after_reply, because close()
+        # aborts connections and would otherwise race this very reply off
+        # the wire.
+        ping = handlers.pop("ping")
+        return {**{name: self._locked(fn) for name, fn in handlers.items()},
+                "ping": ping, "shutdown": lambda _payload: None}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -347,49 +221,22 @@ def run_worker(host: str = "127.0.0.1", port: int = 0,
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-class _WorkerLink:
-    """Coordinator-side state for one shard worker."""
-
-    __slots__ = ("worker", "worker_id", "address", "transport", "heartbeat",
-                 "alive", "reason", "shards", "catchup", "catchup_overflow")
-
-    def __init__(self, worker: int, address: Tuple[str, int],
-                 shards: Sequence[int]):
-        self.worker = worker
-        self.worker_id = f"worker-{worker}"
-        self.address = address
-        self.transport = None
-        self.heartbeat = None
-        self.alive = False
-        self.reason: Optional[str] = None
-        #: logical shards this worker hosts (mirrors coordinator placement)
-        self.shards: List[int] = list(shards)
-        #: per-shard (global_id, points, vector-or-None) adds committed
-        #: while this worker was down — replayed on rejoin, bounded by
-        #: catchup_limit
-        self.catchup: Dict[int, deque] = {}
-        #: shards whose catch-up log overflowed (replay no longer possible)
-        self.catchup_overflow: Set[int] = set()
-
-    @property
-    def label(self) -> str:
-        return f"{self.address[0]}:{self.address[1]}"
-
-
 class ClusterCoordinator(ShardMergeMixin):
     """kNN serving over a database partitioned across remote shard workers.
 
-    The multi-machine sibling of
-    :class:`~repro.api.serving.ShardedSimilarityService`: trajectories
+    The sharding engine (:class:`~repro.api.serving.ShardMergeMixin`)
+    over TCP links — the multi-machine sibling of
+    :class:`~repro.api.serving.ShardedSimilarityService`. Trajectories
     are dealt across ``len(workers)`` logical shards (each placed on
     ``replication`` distinct workers), the shard recipe ships once per
     worker in the ``join`` handshake (an embedding backend stays here,
     its encoder sized by ``batch_size``/``cache_size``), and queries
-    merge per-shard top-k through
-    the shared :class:`~repro.api.serving.ShardMergeMixin` —
-    bit-identical to a single
+    merge per-shard top-k — bit-identical to a single
     :class:`~repro.api.service.SimilarityService` for exact shard
-    indexes, recall-≥ for IVF.
+    indexes, recall-≥ for IVF. What this class adds to the engine is
+    what TCP and a fleet need: connecting with retries, ``chaos``, the
+    heartbeat, re-replication, :meth:`rejoin`, :meth:`save` /
+    :meth:`load`.
 
     ``heartbeat_interval > 0`` starts a background pinger; a worker whose
     process or link has died (pings answer lock-free on the worker, so a
@@ -429,75 +276,29 @@ class ClusterCoordinator(ShardMergeMixin):
         addresses = [parse_address(worker) for worker in workers]
         if not addresses:
             raise ValueError("workers must name at least one host:port")
-        replication = int(replication)
-        if not 1 <= replication <= len(addresses):
-            raise ValueError(
-                f"replication must be between 1 and the worker count "
-                f"({len(addresses)}), got {replication}")
-        if index is not None and not isinstance(index, str):
-            raise TypeError(
-                "cluster workers build one index each; pass the index by "
-                "name (or None for the backend's default)"
-            )
-        if isinstance(backend, str):
-            backend = get_backend(backend, **(backend_kwargs or {}))
-        else:
-            backend = as_backend(backend)
-        self.backend = backend
-        self._encoder = (CachedEncoder(backend, batch_size, cache_size)
-                         if backend.kind == EMBEDDING else None)
-        if index is None:
-            index = _default_index_for(backend)
-        self.index_name = index
-        self._exact_shards = index_is_exact(index)
-        self._index_kwargs = index_kwargs
-        self._batch_size = int(batch_size)
-        self._cache_size = int(cache_size)
+        super().__init__(
+            addresses, backend, index, replication=replication,
+            backend_kwargs=backend_kwargs, index_kwargs=index_kwargs,
+            batch_size=batch_size, cache_size=cache_size,
+            catchup_limit=catchup_limit)
         self.heartbeat_interval = float(heartbeat_interval or 0.0)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.shutdown_workers_on_close = bool(shutdown_workers_on_close)
-        self.replication = replication
         self._connect_retries = int(connect_retries)
         self._connect_wait = float(retry_wait)
-        self._catchup_limit = int(catchup_limit)
         self._rereplicate_enabled = bool(rereplicate)
         self._rereplications = 0
         self._chaos = (ChaosConfig.from_spec(chaos)
                        if isinstance(chaos, str) else chaos)
         self._chaos_children = 0
         self._last_snapshot: Optional[str] = None
-        self._route_counter = 0
-        self._num_shards = len(addresses)
-        # shard s lives on workers placement[s] (R distinct, ring layout);
-        # re-replication and rejoin keep this and link.shards in step.
-        self._placement: List[List[int]] = [
-            [(s + j) % len(addresses) for j in range(replication)]
-            for s in range(self._num_shards)]
-        self._shard_ids: List[List[int]] = [[] for _ in range(self._num_shards)]
-        # Per-shard id arrays the query path reads; refreshed on add.
-        self._shard_id_arrays: List[np.ndarray] = [
-            freeze_shard_ids(()) for _ in range(self._num_shards)]
-        self._size = 0
-        self._closed = False
         self._stop = threading.Event()
         self._heartbeat_thread: Optional[threading.Thread] = None
-        # Serializes every exchange on the request transports: a stats()
-        # probe (e.g. a server's handler thread) must never interleave
-        # frames with a query another thread has in flight.
-        self._rpc_lock = threading.Lock()
-        self._links = [
-            _WorkerLink(worker, address,
-                        [s for s in range(self._num_shards)
-                         if worker in self._placement[s]])
-            for worker, address in enumerate(addresses)]
-
         try:
             for link in self._links:
                 link.transport = self._new_transport(link.address)
                 link.heartbeat = self._new_transport(link.address)
-                request(link.transport, "join", self._join_payload(link),
-                        who=f"cluster worker {link.label}")
-                link.alive = True
+                self._join(link)
         except (TransportError, RemoteCallError):
             self.close()
             raise
@@ -523,16 +324,6 @@ class ClusterCoordinator(ShardMergeMixin):
                 transport, self._chaos.spawn(self._chaos_children))
         return transport
 
-    def _join_payload(self, link: _WorkerLink) -> Dict:
-        return dict(
-            shard_recipe(self.backend, self.index_name, self._index_kwargs,
-                         self._batch_size, self._cache_size),
-            shards=list(link.shards), worker_id=link.worker_id)
-
-    @property
-    def num_workers(self) -> int:
-        return len(self._links)
-
     @property
     def degraded_shards(self) -> List[int]:
         """Shards with *zero* healthy replicas (their data is unreachable)."""
@@ -543,27 +334,6 @@ class ClusterCoordinator(ShardMergeMixin):
         """Shards still served but below the configured replication."""
         return [s for s in range(self._num_shards)
                 if 0 < len(self._replicas(s)) < self.replication]
-
-    @property
-    def shard_sizes(self) -> List[int]:
-        with self._rpc_lock:  # atomic with the add() commit
-            return [len(ids) for ids in self._shard_ids]
-
-    def _replicas(self, shard: int) -> List[_WorkerLink]:
-        """Alive links hosting ``shard``, in placement order."""
-        return [self._links[w] for w in self._placement[shard]
-                if self._links[w].alive]
-
-    def _pick_replica(self, shard: int,
-                      exclude: Sequence[int] = ()) -> Optional[_WorkerLink]:
-        candidates = [link for link in self._replicas(shard)
-                      if link.worker not in exclude]
-        if not candidates:
-            return None
-        # Rotate reads across replicas so load spreads; deterministic in
-        # the call sequence, and irrelevant to results (replicas hold
-        # byte-identical shard state).
-        return candidates[self._route_counter % len(candidates)]
 
     def _resolve_link(self, worker) -> _WorkerLink:
         if isinstance(worker, int):
@@ -580,116 +350,6 @@ class ClusterCoordinator(ShardMergeMixin):
                 if link.address == address:
                     return link
         raise KeyError(f"no cluster worker {worker!r}")
-
-    def _degrade(self, link: _WorkerLink, reason: str) -> None:
-        """Mark a worker dead and sever its channels (idempotent).
-
-        Closing the request transport also unblocks any caller currently
-        waiting on that worker — its ``recv`` raises instead of hanging,
-        and the query re-routes to the surviving replicas.
-        """
-        if not link.alive:
-            return
-        link.alive = False
-        link.reason = str(reason)
-        for transport in (link.transport, link.heartbeat):
-            if transport is not None:
-                try:
-                    transport.close()
-                except Exception:
-                    pass
-
-    def _alive_links(self) -> List[_WorkerLink]:
-        links = [link for link in self._links if link.alive]
-        if not links:
-            raise RuntimeError(
-                f"no alive cluster workers ({len(self._links)} degraded)")
-        return links
-
-    # ------------------------------------------------------------------
-    # Query routing
-    # ------------------------------------------------------------------
-    def _shard_query(self, command, payload):
-        """The :class:`ShardMergeMixin` hook, with replica failover.
-
-        Routes each logical shard to one healthy replica, groups shards
-        by worker, and re-routes mid-request: a worker whose channel
-        fails between frames is degraded in place and its shards are
-        asked again on the surviving replicas instead of aborting the
-        query. A worker that *answers* but reports an error is degraded
-        only when another replica can serve its shards (differential
-        diagnosis: if the alternative also fails, the request itself was
-        bad and the error propagates without degrading anyone). Returns
-        one ``(global_ids, reply)`` entry per answering shard.
-        """
-        if self._closed:
-            raise RuntimeError("coordinator is closed")
-        with self._rpc_lock:
-            answered = self._routed_query(command, payload)
-            if not answered:
-                raise RuntimeError(
-                    "all cluster workers failed; no shards left to answer")
-            return [(self._shard_id_arrays[shard], answered[shard])
-                    for shard in sorted(answered)]
-
-    def _routed_query(self, command, payload) -> Dict[int, object]:
-        """Route/fail-over loop; caller holds ``_rpc_lock``."""
-        self._route_counter += 1
-        remaining = set(range(self._num_shards))
-        tried: Dict[int, Set[int]] = {s: set() for s in remaining}
-        answered: Dict[int, object] = {}
-        while remaining:
-            plan: Dict[int, List[int]] = {}
-            for shard in sorted(remaining):
-                link = self._pick_replica(shard, tried[shard])
-                if link is None:
-                    if self.replication > 1:
-                        raise ShardLostError(
-                            f"shard {shard} has no healthy replica "
-                            f"(replication={self.replication}); rejoin a "
-                            "worker or wait for re-replication")
-                    # Legacy unreplicated semantics: a lost shard costs
-                    # capacity, the survivors still answer.
-                    remaining.discard(shard)
-                    continue
-                plan.setdefault(link.worker, []).append(shard)
-            if not plan:
-                break
-            sent = []
-            for worker in sorted(plan):
-                link, shards = self._links[worker], plan[worker]
-                for shard in shards:
-                    tried[shard].add(worker)
-                try:
-                    link.transport.send((command, (shards, payload)))
-                    sent.append((link, shards))
-                except TransportError as error:
-                    self._degrade(link, f"send failed: {error}")
-            errored = []
-            for link, shards in sent:
-                try:
-                    status, result = link.transport.recv()
-                except TransportError as error:
-                    self._degrade(link, f"recv failed: {error}")
-                    continue
-                if status != OK:
-                    errored.append((link, shards, str(result)))
-                    continue
-                for shard in shards:
-                    answered[shard] = result[shard]
-                    remaining.discard(shard)
-            for link, shards, message in errored:
-                if any(self._pick_replica(shard, tried[shard]) is not None
-                       for shard in shards):
-                    # Another replica can answer: the worker demonstrably
-                    # fails commands its peers serve (ping-alive but
-                    # broken) — degrade it and let the loop re-route.
-                    self._degrade(
-                        link, f"{command} failed on worker: {message}")
-                else:
-                    raise RemoteCallError(
-                        f"cluster worker {link.label} failed:\n{message}")
-        return answered
 
     # ------------------------------------------------------------------
     # Heartbeat + background repair
@@ -755,7 +415,9 @@ class ClusterCoordinator(ShardMergeMixin):
                 target = min(spares, key=lambda l: (len(l.shards), l.worker))
                 source = replicas[0]
                 try:
-                    # repro: allow[C204] repair copies must hold _rpc_lock so the exported shard is consistent with the committed ids; bounded by the worker answering or _degrade
+                    # Repair copies hold _rpc_lock so the exported shard
+                    # is consistent with the committed ids; bounded by
+                    # the worker answering or _degrade.
                     exported = request(
                         source.transport, "export", ([shard], None),
                         who=f"cluster worker {source.label}")[shard]
@@ -769,11 +431,11 @@ class ClusterCoordinator(ShardMergeMixin):
                 if held != len(self._shard_ids[shard]):
                     return False  # torn view; retry next sweep
                 try:
-                    # repro: allow[C204] same repair transaction as the export above; the host/add pair must not interleave with queries
+                    # Same repair transaction: the host/add pair must
+                    # not interleave with queries.
                     request(target.transport, "host", [shard],
                             who=f"cluster worker {target.label}")
                     if held:
-                        # repro: allow[C204] same repair transaction as the export above
                         request(target.transport, "add", {shard: exported},
                                 who=f"cluster worker {target.label}")
                 except TransportError as error:
@@ -787,164 +449,6 @@ class ClusterCoordinator(ShardMergeMixin):
                 self._rereplications += 1
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Database
-    # ------------------------------------------------------------------
-    def add(self, trajectories: Sequence[TrajectoryLike]) -> "ClusterCoordinator":
-        """Deal the trajectories across shards; write-all to the replicas.
-
-        Each trajectory goes to the currently-smallest eligible shard
-        (ties broken by shard id — identical to round-robin while shards
-        are balanced, and self-healing when they are not). Every alive
-        replica of a shard receives the write; the chunk commits on the
-        first ack, replicas that missed it get catch-up log entries
-        (replayed on rejoin), and a chunk *no* replica acked is requeued
-        onto the surviving shards — global ids are independent of shard
-        placement, so the reassignment is invisible to queries. A dead
-        worker can never answer again without a state-rebuilding rejoin,
-        so a write it applied without acking can never surface twice.
-
-        An embedding backend embeds the batch here, once, outside the RPC
-        lock: replication R costs one encode, not R.
-        """
-        if self._closed:
-            raise RuntimeError("coordinator is closed")
-        batch = [as_points(t) for t in _as_batch(trajectories)]
-        if not batch:
-            return self
-        vectors = (self._encoder.encode(batch)
-                   if self._encoder is not None else None)
-        with self._rpc_lock:
-            self._add_locked(batch, vectors)
-        return self
-
-    def _eligible_shards(self) -> List[int]:
-        shards = [s for s in range(self._num_shards) if self._replicas(s)]
-        if not shards:
-            degraded = sum(1 for link in self._links if not link.alive)
-            raise RuntimeError(
-                f"no alive cluster workers ({degraded} degraded)")
-        return shards
-
-    def _add_locked(self, batch: List[np.ndarray], vectors) -> None:
-        eligible = self._eligible_shards()
-        sizes = {s: len(self._shard_ids[s]) for s in eligible}
-        chunks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}
-        base = self._size  # global id of the batch's (and vectors') row 0
-        for offset, points in enumerate(batch):
-            shard = min(eligible, key=lambda s: (sizes[s], s))
-            sizes[shard] += 1
-            chunk = chunks.setdefault(shard, ([], []))
-            chunk[0].append(points)
-            chunk[1].append(base + offset)
-        while chunks:
-            # (Re)plan against the currently-alive replicas.
-            plan: Dict[int, Dict[int, object]] = {}
-            orphans = []
-            for shard in sorted(chunks):
-                replicas = self._replicas(shard)
-                if not replicas:
-                    orphans.append(shard)
-                    continue
-                points, ids = chunks[shard]
-                share = shard_share(points, vectors, [g - base for g in ids])
-                for link in replicas:
-                    plan.setdefault(link.worker, {})[shard] = share
-            if orphans:
-                # Every replica of these shards died before any ack:
-                # requeue the chunks onto shards that can still commit.
-                spilled: List[Tuple[np.ndarray, int]] = []
-                for shard in orphans:
-                    points, ids = chunks.pop(shard)
-                    spilled.extend(zip(points, ids))
-                eligible = self._eligible_shards()
-                sizes = {s: len(self._shard_ids[s]) + len(chunks[s][1])
-                         if s in chunks else len(self._shard_ids[s])
-                         for s in eligible}
-                for points, global_id in spilled:
-                    shard = min(eligible, key=lambda s: (sizes[s], s))
-                    sizes[shard] += 1
-                    chunk = chunks.setdefault(shard, ([], []))
-                    chunk[0].append(points)
-                    chunk[1].append(global_id)
-                continue
-            sent = []
-            for worker in sorted(plan):
-                link = self._links[worker]
-                try:
-                    link.transport.send(("add", plan[worker]))
-                    sent.append(link)
-                except TransportError as error:
-                    self._degrade(link, f"send failed: {error}")
-            acks: Dict[int, int] = {shard: 0 for shard in chunks}
-            errored = []
-            for link in sent:
-                try:
-                    status, result = link.transport.recv()
-                except TransportError as error:
-                    self._degrade(link, f"recv failed: {error}")
-                    continue
-                if status != OK:
-                    errored.append((link, str(result)))
-                    continue
-                for shard in plan[link.worker]:
-                    acks[shard] += 1
-            for link, message in errored:
-                if self.replication > 1:
-                    # The replica *executed* add and failed: its copy may
-                    # be torn. Degrade it — rejoin rebuilds worker state
-                    # from scratch, so the tear cannot survive — and let
-                    # the acked replicas carry the shard.
-                    self._degrade(link, f"add failed on worker: {message}")
-                else:
-                    # Unreplicated: shards now disagree about the
-                    # database. Refuse further use rather than
-                    # misattribute neighbour ids (same policy as the
-                    # process-sharded service).
-                    self.close()
-                    raise RemoteCallError(
-                        "cluster worker add failed:\n" + message)
-            for shard in sorted(chunks):
-                if acks.get(shard, 0) < 1:
-                    continue  # no replica acked; the loop requeues it
-                points, ids = chunks.pop(shard)
-                # Commit the ids AND the size together, still under
-                # _rpc_lock: a concurrent stats() snapshot must always
-                # see sum(shard_sizes) == size, even between requeue
-                # rounds of a partially failed add.
-                # repro: allow[C202] add() wraps this whole method in _rpc_lock; the commit is not reachable any other way
-                self._shard_ids[shard].extend(ids)
-                # repro: allow[C202] same _rpc_lock transaction as the line above
-                self._shard_id_arrays[shard] = freeze_shard_ids(
-                    self._shard_ids[shard])
-                # repro: allow[C202] same _rpc_lock transaction as the line above
-                self._size += len(ids)
-                dead = [self._links[worker]
-                        for worker in self._placement[shard]
-                        if not self._links[worker].alive]
-                if dead:
-                    missed = [(g, pts, None if vectors is None
-                               else vectors[g - base])
-                              for g, pts in zip(ids, points)]
-                    for link in dead:
-                        self._log_catchup(link, shard, missed)
-
-    def _log_catchup(self, link: _WorkerLink, shard: int,
-                     missed: Sequence[Tuple]) -> None:
-        """Record a committed write a dead replica missed (bounded)."""
-        if shard in link.catchup_overflow:
-            return
-        log = link.catchup.setdefault(shard, deque())
-        for entry in missed:
-            if len(log) >= self._catchup_limit:
-                # Overflow: the tail is no longer complete, so replay is
-                # off the table — drop the log (rejoin falls back to a
-                # replica export or a full-coverage snapshot).
-                link.catchup_overflow.add(shard)
-                link.catchup.pop(shard, None)
-                return
-            log.append(entry)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -988,7 +492,9 @@ class ClusterCoordinator(ShardMergeMixin):
             try:
                 transport = self._new_transport(link.address)
                 heartbeat = self._new_transport(link.address)
-                # repro: allow[C204] the rejoin handshake+restore is one transaction under _rpc_lock: queries must not observe a half-restored replica
+                # The handshake and the restore are one transaction
+                # under _rpc_lock: queries must not observe a
+                # half-restored replica.
                 request(transport, "join", self._join_payload(link),
                         who=f"cluster worker {link.label}")
                 restored = {}
@@ -1096,111 +602,14 @@ class ClusterCoordinator(ShardMergeMixin):
             points = [archive[f"traj_{j}"].copy() for j in range(len(ids))]
         return ids, points
 
-    # ``pairwise``/``knn``/``__len__`` come from ShardMergeMixin.
-
     def stats(self) -> Dict:
-        """Cluster health on the shared key set, with per-shard replicas.
-
-        ``"degraded"`` lists shards with *zero* healthy replicas (their
-        data is unreachable), ``"underreplicated"`` those still served
-        but below the replication factor; each ``"shards"`` entry carries
-        its replica set (worker, address, alive, failure reason). Worker-
-        level detail (hosted shards, catch-up backlog) lives under
-        ``"worker_links"``; transport counters aggregate over the alive
-        workers, and so does ``"cache"`` — unless the coordinator embeds,
-        in which case it is its own encoder's.
-        """
-        per_worker: Dict[int, Dict] = {}
-        if not self._closed:
-            with self._rpc_lock:
-                for link in list(self._links):
-                    if not link.alive:
-                        continue
-                    try:
-                        # repro: allow[C204] per-worker stats RPC must hold _rpc_lock to keep frames paired; bounded by the worker answering or _degrade
-                        per_worker[link.worker] = request(
-                            link.transport, "stats",
-                            who=f"cluster worker {link.label}")
-                    except TransportError as error:
-                        self._degrade(link, f"stats failed: {error}")
-                    except RemoteCallError:
-                        pass
-        with self._rpc_lock:  # one atomic snapshot of the bookkeeping
-            shard_sizes = [len(ids) for ids in self._shard_ids]
-            size = self._size
-            placement = [list(hosts) for hosts in self._placement]
-            transport_stats = merge_transport_stats(
-                [link.transport.stats() for link in self._links
-                 if link.alive and link.transport is not None])
-            chaos_stats = self._chaos_stats() if self._chaos else None
-        shards = []
-        for shard in range(self._num_shards):
-            replicas = []
-            for worker in placement[shard]:
-                link = self._links[worker]
-                replica: Dict = {"worker": worker,
-                                 "worker_id": link.worker_id,
-                                 "address": link.label,
-                                 "alive": link.alive}
-                if not link.alive and link.reason:
-                    replica["reason"] = link.reason
-                replicas.append(replica)
-            healthy = sum(1 for replica in replicas if replica["alive"])
-            entry: Dict = {
-                "shard": shard,
-                "size": shard_sizes[shard],
-                "alive": healthy > 0,
-                "healthy_replicas": healthy,
-                "replicas": replicas,
-            }
-            if replicas:
-                entry["address"] = replicas[0]["address"]
-            if healthy == 0:
-                reasons = [replica.get("reason") for replica in replicas
-                           if replica.get("reason")]
-                if reasons:
-                    entry["reason"] = "; ".join(reasons)
-            shards.append(entry)
-        worker_links = []
-        for link in self._links:
-            entry = {
-                "worker": link.worker,
-                "worker_id": link.worker_id,
-                "address": link.label,
-                "alive": link.alive,
-                "shards": sorted(link.shards),
-            }
-            if not link.alive:
-                entry["reason"] = link.reason
-                entry["catchup"] = sum(
-                    len(log) for log in link.catchup.values())
-            info = per_worker.get(link.worker)
-            if info is not None and "cache" in info:
-                entry["cache"] = info["cache"]
-            worker_links.append(entry)
-        result = {
-            "type": type(self).__name__,
-            "backend": self.backend.name,
-            "kind": self.backend.kind,
-            "index": self.index_name or "scan",
-            "size": size,
-            "workers": len(self._links),
-            "alive_workers": sum(1 for link in self._links if link.alive),
-            "replication": self.replication,
-            "degraded": [entry["shard"] for entry in shards
-                         if entry["healthy_replicas"] == 0],
-            "underreplicated": [
-                entry["shard"] for entry in shards
-                if 0 < entry["healthy_replicas"] < self.replication],
-            "rereplications": self._rereplications,
-            "shard_sizes": shard_sizes,
-            "shards": shards,
-            "worker_links": worker_links,
-            "transport": transport_stats,
-            "cache": owner_cache_counters(self._encoder, worker_links),
-        }
-        if chaos_stats is not None:
-            result["chaos"] = chaos_stats
+        """The engine's report plus what only a cluster has: the count of
+        background ``"rereplications"`` and, under fault injection, the
+        ``"chaos"`` tallies."""
+        result = super().stats()
+        result["rereplications"] = self._rereplications
+        if self._chaos:
+            result["chaos"] = self._chaos_stats()
         return result
 
     def _chaos_stats(self) -> Dict:
@@ -1290,6 +699,7 @@ class ClusterCoordinator(ShardMergeMixin):
         replication factor carries over (clamped to the new worker
         count) unless overridden.
         """
+        workers = list(workers)
         with open(os.path.join(directory, MANIFEST_NAME)) as handle:
             manifest = json.load(handle)
         if manifest.get("kind") != _SNAPSHOT_KIND:
@@ -1306,7 +716,7 @@ class ClusterCoordinator(ShardMergeMixin):
         kwargs.setdefault("cache_size", manifest.get("cache_size", 4096))
         kwargs.setdefault("replication",
                           min(int(manifest.get("replication", 1)),
-                              len(list(workers))))
+                              len(workers)))
         coordinator = cls(workers, backend=backend,
                           index=manifest.get("index"), **kwargs)
         try:
@@ -1345,7 +755,6 @@ class ClusterCoordinator(ShardMergeMixin):
         """
         if self._closed:
             return
-        self._closed = True
         if shutdown_workers is None:
             shutdown_workers = self.shutdown_workers_on_close
         self._stop.set()
@@ -1361,68 +770,19 @@ class ClusterCoordinator(ShardMergeMixin):
                     pass
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout=2.0)
-        # Bounded wait for any in-flight RPC; a wedged exchange must delay
-        # close, never block it.
-        acquired = self._rpc_lock.acquire(timeout=5.0)
-        try:
-            for link in self._links:
-                try:
-                    self._farewell(link, shutdown_workers)
-                except Exception:
-                    # A worker that died mid-farewell (FrameError, reset,
-                    # anything) must not break the cascade for the links
-                    # behind it.
-                    pass
-                for transport in (link.transport, link.heartbeat):
-                    if transport is not None:
-                        try:
-                            transport.close()
-                        except Exception:
-                            pass
-        finally:
-            if acquired:
-                self._rpc_lock.release()
-
-    def _farewell(self, link: _WorkerLink, shutdown_workers: bool) -> None:
-        """Best-effort goodbye to one worker; all failures stay inside."""
-        transport = link.transport if link.alive else None
-        if transport is None and shutdown_workers:
+        super().close(shutdown_workers)
+        if not shutdown_workers:
+            return
+        for link in self._links:
+            if link.alive:
+                continue
             # A degraded worker may still be running (only its link
             # died); a cascade shutdown owes it a fresh, short-lived
             # connection attempt.
             try:
-                transport = SocketTransport.connect(
-                    *link.address, timeout=1.0)
+                transport = SocketTransport.connect(*link.address,
+                                                    timeout=1.0)
             except (TransportError, OSError):
-                return
-            link.transport = transport  # closed by close()'s sweep
-        if transport is None:
-            return
-        for command in (("shutdown",) if shutdown_workers
-                        else ("leave", "stop")):
-            try:
-                transport.send((command, None))
-                if transport.poll(1.0):
-                    transport.recv()
-            except Exception:
-                break
-
-    def __enter__(self) -> "ClusterCoordinator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        alive = sum(1 for link in self._links if link.alive)
-        return (
-            f"ClusterCoordinator(backend={self.backend.name!r}, "
-            f"index={self.index_name!r}, replication={self.replication}, "
-            f"workers={alive}/{len(self._links)} alive, size={self._size})"
-        )
+                continue
+            self._farewell(transport, ("shutdown",))
+            transport.close()

@@ -1,15 +1,21 @@
-"""The concurrent serving layer: sharded kNN workers and a query batcher.
+"""The concurrent serving layer: the sharding engine and a query batcher.
 
 Two compositions turn the single-process :class:`SimilarityService` into
 the scalable serving path the ROADMAP calls for:
 
-* :class:`ShardedSimilarityService` — partitions the database across N
-  worker *processes* (each a :class:`Shard`: a ``SimilarityService``
-  with its own index over a slice of the database), fans
-  ``add``/``knn``/``pairwise`` out over :mod:`~repro.api.transport`
-  channels, and merges per-shard top-k with distance-then-id
-  tie-breaking. For exact indexes the merged result is identical to a
-  single service over the same database;
+* :class:`ShardMergeMixin` — the one sharding engine. It deals the
+  database across logical shards (each a :class:`Shard`: a
+  ``SimilarityService`` with its own index over a slice of the
+  database, hosted by a worker's :class:`_ShardHost`), routes
+  ``add``/``knn``/``pairwise`` to them over
+  :class:`~repro.api.transport.Transport` links, fails over, and merges
+  per-shard top-k with distance-then-id tie-breaking — for exact
+  indexes the merged result is identical to a single service over the
+  same database. It has two link kinds:
+  :class:`ShardedSimilarityService` here (worker *processes* on pipes
+  with shared memory) and
+  :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* on
+  TCP, with heartbeat, replication and recovery);
 * :class:`QueryQueue` — coalesces many concurrent ``knn`` (and
   ``pairwise``) calls into batched service calls (up to ``max_batch``
   queries per flush, waiting at most ``max_wait`` seconds for
@@ -37,19 +43,19 @@ store and search *vectors*: a worker is sent a four-field
 deals ``(points, vectors)`` and ``knn``/``pairwise`` fan out one
 ``(N, d)`` array. A distance backend is only a name: it travels whole
 and its shards are asked with trajectories. ``backend.kind`` decides.
-All shard traffic flows through the
-:class:`~repro.api.transport.Transport` abstraction — the workers never
-know whether a pipe or a socket sits underneath, which is what lets
-:mod:`repro.api.remote` serve the same stack over TCP.
+Neither the engine nor a worker knows whether a pipe or a socket sits
+under a link.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import threading
 import time
 from collections import deque, namedtuple
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from multiprocessing import resource_tracker
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -64,14 +70,13 @@ from .registry import get_backend
 from .service import CachedEncoder, SimilarityService, _default_index_for
 from . import wire
 from .transport import (
+    OK,
     PipeTransport,
     RemoteCallError,
     ServiceNode,
     TransportError,
-    broadcast,
-    broadcast_encoded,
     merge_transport_stats,
-    read_reply,
+    request,
 )
 
 #: one batch-normalization rule shared with the single-process service —
@@ -108,8 +113,9 @@ class ShardLostError(RuntimeError):
     Raised by a *replicated* cluster (``replication >= 2``) instead of
     silently answering from the surviving shards — a replicated caller
     asked for durability, so a shrunken answer would be a lie. An
-    unreplicated cluster keeps the legacy capacity-loss semantics
-    (degraded shards are skipped and reported via ``stats()``). The
+    unreplicated service (a cluster at R=1, every process-sharded one)
+    loses capacity instead: degraded shards are skipped and reported via
+    ``stats()``. The
     HTTP gateway maps this to ``503``; the shard becomes reachable
     again through :meth:`~repro.api.cluster.ClusterCoordinator.rejoin`
     or background re-replication.
@@ -129,7 +135,7 @@ def owner_cache_counters(encoder: Optional[CachedEncoder],
                          entries: Sequence[Dict]) -> Dict:
     """The ``"cache"`` of a sharded owner's ``stats()``: its own encoder's
     when it embeds (vector-fed shards report none), else the sum over the
-    per-shard or per-worker ``entries`` that report one."""
+    per-worker ``entries`` that report one."""
     if encoder is not None:
         return encoder.info()._asdict()
     return merge_cache_counters(
@@ -177,8 +183,7 @@ def shard_share(points: List[np.ndarray], vectors, rows=slice(None)):
 
 
 class Shard:
-    """One shard as both hosts run it (a pipe-fed process here, a
-    :class:`~repro.api.cluster.ShardWorker` over TCP): a
+    """One logical shard as every worker runs it: a
     :class:`SimilarityService` over a slice of the database, plus the
     translation between what crosses the wire and what the service takes.
 
@@ -233,31 +238,148 @@ class Shard:
         return points, (held.rows if held is not None else np.empty((0, 0)))
 
 
-def _shard_worker(transport, recipe: Dict) -> None:
-    """One pipe-fed shard process.
+class _ShardHost:
+    """The logical shards one worker hosts and the commands it answers —
+    the one table both kinds of worker serve: a pipe-fed process
+    (:func:`_shard_worker`) on its pipe, a
+    :class:`~repro.api.cluster.ShardWorker` on every TCP connection.
 
-    A :class:`~repro.api.transport.ServiceNode` answers the parent's
-    ``(command, payload)`` requests until the parent sends ``stop`` or
-    hangs up.
+    A host boots empty; the owner's ``join`` carries the shard recipe
+    (:func:`shard_recipe`) and the shard assignment, and (re)builds one
+    :class:`Shard` per assigned shard — a later ``join`` from a new owner
+    replaces everything, ``leave`` drops it, ``host`` adds empty shards
+    (the re-replication path). Shard commands address shards explicitly
+    (``add`` maps ``{shard: share}``, ``knn`` asks ``(shards, (queries,
+    fetch))``, in the forms :class:`Shard` takes), so one worker can serve
+    several replicas without ever pooling their ids.
     """
-    import traceback
 
-    try:
-        shard = Shard(**recipe)
-        transport.send(("ok", None))
-    except Exception:
-        transport.send(("error", traceback.format_exc()))
-        return
+    def __init__(self):
+        self._services: Dict[int, Shard] = {}
+        self._recipe: Optional[Dict] = None
+        self._worker_id: Optional[str] = None
 
-    node = ServiceNode(transport, {
-        "add": shard.add,
-        "knn": shard.knn,
-        "pairwise": shard.pairwise,
-        "len": lambda _payload: len(shard),
-        "stats": lambda _payload: shard.service.stats(),
-    })
+    def _build_service(self) -> Shard:
+        if self._recipe is None:
+            raise RuntimeError(
+                "worker holds no shard; the coordinator must send "
+                "'join' first"
+            )
+        return Shard(**self._recipe)
+
+    def shard_handlers(self) -> Dict:
+        """``{command: handler(payload)}``, for a
+        :class:`~repro.api.transport.ServiceNode`."""
+        def service_for(shard) -> Shard:
+            service = self._services.get(int(shard))
+            if service is None:
+                raise RuntimeError(
+                    f"worker hosts no shard {shard}; the coordinator must "
+                    "send 'join' (or 'host') first"
+                )
+            return service
+
+        def handle_join(payload):
+            self._recipe = {
+                "backend": payload["backend"],
+                "index": payload.get("index"),
+                "index_kwargs": payload.get("index_kwargs"),
+                "service_kwargs": payload.get("service_kwargs"),
+            }
+            self._worker_id = payload.get("worker_id")
+            shards = payload.get("shards")
+            if shards is None:
+                shards = [0]
+            # A re-join replaces the hosted shards wholesale (the dict is
+            # swapped, never mutated, so the lock-free ping can iterate a
+            # stable snapshot).
+            self._services = {int(s): self._build_service() for s in shards}
+            return {"pid": os.getpid(), "worker_id": self._worker_id,
+                    "sizes": {s: len(svc)
+                              for s, svc in self._services.items()}}
+
+        def handle_host(shards):
+            services = dict(self._services)
+            for shard in shards:
+                if int(shard) not in services:
+                    services[int(shard)] = self._build_service()
+            self._services = services
+            return {s: len(svc) for s, svc in self._services.items()}
+
+        def handle_leave(_payload):
+            self._services = {}
+            self._recipe = None
+            return None
+
+        def handle_ping(_payload):
+            services = self._services  # swapped wholesale, safe to iterate
+            return {"joined": bool(services),
+                    "worker_id": self._worker_id,
+                    "size": sum(len(s) for s in services.values())}
+
+        def handle_add(payload):
+            return {shard: service_for(shard).add(items)
+                    for shard, items in payload.items()}
+
+        def handle_knn(payload):
+            shards, asked = payload
+            return {shard: service_for(shard).knn(asked) for shard in shards}
+
+        def handle_pairwise(payload):
+            shards, queries = payload
+            return {shard: service_for(shard).pairwise(queries)
+                    for shard in shards}
+
+        def handle_export(payload):
+            shards, _ = payload
+            if shards is None:
+                shards = sorted(self._services)
+            return {shard: service_for(shard).export() for shard in shards}
+
+        def handle_len(_payload):
+            return sum(len(s) for s in self._services.values())
+
+        def handle_stats(_payload):
+            services = self._services
+            info: Dict = {
+                "type": type(self).__name__,
+                "joined": bool(services),
+                "pid": os.getpid(),
+                "worker_id": self._worker_id,
+                "shards": {s: len(svc) for s, svc in services.items()},
+                "size": sum(len(svc) for svc in services.values()),
+            }
+            if services:
+                per_service = [svc.service.stats()
+                               for svc in services.values()]
+                first = per_service[0]
+                for key in ("backend", "kind", "index"):
+                    if key in first:
+                        info[key] = first[key]
+                if "cache" in first:  # vector-fed shards have none
+                    info["cache"] = merge_cache_counters(
+                        [s["cache"] for s in per_service])
+            return info
+
+        return {
+            "join": handle_join,
+            "host": handle_host,
+            "leave": handle_leave,
+            "add": handle_add,
+            "knn": handle_knn,
+            "pairwise": handle_pairwise,
+            "export": handle_export,
+            "len": handle_len,
+            "stats": handle_stats,
+            "ping": handle_ping,
+        }
+
+
+def _shard_worker(transport) -> None:
+    """One pipe-fed shard process: a :class:`_ShardHost` answering on its
+    one pipe until the parent sends ``stop`` or hangs up."""
     try:
-        node.serve_forever()
+        ServiceNode(transport, _ShardHost().shard_handlers()).serve_forever()
     finally:
         # unlinks any shared-memory segments the last reply parked in
         # /dev/shm — the parent has decoded them by the time it stops us
@@ -265,39 +387,554 @@ def _shard_worker(transport, recipe: Dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Shared fan-out/merge logic
+# Owner side: the one fan-out engine
 # ----------------------------------------------------------------------
+class _WorkerLink:
+    """Owner-side state for one shard worker."""
+
+    __slots__ = ("worker", "worker_id", "address", "transport", "heartbeat",
+                 "alive", "reason", "shards", "catchup", "catchup_overflow")
+
+    def __init__(self, worker: int, address: Optional[Tuple[str, int]],
+                 shards: Sequence[int]):
+        self.worker = worker
+        self.worker_id = f"worker-{worker}"
+        #: ``(host, port)`` of a TCP worker; a pipe has none
+        self.address = address
+        self.transport = None
+        self.heartbeat = None
+        self.alive = False
+        self.reason: Optional[str] = None
+        #: logical shards this worker hosts (mirrors the owner's placement)
+        self.shards: List[int] = list(shards)
+        #: per-shard (global_id, points, vector-or-None) adds committed
+        #: while this worker was down — replayed on rejoin, bounded by
+        #: catchup_limit
+        self.catchup: Dict[int, deque] = {}
+        #: shards whose catch-up log overflowed (replay no longer possible)
+        self.catchup_overflow: Set[int] = set()
+
+    @property
+    def label(self) -> str:
+        if self.address is None:
+            return self.worker_id
+        return f"{self.address[0]}:{self.address[1]}"
+
+
 class ShardMergeMixin:
-    """Query-side fan-out and merge shared by every sharded service.
+    """The sharding engine under every sharded service: route, fail over,
+    merge.
 
-    :class:`ShardedSimilarityService` (worker *processes* over pipes) and
-    :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* over
-    sockets) differ only in how a command reaches the shards. The merge —
-    per-shard over-fetch, distance-then-id ordering, and the frontier
-    certificate that makes exact shard indexes bit-identical to one
-    unsharded service — lives here once, so the two can never drift.
+    :class:`ShardedSimilarityService` (worker *processes* on pipes) and
+    :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* on
+    sockets) differ only in how a command reaches the shards: each puts
+    one connected :class:`~repro.api.transport.Transport` per worker in
+    ``link.transport`` and calls :meth:`_join`. Everything after that is
+    here, once — ``len(workers)`` logical shards placed on ``replication``
+    workers each, the id bookkeeping, :meth:`_shard_query` (one healthy
+    replica per shard, re-routed mid-request), the write-all :meth:`add`,
+    :meth:`stats`, the bounded :meth:`close`, and the merge: per-shard
+    over-fetch, distance-then-id ordering and the frontier certificate
+    that makes exact shard indexes bit-identical to one unsharded service.
 
-    Subclass contract:
+    Every exchange on the request transports, and every commit of the id
+    bookkeeping, happens under ``_rpc_lock``: a ``stats()`` probe from a
+    server's handler thread can never interleave frames with a query
+    another thread has in flight, nor see ``shard_sizes`` sum to anything
+    but ``size``. The owner's encoder runs outside the lock.
 
-    * ``self._size`` — total database size (global ids ``0.._size-1``);
-    * ``self._exact_shards`` — False when shard indexes answer
-      approximately (IVF), which disables the frontier certificate;
-    * ``self.backend`` — for ad-hoc ``pairwise`` against an explicit
-      database;
-    * ``self._encoder`` — the owner's
-      :class:`~repro.api.service.CachedEncoder` (the shards are asked
-      with vectors, embedded here once per call, outside any RPC lock),
-      or ``None`` for a distance backend;
-    * ``_shard_query(command, payload)`` — deliver one command to every
-      reachable shard and return ``[(global_ids, reply), ...]`` for the
-      shards that answered, raising only when none can. A subclass with
-      failover (the cluster coordinator) may return fewer entries than it
-      has shards; the merge then covers whatever survived. A subclass
-      with *replicated* shards must return at most one entry per logical
-      shard — whichever replica answered — since a duplicated id pool
-      would break the bit-exactness certificate.
+    One failure policy for both link kinds. A worker whose channel fails
+    is degraded in place (transports closed, the reason kept for
+    ``stats()``) and not spoken to again. With ``replication >= 2`` its
+    shards are re-asked on the surviving replicas and a shard with none
+    left raises :class:`ShardLostError`; with ``replication == 1`` the
+    shard is listed in ``stats()["degraded"]``, queries answer from the
+    survivors, ``add`` requeues onto them, and only every worker dead
+    raises. A worker that *answers* with an error is a different matter:
+    the error propagates, and nobody is degraded unless another replica
+    serves what it could not.
     """
 
+    def __init__(
+        self,
+        workers: Sequence[Optional[Tuple[str, int]]],
+        backend: Union[str, SimilarityBackend, object],
+        index: Optional[str],
+        *,
+        replication: int = 1,
+        backend_kwargs: Optional[Dict] = None,
+        index_kwargs: Optional[Dict] = None,
+        batch_size: int = 256,
+        cache_size: int = 4096,
+        catchup_limit: int = 4096,
+    ):
+        """``workers`` holds one entry per link: a TCP worker's ``(host,
+        port)``, ``None`` for a pipe. No link is connected yet."""
+        replication = int(replication)
+        if not 1 <= replication <= len(workers):
+            raise ValueError(
+                f"replication must be between 1 and the worker count "
+                f"({len(workers)}), got {replication}")
+        if index is not None and not isinstance(index, str):
+            raise TypeError(
+                "shard workers build one index each; pass the index by "
+                "name (or None for the backend's default)"
+            )
+        if isinstance(backend, str):
+            backend = get_backend(backend, **(backend_kwargs or {}))
+        else:
+            backend = as_backend(backend)
+        self.backend = backend
+        # The only model and embedding cache: the shards are asked with
+        # vectors, embedded here once per call, outside the RPC lock.
+        self._encoder = (CachedEncoder(backend, batch_size, cache_size)
+                         if backend.kind == EMBEDDING else None)
+        if index is None:
+            # Resolve the backend's default here so the name is reportable
+            # and the workers build exactly what a single service would.
+            index = _default_index_for(backend)
+        self.index_name = index
+        # Approximate shards (ivf/pq/int8/hnsw) answer from probed cells,
+        # codes or a beam; the merge certificate is only meaningful over
+        # exact shard indexes — the registry knows which is which.
+        self._exact_shards = index_is_exact(index)
+        self._index_kwargs = index_kwargs
+        self._batch_size = int(batch_size)
+        self._cache_size = int(cache_size)
+        self.replication = replication
+        self._catchup_limit = int(catchup_limit)
+        self._route_counter = 0
+        self._num_shards = len(workers)
+        # shard s lives on workers placement[s] (R distinct, ring layout);
+        # re-replication and rejoin keep this and link.shards in step.
+        self._placement: List[List[int]] = [
+            [(s + j) % len(workers) for j in range(replication)]
+            for s in range(self._num_shards)]
+        self._shard_ids: List[List[int]] = [[] for _ in range(self._num_shards)]
+        # Per-shard id arrays the query path reads; refreshed on add.
+        self._shard_id_arrays: List[np.ndarray] = [
+            freeze_shard_ids(()) for _ in range(self._num_shards)]
+        self._size = 0
+        self._closed = False
+        self._rpc_lock = threading.Lock()
+        self._links = [
+            _WorkerLink(worker, address,
+                        [s for s in range(self._num_shards)
+                         if worker in self._placement[s]])
+            for worker, address in enumerate(workers)]
+
+    # ------------------------------------------------------------------
+    # Links / placement
+    # ------------------------------------------------------------------
+    def _join_payload(self, link: _WorkerLink) -> Dict:
+        return dict(
+            shard_recipe(self.backend, self.index_name, self._index_kwargs,
+                         self._batch_size, self._cache_size),
+            shards=list(link.shards), worker_id=link.worker_id)
+
+    def _join(self, link: _WorkerLink) -> None:
+        """Make the worker at the far end of ``link.transport`` a serving
+        one: ship it the recipe and its shard assignment."""
+        request(link.transport, "join", self._join_payload(link),
+                who=f"shard worker {link.label}")
+        link.alive = True
+
+    @property
+    def num_workers(self) -> int:
+        return len(self._links)
+
+    @property
+    def shard_sizes(self) -> List[int]:
+        """Number of database trajectories in each logical shard."""
+        with self._rpc_lock:  # atomic with the add() commit
+            return [len(ids) for ids in self._shard_ids]
+
+    def _replicas(self, shard: int) -> List[_WorkerLink]:
+        """Alive links hosting ``shard``, in placement order."""
+        return [self._links[w] for w in self._placement[shard]
+                if self._links[w].alive]
+
+    def _pick_replica(self, shard: int,
+                      exclude: Sequence[int] = ()) -> Optional[_WorkerLink]:
+        candidates = [link for link in self._replicas(shard)
+                      if link.worker not in exclude]
+        if not candidates:
+            return None
+        # Rotate reads across replicas so load spreads; deterministic in
+        # the call sequence, and irrelevant to results (replicas hold
+        # byte-identical shard state).
+        return candidates[self._route_counter % len(candidates)]
+
+    def _degrade(self, link: _WorkerLink, reason: str) -> None:
+        """Mark a worker dead and sever its channels (idempotent).
+
+        Closing the request transport also unblocks any caller currently
+        waiting on that worker — its ``recv`` raises instead of hanging,
+        and the query re-routes to the surviving replicas.
+        """
+        if not link.alive:
+            return
+        link.alive = False
+        link.reason = str(reason)
+        for transport in (link.transport, link.heartbeat):
+            if transport is not None:
+                try:
+                    transport.close()
+                except Exception:
+                    pass
+
+    # ------------------------------------------------------------------
+    # Query routing
+    # ------------------------------------------------------------------
+    def _shard_query(self, command, payload):
+        """Deliver one command to every reachable shard, with failover.
+
+        Routes each logical shard to one healthy replica, groups shards
+        by worker, and re-routes mid-request: a worker whose channel
+        fails between frames is degraded in place and its shards are
+        asked again on the surviving replicas instead of aborting the
+        query. A worker that *answers* but reports an error is degraded
+        only when another replica can serve its shards (differential
+        diagnosis: if the alternative also fails, the request itself was
+        bad and the error propagates without degrading anyone). Returns
+        one ``(global_ids, reply)`` entry per answering shard — never two
+        for one shard, since a duplicated id pool would break the merge's
+        bit-exactness certificate — and raises only when none answered.
+        """
+        if self._closed:
+            raise RuntimeError("service is closed")
+        with self._rpc_lock:
+            answered = self._routed_query(command, payload)
+            if not answered:
+                raise RuntimeError(
+                    "all shard workers failed; no shards left to answer")
+            return [(self._shard_id_arrays[shard], answered[shard])
+                    for shard in sorted(answered)]
+
+    def _routed_query(self, command, payload) -> Dict[int, object]:
+        """Route/fail-over loop; caller holds ``_rpc_lock``."""
+        self._route_counter += 1
+        remaining = set(range(self._num_shards))
+        tried: Dict[int, Set[int]] = {s: set() for s in remaining}
+        answered: Dict[int, object] = {}
+        while remaining:
+            plan: Dict[int, List[int]] = {}
+            for shard in sorted(remaining):
+                link = self._pick_replica(shard, tried[shard])
+                if link is None:
+                    if self.replication > 1:
+                        raise ShardLostError(
+                            f"shard {shard} has no healthy replica "
+                            f"(replication={self.replication}); rejoin a "
+                            "worker or wait for re-replication")
+                    # Unreplicated: a lost shard costs capacity, the
+                    # survivors still answer.
+                    remaining.discard(shard)
+                    continue
+                plan.setdefault(link.worker, []).append(shard)
+            if not plan:
+                break
+            sent = []
+            for worker in sorted(plan):
+                link, shards = self._links[worker], plan[worker]
+                for shard in shards:
+                    tried[shard].add(worker)
+                try:
+                    link.transport.send((command, (shards, payload)))
+                    sent.append((link, shards))
+                except TransportError as error:
+                    self._degrade(link, f"send failed: {error}")
+            errored = []
+            for link, shards in sent:
+                try:
+                    status, result = link.transport.recv()
+                except TransportError as error:
+                    self._degrade(link, f"recv failed: {error}")
+                    continue
+                if status != OK:
+                    errored.append((link, shards, str(result)))
+                    continue
+                for shard in shards:
+                    answered[shard] = result[shard]
+                    remaining.discard(shard)
+            for link, shards, message in errored:
+                if any(self._pick_replica(shard, tried[shard]) is not None
+                       for shard in shards):
+                    # Another replica can answer: the worker demonstrably
+                    # fails commands its peers serve (ping-alive but
+                    # broken) — degrade it and let the loop re-route.
+                    self._degrade(
+                        link, f"{command} failed on worker: {message}")
+                else:
+                    raise RemoteCallError(
+                        f"shard worker {link.label} failed:\n{message}")
+        return answered
+
+    # ------------------------------------------------------------------
+    # Database
+    # ------------------------------------------------------------------
+    def add(self, trajectories: Sequence[TrajectoryLike]):
+        """Deal the trajectories across shards; write-all to the replicas.
+
+        Each trajectory goes to the currently-smallest eligible shard
+        (ties broken by shard id — identical to round-robin while shards
+        are balanced, and self-healing when they are not). Every alive
+        replica of a shard receives the write; the chunk commits on the
+        first ack, replicas that missed it get catch-up log entries
+        (replayed on rejoin), and a chunk *no* replica acked is requeued
+        onto the surviving shards — global ids are independent of shard
+        placement, so the reassignment is invisible to queries. A dead
+        worker can never answer again without a state-rebuilding rejoin,
+        so a write it applied without acking can never surface twice.
+
+        An embedding backend embeds the batch here, once, outside the RPC
+        lock: replication R costs one encode, not R.
+        """
+        if self._closed:
+            raise RuntimeError("service is closed")
+        batch = [as_points(t) for t in _as_batch(trajectories)]
+        if not batch:
+            return self
+        vectors = (self._encoder.encode(batch)
+                   if self._encoder is not None else None)
+        try:
+            with self._rpc_lock:
+                self._add_locked(batch, vectors)
+        except RemoteCallError:
+            # An unreplicated worker executed its add and failed: the
+            # shards now disagree about the database. Refuse further use
+            # rather than misattribute neighbour ids.
+            self.close()
+            raise
+        return self
+
+    def _eligible_shards(self) -> List[int]:
+        shards = [s for s in range(self._num_shards) if self._replicas(s)]
+        if not shards:
+            degraded = sum(1 for link in self._links if not link.alive)
+            raise RuntimeError(
+                f"no alive shard workers ({degraded} degraded)")
+        return shards
+
+    def _add_locked(self, batch: List[np.ndarray], vectors) -> None:
+        eligible = self._eligible_shards()
+        sizes = {s: len(self._shard_ids[s]) for s in eligible}
+        chunks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}
+        base = self._size  # global id of the batch's (and vectors') row 0
+        for offset, points in enumerate(batch):
+            shard = min(eligible, key=lambda s: (sizes[s], s))
+            sizes[shard] += 1
+            chunk = chunks.setdefault(shard, ([], []))
+            chunk[0].append(points)
+            chunk[1].append(base + offset)
+        while chunks:
+            # (Re)plan against the currently-alive replicas.
+            plan: Dict[int, Dict[int, object]] = {}
+            orphans = []
+            for shard in sorted(chunks):
+                replicas = self._replicas(shard)
+                if not replicas:
+                    orphans.append(shard)
+                    continue
+                points, ids = chunks[shard]
+                share = shard_share(points, vectors, [g - base for g in ids])
+                for link in replicas:
+                    plan.setdefault(link.worker, {})[shard] = share
+            if orphans:
+                # Every replica of these shards died before any ack:
+                # requeue the chunks onto shards that can still commit.
+                spilled: List[Tuple[np.ndarray, int]] = []
+                for shard in orphans:
+                    points, ids = chunks.pop(shard)
+                    spilled.extend(zip(points, ids))
+                eligible = self._eligible_shards()
+                sizes = {s: len(self._shard_ids[s]) + len(chunks[s][1])
+                         if s in chunks else len(self._shard_ids[s])
+                         for s in eligible}
+                for points, global_id in spilled:
+                    shard = min(eligible, key=lambda s: (sizes[s], s))
+                    sizes[shard] += 1
+                    chunk = chunks.setdefault(shard, ([], []))
+                    chunk[0].append(points)
+                    chunk[1].append(global_id)
+                continue
+            sent = []
+            for worker in sorted(plan):
+                link = self._links[worker]
+                try:
+                    link.transport.send(("add", plan[worker]))
+                    sent.append(link)
+                except TransportError as error:
+                    self._degrade(link, f"send failed: {error}")
+            acks: Dict[int, int] = {shard: 0 for shard in chunks}
+            errored = []
+            for link in sent:
+                try:
+                    status, result = link.transport.recv()
+                except TransportError as error:
+                    self._degrade(link, f"recv failed: {error}")
+                    continue
+                if status != OK:
+                    errored.append((link, str(result)))
+                    continue
+                for shard in plan[link.worker]:
+                    acks[shard] += 1
+            for link, message in errored:
+                if self.replication == 1:
+                    raise RemoteCallError(
+                        f"shard worker {link.label} add failed:\n{message}")
+                # The replica *executed* add and failed: its copy may be
+                # torn. Degrade it — rejoin rebuilds worker state from
+                # scratch, so the tear cannot survive — and let the acked
+                # replicas carry the shard.
+                self._degrade(link, f"add failed on worker: {message}")
+            for shard in sorted(chunks):
+                if acks.get(shard, 0) < 1:
+                    continue  # no replica acked; the loop requeues it
+                points, ids = chunks.pop(shard)
+                # Commit the ids AND the size together, still under
+                # _rpc_lock: a concurrent stats() snapshot must always
+                # see sum(shard_sizes) == size, even between requeue
+                # rounds of a partially failed add.
+                # repro: allow[C202] add() wraps this whole method in _rpc_lock; the commit is not reachable any other way
+                self._shard_ids[shard].extend(ids)
+                # repro: allow[C202] same _rpc_lock transaction as the line above
+                self._shard_id_arrays[shard] = freeze_shard_ids(
+                    self._shard_ids[shard])
+                # repro: allow[C202] same _rpc_lock transaction as the line above
+                self._size += len(ids)
+                dead = [self._links[worker]
+                        for worker in self._placement[shard]
+                        if not self._links[worker].alive]
+                if dead:
+                    missed = [(g, pts, None if vectors is None
+                               else vectors[g - base])
+                              for g, pts in zip(ids, points)]
+                    for link in dead:
+                        self._log_catchup(link, shard, missed)
+
+    def _log_catchup(self, link: _WorkerLink, shard: int,
+                     missed: Sequence[Tuple]) -> None:
+        """Record a committed write a dead replica missed (bounded)."""
+        if shard in link.catchup_overflow:
+            return
+        log = link.catchup.setdefault(shard, deque())
+        for entry in missed:
+            if len(log) >= self._catchup_limit:
+                # Overflow: the tail is no longer complete, so replay is
+                # off the table — drop the log (rejoin falls back to a
+                # replica export or a full-coverage snapshot).
+                link.catchup_overflow.add(shard)
+                link.catchup.pop(shard, None)
+                return
+            log.append(entry)
+
+    # ------------------------------------------------------------------
+    # Health
+    # ------------------------------------------------------------------
+    def stats(self) -> Dict:
+        """Serving health on the shared key set, with per-shard replicas.
+
+        ``"degraded"`` lists shards with *zero* healthy replicas (their
+        data is unreachable), ``"underreplicated"`` those still served
+        but below the replication factor; each ``"shards"`` entry carries
+        its replica set (worker, address, alive, failure reason). Worker-
+        level detail (hosted shards, catch-up backlog) lives under
+        ``"worker_links"``; transport counters aggregate over the alive
+        workers, and so does ``"cache"`` — unless the owner embeds, in
+        which case it is its own encoder's.
+        """
+        per_worker: Dict[int, Dict] = {}
+        if not self._closed:
+            with self._rpc_lock:
+                for link in list(self._links):
+                    if not link.alive:
+                        continue
+                    try:
+                        # repro: allow[C204] per-worker stats RPC must hold _rpc_lock to keep frames paired; bounded by the worker answering or _degrade
+                        per_worker[link.worker] = request(
+                            link.transport, "stats",
+                            who=f"shard worker {link.label}")
+                    except TransportError as error:
+                        self._degrade(link, f"stats failed: {error}")
+                    except RemoteCallError:
+                        pass
+        with self._rpc_lock:  # one atomic snapshot of the bookkeeping
+            shard_sizes = [len(ids) for ids in self._shard_ids]
+            size = self._size
+            placement = [list(hosts) for hosts in self._placement]
+            transport_stats = merge_transport_stats(
+                [link.transport.stats() for link in self._links
+                 if link.alive and link.transport is not None])
+        shards = []
+        for shard in range(self._num_shards):
+            replicas = []
+            for worker in placement[shard]:
+                link = self._links[worker]
+                replica: Dict = {"worker": worker,
+                                 "worker_id": link.worker_id,
+                                 "address": link.label,
+                                 "alive": link.alive}
+                if not link.alive and link.reason:
+                    replica["reason"] = link.reason
+                replicas.append(replica)
+            healthy = sum(1 for replica in replicas if replica["alive"])
+            entry: Dict = {
+                "shard": shard,
+                "size": shard_sizes[shard],
+                "alive": healthy > 0,
+                "healthy_replicas": healthy,
+                "replicas": replicas,
+            }
+            if replicas:
+                entry["address"] = replicas[0]["address"]
+            if healthy == 0:
+                reasons = [replica.get("reason") for replica in replicas
+                           if replica.get("reason")]
+                if reasons:
+                    entry["reason"] = "; ".join(reasons)
+            shards.append(entry)
+        worker_links = []
+        for link in self._links:
+            entry = {
+                "worker": link.worker,
+                "worker_id": link.worker_id,
+                "address": link.label,
+                "alive": link.alive,
+                "shards": sorted(link.shards),
+            }
+            if not link.alive:
+                entry["reason"] = link.reason
+                entry["catchup"] = sum(
+                    len(log) for log in link.catchup.values())
+            info = per_worker.get(link.worker)
+            if info is not None and "cache" in info:
+                entry["cache"] = info["cache"]
+            worker_links.append(entry)
+        return {
+            "type": type(self).__name__,
+            "backend": self.backend.name,
+            "kind": self.backend.kind,
+            "index": self.index_name or "scan",
+            "size": size,
+            "workers": len(self._links),
+            "alive_workers": sum(1 for link in self._links if link.alive),
+            "replication": self.replication,
+            "degraded": [entry["shard"] for entry in shards
+                         if entry["healthy_replicas"] == 0],
+            "underreplicated": [
+                entry["shard"] for entry in shards
+                if 0 < entry["healthy_replicas"] < self.replication],
+            "shard_sizes": shard_sizes,
+            "shards": shards,
+            "worker_links": worker_links,
+            "transport": transport_stats,
+            "cache": owner_cache_counters(self._encoder, worker_links),
+        }
+
+    # ------------------------------------------------------------------
+    # Merge
+    # ------------------------------------------------------------------
     def pairwise(
         self,
         queries: Sequence[TrajectoryLike],
@@ -317,8 +954,8 @@ class ShardMergeMixin:
                 out[:, ids] = block
                 filled[ids] = True
         if not filled.all():
-            # Columns no shard answered for (a degraded cluster shard):
-            # inf, never a misleading zero distance.
+            # Columns no shard answered for (a degraded shard): inf,
+            # never a misleading zero distance.
             out[:, ~filled] = np.inf
         return out
 
@@ -445,16 +1082,84 @@ class ShardMergeMixin:
     def __len__(self) -> int:
         return self._size
 
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self, shutdown_workers: bool = False) -> None:
+        """Say goodbye to the workers and drop the links (idempotent).
+
+        An alive worker is told ``leave`` (it drops this owner's shards,
+        so a future one can ``join`` fresh) and ``stop`` (this connection
+        is done) — or, with ``shutdown_workers``, to exit. Every step is
+        bounded: a worker that is already gone, or wedged in a long
+        request, costs a short reply window, never a hang.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        farewell = ("shutdown",) if shutdown_workers else ("leave", "stop")
+        # Bounded wait for any in-flight RPC; a wedged exchange must delay
+        # close, never block it.
+        acquired = self._rpc_lock.acquire(timeout=5.0)
+        try:
+            for link in self._links:
+                if link.alive:
+                    self._farewell(link.transport, farewell)
+                for transport in (link.transport, link.heartbeat):
+                    if transport is not None:
+                        try:
+                            transport.close()
+                        except Exception:
+                            pass
+        finally:
+            if acquired:
+                self._rpc_lock.release()
+
+    @staticmethod
+    def _farewell(transport, commands: Sequence[str]) -> None:
+        """Best-effort goodbye on one channel; all failures stay inside
+        (a worker that dies mid-farewell must not break the cascade for
+        the links behind it)."""
+        for command in commands:
+            try:
+                transport.send((command, None))
+                if transport.poll(1.0):
+                    transport.recv()
+            except Exception:
+                break
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self):
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    def __repr__(self) -> str:
+        alive = sum(1 for link in self._links if link.alive)
+        return (
+            f"{type(self).__name__}(backend={self.backend.name!r}, "
+            f"index={self.index_name!r}, replication={self.replication}, "
+            f"workers={alive}/{len(self._links)} alive, size={self._size})"
+        )
+
 
 class ShardedSimilarityService(ShardMergeMixin):
     """kNN serving over a database partitioned across worker processes.
 
-    Trajectories are assigned round-robin to ``num_workers`` shards, each a
-    :class:`Shard` in its own process. ``knn`` fans the query batch out,
-    over-fetches per shard, and merges the candidate pools with
-    distance-then-id tie-breaking — so with exact per-shard indexes
-    (``bruteforce``/``segment``/scan) the merged result is *identical* to a
-    single service over the unsharded database, and with IVF shards the
+    The :class:`ShardMergeMixin` engine over ``num_workers`` local
+    processes, one logical shard each, linked by pipes: large arrays cross
+    out-of-band through POSIX shared memory (``shm_threshold`` bytes and
+    up; ``None`` keeps everything on the pipe), there is no replication
+    and no heartbeat — a dead worker is noticed by the next call that
+    speaks to it. With exact per-shard indexes
+    (``bruteforce``/``segment``/scan) the merged result is *identical* to
+    a single service over the unsharded database, and with IVF shards the
     union of probed cells can only grow recall.
 
     An embedding backend never leaves the parent: ``batch_size`` and
@@ -479,245 +1184,51 @@ class ShardedSimilarityService(ShardMergeMixin):
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if index is not None and not isinstance(index, str):
-            raise TypeError(
-                "sharded services build one index per worker; pass the "
-                "index by name (or None for the backend's default)"
-            )
-        if isinstance(backend, str):
-            backend = get_backend(backend, **(backend_kwargs or {}))
-        else:
-            backend = as_backend(backend)
-        self.backend = backend
-        self._encoder = (CachedEncoder(backend, batch_size, cache_size)
-                         if backend.kind == EMBEDDING else None)
-        if index is None:
-            # Resolve the backend's default here so the name is reportable
-            # and the workers build exactly what a single service would.
-            index = _default_index_for(backend)
-        self.index_name = index
-        # Approximate shards (ivf/pq/int8/hnsw) answer from probed cells,
-        # codes or a beam; the merge certificate below is only meaningful
-        # over exact shard indexes — the registry knows which is which.
-        self._exact_shards = index_is_exact(index)
-        self.num_workers = int(num_workers)
-        self._shard_ids: List[List[int]] = [[] for _ in range(self.num_workers)]
-        # Per-shard id arrays the query path reads; refreshed on add.
-        self._shard_id_arrays: List[np.ndarray] = [
-            freeze_shard_ids(()) for _ in range(self.num_workers)]
-        self._size = 0
-        self._closed = False
-        # Serializes every exchange on the worker pipes: a stats() probe
-        # (e.g. a server handler thread, while a QueryQueue flush thread
-        # owns the query path) must never interleave frames with an RPC
-        # another thread has in flight.
-        self._rpc_lock = threading.Lock()
-        # Guards the id bookkeeping (_shard_ids/_size) against torn reads:
-        # a stats() probe from a server handler thread must never observe
-        # an add() half-committed (shard_sizes summing to something other
-        # than size). Never held across an RPC.
-        self._state_lock = threading.Lock()
-        self._shm_threshold = shm_threshold
-        # Fan-out requests are encoded once through this pool (large
-        # query matrices go out-of-band via /dev/shm); per-transport
-        # pools on the worker side do the same for replies.
-        self._shm_pool = (wire.ShmPool(shm_threshold)
-                          if shm_threshold is not None else None)
-
-        recipe = shard_recipe(backend, index, index_kwargs, batch_size,
-                              cache_size)
+        super().__init__(
+            [None] * int(num_workers), backend, index,
+            backend_kwargs=backend_kwargs, index_kwargs=index_kwargs,
+            batch_size=batch_size, cache_size=cache_size)
+        self._processes: List = []
         if start_method is None:
             start_method = ("fork" if "fork" in mp.get_all_start_methods()
                             else "spawn")
         context = mp.get_context(start_method)
-        self._transports = []
-        self._processes = []
-        for _ in range(self.num_workers):
-            parent_transport, child_transport = PipeTransport.pair(
-                context, shm_threshold=shm_threshold)
-            process = context.Process(
-                target=_shard_worker, args=(child_transport, recipe),
-                daemon=True,
-            )
-            process.start()
-            child_transport.close()
-            self._transports.append(parent_transport)
-            self._processes.append(process)
-        for transport in self._transports:
-            self._receive(transport)  # surface construction errors eagerly
-
-    # ------------------------------------------------------------------
-    # Worker RPC
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _receive(transport):
+        if shm_threshold is not None:
+            # One resource tracker for the whole process tree, started
+            # before the first fork: a worker that forked without one
+            # would start its own on its first segment — a process per
+            # worker, and trackers that never hear of each other's
+            # unlinks warn about "leaked" segments at exit.
+            resource_tracker.ensure_running()
         try:
-            return read_reply(transport, who="shard worker")
-        except TransportError as error:
-            raise RuntimeError(f"shard worker failed: {error}") from error
-
-    def _broadcast(self, command, payloads):
-        """Fan one command out over the shards through the transport layer
-        (which drains every reply before raising, keeping the RPC in sync)."""
-        if self._closed:
-            raise RuntimeError("service is closed")
-        try:
-            with self._rpc_lock:
-                # repro: allow[C204] the shard fan-out must own the pipes end-to-end: _rpc_lock exists precisely to keep concurrent RPCs from interleaving frames
-                return broadcast(self._transports, command, payloads,
-                                 who="shard worker")
-        except TransportError as error:
-            raise RuntimeError(f"shard worker failed: {error}") from error
-
-    def _broadcast_shared(self, command, payload):
-        """Fan *one* payload out to every shard, serializing it once.
-
-        The encoded bytes are written to each pipe verbatim; with the
-        shared-memory pool attached, large arrays in the payload go
-        out-of-band and every worker attaches the same segment.  The
-        pool is released only after the reply drain — by then each
-        worker has provably decoded the request.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        try:
-            with self._rpc_lock:
-                try:
-                    encoded = wire.encode((command, payload),
-                                          self._shm_pool)
-                    # repro: allow[C204] the shard fan-out must own the pipes end-to-end: _rpc_lock exists precisely to keep concurrent RPCs from interleaving frames
-                    return broadcast_encoded(self._transports, encoded,
-                                             who="shard worker")
-                finally:
-                    if self._shm_pool is not None:
-                        self._shm_pool.release()
-        except TransportError as error:
-            raise RuntimeError(f"shard worker failed: {error}") from error
-
-    def _shard_query(self, command, payload):
-        """The :class:`ShardMergeMixin` hook: same payload to every shard."""
-        replies = self._broadcast_shared(command, payload)
-        with self._state_lock:  # ids snapshot consistent with the replies
-            # The arrays are immutable (add() replaces, never extends
-            # them), so handing out references is a consistent snapshot.
-            shard_ids = list(self._shard_id_arrays)
-        return list(zip(shard_ids, replies))
-
-    # ------------------------------------------------------------------
-    # Database
-    # ------------------------------------------------------------------
-    def add(self, trajectories: Sequence[TrajectoryLike]) -> "ShardedSimilarityService":
-        """Round-robin the trajectories across the shards (embedded here,
-        once, when the backend embeds)."""
-        batch = [as_points(t) for t in _as_batch(trajectories)]
-        if not batch:
-            return self
-        vectors = (self._encoder.encode(batch)
-                   if self._encoder is not None else None)
-        chunks: List[List[np.ndarray]] = [[] for _ in range(self.num_workers)]
-        pending: List[List[int]] = [[] for _ in range(self.num_workers)]
-        for offset, points in enumerate(batch):
-            global_id = self._size + offset
-            shard = global_id % self.num_workers
-            chunks[shard].append(points)
-            pending[shard].append(global_id)
-        try:
-            self._broadcast("add", [
-                shard_share(points, vectors, [g - self._size for g in ids])
-                for points, ids in zip(chunks, pending)])
+            # every process is started before the first join is awaited,
+            # so the workers boot side by side
+            for link in self._links:
+                link.transport, child_transport = PipeTransport.pair(
+                    context, shm_threshold=shm_threshold)
+                process = context.Process(
+                    target=_shard_worker, args=(child_transport,),
+                    daemon=True,
+                )
+                process.start()
+                child_transport.close()
+                self._processes.append(process)
+            for link in self._links:
+                self._join(link)  # surfaces construction errors eagerly
         except Exception:
-            # Some shards may have stored their chunk, others not; the
-            # local-to-global mapping can no longer be trusted, so refuse
-            # further use rather than misattribute neighbour ids.
             self.close()
             raise
-        # Commit the id bookkeeping only once every shard stored its
-        # chunk — atomically, so a concurrent stats()/shard_sizes reader
-        # never observes the extend without the size bump.
-        with self._state_lock:
-            for shard, ids in enumerate(pending):
-                if ids:
-                    self._shard_ids[shard].extend(ids)
-                    self._shard_id_arrays[shard] = freeze_shard_ids(
-                        self._shard_ids[shard])
-            self._size += len(batch)
-        return self
 
-    @property
-    def shard_sizes(self) -> List[int]:
-        """Number of database trajectories held by each worker."""
-        with self._state_lock:
-            return [len(ids) for ids in self._shard_ids]
-
-    def stats(self) -> Dict:
-        """Serving metadata on the shared key set: backend/index/size plus
-        cache counters (:func:`owner_cache_counters`) and a per-shard
-        breakdown."""
-        shard_stats: List[Optional[Dict]] = [None] * self.num_workers
-        if not self._closed:
-            try:
-                shard_stats = self._broadcast_shared("stats", None)
-            except (RuntimeError, RemoteCallError):
-                pass  # stats must stay answerable beside a dying worker
-        with self._state_lock:  # one atomic snapshot of the bookkeeping
-            shard_sizes = [len(ids) for ids in self._shard_ids]
-            size = self._size
-        shards = []
-        for shard, worker in enumerate(shard_stats):
-            entry: Dict = {"shard": shard, "size": shard_sizes[shard]}
-            if worker is not None and "cache" in worker:
-                entry["cache"] = worker["cache"]
-            shards.append(entry)
-        transport_stats = merge_transport_stats(
-            [t.stats() for t in self._transports])
-        if self._shm_pool is not None:
-            # broadcast-side segments come from the service pool, not a
-            # per-transport one; fold them into the same counter
-            transport_stats["shm_hits"] += self._shm_pool.hits
-        return {
-            "type": type(self).__name__,
-            "backend": self.backend.name,
-            "kind": self.backend.kind,
-            "index": self.index_name or "scan",
-            "size": size,
-            "workers": self.num_workers,
-            "shard_sizes": shard_sizes,
-            "shards": shards,
-            "transport": transport_stats,
-            "cache": owner_cache_counters(self._encoder, shards),
-        }
-
-    # ------------------------------------------------------------------
-    # Lifecycle (queries live in ShardMergeMixin)
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the workers (idempotent, and robust to dead/hung workers).
 
-        Best-effort handshake first (``stop`` with a short reply window),
-        then bounded joins: a worker that is already gone — or wedged in a
-        long request — can delay :meth:`close` by at most a few seconds,
-        never block it indefinitely. After the join timeout the worker is
-        terminated, and killed if termination itself does not stick.
+        The engine's farewell first, then bounded joins: a worker that is
+        already gone — or wedged in a long request — can delay
+        :meth:`close` by at most a few seconds, never block it
+        indefinitely. After the join timeout the worker is terminated,
+        and killed if termination itself does not stick.
         """
-        if self._closed:
-            return
-        self._closed = True
-        for transport in self._transports:
-            try:
-                transport.send(("stop", None))
-            except TransportError:
-                pass  # worker already gone; reap it below
-        for transport in self._transports:
-            try:
-                if transport.poll(1.0):
-                    transport.recv()
-            except TransportError:
-                pass
-            transport.close()
-        if self._shm_pool is not None:
-            # sweep whatever a failed fan-out left behind: no segment
-            # this service created may outlive it in /dev/shm
-            self._shm_pool.release()
+        super().close()
         for process in self._processes:
             process.join(timeout=2.0)
             if process.is_alive():
@@ -725,28 +1236,8 @@ class ShardedSimilarityService(ShardMergeMixin):
                 process.join(timeout=2.0)
             if process.is_alive():
                 # terminate() can be ignored mid-syscall; kill cannot.
-                kill = getattr(process, "kill", process.terminate)
-                kill()
+                process.kill()
                 process.join(timeout=1.0)
-
-    def __enter__(self) -> "ShardedSimilarityService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedSimilarityService(backend={self.backend.name!r}, "
-            f"index={self.index_name!r}, workers={self.num_workers}, "
-            f"size={self._size})"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -19,25 +19,25 @@ the callers transport-oblivious:
 * :class:`ServiceNode` — the request/response loop a worker or server
   connection runs: receive ``(command, payload)``, dispatch to a handler,
   reply ``("ok", result)`` or ``("error", traceback)``;
-* :func:`request` / :func:`broadcast` / :func:`broadcast_encoded` — the
-  matching caller side, with the drain-every-reply-before-raising
-  discipline that keeps a multi-peer RPC in sync after a failure;
-  :func:`broadcast_encoded` writes one pre-encoded payload to every
-  peer so a fan-out serializes the request exactly once.
+* :func:`request` — the matching caller side, one round-trip to one
+  peer. Fanning a command out over many peers — and reading *every*
+  reply before raising, which is what keeps a multi-peer RPC in sync
+  after a failure — is the sharding engine's job
+  (:class:`~repro.api.serving.ShardMergeMixin`), not this module's.
 
 Every transport counts traffic (``bytes_sent``/``frames_sent``/
 ``bytes_recv``/``frames_recv``, plus ``shm_hits`` when a pool is
 attached) and reports it via ``stats()``.
 
-:class:`~repro.api.serving.ShardedSimilarityService` and
-:class:`~repro.api.remote.SimilarityServer` are both thin layers over
-these pieces; neither owns any framing or dispatch logic of its own.
+The sharding engine, its pipe and TCP workers and
+:class:`~repro.api.remote.SimilarityServer` are all thin layers over
+these pieces; none owns any framing or dispatch logic of its own.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple
 
 from . import wire
 
@@ -54,9 +54,6 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "request",
-    "broadcast",
-    "broadcast_encoded",
-    "drain_replies",
     "merge_transport_stats",
     "FRAME_HEADER",
     "MAX_FRAME_BYTES",
@@ -412,83 +409,15 @@ ERROR = "error"
 STOP = "stop"
 
 
-def read_reply(transport: Transport, who: str = "peer"):
-    """One reply off the transport; raises :class:`RemoteCallError` on error."""
+def request(transport: Transport, command: str, payload=None,
+            who: str = "peer"):
+    """One round-trip: send ``(command, payload)``, return the ok-result;
+    an error reply raises :class:`RemoteCallError`."""
+    transport.send((command, payload))
     status, result = transport.recv()
     if status != OK:
         raise RemoteCallError(f"{who} failed:\n{result}")
     return result
-
-
-def request(transport: Transport, command: str, payload=None,
-            who: str = "peer"):
-    """One round-trip: send ``(command, payload)``, return the ok-result."""
-    transport.send((command, payload))
-    return read_reply(transport, who)
-
-
-def drain_replies(transports: Sequence[Transport],
-                  who: str = "peer") -> List:
-    """Gather one reply per peer, reading *every* channel before raising.
-
-    Leaving a reply buffered in a channel would desynchronize the RPC
-    for all later commands on that peer. Transport-level failures
-    surface as :class:`RemoteCallError` alongside peer-reported ones.
-    """
-    results, failures = [], []
-    for transport in transports:
-        try:
-            status, result = transport.recv()
-        except TransportError as error:
-            failures.append(f"transport failure: {error}")
-            results.append(None)
-            continue
-        if status != OK:
-            failures.append(result)
-            results.append(None)
-        else:
-            results.append(result)
-    if failures:
-        raise RemoteCallError(f"{who} failed:\n" + "\n".join(failures))
-    return results
-
-
-def broadcast(transports: Sequence[Transport], command: str,
-              payloads: Sequence, who: str = "peer") -> List:
-    """Fan one command out over many peers, then gather every reply.
-
-    All sends complete before the first recv so the peers work
-    concurrently; the reply discipline is :func:`drain_replies`.  A
-    payload the codec cannot express raises the sender's
-    :class:`wire.WireError` — after the replies of the peers already
-    sent to were read, so no channel is left one reply ahead.
-    """
-    sent = []
-    try:
-        for transport, payload in zip(transports, payloads):
-            transport.send((command, payload))
-            sent.append(transport)
-    except wire.WireError:
-        try:
-            drain_replies(sent, who)
-        except RemoteCallError:
-            pass  # the caller's bug outranks what those peers answered
-        raise
-    return drain_replies(transports, who)
-
-
-def broadcast_encoded(transports: Sequence[Transport], encoded: bytes,
-                      who: str = "peer") -> List:
-    """:func:`broadcast` a message that was encoded exactly once.
-
-    *encoded* is the :func:`wire.encode` bytes of one ``(command,
-    payload)`` message every peer should receive; the same buffer is
-    written to each transport, so an N-way fan-out pays for one
-    serialization instead of N.
-    """
-    for transport in transports:
-        transport.send_encoded(encoded)
-    return drain_replies(transports, who)
 
 
 class ServiceNode:

@@ -1,0 +1,261 @@
+"""One law, both link kinds.
+
+The sharding engine is one class; its two services differ only in the
+links under it. Each law here is written once, against ``links`` —
+``"pipes"``: a :class:`ShardedSimilarityService` over worker processes,
+``"tcp"``: a :class:`ClusterCoordinator` over in-process
+:class:`ShardWorker`s — and bound, under the test id it has always had,
+in ``test_serving.py`` (whose ``links`` fixture says ``"pipes"``) and in
+``test_cluster.py`` (``"tcp"``). ``backend`` and ``single_service`` are
+those modules' own: the trained ``trajcl`` model behind pipes, the
+``hausdorff`` measure over TCP.
+"""
+
+import contextlib
+import threading
+import time
+
+import pytest
+
+from repro.api import (
+    ClusterCoordinator,
+    RemoteCallError,
+    ShardedSimilarityService,
+    ShardWorker,
+    SimilarityService,
+)
+
+
+class Sharded:
+    """A sharded service of one link kind and its workers, torn down
+    together."""
+
+    def __init__(self, links, backend, shards=2, **kwargs):
+        self.workers = []
+        if links == "pipes":
+            self.service = ShardedSimilarityService(
+                backend=backend, num_workers=shards, **kwargs)
+            return
+        self.workers = [ShardWorker() for _ in range(shards)]
+        try:
+            self.service = ClusterCoordinator(
+                [w.address for w in self.workers], backend=backend,
+                heartbeat_interval=0, **kwargs)
+        except Exception:
+            self.close_workers()
+            raise
+
+    @property
+    def processes(self):
+        """The worker processes the service must reap (none over TCP:
+        those workers are threads of this process, closed here)."""
+        return getattr(self.service, "_processes", [])
+
+    def kill(self, worker):
+        """The worker dies the way its kind dies: SIGTERM to the process,
+        or the listener and every connection dropped."""
+        if self.workers:
+            self.workers[worker].close()
+        else:
+            self.processes[worker].terminate()
+            self.processes[worker].join(timeout=5)
+            assert not self.processes[worker].is_alive()
+
+    def close_workers(self):
+        for worker in self.workers:
+            worker.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.service.close()
+        self.close_workers()
+
+
+def assert_same_bits(got, expected):
+    """One array, or a ``(distances, ids)`` pair of them."""
+    if not isinstance(expected, tuple):
+        got, expected = (got,), (expected,)
+    for got_part, expected_part in zip(got, expected):
+        assert got_part.dtype == expected_part.dtype
+        assert got_part.shape == expected_part.shape
+        assert got_part.tobytes() == expected_part.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Parity with the single service
+# ----------------------------------------------------------------------
+def incremental_add_keeps_parity(links, backend, trajectories):
+    single = SimilarityService(backend=backend)
+    with Sharded(links, backend) as sharded:
+        service = sharded.service
+        single.add(trajectories[:7]).add(trajectories[7:12])
+        service.add(trajectories[:7]).add(trajectories[7:12])
+        single.add(trajectories[12:])
+        service.add(trajectories[12:])
+        assert len(service) == len(single) == len(trajectories)
+        assert sum(service.shard_sizes) == len(trajectories)
+        assert_same_bits(service.knn(trajectories[9], k=6, exclude=9),
+                         single.knn(trajectories[9], k=6, exclude=9))
+        assert_same_bits(service.knn(trajectories[:4], k=5),
+                         single.knn(trajectories[:4], k=5))
+
+
+def pairwise_matches_single_service(links, backend, single_service,
+                                    trajectories):
+    with Sharded(links, backend, shards=3) as sharded:
+        sharded.service.add(trajectories)
+        queries = trajectories[:4]
+        assert_same_bits(sharded.service.pairwise(queries),
+                         single_service.pairwise(queries))
+        assert_same_bits(
+            sharded.service.pairwise(queries, trajectories[:3]),
+            single_service.pairwise(queries, trajectories[:3]))
+
+
+def knn_parity_with_exclude_and_dedupe(links, backend, single_service,
+                                       trajectories):
+    with Sharded(links, backend, shards=3) as sharded:
+        sharded.service.add(trajectories)
+        for kwargs in ({"exclude": 3}, {"dedupe_eps": 1e-9},
+                       {"exclude": 3, "dedupe_eps": 1e-9}):
+            assert_same_bits(
+                sharded.service.knn(trajectories[3], k=4, **kwargs),
+                single_service.knn(trajectories[3], k=4, **kwargs))
+
+
+def more_workers_than_trajectories_pads(links, backend, trajectories):
+    with Sharded(links, backend, shards=4) as sharded:
+        sharded.service.add(trajectories[:2])
+        distances, ids = sharded.service.knn(trajectories[0], k=5, exclude=0)
+        assert ids.shape == (1, 5)
+        assert (ids[0, 1:] == -1).all()
+        assert (distances[0, 1:] == float("inf")).all()
+
+
+# ----------------------------------------------------------------------
+# One lock: frames stay paired, the bookkeeping is never seen torn
+# ----------------------------------------------------------------------
+def worker_error_keeps_rpc_in_sync(links, backend, single_service,
+                                   trajectories):
+    """An error *reply* is the request's failure, not a worker's: it
+    propagates, degrades nobody, and — every reply of the round having
+    been read before it is raised — leaves each link paired with its own
+    replies."""
+    with pytest.raises(RemoteCallError, match="bogus"):
+        # the join handshake's error reply: the worker cannot build this
+        Sharded(links, backend, index="bruteforce",
+                index_kwargs={"bogus": 1})
+    with Sharded(links, backend, shards=3) as sharded:
+        service = sharded.service
+        service.add(trajectories)
+        with pytest.raises(RemoteCallError, match="unknown command"):
+            service._shard_query("no-such-command", None)
+        stats = service.stats()
+        assert stats["degraded"] == [] and stats["alive_workers"] == 3
+        assert_same_bits(service.knn(trajectories[:2], k=3),
+                         single_service.knn(trajectories[:2], k=3))
+
+
+@contextlib.contextmanager
+def probing(service, check):
+    """A thread calling ``check(service.stats())`` in a loop for the
+    length of the block; what it raised fails the block afterwards."""
+    errors = []
+    stop = threading.Event()
+
+    def probe():
+        try:
+            while not stop.is_set():
+                check(service.stats())
+        except Exception as error:  # surfaced below
+            errors.append(error)
+
+    thread = threading.Thread(target=probe, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert not errors, errors
+
+
+def stats_probe_does_not_desync_in_flight_queries(links, backend,
+                                                  single_service,
+                                                  trajectories):
+    """stats() asks every worker over the same links the query path uses;
+    the RPC lock must keep a concurrent probe (a server handler thread
+    beside a QueryQueue flush thread) from interleaving frames with a kNN
+    exchange."""
+    expected = single_service.knn(trajectories[:2], k=3)
+    with Sharded(links, backend, shards=3) as sharded:
+        service = sharded.service
+        service.add(trajectories)
+
+        def check(stats):
+            assert stats["size"] == len(trajectories)
+
+        with probing(service, check):
+            for _ in range(50):
+                assert_same_bits(service.knn(trajectories[:2], k=3),
+                                 expected)
+
+
+def stats_never_observes_a_half_committed_add(links, trajectories):
+    """The ids and the size commit together, under the lock stats()
+    snapshots them under: shard_sizes always sums to size."""
+    with Sharded(links, "hausdorff", shards=3) as sharded:
+        service = sharded.service
+        service.add(trajectories[:3])
+
+        def check(stats):
+            assert sum(stats["shard_sizes"]) == stats["size"], \
+                (stats["shard_sizes"], stats["size"])
+
+        with probing(service, check):
+            for i in range(25):
+                service.add([trajectories[i % len(trajectories)]])
+        final = service.stats()
+        assert final["size"] == 3 + 25
+        assert sum(final["shard_sizes"]) == final["size"]
+
+
+def shard_sizes_snapshot_is_atomic(links, trajectories):
+    with Sharded(links, "hausdorff", shards=3) as sharded:
+        sharded.service.add(trajectories)
+        assert sum(sharded.service.shard_sizes) == len(trajectories)
+
+
+def stats_expose_transport_counters(links, backend, single_service,
+                                    trajectories):
+    """The codec and the links are invisible to callers — bit-identical
+    answers — and counted in stats()."""
+    with Sharded(links, backend) as sharded:
+        sharded.service.add(trajectories)
+        assert_same_bits(sharded.service.knn(trajectories[:4], k=3),
+                         single_service.knn(trajectories[:4], k=3))
+        transport = sharded.service.stats()["transport"]
+    for key in ("bytes_sent", "frames_sent", "bytes_recv", "frames_recv",
+                "shm_hits"):
+        assert transport[key] >= 0
+    assert transport["frames_sent"] > 0
+    assert transport["bytes_sent"] > transport["frames_sent"] * 8
+
+
+# ----------------------------------------------------------------------
+# Lifecycle
+# ----------------------------------------------------------------------
+def close_survives_a_dead_worker(links, trajectories):
+    """close() must stay bounded when a worker already died — reap it,
+    never hang on the farewell or the join."""
+    with Sharded(links, "hausdorff") as sharded:
+        sharded.service.add(trajectories)
+        sharded.kill(0)
+        start = time.monotonic()
+        sharded.service.close()
+        assert time.monotonic() - start < 10.0
+        sharded.service.close()  # still idempotent afterwards
+        assert not any(p.is_alive() for p in sharded.processes)

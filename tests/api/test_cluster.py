@@ -2,7 +2,8 @@
 service, the join handshake, heartbeat/failover (a killed worker degrades
 its shard and the survivors keep answering), add-requeue, sharded
 snapshots restored onto a different worker count, and composition with
-the serving front-ends."""
+the serving front-ends. The laws a sharded service keeps whatever its
+links are live in ``shard_laws.py``; here they run over TCP."""
 
 import json
 import socket
@@ -25,12 +26,23 @@ from repro.api import (
 )
 from repro.api.transport import SocketTransport, request
 
+from . import shard_laws as laws
 from .test_registry import make_trajectories
 
 
 @pytest.fixture(scope="module")
 def trajectories():
     return make_trajectories(n=18, seed=11)
+
+
+@pytest.fixture(scope="module")
+def links():
+    return "tcp"
+
+
+@pytest.fixture(scope="module")
+def backend():
+    return "hausdorff"
 
 
 @pytest.fixture(scope="module")
@@ -74,32 +86,17 @@ class TestCoordinatorParity:
         assert local_d.tobytes() == cluster_d.tobytes()
         assert local_i.tobytes() == cluster_i.tobytes()
 
-    def test_knn_with_dedupe(self, workers, single_service, trajectories):
-        with make_cluster(workers) as cluster:
-            cluster.add(trajectories)
-            local = single_service.knn(trajectories[0], k=3, dedupe_eps=1e-9)
-            remote = cluster.knn(trajectories[0], k=3, dedupe_eps=1e-9)
-        np.testing.assert_array_equal(local[1], remote[1])
-        np.testing.assert_array_equal(local[0], remote[0])
-
-    def test_incremental_add_keeps_parity(self, workers, single_service,
-                                          trajectories):
-        with make_cluster(workers) as cluster:
-            cluster.add(trajectories[:7]).add(trajectories[7:])
-            local = single_service.knn(trajectories[:4], k=5)
-            merged = cluster.knn(trajectories[:4], k=5)
-        assert local[0].tobytes() == merged[0].tobytes()
-        assert local[1].tobytes() == merged[1].tobytes()
-
-    def test_pairwise_parity(self, workers, single_service, trajectories):
-        with make_cluster(workers) as cluster:
-            cluster.add(trajectories)
-            np.testing.assert_allclose(
-                cluster.pairwise(trajectories[:3]),
-                single_service.pairwise(trajectories[:3]))
-            np.testing.assert_allclose(
-                cluster.pairwise(trajectories[:2], trajectories[3:6]),
-                single_service.pairwise(trajectories[:2], trajectories[3:6]))
+    test_knn_with_dedupe = staticmethod(
+        laws.knn_parity_with_exclude_and_dedupe)
+    test_incremental_add_keeps_parity = staticmethod(
+        laws.incremental_add_keeps_parity)
+    test_pairwise_parity = staticmethod(laws.pairwise_matches_single_service)
+    test_more_workers_than_trajectories_pads = staticmethod(
+        laws.more_workers_than_trajectories_pads)
+    test_worker_error_keeps_rpc_in_sync = staticmethod(
+        laws.worker_error_keeps_rpc_in_sync)
+    test_wire_parity_and_transport_stats = staticmethod(
+        laws.stats_expose_transport_counters)
 
     def test_satisfies_knn_service_protocol(self, workers):
         with make_cluster(workers) as cluster:
@@ -134,24 +131,6 @@ class TestCoordinatorParity:
         assert stats["size"] == len(trajectories)
         assert sum(entry["size"] for entry in stats["shards"]) == \
             len(trajectories)
-
-    def test_wire_parity_and_transport_stats(self, single_service,
-                                             trajectories):
-        pair = [ShardWorker() for _ in range(2)]
-        try:
-            with make_cluster(pair) as cluster:
-                cluster.add(trajectories)
-                local_d, local_i = single_service.knn(trajectories[:4], k=3)
-                got_d, got_i = cluster.knn(trajectories[:4], k=3)
-                stats = cluster.stats()
-        finally:
-            for worker in pair:
-                worker.close()
-        assert local_d.tobytes() == got_d.tobytes()
-        assert local_i.tobytes() == got_i.tobytes()
-        transport = stats["transport"]
-        assert transport["frames_sent"] > 0
-        assert transport["bytes_sent"] > 0
 
 
 class TestFailover:
@@ -230,8 +209,10 @@ class TestSnapshots:
             assert manifest["size"] == len(trajectories)
             assert manifest["format_version"] == 1
             assert len(manifest["shard_files"]) == 2
+            # workers as a one-shot iterator: load() must read it once
             restored = ClusterCoordinator.load(
-                snapshot, [w.address for w in three], heartbeat_interval=0)
+                snapshot, iter([w.address for w in three]),
+                heartbeat_interval=0)
             try:
                 assert len(restored) == len(trajectories)
                 assert restored.stats()["workers"] == 3
@@ -336,35 +317,8 @@ class TestComposition:
         assert stats["size"] == len(trajectories)
         assert stats["requests"] >= 1
 
-    def test_stats_probe_does_not_desync_in_flight_queries(
-            self, workers, single_service, trajectories):
-        """stats() gathers per-worker reports over the same transports the
-        query path uses; the internal RPC lock must keep a concurrent
-        monitoring probe from interleaving frames with a kNN exchange."""
-        with make_cluster(workers) as cluster:
-            cluster.add(trajectories)
-            expected = single_service.knn(trajectories[:2], k=3)
-            errors = []
-            stop = threading.Event()
-
-            def probe():
-                try:
-                    while not stop.is_set():
-                        assert cluster.stats()["size"] == len(trajectories)
-                except Exception as error:  # surfaced below
-                    errors.append(error)
-
-            thread = threading.Thread(target=probe)
-            thread.start()
-            try:
-                for _ in range(50):
-                    got = cluster.knn(trajectories[:2], k=3)
-                    assert got[0].tobytes() == expected[0].tobytes()
-                    assert got[1].tobytes() == expected[1].tobytes()
-            finally:
-                stop.set()
-                thread.join(timeout=30)
-            assert not errors
+    test_stats_probe_does_not_desync_in_flight_queries = staticmethod(
+        laws.stats_probe_does_not_desync_in_flight_queries)
 
 
 class TestStatsLockScope:
@@ -373,34 +327,10 @@ class TestStatsLockScope:
     lock that guards the _shard_ids commits, so a concurrent stats()
     could see the extends without the size bump (or a torn pair)."""
 
-    def test_stats_bookkeeping_is_atomic_during_adds(self, workers,
-                                                     trajectories):
-        with make_cluster(workers) as cluster:
-            cluster.add(trajectories[:2])
-            errors = []
-            stop = threading.Event()
-
-            def probe():
-                try:
-                    while not stop.is_set():
-                        stats = cluster.stats()
-                        assert sum(stats["shard_sizes"]) == stats["size"], \
-                            (stats["shard_sizes"], stats["size"])
-                except Exception as error:  # surfaced below
-                    errors.append(error)
-
-            thread = threading.Thread(target=probe, daemon=True)
-            thread.start()
-            try:
-                for i in range(20):
-                    cluster.add([trajectories[i % len(trajectories)]])
-            finally:
-                stop.set()
-                thread.join(timeout=30)
-            assert not errors, errors
-            final = cluster.stats()
-            assert final["size"] == 2 + 20
-            assert sum(final["shard_sizes"]) == final["size"]
+    test_stats_bookkeeping_is_atomic_during_adds = staticmethod(
+        laws.stats_never_observes_a_half_committed_add)
+    test_shard_sizes_snapshot_is_atomic = staticmethod(
+        laws.shard_sizes_snapshot_is_atomic)
 
 
 # ----------------------------------------------------------------------
@@ -686,6 +616,9 @@ class TestFailoverEdgeCases:
 
 
 class TestCloseRegression:
+    test_close_survives_a_dead_worker = staticmethod(
+        laws.close_survives_a_dead_worker)
+
     def test_close_survives_workers_that_died_after_degrade(
             self, trio, trajectories):
         """close(shutdown_workers=True) over a mix of up and dead-after-

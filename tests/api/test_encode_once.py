@@ -18,6 +18,7 @@ grid, so distinct trajectories collide and distance ties are the rule:
   sees them, and no weights cross the wire at ``join``.
 """
 
+import contextlib
 import time
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.api.protocols import (
 from repro.api.remote import ThreadedNodeServer
 from repro.trajectory import as_points
 
+from .shard_laws import assert_same_bits
 from .test_registry import make_trajectories
 
 GENERATED = settings(max_examples=25, deadline=None, derandomize=True)
@@ -146,43 +148,51 @@ class Cluster:
             stop(worker)
 
 
-def assert_same_bits(got, expected):
-    """One array, or a ``(distances, ids)`` pair of them."""
-    if not isinstance(expected, tuple):
-        got, expected = (got,), (expected,)
-    for got_part, expected_part in zip(got, expected):
-        assert got_part.dtype == expected_part.dtype
-        assert got_part.shape == expected_part.shape
-        assert got_part.tobytes() == expected_part.tobytes()
-
-
 # ----------------------------------------------------------------------
 # (a) differential oracle: sharded ≡ cluster ≡ single, bit for bit
 # ----------------------------------------------------------------------
-@GENERATED
-@given(databases, cuts, st.integers(1, 3), knn_arguments)
-def test_sharded_knn_equals_single_service(database, cut_points, shards,
-                                           arguments):
-    single = add_in_chunks(SimilarityService(backend=counting_backend()),
-                           database, cut_points)
-    with ShardedSimilarityService(backend=counting_backend(),
-                                  num_workers=shards) as sharded:
-        add_in_chunks(sharded, database, cut_points)
-        assert_same_bits(sharded.knn(database[:4], **arguments),
-                         single.knn(database[:4], **arguments))
+#: the owner embeds (vectors cross the links), or only names a measure
+#: (trajectories do)
+backends = st.sampled_from([counting_backend, lambda: "hausdorff"])
+
+
+@contextlib.contextmanager
+def three_ways(backend, shards, database, cut_points):
+    """``(single, pipes, tcp)``: the same uneven adds into a single
+    service, a process-sharded one and a coordinator over TCP."""
+    with ShardedSimilarityService(backend=backend(),
+                                  num_workers=shards) as pipes, \
+            Cluster(shards, backend=backend()) as cluster:
+        tcp = cluster.coordinator
+        single = SimilarityService(backend=backend())
+        for service in (single, pipes, tcp):
+            add_in_chunks(service, database, cut_points)
+        # one engine under both link kinds: the same deal, id for id
+        assert pipes.shard_sizes == tcp.shard_sizes
+        assert pipes._shard_ids == tcp._shard_ids
+        yield single, pipes, tcp
 
 
 @GENERATED
-@given(databases, cuts, st.integers(1, 3))
-def test_sharded_pairwise_equals_single_service(database, cut_points,
-                                                shards):
-    single = add_in_chunks(SimilarityService(backend=counting_backend()),
-                           database, cut_points)
-    with ShardedSimilarityService(backend=counting_backend(),
-                                  num_workers=shards) as sharded:
-        add_in_chunks(sharded, database, cut_points)
-        assert_same_bits(sharded.pairwise(database[:4]),
-                         single.pairwise(database[:4]))
+@given(backends, databases, cuts, st.integers(1, 3), knn_arguments)
+def test_sharded_knn_equals_single_service(backend, database, cut_points,
+                                           shards, arguments):
+    with three_ways(backend, shards, database, cut_points) as (
+            single, pipes, tcp):
+        expected = single.knn(database[:4], **arguments)
+        assert_same_bits(pipes.knn(database[:4], **arguments), expected)
+        assert_same_bits(tcp.knn(database[:4], **arguments), expected)
+
+
+@GENERATED
+@given(backends, databases, cuts, st.integers(1, 3))
+def test_sharded_pairwise_equals_single_service(backend, database,
+                                                cut_points, shards):
+    with three_ways(backend, shards, database, cut_points) as (
+            single, pipes, tcp):
+        expected = single.pairwise(database[:4])
+        assert_same_bits(pipes.pairwise(database[:4]), expected)
+        assert_same_bits(tcp.pairwise(database[:4]), expected)
 
 
 @GENERATED

@@ -1,6 +1,8 @@
 """Tests for the serving layer: sharded kNN parity with the single-process
-service, the batched query queue under concurrent callers, and incremental
-IVF behaviour through the service stack."""
+service, what a dead worker process costs, the batched query queue under
+concurrent callers, and incremental IVF behaviour through the service
+stack. The laws a sharded service keeps whatever its links are live in
+``shard_laws.py``; here they run behind pipes."""
 
 import threading
 
@@ -16,6 +18,7 @@ from repro.api import (
     get_backend,
 )
 
+from . import shard_laws as laws
 from .test_registry import make_trajectories
 
 
@@ -28,6 +31,16 @@ def trajectories():
 def trajcl_backend(trajectories):
     return get_backend("trajcl", trajectories=trajectories, dim=8, max_len=16,
                        epochs=1, seed=0)
+
+
+@pytest.fixture(scope="module")
+def links():
+    return "pipes"
+
+
+@pytest.fixture(scope="module")
+def backend(trajcl_backend):
+    return trajcl_backend
 
 
 @pytest.fixture(scope="module")
@@ -52,17 +65,18 @@ class TestShardedParity:
         np.testing.assert_array_equal(i_single, i_sharded)
         np.testing.assert_array_equal(d_single, d_sharded)
 
-    def test_knn_parity_with_exclude_and_dedupe(self, single_service,
-                                                sharded_service,
-                                                trajectories):
-        for kwargs in ({"exclude": 3}, {"dedupe_eps": 1e-9},
-                       {"exclude": 3, "dedupe_eps": 1e-9}):
-            d_single, i_single = single_service.knn(
-                trajectories[3], k=4, **kwargs)
-            d_sharded, i_sharded = sharded_service.knn(
-                trajectories[3], k=4, **kwargs)
-            np.testing.assert_array_equal(i_single, i_sharded)
-            np.testing.assert_array_equal(d_single, d_sharded)
+    test_knn_parity_with_exclude_and_dedupe = staticmethod(
+        laws.knn_parity_with_exclude_and_dedupe)
+    test_more_workers_than_trajectories_pads = staticmethod(
+        laws.more_workers_than_trajectories_pads)
+    test_pairwise_matches_single_service = staticmethod(
+        laws.pairwise_matches_single_service)
+    test_incremental_add_keeps_parity = staticmethod(
+        laws.incremental_add_keeps_parity)
+    test_worker_error_keeps_rpc_in_sync = staticmethod(
+        laws.worker_error_keeps_rpc_in_sync)
+    test_close_survives_a_dead_worker = staticmethod(
+        laws.close_survives_a_dead_worker)
 
     def test_distance_backend_parity(self, trajectories):
         single = SimilarityService(backend="hausdorff").add(trajectories)
@@ -73,41 +87,6 @@ class TestShardedParity:
             d_sharded, i_sharded = sharded.knn(trajectories[1], k=4, exclude=1)
             np.testing.assert_array_equal(i_single, i_sharded)
             np.testing.assert_allclose(d_single, d_sharded)
-
-    def test_more_workers_than_trajectories_pads(self, trajcl_backend,
-                                                 trajectories):
-        with ShardedSimilarityService(backend=trajcl_backend,
-                                      num_workers=4) as sharded:
-            sharded.add(trajectories[:2])
-            distances, ids = sharded.knn(trajectories[0], k=5, exclude=0)
-            assert ids.shape == (1, 5)
-            assert (ids[0, 1:] == -1).all()
-            assert np.isinf(distances[0, 1:]).all()
-
-    def test_pairwise_matches_single_service(self, single_service,
-                                             sharded_service, trajectories):
-        queries = trajectories[:4]
-        np.testing.assert_array_equal(single_service.pairwise(queries),
-                                      sharded_service.pairwise(queries))
-        np.testing.assert_array_equal(
-            single_service.pairwise(queries, trajectories[:3]),
-            sharded_service.pairwise(queries, trajectories[:3]),
-        )
-
-    def test_incremental_add_keeps_parity(self, trajcl_backend, trajectories):
-        single = SimilarityService(backend=trajcl_backend)
-        with ShardedSimilarityService(backend=trajcl_backend,
-                                      num_workers=2) as sharded:
-            for chunk in (trajectories[:7], trajectories[7:12],
-                          trajectories[12:]):
-                single.add(chunk)
-                sharded.add(chunk)
-            assert len(sharded) == len(single) == len(trajectories)
-            assert sum(sharded.shard_sizes) == len(trajectories)
-            d_single, i_single = single.knn(trajectories[9], k=6, exclude=9)
-            d_sharded, i_sharded = sharded.knn(trajectories[9], k=6, exclude=9)
-            np.testing.assert_array_equal(i_single, i_sharded)
-            np.testing.assert_array_equal(d_single, d_sharded)
 
     def test_ivf_recall_at_least_single_service(self, trajcl_backend,
                                                 trajectories):
@@ -138,19 +117,6 @@ class TestShardedParity:
         assert distances.shape == (0, 3)
         assert ids.shape == (0, 3)
 
-    def test_worker_error_keeps_rpc_in_sync(self, sharded_service,
-                                            trajectories):
-        # A failing command must drain every shard's reply before raising,
-        # or the next command would read a stale buffered response.
-        with pytest.raises(RuntimeError, match="unknown command"):
-            sharded_service._broadcast(
-                "no-such-command", [None] * sharded_service.num_workers)
-        assert sum(sharded_service._broadcast(
-            "len", [None] * sharded_service.num_workers)
-        ) == len(trajectories)
-        _, ids = sharded_service.knn(trajectories[0], k=3)
-        assert ids.shape == (1, 3)
-
     def test_validation_and_lifecycle(self, trajcl_backend, trajectories):
         with pytest.raises(ValueError, match="num_workers"):
             ShardedSimilarityService(backend=trajcl_backend, num_workers=0)
@@ -163,28 +129,70 @@ class TestShardedParity:
         with pytest.raises(RuntimeError, match="closed"):
             service.add(trajectories)
 
-    def test_close_survives_a_dead_worker(self, trajectories):
-        """close() must stay bounded when a worker already died — reap it,
-        never hang on the handshake or the join."""
-        import time
-
-        service = ShardedSimilarityService(backend="hausdorff",
-                                           num_workers=2)
-        service.add(trajectories)
-        victim = service._processes[0]
-        victim.terminate()
-        victim.join(timeout=5)
-        start = time.monotonic()
-        service.close()
-        assert time.monotonic() - start < 10.0
-        service.close()  # still idempotent afterwards
-        assert all(not p.is_alive() for p in service._processes)
-
     def test_stats(self, sharded_service, trajectories):
         stats = sharded_service.stats()
         assert stats["workers"] == 3
         assert stats["size"] == len(trajectories)
         assert sum(stats["shard_sizes"]) == len(trajectories)
+
+
+class TestWorkerDeath:
+    """What a dead worker process costs: the engine's unreplicated policy
+    (the one ``cluster --replication 1`` documents) — the shard is degraded
+    in place and reported, the survivors answer and take the adds."""
+
+    @pytest.fixture()
+    def sharded(self, trajectories):
+        with laws.Sharded("pipes", "hausdorff") as sharded:
+            sharded.service.add(trajectories[:12])
+            yield sharded
+
+    def test_survivors_answer_and_health_reports_the_shard(
+            self, sharded, trajectories):
+        from repro.api.gateway import SimilarityGateway
+
+        from .test_gateway import request, request_json
+
+        service = sharded.service
+        surviving = np.asarray(service._shard_ids[1], dtype=np.int64)
+        sharded.kill(0)
+        distances, ids = service.knn(trajectories[:4], k=3)
+        # == the single service restricted to the surviving shard's ids
+        full = SimilarityService(backend="hausdorff").add(
+            trajectories[:12]).pairwise(trajectories[:4])
+        for row in range(4):
+            order = np.lexsort((surviving, full[row, surviving]))[:3]
+            np.testing.assert_array_equal(ids[row], surviving[order])
+            np.testing.assert_array_equal(distances[row],
+                                          full[row, surviving][order])
+        stats = service.stats()
+        assert stats["degraded"] == [0]
+        assert stats["alive_workers"] == 1
+        assert stats["shards"][0]["reason"]
+        with SimilarityGateway(service) as gateway:
+            status, _, reply = request_json(gateway, "/healthz")
+            assert status == 503 and reply["degraded"] == [0]
+            metrics = request(gateway, "/metrics")[2].decode()
+        assert 'repro_gateway_shard_up{shard="0"} 0' in metrics
+        assert 'repro_gateway_shard_up{shard="1"} 1' in metrics
+
+    def test_add_lands_on_the_survivors(self, sharded, trajectories):
+        service = sharded.service
+        sharded.kill(0)
+        service.add(trajectories[12:])  # notices the death, requeues
+        assert len(service) == len(trajectories)
+        assert service.shard_sizes == [6, len(trajectories) - 6]
+        assert service.stats()["degraded"] == [0]
+        distances, ids = service.knn(trajectories[15], k=1)
+        assert ids[0, 0] == 15 and distances[0, 0] == 0.0
+
+    def test_all_workers_dead_raises(self, sharded, trajectories):
+        sharded.kill(0)
+        sharded.kill(1)
+        with pytest.raises(RuntimeError, match="workers"):
+            sharded.service.knn(trajectories[0], k=1)
+        with pytest.raises(RuntimeError, match="workers"):
+            sharded.service.add(trajectories[12:])
 
 
 class TestWireTransportParity:
@@ -220,14 +228,8 @@ class TestWireTransportParity:
         if check_fs:
             assert self._shm_segments() <= baseline
 
-    def test_stats_expose_transport_counters(self, sharded_service):
-        transport = sharded_service.stats()["transport"]
-        for key in ("bytes_sent", "frames_sent", "bytes_recv",
-                    "frames_recv", "shm_hits"):
-            assert key in transport
-            assert transport[key] >= 0
-        assert transport["frames_sent"] > 0
-        assert transport["bytes_sent"] > transport["frames_sent"] * 8
+    test_stats_expose_transport_counters = staticmethod(
+        laws.stats_expose_transport_counters)
 
 
 class TestQueryQueue:
@@ -543,35 +545,8 @@ class TestUnifiedStats:
         assert stats["requests"] >= 1
         assert stats["size"] == len(trajectories)
 
-    def test_stats_probe_does_not_desync_in_flight_queries(
-            self, single_service, sharded_service, trajectories):
-        """Sharded stats() now does per-worker RPC over the same pipes the
-        query path uses; the internal RPC lock must keep a concurrent
-        probe (e.g. a server handler thread beside a QueryQueue flush
-        thread) from interleaving frames with a kNN broadcast."""
-        expected = single_service.knn(trajectories[:2], k=3)
-        errors = []
-        stop = threading.Event()
-
-        def probe():
-            try:
-                while not stop.is_set():
-                    assert sharded_service.stats()["size"] == \
-                        len(trajectories)
-            except Exception as error:  # surfaced below
-                errors.append(error)
-
-        thread = threading.Thread(target=probe)
-        thread.start()
-        try:
-            for _ in range(50):
-                got = sharded_service.knn(trajectories[:2], k=3)
-                np.testing.assert_array_equal(got[1], expected[1])
-                np.testing.assert_array_equal(got[0], expected[0])
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        assert not errors
+    test_stats_probe_does_not_desync_in_flight_queries = staticmethod(
+        laws.stats_probe_does_not_desync_in_flight_queries)
 
 
 class TestStatsLockScope:
@@ -580,36 +555,7 @@ class TestStatsLockScope:
     _size outside any lock, so a concurrent stats() probe could observe
     shard_sizes summing to something other than size."""
 
-    def test_stats_never_observes_a_half_committed_add(self, trajectories):
-        with ShardedSimilarityService(backend=get_backend("hausdorff"),
-                                      num_workers=3) as service:
-            service.add(trajectories[:3])
-            errors = []
-            stop = threading.Event()
-
-            def probe():
-                try:
-                    while not stop.is_set():
-                        stats = service.stats()
-                        assert sum(stats["shard_sizes"]) == stats["size"], \
-                            (stats["shard_sizes"], stats["size"])
-                except Exception as error:  # surfaced below
-                    errors.append(error)
-
-            thread = threading.Thread(target=probe, daemon=True)
-            thread.start()
-            try:
-                for i in range(25):
-                    service.add([trajectories[i % len(trajectories)]])
-            finally:
-                stop.set()
-                thread.join(timeout=30)
-            assert not errors, errors
-            final = service.stats()
-            assert final["size"] == 3 + 25
-            assert sum(final["shard_sizes"]) == final["size"]
-
-    def test_shard_sizes_snapshot_is_atomic(self, sharded_service,
-                                            trajectories):
-        sizes = sharded_service.shard_sizes
-        assert sum(sizes) == len(trajectories)
+    test_stats_never_observes_a_half_committed_add = staticmethod(
+        laws.stats_never_observes_a_half_committed_add)
+    test_shard_sizes_snapshot_is_atomic = staticmethod(
+        laws.shard_sizes_snapshot_is_atomic)

@@ -1,5 +1,5 @@
 """Tests for the framed-message transport layer: codecs, pipe/socket
-transports, the ServiceNode dispatcher, and the broadcast discipline."""
+transports and the ServiceNode dispatcher."""
 
 import socket
 import threading
@@ -17,8 +17,6 @@ from repro.api.transport import (
     ServiceNode,
     SocketTransport,
     TransportClosed,
-    broadcast,
-    broadcast_encoded,
     decode_payload,
     encode_frame,
     frame_length,
@@ -231,21 +229,13 @@ class TestServiceNode:
         caller.close()
 
     def test_unencodable_request_raises_at_the_caller_and_stays_in_sync(self):
-        pairs = [PipeTransport.pair() for _ in range(2)]
-        callers = [left for left, _ in pairs]
-        for _, server in pairs:
-            run_node(server, {"echo": lambda payload: payload})
+        caller, server = PipeTransport.pair()
+        run_node(server, {"echo": lambda payload: payload})
         with pytest.raises(wire.WireError, match="set is not wire-encodable"):
-            request(callers[0], "echo", {1})
-        assert callers[0].stats()["frames_sent"] == 0
-        # Mid-fan-out the first peer has already been sent to: its reply
-        # is read before the error surfaces, not left for the next call.
-        with pytest.raises(wire.WireError, match="set is not wire-encodable"):
-            broadcast(callers, "echo", ["first", {1}])
-        assert request(callers[0], "echo", "second") == "second"
-        assert request(callers[1], "echo", [1]) == [1]
-        for caller in callers:
-            caller.close()
+            request(caller, "echo", {1})
+        assert caller.stats()["frames_sent"] == 0
+        assert request(caller, "echo", "second") == "second"
+        caller.close()
 
     def test_peer_hangup_ends_the_loop(self):
         caller, server = PipeTransport.pair()
@@ -277,57 +267,6 @@ class TestServiceNode:
         stop.set()
         thread.join(timeout=5)
         assert not thread.is_alive()
-        caller.close()
-
-
-class TestBroadcast:
-    def test_gathers_all_replies_before_raising(self):
-        pairs = [PipeTransport.pair() for _ in range(3)]
-        callers = [left for left, _ in pairs]
-
-        def handler(payload):
-            if payload == "bad":
-                raise RuntimeError("shard exploded")
-            return payload
-
-        for _, server in pairs:
-            run_node(server, {"echo": handler})
-        with pytest.raises(RemoteCallError, match="shard exploded"):
-            broadcast(callers, "echo", ["fine", "bad", "fine"],
-                      who="shard worker")
-        # Every reply was drained: the next broadcast stays in sync.
-        assert broadcast(callers, "echo", list("abc")) == ["a", "b", "c"]
-        for caller in callers:
-            caller.close()
-
-    def test_peer_death_during_gather_still_drains_the_rest(self):
-        # One peer hanging up instead of replying must not leave the
-        # other peers' replies buffered (that would desync later calls).
-        pairs = [PipeTransport.pair() for _ in range(3)]
-        callers = [left for left, _ in pairs]
-
-        def handler_for(transport, dies):
-            def handler(payload):
-                if dies:
-                    transport.close()  # vanish instead of replying
-                return payload
-            return handler
-
-        for i, (_, server) in enumerate(pairs):
-            run_node(server, {"echo": handler_for(server, i == 1)})
-        with pytest.raises(RemoteCallError, match="transport failure"):
-            broadcast(callers, "echo", ["a", "b", "c"])
-        # The surviving peers answered and were drained: still in sync.
-        assert broadcast([callers[0], callers[2]], "echo",
-                         ["x", "y"]) == ["x", "y"]
-        for caller in callers:
-            caller.close()
-
-    def test_who_names_the_failure(self):
-        caller, server = PipeTransport.pair()
-        run_node(server, {})
-        with pytest.raises(RemoteCallError, match="shard worker failed"):
-            broadcast([caller], "missing", [None], who="shard worker")
         caller.close()
 
 
@@ -393,42 +332,6 @@ class TestTransportStats:
         ])
         assert merged == {"bytes_sent": 30, "frames_sent": 3,
                           "bytes_recv": 20, "frames_recv": 4, "shm_hits": 2}
-
-
-class TestBroadcastEncoded:
-    def test_one_encode_reaches_every_peer(self):
-        pairs = [PipeTransport.pair() for _ in range(3)]
-        callers = [left for left, _ in pairs]
-        for _, server in pairs:
-            run_node(server, {"echo": lambda payload: payload})
-        encoded = wire.encode(("echo", "shared"))
-        assert broadcast_encoded(callers, encoded) == ["shared"] * 3
-        # Each peer received the same byte count: the payload was
-        # serialized once and written verbatim to every channel.
-        assert {t.stats()["bytes_sent"] for t in callers} == {len(encoded)}
-        for caller in callers:
-            caller.close()
-
-    def test_failure_still_drains_every_reply(self):
-        pairs = [PipeTransport.pair() for _ in range(3)]
-        callers = [left for left, _ in pairs]
-
-        def handler_for(n):
-            def handler(payload):
-                if n == 1 and payload == "boom":
-                    raise RuntimeError("shard exploded")
-                return payload
-            return handler
-
-        for n, (_, server) in enumerate(pairs):
-            run_node(server, {"echo": handler_for(n)})
-        with pytest.raises(RemoteCallError, match="shard exploded"):
-            broadcast_encoded(callers, wire.encode(("echo", "boom")),
-                              who="shard worker")
-        # Replies were drained: the channels stay usable and in sync.
-        assert broadcast(callers, "echo", ["a", "b", "c"]) == ["a", "b", "c"]
-        for caller in callers:
-            caller.close()
 
 
 class TestPipeSharedMemory:
