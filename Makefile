@@ -120,10 +120,14 @@ bench-e2e-selftest:
 # untraced run through the HTTP edge and one traced run behind the
 # forked pipe workers — the run that crosses both a fork and the vector
 # path (its 512-row set-up chunks deal each shard a 128 KiB array, the
-# one payload that really rides /dev/shm) — each once at --quick length.
+# one payload that really rides /dev/shm) — and one traced run of the
+# only workload on an index that trains (pq: pending floats -> k-means
+# inside the first traced search -> the residency gauge flips), each once
+# at --quick length.
 # Exit 0 only when every answer matches the oracle and nothing leaked:
 # no process, no /dev/shm/repro_wire_* segment.
 bench-e2e-smoke: bench-e2e-selftest
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload scan_inproc --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload edge_http --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload remote_sharded --trace 1
+	$(PYTHON) benchmarks/e2e/run.py --quick --workload ann_inproc --trace 1

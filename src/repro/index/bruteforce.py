@@ -57,6 +57,14 @@ class BruteForceIndex:
         """Bytes of the stored vectors (used rows, not spare capacity)."""
         return self._data.nbytes
 
+    def export(self) -> Tuple[dict, dict]:
+        """``(meta, arrays)`` snapshot: the stored rows in their dtype."""
+        return {}, {"data": self._data}
+
+    def restore(self, meta: dict, arrays: dict) -> None:
+        """Take over the rows :meth:`export` wrote (on a fresh instance)."""
+        self._store = RowStore(distance.as_floats(arrays["data"]))
+
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(distances, indices)`` of the k nearest, sorted ascending."""
         if len(self._store) == 0:

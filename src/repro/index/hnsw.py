@@ -82,6 +82,11 @@ class HNSWIndex:
         # Links round-trip through int64 arrays in snapshots; count 8 B each.
         return self._size * self.dim * 4 + links * 8
 
+    @property
+    def max_level(self) -> int:
+        """Top layer of the graph (``-1`` while empty)."""
+        return self._max_level
+
     # ------------------------------------------------------------------
     # Distance kernel (float32, counted)
     # ------------------------------------------------------------------
@@ -287,7 +292,7 @@ class HNSWIndex:
     # ------------------------------------------------------------------
     # Snapshot support (flat int arrays; see HNSWBackendIndex)
     # ------------------------------------------------------------------
-    def export_graph(self) -> Tuple[dict, dict]:
+    def export(self) -> Tuple[dict, dict]:
         """``(meta, arrays)`` capturing vectors, levels and every link list."""
         counts, flat = [], []
         for node_links in self._links:
@@ -303,8 +308,8 @@ class HNSWIndex:
         }
         return meta, arrays
 
-    def import_graph(self, meta: dict, arrays: dict) -> None:
-        """Restore the exact graph written by :meth:`export_graph`."""
+    def restore(self, meta: dict, arrays: dict) -> None:
+        """Restore the exact graph written by :meth:`export`."""
         data = np.asarray(arrays["data"], dtype=np.float32)
         levels = [int(v) for v in arrays["levels"]]
         counts = [int(v) for v in arrays["link_counts"]]
@@ -325,3 +330,6 @@ class HNSWIndex:
             self._links.append(node_links)
         self._entry = int(meta["entry"])
         self._max_level = int(meta["max_level"])
+
+    #: the names the pair had before every structure grew one
+    export_graph, import_graph = export, restore

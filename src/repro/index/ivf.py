@@ -92,6 +92,28 @@ class IVFFlatIndex:
         centers = self.centers.nbytes if self.centers is not None else 0
         return vectors + ids + centers
 
+    def export(self) -> Tuple[dict, dict]:
+        """``(meta, arrays)`` snapshot: ``vectors`` back in id order, the
+        ``centers`` and each vector's cell (``assign``)."""
+        order = np.argsort(np.concatenate(self._ids))
+        cells = np.repeat(np.arange(self.n_lists),
+                          [len(ids) for ids in self._ids])
+        return {}, {"vectors": np.concatenate(self._lists)[order],
+                    "centers": self.centers, "assign": cells[order]}
+
+    def restore(self, meta: dict, arrays: dict) -> None:
+        """Refill the lists :meth:`export` flattened (on a fresh
+        instance); no k-means runs, ids ascend within a list as built."""
+        self.centers = distance.as_floats(arrays["centers"])
+        self.n_lists = len(self.centers)  # as clamped at build time
+        vectors = np.asarray(arrays["vectors"], dtype=self.centers.dtype)
+        self._ids = [np.flatnonzero(arrays["assign"] == cell)
+                     for cell in range(self.n_lists)]
+        self._lists = [vectors[ids] for ids in self._ids]
+        self._trained = True
+        self._size = len(vectors)
+        self.train_count = 1
+
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------

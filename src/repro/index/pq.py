@@ -267,6 +267,33 @@ class PQIndex:
             total += self._tail.rows.nbytes
         return total
 
+    def export(self) -> Tuple[dict, dict]:
+        """``(meta, arrays)`` snapshot: codebooks and code rows, plus cell
+        assignment + centres (IVF-PQ) and the refine tail when kept."""
+        arrays = {"codebooks": self.pq.codebooks, "codes": self._codes.rows}
+        if self._assign is not None:
+            arrays["assign"] = self._assign.rows
+            arrays["centers"] = self.centers
+        if self._tail is not None:
+            arrays["tail"] = self._tail.rows
+        return {}, arrays
+
+    def restore(self, meta: dict, arrays: dict) -> None:
+        """Take over what :meth:`export` wrote (on a fresh instance); no
+        k-means runs."""
+        self._reset_storage()
+        self.pq.codebooks = np.asarray(arrays["codebooks"], dtype=np.float32)
+        self._codes = RowStore(np.asarray(arrays["codes"], dtype=np.uint8))
+        if "assign" in arrays:
+            self._assign = RowStore(
+                np.asarray(arrays["assign"], dtype=np.int32))
+            self.centers = np.asarray(arrays["centers"], dtype=np.float32)
+            self.coarse_lists = len(self.centers)  # as clamped at build time
+        if "tail" in arrays:
+            self._tail = RowStore(np.asarray(arrays["tail"]))
+        self._trained = True
+        self.train_count = 1
+
     def _members(self) -> List[np.ndarray]:
         if self._cell_members is None:
             self._cell_members = [

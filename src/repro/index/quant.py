@@ -81,8 +81,13 @@ class Int8FlatIndex:
     def trained(self) -> bool:
         return self.quantizer.trained
 
-    def train(self, vectors: np.ndarray) -> None:
-        """Fit the per-dimension grid; empties stored codes."""
+    def train(self, vectors: np.ndarray,
+              rng: Optional[np.random.Generator] = None) -> None:
+        """Fit the per-dimension grid; empties stored codes.
+
+        The grid is min/max — nothing is drawn; ``rng`` is accepted so
+        every trainable structure takes ``train(vectors, rng=...)``.
+        """
         self.quantizer.train(vectors)
         self._codes = RowStore(np.empty((0, self.dim), dtype=np.uint8))
         self.train_count += 1
@@ -105,6 +110,19 @@ class Int8FlatIndex:
         if self.trained:
             grid = self.quantizer.scale.nbytes + self.quantizer.offset.nbytes
         return self._codes.rows.nbytes + grid
+
+    def export(self) -> Tuple[dict, dict]:
+        """``(meta, arrays)`` snapshot: the code rows and the grid."""
+        return {}, {"codes": self._codes.rows,
+                    "scale": self.quantizer.scale,
+                    "offset": self.quantizer.offset}
+
+    def restore(self, meta: dict, arrays: dict) -> None:
+        """Take over what :meth:`export` wrote (on a fresh instance)."""
+        self.quantizer.scale = np.asarray(arrays["scale"], dtype=np.float32)
+        self.quantizer.offset = np.asarray(arrays["offset"], dtype=np.float32)
+        self._codes = RowStore(np.asarray(arrays["codes"], dtype=np.uint8))
+        self.train_count = 1
 
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """kNN by symmetric int-domain scan; rows padded with ``inf``/``-1``."""
