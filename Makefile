@@ -8,12 +8,13 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The files whose lock discipline is the sharding engine's (one
-# _rpc_lock under both link kinds), slow tests included, with the runtime
-# lock-order sanitizer armed: an ABBA inversion raises instead of
-# deadlocking. CI's `sanitizer` job.
+# The stack's only lock-order check: every file where a serving lock
+# is taken (the engine's _rpc_lock under both link kinds, and the
+# gateway -> queue -> remote client -> server chain), slow tests
+# included, with the runtime lock-order sanitizer armed: an ABBA
+# inversion raises instead of deadlocking. CI's `sanitizer` job.
 test-sanitized:
-	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -q -m "" tests/api/test_serving.py tests/api/test_cluster.py tests/api/test_encode_once.py tests/api/test_transport.py tests/api/test_chaos.py tests/analysis
+	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -q -m "" tests/api/test_serving.py tests/api/test_cluster.py tests/api/test_encode_once.py tests/api/test_transport.py tests/api/test_chaos.py tests/api/test_gateway.py tests/api/test_remote.py tests/analysis
 
 # Everything: lint first (cheapest gate), then the full pytest suite
 # (including the slow serving stress tests) with the runtime lock-order
@@ -30,8 +31,9 @@ test-all: lint
 	$(MAKE) bench-e2e-smoke
 
 # Concurrency-aware static analysis over src/ (see src/repro/analysis):
-# lock-order cycles, unlocked shared writes, blocking calls under locks,
-# pickle/registry/npz invariants. Exits nonzero on any finding.
+# unlocked shared writes, blocking calls under locks (a class's locks
+# include its base classes'), pickle/registry/npz invariants. Exits
+# nonzero on any finding. Lock order is test-sanitized's.
 lint:
 	$(PYTHON) -m repro lint src
 

@@ -72,7 +72,7 @@ def main() -> None:
     # 3. the rule catalog is printable
     proc = run(lint + ["--list-rules"], cwd=root,
                capture_output=True, text=True)
-    if proc.returncode != 0 or "C201" not in proc.stdout:
+    if proc.returncode != 0 or "C204" not in proc.stdout:
         fail("--list-rules did not print the catalog")
     print("lint smoke: OK", flush=True)
 

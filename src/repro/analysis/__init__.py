@@ -1,18 +1,19 @@
 """repro.analysis — static analysis + runtime sanitizer for the stack.
 
-Two halves, one lock model:
+Two halves, one question each:
 
-* ``repro lint`` (see :mod:`.core`, :mod:`.lockgraph`,
-  :mod:`.concurrency`, :mod:`.invariants`, :mod:`.lint_cli`): stdlib
-  ``ast``/``symtable`` checkers for concurrency discipline (lock-order
-  cycles, unlocked shared writes, daemon-less threads, blocking calls
-  under a lock) and repo invariants (pickle boundary, registry
-  dispatch, mutable defaults, bare except, embedding dtype, npz
-  ``format_version``), with linted ``# repro: allow[RULE] reason``
+* ``repro lint`` (see :mod:`.core`, :mod:`.concurrency`,
+  :mod:`.invariants`, :mod:`.lint_cli`): stdlib ``ast`` checkers for
+  what only a static pass can say about concurrency (unlocked shared
+  writes, daemon-less threads, blocking calls under a lock — a class's
+  locks include its base classes') and repo invariants (pickle
+  boundary, registry dispatch, mutable defaults, bare except, embedding
+  dtype, npz ``format_version``), with linted ``# repro: allow[RULE] reason``
   suppressions;
 * the runtime lock-order sanitizer (see :mod:`.sanitizer`), enabled by
-  ``REPRO_LOCK_SANITIZER=1`` in the slow suite, which order-checks real
-  acquisitions and raises *before* an ABBA deadlock can form.
+  ``REPRO_LOCK_SANITIZER=1`` (``make test-sanitized``, ``test-all``):
+  the only lock-*order* check — it order-checks real acquisitions and
+  raises *before* an ABBA deadlock can form.
 
 The names below resolve on first access (PEP 562, like ``repro``
 itself): registering ``repro lint``'s four options costs a serving
@@ -23,7 +24,7 @@ checker module, so the rule registry is complete by the time it is read.
 from importlib import import_module
 
 #: modules whose import registers their rules with :mod:`.core`
-_CHECKER_MODULES = ("concurrency", "invariants", "lockgraph")
+_CHECKER_MODULES = ("concurrency", "invariants")
 #: re-exported name -> the submodule that defines it
 _REEXPORTS = {
     **dict.fromkeys((

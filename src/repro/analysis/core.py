@@ -1,7 +1,7 @@
 """The checker framework behind ``repro lint``.
 
-Stdlib-only (:mod:`ast` + :mod:`symtable` + :mod:`tokenize`) static
-analysis tuned to this repo's invariants. The moving parts:
+Stdlib-only (:mod:`ast` + :mod:`tokenize`) static analysis tuned to
+this repo's invariants. The moving parts:
 
 * :class:`Rule` — one lintable defect class: stable id (``C2xx``
   concurrency, ``R3xx`` repo invariants, ``S0xx`` suppression hygiene,
@@ -9,10 +9,10 @@ analysis tuned to this repo's invariants. The moving parts:
 * :class:`Finding` — one occurrence of a rule at ``path:line:col``;
 * :class:`Checker` — a registered visitor producing findings, either
   per-file (:meth:`Checker.check_file`) or across the whole file set
-  (:meth:`Checker.check_project` — the lock-order graph needs every
-  serving-layer file at once);
+  (:meth:`Checker.check_project` — the lock rules resolve a class's
+  base classes by name across it);
 * :class:`FileContext` — one parsed file: source, AST (with parent
-  links), :mod:`symtable` scopes, and its suppression comments;
+  links) and its suppression comments;
 * :func:`lint_paths` — the runner: discover files, run every enabled
   checker, apply suppressions, append the suppression-hygiene findings,
   and return a :class:`LintReport`.
@@ -34,7 +34,6 @@ import ast
 import io
 import os
 import re
-import symtable
 import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -171,14 +170,6 @@ class FileContext:
             for child in ast.iter_child_nodes(node):
                 child._repro_parent = node  # parent links for scope walks
         self.suppressions = _parse_suppressions(self.display_path, source)
-        self._symbols: Optional[symtable.SymbolTable] = None
-
-    @property
-    def symbols(self) -> symtable.SymbolTable:
-        """The file's :mod:`symtable` scope tree (built lazily)."""
-        if self._symbols is None:
-            self._symbols = symtable.symtable(self.source, self.path, "exec")
-        return self._symbols
 
     @property
     def module_name(self) -> str:

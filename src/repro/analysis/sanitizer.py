@@ -1,4 +1,4 @@
-"""Runtime lock-order sanitizer: the dynamic half of the lock checks.
+"""Runtime lock-order sanitizer: the lock-order check.
 
 :func:`enable_lock_sanitizer` patches ``threading.Lock`` /
 ``threading.RLock`` with instrumented wrappers. Every wrapper records,
@@ -7,9 +7,10 @@ per thread, the stack of sanitized locks currently held; each blocking
 acquisition-order graph and raises :class:`LockOrderError` **before
 acquiring** if that edge would close a cycle — i.e. at the exact moment
 an ABBA deadlock becomes reachable, deterministically, without needing
-the unlucky interleaving. This validates the static C201 graph (see
-:mod:`.lockgraph`) against what the serving stack actually does under
-test traffic.
+the unlucky interleaving. It is the stack's only lock-order check: the
+orders the serving layers take run through callbacks, duck-typed
+``self.service`` calls and module-level functions, which no static model
+follows (``repro lint`` keeps what a static pass *can* say — C202–C204).
 
 Enabled via ``REPRO_LOCK_SANITIZER=1`` (see ``tests/conftest.py``; the
 ``test-sanitized`` make target CI runs, and the ``test-all`` slow lane).

@@ -25,9 +25,8 @@ embeddings, and snapshots config + weights + index state to one ``.npz``.
 For serving at scale, :mod:`repro.api.serving` shards the database across
 worker processes (:class:`ShardedSimilarityService`) and batches concurrent
 queries (:class:`QueryQueue`); :mod:`repro.api.remote` puts any of those
-services behind a TCP port (:class:`SimilarityServer`) with blocking
-(:class:`RemoteSimilarityClient`) and asyncio
-(:class:`AsyncSimilarityClient`) front-ends; :mod:`repro.api.cluster`
+services behind a TCP port (:class:`SimilarityServer`) with a blocking
+client (:class:`RemoteSimilarityClient`); :mod:`repro.api.cluster`
 fans the shards out across machines (:class:`ClusterCoordinator` over N
 :class:`ShardWorker` servers, with N-way replication, heartbeats,
 failover, automatic rejoin/re-replication and sharded snapshots —
@@ -61,8 +60,7 @@ _EXPORTS = {
                   "SocketTransport", "TransientError", "Transport",
                   "TransportClosed", "TransportError"),
     "chaos": ("ChaosConfig", "ChaosTransport"),
-    "remote": ("AsyncSimilarityClient", "RemoteSimilarityClient",
-               "SimilarityServer"),
+    "remote": ("RemoteSimilarityClient", "SimilarityServer"),
     "cluster": ("ClusterCoordinator", "ShardWorker"),
     "gateway": ("SimilarityGateway",),
 }
@@ -114,7 +112,6 @@ __all__ = [
     "ServiceNode",
     "SimilarityServer",
     "RemoteSimilarityClient",
-    "AsyncSimilarityClient",
     "ClusterCoordinator",
     "ShardWorker",
     "SimilarityGateway",

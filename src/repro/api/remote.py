@@ -1,6 +1,6 @@
 """Remote serving: a TCP front-end over any :class:`KnnService`.
 
-Three pieces, all speaking the :mod:`repro.api.transport` frame protocol:
+Two pieces, both speaking the :mod:`repro.api.transport` frame protocol:
 
 * :class:`SimilarityServer` — a threaded accept loop wrapping any kNN
   service (a plain :class:`~repro.api.service.SimilarityService`, a
@@ -10,10 +10,7 @@ Three pieces, all speaking the :mod:`repro.api.transport` frame protocol:
   the server), graceful shutdown that lets in-flight queries finish;
 * :class:`RemoteSimilarityClient` — the blocking client. It satisfies
   the :class:`~repro.api.protocols.KnnService` protocol, so it composes
-  with ``QueryQueue`` (or another ``SimilarityServer``!) transparently;
-* :class:`AsyncSimilarityClient` — ``await client.knn(...)`` over
-  asyncio streams, byte-compatible with the threaded server, so
-  notebook and event-loop callers stop blocking threads.
+  with ``QueryQueue`` (or another ``SimilarityServer``!) transparently.
 
 Round-tripping through the server is loss-free: requests and replies
 carry numpy arrays as raw typed buffers, so a remote ``knn`` returns
@@ -43,17 +40,12 @@ from ..trajectory import as_points
 from ..trajectory.trajectory import TrajectoryLike
 from .service import SimilarityService
 from .transport import (
-    RemoteCallError,
     ServiceNode,
     SocketTransport,
     TransientError,
     TransportClosed,
     TransportError,
-    encode_frame,
-    decode_payload,
-    frame_length,
     merge_transport_stats,
-    FRAME_HEADER,
     request,
 )
 
@@ -62,7 +54,6 @@ _as_batch = SimilarityService._as_batch
 __all__ = [
     "SimilarityServer",
     "RemoteSimilarityClient",
-    "AsyncSimilarityClient",
     "parse_address",
     "install_signal_shutdown",
     "write_ready_file",
@@ -454,7 +445,7 @@ class RemoteSimilarityClient:
             who = (f"similarity server {self.address[0]}:"
                    f"{self.address[1]}")
             try:
-                # repro: allow[C204] the blocking client serializes whole call/response pairs under _lock by design; AsyncSimilarityClient is the non-blocking alternative
+                # repro: allow[C204] the blocking client serializes whole call/response pairs under _lock by design; concurrent callers open one client each
                 return request(self._transport, command, payload, who=who)
             except (TransportClosed, TransientError):
                 # The exchange died between frames: no reply byte was
@@ -548,118 +539,3 @@ class RemoteSimilarityClient:
         return (f"RemoteSimilarityClient({self.address[0]}:"
                 f"{self.address[1]}, {state})")
 
-
-# ----------------------------------------------------------------------
-# asyncio client
-# ----------------------------------------------------------------------
-class AsyncSimilarityClient:
-    """``await``-able client speaking the same frames over asyncio streams.
-
-    Event-loop callers (servers, notebooks) issue ``await client.knn(...)``
-    without blocking a thread per query; many clients on one loop give
-    cheap concurrency against a :class:`SimilarityServer` whose underlying
-    ``QueryQueue`` can then batch them. Build with :meth:`connect`::
-
-        client = await AsyncSimilarityClient.connect(host, port)
-        distances, ids = await client.knn(query, k=10)
-        await client.close()
-
-    One in-flight request per client (an internal asyncio lock orders
-    them); open several clients for true fan-out.
-    """
-
-    def __init__(self, reader, writer, address: Tuple[str, int]):
-        self._reader = reader
-        self._writer = writer
-        self.address = address
-        self._lock = None  # created lazily on the running loop
-        self._closed = False
-
-    @classmethod
-    async def connect(cls, address: Union[str, Tuple[str, int]],
-                      port: Optional[int] = None,
-                      ) -> "AsyncSimilarityClient":
-        import asyncio
-
-        host, port = parse_address(address, port)
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, (host, port))
-
-    async def _call(self, command: str, payload=None):
-        import asyncio
-
-        if self._closed:
-            raise RuntimeError("client is closed")
-        if self._lock is None:
-            self._lock = asyncio.Lock()
-        async with self._lock:
-            self._writer.write(encode_frame((command, payload)))
-            await self._writer.drain()
-            header = await self._reader.readexactly(FRAME_HEADER.size)
-            body = await self._reader.readexactly(frame_length(header))
-        status, result = decode_payload(body)
-        if status != "ok":
-            raise RemoteCallError(
-                f"similarity server {self.address[0]}:{self.address[1]} "
-                f"failed:\n{result}"
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    # Service surface (same contracts as RemoteSimilarityClient)
-    # ------------------------------------------------------------------
-    async def add(self, trajectories: Sequence[TrajectoryLike]) -> int:
-        batch = [as_points(t) for t in _as_batch(trajectories)]
-        return await self._call("add", batch)
-
-    async def knn(
-        self,
-        queries: Sequence[TrajectoryLike],
-        k: int,
-        exclude: Optional[int] = None,
-        dedupe_eps: Optional[float] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        batch = [as_points(t) for t in _as_batch(queries)]
-        return await self._call("knn", (batch, k, exclude, dedupe_eps))
-
-    async def pairwise(
-        self,
-        queries: Sequence[TrajectoryLike],
-        database: Optional[Sequence[TrajectoryLike]] = None,
-    ) -> np.ndarray:
-        batch = [as_points(t) for t in _as_batch(queries)]
-        if database is not None:
-            database = [as_points(t) for t in _as_batch(database)]
-        return await self._call("pairwise", (batch, database))
-
-    async def size(self) -> int:
-        return int(await self._call("len"))
-
-    async def stats(self) -> Dict:
-        return await self._call("stats")
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._writer.write(encode_frame(("stop", None)))
-            await self._writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncSimilarityClient":
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "connected"
-        return (f"AsyncSimilarityClient({self.address[0]}:"
-                f"{self.address[1]}, {state})")

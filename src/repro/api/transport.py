@@ -1,8 +1,8 @@
 """Framed-message transports and the request/response dispatcher.
 
 Every hop in the serving stack — parent process to shard worker, TCP
-client to :class:`~repro.api.remote.SimilarityServer`, asyncio caller to
-the same server — speaks one wire protocol: a *frame* is an 8-byte
+client to :class:`~repro.api.remote.SimilarityServer`, coordinator to
+cluster worker — speaks one wire protocol: a *frame* is an 8-byte
 big-endian length prefix followed by a payload encoded by the typed
 binary codec in :mod:`repro.api.wire` (numpy buffers raw, a closed tag
 vocabulary, nothing ever unpickled).  A value the codec cannot express
@@ -15,7 +15,7 @@ the callers transport-oblivious:
   pipe frames raw payload bytes; an optional shared-memory pool moves
   large arrays out-of-band entirely);
 * :class:`SocketTransport` — the same messages as explicit frames over a
-  TCP socket, shared byte-for-byte with the asyncio client;
+  TCP socket;
 * :class:`ServiceNode` — the request/response loop a worker or server
   connection runs: receive ``(command, payload)``, dispatch to a handler,
   reply ``("ok", result)`` or ``("error", traceback)``;
@@ -275,10 +275,8 @@ class PipeTransport:
 class SocketTransport:
     """Framed messages over a connected TCP socket.
 
-    The frame layout (8-byte big-endian length, versioned payload) is
-    shared with :class:`~repro.api.remote.AsyncSimilarityClient`, so a
-    server never knows whether a thread or an event loop sits at the
-    other end.  No shared-memory pool here, and a received ``M`` tag is a
+    The frame layout is an 8-byte big-endian length, then the versioned
+    payload.  No shared-memory pool here, and a received ``M`` tag is a
     :class:`FrameError`: sockets may cross machines.
     """
 

@@ -45,8 +45,8 @@ large arrays through ``multiprocessing.shared_memory`` segments so the
 buffer never crosses the pipe — the frame carries only the segment name,
 dtype, and shape (tag ``M``).  Segment lifecycle is sender-owned: the
 pool keeps every segment it created and ``release()`` closes + unlinks
-them once the peer has provably consumed the message (after a broadcast
-drains its replies, or — for a worker's reply — when the next request
+them once the peer has provably consumed the message (after the routed
+replies are read, or — for a worker's reply — when the next request
 arrives).  Unlinking while the receiver still maps the segment is safe
 on POSIX: the memory persists until the last mapping closes, which the
 receiver does via a ``weakref.finalize`` hook on the decoded view.
@@ -137,7 +137,7 @@ class ShmPool:
     ``release`` closes and unlinks everything stored since the previous
     release.  The caller releases only once the receiver has provably
     attached (request/response alternation makes that point explicit:
-    after a broadcast drains its replies, or when the next request
+    after the routed replies are read, or when the next request
     arrives on a worker).  Unlink-with-open-mappings is safe on POSIX,
     so a receiver still holding views just keeps its private mapping
     alive until the views die.

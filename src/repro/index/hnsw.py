@@ -330,6 +330,3 @@ class HNSWIndex:
             self._links.append(node_links)
         self._entry = int(meta["entry"])
         self._max_level = int(meta["max_level"])
-
-    #: the names the pair had before every structure grew one
-    export_graph, import_graph = export, restore

@@ -1,154 +1,14 @@
-"""The static lock-acquisition graph: C201 cycle detection, the edge
-model (nested with, self-call closure, typed attributes), and the event
-walker the other concurrency rules ride on."""
+"""The static lock model the concurrency rules ride on: which attributes
+and globals are locks, and the held-lock event walker."""
 
 import ast
 import textwrap
 
-from repro.analysis.lockgraph import (
-    build_lock_model,
+from repro.analysis.concurrency import (
     collect_class_locks,
     collect_module_locks,
     iter_lock_events,
 )
-from repro.analysis.core import FileContext
-
-
-def _ctx(source, name="snippet.py"):
-    return FileContext(name, textwrap.dedent(source))
-
-
-ABBA_DIRECT = """
-    import threading
-
-    class Service:
-        def __init__(self):
-            self._a = threading.Lock()
-            self._b = threading.Lock()
-
-        def one(self):
-            with self._a:
-                with self._b:
-                    pass
-
-        def two(self):
-            with self._b:
-                with self._a:
-                    pass
-"""
-
-CONSISTENT_ORDER = """
-    import threading
-
-    class Service:
-        def __init__(self):
-            self._a = threading.Lock()
-            self._b = threading.Lock()
-
-        def one(self):
-            with self._a:
-                with self._b:
-                    pass
-
-        def two(self):
-            with self._a:
-                with self._b:
-                    pass
-"""
-
-ABBA_VIA_SELF_CALL = """
-    import threading
-
-    class Service:
-        def __init__(self):
-            self._a = threading.Lock()
-            self._b = threading.Lock()
-
-        def _grab_a(self):
-            with self._a:
-                return 1
-
-        def one(self):
-            with self._a:
-                with self._b:
-                    pass
-
-        def two(self):
-            with self._b:
-                return self._grab_a()
-"""
-
-ABBA_VIA_TYPED_ATTR = """
-    import threading
-
-    class Inner:
-        def __init__(self):
-            self._inner_lock = threading.Lock()
-            self._outer = None
-
-        def poke(self):
-            with self._inner_lock:
-                pass
-
-        def call_back(self, outer):
-            with self._inner_lock:
-                outer.refresh()
-
-    class Outer:
-        def __init__(self):
-            self._outer_lock = threading.Lock()
-            self._child = Inner()
-
-        def refresh(self):
-            with self._outer_lock:
-                pass
-
-        def use(self):
-            with self._outer_lock:
-                self._child.poke()
-"""
-
-
-def test_direct_abba_cycle_is_flagged(lint_rules):
-    assert "C201" in lint_rules(ABBA_DIRECT)
-
-
-def test_consistent_order_is_quiet(lint_rules):
-    assert "C201" not in lint_rules(CONSISTENT_ORDER)
-
-
-def test_indirect_cycle_through_self_call_is_flagged(lint_rules):
-    assert "C201" in lint_rules(ABBA_VIA_SELF_CALL)
-
-
-def test_cycle_finding_names_both_locks(lint_source):
-    report = lint_source(ABBA_DIRECT)
-    finding = next(f for f in report.findings if f.rule == "C201")
-    assert "._a" in finding.message and "._b" in finding.message
-
-
-def test_cross_class_edges_via_typed_attributes():
-    # Outer.use holds _outer_lock and calls into Inner (which takes
-    # _inner_lock): the model must carry the edge across classes.
-    model = build_lock_model([_ctx(ABBA_VIA_TYPED_ATTR)])
-    edges = model.edge_list()
-    assert ("snippet:Outer._outer_lock", "snippet:Inner._inner_lock") in edges
-
-
-def test_reentrant_same_lock_nesting_is_not_a_cycle(lint_rules):
-    fired = lint_rules("""
-        import threading
-
-        class Service:
-            def __init__(self):
-                self._lock = threading.RLock()
-
-            def outer(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    """)
-    assert "C201" not in fired
 
 
 def test_collect_class_locks_kinds():

@@ -2,6 +2,8 @@
 stays quiet on the fixed version, and the suppression machinery is itself
 linted (reason required, stale suppressions flagged)."""
 
+import textwrap
+
 import pytest
 
 from repro.analysis import all_rules, lint_paths, rule_catalog
@@ -277,6 +279,53 @@ R311_GOOD = """
             return nx.Graph()
 """
 
+# The lock is created in a base class and taken in a subclass — the
+# sharding engine's shape (``_rpc_lock`` lives in the mixin, the
+# coordinator's critical sections in the subclass). ``*_SUBCLASS`` alone
+# has an unresolvable base: no known lock, quiet, as before inheritance.
+LOCK_OWNING_BASE = """
+    import threading
+    import time
+
+    class Engine:
+        def __init__(self):
+            self._rpc_lock = threading.Lock()
+            self._sizes = {}
+
+        def stats(self):
+            with self._rpc_lock:
+                return dict(self._sizes)
+"""
+C202_SUBCLASS = """
+    class Coordinator(Engine):
+        def sizes(self):
+            with self._rpc_lock:
+                return sorted(self._sizes)
+
+        def commit(self, shard, count):
+            self._sizes[shard] = count
+"""
+C202_SUBCLASS_GOOD = """
+    class Coordinator(Engine):
+        def commit(self, shard, count):
+            with self._rpc_lock:
+                self._sizes[shard] = count
+"""
+C204_SUBCLASS = """
+    class Coordinator(Engine):
+        def repair(self, transport):
+            with self._rpc_lock:
+                time.sleep(0.1)
+                return transport.recv()
+"""
+C204_SUBCLASS_GOOD = """
+    class Coordinator(Engine):
+        def repair(self, transport):
+            reply = transport.recv()
+            with self._rpc_lock:
+                self._sizes[0] = reply
+"""
+
 GOLDEN = [
     ("C202", C202_BAD, C202_GOOD),
     ("C202", C202_MUTATOR_BAD, None),
@@ -291,6 +340,13 @@ GOLDEN = [
     ("R308", R308_BAD, R308_GOOD),
     ("R308", R308_BAD, R308_POLL),
     ("R311", R311_BAD, R311_GOOD),
+    # appended, never inserted: the row number is part of the test id
+    ("C202", LOCK_OWNING_BASE + C202_SUBCLASS,
+     LOCK_OWNING_BASE + C202_SUBCLASS_GOOD),
+    ("C202", LOCK_OWNING_BASE + C202_SUBCLASS, C202_SUBCLASS),
+    ("C204", LOCK_OWNING_BASE + C204_SUBCLASS,
+     LOCK_OWNING_BASE + C204_SUBCLASS_GOOD),
+    ("C204", LOCK_OWNING_BASE + C204_SUBCLASS, C204_SUBCLASS),
 ]
 
 
@@ -326,6 +382,28 @@ def test_c202_ignores_never_locked_attributes(lint_rules):
                 self._scratch += 1
     """)
     assert "C202" not in fired
+
+
+def test_base_class_locks_resolve_across_the_linted_file_set(tmp_path):
+    (tmp_path / "a.py").write_text(textwrap.dedent(LOCK_OWNING_BASE))
+    bad, good = tmp_path / "b.py", tmp_path / "c.py"
+    header = "import time\nfrom a import Engine\n"
+    bad.write_text(header + textwrap.dedent(
+        C202_SUBCLASS + C204_SUBCLASS.replace("Coordinator", "Repairer")))
+    good.write_text(header + textwrap.dedent(
+        C202_SUBCLASS_GOOD
+        + C204_SUBCLASS_GOOD.replace("Coordinator", "Repairer")))
+
+    def fired(*paths):
+        report = lint_paths([str(path) for path in paths],
+                            relative_to=str(tmp_path))
+        return sorted((f.path, f.rule) for f in report.findings)
+
+    # sleep and recv under the inherited lock: two C204 findings
+    assert fired(tmp_path) == [("b.py", "C202"), ("b.py", "C204"),
+                               ("b.py", "C204")]
+    # without a.py the base is unresolvable: no known lock, as before
+    assert fired(bad, good) == []
 
 
 def test_c203_kwargs_passthrough_is_not_flagged(lint_rules):
@@ -557,7 +635,7 @@ def test_suppression_matches_only_named_rules(lint_rules):
 # ----------------------------------------------------------------------
 def test_catalog_has_at_least_ten_rules_with_hints():
     rules = all_rules()
-    assert len(rules) == 17  # the README table lists exactly these
+    assert len(rules) == 16  # the README table lists exactly these
     assert len({rule.id for rule in rules}) == len(rules)
     for rule in rules:
         assert rule.severity in ("error", "warning")

@@ -238,6 +238,57 @@ def test_serving_stack_has_no_lock_order_cycles(sanitized):
     assert lock_graph_snapshot() is not None
 
 
+def test_sanitizer_sees_the_order_the_edge_stack_takes(sanitized):
+    """The sanitizer is the only order checker, so it must not be blind
+    (the deleted static graph found 0 edges in ``src/``): each tier takes
+    its lock while the tier above holds its own, through a duck-typed
+    ``self.service`` no static model follows. An ``add`` walks the chain
+    gateway -> queue -> client on one thread; the ``knn`` reaches the
+    client from the queue's flush thread."""
+    import json
+    import urllib.request
+
+    np = pytest.importorskip("numpy")
+    from repro.api import (QueryQueue, RemoteSimilarityClient,
+                           SimilarityServer, SimilarityService)
+    from repro.api.gateway import SimilarityGateway
+
+    rng = np.random.default_rng(11)
+    trajectories = [rng.normal(size=(8, 2)).cumsum(axis=0).tolist()
+                    for _ in range(6)]
+
+    def post(gateway, path, body):
+        request = urllib.request.Request(gateway.url + path,
+                                         data=json.dumps(body).encode())
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return json.loads(response.read())
+
+    service = SimilarityService(backend="hausdorff")
+    with SimilarityServer(service) as server, \
+            RemoteSimilarityClient(*server.address) as client, \
+            QueryQueue(client, max_wait=0.002) as queue, \
+            SimilarityGateway(queue) as gateway:
+        post(gateway, "/add", {"trajectories": trajectories})
+        reply = post(gateway, "/knn", {"queries": [trajectories[2]], "k": 2})
+    assert reply["ids"][0][0] == 2
+
+    edges = lock_graph_snapshot()
+
+    def reaches(src_file, dst_file):
+        return any(src.startswith(src_file) and dst.startswith(dst_file)
+                   for src, dsts in edges.items() for dst in dsts)
+
+    assert reaches("gateway.py:", "serving.py:")
+    assert reaches("serving.py:", "remote.py:")
+    # acyclic: peeling locks nothing is taken under empties the graph
+    graph = {src: set(dsts) for src, dsts in edges.items()}
+    while graph:
+        leaves = {src for src, dsts in graph.items() if not dsts & set(graph)}
+        assert leaves, graph
+        for src in leaves:
+            del graph[src]
+
+
 def test_sanitized_locks_support_stdlib_fork_hooks(sanitized):
     """``concurrent.futures.thread`` registers ``_at_fork_reinit`` of a
     module-level lock at import time; the wrappers must expose it or

@@ -1,9 +1,8 @@
 """Tests for the remote serving layer: bit-identical parity through the
-sync and asyncio clients, composition with QueryQueue and sharding, and
-the error paths (malformed frames, mid-request disconnects, shutdown with
-in-flight queries)."""
+client, composition with QueryQueue and sharding, and the error paths
+(malformed frames, mid-request disconnects, shutdown with in-flight
+queries)."""
 
-import asyncio
 import socket
 import threading
 import time
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    AsyncSimilarityClient,
     KnnService,
     QueryQueue,
     RemoteCallError,
@@ -25,7 +23,6 @@ from repro.api import (
 from repro.api.remote import parse_address
 from repro.api.transport import (
     FRAME_HEADER,
-    FrameError,
     SocketTransport,
     TransportClosed,
 )
@@ -111,45 +108,6 @@ class TestRemoteParity:
 
     def test_client_satisfies_knn_service_protocol(self, client):
         assert isinstance(client, KnnService)
-
-    def test_async_client_bit_identical(self, local_service, server,
-                                        trajectories):
-        queries = trajectories[:5]
-        local_d, local_i = local_service.knn(queries, k=4, exclude=2)
-
-        async def go():
-            async with await AsyncSimilarityClient.connect(
-                    server.address) as cli:
-                result = await cli.knn(queries, k=4, exclude=2)
-                stats = await cli.stats()
-                size = await cli.size()
-            return result, stats, size
-
-        (remote_d, remote_i), stats, size = asyncio.run(go())
-        assert local_d.tobytes() == remote_d.tobytes()
-        assert local_i.tobytes() == remote_i.tobytes()
-        assert stats["backend"] == "hausdorff"
-        assert size == len(local_service)
-
-    def test_async_concurrent_clients(self, local_service, server,
-                                      trajectories):
-        async def go():
-            clients = [await AsyncSimilarityClient.connect(server.address)
-                       for _ in range(3)]
-            results = await asyncio.gather(*(
-                clients[i % 3].knn(trajectories[i], k=3, exclude=i)
-                for i in range(9)
-            ))
-            for cli in clients:
-                await cli.close()
-            return results
-
-        results = asyncio.run(go())
-        for i, (remote_d, remote_i) in enumerate(results):
-            local_d, local_i = local_service.knn(trajectories[i], k=3,
-                                                 exclude=i)
-            np.testing.assert_array_equal(local_i, remote_i)
-            np.testing.assert_array_equal(local_d, remote_d)
 
 
 class TestWireParity:
@@ -292,37 +250,6 @@ class TestErrorPaths:
         with RemoteSimilarityClient(*server.address) as client:
             _, ids = client.knn(trajectories[0], k=2)
             assert ids.shape == (1, 2)
-
-    def test_async_client_refuses_a_shared_memory_reply(self):
-        # A fake server that answers with a segment name: only pipe
-        # endpoints attach, so the asyncio client sees a malformed frame.
-        listener = socket.create_server(("127.0.0.1", 0))
-
-        def serve():
-            connection, _ = listener.accept()
-            with connection:
-                SocketTransport(connection).recv()
-                payload = hostile_payloads(None)["shm_tag"]
-                connection.sendall(FRAME_HEADER.pack(len(payload)) + payload)
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-
-        async def go():
-            cli = await AsyncSimilarityClient.connect(
-                listener.getsockname()[:2])
-            try:
-                with pytest.raises(FrameError, match="shared-memory tag"):
-                    await cli.size()
-            finally:
-                await cli.close()
-
-        try:
-            asyncio.run(go())
-        finally:
-            thread.join(timeout=5)
-            listener.close()
-        assert not thread.is_alive()
 
     def test_disconnect_mid_request_is_isolated(self, server, trajectories):
         raw = socket.create_connection(server.address, timeout=5)
@@ -587,17 +514,8 @@ class TestSeededTrajclParity:
                                 max_wait=0.02) as queue:
                     queued = [queue.knn(trajectories[i], k=5, exclude=1,
                                         timeout=30) for i in range(4)]
-
-            async def go():
-                async with await AsyncSimilarityClient.connect(
-                        server.address) as cli:
-                    return await cli.knn(trajectories[:4], k=5, exclude=1)
-
-            async_d, async_i = asyncio.run(go())
         assert local_d.tobytes() == remote_d.tobytes()
         assert local_i.tobytes() == remote_i.tobytes()
-        assert local_d.tobytes() == async_d.tobytes()
-        assert local_i.tobytes() == async_i.tobytes()
         for row, (row_d, row_i) in enumerate(queued):
             assert local_d[row].tobytes() == row_d.tobytes()
             assert local_i[row].tobytes() == row_i.tobytes()

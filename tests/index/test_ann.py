@@ -255,9 +255,9 @@ class TestMemoryAndState:
         data, queries = corpus
         index = HNSWIndex(data.shape[1], seed=3)
         index.add(data[:500])
-        meta, arrays = index.export_graph()
+        meta, arrays = index.export()
         clone = HNSWIndex(data.shape[1], seed=3)
-        clone.import_graph(meta, arrays)
+        clone.restore(meta, arrays)
         want_d, want_i = index.search(queries, 5)
         got_d, got_i = clone.search(queries, 5)
         assert want_d.tobytes() == got_d.tobytes()

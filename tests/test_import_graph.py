@@ -213,7 +213,7 @@ with open(os.environ["PROBE_OUT"]) as handle:
 
 
 ANALYZERS = ["repro.analysis." + name for name in
-             ("core", "lockgraph", "concurrency", "invariants", "sanitizer")]
+             ("core", "concurrency", "invariants", "sanitizer")]
 
 
 def test_build_parser_loads_no_analyzer():
@@ -241,7 +241,7 @@ print(json.dumps({"status": status, "rules": rules,
                   "modules": sorted(sys.modules)}))
 """)
     assert report["status"] == 0
-    assert len(report["rules"]) == len(set(report["rules"])) == 17
+    assert len(report["rules"]) == len(set(report["rules"])) == 16
     # running the linter is what loads the checkers (the sanitizer is the
     # runtime half: REPRO_LOCK_SANITIZER=1 loads it, lint does not)
-    assert set(ANALYZERS[:4]) <= set(report["modules"])
+    assert set(ANALYZERS[:3]) <= set(report["modules"])
