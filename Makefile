@@ -121,11 +121,11 @@ bench-e2e-selftest:
 # traced in-process run (every name the span shims patch resolves), one
 # untraced run through the HTTP edge and one traced run behind the
 # forked pipe workers — the run that crosses both a fork and the vector
-# path (its 512-row set-up chunks deal each shard a 128 KiB array, the
-# one payload that really rides /dev/shm) — and one traced run of the
-# only workload on an index that trains (pq: pending floats -> k-means
-# inside the first traced search -> the residency gauge flips), each once
-# at --quick length.
+# path (its 512-row set-up chunks deal each shard a 64 KiB float32
+# array, at the shm threshold: the one payload that rides /dev/shm) —
+# and one traced run of the only workload on an index that trains (pq:
+# pending floats -> k-means inside the first traced search -> the
+# residency gauge flips), each once at --quick length.
 # Exit 0 only when every answer matches the oracle and nothing leaked:
 # no process, no /dev/shm/repro_wire_* segment.
 bench-e2e-smoke: bench-e2e-selftest

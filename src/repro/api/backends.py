@@ -125,31 +125,20 @@ def _build_trajcl(
     grid_cells_per_side: int = 16,
     encoder_variant: str = "dual",
     train: bool = True,
-    fast_encode: Optional[bool] = None,
-    encode_dtype: Optional[str] = None,
     **config_kwargs,
 ) -> EmbeddingBackend:
     from ..core import (
         FeatureEnrichment, TrajCL, TrajCLConfig, TrajCLTrainer, load_pipeline,
     )
 
-    def _with_encode_prefs(trajcl_model) -> EmbeddingBackend:
-        # Inference-engine knobs (fused numpy forward / compute dtype);
-        # see :meth:`repro.core.TrajCL.encode`. The preferences are
-        # *model* state, like train/eval mode: only explicitly passed
-        # values are applied, and every backend wrapping the same model
-        # object shares them (last writer wins) — this keeps encode,
-        # pairwise and distance_matrix on one consistent path.
-        if fast_encode is not None:
-            trajcl_model.encode_fast = bool(fast_encode)
-        if encode_dtype is not None:
-            trajcl_model.encode_dtype = encode_dtype
-        return EmbeddingBackend("trajcl", trajcl_model)
-
+    if (model is not None or checkpoint is not None) and config_kwargs:
+        # nothing configures a model that is already built
+        raise TypeError("backend 'trajcl' got unexpected keyword "
+                        f"argument(s) {sorted(config_kwargs)}")
     if model is not None:
-        return _with_encode_prefs(model)
+        return EmbeddingBackend("trajcl", model)
     if checkpoint is not None:
-        return _with_encode_prefs(load_pipeline(checkpoint))
+        return EmbeddingBackend("trajcl", load_pipeline(checkpoint))
     if trajectories is None:
         raise TypeError(
             "backend 'trajcl' needs one of model=, checkpoint= or "
@@ -177,7 +166,7 @@ def _build_trajcl(
         TrajCLTrainer(trajcl, rng=np.random.default_rng(seed + 3)).fit(
             trajectories, epochs=epochs
         )
-    return _with_encode_prefs(trajcl)
+    return EmbeddingBackend("trajcl", trajcl)
 
 
 # ----------------------------------------------------------------------
@@ -304,16 +293,7 @@ def backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
     from ..core import TrajCL, pipeline_state
 
     if isinstance(model, TrajCL):
-        meta = {
-            "family": "trajcl", "name": backend.name, "metric": metric,
-            # Inference-engine preferences travel with the snapshot so a
-            # restored service (or a sharded worker) encodes the same way.
-            "encode": {
-                "fast": bool(getattr(model, "encode_fast", True)),
-                "dtype": str(np.dtype(getattr(model, "encode_dtype",
-                                              "float64"))),
-            },
-        }
+        meta = {"family": "trajcl", "name": backend.name, "metric": metric}
         return meta, pipeline_state(model)
 
     rebuild = getattr(backend, "rebuild_meta", None)
@@ -366,11 +346,9 @@ def restore_backend(meta: Dict, arrays: Dict[str, np.ndarray]):
     if family == "trajcl":
         from ..core import pipeline_from_state
 
+        # An older snapshot's ``encode`` block (route + dtype preferences)
+        # is read past: there is one way to encode.
         model = pipeline_from_state(dict(arrays))
-        encode_prefs = meta.get("encode")
-        if encode_prefs:
-            model.encode_fast = bool(encode_prefs.get("fast", True))
-            model.encode_dtype = encode_prefs.get("dtype", "float64")
         return EmbeddingBackend(meta["name"], model,
                                 metric=meta.get("metric", "l1"))
     if family != "baseline":

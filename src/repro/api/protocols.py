@@ -38,9 +38,9 @@ DISTANCE = "distance"
 def as_float_array(values) -> np.ndarray:
     """Coerce to a float array, preserving an existing floating dtype.
 
-    A float32 fast-path encoder stays float32 end to end (backend encode
-    and the service's embedding cache share this policy); only non-float
-    outputs are upcast to float64.
+    Float32 embeddings stay float32 end to end (backend encode and the
+    service's embedding cache share this policy); only non-float outputs
+    are upcast to float64.
     """
     out = np.asarray(values)
     if not np.issubdtype(out.dtype, np.floating):
@@ -88,6 +88,12 @@ class SimilarityBackend(ABC):
     @property
     def output_dim(self) -> Optional[int]:
         """Embedding dimensionality, or None for distance backends."""
+        return None
+
+    @property
+    def dtype(self) -> Optional[np.dtype]:
+        """Dtype of the rows :meth:`encode` returns, or None for a backend
+        that holds no encoder."""
         return None
 
     def __repr__(self) -> str:
@@ -215,6 +221,12 @@ class EmbeddingBackend(SimilarityBackend):
     def scale(self) -> float:
         """Factor mapping embedding distances onto the method's scale."""
         return float(getattr(self.model, "target_scale", 1.0))
+
+    @property
+    def dtype(self) -> np.dtype:
+        """What the model declares as its ``dtype`` (TrajCL: float32),
+        else the float64 a numpy model emits."""
+        return np.dtype(getattr(self.model, "dtype", np.float64))
 
     @property
     def output_dim(self) -> Optional[int]:

@@ -134,15 +134,16 @@ class CachedEncoder:
                 chunk = missing[start:start + self.batch_size]
                 encoded = self.backend.encode([batch[i] for i in chunk])
                 for row, position in enumerate(chunk):
-                    # Keep the backend's own dtype in the cache: a float32
-                    # backend's vectors stay float32, halving cache memory.
+                    # Entries keep the backend's own dtype (float32 for
+                    # trajcl): nothing between encode and search casts.
                     vector = as_float_array(encoded[row])
                     out[position] = vector
                     _lru_put(self.cache, keys[position], vector,
                              self.cache_size)
             for position, source in repeats:
                 out[position] = out[source]
-            return np.stack(out) if out else np.empty((0, self.dim))
+            return np.stack(out) if out else np.empty((0, self.dim),
+                                                      self.backend.dtype)
 
     @property
     def dim(self) -> int:
@@ -506,10 +507,19 @@ class SimilarityService:
             key[len(_BACKEND_PREFIX):]: value
             for key, value in state.items() if key.startswith(_BACKEND_PREFIX)
         })
+        # A snapshot written when trajcl served float64 restores into the
+        # float32 service: its wider float arrays are cast once, here.
+        dtype = backend.dtype
+
+        def narrowed(array: np.ndarray) -> np.ndarray:
+            wider = (dtype is not None and array.dtype.kind == "f"
+                     and array.dtype.itemsize > dtype.itemsize)
+            return array.astype(dtype) if wider else array
+
         index = None
         if meta["index"] is not None:
             index_arrays = {
-                key[len(_INDEX_PREFIX):]: value
+                key[len(_INDEX_PREFIX):]: narrowed(value)
                 for key, value in state.items() if key.startswith(_INDEX_PREFIX)
             }
             index = get_index(meta["index"]["type"]).restore(
@@ -525,7 +535,7 @@ class SimilarityService:
         if index is not None and index.consumes == "trajectories" and not len(index):
             index.add(service.trajectories)
         if meta.get("cache_keys") and _CACHE_VECTORS_KEY in state:
-            vectors = state[_CACHE_VECTORS_KEY]
+            vectors = narrowed(state[_CACHE_VECTORS_KEY])
             for key, vector in zip(meta["cache_keys"], vectors):
                 service.encoder.put(key, vector)
         return service

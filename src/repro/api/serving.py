@@ -944,19 +944,17 @@ class ShardMergeMixin:
         queries = _as_batch(queries)
         if database is not None:
             return self.backend.pairwise(queries, database)
-        out = np.zeros((len(queries), self._size))
         if not queries or self._size == 0:
-            return out
-        filled = np.zeros(self._size, dtype=bool)
-        for ids, block in self._shard_query("pairwise",
-                                            self._for_shards(queries)):
-            if len(ids):
-                out[:, ids] = block
-                filled[ids] = True
-        if not filled.all():
-            # Columns no shard answered for (a degraded shard): inf,
-            # never a misleading zero distance.
-            out[:, ~filled] = np.inf
+            return np.zeros((len(queries), self._size))
+        blocks = [(ids, block) for ids, block in self._shard_query(
+            "pairwise", self._for_shards(queries)) if len(ids)]
+        # In the dtype the shards computed in, like the single service; a
+        # column no shard answered for (a degraded shard) stays inf,
+        # never a misleading zero distance.
+        out = np.full((len(queries), self._size), np.inf,
+                      dtype=blocks[0][1].dtype if blocks else None)
+        for ids, block in blocks:
+            out[:, ids] = block
         return out
 
     distance_matrix = pairwise

@@ -103,10 +103,7 @@ def _resolve_backend(name: str, args, trajectories: List[np.ndarray]):
     if name == "trajcl":
         if not args.checkpoint:
             raise SystemExit("backend 'trajcl' needs --checkpoint")
-        return get_backend(
-            "trajcl", checkpoint=args.checkpoint,
-            fast_encode=args.fast_encode, encode_dtype=args.encode_dtype,
-        )
+        return get_backend("trajcl", checkpoint=args.checkpoint)
     if spec.kind == "distance":
         return get_backend(name)
     return get_backend(name, trajectories=trajectories,
@@ -150,8 +147,6 @@ def cmd_encode(args) -> int:
     from .core import load_pipeline
 
     model = load_pipeline(args.checkpoint)
-    model.encode_fast = args.fast_encode
-    model.encode_dtype = args.encode_dtype
     trajectories = _load_trajectories(args.data)
     start = time.perf_counter()
     embeddings = model.encode(trajectories)
@@ -402,21 +397,9 @@ def cmd_cluster(args) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
-def _add_encode_args(p: argparse.ArgumentParser) -> None:
-    """Inference-engine knobs shared by encode/evaluate and every service."""
-    p.add_argument("--no-fast-encode", dest="fast_encode",
-                   action="store_false", default=True,
-                   help="disable the fused numpy inference engine and use "
-                        "the reference Tensor-graph encoder")
-    p.add_argument("--encode-dtype", choices=["float32", "float64"],
-                   default="float64",
-                   help="compute dtype of the fast encode path (float32: "
-                        "~2x throughput, ~1e-5 relative parity)")
-
-
 def _add_service_args(p: argparse.ArgumentParser, *, data_required=True,
                       sharded=True) -> None:
-    """What to serve — backend, database, index, encoder — declared once
+    """What to serve — backend, database, index — declared once
     for knn/serve/serve-http/cluster.
 
     ``sharded`` adds ``--workers N`` (local worker processes); ``cluster``
@@ -458,7 +441,6 @@ def _add_service_args(p: argparse.ArgumentParser, *, data_required=True,
     p.add_argument("--train-epochs", type=int, default=1,
                    help="training epochs for learned non-trajcl backends")
     p.add_argument("--seed", type=int, default=0)
-    _add_encode_args(p)
 
 
 def _add_listen_args(p: argparse.ArgumentParser, what: str, *,
@@ -518,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="trajectories .npz")
     p.add_argument("--output", required=True, help="embeddings .npy path")
-    _add_encode_args(p)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("backends",
@@ -538,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-epochs", type=int, default=1,
                    help="training epochs for learned non-trajcl backends")
     p.add_argument("--seed", type=int, default=0)
-    _add_encode_args(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("knn",

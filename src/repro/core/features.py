@@ -81,10 +81,14 @@ class FeatureEnrichment:
         :func:`repro.graph.node2vec_embeddings`.
     max_len:
         Model maximum trajectory length ``l``; longer inputs are truncated.
+    dtype:
+        Dtype of the cell table, the position encodings and every padded
+        batch built from them (training keeps the float64 default).
     """
 
-    def __init__(self, grid: Grid, cell_embeddings: np.ndarray, max_len: int = 64):
-        cell_embeddings = np.asarray(cell_embeddings, dtype=np.float64)
+    def __init__(self, grid: Grid, cell_embeddings: np.ndarray,
+                 max_len: int = 64, dtype=np.float64):
+        cell_embeddings = np.asarray(cell_embeddings, dtype=dtype)
         if cell_embeddings.ndim != 2 or len(cell_embeddings) != grid.n_cells:
             raise ValueError(
                 f"cell_embeddings must be (n_cells={grid.n_cells}, d_t), "
@@ -94,11 +98,21 @@ class FeatureEnrichment:
             raise ValueError("max_len must be at least 2")
         self.grid = grid
         self.cell_embeddings = cell_embeddings
+        self.dtype = cell_embeddings.dtype
         self.max_len = int(max_len)
         self.structural_dim = cell_embeddings.shape[1]
         self.spatial_dim = 4
-        self._pe_structural = sinusoidal_position_encoding(self.max_len, self.structural_dim)
-        self._pe_spatial = sinusoidal_position_encoding(self.max_len, self.spatial_dim)
+        self._pe_structural = sinusoidal_position_encoding(
+            self.max_len, self.structural_dim).astype(dtype, copy=False)
+        self._pe_spatial = sinusoidal_position_encoding(
+            self.max_len, self.spatial_dim).astype(dtype, copy=False)
+
+    def astype(self, dtype) -> "FeatureEnrichment":
+        """This pipeline with its tables in ``dtype`` (itself if they are)."""
+        if self.dtype == dtype:
+            return self
+        return FeatureEnrichment(self.grid, self.cell_embeddings,
+                                 self.max_len, dtype)
 
     def encode_one(self, trajectory: TrajectoryLike) -> Tuple[np.ndarray, np.ndarray]:
         """Unpadded ``(T, S)`` matrices for a single trajectory."""
@@ -161,7 +175,8 @@ class FeatureEnrichment:
                 cos = np.clip((before * after).sum(axis=1) / denom, -1.0, 1.0)
                 radians[inner] = np.arccos(cos)
         return np.stack(
-            [x, y, radians / np.pi, mean_len / grid.cell_size], axis=1
+            [x, y, radians / np.pi, mean_len / grid.cell_size], axis=1,
+            dtype=self.dtype, casting="same_kind",
         )
 
     def stack_features(
@@ -195,8 +210,9 @@ class FeatureEnrichment:
             + self._pe_spatial[cols]
         )
 
-        structural = np.zeros((batch, pad_len, self.structural_dim))
-        spatial = np.zeros((batch, pad_len, self.spatial_dim))
+        structural = np.zeros((batch, pad_len, self.structural_dim),
+                              self.dtype)
+        spatial = np.zeros((batch, pad_len, self.spatial_dim), self.dtype)
         mask = np.ones((batch, pad_len), dtype=bool)
         structural[rows, cols] = structural_flat
         spatial[rows, cols] = spatial_flat

@@ -17,9 +17,12 @@ a trajectory's encode time):
   matrix per attention block, ``1/sqrt(head_dim)`` folded into its query
   columns) — the forward pass is raw numpy with no ``Tensor`` objects or
   tape on the hot path;
-* compute runs in a caller-chosen ``dtype`` — ``float64`` tracks the
-  reference path to ~1e-10 relative tolerance, ``float32`` to ~1e-5 at
-  roughly twice the matmul throughput and half the memory;
+* compute runs in float32 — weights, the cell table and the position
+  encodings are cast once at export, the padded feature batch is built
+  in float32, and the embeddings come out float32: ~1e-5 relative to the
+  reference path at roughly twice the matmul throughput and half the
+  memory. ``dtype=float64`` is the parity suite's handle (~1e-10), not
+  something served;
 * :meth:`InferenceEncoder.encode` sorts the batch by length and pads each
   bucket to *its own* maximum length (length-bucketed batching), so a
   bucket of short trajectories never pays ``max_len``-sized attention.
@@ -38,8 +41,8 @@ a trajectory's encode time):
   overflow guard;
 * the bucket size is derived, not passed: as many trajectories as keep the
   forward's widest temporary — the FFN hidden or one softmax's logits —
-  at about 1 MiB, so a bucket's working set stays in L2 (16 trajectories
-  at d = 64, L = 32 in float64; 1 at the paper's d = 256, L = 200). A
+  at about 1 MiB, so a bucket's working set stays in L2 (32 trajectories
+  at d = 64, L = 32; 1 at the paper's d = 256, L = 200). A
   value the code can work out from its inputs is not an option.
 
 All three encoder variants of the paper's Fig. 7 ablation are supported
@@ -86,8 +89,9 @@ def _projection(size: int) -> np.ndarray:
 
 
 def resolve_dtype(dtype) -> np.dtype:
-    """Normalize a dtype spec (``"float32"``, ``np.float64``, ...)."""
-    resolved = np.dtype(np.float64 if dtype is None else dtype)
+    """Normalize a dtype spec (``"float32"``, ``np.float64``, ...);
+    ``None`` is float32, the one dtype the stack serves."""
+    resolved = np.dtype(np.float32 if dtype is None else dtype)
     if resolved not in _SUPPORTED_DTYPES:
         raise ValueError(
             f"inference dtype must be float32 or float64, got {resolved}"
@@ -275,9 +279,9 @@ class _DualLayer:
 class InferenceEncoder:
     """Compiled, autograd-free forward pass of a trained TrajCL encoder.
 
-    Build one with :meth:`from_model`; it shares the model's
-    :class:`~repro.core.features.FeatureEnrichment` (grid + cell table) and
-    holds a dtype-cast copy of the encoder weights. The engine is immutable:
+    Build one with :meth:`from_model`; it holds the model's
+    :class:`~repro.core.features.FeatureEnrichment` and encoder weights
+    cast to its dtype (the grid is shared). The engine is immutable:
     it does **not** track later weight updates — recompile after training
     (:meth:`TrajCL.encode <repro.core.model.TrajCL.encode>` does this
     automatically via :meth:`fingerprint`).
@@ -331,7 +335,7 @@ class InferenceEncoder:
         return digest.hexdigest()
 
     @classmethod
-    def from_model(cls, model, dtype=np.float64) -> "InferenceEncoder":
+    def from_model(cls, model, dtype=None) -> "InferenceEncoder":
         """Export ``model``'s trained encoder into a compiled engine.
 
         ``model`` is a :class:`~repro.core.model.TrajCL` (or anything with
@@ -353,7 +357,7 @@ class InferenceEncoder:
                 for layer in encoder.encoder.layers
             ]
         return cls(
-            features=model.features,
+            features=model.features.astype(dtype),
             variant=variant,
             layers=layers,
             dtype=dtype,
@@ -433,8 +437,6 @@ class InferenceEncoder:
             longest = int(group_lengths[-1])
             structural, spatial, _, _ = self.features.stack_features(
                 [points[i] for i in group], pad_len=longest)
-            structural = structural.astype(self.dtype, copy=False)
-            spatial = spatial.astype(self.dtype, copy=False)
             step = self._bucket_rows(longest)
             for low in range(0, len(group), step):
                 bucket = slice(low, low + step)

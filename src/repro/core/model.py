@@ -132,11 +132,6 @@ class TrajCL(nn.Module):
         self.momentum_projector.eval()
 
         self.queue = NegativeQueue(config.queue_size, config.projection_dim)
-
-        #: default ``encode`` route: compiled numpy engine vs Tensor graph
-        self.encode_fast = True
-        #: default compute dtype of the fast path ("float32" or "float64")
-        self.encode_dtype = "float64"
         self._inference_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -214,7 +209,7 @@ class TrajCL(nn.Module):
         encoder variant cannot be exported (custom encoders fall back to
         the reference path).
         """
-        dtype = resolve_dtype(self.encode_dtype if dtype is None else dtype)
+        dtype = resolve_dtype(dtype)
         if not InferenceEncoder.supports(self):
             return None
         fingerprint = InferenceEncoder.fingerprint(self)
@@ -229,27 +224,26 @@ class TrajCL(nn.Module):
         self,
         trajectories: Sequence[TrajectoryLike],
         batch_size: int = 256,
-        fast: Optional[bool] = None,
+        fast: bool = True,
         dtype=None,
     ) -> np.ndarray:
-        """Embed trajectories with the trained backbone ``F``: ``(N, d)``.
+        """Embed trajectories with the trained backbone ``F``: ``(N, d)``
+        float32 rows.
 
         This is the detached encoder of Fig. 2 — no projection head, per
         standard contrastive-learning practice (the head is only for the
         loss space).
 
-        ``fast`` (default: :attr:`encode_fast`, True) routes through the
-        autograd-free :class:`~repro.core.infer.InferenceEncoder` —
-        fused numpy forward with length-bucketed batching — in ``dtype``
-        (default: :attr:`encode_dtype`, float64). On the fast path
-        ``batch_size`` trajectories are featurised at a time and run in
-        length buckets, each padded to its own maximum length and sized
-        by the engine to stay cache-resident.
-        The reference Tensor path remains available with ``fast=False``
-        (where ``batch_size`` is the exact chunk width) and is the
-        automatic fallback for unexported encoder variants.
+        The autograd-free :class:`~repro.core.infer.InferenceEncoder`
+        does the work — fused numpy forward, ``batch_size`` trajectories
+        featurised at a time and run in length buckets, each padded to
+        its own maximum length and sized by the engine to stay
+        cache-resident. ``fast=False`` (the float64 Tensor graph, where
+        ``batch_size`` is the exact chunk width; also the automatic
+        fallback for unexported encoder variants) and ``dtype="float64"``
+        are what the parity suite compares it against, not serving
+        options: whichever route runs, rows come back in ``dtype``.
         """
-        fast = self.encode_fast if fast is None else bool(fast)
         if fast:
             engine = self.inference_encoder(dtype)
             if engine is not None:
@@ -263,7 +257,13 @@ class TrajCL(nn.Module):
                 chunks.append(self._embed_online(batch).data.copy())
         if was_training:
             self.encoder.train()
-        return np.concatenate(chunks, axis=0)
+        return np.concatenate(chunks, axis=0).astype(resolve_dtype(dtype),
+                                                     copy=False)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Dtype of :meth:`encode`'s rows when the caller names none."""
+        return resolve_dtype(None)
 
     def distance_matrix(
         self,

@@ -15,6 +15,7 @@ import contextlib
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -23,6 +24,7 @@ from repro.api import (
     ShardedSimilarityService,
     ShardWorker,
     SimilarityService,
+    as_backend,
 )
 
 
@@ -132,6 +134,45 @@ def more_workers_than_trajectories_pads(links, backend, trajectories):
         assert ids.shape == (1, 5)
         assert (ids[0, 1:] == -1).all()
         assert (distances[0, 1:] == float("inf")).all()
+
+
+class TiedFloat32Model:
+    """A float32 ``encode`` that is a pure function of each trajectory
+    and coarse: lattice trajectories collide, so equal distances — at the
+    ``k`` boundary too — are the rule, on values no float32 sum rounds
+    away (a third, a seventh)."""
+
+    output_dim = 9
+    dtype = np.float32
+
+    def encode(self, trajectories):
+        rows = [(points[:, 0].sum(), points[:, 1].max(), len(points))
+                for points in map(np.asarray, trajectories)]
+        coarse = np.array(rows, dtype=np.float32)
+        return np.concatenate([coarse / 3, coarse / 7, coarse], axis=1)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def float32_ties_match_single_service(links, shards):
+    """Sharded ≡ single bit for bit in the serving dtype, wherever the
+    ties fall and however many shards split them."""
+    rng = np.random.default_rng(22)
+    database = [rng.integers(0, 3, (rng.integers(1, 4), 2)).astype(float)
+                for _ in range(26)]
+    queries = database[:5] + [np.array([[1.0, 2.0], [0.0, 1.0]])]
+    backend = as_backend(TiedFloat32Model(), name="tied32")
+    single = SimilarityService(backend=backend).add(database)
+    assert single.pairwise(queries).dtype == np.float32
+    distances, _ = single.knn(queries, k=8)
+    assert (np.diff(distances, axis=1) == 0).any()  # ties, as promised
+    with Sharded(links, backend, shards=shards) as sharded:
+        sharded.service.add(database[:9]).add(database[9:])
+        for kwargs in ({}, {"exclude": 2}, {"dedupe_eps": 0.0}):
+            for k in (1, 8, 30):
+                assert_same_bits(sharded.service.knn(queries, k=k, **kwargs),
+                                 single.knn(queries, k=k, **kwargs))
+        assert_same_bits(sharded.service.pairwise(queries),
+                         single.pairwise(queries))
 
 
 # ----------------------------------------------------------------------

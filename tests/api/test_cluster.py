@@ -90,6 +90,8 @@ class TestCoordinatorParity:
         laws.knn_parity_with_exclude_and_dedupe)
     test_incremental_add_keeps_parity = staticmethod(
         laws.incremental_add_keeps_parity)
+    test_float32_ties_match_single_service = staticmethod(
+        laws.float32_ties_match_single_service)
     test_pairwise_parity = staticmethod(laws.pairwise_matches_single_service)
     test_more_workers_than_trajectories_pads = staticmethod(
         laws.more_workers_than_trajectories_pads)

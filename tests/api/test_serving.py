@@ -73,6 +73,8 @@ class TestShardedParity:
         laws.pairwise_matches_single_service)
     test_incremental_add_keeps_parity = staticmethod(
         laws.incremental_add_keeps_parity)
+    test_float32_ties_match_single_service = staticmethod(
+        laws.float32_ties_match_single_service)
     test_worker_error_keeps_rpc_in_sync = staticmethod(
         laws.worker_error_keeps_rpc_in_sync)
     test_close_survives_a_dead_worker = staticmethod(

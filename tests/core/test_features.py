@@ -194,3 +194,21 @@ class TestFeatureEnrichment:
         grid = make_grid()
         with pytest.raises(ValueError):
             FeatureEnrichment(grid, np.zeros((grid.n_cells, 8)), max_len=1)
+
+    def test_astype_builds_batches_in_that_dtype(self):
+        """The inference engine's cast-once copy: float32 tables, float32
+        padded batches — the float64 batch rounded, nothing else."""
+        enrichment, _, grid = self.make_enrichment()
+        assert enrichment.astype(np.float64) is enrichment
+        compact = enrichment.astype(np.float32)
+        assert compact.grid is grid and compact.max_len == enrichment.max_len
+        assert compact.cell_embeddings.dtype == np.float32
+        batch = [walk(5, seed=1), walk(30, seed=2)]
+        t64, s64, mask64, lengths64 = enrichment.encode_batch(batch)
+        t32, s32, mask32, lengths32 = compact.encode_batch(batch)
+        assert t64.dtype == s64.dtype == np.float64
+        assert t32.dtype == s32.dtype == np.float32
+        np.testing.assert_array_equal(mask32, mask64)
+        np.testing.assert_array_equal(lengths32, lengths64)
+        np.testing.assert_allclose(t32, t64, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(s32, s64, rtol=0, atol=1e-6)

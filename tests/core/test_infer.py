@@ -2,9 +2,10 @@
 
 Covers the acceptance bars of the engine: float64 near-bit-exact /
 float32 ~1e-5-relative parity against the reference Tensor-graph encoder
-for every Fig. 7 encoder variant, invariance to length bucketing (input
-order and chunking must not change embeddings) and recompilation after
-weight updates. (The L1 distance helper that used to live beside the
+for every Fig. 7 encoder variant (the engine serves float32; every
+float64 comparison here asks for it by name), invariance to length
+bucketing (input order and chunking must not change embeddings) and
+recompilation after weight updates. (The L1 distance helper that used to live beside the
 engine is now ``repro.index.distance``; its tests are in
 ``tests/index/test_distance.py``.)
 """
@@ -40,7 +41,8 @@ class TestParity:
     def test_float64_near_bit_exact(self, small_setup, mixed_trajectories,
                                     variant):
         model = make_model(small_setup, variant)
-        reference = model.encode(mixed_trajectories, fast=False)
+        reference = model.encode(mixed_trajectories, fast=False,
+                                 dtype="float64")
         fast = model.encode(mixed_trajectories, fast=True, dtype="float64")
         assert fast.dtype == np.float64
         np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=1e-12)
@@ -49,7 +51,8 @@ class TestParity:
     def test_float32_within_1e5_relative(self, small_setup,
                                          mixed_trajectories, variant):
         model = make_model(small_setup, variant)
-        reference = model.encode(mixed_trajectories, fast=False)
+        reference = model.encode(mixed_trajectories, fast=False,
+                                 dtype="float64")
         fast = model.encode(mixed_trajectories, fast=True, dtype="float32")
         assert fast.dtype == np.float32
         scale = np.abs(reference).max()
@@ -61,10 +64,17 @@ class TestParity:
                                                   mixed_trajectories):
         model = make_model(small_setup)
         default = model.encode(mixed_trajectories)
-        reference = model.encode(mixed_trajectories, fast=False)
-        # Default is the fast float64 engine: near-bit-exact, not identical.
-        np.testing.assert_allclose(default, reference, rtol=1e-10, atol=1e-12)
-        assert "float64" in model._inference_cache
+        # Default is the fast float32 engine.
+        assert default.dtype == np.float32
+        assert list(model._inference_cache) == ["float32"]
+        assert default.tobytes() == model.encode(
+            mixed_trajectories, fast=True, dtype="float32").tobytes()
+        # In float64 the engine is near-bit-exact, not identical.
+        reference = model.encode(mixed_trajectories, fast=False,
+                                 dtype="float64")
+        np.testing.assert_allclose(
+            model.encode(mixed_trajectories, dtype="float64"), reference,
+            rtol=1e-10, atol=1e-12)
 
     def test_from_model_rejects_unknown_variant(self, small_setup):
         model = make_model(small_setup)
@@ -75,11 +85,15 @@ class TestParity:
     def test_unknown_variant_falls_back_to_reference(self, small_setup,
                                                      mixed_trajectories):
         model = make_model(small_setup)
-        expected = model.encode(mixed_trajectories, fast=False)
+        expected = model.encode(mixed_trajectories, fast=False,
+                                dtype="float64")
         model.encoder_variant = "custom"
         assert model.inference_encoder() is None
-        out = model.encode(mixed_trajectories)  # fast requested, falls back
+        # fast requested, falls back
+        out = model.encode(mixed_trajectories, dtype="float64")
         np.testing.assert_allclose(out, expected, atol=1e-12)
+        # ... and still hands back the serving dtype when none is named
+        assert model.encode(mixed_trajectories).dtype == np.float32
 
 
 class TestBucketing:
@@ -87,23 +101,26 @@ class TestBucketing:
         """Shuffling the batch must return the same embedding per id even
         though the length buckets regroup completely."""
         model = make_model(small_setup)
-        base = model.encode(mixed_trajectories, batch_size=8)
+        base = model.encode(mixed_trajectories, batch_size=8,
+                            dtype="float64")
         perm = np.random.default_rng(0).permutation(len(mixed_trajectories))
         shuffled = model.encode([mixed_trajectories[i] for i in perm],
-                                batch_size=8)
+                                batch_size=8, dtype="float64")
         np.testing.assert_allclose(shuffled, base[perm], rtol=1e-9,
                                    atol=1e-12)
 
     def test_batch_size_invariance(self, small_setup, mixed_trajectories):
         model = make_model(small_setup)
-        whole = model.encode(mixed_trajectories, batch_size=1024)
-        chunked = model.encode(mixed_trajectories, batch_size=3)
+        whole = model.encode(mixed_trajectories, batch_size=1024,
+                             dtype="float64")
+        chunked = model.encode(mixed_trajectories, batch_size=3,
+                               dtype="float64")
         np.testing.assert_allclose(whole, chunked, rtol=1e-9, atol=1e-12)
 
     def test_single_trajectory(self, small_setup, mixed_trajectories):
         model = make_model(small_setup)
-        batch = model.encode(mixed_trajectories)
-        one = model.encode(mixed_trajectories[:1])
+        batch = model.encode(mixed_trajectories, dtype="float64")
+        one = model.encode(mixed_trajectories[:1], dtype="float64")
         np.testing.assert_allclose(one[0], batch[0], rtol=1e-9, atol=1e-12)
 
 
@@ -112,9 +129,9 @@ class TestEngineLifecycle:
                                                 mixed_trajectories):
         model = make_model(small_setup)
         model.encode(mixed_trajectories)
-        first = model._inference_cache["float64"]
+        first = model._inference_cache["float32"]
         model.encode(mixed_trajectories)
-        assert model._inference_cache["float64"] is first  # cache hit
+        assert model._inference_cache["float32"] is first  # cache hit
 
         # An in-place weight update (what the optimizer does) must
         # invalidate the compiled engine and change the embeddings.
@@ -122,15 +139,18 @@ class TestEngineLifecycle:
         param = model.encoder.parameters()[0]
         param.data += 0.05
         after = model.encode(mixed_trajectories)
-        assert model._inference_cache["float64"] is not first
+        assert model._inference_cache["float32"] is not first
         assert not np.allclose(before, after)
+        reference = model.encode(mixed_trajectories, fast=False,
+                                 dtype="float64")
         np.testing.assert_allclose(
-            after, model.encode(mixed_trajectories, fast=False),
+            model.encode(mixed_trajectories, dtype="float64"), reference,
             rtol=1e-10, atol=1e-12,
         )
+        assert np.abs(after - reference).max() <= 1e-5 * np.abs(reference).max()
 
     def test_dtype_resolution(self):
-        assert resolve_dtype(None) == np.float64
+        assert resolve_dtype(None) == np.float32  # the serving dtype
         assert resolve_dtype("float32") == np.float32
         assert resolve_dtype(np.float64) == np.float64
         with pytest.raises(ValueError):
@@ -155,6 +175,7 @@ class TestDistanceMatrix:
                                        mixed_trajectories[:6])
         emb_q = model.encode(mixed_trajectories[:3])
         emb_d = model.encode(mixed_trajectories[:6])
+        assert matrix.dtype == emb_q.dtype == np.float32
         expected = np.abs(emb_q[:, None, :] - emb_d[None, :, :]).sum(axis=2)
         np.testing.assert_allclose(matrix, expected, atol=1e-12)
 
@@ -195,7 +216,8 @@ class TestForwardLaws:
         model = make_model(small_setup, variant)
         batch = walks([1, 40, 1, 40, 40, 1], seed=11)
         np.testing.assert_allclose(
-            model.encode(batch), model.encode(batch, fast=False),
+            model.encode(batch, dtype="float64"),
+            model.encode(batch, fast=False, dtype="float64"),
             rtol=1e-10, atol=1e-12)
 
     def test_logits_beyond_exp_range(self, small_setup, mixed_trajectories):
@@ -205,10 +227,12 @@ class TestForwardLaws:
         for name, param in model.encoder.named_parameters():
             if "w_query" in name or "w_key" in name:
                 param.data *= 1e3
-        fast = model.encode(mixed_trajectories)
+        assert np.isfinite(model.encode(mixed_trajectories)).all()
+        fast = model.encode(mixed_trajectories, dtype="float64")
         assert np.isfinite(fast).all()
         np.testing.assert_allclose(
-            fast, model.encode(mixed_trajectories, fast=False),
+            fast, model.encode(mixed_trajectories, fast=False,
+                               dtype="float64"),
             rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["dual", "msm", "concat"])
@@ -217,7 +241,8 @@ class TestForwardLaws:
         featurised group — an in-place op on a block's input would write
         through it."""
         model = make_model(small_setup, variant)
-        features = model.features
+        engine = model.inference_encoder()
+        features = engine.features  # the engine's own float32 tables
         batch = walks([40] * 30, seed=12)
         state = [features.cell_embeddings, features._pe_structural,
                  features._pe_spatial, *batch]
@@ -228,8 +253,8 @@ class TestForwardLaws:
         for array, copy in zip(state, before):
             assert array.tobytes() == copy.tobytes()
 
-        engine = model.inference_encoder()
         structural, spatial, _, lengths = features.encode_batch(batch[:4])
+        assert structural.dtype == spatial.dtype == np.float32
         kept = structural.copy(), spatial.copy()
         engine._forward(structural, spatial, lengths)
         assert structural.tobytes() == kept[0].tobytes()

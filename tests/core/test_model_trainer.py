@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import NegativeQueue, TrajCL, TrajCLConfig, TrajCLTrainer
 from repro.core.model import FeatureEnrichment
+from repro.index import distance
 
 from .conftest import make_trajectories
 
@@ -128,8 +129,10 @@ class TestTrajCLModel:
 
     def test_encode_batched_equals_single(self, small_model, small_setup):
         _, _, trajectories = small_setup
-        full = small_model.encode(trajectories[:7], batch_size=3)
-        single = small_model.encode(trajectories[:7], batch_size=100)
+        full = small_model.encode(trajectories[:7], batch_size=3,
+                                  dtype="float64")
+        single = small_model.encode(trajectories[:7], batch_size=100,
+                                    dtype="float64")
         np.testing.assert_allclose(full, single, atol=1e-10)
 
     def test_distance_matrix_properties(self, small_model, small_setup):
@@ -137,8 +140,16 @@ class TestTrajCLModel:
         matrix = small_model.distance_matrix(trajectories[:3], trajectories[:5])
         assert matrix.shape == (3, 5)
         assert (matrix >= 0).all()
-        # self-distance 0 on the diagonal when query == database entry
-        np.testing.assert_allclose(np.diag(matrix[:, :3]), 0.0, atol=1e-9)
+        # self-distance 0 on the diagonal when query == database entry: to
+        # float32 round-off as served (a batch of 3 and a batch of 5 run
+        # different BLAS tiles), to 1e-9 when float64 is asked for
+        assert matrix.dtype == np.float32
+        np.testing.assert_allclose(np.diag(matrix[:, :3]), 0.0,
+                                   atol=1e-5 * matrix.max())
+        exact = distance.pairwise(
+            small_model.encode(trajectories[:3], dtype="float64"),
+            small_model.encode(trajectories[:5], dtype="float64"))
+        np.testing.assert_allclose(np.diag(exact[:, :3]), 0.0, atol=1e-9)
 
     def test_encoder_variants_construct(self, small_setup):
         config, features, _ = small_setup

@@ -91,11 +91,7 @@ def opt(*strings, type=None, default=None, required=False, choices=None):
 
 _CITY = opt("--city", default="porto",
             choices=("porto", "chengdu", "xian", "germany"))
-_ENCODE = {
-    opt("--no-fast-encode", default=True),
-    opt("--encode-dtype", default="float64", choices=("float32", "float64")),
-}
-_SERVICE = _ENCODE | {
+_SERVICE = {
     opt("--checkpoint"),
     opt("--backend", default="trajcl"),
     opt("--index", default="auto",
@@ -124,7 +120,9 @@ _SERVED = _LISTEN | {
 
 #: every subcommand's settable points as captured from the tree before the
 #: serving commands were collapsed onto shared argument groups: (option
-#: strings, type, default, required, choices) — 134 rows.
+#: strings, type, default, required, choices) — 134 rows then, 122 since
+#: ``--no-fast-encode`` / ``--encode-dtype`` left the six subcommands that
+#: took them (there is one way to encode).
 CLI_CONTRACT = {
     "generate": {
         _CITY, opt("--count", type=int, default=300),
@@ -135,12 +133,12 @@ CLI_CONTRACT = {
         opt("--epochs", type=int, default=3),
         opt("--seed", type=int, default=0), opt("--output", required=True),
     },
-    "encode": _ENCODE | {
+    "encode": {
         opt("--checkpoint", required=True), opt("--data", required=True),
         opt("--output", required=True),
     },
     "backends": set(),
-    "evaluate": _ENCODE | {
+    "evaluate": {
         opt("--checkpoint"), opt("--data", required=True), opt("--backend"),
         opt("--queries", type=int, default=15),
         opt("--database", type=int, default=100),
@@ -209,7 +207,7 @@ class TestCliContract:
         assert actual == CLI_CONTRACT[command]
 
     def test_settable_points(self):
-        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 134
+        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 122
 
 
 class TestGenerate:
@@ -262,27 +260,40 @@ class TestTrainEncodeEvaluateKnn:
         assert "index bruteforce" in out  # the embedding-backend default
         assert "#3:" in out
 
-    def test_encode_dtype_flag(self, checkpoint_path, dataset_path, tmp_path):
-        out32 = str(tmp_path / "emb32.npy")
+    def test_encode_writes_float32(self, checkpoint_path, dataset_path,
+                                   tmp_path):
+        out_path = str(tmp_path / "emb32.npy")
         assert main(["encode", "--checkpoint", checkpoint_path,
-                     "--data", dataset_path, "--encode-dtype", "float32",
-                     "--output", out32]) == 0
-        assert np.load(out32).dtype == np.float32
+                     "--data", dataset_path, "--output", out_path]) == 0
+        assert np.load(out_path).dtype == np.float32
 
-    def test_knn_fast_flags_agree_with_reference(self, checkpoint_path,
-                                                 dataset_path, capsys):
-        """The fused engine (both dtypes) and the reference Tensor path
-        must return the same neighbours from the CLI."""
-        argv = ["knn", "--checkpoint", checkpoint_path,
-                "--data", dataset_path, "--query", "2", "--k", "3"]
-        outputs = []
-        for extra in ([], ["--no-fast-encode"],
-                      ["--encode-dtype", "float32"]):
-            assert main(argv + extra) == 0
-            out = capsys.readouterr().out
-            outputs.append([line.split("(")[0] for line
-                            in out.splitlines()[1:]])  # ids, not distances
-        assert outputs[0] == outputs[1] == outputs[2]
+    @pytest.mark.parametrize("flag", [["--no-fast-encode"],
+                                      ["--encode-dtype", "float64"]])
+    def test_encode_flags_are_gone(self, checkpoint_path, dataset_path,
+                                   flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["knn", "--checkpoint", checkpoint_path,
+                  "--data", dataset_path, "--query", "2", "--k", "3"] + flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_knn_agrees_with_reference(self, checkpoint_path, dataset_path,
+                                       capsys):
+        """The CLI's one encode route returns the neighbours of the
+        reference Tensor path scanned in float64."""
+        from repro.cli import _load_trajectories
+        from repro.core import load_pipeline
+
+        assert main(["knn", "--checkpoint", checkpoint_path,
+                     "--data", dataset_path, "--query", "2", "--k", "3"]) == 0
+        out = capsys.readouterr().out
+        printed = [int(line.split("trajectory")[1].split()[0])
+                   for line in out.splitlines() if line.lstrip().startswith("#")]
+        trajectories = _load_trajectories(dataset_path)
+        reference = load_pipeline(checkpoint_path).encode(
+            trajectories, fast=False, dtype="float64")
+        distances = np.abs(reference - reference[2]).sum(axis=1)
+        distances[2] = np.inf  # the CLI excludes the query itself
+        assert printed == np.argsort(distances, kind="stable")[:3].tolist()
 
 
 class TestBackendsCommand:

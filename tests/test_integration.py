@@ -77,6 +77,46 @@ class TestEndToEnd:
         np.testing.assert_allclose(original, loaded, atol=1e-12)
 
 
+class TestFloat32Fidelity:
+    """The serving dtype against the float64 stack it replaced: measured
+    on the trained fixture, not assumed."""
+
+    def test_top10_of_the_service_is_the_float64_scan(self, pipeline):
+        from repro.api import SimilarityService
+        from repro.datasets import generate_city, get_preset
+
+        city = generate_city(get_preset("porto"), 1200, seed=21)
+        database, queries = city[:1000], city[1000:]
+        service = SimilarityService(backend=pipeline.model).add(database)
+        _, served = service.knn(queries, k=10)
+
+        exact_db = pipeline.model.encode(database, dtype="float64")
+        exact_q = pipeline.model.encode(queries, dtype="float64")
+        assert exact_db.dtype == np.float64
+        scanned = np.stack([
+            np.argsort(np.abs(exact_db - query).sum(axis=1),
+                       kind="stable")[:10]
+            for query in exact_q])
+        overlap = np.mean([len(set(a) & set(b)) / 10
+                           for a, b in zip(served, scanned)])
+        assert overlap >= 0.999, overlap
+        np.testing.assert_array_equal(served[:, 0], scanned[:, 0])
+
+    def test_mean_rank_equal_to_three_decimals(self, pipeline, instance):
+        from repro.eval import mean_rank
+        from repro.index import distance
+
+        perturbed = perturb_instance(instance, "downsample", 0.3,
+                                     np.random.default_rng(5))
+        for case in (instance, perturbed):
+            served = evaluate_mean_rank(pipeline.model, case)
+            exact = mean_rank(distance.pairwise(
+                pipeline.model.encode(case.queries, dtype="float64"),
+                pipeline.model.encode(case.database, dtype="float64")),
+                case.ground_truth)
+            assert round(served, 3) == round(exact, 3)
+
+
 class TestDeterminism:
     def test_same_seed_same_pipeline(self):
         a = build_city_pipeline("xian", n_trajectories=40, train_epochs=1,
