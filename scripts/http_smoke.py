@@ -6,6 +6,9 @@ ready file, then drives it with plain ``urllib``:
 
 * one ``POST /knn`` whose answer must be bit-identical to a local
   ``SimilarityService`` over the same database (exact scan index);
+* 20 sequential ``GET /healthz`` over one keep-alive ``http.client``
+  connection, median under 10 ms — a reply written as head then body
+  on a Nagle socket reads ~44 ms here (the client's delayed ACK);
 * a flood of 4x ``max-inflight`` concurrent requests: some must shed
   with ``429``, none may hang, and every ``200`` must carry the right
   neighbours;
@@ -16,11 +19,14 @@ signal through the same graceful shutdown as Ctrl-C).
 """
 
 import concurrent.futures
+import http.client
 import json
 import os
 import signal
+import statistics
 import sys
 import tempfile
+import time
 import urllib.error
 import urllib.request
 
@@ -33,6 +39,8 @@ sys.path.insert(0, os.path.join(repo_root(), "src"))
 
 MAX_INFLIGHT = 2
 FLOOD = 4 * MAX_INFLIGHT
+KEEPALIVE_PROBES = 20
+KEEPALIVE_MEDIAN_MS = 10.0
 
 
 def post_knn(url, body, timeout=TIMEOUT):
@@ -98,6 +106,32 @@ def main() -> int:
                 return fail("http-smoke: distances diverge from the local "
                             "service")
             print("http-smoke: knn parity OK", flush=True)
+
+            # Keep-alive latency: the real process must not make a
+            # client wait out a delayed ACK between head and body.
+            host, _, port = address.rpartition(":")
+            connection = http.client.HTTPConnection(host, int(port),
+                                                    timeout=TIMEOUT)
+            laps_ms = []
+            try:
+                for _ in range(KEEPALIVE_PROBES):
+                    start = time.perf_counter()
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    response.read()
+                    laps_ms.append((time.perf_counter() - start) * 1000)
+                    if response.status != 200:
+                        return fail(f"http-smoke: /healthz returned "
+                                    f"{response.status}")
+            finally:
+                connection.close()
+            median_ms = statistics.median(laps_ms)
+            if median_ms >= KEEPALIVE_MEDIAN_MS:
+                return fail(f"http-smoke: keep-alive /healthz median "
+                            f"{median_ms:.1f} ms >= {KEEPALIVE_MEDIAN_MS} ms "
+                            "(a reply is waiting for a delayed ACK?)")
+            print(f"http-smoke: keep-alive latency OK ({KEEPALIVE_PROBES} "
+                  f"GET /healthz, median {median_ms:.2f} ms)", flush=True)
 
             # Flood: 4x max-inflight concurrent heavy requests. Some must
             # shed with 429, none may hang, every 200 must be correct.

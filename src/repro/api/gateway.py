@@ -3,7 +3,9 @@
 Non-Python clients cannot speak the binary frame protocol of
 :mod:`repro.api.transport`; this module gives the serving stack an
 HTTP/1.1 front door with the traffic machinery heavy load needs. It is
-stdlib-only (:mod:`http.server` with one thread per connection) and wraps
+stdlib-only (:mod:`http.server` with one thread per connection; a reply
+is one ``sendall`` on a ``TCP_NODELAY`` socket, so a keep-alive client
+never waits for a delayed ACK between head and body) and wraps
 **any** :class:`~repro.api.protocols.KnnService` — a plain
 :class:`~repro.api.service.SimilarityService`, a
 :class:`~repro.api.serving.ShardedSimilarityService`, a
@@ -42,6 +44,10 @@ Traffic controls, applied in order on the POST routes:
    instead of queueing unboundedly (a full ``QueryQueue`` —
    :class:`~repro.api.serving.QueueFullError` — sheds the same way).
 
+An exception nothing above accounts for answers ``500`` with
+``{"error": "internal error", "id": "<hex>"}``; the traceback is logged
+to ``repro.api.gateway`` under the same id and never sent.
+
 Quickstart::
 
     from repro.api import SimilarityService
@@ -60,10 +66,12 @@ or from the shell: ``python -m repro serve-http --data city.npz
 from __future__ import annotations
 
 import json
+import logging
 import math
+import os
+import socket
 import threading
 import time
-import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
@@ -83,6 +91,10 @@ __all__ = [
 #: histogram bucket upper bounds, milliseconds (+Inf bucket is implicit).
 LATENCY_BUCKETS_MS = (1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
                       500.0, 1000.0, 2500.0, 5000.0)
+
+#: the library configures no handler: an application that wants the
+#: stack of a 500 attaches one to this name.
+_LOG = logging.getLogger("repro.api.gateway")
 
 #: the routes metrics are labelled with; anything else aggregates under
 #: "other" so a URL-scanning client cannot blow up label cardinality.
@@ -345,6 +357,29 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
         pass
 
+    def setup(self):
+        super().setup()
+        # A reply is one segment and nothing follows it until the next
+        # request, so Nagle's algorithm has nothing to gather: all it
+        # can do is hold bytes back for the client's delayed ACK.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def reply_bytes(self, status: int, content_type: str,
+                    headers: Dict[str, str], body: bytes) -> bytes:
+        """The whole reply — what ``send_response`` / ``send_header`` /
+        ``end_headers`` and a body write would put on the wire — as one
+        ``bytes``, so it leaves in one ``sendall``. Written as two, the
+        body sits in the kernel until the client's delayed ACK for the
+        head comes back (~40 ms on a keep-alive connection)."""
+        lines = [f"{self.protocol_version} {status} "
+                 f"{self.responses[status][0]}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {self.date_time_string()}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(body)}"]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
+
     def do_GET(self):
         self.gateway._dispatch(self, "GET")
 
@@ -365,8 +400,9 @@ class SimilarityGateway:
     :class:`~repro.api.remote.SimilarityServer`.
 
     When the wrapped service is a :class:`~repro.api.serving.QueryQueue`,
-    ``/knn`` feeds it query by query so concurrent HTTP callers coalesce
-    into batched service calls, and request deadlines ride into the queue.
+    ``/knn`` feeds it query by query so HTTP callers that arrive while a
+    flush runs coalesce into the next batched service call (a lone caller
+    is flushed at once), and request deadlines ride into the queue.
     Any other service is thread-oblivious and is serialized behind one
     lock, exactly like the TCP front-end.
     """
@@ -457,22 +493,22 @@ class SimilarityGateway:
                 {"error": f"shard unavailable: {error}"}).encode()
             content_type, headers = "application/json", {"Retry-After": "1"}
         except Exception:
+            # The stack stays on this side: the caller gets an id to
+            # quote, the log gets the same id and the traceback.
+            incident = os.urandom(8).hex()
+            _LOG.exception("internal error %s on %s %s",
+                           incident, method, path)
             status = 500
             body = json.dumps(
-                {"error": traceback.format_exc(limit=8)}).encode()
+                {"error": "internal error", "id": incident}).encode()
             content_type, headers = "application/json", {}
         # Account before the reply bytes leave: a client that fires a
         # follow-up /stats the instant it reads this response must already
         # see this request in the counters.
         self.metrics.observe(path, status, (time.monotonic() - start) * 1000)
         try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            for name, value in headers.items():
-                handler.send_header(name, value)
-            handler.end_headers()
-            handler.wfile.write(body)
+            handler.wfile.write(
+                handler.reply_bytes(status, content_type, headers, body))
         except (BrokenPipeError, ConnectionError, OSError):
             handler.close_connection = True  # caller hung up; just account
         if self._max_requests is not None:

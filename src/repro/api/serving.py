@@ -17,11 +17,12 @@ the scalable serving path the ROADMAP calls for:
   :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* on
   TCP, with heartbeat, replication and recovery);
 * :class:`QueryQueue` — coalesces many concurrent ``knn`` (and
-  ``pairwise``) calls into batched service calls (up to ``max_batch``
-  queries per flush, waiting at most ``max_wait`` seconds for
-  stragglers), so heavy traffic amortizes encoder cost instead of paying
-  per-call overhead. Callers get :class:`concurrent.futures.Future`
-  results, or block via :meth:`knn` / :meth:`pairwise`.
+  ``pairwise``) calls into batched service calls (what arrived while
+  the previous flush ran, up to ``max_batch`` queries; an idle queue
+  flushes at once — there is no timer), so heavy traffic amortizes
+  encoder cost instead of paying per-call overhead. Callers get
+  :class:`concurrent.futures.Future` results, or block via :meth:`knn` /
+  :meth:`pairwise`.
 
 Both compose: put a ``QueryQueue`` in front of a
 ``ShardedSimilarityService`` for batched, sharded serving::
@@ -30,7 +31,7 @@ Both compose: put a ``QueryQueue`` in front of a
 
     with ShardedSimilarityService(backend=backend, num_workers=4) as shards:
         shards.add(database)
-        with QueryQueue(shards, max_batch=64, max_wait=0.005) as queue:
+        with QueryQueue(shards, max_batch=64) as queue:
             futures = [queue.submit(q, k=10) for q in queries]
             results = [f.result() for f in futures]
 
@@ -1254,11 +1255,18 @@ class QueryQueue:
 
     Callers :meth:`submit` one query each (from any thread) and get a
     :class:`~concurrent.futures.Future` resolving to ``(distances, ids)``
-     1-D arrays of length ``k``. A single flush thread drains the queue:
-    it collects up to ``max_batch`` pending queries, waiting at most
-    ``max_wait`` seconds for more to arrive, groups them by identical
-    ``(k, exclude, dedupe_eps)`` and issues one service ``knn`` per group —
-    so a burst of users pays one chunked encoder pass instead of N.
+     1-D arrays of length ``k``. A single flush thread drains the queue
+    with no timer in it: an entry that finds the thread idle is flushed
+    at once, and the entries that arrive *while a flush runs* leave
+    together on the next one, at most ``max_batch`` at a time. Batching
+    comes from load, not from a clock — a lone caller pays no wait, and
+    a burst of users still pays one chunked encoder pass instead of N.
+    A flush groups its entries by identical ``(k, exclude, dedupe_eps)``
+    and issues one service ``knn`` per group.
+
+    ``max_wait`` used to be a batching window slept out after every
+    first arrival; it is still accepted and validated (callers pass it)
+    but starts no timer.
 
     ``pairwise`` requests ride the same queue: concurrent
     :meth:`submit_pairwise` calls against the service database coalesce
@@ -1279,7 +1287,7 @@ class QueryQueue:
     One call at a time reaches the underlying (thread-oblivious)
     service: queries only through the flush thread, :meth:`add` under the
     lock a flush holds around each of its service calls — so an add never
-    overlaps a query batch, and never waits out ``max_wait`` either.
+    overlaps a query batch.
     """
 
     def __init__(self, service: KnnService, max_batch: int = 64,
@@ -1292,7 +1300,6 @@ class QueryQueue:
             raise ValueError("max_pending must be >= 1 (or None: unbounded)")
         self.service = service
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.max_pending = None if max_pending is None else int(max_pending)
         self._pending: deque = deque()
         self._condition = threading.Condition()
@@ -1406,17 +1413,10 @@ class QueryQueue:
             with self._condition:
                 while not self._pending and not self._closed:
                     self._condition.wait()
-                if not self._pending and self._closed:
-                    return
-                if not self._closed:
-                    # Batching window: give concurrent callers max_wait
-                    # seconds to pile on before flushing.
-                    deadline = time.monotonic() + self.max_wait
-                    while len(self._pending) < self.max_batch:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0 or self._closed:
-                            break
-                        self._condition.wait(remaining)
+                if not self._pending:
+                    return  # closed and drained
+                # No timer: what is pending leaves now, and whatever
+                # arrives while this flush runs is the next one.
                 batch = [self._pending.popleft()
                          for _ in range(min(len(self._pending),
                                             self.max_batch))]
@@ -1540,6 +1540,5 @@ class QueryQueue:
         stats = self.queue_stats
         return (
             f"QueryQueue(max_batch={self.max_batch}, "
-            f"max_wait={self.max_wait}, served={stats.queries} in "
-            f"{stats.batches} batches)"
+            f"served={stats.queries} in {stats.batches} batches)"
         )

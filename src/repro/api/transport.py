@@ -281,6 +281,14 @@ class SocketTransport:
     """
 
     def __init__(self, sock):
+        import socket as socket_module
+
+        if sock.family in (socket_module.AF_INET, socket_module.AF_INET6):
+            # A frame is one sendall and the peer answers before the next
+            # one leaves: Nagle's algorithm has nothing to gather here and
+            # can only hold a frame back for the peer's delayed ACK.
+            sock.setsockopt(socket_module.IPPROTO_TCP,
+                            socket_module.TCP_NODELAY, 1)
         self._socket = sock
         self._closed = False
         self.bytes_sent = 0

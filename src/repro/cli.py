@@ -463,8 +463,9 @@ def _add_listen_args(p: argparse.ArgumentParser, what: str, *,
 def _add_queue_args(p: argparse.ArgumentParser, *, batch_wait=0.0) -> None:
     """The QueryQueue in front of a served stack."""
     p.add_argument("--batch-wait", type=float, default=batch_wait,
-                   help="coalesce concurrent queries through a QueryQueue "
-                        "with this window in seconds (0: direct)")
+                   help="> 0: coalesce concurrent queries through a "
+                        "QueryQueue (0: direct). The value starts no "
+                        "timer: an idle queue flushes at once")
     p.add_argument("--max-batch", type=int, default=64,
                    help="QueryQueue flush size when --batch-wait > 0")
 
@@ -528,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index of the query trajectory within --data")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--batch-wait", type=float, default=0.0,
-                   help="route the query through a batching QueryQueue "
-                        "with this coalescing window in seconds (0: direct)")
+                   help="> 0: route the query through a batching "
+                        "QueryQueue (0: direct). The value starts no timer")
     p.add_argument("--remote", metavar="HOST:PORT",
                    help="query a running `repro serve` instance instead of "
                         "building a local service (--data still supplies "

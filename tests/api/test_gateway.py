@@ -72,8 +72,10 @@ class _GatedService:
         self.inner = inner
         self.started = threading.Event()
         self.gate = threading.Event()
+        self.calls = 0
 
     def knn(self, queries, k, exclude=None, dedupe_eps=None):
+        self.calls += 1
         self.started.set()
         assert self.gate.wait(timeout=30)
         return self.inner.knn(queries, k=k, exclude=exclude,
@@ -345,17 +347,34 @@ class TestTrafficControls:
 
     def test_deadline_expiry_through_query_queue_504(self, service,
                                                      trajectories):
-        # max_wait far beyond the deadline: the entry expires while queued,
-        # so the flush thread drops it without a service call.
-        with QueryQueue(service, max_batch=64, max_wait=0.25) as queue:
+        # The flush thread is held inside the service by an earlier
+        # request: the entry behind it expires while queued, so the flush
+        # thread drops it without a service call.
+        gated = _GatedService(service)
+        body = {"queries": as_lists(trajectories[:1]), "k": 2}
+        outcomes = []
+        with QueryQueue(gated, max_batch=64, max_wait=0.25) as queue:
             with SimilarityGateway(queue) as gw:
-                status, _, reply = request_json(
-                    gw, "/knn",
-                    {"queries": as_lists(trajectories[:1]), "k": 2},
-                    headers={"X-Deadline-Ms": "20"})
+                opener = threading.Thread(
+                    target=request_json, args=(gw, "/knn", body))
+                opener.start()
+                assert gated.started.wait(timeout=30)
+                late = threading.Thread(target=lambda: outcomes.append(
+                    request_json(gw, "/knn", body,
+                                 headers={"X-Deadline-Ms": "20"})))
+                late.start()
+                give_up = time.monotonic() + 30
+                while queue.pending < 1 and time.monotonic() < give_up:
+                    time.sleep(0.005)
+                time.sleep(0.05)  # the 20 ms budget lapses in the queue
+                gated.gate.set()
+                opener.join(timeout=30)
+                late.join(timeout=30)
+                status, _, reply = outcomes[0]
                 assert status == 504
                 assert "deadline" in reply["error"]
             assert queue.queue_stats.expired == 1
+        assert gated.calls == 1  # the opener's; the expired entry made none
 
     def test_generous_deadline_succeeds(self, gateway, service, trajectories):
         status, _, reply = request_json(
@@ -460,6 +479,157 @@ class TestQueueIntegration:
         assert statuses == [200] * 24
         assert size == len(service) == 4 + 2 * 6 * 2
         assert model.overlaps == 0
+
+
+class TestInternalErrors:
+    def test_500_names_an_incident_and_keeps_the_stack_in_the_log(
+            self, service, trajectories, caplog):
+        class Broken:
+            def knn(self, queries, k, exclude=None, dedupe_eps=None):
+                raise RuntimeError("index file /srv/secret/path.bin is gone")
+
+        with caplog.at_level("ERROR", logger="repro.api.gateway"):
+            with SimilarityGateway(Broken()) as gw:
+                status, _, raw = request(
+                    gw, "/knn", {"queries": as_lists(trajectories[:1])})
+                _, _, metrics = request(gw, "/metrics")
+        assert status == 500
+        reply = json.loads(raw)
+        assert set(reply) == {"error", "id"}
+        assert reply["error"] == "internal error"
+        assert re.fullmatch(r"[0-9a-f]{16}", reply["id"])
+        for leak in (b"Traceback", b"/srv/secret", b".py", b"RuntimeError"):
+            assert leak not in raw
+        (record,) = caplog.records
+        assert record.name == "repro.api.gateway"
+        assert reply["id"] in record.getMessage()
+        assert "Traceback" in caplog.text and "/srv/secret" in caplog.text
+        assert b'route="/knn",status="500"} 1' in metrics
+
+
+# ----------------------------------------------------------------------
+# The edge's transport: one segment per reply, no Nagle stall
+# ----------------------------------------------------------------------
+def read_reply(sock):
+    """One raw HTTP reply (head + Content-Length body) off a socket."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "gateway hung up mid-reply"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    while len(body) < length:
+        body += sock.recv(65536)
+    return head + b"\r\n\r\n" + body
+
+
+class _TappedSocket:
+    """The accepted socket with every outgoing write recorded."""
+
+    def __init__(self, sock, writes):
+        self._sock, self._writes = sock, writes
+
+    def sendall(self, data, *flags):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data, *flags)
+
+    def send(self, data, *flags):
+        self._writes.append(bytes(data))
+        return self._sock.send(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture()
+def tapped(service):
+    """A gateway whose accepted connections are tapped: yields
+    ``(gateway, accepted sockets, writes)``."""
+    with SimilarityGateway(service) as gw:
+        accepted, writes = [], []
+        accept = gw._httpd.get_request
+
+        def tapping_accept():
+            sock, peer = accept()
+            accepted.append(sock)
+            return _TappedSocket(sock, writes), peer
+
+        gw._httpd.get_request = tapping_accept
+        yield gw, accepted, writes
+
+
+#: what the gateway put on the wire before replies became one write
+#: (Server / Date values vary by interpreter and second)
+PARENT_REPLIES = {
+    b"GET / HTTP/1.1\r\nHost: x\r\n\r\n":
+        b'HTTP/1.1 200 OK\r\nServer: *\r\nDate: *\r\n'
+        b'Content-Type: application/json\r\nContent-Length: 94\r\n\r\n'
+        b'{"routes": {"POST": ["/knn", "/pairwise", "/add"], '
+        b'"GET": ["/stats", "/healthz", "/metrics"]}}',
+    b"GET /knn HTTP/1.1\r\nHost: x\r\n\r\n":
+        b'HTTP/1.1 405 Method Not Allowed\r\nServer: *\r\nDate: *\r\n'
+        b'Content-Type: application/json\r\nContent-Length: 31\r\n'
+        b'Allow: POST\r\n\r\n{"error": "/knn requires POST"}',
+    b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n":
+        b'HTTP/1.1 404 Not Found\r\nServer: *\r\nDate: *\r\n'
+        b'Content-Type: application/json\r\nContent-Length: 33\r\n\r\n'
+        b'{"error": "no such route: /nope"}',
+    b'POST /knn HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}':
+        b'HTTP/1.1 400 Bad Request\r\nServer: *\r\nDate: *\r\n'
+        b'Content-Type: application/json\r\nContent-Length: 91\r\n\r\n'
+        b'{"error": "\'queries\' must be a non-empty list of trajectories '
+        b'([[x, y], ...] point lists)"}',
+}
+
+
+class TestEdgeTransport:
+    def test_a_reply_is_one_write_of_the_same_bytes(self, tapped):
+        gw, _, writes = tapped
+        with socket.create_connection(gw.address, timeout=30) as sock:
+            for sent, expected in PARENT_REPLIES.items():
+                del writes[:]
+                sock.sendall(sent)
+                reply = read_reply(sock)
+                assert writes == [reply]  # head and body left together
+                assert re.sub(rb"(?m)^(Server|Date): [^\r]*", rb"\1: *",
+                              reply) == expected
+            assert re.search(rb"\r\nServer: BaseHTTP/\S+ Python/\S+"
+                             rb"\r\nDate: \w{3}, \d\d \w{3} \d{4} "
+                             rb"\d\d:\d\d:\d\d GMT\r\n", reply)
+
+    def test_a_large_reply_is_still_one_write(self, tapped, trajectories):
+        gw, _, writes = tapped
+        body = json.dumps({"queries": as_lists(trajectories) * 40,
+                           "k": 16}).encode()
+        with socket.create_connection(gw.address, timeout=30) as sock:
+            sock.sendall(b"POST /knn HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            reply = read_reply(sock)
+        assert len(reply) > 64 << 10
+        assert writes == [reply]
+
+    def test_accepted_connection_has_nagle_off(self, tapped):
+        gw, accepted, _ = tapped
+        with socket.create_connection(gw.address, timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            read_reply(sock)
+            (server_end,) = accepted
+            assert server_end.getsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_NODELAY) == 1
+
+    def test_keep_alive_requests_do_not_wait_for_a_delayed_ack(self, gateway):
+        # Head and body as two writes on a Nagle socket: the body waits
+        # ~40 ms for the client's delayed ACK, on every request but the
+        # first of a connection (the parent's median here reads ~44 ms).
+        laps = []
+        with socket.create_connection(gateway.address, timeout=30) as sock:
+            for _ in range(30):
+                start = time.perf_counter()
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert read_reply(sock).startswith(b"HTTP/1.1 200 OK")
+                laps.append(time.perf_counter() - start)
+        assert sorted(laps)[len(laps) // 2] < 0.010
 
 
 # ----------------------------------------------------------------------

@@ -234,6 +234,41 @@ class TestWireTransportParity:
         laws.stats_expose_transport_counters)
 
 
+class _GatedService:
+    """Wraps a service so knn / pairwise block until released — holds the
+    flush thread inside a service call on demand, so what the queue does
+    with entries that arrive meanwhile is deterministic instead of
+    racing the flush thread. ``calls`` lists the queries per call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.started = threading.Event()
+        self.gate = threading.Event()
+        self.calls = []
+
+    def _enter(self, queries):
+        self.calls.append(len(queries))
+        self.started.set()
+        assert self.gate.wait(timeout=30)
+
+    def knn(self, queries, k, exclude=None, dedupe_eps=None):
+        self._enter(queries)
+        return self.inner.knn(queries, k, exclude=exclude,
+                              dedupe_eps=dedupe_eps)
+
+    def pairwise(self, queries, database=None):
+        self._enter(queries)
+        return self.inner.pairwise(queries, database)
+
+
+def _hold_flush_thread(queue, gated, query):
+    """Park the queue's flush thread inside the gated service; returns
+    the future of the entry it is parked on."""
+    opener = queue.submit(query, k=3)
+    assert gated.started.wait(timeout=30)
+    return opener
+
+
 class TestQueryQueue:
     def test_concurrent_callers_get_correct_results(self, single_service,
                                                     trajectories):
@@ -271,16 +306,21 @@ class TestQueryQueue:
 
     def test_coalesces_submissions_into_batches(self, single_service,
                                                 trajectories):
-        with QueryQueue(single_service, max_batch=64, max_wait=0.5) as queue:
-            futures = [queue.submit(t, k=3) for t in trajectories]
-            for future in futures:
-                future.result(timeout=30)
+        gated = _GatedService(single_service)
+        with QueryQueue(gated, max_batch=64, max_wait=0.5) as queue:
+            futures = [_hold_flush_thread(queue, gated, trajectories[0])]
+            futures += [queue.submit(t, k=3) for t in trajectories[1:]]
+            gated.gate.set()
+            rows = [future.result(timeout=30) for future in futures]
             stats = queue.queue_stats
         assert stats.queries == len(trajectories)
-        # The 0.5s window is far longer than the submission loop, so the
-        # flush thread must have coalesced (at most one straggler batch).
-        assert stats.batches <= 2
-        assert stats.largest_batch >= len(trajectories) - 1
+        # Everything submitted while the first flush was inside the
+        # service left together on the second one.
+        assert stats.batches == 2
+        assert stats.largest_batch == len(trajectories) - 1
+        exp_d, exp_i = single_service.knn(trajectories, k=3)
+        np.testing.assert_array_equal(np.stack([i for _, i in rows]), exp_i)
+        np.testing.assert_array_equal(np.stack([d for d, _ in rows]), exp_d)
 
     def test_groups_by_query_signature(self, single_service, trajectories):
         with QueryQueue(single_service, max_batch=64, max_wait=0.5) as queue:
@@ -337,27 +377,17 @@ class TestQueryQueue:
 class TestQueuePairwise:
     def test_concurrent_pairwise_coalesce_into_one_call(self, single_service,
                                                         trajectories):
-        calls = []
-        original = single_service.pairwise
-
-        def counting_pairwise(queries, database=None):
-            calls.append(len(queries))
-            return original(queries, database)
-
-        full = original(trajectories[:6])
-        single_service.pairwise = counting_pairwise
-        try:
-            with QueryQueue(single_service, max_batch=16,
-                            max_wait=0.5) as queue:
-                futures = [queue.submit_pairwise(trajectories[i])
-                           for i in range(6)]
-                rows = [f.result(timeout=30) for f in futures]
-        finally:
-            single_service.pairwise = original
-        # One stacked service call for the whole burst (at most one
-        # straggler flush), not six.
-        assert len(calls) <= 2
-        assert sum(calls) == 6
+        full = single_service.pairwise(trajectories[:6])
+        gated = _GatedService(single_service)
+        with QueryQueue(gated, max_batch=16, max_wait=0.5) as queue:
+            opener = _hold_flush_thread(queue, gated, trajectories[0])
+            futures = [queue.submit_pairwise(trajectories[i])
+                       for i in range(6)]
+            gated.gate.set()
+            opener.result(timeout=30)
+            rows = [f.result(timeout=30) for f in futures]
+        # One stacked service call for the whole burst, not six.
+        assert gated.calls == [1, 6]
         for i, block in enumerate(rows):
             assert block.shape == (1, len(trajectories))
             np.testing.assert_allclose(block[0], full[i])
@@ -413,20 +443,75 @@ class TestQueuePairwise:
         assert queue.queue_stats.batches >= 0
 
 
-class _GatedService:
-    """Wraps a service so knn blocks until released — makes queue-depth
-    tests deterministic instead of racing the flush thread."""
+class TestQueueWithoutAClock:
+    """The flush thread keeps no timer: an idle queue answers at once,
+    and batching is whatever arrived while the previous flush ran."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.started = threading.Event()
-        self.gate = threading.Event()
+    def test_lone_submit_on_an_idle_queue_is_flushed_at_once(
+            self, single_service, trajectories):
+        import time
 
-    def knn(self, queries, k, exclude=None, dedupe_eps=None):
-        self.started.set()
-        assert self.gate.wait(timeout=30)
-        return self.inner.knn(queries, k, exclude=exclude,
-                              dedupe_eps=dedupe_eps)
+        with QueryQueue(single_service, max_wait=10.0) as queue:
+            start = time.monotonic()
+            _, ids = queue.submit(trajectories[0], k=2).result(timeout=30)
+            assert time.monotonic() - start < 1.0
+        assert ids.shape == (2,)
+        assert queue.queue_stats.batches == 1
+
+    def test_arrivals_during_a_flush_leave_in_the_next_one(
+            self, single_service, trajectories):
+        gated = _GatedService(single_service)
+        arrivals = trajectories[1:8]
+        futures = []
+        with QueryQueue(gated, max_batch=64) as queue:
+            opener = _hold_flush_thread(queue, gated, trajectories[0])
+            callers = [threading.Thread(
+                target=lambda t=t: futures.append(queue.submit(t, k=3)))
+                for t in arrivals]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+            assert queue.pending == len(arrivals)
+            gated.gate.set()
+            for future in [opener] + futures:
+                assert future.result(timeout=30)[1].shape == (3,)
+            stats = queue.queue_stats
+        assert gated.calls == [1, len(arrivals)]
+        assert stats.batches == 2
+        assert stats.largest_batch == len(arrivals)
+
+    def test_max_batch_still_cuts_the_flush(self, single_service,
+                                            trajectories):
+        gated = _GatedService(single_service)
+        with QueryQueue(gated, max_batch=3) as queue:
+            futures = [_hold_flush_thread(queue, gated, trajectories[0])]
+            futures += [queue.submit(t, k=3) for t in trajectories[1:8]]
+            gated.gate.set()
+            for future in futures:
+                future.result(timeout=30)
+            stats = queue.queue_stats
+        assert gated.calls == [1, 3, 3, 1]
+        assert stats.largest_batch == 3
+        assert stats.queries == 8
+
+    def test_close_serves_everything_it_accepted(self, single_service,
+                                                 trajectories):
+        gated = _GatedService(single_service)
+        queue = QueryQueue(gated, max_batch=4)
+        accepted = [_hold_flush_thread(queue, gated, trajectories[0])]
+        closer = threading.Thread(target=queue.close)
+        closer.start()
+        with pytest.raises(RuntimeError, match="closed"):
+            for _ in range(100_000):  # until close() has the condition
+                accepted.append(queue.submit(trajectories[1], k=3))
+        gated.gate.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        for future in accepted:
+            assert future.result(timeout=0)[1].shape == (3,)
+        assert queue.queue_stats.queries == len(accepted)
+        assert queue.pending == 0
 
 
 class TestQueueAdmission:

@@ -116,6 +116,41 @@ class TestSocketFraming:
         transport.close()
 
 
+class TestNoDelay:
+    """Frames alternate strictly, so Nagle's algorithm can only stall
+    them: every TCP socket a transport is built over has it off."""
+
+    @pytest.mark.parametrize("kind", ["similarity_server", "shard_worker"])
+    def test_both_ends_of_a_tcp_link_have_nagle_off(self, kind, monkeypatch):
+        from repro.api.cluster import ShardWorker
+        from repro.api.remote import SimilarityServer
+
+        sockets = []
+        construct = SocketTransport.__init__
+
+        def recording(self, sock):
+            construct(self, sock)
+            sockets.append(sock)
+
+        monkeypatch.setattr(SocketTransport, "__init__", recording)
+        if kind == "similarity_server":
+            server, command = SimilarityServer(service=[]), "len"
+        else:
+            server, command = ShardWorker(), "ping"
+        try:
+            client = SocketTransport.connect(*server.address)
+            request(client, command)  # answered: the accepted end exists
+            assert len(sockets) == 2
+            assert {sock.getsockname() for sock in sockets} == {
+                sockets[0].getsockname(), sockets[0].getpeername()}
+            for sock in sockets:
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY) == 1
+            client.close()
+        finally:
+            server.close()
+
+
 class TestShortReads:
     """A TCP peer may deliver a frame in arbitrarily small pieces, or stop
     mid-frame. Partial reads must reassemble; truncation must surface as a
