@@ -13,7 +13,9 @@ Two families of scenario, every timing a median with its quartiles:
   ``e2e_chunk256`` / ``e2e_single`` ask for float64 by name, so the row
   means the same thing in every checkout; ``serving_default_b256`` /
   ``serving_default_b1`` name no dtype and record the one that came back
-  — they follow whatever the product serves. These are the numbers the
+  — they follow whatever the product serves. ``featurise_b256`` is the
+  part of a 256-call that is not the forward (``prepare`` +
+  ``stack_features`` on the served tables). These are the numbers the
   ROADMAP's encoder budget quotes.
 
 Results merge scenario-by-scenario into
@@ -29,6 +31,16 @@ command run against two checkouts::
 
 Run via ``make bench-encode`` (which pins one BLAS thread, as the e2e
 benchmark does). Not part of the tier-1 test suite.
+
+Comparing two checkouts — here or with ``benchmarks/e2e`` — compare trees
+whose ``__pycache__`` is in the same state (both without, e.g. ``git
+clone`` and a ``git ls-files | tar`` copy, or both after the same warm-up
+run). The e2e children write no bytecode, so a side with stale ``.pyc``
+for the files a change touched recompiles them in every process it
+starts: sizing the PR that added this note, such a change side read
+``edge_http`` ``setup_s`` +0.12 s and ``peak_rss_mb`` +6 MB (three child
+interpreters compiling at start) where the like-for-like pair read
+−0.08 s and ±0.
 """
 
 from __future__ import annotations
@@ -122,7 +134,15 @@ def run_e2e_shape(args) -> Dict[str, Dict]:
         return model.encode(batch, dtype="float64")
 
     served = str(model.encode(singles[0]).dtype)
-    rows = {}
+    features = model.inference_encoder().features   # the served tables
+
+    def featurise(batch):
+        points = features.prepare(batch)
+        features.stack_features(points, pad_len=max(map(len, points)))
+
+    rows = {f"featurise_b{E2E_CHUNK}" + suffix: {"results": {
+        "mode": "features", "dtype": served, "batch": E2E_CHUNK,
+        **_time_calls(featurise, chunks, 3)}}}
     for chunk_row, single_row, encode, dtype in (
             (f"e2e_chunk{E2E_CHUNK}", "e2e_single", float64, "float64"),
             (f"serving_default_b{E2E_CHUNK}", "serving_default_b1",

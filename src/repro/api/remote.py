@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..trajectory import as_points
+from ..trajectory import as_points_batch
 from ..trajectory.trajectory import TrajectoryLike
 from .service import SimilarityService
 from .transport import (
@@ -471,7 +471,7 @@ class RemoteSimilarityClient:
     # ------------------------------------------------------------------
     def add(self, trajectories: Sequence[TrajectoryLike]) -> int:
         """Append to the remote database; returns the new database size."""
-        batch = [as_points(t) for t in _as_batch(trajectories)]
+        batch = as_points_batch(_as_batch(trajectories))
         return self._call("add", batch)
 
     def knn(
@@ -482,7 +482,7 @@ class RemoteSimilarityClient:
         dedupe_eps: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Remote ``(distances, ids)`` — the wrapped service's exact answer."""
-        batch = [as_points(t) for t in _as_batch(queries)]
+        batch = as_points_batch(_as_batch(queries))
         return self._call("knn", (batch, k, exclude, dedupe_eps))
 
     def pairwise(
@@ -491,9 +491,9 @@ class RemoteSimilarityClient:
         database: Optional[Sequence[TrajectoryLike]] = None,
     ) -> np.ndarray:
         """Remote dense distance block (D defaults to the server database)."""
-        batch = [as_points(t) for t in _as_batch(queries)]
+        batch = as_points_batch(_as_batch(queries))
         if database is not None:
-            database = [as_points(t) for t in _as_batch(database)]
+            database = as_points_batch(_as_batch(database))
         return self._call("pairwise", (batch, database))
 
     distance_matrix = pairwise

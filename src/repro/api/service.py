@@ -27,6 +27,7 @@ shard of a sharded embedding service is): no model, nothing but
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import threading
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..index import RowStore
-from ..trajectory import as_points
+from ..trajectory import as_points_batch
 from ..trajectory.trajectory import TrajectoryLike
 from .backends import backend_state, restore_backend
 from .indexes import get_index
@@ -74,6 +75,13 @@ def _as_batch(trajectories) -> List:
     return list(trajectories)
 
 
+@functools.lru_cache(maxsize=16)
+def _dtype_tag(dtype: np.dtype) -> bytes:
+    """``str(dtype)`` as cache-key bytes, formatted once per dtype rather
+    than once per trajectory (numpy builds the string in Python)."""
+    return str(dtype).encode()
+
+
 def _lru_put(cache: "OrderedDict[str, np.ndarray]", key: str,
              vector: np.ndarray, maxsize: int) -> None:
     if maxsize <= 0:
@@ -107,7 +115,7 @@ class CachedEncoder:
 
     def encode(self, trajectories: Sequence[TrajectoryLike]) -> np.ndarray:
         """Chunked, cached embeddings ``(N, d)`` (embedding backends only)."""
-        batch = [as_points(t) for t in _as_batch(trajectories)]
+        batch = as_points_batch(_as_batch(trajectories))
         keys = [self.key(points) for points in batch]  # hashed unlocked
         with self._lock:
             out: List[Optional[np.ndarray]] = [None] * len(batch)
@@ -132,11 +140,12 @@ class CachedEncoder:
                     self.misses += 1
             for start in range(0, len(missing), self.batch_size):
                 chunk = missing[start:start + self.batch_size]
-                encoded = self.backend.encode([batch[i] for i in chunk])
+                # Entries keep the backend's own dtype (float32 for
+                # trajcl): nothing between encode and search casts.
+                encoded = as_float_array(
+                    self.backend.encode([batch[i] for i in chunk]))
                 for row, position in enumerate(chunk):
-                    # Entries keep the backend's own dtype (float32 for
-                    # trajcl): nothing between encode and search casts.
-                    vector = as_float_array(encoded[row])
+                    vector = encoded[row]
                     out[position] = vector
                     _lru_put(self.cache, keys[position], vector,
                              self.cache_size)
@@ -161,7 +170,7 @@ class CachedEncoder:
         # Shape and dtype both feed the hash: byte-identical buffers of a
         # different shape *or* dtype must never collide.
         digest.update(str(points.shape).encode())
-        digest.update(str(points.dtype).encode())
+        digest.update(_dtype_tag(points.dtype))
         return digest.hexdigest()
 
     def info(self) -> CacheInfo:
@@ -253,7 +262,7 @@ class SimilarityService:
                     "add() stores what it indexes: pass "
                     "Embedded(vectors, trajectories)")
             trajectories = given.trajectories
-        points = [as_points(t) for t in self._as_batch(trajectories)]
+        points = as_points_batch(self._as_batch(trajectories))
         if not points:
             return self
         if self.index is not None:
@@ -401,7 +410,7 @@ class SimilarityService:
         if k < 1:
             raise ValueError("k must be >= 1")
         if self._given(queries) is None:
-            queries = [as_points(t) for t in self._as_batch(queries)]
+            queries = as_points_batch(self._as_batch(queries))
         if not len(queries):
             return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
         n = len(self.trajectories)

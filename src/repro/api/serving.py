@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..trajectory import as_points
+from ..trajectory import as_points, as_points_batch
 from ..trajectory.trajectory import TrajectoryLike
 from .backends import restore_backend, shard_backend_state
 from .protocols import (
@@ -693,7 +693,7 @@ class ShardMergeMixin:
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        batch = [as_points(t) for t in _as_batch(trajectories)]
+        batch = as_points_batch(_as_batch(trajectories))
         if not batch:
             return self
         vectors = (self._encoder.encode(batch)
@@ -977,7 +977,7 @@ class ShardMergeMixin:
             raise RuntimeError("service database is empty; call add() first")
         if k < 1:
             raise ValueError("k must be >= 1")
-        queries = [as_points(t) for t in _as_batch(queries)]
+        queries = as_points_batch(_as_batch(queries))
         if not queries:
             return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
         asked = self._for_shards(queries)  # embedded once, not per round
@@ -1334,7 +1334,7 @@ class QueryQueue:
         """Enqueue a pairwise block; returns a Future of the ``(|Q|, |D|)``
         matrix. Calls with ``database=None`` (the service database)
         coalesce into one stacked service call per flush."""
-        batch = [as_points(t) for t in _as_batch(queries)]
+        batch = as_points_batch(_as_batch(queries))
         return self._enqueue((_PAIRWISE, batch, database), deadline)
 
     def _enqueue(self, entry, deadline):

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..trajectory import Grid, as_points
+from ..trajectory import Grid, as_points, as_points_batch
 from ..trajectory.trajectory import TrajectoryLike
 
 
@@ -127,14 +127,14 @@ class FeatureEnrichment:
     ) -> List[np.ndarray]:
         """Validated, ``max_len``-truncated ``(n, 2)`` float64 point arrays.
 
-        Validation is :func:`~repro.trajectory.as_points` itself (run
-        before truncation, so non-finite coordinates are rejected even
-        beyond ``max_len``) — the fast and reference paths accept exactly
-        the same inputs.
+        Validation is :func:`~repro.trajectory.as_points` itself, in its
+        batch form (run before truncation, so non-finite coordinates are
+        rejected even beyond ``max_len``) — the fast and reference paths
+        accept exactly the same inputs.
         """
         if len(trajectories) == 0:
             raise ValueError("empty batch")
-        return [as_points(t)[: self.max_len] for t in trajectories]
+        return [p[: self.max_len] for p in as_points_batch(trajectories)]
 
     def _flat_spatial_features(
         self, flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
@@ -200,23 +200,21 @@ class FeatureEnrichment:
             )
         flat = np.concatenate(points, axis=0) if batch > 1 else np.asarray(points[0])
         offsets = np.concatenate([[0], np.cumsum(lengths)])
-        rows = np.repeat(np.arange(batch), lengths)
-        cols = np.arange(len(flat)) - np.repeat(offsets[:-1], lengths)
+        mask = np.arange(pad_len) >= lengths[:, None]
+        valid = ~mask  # row-major True positions are the flat point order
 
-        cells = self.grid.cell_of(flat)
-        structural_flat = self.cell_embeddings[cells] + self._pe_structural[cols]
-        spatial_flat = (
-            self._flat_spatial_features(flat, offsets, lengths)
-            + self._pe_spatial[cols]
-        )
-
-        structural = np.zeros((batch, pad_len, self.structural_dim),
-                              self.dtype)
+        # One gather per stream, straight into the padded layout (padded
+        # slots read cell 0); the position encoding is added to whole
+        # rows and the padded slots are zeroed afterwards.
+        cells = np.zeros((batch, pad_len), dtype=np.int64)
+        cells[valid] = self.grid.cell_of_validated(flat)
+        structural = self.cell_embeddings[cells]
+        structural += self._pe_structural[:pad_len]
+        structural[mask] = 0.0
         spatial = np.zeros((batch, pad_len, self.spatial_dim), self.dtype)
-        mask = np.ones((batch, pad_len), dtype=bool)
-        structural[rows, cols] = structural_flat
-        spatial[rows, cols] = spatial_flat
-        mask[rows, cols] = False
+        spatial[valid] = self._flat_spatial_features(flat, offsets, lengths)
+        spatial += self._pe_spatial[:pad_len]
+        spatial[mask] = 0.0
         return structural, spatial, mask, lengths
 
     def encode_batch(
@@ -231,8 +229,9 @@ class FeatureEnrichment:
         ``(B,)`` true lengths. ``l`` is ``max_len`` unless ``pad_len``
         narrows it (length-bucketed inference batches).
 
-        The whole batch is featurized in one vectorized pass — cell lookup,
-        Eq. 8 geometry and position encodings are computed over the
-        concatenated points, then scattered into the padded tensors.
+        The whole batch is featurized in one vectorized pass — cell lookup
+        and Eq. 8 geometry are computed over the concatenated points and
+        land in the padded layout directly; the position encodings are
+        added to whole rows.
         """
         return self.stack_features(self.prepare(trajectories), pad_len=pad_len)

@@ -34,11 +34,13 @@ a trajectory's encode time):
   FFN stage writes in place into an array the forward allocated itself
   (never its input). Q, K and V are strided head views of the fused
   product, not copies. Attention is computed *transposed*: the logits are
-  ``K Qᵀ`` with the key axis outermost, ``(L_key, B, H, L_query)``, because
-  softmax reduces over keys — its max and sum then add whole contiguous
-  rows of ``B·H·L`` elements instead of reducing inside ``L``-long ones,
-  which is what numpy is slow at. The per-query max shift stays: it is the
-  overflow guard;
+  ``K Qᵀ`` written into one C-contiguous ``(L_key, B, H, L_query)`` array
+  — by the matmul of the wide stream and by the outer product of the
+  ``head_dim == 1`` spatial stream alike — because softmax reduces over
+  keys: its max and sum then add whole contiguous rows of ``B·H·L``
+  elements instead of reducing inside ``L``-long ones, which is what
+  numpy is slow at. The per-query max shift stays: it is the overflow
+  guard;
 * the bucket size is derived, not passed: as many trajectories as keep the
   forward's widest temporary — the FFN hidden or one softmax's logits —
   at about 1 MiB, so a bucket's working set stays in L2 (32 trajectories
@@ -47,7 +49,11 @@ a trajectory's encode time):
 
 All three encoder variants of the paper's Fig. 7 ablation are supported
 (``dual``/``msm``/``concat``). Dropout is inactive at inference, so the
-exported forward omits it entirely.
+exported forward omits it entirely. So is the one block whose output
+nothing reads: only the structural stream of the last DualSTB is pooled,
+so the last spatial block under it is exported as its attention alone (its
+coefficients enter Eq. 15) — fixed at :meth:`~InferenceEncoder.from_model`,
+where the float64 Tensor graph, the oracle, still runs the whole model.
 """
 
 from __future__ import annotations
@@ -133,14 +139,14 @@ class _Attention:
         heads = self.num_heads
         qkv = (x @ self.wqkv).reshape(batch, -1, 3, heads, x.shape[1] // heads)
         query, key, value = qkv.transpose(2, 0, 3, 1, 4)       # (B,H,L,hd)
+        seq_len = qkv.shape[1]
+        logits = np.empty((seq_len, batch, heads, seq_len), dtype=x.dtype)
         if qkv.shape[-1] == 1:
             # head_dim 1 (the 4-wide spatial stream): K = 1 is an outer
             # product, not a matmul
-            logits = (key.transpose(2, 0, 1, 3)
-                      * np.ascontiguousarray(query[..., 0]))
+            np.multiply(key.transpose(2, 0, 1, 3),
+                        np.ascontiguousarray(query[..., 0]), out=logits)
         else:
-            seq_len = qkv.shape[1]
-            logits = np.empty((seq_len, batch, heads, seq_len), dtype=x.dtype)
             np.matmul(key, query.swapaxes(-1, -2),
                       out=logits.transpose(1, 2, 0, 3))
         if bias is not None:
@@ -220,19 +226,23 @@ class _TransformerLayer:
 
     __slots__ = ("attn", "residual")
 
-    def __init__(self, layer, dtype):
+    def __init__(self, layer, dtype, coefficients_only: bool = False):
         attn = layer.attn
         self.attn = _Attention(
             attn.w_query.weight.data, attn.w_key.weight.data,
             attn.w_value.weight.data, attn.w_out.weight.data,
             attn.num_heads, dtype,
         )
-        self.residual = _Residual(layer, dtype)
+        #: None where nothing reads the block's output: only its attention
+        #: coefficients are computed
+        self.residual = None if coefficients_only else _Residual(layer, dtype)
 
     def __call__(
         self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         attention, value = self.attn.coefficients(x, batch, bias)
+        if self.residual is None:
+            return None, attention
         return self.residual(x, self.attn.project(attention, value)), attention
 
 
@@ -241,7 +251,7 @@ class _DualLayer:
 
     __slots__ = ("attn", "gamma", "spatial_layers", "residual")
 
-    def __init__(self, layer, dtype):
+    def __init__(self, layer, dtype, last: bool):
         msm = layer.dual_msm
         self.attn = _Attention(
             msm.w_query.weight.data, msm.w_key.weight.data,
@@ -249,9 +259,14 @@ class _DualLayer:
             msm.num_heads, dtype,
         )
         self.gamma = float(msm.gamma.data)
+        # The spatial stream feeds the next DualSTB; after the ``last`` one
+        # only the structural stream is pooled, so its final spatial block
+        # contributes A_s to Eq. 15 and nothing else.
+        depth = len(msm.spatial_encoder.layers)
         self.spatial_layers = [
-            _TransformerLayer(spatial, dtype)
-            for spatial in msm.spatial_encoder.layers
+            _TransformerLayer(spatial, dtype,
+                              coefficients_only=last and i == depth - 1)
+            for i, spatial in enumerate(msm.spatial_encoder.layers)
         ]
         self.residual = _Residual(layer, dtype)
 
@@ -261,7 +276,7 @@ class _DualLayer:
         spatial: np.ndarray,
         batch: int,
         bias: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         fused, value = self.attn.coefficients(structural, batch, bias)
         attn_spatial = None
         for spatial_layer in self.spatial_layers:
@@ -350,7 +365,9 @@ class InferenceEncoder:
             )
         encoder = model.encoder
         if variant == "dual":
-            layers = [_DualLayer(layer, dtype) for layer in encoder.layers]
+            depth = len(encoder.layers)
+            layers = [_DualLayer(layer, dtype, last=(i == depth - 1))
+                      for i, layer in enumerate(encoder.layers)]
         else:  # msm / concat wrap a vanilla TransformerEncoder
             layers = [
                 _TransformerLayer(layer, dtype)

@@ -10,7 +10,9 @@ from .preprocess import (
     within_bbox,
 )
 from .simplify import douglas_peucker, douglas_peucker_mask, point_segment_distance
-from .trajectory import PointArray, Trajectory, TrajectoryLike, as_points
+from .trajectory import (
+    PointArray, Trajectory, TrajectoryLike, as_points, as_points_batch,
+)
 from .visvalingam import triangle_area, visvalingam, visvalingam_mask
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "TrajectoryLike",
     "PointArray",
     "as_points",
+    "as_points_batch",
     "Grid",
     "douglas_peucker",
     "douglas_peucker_mask",

@@ -46,7 +46,10 @@ class Grid:
     # ------------------------------------------------------------------
     def cell_of(self, points: TrajectoryLike) -> np.ndarray:
         """Map ``(N, 2)`` points to ``(N,)`` integer cell ids (clamped)."""
-        pts = as_points(points)
+        return self.cell_of_validated(as_points(points))
+
+    def cell_of_validated(self, pts: np.ndarray) -> np.ndarray:
+        """:meth:`cell_of` for points :func:`as_points` already returned."""
         cols = np.clip(
             ((pts[:, 0] - self.min_x) / self.cell_size).astype(np.int64), 0, self.n_cols - 1
         )

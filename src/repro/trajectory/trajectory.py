@@ -5,12 +5,13 @@ points in a Euclidean space (§III). Internally every algorithm in this
 repository operates on ``(N, 2)`` float arrays for speed; ``Trajectory``
 is a thin, validated wrapper that carries derived geometry (length, bounding
 box, segment lengths) and supports slicing. :func:`as_points` lets public
-APIs accept either form.
+APIs accept either form; :func:`as_points_batch` is the same check for a
+whole chunk at once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +31,30 @@ def as_points(trajectory: TrajectoryLike) -> PointArray:
     if not np.isfinite(points).all():
         raise ValueError("trajectory contains non-finite coordinates")
     return points
+
+
+def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> List[PointArray]:
+    """:func:`as_points` of every item, paying one finiteness reduction for
+    the whole batch instead of one per trajectory.
+
+    Items are coerced and shape-checked one by one, then all their points
+    are checked in one pass. Anything short of a clean batch re-runs the
+    per-item loop, so the error raised is exactly the one
+    :func:`as_points` raises for the first offending item.
+    """
+    try:
+        batch = [
+            t.points if isinstance(t, Trajectory)
+            else np.asarray(t, dtype=np.float64)
+            for t in trajectories
+        ]
+    except (TypeError, ValueError):
+        batch = None  # numpy refused an item; as_points says which, below
+    if (batch is not None
+            and all(p.ndim == 2 and p.shape[1] == 2 and len(p) for p in batch)
+            and (not batch or np.isfinite(np.concatenate(batch)).all())):
+        return batch
+    return [as_points(t) for t in trajectories]
 
 
 class Trajectory:

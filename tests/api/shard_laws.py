@@ -27,6 +27,8 @@ from repro.api import (
     as_backend,
 )
 
+from ..trajectory.test_trajectory import bad_batches, first_error
+
 
 class Sharded:
     """A sharded service of one link kind and its workers, torn down
@@ -125,6 +127,27 @@ def knn_parity_with_exclude_and_dedupe(links, backend, single_service,
             assert_same_bits(
                 sharded.service.knn(trajectories[3], k=4, **kwargs),
                 single_service.knn(trajectories[3], k=4, **kwargs))
+
+
+def bad_chunk_is_refused_whole(links, backend, single_service, trajectories):
+    """A chunk is validated in one pass at the owner: the error is the one
+    ``as_points`` raises for its first offending item, and no shard, id
+    or cache entry remembers any of it."""
+    with Sharded(links, backend) as sharded:
+        service = sharded.service
+        service.add(trajectories)
+        before = service.stats()
+        for name, batch in bad_batches(max_len=16,
+                                       good=trajectories[:6]).items():
+            for call in (service.add, lambda b: service.knn(b, k=3)):
+                with pytest.raises(ValueError) as raised:
+                    call(batch)
+                assert str(raised.value) == first_error(batch), name
+        after = service.stats()
+        for counter in ("size", "shard_sizes", "cache", "degraded"):
+            assert after.get(counter) == before.get(counter), counter
+        assert_same_bits(service.knn(trajectories[:3], k=4),
+                         single_service.knn(trajectories[:3], k=4))
 
 
 def more_workers_than_trajectories_pads(links, backend, trajectories):

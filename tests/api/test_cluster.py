@@ -95,6 +95,8 @@ class TestCoordinatorParity:
     test_pairwise_parity = staticmethod(laws.pairwise_matches_single_service)
     test_more_workers_than_trajectories_pads = staticmethod(
         laws.more_workers_than_trajectories_pads)
+    test_bad_chunk_is_refused_whole = staticmethod(
+        laws.bad_chunk_is_refused_whole)
     test_worker_error_keeps_rpc_in_sync = staticmethod(
         laws.worker_error_keeps_rpc_in_sync)
     test_wire_parity_and_transport_stats = staticmethod(

@@ -21,6 +21,7 @@ from repro.api.gateway import (
     TokenBucketLimiter,
 )
 
+from ..trajectory.test_trajectory import bad_batches, first_error
 from .test_registry import make_trajectories
 
 
@@ -244,6 +245,23 @@ class TestValidation:
             gateway, "/knn", {"queries": [[[1, float("nan")]]], "k": 2})
         assert status == 400
         assert "non-finite" in reply["error"]
+
+    @pytest.mark.parametrize("name", sorted(bad_batches()))
+    def test_bad_chunk_is_a_400_naming_its_first_bad_item(self, trajectories,
+                                                          name):
+        batch = bad_batches(max_len=16, good=trajectories[:6])[name]
+        position = next(i for i in range(len(batch))
+                        if first_error(batch[i:i + 1]) is not None)
+        body = [item if isinstance(item, list) else item.tolist()
+                for item in batch]
+        own = SimilarityService(backend="hausdorff").add(trajectories[:10])
+        with SimilarityGateway(own) as gw:
+            for path, field in (("/add", "trajectories"),
+                                ("/knn", "queries")):
+                status, _, reply = request_json(gw, path, {field: body})
+                assert status == 400
+                assert f"'{field}'[{position}]" in reply["error"]
+        assert len(own) == 10           # nothing of the chunk was stored
 
     def test_bad_k_400(self, gateway, trajectories):
         for bad_k in (0, "three"):

@@ -13,6 +13,7 @@ from repro.api import (
 )
 from repro.api.service import CachedEncoder
 
+from ..trajectory.test_trajectory import bad_batches, first_error
 from .test_registry import make_trajectories
 
 
@@ -189,6 +190,19 @@ class TestCache:
         assert (CachedEncoder.key(as_float)
                 != CachedEncoder.key(as_int))
 
+    def test_cache_keys_are_the_ones_snapshots_hold(self):
+        """Literals from before the dtype tag was memoised: a snapshot's
+        warm cache must keep hitting."""
+        points = np.arange(10, dtype=np.float64).reshape(5, 2) * 0.5 + 1.25
+        assert (CachedEncoder.key(points)
+                == "b83989be5787d2125562fbcffad43ae9264ce452")
+        assert (CachedEncoder.key(points.reshape(2, 5))
+                == "b893f733f99f4e54b0632f5b0a3cb8e699cc562c")
+        assert (CachedEncoder.key(points.astype(np.float32))
+                == "f30b22029c66abe08a4a0937fc7a38a0faffaf89")
+        assert (CachedEncoder.key(points[::2])      # not contiguous
+                == "01554a41eceff7ec4a20f5b0a3cb15f50bfcddb7")
+
     def test_concurrent_encodes_lose_no_update(self, trajectories):
         """The encoder is shared by every thread that calls its owner (a
         stats probe beside a flush, handler threads of a server): its own
@@ -283,6 +297,27 @@ class TestCache:
         assert encode_calls == [3]
         expected = trajcl_backend.encode([a, b, c])
         np.testing.assert_array_equal(rows, expected[[0, 1, 0, 2, 1]])
+
+
+class TestValidationParity:
+    """A chunk is validated in one pass; what a bad one raises, and that it
+    leaves nothing behind, is what the per-trajectory loop did."""
+
+    @pytest.mark.parametrize("name", sorted(bad_batches()))
+    def test_add_and_knn_refuse_like_as_points(self, trajcl_backend,
+                                               trajectories, name):
+        batch = bad_batches(max_len=16, good=trajectories[:6])[name]
+        expected = first_error(batch)
+        service = SimilarityService(backend=trajcl_backend).add(trajectories)
+        before = service.stats()
+        for call in (service.add, lambda b: service.knn(b, k=3),
+                     service.encode_batch):
+            with pytest.raises(ValueError) as raised:
+                call(batch)
+            assert str(raised.value) == expected
+        # nothing stored, indexed, cached or even looked up
+        assert service.stats() == before
+        assert len(service) == len(service.index) == len(trajectories)
 
 
 class TestSaveLoad:

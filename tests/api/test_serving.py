@@ -69,6 +69,8 @@ class TestShardedParity:
         laws.knn_parity_with_exclude_and_dedupe)
     test_more_workers_than_trajectories_pads = staticmethod(
         laws.more_workers_than_trajectories_pads)
+    test_bad_chunk_is_refused_whole = staticmethod(
+        laws.bad_chunk_is_refused_whole)
     test_pairwise_matches_single_service = staticmethod(
         laws.pairwise_matches_single_service)
     test_incremental_add_keeps_parity = staticmethod(

@@ -141,8 +141,10 @@ class TestFeatureEnrichment:
             assert lengths[i] == n
             np.testing.assert_array_equal(structural[i, :n], t_mat)
             np.testing.assert_array_equal(spatial[i, :n], s_mat)
-            np.testing.assert_allclose(structural[i, n:], 0.0)
-            np.testing.assert_allclose(spatial[i, n:], 0.0)
+            # padded slots are +0.0, bit for bit (not the -0.0 a multiply
+            # by a validity mask would leave)
+            assert not structural[i, n:].tobytes().strip(b"\0")
+            assert not spatial[i, n:].tobytes().strip(b"\0")
             assert not mask[i, :n].any() and mask[i, n:].all()
 
     def test_pad_len_narrows_batch(self):

@@ -10,12 +10,15 @@ engine is now ``repro.index.distance``; its tests are in
 ``tests/index/test_distance.py``.)
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FeatureEnrichment, InferenceEncoder, TrajCL, TrajCLConfig
+from repro.core import infer
 from repro.core.infer import resolve_dtype
 from repro.trajectory import Grid
 
@@ -282,3 +285,165 @@ class TestForwardLaws:
             model.encode(walks([5], seed=0), bucket_size=64)
         with pytest.raises(TypeError):
             model.inference_encoder().encode(walks([5], seed=0), bucket_size=64)
+
+
+# ----------------------------------------------------------------------
+# The embedding reads the last DualSTB's structural stream only: its last
+# spatial block matters through its attention coefficients and nothing
+# else — a property of the model, which the engine exploits
+# ----------------------------------------------------------------------
+def dual_model(small_setup, num_layers, num_spatial_layers):
+    config, features, _ = small_setup
+    config = config.with_overrides(num_layers=num_layers,
+                                   num_spatial_layers=num_spatial_layers)
+    return TrajCL(features, config, rng=np.random.default_rng(7))
+
+
+def encode_every_way(model, batch):
+    return [model.encode(batch, fast=False, dtype="float64").tobytes(),
+            model.encode(batch, dtype="float64").tobytes(),
+            model.encode(batch).tobytes()]
+
+
+class TestDeadBlock:
+    @pytest.mark.parametrize("num_spatial_layers", [1, 2])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_only_the_coefficients_of_the_last_spatial_block_are_read(
+            self, small_setup, num_layers, num_spatial_layers):
+        model = dual_model(small_setup, num_layers, num_spatial_layers)
+        batch = walks([1, 9, 40, 23, 40], seed=31)
+        before = encode_every_way(model, batch)
+        block = model.encoder.layers[-1].dual_msm.spatial_encoder.layers[-1]
+        unread = [block.attn.w_value.weight, block.attn.w_out.weight,
+                  block.norm1.gamma, block.norm1.beta,
+                  block.norm2.gamma, block.norm2.beta,
+                  *block.ffn.parameters()]
+        assert len(unread) == 10
+        for param in unread:
+            param.data += 0.3
+        # reference graph, float64 engine, served float32: not one bit
+        assert encode_every_way(model, batch) == before
+        block.attn.w_query.weight.data += 0.3
+        after = encode_every_way(model, batch)
+        assert all(new != old for new, old in zip(after, before))
+
+    def test_forward_runs_no_block_nothing_reads(self, small_setup,
+                                                 monkeypatch):
+        """2 DualSTB x 2 spatial blocks: six attention maps, and five
+        residual blocks, not six — counted, not timed."""
+        engine = dual_model(small_setup, 2, 2).inference_encoder()
+        counts = {"coefficients": 0, "residual": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(infer._Attention, "coefficients", counted(
+            "coefficients", infer._Attention.coefficients))
+        monkeypatch.setattr(infer._Residual, "__call__", counted(
+            "residual", infer._Residual.__call__))
+        engine.encode(walks([12] * 4, seed=32))     # one bucket, one forward
+        assert counts == {"coefficients": 6, "residual": 5}
+
+
+class TestAttentionLayout:
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("head_dim", [1, 16])
+    def test_keys_outermost_contiguous_rows_sum_to_one(self, head_dim,
+                                                       padded):
+        heads, batch, seq_len = 4, 3, 11
+        dim = heads * head_dim
+        rng = np.random.default_rng(head_dim)
+        w_query, w_key, w_value, w_out = rng.standard_normal((4, dim, dim))
+        attn = infer._Attention(w_query, w_key, w_value, w_out, heads,
+                                np.float32)
+        x = rng.standard_normal((batch * seq_len, dim)).astype(np.float32)
+        lengths = np.array([seq_len, 4, 1]) if padded else np.full(3, seq_len)
+        valid = np.arange(seq_len) < lengths[:, None]
+        bias = None
+        if padded:
+            bias = np.where(valid, 0.0, -1e9).astype(np.float32)
+            bias = bias.T[:, :, None, None]
+        attention, value = attn.coefficients(x, batch, bias)
+        assert attention.shape == (seq_len, batch, heads, seq_len)
+        assert attention.flags.c_contiguous
+        assert value.shape == (batch, heads, seq_len, head_dim)
+        np.testing.assert_allclose(attention.sum(axis=0), 1.0, rtol=1e-5)
+        assert (attention[~valid.T] == 0.0).all()
+        # axis 0 is the key: the plain softmax(Q K^T / sqrt(hd)) transposed
+        x64 = x.astype(np.float64).reshape(batch, seq_len, dim)
+
+        def split(weight):
+            return (x64 @ weight).reshape(
+                batch, seq_len, heads, head_dim).transpose(0, 2, 1, 3)
+
+        logits = split(w_query) @ split(w_key).swapaxes(-1, -2)
+        logits /= np.sqrt(head_dim)
+        logits += np.where(valid, 0.0, -1e9)[:, None, None, :]
+        expected = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        expected /= expected.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(attention.transpose(1, 2, 3, 0), expected,
+                                   rtol=2e-3, atol=1e-5)
+
+
+# ----------------------------------------------------------------------
+# Golden bits: the served float32 embeddings of one fixed model, pinned
+# as digests taken on the tree before the dead block was cut, the
+# head_dim-1 logits re-laid and featurisation turned into one gather
+# ----------------------------------------------------------------------
+def _float32_kernels() -> str:
+    """Names the float32 matmul / exp kernels this process runs (OpenBLAS
+    picks them by CPU): equal digests round the same way."""
+    rng = np.random.default_rng(0)
+    left = rng.standard_normal((96, 64)).astype(np.float32)
+    right = rng.standard_normal((64, 192)).astype(np.float32)
+    product = np.exp(left @ right * np.float32(0.1))
+    return hashlib.sha256(product.tobytes()).hexdigest()[:16]
+
+
+#: kernels → sha256 of ``model.encode(golden_batch(), batch_size)`` for
+#: batch_size 1, 7 and 256
+_GOLDEN = {
+    "204a67683f6d0549": {   # OpenBLAS SkylakeX
+        1: "db9bc616ab027fdf6f833b3890baec7d6ccf1badaa96f7c8962e548f75398ec6",
+        7: "47a6d8086b4f1fc8ac528e2f82a2a42803f18e633f2552a02ebd5ae6752a9c84",
+        256: "802485fa5a5d418fda64ef4496aded51bbd3c8d8d436f1a842659a86138ce6e9",
+    },
+    "87ed5b28fb61a90e": {   # OpenBLAS Haswell / Zen
+        1: "ad41f8d39bb6370a5fa891293f2cd0ed829a93a9437b9c6f145236f5ce6a7506",
+        7: "8ac1978c753b348520d33151da10cfc977c0e7caef28701cc394d4af88e44061",
+        256: "9cdec7b5c30b0ecd7c3d56f24494db405ca7376340cfa17aca2b6f19f2a1d0ce",
+    },
+}
+
+
+def golden_model():
+    config = TrajCLConfig(structural_dim=16, max_len=40, projection_dim=8,
+                          queue_size=64, dropout=0.0)
+    grid = Grid(0.0, 0.0, 6000.0, 6000.0, cell_size=250)
+    cells = np.random.default_rng(1).standard_normal(
+        (grid.n_cells, config.structural_dim))
+    features = FeatureEnrichment(grid, cells, max_len=config.max_len)
+    return TrajCL(features, config, rng=np.random.default_rng(7))
+
+
+def golden_batch():
+    """64 walks: every length 1 … max_len + 5 once (length-1, ragged,
+    full, over-long), then repeats so equal lengths share a bucket."""
+    max_len = 40
+    lengths = list(range(1, max_len + 6)) + [max_len] * 8 + [1] * 3 + [17] * 8
+    order = np.random.default_rng(5).permutation(len(lengths))
+    return walks([lengths[i] for i in order], seed=21)
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    def test_engine_output_is_pinned(self, batch_size):
+        golden = _GOLDEN.get(_float32_kernels())
+        if golden is None:
+            pytest.skip("digests were recorded under other float32 kernels")
+        out = golden_model().encode(golden_batch(), batch_size=batch_size)
+        assert out.dtype == np.float32 and out.shape == (64, 16)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == golden[batch_size]

@@ -10,6 +10,7 @@ from repro.trajectory import (
     Grid,
     Trajectory,
     as_points,
+    as_points_batch,
     douglas_peucker,
     douglas_peucker_mask,
     filter_trajectories,
@@ -29,6 +30,116 @@ finite_points = arrays(
 def random_walk(n=30, step=10.0, seed=0):
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.standard_normal((n, 2)) * step, axis=0)
+
+
+def first_error(batch):
+    """What the per-item ``as_points`` loop says about ``batch``: the text
+    of the error of the first offending item, or None."""
+    for item in batch:
+        try:
+            as_points(item)
+        except ValueError as error:
+            return str(error)
+    return None
+
+
+def bad_batches(max_len=16, good=None):
+    """``{name: batch}`` of batches ``as_points`` refuses somewhere: every
+    way one item can be wrong, beyond the length a model reads, in the
+    middle of a long clean chunk, and two kinds wrong at once (the first
+    one's text is the one raised). The API tests reuse it."""
+    if good is None:
+        good = [random_walk(12, seed=seed) + 2000.0 for seed in range(6)]
+    late_nan = random_walk(max_len + 6, seed=90) + 2000.0
+    late_nan[max_len + 3, 1] = np.nan
+    late_inf = random_walk(max_len + 6, seed=91) + 2000.0
+    late_inf[-1, 0] = -np.inf
+    three_wide = np.zeros((5, 3))
+    flat = np.arange(6.0)
+    empty = np.empty((0, 2))
+    many = [good[i % len(good)] + i for i in range(300)]
+    return {
+        "nan beyond max_len": good[:3] + [late_nan] + good[3:],
+        "inf beyond max_len": [late_inf] + good,
+        "shape (N, 3)": good[:2] + [three_wide],
+        "1-D": good[:1] + [flat] + good[1:],
+        "empty trajectory": good + [empty],
+        "ragged lists": good[:2] + [[[0.0, 1.0], [2.0]]],
+        "one bad among 300": many[:150] + [late_nan] + many[150:],
+        "shape before nan": [three_wide, late_nan] + good,
+        "nan before shape": good[:1] + [late_nan, empty, three_wide],
+    }
+
+
+class TestAsPointsBatch:
+    def test_clean_batch_is_the_loop(self):
+        walks = [random_walk(n, seed=n) for n in (1, 2, 17, 40)]
+        batch = walks + [Trajectory(walks[2]), walks[1].tolist(),
+                         walks[3].astype(np.float32)]
+        got = as_points_batch(batch)
+        expected = [as_points(item) for item in batch]
+        assert len(got) == len(expected)
+        for ours, theirs in zip(got, expected):
+            assert ours.dtype == np.float64
+            assert ours.tobytes() == theirs.tobytes()
+        # float64 arrays and Trajectory points pass through uncopied
+        assert all(ours is item for ours, item in zip(got, walks))
+        assert got[4] is batch[4].points
+        assert as_points_batch([]) == []
+
+    @pytest.mark.parametrize("name", sorted(bad_batches()))
+    def test_raises_what_as_points_raises_first(self, name):
+        batch = bad_batches()[name]
+        expected = first_error(batch)
+        assert expected is not None
+        with pytest.raises(ValueError) as raised:
+            as_points_batch(batch)
+        assert str(raised.value) == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(["ok", "ok", "ok", "nan", "inf",
+                                        "wide", "flat", "empty"]),
+                       min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_batches_match_the_loop(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        batch = []
+        for kind in kinds:
+            item = rng.standard_normal((int(rng.integers(1, 9)), 2))
+            if kind in ("nan", "inf"):
+                item[rng.integers(len(item)), rng.integers(2)] = (
+                    np.nan if kind == "nan" else np.inf)
+            elif kind == "wide":
+                item = rng.standard_normal((3, 3))
+            elif kind == "flat":
+                item = rng.standard_normal(4)
+            elif kind == "empty":
+                item = np.empty((0, 2))
+            batch.append(item)
+        expected = first_error(batch)
+        if expected is None:
+            assert all(a is b for a, b in zip(as_points_batch(batch), batch))
+        else:
+            with pytest.raises(ValueError) as raised:
+                as_points_batch(batch)
+            assert str(raised.value) == expected
+
+    def test_one_finiteness_reduction_per_clean_batch(self, monkeypatch):
+        """The point of the batch form, counted rather than timed."""
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(
+            np, "isfinite",
+            lambda *args, **kwargs: calls.append(1) or isfinite(*args, **kwargs))
+        batch = [random_walk(20, seed=seed) for seed in range(300)]
+        as_points_batch(batch)
+        assert len(calls) == 1
+        del calls[:]
+        for item in batch:
+            as_points(item)
+        assert len(calls) == 300
 
 
 class TestTrajectory:
