@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sanitized test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-e2e bench-e2e-selftest bench-e2e-smoke
+.PHONY: test test-sanitized test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-transport bench-e2e bench-e2e-selftest bench-e2e-smoke
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini).
@@ -108,6 +108,16 @@ bench-index-smoke:
 bench-startup:
 	$(PYTHON) benchmarks/bench_startup.py --label $(or $(LABEL),current) --output benchmarks/results/BENCH_startup.json
 
+# The local worker link by frame size: one (rows, 64) float32 array
+# round-tripped through a forked ServiceNode at 64 KiB .. 64 MiB, both
+# processes on one CPU and on one CPU each, medians with quartiles,
+# merged by row name into the transport record under the e2e benchmark's
+# malloc settings. A before row is the same script with another
+# checkout's src on PYTHONPATH and `--label` (see the script). ~1 min,
+# peak ~0.3 GB. Outside tier-1.
+bench-transport:
+	MALLOC_MMAP_MAX_=0 MALLOC_TRIM_THRESHOLD_=1099511627776 OPENBLAS_NUM_THREADS=1 NUMPY_MADVISE_HUGEPAGE=0 $(PYTHON) benchmarks/bench_transport.py --output benchmarks/results/BENCH_transport.json
+
 # The repo's declared benchmark (BENCHMARK.json; workloads, metrics and
 # bounds in benchmarks/e2e/README.md): every workload end to end plus
 # the traced per-layer ladder, written to benchmarks/e2e/results/. The
@@ -121,10 +131,9 @@ bench-e2e-selftest:
 # The benchmark keeps running against the product: the selftest, one
 # traced in-process run (every name the span shims patch resolves), one
 # untraced run through the HTTP edge and one traced run behind the
-# forked pipe workers — the run that crosses both a fork and the vector
+# forked local workers — the run that crosses both a fork and the vector
 # path (its 512-row set-up chunks deal each shard a 64 KiB float32
-# array, at the shm threshold: the one payload that rides /dev/shm) —
-# and one traced run of the only workload on an index that trains (pq:
+# array over an AF_UNIX socket pair) — and one traced run of the only workload on an index that trains (pq:
 # pending floats -> k-means inside the first traced search -> the
 # residency gauge flips), each once at --quick length.
 # Exit 0 only when every answer matches the oracle and nothing leaked:

@@ -1,0 +1,175 @@
+"""Frame-size sweep of the local worker link: one round trip, by link kind.
+
+One frame holding a ``(rows, 64)`` float32 array goes to a forked
+:class:`~repro.api.transport.ServiceNode` that echoes it back; the row
+is the median round trip in milliseconds (with quartiles) at 64 KiB,
+1 MiB, 16 MiB and 64 MiB, with both processes pinned to one CPU and
+with one CPU each. The link kinds are whatever the checkout on
+``PYTHONPATH`` has:
+
+* ``socketpair`` — :class:`~repro.api.transport.SocketTransport` over an
+  ``AF_UNIX`` ``socket.socketpair()``, the link a
+  ``ShardedSimilarityService`` puts under each worker;
+* ``pipe`` / ``pipe_shm`` — the ``multiprocessing`` pipe link, without
+  and with its shared-memory side channel (64 KiB threshold), in trees
+  that still have it.
+
+Rows merge into ``benchmarks/results/BENCH_transport.json`` by name
+(``<link>_<size>_cpu<n>``, plus ``@label``), so a before row is the same
+command against another checkout::
+
+    PYTHONPATH=/path/to/parent/src python benchmarks/bench_transport.py \
+        --label parent --output benchmarks/results/BENCH_transport.json
+
+Run via ``make bench-transport``, which pins the e2e benchmark's malloc
+settings (no mmap, no trim). Peak memory is about four copies of the
+largest frame across the two processes. Not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+#: frame sizes swept, bytes of float32 payload (``rows`` x 64 columns)
+SIZES = {"64KiB": 64 << 10, "1MiB": 1 << 20, "16MiB": 16 << 20,
+         "64MiB": 64 << 20}
+COLUMNS = 64
+#: round trips timed per size: enough samples for quartiles, bounded time
+REPEATS = {"64KiB": 400, "1MiB": 100, "16MiB": 20, "64MiB": 8}
+SHM_THRESHOLD = 64 * 1024
+
+
+def _links() -> Dict[str, Callable[[], Tuple]]:
+    """``{name: () -> (parent_end, child_end)}`` for this checkout."""
+    import socket
+
+    from repro.api import transport
+
+    links: Dict[str, Callable[[], Tuple]] = {}
+    sockets = transport.SocketTransport
+    links["socketpair"] = getattr(sockets, "pair", None) or (
+        lambda: tuple(map(sockets, socket.socketpair())))
+    pipes = getattr(transport, "PipeTransport", None)
+    if pipes is not None:
+        import multiprocessing
+
+        from multiprocessing import resource_tracker
+
+        fork = multiprocessing.get_context("fork")
+
+        def pipe_shm():
+            # as ShardedSimilarityService did: one tracker, started before
+            # the fork, for both ends' segments
+            resource_tracker.ensure_running()
+            return pipes.pair(fork, shm_threshold=SHM_THRESHOLD)
+
+        links["pipe"] = lambda: pipes.pair(fork)
+        links["pipe_shm"] = pipe_shm
+    return links
+
+
+def _echo_node(child_end, cpus) -> None:
+    from repro.api.transport import ServiceNode
+
+    os.sched_setaffinity(0, cpus)
+    ServiceNode(child_end, {"echo": lambda array: array}).serve_forever()
+
+
+def _round_trips(make_link: Callable, cpus: Sequence[int]) -> Dict[str, Dict]:
+    import multiprocessing
+
+    from repro.api.transport import request
+
+    parent_cpu, child_cpu = cpus[0], cpus[-1]
+    os.sched_setaffinity(0, {parent_cpu})
+    parent, child = make_link()
+    worker = multiprocessing.get_context("fork").Process(
+        target=_echo_node, args=(child, {child_cpu}), daemon=True)
+    worker.start()
+    out = {}
+    try:
+        for size in SIZES:
+            array = np.arange(SIZES[size] // 4, dtype=np.float32).reshape(
+                -1, COLUMNS)
+            back = request(parent, "echo", array)  # warm-up, and the check
+            assert back.tobytes() == array.tobytes()
+            del back
+            samples = []
+            for _ in range(REPEATS[size]):
+                start = time.perf_counter()
+                request(parent, "echo", array)
+                samples.append((time.perf_counter() - start) * 1e3)
+            q1, median, q3 = (round(float(q), 4)
+                              for q in np.percentile(samples, [25, 50, 75]))
+            out[size] = {"ms": {"median": median, "q1": q1, "q3": q3,
+                                "samples": len(samples)},
+                         "frame_bytes": SIZES[size]}
+        request(parent, "stop")
+    finally:
+        worker.join(timeout=10)
+        if worker.is_alive():
+            worker.kill()
+            worker.join()
+        parent.close()
+    return out
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", help="suffix every row `@label`")
+    parser.add_argument("--output",
+                        help="merge the rows here, keyed by name (e.g. "
+                             "benchmarks/results/BENCH_transport.json)")
+    args = parser.parse_args(argv)
+
+    available = sorted(os.sched_getaffinity(0))
+    links = _links()
+    suffix = f"@{args.label}" if args.label else ""
+    scenarios: Dict[str, Dict] = {}
+    rows: List[List] = []
+    # cpu1: both processes on one CPU; cpu2: one CPU each
+    for count in (1, 2):
+        if count > len(available):
+            print(f"skipping cpu{count}: only {len(available)} CPU(s) here")
+            continue
+        cpus = available[:count]
+        for name in sorted(links):
+            for size, result in _round_trips(links[name], cpus).items():
+                row = f"{name}_{size}_cpu{count}{suffix}"
+                scenarios[row] = {"results": {"link": name, "cpus": count,
+                                              **result}}
+                ms = result["ms"]
+                rows.append([row, ms["median"], f"{ms['q1']}-{ms['q3']}"])
+    os.sched_setaffinity(0, available)
+
+    from repro.eval import format_table
+
+    print(format_table(["scenario", "ms", "quartiles"], rows))
+    if args.output:
+        from common import merge_bench_scenarios
+
+        existing = None
+        if os.path.exists(args.output):
+            with open(args.output) as handle:
+                existing = json.load(handle)
+        merged = merge_bench_scenarios(
+            existing, scenarios,
+            {"columns": COLUMNS, "dtype": "float32", "repeats": REPEATS,
+             "malloc": {key: os.environ.get(key) for key in
+                        ("MALLOC_MMAP_MAX_", "MALLOC_TRIM_THRESHOLD_")}})
+        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
+        with open(args.output, "w") as handle:
+            json.dump(merged, handle, indent=2)
+        print(f"written to {args.output}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,8 +14,9 @@ import time
 
 TIMEOUT = 120  # generous ceiling for a cold python start on a busy box
 
-#: kept in sync with repro.api.wire.SHM_NAME_PREFIX — the smoke harness
-#: stays importable without src/ on its own path
+#: the name shared-memory segments of the stack's former pipe side channel
+#: carried; the stack creates none now, and the smokes keep asserting that
+#: — the same pattern the e2e benchmark's leak check reads
 SHM_NAME_PREFIX = "repro_wire"
 
 

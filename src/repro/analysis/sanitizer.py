@@ -281,7 +281,8 @@ class _SanitizedRLock(_SanitizedLock):
 
     def _recursion_count(self):
         # Not instrumented, only forwarded: CPython's own
-        # multiprocessing.resource_tracker asks its RLock for this.
+        # multiprocessing.resource_tracker asks its RLock for this (every
+        # process started with the spawn method goes through it).
         return self._inner._recursion_count()
 
 

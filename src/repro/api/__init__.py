@@ -56,9 +56,9 @@ _EXPORTS = {
     "service": ("CacheInfo", "SimilarityService"),
     "serving": ("DeadlineExceededError", "QueryQueue", "QueueFullError",
                 "QueueStats", "ShardLostError", "ShardedSimilarityService"),
-    "transport": ("PipeTransport", "RemoteCallError", "ServiceNode",
-                  "SocketTransport", "TransientError", "Transport",
-                  "TransportClosed", "TransportError"),
+    "transport": ("RemoteCallError", "ServiceNode", "SocketTransport",
+                  "TransientError", "Transport", "TransportClosed",
+                  "TransportError"),
     "chaos": ("ChaosConfig", "ChaosTransport"),
     "remote": ("RemoteSimilarityClient", "SimilarityServer"),
     "cluster": ("ClusterCoordinator", "ShardWorker"),
@@ -107,7 +107,6 @@ __all__ = [
     "RemoteCallError",
     "ChaosConfig",
     "ChaosTransport",
-    "PipeTransport",
     "SocketTransport",
     "ServiceNode",
     "SimilarityServer",

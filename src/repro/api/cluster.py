@@ -15,7 +15,7 @@ replication repair, rejoin and snapshots.
   description — never weights) and the shard assignment, after which
   the worker answers the shard-addressed commands (``add``/``knn``/
   ``pairwise``/``export``/``host``/``ping``/``leave``) — the table a
-  pipe-fed worker process of
+  local worker process of
   :class:`~repro.api.serving.ShardedSimilarityService` answers too. The
   CLI wrapper is ``python -m repro cluster-worker``;
 * :class:`ClusterCoordinator` — the engine over TCP links: it connects
@@ -40,7 +40,8 @@ answers stay bit-identical (replicas hold byte-identical shard state by
 construction). Only when *every* replica of a shard is down does a query
 raise :class:`~repro.api.serving.ShardLostError`; an unreplicated
 cluster (R=1) loses capacity instead (the degraded shard is skipped and
-reported via ``stats()``) — the engine's policy, the same behind pipes.
+reported via ``stats()``) — the engine's policy, the same for local
+workers.
 
 Recovery: :meth:`ClusterCoordinator.rejoin` brings a restarted worker
 back — it is re-identified by worker id, restored from a healthy replica
@@ -130,7 +131,7 @@ class ShardWorker(_ShardHost, ThreadedNodeServer):
     """One cluster worker: a TCP server hosting logical shards.
 
     Boots with no shards and answers the shard-addressed table of
-    :class:`~repro.api.serving._ShardHost` — the one a pipe-fed worker
+    :class:`~repro.api.serving._ShardHost` — the one a local worker
     process answers too — on every connection.
 
     Connections are independent (the coordinator keeps one for requests

@@ -12,8 +12,8 @@ the scalable serving path the ROADMAP calls for:
   per-shard top-k with distance-then-id tie-breaking — for exact
   indexes the merged result is identical to a single service over the
   same database. It has two link kinds:
-  :class:`ShardedSimilarityService` here (worker *processes* on pipes
-  with shared memory) and
+  :class:`ShardedSimilarityService` here (worker *processes* on
+  ``AF_UNIX`` socket pairs) and
   :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* on
   TCP, with heartbeat, replication and recovery);
 * :class:`QueryQueue` — coalesces many concurrent ``knn`` (and
@@ -44,7 +44,8 @@ store and search *vectors*: a worker is sent a four-field
 deals ``(points, vectors)`` and ``knn``/``pairwise`` fan out one
 ``(N, d)`` array. A distance backend is only a name: it travels whole
 and its shards are asked with trajectories. ``backend.kind`` decides.
-Neither the engine nor a worker knows whether a pipe or a socket sits
+Both link kinds are one :class:`~repro.api.transport.SocketTransport`
+framing; neither the engine nor a worker knows which socket family sits
 under a link.
 """
 
@@ -55,7 +56,6 @@ import os
 import threading
 import time
 from collections import deque, namedtuple
-from multiprocessing import resource_tracker
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -69,12 +69,11 @@ from .protocols import (
 from .indexes import index_is_exact
 from .registry import get_backend
 from .service import CachedEncoder, SimilarityService, _default_index_for
-from . import wire
 from .transport import (
     OK,
-    PipeTransport,
     RemoteCallError,
     ServiceNode,
+    SocketTransport,
     TransportError,
     merge_transport_stats,
     request,
@@ -241,8 +240,8 @@ class Shard:
 
 class _ShardHost:
     """The logical shards one worker hosts and the commands it answers —
-    the one table both kinds of worker serve: a pipe-fed process
-    (:func:`_shard_worker`) on its pipe, a
+    the one table both kinds of worker serve: a local worker process
+    (:func:`_shard_worker`) on its socket pair, a
     :class:`~repro.api.cluster.ShardWorker` on every TCP connection.
 
     A host boots empty; the owner's ``join`` carries the shard recipe
@@ -376,14 +375,22 @@ class _ShardHost:
         }
 
 
-def _shard_worker(transport) -> None:
-    """One pipe-fed shard process: a :class:`_ShardHost` answering on its
-    one pipe until the parent sends ``stop`` or hangs up."""
+def _shard_worker(transport, inherited: Sequence = ()) -> None:
+    """One local shard process: a :class:`_ShardHost` answering on its
+    one link until the parent sends ``stop`` or hangs up.
+
+    ``inherited`` are the owner-side ends a forked worker holds copies of
+    (its own link's, and those of the siblings forked before it). They
+    are closed first, descriptor only — a shutdown would sever the
+    owner's links — so that the owner's death is this worker's EOF:
+    while a copy of the owner end stays open here, the worker never sees
+    its owner go and outlives it.
+    """
+    for end in inherited:
+        end.close_fd()
     try:
         ServiceNode(transport, _ShardHost().shard_handlers()).serve_forever()
     finally:
-        # unlinks any shared-memory segments the last reply parked in
-        # /dev/shm — the parent has decoded them by the time it stops us
         transport.close()
 
 
@@ -400,7 +407,7 @@ class _WorkerLink:
                  shards: Sequence[int]):
         self.worker = worker
         self.worker_id = f"worker-{worker}"
-        #: ``(host, port)`` of a TCP worker; a pipe has none
+        #: ``(host, port)`` of a TCP worker; a local worker has none
         self.address = address
         self.transport = None
         self.heartbeat = None
@@ -426,10 +433,11 @@ class ShardMergeMixin:
     """The sharding engine under every sharded service: route, fail over,
     merge.
 
-    :class:`ShardedSimilarityService` (worker *processes* on pipes) and
-    :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* on
-    sockets) differ only in how a command reaches the shards: each puts
-    one connected :class:`~repro.api.transport.Transport` per worker in
+    :class:`ShardedSimilarityService` (worker *processes* on ``AF_UNIX``
+    socket pairs) and :class:`~repro.api.cluster.ClusterCoordinator`
+    (worker *machines* on TCP) differ only in how a command reaches the
+    shards: each puts one connected
+    :class:`~repro.api.transport.Transport` per worker in
     ``link.transport`` and calls :meth:`_join`. Everything after that is
     here, once — ``len(workers)`` logical shards placed on ``replication``
     workers each, the id bookkeeping, :meth:`_shard_query` (one healthy
@@ -470,7 +478,7 @@ class ShardMergeMixin:
         catchup_limit: int = 4096,
     ):
         """``workers`` holds one entry per link: a TCP worker's ``(host,
-        port)``, ``None`` for a pipe. No link is connected yet."""
+        port)``, ``None`` for a local worker. No link is connected yet."""
         replication = int(replication)
         if not 1 <= replication <= len(workers):
             raise ValueError(
@@ -1152,11 +1160,11 @@ class ShardedSimilarityService(ShardMergeMixin):
     """kNN serving over a database partitioned across worker processes.
 
     The :class:`ShardMergeMixin` engine over ``num_workers`` local
-    processes, one logical shard each, linked by pipes: large arrays cross
-    out-of-band through POSIX shared memory (``shm_threshold`` bytes and
-    up; ``None`` keeps everything on the pipe), there is no replication
-    and no heartbeat — a dead worker is noticed by the next call that
-    speaks to it. With exact per-shard indexes
+    processes, one logical shard each, each linked by an ``AF_UNIX``
+    :meth:`SocketTransport.pair` carrying the same frames as a TCP link;
+    there is no replication and no heartbeat — a dead worker is noticed
+    by the next call that speaks to it, and a worker whose owner dies
+    reads EOF and exits. With exact per-shard indexes
     (``bruteforce``/``segment``/scan) the merged result is *identical* to
     a single service over the unsharded database, and with IVF shards the
     union of probed cells can only grow recall.
@@ -1179,7 +1187,6 @@ class ShardedSimilarityService(ShardMergeMixin):
         batch_size: int = 256,
         cache_size: int = 4096,
         start_method: Optional[str] = None,
-        shm_threshold: Optional[int] = wire.DEFAULT_SHM_THRESHOLD,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -1192,25 +1199,22 @@ class ShardedSimilarityService(ShardMergeMixin):
             start_method = ("fork" if "fork" in mp.get_all_start_methods()
                             else "spawn")
         context = mp.get_context(start_method)
-        if shm_threshold is not None:
-            # One resource tracker for the whole process tree, started
-            # before the first fork: a worker that forked without one
-            # would start its own on its first segment — a process per
-            # worker, and trackers that never hear of each other's
-            # unlinks warn about "leaked" segments at exit.
-            resource_tracker.ensure_running()
         try:
             # every process is started before the first join is awaited,
             # so the workers boot side by side
             for link in self._links:
-                link.transport, child_transport = PipeTransport.pair(
-                    context, shm_threshold=shm_threshold)
+                link.transport, child_transport = SocketTransport.pair()
+                # a forked worker holds copies of every owner end open so
+                # far; a spawned one inherits only what it is handed
+                inherited = ([other.transport for other in self._links
+                              if other.transport is not None]
+                             if start_method == "fork" else [])
                 process = context.Process(
-                    target=_shard_worker, args=(child_transport,),
-                    daemon=True,
+                    target=_shard_worker,
+                    args=(child_transport, inherited), daemon=True,
                 )
                 process.start()
-                child_transport.close()
+                child_transport.close_fd()  # the worker's now, not ours
                 self._processes.append(process)
             for link in self._links:
                 self._join(link)  # surfaces construction errors eagerly

@@ -1,21 +1,22 @@
-"""Framed-message transports and the request/response dispatcher.
+"""Framed-message transport and the request/response dispatcher.
 
 Every hop in the serving stack — parent process to shard worker, TCP
 client to :class:`~repro.api.remote.SimilarityServer`, coordinator to
-cluster worker — speaks one wire protocol: a *frame* is an 8-byte
-big-endian length prefix followed by a payload encoded by the typed
-binary codec in :mod:`repro.api.wire` (numpy buffers raw, a closed tag
-vocabulary, nothing ever unpickled).  A value the codec cannot express
-raises :class:`wire.WireError` at the sender; bytes that do not decode
-are a :class:`FrameError` at the receiver.  The abstractions here keep
-the callers transport-oblivious:
+cluster worker — speaks one wire protocol over one transport: a *frame*
+is an 8-byte big-endian length prefix followed by a payload encoded by
+the typed binary codec in :mod:`repro.api.wire` (numpy buffers raw, a
+closed tag vocabulary, nothing ever unpickled).  A value the codec
+cannot express raises :class:`wire.WireError` at the sender; bytes that
+do not decode are a :class:`FrameError` at the receiver.  The
+abstractions here keep the callers transport-oblivious:
 
 * :class:`Transport` — the ``send``/``recv``/``poll``/``close`` contract;
-* :class:`PipeTransport` — a :mod:`multiprocessing` pipe endpoint (the
-  pipe frames raw payload bytes; an optional shared-memory pool moves
-  large arrays out-of-band entirely);
-* :class:`SocketTransport` — the same messages as explicit frames over a
-  TCP socket;
+* :class:`SocketTransport` — frames over a connected stream socket: TCP
+  between machines, an ``AF_UNIX`` :meth:`SocketTransport.pair` between
+  an owner and the worker processes it starts. A frame leaves in one
+  ``sendmsg`` and is read into an uninitialised buffer, so a header that
+  lies about its length costs no more memory than the bytes that
+  actually arrive;
 * :class:`ServiceNode` — the request/response loop a worker or server
   connection runs: receive ``(command, payload)``, dispatch to a handler,
   reply ``("ok", result)`` or ``("error", traceback)``;
@@ -25,11 +26,12 @@ the callers transport-oblivious:
   after a failure — is the sharding engine's job
   (:class:`~repro.api.serving.ShardMergeMixin`), not this module's.
 
-Every transport counts traffic (``bytes_sent``/``frames_sent``/
-``bytes_recv``/``frames_recv``, plus ``shm_hits`` when a pool is
-attached) and reports it via ``stats()``.
+Every transport counts traffic, frame headers included
+(``bytes_sent``/``frames_sent``/``bytes_recv``/``frames_recv``; the
+``shm_hits`` key is kept for readers of the schema and always 0), and
+reports it via ``stats()``.
 
-The sharding engine, its pipe and TCP workers and
+The sharding engine, its local and TCP workers and
 :class:`~repro.api.remote.SimilarityServer` are all thin layers over
 these pieces; none owns any framing or dispatch logic of its own.
 """
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import struct
 from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from . import wire
 
@@ -48,7 +52,6 @@ __all__ = [
     "FrameError",
     "RemoteCallError",
     "Transport",
-    "PipeTransport",
     "SocketTransport",
     "ServiceNode",
     "encode_frame",
@@ -105,17 +108,15 @@ def encode_frame(message) -> bytes:
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
-def decode_payload(payload, attach_shm: bool = False):
+def decode_payload(payload):
     """Decode a frame payload, normalizing failures to :class:`FrameError`.
 
     Malformed input — truncated, unknown version byte or tag, a pickle
     blob — surfaces as :class:`FrameError`, never as a truncated
-    ``np.frombuffer`` and never as code run on the receiver.  Only a
-    pipe endpoint passes *attach_shm*; anywhere else a shared-memory
-    tag is malformed too.
+    ``np.frombuffer`` and never as code run on the receiver.
     """
     try:
-        return wire.decode(payload, attach_shm)
+        return wire.decode(payload)
     except wire.WireError as error:
         raise FrameError(f"frame payload does not decode: {error}") from error
 
@@ -173,111 +174,24 @@ def merge_transport_stats(stats_list: Sequence[Dict]) -> Dict:
     return total
 
 
-class PipeTransport:
-    """A :mod:`multiprocessing` pipe endpoint as a :class:`Transport`.
-
-    Messages cross the pipe as raw payload bytes (``send_bytes`` /
-    ``recv_bytes``) encoded by :func:`wire.encode`, so the pipe's own
-    pickling is out of the data path; the adapter also supplies the
-    uniform error vocabulary (``EOFError``/``OSError`` become
-    :class:`TransportClosed`).  Instances survive being passed as
-    :class:`multiprocessing.Process` arguments — the embedded connection
-    uses the standard reduction, and the shared-memory pool (which owns
-    a lock) is created lazily on first use so it never rides along.
-
-    With ``shm_threshold`` set, arrays at or above that many bytes are
-    written to ``multiprocessing.shared_memory`` segments instead of the
-    pipe.  Segment lifetime follows the request/response alternation:
-    everything this endpoint stored for its last send is released (closed
-    and unlinked) when the peer's next message arrives — by then the peer
-    has provably decoded the previous one — with :meth:`close` sweeping
-    whatever is still outstanding so no ``/dev/shm`` litter survives.
-    """
-
-    def __init__(self, connection, *, shm_threshold: Optional[int] = None):
-        self._connection = connection
-        self._closed = False
-        self._shm_threshold = shm_threshold
-        self._pool: Optional[wire.ShmPool] = None
-        self.bytes_sent = 0
-        self.frames_sent = 0
-        self.bytes_recv = 0
-        self.frames_recv = 0
-
-    @classmethod
-    def pair(cls, context=None, *, shm_threshold: Optional[int] = None,
-             ) -> Tuple["PipeTransport", "PipeTransport"]:
-        """A connected ``(parent, child)`` transport pair."""
-        if context is None:
-            import multiprocessing as context
-        left, right = context.Pipe()
-        return (
-            cls(left, shm_threshold=shm_threshold),
-            cls(right, shm_threshold=shm_threshold),
-        )
-
-    def _shm_pool(self) -> Optional[wire.ShmPool]:
-        if self._pool is None and self._shm_threshold is not None:
-            self._pool = wire.ShmPool(self._shm_threshold)
-        return self._pool
-
-    def send(self, message) -> None:
-        self.send_encoded(wire.encode(message, self._shm_pool()))
-
-    def send_encoded(self, payload: bytes) -> None:
-        try:
-            self._connection.send_bytes(payload)
-        except (BrokenPipeError, EOFError, OSError) as error:
-            raise TransportClosed(str(error) or "pipe closed") from error
-        self.bytes_sent += len(payload)
-        self.frames_sent += 1
-
-    def recv(self):
-        try:
-            payload = self._connection.recv_bytes()
-        except (EOFError, OSError) as error:
-            raise TransportClosed(str(error) or "pipe closed") from error
-        if self._pool is not None:
-            # The peer has spoken again, so it has decoded everything we
-            # sent before this point (strict request/response
-            # alternation): our outstanding segments can be unlinked.
-            self._pool.release()
-        self.bytes_recv += len(payload)
-        self.frames_recv += 1
-        # a pipe peer is a process of this machine: M tags may attach
-        return decode_payload(payload, attach_shm=True)
-
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        try:
-            return self._connection.poll(timeout)
-        except (EOFError, OSError):
-            # A dead peer is "readable": recv() will raise TransportClosed.
-            return True
-
-    def stats(self) -> Dict:
-        pool = self._pool
-        return {
-            "bytes_sent": self.bytes_sent,
-            "frames_sent": self.frames_sent,
-            "bytes_recv": self.bytes_recv,
-            "frames_recv": self.frames_recv,
-            "shm_hits": 0 if pool is None else pool.hits,
-        }
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            if self._pool is not None:
-                self._pool.release()
-            self._connection.close()
-
-
 class SocketTransport:
-    """Framed messages over a connected TCP socket.
+    """Framed messages over a connected stream socket.
 
-    The frame layout is an 8-byte big-endian length, then the versioned
-    payload.  No shared-memory pool here, and a received ``M`` tag is a
-    :class:`FrameError`: sockets may cross machines.
+    One framing over both families the stack links with: TCP
+    (:meth:`connect`, or a connection a server accepted) and ``AF_UNIX``
+    (:meth:`pair`, an owner's link to a worker process it starts). The
+    frame layout is an 8-byte big-endian length, then the versioned
+    payload. A frame leaves in one ``sendmsg`` of header and payload (no
+    concatenation copy) and arrives by ``recv_into`` straight into an
+    uninitialised ``uint8`` buffer, which :func:`wire.decode` hands out
+    read-only views of. Pages of that buffer become resident only as
+    bytes arrive: a header announcing more than the peer sends costs the
+    receiver what was sent, not what was announced.
+
+    A socket copied across a fork is one connection in two processes,
+    and :meth:`close` shuts the connection down for both. A process
+    disposing of a copy it does not use — the owner's copy of a worker's
+    end, a forked worker's inherited owner ends — calls :meth:`close_fd`.
     """
 
     def __init__(self, sock):
@@ -295,6 +209,15 @@ class SocketTransport:
         self.frames_sent = 0
         self.bytes_recv = 0
         self.frames_recv = 0
+
+    @classmethod
+    def pair(cls) -> Tuple["SocketTransport", "SocketTransport"]:
+        """A connected ``(owner, worker)`` pair over an ``AF_UNIX``
+        ``socket.socketpair()``: the link to a local worker process."""
+        import socket as socket_module
+
+        owner, worker = socket_module.socketpair()
+        return cls(owner), cls(worker)
 
     @classmethod
     def connect(
@@ -335,41 +258,52 @@ class SocketTransport:
         self.send_encoded(wire.encode(message))
 
     def send_encoded(self, payload: bytes) -> None:
-        frame = FRAME_HEADER.pack(len(payload)) + payload
+        header = FRAME_HEADER.pack(len(payload))
+        size = len(header) + len(payload)
         try:
-            self._socket.sendall(frame)
+            sent = self._socket.sendmsg([header, payload])
+            if sent < size:
+                # A timeout socket's full buffer (or a signal) cut the
+                # write short: the rest follows, still one frame.
+                if sent < len(header):
+                    self._socket.sendall(header[sent:])
+                    sent = len(header)
+                self._socket.sendall(memoryview(payload)[sent - len(header):])
         except OSError as error:
             raise TransportClosed(str(error) or "socket closed") from error
-        self.bytes_sent += len(frame)
+        self.bytes_sent += size
         self.frames_sent += 1
 
-    def _read_exactly(self, n: int, *, header: bool) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
+    def _fill(self, buffer, *, header: bool) -> None:
+        """Read exactly ``len(buffer)`` bytes into ``buffer``."""
+        size, got = len(buffer), 0
+        while got < size:
             try:
-                chunk = self._socket.recv(remaining)
+                count = self._socket.recv_into(
+                    memoryview(buffer)[got:] if got else buffer)
             except OSError as error:
                 raise TransportClosed(str(error) or "socket closed") from error
-            if not chunk:
-                if remaining == n and header:
+            if not count:
+                if got == 0 and header:
                     # Clean EOF between frames: the peer hung up politely.
                     raise TransportClosed("peer closed the connection")
                 raise FrameError(
-                    f"connection closed mid-frame ({n - remaining}/{n} bytes)"
+                    f"connection closed mid-frame ({got}/{size} bytes)"
                 )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            got += count
 
     def recv(self):
-        length = frame_length(
-            self._read_exactly(FRAME_HEADER.size, header=True)
-        )
-        payload = self._read_exactly(length, header=False)
+        header = bytearray(FRAME_HEADER.size)
+        self._fill(header, header=True)
+        length = frame_length(header)  # refused before anything is allocated
+        # np.empty, not bytearray: no zero-fill, so only pages the peer
+        # actually writes become resident.
+        body = np.empty(length, dtype=np.uint8)
+        self._fill(body, header=False)
         self.bytes_recv += FRAME_HEADER.size + length
         self.frames_recv += 1
-        return decode_payload(payload)
+        # decoded arrays alias the frame buffer: hand them out read-only
+        return decode_payload(memoryview(body).toreadonly())
 
     def stats(self) -> Dict:
         return {
@@ -401,6 +335,12 @@ class SocketTransport:
             self._socket.shutdown(socket_module.SHUT_RDWR)
         except OSError:
             pass
+        self._socket.close()
+
+    def close_fd(self) -> None:
+        """Close this process's descriptor only, without a shutdown: the
+        connection lives on wherever another copy of it is open."""
+        self._closed = True
         self._socket.close()
 
 

@@ -307,27 +307,17 @@ def test_sanitized_locks_support_stdlib_fork_hooks(sanitized):
         assert sorted(pool.map(lambda x: x * x, range(4))) == [0, 1, 4, 9]
 
 
-def test_shared_memory_round_trip_under_sanitizer(sanitized, monkeypatch):
-    """``multiprocessing.resource_tracker`` (imported under the sanitizer
-    in the slow lane, so its module-level RLock is a wrapper) calls
-    ``_recursion_count()`` on that lock whenever a segment is created; a
-    wrapper without it failed *after* the segment existed and leaked it."""
-    import glob
+def test_resource_tracker_lock_works_under_sanitizer(sanitized):
+    """``multiprocessing.resource_tracker`` asks its RLock for
+    ``_recursion_count()`` — on every ``spawn`` start
+    (``ShardedSimilarityService(start_method="spawn")``), and in
+    ``_stop``; a wrapper without the method broke the tracker under the
+    sanitizer. A fresh tracker's lock is a wrapper here, and stopping a
+    tracker that never ran starts no process."""
     from multiprocessing import resource_tracker
 
-    import numpy as np
-
-    from repro.api import wire
-
-    monkeypatch.setattr(resource_tracker._resource_tracker, "_lock",
-                        threading.RLock())
-    before = set(glob.glob("/dev/shm/repro_wire_*"))
-    pool = wire.ShmPool(1)
-    array = np.arange(12.0).reshape(3, 4)
-    try:
-        decoded = wire.decode(wire.encode(array, pool), attach_shm=True)
-        assert pool.hits == 1
-        assert decoded.tobytes() == array.tobytes()
-    finally:
-        pool.release()
-    assert set(glob.glob("/dev/shm/repro_wire_*")) == before
+    tracker = resource_tracker.ResourceTracker()
+    assert "Sanitized" in repr(tracker._lock)
+    tracker._stop()
+    with tracker._lock, tracker._lock:
+        assert tracker._lock._recursion_count() == 2

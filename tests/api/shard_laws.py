@@ -302,9 +302,9 @@ def stats_expose_transport_counters(links, backend, single_service,
         assert_same_bits(sharded.service.knn(trajectories[:4], k=3),
                          single_service.knn(trajectories[:4], k=3))
         transport = sharded.service.stats()["transport"]
-    for key in ("bytes_sent", "frames_sent", "bytes_recv", "frames_recv",
-                "shm_hits"):
+    for key in ("bytes_sent", "frames_sent", "bytes_recv", "frames_recv"):
         assert transport[key] >= 0
+    assert transport["shm_hits"] == 0  # a schema key; nothing rides shm
     assert transport["frames_sent"] > 0
     assert transport["bytes_sent"] > transport["frames_sent"] * 8
 

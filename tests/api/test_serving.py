@@ -4,7 +4,13 @@ concurrent callers, and incremental IVF behaviour through the service
 stack. The laws a sharded service keeps whatever its links are live in
 ``shard_laws.py``; here they run behind pipes."""
 
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,11 +21,16 @@ from repro.api import (
     QueueFullError,
     ShardedSimilarityService,
     SimilarityService,
+    SocketTransport,
     get_backend,
+    serving,
 )
+from repro.api.transport import request
 
 from . import shard_laws as laws
 from .test_registry import make_trajectories
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 @pytest.fixture(scope="module")
@@ -199,38 +210,77 @@ class TestWorkerDeath:
             sharded.service.add(trajectories[12:])
 
 
-class TestWireTransportParity:
-    """The binary codec and shared-memory transport must be invisible to
-    callers: bit-identical answers, counters in stats, no /dev/shm litter."""
+def _running(pid):
+    """True while ``pid`` runs (a zombie nobody has reaped yet has not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
-    @staticmethod
-    def _shm_segments():
-        import glob
-        import os
-        return {os.path.basename(p)
-                for p in glob.glob("/dev/shm/repro_wire_*")}
 
-    def test_tiny_shm_threshold_parity_and_cleanup(self, trajcl_backend,
-                                                   single_service,
-                                                   trajectories):
-        import os
-        check_fs = os.path.isdir("/dev/shm")
-        baseline = self._shm_segments() if check_fs else set()
-        service = ShardedSimilarityService(backend=trajcl_backend,
-                                           num_workers=2, shm_threshold=1)
+ORPHAN_SCRIPT = """
+import os, signal
+from repro.api import ShardedSimilarityService
+
+service = ShardedSimilarityService(backend="hausdorff", num_workers=2)
+print(*(process.pid for process in service._processes), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestWorkerLinks:
+    """A worker's link is a socket pair, and a fork copies every open end
+    into the child: which process closes which copy, and how, decides
+    whether the link survives and whether a worker outlives its owner."""
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_disposing_of_shared_copies_leaves_the_link_answering(self):
+        # The owner drops its copy of the worker's end, the worker its
+        # inherited copy of the owner's: a shutdown in either place would
+        # end the one connection in both processes.
+        owner, worker_end = SocketTransport.pair()
+        process = mp.get_context("fork").Process(
+            target=serving._shard_worker, args=(worker_end, [owner]),
+            daemon=True)
+        process.start()
+        worker_end.close_fd()
         try:
-            service.add(trajectories)
-            queries = trajectories[:5]
-            d_single, i_single = single_service.knn(queries, k=4)
-            d_sharded, i_sharded = service.knn(queries, k=4)
-            assert i_single.tobytes() == i_sharded.tobytes()
-            np.testing.assert_array_equal(d_single, d_sharded)
-            stats = service.stats()
-            assert stats["transport"]["shm_hits"] > 0
+            assert request(owner, "ping")["joined"] is False
+            assert request(owner, "stop") is None
         finally:
-            service.close()
-        if check_fs:
-            assert self._shm_segments() <= baseline
+            process.join(timeout=5)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            owner.close()
+        assert process.exitcode == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_their_owner_is_killed(self):
+        # Read one line, not to EOF: a surviving worker keeps the pipe open.
+        with subprocess.Popen(
+                [sys.executable, "-c", ORPHAN_SCRIPT], stdout=subprocess.PIPE,
+                text=True, env={**os.environ, "PYTHONPATH": SRC}) as owner:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert owner.wait(timeout=120) == -signal.SIGKILL
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        try:
+            while (any(map(_running, pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+class TestWireTransportParity:
+    """The codec and the worker links must be invisible to callers:
+    bit-identical answers, counters in stats."""
 
     test_stats_expose_transport_counters = staticmethod(
         laws.stats_expose_transport_counters)

@@ -1,18 +1,30 @@
-"""Tests for the framed-message transport layer: codecs, pipe/socket
-transports and the ServiceNode dispatcher."""
+"""Tests for the framed-message transport layer: framing, the one
+transport over both socket families it links with, and the ServiceNode
+dispatcher.
 
+The two families go by the names of the link kinds built on them:
+``pipe`` is :meth:`SocketTransport.pair` — the ``AF_UNIX`` socket pair
+a ``ShardedSimilarityService`` puts under each local worker — and
+``socket`` a TCP loopback connection, what remote clients and cluster
+workers use."""
+
+import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 
+from repro.api import transport as transport_module
 from repro.api import wire
 from repro.api.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     FrameError,
-    PipeTransport,
     RemoteCallError,
     ServiceNode,
     SocketTransport,
@@ -23,6 +35,10 @@ from repro.api.transport import (
     merge_transport_stats,
     request,
 )
+
+from .test_wire import hostile_payloads
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 class TestFraming:
@@ -50,20 +66,46 @@ class TestFraming:
             decode_payload(b"this is not a frame")
 
 
-def socket_transport_pair():
-    left, right = socket.socketpair()
+def tcp_socketpair():
+    """A connected TCP loopback ``(client, server)`` socket pair."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        server, _ = listener.accept()
+    return client, server
+
+
+#: the socket family under each link kind
+SOCKET_PAIRS = {"pipe": socket.socketpair, "socket": tcp_socketpair}
+
+
+def transports(family):
+    left, right = SOCKET_PAIRS[family]()
     return SocketTransport(left), SocketTransport(right)
 
 
-@pytest.fixture(params=["pipe", "socket"])
+@pytest.fixture(params=sorted(SOCKET_PAIRS))
 def transport_pair(request):
     if request.param == "pipe":
-        left, right = PipeTransport.pair()
+        left, right = SocketTransport.pair()
     else:
-        left, right = socket_transport_pair()
+        left, right = transports("socket")
     yield left, right
     left.close()
     right.close()
+
+
+def raw_links():
+    """Per family, a bare sending socket and the :class:`SocketTransport`
+    reading what it writes — to put exactly the bytes a test needs on
+    the wire. Yields ``(family, raw, transport)``."""
+    for family, make in SOCKET_PAIRS.items():
+        raw, end = make()
+        transport = SocketTransport(end)
+        try:
+            yield family, raw, transport
+        finally:
+            raw.close()
+            transport.close()
 
 
 class TestTransports:
@@ -93,27 +135,166 @@ class TestTransports:
         left.close()
         left.close()
 
+    def test_empty_and_64_mib_arrays_round_trip_bit_exact(self,
+                                                          transport_pair):
+        left, right = transport_pair
+        empty = np.empty((0, 64), dtype=np.float32)
+        large = np.arange(16 << 20, dtype=np.float32).reshape(-1, 64)
+        assert large.nbytes == 64 << 20
+        for array in (empty, large):
+            # a frame larger than the socket buffer needs a reader at the
+            # other end while it is written
+            sender = threading.Thread(target=left.send, args=(array,))
+            sender.start()
+            received = right.recv()
+            sender.join(timeout=60)
+            assert received.dtype == array.dtype
+            assert received.shape == array.shape
+            assert received.tobytes() == array.tobytes()
+            assert not received.flags.writeable  # a view of the frame
+            del received
+
+    def test_shm_tag_is_an_unknown_tag(self, transport_pair, tmp_path):
+        left, right = transport_pair
+        left.send_encoded(hostile_payloads(tmp_path / "ran")["shm_tag"])
+        with pytest.raises(FrameError, match="unknown wire tag") as raised:
+            right.recv()
+        assert isinstance(raised.value.__cause__, wire.WireError)
+
 
 class TestSocketFraming:
     def test_truncated_frame_is_a_frame_error(self):
-        left, right = socket.socketpair()
-        transport = SocketTransport(right)
-        # A header promising 100 bytes, then only 3 and EOF.
-        left.sendall(FRAME_HEADER.pack(100) + b"abc")
-        left.close()
-        with pytest.raises(FrameError, match="mid-frame"):
-            transport.recv()
-        transport.close()
+        for _, raw, transport in raw_links():
+            # A header promising 100 bytes, then only 3 and EOF.
+            raw.sendall(FRAME_HEADER.pack(100) + b"abc")
+            raw.close()
+            with pytest.raises(FrameError, match="mid-frame"):
+                transport.recv()
 
     def test_clean_eof_between_frames_is_closed(self):
-        left, right = socket.socketpair()
-        transport = SocketTransport(right)
-        left.sendall(encode_frame("hello"))
-        left.close()
-        assert transport.recv() == "hello"
-        with pytest.raises(TransportClosed):
-            transport.recv()
-        transport.close()
+        for _, raw, transport in raw_links():
+            raw.sendall(encode_frame("hello"))
+            raw.close()
+            assert transport.recv() == "hello"
+            with pytest.raises(TransportClosed):
+                transport.recv()
+
+    def test_oversized_header_is_refused_before_any_allocation(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a buffer was allocated for the frame")
+
+        monkeypatch.setattr(transport_module, "np",
+                            types.SimpleNamespace(empty=refuse))
+        for _, raw, transport in raw_links():
+            raw.sendall(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))
+            with pytest.raises(FrameError, match="exceeds"):
+                transport.recv()
+
+    def test_empty_frame_is_a_frame_error(self):
+        for _, raw, transport in raw_links():
+            raw.sendall(FRAME_HEADER.pack(0))
+            with pytest.raises(FrameError, match="does not decode"):
+                transport.recv()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    def test_a_lying_header_costs_only_the_bytes_that_arrive(self):
+        # In a fresh process, whose peak resident set this one frame
+        # would move: 256 MiB announced, 1 KiB sent, then a hang-up.
+        report = subprocess.run(
+            [sys.executable, "-c", LIAR_SCRIPT], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert report.returncode == 0, report.stderr
+        grown = json.loads(report.stdout)
+        assert set(grown) == set(SOCKET_PAIRS)
+        for family, megabytes in grown.items():
+            assert megabytes < 16, (family, megabytes)
+
+
+LIAR_SCRIPT = """
+import json, socket
+from repro.api.transport import FRAME_HEADER, FrameError, SocketTransport
+
+
+def tcp_socketpair():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        server, _ = listener.accept()
+    return client, server
+
+
+def peak_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+
+
+grown = {}
+for family, make in {"pipe": socket.socketpair,
+                     "socket": tcp_socketpair}.items():
+    raw, end = make()
+    transport = SocketTransport(end)
+    raw.sendall(FRAME_HEADER.pack(256 << 20) + b"x" * 1024)
+    raw.close()
+    before = peak_mb()
+    try:
+        transport.recv()
+    except FrameError:
+        grown[family] = peak_mb() - before
+    transport.close()
+print(json.dumps(grown))
+"""
+
+
+class TestShortReads:
+    """A stream peer may deliver a frame in arbitrarily small pieces, or
+    stop mid-frame. Partial reads must reassemble; truncation must surface
+    as a clean transport error — never a truncated decode."""
+
+    def test_byte_dribble_reassembles_the_frame(self):
+        message = {"vector": np.arange(6, dtype=np.float64),
+                   "tag": "dribble"}
+        frame = encode_frame(message)
+        for _, raw, transport in raw_links():
+            def dribble():
+                for i in range(len(frame)):
+                    raw.sendall(frame[i:i + 1])
+                raw.close()
+
+            thread = threading.Thread(target=dribble)
+            thread.start()
+            received = transport.recv()
+            thread.join(timeout=10)
+            assert received["tag"] == "dribble"
+            np.testing.assert_array_equal(received["vector"],
+                                          message["vector"])
+            with pytest.raises(TransportClosed):
+                transport.recv()  # the dribbler's EOF is a clean hangup
+
+    def test_back_to_back_frames_parse_cleanly(self):
+        for _, raw, transport in raw_links():
+            raw.sendall(encode_frame("first") + encode_frame("second"))
+            assert transport.recv() == "first"
+            assert transport.recv() == "second"
+
+    def test_close_mid_header_is_a_frame_error(self):
+        for _, raw, transport in raw_links():
+            raw.sendall(FRAME_HEADER.pack(64)[:3])  # 3 of the 8 header bytes
+            raw.close()
+            with pytest.raises(FrameError, match="mid-frame"):
+                transport.recv()
+
+    def test_close_mid_body_is_a_frame_error_not_a_decode(self):
+        frame = encode_frame({"payload": np.arange(100)})
+        for _, raw, transport in raw_links():
+            raw.sendall(frame[:-5])  # everything but the last 5 body bytes
+            raw.close()
+            # The truncated bytes must never reach the decoder.
+            with pytest.raises(FrameError, match="mid-frame"):
+                transport.recv()
 
 
 class TestNoDelay:
@@ -151,63 +332,6 @@ class TestNoDelay:
             server.close()
 
 
-class TestShortReads:
-    """A TCP peer may deliver a frame in arbitrarily small pieces, or stop
-    mid-frame. Partial reads must reassemble; truncation must surface as a
-    clean transport error — never a truncated decode."""
-
-    def test_byte_dribble_reassembles_the_frame(self):
-        left, right = socket.socketpair()
-        transport = SocketTransport(right)
-        message = {"vector": np.arange(6, dtype=np.float64),
-                   "tag": "dribble"}
-        frame = encode_frame(message)
-
-        def dribble():
-            for i in range(len(frame)):
-                left.sendall(frame[i:i + 1])
-            left.close()
-
-        thread = threading.Thread(target=dribble)
-        thread.start()
-        received = transport.recv()
-        thread.join(timeout=10)
-        assert received["tag"] == "dribble"
-        np.testing.assert_array_equal(received["vector"], message["vector"])
-        with pytest.raises(TransportClosed):
-            transport.recv()  # the dribbler's EOF is a clean hangup
-        transport.close()
-
-    def test_back_to_back_frames_parse_cleanly(self):
-        left, right = socket.socketpair()
-        transport = SocketTransport(right)
-        left.sendall(encode_frame("first") + encode_frame("second"))
-        assert transport.recv() == "first"
-        assert transport.recv() == "second"
-        left.close()
-        transport.close()
-
-    def test_close_mid_header_is_a_frame_error(self):
-        left, right = socket.socketpair()
-        transport = SocketTransport(right)
-        left.sendall(FRAME_HEADER.pack(64)[:3])  # 3 of the 8 header bytes
-        left.close()
-        with pytest.raises(FrameError, match="mid-frame"):
-            transport.recv()
-        transport.close()
-
-    def test_close_mid_body_is_a_frame_error_not_a_decode(self):
-        left, right = socket.socketpair()
-        transport = SocketTransport(right)
-        frame = encode_frame({"payload": np.arange(100)})
-        left.sendall(frame[:-5])  # everything but the last 5 body bytes
-        left.close()
-        # The truncated bytes must never reach the decoder.
-        with pytest.raises(FrameError, match="mid-frame"):
-            transport.recv()
-        transport.close()
-
-
 def run_node(transport, handlers, **kwargs):
     node = ServiceNode(transport, handlers, **kwargs)
     thread = threading.Thread(target=node.serve_forever, daemon=True)
@@ -217,7 +341,7 @@ def run_node(transport, handlers, **kwargs):
 
 class TestServiceNode:
     def test_dispatch_and_stop(self):
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         thread = run_node(server, {"double": lambda x: 2 * x})
         assert request(caller, "double", 21) == 42
         caller.send(("stop", None))
@@ -229,7 +353,7 @@ class TestServiceNode:
         def boom(_payload):
             raise ValueError("intentional")
 
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         run_node(server, {"boom": boom, "ping": lambda _: "pong"})
         with pytest.raises(RemoteCallError, match="intentional"):
             request(caller, "boom")
@@ -238,14 +362,14 @@ class TestServiceNode:
         caller.close()
 
     def test_unknown_command(self):
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         run_node(server, {})
         with pytest.raises(RemoteCallError, match="unknown command"):
             request(caller, "nope")
         caller.close()
 
     def test_malformed_request_shape(self):
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         run_node(server, {"ping": lambda _: "pong"})
         caller.send("not a 2-tuple")
         status, detail = caller.recv()
@@ -254,7 +378,7 @@ class TestServiceNode:
         caller.close()
 
     def test_unencodable_reply_is_reported_and_survived(self):
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         run_node(server, {"tags": lambda _: {"a", "b"},
                           "ping": lambda _: "pong"})
         with pytest.raises(RemoteCallError,
@@ -264,7 +388,7 @@ class TestServiceNode:
         caller.close()
 
     def test_unencodable_request_raises_at_the_caller_and_stays_in_sync(self):
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         run_node(server, {"echo": lambda payload: payload})
         with pytest.raises(wire.WireError, match="set is not wire-encodable"):
             request(caller, "echo", {1})
@@ -273,7 +397,7 @@ class TestServiceNode:
         caller.close()
 
     def test_peer_hangup_ends_the_loop(self):
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         thread = run_node(server, {})
         caller.close()
         thread.join(timeout=5)
@@ -283,7 +407,7 @@ class TestServiceNode:
         # A request the node has already accepted (buffered before the
         # shutdown flag flipped) must be answered, not dropped.
         stop = threading.Event()
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         caller.send(("ping", None))
         stop.set()
         thread = run_node(server, {"ping": lambda _: "pong"},
@@ -295,7 +419,7 @@ class TestServiceNode:
 
     def test_should_stop_ends_idle_loop(self):
         stop = threading.Event()
-        caller, server = PipeTransport.pair()
+        caller, server = SocketTransport.pair()
         thread = run_node(server, {"ping": lambda _: "pong"},
                           should_stop=stop.is_set, poll_interval=0.01)
         assert request(caller, "ping") == "pong"
@@ -307,9 +431,8 @@ class TestServiceNode:
 
 class TestPipeGarbage:
     def test_undecodable_bytes_surface_as_frame_error(self):
-        # Drive the raw connection underneath to inject garbage bytes.
-        left, right = PipeTransport.pair()
-        left._connection.send_bytes(b"\x80garbage that is not a frame")
+        left, right = SocketTransport.pair()
+        left.send_encoded(b"\x80garbage that is not a frame")
         with pytest.raises(FrameError):
             right.recv()
         left.close()
@@ -318,7 +441,7 @@ class TestPipeGarbage:
 
 class TestPipeRoundTrip:
     def test_request_and_reply_arrays_are_bit_identical(self):
-        left, right = PipeTransport.pair()
+        left, right = SocketTransport.pair()
         payload = np.random.default_rng(7).normal(size=(5, 2))
         left.send(("echo", payload))
         command, received = right.recv()
@@ -333,7 +456,7 @@ class TestPipeRoundTrip:
 
 class TestTransportStats:
     def test_pipe_counters_track_traffic(self):
-        left, right = PipeTransport.pair()
+        left, right = SocketTransport.pair()
         left.send("ping")
         right.recv()
         right.send("pong")
@@ -349,7 +472,7 @@ class TestTransportStats:
         right.close()
 
     def test_socket_counters_include_frame_headers(self):
-        left, right = socket_transport_pair()
+        left, right = transports("socket")
         left.send("ping")
         assert right.recv() == "ping"
         assert left.stats()["bytes_sent"] == \
@@ -357,6 +480,16 @@ class TestTransportStats:
         assert left.stats()["bytes_sent"] > FRAME_HEADER.size
         left.close()
         right.close()
+
+    def test_one_message_costs_the_same_bytes_on_both_link_kinds(
+            self, transport_pair):
+        left, right = transport_pair
+        message = ("knn", ([0, 1], (np.ones((1, 64), np.float32), 11)))
+        left.send(message)
+        right.recv()
+        frame = len(encode_frame(message))
+        assert left.stats()["bytes_sent"] == frame
+        assert right.stats()["bytes_recv"] == frame
 
     def test_merge_sums_counters(self):
         merged = merge_transport_stats([
@@ -367,21 +500,3 @@ class TestTransportStats:
         ])
         assert merged == {"bytes_sent": 30, "frames_sent": 3,
                           "bytes_recv": 20, "frames_recv": 4, "shm_hits": 2}
-
-
-class TestPipeSharedMemory:
-    def test_large_reply_uses_segments_and_cleans_up(self):
-        left, right = PipeTransport.pair(shm_threshold=1024)
-        array = np.random.default_rng(11).normal(size=(64, 8))
-        left.send(("big", array))
-        command, received = right.recv()
-        assert command == "big"
-        assert received.tobytes() == array.tobytes()
-        assert left.stats()["shm_hits"] == 1
-        del received
-        # The peer speaking again proves consumption: segments released.
-        right.send(("ack", None))
-        left.recv()
-        assert left._pool is not None and not left._pool._segments
-        left.close()
-        right.close()

@@ -2,10 +2,8 @@
 vocabulary (hand-picked and generated), the closed vocabulary (what the
 codec cannot express fails at the sender, pickle blobs fail at the
 receiver without running), malformed-payload rejection (every prefix
-and bit flip is a typed error, never a truncated ``np.frombuffer``),
-and the shared-memory pool lifecycle."""
+and bit flip is a typed error, never a truncated ``np.frombuffer``)."""
 
-import os
 import pickle
 import struct
 
@@ -17,11 +15,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.api import wire
 from repro.api.transport import FrameError, decode_payload
-from repro.api.wire import ShmPool, WireError
+from repro.api.wire import WireError
 
 
-def round_trip(message, pool=None):
-    return wire.decode(wire.encode(message, pool), attach_shm=True)
+def round_trip(message):
+    return wire.decode(wire.encode(message))
 
 
 class Detonator:
@@ -49,7 +47,7 @@ HOSTILE = {
     "fallback_tag": "unknown wire tag",
     "deep_nesting": "nest deeper",
     "unhashable_key": "unhashable dict key",
-    "shm_tag": "shared-memory tag",
+    "shm_tag": "unknown wire tag",
 }
 
 
@@ -68,7 +66,7 @@ def hostile_payloads(sentinel):
         "deep_nesting": version + (b"l" + _u32(1)) * 5000 + b"N",
         # {[]: None}
         "unhashable_key": version + b"d" + _u32(1) + b"l" + _u32(0) + b"N",
-        # float64[4] in a /dev/shm segment of the receiver's machine
+        # float64[4] in a /dev/shm segment: a tag the wire no longer has
         "shm_tag": (version + b"M" + b"\x10repro_wire_0_0000"
                     + b"\x03<f8" + b"\x01" + _u64(4)),
     }
@@ -395,73 +393,3 @@ def test_every_single_bit_flip_decodes_or_is_a_frame_error(tree):
             payload[position] ^= 1 << bit
             decodes_or_frame_error(bytes(payload))
             payload[position] ^= 1 << bit
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="no POSIX shared memory filesystem")
-class TestShmPool:
-    def test_large_array_rides_shared_memory(self):
-        pool = ShmPool(threshold=1024)
-        try:
-            array = np.random.default_rng(2).normal(size=(64, 8))
-            assert pool.wants(array)
-            payload = wire.encode({"big": array, "small": np.arange(3)},
-                                  pool)
-            assert pool.hits == 1
-            assert pool.bytes_shared == array.nbytes
-            # The big buffer is out-of-band: the payload holds a name,
-            # not the 4 KiB of data.
-            assert len(payload) < array.nbytes
-            result = wire.decode(payload, attach_shm=True)
-            np.testing.assert_array_equal(result["big"], array)
-            np.testing.assert_array_equal(result["small"], np.arange(3))
-            del result
-        finally:
-            pool.release()
-
-    def test_below_threshold_stays_inline(self):
-        pool = ShmPool(threshold=1 << 20)
-        try:
-            array = np.arange(16, dtype=np.float64)
-            payload = wire.encode(array, pool)
-            assert pool.hits == 0
-            np.testing.assert_array_equal(wire.decode(payload), array)
-        finally:
-            pool.release()
-
-    def test_release_unlinks_segments(self):
-        pool = ShmPool(threshold=1)
-        array = np.arange(32, dtype=np.float64)
-        payload = wire.encode(array, pool)
-        names = [seg.name for seg in pool._segments]
-        assert names and all(
-            os.path.exists(f"/dev/shm/{name}") for name in names)
-        result = wire.decode(payload, attach_shm=True)
-        np.testing.assert_array_equal(result, array)
-        del result
-        pool.release()
-        assert all(not os.path.exists(f"/dev/shm/{name}") for name in names)
-
-    def test_decoded_view_survives_unlink(self):
-        # POSIX semantics: the receiver's mapping outlives the unlink.
-        pool = ShmPool(threshold=1)
-        array = np.random.default_rng(3).normal(size=(128,))
-        payload = wire.encode(array, pool)
-        result = wire.decode(payload, attach_shm=True)
-        pool.release()  # segment unlinked while the view is alive
-        np.testing.assert_array_equal(result, array)
-
-    def test_missing_segment_is_a_wire_error(self):
-        pool = ShmPool(threshold=1)
-        payload = wire.encode(np.arange(16, dtype=np.float64), pool)
-        pool.release()  # unlink before the receiver attaches
-        with pytest.raises(WireError, match="unavailable"):
-            wire.decode(payload, attach_shm=True)
-
-    def test_segment_names_carry_the_prefix(self):
-        pool = ShmPool(threshold=1)
-        try:
-            name = pool.store(np.arange(4, dtype=np.float64))
-            assert name.startswith(wire.SHM_NAME_PREFIX)
-        finally:
-            pool.release()

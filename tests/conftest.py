@@ -27,14 +27,8 @@ from benchmarks.e2e.measure import descendants, shm_segments  # noqa: E402
 
 
 def _leaks(segments_at_start):
-    from multiprocessing import resource_tracker
-
-    # the one child that is meant to outlive every service: it exits
-    # with this process, sweeping what it still tracks
-    tracker = resource_tracker._resource_tracker._pid
     found = {
-        "processes": [pid for pid in descendants(os.getpid())
-                      if pid != tracker],
+        "processes": descendants(os.getpid()),
         "non-daemon threads": [
             thread.name for thread in threading.enumerate()
             if thread is not threading.main_thread() and not thread.daemon],
@@ -47,9 +41,9 @@ def _leaks(segments_at_start):
 def nothing_leaks():
     """Whatever the tests started, they stopped: at the end of the session
     — after a short grace for processes on their way out — no live
-    descendant process but the multiprocessing resource tracker, no
-    non-daemon thread beside the main one, and no
-    ``/dev/shm/repro_wire_*`` segment that was not there at the start."""
+    descendant process at all, no non-daemon thread beside the main one,
+    and no ``/dev/shm/repro_wire_*`` segment that was not there at the
+    start (the stack makes none; the check is the benchmark's own)."""
     segments_at_start = shm_segments()
     yield
     deadline = time.monotonic() + 5.0
