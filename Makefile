@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sanitized test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke bench bench-encode bench-index bench-index-smoke bench-startup bench-transport bench-e2e bench-e2e-selftest bench-e2e-smoke
+.PHONY: test test-sanitized test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke golden-bits bench bench-encode bench-index bench-index-smoke bench-startup bench-transport bench-e2e bench-e2e-selftest bench-e2e-smoke
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini).
@@ -86,6 +86,14 @@ bench:
 # PYTHONPATH records a before row (see the script). Outside tier-1.
 bench-encode:
 	OPENBLAS_NUM_THREADS=1 NUMPY_MADVISE_HUGEPAGE=0 $(PYTHON) benchmarks/bench_encode.py --output benchmarks/results/BENCH_encode.json
+
+# The TestGoldenBits digests (sha256 of one fixed model's served float32
+# embeddings) for both recorded kernel families: the native OpenBLAS
+# kernels, then Haswell's. An encoder change meant to change the bits
+# pastes both printed entries into tests/core/test_infer.py::_GOLDEN.
+golden-bits:
+	$(PYTHON) scripts/golden_bits.py
+	OPENBLAS_CORETYPE=Haswell $(PYTHON) scripts/golden_bits.py
 
 # ANN index sweep at 10^5 vectors (recall@10 vs bytes/vector vs q/s for
 # bruteforce/ivf/pq/int8/hnsw), merged scenario-by-scenario into the

@@ -37,10 +37,18 @@ a trajectory's encode time):
   ``K Qᵀ`` written into one C-contiguous ``(L_key, B, H, L_query)`` array
   — by the matmul of the wide stream and by the outer product of the
   ``head_dim == 1`` spatial stream alike — because softmax reduces over
-  keys: its max and sum then add whole contiguous rows of ``B·H·L``
-  elements instead of reducing inside ``L``-long ones, which is what
-  numpy is slow at. The per-query max shift stays: it is the overflow
-  guard;
+  keys: its sum then adds whole contiguous rows of ``B·H·L`` elements
+  instead of reducing inside ``L``-long ones, which is what numpy is slow
+  at;
+* softmax makes no pass the result does not need. ``exp`` runs on the
+  unshifted logits, and the row sums it needs anyway are the overflow
+  guard: while every sum lies in ``(tiny/eps, eps/tiny)`` of the compute
+  dtype, no term overflowed and no mass was lost; otherwise that one
+  attention is recomputed with the per-query max shift. The normalisers
+  go where they are cheapest: ``1/Σ`` scales the ``(B,H,L,hd)`` contexts,
+  not the ``L×L`` weights, and Eq. 15's ``γ·r_s/r_t`` is one factor on the
+  spatial weights. No max, shift, normalise or γ pass is left over the
+  ``L×L`` arrays;
 * the bucket size is derived, not passed: as many trajectories as keep the
   forward's widest temporary — the FFN hidden or one softmax's logits —
   at about 1 MiB, so a bucket's working set stays in L2 (32 trajectories
@@ -54,15 +62,19 @@ nothing reads: only the structural stream of the last DualSTB is pooled,
 so the last spatial block under it is exported as its attention alone (its
 coefficients enter Eq. 15) — fixed at :meth:`~InferenceEncoder.from_model`,
 where the float64 Tensor graph, the oracle, still runs the whole model.
+
+A compiled engine is current while :func:`repro.nn.parameter_version` has
+not moved and the model holds the same encoder and feature tables
+(:meth:`InferenceEncoder.is_current`): a cache hit reads no weight.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.module import parameter_version
 from ..trajectory.trajectory import TrajectoryLike
 
 __all__ = ["InferenceEncoder", "resolve_dtype"]
@@ -80,18 +92,6 @@ _SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 #: encoder variants :meth:`InferenceEncoder.from_model` knows how to export
 _SUPPORTED_VARIANTS = ("dual", "msm", "concat")
-
-#: fixed random projection vectors for the weight-change checksum, one per
-#: parameter size (deterministic: seeded by the size)
-_PROJECTIONS: Dict[int, np.ndarray] = {}
-
-
-def _projection(size: int) -> np.ndarray:
-    vector = _PROJECTIONS.get(size)
-    if vector is None:
-        vector = np.random.default_rng(size).standard_normal(size)
-        _PROJECTIONS[size] = vector
-    return vector
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -114,7 +114,7 @@ def resolve_dtype(dtype) -> np.dtype:
 class _Attention:
     """Fused Q/K/V self-attention weights of one MSM block."""
 
-    __slots__ = ("wqkv", "wo", "num_heads")
+    __slots__ = ("wqkv", "wo", "num_heads", "sum_range")
 
     def __init__(self, w_query, w_key, w_value, w_out, num_heads: int, dtype):
         # 1/sqrt(head_dim) rides in the query columns: no pass over the logits
@@ -125,23 +125,20 @@ class _Attention:
         )
         self.wo = np.ascontiguousarray(w_out, dtype=dtype)
         self.num_heads = num_heads
+        #: row sums of the unshifted exp inside this open range prove no
+        #: term overflowed (each is below the sum) and no mass was lost (a
+        #: subnormal term is below eps of the sum); the upper end leaves
+        #: 1/eps of headroom for the value products
+        info = np.finfo(dtype)
+        self.sum_range = (float(info.tiny / info.eps),
+                          float(info.eps / info.tiny))
 
-    def coefficients(
-        self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(attention (L_key,B,H,L_query), value (B,H,L,hd))`` of Eq. 12.
-
-        Q, K, V are strided head views of the fused product (unit inner
-        stride: BLAS takes the row stride, nothing is copied). The logits
-        are ``K Qᵀ`` laid out keys-outermost, so the softmax's max and sum
-        run down axis 0, across contiguous rows of ``B·H·L`` elements.
-        """
-        heads = self.num_heads
-        qkv = (x @ self.wqkv).reshape(batch, -1, 3, heads, x.shape[1] // heads)
-        query, key, value = qkv.transpose(2, 0, 3, 1, 4)       # (B,H,L,hd)
-        seq_len = qkv.shape[1]
-        logits = np.empty((seq_len, batch, heads, seq_len), dtype=x.dtype)
-        if qkv.shape[-1] == 1:
+    def _logits(self, query, key, bias: Optional[np.ndarray]) -> np.ndarray:
+        """``K Qᵀ`` (+ the padding bias) laid out keys-outermost:
+        ``(L_key, B, H, L_query)``, C-contiguous."""
+        batch, heads, seq_len, head_dim = query.shape
+        logits = np.empty((seq_len, batch, heads, seq_len), dtype=query.dtype)
+        if head_dim == 1:
             # head_dim 1 (the 4-wide spatial stream): K = 1 is an outer
             # product, not a matmul
             np.multiply(key.transpose(2, 0, 1, 3),
@@ -151,15 +148,47 @@ class _Attention:
                       out=logits.transpose(1, 2, 0, 3))
         if bias is not None:
             logits += bias
-        # the per-query max shift is the overflow guard: exp sees <= 0
-        logits -= logits.max(axis=0)
-        np.exp(logits, out=logits)
-        logits *= 1.0 / logits.sum(axis=0)
-        return logits, value
+        return logits
 
-    def project(self, attention: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """``A V`` with the heads concatenated through ``W_o`` (Eq. 14)."""
-        context = attention.transpose(1, 2, 3, 0) @ value      # (B,H,L,hd)
+    def coefficients(
+        self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(weights (L_key,B,H,L_query), reciprocal sums (B,H,L_query),
+        value (B,H,L,hd))`` of Eq. 12: the attention is ``weights ·
+        reciprocal``, a product nobody forms (:meth:`project`).
+
+        Q, K, V are strided head views of the fused product (unit inner
+        stride: BLAS takes the row stride, nothing is copied). The logits
+        are ``K Qᵀ`` laid out keys-outermost, so the softmax's sum runs
+        down axis 0, across contiguous rows of ``B·H·L`` elements.
+
+        The weights are ``exp`` of the unshifted logits. The row sums are
+        the overflow guard: when one lies outside :attr:`sum_range`, this
+        attention alone is recomputed with the per-query max shift (exp
+        then sees ≤ 0, and every sum is in ``[1, L]``).
+        """
+        heads = self.num_heads
+        qkv = (x @ self.wqkv).reshape(batch, -1, 3, heads, x.shape[1] // heads)
+        query, key, value = qkv.transpose(2, 0, 3, 1, 4)       # (B,H,L,hd)
+        weights = self._logits(query, key, bias)
+        with np.errstate(over="ignore"):
+            np.exp(weights, out=weights)
+            sums = weights.sum(axis=0)
+        low, high = self.sum_range
+        if not low < sums.min() <= sums.max() < high:
+            weights = self._logits(query, key, bias)
+            weights -= weights.max(axis=0)
+            np.exp(weights, out=weights)
+            sums = weights.sum(axis=0)
+        return weights, np.reciprocal(sums, out=sums), value
+
+    def project(self, weights: np.ndarray, reciprocal: np.ndarray,
+                value: np.ndarray) -> np.ndarray:
+        """``A V`` with the heads concatenated through ``W_o`` (Eq. 14),
+        ``A = weights · reciprocal``: the reciprocal sums scale the
+        ``(B,H,L,hd)`` contexts, not the ``L×L`` weights."""
+        context = weights.transpose(1, 2, 3, 0) @ value        # (B,H,L,hd)
+        context *= reciprocal[..., None]
         merged = context.transpose(0, 2, 1, 3).reshape(-1, self.wo.shape[0])
         return merged @ self.wo
 
@@ -239,11 +268,13 @@ class _TransformerLayer:
 
     def __call__(
         self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        attention, value = self.attn.coefficients(x, batch, bias)
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """``(output or None, weights, reciprocal sums)``."""
+        weights, reciprocal, value = self.attn.coefficients(x, batch, bias)
         if self.residual is None:
-            return None, attention
-        return self.residual(x, self.attn.project(attention, value)), attention
+            return None, weights, reciprocal
+        attended = self.attn.project(weights, reciprocal, value)
+        return self.residual(x, attended), weights, reciprocal
 
 
 class _DualLayer:
@@ -277,14 +308,26 @@ class _DualLayer:
         batch: int,
         bias: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        fused, value = self.attn.coefficients(structural, batch, bias)
-        attn_spatial = None
+        fused, reciprocal, value = self.attn.coefficients(structural, batch,
+                                                          bias)
         for spatial_layer in self.spatial_layers:
-            spatial, attn_spatial = spatial_layer(spatial, batch, bias)
-        # Eq. 15: C_ts = (A_t + γ A_s) V_t, heads merged through W_o.
-        attn_spatial *= self.gamma
-        fused += attn_spatial
-        c_ts = self.attn.project(fused, value)
+            spatial, weights, spatial_reciprocal = spatial_layer(spatial, batch,
+                                                                 bias)
+        # Eq. 15: C_ts = (A_t + γ A_s) V_t, heads merged through W_o. With
+        # A = E·r that is r_t (E_t + (γ r_s / r_t) E_s) V_t: one (B,H,L)
+        # factor on the spatial weights, r_t on the contexts.
+        with np.errstate(over="ignore"):
+            factor = spatial_reciprocal / reciprocal
+            factor *= self.gamma
+        if not np.isfinite(factor).all():
+            # the two maps' sums lie too many decades apart for the ratio:
+            # normalise each on its own
+            fused *= reciprocal
+            factor = spatial_reciprocal * self.gamma
+            reciprocal[...] = 1.0
+        weights *= factor
+        fused += weights
+        c_ts = self.attn.project(fused, reciprocal, value)
         return self.residual(structural, c_ts), spatial
 
 
@@ -299,17 +342,19 @@ class InferenceEncoder:
     cast to its dtype (the grid is shared). The engine is immutable:
     it does **not** track later weight updates — recompile after training
     (:meth:`TrajCL.encode <repro.core.model.TrajCL.encode>` does this
-    automatically via :meth:`fingerprint`).
+    automatically: :meth:`is_current` says when).
     """
 
     def __init__(self, features, variant: str, layers: List, dtype: np.dtype,
-                 output_dim: int, fingerprint: str):
+                 output_dim: int, source: Tuple):
         self.features = features
         self.variant = variant
         self.layers = layers
         self.dtype = dtype
         self.output_dim = output_dim
-        self.model_fingerprint = fingerprint
+        #: (parameter version, encoder, feature pipeline, cell table) at
+        #: export, what :meth:`is_current` compares
+        self.source = source
 
     # ------------------------------------------------------------------
     # Compilation
@@ -319,35 +364,21 @@ class InferenceEncoder:
         """Whether :meth:`from_model` can export this model's encoder."""
         return getattr(model, "encoder_variant", None) in _SUPPORTED_VARIANTS
 
-    @staticmethod
-    def fingerprint(model) -> str:
-        """Cheap identity of everything the compiled forward depends on.
+    def is_current(self, model) -> bool:
+        """Whether this engine still computes ``model``'s forward.
 
-        Checksums the online encoder's weights plus the identity of the
-        feature pipeline, so a cached engine is invalidated by training,
-        ``load_state_dict``, or a swapped feature table. This runs on
-        every fast ``encode`` call, so it uses two numpy reductions per
-        parameter (sum + a fixed random projection) instead of hashing
-        the raw weight bytes — ~10× cheaper, at the cost of not being
-        cryptographic: an in-place edit that preserves both reductions
-        bit-exactly would go undetected (no numerical update does).
+        It does while no :class:`~repro.nn.Parameter` has been written
+        since the export (:func:`~repro.nn.parameter_version`: training,
+        ``load_state_dict``, ``param.data += …``) and the model holds the
+        same encoder, feature pipeline and cell table. That is four
+        compares, whatever the model's size: this runs on every fast
+        ``encode`` call.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(str(getattr(model, "encoder_variant", "?")).encode())
-        sums = []
-        for name, param in model.encoder.named_parameters():
-            digest.update(name.encode())
-            flat = param.data.ravel()
-            sums.append(flat.sum())
-            sums.append(flat @ _projection(flat.size))
-        digest.update(np.asarray(sums, dtype=np.float64).tobytes())
-        features = model.features
-        cells = features.cell_embeddings
-        digest.update(
-            f"features:{id(features)}:{id(cells)}:{cells.shape}:"
-            f"{features.max_len}".encode()
-        )
-        return digest.hexdigest()
+        version, encoder, features, cells = self.source
+        return (version == parameter_version()
+                and model.encoder is encoder
+                and model.features is features
+                and features.cell_embeddings is cells)
 
     @classmethod
     def from_model(cls, model, dtype=None) -> "InferenceEncoder":
@@ -363,6 +394,9 @@ class InferenceEncoder:
                 f"unsupported encoder variant {variant!r}; "
                 f"expected one of {_SUPPORTED_VARIANTS}"
             )
+        # read before the weights: a write during the export invalidates
+        source = (parameter_version(), model.encoder, model.features,
+                  model.features.cell_embeddings)
         encoder = model.encoder
         if variant == "dual":
             depth = len(encoder.layers)
@@ -379,7 +413,7 @@ class InferenceEncoder:
             layers=layers,
             dtype=dtype,
             output_dim=int(encoder.output_dim),
-            fingerprint=cls.fingerprint(model),
+            source=source,
         )
 
     # ------------------------------------------------------------------
@@ -410,7 +444,7 @@ class InferenceEncoder:
             else:  # msm: structural stream only
                 hidden = structural
             for layer in self.layers:
-                hidden, _ = layer(hidden, batch, bias)
+                hidden, _, _ = layer(hidden, batch, bias)
         # Masked average pooling over valid positions (§IV-C).
         hidden = hidden.reshape(batch, seq_len, -1)
         if bias is not None:

@@ -203,18 +203,21 @@ class TrajCL(nn.Module):
     def inference_encoder(self, dtype=None) -> Optional[InferenceEncoder]:
         """The compiled numpy engine for the current weights (or None).
 
-        Engines are cached per dtype and invalidated by a weight
-        fingerprint, so training / ``load_state_dict`` between ``encode``
-        calls transparently triggers a recompile. Returns None when the
-        encoder variant cannot be exported (custom encoders fall back to
-        the reference path).
+        Engines are cached per dtype and keyed on a version, not on the
+        weights: :func:`repro.nn.parameter_version` moves with every
+        parameter write (``param.data`` assignment, ``load_state_dict``,
+        the optimiser steps), and a swapped encoder, feature pipeline or
+        cell table changes the key (:meth:`InferenceEncoder.is_current`).
+        So training between ``encode`` calls transparently triggers a
+        recompile, and a cache hit costs a few compares. Returns None when
+        the encoder variant cannot be exported (custom encoders fall back
+        to the reference path).
         """
         dtype = resolve_dtype(dtype)
         if not InferenceEncoder.supports(self):
             return None
-        fingerprint = InferenceEncoder.fingerprint(self)
         cached = self._inference_cache.get(dtype.name)
-        if cached is not None and cached.model_fingerprint == fingerprint:
+        if cached is not None and cached.is_current(self):
             return cached
         engine = InferenceEncoder.from_model(self, dtype=dtype)
         self._inference_cache[dtype.name] = engine

@@ -21,7 +21,7 @@ from .layers import (
     ReLU,
 )
 from .losses import info_nce_loss, mse_loss, triplet_margin_loss, weighted_rank_loss
-from .module import Module, ModuleList, Parameter, Sequential
+from .module import Module, ModuleList, Parameter, Sequential, parameter_version
 from .optim import SGD, Adam, Optimizer, StepLR, clip_grad_norm
 from .rnn import GRU, LSTM, GRUCell, LSTMCell
 from .serialization import load_into, load_state, save_state
@@ -55,6 +55,7 @@ __all__ = [
     "Module",
     "ModuleList",
     "Parameter",
+    "parameter_version",
     "Sequential",
     "Linear",
     "Embedding",

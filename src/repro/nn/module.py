@@ -9,6 +9,7 @@ checkpoints and by the MoCo momentum-encoder copy in TrajCL.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Tuple
 
@@ -16,14 +17,52 @@ import numpy as np
 
 from .tensor import Tensor
 
+#: the ``data`` slot of :class:`Tensor`, which :attr:`Parameter.data` wraps
+_DATA = Tensor.data
+
+#: numbers the weight writes; :func:`parameter_version` is the latest
+_writes = itertools.count(1)
+_version = 0
+
+
+def parameter_version() -> int:
+    """Number of the latest write to any :class:`Parameter`'s weights in
+    this process (0 before the first).
+
+    Every assignment to ``param.data`` counts, so do its augmented forms
+    (``param.data -= …``, how the optimisers step), and so does
+    :meth:`Module.load_state_dict`. A compiled copy of some weights (the
+    serving engine of :meth:`TrajCL.inference_encoder
+    <repro.core.model.TrajCL.inference_encoder>`) is current while this
+    has not moved. The number is process-wide and only compared for
+    equality: a write to another model costs a recompile, never a stale
+    answer. A write through a view (``param.data[...] = x``) is not seen.
+    """
+    return _version
+
+
+def _note_write() -> None:
+    global _version
+    _version = next(_writes)
+
 
 class Parameter(Tensor):
-    """A :class:`Tensor` that is always a trainable leaf."""
+    """A :class:`Tensor` that is always a trainable leaf.
+
+    Assigning its ``data`` (including ``param.data += …``) bumps
+    :func:`parameter_version`.
+    """
 
     __slots__ = ()
 
     def __init__(self, data, name: str | None = None):
         super().__init__(data, requires_grad=True, name=name)
+
+    def _assign(self, value) -> None:
+        _DATA.__set__(self, value)
+        _note_write()
+
+    data = property(_DATA.__get__, _assign)
 
 
 class Module:
@@ -96,7 +135,8 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load arrays into parameters in place.
+        """Load arrays into parameters in place (each copy counts as a
+        write for :func:`parameter_version`).
 
         With ``strict=True`` (default), key sets and shapes must match
         exactly; mismatches raise ``KeyError`` / ``ValueError``.
@@ -118,6 +158,7 @@ class Module:
                     f"shape mismatch for {name!r}: checkpoint {value.shape} vs model {param.data.shape}"
                 )
             param.data[...] = value
+            _note_write()
 
     # ------------------------------------------------------------------
     # Calling

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
 from repro.core import FeatureEnrichment, InferenceEncoder, TrajCL, TrajCLConfig
 from repro.core import infer
 from repro.core.infer import resolve_dtype
@@ -127,6 +128,51 @@ class TestBucketing:
         np.testing.assert_allclose(one[0], batch[0], rtol=1e-9, atol=1e-12)
 
 
+def add_in_place(model):
+    param = model.encoder.parameters()[0]
+    param.data += 0.05
+
+
+def load_shifted_state(model):
+    state = model.encoder.state_dict()
+    model.encoder.load_state_dict({name: value + 0.05
+                                   for name, value in state.items()})
+
+
+def optimiser_step(optimiser):
+    def step(model):
+        params = model.encoder.parameters()
+        for param in params:
+            param.grad = np.full_like(param.data, 0.5)
+        optimiser(params, lr=0.05).step()
+        model.encoder.zero_grad()
+    return step
+
+
+def swap_features(model):
+    features = model.features
+    cells = np.random.default_rng(9).standard_normal(
+        features.cell_embeddings.shape)
+    model.features = FeatureEnrichment(features.grid, cells,
+                                       max_len=features.max_len)
+
+
+def swap_cell_table(model):
+    model.features.cell_embeddings = np.random.default_rng(9).standard_normal(
+        model.features.cell_embeddings.shape)
+
+
+#: every way the weights or tables a compiled engine copied can change
+WRITES = {
+    "data_iadd": add_in_place,
+    "load_state_dict": load_shifted_state,
+    "sgd_step": optimiser_step(nn.SGD),
+    "adam_step": optimiser_step(nn.Adam),
+    "features": swap_features,
+    "cell_table": swap_cell_table,
+}
+
+
 class TestEngineLifecycle:
     def test_engine_cached_until_weights_change(self, small_setup,
                                                 mixed_trajectories):
@@ -151,6 +197,38 @@ class TestEngineLifecycle:
             rtol=1e-10, atol=1e-12,
         )
         assert np.abs(after - reference).max() <= 1e-5 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("write", list(WRITES), ids=list(WRITES))
+    def test_every_write_path_recompiles(self, small_setup,
+                                         mixed_trajectories, write):
+        config, features, _ = small_setup
+        model = TrajCL(FeatureEnrichment(features.grid,
+                                         features.cell_embeddings,
+                                         max_len=config.max_len),
+                       config, rng=np.random.default_rng(7))
+        before = model.encode(mixed_trajectories)
+        first = model._inference_cache["float32"]
+        WRITES[write](model)
+        after = model.encode(mixed_trajectories)
+        assert model._inference_cache["float32"] is not first
+        assert not np.allclose(before, after)
+        reference = model.encode(mixed_trajectories, fast=False,
+                                 dtype="float64")
+        assert np.abs(after - reference).max() <= 1e-5 * np.abs(reference).max()
+
+    def test_cache_hit_reads_no_weight(self, small_setup, mixed_trajectories,
+                                       monkeypatch):
+        model = make_model(small_setup)
+        expected = model.encode(mixed_trajectories)
+        first = model._inference_cache["float32"]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cache hit walked the weights")
+
+        monkeypatch.setattr(nn.Module, "named_parameters", forbidden)
+        monkeypatch.setattr(InferenceEncoder, "from_model", forbidden)
+        assert model.encode(mixed_trajectories).tobytes() == expected.tobytes()
+        assert model._inference_cache["float32"] is first
 
     def test_dtype_resolution(self):
         assert resolve_dtype(None) == np.float32  # the serving dtype
@@ -193,6 +271,32 @@ def walks(lengths, seed):
             for n in lengths]
 
 
+def count_calls(monkeypatch, cls, *names):
+    """Wrap ``cls``'s methods ``names`` to count their calls: counted, not
+    timed."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    return counts
+
+
+def query_scaled(small_setup, variant="dual"):
+    """Query weights x30: logits reach ~250, past float32 ``exp``'s 88.7
+    (not float64's 709), so float32 attention takes the shifted path."""
+    model = make_model(small_setup, variant)
+    for name, param in model.encoder.named_parameters():
+        if "w_query" in name:
+            param.data *= 30.0
+    return model
+
+
 class TestForwardLaws:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -201,11 +305,16 @@ class TestForwardLaws:
         variant=st.sampled_from(["dual", "msm", "concat"]),
         dtype=st.sampled_from(["float64", "float32"]),
         batch_size=st.sampled_from([4, 256]),
+        past_exp_range=st.booleans(),
     )
     def test_row_equals_single_encode(self, small_setup, lengths, seed,
-                                      variant, dtype, batch_size):
-        """Padding width, bucket mates and the derived step are invisible."""
-        model = make_model(small_setup, variant)
+                                      variant, dtype, batch_size,
+                                      past_exp_range):
+        """Padding width, bucket mates and the derived step are invisible
+        — also when a bucket's attention falls back to the shifted
+        softmax and a row alone does not."""
+        model = (query_scaled if past_exp_range else make_model)(
+            small_setup, variant)
         batch = walks(lengths, seed)
         together = model.encode(batch, dtype=dtype, batch_size=batch_size)
         alone = np.concatenate([model.encode([t], dtype=dtype) for t in batch])
@@ -222,6 +331,49 @@ class TestForwardLaws:
             model.encode(batch, dtype="float64"),
             model.encode(batch, fast=False, dtype="float64"),
             rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["dual", "msm", "concat"])
+    def test_float32_past_exp_range_takes_the_shifted_path(
+            self, small_setup, mixed_trajectories, variant, monkeypatch):
+        model = query_scaled(small_setup, variant)
+        reference = model.encode(mixed_trajectories, fast=False,
+                                 dtype="float64")
+        counts = count_calls(monkeypatch, infer._Attention,
+                             "coefficients", "_logits")
+        served = model.encode(mixed_trajectories)
+        assert counts["_logits"] > counts["coefficients"]   # recomputed
+        assert np.isfinite(served).all()
+        scale = np.abs(reference).max()
+        assert np.abs(served - reference).max() <= 1e-5 * scale
+        # float64's exp has the range: no attention is computed twice
+        counts.update(coefficients=0, _logits=0)
+        np.testing.assert_allclose(
+            model.encode(mixed_trajectories, dtype="float64"), reference,
+            rtol=1e-10, atol=1e-12)
+        assert counts["_logits"] == counts["coefficients"]
+
+    def test_weights_and_sums_split_freely(self, small_setup,
+                                           mixed_trajectories, monkeypatch):
+        """Only ``weights · reciprocal`` is the attention: sums 60 decades
+        apart (the structural map's x1e30, the spatial one's x1e-30)
+        overflow Eq. 15's fused factor ``γ r_s / r_t`` in float32, and the
+        DualSTB must normalise each map on its own instead."""
+        model = make_model(small_setup)
+        expected = model.encode(mixed_trajectories)
+        plain = infer._Attention.coefficients
+
+        def split(self, x, batch, bias):
+            weights, reciprocal, value = plain(self, x, batch, bias)
+            shift = np.float32(1e-30 if value.shape[-1] == 1 else 1e30)
+            weights *= shift
+            reciprocal /= shift
+            return weights, reciprocal, value
+
+        monkeypatch.setattr(infer._Attention, "coefficients", split)
+        served = model.encode(mixed_trajectories)
+        assert np.isfinite(served).all()
+        np.testing.assert_allclose(served, expected, rtol=1e-4,
+                                   atol=1e-5 * np.abs(expected).max())
 
     def test_logits_beyond_exp_range(self, small_setup, mixed_trajectories):
         """Logits in the 1e5s: without the per-query max shift ``exp``
@@ -332,23 +484,17 @@ class TestDeadBlock:
         """2 DualSTB x 2 spatial blocks: six attention maps, and five
         residual blocks, not six — counted, not timed."""
         engine = dual_model(small_setup, 2, 2).inference_encoder()
-        counts = {"coefficients": 0, "residual": 0}
-
-        def counted(name, function):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return function(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(infer._Attention, "coefficients", counted(
-            "coefficients", infer._Attention.coefficients))
-        monkeypatch.setattr(infer._Residual, "__call__", counted(
-            "residual", infer._Residual.__call__))
+        attention = count_calls(monkeypatch, infer._Attention, "coefficients")
+        residual = count_calls(monkeypatch, infer._Residual, "__call__")
         engine.encode(walks([12] * 4, seed=32))     # one bucket, one forward
-        assert counts == {"coefficients": 6, "residual": 5}
+        assert (attention["coefficients"], residual["__call__"]) == (6, 5)
 
 
 class TestAttentionLayout:
+    """``coefficients`` hands back unnormalised weights (keys outermost)
+    and the reciprocals of their row sums: weights · reciprocal is the
+    plain softmax, 0 at masked keys."""
+
     @pytest.mark.parametrize("padded", [False, True])
     @pytest.mark.parametrize("head_dim", [1, 16])
     def test_keys_outermost_contiguous_rows_sum_to_one(self, head_dim,
@@ -366,12 +512,15 @@ class TestAttentionLayout:
         if padded:
             bias = np.where(valid, 0.0, -1e9).astype(np.float32)
             bias = bias.T[:, :, None, None]
-        attention, value = attn.coefficients(x, batch, bias)
-        assert attention.shape == (seq_len, batch, heads, seq_len)
-        assert attention.flags.c_contiguous
+        weights, reciprocal, value = attn.coefficients(x, batch, bias)
+        assert weights.shape == (seq_len, batch, heads, seq_len)
+        assert weights.flags.c_contiguous
+        assert reciprocal.shape == (batch, heads, seq_len)
         assert value.shape == (batch, heads, seq_len, head_dim)
+        assert (weights[~valid.T] == 0.0).all()
+        # the weights times their reciprocal sums are the attention
+        attention = weights * reciprocal
         np.testing.assert_allclose(attention.sum(axis=0), 1.0, rtol=1e-5)
-        assert (attention[~valid.T] == 0.0).all()
         # axis 0 is the key: the plain softmax(Q K^T / sqrt(hd)) transposed
         x64 = x.astype(np.float64).reshape(batch, seq_len, dim)
 
@@ -390,8 +539,12 @@ class TestAttentionLayout:
 
 # ----------------------------------------------------------------------
 # Golden bits: the served float32 embeddings of one fixed model, pinned
-# as digests taken on the tree before the dead block was cut, the
-# head_dim-1 logits re-laid and featurisation turned into one gather
+# as digests. Re-recorded (`make golden-bits`, both kernel families) when
+# softmax dropped its max shift and its normalisers moved: exp of the
+# unshifted logits, 1/Σ applied to the contexts instead of the weights,
+# and γ·r_s/r_t as one factor on Eq. 15's spatial weights round
+# differently; each row stays within the parity tolerance of the float64
+# graph.
 # ----------------------------------------------------------------------
 def _float32_kernels() -> str:
     """Names the float32 matmul / exp kernels this process runs (OpenBLAS
@@ -407,14 +560,14 @@ def _float32_kernels() -> str:
 #: batch_size 1, 7 and 256
 _GOLDEN = {
     "204a67683f6d0549": {   # OpenBLAS SkylakeX
-        1: "db9bc616ab027fdf6f833b3890baec7d6ccf1badaa96f7c8962e548f75398ec6",
-        7: "47a6d8086b4f1fc8ac528e2f82a2a42803f18e633f2552a02ebd5ae6752a9c84",
-        256: "802485fa5a5d418fda64ef4496aded51bbd3c8d8d436f1a842659a86138ce6e9",
+        1: "f726b8ee0826ccc4aa1ac7b12c058c7e8214e8496464fb33b2336caa8534b879",
+        7: "fa34e3174fae9b73c2ee30e6fa5390c31289c3c5feb6c51967a9138e678ac9d3",
+        256: "0d603bf62443d914211e2f9342a4f73524a740fac5df6228643e5477bb82f2bf",
     },
     "87ed5b28fb61a90e": {   # OpenBLAS Haswell / Zen
-        1: "ad41f8d39bb6370a5fa891293f2cd0ed829a93a9437b9c6f145236f5ce6a7506",
-        7: "8ac1978c753b348520d33151da10cfc977c0e7caef28701cc394d4af88e44061",
-        256: "9cdec7b5c30b0ecd7c3d56f24494db405ca7376340cfa17aca2b6f19f2a1d0ce",
+        1: "37c6b44bd6028b1ae42c46be0fa654f4a4d69c350b15539e812ec3e6fd80711c",
+        7: "c76ac1dee738945b3933c5c4e15cd947e28d3fca426b972cd0db6d72a9dcfd9e",
+        256: "ebcdf37992a2e35e3a6d287c1f04181d86c039d398974f3f1775b52cc49b70cf",
     },
 }
 

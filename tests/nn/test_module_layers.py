@@ -51,6 +51,29 @@ class TestModule:
         net.zero_grad()
         assert all(p.grad is None for p in net.parameters())
 
+    def test_parameter_version_moves_on_writes_not_reads(self):
+        net = TinyNet(np.random.default_rng(0))
+        version = nn.parameter_version()
+
+        def moved():
+            nonlocal version
+            previous, version = version, nn.parameter_version()
+            return version != previous
+
+        net(nn.tensor(randn(2, 4))).sum().backward()
+        net.state_dict()
+        assert not moved()                  # a forward, a backward, a copy
+        net.fc1.weight.data += 1.0
+        assert moved()                      # augmented assignment assigns
+        net.fc1.bias.data[...] = 0.0
+        assert not moved()                  # a write through a view is unseen
+        net.load_state_dict(net.state_dict())
+        assert moved()
+        nn.SGD(net.parameters(), lr=0.1).step()
+        assert moved()
+        nn.Adam(net.parameters(), lr=0.1).step()
+        assert moved()
+
     def test_state_dict_roundtrip(self):
         net_a = TinyNet(np.random.default_rng(1))
         net_b = TinyNet(np.random.default_rng(2))
