@@ -31,9 +31,10 @@ test-all: lint
 	$(MAKE) bench-e2e-smoke
 
 # Concurrency-aware static analysis over src/ (see src/repro/analysis):
-# unlocked shared writes, blocking calls under locks (a class's locks
-# include its base classes'), pickle/registry/npz invariants. Exits
-# nonzero on any finding. Lock order is test-sanitized's.
+# unlocked shared writes, daemon-less threads, blocking calls under
+# locks (a class's locks include its base classes'), suppression
+# hygiene. Exits nonzero on any finding. Lock order is test-sanitized's;
+# the other source contracts are tier-1 laws.
 lint:
 	$(PYTHON) -m repro lint src
 

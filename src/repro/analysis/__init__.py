@@ -3,13 +3,15 @@
 Two halves, one question each:
 
 * ``repro lint`` (see :mod:`.core`, :mod:`.concurrency`,
-  :mod:`.invariants`, :mod:`.lint_cli`): stdlib ``ast`` checkers for
-  what only a static pass can say about concurrency (unlocked shared
-  writes, daemon-less threads, blocking calls under a lock — a class's
-  locks include its base classes') and repo invariants (pickle
-  boundary, registry dispatch, mutable defaults, bare except, embedding
-  dtype, npz ``format_version``), with linted ``# repro: allow[RULE] reason``
-  suppressions;
+  :mod:`.lint_cli`): stdlib ``ast`` checkers for what only a static pass
+  can say about concurrency (unlocked shared writes, daemon-less
+  threads, blocking calls under a lock — a class's locks include its
+  base classes'), with linted ``# repro: allow[RULE] reason``
+  suppressions. The repo's other contracts are tier-1 laws on the
+  property itself: float32 compressed scans (``tests/index/test_ann.py``),
+  no difference cube in a scan (``tests/index/test_index.py``), no
+  scipy/networkx on import (``tests/test_import_graph.py``) and no
+  pickle (``tests/test_no_pickle.py``);
 * the runtime lock-order sanitizer (see :mod:`.sanitizer`), enabled by
   ``REPRO_LOCK_SANITIZER=1`` (``make test-sanitized``, ``test-all``):
   the only lock-*order* check — it order-checks real acquisitions and
@@ -17,14 +19,12 @@ Two halves, one question each:
 
 The names below resolve on first access (PEP 562, like ``repro``
 itself): registering ``repro lint``'s four options costs a serving
-process nothing, and resolving any ``core`` name first imports every
+process nothing, and resolving any ``core`` name first imports the
 checker module, so the rule registry is complete by the time it is read.
 """
 
 from importlib import import_module
 
-#: modules whose import registers their rules with :mod:`.core`
-_CHECKER_MODULES = ("concurrency", "invariants")
 #: re-exported name -> the submodule that defines it
 _REEXPORTS = {
     **dict.fromkeys((
@@ -58,8 +58,7 @@ def __getattr__(name: str):
     if name not in _REEXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if _REEXPORTS[name] == "core":
-        for checker in _CHECKER_MODULES:
-            import_module(f"{__name__}.{checker}")
+        import_module(f"{__name__}.concurrency")  # registers the lock rules
     value = getattr(import_module(f"{__name__}.{_REEXPORTS[name]}"), name)
     globals()[name] = value
     return value

@@ -1,18 +1,21 @@
 """The checker framework behind ``repro lint``.
 
-Stdlib-only (:mod:`ast` + :mod:`tokenize`) static analysis tuned to
-this repo's invariants. The moving parts:
+Stdlib-only (:mod:`ast` + :mod:`tokenize`) static analysis of what
+only a static pass can say: how the serving stack holds its locks. The
+repo's other contracts (float32 scans, no pickle, no scipy at start-up,
+no difference cube) are tier-1 laws on the behaviour itself. The moving
+parts:
 
 * :class:`Rule` — one lintable defect class: stable id (``C2xx``
-  concurrency, ``R3xx`` repo invariants, ``S0xx`` suppression hygiene,
-  ``E0xx`` framework), severity, summary and a fix hint;
+  concurrency, ``S0xx`` suppression hygiene, ``E0xx`` framework),
+  severity, summary and a fix hint;
 * :class:`Finding` — one occurrence of a rule at ``path:line:col``;
 * :class:`Checker` — a registered visitor producing findings, either
   per-file (:meth:`Checker.check_file`) or across the whole file set
   (:meth:`Checker.check_project` — the lock rules resolve a class's
   base classes by name across it);
-* :class:`FileContext` — one parsed file: source, AST (with parent
-  links) and its suppression comments;
+* :class:`FileContext` — one parsed file: source, AST and its
+  suppression comments;
 * :func:`lint_paths` — the runner: discover files, run every enabled
   checker, apply suppressions, append the suppression-hygiene findings,
   and return a :class:`LintReport`.
@@ -101,6 +104,12 @@ class Finding:
         }
 
 
+def _finding(rule: Rule, path: str, line: int, col: int, message: str) -> Finding:
+    return Finding(path=path, line=line, col=col, rule=rule.id,
+                   severity=rule.severity, message=message,
+                   fix_hint=rule.fix_hint)
+
+
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
@@ -164,38 +173,12 @@ class FileContext:
         self.path = path
         self.display_path = display_path or path
         self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
-        for node in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(node):
-                child._repro_parent = node  # parent links for scope walks
         self.suppressions = _parse_suppressions(self.display_path, source)
 
-    @property
-    def module_name(self) -> str:
-        return os.path.splitext(os.path.basename(self.path))[0]
-
-    @staticmethod
-    def parent(node: ast.AST) -> Optional[ast.AST]:
-        return getattr(node, "_repro_parent", None)
-
-    def enclosing(self, node: ast.AST, kinds) -> Optional[ast.AST]:
-        """The nearest ancestor of ``node`` matching ``kinds`` (or None)."""
-        current = self.parent(node)
-        while current is not None and not isinstance(current, kinds):
-            current = self.parent(current)
-        return current
-
     def finding(self, rule: Rule, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            path=self.display_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=rule.id,
-            severity=rule.severity,
-            message=message,
-            fix_hint=rule.fix_hint,
-        )
+        return _finding(rule, self.display_path, getattr(node, "lineno", 1),
+                        getattr(node, "col_offset", 0) + 1, message)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +201,8 @@ _CHECKERS: List[Checker] = []
 #: framework rules not owned by any registered checker
 PARSE_RULE = Rule(
     "E001", "error", "file does not parse",
-    "fix the syntax error; nothing else can be checked until it parses",
+    "fix the syntax error (sources are UTF-8); nothing else can be "
+    "checked until it parses",
 )
 MISSING_REASON_RULE = Rule(
     "S001", "error",
@@ -280,7 +264,8 @@ class LintReport:
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
-    """Expand files/directories to a sorted, deduplicated ``.py`` list."""
+    """Expand files/directories to a sorted ``.py`` list in which each
+    file appears once, however many of ``paths`` reach it."""
     out = []
     for path in paths:
         if os.path.isdir(path):
@@ -298,8 +283,9 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
             raise FileNotFoundError(f"not a python file or directory: {path}")
     seen, unique = set(), []
     for path in out:
-        if path not in seen:
-            seen.add(path)
+        key = os.path.realpath(path)  # "dup/bad.py" is "./dup/bad.py"
+        if key not in seen:
+            seen.add(key)
             unique.append(path)
     return unique
 
@@ -332,20 +318,21 @@ def lint_paths(
         display = os.path.relpath(path, base)
         if display.startswith(".." + os.sep):
             display = path
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
         try:
-            contexts.append(FileContext(path, source, display_path=display))
+            with open(path, encoding="utf-8") as handle:
+                contexts.append(FileContext(path, handle.read(),
+                                            display_path=display))
+        except UnicodeDecodeError as error:
+            findings.append(_finding(PARSE_RULE, display, 1, 1,
+                                     f"not UTF-8: {error}"))
         except SyntaxError as error:
-            findings.append(Finding(
-                path=display, line=error.lineno or 1,
-                col=(error.offset or 0) or 1,
-                rule=PARSE_RULE.id, severity=PARSE_RULE.severity,
-                message=f"syntax error: {error.msg}",
-                fix_hint=PARSE_RULE.fix_hint,
-            ))
+            findings.append(_finding(PARSE_RULE, display, error.lineno or 1,
+                                     error.offset or 1,
+                                     f"syntax error: {error.msg}"))
 
     ran = {PARSE_RULE.id, MISSING_REASON_RULE.id}
+    if selected is None:
+        ran.add(UNUSED_SUPPRESSION_RULE.id)
     for checker in _CHECKERS:
         ids = {rule.id for rule in checker.rules}
         if selected is not None and not ids & selected:
@@ -381,24 +368,16 @@ def lint_paths(
     # runs) actually silences something.
     for suppression in suppressions:
         if not suppression.reason:
-            kept.append(Finding(
-                path=suppression.path, line=suppression.comment_line, col=1,
-                rule=MISSING_REASON_RULE.id,
-                severity=MISSING_REASON_RULE.severity,
-                message=(f"suppression of {sorted(suppression.rules)} "
-                         "carries no reason"),
-                fix_hint=MISSING_REASON_RULE.fix_hint,
-            ))
+            kept.append(_finding(
+                MISSING_REASON_RULE, suppression.path, suppression.comment_line,
+                1, f"suppression of {sorted(suppression.rules)} carries no "
+                "reason"))
         if selected is None and not suppression.used:
-            ran.add(UNUSED_SUPPRESSION_RULE.id)
-            kept.append(Finding(
-                path=suppression.path, line=suppression.comment_line, col=1,
-                rule=UNUSED_SUPPRESSION_RULE.id,
-                severity=UNUSED_SUPPRESSION_RULE.severity,
-                message=(f"suppression of {sorted(suppression.rules)} on "
-                         f"line {suppression.target_line} silences nothing"),
-                fix_hint=UNUSED_SUPPRESSION_RULE.fix_hint,
-            ))
+            kept.append(_finding(
+                UNUSED_SUPPRESSION_RULE, suppression.path,
+                suppression.comment_line, 1,
+                f"suppression of {sorted(suppression.rules)} on line "
+                f"{suppression.target_line} silences nothing"))
 
     kept.sort(key=Finding.sort_key)
     return LintReport(

@@ -12,8 +12,8 @@ search of width ``ef_search`` over layer 0.
 
 ``distance_evaluations`` counts every vector-distance computation so the
 benchmarks can demonstrate sub-linear scanning versus the brute-force
-``N`` per query. Scan arithmetic is float32 end to end (lint rule R309
-guards this module).
+``N`` per query. Scan arithmetic is float32 end to end (the law is
+``tests/index/test_ann.py::test_compressed_search_distances_stay_float32``).
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ Two optional stages trade memory back for recall:
   against it before answering.
 
 Everything here is float32 — training vectors, codebooks, LUTs, ADC
-accumulators and outputs — and codes stay uint8 (lint rule R309 guards
-this module); sub-space assignment, the LUTs and the re-rank all go
-through :mod:`repro.index.distance`.
+accumulators and outputs — and codes stay uint8 (the law is
+``tests/index/test_ann.py::test_compressed_search_distances_stay_float32``);
+sub-space assignment, the LUTs and the re-rank all go through
+:mod:`repro.index.distance`.
 """
 
 from __future__ import annotations

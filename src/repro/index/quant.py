@@ -6,7 +6,8 @@ residency of :class:`~repro.index.bruteforce.BruteForceIndex` (4× over
 float32). Queries are quantized onto the same grid and distances are
 computed symmetrically in the integer domain: int16 code differences
 weighted per dimension by ``scale``. All scan intermediates stay
-int16/float32 — never float64 (lint rule R309 guards this module).
+int16/float32 — never float64 (the law is
+``tests/index/test_ann.py::test_compressed_search_distances_stay_float32``).
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ def save_state(path: str, module_or_state) -> None:
         state = dict(module_or_state)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    # repro: allow[R306] raw parameter-name -> array container; the schema IS the parameter names, versioned by the model code that owns them
+    # No format_version: the schema is the parameter names, versioned by
+    # the model code that owns them (a core.checkpoint pipeline state
+    # carries its version in its meta entry).
     np.savez_compressed(path, **state)
 
 

@@ -11,9 +11,8 @@ from repro.analysis import lint_paths
 def lint_source(tmp_path):
     """Write ``source`` to a temp file and lint it; returns the report."""
 
-    def run(source, filename="snippet.py", rules=None):
-        path = tmp_path / filename  # may name a package: "index/ivf.py"
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def run(source, rules=None):
+        path = tmp_path / "snippet.py"
         path.write_text(textwrap.dedent(source))
         return lint_paths([str(path)], rules=rules)
 
@@ -24,8 +23,7 @@ def lint_source(tmp_path):
 def lint_rules(lint_source):
     """Like ``lint_source`` but returns just the set of fired rule ids."""
 
-    def run(source, filename="snippet.py", rules=None):
-        report = lint_source(source, filename=filename, rules=rules)
-        return {finding.rule for finding in report.findings}
+    def run(source, rules=None):
+        return {finding.rule for finding in lint_source(source, rules).findings}
 
     return run

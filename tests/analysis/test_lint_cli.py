@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis import lint_paths, rule_catalog
 from repro.analysis.lint_cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -74,18 +74,43 @@ def test_json_contract(bad_file, capsys):
 
 
 def test_rules_filter(bad_file, capsys):
-    assert main([str(bad_file), "--rules", "R304"]) == 0
-    assert main([str(bad_file), "--rules", "C203,R304"]) == 1
+    assert main([str(bad_file), "--rules", "C204"]) == 0
+    assert main([str(bad_file), "--rules", "C203,C204"]) == 1
 
 
 def test_list_rules(capsys):
+    """The catalog printed is exactly the registry's, each rule with its
+    severity, summary and fix hint; a full run runs every one of them."""
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("C202", "C203", "C204", "R301", "R306",
-                    "R308", "R309", "R310", "R311", "S001", "S002", "E001"):
-        assert rule_id in out
-    assert "R307" not in out  # folded into R301 when pickle left the wire
-    assert "C201" not in out  # lock order is the runtime sanitizer's
+    lines = capsys.readouterr().out.splitlines()
+    catalog = rule_catalog()
+    assert [line.split()[0] for line in lines[::2]] == sorted(catalog)
+    for head, hint in zip(lines[::2], lines[1::2]):
+        rule = catalog[head.split()[0]]
+        assert head.split(None, 2)[1:] == [rule.severity, rule.summary]
+        assert rule.fix_hint and hint.strip() == f"fix: {rule.fix_hint}"
+    assert lint_paths([], relative_to=str(REPO_ROOT)).rules == sorted(catalog)
+
+
+def test_overlapping_paths_lint_each_file_once(tmp_path, monkeypatch, capsys):
+    (tmp_path / "dup").mkdir()
+    (tmp_path / "dup" / "bad.py").write_text(textwrap.dedent(BAD))
+    monkeypatch.chdir(tmp_path)
+    assert main(["dup", "./dup", "dup/bad.py", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["files"] == 1
+    assert [f["rule"] for f in payload["findings"]] == ["C203"]
+
+
+def test_undecodable_file_is_a_finding_not_a_crash(tmp_path, good_file, capsys):
+    broken = tmp_path / "latin.py"
+    broken.write_bytes(b"x = '\xff'\n")
+    assert main([str(tmp_path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["files"] == 2
+    [finding] = payload["findings"]
+    assert finding["rule"] == "E001" and finding["path"].endswith("latin.py")
+    assert "UTF-8" in finding["message"]
 
 
 def test_repro_cli_exposes_lint(bad_file):

@@ -104,181 +104,6 @@ C204_GOOD = """
             return data
 """
 
-R301_BAD = """
-    import pickle
-
-    def thaw(blob):
-        return pickle.loads(blob)
-"""
-R301_GOOD = """
-    import json
-
-    def thaw(blob):
-        return json.loads(blob)
-"""
-
-R302_BAD = """
-    def make(name):
-        if name == "trajcl":
-            return object()
-        elif name == "hausdorff":
-            return object()
-        raise KeyError(name)
-"""
-R302_GOOD = """
-    from repro.api import get_backend
-
-    def make(name):
-        return get_backend(name)
-"""
-
-R303_BAD = """
-    def collect(item, seen=[]):
-        seen.append(item)
-        return seen
-"""
-R303_GOOD = """
-    def collect(item, seen=None):
-        if seen is None:
-            seen = []
-        seen.append(item)
-        return seen
-"""
-
-R304_BAD = """
-    def guarded(fn):
-        try:
-            return fn()
-        except:
-            return None
-"""
-R304_GOOD = """
-    def guarded(fn):
-        try:
-            return fn()
-        except Exception:
-            return None
-"""
-
-R305_BAD = """
-    import numpy as np
-
-    def normalize(embeddings):
-        return np.asarray(embeddings)
-"""
-R305_GOOD = """
-    import numpy as np
-
-    def normalize(embeddings):
-        return np.asarray(embeddings, dtype=np.float32)
-"""
-
-R306_BAD = """
-    import numpy as np
-
-    def save(path, arrays):
-        np.savez_compressed(path, **arrays)
-"""
-R306_GOOD = """
-    import numpy as np
-
-    def save(path, arrays):
-        np.savez_compressed(path, format_version=np.array(1), **arrays)
-"""
-
-R308_BAD = """
-    import time
-
-    def fetch(client):
-        for _ in range(5):
-            try:
-                return client.get()
-            except ConnectionError:
-                time.sleep(0.1)
-"""
-R308_GOOD = """
-    import time
-
-    def fetch(client):
-        delay = 0.1
-        for _ in range(5):
-            try:
-                return client.get()
-            except ConnectionError:
-                time.sleep(delay)
-                delay *= 2
-"""
-# A polling loop sleeps a constant but retries nothing: not a finding.
-R308_POLL = """
-    import time
-
-    def wait_ready(path):
-        while not path.exists():
-            time.sleep(0.1)
-"""
-
-# R309 is scoped to the index-kernel modules (quant/pq/hnsw, and the float
-# kernel's distance/bruteforce/kmeans); these snippets lint under
-# filename="quant.py" in their dedicated tests below.
-R309_BAD = """
-    import numpy as np
-
-    def adc_scan(codes, lut):
-        out = np.zeros((len(codes),))
-        for j in range(codes.shape[1]):
-            out += lut[j, codes[:, j]].astype(np.float64)
-        return out
-"""
-R309_GOOD = """
-    import numpy as np
-
-    def adc_scan(codes, lut):
-        out = np.zeros((len(codes),), dtype=np.float32)
-        for j in range(codes.shape[1]):
-            out += lut[j, codes[:, j]]
-        return out
-"""
-
-# R310 is scoped by directory (index/, api/, core/ — not distance.py);
-# these lint under filename="index/ivf.py" in their dedicated tests below.
-R310_BAD = """
-    import numpy as np
-
-    def scan(queries, data):
-        return np.abs(queries[:, None, :] - data[None, :, :]).sum(axis=2)
-"""
-R310_GOOD = """
-    from repro.index import distance
-
-    def scan(queries, data):
-        return distance.pairwise(queries, data, "l1")
-"""
-
-R311_BAD = """
-    import numpy as np
-    from scipy.spatial.distance import cdist
-
-    class Graph:
-        import networkx as nx
-
-    def gaps(a, b):
-        return cdist(a, b)
-"""
-R311_GOOD = """
-    import numpy as np
-
-    def gaps(a, b):
-        from scipy.spatial.distance import cdist
-
-        return cdist(a, b)
-
-    class Graph:
-        def to_networkx(self):
-            import networkx as nx
-
-            return nx.Graph()
-"""
-
 # The lock is created in a base class and taken in a subclass — the
 # sharding engine's shape (``_rpc_lock`` lives in the mixin, the
 # coordinator's critical sections in the subclass). ``*_SUBCLASS`` alone
@@ -326,38 +151,36 @@ C204_SUBCLASS_GOOD = """
                 self._sizes[0] = reply
 """
 
-GOLDEN = [
-    ("C202", C202_BAD, C202_GOOD),
-    ("C202", C202_MUTATOR_BAD, None),
-    ("C203", C203_BAD, C203_GOOD),
-    ("C204", C204_BAD, C204_GOOD),
-    ("R301", R301_BAD, R301_GOOD),
-    ("R302", R302_BAD, R302_GOOD),
-    ("R303", R303_BAD, R303_GOOD),
-    ("R304", R304_BAD, R304_GOOD),
-    ("R305", R305_BAD, R305_GOOD),
-    ("R306", R306_BAD, R306_GOOD),
-    ("R308", R308_BAD, R308_GOOD),
-    ("R308", R308_BAD, R308_POLL),
-    ("R311", R311_BAD, R311_GOOD),
-    # appended, never inserted: the row number is part of the test id
-    ("C202", LOCK_OWNING_BASE + C202_SUBCLASS,
-     LOCK_OWNING_BASE + C202_SUBCLASS_GOOD),
-    ("C202", LOCK_OWNING_BASE + C202_SUBCLASS, C202_SUBCLASS),
-    ("C204", LOCK_OWNING_BASE + C204_SUBCLASS,
-     LOCK_OWNING_BASE + C204_SUBCLASS_GOOD),
-    ("C204", LOCK_OWNING_BASE + C204_SUBCLASS, C204_SUBCLASS),
-]
+#: row number -> case; the number is part of the test id, so a new row
+#: takes the next free number and a deleted rule's rows leave a gap
+GOLDEN = {
+    0: ("C202", C202_BAD, C202_GOOD),
+    1: ("C202", C202_MUTATOR_BAD, None),
+    2: ("C203", C203_BAD, C203_GOOD),
+    3: ("C204", C204_BAD, C204_GOOD),
+    13: ("C202", LOCK_OWNING_BASE + C202_SUBCLASS,
+         LOCK_OWNING_BASE + C202_SUBCLASS_GOOD),
+    14: ("C202", LOCK_OWNING_BASE + C202_SUBCLASS, C202_SUBCLASS),
+    15: ("C204", LOCK_OWNING_BASE + C204_SUBCLASS,
+         LOCK_OWNING_BASE + C204_SUBCLASS_GOOD),
+    16: ("C204", LOCK_OWNING_BASE + C204_SUBCLASS, C204_SUBCLASS),
+}
 
 
 @pytest.mark.parametrize(
-    "rule,bad,good", GOLDEN,
-    ids=[f"{rule}-{n}" for n, (rule, _, _) in enumerate(GOLDEN)],
+    "rule,bad,good", GOLDEN.values(),
+    ids=[f"{rule}-{n}" for n, (rule, _, _) in GOLDEN.items()],
 )
 def test_rule_fires_on_bad_and_not_on_good(lint_rules, rule, bad, good):
     assert rule in lint_rules(bad)
     if good is not None:
         assert rule not in lint_rules(good)
+
+
+def test_every_checker_rule_has_a_golden_case():
+    framework = {"E001", "S001", "S002"}
+    assert {rule for rule, _, _ in GOLDEN.values()} == (
+        set(rule_catalog()) - framework)
 
 
 def test_parse_error_is_a_finding(lint_rules):
@@ -471,112 +294,6 @@ def test_c204_ignores_asyncio_locks(lint_rules):
     assert "C204" not in fired
 
 
-def test_r301_has_no_exempt_module(lint_rules):
-    # transport.py was the audited pickle boundary until the wire went
-    # pickle-free; a *fallback* function name excuses nothing either.
-    assert "R301" in lint_rules(R301_BAD, filename="transport.py")
-    assert "R301" in lint_rules("""
-        import pickle
-
-        def _encode_array_fallback(array):
-            return pickle.dumps(array)
-    """, filename="transport.py")
-
-
-def test_r301_flags_allow_pickle_numpy_load(lint_rules):
-    fired = lint_rules("""
-        import numpy as np
-
-        def thaw(path):
-            return np.load(path, allow_pickle=True)
-    """)
-    assert "R301" in fired
-
-
-def test_r302_single_comparison_is_not_dispatch(lint_rules):
-    fired = lint_rules("""
-        def is_default(name):
-            if name == "trajcl":
-                return True
-            return False
-    """)
-    assert "R302" not in fired
-
-
-def test_r309_fires_only_in_quantized_modules(lint_rules):
-    assert "R309" in lint_rules(R309_BAD, filename="quant.py")
-    assert "R309" not in lint_rules(R309_GOOD, filename="quant.py")
-    # Same code outside quant/pq/hnsw is out of scope.
-    assert "R309" not in lint_rules(R309_BAD)
-
-
-def test_r309_ignores_training_code(lint_rules):
-    # train() is not a scan path: k-means over float64 is deliberate there.
-    fired = lint_rules("""
-        import numpy as np
-
-        def train(sample):
-            return sample.astype(np.float64)
-    """, filename="pq.py")
-    assert "R309" not in fired
-
-
-def test_r309_flags_dtype_kwarg_and_astype_float(lint_rules):
-    fired = lint_rules("""
-        import numpy as np
-
-        def search_layer(query, data):
-            acc = np.empty(len(data), dtype="float64")
-            return acc + data.astype(float)
-    """, filename="hnsw.py")
-    assert "R309" in fired
-
-
-def test_r309_names_every_dtype_in_the_float_kernel_modules(lint_rules):
-    # distance/bruteforce/kmeans keep the caller's dtype, so float64 is
-    # legitimate there — but never by default, in any function.
-    source = """
-        import numpy as np
-
-        def grow(rows, dim):
-            return np.empty((rows, dim))
-    """
-    for filename in ("distance.py", "bruteforce.py", "kmeans.py"):
-        assert "R309" in lint_rules(source, filename=filename)
-    assert "R309" not in lint_rules(source, filename="ivf.py")
-    assert "R309" not in lint_rules("""
-        import numpy as np
-
-        def grow(rows, dim, like):
-            wide = like.astype(np.float64)
-            return np.empty((rows, dim), dtype=np.float64), wide
-    """, filename="kmeans.py")
-
-
-def test_r310_fires_on_a_difference_cube_in_kernel_client_packages(lint_rules):
-    for filename in ("index/ivf.py", "api/service.py", "core/infer.py"):
-        assert "R310" in lint_rules(R310_BAD, filename=filename)
-        assert "R310" not in lint_rules(R310_GOOD, filename=filename)
-    # either operand order, np.newaxis spelled out
-    assert "R310" in lint_rules("""
-        import numpy as np
-
-        def cross(a, b):
-            return b[np.newaxis, :, :] - a[:, np.newaxis, :]
-    """, filename="index/hnsw.py")
-
-
-def test_r310_leaves_the_kernel_and_other_packages_alone(lint_rules):
-    assert "R310" not in lint_rules(R310_BAD, filename="index/distance.py")
-    assert "R310" not in lint_rules(R310_BAD, filename="measures/edwp.py")
-    assert "R310" not in lint_rules(R310_BAD)
-    # one vector against many, or the same axis inserted twice: no cube
-    assert "R310" not in lint_rules("""
-        def gaps(query, data, other):
-            return data - query[None, :], data[:, None, :] - other[:, None, :]
-    """, filename="index/ivf.py")
-
-
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
@@ -633,11 +350,10 @@ def test_suppression_matches_only_named_rules(lint_rules):
 # ----------------------------------------------------------------------
 # Catalog invariants
 # ----------------------------------------------------------------------
-def test_catalog_has_at_least_ten_rules_with_hints():
+def test_catalog_lists_every_rule_once_with_summary_and_hint():
     rules = all_rules()
-    assert len(rules) == 16  # the README table lists exactly these
     assert len({rule.id for rule in rules}) == len(rules)
     for rule in rules:
         assert rule.severity in ("error", "warning")
-        assert rule.summary
+        assert rule.summary and rule.fix_hint
     assert set(rule_catalog()) == {rule.id for rule in rules}

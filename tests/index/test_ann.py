@@ -126,6 +126,27 @@ class TestRecallFloors:
             ground_truth, index.search(queries, 10, n_probe=8)[1]) >= 0.7
 
 
+@pytest.mark.parametrize("factory", [
+    lambda dim: Int8FlatIndex(dim),
+    lambda dim: Int8FlatIndex(dim, metric="l2"),
+    lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32),
+    lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32, coarse_lists=4),
+    lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32,
+                        refine_dtype="float16"),
+    lambda dim: HNSWIndex(dim),
+], ids=["int8", "int8-l2", "pq", "ivf-pq", "pq-refine16", "hnsw"])
+def test_compressed_search_distances_stay_float32(corpus, factory):
+    """A compressed scan never widens to float64: that would double its
+    working set and hand the caller 8-byte distances."""
+    data, queries = (part.astype(np.float32) for part in corpus)
+    index = factory(data.shape[1])
+    if hasattr(index, "train"):
+        index.train(data[:400], rng=np.random.default_rng(0))
+    index.add(data[:400])
+    distances, ids = index.search(queries, 5)
+    assert distances.dtype == np.float32 and ids.dtype == np.int64
+
+
 class TestDeterminism:
     def test_pq_fixed_seed_reproduces(self, corpus):
         data, queries = corpus

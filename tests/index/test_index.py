@@ -1,5 +1,7 @@
 """Tests for brute-force / IVF vector indexes and the segment Hausdorff index."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,33 @@ class TestIVFFlatIndex:
         index.add(data)
         _, indices = index.search(data[:1], k=3)
         np.testing.assert_array_equal(indices[0], [0, 1, 2])
+
+
+@pytest.mark.parametrize("factory", [
+    lambda dim: BruteForceIndex(dim),
+    lambda dim: IVFFlatIndex(dim, n_lists=2, n_probe=2),
+], ids=["bruteforce", "ivf"])
+def test_search_allocates_no_difference_cube(factory):
+    """Distances come from the blocked kernel, so a search holds its
+    result rows and a cache-sized scratch: less than half of one query's
+    (n, d) differences, where a (q, n, d) cube is 2q times that."""
+    rng = np.random.default_rng(6)
+    n, dim = 16384, 64
+    data = rng.standard_normal((n, dim)).astype(np.float32)
+    queries = rng.standard_normal((8, dim)).astype(np.float32)
+    index = factory(dim)
+    if hasattr(index, "train"):
+        index.train(data[:2048], rng=rng)
+    index.add(data)
+    index.search(queries[:1], 10)  # imports, caches
+
+    tracemalloc.start()
+    try:
+        index.search(queries, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * dim * data.itemsize // 2
 
 
 class TestIVFBackendIndex:

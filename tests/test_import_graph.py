@@ -59,6 +59,30 @@ def test_entry_point_loads_no_scipy_or_networkx(entry_point):
         assert loaded(modules, "repro.api", "repro.baselines") == []
 
 
+def test_no_module_loads_scipy_or_networkx_on_import():
+    """Not only the entry points: importing any module of the package
+    (``repro.graph``, ``repro.measures``, the baselines that load them)
+    loads neither library. The first module that does is named."""
+    modules = sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        .removesuffix(".__init__")
+        for path in (SRC / "repro").rglob("*.py") if path.stem != "__main__"
+    )
+    culprit = fresh_interpreter(f"""
+import importlib, json, sys
+
+culprit = None
+for name in {modules!r}:
+    importlib.import_module(name)
+    if any(m.split(".")[0] in ("scipy", "networkx") for m in sys.modules):
+        culprit = name
+        break
+print(json.dumps(culprit))
+""")
+    assert {"repro.graph.grid_graph", "repro.measures.base"} <= set(modules)
+    assert culprit is None
+
+
 def test_lazy_surface_still_works():
     report = fresh_interpreter("""
 import json, sys
@@ -213,7 +237,7 @@ with open(os.environ["PROBE_OUT"]) as handle:
 
 
 ANALYZERS = ["repro.analysis." + name for name in
-             ("core", "concurrency", "invariants", "sanitizer")]
+             ("core", "concurrency", "sanitizer")]
 
 
 def test_build_parser_loads_no_analyzer():
@@ -237,11 +261,13 @@ with contextlib.redirect_stdout(printed):
     status = main(["lint", "--list-rules"])
 rules = [line.split()[0] for line in printed.getvalue().splitlines()
          if line[:1].isalpha()]
-print(json.dumps({"status": status, "rules": rules,
-                  "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+from repro.analysis import rule_catalog
+print(json.dumps({"status": status, "rules": rules, "modules": modules,
+                  "catalog": sorted(rule_catalog())}))
 """)
     assert report["status"] == 0
-    assert len(report["rules"]) == len(set(report["rules"])) == 16
+    assert report["rules"] == report["catalog"]
     # running the linter is what loads the checkers (the sanitizer is the
     # runtime half: REPRO_LOCK_SANITIZER=1 loads it, lint does not)
-    assert set(ANALYZERS[:3]) <= set(report["modules"])
+    assert set(ANALYZERS[:2]) <= set(report["modules"])
