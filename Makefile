@@ -107,8 +107,10 @@ bench-index-smoke:
 	$(PYTHON) scripts/bench_index_smoke.py
 
 # Cold start: per entry point (numpy as the floor, repro, repro.index,
-# repro.api, .cluster, .gateway, repro.cli) the median import wall time,
-# ru_maxrss and loaded-module counts over fresh interpreters, plus a
+# repro.trajectory, repro.api, .cluster, .gateway, repro.cli) the median
+# import wall time, ru_maxrss and loaded-module counts over fresh
+# interpreters (run it with PYTHONDONTWRITEBYTECODE=1 on trees without
+# __pycache__: bytecode on one side only skews both columns), plus a
 # cluster-worker's exec-to-ready time and a trajcl cluster's two
 # recovery costs (join handshake ms + bytes per worker; rejoin() of a
 # 2000-trajectory worker from a replica), kept by label in the startup

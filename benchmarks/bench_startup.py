@@ -1,8 +1,8 @@
 """Cold-start benchmark: what a process pays to import what it serves.
 
 For each entry point — ``numpy`` (the floor), ``repro``, ``repro.index``,
-``repro.api``, ``repro.api.cluster``, ``repro.api.gateway``,
-``repro.cli`` — a fresh interpreter imports it and reports the import's
+``repro.trajectory``, ``repro.api``, ``repro.api.cluster``,
+``repro.api.gateway``, ``repro.cli`` — a fresh interpreter imports it and reports the import's
 wall time, ``ru_maxrss`` afterwards, and how many ``repro.*`` and
 third-party modules ended up in ``sys.modules``; the record keeps the
 median over ``--repeats`` interpreters. Then a real
@@ -42,8 +42,8 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 ENTRY_POINTS = [
-    "numpy", "repro", "repro.index", "repro.api", "repro.api.cluster",
-    "repro.api.gateway", "repro.cli",
+    "numpy", "repro", "repro.index", "repro.trajectory", "repro.api",
+    "repro.api.cluster", "repro.api.gateway", "repro.cli",
 ]
 
 _CHILD = """

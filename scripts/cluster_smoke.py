@@ -16,11 +16,9 @@ import tempfile
 
 from smoke_common import (
     TIMEOUT,
-    assert_no_shm_litter,
     fail,
     popen,
     run,
-    shm_segments,
     terminate,
     wait_for_ready,
 )
@@ -36,7 +34,6 @@ def neighbour_rows(text):
 
 def main() -> int:
     python = sys.executable
-    shm_baseline = shm_segments()
 
     with tempfile.TemporaryDirectory(prefix="repro-cluster-smoke-") as tmp:
         data = os.path.join(tmp, "city.npz")
@@ -114,10 +111,6 @@ def main() -> int:
                 terminate(front)
             for proc in worker_procs:
                 terminate(proc)
-    try:
-        assert_no_shm_litter(shm_baseline, "cluster-smoke")
-    except RuntimeError as error:
-        return fail(str(error))
     print("cluster-smoke: OK")
     return 0
 

@@ -31,8 +31,7 @@ import urllib.error
 import urllib.request
 
 from smoke_common import (
-    TIMEOUT, assert_no_shm_litter, fail, popen, repo_root, run,
-    shm_segments, terminate, wait_for_ready,
+    TIMEOUT, fail, popen, repo_root, run, terminate, wait_for_ready,
 )
 
 sys.path.insert(0, os.path.join(repo_root(), "src"))
@@ -57,7 +56,6 @@ def post_knn(url, body, timeout=TIMEOUT):
 
 def main() -> int:
     python = sys.executable
-    shm_baseline = shm_segments()
 
     with tempfile.TemporaryDirectory(prefix="repro-http-smoke-") as tmp:
         data = os.path.join(tmp, "city.npz")
@@ -194,10 +192,6 @@ def main() -> int:
                             f"{server.returncode} on SIGTERM")
         finally:
             terminate(server)
-    try:
-        assert_no_shm_litter(shm_baseline, "http-smoke")
-    except RuntimeError as error:
-        return fail(str(error))
     print("http-smoke: OK")
     return 0
 

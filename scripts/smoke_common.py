@@ -6,36 +6,12 @@ runs, the ready-file wait (instead of racing a server's bind) and the
 cleanup shutdown live here once.
 """
 
-import glob
 import os
 import subprocess
 import sys
 import time
 
 TIMEOUT = 120  # generous ceiling for a cold python start on a busy box
-
-#: the name shared-memory segments of the stack's former pipe side channel
-#: carried; the stack creates none now, and the smokes keep asserting that
-#: — the same pattern the e2e benchmark's leak check reads
-SHM_NAME_PREFIX = "repro_wire"
-
-
-def shm_segments() -> set:
-    """Names of live repro shared-memory segments (/dev/shm)."""
-    return {os.path.basename(path)
-            for path in glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}_*")}
-
-
-def assert_no_shm_litter(baseline: set, label: str) -> None:
-    """Raise if the run under test created segments it never unlinked.
-
-    Compared against a baseline snapshot so pre-existing litter from an
-    unrelated (or crashed) process cannot fail somebody else's smoke.
-    """
-    leaked = sorted(shm_segments() - baseline)
-    if leaked:
-        raise RuntimeError(
-            f"{label}: leaked shared-memory segments: {', '.join(leaked)}")
 
 
 def repo_root() -> str:

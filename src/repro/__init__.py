@@ -46,7 +46,7 @@ segment index) or ``SimilarityService(backend="t2vec",
 backend_kwargs={"trajectories": trajs})``.
 """
 
-from importlib import import_module
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -62,29 +62,15 @@ _SUBPACKAGES = (
     "eval",
     "api",
 )
-#: re-exported name -> the subpackage that defines it
+#: subpackage -> the names ``repro`` re-exports from it
 _REEXPORTS = {
-    "SimilarityService": "api",
-    "available_backends": "api",
-    "get_backend": "api",
-    "TrajCL": "core",
-    "TrajCLConfig": "core",
+    "api": ("SimilarityService", "available_backends", "get_backend"),
+    "core": ("TrajCL", "TrajCLConfig"),
 }
 
-__all__ = [*_SUBPACKAGES, *_REEXPORTS, "__version__"]
+__all__ = [*_SUBPACKAGES, *(name for names in _REEXPORTS.values()
+                            for name in names), "__version__"]
 
-
-def __getattr__(name: str):
-    # PEP 562: a serving process that imports ``repro.api`` should not pay
-    # for the baselines, datasets and evaluation harness it never calls.
-    if name in _SUBPACKAGES:
-        return import_module(f"{__name__}.{name}")
-    if name in _REEXPORTS:
-        value = getattr(import_module(f"{__name__}.{_REEXPORTS[name]}"), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+# PEP 562: a serving process that imports ``repro.api`` should not pay for
+# the baselines, datasets and evaluation harness it never calls.
+__getattr__, __dir__ = lazy_exports(globals(), _REEXPORTS, _SUBPACKAGES)

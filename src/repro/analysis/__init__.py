@@ -19,15 +19,15 @@ Two halves, one question each:
 
 The names below resolve on first access (PEP 562, like ``repro``
 itself): registering ``repro lint``'s four options costs a serving
-process nothing, and resolving any ``core`` name first imports the
-checker module, so the rule registry is complete by the time it is read.
+process nothing. The lock rules register when the rule registry is
+first read (:func:`.core.all_rules`, :func:`.core.lint_paths`).
 """
 
-from importlib import import_module
+from .._lazy import lazy_exports
 
-#: re-exported name -> the submodule that defines it
+#: submodule -> the names ``repro.analysis`` re-exports from it
 _REEXPORTS = {
-    **dict.fromkeys((
+    "core": (
         "Checker",
         "FileContext",
         "Finding",
@@ -37,8 +37,8 @@ _REEXPORTS = {
         "lint_paths",
         "register_checker",
         "rule_catalog",
-    ), "core"),
-    **dict.fromkeys((
+    ),
+    "sanitizer": (
         "ENV_VAR",
         "LockOrderError",
         "disable_lock_sanitizer",
@@ -48,21 +48,9 @@ _REEXPORTS = {
         "reset_lock_graph",
         "sanitizer_active",
         "sanitizer_enabled",
-    ), "sanitizer"),
+    ),
 }
 
-__all__ = list(_REEXPORTS)
+__all__ = [name for names in _REEXPORTS.values() for name in names]
 
-
-def __getattr__(name: str):
-    if name not in _REEXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if _REEXPORTS[name] == "core":
-        import_module(f"{__name__}.concurrency")  # registers the lock rules
-    value = getattr(import_module(f"{__name__}.{_REEXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__ = lazy_exports(globals(), _REEXPORTS)

@@ -224,10 +224,18 @@ def register_checker(cls):
     return cls
 
 
+def _checkers() -> List[Checker]:
+    """The registered checkers; the shipped lock rules register on the
+    first read, however this module was reached."""
+    from . import concurrency  # noqa: F401  (its import registers them)
+
+    return _CHECKERS
+
+
 def all_rules() -> List[Rule]:
     """Every shipped rule, framework rules included, sorted by id."""
     rules = list(_META_RULES)
-    for checker in _CHECKERS:
+    for checker in _checkers():
         rules.extend(checker.rules)
     return sorted(rules, key=lambda rule: rule.id)
 
@@ -333,7 +341,7 @@ def lint_paths(
     ran = {PARSE_RULE.id, MISSING_REASON_RULE.id}
     if selected is None:
         ran.add(UNUSED_SUPPRESSION_RULE.id)
-    for checker in _CHECKERS:
+    for checker in _checkers():
         ids = {rule.id for rule in checker.rules}
         if selected is not None and not ids & selected:
             continue

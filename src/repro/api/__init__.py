@@ -39,7 +39,7 @@ framed-message protocol in :mod:`repro.api.transport`; see each module's
 docstring for composition examples.
 """
 
-from importlib import import_module
+from .._lazy import lazy_exports
 
 #: submodule -> the names it defines that ``repro.api`` re-exports
 _EXPORTS = {
@@ -64,7 +64,6 @@ _EXPORTS = {
     "cluster": ("ClusterCoordinator", "ShardWorker"),
     "gateway": ("SimilarityGateway",),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "EMBEDDING",
@@ -116,22 +115,10 @@ __all__ = [
     "SimilarityGateway",
 ]
 
-
-def __getattr__(name: str):
-    # PEP 562: a process imports what it serves. A shard worker that takes
-    # ``repro.api.cluster`` pays for no HTTP gateway (``http.server``,
-    # ``ssl``); one fed vectors never loads the model code either. The
-    # stock backends register themselves when the registry is first asked
-    # (:func:`repro.api.registry.backend_spec`), not here.
-    if name in _EXPORTS or name == "wire":  # a submodule, by attribute
-        return import_module(f"{__name__}.{name}")
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{home}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+# PEP 562 (see :mod:`repro._lazy`): a process imports what it serves. A
+# shard worker that takes ``repro.api.cluster`` pays for no HTTP gateway
+# (``http.server``, ``ssl``) and no fault injection (``chaos``); one fed
+# vectors never loads the model code either. The stock backends register
+# themselves when the registry is first asked
+# (:func:`repro.api.registry.backend_spec`), not here.
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, ("wire",))

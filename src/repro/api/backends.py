@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..trajectory import Grid, as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.grid import Grid
+from ..trajectory.trajectory import TrajectoryLike, as_points
 from .protocols import (
     DISTANCE, EMBEDDING, BackendDescription, EmbeddingBackend, MeasureBackend,
 )

@@ -85,12 +85,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .backends import backend_state, restore_backend
-from .chaos import ChaosConfig, ChaosTransport
 from .protocols import SimilarityBackend
 from .remote import (
     ThreadedNodeServer,
@@ -113,6 +112,9 @@ from .transport import (
     TransportError,
     request,
 )
+
+if TYPE_CHECKING:
+    from .chaos import ChaosConfig
 
 __all__ = ["ShardWorker", "ClusterCoordinator", "run_worker",
            "SNAPSHOT_FORMAT_VERSION", "MANIFEST_NAME"]
@@ -289,8 +291,12 @@ class ClusterCoordinator(ShardMergeMixin):
         self._connect_wait = float(retry_wait)
         self._rereplicate_enabled = bool(rereplicate)
         self._rereplications = 0
-        self._chaos = (ChaosConfig.from_spec(chaos)
-                       if isinstance(chaos, str) else chaos)
+        if isinstance(chaos, str):
+            # fault injection loads only where it is asked for
+            from .chaos import ChaosConfig
+
+            chaos = ChaosConfig.from_spec(chaos)
+        self._chaos = chaos
         self._chaos_children = 0
         self._last_snapshot: Optional[str] = None
         self._stop = threading.Event()
@@ -318,6 +324,8 @@ class ClusterCoordinator(ShardMergeMixin):
             *address, retries=self._connect_retries,
             retry_wait=self._connect_wait)
         if self._chaos is not None and self._chaos.active:
+            from .chaos import ChaosTransport
+
             # Distinct per-connection seed: the fault schedules of
             # different links are decorrelated but still reproducible.
             self._chaos_children += 1
@@ -610,6 +618,8 @@ class ClusterCoordinator(ShardMergeMixin):
         return result
 
     def _chaos_stats(self) -> Dict:
+        from .chaos import ChaosTransport
+
         total = {"drops": 0, "truncations": 0, "latency": 0, "kills": 0,
                  "operations": 0}
         for link in self._links:

@@ -25,11 +25,14 @@ the inverted lists in id order and the next search re-trains on them.
 ``len``, ``memory_bytes``, ``stats()`` and ``state()`` never train.
 
 **A declaration** is what each public class holds: ``name``, ``exact``,
-the ``structure`` class, and ``defaults`` — the keyword → default table
+the ``structure`` it wraps, and ``defaults`` — the keyword → default table
 that is the constructor's signature *and* the snapshot's meta — plus
 only what truly differs (``rows_key``, ``clamped``, two ``stats``
-extras). The storage format of a trained structure belongs to
-:mod:`repro.index` (``export`` / ``restore``); nothing here reads a
+extras). ``structure`` is a name, ``"module.Class"`` under
+:mod:`repro.index`, imported when an index first needs the class: a
+process loads the structures it builds, and a sharded owner, which
+builds none, loads none. The storage format of a trained structure
+belongs to :mod:`repro.index` (``export`` / ``restore``); nothing here reads a
 structure's private attribute. ``restore(*state())`` answers with the
 saved index's bytes for all five, with no k-means run.
 
@@ -42,22 +45,18 @@ call. With the mixin, each public class is wrapped exactly once.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..index import (
-    BruteForceIndex,
-    HNSWIndex,
-    Int8FlatIndex,
-    IVFFlatIndex,
-    PQIndex,
-    RowStore,
-    SegmentHausdorffIndex,
-    distance,
-)
-from ..trajectory import as_points
+from ..index import distance
+from ..index.rows import RowStore
+from ..trajectory.trajectory import as_points
 from .protocols import Index
+
+if TYPE_CHECKING:
+    from ..index.segment import SegmentHausdorffIndex
 
 __all__ = [
     "BruteForceBackendIndex",
@@ -125,8 +124,8 @@ _TRAINING = ("train_sample", "seed", "retrain_factor")
 class _VectorLifecycle:
     """The one body of the vector indexes (see the module docstring)."""
 
-    #: the :mod:`repro.index` class this index wraps
-    structure: type
+    #: the :mod:`repro.index` class this index wraps, as ``"module.Class"``
+    structure: str
     #: constructor keyword -> default; also the snapshot meta
     defaults: Dict[str, object]
     #: the array a snapshot carries float rows under (pending, or exported)
@@ -150,10 +149,16 @@ class _VectorLifecycle:
         self._pending: Optional[RowStore] = None
         self._inner = None
 
+    @classmethod
+    def _structure(cls) -> type:
+        """The class :attr:`structure` names, imported on first use."""
+        module, name = cls.structure.split(".")
+        return getattr(import_module(f"repro.index.{module}"), name)
+
     @property
     def _trains(self) -> bool:
         """Whether the structure must ``train`` before its first ``add``."""
-        return hasattr(self.structure, "train")
+        return hasattr(self._structure(), "train")
 
     def _new_structure(self, dim: int, training_rows: Optional[int] = None):
         consumed = _TRAINING if self._trains else ()
@@ -162,7 +167,7 @@ class _VectorLifecycle:
         if training_rows is not None and options.get(self.clamped):
             options[self.clamped] = max(
                 1, min(options[self.clamped], training_rows // 4))
-        return self.structure(dim, **options)
+        return self._structure()(dim, **options)
 
     def add(self, items) -> None:
         vectors = np.atleast_2d(distance.as_floats(items))
@@ -254,7 +259,7 @@ class BruteForceBackendIndex(_VectorLifecycle, Index):
     """Exact full-scan kNN over embedding vectors."""
 
     name = "bruteforce"
-    structure = BruteForceIndex
+    structure = "bruteforce.BruteForceIndex"
     defaults = {"metric": "l1"}
 
 
@@ -271,7 +276,7 @@ class IVFBackendIndex(_VectorLifecycle, Index):
 
     name = "ivf"
     exact = False
-    structure = IVFFlatIndex
+    structure = "ivf.IVFFlatIndex"
     defaults = {"n_lists": 16, "n_probe": 4, "metric": "l1", "seed": 0,
                 "retrain_factor": 2.0}
     rows_key = "vectors"
@@ -299,6 +304,8 @@ class SegmentBackendIndex(Index):
 
     def _build(self) -> SegmentHausdorffIndex:
         if self._inner is None:
+            from ..index.segment import SegmentHausdorffIndex
+
             inner = SegmentHausdorffIndex(bucket_size=self.bucket_size)
             inner.build(self._trajectories)
             self._inner = inner
@@ -343,7 +350,7 @@ class PQBackendIndex(_VectorLifecycle, Index):
 
     name = "pq"
     exact = False
-    structure = PQIndex
+    structure = "pq.PQIndex"
     defaults = {"n_subspaces": 16, "n_centroids": 256, "metric": "l1",
                 "coarse_lists": 0, "n_probe": 8, "refine_factor": 4,
                 "refine_dtype": None, "train_sample": 20000, "seed": 0}
@@ -371,7 +378,7 @@ class Int8BackendIndex(_VectorLifecycle, Index):
 
     name = "int8"
     exact = False
-    structure = Int8FlatIndex
+    structure = "quant.Int8FlatIndex"
     defaults = {"metric": "l1", "train_sample": 65536}
     rows_key = "buffer"
 
@@ -388,7 +395,7 @@ class HNSWBackendIndex(_VectorLifecycle, Index):
 
     name = "hnsw"
     exact = False
-    structure = HNSWIndex
+    structure = "hnsw.HNSWIndex"
     defaults = {"m": 16, "ef_construction": 64, "ef_search": 32,
                 "metric": "l1", "seed": 0}
 

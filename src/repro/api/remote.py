@@ -36,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..trajectory import as_points_batch
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.trajectory import TrajectoryLike, as_points_batch
 from .service import SimilarityService
 from .transport import (
     ServiceNode,

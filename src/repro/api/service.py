@@ -28,7 +28,6 @@ shard of a sharded embedding service is): no model, nothing but
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import threading
 from collections import OrderedDict, namedtuple
@@ -36,9 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..index import RowStore
-from ..trajectory import as_points_batch
-from ..trajectory.trajectory import TrajectoryLike
+from ..index.rows import RowStore
+from ..trajectory.trajectory import TrajectoryLike, as_points_batch
 from .backends import backend_state, restore_backend
 from .indexes import get_index
 from .protocols import (
@@ -166,6 +164,10 @@ class CachedEncoder:
 
     @staticmethod
     def key(points: np.ndarray) -> str:
+        # Loaded by the first key, not the module: owners hash, and the
+        # vector-fed shards that import this module never do.
+        import hashlib
+
         digest = hashlib.sha1(np.ascontiguousarray(points).tobytes())
         # Shape and dtype both feed the hash: byte-identical buffers of a
         # different shape *or* dtype must never collide.

@@ -51,7 +51,6 @@ under a link.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import threading
 import time
@@ -60,8 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..trajectory import as_points, as_points_batch
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.trajectory import TrajectoryLike, as_points, as_points_batch
 from .backends import restore_backend, shard_backend_state
 from .protocols import (
     EMBEDDING, Embedded, KnnService, SimilarityBackend, as_backend,
@@ -1195,6 +1193,10 @@ class ShardedSimilarityService(ShardMergeMixin):
             backend_kwargs=backend_kwargs, index_kwargs=index_kwargs,
             batch_size=batch_size, cache_size=cache_size)
         self._processes: List = []
+        # Loaded by the one class that starts processes: a worker process,
+        # and a TCP worker or coordinator, never pays for it.
+        import multiprocessing as mp
+
         if start_method is None:
             start_method = ("fork" if "fork" in mp.get_all_start_methods()
                             else "spawn")

@@ -22,8 +22,8 @@ import numpy as np
 
 from .. import nn
 from ..index import distance
-from ..trajectory import as_points, pad_point_arrays
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.preprocess import pad_point_arrays
+from ..trajectory.trajectory import TrajectoryLike, as_points
 
 
 class CoordinateScaler:

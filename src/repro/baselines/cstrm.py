@@ -27,8 +27,8 @@ import numpy as np
 from .. import nn
 from ..core.augmentation import point_mask, point_shift
 from ..nn import functional as F
-from ..trajectory import Grid, as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.grid import Grid
+from ..trajectory.trajectory import TrajectoryLike, as_points
 from .base import LearnedSimilarityMeasure
 from .t2vec import _cell_sequences
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .. import nn
 from ..measures.base import TrajectorySimilarityMeasure
-from ..trajectory import as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.trajectory import TrajectoryLike, as_points
 from .base import LearnedSimilarityMeasure, sample_training_pairs
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from .. import nn
 from ..graph.grid_graph import GridGraph
 from ..nn import functional as F
-from ..trajectory import Grid, as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.grid import Grid
+from ..trajectory.trajectory import TrajectoryLike, as_points
 from .base import LearnedSimilarityMeasure
 
 

@@ -16,8 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
-from ..trajectory import as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.trajectory import TrajectoryLike, as_points
 from .base import CoordinateScaler, LearnedSimilarityMeasure
 
 

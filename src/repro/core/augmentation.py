@@ -20,8 +20,8 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from ..trajectory import as_points, douglas_peucker
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.simplify import douglas_peucker
+from ..trajectory.trajectory import TrajectoryLike, as_points
 
 AugmentationFn = Callable[..., np.ndarray]
 

@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..trajectory import Grid, as_points, as_points_batch
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.grid import Grid
+from ..trajectory.trajectory import TrajectoryLike, as_points, as_points_batch
 
 
 def sinusoidal_position_encoding(length: int, dim: int) -> np.ndarray:

@@ -19,15 +19,17 @@ after. Two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from .. import nn
 from ..index import distance
-from ..measures.base import TrajectorySimilarityMeasure
 from ..trajectory.trajectory import TrajectoryLike
 from .model import TrajCL
+
+if TYPE_CHECKING:  # a serving process that loads the model loads no measure
+    from ..measures.base import TrajectorySimilarityMeasure
 
 FINETUNE_MODES = ("last_layer", "all", "head_only")
 

@@ -17,8 +17,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .. import nn
-from ..trajectory import as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.trajectory import TrajectoryLike, as_points
 from .augmentation import make_view
 from .model import TrajCL
 

@@ -19,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.augmentation import point_shift
-from ..trajectory import as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.trajectory import TrajectoryLike, as_points
 
 
 def odd_even_split(trajectory: TrajectoryLike) -> Tuple[np.ndarray, np.ndarray]:

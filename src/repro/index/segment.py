@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..measures.hausdorff import hausdorff_distance
-from ..trajectory import as_points
-from ..trajectory.trajectory import TrajectoryLike
+from ..trajectory.trajectory import TrajectoryLike, as_points
 
 
 class SegmentHausdorffIndex:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Sequence
 
 import numpy as np
 
-from ..trajectory import TrajectoryLike, as_points
+from ..trajectory.trajectory import TrajectoryLike, as_points
 
 
 @functools.cache

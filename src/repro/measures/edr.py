@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..trajectory import TrajectoryLike, as_points
+from ..trajectory.trajectory import TrajectoryLike, as_points
 from .base import (
     TrajectorySimilarityMeasure,
     point_distances,

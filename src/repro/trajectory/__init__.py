@@ -1,19 +1,27 @@
-"""``repro.trajectory`` — trajectory primitives, grids and preprocessing."""
+"""``repro.trajectory`` — trajectory primitives, grids and preprocessing.
 
-from .grid import Grid
-from .preprocess import (
-    MAX_POINTS_DEFAULT,
-    MIN_POINTS_DEFAULT,
-    filter_trajectories,
-    pad_point_arrays,
-    resample_to_length,
-    within_bbox,
-)
-from .simplify import douglas_peucker, douglas_peucker_mask, point_segment_distance
-from .trajectory import (
-    PointArray, Trajectory, TrajectoryLike, as_points, as_points_batch,
-)
+The names load on first use (PEP 562, see :mod:`repro._lazy`): a serving
+process that validates points reaches :mod:`.trajectory` alone, never
+the simplification and preprocessing code that training runs.
+"""
+
+from .._lazy import lazy_exports
+
+# A function named like its submodule is bound here, before anything
+# imports that submodule and rebinds the name to it.
 from .visvalingam import triangle_area, visvalingam, visvalingam_mask
+
+#: submodule -> the names ``repro.trajectory`` re-exports from it
+_EXPORTS = {
+    "grid": ("Grid",),
+    "preprocess": ("MAX_POINTS_DEFAULT", "MIN_POINTS_DEFAULT",
+                   "filter_trajectories", "pad_point_arrays",
+                   "resample_to_length", "within_bbox"),
+    "simplify": ("douglas_peucker", "douglas_peucker_mask",
+                 "point_segment_distance"),
+    "trajectory": ("PointArray", "Trajectory", "TrajectoryLike", "as_points",
+                   "as_points_batch"),
+}
 
 __all__ = [
     "Trajectory",
@@ -35,3 +43,5 @@ __all__ = [
     "MIN_POINTS_DEFAULT",
     "MAX_POINTS_DEFAULT",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

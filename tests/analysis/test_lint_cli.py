@@ -2,6 +2,7 @@
 dogfood gate — the repo's own src/ tree must lint clean."""
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -118,7 +119,10 @@ def test_repro_cli_exposes_lint(bad_file):
         [sys.executable, "-m", "repro", "lint", str(bad_file),
          "--format", "json"],
         capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        # the bytecode policy passes through: no .pyc under src/ when unset
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin",
+             **{name: value for name, value in os.environ.items()
+                if name == "PYTHONDONTWRITEBYTECODE"}},
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["findings"]

@@ -1,18 +1,24 @@
 """The import graph follows the layering: a process loads what it serves.
 
-Each case starts a fresh interpreter, imports one entry point and reads
-``sys.modules`` back — module *sets*, not wall-clock, so nothing here can
-flake. scipy (the heuristic measures' ``cdist``) and networkx
-(``GridGraph.to_networkx``) load on the call that needs them, never on
-import; ``repro`` resolves its subpackages on first attribute access, so
-the serving stack does not drag in the baselines, datasets or evaluation
-harness; ``repro.api`` resolves its re-exports the same way, so a shard
-worker that is fed vectors loads no model code and no HTTP stack.
-``make bench-startup`` records what this buys in seconds and MB.
+Each case starts a fresh interpreter, imports one entry point or plays
+one serving role, and reads ``sys.modules`` back — module *sets*, not
+wall-clock, so nothing here can flake. scipy (the heuristic measures'
+``cdist``) and networkx (``GridGraph.to_networkx``) load on the call that
+needs them, never on import. ``repro``, ``repro.api``, ``repro.index``
+and ``repro.trajectory`` resolve their names on first use (PEP 562,
+:mod:`repro._lazy`), and the index adapters import a structure when they
+first build one. So each serving role has a law on what it never loads:
+a shard worker that is fed vectors loads no model code, no HTTP stack,
+no index structure but its own, no measure, no fault injection, no
+trajectory preprocessing and no ``hashlib``; a trajcl coordinator loads
+no index structure, measure or fault injection. ``make bench-startup``
+records what this buys in seconds and MB.
 """
 
 import json
+import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -21,17 +27,23 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 ENTRY_POINTS = [
-    "repro", "repro.index", "repro.api", "repro.api.cluster",
-    "repro.api.gateway", "repro.cli",
+    "repro", "repro.index", "repro.trajectory", "repro.api",
+    "repro.api.cluster", "repro.api.gateway", "repro.cli",
 ]
+
+#: what the children inherit of this process's environment: with
+#: ``PYTHONDONTWRITEBYTECODE`` set here, they write no ``.pyc`` either
+INHERITED = ("PYTHONDONTWRITEBYTECODE",)
 
 
 def fresh_interpreter(code, **environment):
     """Run ``code`` in a new interpreter; it prints one JSON document."""
+    inherited = {name: os.environ[name] for name in INHERITED
+                 if name in os.environ}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         timeout=120, env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin",
-                          **environment},
+                          **inherited, **environment},
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -57,6 +69,23 @@ def test_entry_point_loads_no_scipy_or_networkx(entry_point):
                       "repro.datasets") == []
     if entry_point == "repro.index":
         assert loaded(modules, "repro.api", "repro.baselines") == []
+    if entry_point in ALONE:
+        assert loaded(modules, entry_point) == [entry_point,
+                                                *ALONE[entry_point]]
+
+
+def test_a_fresh_interpreter_writes_no_bytecode_when_told_not_to(
+        tmp_path, monkeypatch):
+    """A child must not drop the variable: a tree with ``.pyc`` files
+    skips compilation in every later process and reads lower RSS and a
+    faster start-up than a fresh clone of the very same code."""
+    tree = tmp_path / "src"
+    shutil.copytree(SRC / "repro", tree / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    fresh_interpreter("import repro.api.cluster; print('{}')",
+                      PYTHONPATH=str(tree))
+    assert sorted(tree.rglob("__pycache__")) == []
 
 
 def test_no_module_loads_scipy_or_networkx_on_import():
@@ -110,7 +139,8 @@ report["scipy_after_knn"] = "scipy.spatial" in sys.modules
 report["ids"] = [int(i) for i in ids.ravel()]
 print(json.dumps(report))
 """)
-    assert report["bare"] == []  # `import repro` alone loads no subpackage
+    # `import repro` alone loads no subpackage, only the lazy-name helper
+    assert report["bare"] == ["repro._lazy"]
     assert report["dir_lists_all"]
     assert report["trajcl"].startswith("repro.core")
     assert report["service"] == "repro.api.service"
@@ -121,28 +151,93 @@ print(json.dumps(report))
     assert report["ids"] == [0, 1]
 
 
-def test_api_package_resolves_its_exports_on_first_use():
-    report = fresh_interpreter("""
-import json, sys
-import repro.api
+#: a lazy package -> what importing it alone loads of it, beyond itself:
+#: a function named like its submodule is bound eagerly (see
+#: test_a_function_named_like_its_submodule_stays_that_function)
+ALONE = {
+    "repro.api": [],
+    "repro.index": ["repro.index.distance", "repro.index.kmeans"],
+    "repro.trajectory": ["repro.trajectory.trajectory",
+                         "repro.trajectory.visvalingam"],
+}
+#: one submodule of each, reached by attribute
+SUBMODULE = {"repro.api": "wire", "repro.index": "pq",
+             "repro.trajectory": "preprocess"}
+#: what ``from <package> import *`` gave while the package was eager
+STAR = {
+    "repro.index": [
+        "BruteForceIndex", "HNSWIndex", "IVFFlatIndex", "Int8FlatIndex",
+        "PQIndex", "ProductQuantizer", "RowStore", "ScalarQuantizer",
+        "SegmentHausdorffIndex", "distance", "kmeans",
+        "kmeans_plus_plus_init", "pairwise_distances", "topk_rows"],
+    "repro.trajectory": [
+        "Grid", "MAX_POINTS_DEFAULT", "MIN_POINTS_DEFAULT", "PointArray",
+        "Trajectory", "TrajectoryLike", "as_points", "as_points_batch",
+        "douglas_peucker", "douglas_peucker_mask", "filter_trajectories",
+        "pad_point_arrays", "point_segment_distance", "resample_to_length",
+        "triangle_area", "visvalingam", "visvalingam_mask", "within_bbox"],
+}
 
-report = {"bare": sorted(m for m in sys.modules if m.startswith("repro.api."))}
-report["dir_lists_all"] = set(repro.api.__all__) <= set(dir(repro.api))
-namespace = {}
-exec("from repro.api import *", namespace)
-report["star"] = sorted(set(repro.api.__all__) - set(namespace))
-report["wire"] = repro.api.wire.__name__
+
+def lazy_package_report(package):
+    return fresh_interpreter(f"""
+import importlib, json, sys
+package = importlib.import_module({package!r})
+
+report = {{"bare": sorted(m for m in sys.modules
+                         if m.startswith({package!r} + "."))}}
+report["dir_lists_all"] = set(package.__all__) <= set(dir(package))
+namespace = {{}}
+exec("from {package} import *", namespace)
+report["star"] = sorted(set(namespace) - {{"__builtins__"}})
+report["all"] = sorted(package.__all__)
+report["submodule"] = getattr(package, {SUBMODULE[package]!r}).__name__
 try:
-    repro.api.no_such_name
+    package.no_such_name
 except AttributeError as error:
     report["missing"] = str(error)
 print(json.dumps(report))
 """)
-    assert report["bare"] == []  # `import repro.api` alone loads no module
+
+
+def assert_resolves_on_first_use(package, report):
+    assert report["bare"] == ALONE[package]
     assert report["dir_lists_all"]
-    assert report["star"] == []  # every name in __all__ resolved
-    assert report["wire"] == "repro.api.wire"
+    assert report["star"] == report["all"]  # every name in __all__ resolved
+    assert report["submodule"] == f"{package}.{SUBMODULE[package]}"
     assert "no_such_name" in report["missing"]
+
+
+def test_api_package_resolves_its_exports_on_first_use():
+    report = lazy_package_report("repro.api")
+    assert_resolves_on_first_use("repro.api", report)
+
+
+@pytest.mark.parametrize("package", STAR)
+def test_index_and_trajectory_resolve_their_exports_on_first_use(package):
+    report = lazy_package_report(package)
+    assert_resolves_on_first_use(package, report)
+    assert report["star"] == STAR[package]
+
+
+def test_a_function_named_like_its_submodule_stays_that_function():
+    """Importing a submodule binds it on its package. ``kmeans`` and
+    ``visvalingam`` are bound before anything can: the structures and
+    the augmentations import those submodules by name."""
+    report = fresh_interpreter("""
+import inspect, json
+import repro.index.pq, repro.index.kmeans
+import repro.trajectory.visvalingam
+import repro.index, repro.trajectory
+from repro.index import kmeans
+
+print(json.dumps({
+    "kmeans": inspect.isfunction(repro.index.kmeans),
+    "imported": inspect.isfunction(kmeans),
+    "visvalingam": inspect.isfunction(repro.trajectory.visvalingam),
+}))
+""")
+    assert report == {"kmeans": True, "imported": True, "visvalingam": True}
 
 
 def test_registry_is_populated_whichever_module_came_first():
@@ -156,6 +251,16 @@ def test_registry_is_populated_whichever_module_came_first():
 #: model code (its owner encodes) and the HTTP edge (it serves none)
 NOT_IN_A_VECTOR_FED_WORKER = ("repro.core", "repro.nn", "repro.baselines",
                               "repro.api.gateway", "http.server", "ssl")
+#: the index structures (each adapter imports its own when it builds it)
+STRUCTURES = tuple(f"repro.index.{name}" for name in
+                   ("bruteforce", "hnsw", "ivf", "pq", "quant", "segment"))
+#: what a bruteforce shard never runs either: the other structures, the
+#: heuristic measures, fault injection (a coordinator's option),
+#: preprocessing (training's) and hashing (its owner keys the cache)
+NOT_IN_A_BRUTEFORCE_SHARD = (
+    *STRUCTURES[1:], "repro.measures", "repro.api.chaos",
+    "repro.trajectory.preprocess", "repro.trajectory.simplify",
+    "hashlib", "_hashlib")
 
 
 def test_vector_fed_cluster_worker_loads_no_model_and_no_http():
@@ -187,6 +292,9 @@ print(json.dumps({"modules": sorted(sys.modules), "sizes": sizes[0],
     assert report["sizes"] == 2 and report["ids"] == [[1, 0]]
     assert report["kind"] == "embedding"
     assert loaded(report["modules"], *NOT_IN_A_VECTOR_FED_WORKER) == []
+    assert "repro.index.bruteforce" in report["modules"]
+    assert loaded(report["modules"], *NOT_IN_A_BRUTEFORCE_SHARD,
+                  "multiprocessing") == []
 
 
 def test_spawned_pipe_worker_loads_no_model_and_no_http(tmp_path):
@@ -234,6 +342,54 @@ with open(os.environ["PROBE_OUT"]) as handle:
     assert report["ids"] == [[1]] and report["kind"] == "embedding"
     assert "repro.api.serving" in report["modules"]
     assert loaded(report["modules"], *NOT_IN_A_VECTOR_FED_WORKER) == []
+    # (multiprocessing is how a spawned worker starts: not forbidden here)
+    assert loaded(report["modules"], *NOT_IN_A_BRUTEFORCE_SHARD) == []
+
+
+def test_trajcl_coordinator_loads_no_structure_measure_or_chaos():
+    """The owner encodes and merges; its shard worker (another process)
+    builds the index."""
+    report = fresh_interpreter("""
+import json, subprocess, sys
+import numpy as np
+
+WORKER = '''
+import sys
+from repro.api.cluster import ShardWorker
+
+with ShardWorker() as worker:
+    print("%s:%d" % worker.address, flush=True)
+    sys.stdin.read()
+'''
+worker = subprocess.Popen([sys.executable, "-c", WORKER], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True)
+address = worker.stdout.readline().strip()
+
+from repro.api import get_backend
+from repro.api.cluster import ClusterCoordinator
+from repro.core import FeatureEnrichment, TrajCL, TrajCLConfig
+from repro.trajectory import Grid
+
+grid = Grid(0.0, 0.0, 100.0, 100.0, 25.0)
+model = TrajCL(
+    FeatureEnrichment(grid, np.zeros((grid.n_cells, 8)), max_len=8),
+    TrajCLConfig(structural_dim=8, max_len=8, projection_dim=4,
+                 queue_size=8, batch_size=4, max_epochs=1),
+    rng=np.random.default_rng(0))
+rng = np.random.default_rng(1)
+with ClusterCoordinator([address], backend=get_backend("trajcl", model=model),
+                        heartbeat_interval=0) as cluster:
+    cluster.add([rng.uniform(0.0, 100.0, (5, 2)) for _ in range(4)])
+    size = len(cluster)
+worker.stdin.close()
+worker.wait(timeout=60)
+worker.stdout.close()
+print(json.dumps({"modules": sorted(sys.modules), "size": size}))
+""")
+    assert report["size"] == 4
+    assert "repro.core" in report["modules"]
+    assert loaded(report["modules"], *STRUCTURES, "repro.measures",
+                  "repro.api.chaos") == []
 
 
 ANALYZERS = ["repro.analysis." + name for name in
