@@ -169,6 +169,13 @@ class ShardWorker(_ShardHost, ThreadedNodeServer):
         return {**{name: self._locked(fn) for name, fn in handlers.items()},
                 "ping": ping, "shutdown": lambda _payload: None}
 
+    def _locked(self, fn):
+        """``fn`` under the lock that guards the hosted shards."""
+        def call(payload):
+            with self._lock:
+                return fn(payload)
+        return call
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -248,12 +255,10 @@ class ClusterCoordinator(ShardMergeMixin):
     unblock and re-route to the surviving replicas instead of hanging.
     With ``replication >= 2`` the same loop also re-replicates
     under-copied shards onto spare workers. Worker RPC is serialized
-    through an internal lock, so ``stats()`` from a monitoring thread can
-    never interleave frames with a query in flight; for concurrent
-    *callers*, put a :class:`~repro.api.serving.QueryQueue` or
-    :class:`~repro.api.remote.SimilarityServer` in front — both compose
-    unchanged because the coordinator satisfies
-    :class:`~repro.api.protocols.KnnService`.
+    through an internal lock, so the coordinator is safe from any thread
+    and ``stats()`` from a monitoring thread can never interleave frames
+    with a query in flight. A :class:`~repro.api.serving.QueryQueue` in
+    front adds batching of concurrent callers, not safety.
     """
 
     def __init__(

@@ -36,9 +36,9 @@ Traffic controls, applied in order on the POST routes:
    ``429`` with ``Retry-After``, and one client's flood never consumes
    another's budget;
 2. **deadlines** — ``X-Deadline-Ms: 250`` bounds how long the caller
-   will wait. The deadline propagates into :class:`QueryQueue.submit`,
-   so work whose caller has given up is dropped server-side (``504``)
-   instead of computed for nobody;
+   will wait. The deadline propagates into the gateway's
+   :class:`~repro.api.serving.QueryQueue`, so work whose caller has given
+   up is dropped server-side (``504``) instead of computed for nobody;
 3. **bounded admission** — at most ``max_inflight`` requests execute at
    once; excess load is shed immediately with ``429`` + ``Retry-After``
    instead of queueing unboundedly (a full ``QueryQueue`` —
@@ -77,7 +77,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .serving import DeadlineExceededError, QueueFullError, ShardLostError
+from .serving import (
+    DeadlineExceededError, QueryQueue, QueueFullError, ShardLostError,
+)
 from .transport import TransportError
 
 __all__ = [
@@ -399,12 +401,12 @@ class SimilarityGateway:
     :meth:`shutdown`/:meth:`close` (or ``max_requests``), mirroring
     :class:`~repro.api.remote.SimilarityServer`.
 
-    When the wrapped service is a :class:`~repro.api.serving.QueryQueue`,
-    ``/knn`` feeds it query by query so HTTP callers that arrive while a
-    flush runs coalesce into the next batched service call (a lone caller
-    is flushed at once), and request deadlines ride into the queue.
-    Any other service is thread-oblivious and is serialized behind one
-    lock, exactly like the TCP front-end.
+    Every request is served through exactly one
+    :class:`~repro.api.serving.QueryQueue`: the one it is given, or one it
+    builds over the service and closes with itself. HTTP callers that
+    arrive while a flush runs coalesce into the next batched service call
+    (a lone caller is flushed at once), and request deadlines ride into
+    the queue.
     """
 
     def __init__(
@@ -419,7 +421,6 @@ class SimilarityGateway:
         max_body: int = 8 << 20,
         max_requests: Optional[int] = None,
     ):
-        self.service = service
         self.metrics = GatewayMetrics()
         self.limiter = (TokenBucketLimiter(rate_limit, burst)
                         if rate_limit else None)
@@ -428,7 +429,6 @@ class SimilarityGateway:
         self._max_requests = max_requests
         self._request_count = 0
         self._count_lock = threading.Lock()
-        self._service_lock = threading.Lock()
         self._shutdown = threading.Event()
         self._closed = False
 
@@ -436,6 +436,8 @@ class SimilarityGateway:
                        {"gateway": self})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
+        self._own_queue = not isinstance(service, QueryQueue)
+        self.service = QueryQueue(service) if self._own_queue else service
         self.address: Tuple[str, int] = self._httpd.server_address[:2]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.1},
@@ -628,21 +630,8 @@ class SimilarityGateway:
             raise _HttpError(400, "'k' must be an integer >= 1")
         exclude = _optional_number(body, "exclude", int)
         dedupe_eps = _optional_number(body, "dedupe_eps", float)
-        service = self.service
-        if hasattr(service, "submit"):
-            # A QueryQueue underneath: feed it query by query so concurrent
-            # HTTP callers coalesce, and the deadline rides along.
-            futures = [service.submit(q, k, exclude, dedupe_eps,
-                                      deadline=deadline) for q in queries]
-            rows = [future.result() for future in futures]
-            distances = np.stack([d for d, _ in rows])
-            ids = np.stack([i for _, i in rows])
-        else:
-            self._check_deadline(deadline)
-            with self._service_lock:
-                distances, ids = service.knn(queries, k=k, exclude=exclude,
-                                             dedupe_eps=dedupe_eps)
-            self._check_deadline(deadline)
+        distances, ids = self.service.knn(queries, k, exclude, dedupe_eps,
+                                          deadline=deadline)
         return self._json(200, {"distances": distances, "ids": ids, "k": k})
 
     def _post_pairwise(self, body: Dict, deadline: Optional[float]):
@@ -650,46 +639,18 @@ class SimilarityGateway:
         database = body.get("database")
         if database is not None:
             database = _parse_trajectories(database, "database")
-        service = self.service
-        if hasattr(service, "submit_pairwise"):
-            matrix = service.submit_pairwise(queries, database,
-                                             deadline=deadline).result()
-        else:
-            self._check_deadline(deadline)
-            with self._service_lock:
-                matrix = service.pairwise(queries, database)
-            self._check_deadline(deadline)
+        matrix = self.service.pairwise(queries, database, deadline=deadline)
         return self._json(200, {"distances": matrix})
 
     def _post_add(self, body: Dict):
         trajectories = _parse_trajectories(body.get("trajectories"),
                                            "trajectories")
-        service = self.service  # a QueryQueue fits its add between flushes
-        target = getattr(service, "service", service)
-        if not hasattr(target, "add"):
-            raise _HttpError(
-                400, f"{type(target).__name__} does not accept add()")
-        with self._service_lock:
-            result = service.add(trajectories)
-        # RemoteSimilarityClient.add and QueryQueue.add return the new
-        # size; local services return self — normalize to a size either way.
-        size = result if isinstance(result, int) else len(service)
-        return self._json(200, {"size": int(size), "added": len(trajectories)})
-
-    @staticmethod
-    def _check_deadline(deadline: Optional[float]) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceededError("request deadline passed")
+        size = self.service.add(trajectories)  # between two flushes
+        return self._json(200, {"size": size, "added": len(trajectories)})
 
     # ------------------------------------------------------------------
     # GET routes
     # ------------------------------------------------------------------
-    def _service_stats(self) -> Dict:
-        stats = getattr(self.service, "stats", None)
-        if not callable(stats):
-            return {"type": type(self.service).__name__}
-        return dict(stats())
-
     def _gateway_stats(self) -> Dict:
         snapshot = self.metrics.snapshot()
         return {
@@ -707,7 +668,7 @@ class SimilarityGateway:
 
     def _stats_payload(self) -> Dict:
         try:
-            info = self._service_stats()
+            info = self.service.stats()
         except Exception as error:
             info = {"error": f"service stats failed: {error}"}
         info["gateway"] = self._gateway_stats()
@@ -717,7 +678,7 @@ class SimilarityGateway:
         if self._shutdown.is_set():
             return self._json_status(503, {"status": "stopping"})
         try:
-            stats = self._service_stats()
+            stats = self.service.stats()
         except Exception as error:
             return self._json_status(
                 503, {"status": "error", "error": str(error)})
@@ -761,7 +722,7 @@ class SimilarityGateway:
         """The Prometheus text-format exposition (also used by tests)."""
         snapshot = self.metrics.snapshot()
         try:
-            stats = self._service_stats()
+            stats = self.service.stats()
         except Exception:
             stats = {}
         lines = []
@@ -843,9 +804,6 @@ class SimilarityGateway:
 
         degraded = set(stats.get("degraded") or [])
         shards = stats.get("shards")
-        if shards is None and "service" in stats:
-            shards = stats["service"].get("shards")
-            degraded |= set(stats["service"].get("degraded") or [])
         header("repro_gateway_shard_up", "gauge",
                "Per-shard health (1 = serving, 0 = degraded).")
         for entry in shards or []:
@@ -893,7 +851,8 @@ class SimilarityGateway:
         self.close()
 
     def close(self, grace: float = 5.0) -> None:
-        """Stop the listener and reap the serving thread (idempotent)."""
+        """Stop the listener, reap the serving thread and close the queue
+        the gateway built (idempotent)."""
         self._shutdown.set()
         if self._closed:
             return
@@ -901,6 +860,8 @@ class SimilarityGateway:
         self._httpd.shutdown()
         self._thread.join(timeout=grace)
         self._httpd.server_close()
+        if self._own_queue:
+            self.service.close()
 
     def __enter__(self) -> "SimilarityGateway":
         return self

@@ -316,12 +316,21 @@ class KnnService(Protocol):
     """Anything that answers batched kNN with the service's signature.
 
     :class:`~repro.api.service.SimilarityService`,
-    :class:`~repro.api.serving.ShardedSimilarityService` and
-    :class:`~repro.api.remote.RemoteSimilarityClient` all satisfy it, so
-    the serving-layer wrappers (:class:`~repro.api.serving.QueryQueue`,
-    :class:`~repro.api.remote.SimilarityServer`) compose with any of them
-    interchangeably — a queue can batch onto a remote server exactly as it
-    batches onto an in-process service.
+    :class:`~repro.api.serving.ShardedSimilarityService`,
+    :class:`~repro.api.cluster.ClusterCoordinator`,
+    :class:`~repro.api.remote.RemoteSimilarityClient` and
+    :class:`~repro.api.serving.QueryQueue` all satisfy it — ``knn`` /
+    ``pairwise`` / ``add`` / ``len`` / ``stats`` — so the front ends
+    (:class:`~repro.api.remote.SimilarityServer`, the HTTP gateway) and
+    the queue compose with any of them interchangeably.
+
+    Every one of them is safe to call from any thread: a
+    ``SimilarityService`` serializes its calls under one lock, the sharded
+    engine, the coordinator and the remote client serialize their RPC,
+    and a ``QueryQueue`` hands its service one call at a time. So no
+    front end locks around a service. A *foreign* service that is not
+    thread-safe goes behind a ``QueryQueue``, which exists for that job
+    (and to batch concurrent callers).
     """
 
     def knn(

@@ -5,9 +5,11 @@ Two pieces, both speaking the :mod:`repro.api.transport` frame protocol:
 * :class:`SimilarityServer` — a threaded accept loop wrapping any kNN
   service (a plain :class:`~repro.api.service.SimilarityService`, a
   :class:`~repro.api.serving.ShardedSimilarityService`, or either behind
-  a :class:`~repro.api.serving.QueryQueue`). One thread per connection,
-  per-connection error isolation (a bad client kills its connection, not
-  the server), graceful shutdown that lets in-flight queries finish;
+  a :class:`~repro.api.serving.QueryQueue`). One thread per connection
+  calls the service directly — every service guards itself (see
+  :class:`~repro.api.protocols.KnnService`) — with per-connection error
+  isolation (a bad client kills its connection, not the server) and a
+  graceful shutdown that lets in-flight queries finish;
 * :class:`RemoteSimilarityClient` — the blocking client. It satisfies
   the :class:`~repro.api.protocols.KnnService` protocol, so it composes
   with ``QueryQueue`` (or another ``SimilarityServer``!) transparently.
@@ -122,8 +124,8 @@ class ThreadedNodeServer:
     closing a listener does not reliably wake a blocked ``accept()``),
     one daemon thread per connection running the subclass's
     :meth:`_handlers`, dead-connection pruning, and a bounded
-    :meth:`close`. Subclasses may define ``self._lock`` (before calling
-    ``super().__init__``) and wrap handlers with :meth:`_locked`.
+    :meth:`close`. It takes no lock around a handler: whatever a handler
+    calls guards itself.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -155,12 +157,6 @@ class ThreadedNodeServer:
 
     def _thread_name(self) -> str:
         return f"repro-node-server:{self.address[1]}"
-
-    def _locked(self, fn):
-        def call(payload):
-            with self._lock:
-                return fn(payload)
-        return call
 
     # -- accept + per-connection loops ----------------------------------
     def _accept_loop(self) -> None:
@@ -252,11 +248,11 @@ class SimilarityServer(ThreadedNodeServer):
     """Threaded TCP server exposing a kNN service on the wire protocol.
 
     Commands: ``add``, ``knn``, ``pairwise``, ``len``, ``stats`` (plus the
-    transport-level ``stop``, which ends just that connection). Service
-    calls from concurrent connections are serialized through one lock —
-    the underlying services are thread-oblivious by design; put a
+    transport-level ``stop``, which ends just that connection), each one
+    call on the wrapped service from the connection's thread. Every
+    service is safe from any thread; put a
     :class:`~repro.api.serving.QueryQueue` underneath to coalesce
-    concurrent remote callers into batched service calls instead.
+    concurrent remote callers into batched service calls.
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
     construction. ``max_requests`` shuts the server down after that many
@@ -273,7 +269,6 @@ class SimilarityServer(ThreadedNodeServer):
         max_requests: Optional[int] = None,
     ):
         self.service = service
-        self._lock = threading.Lock()
         self._count_lock = threading.Lock()
         self._request_count = 0
         self._max_requests = max_requests
@@ -299,72 +294,24 @@ class SimilarityServer(ThreadedNodeServer):
 
         def handle_knn(payload):
             queries, k, exclude, dedupe_eps = payload
-            if hasattr(service, "submit"):
-                # A QueryQueue underneath: feed it query-by-query so calls
-                # from *different* connections coalesce into one batch.
-                futures = [service.submit(q, k, exclude, dedupe_eps)
-                           for q in queries]
-                rows = [future.result() for future in futures]
-                if not rows:
-                    return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
-                return (np.stack([d for d, _ in rows]),
-                        np.stack([i for _, i in rows]))
-            return service.knn(queries, k=k, exclude=exclude,
-                               dedupe_eps=dedupe_eps)
-
-        def handle_pairwise(payload):
-            queries, database = payload
-            return service.pairwise(queries, database)
+            return service.knn(queries, k, exclude, dedupe_eps)
 
         def handle_add(payload):
-            # a QueryQueue's own add fits between two of its flushes
-            target = getattr(service, "service", service)
-            if not hasattr(target, "add"):
-                raise RuntimeError(
-                    f"{type(target).__name__} does not accept remote add()"
-                )
             service.add(payload)
             return len(service)
 
-        def handle_len(_payload):
-            return len(service)
-
         def handle_stats(_payload):
-            # Every service layer (plain, sharded, cluster, queue) now
-            # answers stats() on the shared key set; just annotate it.
-            stats = getattr(service, "stats", None)
-            if callable(stats):
-                info = dict(stats())
-            else:
-                info = {"type": type(service).__name__}
+            info = dict(service.stats())
             info["server_transport"] = self.transport_stats()
             with self._count_lock:  # atomic with the handler increment
                 info["requests"] = self._request_count
             return info
 
-        # A QueryQueue only answers knn/pairwise through its flush thread;
-        # everything else already holds the lock. knn over a queue must
-        # NOT hold it — the whole point is concurrent connections batching.
-        if hasattr(service, "submit"):
-            locked = {"add": handle_add, "len": handle_len,
-                      "stats": handle_stats}
-            unlocked = {"knn": handle_knn, "pairwise": self._locked_pairwise}
-            return {**{name: self._locked(fn) for name, fn in locked.items()},
-                    **unlocked}
-        return {name: self._locked(fn) for name, fn in {
-            "add": handle_add,
-            "knn": handle_knn,
-            "pairwise": handle_pairwise,
-            "len": handle_len,
-            "stats": handle_stats,
-        }.items()}
-
-    def _locked_pairwise(self, payload):
-        queries, database = payload
-        if hasattr(self.service, "submit_pairwise"):
-            return self.service.submit_pairwise(queries, database).result()
-        with self._lock:
-            return self.service.pairwise(queries, database)
+        return {"add": handle_add,
+                "knn": handle_knn,
+                "pairwise": lambda payload: service.pairwise(*payload),
+                "len": lambda _payload: len(service),
+                "stats": handle_stats}
 
     def _count_request(self, _command: str) -> None:
         with self._count_lock:

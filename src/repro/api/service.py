@@ -187,7 +187,11 @@ class CachedEncoder:
 
 
 class SimilarityService:
-    """Similarity queries over one backend and one (optional) kNN index."""
+    """Similarity queries over one backend and one (optional) kNN index.
+
+    Safe to call from any thread: one lock serializes the calls (see
+    :class:`~repro.api.protocols.KnnService`).
+    """
 
     def __init__(
         self,
@@ -245,6 +249,9 @@ class SimilarityService:
         #: the vectors behind ``trajectories``, kept only by a vector-fed
         #: service (anyone else re-derives them through the encoder)
         self.vectors: Optional[RowStore] = None
+        # Held by add / knn / pairwise / stats / save, so the service is
+        # safe from any thread; reentrant because knn's scan calls pairwise.
+        self._lock = threading.RLock()
 
     @property
     def vector_fed(self) -> bool:
@@ -257,29 +264,31 @@ class SimilarityService:
     # ------------------------------------------------------------------
     def add(self, trajectories: Sequence[TrajectoryLike]) -> "SimilarityService":
         """Append trajectories to the database (and the index, if any)."""
-        given = self._given(trajectories)
-        if given is not None:
-            if given.trajectories is None:
-                raise EmbeddedInputError(
-                    "add() stores what it indexes: pass "
-                    "Embedded(vectors, trajectories)")
-            trajectories = given.trajectories
-        points = as_points_batch(self._as_batch(trajectories))
-        if not points:
+        with self._lock:
+            given = self._given(trajectories)
+            if given is not None:
+                if given.trajectories is None:
+                    raise EmbeddedInputError(
+                        "add() stores what it indexes: pass "
+                        "Embedded(vectors, trajectories)")
+                trajectories = given.trajectories
+            points = as_points_batch(self._as_batch(trajectories))
+            if not points:
+                return self
+            if self.index is not None:
+                if self.index.consumes == "vectors":
+                    vectors = self._vectors_of(points if given is None
+                                               else given)
+                    self.index.add(vectors)
+                    if self.vector_fed:
+                        if self.vectors is None:
+                            self.vectors = RowStore(
+                                np.empty_like(vectors[:0]))
+                        self.vectors.append(vectors)
+                else:
+                    self.index.add(points)
+            self.trajectories.extend(points)
             return self
-        if self.index is not None:
-            if self.index.consumes == "vectors":
-                vectors = self._vectors_of(points if given is None
-                                           else given)
-                self.index.add(vectors)
-                if self.vector_fed:
-                    if self.vectors is None:
-                        self.vectors = RowStore(np.empty_like(vectors[:0]))
-                    self.vectors.append(vectors)
-            else:
-                self.index.add(points)
-        self.trajectories.extend(points)
-        return self
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -335,21 +344,23 @@ class SimilarityService:
         (:class:`~repro.api.remote.SimilarityServer`). A vector-fed
         service has no cache to report: the counters are its owner's.
         """
-        info = {
-            "type": type(self).__name__,
-            "backend": self.backend.name,
-            "kind": self.backend.kind,
-            "index": self.index.name if self.index is not None else "scan",
-            "size": len(self),
-        }
-        if not self.vector_fed:
-            info["cache"] = self.cache_info()._asdict()
-        if self.index is not None:
-            # Unified index introspection (exactness, memory_bytes, and the
-            # quantized indexes' codebook/knob detail) — JSON-able all the
-            # way up to the gateway's /stats endpoint.
-            info["index_stats"] = self.index.stats()
-        return info
+        with self._lock:
+            info = {
+                "type": type(self).__name__,
+                "backend": self.backend.name,
+                "kind": self.backend.kind,
+                "index": (self.index.name if self.index is not None
+                          else "scan"),
+                "size": len(self),
+            }
+            if not self.vector_fed:
+                info["cache"] = self.cache_info()._asdict()
+            if self.index is not None:
+                # Unified index introspection (exactness, memory_bytes, and
+                # the quantized indexes' codebook/knob detail) — JSON-able
+                # all the way up to the gateway's /stats endpoint.
+                info["index_stats"] = self.index.stats()
+            return info
 
     # ------------------------------------------------------------------
     # Queries
@@ -360,32 +371,36 @@ class SimilarityService:
         database: Optional[Sequence[TrajectoryLike]] = None,
     ) -> np.ndarray:
         """Dense ``(|Q|, |D|)`` distances; D defaults to the added database."""
-        if self._given(queries) is None:
-            queries = self._as_batch(queries)
-        if database is None:
-            database = self.trajectories
-        if len(queries) == 0 or len(database) == 0:
-            # Well-shaped empties: distance backends iterate pairs and would
-            # otherwise hand shapeless results to downstream reshapes.
-            return np.zeros((len(queries), len(database)))
-        if self.backend.kind == EMBEDDING and database is self.trajectories:
-            # Route through the embedding cache for the stored database (a
-            # vector-fed service reads the vectors it was handed instead).
-            # ``scale`` keeps parity with backends whose distances live on a
-            # target measure's scale (the supervised approximators).
-            from ..index import distance
+        with self._lock:
+            if self._given(queries) is None:
+                queries = self._as_batch(queries)
+            if database is None:
+                database = self.trajectories
+            if len(queries) == 0 or len(database) == 0:
+                # Well-shaped empties: distance backends iterate pairs and
+                # would otherwise hand shapeless results to downstream
+                # reshapes.
+                return np.zeros((len(queries), len(database)))
+            if (self.backend.kind == EMBEDDING
+                    and database is self.trajectories):
+                # Route through the embedding cache for the stored database
+                # (a vector-fed service reads the vectors it was handed
+                # instead). ``scale`` keeps parity with backends whose
+                # distances live on a target measure's scale (the
+                # supervised approximators).
+                from ..index import distance
 
-            metric = getattr(self.backend, "metric", "l1")
-            scale = getattr(self.backend, "scale", 1.0)
-            stored = (self.vectors.rows if self.vectors is not None
-                      else self.encode_batch(database))
-            return scale * distance.pairwise(
-                self._vectors_of(queries), stored, metric)
-        if isinstance(queries, Embedded):
-            raise EmbeddedInputError(
-                "already-embedded queries compare against the stored "
-                "database of an embedding backend only")
-        return self.backend.pairwise(queries, database)
+                metric = getattr(self.backend, "metric", "l1")
+                scale = getattr(self.backend, "scale", 1.0)
+                stored = (self.vectors.rows if self.vectors is not None
+                          else self.encode_batch(database))
+                return scale * distance.pairwise(
+                    self._vectors_of(queries), stored, metric)
+            if isinstance(queries, Embedded):
+                raise EmbeddedInputError(
+                    "already-embedded queries compare against the stored "
+                    "database of an embedding backend only")
+            return self.backend.pairwise(queries, database)
 
     # ``evaluate_mean_rank`` and friends dispatch on this name.
     distance_matrix = pairwise
@@ -407,42 +422,45 @@ class SimilarityService:
         instead of silently returning fewer neighbours. Rows are padded
         with ``inf``/``-1`` only when the database itself is too small.
         """
-        if not self.trajectories:
-            raise RuntimeError("service database is empty; call add() first")
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self._given(queries) is None:
-            queries = as_points_batch(self._as_batch(queries))
-        if not len(queries):
-            return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
-        n = len(self.trajectories)
-        dropped = (1 if exclude is not None else 0)
-        fetch = min(n, k + dropped + (1 if dedupe_eps is not None else 0))
-        if self.index is None:
-            fetch = n  # the scan ranks everything in one pass anyway
-        while True:
-            distances, indices = self._raw_knn(queries, fetch)
-            kept_d, kept_i, short = [], [], False
-            for row_d, row_i in zip(distances, indices):
-                keep = row_i >= 0
-                if exclude is not None:
-                    keep &= row_i != exclude
-                if dedupe_eps is not None:
-                    keep &= row_d > dedupe_eps
-                row_d, row_i = row_d[keep], row_i[keep]
-                if len(row_d) < k and fetch < n:
-                    short = True
-                kept_d.append(row_d[:k])
-                kept_i.append(row_i[:k])
-            if short:
-                fetch = min(n, max(fetch * 2, k + 1))
-                continue
-            out_d = np.full((len(queries), k), np.inf)
-            out_i = np.full((len(queries), k), -1, dtype=np.int64)
-            for row, (row_d, row_i) in enumerate(zip(kept_d, kept_i)):
-                out_d[row, :len(row_d)] = row_d
-                out_i[row, :len(row_i)] = row_i
-            return out_d, out_i
+        with self._lock:
+            if not self.trajectories:
+                raise RuntimeError(
+                    "service database is empty; call add() first")
+            if k < 1:
+                raise ValueError("k must be >= 1")
+            if self._given(queries) is None:
+                queries = as_points_batch(self._as_batch(queries))
+            if not len(queries):
+                return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
+            n = len(self.trajectories)
+            dropped = (1 if exclude is not None else 0)
+            fetch = min(n, k + dropped
+                        + (1 if dedupe_eps is not None else 0))
+            if self.index is None:
+                fetch = n  # the scan ranks everything in one pass anyway
+            while True:
+                distances, indices = self._raw_knn(queries, fetch)
+                kept_d, kept_i, short = [], [], False
+                for row_d, row_i in zip(distances, indices):
+                    keep = row_i >= 0
+                    if exclude is not None:
+                        keep &= row_i != exclude
+                    if dedupe_eps is not None:
+                        keep &= row_d > dedupe_eps
+                    row_d, row_i = row_d[keep], row_i[keep]
+                    if len(row_d) < k and fetch < n:
+                        short = True
+                    kept_d.append(row_d[:k])
+                    kept_i.append(row_i[:k])
+                if short:
+                    fetch = min(n, max(fetch * 2, k + 1))
+                    continue
+                out_d = np.full((len(queries), k), np.inf)
+                out_i = np.full((len(queries), k), -1, dtype=np.int64)
+                for row, (row_d, row_i) in enumerate(zip(kept_d, kept_i)):
+                    out_d[row, :len(row_d)] = row_d
+                    out_i[row, :len(row_i)] = row_i
+                return out_d, out_i
 
     def _raw_knn(self, queries, fetch: int):
         if self.index is not None:
@@ -471,34 +489,35 @@ class SimilarityService:
         (keys + vectors, in LRU order) so a restored service answers its
         first queries warm instead of re-running the encoder.
         """
-        backend_meta, backend_arrays = backend_state(self.backend)
-        index_meta: Optional[Dict] = None
-        payload: Dict[str, np.ndarray] = {}
-        if self.index is not None:
-            index_meta, index_arrays = self.index.state()
-            for key, value in index_arrays.items():
-                payload[_INDEX_PREFIX + key] = value
-        meta = {
-            "format_version": _FORMAT_VERSION,
-            "backend": backend_meta,
-            "index": index_meta,
-            "batch_size": self.batch_size,
-            "cache_size": self.cache_size,
-            "count": len(self.trajectories),
-        }
-        cache = self.encoder.cache
-        if include_cache and cache:
-            # Keys in LRU order (oldest first) so the restored OrderedDict
-            # evicts in the same order the live one would have.
-            meta["cache_keys"] = list(cache)
-            payload[_CACHE_VECTORS_KEY] = np.stack(list(cache.values()))
-        payload[_META_KEY] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
-        for key, value in backend_arrays.items():
-            payload[_BACKEND_PREFIX + key] = value
-        for i, trajectory in enumerate(self.trajectories):
-            payload[f"{_TRAJ_PREFIX}{i}"] = trajectory
+        with self._lock:
+            backend_meta, backend_arrays = backend_state(self.backend)
+            index_meta: Optional[Dict] = None
+            payload: Dict[str, np.ndarray] = {}
+            if self.index is not None:
+                index_meta, index_arrays = self.index.state()
+                for key, value in index_arrays.items():
+                    payload[_INDEX_PREFIX + key] = value
+            meta = {
+                "format_version": _FORMAT_VERSION,
+                "backend": backend_meta,
+                "index": index_meta,
+                "batch_size": self.batch_size,
+                "cache_size": self.cache_size,
+                "count": len(self.trajectories),
+            }
+            cache = self.encoder.cache
+            if include_cache and cache:
+                # Keys in LRU order (oldest first) so the restored OrderedDict
+                # evicts in the same order the live one would have.
+                meta["cache_keys"] = list(cache)
+                payload[_CACHE_VECTORS_KEY] = np.stack(list(cache.values()))
+            payload[_META_KEY] = np.frombuffer(
+                json.dumps(meta).encode("utf-8"), dtype=np.uint8
+            )
+            for key, value in backend_arrays.items():
+                payload[_BACKEND_PREFIX + key] = value
+            for i, trajectory in enumerate(self.trajectories):
+                payload[f"{_TRAJ_PREFIX}{i}"] = trajectory
         np.savez_compressed(path, **payload)
 
     @classmethod

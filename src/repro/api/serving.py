@@ -16,13 +16,13 @@ the scalable serving path the ROADMAP calls for:
   ``AF_UNIX`` socket pairs) and
   :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* on
   TCP, with heartbeat, replication and recovery);
-* :class:`QueryQueue` — coalesces many concurrent ``knn`` (and
-  ``pairwise``) calls into batched service calls (what arrived while
-  the previous flush ran, up to ``max_batch`` queries; an idle queue
-  flushes at once — there is no timer), so heavy traffic amortizes
-  encoder cost instead of paying per-call overhead. Callers get
-  :class:`concurrent.futures.Future` results, or block via :meth:`knn` /
-  :meth:`pairwise`.
+* :class:`QueryQueue` — a service in front of a service: it coalesces
+  many concurrent ``knn`` (and ``pairwise``) calls into batched service
+  calls (what arrived while the previous flush ran, up to ``max_batch``
+  queries; an idle queue flushes at once — there is no timer), so heavy
+  traffic amortizes encoder cost instead of paying per-call overhead.
+  Its ``knn`` / ``pairwise`` answer like any service's; ``submit``
+  returns a :class:`concurrent.futures.Future` per query.
 
 Both compose: put a ``QueryQueue`` in front of a
 ``ShardedSimilarityService`` for batched, sharded serving::
@@ -1257,18 +1257,21 @@ _PAIRWISE = "pairwise"
 
 
 class QueryQueue:
-    """Coalesces concurrent single-query ``knn`` calls into batched ones.
+    """A :class:`~repro.api.protocols.KnnService` that coalesces concurrent
+    callers into batched calls on the service it wraps.
 
-    Callers :meth:`submit` one query each (from any thread) and get a
-    :class:`~concurrent.futures.Future` resolving to ``(distances, ids)``
-     1-D arrays of length ``k``. A single flush thread drains the queue
-    with no timer in it: an entry that finds the thread idle is flushed
-    at once, and the entries that arrive *while a flush runs* leave
-    together on the next one, at most ``max_batch`` at a time. Batching
-    comes from load, not from a clock — a lone caller pays no wait, and
-    a burst of users still pays one chunked encoder pass instead of N.
-    A flush groups its entries by identical ``(k, exclude, dedupe_eps)``
-    and issues one service ``knn`` per group.
+    :meth:`knn` and :meth:`pairwise` take a batch and answer ``(N, k)`` /
+    ``(|Q|, |D|)`` like every service; under them each query is
+    :meth:`submit`-ted on its own (from any thread) and becomes a
+    :class:`~concurrent.futures.Future` of ``(distances, ids)`` 1-D rows of
+    length ``k``. A single flush thread drains the queue with no timer in
+    it: an entry that finds the thread idle is flushed at once, and the
+    entries that arrive *while a flush runs* leave together on the next
+    one, at most ``max_batch`` at a time. Batching comes from load, not
+    from a clock — a lone caller pays no wait, and a burst of users still
+    pays one chunked encoder pass instead of N. A flush groups its entries
+    by identical ``(k, exclude, dedupe_eps)`` and issues one service
+    ``knn`` per group.
 
     ``max_wait`` used to be a batching window slept out after every
     first arrival; it is still accepted and validated (callers pass it)
@@ -1277,8 +1280,7 @@ class QueryQueue:
     ``pairwise`` requests ride the same queue: concurrent
     :meth:`submit_pairwise` calls against the service database coalesce
     into one stacked ``service.pairwise`` call whose result rows are
-    scattered back to the callers, instead of forcing matrix traffic
-    around the queue (and onto the thread-oblivious service) entirely.
+    scattered back to the callers.
 
     Two traffic controls make the queue safe under overload:
 
@@ -1288,12 +1290,13 @@ class QueryQueue:
     * a per-request ``deadline`` (``time.monotonic()`` seconds) marks
       work the caller will no longer wait for — the flush thread drops
       expired entries with :class:`DeadlineExceededError` rather than
-      spending encoder time on them.
+      spending encoder time on them, and a blocking :meth:`knn` /
+      :meth:`pairwise` stops waiting when it passes.
 
-    One call at a time reaches the underlying (thread-oblivious)
-    service: queries only through the flush thread, :meth:`add` under the
-    lock a flush holds around each of its service calls — so an add never
-    overlaps a query batch.
+    One call at a time reaches the wrapped service: queries only through
+    the flush thread, :meth:`add` under the lock a flush holds around each
+    of its service calls. So a foreign, thread-oblivious service is safe
+    behind a queue, and an add never overlaps a query batch.
     """
 
     def __init__(self, service: KnnService, max_batch: int = 64,
@@ -1370,18 +1373,40 @@ class QueryQueue:
     def __len__(self) -> int:
         return len(self.service)
 
-    def knn(self, query: TrajectoryLike, k: int,
+    def knn(self, queries: Sequence[TrajectoryLike], k: int,
             exclude: Optional[int] = None,
-            dedupe_eps: Optional[float] = None,
-            timeout: Optional[float] = None):
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(query, k, exclude, dedupe_eps).result(timeout)
+            dedupe_eps: Optional[float] = None, *,
+            deadline: Optional[float] = None
+            ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(distances, ids)`` of shape ``(N, k)``: every query is
+        :meth:`submit`-ted, so other callers' queries share its flushes.
+        Past ``deadline`` it raises :class:`DeadlineExceededError`."""
+        futures = [self.submit(query, k, exclude, dedupe_eps, deadline)
+                   for query in _as_batch(queries)]
+        rows = [self._wait(future, deadline) for future in futures]
+        if not rows:
+            return np.empty((0, k)), np.empty((0, k), dtype=np.int64)
+        return (np.stack([d for d, _ in rows]),
+                np.stack([i for _, i in rows]))
 
     def pairwise(self, queries: Sequence[TrajectoryLike],
-                 database: Optional[Sequence[TrajectoryLike]] = None,
-                 timeout: Optional[float] = None):
-        """Blocking convenience wrapper around :meth:`submit_pairwise`."""
-        return self.submit_pairwise(queries, database).result(timeout)
+                 database: Optional[Sequence[TrajectoryLike]] = None, *,
+                 deadline: Optional[float] = None) -> np.ndarray:
+        """The ``(|Q|, |D|)`` block through :meth:`submit_pairwise`, waited
+        for no longer than ``deadline``."""
+        return self._wait(self.submit_pairwise(queries, database, deadline),
+                          deadline)
+
+    @staticmethod
+    def _wait(future, deadline: Optional[float]):
+        from concurrent.futures import TimeoutError as FutureTimeout
+
+        if deadline is None:
+            return future.result()
+        try:
+            return future.result(max(0.0, deadline - time.monotonic()))
+        except FutureTimeout:
+            raise DeadlineExceededError("request deadline passed") from None
 
     @property
     def pending(self) -> int:
@@ -1398,17 +1423,13 @@ class QueryQueue:
                               self._expired)
 
     def stats(self) -> Dict:
-        """Unified serving stats: the wrapped service's common keys
-        (backend/index/size/cache) plus this queue's own counters under
-        ``"queue"`` and the full inner report under ``"service"``."""
+        """The wrapped service's report as it is, plus this queue's
+        counters under ``"queue"``: nothing is nested, so a health probe
+        reads the same keys however many queues are stacked."""
         inner_stats = getattr(self.service, "stats", None)
-        inner = inner_stats() if callable(inner_stats) else {}
-        info: Dict = {key: inner.get(key) for key in
-                      ("backend", "kind", "index", "size", "cache")}
-        info["type"] = type(self).__name__
+        info = (dict(inner_stats()) if callable(inner_stats)
+                else {"type": type(self.service).__name__})
         info["queue"] = dict(self.queue_stats._asdict(), pending=self.pending)
-        if inner:
-            info["service"] = inner
         return info
 
     # ------------------------------------------------------------------

@@ -12,19 +12,19 @@ Exposes the library's main workflows without writing code:
   paper's §V-B protocol;
 * ``knn``       — k-nearest-neighbour queries through the
   :class:`repro.api.SimilarityService` (``--workers`` shards the database
-  across processes, ``--batch-wait`` routes through the query batcher,
-  ``--remote host:port`` queries a running ``serve`` instance instead of
-  building a local service);
+  across processes, ``--remote host:port`` queries a running ``serve``
+  instance instead of building a local service);
 * ``serve``     — expose a similarity service on a TCP port
-  (:class:`repro.api.SimilarityServer`); composes with ``--workers`` and
-  ``--batch-wait`` exactly like ``knn``;
+  (:class:`repro.api.SimilarityServer`); composes with ``--workers``
+  exactly like ``knn``;
 * ``serve-http`` — the HTTP/JSON edge
   (:class:`repro.api.SimilarityGateway`): ``/knn``, ``/pairwise``,
   ``/add``, ``/stats``, ``/healthz`` and a Prometheus ``/metrics``
   endpoint over any service stack (``--workers`` shards locally,
   ``--remote host:port`` fronts a running ``serve``/``cluster``
-  instance), with per-client rate limiting (``--rate-limit``), bounded
-  admission (``--max-inflight``) and ``X-Deadline-Ms`` deadlines;
+  instance) behind a :class:`repro.api.QueryQueue` (``--max-batch``,
+  ``--max-pending``), with per-client rate limiting (``--rate-limit``),
+  bounded admission (``--max-inflight``) and ``X-Deadline-Ms`` deadlines;
 * ``cluster-worker`` — boot one multi-machine shard worker
   (:class:`repro.api.ShardWorker`) waiting for a coordinator to join;
 * ``cluster``   — front a set of running cluster workers with a
@@ -247,20 +247,12 @@ def _local_service(args, database, stack):
 def _serve(args, stack, service, front_end, banner: str) -> int:
     """Serve ``service`` until signalled: the tail of serve/serve-http/cluster.
 
-    Optional ``QueryQueue`` -> front end -> SIGTERM hook -> banner -> ready
-    file -> ``serve_forever``. ``stack`` then closes in reverse order: the
-    front end first, the queue next, the caller's service or client last.
+    Front end -> SIGTERM hook -> banner -> ready file -> ``serve_forever``.
+    ``stack`` then closes in reverse order: the front end first, the
+    caller's service or client last.
     """
-    from .api import QueryQueue
     from .api.remote import install_signal_shutdown, write_ready_file
 
-    if args.batch_wait > 0:
-        # The queue is what lets concurrent callers batch and request
-        # deadlines drop expired work server-side. Only serve-http bounds
-        # its admission (--max-pending; the excess is shed with HTTP 429).
-        service = stack.enter_context(QueryQueue(
-            service, max_batch=args.max_batch, max_wait=args.batch_wait,
-            max_pending=getattr(args, "max_pending", None)))
     server = stack.enter_context(front_end(
         service, host=args.host, port=args.port,
         max_requests=args.max_requests))
@@ -279,7 +271,7 @@ def _serve(args, stack, service, front_end, banner: str) -> int:
 
 
 def cmd_knn(args) -> int:
-    from .api import QueryQueue, RemoteSimilarityClient
+    from .api import RemoteSimilarityClient
 
     database = _load_trajectories(args.data)
     if not 0 <= args.query < len(database):
@@ -299,22 +291,13 @@ def cmd_knn(args) -> int:
             where = f", workers {args.workers}" if args.workers > 1 else ""
         # The query is a database member: exclude its own id so the result
         # is k true neighbours (not k-1, and never the query itself).
-        if args.batch_wait > 0 and not args.remote:
-            queue = stack.enter_context(
-                QueryQueue(service, max_wait=args.batch_wait))
-            row_d, row_i = queue.knn(query, k=args.k, exclude=args.query)
-            distances, neighbors = row_d[None, :], row_i[None, :]
-        else:
-            distances, neighbors = service.knn(query, k=args.k,
-                                               exclude=args.query)
+        distances, neighbors = service.knn(query, k=args.k,
+                                           exclude=args.query)
         stats = service.stats()
-    # A server over a QueryQueue reports the queue's counters with the
-    # wrapped service's metadata nested under "service".
-    info = stats.get("service", stats)
-    backend = info.get("backend", "?")
-    unit = "L1" if info.get("kind") == "embedding" else backend
+    backend = stats.get("backend", "?")
+    unit = "L1" if stats.get("kind") == "embedding" else backend
     print(f"{args.k}NN of trajectory {args.query} (backend {backend}, "
-          f"index {info.get('index', '?')}{where}):")
+          f"index {stats.get('index', '?')}{where}):")
     for rank, (distance, neighbor) in enumerate(
             zip(distances[0], neighbors[0]), start=1):
         if neighbor < 0:
@@ -338,7 +321,7 @@ def cmd_serve(args) -> int:
 
 def cmd_serve_http(args) -> int:
     """Expose a similarity service over HTTP/JSON (``repro serve-http``)."""
-    from .api import RemoteSimilarityClient
+    from .api import QueryQueue, RemoteSimilarityClient
     from .api.gateway import SimilarityGateway
 
     with ExitStack() as stack:
@@ -356,6 +339,10 @@ def cmd_serve_http(args) -> int:
                      f"({len(database)} trajectories{workers})")
         else:
             raise SystemExit("serve-http needs --data (or --remote HOST:PORT)")
+        # Concurrent HTTP callers batch here, and the excess beyond
+        # --max-pending is shed with HTTP 429.
+        service = stack.enter_context(QueryQueue(
+            service, max_batch=args.max_batch, max_pending=args.max_pending))
         gateway = partial(
             SimilarityGateway, rate_limit=args.rate_limit, burst=args.burst,
             max_inflight=args.max_inflight, max_body=args.max_body)
@@ -460,16 +447,6 @@ def _add_listen_args(p: argparse.ArgumentParser, what: str, *,
                         "listening (for launchers that must not race)")
 
 
-def _add_queue_args(p: argparse.ArgumentParser, *, batch_wait=0.0) -> None:
-    """The QueryQueue in front of a served stack."""
-    p.add_argument("--batch-wait", type=float, default=batch_wait,
-                   help="> 0: coalesce concurrent queries through a "
-                        "QueryQueue (0: direct). The value starts no "
-                        "timer: an idle queue flushes at once")
-    p.add_argument("--max-batch", type=int, default=64,
-                   help="QueryQueue flush size when --batch-wait > 0")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Only the four add_argument calls: the checkers load in cmd_lint.
     from .analysis.lint_cli import add_lint_arguments, cmd_lint
@@ -528,9 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", type=int, default=0,
                    help="index of the query trajectory within --data")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--batch-wait", type=float, default=0.0,
-                   help="> 0: route the query through a batching "
-                        "QueryQueue (0: direct). The value starts no timer")
     p.add_argument("--remote", metavar="HOST:PORT",
                    help="query a running `repro serve` instance instead of "
                         "building a local service (--data still supplies "
@@ -541,17 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve kNN/pairwise queries over TCP")
     _add_service_args(p)
     _add_listen_args(p, "server")
-    _add_queue_args(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("serve-http",
                        help="serve kNN/pairwise queries over HTTP/JSON")
     _add_service_args(p, data_required=False)
     _add_listen_args(p, "gateway")
-    _add_queue_args(p, batch_wait=0.002)
     p.add_argument("--remote",
                    help="front an already-running serve/cluster instance at "
                         "HOST:PORT instead of building a local service")
+    p.add_argument("--max-batch", type=int, default=64,
+                   help="queries one QueryQueue flush hands the service")
     p.add_argument("--max-pending", type=int, default=1024,
                    help="QueryQueue admission bound; excess requests are "
                         "shed with HTTP 429")
@@ -578,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve kNN over a cluster of shard workers")
     _add_service_args(p, sharded=False)
     _add_listen_args(p, "front-end")
-    _add_queue_args(p)
     p.add_argument("--workers", required=True, metavar="HOST:PORT,...",
                    help="comma-separated addresses of running "
                         "`cluster-worker` processes")

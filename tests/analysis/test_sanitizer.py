@@ -240,11 +240,12 @@ def test_serving_stack_has_no_lock_order_cycles(sanitized):
 
 def test_sanitizer_sees_the_order_the_edge_stack_takes(sanitized):
     """The sanitizer is the only order checker, so it must not be blind
-    (the deleted static graph found 0 edges in ``src/``): each tier takes
+    (the deleted static graph found 0 edges in ``src/``): a tier takes
     its lock while the tier above holds its own, through a duck-typed
-    ``self.service`` no static model follows. An ``add`` walks the chain
-    gateway -> queue -> client on one thread; the ``knn`` reaches the
-    client from the queue's flush thread."""
+    ``self.service`` no static model follows. Down gateway -> queue ->
+    client -> server -> an embedding service, the queue holds its service
+    lock around the client's, and the service holds its own around its
+    encoder's."""
     import json
     import urllib.request
 
@@ -252,6 +253,14 @@ def test_sanitizer_sees_the_order_the_edge_stack_takes(sanitized):
     from repro.api import (QueryQueue, RemoteSimilarityClient,
                            SimilarityServer, SimilarityService)
     from repro.api.gateway import SimilarityGateway
+
+    class Ends:
+        """An embedding model: a trajectory's first and last point."""
+
+        output_dim = 4
+
+        def encode(self, batch):
+            return np.stack([np.concatenate([t[0], t[-1]]) for t in batch])
 
     rng = np.random.default_rng(11)
     trajectories = [rng.normal(size=(8, 2)).cumsum(axis=0).tolist()
@@ -263,10 +272,10 @@ def test_sanitizer_sees_the_order_the_edge_stack_takes(sanitized):
         with urllib.request.urlopen(request, timeout=30) as response:
             return json.loads(response.read())
 
-    service = SimilarityService(backend="hausdorff")
+    service = SimilarityService(backend=Ends())
     with SimilarityServer(service) as server, \
             RemoteSimilarityClient(*server.address) as client, \
-            QueryQueue(client, max_wait=0.002) as queue, \
+            QueryQueue(client) as queue, \
             SimilarityGateway(queue) as gateway:
         post(gateway, "/add", {"trajectories": trajectories})
         reply = post(gateway, "/knn", {"queries": [trajectories[2]], "k": 2})
@@ -278,8 +287,9 @@ def test_sanitizer_sees_the_order_the_edge_stack_takes(sanitized):
         return any(src.startswith(src_file) and dst.startswith(dst_file)
                    for src, dsts in edges.items() for dst in dsts)
 
-    assert reaches("gateway.py:", "serving.py:")
     assert reaches("serving.py:", "remote.py:")
+    # two distinct service.py locks: SimilarityService's, then its encoder's
+    assert reaches("service.py:", "service.py:")
     # acyclic: peeling locks nothing is taken under empties the graph
     graph = {src: set(dsts) for src, dsts in edges.items()}
     while graph:

@@ -53,6 +53,14 @@ def as_lists(trajectories):
     return [np.asarray(t).tolist() for t in trajectories]
 
 
+def fronts(service):
+    """``service`` as a gateway may be handed it: directly, behind one
+    queue and behind two. A health report must read the same through
+    each; the queues close once the caller has seen all three."""
+    with QueryQueue(service) as once, QueryQueue(once) as twice:
+        yield from (service, once, twice)
+
+
 class _SlowService:
     """Delays every knn so deadline plumbing is observable."""
 
@@ -721,14 +729,15 @@ class TestMetrics:
                         "shards": [{"shard": 0, "size": 20},
                                    {"shard": 1, "size": 20}]}
 
-        with SimilarityGateway(DegradedService()) as gw:
-            status, _, reply = request_json(gw, "/healthz")
-            assert status == 503
-            assert reply["status"] == "degraded"
-            assert reply["degraded"] == [1]
-            text = request(gw, "/metrics")[2].decode()
-        assert 'repro_gateway_shard_up{shard="0"} 1' in text
-        assert 'repro_gateway_shard_up{shard="1"} 0' in text
+        for front in fronts(DegradedService()):
+            with SimilarityGateway(front) as gw:
+                status, _, reply = request_json(gw, "/healthz")
+                assert status == 503
+                assert reply["status"] == "degraded"
+                assert reply["degraded"] == [1]
+                text = request(gw, "/metrics")[2].decode()
+            assert 'repro_gateway_shard_up{shard="0"} 1' in text
+            assert 'repro_gateway_shard_up{shard="1"} 0' in text
 
     def test_healthz_replica_health_and_shard_replicas_metric(self):
         """A replicated cluster's stats surface per-shard replica rows in
@@ -748,18 +757,19 @@ class TestMetrics:
                     ],
                 }
 
-        with SimilarityGateway(ReplicatedService()) as gw:
-            status, _, reply = request_json(gw, "/healthz")
-            assert status == 200
-            assert reply["status"] == "underreplicated"
-            assert reply["replication"] == 2
-            assert reply["underreplicated"] == [1]
-            assert reply["shards"] == [
-                {"shard": 0, "healthy_replicas": 2, "alive": True},
-                {"shard": 1, "healthy_replicas": 1, "alive": True}]
-            text = request(gw, "/metrics")[2].decode()
-        assert 'repro_gateway_shard_replicas{shard="0"} 2' in text
-        assert 'repro_gateway_shard_replicas{shard="1"} 1' in text
+        for front in fronts(ReplicatedService()):
+            with SimilarityGateway(front) as gw:
+                status, _, reply = request_json(gw, "/healthz")
+                assert status == 200
+                assert reply["status"] == "underreplicated"
+                assert reply["replication"] == 2
+                assert reply["underreplicated"] == [1]
+                assert reply["shards"] == [
+                    {"shard": 0, "healthy_replicas": 2, "alive": True},
+                    {"shard": 1, "healthy_replicas": 1, "alive": True}]
+                text = request(gw, "/metrics")[2].decode()
+            assert 'repro_gateway_shard_replicas{shard="0"} 2' in text
+            assert 'repro_gateway_shard_replicas{shard="1"} 1' in text
 
     def test_shard_lost_maps_to_503(self, trajectories):
         from repro.api import ShardLostError

@@ -512,13 +512,12 @@ class TestSeededTrajclParity:
                                                 exclude=1)
                 with QueryQueue(client, max_batch=8,
                                 max_wait=0.02) as queue:
-                    queued = [queue.knn(trajectories[i], k=5, exclude=1,
-                                        timeout=30) for i in range(4)]
+                    queued_d, queued_i = queue.knn(trajectories[:4], k=5,
+                                                   exclude=1)
         assert local_d.tobytes() == remote_d.tobytes()
         assert local_i.tobytes() == remote_i.tobytes()
-        for row, (row_d, row_i) in enumerate(queued):
-            assert local_d[row].tobytes() == row_d.tobytes()
-            assert local_i[row].tobytes() == row_i.tobytes()
+        assert local_d.tobytes() == queued_d.tobytes()
+        assert local_i.tobytes() == queued_i.tobytes()
 
 
 class TestRequestCounterLockScope:

@@ -166,7 +166,7 @@ class TestWorkerDeath:
             self, sharded, trajectories):
         from repro.api.gateway import SimilarityGateway
 
-        from .test_gateway import request, request_json
+        from .test_gateway import fronts, request, request_json
 
         service = sharded.service
         surviving = np.asarray(service._shard_ids[1], dtype=np.int64)
@@ -184,12 +184,13 @@ class TestWorkerDeath:
         assert stats["degraded"] == [0]
         assert stats["alive_workers"] == 1
         assert stats["shards"][0]["reason"]
-        with SimilarityGateway(service) as gateway:
-            status, _, reply = request_json(gateway, "/healthz")
-            assert status == 503 and reply["degraded"] == [0]
-            metrics = request(gateway, "/metrics")[2].decode()
-        assert 'repro_gateway_shard_up{shard="0"} 0' in metrics
-        assert 'repro_gateway_shard_up{shard="1"} 1' in metrics
+        for front in fronts(service):
+            with SimilarityGateway(front) as gateway:
+                status, _, reply = request_json(gateway, "/healthz")
+                assert status == 503 and reply["degraded"] == [0]
+                metrics = request(gateway, "/metrics")[2].decode()
+            assert 'repro_gateway_shard_up{shard="0"} 0' in metrics
+            assert 'repro_gateway_shard_up{shard="1"} 1' in metrics
 
     def test_add_lands_on_the_survivors(self, sharded, trajectories):
         service = sharded.service
@@ -334,8 +335,7 @@ class TestQueryQueue:
         def caller(i):
             try:
                 barrier.wait(timeout=10)
-                results[i] = queue.knn(trajectories[i], k=4, exclude=i,
-                                       timeout=30)
+                results[i] = queue.knn(trajectories[i], k=4, exclude=i)
             except Exception as error:  # pragma: no cover - surfaced below
                 errors.append(error)
 
@@ -351,10 +351,10 @@ class TestQueryQueue:
             stats = queue.queue_stats
         assert not errors
         assert stats.queries == len(trajectories)
-        for i, (row_d, row_i) in results.items():
+        for i, (got_d, got_i) in results.items():
             exp_d, exp_i = expected[i]
-            np.testing.assert_array_equal(row_i, exp_i[0])
-            np.testing.assert_allclose(row_d, exp_d[0])
+            np.testing.assert_array_equal(got_i, exp_i)
+            np.testing.assert_allclose(got_d, exp_d)
 
     def test_coalesces_submissions_into_batches(self, single_service,
                                                 trajectories):
@@ -396,8 +396,8 @@ class TestQueryQueue:
         with QueryQueue(single_service, max_batch=8, max_wait=0.2) as queue:
             doomed = queue.submit(trajectories[0], k=2)
             assert doomed.cancel()
-            row_d, row_i = queue.knn(trajectories[1], k=2, timeout=30)
-            assert row_i.shape == (2,)
+            _, ids = queue.knn(trajectories[1], k=2)
+            assert ids.shape == (1, 2)
         assert queue.queue_stats.queries == 1  # the cancelled query never ran
 
     def test_close_drains_then_refuses(self, single_service, trajectories):
@@ -458,8 +458,7 @@ class TestQueuePairwise:
     def test_explicit_database_is_served_unshared(self, single_service,
                                                   trajectories):
         with QueryQueue(single_service, max_wait=0.05) as queue:
-            block = queue.pairwise(trajectories[:2], trajectories[5:9],
-                                   timeout=30)
+            block = queue.pairwise(trajectories[:2], trajectories[5:9])
         np.testing.assert_allclose(
             block, single_service.pairwise(trajectories[:2],
                                            trajectories[5:9]))
@@ -635,7 +634,7 @@ class TestQueueAdmission:
     def test_counters_surface_in_stats(self, single_service, trajectories):
         with QueryQueue(single_service, max_wait=0.01,
                         max_pending=8) as queue:
-            queue.knn(trajectories[0], k=2, timeout=30)
+            queue.knn(trajectories[0], k=2)
             report = queue.stats()["queue"]
         assert {"queries", "batches", "largest_batch", "rejected",
                 "expired", "pending"} <= set(report)
@@ -654,7 +653,7 @@ class TestUnifiedStats:
                                                       sharded_service,
                                                       trajectories):
         with QueryQueue(single_service, max_wait=0.01) as queue:
-            queue.knn(trajectories[0], k=2, timeout=30)
+            queue.knn(trajectories[0], k=2)
             reports = {
                 "single": single_service.stats(),
                 "sharded": sharded_service.stats(),

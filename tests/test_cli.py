@@ -113,16 +113,14 @@ _LISTEN = {
     opt("--port", type=int, default=0),
     opt("--ready-file"),
 }
-_SERVED = _LISTEN | {
-    opt("--max-requests", type=int),
-    opt("--max-batch", type=int, default=64),
-}
+_SERVED = _LISTEN | {opt("--max-requests", type=int)}
 
 #: every subcommand's settable points as captured from the tree before the
 #: serving commands were collapsed onto shared argument groups: (option
-#: strings, type, default, required, choices) — 134 rows then, 122 since
+#: strings, type, default, required, choices) — 134 rows then, 122 once
 #: ``--no-fast-encode`` / ``--encode-dtype`` left the six subcommands that
-#: took them (there is one way to encode).
+#: took them (there is one way to encode), 116 since ``--batch-wait`` left
+#: four and ``--max-batch`` two (only ``serve-http`` builds a queue).
 CLI_CONTRACT = {
     "generate": {
         _CITY, opt("--count", type=int, default=300),
@@ -149,15 +147,14 @@ CLI_CONTRACT = {
     "knn": _SERVICE | {
         opt("--data", required=True), _LOCAL_WORKERS,
         opt("--query", type=int, default=0), opt("--k", type=int, default=3),
-        opt("--batch-wait", type=float, default=0.0), opt("--remote"),
+        opt("--remote"),
     },
     "serve": _SERVICE | _SERVED | {
         opt("--data", required=True), _LOCAL_WORKERS,
-        opt("--batch-wait", type=float, default=0.0),
     },
     "serve-http": _SERVICE | _SERVED | {
-        opt("--data"), _LOCAL_WORKERS,
-        opt("--batch-wait", type=float, default=0.002), opt("--remote"),
+        opt("--data"), _LOCAL_WORKERS, opt("--remote"),
+        opt("--max-batch", type=int, default=64),
         opt("--max-pending", type=int, default=1024),
         opt("--rate-limit", type=float), opt("--burst", type=float),
         opt("--max-inflight", type=int, default=64),
@@ -166,7 +163,6 @@ CLI_CONTRACT = {
     "cluster-worker": _LISTEN,
     "cluster": _SERVICE | _SERVED | {
         opt("--data", required=True), opt("--workers", required=True),
-        opt("--batch-wait", type=float, default=0.0),
         opt("--heartbeat-interval", type=float, default=2.0),
         opt("--heartbeat-timeout", type=float, default=10.0),
         opt("--connect-retries", type=int, default=5),
@@ -207,7 +203,7 @@ class TestCliContract:
         assert actual == CLI_CONTRACT[command]
 
     def test_settable_points(self):
-        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 122
+        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 116
 
 
 class TestGenerate:
@@ -381,15 +377,6 @@ class TestServingCli:
         # Both paths resolve and report the backend's real default index.
         assert "index segment" in single_out
         assert "index segment" in sharded_out
-
-    def test_knn_batch_wait_routes_through_queue(self, dataset_path, capsys):
-        argv = ["knn", "--data", dataset_path, "--backend", "hausdorff",
-                "--query", "1", "--k", "3"]
-        assert main(argv) == 0
-        direct_out = capsys.readouterr().out
-        assert main(argv + ["--batch-wait", "0.01"]) == 0
-        queued_out = capsys.readouterr().out
-        assert direct_out.splitlines()[1:] == queued_out.splitlines()[1:]
 
     def test_serve_and_remote_knn(self, dataset_path, tmp_path, capsys):
         import threading
