@@ -9,13 +9,14 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The stack's only lock-order check: every file where a serving lock
-# is taken (the engine's _rpc_lock under both link kinds, the
+# is taken (the engine's _rpc_lock under both link kinds, approximate
+# shard indexes and cluster snapshots included, the
 # gateway -> queue -> remote client -> server chain, and every service's
 # own lock under the thread-safety storm), slow tests included, with the
 # runtime lock-order sanitizer armed: an ABBA inversion raises instead
 # of deadlocking. CI's `sanitizer` job.
 test-sanitized:
-	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -q -m "" tests/api/test_serving.py tests/api/test_cluster.py tests/api/test_encode_once.py tests/api/test_transport.py tests/api/test_chaos.py tests/api/test_gateway.py tests/api/test_remote.py tests/api/test_thread_safety.py tests/analysis
+	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -q -m "" tests/api/test_serving.py tests/api/test_cluster.py tests/api/test_ann_service.py tests/api/test_encode_once.py tests/api/test_transport.py tests/api/test_chaos.py tests/api/test_gateway.py tests/api/test_remote.py tests/api/test_thread_safety.py tests/analysis
 
 # Everything: lint first (cheapest gate), then the full pytest suite
 # (including the slow serving stress tests) with the runtime lock-order

@@ -52,7 +52,7 @@ _EXPORTS = {
     "indexes": ("BruteForceBackendIndex", "HNSWBackendIndex",
                 "Int8BackendIndex", "IVFBackendIndex", "PQBackendIndex",
                 "SegmentBackendIndex", "available_indexes", "get_index",
-                "index_is_exact", "register_index"),
+                "register_index"),
     "service": ("CacheInfo", "SimilarityService"),
     "serving": ("DeadlineExceededError", "QueryQueue", "QueueFullError",
                 "QueueStats", "ShardLostError", "ShardedSimilarityService"),
@@ -84,7 +84,6 @@ __all__ = [
     "register_index",
     "get_index",
     "available_indexes",
-    "index_is_exact",
     "BruteForceBackendIndex",
     "IVFBackendIndex",
     "SegmentBackendIndex",

@@ -5,7 +5,7 @@ The sharding engine of :mod:`repro.api.serving`
 failover, write-all ``add``, the merge) runs the same over worker
 *processes* on one box and worker *machines*; this module is the second
 link kind — TCP — and what only a fleet of machines needs: heartbeat,
-replication repair, rejoin and snapshots.
+replication repair, the catch-up log, rejoin and snapshots.
 
 * :class:`ShardWorker` — a standalone TCP server hosting one or more
   *logical shards*, each a local :class:`~repro.api.serving.Shard`. It
@@ -32,8 +32,9 @@ replication repair, rejoin and snapshots.
 Fault tolerance (``replication=R``): each logical shard is placed on R
 distinct workers. ``add`` writes to every replica and commits on the
 first ack; a replica that missed a committed write gets it recorded in a
-bounded per-shard *catch-up log*. Queries route to one healthy replica
-per shard and fail over mid-request — a worker that dies between frames
+bounded per-shard *catch-up log*, kept here (a local service has no
+replica to miss a write). Queries route to one healthy replica per
+shard and fail over mid-request — a worker that dies between frames
 is degraded in place and its shards are re-asked on the surviving
 replicas, so a kill mid-traffic costs zero failed queries and the
 answers stay bit-identical (replicas hold byte-identical shard state by
@@ -85,7 +86,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import (
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -287,8 +291,7 @@ class ClusterCoordinator(ShardMergeMixin):
         super().__init__(
             addresses, backend, index, replication=replication,
             backend_kwargs=backend_kwargs, index_kwargs=index_kwargs,
-            batch_size=batch_size, cache_size=cache_size,
-            catchup_limit=catchup_limit)
+            batch_size=batch_size, cache_size=cache_size)
         self.heartbeat_interval = float(heartbeat_interval or 0.0)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.shutdown_workers_on_close = bool(shutdown_workers_on_close)
@@ -296,6 +299,13 @@ class ClusterCoordinator(ShardMergeMixin):
         self._connect_wait = float(retry_wait)
         self._rereplicate_enabled = bool(rereplicate)
         self._rereplications = 0
+        self._catchup_limit = int(catchup_limit)
+        #: ``(worker, shard)`` -> the ``(global_id, points, vector-or-None)``
+        #: adds committed while that replica was down, replayed on rejoin
+        self._catchup: Dict[Tuple[int, int], deque] = {}
+        #: ``(worker, shard)`` logs that overflowed ``catchup_limit``
+        #: (replay no longer possible)
+        self._catchup_overflow: Set[Tuple[int, int]] = set()
         if isinstance(chaos, str):
             # fault injection loads only where it is asked for
             from .chaos import ChaosConfig
@@ -463,6 +473,45 @@ class ClusterCoordinator(ShardMergeMixin):
         return False
 
     # ------------------------------------------------------------------
+    # Catch-up log
+    # ------------------------------------------------------------------
+    def _add_locked(self, batch: List[np.ndarray], vectors):
+        """The engine's add, then a log entry per committed trajectory for
+        every dead replica of its shard. Caller holds ``_rpc_lock``."""
+        base = self._size  # global id of the batch's (and vectors') row 0
+        committed = super()._add_locked(batch, vectors)
+        for shard, ids, points in committed:
+            dead = [worker for worker in self._placement[shard]
+                    if not self._links[worker].alive]
+            if dead:
+                missed = [(g, pts, None if vectors is None
+                           else vectors[g - base])
+                          for g, pts in zip(ids, points)]
+                for worker in dead:
+                    self._log_catchup((worker, shard), missed)
+        return committed
+
+    def _log_catchup(self, key: Tuple[int, int],
+                     missed: Sequence[Tuple]) -> None:
+        """Record committed writes a dead replica missed (bounded)."""
+        if key in self._catchup_overflow:
+            return
+        log = self._catchup.setdefault(key, deque())
+        for entry in missed:
+            if len(log) >= self._catchup_limit:
+                # Overflow: the tail is no longer complete, so replay is
+                # off the table — drop the log (rejoin falls back to a
+                # replica export or a full-coverage snapshot).
+                self._catchup.pop(key, None)
+                self._catchup_overflow.add(key)
+                return
+            log.append(entry)
+
+    def _drop_catchup(self, key: Tuple[int, int]) -> None:
+        self._catchup.pop(key, None)
+        self._catchup_overflow.discard(key)
+
+    # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
     def rejoin(self, worker, address=None, *,
@@ -498,8 +547,7 @@ class ClusterCoordinator(ShardMergeMixin):
                 if len(self._replicas(shard)) >= self.replication:
                     link.shards.remove(shard)
                     self._placement[shard].remove(link.worker)
-                    link.catchup.pop(shard, None)
-                    link.catchup_overflow.discard(shard)
+                    self._drop_catchup((link.worker, shard))
             transport = heartbeat = None
             try:
                 transport = self._new_transport(link.address)
@@ -528,7 +576,8 @@ class ClusterCoordinator(ShardMergeMixin):
     def _restore_shard(self, link: _WorkerLink, shard: int, transport,
                        snapshot: Optional[str]) -> str:
         """Refill one shard on a rejoining worker; caller holds _rpc_lock."""
-        want = self._shard_ids[shard]
+        want = self._shard_ids[shard].rows
+        key = (link.worker, shard)
         while True:
             source = self._pick_replica(shard)  # link itself is not up yet
             if source is None:
@@ -551,11 +600,10 @@ class ClusterCoordinator(ShardMergeMixin):
             if held:
                 request(transport, "add", {shard: exported},
                         who=f"cluster worker {link.label}")
-            link.catchup.pop(shard, None)
-            link.catchup_overflow.discard(shard)
+            self._drop_catchup(key)
             return "replica"
-        tail = list(link.catchup.get(shard, ()))
-        tail_usable = shard not in link.catchup_overflow
+        tail = list(self._catchup.get(key, ()))
+        tail_usable = key not in self._catchup_overflow
         restored_ids: List[int] = []
         restored_points: List[np.ndarray] = []
         directory = snapshot if snapshot is not None else self._last_snapshot
@@ -594,8 +642,7 @@ class ClusterCoordinator(ShardMergeMixin):
                     + [tail_map[g][1] for g in remaining_want])
             request(transport, "add", {shard: shard_share(points, vectors)},
                     who=f"cluster worker {link.label}")
-        link.catchup.pop(shard, None)
-        link.catchup_overflow.discard(shard)
+        self._drop_catchup(key)
         return "snapshot" if used_snapshot else "catchup"
 
     @staticmethod
@@ -613,10 +660,17 @@ class ClusterCoordinator(ShardMergeMixin):
         return ids, points
 
     def stats(self) -> Dict:
-        """The engine's report plus what only a cluster has: the count of
-        background ``"rereplications"`` and, under fault injection, the
-        ``"chaos"`` tallies."""
+        """The engine's report plus what only a cluster has: the
+        ``"catchup"`` backlog of each dead ``"worker_links"`` entry, the
+        count of background ``"rereplications"`` and, under fault
+        injection, the ``"chaos"`` tallies."""
         result = super().stats()
+        for entry in result["worker_links"]:
+            if not entry["alive"]:
+                entry["catchup"] = sum(
+                    len(log)
+                    for (worker, _), log in list(self._catchup.items())
+                    if worker == entry["worker"])
         result["rereplications"] = self._rereplications
         if self._chaos:
             result["chaos"] = self._chaos_stats()

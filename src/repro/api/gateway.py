@@ -18,6 +18,8 @@ Routes (JSON in, JSON out; trajectories are ``[[x, y], ...]`` lists):
 
 * ``POST /knn``      — ``{"queries": [...], "k": 5, "exclude": null,
   "dedupe_eps": null}`` → ``{"distances": [[...]], "ids": [[...]]}``;
+  a ``k`` past the database size (an empty database included) is a
+  ``400``;
 * ``POST /pairwise`` — ``{"queries": [...], "database": [...]?}`` →
   ``{"distances": [[...]]}`` (``database`` defaults to the served one);
 * ``POST /add``      — ``{"trajectories": [...]}`` → ``{"size": N}``;
@@ -628,6 +630,12 @@ class SimilarityGateway:
         k = _optional_number(body, "k", int, default=10)
         if k is None or k < 1:
             raise _HttpError(400, "'k' must be an integer >= 1")
+        # k sizes every output and every shard's fetch: bound it by the
+        # database before the service allocates anything
+        size = len(self.service)
+        if k > size:
+            raise _HttpError(
+                400, f"'k' ({k}) exceeds the database size ({size})")
         exclude = _optional_number(body, "exclude", int)
         dedupe_eps = _optional_number(body, "dedupe_eps", float)
         distances, ids = self.service.knn(queries, k, exclude, dedupe_eps,
@@ -676,11 +684,11 @@ class SimilarityGateway:
 
     def _healthz(self):
         if self._shutdown.is_set():
-            return self._json_status(503, {"status": "stopping"})
+            return self._json(503, {"status": "stopping"})
         try:
             stats = self.service.stats()
         except Exception as error:
-            return self._json_status(
+            return self._json(
                 503, {"status": "error", "error": str(error)})
         degraded = list(stats.get("degraded") or [])
         underreplicated = list(stats.get("underreplicated") or [])
@@ -709,11 +717,7 @@ class SimilarityGateway:
             if isinstance(entry, dict) and "healthy_replicas" in entry]
         if replicas:
             payload["shards"] = replicas
-        return self._json_status(503 if degraded else 200, payload)
-
-    def _json_status(self, status: int, payload: Dict):
-        return status, json.dumps(_jsonable(payload)).encode(), \
-            "application/json", {}
+        return self._json(503 if degraded else 200, payload)
 
     # ------------------------------------------------------------------
     # /metrics rendering

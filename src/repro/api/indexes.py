@@ -68,7 +68,6 @@ __all__ = [
     "register_index",
     "get_index",
     "available_indexes",
-    "index_is_exact",
 ]
 
 _INDEXES: Dict[str, Callable[..., Index]] = {}
@@ -98,22 +97,6 @@ def get_index(name: str, **kwargs) -> Index:
 def available_indexes() -> List[str]:
     """Sorted names of every registered index type."""
     return sorted(_INDEXES)
-
-
-def index_is_exact(name: Optional[str]) -> bool:
-    """Whether shards built from index ``name`` answer exact kNN.
-
-    The sharded merge (:class:`~repro.api.serving.ShardedSimilarityService`,
-    :class:`~repro.api.cluster.ClusterCoordinator`) keys its bit-exactness
-    frontier certificate on this. ``None`` (the backend default / pairwise
-    scan path) is exact; unknown names conservatively count as approximate.
-    """
-    if name is None:
-        return True
-    factory = _INDEXES.get(name)
-    if factory is None:
-        return False
-    return bool(getattr(factory, "exact", True))
 
 
 #: keywords the lifecycle itself consumes when the structure trains; every

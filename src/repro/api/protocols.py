@@ -355,9 +355,9 @@ class Index(ABC):
     name: str = "abstract"
     #: ``"vectors"`` or ``"trajectories"``
     consumes: str = "vectors"
-    #: whether :meth:`search` answers exact kNN. Approximate indexes
-    #: (IVF, PQ, int8, HNSW) set this False, which disables the sharded
-    #: merge's bit-exactness frontier certificate.
+    #: whether :meth:`search` answers exact kNN, as ``stats()`` reports.
+    #: Approximate indexes (IVF, PQ, int8, HNSW) set this False; the
+    #: sharded merge treats both kinds alike.
     exact: bool = True
 
     @abstractmethod

@@ -9,9 +9,10 @@ the scalable serving path the ROADMAP calls for:
   database, hosted by a worker's :class:`_ShardHost`), routes
   ``add``/``knn``/``pairwise`` to them over
   :class:`~repro.api.transport.Transport` links, fails over, and merges
-  per-shard top-k with distance-then-id tie-breaking — for exact
-  indexes the merged result is identical to a single service over the
-  same database. It has two link kinds:
+  one round of per-shard top-k (each shard applies ``dedupe_eps``) with
+  one distance-then-id sort — for exact indexes the merged result is
+  identical to a single service over the same database. It has two
+  link kinds:
   :class:`ShardedSimilarityService` here (worker *processes* on
   ``AF_UNIX`` socket pairs) and
   :class:`~repro.api.cluster.ClusterCoordinator` (worker *machines* on
@@ -59,12 +60,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..index.rows import RowStore
 from ..trajectory.trajectory import TrajectoryLike, as_points, as_points_batch
 from .backends import restore_backend, shard_backend_state
 from .protocols import (
     EMBEDDING, Embedded, KnnService, SimilarityBackend, as_backend,
 )
-from .indexes import index_is_exact
 from .registry import get_backend
 from .service import CachedEncoder, SimilarityService, _default_index_for
 from .transport import (
@@ -140,20 +141,6 @@ def owner_cache_counters(encoder: Optional[CachedEncoder],
         [entry["cache"] for entry in entries if "cache" in entry])
 
 
-def freeze_shard_ids(ids: Sequence[int]) -> np.ndarray:
-    """Immutable int64 snapshot of one shard's global-id list.
-
-    Rebuilt once per ``add`` so the per-query merge hands
-    :meth:`ShardMergeMixin._fetch_candidates` a ready array instead of
-    copying and re-converting an O(shard-size) Python list on every
-    query — at 25k ids per shard that conversion alone costs more than
-    the shard's own scan.
-    """
-    array = np.asarray(ids, dtype=np.int64)
-    array.flags.writeable = False
-    return array
-
-
 # ----------------------------------------------------------------------
 # Shard side
 # ----------------------------------------------------------------------
@@ -213,15 +200,16 @@ class Shard:
         return len(self.service)
 
     def knn(self, payload):
-        queries, fetch = payload
+        queries, fetch, dedupe_eps = payload
         if len(self.service) == 0:
             # This shard got no data (database smaller than the shard
             # count); contribute an all-padding pool.
             return (np.full((len(queries), fetch), np.inf),
                     np.full((len(queries), fetch), -1, dtype=np.int64))
-        # No exclude/dedupe here: the owner filters after the merge,
-        # where global ids are known.
-        return self.service.knn(self._queries(queries), k=fetch)
+        # No exclude here: it names a global id, which the owner drops
+        # from the merged pool.
+        return self.service.knn(self._queries(queries), k=fetch,
+                                dedupe_eps=dedupe_eps)
 
     def pairwise(self, queries):
         return self.service.pairwise(self._queries(queries))
@@ -248,8 +236,8 @@ class _ShardHost:
     replaces everything, ``leave`` drops it, ``host`` adds empty shards
     (the re-replication path). Shard commands address shards explicitly
     (``add`` maps ``{shard: share}``, ``knn`` asks ``(shards, (queries,
-    fetch))``, in the forms :class:`Shard` takes), so one worker can serve
-    several replicas without ever pooling their ids.
+    fetch, dedupe_eps))``, in the forms :class:`Shard` takes), so one
+    worker can serve several replicas without ever pooling their ids.
     """
 
     def __init__(self):
@@ -399,7 +387,7 @@ class _WorkerLink:
     """Owner-side state for one shard worker."""
 
     __slots__ = ("worker", "worker_id", "address", "transport", "heartbeat",
-                 "alive", "reason", "shards", "catchup", "catchup_overflow")
+                 "alive", "reason", "shards")
 
     def __init__(self, worker: int, address: Optional[Tuple[str, int]],
                  shards: Sequence[int]):
@@ -413,12 +401,6 @@ class _WorkerLink:
         self.reason: Optional[str] = None
         #: logical shards this worker hosts (mirrors the owner's placement)
         self.shards: List[int] = list(shards)
-        #: per-shard (global_id, points, vector-or-None) adds committed
-        #: while this worker was down — replayed on rejoin, bounded by
-        #: catchup_limit
-        self.catchup: Dict[int, deque] = {}
-        #: shards whose catch-up log overflowed (replay no longer possible)
-        self.catchup_overflow: Set[int] = set()
 
     @property
     def label(self) -> str:
@@ -440,9 +422,11 @@ class ShardMergeMixin:
     here, once — ``len(workers)`` logical shards placed on ``replication``
     workers each, the id bookkeeping, :meth:`_shard_query` (one healthy
     replica per shard, re-routed mid-request), the write-all :meth:`add`,
-    :meth:`stats`, the bounded :meth:`close`, and the merge: per-shard
-    over-fetch, distance-then-id ordering and the frontier certificate
-    that makes exact shard indexes bit-identical to one unsharded service.
+    :meth:`stats`, the bounded :meth:`close`, and the merge: one round in
+    which every shard answers its own top ``k`` (one more under
+    ``exclude``) past ``dedupe_eps``, and one distance-then-id sort of the
+    pooled replies — for exact shard indexes bit-identical to one
+    unsharded service.
 
     Every exchange on the request transports, and every commit of the id
     bookkeeping, happens under ``_rpc_lock``: a ``stats()`` probe from a
@@ -473,7 +457,6 @@ class ShardMergeMixin:
         index_kwargs: Optional[Dict] = None,
         batch_size: int = 256,
         cache_size: int = 4096,
-        catchup_limit: int = 4096,
     ):
         """``workers`` holds one entry per link: a TCP worker's ``(host,
         port)``, ``None`` for a local worker. No link is connected yet."""
@@ -501,15 +484,10 @@ class ShardMergeMixin:
             # and the workers build exactly what a single service would.
             index = _default_index_for(backend)
         self.index_name = index
-        # Approximate shards (ivf/pq/int8/hnsw) answer from probed cells,
-        # codes or a beam; the merge certificate is only meaningful over
-        # exact shard indexes — the registry knows which is which.
-        self._exact_shards = index_is_exact(index)
         self._index_kwargs = index_kwargs
         self._batch_size = int(batch_size)
         self._cache_size = int(cache_size)
         self.replication = replication
-        self._catchup_limit = int(catchup_limit)
         self._route_counter = 0
         self._num_shards = len(workers)
         # shard s lives on workers placement[s] (R distinct, ring layout);
@@ -517,10 +495,11 @@ class ShardMergeMixin:
         self._placement: List[List[int]] = [
             [(s + j) % len(workers) for j in range(replication)]
             for s in range(self._num_shards)]
-        self._shard_ids: List[List[int]] = [[] for _ in range(self._num_shards)]
-        # Per-shard id arrays the query path reads; refreshed on add.
-        self._shard_id_arrays: List[np.ndarray] = [
-            freeze_shard_ids(()) for _ in range(self._num_shards)]
+        # Each shard's global ids, in its local-id order. The query path
+        # reads a store's ``rows`` view: appends land past it or in a new
+        # buffer, so a view taken under the lock never changes.
+        self._shard_ids = [RowStore(np.empty(0, dtype=np.int64))
+                           for _ in range(self._num_shards)]
         self._size = 0
         self._closed = False
         self._rpc_lock = threading.Lock()
@@ -605,8 +584,8 @@ class ShardMergeMixin:
         diagnosis: if the alternative also fails, the request itself was
         bad and the error propagates without degrading anyone). Returns
         one ``(global_ids, reply)`` entry per answering shard — never two
-        for one shard, since a duplicated id pool would break the merge's
-        bit-exactness certificate — and raises only when none answered.
+        for one shard, or the merge would pool its ids twice — and raises
+        only when none answered.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -615,7 +594,7 @@ class ShardMergeMixin:
             if not answered:
                 raise RuntimeError(
                     "all shard workers failed; no shards left to answer")
-            return [(self._shard_id_arrays[shard], answered[shard])
+            return [(self._shard_ids[shard].rows, answered[shard])
                     for shard in sorted(answered)]
 
     def _routed_query(self, command, payload) -> Dict[int, object]:
@@ -687,9 +666,8 @@ class ShardMergeMixin:
         (ties broken by shard id — identical to round-robin while shards
         are balanced, and self-healing when they are not). Every alive
         replica of a shard receives the write; the chunk commits on the
-        first ack, replicas that missed it get catch-up log entries
-        (replayed on rejoin), and a chunk *no* replica acked is requeued
-        onto the surviving shards — global ids are independent of shard
+        first ack, and a chunk *no* replica acked is requeued onto the
+        surviving shards — global ids are independent of shard
         placement, so the reassignment is invisible to queries. A dead
         worker can never answer again without a state-rebuilding rejoin,
         so a write it applied without acking can never surface twice.
@@ -723,7 +701,11 @@ class ShardMergeMixin:
                 f"no alive shard workers ({degraded} degraded)")
         return shards
 
-    def _add_locked(self, batch: List[np.ndarray], vectors) -> None:
+    def _add_locked(self, batch: List[np.ndarray], vectors
+                    ) -> List[Tuple[int, List[int], List[np.ndarray]]]:
+        """Deal, write and commit ``batch``; returns the committed
+        ``(shard, global_ids, points)`` chunks. Caller holds ``_rpc_lock``."""
+        committed = []
         eligible = self._eligible_shards()
         sizes = {s: len(self._shard_ids[s]) for s in eligible}
         chunks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}
@@ -804,37 +786,12 @@ class ShardMergeMixin:
                 # see sum(shard_sizes) == size, even between requeue
                 # rounds of a partially failed add.
                 # repro: allow[C202] add() wraps this whole method in _rpc_lock; the commit is not reachable any other way
-                self._shard_ids[shard].extend(ids)
-                # repro: allow[C202] same _rpc_lock transaction as the line above
-                self._shard_id_arrays[shard] = freeze_shard_ids(
-                    self._shard_ids[shard])
+                self._shard_ids[shard].append(
+                    np.asarray(ids, dtype=np.int64))
                 # repro: allow[C202] same _rpc_lock transaction as the line above
                 self._size += len(ids)
-                dead = [self._links[worker]
-                        for worker in self._placement[shard]
-                        if not self._links[worker].alive]
-                if dead:
-                    missed = [(g, pts, None if vectors is None
-                               else vectors[g - base])
-                              for g, pts in zip(ids, points)]
-                    for link in dead:
-                        self._log_catchup(link, shard, missed)
-
-    def _log_catchup(self, link: _WorkerLink, shard: int,
-                     missed: Sequence[Tuple]) -> None:
-        """Record a committed write a dead replica missed (bounded)."""
-        if shard in link.catchup_overflow:
-            return
-        log = link.catchup.setdefault(shard, deque())
-        for entry in missed:
-            if len(log) >= self._catchup_limit:
-                # Overflow: the tail is no longer complete, so replay is
-                # off the table — drop the log (rejoin falls back to a
-                # replica export or a full-coverage snapshot).
-                link.catchup_overflow.add(shard)
-                link.catchup.pop(shard, None)
-                return
-            log.append(entry)
+                committed.append((shard, ids, points))
+        return committed
 
     # ------------------------------------------------------------------
     # Health
@@ -846,10 +803,10 @@ class ShardMergeMixin:
         data is unreachable), ``"underreplicated"`` those still served
         but below the replication factor; each ``"shards"`` entry carries
         its replica set (worker, address, alive, failure reason). Worker-
-        level detail (hosted shards, catch-up backlog) lives under
-        ``"worker_links"``; transport counters aggregate over the alive
-        workers, and so does ``"cache"`` — unless the owner embeds, in
-        which case it is its own encoder's.
+        level detail (hosted shards) lives under ``"worker_links"``;
+        transport counters aggregate over the alive workers, and so does
+        ``"cache"`` — unless the owner embeds, in which case it is its own
+        encoder's.
         """
         per_worker: Dict[int, Dict] = {}
         if not self._closed:
@@ -912,8 +869,6 @@ class ShardMergeMixin:
             }
             if not link.alive:
                 entry["reason"] = link.reason
-                entry["catchup"] = sum(
-                    len(log) for log in link.catchup.values())
             info = per_worker.get(link.worker)
             if info is not None and "cache" in info:
                 entry["cache"] = info["cache"]
@@ -986,48 +941,35 @@ class ShardMergeMixin:
         queries = as_points_batch(_as_batch(queries))
         if not queries:
             return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
-        asked = self._for_shards(queries)  # embedded once, not per round
-        dropped = (1 if exclude is not None else 0)
-        fetch = k + dropped + (1 if dedupe_eps is not None else 0)
-        while True:
-            pool_d, pool_i, frontiers = self._fetch_candidates(asked, fetch)
-            # Shard sizes come from the shards that actually answered, so
-            # a worker lost mid-query shrinks the merge instead of
-            # stalling it (a shard's over-fetch never exceeds its size).
-            largest_shard = max(size for size, _, _ in frontiers)
-            if largest_shard == 0:
-                return (np.full((len(queries), k), np.inf),
-                        np.full((len(queries), k), -1, dtype=np.int64))
-            fetch = min(fetch, largest_shard)
-            out_d = np.full((len(queries), k), np.inf)
-            out_i = np.full((len(queries), k), -1, dtype=np.int64)
-            short = False
-            for row in range(len(queries)):
-                row_d, row_i = pool_d[row], pool_i[row]
-                keep = row_i >= 0
-                if exclude is not None:
-                    keep &= row_i != exclude
-                if dedupe_eps is not None:
-                    keep &= row_d > dedupe_eps
-                row_d, row_i = row_d[keep], row_i[keep]
-                # Global merge order: distance first, database id on ties —
-                # exactly the single-service ranking.
-                order = np.lexsort((row_i, row_d))[:k]
-                if fetch < largest_shard and (
-                    len(order) < k
-                    or (self._exact_shards and not self._frontiers_cover(
-                        frontiers, row, fetch,
-                        row_d[order[-1]], row_i[order[-1]],
-                    ))
-                ):
-                    short = True
-                    break
-                out_d[row, :len(order)] = row_d[order]
-                out_i[row, :len(order)] = row_i[order]
-            if short:
-                fetch = min(largest_shard, max(fetch * 2, k + 1))
-                continue
-            return out_d, out_i
+        # One round. Each shard drops ``d <= dedupe_eps`` itself and sends
+        # its top ``fetch`` by (distance, local id); local ids ascend with
+        # global ids, so a shard's order is the global one. A row of the
+        # answer ranks within its shard's top k + 1 past eps (only the
+        # excluded id can rank above it without being in the answer).
+        fetch = k + (1 if exclude is not None else 0)
+        pool_d, pool_i = [], []
+        for ids, (distances, locals_) in self._shard_query(
+                "knn", (self._for_shards(queries), fetch, dedupe_eps)):
+            pool_d.append(distances)
+            # an empty shard answers all padding, which maps to itself
+            pool_i.append(np.where(locals_ >= 0,
+                                   ids[np.maximum(locals_, 0)], -1)
+                          if len(ids) else locals_)
+        pool_d = np.concatenate(pool_d, axis=1)
+        pool_i = np.concatenate(pool_i, axis=1)
+        out_d = np.full((len(queries), k), np.inf)
+        out_i = np.full((len(queries), k), -1, dtype=np.int64)
+        for row in range(len(queries)):
+            row_d, row_i = pool_d[row], pool_i[row]
+            keep = row_i >= 0
+            if exclude is not None:
+                keep &= row_i != exclude
+            row_d, row_i = row_d[keep], row_i[keep]
+            # distance first, database id on ties: the single service's
+            order = np.lexsort((row_i, row_d))[:k]
+            out_d[row, :len(order)] = row_d[order]
+            out_i[row, :len(order)] = row_i[order]
+        return out_d, out_i
 
     def _for_shards(self, trajectories):
         """What the shards are asked with: the trajectories themselves, or
@@ -1035,54 +977,6 @@ class ShardMergeMixin:
         if self._encoder is None:
             return list(trajectories)
         return self._encoder.encode(trajectories)
-
-    @staticmethod
-    def _frontiers_cover(frontiers, row, fetch, kth_d, kth_i) -> bool:
-        """True when no shard can still hold a better-than-kth candidate.
-
-        A shard's unreturned candidates all rank (by distance, then id)
-        after the last candidate it did return — its *frontier*. The merged
-        top-k is final once every non-exhausted shard's frontier ranks at
-        or after the k-th selected result; otherwise a deeper fetch into
-        that shard could still improve the answer (e.g. when ``dedupe_eps``
-        filtered away a shard's entire contribution).
-        """
-        for size, frontier_d, frontier_i in frontiers:
-            if size <= fetch:
-                continue  # shard fully fetched; nothing deeper exists
-            w_d, w_i = frontier_d[row], frontier_i[row]
-            if w_d < kth_d or (w_d == kth_d and w_i < kth_i):
-                return False
-        return True
-
-    def _fetch_candidates(self, queries, fetch):
-        """Per-shard top-``fetch`` pools with ids mapped to global space.
-
-        Returns the concatenated ``(distances, global_ids)`` pools plus each
-        answering shard's ``(size, frontier_d, frontier_i)`` — the frontier
-        being the last (worst) candidate it returned per row — which
-        :meth:`_frontiers_cover` uses to certify the merge.
-        """
-        replies = self._shard_query("knn", (queries, fetch))
-        pool_d, pool_i, frontiers = [], [], []
-        for ids, (distances, locals_) in replies:
-            ids_arr = np.asarray(ids, dtype=np.int64)
-            if len(ids_arr):
-                globals_ = np.where(locals_ >= 0,
-                                    ids_arr[np.clip(locals_, 0, None)], -1)
-            else:
-                globals_ = np.full_like(locals_, -1)
-            pool_d.append(distances)
-            pool_i.append(globals_)
-            valid_counts = (globals_ >= 0).sum(axis=1)
-            last = np.clip(valid_counts - 1, 0, None)
-            rows = np.arange(len(globals_))
-            frontier_d = np.where(valid_counts > 0, distances[rows, last],
-                                  np.inf)
-            frontier_i = np.where(valid_counts > 0, globals_[rows, last], -1)
-            frontiers.append((len(ids_arr), frontier_d, frontier_i))
-        return (np.concatenate(pool_d, axis=1),
-                np.concatenate(pool_i, axis=1), frontiers)
 
     def __len__(self) -> int:
         return self._size

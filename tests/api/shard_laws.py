@@ -129,6 +129,33 @@ def knn_parity_with_exclude_and_dedupe(links, backend, single_service,
                 single_service.knn(trajectories[3], k=4, **kwargs))
 
 
+def knn_is_one_fan_out_round(links, backend, trajectories):
+    """A sharded ``knn`` asks each worker once. One shard holds more than
+    ``k + 1`` copies of the query and ``dedupe_eps = 0`` removes every one
+    of them: the answer is still the single service's, and the round
+    costs one request frame per worker."""
+    k, workers = 3, 2
+    query = trajectories[0]
+    database = []
+    for other in trajectories[1:k + 3]:
+        database += [query, other]  # dealt in turn: every copy on shard 0
+    single = SimilarityService(backend=backend).add(database)
+    with Sharded(links, backend, shards=workers) as sharded:
+        service = sharded.service
+        service.add(database)
+        assert service._shard_ids[0].rows.tolist() == list(
+            range(0, len(database), 2))
+
+        def frames():
+            return service.stats()["transport"]["frames_sent"]
+
+        before = frames()
+        got = service.knn(query, k=k, dedupe_eps=0.0)
+        spent = frames() - before - workers  # less the second stats round
+    assert_same_bits(got, single.knn(query, k=k, dedupe_eps=0.0))
+    assert spent == workers
+
+
 def bad_chunk_is_refused_whole(links, backend, single_service, trajectories):
     """A chunk is validated in one pass at the owner: the error is the one
     ``as_points`` raises for its first offending item, and no shard, id

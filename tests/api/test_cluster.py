@@ -88,6 +88,8 @@ class TestCoordinatorParity:
 
     test_knn_with_dedupe = staticmethod(
         laws.knn_parity_with_exclude_and_dedupe)
+    test_knn_is_one_fan_out_round = staticmethod(
+        laws.knn_is_one_fan_out_round)
     test_incremental_add_keeps_parity = staticmethod(
         laws.incremental_add_keeps_parity)
     test_float32_ties_match_single_service = staticmethod(
@@ -142,7 +144,7 @@ class TestFailover:
             self, workers, single_service, trajectories):
         with make_cluster(workers) as cluster:
             cluster.add(trajectories)
-            surviving = np.asarray(cluster._shard_ids[1], dtype=np.int64)
+            surviving = np.asarray(cluster._shard_ids[1].rows, dtype=np.int64)
             workers[0].close()  # abrupt: sockets drop mid-conversation
             distances, ids = cluster.knn(trajectories[:4], k=3)
             stats = cluster.stats()
@@ -177,7 +179,7 @@ class TestFailover:
             cluster.add(trajectories[8:12])
             assert len(cluster) == 12
             # Every requeued id landed on the surviving shard.
-            assert set(cluster._shard_ids[1]) >= {8, 9, 10, 11}
+            assert set(cluster._shard_ids[1].rows) >= {8, 9, 10, 11}
             distances, ids = cluster.knn(trajectories[10], k=1)
             assert ids[0, 0] == 10
             assert distances[0, 0] == 0.0
@@ -249,7 +251,7 @@ class TestWorkerProtocol:
         transport = SocketTransport.connect(*workers[0].address)
         try:
             with pytest.raises(RemoteCallError, match="join"):
-                request(transport, "knn", ([0], ([trajectories[0]], 1)))
+                request(transport, "knn", ([0], ([trajectories[0]], 1, None)))
             # ping and len answer without a shard; the connection survived
             # the error above.
             assert request(transport, "ping")["joined"] is False

@@ -7,6 +7,7 @@ import re
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 
@@ -68,6 +69,9 @@ class _SlowService:
         self.inner = inner
         self.delay = delay
 
+    def __len__(self):
+        return len(self.inner)
+
     def knn(self, queries, k, exclude=None, dedupe_eps=None):
         time.sleep(self.delay)
         return self.inner.knn(queries, k=k, exclude=exclude,
@@ -82,6 +86,9 @@ class _GatedService:
         self.started = threading.Event()
         self.gate = threading.Event()
         self.calls = 0
+
+    def __len__(self):
+        return len(self.inner)
 
     def knn(self, queries, k, exclude=None, dedupe_eps=None):
         self.calls += 1
@@ -253,6 +260,43 @@ class TestValidation:
             gateway, "/knn", {"queries": [[[1, float("nan")]]], "k": 2})
         assert status == 400
         assert "non-finite" in reply["error"]
+
+    def test_k_past_the_database_is_a_400_before_any_allocation(
+            self, gateway, trajectories):
+        # k sizes the (N, k) answer and every shard's fetch: an unbounded
+        # k is memory the caller chooses, so it never reaches the service
+        body = {"queries": as_lists(trajectories[:1]), "k": 10 ** 6}
+        tracemalloc.start()
+        try:
+            status, _, reply = request_json(gateway, "/knn", body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 400
+        assert f"database size ({len(trajectories)})" in reply["error"]
+        assert peak < 4 * 2 ** 20  # the answer alone would be 16 MB
+
+    def test_knn_on_an_empty_database_is_a_400_and_logs_nothing(
+            self, trajectories, caplog):
+        empty = SimilarityService(backend="hausdorff")
+        with caplog.at_level("DEBUG", logger="repro.api.gateway"):
+            with SimilarityGateway(empty) as gw:
+                status, _, reply = request_json(
+                    gw, "/knn", {"queries": as_lists(trajectories[:1]),
+                                 "k": 1})
+        assert status == 400
+        assert "database size (0)" in reply["error"]
+        assert [record for record in caplog.records
+                if record.name == "repro.api.gateway"] == []
+
+    def test_k_equal_to_the_database_size_answers(self, gateway, service,
+                                                  trajectories):
+        k = len(trajectories)
+        status, _, reply = request_json(
+            gateway, "/knn", {"queries": as_lists(trajectories[:2]), "k": k})
+        assert status == 200
+        _, expected_i = service.knn(trajectories[:2], k=k)
+        np.testing.assert_array_equal(np.asarray(reply["ids"]), expected_i)
 
     @pytest.mark.parametrize("name", sorted(bad_batches()))
     def test_bad_chunk_is_a_400_naming_its_first_bad_item(self, trajectories,
@@ -511,6 +555,9 @@ class TestInternalErrors:
     def test_500_names_an_incident_and_keeps_the_stack_in_the_log(
             self, service, trajectories, caplog):
         class Broken:
+            def __len__(self):
+                return len(service)
+
             def knn(self, queries, k, exclude=None, dedupe_eps=None):
                 raise RuntimeError("index file /srv/secret/path.bin is gone")
 
@@ -775,6 +822,9 @@ class TestMetrics:
         from repro.api import ShardLostError
 
         class LostShardService:
+            def __len__(self):
+                return 40
+
             def stats(self):
                 return {"size": 0, "degraded": [0]}
 

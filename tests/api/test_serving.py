@@ -78,6 +78,8 @@ class TestShardedParity:
 
     test_knn_parity_with_exclude_and_dedupe = staticmethod(
         laws.knn_parity_with_exclude_and_dedupe)
+    test_knn_is_one_fan_out_round = staticmethod(
+        laws.knn_is_one_fan_out_round)
     test_more_workers_than_trajectories_pads = staticmethod(
         laws.more_workers_than_trajectories_pads)
     test_bad_chunk_is_refused_whole = staticmethod(
@@ -169,7 +171,7 @@ class TestWorkerDeath:
         from .test_gateway import fronts, request, request_json
 
         service = sharded.service
-        surviving = np.asarray(service._shard_ids[1], dtype=np.int64)
+        surviving = np.asarray(service._shard_ids[1].rows, dtype=np.int64)
         sharded.kill(0)
         distances, ids = service.knn(trajectories[:4], k=3)
         # == the single service restricted to the surviving shard's ids

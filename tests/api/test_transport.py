@@ -484,7 +484,7 @@ class TestTransportStats:
     def test_one_message_costs_the_same_bytes_on_both_link_kinds(
             self, transport_pair):
         left, right = transport_pair
-        message = ("knn", ([0, 1], (np.ones((1, 64), np.float32), 11)))
+        message = ("knn", ([0, 1], (np.ones((1, 64), np.float32), 11, None)))
         left.send(message)
         right.recv()
         frame = len(encode_frame(message))

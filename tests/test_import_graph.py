@@ -282,7 +282,7 @@ request(link, "join", {"backend": described, "index": "bruteforce",
 points = [np.zeros((3, 2)), np.ones((2, 2))]
 vectors = np.arange(8.0).reshape(2, 4)
 sizes = request(link, "add", {0: (points, vectors)})
-distances, ids = request(link, "knn", ([0], (vectors[1:], 2)))[0]
+distances, ids = request(link, "knn", ([0], (vectors[1:], 2, None)))[0]
 kind = request(link, "stats")["kind"]
 link.close()
 worker.close()
