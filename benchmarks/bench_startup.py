@@ -12,8 +12,10 @@ last rows are the two recovery costs of a ``trajcl`` cluster (the
 end-to-end benchmark's model: d = 64, L = 32, a 16 x 16 cell table) over
 two workers with replication 2: the ``join`` handshake in milliseconds
 and bytes per worker, and ``rejoin()`` of a worker whose two shards hold
-2000 trajectories, refilled from the surviving replica — seconds, and
-how many trajectories were encoded again on the way.
+2000 trajectories, refilled from the surviving replica, and
+``ClusterCoordinator.load`` of a snapshot of those 2000 onto two fresh
+workers — seconds each, and how many trajectories were encoded again on
+the way.
 
 Runs are kept by ``--label`` in ``benchmarks/results/BENCH_startup.json``
 so a before/after pair sits side by side; ``--src`` points the child
@@ -72,7 +74,7 @@ REJOIN_TRAJECTORIES = 2000
 RECOVERY_REPEATS = 3
 
 _RECOVERY_CHILD = """
-import json, time
+import json, shutil, tempfile, time
 import numpy as np
 from repro.api import get_backend
 from repro.api.cluster import ClusterCoordinator, ShardWorker
@@ -106,6 +108,8 @@ join_s = time.perf_counter() - start
 # each stats() is one small round to every worker: two isolate the joins
 first, second = sent(cluster), sent(cluster)
 cluster.add(trajectories)
+snapshot = tempfile.mkdtemp()
+cluster.save(snapshot)
 workers[1].close()
 cluster.knn(trajectories[0], k=1)  # the coordinator notices the death
 replacement = ShardWorker()
@@ -117,11 +121,23 @@ encoded = cluster.stats()["cache"]["misses"] - encoded
 cluster.close()
 for worker in (workers[0], replacement):
     worker.close()
+fresh = [ShardWorker(), ShardWorker()]
+start = time.perf_counter()
+loaded = ClusterCoordinator.load(snapshot, [w.address for w in fresh],
+                                 heartbeat_interval=0)
+load_s = time.perf_counter() - start
+load_encodes = loaded.stats()["cache"]["misses"]
+loaded.close()
+for worker in fresh:
+    worker.close()
+shutil.rmtree(snapshot)
 print(json.dumps({{
     "join_ms": join_s * 1e3 / 2,
     "join_bytes": (first - (second - first)) / 2,
     "rejoin_s": rejoin_s,
     "rejoin_encodes": encoded,
+    "load_s": load_s,
+    "load_encodes": load_encodes,
 }}))
 """
 
@@ -198,7 +214,8 @@ def measure_worker_ready(src: str, repeats: int) -> Dict:
 
 
 def measure_recovery(src: str) -> Dict:
-    """``join`` per worker and ``rejoin()`` from a replica (medians)."""
+    """``join`` per worker, ``rejoin()`` from a replica and ``load`` of a
+    snapshot (medians)."""
     runs = [json.loads(subprocess.run(
         [sys.executable, "-c",
          _RECOVERY_CHILD.format(count=REJOIN_TRAJECTORIES)],
@@ -214,6 +231,8 @@ def measure_recovery(src: str) -> Dict:
         "rejoin_s": middle("rejoin_s", 4),
         "rejoin_trajectories": REJOIN_TRAJECTORIES,
         "rejoin_encodes": int(middle("rejoin_encodes", 0)),
+        "load_s": middle("load_s", 4),
+        "load_encodes": int(middle("load_encodes", 0)),
     }
 
 
@@ -250,6 +269,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"{'rejoin from replica':20s} {recovery['rejoin_s']:7.3f} s  "
           f"{recovery['rejoin_trajectories']:6d} trajectories, "
           f"{recovery['rejoin_encodes']} encoded again")
+    print(f"{'load of a snapshot':20s} {recovery['load_s']:7.3f} s  "
+          f"{recovery['rejoin_trajectories']:6d} trajectories, "
+          f"{recovery['load_encodes']} encoded again")
 
     if args.output:
         record = {"runs": {}}

@@ -82,9 +82,9 @@ def main() -> int:
             import numpy as np
 
             from repro.api import SimilarityService
-            from repro.cli import _load_trajectories
+            from repro.cli import load_trajectories
 
-            trajectories = _load_trajectories(data)
+            trajectories = load_trajectories(data)
             local = SimilarityService(backend="frechet").add(trajectories)
             expected_d, expected_i = local.knn(trajectories[1], k=3,
                                                exclude=1)

@@ -49,15 +49,15 @@ back — it is re-identified by worker id, restored from a healthy replica
 (authoritative ``export``/re-``add``), or, when none exists, from the
 latest snapshot plus the catch-up log, then promoted from degraded back
 to up. ``export`` returns what a replica holds in the form ``add`` takes
-back — vectors included — and the catch-up log keeps each vector beside
-its points, so neither source re-encodes anything; only trajectories
-read back from a snapshot file (points alone) are embedded again, by
-the coordinator. The heartbeat loop additionally *re-replicates* in the
-background: a shard below R healthy copies is exported onto a spare
-worker, so replication heals without operator action. ``add`` deals
-each trajectory to the currently-smallest eligible shard (ties broken by
-shard id — identical to round-robin when balanced), which doubles as
-skew-triggered rebalancing when shards drift apart.
+back — vectors included — the catch-up log keeps each vector beside
+its points, and a snapshot's shard files store their shard's vectors,
+so no source re-encodes anything. The heartbeat loop additionally
+*re-replicates* in the background: a shard below R healthy copies is
+exported onto a spare worker, so replication heals without operator
+action. ``add`` deals each trajectory to the currently-smallest eligible
+shard (ties broken by shard id — identical to round-robin when
+balanced), which doubles as skew-triggered rebalancing when shards drift
+apart.
 
 Fault injection: pass ``chaos=`` (a :class:`~repro.api.chaos.ChaosConfig`
 or a ``"seed=7,drop=0.05"`` spec string) and every worker link is wrapped
@@ -65,10 +65,12 @@ in a deterministic :class:`~repro.api.chaos.ChaosTransport`; the CLI
 exposes this as ``repro cluster --chaos``.
 
 Sharded snapshots: :meth:`ClusterCoordinator.save` writes one ``.npz``
-per shard plus a JSON manifest (shard count, backend config, index kind,
-format version) and ``backend.npz``; :meth:`ClusterCoordinator.load`
-rebuilds a cluster from the manifest against a *different* worker count
-by reassigning the shard files, global ids preserved. Quickstart::
+per shard (ids, trajectories and, under an embedding backend, vectors)
+plus a JSON manifest (shard count, backend config, index kind, format
+version) and ``backend.npz``; :meth:`ClusterCoordinator.load` rebuilds a
+cluster from the manifest against a *different* worker count by
+re-dealing the stored rows, global ids preserved and nothing encoded.
+Quickstart::
 
     from repro.api.cluster import ClusterCoordinator, ShardWorker
 
@@ -93,6 +95,7 @@ from typing import (
 
 import numpy as np
 
+from ..trajectory.trajectory import pack_trajectories, unpack_trajectories
 from .backends import backend_state, restore_backend
 from .protocols import SimilarityBackend
 from .remote import (
@@ -124,9 +127,10 @@ __all__ = ["ShardWorker", "ClusterCoordinator", "run_worker",
            "SNAPSHOT_FORMAT_VERSION", "MANIFEST_NAME"]
 
 #: version stamp of the sharded snapshot layout (manifest + shard files)
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 _BACKEND_FILE = "backend.npz"
+_SHARD_FILE = "shard_{:04d}.npz"
 _SNAPSHOT_KIND = "repro-cluster-snapshot"
 
 
@@ -530,7 +534,9 @@ class ClusterCoordinator(ShardMergeMixin):
         ``{shard: source}`` with source one of ``"replica"``,
         ``"snapshot"``, ``"catchup"``; raises
         :class:`~repro.api.serving.ShardLostError` when a shard cannot be
-        reconstructed from any source.
+        reconstructed from any source, and ``ValueError`` when the
+        snapshot holds a shard file this build cannot read. No source
+        re-encodes: each one keeps its vectors.
         """
         if self._closed:
             raise RuntimeError("coordinator is closed")
@@ -576,7 +582,7 @@ class ClusterCoordinator(ShardMergeMixin):
     def _restore_shard(self, link: _WorkerLink, shard: int, transport,
                        snapshot: Optional[str]) -> str:
         """Refill one shard on a rejoining worker; caller holds _rpc_lock."""
-        want = self._shard_ids[shard].rows
+        want = self._shard_ids[shard].rows.tolist()
         key = (link.worker, shard)
         while True:
             source = self._pick_replica(shard)  # link itself is not up yet
@@ -602,62 +608,73 @@ class ClusterCoordinator(ShardMergeMixin):
                         who=f"cluster worker {link.label}")
             self._drop_catchup(key)
             return "replica"
-        tail = list(self._catchup.get(key, ()))
-        tail_usable = key not in self._catchup_overflow
-        restored_ids: List[int] = []
-        restored_points: List[np.ndarray] = []
+        # global id -> (points, vector or None), from the shard file and
+        # then the log. A global id never changes hands, so both sources
+        # hold the same trajectory for an id they share.
+        rows: Dict[int, Tuple] = {}
         directory = snapshot if snapshot is not None else self._last_snapshot
-        used_snapshot = False
-        if directory is not None:
-            loaded = self._load_snapshot_shard(directory, shard)
-            if loaded is not None:
-                snap_ids, snap_points = loaded
-                if snap_ids == list(want[:len(snap_ids)]):
-                    restored_ids = snap_ids
-                    restored_points = snap_points
-                    used_snapshot = bool(snap_ids)
-        # The snapshot may already contain adds the catch-up log also
-        # recorded (it exports live replicas); replay only the ids the
-        # snapshot does not cover.
-        remaining_want = list(want[len(restored_ids):])
-        tail_map = {entry[0]: entry[1:] for entry in tail}
-        if remaining_want:
-            if not (tail_usable
-                    and all(g in tail_map for g in remaining_want)):
-                raise ShardLostError(
-                    f"shard {shard} has no healthy replica and the "
-                    f"snapshot/catch-up log cannot reconstruct it "
-                    f"({len(restored_ids)} of {len(want)} trajectories "
-                    "recoverable); restore from an older snapshot or "
-                    "accept the loss")
-        points = restored_points + [tail_map[g][0] for g in remaining_want]
-        if points:
-            vectors = None
-            if self._encoder is not None:
-                # Snapshot files store points alone: those, and only
-                # those, are embedded again (under _rpc_lock: the encoder
-                # takes no other lock). The log kept its vectors.
-                vectors = np.stack(
-                    list(self._encoder.encode(restored_points))
-                    + [tail_map[g][1] for g in remaining_want])
+        path = (os.path.join(directory, _SHARD_FILE.format(shard))
+                if directory is not None else None)
+        if path is not None and os.path.exists(path):
+            ids, points, vectors = self._read_shard_file(path)
+            if vectors is None:
+                vectors = [None] * len(ids)
+            rows.update(zip(ids.tolist(), zip(points, vectors)))
+        from_snapshot = any(g in rows for g in want)
+        if key not in self._catchup_overflow:
+            for global_id, points, vector in self._catchup.get(key, ()):
+                rows[global_id] = (points, vector)
+        missing = [g for g in want if g not in rows]
+        if missing:
+            raise ShardLostError(
+                f"shard {shard} has no healthy replica and the "
+                f"snapshot/catch-up log cannot reconstruct it "
+                f"({len(want) - len(missing)} of {len(want)} trajectories "
+                "recoverable); restore from an older snapshot or "
+                "accept the loss")
+        if want:
+            points = [rows[g][0] for g in want]
+            vectors = (None if self._encoder is None
+                       else np.stack([rows[g][1] for g in want]))
             request(transport, "add", {shard: shard_share(points, vectors)},
                     who=f"cluster worker {link.label}")
         self._drop_catchup(key)
-        return "snapshot" if used_snapshot else "catchup"
+        return "snapshot" if from_snapshot else "catchup"
 
-    @staticmethod
-    def _load_snapshot_shard(directory: str, shard: int):
-        path = os.path.join(directory, f"shard_{shard:04d}.npz")
-        if not os.path.exists(path):
-            return None
+    def _read_shard_file(self, path: str):
+        """One shard file of :meth:`save` as ``(ids, points, vectors)``,
+        ``vectors`` None under a distance backend. A file this build
+        cannot restore from is a ``ValueError`` naming it."""
         with np.load(path) as archive:
-            if ("format_version" not in archive.files
-                    or int(archive["format_version"])
-                    != SNAPSHOT_FORMAT_VERSION):
-                return None
-            ids = [int(g) for g in archive["ids"]]
-            points = [archive[f"traj_{j}"].copy() for j in range(len(ids))]
-        return ids, points
+            arrays = {key: archive[key] for key in archive.files}
+        version = (int(arrays["format_version"])
+                   if "format_version" in arrays else None)
+        if version != SNAPSHOT_FORMAT_VERSION:
+            raise ValueError(
+                f"shard file {path!r} has snapshot format version "
+                f"{version}; this build reads version "
+                f"{SNAPSHOT_FORMAT_VERSION}")
+        try:
+            points = unpack_trajectories(arrays)
+        except ValueError as error:
+            raise ValueError(f"shard file {path!r}: {error}") from None
+        ids = arrays.get("ids")
+        if (ids is None or ids.ndim != 1 or ids.dtype.kind not in "iu"
+                or len(ids) != len(points)):
+            raise ValueError(
+                f"shard file {path!r} does not hold one integer id per "
+                f"trajectory ({len(points)} trajectories)")
+        if self._encoder is None:
+            return ids, points, None
+        vectors = arrays.get("vectors")
+        dim = self.backend.output_dim
+        if (vectors is None or vectors.ndim != 2 or len(vectors) != len(ids)
+                or (dim is not None and vectors.shape[1] != dim)):
+            shape = None if vectors is None else vectors.shape
+            raise ValueError(
+                f"shard file {path!r} does not hold a ({len(ids)}, {dim}) "
+                f"vector for each trajectory (got {shape})")
+        return ids, points, vectors
 
     def stats(self) -> Dict:
         """The engine's report plus what only a cluster has: the
@@ -695,7 +712,9 @@ class ClusterCoordinator(ShardMergeMixin):
     def save(self, directory: str) -> None:
         """Snapshot the cluster: one ``.npz`` per shard plus a manifest.
 
-        Layout: ``shard_NNNN.npz`` (trajectories + their global ids),
+        Layout: ``shard_NNNN.npz`` (the trajectories as
+        :func:`~repro.trajectory.pack_trajectories` lays them out, their
+        global ids and, under an embedding backend, their vectors),
         ``backend.npz`` (backend weights) and ``manifest.json`` (format
         version, shard count, backend config, index kind). Each shard is
         exported from one healthy replica, so an *under-replicated*
@@ -721,14 +740,17 @@ class ClusterCoordinator(ShardMergeMixin):
                 raise RuntimeError(
                     f"shard {shard} exported {len(trajectories)} "
                     f"trajectories but owns {len(ids)} ids")
-            name = f"shard_{shard:04d}.npz"
+            name = _SHARD_FILE.format(shard)
             payload = {
                 "format_version": np.array(SNAPSHOT_FORMAT_VERSION),
-                "count": np.array(len(trajectories)),
                 "ids": np.asarray(ids, dtype=np.int64),
+                **pack_trajectories(trajectories),
             }
-            for j, points in enumerate(trajectories):
-                payload[f"traj_{j}"] = np.asarray(points)
+            if self._encoder is not None:
+                vectors = np.asarray(exported[1])
+                # an empty shard exports (0, 0); its file says (0, d)
+                payload["vectors"] = (vectors if len(vectors) else np.empty(
+                    (0, self._encoder.dim), self.backend.dtype))
             np.savez_compressed(os.path.join(directory, name), **payload)
             shard_files.append(name)
         backend_meta, backend_arrays = backend_state(self.backend)
@@ -741,7 +763,6 @@ class ClusterCoordinator(ShardMergeMixin):
             "shards": self._num_shards,
             "replication": self.replication,
             "shard_files": shard_files,
-            "shard_sizes": self.shard_sizes,
             "backend": backend_meta,
             "index": self.index_name,
             "index_kwargs": self._index_kwargs,
@@ -758,12 +779,14 @@ class ClusterCoordinator(ShardMergeMixin):
              **kwargs) -> "ClusterCoordinator":
         """Restore a cluster from :meth:`save` onto ``workers``.
 
-        The worker count may differ from the snapshot's: trajectories are
-        reassembled in global-id order and re-dealt, so ids — and
-        therefore every kNN answer over an exact index — are preserved
-        bit-for-bit regardless of the new shard layout. The snapshot's
-        replication factor carries over (clamped to the new worker
-        count) unless overridden.
+        The worker count may differ from the snapshot's: trajectories (and
+        their stored vectors, so nothing is encoded) are reassembled in
+        global-id order and re-dealt, so ids — and therefore every kNN
+        answer over an exact index — are preserved bit-for-bit regardless
+        of the new shard layout. The snapshot's replication factor carries
+        over (clamped to the new worker count) unless overridden. A shard
+        file this build cannot read, or ids that are not a permutation of
+        the snapshot's size, is a ``ValueError``.
         """
         workers = list(workers)
         with open(os.path.join(directory, MANIFEST_NAME)) as handle:
@@ -775,7 +798,7 @@ class ClusterCoordinator(ShardMergeMixin):
             raise ValueError(
                 f"unsupported cluster snapshot version {version!r}")
         with np.load(os.path.join(directory, _BACKEND_FILE)) as archive:
-            arrays = {key: archive[key].copy() for key in archive.files}
+            arrays = {key: archive[key] for key in archive.files}
         backend = restore_backend(manifest["backend"], arrays)
         kwargs.setdefault("index_kwargs", manifest.get("index_kwargs"))
         kwargs.setdefault("batch_size", manifest.get("batch_size", 256))
@@ -786,19 +809,27 @@ class ClusterCoordinator(ShardMergeMixin):
         coordinator = cls(workers, backend=backend,
                           index=manifest.get("index"), **kwargs)
         try:
-            slots: List[Optional[np.ndarray]] = [None] * int(manifest["size"])
-            for name in manifest["shard_files"]:
-                with np.load(os.path.join(directory, name)) as archive:
-                    ids = archive["ids"]
-                    for j, global_id in enumerate(ids):
-                        slots[int(global_id)] = archive[f"traj_{j}"].copy()
-            missing = [i for i, points in enumerate(slots) if points is None]
-            if missing:
+            size = int(manifest["size"])
+            files = [
+                coordinator._read_shard_file(os.path.join(directory, name))
+                for name in manifest["shard_files"]]
+            ids = np.concatenate(
+                [np.empty(0, dtype=np.int64)] + [held[0] for held in files])
+            if not np.array_equal(np.sort(ids), np.arange(size)):
                 raise ValueError(
-                    f"cluster snapshot {directory!r} is missing "
-                    f"trajectories {missing[:5]}"
-                    f"{'...' if len(missing) > 5 else ''}")
-            coordinator.add(slots)
+                    f"cluster snapshot {directory!r} is corrupt: the ids "
+                    f"of its shard files are not a permutation of "
+                    f"range({size})")
+            if size:
+                # Global-id order, dealt as one add of stored vectors: the
+                # ids come back as they were and nothing is encoded.
+                order = np.argsort(ids)
+                points = [p for held in files for p in held[1]]
+                vectors = (None if coordinator._encoder is None else
+                           np.concatenate([held[2] for held in files])[order])
+                with coordinator._rpc_lock:
+                    coordinator._add_locked(
+                        [points[i] for i in order.tolist()], vectors)
         except Exception:
             coordinator.close()
             raise

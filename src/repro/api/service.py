@@ -36,7 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..index.rows import RowStore
-from ..trajectory.trajectory import TrajectoryLike, as_points_batch
+from ..trajectory.trajectory import (
+    TrajectoryLike, as_points_batch, pack_trajectories, unpack_trajectories,
+)
 from .backends import backend_state, restore_backend
 from .indexes import get_index
 from .protocols import (
@@ -47,11 +49,11 @@ from .registry import get_backend
 
 __all__ = ["CacheInfo", "CachedEncoder", "SimilarityService"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _META_KEY = "__service__"
 _BACKEND_PREFIX = "backend/"
 _INDEX_PREFIX = "index/"
-_TRAJ_PREFIX = "traj_"
+_DATA_PREFIX = "data/"
 _CACHE_VECTORS_KEY = "cache/vectors"
 
 #: ``functools.lru_cache``-style counters for the embedding cache.
@@ -503,7 +505,6 @@ class SimilarityService:
                 "index": index_meta,
                 "batch_size": self.batch_size,
                 "cache_size": self.cache_size,
-                "count": len(self.trajectories),
             }
             cache = self.encoder.cache
             if include_cache and cache:
@@ -516,15 +517,14 @@ class SimilarityService:
             )
             for key, value in backend_arrays.items():
                 payload[_BACKEND_PREFIX + key] = value
-            for i, trajectory in enumerate(self.trajectories):
-                payload[f"{_TRAJ_PREFIX}{i}"] = trajectory
+            payload.update(pack_trajectories(self.trajectories, _DATA_PREFIX))
         np.savez_compressed(path, **payload)
 
     @classmethod
     def load(cls, path: str) -> "SimilarityService":
         """Rebuild a service (backend, index and database) from :meth:`save`."""
         with np.load(path) as archive:
-            state = {key: archive[key].copy() for key in archive.files}
+            state = {key: archive[key] for key in archive.files}
         if _META_KEY not in state:
             raise ValueError(f"{path!r} is not a SimilarityService snapshot")
         meta = json.loads(bytes(state[_META_KEY]).decode("utf-8"))
@@ -533,23 +533,15 @@ class SimilarityService:
             raise ValueError(
                 f"unsupported SimilarityService snapshot version {version!r}"
             )
+        trajectories = unpack_trajectories(state, _DATA_PREFIX)
         backend = restore_backend(meta["backend"], {
             key[len(_BACKEND_PREFIX):]: value
             for key, value in state.items() if key.startswith(_BACKEND_PREFIX)
         })
-        # A snapshot written when trajcl served float64 restores into the
-        # float32 service: its wider float arrays are cast once, here.
-        dtype = backend.dtype
-
-        def narrowed(array: np.ndarray) -> np.ndarray:
-            wider = (dtype is not None and array.dtype.kind == "f"
-                     and array.dtype.itemsize > dtype.itemsize)
-            return array.astype(dtype) if wider else array
-
         index = None
         if meta["index"] is not None:
             index_arrays = {
-                key[len(_INDEX_PREFIX):]: narrowed(value)
+                key[len(_INDEX_PREFIX):]: value
                 for key, value in state.items() if key.startswith(_INDEX_PREFIX)
             }
             index = get_index(meta["index"]["type"]).restore(
@@ -559,14 +551,12 @@ class SimilarityService:
             backend=backend, index=index,
             batch_size=meta["batch_size"], cache_size=meta["cache_size"],
         )
-        service.trajectories = [
-            state[f"{_TRAJ_PREFIX}{i}"] for i in range(meta["count"])
-        ]
+        service.trajectories = trajectories
         if index is not None and index.consumes == "trajectories" and not len(index):
             index.add(service.trajectories)
         if meta.get("cache_keys") and _CACHE_VECTORS_KEY in state:
-            vectors = narrowed(state[_CACHE_VECTORS_KEY])
-            for key, vector in zip(meta["cache_keys"], vectors):
+            for key, vector in zip(meta["cache_keys"],
+                                   state[_CACHE_VECTORS_KEY]):
                 service.encoder.put(key, vector)
         return service
 

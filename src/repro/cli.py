@@ -48,44 +48,38 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 #: version of the ``.npz`` trajectory container written by
-#: :func:`save_trajectories`. Files written before versioning carry no
-#: ``format_version`` field and are read as version 1 (same layout).
-TRAJECTORY_FORMAT_VERSION = 1
-
-
-def _load_trajectories(path: str) -> List[np.ndarray]:
-    """Read trajectories from an ``.npz`` written by ``save_trajectories``."""
-    with np.load(path) as archive:
-        if "format_version" in archive.files:
-            version = int(archive["format_version"])
-            if version != TRAJECTORY_FORMAT_VERSION:
-                raise ValueError(
-                    f"{path!r} uses trajectory format version {version}, but "
-                    f"this build reads version {TRAJECTORY_FORMAT_VERSION}; "
-                    "re-export the dataset with save_trajectories"
-                )
-        if "count" not in archive.files:
-            raise ValueError(
-                f"{path!r} is not a trajectory dataset (no 'count' field)"
-            )
-        count = int(archive["count"])
-        return [archive[f"traj_{i}"] for i in range(count)]
+#: :func:`save_trajectories`: ``format_version`` plus the two arrays of
+#: :func:`repro.trajectory.pack_trajectories`.
+TRAJECTORY_FORMAT_VERSION = 2
 
 
 def load_trajectories(path: str) -> List[np.ndarray]:
-    """Public alias of the versioned trajectory reader."""
-    return _load_trajectories(path)
+    """Read trajectories from an ``.npz`` written by ``save_trajectories``."""
+    from .trajectory import unpack_trajectories
+
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    if "format_version" not in arrays:
+        raise ValueError(
+            f"{path!r} is not a trajectory dataset (no 'format_version' field)"
+        )
+    version = int(arrays["format_version"])
+    if version != TRAJECTORY_FORMAT_VERSION:
+        raise ValueError(
+            f"{path!r} uses trajectory format version {version}, but "
+            f"this build reads version {TRAJECTORY_FORMAT_VERSION}; "
+            "regenerate the dataset with this build"
+        )
+    return unpack_trajectories(arrays)
 
 
 def save_trajectories(path: str, trajectories: Sequence[np.ndarray]) -> None:
-    """Write trajectories to ``.npz`` (one array per trajectory, versioned)."""
-    payload = {
-        "format_version": np.array(TRAJECTORY_FORMAT_VERSION),
-        "count": np.array(len(trajectories)),
-    }
-    for i, trajectory in enumerate(trajectories):
-        payload[f"traj_{i}"] = np.asarray(trajectory, dtype=np.float64)
-    np.savez_compressed(path, **payload)
+    """Write trajectories to a versioned ``.npz`` of two arrays."""
+    from .trajectory import pack_trajectories
+
+    np.savez_compressed(
+        path, format_version=np.array(TRAJECTORY_FORMAT_VERSION),
+        **pack_trajectories(trajectories))
 
 
 def _resolve_backend(name: str, args, trajectories: List[np.ndarray]):
@@ -147,7 +141,7 @@ def cmd_encode(args) -> int:
     from .core import load_pipeline
 
     model = load_pipeline(args.checkpoint)
-    trajectories = _load_trajectories(args.data)
+    trajectories = load_trajectories(args.data)
     start = time.perf_counter()
     embeddings = model.encode(trajectories)
     elapsed = time.perf_counter() - start
@@ -173,7 +167,7 @@ def cmd_evaluate(args) -> int:
     from .api import available_backends, backend_spec
     from .eval import evaluate_mean_rank, format_table, make_instance
 
-    trajectories = _load_trajectories(args.data)
+    trajectories = load_trajectories(args.data)
     names = list(args.backend) if args.backend else ["trajcl"]
     if args.heuristics:
         names += [
@@ -273,7 +267,7 @@ def _serve(args, stack, service, front_end, banner: str) -> int:
 def cmd_knn(args) -> int:
     from .api import RemoteSimilarityClient
 
-    database = _load_trajectories(args.data)
+    database = load_trajectories(args.data)
     if not 0 <= args.query < len(database):
         # A negative index would wrap to a trajectory whose id `exclude`
         # never matches, returning the query as its own nearest neighbour.
@@ -311,7 +305,7 @@ def cmd_serve(args) -> int:
     """Expose a similarity service over TCP (``repro serve``)."""
     from .api import SimilarityServer
 
-    database = _load_trajectories(args.data)
+    database = load_trajectories(args.data)
     with ExitStack() as stack:
         service = _local_service(args, database, stack)
         return _serve(args, stack, service, SimilarityServer,
@@ -332,7 +326,7 @@ def cmd_serve_http(args) -> int:
             label = (f"remote service {args.remote} "
                      f"({len(service)} trajectories)")
         elif args.data:
-            database = _load_trajectories(args.data)
+            database = load_trajectories(args.data)
             service = _local_service(args, database, stack)
             workers = f", {args.workers} workers" if args.workers > 1 else ""
             label = (f"backend {service.backend.name} "
@@ -362,7 +356,7 @@ def cmd_cluster(args) -> int:
     from .api import SimilarityServer
     from .api.cluster import ClusterCoordinator
 
-    database = _load_trajectories(args.data)
+    database = load_trajectories(args.data)
     workers = [w.strip() for w in args.workers.split(",") if w.strip()]
     chaos_note = f", chaos '{args.chaos}'" if args.chaos else ""
     with ExitStack() as stack:

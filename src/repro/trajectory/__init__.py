@@ -20,7 +20,8 @@ _EXPORTS = {
     "simplify": ("douglas_peucker", "douglas_peucker_mask",
                  "point_segment_distance"),
     "trajectory": ("PointArray", "Trajectory", "TrajectoryLike", "as_points",
-                   "as_points_batch"),
+                   "as_points_batch", "pack_trajectories",
+                   "unpack_trajectories"),
 }
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
     "PointArray",
     "as_points",
     "as_points_batch",
+    "pack_trajectories",
+    "unpack_trajectories",
     "Grid",
     "douglas_peucker",
     "douglas_peucker_mask",

@@ -6,12 +6,14 @@ repository operates on ``(N, 2)`` float arrays for speed; ``Trajectory``
 is a thin, validated wrapper that carries derived geometry (length, bounding
 box, segment lengths) and supports slicing. :func:`as_points` lets public
 APIs accept either form; :func:`as_points_batch` is the same check for a
-whole chunk at once.
+whole chunk at once. :func:`pack_trajectories` and
+:func:`unpack_trajectories` are the one way trajectories sit in an
+``.npz``: two arrays, whatever their number.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +57,58 @@ def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> List[PointArray]:
             and (not batch or np.isfinite(np.concatenate(batch)).all())):
         return batch
     return [as_points(t) for t in trajectories]
+
+
+def pack_trajectories(batch: Sequence[TrajectoryLike],
+                      prefix: str = "") -> Dict[str, np.ndarray]:
+    """A batch as two arrays: ``prefix + "points"``, every point in order
+    (``(P, 2)`` float64), and ``prefix + "offsets"`` (``(N + 1,)`` int64),
+    where trajectory ``i`` is ``points[offsets[i]:offsets[i + 1]]``.
+
+    The inverse is :func:`unpack_trajectories`; a file's member count no
+    longer depends on how many trajectories it holds.
+    """
+    batch = as_points_batch(batch)
+    lengths = [len(points) for points in batch]
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    points = np.concatenate(batch) if batch else np.empty((0, 2))
+    return {prefix + "points": points, prefix + "offsets": offsets}
+
+
+def unpack_trajectories(arrays: Mapping[str, np.ndarray],
+                        prefix: str = "") -> List[PointArray]:
+    """The trajectories :func:`pack_trajectories` wrote under ``prefix``,
+    as views into the one points array.
+
+    Raises ``ValueError`` before building anything when the two arrays do
+    not describe a valid batch: a missing array, the wrong rank or dtype,
+    offsets that do not tile the points exactly (first 0, every step at
+    least 1, last ``len(points)``), or a non-finite point — the rule
+    :func:`as_points_batch` applies to added data.
+    """
+    names = (prefix + "points", prefix + "offsets")
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ValueError(f"no trajectory array {missing[0]!r}")
+    points, offsets = (np.asarray(arrays[name]) for name in names)
+    if (points.ndim != 2 or points.shape[1] != 2
+            or points.dtype != np.float64):
+        raise ValueError(
+            f"{names[0]!r} must be a (P, 2) float64 array, got "
+            f"{points.dtype} {points.shape}")
+    if offsets.ndim != 1 or offsets.dtype != np.int64 or not len(offsets):
+        raise ValueError(
+            f"{names[1]!r} must be a non-empty 1-D int64 array, got "
+            f"{offsets.dtype} {offsets.shape}")
+    if (offsets[0] != 0 or offsets[-1] != len(points)
+            or (np.diff(offsets) < 1).any()):
+        raise ValueError(
+            f"{names[1]!r} do not tile the {len(points)} points: they must "
+            "start at 0, step by at least 1 and end at the point count")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{names[0]!r} holds non-finite coordinates")
+    bounds = offsets.tolist()
+    return [points[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 class Trajectory:

@@ -6,6 +6,7 @@ the serving front-ends. The laws a sharded service keeps whatever its
 links are live in ``shard_laws.py``; here they run over TCP."""
 
 import json
+import os
 import socket
 import threading
 import time
@@ -24,7 +25,9 @@ from repro.api import (
     SimilarityService,
     get_backend,
 )
+from repro.api.cluster import SNAPSHOT_FORMAT_VERSION
 from repro.api.transport import SocketTransport, request
+from repro.trajectory import unpack_trajectories
 
 from . import shard_laws as laws
 from .test_registry import make_trajectories
@@ -62,6 +65,23 @@ def make_cluster(workers, **kwargs):
     kwargs.setdefault("backend", "hausdorff")
     kwargs.setdefault("heartbeat_interval", 0)  # tests ping explicitly
     return ClusterCoordinator([w.address for w in workers], **kwargs)
+
+
+def read_npz(path):
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}
+
+
+def write_version_1(path):
+    """Rewrite a shard file in the layout of snapshot format version 1:
+    one ``traj_{j}`` member per trajectory, a ``count`` and no vectors."""
+    arrays = read_npz(path)
+    trajectories = unpack_trajectories(arrays)
+    legacy = {"format_version": np.array(1),
+              "count": np.array(len(trajectories)), "ids": arrays["ids"]}
+    for j, points in enumerate(trajectories):
+        legacy[f"traj_{j}"] = points
+    np.savez_compressed(path, **legacy)
 
 
 def free_port() -> int:
@@ -213,7 +233,7 @@ class TestSnapshots:
                 (tmp_path / "cluster" / "manifest.json").read_text())
             assert manifest["shards"] == 2
             assert manifest["size"] == len(trajectories)
-            assert manifest["format_version"] == 1
+            assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION
             assert len(manifest["shard_files"]) == 2
             # workers as a one-shot iterator: load() must read it once
             restored = ClusterCoordinator.load(
@@ -235,6 +255,73 @@ class TestSnapshots:
         finally:
             for worker in two + three:
                 worker.close()
+
+    @pytest.fixture()
+    def saved(self, tmp_path, trajectories):
+        """A snapshot of ``trajectories`` dealt over two shards."""
+        snapshot = str(tmp_path / "cluster")
+        two = [ShardWorker(), ShardWorker()]
+        try:
+            with make_cluster(two) as cluster:
+                cluster.add(trajectories)
+                cluster.save(snapshot)
+        finally:
+            for worker in two:
+                worker.close()
+        return snapshot
+
+    @pytest.mark.parametrize(
+        "corruption", ["out_of_range", "negative", "duplicate", "missing"])
+    def test_load_refuses_ids_that_are_not_a_permutation(
+            self, saved, workers, trajectories, corruption):
+        size = len(trajectories)
+        path = os.path.join(saved, "shard_0001.npz")
+        arrays = read_npz(path)
+        ids = arrays["ids"]
+        assert ids[-1] == size - 1
+        if corruption == "out_of_range":
+            ids[0] = size + 3
+        elif corruption == "negative":
+            ids[-1] = -1     # a list index would read it as size - 1
+        elif corruption == "duplicate":
+            ids[0] = ids[1]
+        np.savez_compressed(path, **arrays)
+        if corruption == "missing":
+            manifest_path = os.path.join(saved, "manifest.json")
+            with open(manifest_path) as handle:
+                manifest = json.load(handle)
+            manifest["size"] += 1
+            with open(manifest_path, "w") as handle:
+                json.dump(manifest, handle)
+        with pytest.raises(ValueError, match="permutation") as error:
+            ClusterCoordinator.load(saved, [w.address for w in workers],
+                                    heartbeat_interval=0)
+        assert repr(saved) in str(error.value)
+
+    def test_load_refuses_a_version_1_shard_file(self, saved, workers):
+        write_version_1(os.path.join(saved, "shard_0000.npz"))
+        with pytest.raises(ValueError,
+                           match=r"shard_0000\.npz.*version 1"):
+            ClusterCoordinator.load(saved, [w.address for w in workers],
+                                    heartbeat_interval=0)
+
+    def test_rejoin_refuses_a_version_1_shard_file(self, trio, trajectories,
+                                                   tmp_path):
+        snapshot = str(tmp_path / "snap")
+        with make_cluster(trio, replication=2) as cluster:
+            cluster.add(trajectories)
+            cluster.save(snapshot)
+            write_version_1(os.path.join(snapshot, "shard_0001.npz"))
+            trio[1].close()
+            cluster.knn(trajectories[0], k=1)  # notice the death
+            trio[2].close()                    # shard 1 now has no replica
+            replacement = ShardWorker()
+            try:
+                with pytest.raises(ValueError,
+                                   match=r"shard_0001\.npz.*version 1"):
+                    cluster.rejoin(1, address=replacement.address)
+            finally:
+                replacement.close()
 
     def test_save_refuses_a_degraded_cluster(self, workers, trajectories,
                                              tmp_path):

@@ -14,12 +14,16 @@ grid, so distinct trajectories collide and distance ties are the rule:
   replay, none while a worker is refilled from a replica;
 * a rejoined worker answers like one that never left — from a replica,
   from the catch-up log, from a snapshot;
+* restoring a snapshot — ``load`` onto another worker count, a ``rejoin``
+  with no replica left — encodes nothing: the shard files keep vectors;
 * a vector-fed service refuses malformed vectors, typed, before its index
   sees them, and no weights cross the wire at ``join``.
 """
 
 import contextlib
+import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.api import cluster as cluster_module
 from repro.api import (
     ClusterCoordinator,
     ShardedSimilarityService,
@@ -340,7 +345,95 @@ def test_snapshot_plus_log_rejoin_answers_like_an_unharmed_cluster(
 
 
 # ----------------------------------------------------------------------
-# (d) a vector-fed service
+# (d) restoring a snapshot encodes nothing: its shard files keep vectors
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def loaded(snapshot, shards):
+    """``ClusterCoordinator.load`` of ``snapshot`` onto ``shards`` fresh
+    workers, with a fresh counting backend (the one ``load`` would
+    rebuild, had the counting model a rebuild recipe)."""
+    backend = counting_backend()
+    workers = [ShardWorker() for _ in range(shards)]
+    try:
+        with mock.patch.object(cluster_module, "restore_backend",
+                               return_value=backend):
+            coordinator = ClusterCoordinator.load(
+                snapshot, [w.address for w in workers], heartbeat_interval=0)
+        with coordinator:
+            yield coordinator, backend
+    finally:
+        for worker in workers:
+            stop(worker)
+
+
+@GENERATED
+@given(databases, cuts, layouts, knn_arguments)
+def test_load_onto_another_worker_count_encodes_nothing(
+        tmp_path_factory, database, cut_points, layout, arguments):
+    snapshot = str(tmp_path_factory.mktemp("snapshot"))
+    with Cluster(*layout) as cluster:
+        add_in_chunks(cluster.coordinator, database, cut_points)
+        expected = (cluster.coordinator.knn(database[:4], **arguments),
+                    cluster.coordinator.pairwise(database[:4]))
+        cluster.coordinator.save(snapshot)
+    with loaded(snapshot, layout[0] % 3 + 1) as (coordinator, backend):
+        assert backend.model.rows == 0
+        assert coordinator.stats()["cache"]["misses"] == 0
+        assert_same_bits(coordinator.knn(database[:4], **arguments),
+                         expected[0])
+        assert_same_bits(coordinator.pairwise(database[:4]), expected[1])
+
+
+@GENERATED
+@given(databases, databases)
+def test_snapshot_rejoin_encodes_nothing(tmp_path_factory, database, later):
+    snapshot = str(tmp_path_factory.mktemp("snapshot"))
+    # no cache: a warm one would hide an encode behind its hits
+    with Cluster(3, replication=2, cache_size=0) as cluster:
+        cluster.coordinator.add(database)
+        cluster.coordinator.save(snapshot)
+        cluster.kill(1)
+        cluster.coordinator.add(later)   # logged for worker 1
+        cluster.kill(2)                  # shard 1 now has no replica
+        before = cluster.backend.model.rows
+        restored = cluster.rejoin(1, snapshot=snapshot)
+        assert restored[1] in ("snapshot", "catchup")
+        assert cluster.backend.model.rows == before
+
+
+def rewritten(path, **changes):
+    """Rewrite one ``.npz`` with members replaced (``None`` drops one)."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays.update(changes)
+    np.savez_compressed(path, **{key: value for key, value in arrays.items()
+                                 if value is not None})
+
+
+@pytest.mark.parametrize("vectors", [
+    pytest.param(None, id="absent"),
+    pytest.param(lambda held: held[:-1], id="one_row_short"),
+    pytest.param(lambda held: held[:, :2], id="narrower_than_output_dim"),
+    pytest.param(lambda held: held.reshape(-1), id="not_a_matrix"),
+])
+def test_load_refuses_a_shard_file_without_its_vectors(tmp_path, vectors):
+    snapshot = str(tmp_path / "snapshot")
+    database = make_trajectories(n=6, seed=2)
+    with Cluster(2) as cluster:
+        cluster.coordinator.add(database)
+        cluster.coordinator.save(snapshot)
+    path = os.path.join(snapshot, "shard_0001.npz")
+    with np.load(path) as archive:
+        held = archive["vectors"]
+    assert held.shape == (3, CountingModel.output_dim)
+    rewritten(path, vectors=None if vectors is None else vectors(held))
+    with pytest.raises(ValueError, match=r"shard_0001\.npz.*vector"):
+        with loaded(snapshot, 2):
+            pass
+
+
+# ----------------------------------------------------------------------
+# (e) a vector-fed service
 # ----------------------------------------------------------------------
 def vector_fed_service():
     description = restore_backend(*shard_backend_state(counting_backend()))
@@ -413,7 +506,7 @@ def test_distance_backend_refuses_embedded_input():
 
 
 # ----------------------------------------------------------------------
-# (e) no weights cross the wire
+# (f) no weights cross the wire
 # ----------------------------------------------------------------------
 def test_trajcl_join_payload_is_under_4_kib():
     trajectories = make_trajectories(n=12, seed=3)

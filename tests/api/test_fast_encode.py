@@ -1,7 +1,7 @@
 """The one serving dtype through the similarity API: float32 from
 ``backend.encode`` to ``index.search``, kNN parity with the float64
 routes the engine can still be asked for by name, dtype preservation in
-the embedding cache, and snapshots from the float64 era."""
+the embedding cache, and the refusal of snapshots from the float64 era."""
 
 import json
 
@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import SimilarityService, get_backend
 from repro.api.backends import backend_state
+from repro.trajectory import unpack_trajectories
 
 from .shard_laws import Sharded, assert_same_bits
 from .test_registry import make_trajectories
@@ -218,9 +219,10 @@ class TestOneServingDtype:
 # Snapshots
 # ----------------------------------------------------------------------
 def write_parent_snapshot(model, trajectories, path, index):
-    """What the parent commit's ``save(include_cache=True)`` left on
-    disk, built by hand: float64 index rows (and trained tables),
-    float64 warm-cache entries, and the ``encode`` preference block."""
+    """What a float64-era ``save(include_cache=True)`` left on disk, built
+    by hand: format version 1, one ``traj_{i}`` member per trajectory and a
+    ``count``, float64 index rows (and trained tables), float64 warm-cache
+    entries, and the ``encode`` preference block."""
     service = service_with(model, trajectories, fast=True, dtype="float64",
                            index=index)
     service.knn(trajectories[:2], k=3)  # trains what trains
@@ -229,10 +231,13 @@ def write_parent_snapshot(model, trajectories, path, index):
     with np.load(path) as archive:
         arrays = {key: archive[key] for key in archive.files}
     meta = json.loads(bytes(arrays["__service__"]).decode("utf-8"))
-    assert meta["format_version"] == 1
+    meta.update(format_version=1, count=len(trajectories))
     meta["backend"]["encode"] = {"fast": True, "dtype": "float64"}
     arrays["__service__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    for i, points in enumerate(unpack_trajectories(arrays, "data/")):
+        arrays[f"traj_{i}"] = points
+    del arrays["data/points"], arrays["data/offsets"]
     float_arrays = [key for key, value in arrays.items()
                     if key.startswith(("index/", "cache/"))
                     and value.dtype.kind == "f"]
@@ -243,31 +248,12 @@ def write_parent_snapshot(model, trajectories, path, index):
 
 class TestLegacySnapshot:
     @pytest.mark.parametrize("index", ["bruteforce", "ivf"])
-    def test_float64_snapshot_restores_into_float32(
+    def test_float64_era_snapshot_is_refused(
             self, trained_model, trajectories, tmp_path, index):
         path = str(tmp_path / "parent.npz")
         write_parent_snapshot(trained_model, trajectories, path, index)
-        restored = SimilarityService.load(path)
-        dim = trained_model.encoder.output_dim
-
-        assert restored.backend.dtype == np.float32
-        assert not hasattr(restored.backend.model, "encode_dtype")
-        _, index_arrays = restored.index.state()
-        assert all(value.dtype != np.float64
-                   for value in index_arrays.values())
-        if index == "bruteforce":
-            assert restored.index.stats()["bytes_per_vector"] == 4 * dim
-        cache = restored.encoder.cache
-        assert len(cache) == len(trajectories)
-        assert all(vector.dtype == np.float32 for vector in cache.values())
-
-        fresh = served(trained_model, trajectories, index=index)
-        restored_d, restored_i = restored.knn(trajectories[:6], k=4)
-        fresh_d, fresh_i = fresh.knn(trajectories[:6], k=4)
-        if index == "bruteforce":
-            np.testing.assert_array_equal(restored_i, fresh_i)
-            np.testing.assert_allclose(restored_d, fresh_d, rtol=1e-5)
-        assert restored.cache_info().misses == 0  # answered warm
+        with pytest.raises(ValueError, match="snapshot version 1"):
+            SimilarityService.load(path)
 
     def test_float32_snapshot_roundtrip_is_byte_identical(
             self, trained_model, trajectories, tmp_path):

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cli import _load_trajectories, build_parser, main, save_trajectories
+from repro.cli import build_parser, load_trajectories, main, save_trajectories
 
 
 def wait_for_ready(path) -> str:
@@ -41,7 +41,7 @@ class TestTrajectoriesIO:
                  for i in range(3)]
         path = str(tmp_path / "t.npz")
         save_trajectories(path, trajs)
-        loaded = _load_trajectories(path)
+        loaded = load_trajectories(path)
         assert len(loaded) == 3
         for original, restored in zip(trajs, loaded):
             np.testing.assert_allclose(original, restored)
@@ -54,23 +54,30 @@ class TestTrajectoriesIO:
         with np.load(path) as archive:
             assert int(archive["format_version"]) == TRAJECTORY_FORMAT_VERSION
 
-    def test_accepts_legacy_unversioned_files(self, tmp_path):
+    def test_legacy_unversioned_file_is_a_clear_error(self, tmp_path):
         path = str(tmp_path / "legacy.npz")
         np.savez(path, count=np.array(1), traj_0=np.ones((3, 2)))
-        loaded = _load_trajectories(path)
-        np.testing.assert_allclose(loaded[0], np.ones((3, 2)))
+        with pytest.raises(ValueError, match="not a trajectory dataset"):
+            load_trajectories(path)
+
+    def test_version_1_file_is_refused_naming_its_version(self, tmp_path):
+        path = str(tmp_path / "v1.npz")
+        np.savez(path, format_version=np.array(1), count=np.array(1),
+                 traj_0=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="format version 1"):
+            load_trajectories(path)
 
     def test_unknown_version_is_a_clear_error(self, tmp_path):
         path = str(tmp_path / "future.npz")
         np.savez(path, format_version=np.array(999), count=np.array(0))
         with pytest.raises(ValueError, match="format version 999"):
-            _load_trajectories(path)
+            load_trajectories(path)
 
     def test_non_dataset_file_is_a_clear_error(self, tmp_path):
         path = str(tmp_path / "junk.npz")
         np.savez(path, other=np.zeros(3))
         with pytest.raises(ValueError, match="not a trajectory dataset"):
-            _load_trajectories(path)
+            load_trajectories(path)
 
 
 class TestParser:
@@ -208,7 +215,7 @@ class TestCliContract:
 
 class TestGenerate:
     def test_creates_dataset(self, dataset_path):
-        trajectories = _load_trajectories(dataset_path)
+        trajectories = load_trajectories(dataset_path)
         assert len(trajectories) == 40
         assert all(t.shape[1] == 2 for t in trajectories)
 
@@ -276,7 +283,7 @@ class TestTrainEncodeEvaluateKnn:
                                        capsys):
         """The CLI's one encode route returns the neighbours of the
         reference Tensor path scanned in float64."""
-        from repro.cli import _load_trajectories
+        from repro.cli import load_trajectories
         from repro.core import load_pipeline
 
         assert main(["knn", "--checkpoint", checkpoint_path,
@@ -284,7 +291,7 @@ class TestTrainEncodeEvaluateKnn:
         out = capsys.readouterr().out
         printed = [int(line.split("trajectory")[1].split()[0])
                    for line in out.splitlines() if line.lstrip().startswith("#")]
-        trajectories = _load_trajectories(dataset_path)
+        trajectories = load_trajectories(dataset_path)
         reference = load_pipeline(checkpoint_path).encode(
             trajectories, fast=False, dtype="float64")
         distances = np.abs(reference - reference[2]).sum(axis=1)
@@ -347,7 +354,7 @@ class TestBackendsCommand:
         import re
 
         from repro.api import SimilarityService
-        from repro.cli import _load_trajectories as load
+        from repro.cli import load_trajectories as load
 
         assert main(["knn", "--checkpoint", checkpoint_path,
                      "--data", dataset_path, "--query", "2", "--k", "3"]) == 0
@@ -504,7 +511,7 @@ class TestServeHttpCli:
         thread.start()
         try:
             address = wait_for_ready(ready)
-            trajectories = _load_trajectories(dataset_path)
+            trajectories = load_trajectories(dataset_path)
             body = json.dumps({
                 "queries": [np.asarray(trajectories[1]).tolist()],
                 "k": 3, "exclude": 1,

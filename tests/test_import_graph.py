@@ -174,8 +174,9 @@ STAR = {
         "Grid", "MAX_POINTS_DEFAULT", "MIN_POINTS_DEFAULT", "PointArray",
         "Trajectory", "TrajectoryLike", "as_points", "as_points_batch",
         "douglas_peucker", "douglas_peucker_mask", "filter_trajectories",
-        "pad_point_arrays", "point_segment_distance", "resample_to_length",
-        "triangle_area", "visvalingam", "visvalingam_mask", "within_bbox"],
+        "pack_trajectories", "pad_point_arrays", "point_segment_distance",
+        "resample_to_length", "triangle_area", "unpack_trajectories",
+        "visvalingam", "visvalingam_mask", "within_bbox"],
 }
 
 
