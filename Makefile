@@ -71,8 +71,9 @@ chaos-smoke:
 # Boots a real `repro serve-http` gateway over a 2-worker sharded
 # service, checks HTTP knn parity with the local service, times 20
 # keep-alive GET /healthz on one connection (median < 10 ms: no reply
-# waits for a delayed ACK), floods it past max-inflight (some 429s, zero
-# wrong answers), parses /metrics, and SIGTERMs it expecting a clean exit.
+# waits for a delayed ACK), floods it past --max-pending with
+# --max-batch 1 (some 429s, zero wrong answers), parses /metrics, and
+# SIGTERMs it expecting a clean exit.
 http-smoke:
 	$(PYTHON) scripts/http_smoke.py
 

@@ -1,17 +1,18 @@
 """End-to-end smoke for the HTTP/JSON gateway (``make http-smoke``).
 
 Boots a real ``python -m repro serve-http`` process — frechet backend
-sharded over two workers, a small ``--max-inflight`` — waits for the
-ready file, then drives it with plain ``urllib``:
+sharded over two workers, ``--max-batch 1`` and a small
+``--max-pending`` — waits for the ready file, then drives it with plain
+``urllib``:
 
 * one ``POST /knn`` whose answer must be bit-identical to a local
   ``SimilarityService`` over the same database (exact scan index);
 * 20 sequential ``GET /healthz`` over one keep-alive ``http.client``
   connection, median under 10 ms — a reply written as head then body
   on a Nagle socket reads ~44 ms here (the client's delayed ACK);
-* a flood of 4x ``max-inflight`` concurrent requests: some must shed
-  with ``429``, none may hang, and every ``200`` must carry the right
-  neighbours;
+* a flood of 8x ``max-pending`` concurrent one-query requests, served
+  one query a flush: some must shed with ``429`` (the full queue), none
+  may hang, and every ``200`` must carry the right neighbours;
 * ``GET /metrics`` must parse as Prometheus text exposition.
 
 Finally the server gets SIGTERM and must exit 0 (the CLI routes the
@@ -36,8 +37,8 @@ from smoke_common import (
 
 sys.path.insert(0, os.path.join(repo_root(), "src"))
 
-MAX_INFLIGHT = 2
-FLOOD = 4 * MAX_INFLIGHT
+MAX_PENDING = 2
+FLOOD = 8 * MAX_PENDING
 KEEPALIVE_PROBES = 20
 KEEPALIVE_MEDIAN_MS = 10.0
 
@@ -69,7 +70,8 @@ def main() -> int:
         server = popen([python, "-m", "repro", "serve-http", "--data", data,
                         "--backend", "frechet", "--workers", "2",
                         "--port", "0", "--ready-file", ready,
-                        "--max-inflight", str(MAX_INFLIGHT)])
+                        "--max-batch", "1",
+                        "--max-pending", str(MAX_PENDING)])
         try:
             try:
                 address = wait_for_ready(ready, server, "gateway")
@@ -131,14 +133,15 @@ def main() -> int:
             print(f"http-smoke: keep-alive latency OK ({KEEPALIVE_PROBES} "
                   f"GET /healthz, median {median_ms:.2f} ms)", flush=True)
 
-            # Flood: 4x max-inflight concurrent heavy requests. Some must
-            # shed with 429, none may hang, every 200 must be correct.
-            flood_queries = [np.asarray(t).tolist() for t in trajectories]
+            # Flood: 8x max-pending concurrent requests, one query each,
+            # and the queue serves one query a flush: some must shed with
+            # 429, none may hang, every 200 must be correct.
             flood_d, flood_i = local.knn(trajectories, k=5)
-            body = {"queries": flood_queries, "k": 5}
+            picks = [i % len(trajectories) for i in range(FLOOD)]
             with concurrent.futures.ThreadPoolExecutor(FLOOD) as pool:
-                futures = [pool.submit(post_knn, url, body)
-                           for _ in range(FLOOD)]
+                futures = [pool.submit(post_knn, url, {
+                    "queries": [np.asarray(trajectories[i]).tolist()],
+                    "k": 5}) for i in picks]
                 outcomes = [f.result(timeout=TIMEOUT) for f in futures]
             statuses = sorted(status for status, _ in outcomes)
             if set(statuses) - {200, 429}:
@@ -148,16 +151,16 @@ def main() -> int:
                             "some 429s)")
             if 200 not in statuses:
                 return fail("http-smoke: the flood starved every request")
-            for status, reply in outcomes:
+            for i, (status, reply) in zip(picks, outcomes):
                 if status != 200:
                     continue
                 if (np.asarray(reply["ids"], dtype=np.int64).tobytes()
-                        != flood_i.tobytes()):
+                        != flood_i[i:i + 1].tobytes()):
                     return fail("http-smoke: a flooded request returned "
                                 "wrong neighbours")
                 if (np.asarray(reply["distances"],
                                dtype=np.float64).tobytes()
-                        != flood_d.tobytes()):
+                        != flood_d[i:i + 1].tobytes()):
                     return fail("http-smoke: a flooded request returned "
                                 "wrong distances")
             shed = statuses.count(429)

@@ -19,7 +19,7 @@ Routes (JSON in, JSON out; trajectories are ``[[x, y], ...]`` lists):
 * ``POST /knn``      — ``{"queries": [...], "k": 5, "exclude": null,
   "dedupe_eps": null}`` → ``{"distances": [[...]], "ids": [[...]]}``;
   a ``k`` past the database size (an empty database included) is a
-  ``400``;
+  ``400``, and more queries than the queue's ``max_pending`` a ``413``;
 * ``POST /pairwise`` — ``{"queries": [...], "database": [...]?}`` →
   ``{"distances": [[...]]}`` (``database`` defaults to the served one);
 * ``POST /add``      — ``{"trajectories": [...]}`` → ``{"size": N}``;
@@ -40,11 +40,13 @@ Traffic controls, applied in order on the POST routes:
 2. **deadlines** — ``X-Deadline-Ms: 250`` bounds how long the caller
    will wait. The deadline propagates into the gateway's
    :class:`~repro.api.serving.QueryQueue`, so work whose caller has given
-   up is dropped server-side (``504``) instead of computed for nobody;
-3. **bounded admission** — at most ``max_inflight`` requests execute at
-   once; excess load is shed immediately with ``429`` + ``Retry-After``
-   instead of queueing unboundedly (a full ``QueryQueue`` —
-   :class:`~repro.api.serving.QueueFullError` — sheds the same way).
+   up is dropped server-side (``504``) instead of computed for nobody —
+   an ``/add`` answered ``504`` never ran, and so changed nothing;
+3. **bounded admission** — every ``/knn``, ``/pairwise`` and ``/add``
+   waits in that one queue, which holds at most ``max_pending`` requests;
+   past that the request is shed at once with ``429`` + ``Retry-After``
+   (:class:`~repro.api.serving.QueueFullError`) instead of queueing
+   without bound.
 
 An exception nothing above accounts for answers ``500`` with
 ``{"error": "internal error", "id": "<hex>"}``; the traceback is logged
@@ -87,7 +89,6 @@ from .transport import TransportError
 __all__ = [
     "SimilarityGateway",
     "TokenBucketLimiter",
-    "AdmissionController",
     "LatencyHistogram",
     "GatewayMetrics",
 ]
@@ -100,9 +101,17 @@ LATENCY_BUCKETS_MS = (1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
 #: stack of a 500 attaches one to this name.
 _LOG = logging.getLogger("repro.api.gateway")
 
-#: the routes metrics are labelled with; anything else aggregates under
-#: "other" so a URL-scanning client cannot blow up label cardinality.
-ROUTES = ("/knn", "/pairwise", "/add", "/stats", "/healthz", "/metrics")
+#: method -> path -> the :class:`SimilarityGateway` method answering it.
+#: The 404 and 405 replies, the ``/`` listing and the metric route labels
+#: all come from this table; metrics label any other path "other", so a
+#: URL-scanning client cannot blow up label cardinality.
+ROUTES = {
+    "POST": {"/knn": "_post_knn", "/pairwise": "_post_pairwise",
+             "/add": "_post_add"},
+    "GET": {"/": "_get_index", "/stats": "_get_stats",
+            "/healthz": "_get_healthz", "/metrics": "_get_metrics"},
+}
+_ROUTE_LABELS = frozenset(path for paths in ROUTES.values() for path in paths)
 
 
 # ----------------------------------------------------------------------
@@ -148,39 +157,6 @@ class TokenBucketLimiter:
                     if k == key or bucket[0] < full_at
                 }
             return admitted, retry_after
-
-
-class AdmissionController:
-    """Bounds concurrently executing requests to ``max_inflight``.
-
-    ``try_acquire`` never blocks: the caller either gets a slot or sheds
-    the request (``429``) immediately — queueing happens in the
-    :class:`~repro.api.serving.QueryQueue` (where it is itself bounded),
-    never invisibly in the HTTP layer.
-    """
-
-    def __init__(self, max_inflight: int):
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        self.max_inflight = int(max_inflight)
-        self._inflight = 0
-        self._lock = threading.Lock()
-
-    def try_acquire(self) -> bool:
-        with self._lock:
-            if self._inflight >= self.max_inflight:
-                return False
-            self._inflight += 1
-            return True
-
-    def release(self) -> None:
-        with self._lock:
-            self._inflight -= 1
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
 
 
 class LatencyHistogram:
@@ -229,9 +205,10 @@ class GatewayMetrics:
     """Thread-safe request accounting behind ``/metrics``.
 
     Counters by ``(route, status)``, one latency histogram per route, and
-    the shed/rate-limited/expired totals the traffic controls bump. All
-    reads go through :meth:`snapshot` so rendering never holds the lock
-    across service calls.
+    how many ``429`` replies were the rate limiter's (the shed and expired
+    totals are read off the status counters). All reads go through
+    :meth:`snapshot` so rendering never holds the lock across service
+    calls.
     """
 
     def __init__(self):
@@ -239,23 +216,19 @@ class GatewayMetrics:
         self.started = time.monotonic()
         self.requests: Dict[Tuple[str, int], int] = {}
         self.latency: Dict[str, LatencyHistogram] = {}
-        self.shed = 0          # admission-control rejections (429)
         self.ratelimited = 0   # token-bucket rejections (429)
-        self.expired = 0       # deadline expiries (504)
 
-    def observe(self, route: str, status: int, elapsed_ms: float) -> None:
-        route = route if route in ROUTES else "other"
+    def observe(self, route: str, status: int, elapsed_ms: float,
+                ratelimited: bool = False) -> None:
+        route = route if route in _ROUTE_LABELS else "other"
         with self._lock:
             key = (route, int(status))
             self.requests[key] = self.requests.get(key, 0) + 1
+            self.ratelimited += ratelimited
             histogram = self.latency.get(route)
             if histogram is None:
                 histogram = self.latency[route] = LatencyHistogram()
             histogram.observe(elapsed_ms)
-
-    def bump(self, counter: str) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + 1)
 
     @property
     def total_requests(self) -> int:
@@ -267,6 +240,11 @@ class GatewayMetrics:
         with self._lock:
             uptime = max(time.monotonic() - self.started, 1e-9)
             total = sum(self.requests.values())
+
+            def replied(status):
+                return sum(count for (_, code), count
+                           in self.requests.items() if code == status)
+
             return {
                 "uptime_seconds": uptime,
                 "requests_total": total,
@@ -276,9 +254,9 @@ class GatewayMetrics:
                                     hist.percentile(0.5), hist.percentile(0.95),
                                     hist.percentile(0.99))
                             for route, hist in self.latency.items()},
-                "shed_total": self.shed,
+                "shed_total": replied(429) - self.ratelimited,
                 "ratelimited_total": self.ratelimited,
-                "deadline_expired_total": self.expired,
+                "deadline_expired_total": replied(504),
             }
 
 
@@ -290,12 +268,13 @@ class _HttpError(Exception):
 
     def __init__(self, status: int, message: str,
                  headers: Optional[Dict[str, str]] = None,
-                 close: bool = False):
+                 close: bool = False, ratelimited: bool = False):
         super().__init__(message)
         self.status = status
         self.message = message
         self.headers = headers or {}
         self.close = close
+        self.ratelimited = ratelimited
 
 
 def _jsonable(value):
@@ -405,10 +384,10 @@ class SimilarityGateway:
 
     Every request is served through exactly one
     :class:`~repro.api.serving.QueryQueue`: the one it is given, or one it
-    builds over the service and closes with itself. HTTP callers that
-    arrive while a flush runs coalesce into the next batched service call
-    (a lone caller is flushed at once), and request deadlines ride into
-    the queue.
+    builds over the service and closes with itself. That queue is the
+    edge's one admission bound and its one line, ``/add`` included;
+    request deadlines ride into it. The gateway parses, rate-limits and
+    accounts.
     """
 
     def __init__(
@@ -419,18 +398,14 @@ class SimilarityGateway:
         *,
         rate_limit: Optional[float] = None,
         burst: Optional[float] = None,
-        max_inflight: int = 64,
         max_body: int = 8 << 20,
         max_requests: Optional[int] = None,
     ):
         self.metrics = GatewayMetrics()
         self.limiter = (TokenBucketLimiter(rate_limit, burst)
                         if rate_limit else None)
-        self.admission = AdmissionController(max_inflight)
         self.max_body = int(max_body)
         self._max_requests = max_requests
-        self._request_count = 0
-        self._count_lock = threading.Lock()
         self._shutdown = threading.Event()
         self._closed = False
 
@@ -467,6 +442,7 @@ class SimilarityGateway:
         path = handler.path.split("?", 1)[0]
         if len(path) > 1:
             path = path.rstrip("/")
+        ratelimited = False
         try:
             status, body, content_type, headers = self._handle(
                 handler, method, path, start)
@@ -474,15 +450,14 @@ class SimilarityGateway:
             status = error.status
             body = json.dumps({"error": error.message}).encode()
             content_type, headers = "application/json", dict(error.headers)
+            ratelimited = error.ratelimited
             if error.close:
                 handler.close_connection = True
         except (DeadlineExceededError, TimeoutError) as error:
-            self.metrics.bump("expired")
             status = 504
             body = json.dumps({"error": f"deadline exceeded: {error}"}).encode()
             content_type, headers = "application/json", {}
         except QueueFullError as error:
-            self.metrics.bump("shed")
             status = 429
             body = json.dumps({"error": str(error)}).encode()
             content_type, headers = "application/json", {"Retry-After": "1"}
@@ -509,71 +484,45 @@ class SimilarityGateway:
         # Account before the reply bytes leave: a client that fires a
         # follow-up /stats the instant it reads this response must already
         # see this request in the counters.
-        self.metrics.observe(path, status, (time.monotonic() - start) * 1000)
+        self.metrics.observe(path, status, (time.monotonic() - start) * 1000,
+                             ratelimited)
         try:
             handler.wfile.write(
                 handler.reply_bytes(status, content_type, headers, body))
         except (BrokenPipeError, ConnectionError, OSError):
             handler.close_connection = True  # caller hung up; just account
-        if self._max_requests is not None:
-            with self._count_lock:
-                self._request_count += 1
-                if self._request_count >= self._max_requests:
-                    self._shutdown.set()
+        if (self._max_requests is not None
+                and self.metrics.total_requests >= self._max_requests):
+            self._shutdown.set()
 
     def _handle(self, handler, method: str, path: str, start: float):
         if self._shutdown.is_set() and path != "/healthz":
             # /healthz stays answerable during drain so probes see a
             # structured "stopping" report instead of a generic refusal.
             raise _HttpError(503, "gateway is shutting down", close=True)
+        route = ROUTES[method].get(path)
+        if route is None:
+            allowed = [other for other, paths in ROUTES.items()
+                       if path in paths]
+            if allowed:
+                raise _HttpError(405, f"{path} requires "
+                                      + " or ".join(allowed),
+                                 {"Allow": ", ".join(allowed)})
+            raise _HttpError(404, f"no such route: {path}")
         if method == "GET":
-            if path == "/healthz":
-                return self._healthz()
-            if path == "/stats":
-                return self._json(200, self._stats_payload())
-            if path == "/metrics":
-                return 200, self.render_metrics().encode(), \
-                    "text/plain; version=0.0.4", {}
-            if path == "/":
-                return self._json(200, {
-                    "routes": {"POST": ["/knn", "/pairwise", "/add"],
-                               "GET": ["/stats", "/healthz", "/metrics"]}})
-            if path in ("/knn", "/pairwise", "/add"):
-                raise _HttpError(405, f"{path} requires POST",
-                                 {"Allow": "POST"})
-            raise _HttpError(404, f"no such route: {path}")
-        # POST
-        if path not in ("/knn", "/pairwise", "/add"):
-            if path in ("/stats", "/healthz", "/metrics", "/"):
-                raise _HttpError(405, f"{path} requires GET", {"Allow": "GET"})
-            raise _HttpError(404, f"no such route: {path}")
+            return getattr(self, route)()
 
         client = (handler.headers.get("X-Api-Key")
                   or handler.client_address[0])
         if self.limiter is not None:
             admitted, retry_after = self.limiter.allow(client)
             if not admitted:
-                self.metrics.bump("ratelimited")
                 raise _HttpError(
                     429, f"rate limit exceeded for client {client!r}",
                     {"Retry-After": str(max(1, math.ceil(retry_after)))},
-                    close=True)
+                    close=True, ratelimited=True)
         deadline = self._parse_deadline(handler, start)
-        body = self._read_json(handler)
-        if not self.admission.try_acquire():
-            self.metrics.bump("shed")
-            raise _HttpError(
-                429, f"gateway overloaded "
-                     f"({self.admission.max_inflight} requests in flight)",
-                {"Retry-After": "1"})
-        try:
-            if path == "/knn":
-                return self._post_knn(body, deadline)
-            if path == "/pairwise":
-                return self._post_pairwise(body, deadline)
-            return self._post_add(body)
-        finally:
-            self.admission.release()
+        return getattr(self, route)(self._read_json(handler), deadline)
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -627,6 +576,9 @@ class SimilarityGateway:
     # ------------------------------------------------------------------
     def _post_knn(self, body: Dict, deadline: Optional[float]):
         queries = _parse_trajectories(body.get("queries"), "queries")
+        if len(queries) > self.service.max_pending:  # a 429 retried forever
+            raise _HttpError(413, f"more than {self.service.max_pending} "
+                                  "queries; split the request")
         k = _optional_number(body, "k", int, default=10)
         if k is None or k < 1:
             raise _HttpError(400, "'k' must be an integer >= 1")
@@ -650,15 +602,25 @@ class SimilarityGateway:
         matrix = self.service.pairwise(queries, database, deadline=deadline)
         return self._json(200, {"distances": matrix})
 
-    def _post_add(self, body: Dict):
+    def _post_add(self, body: Dict, deadline: Optional[float]):
         trajectories = _parse_trajectories(body.get("trajectories"),
                                            "trajectories")
-        size = self.service.add(trajectories)  # between two flushes
+        size = self.service.add(trajectories, deadline=deadline)
         return self._json(200, {"size": size, "added": len(trajectories)})
 
     # ------------------------------------------------------------------
     # GET routes
     # ------------------------------------------------------------------
+    def _get_index(self):
+        """Every route but this one, by method."""
+        return self._json(200, {"routes": {
+            method: [path for path in paths if path != "/"]
+            for method, paths in ROUTES.items()}})
+
+    def _get_metrics(self):
+        return 200, self.render_metrics().encode(), \
+            "text/plain; version=0.0.4", {}
+
     def _gateway_stats(self) -> Dict:
         snapshot = self.metrics.snapshot()
         return {
@@ -666,23 +628,21 @@ class SimilarityGateway:
             "uptime_seconds": round(snapshot["uptime_seconds"], 3),
             "requests_total": snapshot["requests_total"],
             "qps": round(snapshot["qps"], 3),
-            "inflight": self.admission.inflight,
-            "max_inflight": self.admission.max_inflight,
             "shed_total": snapshot["shed_total"],
             "ratelimited_total": snapshot["ratelimited_total"],
             "deadline_expired_total": snapshot["deadline_expired_total"],
             "rate_limit": self.limiter.rate if self.limiter else None,
         }
 
-    def _stats_payload(self) -> Dict:
+    def _get_stats(self):
         try:
             info = self.service.stats()
         except Exception as error:
             info = {"error": f"service stats failed: {error}"}
         info["gateway"] = self._gateway_stats()
-        return info
+        return self._json(200, info)
 
-    def _healthz(self):
+    def _get_healthz(self):
         if self._shutdown.is_set():
             return self._json(503, {"status": "stopping"})
         try:
@@ -772,9 +732,6 @@ class SimilarityGateway:
         header("repro_gateway_qps", "gauge",
                "Requests per second over the gateway lifetime.")
         lines.append(f'repro_gateway_qps {snapshot["qps"]:.6f}')
-        header("repro_gateway_inflight", "gauge",
-               "Requests currently executing (admission-controlled).")
-        lines.append(f"repro_gateway_inflight {self.admission.inflight}")
         for name, key in (("repro_gateway_shed_total", "shed_total"),
                           ("repro_gateway_ratelimited_total",
                            "ratelimited_total"),

@@ -88,7 +88,8 @@ __all__ = ["ShardedSimilarityService", "QueryQueue", "QueueStats",
 
 
 class QueueFullError(RuntimeError):
-    """Raised by :meth:`QueryQueue.submit` when ``max_pending`` is reached.
+    """Raised by a :class:`QueryQueue` asked to take a request past
+    ``max_pending``.
 
     Bounded admission: under overload the queue sheds new work at the
     door (callers can retry, degrade, or surface ``429``) instead of
@@ -618,25 +619,17 @@ class ShardMergeMixin:
                     remaining.discard(shard)
                     continue
                 plan.setdefault(link.worker, []).append(shard)
+                tried[shard].add(link.worker)
             if not plan:
                 break
-            sent = []
-            for worker in sorted(plan):
-                link, shards = self._links[worker], plan[worker]
-                for shard in shards:
-                    tried[shard].add(worker)
-                try:
-                    link.transport.send((command, (shards, payload)))
-                    sent.append((link, shards))
-                except TransportError as error:
-                    self._degrade(link, f"send failed: {error}")
+            replies, refused = self._exchange(
+                {worker: (command, (shards, payload))
+                 for worker, shards in plan.items()})
+            if refused is not None:
+                raise refused
             errored = []
-            for link, shards in sent:
-                try:
-                    status, result = link.transport.recv()
-                except TransportError as error:
-                    self._degrade(link, f"recv failed: {error}")
-                    continue
+            for link, status, result in replies:
+                shards = plan[link.worker]
                 if status != OK:
                     errored.append((link, shards, str(result)))
                     continue
@@ -655,6 +648,35 @@ class ShardMergeMixin:
                     raise RemoteCallError(
                         f"shard worker {link.label} failed:\n{message}")
         return answered
+
+    def _exchange(self, messages: Dict[int, object]):
+        """Send each worker its message, in worker order, then read every
+        reply owed; returns ``(link, status, result)`` replies and the
+        error, if any, that refused a send (a codec failure, say) and
+        ended the round. A channel failure degrades its link. Reading
+        every owed reply keeps a stale one from answering the next call.
+        Caller holds ``_rpc_lock``."""
+        sent, refused = [], None
+        for worker in sorted(messages):
+            link = self._links[worker]
+            try:
+                link.transport.send(messages[worker])
+            except TransportError as error:
+                self._degrade(link, f"send failed: {error}")
+                continue
+            except Exception as error:
+                refused = error
+                break
+            sent.append(link)
+        replies = []
+        for link in sent:
+            try:
+                status, result = link.transport.recv()
+            except TransportError as error:
+                self._degrade(link, f"recv failed: {error}")
+                continue
+            replies.append((link, status, result))
+        return replies, refused
 
     # ------------------------------------------------------------------
     # Database
@@ -686,9 +708,9 @@ class ShardMergeMixin:
             with self._rpc_lock:
                 self._add_locked(batch, vectors)
         except RemoteCallError:
-            # An unreplicated worker executed its add and failed: the
-            # shards now disagree about the database. Refuse further use
-            # rather than misattribute neighbour ids.
+            # A worker executed its add and failed, or holds a write a
+            # refused send left uncommitted: the shards disagree about the
+            # database. Refuse further use, not misattribute neighbour ids.
             self.close()
             raise
         return self
@@ -747,22 +769,16 @@ class ShardMergeMixin:
                     chunk[0].append(points)
                     chunk[1].append(global_id)
                 continue
-            sent = []
-            for worker in sorted(plan):
-                link = self._links[worker]
-                try:
-                    link.transport.send(("add", plan[worker]))
-                    sent.append(link)
-                except TransportError as error:
-                    self._degrade(link, f"send failed: {error}")
+            replies, refused = self._exchange(
+                {worker: ("add", shares) for worker, shares in plan.items()})
+            if refused is not None and not (replies or committed):
+                raise refused  # no live worker holds any of the batch
+            if refused is not None:
+                raise RemoteCallError(
+                    f"shard add refused mid-fan-out: {refused!r}") from refused
             acks: Dict[int, int] = {shard: 0 for shard in chunks}
             errored = []
-            for link in sent:
-                try:
-                    status, result = link.transport.recv()
-                except TransportError as error:
-                    self._degrade(link, f"recv failed: {error}")
-                    continue
+            for link, status, result in replies:
                 if status != OK:
                     errored.append((link, str(result)))
                     continue
@@ -1148,6 +1164,7 @@ QueueStats = namedtuple("QueueStats", ["queries", "batches", "largest_batch",
 #: pending-entry kinds
 _KNN = "knn"
 _PAIRWISE = "pairwise"
+_ADD = "add"
 
 
 class QueryQueue:
@@ -1176,38 +1193,38 @@ class QueryQueue:
     into one stacked ``service.pairwise`` call whose result rows are
     scattered back to the callers.
 
+    :meth:`add` waits in the same line and leaves on a flush of its own:
+    the queries queued before it do not see it, those after it do.
+
     Two traffic controls make the queue safe under overload:
 
-    * ``max_pending`` bounds admission — once that many requests wait,
-      :meth:`submit` raises :class:`QueueFullError` instead of queueing
-      unboundedly (``None``: unbounded, the historical behaviour);
+    * ``max_pending`` bounds admission — a call that would leave more
+      requests waiting raises :class:`QueueFullError` (a :meth:`knn`
+      batch is admitted whole or not at all);
     * a per-request ``deadline`` (``time.monotonic()`` seconds) marks
       work the caller will no longer wait for — the flush thread drops
       expired entries with :class:`DeadlineExceededError` rather than
-      spending encoder time on them, and a blocking :meth:`knn` /
-      :meth:`pairwise` stops waiting when it passes.
+      spending encoder time on them, and a blocking call stops waiting
+      when it passes (an add the flush thread has started is waited out).
 
-    One call at a time reaches the wrapped service: queries only through
-    the flush thread, :meth:`add` under the lock a flush holds around each
-    of its service calls. So a foreign, thread-oblivious service is safe
-    behind a queue, and an add never overlaps a query batch.
+    Only the flush thread calls the wrapped service's ``add``, ``knn``
+    and ``pairwise``, so a thread-oblivious service is safe behind a
+    queue and an add never overlaps a query batch.
     """
 
     def __init__(self, service: KnnService, max_batch: int = 64,
-                 max_wait: float = 0.01, max_pending: Optional[int] = None):
+                 max_wait: float = 0.01, max_pending: int = 1024):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_wait < 0:
             raise ValueError("max_wait must be >= 0")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1 (or None: unbounded)")
+        if max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
         self.service = service
         self.max_batch = int(max_batch)
-        self.max_pending = None if max_pending is None else int(max_pending)
+        self.max_pending = int(max_pending)
         self._pending: deque = deque()
         self._condition = threading.Condition()
-        # Held around every call into the wrapped service (see add()).
-        self._service_lock = threading.Lock()
         self._closed = False
         self._queries = 0
         self._batches = 0
@@ -1228,8 +1245,8 @@ class QueryQueue:
         entry still queued past it resolves to
         :class:`DeadlineExceededError` instead of being computed.
         """
-        points = as_points(query)
-        return self._enqueue((_KNN, points, k, exclude, dedupe_eps), deadline)
+        return self._enqueue(
+            [(_KNN, as_points(query), k, exclude, dedupe_eps)], deadline)[0]
 
     def submit_pairwise(self, queries: Sequence[TrajectoryLike],
                         database: Optional[Sequence[TrajectoryLike]] = None,
@@ -1238,31 +1255,43 @@ class QueryQueue:
         matrix. Calls with ``database=None`` (the service database)
         coalesce into one stacked service call per flush."""
         batch = as_points_batch(_as_batch(queries))
-        return self._enqueue((_PAIRWISE, batch, database), deadline)
+        return self._enqueue([(_PAIRWISE, batch, database)], deadline)[0]
 
-    def _enqueue(self, entry, deadline):
+    def _enqueue(self, entries, deadline):
+        """Admit all of ``entries`` or none; returns one Future each."""
         from concurrent.futures import Future
 
-        future = Future()
+        if len(entries) > self.max_pending:
+            raise ValueError(f"{len(entries)} > max_pending={self.max_pending}")
+        futures = [Future() for _ in entries]
         with self._condition:
             if self._closed:
                 raise RuntimeError("queue is closed")
-            if (self.max_pending is not None
-                    and len(self._pending) >= self.max_pending):
+            if len(self._pending) + len(entries) > self.max_pending:
                 self._rejected += 1
                 raise QueueFullError(
                     f"queue is full ({self.max_pending} requests pending)"
                 )
-            self._pending.append((future,) + entry + (deadline,))
+            self._pending.extend((future,) + entry + (deadline,)
+                                 for future, entry in zip(futures, entries))
             self._condition.notify_all()
-        return future
+        return futures
 
-    def add(self, trajectories: Sequence[TrajectoryLike]) -> int:
-        """Append to the wrapped service's database, between two flushes;
-        returns the new database size (as the remote client's ``add``)."""
-        with self._service_lock:
-            size = self.service.add(trajectories)
-            return size if isinstance(size, int) else len(self.service)
+    def add(self, trajectories: Sequence[TrajectoryLike], *,
+            deadline: Optional[float] = None) -> int:
+        """Append to the wrapped service's database on a flush of its own,
+        in arrival order; returns the new database size (as the remote
+        client's ``add``). :class:`DeadlineExceededError` means it never
+        ran: one the flush thread has started is waited out."""
+        future = self._enqueue([(_ADD, trajectories)], deadline)[0]
+        try:
+            return self._wait(future, deadline)
+        except DeadlineExceededError:
+            if future.cancel():  # still queued: the flush thread skips it
+                with self._condition:
+                    self._expired += 1
+                raise
+            return future.result()
 
     def __len__(self) -> int:
         return len(self.service)
@@ -1275,8 +1304,9 @@ class QueryQueue:
         """``(distances, ids)`` of shape ``(N, k)``: every query is
         :meth:`submit`-ted, so other callers' queries share its flushes.
         Past ``deadline`` it raises :class:`DeadlineExceededError`."""
-        futures = [self.submit(query, k, exclude, dedupe_eps, deadline)
-                   for query in _as_batch(queries)]
+        futures = self._enqueue(
+            [(_KNN, as_points(query), k, exclude, dedupe_eps)
+             for query in _as_batch(queries)], deadline)
         rows = [self._wait(future, deadline) for future in futures]
         if not rows:
             return np.empty((0, k)), np.empty((0, k), dtype=np.int64)
@@ -1337,10 +1367,12 @@ class QueryQueue:
                 if not self._pending:
                     return  # closed and drained
                 # No timer: what is pending leaves now, and whatever
-                # arrives while this flush runs is the next one.
-                batch = [self._pending.popleft()
-                         for _ in range(min(len(self._pending),
-                                            self.max_batch))]
+                # arrives while this flush runs is the next one. An add
+                # leaves alone, between the queries around it.
+                batch = [self._pending.popleft()]
+                while (self._pending and len(batch) < self.max_batch
+                       and _ADD not in (batch[0][1], self._pending[0][1])):
+                    batch.append(self._pending.popleft())
             self._flush(batch)
 
     def _flush(self, batch) -> None:
@@ -1359,9 +1391,11 @@ class QueryQueue:
                 expired_now += 1
                 self._fail(future, DeadlineExceededError(
                     f"deadline exceeded {now - deadline:.3f}s before the "
-                    "query was served"))
+                    "request was served"))
                 continue
-            if kind == _KNN:
+            if kind == _ADD:
+                self._add(future, item[2])
+            elif kind == _KNN:
                 _, _, points, k, exclude, dedupe_eps, _ = item
                 knn_groups.setdefault((k, exclude, dedupe_eps), []).append(
                     (future, points)
@@ -1419,20 +1453,30 @@ class QueryQueue:
     def _serve(self, futures, call):
         """Run one service call; on failure fail every waiting future."""
         try:
-            with self._service_lock:
-                return call()
+            return call()
         except Exception as error:  # propagate to every caller
             for future in futures:
                 self._fail(future, error)
             return None
 
+    def _add(self, future, trajectories) -> None:
+        def call():
+            size = self.service.add(trajectories)
+            return size if isinstance(size, int) else len(self.service)
+
+        size = self._serve([future], call)
+        if size is not None:
+            self._resolve([future], [size], queries=0)
+
     def _resolve(self, futures, results, queries: int) -> None:
+        """Hand out results; ``queries`` served ones count as a batch."""
         from concurrent.futures import InvalidStateError
 
-        with self._condition:
-            self._queries += queries
-            self._batches += 1
-            self._largest_batch = max(self._largest_batch, queries)
+        if queries:
+            with self._condition:
+                self._queries += queries
+                self._batches += 1
+                self._largest_batch = max(self._largest_batch, queries)
         for future, result in zip(futures, results):
             try:
                 future.set_result(result)
@@ -1443,7 +1487,7 @@ class QueryQueue:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Refuse new queries, drain the pending ones, stop the thread."""
+        """Refuse new requests, drain the pending ones, stop the thread."""
         with self._condition:
             if self._closed:
                 return

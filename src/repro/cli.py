@@ -22,9 +22,9 @@ Exposes the library's main workflows without writing code:
   ``/add``, ``/stats``, ``/healthz`` and a Prometheus ``/metrics``
   endpoint over any service stack (``--workers`` shards locally,
   ``--remote host:port`` fronts a running ``serve``/``cluster``
-  instance) behind a :class:`repro.api.QueryQueue` (``--max-batch``,
-  ``--max-pending``), with per-client rate limiting (``--rate-limit``),
-  bounded admission (``--max-inflight``) and ``X-Deadline-Ms`` deadlines;
+  instance) behind one :class:`repro.api.QueryQueue` (``--max-batch``;
+  ``--max-pending`` bounds admission, ``/add`` included), with per-client
+  rate limiting (``--rate-limit``) and ``X-Deadline-Ms`` deadlines;
 * ``cluster-worker`` — boot one multi-machine shard worker
   (:class:`repro.api.ShardWorker`) waiting for a coordinator to join;
 * ``cluster``   — front a set of running cluster workers with a
@@ -333,13 +333,13 @@ def cmd_serve_http(args) -> int:
                      f"({len(database)} trajectories{workers})")
         else:
             raise SystemExit("serve-http needs --data (or --remote HOST:PORT)")
-        # Concurrent HTTP callers batch here, and the excess beyond
-        # --max-pending is shed with HTTP 429.
+        # Concurrent HTTP callers batch here, /add waits its turn here,
+        # and the excess beyond --max-pending is shed with HTTP 429.
         service = stack.enter_context(QueryQueue(
             service, max_batch=args.max_batch, max_pending=args.max_pending))
         gateway = partial(
             SimilarityGateway, rate_limit=args.rate_limit, burst=args.burst,
-            max_inflight=args.max_inflight, max_body=args.max_body)
+            max_body=args.max_body)
         return _serve(args, stack, service, gateway,
                       f"http gateway: {label} on http://")
 
@@ -521,16 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=64,
                    help="queries one QueryQueue flush hands the service")
     p.add_argument("--max-pending", type=int, default=1024,
-                   help="QueryQueue admission bound; excess requests are "
-                        "shed with HTTP 429")
+                   help="queries and adds the QueryQueue holds "
+                        "waiting; past it a request is shed with HTTP 429")
     p.add_argument("--rate-limit", type=float, default=None,
                    help="per-client token-bucket rate in requests/second "
                         "(default: unlimited)")
     p.add_argument("--burst", type=float, default=None,
                    help="token-bucket burst capacity (default: rate)")
-    p.add_argument("--max-inflight", type=int, default=64,
-                   help="concurrent requests admitted before shedding "
-                        "with HTTP 429")
     p.add_argument("--max-body", type=int, default=8 << 20,
                    help="largest accepted request body in bytes")
     p.set_defaults(func=cmd_serve_http)

@@ -243,9 +243,9 @@ def test_sanitizer_sees_the_order_the_edge_stack_takes(sanitized):
     (the deleted static graph found 0 edges in ``src/``): a tier takes
     its lock while the tier above holds its own, through a duck-typed
     ``self.service`` no static model follows. Down gateway -> queue ->
-    client -> server -> an embedding service, the queue holds its service
-    lock around the client's, and the service holds its own around its
-    encoder's."""
+    client -> server -> an embedding service, the service holds its own
+    lock around its encoder's; the queue holds none around the client,
+    whose only caller is the queue's flush thread."""
     import json
     import urllib.request
 
@@ -287,7 +287,7 @@ def test_sanitizer_sees_the_order_the_edge_stack_takes(sanitized):
         return any(src.startswith(src_file) and dst.startswith(dst_file)
                    for src, dsts in edges.items() for dst in dsts)
 
-    assert reaches("serving.py:", "remote.py:")
+    assert not reaches("serving.py:", "remote.py:")
     # two distinct service.py locks: SimilarityService's, then its encoder's
     assert reaches("service.py:", "service.py:")
     # acyclic: peeling locks nothing is taken under empties the graph

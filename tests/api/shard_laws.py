@@ -26,6 +26,7 @@ from repro.api import (
     SimilarityService,
     as_backend,
 )
+from repro.api.wire import WireError
 
 from ..trajectory.test_trajectory import bad_batches, first_error
 
@@ -247,6 +248,56 @@ def worker_error_keeps_rpc_in_sync(links, backend, single_service,
         assert stats["degraded"] == [] and stats["alive_workers"] == 3
         assert_same_bits(service.knn(trajectories[:2], k=3),
                          single_service.knn(trajectories[:2], k=3))
+
+
+class RefusesOnce:
+    """A link's transport whose next send is refused before a byte
+    leaves, the way the codec refuses a frame it cannot encode."""
+
+    def __init__(self, transport):
+        self.transport, self.armed = transport, True
+
+    def send(self, message):
+        if self.armed:
+            self.armed = False
+            raise WireError("frame refused")
+        self.transport.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self.transport, name)
+
+
+def refused_send_leaves_every_link_in_step(links, trajectories):
+    """A send refused after another worker's went out is raised only
+    once that worker's reply is read, so the next call reads its own
+    replies. An add refused after a send went out closes the service, as
+    a worker's failed add does: the workers it reached hold writes that
+    never commit. One refused before any send changes nothing."""
+    single = SimilarityService(backend="hausdorff").add(trajectories)
+    with Sharded(links, "hausdorff") as sharded:
+        service = sharded.service
+        service.add(trajectories)
+        link = service._links[1]  # sent to after worker 0
+        link.transport = refusing = RefusesOnce(link.transport)
+        with pytest.raises(WireError, match="refused"):
+            service.knn(trajectories[:1], k=3)
+        assert_same_bits(service.knn(trajectories[5:7], k=3),
+                         single.knn(trajectories[5:7], k=3))
+        assert service.stats()["degraded"] == []
+        # Refused at the first worker, an add reached nobody: the error
+        # is the refusal itself and the service stays open.
+        first = service._links[0]
+        first.transport = RefusesOnce(first.transport)
+        with pytest.raises(WireError, match="refused"):
+            service.add(trajectories[:2])
+        assert len(service) == len(trajectories)
+        assert_same_bits(service.knn(trajectories[5:7], k=3),
+                         single.knn(trajectories[5:7], k=3))
+        refusing.armed = True
+        with pytest.raises(RemoteCallError, match="refused"):
+            service.add(trajectories[:2])  # one for each shard
+        with pytest.raises(RuntimeError, match="closed"):
+            service.knn(trajectories[:1], k=3)
 
 
 @contextlib.contextmanager

@@ -121,6 +121,8 @@ class TestCoordinatorParity:
         laws.bad_chunk_is_refused_whole)
     test_worker_error_keeps_rpc_in_sync = staticmethod(
         laws.worker_error_keeps_rpc_in_sync)
+    test_refused_send_leaves_every_link_in_step = staticmethod(
+        laws.refused_send_leaves_every_link_in_step)
     test_wire_parity_and_transport_stats = staticmethod(
         laws.stats_expose_transport_counters)
 

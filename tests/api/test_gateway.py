@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import QueryQueue, SimilarityService
 from repro.api.gateway import (
-    AdmissionController,
+    ROUTES,
     LatencyHistogram,
     SimilarityGateway,
     TokenBucketLimiter,
@@ -54,6 +54,13 @@ def as_lists(trajectories):
     return [np.asarray(t).tolist() for t in trajectories]
 
 
+def wait_until(condition, timeout=30.0):
+    give_up = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < give_up, "condition never held"
+        time.sleep(0.005)
+
+
 def fronts(service):
     """``service`` as a gateway may be handed it: directly, behind one
     queue and behind two. A health report must read the same through
@@ -79,7 +86,8 @@ class _SlowService:
 
 
 class _GatedService:
-    """Blocks knn until released — holds a request in flight on demand."""
+    """Blocks knn until released — parks the queue's flush thread on
+    demand, so what waits behind it is deterministic."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -89,6 +97,9 @@ class _GatedService:
 
     def __len__(self):
         return len(self.inner)
+
+    def add(self, trajectories):
+        return self.inner.add(trajectories)
 
     def knn(self, queries, k, exclude=None, dedupe_eps=None):
         self.calls += 1
@@ -199,7 +210,6 @@ class TestRoutes:
         assert stats["size"] == len(trajectories)
         gw_stats = stats["gateway"]
         assert gw_stats["requests_total"] >= 1
-        assert gw_stats["inflight"] >= 0
         assert {"qps", "shed_total", "ratelimited_total",
                 "deadline_expired_total"} <= set(gw_stats)
 
@@ -213,6 +223,23 @@ class TestRoutes:
         status, _, reply = request_json(gateway, "/")
         assert status == 200
         assert "/knn" in reply["routes"]["POST"]
+        assert reply["routes"] == {
+            method: [path for path in paths if path != "/"]
+            for method, paths in ROUTES.items()}
+
+    def test_every_route_refuses_the_other_method(self, gateway):
+        for method, paths in ROUTES.items():
+            other = "POST" if method == "GET" else "GET"
+            for path in paths:
+                status, headers, reply = request_json(
+                    gateway, path, {} if other == "POST" else None,
+                    method=other)
+                assert status == 405, path
+                assert headers["Allow"] == method
+                assert reply["error"] == f"{path} requires {method}"
+        text = request(gateway, "/metrics")[2].decode()
+        for path in ("/", "/knn", "/stats"):  # each route its own label
+            assert f'route="{path}",status="405"' in text
 
     def test_unknown_route_404(self, gateway):
         status, _, reply = request_json(gateway, "/nope", {"x": 1})
@@ -354,33 +381,116 @@ class TestValidation:
 class TestTrafficControls:
     def test_flood_sheds_with_429_and_correct_survivors(self, service,
                                                         trajectories):
+        # One request parks the flush thread inside the service and
+        # max_pending more wait behind it: every request past them is
+        # shed at once, and the ones admitted still answer right.
         gated = _GatedService(service)
         body = {"queries": as_lists(trajectories[:1]), "k": 3}
         expected_d, expected_i = service.knn(trajectories[0], k=3)
-        with SimilarityGateway(gated, max_inflight=1) as gw:
-            outcomes = []
-
-            def blocked():
-                outcomes.append(request_json(gw, "/knn", body))
-
-            holder = threading.Thread(target=blocked)
-            holder.start()
-            assert gated.started.wait(timeout=30)
-            # The slot is taken: every concurrent request sheds immediately.
-            shed = [request_json(gw, "/knn", body) for _ in range(4)]
-            gated.gate.set()
-            holder.join(timeout=30)
-            assert not holder.is_alive()
-            for status, headers, reply in shed:
-                assert status == 429
-                assert "Retry-After" in headers
-                assert "overloaded" in reply["error"]
-            status, _, reply = outcomes[0]
+        outcomes = []
+        with QueryQueue(gated, max_batch=1, max_pending=2) as queue:
+            with SimilarityGateway(queue) as gw:
+                admitted = [threading.Thread(target=lambda: outcomes.append(
+                    request_json(gw, "/knn", body))) for _ in range(3)]
+                admitted[0].start()
+                assert gated.started.wait(timeout=30)
+                for holder in admitted[1:]:
+                    holder.start()
+                wait_until(lambda: queue.pending == 2)
+                shed = [request_json(gw, "/knn", body) for _ in range(4)]
+                gated.gate.set()
+                for holder in admitted:
+                    holder.join(timeout=30)
+                    assert not holder.is_alive()
+                _, _, metrics = request(gw, "/metrics")
+                gw_stats = request_json(gw, "/stats")[2]["gateway"]
+        for status, headers, reply in shed:
+            assert status == 429
+            assert "Retry-After" in headers
+            assert "full" in reply["error"]
+        assert len(outcomes) == len(admitted)
+        for status, _, reply in outcomes:
             assert status == 200
             np.testing.assert_array_equal(np.asarray(reply["ids"]),
                                           expected_i)
-            _, _, metrics = request(gw, "/metrics")
         assert b"repro_gateway_shed_total 4" in metrics
+        assert b"repro_gateway_ratelimited_total 0" in metrics
+        assert gw_stats["shed_total"] == 4
+        assert queue.queue_stats.rejected == 4
+
+    def test_add_waits_in_the_queue_like_a_query(self, trajectories):
+        """With the flush thread parked, an ``/add`` whose deadline lapses
+        in the queue is a 504 and changes nothing, and one that finds the
+        queue full is a 429; once the line moves, an add lands."""
+        gated = _GatedService(
+            SimilarityService(backend="hausdorff").add(trajectories[:10]))
+        query = {"queries": as_lists(trajectories[:1]), "k": 2}
+        add = {"trajectories": as_lists(trajectories[10:12])}
+        with QueryQueue(gated, max_batch=1, max_pending=1) as queue:
+            with SimilarityGateway(queue) as gw:
+                parked = threading.Thread(target=request_json,
+                                          args=(gw, "/knn", query))
+                parked.start()
+                assert gated.started.wait(timeout=30)
+                status, _, reply = request_json(
+                    gw, "/add", add, headers={"X-Deadline-Ms": "20"})
+                assert status == 504
+                assert "deadline" in reply["error"]
+                assert queue.pending == 1  # the lapsed add holds the slot
+                status, headers, reply = request_json(gw, "/add", add)
+                assert status == 429
+                assert "Retry-After" in headers
+                assert "full" in reply["error"]
+                gated.gate.set()
+                parked.join(timeout=30)
+                wait_until(lambda: queue.pending == 0)
+                assert len(gated) == 10
+                status, _, reply = request_json(gw, "/add", add)
+                assert (status, reply) == (200, {"size": 12, "added": 2})
+                gw_stats = request_json(gw, "/stats")[2]["gateway"]
+        assert queue.queue_stats.expired == 1
+        assert queue.queue_stats.rejected == 1
+        assert gw_stats["deadline_expired_total"] == 1
+        assert gw_stats["shed_total"] == 1
+
+    def test_add_running_past_its_deadline_answers_200(self, trajectories):
+        """An ``/add`` the flush thread has started cannot be withdrawn:
+        the caller hears that it landed, never a 504 it would retry."""
+
+        class SlowAdd:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __len__(self):
+                return len(self.inner)
+
+            def add(self, trajectories):
+                time.sleep(0.2)
+                return self.inner.add(trajectories)
+
+        service = SlowAdd(
+            SimilarityService(backend="hausdorff").add(trajectories[:10]))
+        add = {"trajectories": as_lists(trajectories[10:12])}
+        with SimilarityGateway(service) as gw:
+            status, _, reply = request_json(
+                gw, "/add", add, headers={"X-Deadline-Ms": "50"})
+            gw_stats = request_json(gw, "/stats")[2]["gateway"]
+        assert (status, reply) == (200, {"size": 12, "added": 2})
+        assert len(service) == 12
+        assert gw_stats["deadline_expired_total"] == 0
+
+    def test_more_queries_than_the_queue_holds_is_413(self, service,
+                                                      trajectories):
+        body = {"queries": as_lists(trajectories[:3]), "k": 2}
+        with QueryQueue(service, max_pending=2) as queue:
+            with SimilarityGateway(queue) as gw:
+                status, headers, reply = request_json(gw, "/knn", body)
+                assert status == 413
+                assert "Retry-After" not in headers
+                assert "split the request" in reply["error"]
+                body["queries"] = body["queries"][:2]
+                assert request_json(gw, "/knn", body)[0] == 200
+        assert queue.queue_stats.rejected == 0
 
     def test_rate_limit_isolates_clients(self, service, trajectories):
         body = {"queries": as_lists(trajectories[:1]), "k": 2}
@@ -731,7 +841,6 @@ class TestMetrics:
                      "repro_gateway_request_latency_ms_count",
                      "repro_gateway_latency_quantile_ms",
                      "repro_gateway_qps",
-                     "repro_gateway_inflight",
                      "repro_gateway_shed_total",
                      "repro_gateway_queue_depth",
                      "repro_gateway_cache_hit_rate",
@@ -890,17 +999,6 @@ class TestPrimitives:
             TokenBucketLimiter(rate=0)
         with pytest.raises(ValueError, match="burst"):
             TokenBucketLimiter(rate=1, burst=0.2)
-
-    def test_admission_controller(self):
-        admission = AdmissionController(max_inflight=2)
-        assert admission.try_acquire()
-        assert admission.try_acquire()
-        assert not admission.try_acquire()
-        admission.release()
-        assert admission.inflight == 1
-        assert admission.try_acquire()
-        with pytest.raises(ValueError, match="max_inflight"):
-            AdmissionController(0)
 
     def test_latency_histogram_percentiles(self):
         histogram = LatencyHistogram(bounds=(1.0, 10.0, 100.0))

@@ -92,6 +92,8 @@ class TestShardedParity:
         laws.float32_ties_match_single_service)
     test_worker_error_keeps_rpc_in_sync = staticmethod(
         laws.worker_error_keeps_rpc_in_sync)
+    test_refused_send_leaves_every_link_in_step = staticmethod(
+        laws.refused_send_leaves_every_link_in_step)
     test_close_survives_a_dead_worker = staticmethod(
         laws.close_survives_a_dead_worker)
 
@@ -314,6 +316,12 @@ class _GatedService:
     def pairwise(self, queries, database=None):
         self._enter(queries)
         return self.inner.pairwise(queries, database)
+
+    def add(self, trajectories):
+        return self.inner.add(trajectories)
+
+    def __len__(self):
+        return len(self.inner)
 
 
 def _hold_flush_thread(queue, gated, query):
@@ -548,6 +556,85 @@ class TestQueueWithoutAClock:
         assert stats.largest_batch == 3
         assert stats.queries == 8
 
+    def test_an_add_flushes_alone_between_the_queries_around_it(
+            self, trajectories):
+        """The query queued before an add sees the database without it,
+        the one queued after it sees it with it: the two never share a
+        flush, though max_batch would let them."""
+        gated = _GatedService(
+            SimilarityService(backend="hausdorff").add(trajectories[:10]))
+        fresh = trajectories[10]  # at distance 0 from nothing stored yet
+        with QueryQueue(gated, max_batch=64) as queue:
+            opener = _hold_flush_thread(queue, gated, trajectories[0])
+            before = queue.submit(fresh, k=1)
+            adder = threading.Thread(target=queue.add, args=([fresh],))
+            adder.start()
+            give_up = time.monotonic() + 30
+            while queue.pending < 2 and time.monotonic() < give_up:
+                time.sleep(0.005)
+            after = queue.submit(fresh, k=1)
+            gated.gate.set()
+            adder.join(timeout=30)
+            opener.result(timeout=30)
+            before_d, before_i = before.result(timeout=30)
+            after_d, after_i = after.result(timeout=30)
+        assert before_i[0] != 10 and before_d[0] > 0
+        assert (after_i[0], after_d[0]) == (10, 0.0)
+        assert gated.calls == [1, 1, 1]
+
+    def test_every_service_call_runs_on_the_flush_thread(self,
+                                                          trajectories):
+        """Concurrent knn, pairwise and add callers: the queue calls its
+        service from its flush thread only, never from a caller's."""
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner, self.threads = inner, []
+
+            def __len__(self):
+                return len(self.inner)
+
+            def knn(self, queries, k, exclude=None, dedupe_eps=None):
+                self.threads.append(("knn", threading.get_ident()))
+                return self.inner.knn(queries, k, exclude, dedupe_eps)
+
+            def pairwise(self, queries, database=None):
+                self.threads.append(("pairwise", threading.get_ident()))
+                return self.inner.pairwise(queries, database)
+
+            def add(self, trajectories):
+                self.threads.append(("add", threading.get_ident()))
+                return self.inner.add(trajectories)
+
+        service = Recording(
+            SimilarityService(backend="hausdorff").add(trajectories[:8]))
+        errors = []
+        with QueryQueue(service, max_batch=4) as queue:
+            calls = [lambda: queue.knn(trajectories[:2], 3),
+                     lambda: queue.pairwise(trajectories[:2]),
+                     lambda: queue.add(trajectories[8:10])] * 4
+            start = threading.Barrier(len(calls))
+
+            def run(call):
+                try:
+                    start.wait(timeout=30)
+                    call()
+                except Exception as error:  # surfaced below
+                    errors.append(error)
+
+            callers = [threading.Thread(target=run, args=(call,))
+                       for call in calls]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            flusher = queue._thread.ident
+        assert errors == []
+        assert {name for name, _ in service.threads} == {"knn", "pairwise",
+                                                          "add"}
+        assert {ident for _, ident in service.threads} == {flusher}
+        assert len(service) == 8 + 4 * 2
+
     def test_close_serves_everything_it_accepted(self, single_service,
                                                  trajectories):
         gated = _GatedService(single_service)
@@ -594,6 +681,52 @@ class TestQueueAdmission:
             stats = queue.queue_stats
         assert stats.rejected == 1
         assert stats.queries == 3
+
+    def test_a_knn_batch_is_admitted_whole_or_not_at_all(self,
+                                                          single_service,
+                                                          trajectories):
+        gated = _GatedService(single_service)
+        with QueryQueue(gated, max_batch=1, max_pending=2) as queue:
+            with pytest.raises(ValueError, match="max_pending=2"):
+                queue.knn(trajectories[:3], k=2)  # could never fit
+            opener = _hold_flush_thread(queue, gated, trajectories[0])
+            waiting = queue.submit(trajectories[1], k=2)
+            with pytest.raises(QueueFullError, match="full"):
+                queue.knn(trajectories[:2], k=2)  # one slot left, two asked
+            assert queue.pending == 1  # nothing of the refused batch queued
+            gated.gate.set()
+            opener.result(timeout=30)
+            waiting.result(timeout=30)
+            distances, ids = queue.knn(trajectories[:2], k=2)
+        assert ids.shape == (2, 2)
+        assert queue.queue_stats.rejected == 1
+
+    def test_an_add_already_running_is_waited_out_past_its_deadline(
+            self, trajectories):
+        """The deadline lapses while the service adds: the add cannot be
+        withdrawn, so the caller gets its size, not a deadline error."""
+        import time
+
+        class SlowAdd:
+            def __init__(self, inner):
+                self.inner, self.started = inner, threading.Event()
+
+            def __len__(self):
+                return len(self.inner)
+
+            def add(self, trajectories):
+                self.started.set()
+                time.sleep(0.2)
+                return self.inner.add(trajectories)
+
+        service = SlowAdd(
+            SimilarityService(backend="hausdorff").add(trajectories[:4]))
+        with QueryQueue(service) as queue:
+            size = queue.add(trajectories[4:6],
+                             deadline=time.monotonic() + 0.05)
+        assert service.started.is_set()
+        assert size == len(service) == 6
+        assert queue.queue_stats.expired == 0
 
     def test_expired_deadline_fails_future(self, single_service,
                                            trajectories):

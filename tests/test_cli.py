@@ -164,7 +164,6 @@ CLI_CONTRACT = {
         opt("--max-batch", type=int, default=64),
         opt("--max-pending", type=int, default=1024),
         opt("--rate-limit", type=float), opt("--burst", type=float),
-        opt("--max-inflight", type=int, default=64),
         opt("--max-body", type=int, default=8 << 20),
     },
     "cluster-worker": _LISTEN,
@@ -210,7 +209,7 @@ class TestCliContract:
         assert actual == CLI_CONTRACT[command]
 
     def test_settable_points(self):
-        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 116
+        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 115
 
 
 class TestGenerate:
