@@ -69,7 +69,8 @@ chaos-smoke:
 	$(PYTHON) scripts/chaos_smoke.py
 
 # Boots a real `repro serve-http` gateway over a 2-worker sharded
-# service, checks HTTP knn parity with the local service, times 20
+# service, checks HTTP knn parity with the local service, expects a 400
+# for a string coordinate in /add, times 20
 # keep-alive GET /healthz on one connection (median < 10 ms: no reply
 # waits for a delayed ACK), floods it past --max-pending with
 # --max-batch 1 (some 429s, zero wrong answers), parses /metrics, and
@@ -124,11 +125,12 @@ bench-startup:
 
 # The local worker link by frame size: one (rows, 64) float32 array
 # round-tripped through a forked ServiceNode at 64 KiB .. 64 MiB, both
-# processes on one CPU and on one CPU each, medians with quartiles,
-# merged by row name into the transport record under the e2e benchmark's
-# malloc settings. A before row is the same script with another
-# checkout's src on PYTHONPATH and `--label` (see the script). ~1 min,
-# peak ~0.3 GB. Outside tier-1.
+# processes on one CPU and on one CPU each, plus `ingest_512`: the
+# codec's encode and decode of one 512-trajectory set-up chunk; medians
+# with quartiles, merged by row name into the transport record under the
+# e2e benchmark's malloc settings. A before row is the same script with
+# another checkout's src on PYTHONPATH and `--label` (see the script).
+# ~1 min, peak ~0.3 GB. Outside tier-1.
 bench-transport:
 	MALLOC_MMAP_MAX_=0 MALLOC_TRIM_THRESHOLD_=1099511627776 OPENBLAS_NUM_THREADS=1 NUMPY_MADVISE_HUGEPAGE=0 $(PYTHON) benchmarks/bench_transport.py --output benchmarks/results/BENCH_transport.json
 

@@ -14,8 +14,8 @@ Two families of scenario, every timing a median with its quartiles:
   means the same thing in every checkout; ``serving_default_b256`` /
   ``serving_default_b1`` name no dtype and record the one that came back
   — they follow whatever the product serves. ``featurise_b256`` is the
-  part of a 256-call that is not the forward (``prepare`` +
-  ``stack_features`` on the served tables). These are the numbers the
+  part of a 256-call that is not the forward (``encode_batch``, padded
+  to the batch's longest, on the served tables). These are the numbers the
   ROADMAP's encoder budget quotes.
 
 Results merge scenario-by-scenario into
@@ -137,8 +137,8 @@ def run_e2e_shape(args) -> Dict[str, Dict]:
     features = model.inference_encoder().features   # the served tables
 
     def featurise(batch):
-        points = features.prepare(batch)
-        features.stack_features(points, pad_len=max(map(len, points)))
+        features.encode_batch(
+            batch, pad_len=min(features.max_len, max(map(len, batch))))
 
     rows = {f"featurise_b{E2E_CHUNK}" + suffix: {"results": {
         "mode": "features", "dtype": served, "batch": E2E_CHUNK,

@@ -14,12 +14,19 @@ with one CPU each. The link kinds are whatever the checkout on
   and with its shared-memory side channel (64 KiB threshold), in trees
   that still have it.
 
+A second scenario, ``ingest_512``, times the codec alone on the
+stack's busiest payload: ``wire.encode`` and ``wire.decode`` of one
+set-up chunk as an owner deals it to a shard — 512 porto trajectories
+(``(L, 2)`` float64) beside their ``(512, 64)`` float32 embeddings —
+as medians with quartiles, plus the frame's byte count.
+
 Rows merge into ``benchmarks/results/BENCH_transport.json`` by name
-(``<link>_<size>_cpu<n>``, plus ``@label``), so a before row is the same
-command against another checkout::
+(``<link>_<size>_cpu<n>`` and ``ingest_512``, plus ``@label``), so a
+before row is the same command against another checkout::
 
     PYTHONPATH=/path/to/parent/src python benchmarks/bench_transport.py \
-        --label parent --output benchmarks/results/BENCH_transport.json
+        --scenarios ingest --label parent \
+        --output benchmarks/results/BENCH_transport.json
 
 Run via ``make bench-transport``, which pins the e2e benchmark's malloc
 settings (no mmap, no trim). Peak memory is about four copies of the
@@ -44,6 +51,11 @@ COLUMNS = 64
 #: round trips timed per size: enough samples for quartiles, bounded time
 REPEATS = {"64KiB": 400, "1MiB": 100, "16MiB": 20, "64MiB": 8}
 SHM_THRESHOLD = 64 * 1024
+#: trajectories in one set-up chunk (``benchmarks/e2e``'s SETUP_CHUNK)
+INGEST_CHUNK = 512
+INGEST_DIM = 64
+#: encode + decode pairs timed for ``ingest_512``
+INGEST_REPEATS = 300
 
 
 def _links() -> Dict[str, Callable[[], Tuple]]:
@@ -82,6 +94,12 @@ def _echo_node(child_end, cpus) -> None:
     ServiceNode(child_end, {"echo": lambda array: array}).serve_forever()
 
 
+def _quartiles(samples: Sequence[float]) -> Dict:
+    q1, median, q3 = (round(float(q), 4)
+                      for q in np.percentile(samples, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "samples": len(samples)}
+
+
 def _round_trips(make_link: Callable, cpus: Sequence[int]) -> Dict[str, Dict]:
     import multiprocessing
 
@@ -106,10 +124,7 @@ def _round_trips(make_link: Callable, cpus: Sequence[int]) -> Dict[str, Dict]:
                 start = time.perf_counter()
                 request(parent, "echo", array)
                 samples.append((time.perf_counter() - start) * 1e3)
-            q1, median, q3 = (round(float(q), 4)
-                              for q in np.percentile(samples, [25, 50, 75]))
-            out[size] = {"ms": {"median": median, "q1": q1, "q3": q3,
-                                "samples": len(samples)},
+            out[size] = {"ms": _quartiles(samples),
                          "frame_bytes": SIZES[size]}
         request(parent, "stop")
     finally:
@@ -121,9 +136,45 @@ def _round_trips(make_link: Callable, cpus: Sequence[int]) -> Dict[str, Dict]:
     return out
 
 
+def _ingest_codec(cpu: int) -> Dict:
+    """``wire.encode`` / ``wire.decode`` of one owner → shard set-up
+    chunk, in ms, on one CPU."""
+    from repro.api import wire
+    from repro.datasets import generate_city, get_preset
+
+    os.sched_setaffinity(0, {cpu})
+    trajectories = [np.asarray(t, dtype=np.float64) for t in generate_city(
+        get_preset("porto"), INGEST_CHUNK, seed=0)]
+    vectors = np.random.default_rng(0).standard_normal(
+        (INGEST_CHUNK, INGEST_DIM)).astype(np.float32)
+    message = ("add", {0: (trajectories, vectors)})
+    payload = wire.encode(message)
+    back = wire.decode(payload)[1][0]             # warm-up, and the check
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(back[0], trajectories))
+    encode_ms, decode_ms = [], []
+    for _ in range(INGEST_REPEATS):
+        start = time.perf_counter()
+        wire.encode(message)
+        middle = time.perf_counter()
+        wire.decode(payload)
+        end = time.perf_counter()
+        encode_ms.append((middle - start) * 1e3)
+        decode_ms.append((end - middle) * 1e3)
+    return {"encode_ms": _quartiles(encode_ms),
+            "decode_ms": _quartiles(decode_ms),
+            "frame_bytes": 8 + len(payload),
+            "trajectories": INGEST_CHUNK,
+            "points": sum(len(t) for t in trajectories)}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="suffix every row `@label`")
+    parser.add_argument("--scenarios", nargs="+",
+                        choices=["links", "ingest"],
+                        default=["links", "ingest"],
+                        help="the link sweep, the ingest codec, or both")
     parser.add_argument("--output",
                         help="merge the rows here, keyed by name (e.g. "
                              "benchmarks/results/BENCH_transport.json)")
@@ -135,7 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scenarios: Dict[str, Dict] = {}
     rows: List[List] = []
     # cpu1: both processes on one CPU; cpu2: one CPU each
-    for count in (1, 2):
+    for count in (1, 2) if "links" in args.scenarios else ():
         if count > len(available):
             print(f"skipping cpu{count}: only {len(available)} CPU(s) here")
             continue
@@ -147,6 +198,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                               **result}}
                 ms = result["ms"]
                 rows.append([row, ms["median"], f"{ms['q1']}-{ms['q3']}"])
+    if "ingest" in args.scenarios:
+        row = f"ingest_{INGEST_CHUNK}{suffix}"
+        result = _ingest_codec(available[0])
+        scenarios[row] = {"results": result}
+        for step in ("encode_ms", "decode_ms"):
+            ms = result[step]
+            rows.append([f"{row} {step[:6]}", ms["median"],
+                         f"{ms['q1']}-{ms['q3']}"])
     os.sched_setaffinity(0, available)
 
     from repro.eval import format_table
@@ -162,6 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         merged = merge_bench_scenarios(
             existing, scenarios,
             {"columns": COLUMNS, "dtype": "float32", "repeats": REPEATS,
+             "ingest_repeats": INGEST_REPEATS,
              "malloc": {key: os.environ.get(key) for key in
                         ("MALLOC_MMAP_MAX_", "MALLOC_TRIM_THRESHOLD_")}})
         os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)

@@ -7,6 +7,8 @@ sharded over two workers, ``--max-batch 1`` and a small
 
 * one ``POST /knn`` whose answer must be bit-identical to a local
   ``SimilarityService`` over the same database (exact scan index);
+* one ``POST /add`` with a string coordinate, which must be a ``400``
+  naming the trajectory (only JSON numbers are coordinates);
 * 20 sequential ``GET /healthz`` over one keep-alive ``http.client``
   connection, median under 10 ms — a reply written as head then body
   on a Nagle socket reads ~44 ms here (the client's delayed ACK);
@@ -43,9 +45,9 @@ KEEPALIVE_PROBES = 20
 KEEPALIVE_MEDIAN_MS = 10.0
 
 
-def post_knn(url, body, timeout=TIMEOUT):
+def post(url, route, body, timeout=TIMEOUT):
     request = urllib.request.Request(
-        f"{url}/knn", data=json.dumps(body).encode(),
+        f"{url}{route}", data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
@@ -91,7 +93,7 @@ def main() -> int:
             expected_d, expected_i = local.knn(trajectories[1], k=3,
                                                exclude=1)
 
-            status, reply = post_knn(url, {
+            status, reply = post(url, "/knn", {
                 "queries": [np.asarray(trajectories[1]).tolist()],
                 "k": 3, "exclude": 1,
             })
@@ -106,6 +108,15 @@ def main() -> int:
                 return fail("http-smoke: distances diverge from the local "
                             "service")
             print("http-smoke: knn parity OK", flush=True)
+
+            points = np.asarray(trajectories[2]).tolist()
+            points[0][0] = str(points[0][0])
+            status, reply = post(url, "/add", {"trajectories": [points]})
+            if status != 400 or "'trajectories'[0]" not in reply["error"]:
+                return fail(f"http-smoke: a string coordinate in /add got "
+                            f"{status}: {reply}")
+            print("http-smoke: string coordinate refused with 400",
+                  flush=True)
 
             # Keep-alive latency: the real process must not make a
             # client wait out a delayed ACK between head and body.
@@ -139,7 +150,7 @@ def main() -> int:
             flood_d, flood_i = local.knn(trajectories, k=5)
             picks = [i % len(trajectories) for i in range(FLOOD)]
             with concurrent.futures.ThreadPoolExecutor(FLOOD) as pool:
-                futures = [pool.submit(post_knn, url, {
+                futures = [pool.submit(post, url, "/knn", {
                     "queries": [np.asarray(trajectories[i]).tolist()],
                     "k": 5}) for i in picks]
                 outcomes = [f.result(timeout=TIMEOUT) for f in futures]

@@ -77,6 +77,7 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -293,8 +294,14 @@ def _jsonable(value):
     return value
 
 
+#: the types a JSON coordinate may have: numbers, and not ``bool`` (an
+#: ``int`` subclass) or a string (numpy would parse ``"1"`` as 1.0)
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _parse_trajectories(raw, field: str) -> List[np.ndarray]:
-    """JSON ``[[x, y], ...]`` lists (one trajectory or a batch) to arrays."""
+    """JSON ``[[x, y], ...]`` lists (one trajectory or a batch) to arrays;
+    only JSON numbers are coordinates."""
     if not isinstance(raw, list) or not raw:
         raise _HttpError(400, f"'{field}' must be a non-empty list of "
                               "trajectories ([[x, y], ...] point lists)")
@@ -312,6 +319,10 @@ def _parse_trajectories(raw, field: str) -> List[np.ndarray]:
             raise _HttpError(
                 400, f"'{field}'[{position}] must be a non-empty "
                      f"[[x, y], ...] list, got shape {points.shape}")
+        # shape (n, 2): entry is n lists of two scalars, checked in one pass
+        if not set(map(type, chain.from_iterable(entry))) <= _NUMBER_TYPES:
+            raise _HttpError(400, f"'{field}'[{position}] has a coordinate "
+                                  "that is not a JSON number")
         if not np.isfinite(points).all():
             raise _HttpError(400, f"'{field}'[{position}] contains "
                                   "non-finite coordinates")

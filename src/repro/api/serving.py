@@ -176,8 +176,9 @@ class Shard:
     Under a distance backend the wire carries trajectories. Built from
     a description the service is vector-fed: ``add`` takes and
     :meth:`export` returns ``(points, vectors)`` and queries arrive as
-    one bare ``(N, d)`` array — plain tuples and arrays, so the codec's
-    tag vocabulary does not grow.
+    one bare ``(N, d)`` array — plain tuples, lists and arrays, so the
+    codec needs no type of its own for them; a list of trajectories
+    crosses in its dense form (one header, offsets and buffer).
     """
 
     def __init__(self, backend, index=None, index_kwargs=None,

@@ -5,7 +5,7 @@ format version followed by a tagged value tree::
 
     +---------+-----------------------------------------------------+
     | version | tagged value                                        |
-    | 0x01    | tag byte + tag-specific body (recursive)            |
+    | 0x02    | tag byte + tag-specific body (recursive)            |
     +---------+-----------------------------------------------------+
 
 Tags (one ASCII byte each):
@@ -25,12 +25,27 @@ Tags (one ASCII byte each):
 ``a``     ndarray: u8 dtype-str length + dtype-str + u8 ndim +
           u64 x ndim shape + u64 nbytes + raw C-order buffer
 ``x``     numpy scalar: u8 dtype-str length + dtype-str + item bytes
+``r``     list of like arrays: u8 dtype-str length + dtype-str + u8 rank +
+          u64 x (rank - 1) trailing dims + u32 count + u64 x (count + 1)
+          offsets along axis 0 + u64 nbytes + every item's C-order bytes
 ========  ============================================================
 
-That vocabulary is closed: a value outside it (a set, a custom class,
-an array whose dtype carries Python objects or structured fields) raises
-:class:`WireError` in :func:`encode`, at the sender, and any other first
-byte or tag is a :class:`WireError` in :func:`decode`.  Nothing on the
+A ``list`` of one or more plain ``np.ndarray`` items (exact type) that
+share one dtype, one rank >= 1 and one trailing shape — a batch of
+trajectories, the stack's busiest payload — takes the dense form ``r``:
+one header, one offsets array and one buffer instead of one ``a``
+header per item. It decodes to a ``list`` of zero-copy views of one
+base array, each item's dtype, shape and values as sent. Any other list
+is ``l``. The decoder checks the whole ``r`` header — rank, offsets that
+start at 0, never decrease and fit the payload, a body of exactly
+``last offset x row bytes`` — before it builds the base array.
+
+That vocabulary is closed: the set of types it carries is the one
+above, ``r`` being only a denser spelling of a list. A value outside it
+(a set, a custom class, an array whose dtype carries Python objects or
+structured fields) raises :class:`WireError` in :func:`encode`, at the
+sender, and any other first byte or tag is a :class:`WireError` in
+:func:`decode`.  Nothing on the
 wire is ever handed to :mod:`pickle`.  Containers nest at most
 :data:`MAX_DEPTH` levels in either direction.
 
@@ -56,8 +71,9 @@ __all__ = [
     "decode",
 ]
 
-#: first byte of every payload produced by :func:`encode`
-WIRE_VERSION = 0x01
+#: first byte of every payload produced by :func:`encode`; an older peer
+#: fails on it, naming the version, instead of on a tag it lacks
+WIRE_VERSION = 0x02
 
 #: containers may nest this deep (the protocol's own messages stay under
 #: 6); a hostile frame must fail typed, not exhaust the interpreter stack
@@ -81,6 +97,7 @@ _TAG_TUPLE = b"t"
 _TAG_DICT = b"d"
 _TAG_ARRAY = b"a"
 _TAG_SCALAR = b"x"
+_TAG_RAGGED = b"r"
 
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
@@ -128,6 +145,39 @@ def _encode_array(array: np.ndarray, out: List[Any]) -> None:
         out.append(_U64.pack(dim))
     out.append(_U64.pack(array.nbytes))
     out.append(_array_body(array))
+
+
+def _is_ragged(items: list) -> bool:
+    """Whether *items* take the dense form: one or more plain arrays of
+    one dtype, one rank >= 1 and one trailing shape."""
+    if not items:
+        return False
+    first = items[0]
+    if (type(first) is not np.ndarray or first.ndim == 0
+            or not _plain_dtype(first.dtype)):
+        return False
+    dtype, trailing = first.dtype, first.shape[1:]
+    return all(type(item) is np.ndarray and item.dtype == dtype
+               and item.shape[1:] == trailing for item in items)
+
+
+def _encode_ragged(items: list, out: List[Any]) -> None:
+    first = items[0]
+    dtype_str = _dtype_wire_str(first.dtype)
+    offsets = np.zeros(len(items) + 1, dtype=">u8")
+    np.cumsum([len(item) for item in items], out=offsets[1:])
+    out.append(_TAG_RAGGED)
+    out.append(_U8.pack(len(dtype_str)))
+    out.append(dtype_str)
+    out.append(_U8.pack(first.ndim))
+    for dim in first.shape[1:]:
+        out.append(_U64.pack(dim))
+    out.append(_U32.pack(len(items)))
+    out.append(offsets.tobytes())
+    out.append(_U64.pack(sum(item.nbytes for item in items)))
+    # a C-contiguous array is its own raw buffer to ``bytes.join``
+    out.extend(item if item.flags.c_contiguous else _array_body(item)
+               for item in items)
 
 
 def _encode_value(value: Any, out: List[Any], depth: int) -> None:
@@ -182,6 +232,9 @@ def _encode_value(value: Any, out: List[Any], depth: int) -> None:
         out.append(_U64.pack(len(value)))
         out.append(value)
     elif type(value) is list:
+        if _is_ragged(value):
+            _encode_ragged(value, out)
+            return
         out.append(_TAG_LIST)
         out.append(_U32.pack(len(value)))
         for item in value:
@@ -287,6 +340,46 @@ def _decode_array(reader: _Reader) -> np.ndarray:
         raise WireError(f"array of shape {shape}, dtype {dtype}: {exc}") from exc
 
 
+def _decode_ragged(reader: _Reader) -> List[np.ndarray]:
+    dtype = _read_dtype(reader)
+    if dtype.itemsize == 0:
+        raise WireError(f"refusing zero-itemsize dtype {dtype!r}")
+    rank = reader.u8()
+    if not 1 <= rank <= 32:
+        raise WireError(f"implausible ragged rank {rank}")
+    trailing = tuple(reader.u64() for _ in range(rank - 1))
+    row_bytes = dtype.itemsize
+    for dim in trailing:
+        row_bytes *= dim
+    count = reader.u32()
+    left = reader.end - reader.pos
+    if 8 * (count + 1) > left:
+        raise WireError(
+            f"{count + 1} ragged offsets do not fit in the {left} bytes left")
+    # a view over bytes known to be there: reading it allocates nothing
+    offsets = np.frombuffer(reader.take(8 * (count + 1)), dtype=">u8")
+    if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+        raise WireError("ragged offsets must start at 0 and never decrease")
+    rows = int(offsets[-1])
+    if rows >= 1 << 63:
+        raise WireError(f"ragged offset {rows} is past 2**63")
+    nbytes = reader.u64()
+    if nbytes != rows * row_bytes:
+        raise WireError(
+            f"ragged body of {nbytes} bytes does not match {rows} rows "
+            f"of {row_bytes} bytes")
+    body = reader.take(nbytes)
+    try:
+        base = np.frombuffer(body, dtype=dtype,
+                             count=nbytes // dtype.itemsize)
+        base = base.reshape((rows,) + trailing)
+    except ValueError as exc:  # a dimension past ssize_t
+        raise WireError(
+            f"ragged rows of shape {trailing}, dtype {dtype}: {exc}") from exc
+    bounds = offsets.tolist()
+    return [base[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
 def _decode_value(reader: _Reader, depth: int) -> Any:
     if depth > MAX_DEPTH:
         raise WireError(f"containers nest deeper than {MAX_DEPTH} levels")
@@ -329,6 +422,8 @@ def _decode_value(reader: _Reader, depth: int) -> Any:
         return result
     if tag == _TAG_ARRAY:
         return _decode_array(reader)
+    if tag == _TAG_RAGGED:
+        return _decode_ragged(reader)
     if tag == _TAG_SCALAR:
         dtype = _read_dtype(reader)
         if dtype.kind in "US":  # never sent; a bad code point is fatal

@@ -179,43 +179,54 @@ class FeatureEnrichment:
             dtype=self.dtype, casting="same_kind",
         )
 
-    def stack_features(
-        self, points: Sequence[np.ndarray], pad_len: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Featurize pre-:meth:`prepare`-d point arrays into a padded batch.
-
-        ``points`` must already be validated/truncated by :meth:`prepare`
-        (no re-validation happens here). ``pad_len`` overrides the padded
-        length (default: ``max_len``); it must cover the longest
-        trajectory in the batch. The inference engine uses this for
-        length-bucketed batching.
+    def point_features(
+        self, points: Sequence[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-point features of pre-:meth:`prepare`-d point arrays, in
+        the order of their concatenated points: cell ids ``(P,)``, Eq. 8
+        spatial features ``(P, 4)`` and the ``(B,)`` lengths that cut them
+        into trajectories. No padding: :meth:`pad_features` lays any run of
+        whole trajectories out as a batch.
         """
-        batch = len(points)
         lengths = np.array([len(p) for p in points], dtype=np.int64)
+        flat = (np.concatenate(points, axis=0) if len(points) > 1
+                else np.asarray(points[0]))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        return (self.grid.cell_of_validated(flat),
+                self._flat_spatial_features(flat, offsets, lengths), lengths)
+
+    def pad_features(
+        self, cells: np.ndarray, spatial: np.ndarray, lengths: np.ndarray,
+        pad_len: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`point_features` output as a padded batch ``(T, S,
+        padding_mask)``. ``pad_len`` overrides the padded length (default:
+        ``max_len``); it must cover the longest trajectory in the batch.
+        The inference engine uses this for length-bucketed batching.
+        """
+        batch = len(lengths)
         longest = int(lengths.max())
         pad_len = self.max_len if pad_len is None else int(pad_len)
         if pad_len < longest or pad_len > self.max_len:
             raise ValueError(
                 f"pad_len={pad_len} must be in [{longest}, {self.max_len}]"
             )
-        flat = np.concatenate(points, axis=0) if batch > 1 else np.asarray(points[0])
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
         mask = np.arange(pad_len) >= lengths[:, None]
         valid = ~mask  # row-major True positions are the flat point order
 
         # One gather per stream, straight into the padded layout (padded
         # slots read cell 0); the position encoding is added to whole
         # rows and the padded slots are zeroed afterwards.
-        cells = np.zeros((batch, pad_len), dtype=np.int64)
-        cells[valid] = self.grid.cell_of_validated(flat)
-        structural = self.cell_embeddings[cells]
+        padded_cells = np.zeros((batch, pad_len), dtype=np.int64)
+        padded_cells[valid] = cells
+        structural = self.cell_embeddings[padded_cells]
         structural += self._pe_structural[:pad_len]
         structural[mask] = 0.0
-        spatial = np.zeros((batch, pad_len, self.spatial_dim), self.dtype)
-        spatial[valid] = self._flat_spatial_features(flat, offsets, lengths)
-        spatial += self._pe_spatial[:pad_len]
-        spatial[mask] = 0.0
-        return structural, spatial, mask, lengths
+        padded = np.zeros((batch, pad_len, self.spatial_dim), self.dtype)
+        padded[valid] = spatial
+        padded += self._pe_spatial[:pad_len]
+        padded[mask] = 0.0
+        return structural, padded, mask
 
     def encode_batch(
         self,
@@ -234,4 +245,5 @@ class FeatureEnrichment:
         land in the padded layout directly; the position encodings are
         added to whole rows.
         """
-        return self.stack_features(self.prepare(trajectories), pad_len=pad_len)
+        cells, spatial, lengths = self.point_features(self.prepare(trajectories))
+        return (*self.pad_features(cells, spatial, lengths, pad_len), lengths)

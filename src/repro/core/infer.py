@@ -25,7 +25,8 @@ a trajectory's encode time):
   something served;
 * :meth:`InferenceEncoder.encode` sorts the batch by length and pads each
   bucket to *its own* maximum length (length-bucketed batching), so a
-  bucket of short trajectories never pays ``max_len``-sized attention.
+  bucket of short trajectories never pays ``max_len``-sized attention;
+  the padded features exist one bucket at a time.
   Padded key positions receive a ``-1e9`` logit bias exactly as in the
   reference attention, so embeddings are independent of the padding width
   and the bucketing is invisible to callers;
@@ -468,14 +469,16 @@ class InferenceEncoder:
     ) -> np.ndarray:
         """Embed trajectories as ``(N, output_dim)`` in the engine dtype.
 
-        Trajectories are sorted by (truncated) length and featurised in
-        groups of ``batch_size``; a group runs through the forward in
-        buckets, each padded only to its own maximum length — so attention
-        (O(L²)) is paid at the bucket's true length, not the model's
-        ``max_len`` — and sized so its temporaries stay cache-resident
-        (:meth:`_bucket_rows`). Embeddings are returned in the input order
-        and are independent of the bucketing (padded positions are excluded
-        from attention and pooling exactly as in the reference path).
+        Trajectories are sorted by (truncated) length and featurised per
+        point in groups of ``batch_size``; a group runs through the forward
+        in buckets, each laid out padded only to its own maximum length —
+        so attention (O(L²)) is paid at the bucket's true length, not the
+        model's ``max_len``, and no group-sized padded block is built —
+        and sized so its temporaries stay cache-resident
+        (:meth:`_bucket_rows`, from the group's longest trajectory).
+        Embeddings are returned in the input order and are independent of
+        the bucketing (padded positions are excluded from attention and
+        pooling exactly as in the reference path).
         """
         points = self.features.prepare(trajectories)
         lengths = np.array([len(p) for p in points], dtype=np.int64)
@@ -484,18 +487,19 @@ class InferenceEncoder:
         group_size = max(1, int(batch_size))
         for start in range(0, len(order), group_size):
             group = order[start:start + group_size]
-            group_lengths = lengths[group]              # ascending
-            longest = int(group_lengths[-1])
-            structural, spatial, _, _ = self.features.stack_features(
-                [points[i] for i in group], pad_len=longest)
-            step = self._bucket_rows(longest)
+            cells, spatial, group_lengths = self.features.point_features(
+                [points[i] for i in group])             # ascending lengths
+            offsets = np.concatenate(([0], np.cumsum(group_lengths)))
+            step = self._bucket_rows(int(group_lengths[-1]))
             for low in range(0, len(group), step):
-                bucket = slice(low, low + step)
-                pad_len = int(group_lengths[bucket][-1])
-                out[group[bucket]] = self._forward(
-                    structural[bucket, :pad_len], spatial[bucket, :pad_len],
-                    group_lengths[bucket],
-                )
+                high = min(low + step, len(group))
+                rows = slice(offsets[low], offsets[high])
+                bucket_lengths = group_lengths[low:high]
+                structural, padded, _ = self.features.pad_features(
+                    cells[rows], spatial[rows], bucket_lengths,
+                    pad_len=int(bucket_lengths[-1]))
+                out[group[low:high]] = self._forward(structural, padded,
+                                                     bucket_lengths)
         return out
 
     def __repr__(self) -> str:

@@ -342,6 +342,25 @@ class TestValidation:
                 assert f"'{field}'[{position}]" in reply["error"]
         assert len(own) == 10           # nothing of the chunk was stored
 
+    @pytest.mark.parametrize("coordinate", ["1", True],
+                             ids=["string", "boolean"])
+    @pytest.mark.parametrize("path, field", [("/add", "trajectories"),
+                                             ("/knn", "queries")])
+    def test_only_json_numbers_are_coordinates(self, trajectories, path,
+                                               field, coordinate):
+        # numpy reads "1" as 1.0 and True as 1.0; JSON says neither is a
+        # number
+        batch = as_lists(trajectories[:3])
+        batch[1][0][1] = coordinate
+        own = SimilarityService(backend="hausdorff").add(trajectories[:10])
+        with SimilarityGateway(own) as gw:
+            # in a batch, and as a single trajectory
+            for body, position in ((batch, 1), (batch[1], 0)):
+                status, _, reply = request_json(gw, path, {field: body})
+                assert status == 400
+                assert f"'{field}'[{position}]" in reply["error"]
+        assert len(own) == 10
+
     def test_bad_k_400(self, gateway, trajectories):
         for bad_k in (0, "three"):
             status, _, reply = request_json(

@@ -1,11 +1,14 @@
 """Tests for the typed binary wire codec: round-trips over the full tag
-vocabulary (hand-picked and generated), the closed vocabulary (what the
-codec cannot express fails at the sender, pickle blobs fail at the
-receiver without running), malformed-payload rejection (every prefix
-and bit flip is a typed error, never a truncated ``np.frombuffer``)."""
+vocabulary (hand-picked and generated), the dense form of a list of like
+arrays (its byte count, and hostile headers refused before allocation),
+the closed vocabulary (what the codec cannot express fails at the sender,
+pickle blobs fail at the receiver without running), malformed-payload
+rejection (every prefix and bit flip is a typed error, never a truncated
+``np.frombuffer``)."""
 
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +168,93 @@ class TestArrayRoundTrips:
         assert type(result[2]["k"]) is tuple
 
 
+def ragged_payload(offsets, nbytes=None, *, rank=2, trailing=(2,),
+                   count=None, dtype=b"<f8"):
+    """A hand-built ``r`` value: ``count`` items (default: one per pair
+    of ``offsets``) of ``dtype`` rows, ``nbytes`` of zeros as the body
+    (default: what the last offset says)."""
+    row_bytes = np.dtype(dtype.decode()).itemsize * int(np.prod(trailing))
+    if nbytes is None:
+        nbytes = offsets[-1] * row_bytes
+    if count is None:
+        count = len(offsets) - 1
+    return (bytes([wire.WIRE_VERSION]) + b"r" + bytes([len(dtype)]) + dtype
+            + bytes([rank]) + b"".join(map(_u64, trailing)) + _u32(count)
+            + b"".join(map(_u64, offsets)) + _u64(nbytes)
+            + bytes(min(nbytes, 1 << 10)))
+
+
+#: hostile ``r`` header name -> (payload, what its WireError says)
+HOSTILE_RAGGED = {
+    "offsets_decrease": (ragged_payload([0, 3, 2]), "never decrease"),
+    "offsets_start_past_0": (ragged_payload([1, 3]), "start at 0"),
+    "last_offset_disagrees_with_body": (
+        ragged_payload([0, 1 << 40], nbytes=32), "does not match"),
+    "count_larger_than_payload": (
+        ragged_payload([0, 2], count=2 ** 32 - 1), "do not fit"),
+    "rank_0": (ragged_payload([0, 2], rank=0, trailing=()), "rank 0"),
+    "offset_past_2_63": (ragged_payload([0, 1 << 63], nbytes=64),
+                         r"past 2\*\*63"),
+}
+
+
+class TestRaggedForm:
+    """A list of like arrays is one ``r`` value: one header, one offsets
+    array, one buffer."""
+
+    def test_a_list_of_like_arrays_is_one_dense_value(self):
+        items = [np.arange(6.0).reshape(3, 2), np.empty((0, 2)),
+                 np.asfortranarray(np.arange(8.0).reshape(4, 2))]
+        payload = wire.encode(items)
+        assert payload[1:2] == b"r"
+        result = wire.decode(payload)
+        assert type(result) is list
+        assert_same(result, items)
+        base = result[0].base
+        assert all(item.base is base for item in result)
+
+    @pytest.mark.parametrize("items", [
+        [],
+        [np.arange(3.0), np.arange(3, dtype=np.float32)],     # two dtypes
+        [np.zeros((2, 2)), np.zeros((2, 3))],                  # two shapes
+        [np.zeros(2), np.zeros((2, 1))],                       # two ranks
+        [np.array(1.0), np.array(2.0)],                        # rank 0
+        [np.zeros(2), 1.0],                                    # not arrays
+        [np.ma.masked_array(np.zeros(2))],                     # a subclass
+    ], ids=["empty", "dtypes", "trailing", "ranks", "rank0", "mixed",
+            "subclass"])
+    def test_any_other_list_stays_generic(self, items):
+        payload = wire.encode(items)
+        assert payload[1:2] == b"l"
+
+    def test_bytes_grow_by_one_offset_and_the_points_per_item(self):
+        # no per-item header: N (L, 2) float64 arrays cost a constant,
+        # 8 bytes of offset per item (plus one) and 16 per point
+        cases = [[0], [1], [3, 0, 5], [32] * 512, [50, 1, 1, 7]]
+        constants = {
+            len(wire.encode([np.zeros((n, 2)) for n in lengths]))
+            - 8 * (len(lengths) + 1) - 16 * sum(lengths)
+            for lengths in cases
+        }
+        assert len(constants) == 1, constants
+
+    @pytest.mark.parametrize("name", HOSTILE_RAGGED)
+    def test_a_hostile_header_fails_before_any_allocation(self, name):
+        payload, message = HOSTILE_RAGGED[name]
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireError, match=message):
+                wire.decode(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 10, peak
+
+    def test_zero_itemsize_dtype_is_a_wire_error(self):
+        with pytest.raises(WireError, match="itemsize"):
+            wire.decode(ragged_payload([0, 1], nbytes=0, dtype=b"|S0"))
+
+
 class TestClosedVocabulary:
     """Outside the tag table there is no escape hatch: the sender fails
     (here), the receiver refuses (``TestDecodePayload``)."""
@@ -186,6 +276,12 @@ class TestMalformedPayloads:
     def test_wrong_version_byte(self):
         with pytest.raises(WireError, match="version"):
             wire.decode(b"\x7f" + wire.encode(1)[1:])
+
+    def test_a_version_1_peer_fails_on_the_first_byte(self):
+        # version 1 had no dense list form: its payloads are refused
+        # whole, by version, not mid-payload
+        with pytest.raises(WireError, match="unsupported wire version 0x01"):
+            wire.decode(b"\x01" + wire.encode([np.zeros((2, 2))])[1:])
 
     def test_unknown_tag(self):
         with pytest.raises(WireError, match="unknown wire tag"):
@@ -322,8 +418,22 @@ scalar_values = st.one_of(
     st.sampled_from([np.float32(1.5), np.int16(-3), np.uint64(2**63),
                      np.bool_(False), np.complex64(1 + 2j)]),
 )
+#: what a list of like arrays holds: one dtype and trailing shape, any
+#: leading lengths and layouts that keep the trailing shape
+like_arrays = st.tuples(
+    st.sampled_from(PLAIN_DTYPES),
+    array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+).flatmap(lambda spec: st.lists(
+    st.builds(
+        lambda array, layout: layout(array),
+        st.integers(0, 4).flatmap(lambda n: arrays(np.dtype(spec[0]),
+                                                    (n,) + spec[1])),
+        st.sampled_from(LAYOUTS[:3]),
+    ),
+    min_size=1, max_size=4,
+))
 trees = st.recursive(
-    st.one_of(scalar_values, array_values),
+    st.one_of(scalar_values, array_values, like_arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -363,9 +473,12 @@ def decodes_or_frame_error(payload):
         pass
 
 
-#: the stack's own busiest message, pinned beside the generated ones
+#: the stack's own busiest messages, pinned beside the generated ones
 KNN_REQUEST = ("knn", ([np.arange(6, dtype=np.float64).reshape(3, 2)],
                        10, None, None))
+INGEST_SHARE = ("add", {1: ([np.arange(6, dtype=np.float64).reshape(3, 2),
+                             np.arange(2, dtype=np.float64).reshape(1, 2)],
+                            np.ones((2, 4), dtype=np.float32))})
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -377,6 +490,7 @@ def test_round_trip_is_lossless_in_value_dtype_and_shape(tree):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(trees)
 @example(KNN_REQUEST)
+@example(INGEST_SHARE)
 def test_every_strict_prefix_decodes_or_is_a_frame_error(tree):
     payload = wire.encode(tree)
     for length in range(len(payload)):
@@ -386,6 +500,7 @@ def test_every_strict_prefix_decodes_or_is_a_frame_error(tree):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(trees)
 @example(KNN_REQUEST)
+@example(INGEST_SHARE)
 def test_every_single_bit_flip_decodes_or_is_a_frame_error(tree):
     payload = bytearray(wire.encode(tree))
     for position in range(len(payload)):

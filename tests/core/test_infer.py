@@ -11,6 +11,7 @@ engine is now ``repro.index.distance``; its tests are in
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,29 @@ class TestForwardLaws:
             model.encode(walks([5], seed=0), bucket_size=64)
         with pytest.raises(TypeError):
             model.inference_encoder().encode(walks([5], seed=0), bucket_size=64)
+
+    def test_padded_features_exist_one_bucket_at_a_time(self):
+        """The e2e encoder shape (d = 64, L = 32), one 256-trajectory
+        chunk: a bucket's padded features are laid out beside its forward,
+        not the whole group's — a (256, 32, 64) float32 block alone is
+        2 MiB."""
+        config = TrajCLConfig(structural_dim=64, max_len=32,
+                              projection_dim=16, dropout=0.0)
+        batch = walks([40] * 256, seed=17)
+        grid = Grid.covering(batch, cell_size=250)
+        cells = np.random.default_rng(1).standard_normal(
+            (grid.n_cells, config.structural_dim))
+        features = FeatureEnrichment(grid, cells, max_len=config.max_len)
+        engine = TrajCL(features, config,
+                        rng=np.random.default_rng(7)).inference_encoder()
+        engine.encode(batch)
+        tracemalloc.start()
+        try:
+            engine.encode(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2 ** 20, peak
 
 
 # ----------------------------------------------------------------------
