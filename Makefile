@@ -1,10 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sanitized test-all lint lint-smoke smoke serve-smoke cluster-smoke chaos-smoke http-smoke golden-bits bench bench-encode bench-index bench-index-smoke bench-startup bench-transport bench-e2e bench-e2e-selftest bench-e2e-smoke
+.PHONY: test test-sanitized test-all smoke serve-smoke cluster-smoke chaos-smoke http-smoke golden-bits bench bench-encode bench-index bench-index-smoke bench-startup bench-transport bench-e2e bench-e2e-selftest bench-e2e-smoke
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
-# serving stress tests — see pytest.ini).
+# serving stress tests — see pytest.ini). It holds the lock-discipline
+# laws (tests/test_lock_discipline.py: guarded writes under a lock, every
+# thread declares daemon=, blocking under a lock only at the designed
+# sites) and fails a session that leaks a process, thread or descriptor.
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -14,36 +17,24 @@ test:
 # gateway -> queue -> remote client -> server chain, and every service's
 # own lock under the thread-safety storm), slow tests included, with the
 # runtime lock-order sanitizer armed: an ABBA inversion raises instead
-# of deadlocking. CI's `sanitizer` job.
+# of deadlocking. The sanitizer is test infrastructure
+# (tests/lock_sanitizer.py, armed by tests/conftest.py); its own tests
+# run here too. CI's `sanitizer` job.
 test-sanitized:
-	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -q -m "" tests/api/test_serving.py tests/api/test_cluster.py tests/api/test_ann_service.py tests/api/test_encode_once.py tests/api/test_transport.py tests/api/test_chaos.py tests/api/test_gateway.py tests/api/test_remote.py tests/api/test_thread_safety.py tests/analysis
+	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -q -m "" tests/api/test_serving.py tests/api/test_cluster.py tests/api/test_ann_service.py tests/api/test_encode_once.py tests/api/test_transport.py tests/api/test_chaos.py tests/api/test_gateway.py tests/api/test_remote.py tests/api/test_thread_safety.py tests/test_sanitizer.py tests/test_lockgraph.py
 
-# Everything: lint first (cheapest gate), then the full pytest suite
-# (including the slow serving stress tests) with the runtime lock-order
+# Everything: the full pytest suite (including the slow serving stress
+# tests and the lock-discipline laws) with the runtime lock-order
 # sanitizer armed, then the real-process smoke runs and the end-to-end
 # benchmark's smoke run.
-test-all: lint
+test-all:
 	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest -x -q -m ""
 	$(PYTHON) scripts/serve_smoke.py
 	$(PYTHON) scripts/cluster_smoke.py
 	$(PYTHON) scripts/chaos_smoke.py
 	$(PYTHON) scripts/http_smoke.py
-	$(PYTHON) scripts/lint_smoke.py
 	$(PYTHON) scripts/bench_index_smoke.py
 	$(MAKE) bench-e2e-smoke
-
-# Concurrency-aware static analysis over src/ (see src/repro/analysis):
-# unlocked shared writes, daemon-less threads, blocking calls under
-# locks (a class's locks include its base classes'), suppression
-# hygiene. Exits nonzero on any finding. Lock order is test-sanitized's;
-# the other source contracts are tier-1 laws.
-lint:
-	$(PYTHON) -m repro lint src
-
-# Drives `repro lint --format json` as a subprocess, the same entry
-# point CI consumes, and checks the machine-readable contract.
-lint-smoke:
-	$(PYTHON) scripts/lint_smoke.py
 
 # End-to-end CLI pipeline (generate -> train -> evaluate -> knn) on a tiny
 # dataset; finishes in well under a minute.

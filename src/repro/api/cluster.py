@@ -443,7 +443,9 @@ class ClusterCoordinator(ShardMergeMixin):
                 target = min(spares, key=lambda l: (len(l.shards), l.worker))
                 source = replicas[0]
                 try:
-                    # repro: allow[C204] repair copies hold _rpc_lock so the exported shard is consistent with the committed ids; bounded by the worker answering or _degrade
+                    # repair copies hold _rpc_lock so the exported shard is
+                    # consistent with the committed ids; bounded by the worker
+                    # answering or _degrade
                     exported = request(
                         source.transport, "export", ([shard], None),
                         who=f"cluster worker {source.label}")[shard]
@@ -457,11 +459,13 @@ class ClusterCoordinator(ShardMergeMixin):
                 if held != len(self._shard_ids[shard]):
                     return False  # torn view; retry next sweep
                 try:
-                    # repro: allow[C204] same repair transaction: the host/add pair must not interleave with queries
+                    # same repair transaction: the host/add pair must not
+                    # interleave with queries
                     request(target.transport, "host", [shard],
                             who=f"cluster worker {target.label}")
                     if held:
-                        # repro: allow[C204] second half of the host/add pair above, same repair transaction
+                        # second half of the host/add pair above, same repair
+                        # transaction
                         request(target.transport, "add", {shard: exported},
                                 who=f"cluster worker {target.label}")
                 except TransportError as error:
@@ -558,7 +562,8 @@ class ClusterCoordinator(ShardMergeMixin):
             try:
                 transport = self._new_transport(link.address)
                 heartbeat = self._new_transport(link.address)
-                # repro: allow[C204] the handshake and the restore are one transaction under _rpc_lock: queries must not observe a half-restored replica
+                # the handshake and the restore are one transaction under
+                # _rpc_lock: queries must not observe a half-restored replica
                 request(transport, "join", self._join_payload(link),
                         who=f"cluster worker {link.label}")
                 restored = {}

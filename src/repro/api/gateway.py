@@ -29,7 +29,7 @@ Routes (JSON in, JSON out; trajectories are ``[[x, y], ...]`` lists):
   or when the wrapped service reports degraded shards;
 * ``GET /metrics``   — Prometheus text format: request counts by
   route/status, latency histograms with p50/p95/p99 gauges, q/s, queue
-  depth, cache hit rate, per-shard health.
+  depth and a queue-wait histogram, cache hit rate, per-shard health.
 
 Traffic controls, applied in order on the POST routes:
 
@@ -83,7 +83,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .serving import (
-    DeadlineExceededError, QueryQueue, QueueFullError, ShardLostError,
+    LATENCY_BUCKETS_MS, DeadlineExceededError, LatencyHistogram, QueryQueue,
+    QueueFullError, ShardLostError,
 )
 from .transport import TransportError
 
@@ -93,10 +94,6 @@ __all__ = [
     "LatencyHistogram",
     "GatewayMetrics",
 ]
-
-#: histogram bucket upper bounds, milliseconds (+Inf bucket is implicit).
-LATENCY_BUCKETS_MS = (1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-                      500.0, 1000.0, 2500.0, 5000.0)
 
 #: the library configures no handler: an application that wants the
 #: stack of a 500 attaches one to this name.
@@ -158,48 +155,6 @@ class TokenBucketLimiter:
                     if k == key or bucket[0] < full_at
                 }
             return admitted, retry_after
-
-
-class LatencyHistogram:
-    """Fixed-bucket latency histogram with interpolated percentiles.
-
-    Prometheus-shaped (cumulative ``le`` buckets plus sum/count) and
-    bounded-memory: percentiles come from linear interpolation inside the
-    winning bucket, not from storing samples.
-    """
-
-    def __init__(self, bounds=LATENCY_BUCKETS_MS):
-        self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)  # trailing +Inf bucket
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value_ms: float) -> None:
-        slot = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value_ms <= bound:
-                slot = i
-                break
-        self.counts[slot] += 1
-        self.count += 1
-        self.sum += value_ms
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Interpolated ``q``-th percentile (``q`` in [0, 1]); None if empty."""
-        if self.count == 0:
-            return None
-        target = q * self.count
-        cumulative = 0
-        lower = 0.0
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            if bucket_count:
-                cumulative += bucket_count
-                if cumulative >= target:
-                    fraction = (target - (cumulative - bucket_count)) / bucket_count
-                    return lower + (bound - lower) * fraction
-            lower = bound
-        # Everything beyond the last finite bound: the best bounded answer.
-        return self.bounds[-1]
 
 
 class GatewayMetrics:
@@ -712,21 +667,23 @@ class SimilarityGateway:
             lines.append(f'repro_gateway_requests_total'
                          f'{{route="{route}",status="{status}"}} {count}')
 
+        def histogram(name, counts, count, total, label=""):
+            cumulative = 0
+            for bound, bucket in zip(LATENCY_BUCKETS_MS, counts):
+                cumulative += bucket
+                lines.append(f'{name}_bucket{{{label}le="{bound:g}"}} '
+                             f'{cumulative}')
+            lines.append(f'{name}_bucket{{{label}le="+Inf"}} {count}')
+            labels = f"{{{label.rstrip(',')}}}" if label else ""
+            lines.append(f"{name}_sum{labels} {total:.6f}")
+            lines.append(f"{name}_count{labels} {count}")
+
         header("repro_gateway_request_latency_ms", "histogram",
                "Request latency by route, milliseconds.")
         for route, (counts, count, total,
                     p50, p95, p99) in sorted(snapshot["latency"].items()):
-            cumulative = 0
-            for bound, bucket in zip(LATENCY_BUCKETS_MS, counts):
-                cumulative += bucket
-                lines.append(f'repro_gateway_request_latency_ms_bucket'
-                             f'{{route="{route}",le="{bound:g}"}} {cumulative}')
-            lines.append(f'repro_gateway_request_latency_ms_bucket'
-                         f'{{route="{route}",le="+Inf"}} {count}')
-            lines.append(f'repro_gateway_request_latency_ms_sum'
-                         f'{{route="{route}"}} {total:.6f}')
-            lines.append(f'repro_gateway_request_latency_ms_count'
-                         f'{{route="{route}"}} {count}')
+            histogram("repro_gateway_request_latency_ms", counts, count,
+                      total, label=f'route="{route}",')
 
         header("repro_gateway_latency_quantile_ms", "gauge",
                "Interpolated latency percentiles by route, milliseconds.")
@@ -760,6 +717,12 @@ class SimilarityGateway:
                           ("repro_gateway_queue_expired_total", "expired")):
             header(name, "counter", "QueryQueue overload counters.")
             lines.append(f"{name} {int(queue.get(key) or 0)}")
+        waits = self.service.wait_histogram()
+        header("repro_gateway_queue_wait_ms", "histogram",
+               "Time each request waited in the QueryQueue before the "
+               "flush that took it started, milliseconds.")
+        histogram("repro_gateway_queue_wait_ms", waits.counts, waits.count,
+                  waits.sum)
 
         cache = stats.get("cache") or {}
         hits = int(cache.get("hits") or 0)

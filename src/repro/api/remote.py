@@ -391,7 +391,9 @@ class RemoteSimilarityClient:
             who = (f"similarity server {self.address[0]}:"
                    f"{self.address[1]}")
             try:
-                # repro: allow[C204] the blocking client serializes whole call/response pairs under _lock by design; concurrent callers open one client each
+                # the blocking client serializes whole call/response pairs
+                # under _lock by design; concurrent callers open one client
+                # each
                 return request(self._transport, command, payload, who=who)
             except (TransportClosed, TransientError):
                 # The exchange died between frames: no reply byte was
@@ -405,11 +407,14 @@ class RemoteSimilarityClient:
                 except Exception:
                     pass
                 # Jittered backoff so a fleet of clients does not
-                # reconnect in lockstep against a restarting server.
-                time.sleep(self._retry_wait * (1.0 + random.random()))  # repro: allow[C204] single bounded backoff before the one retry; the client lock serializes whole exchanges by design
+                # reconnect in lockstep against a restarting server: a
+                # single bounded backoff before the one retry; the client
+                # lock serializes whole exchanges by design.
+                time.sleep(self._retry_wait * (1.0 + random.random()))
                 self._transport = SocketTransport.connect(
                     *self.address, timeout=self._timeout)
-                # repro: allow[C204] the one retry of the exchange above, same single-exchange discipline
+                # the one retry of the exchange above, same single-exchange
+                # discipline
                 return request(self._transport, command, payload, who=who)
 
     # ------------------------------------------------------------------
@@ -469,7 +474,8 @@ class RemoteSimilarityClient:
             try:
                 self._transport.send(("stop", None))
                 if self._transport.poll(1.0):
-                    self._transport.recv()  # repro: allow[C204] close-time farewell read, bounded by the poll(1.0) above
+                    # close-time farewell read, bounded by the poll(1.0) above
+                    self._transport.recv()
             except TransportError:
                 pass
             self._transport.close()

@@ -52,6 +52,7 @@ under a link.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 import time
@@ -83,6 +84,7 @@ from .transport import (
 _as_batch = SimilarityService._as_batch
 
 __all__ = ["ShardedSimilarityService", "QueryQueue", "QueueStats",
+           "LatencyHistogram",
            "QueueFullError", "DeadlineExceededError", "ShardLostError",
            "Shard", "ShardMergeMixin", "merge_cache_counters"]
 
@@ -801,11 +803,11 @@ class ShardMergeMixin:
                 # Commit the ids AND the size together, still under
                 # _rpc_lock: a concurrent stats() snapshot must always
                 # see sum(shard_sizes) == size, even between requeue
-                # rounds of a partially failed add.
-                # repro: allow[C202] add() wraps this whole method in _rpc_lock; the commit is not reachable any other way
+                # rounds of a partially failed add. add() wraps this whole
+                # method in _rpc_lock; the commit is not reachable any other
+                # way.
                 self._shard_ids[shard].append(
                     np.asarray(ids, dtype=np.int64))
-                # repro: allow[C202] same _rpc_lock transaction as the line above
                 self._size += len(ids)
                 committed.append((shard, ids, points))
         return committed
@@ -832,7 +834,9 @@ class ShardMergeMixin:
                     if not link.alive:
                         continue
                     try:
-                        # repro: allow[C204] per-worker stats RPC must hold _rpc_lock to keep frames paired; bounded by the worker answering or _degrade
+                        # per-worker stats RPC must hold _rpc_lock to keep
+                        # frames paired; bounded by the worker answering or
+                        # _degrade
                         per_worker[link.worker] = request(
                             link.transport, "stats",
                             who=f"shard worker {link.label}")
@@ -1159,8 +1163,58 @@ class ShardedSimilarityService(ShardMergeMixin):
 # ----------------------------------------------------------------------
 # Query batching
 # ----------------------------------------------------------------------
+#: ``wait_ms_sum`` over ``wait_count`` entries: the milliseconds each entry
+#: the flush thread took waited, from admission to that flush's start
 QueueStats = namedtuple("QueueStats", ["queries", "batches", "largest_batch",
-                                       "rejected", "expired"])
+                                       "rejected", "expired", "wait_ms_sum",
+                                       "wait_count"])
+
+#: histogram bucket upper bounds, milliseconds (+Inf bucket is implicit).
+LATENCY_BUCKETS_MS = (1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
+                      500.0, 1000.0, 2500.0, 5000.0)
+
+
+class LatencyHistogram:
+    """Fixed-bucket latency histogram with interpolated percentiles.
+
+    Prometheus-shaped (cumulative ``le`` buckets plus sum/count) and
+    bounded-memory: percentiles come from linear interpolation inside the
+    winning bucket, not from storing samples.
+    """
+
+    def __init__(self, bounds=LATENCY_BUCKETS_MS):
+        self.bounds = tuple(float(b) for b in bounds)
+        self.counts = [0] * (len(self.bounds) + 1)  # trailing +Inf bucket
+        self.count = 0
+        self.sum = 0.0
+
+    def observe(self, value_ms: float) -> None:
+        slot = len(self.bounds)
+        for i, bound in enumerate(self.bounds):
+            if value_ms <= bound:
+                slot = i
+                break
+        self.counts[slot] += 1
+        self.count += 1
+        self.sum += value_ms
+
+    def percentile(self, q: float) -> Optional[float]:
+        """Interpolated ``q``-th percentile (``q`` in [0, 1]); None if empty."""
+        if self.count == 0:
+            return None
+        target = q * self.count
+        cumulative = 0
+        lower = 0.0
+        for bound, bucket_count in zip(self.bounds, self.counts):
+            if bucket_count:
+                cumulative += bucket_count
+                if cumulative >= target:
+                    fraction = (target - (cumulative - bucket_count)) / bucket_count
+                    return lower + (bound - lower) * fraction
+            lower = bound
+        # Everything beyond the last finite bound: the best bounded answer.
+        return self.bounds[-1]
+
 
 #: pending-entry kinds
 _KNN = "knn"
@@ -1173,17 +1227,17 @@ class QueryQueue:
     callers into batched calls on the service it wraps.
 
     :meth:`knn` and :meth:`pairwise` take a batch and answer ``(N, k)`` /
-    ``(|Q|, |D|)`` like every service; under them each query is
-    :meth:`submit`-ted on its own (from any thread) and becomes a
-    :class:`~concurrent.futures.Future` of ``(distances, ids)`` 1-D rows of
-    length ``k``. A single flush thread drains the queue with no timer in
-    it: an entry that finds the thread idle is flushed at once, and the
-    entries that arrive *while a flush runs* leave together on the next
-    one, at most ``max_batch`` at a time. Batching comes from load, not
-    from a clock — a lone caller pays no wait, and a burst of users still
-    pays one chunked encoder pass instead of N. A flush groups its entries
-    by identical ``(k, exclude, dedupe_eps)`` and issues one service
-    ``knn`` per group.
+    ``(|Q|, |D|)`` like every service; :meth:`submit` enqueues one query
+    (from any thread) as a :class:`~concurrent.futures.Future` of
+    ``(distances, ids)`` 1-D rows of length ``k``, and :meth:`knn` admits
+    its whole batch as such entries at once. A single flush thread drains
+    the queue with no timer in it: an entry that finds the thread idle is
+    flushed at once, and the entries that arrive *while a flush runs*
+    leave together on the next one, at most ``max_batch`` at a time.
+    Batching comes from load, not from a clock — a lone caller pays no
+    wait, and a burst of users still pays one chunked encoder pass
+    instead of N. A flush groups its entries by identical ``(k, exclude,
+    dedupe_eps)`` and issues one service ``knn`` per group.
 
     ``max_wait`` used to be a batching window slept out after every
     first arrival; it is still accepted and validated (callers pass it)
@@ -1211,6 +1265,10 @@ class QueryQueue:
     Only the flush thread calls the wrapped service's ``add``, ``knn``
     and ``pairwise``, so a thread-oblivious service is safe behind a
     queue and an add never overlaps a query batch.
+
+    The queue reports its own wait: each entry is stamped when admitted,
+    and the flush that takes it observes ``flush start - admission`` into
+    :meth:`wait_histogram` (sum and count in :attr:`queue_stats`).
     """
 
     def __init__(self, service: KnnService, max_batch: int = 64,
@@ -1232,6 +1290,7 @@ class QueryQueue:
         self._largest_batch = 0
         self._rejected = 0
         self._expired = 0
+        self._waits = LatencyHistogram()
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="repro-query-queue")
         self._thread.start()
@@ -1273,7 +1332,8 @@ class QueryQueue:
                 raise QueueFullError(
                     f"queue is full ({self.max_pending} requests pending)"
                 )
-            self._pending.extend((future,) + entry + (deadline,)
+            admitted = time.monotonic()
+            self._pending.extend((future,) + entry + (deadline, admitted)
                                  for future, entry in zip(futures, entries))
             self._condition.notify_all()
         return futures
@@ -1302,9 +1362,10 @@ class QueryQueue:
             dedupe_eps: Optional[float] = None, *,
             deadline: Optional[float] = None
             ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(distances, ids)`` of shape ``(N, k)``: every query is
-        :meth:`submit`-ted, so other callers' queries share its flushes.
-        Past ``deadline`` it raises :class:`DeadlineExceededError`."""
+        """``(distances, ids)`` of shape ``(N, k)``: the batch is admitted
+        whole (or refused whole) as one entry per query, so other callers'
+        queries share its flushes. Past ``deadline`` it raises
+        :class:`DeadlineExceededError`."""
         futures = self._enqueue(
             [(_KNN, as_points(query), k, exclude, dedupe_eps)
              for query in _as_batch(queries)], deadline)
@@ -1341,11 +1402,19 @@ class QueryQueue:
 
     @property
     def queue_stats(self) -> QueueStats:
-        """``(queries, batches, largest_batch, rejected, expired)`` so far."""
+        """``(queries, batches, largest_batch, rejected, expired,
+        wait_ms_sum, wait_count)`` so far."""
         with self._condition:
             return QueueStats(self._queries, self._batches,
                               self._largest_batch, self._rejected,
-                              self._expired)
+                              self._expired, self._waits.sum,
+                              self._waits.count)
+
+    def wait_histogram(self) -> LatencyHistogram:
+        """A copy of the queue-wait histogram: for every entry a flush
+        took, the milliseconds from its admission to that flush's start."""
+        with self._condition:
+            return copy.deepcopy(self._waits)
 
     def stats(self) -> Dict:
         """The wrapped service's report as it is, plus this queue's
@@ -1381,9 +1450,12 @@ class QueryQueue:
         shared_pairwise: List = []   # database=None → coalescable
         adhoc_pairwise: List = []    # explicit database → one call each
         now = time.monotonic()
+        with self._condition:
+            for item in batch:  # waited from admission to this flush
+                self._waits.observe((now - item[-1]) * 1e3)
         expired_now = 0
         for item in batch:
-            future, kind, deadline = item[0], item[1], item[-1]
+            future, kind, deadline = item[0], item[1], item[-2]
             if not future.set_running_or_notify_cancel():
                 continue  # the caller cancelled while the query was pending
             if deadline is not None and now > deadline:
@@ -1397,12 +1469,12 @@ class QueryQueue:
             if kind == _ADD:
                 self._add(future, item[2])
             elif kind == _KNN:
-                _, _, points, k, exclude, dedupe_eps, _ = item
+                _, _, points, k, exclude, dedupe_eps, _, _ = item
                 knn_groups.setdefault((k, exclude, dedupe_eps), []).append(
                     (future, points)
                 )
             else:
-                _, _, queries, database, _ = item
+                _, _, queries, database, _, _ = item
                 if database is None:
                     shared_pairwise.append((future, queries))
                 else:

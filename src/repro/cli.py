@@ -442,9 +442,6 @@ def _add_listen_args(p: argparse.ArgumentParser, what: str, *,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Only the four add_argument calls: the checkers load in cmd_lint.
-    from .analysis.lint_cli import add_lint_arguments, cmd_lint
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TrajCL reproduction CLI (ICDE 2023)",
@@ -568,12 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "link, e.g. 'seed=7,drop=0.05,latency=0.1:20,"
                         "kill=100' (smoke/soak testing)")
     p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("lint",
-                       help="concurrency-aware static analysis over the "
-                            "codebase (see repro.analysis)")
-    add_lint_arguments(p)
-    p.set_defaults(func=cmd_lint)
     return parser
 
 

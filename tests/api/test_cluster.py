@@ -417,10 +417,11 @@ class TestComposition:
 
 
 class TestStatsLockScope:
-    """Regression tests for the unlocked _size commit that `repro lint`
-    (C202) flagged: the coordinator's add() bumped _size outside the RPC
-    lock that guards the _shard_ids commits, so a concurrent stats()
-    could see the extends without the size bump (or a torn pair)."""
+    """Regression tests for an unlocked _size commit, the kind the
+    guarded-writes law (tests/test_lock_discipline.py) now fails: the
+    coordinator's add() bumped _size outside the RPC lock that guards the
+    _shard_ids commits, so a concurrent stats() could see the extends
+    without the size bump (or a torn pair)."""
 
     test_stats_bookkeeping_is_atomic_during_adds = staticmethod(
         laws.stats_never_observes_a_half_committed_add)

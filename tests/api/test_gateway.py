@@ -896,6 +896,9 @@ class TestMetrics:
         assert "repro_gateway_queue_depth 0" in text
         assert "repro_gateway_queue_rejected_total 0" in text
         assert "repro_gateway_queue_expired_total 0" in text
+        # the one query's wait in the queue: one sample
+        assert 'repro_gateway_queue_wait_ms_bucket{le="+Inf"} 1' in text
+        assert "repro_gateway_queue_wait_ms_count 1" in text
 
     def test_healthz_degraded_503_and_shard_up(self):
         class DegradedService:

@@ -521,9 +521,10 @@ class TestSeededTrajclParity:
 
 
 class TestRequestCounterLockScope:
-    """Regression test for the unlocked _request_count read that the
-    lint sweep surfaced: handle_stats (and __repr__) read the counter
-    without _count_lock while handler threads increment under it."""
+    """Regression test for an unlocked _request_count read: handle_stats
+    (and __repr__) read the counter without _count_lock while handler
+    threads increment under it. An unlocked increment is the
+    guarded-writes law's (tests/test_lock_discipline.py) to fail."""
 
     def test_request_count_is_exact_after_concurrent_traffic(
             self, server, trajectories):

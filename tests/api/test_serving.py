@@ -25,6 +25,7 @@ from repro.api import (
     get_backend,
     serving,
 )
+from repro.api.serving import LATENCY_BUCKETS_MS
 from repro.api.transport import request
 
 from . import shard_laws as laws
@@ -654,6 +655,43 @@ class TestQueueWithoutAClock:
         assert queue.pending == 0
 
 
+class TestQueueWait:
+    """The queue reports its own wait: flush start minus admission, per
+    entry, as a sum and count in ``queue_stats`` and a histogram."""
+
+    def test_a_held_flush_shows_up_as_wait(self, single_service,
+                                           trajectories):
+        gated = _GatedService(single_service)
+        with QueryQueue(gated) as queue:
+            opener = _hold_flush_thread(queue, gated, trajectories[0])
+            caller = threading.Thread(
+                target=queue.knn, args=(trajectories[1:3],), kwargs={"k": 3},
+                daemon=True)
+            caller.start()
+            deadline = time.monotonic() + 30
+            while queue.pending < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.060)  # both entries wait behind the held flush
+            gated.gate.set()
+            opener.result(timeout=30)
+            caller.join(timeout=30)
+            assert not caller.is_alive()
+            stats = queue.queue_stats
+            waits = queue.wait_histogram()
+        assert stats.wait_count == waits.count == 3
+        assert stats.wait_ms_sum == waits.sum >= 2 * 50.0
+        assert sum(waits.counts[LATENCY_BUCKETS_MS.index(50.0) + 1:]) == 2
+
+    def test_an_idle_queue_reports_about_no_wait(self, single_service,
+                                                 trajectories):
+        with QueryQueue(single_service) as queue:
+            for query in trajectories[:20]:
+                queue.knn([query], k=2)
+            report = queue.stats()["queue"]
+        assert report["wait_count"] == 20
+        assert report["wait_ms_sum"] / report["wait_count"] < 5.0
+
+
 class TestQueueAdmission:
     """Bounded admission (max_pending) and per-request deadlines."""
 
@@ -772,7 +810,8 @@ class TestQueueAdmission:
             queue.knn(trajectories[0], k=2)
             report = queue.stats()["queue"]
         assert {"queries", "batches", "largest_batch", "rejected",
-                "expired", "pending"} <= set(report)
+                "expired", "wait_ms_sum", "wait_count",
+                "pending"} <= set(report)
         assert report["rejected"] == 0
         assert report["expired"] == 0
         assert report["pending"] == 0
@@ -823,10 +862,11 @@ class TestUnifiedStats:
 
 
 class TestStatsLockScope:
-    """Regression tests for the unlocked id-bookkeeping commit that
-    `repro lint` (C202) flagged: add() used to extend _shard_ids and bump
-    _size outside any lock, so a concurrent stats() probe could observe
-    shard_sizes summing to something other than size."""
+    """Regression tests for an unlocked id-bookkeeping commit, the kind
+    the guarded-writes law (tests/test_lock_discipline.py) now fails:
+    add() used to extend _shard_ids and bump _size outside any lock, so a
+    concurrent stats() probe could observe shard_sizes summing to
+    something other than size."""
 
     test_stats_never_observes_a_half_committed_add = staticmethod(
         laws.stats_never_observes_a_half_committed_add)

@@ -1,4 +1,4 @@
-"""Runtime lock-order sanitizer: the lock-order check.
+"""Runtime lock-order sanitizer: the test suite's lock-order check.
 
 :func:`enable_lock_sanitizer` patches ``threading.Lock`` /
 ``threading.RLock`` with instrumented wrappers. Every wrapper records,
@@ -7,14 +7,15 @@ per thread, the stack of sanitized locks currently held; each blocking
 acquisition-order graph and raises :class:`LockOrderError` **before
 acquiring** if that edge would close a cycle — i.e. at the exact moment
 an ABBA deadlock becomes reachable, deterministically, without needing
-the unlucky interleaving. It is the stack's only lock-order check: the
-orders the serving layers take run through callbacks, duck-typed
+the unlucky interleaving. It is the only lock-order check: the orders
+the serving layers take run through callbacks, duck-typed
 ``self.service`` calls and module-level functions, which no static model
-follows (``repro lint`` keeps what a static pass *can* say — C202–C204).
+follows (``tests/test_lock_discipline.py`` keeps what a static pass
+*can* say: guarded writes, declared daemons, blocking under a lock).
 
-Enabled via ``REPRO_LOCK_SANITIZER=1`` (see ``tests/conftest.py``; the
-``test-sanitized`` make target CI runs, and the ``test-all`` slow lane).
-Scope notes:
+It is test infrastructure, never imported by ``src/``: ``conftest.py``
+arms it under ``REPRO_LOCK_SANITIZER=1`` (the ``test-sanitized`` make
+target CI runs, and the ``test-all`` slow lane). Scope notes:
 
 * patching the ``threading`` module globals means everything created
   *after* :func:`enable_lock_sanitizer` is instrumented — including

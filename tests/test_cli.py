@@ -176,11 +176,6 @@ CLI_CONTRACT = {
         opt("--shutdown-workers", default=False),
         opt("--replication", type=int, default=1), opt("--chaos"),
     },
-    "lint": {
-        opt("paths", default=("src",)),
-        opt("--format", default="text", choices=("text", "json")),
-        opt("--rules"), opt("--list-rules", default=False),
-    },
 }
 
 
@@ -209,7 +204,7 @@ class TestCliContract:
         assert actual == CLI_CONTRACT[command]
 
     def test_settable_points(self):
-        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 115
+        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 111
 
 
 class TestGenerate:

@@ -15,6 +15,7 @@ no index structure, measure or fault injection. ``make bench-startup``
 records what this buys in seconds and MB.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -393,38 +394,53 @@ print(json.dumps({"modules": sorted(sys.modules), "size": size}))
                   "repro.api.chaos") == []
 
 
-ANALYZERS = ["repro.analysis." + name for name in
-             ("core", "concurrency", "sanitizer")]
-
-
 def test_build_parser_loads_no_analyzer():
-    """Every `repro knn`/`serve`/`cluster-worker` builds the whole parser;
-    registering lint's four options must not import the checkers."""
+    """Every `repro knn`/`serve`/`cluster-worker` builds the whole parser:
+    it loads no lint framework (there is none) and nothing the tests own,
+    such as the lock sanitizer under ``tests/``."""
     modules = fresh_interpreter(
         "import json, sys, repro.cli; repro.cli.build_parser(); "
         "print(json.dumps(sorted(sys.modules)))"
     )
-    assert "repro.analysis.lint_cli" in modules
-    assert loaded(modules, *ANALYZERS) == []
+    assert "repro.cli" in modules
+    assert loaded(modules, "repro.analysis", "tests") == []
 
 
-def test_lint_still_finds_every_rule():
-    report = fresh_interpreter("""
-import contextlib, io, json, sys
-from repro.cli import main
+def test_the_analyzer_package_is_gone():
+    """The lock rules are tier-1 laws (``tests/test_lock_discipline.py``)
+    and the sanitizer is ``tests/lock_sanitizer.py``; the product ships
+    no linter. (A checkout that had the package may keep its bytecode
+    directory, which imports as an empty namespace package.)"""
+    import importlib.util
 
-printed = io.StringIO()
-with contextlib.redirect_stdout(printed):
-    status = main(["lint", "--list-rules"])
-rules = [line.split()[0] for line in printed.getvalue().splitlines()
-         if line[:1].isalpha()]
-modules = sorted(sys.modules)
-from repro.analysis import rule_catalog
-print(json.dumps({"status": status, "rules": rules, "modules": modules,
-                  "catalog": sorted(rule_catalog())}))
-""")
-    assert report["status"] == 0
-    assert report["rules"] == report["catalog"]
-    # running the linter is what loads the checkers (the sanitizer is the
-    # runtime half: REPRO_LOCK_SANITIZER=1 loads it, lint does not)
-    assert set(ANALYZERS[:2]) <= set(report["modules"])
+    spec = importlib.util.find_spec("repro.analysis")
+    assert spec is None or not [
+        source for location in spec.submodule_search_locations or ()
+        for source in pathlib.Path(location).glob("*.py")]
+
+
+def test_no_product_module_imports_the_tests():
+    """The lock sanitizer and the lock laws live under ``tests/``; no
+    module of the product imports anything from there."""
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return [node.module]
+        return []
+
+    importers = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in (SRC / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in imported(node) if name.split(".")[0] == "tests")
+    assert importers == []
+
+
+def test_lint_is_not_a_command(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'lint'" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.analysis import (
+from tests.lock_sanitizer import (
     LockOrderError,
     disable_lock_sanitizer,
     enable_lock_sanitizer,
