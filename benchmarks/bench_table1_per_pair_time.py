@@ -18,7 +18,7 @@ Decomposition reported here:
   The paper's GPU speedup of TrajCL over t2vec comes from this (attention
   parallelizes, recurrence cannot); a numpy substrate is interpreter-bound
   per op, so wall-clock encode times here do not reflect that GPU
-  parallelism — the step counts carry that claim (see EXPERIMENTS.md).
+  parallelism — the step counts carry that claim.
 """
 
 import time

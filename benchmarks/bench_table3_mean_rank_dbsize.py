@@ -7,7 +7,7 @@ recurrent/CNN learned baselines; EDR degrades fastest.
 
 Scale note: database sizes are scaled from the paper's 20K–100K down to
 fractions of the synthetic pool; the *relative ordering and growth trends*
-are the reproduction target (EXPERIMENTS.md).
+are the reproduction target.
 """
 
 import pytest

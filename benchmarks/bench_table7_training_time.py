@@ -69,7 +69,7 @@ def test_table7_training_time(benchmark, porto_pipeline):
     # the vanilla multi-head self-attention, which can be regarded as a
     # simplified version of our DualMSM and hence is faster to train".
     # (TrjSR's paper-slowness comes from its 13-conv stack on full-res
-    # images; the reduced raster here is small — see EXPERIMENTS.md.)
+    # images; the reduced raster here is small.)
     assert times["CSTRM"] < times["TrajCL"], (
         "vanilla-MSM CSTRM should train faster than DualMSM TrajCL"
     )

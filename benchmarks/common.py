@@ -11,7 +11,7 @@ larger machine can push toward the paper's sizes without code changes:
 
 Each benchmark writes its paper-shaped result table to
 ``benchmarks/results/<name>.txt`` (pytest captures stdout, so files are the
-durable record; EXPERIMENTS.md summarizes them).
+durable record).
 """
 
 from __future__ import annotations

@@ -22,19 +22,32 @@ The :class:`SimilarityService` composes a backend with a pluggable kNN
 index (``"bruteforce"``, ``"ivf"``, ``"segment"``), chunks and caches
 embeddings, and snapshots config + weights + index state to one ``.npz``.
 
-For serving at scale, :mod:`repro.api.serving` shards the database across
-worker processes (:class:`ShardedSimilarityService`) and batches concurrent
-queries (:class:`QueryQueue`); :mod:`repro.api.remote` puts any of those
-services behind a TCP port (:class:`SimilarityServer`) with a blocking
-client (:class:`RemoteSimilarityClient`); :mod:`repro.api.cluster`
-fans the shards out across machines (:class:`ClusterCoordinator` over N
-:class:`ShardWorker` servers, with N-way replication, heartbeats,
-failover, automatic rejoin/re-replication and sharded snapshots —
-:mod:`repro.api.chaos` fault-injects that stack deterministically);
-:mod:`repro.api.gateway` is the HTTP/JSON edge
-(:class:`SimilarityGateway` over any of the above, with rate limiting,
-deadlines, load shedding and a Prometheus ``/metrics`` endpoint). All
-inter-process and network traffic below the gateway speaks the
+For serving at scale, the modules split along process roles, so each
+process loads only what it runs:
+
+* :mod:`repro.api.serving` — the owner side: the sharding engine, which
+  shards the database across worker processes
+  (:class:`ShardedSimilarityService`), and the batcher of concurrent
+  queries (:class:`QueryQueue`);
+* :mod:`repro.api.shard` — the worker side: the shards one worker hosts
+  and the commands it answers, for both kinds of worker;
+* :mod:`repro.api.node` — the TCP accept loop under every TCP server, and
+  the launcher helpers (``host:port``, ready files, ``SIGTERM``);
+* :mod:`repro.api.remote` — any service behind a TCP port
+  (:class:`SimilarityServer`) with a blocking client
+  (:class:`RemoteSimilarityClient`);
+* :mod:`repro.api.cluster` — the TCP shard worker of a multi-machine
+  cluster (:class:`ShardWorker`);
+* :mod:`repro.api.coordinator` — the cluster's owner
+  (:class:`ClusterCoordinator` over N :class:`ShardWorker` servers, with
+  N-way replication, heartbeats, failover, automatic
+  rejoin/re-replication and sharded snapshots — :mod:`repro.api.chaos`
+  fault-injects that stack deterministically);
+* :mod:`repro.api.gateway` — the HTTP/JSON edge
+  (:class:`SimilarityGateway` over any of the above, with rate limiting,
+  deadlines, load shedding and a Prometheus ``/metrics`` endpoint).
+
+All inter-process and network traffic below the gateway speaks the
 framed-message protocol in :mod:`repro.api.transport`; see each module's
 docstring for composition examples.
 """
@@ -61,7 +74,8 @@ _EXPORTS = {
                   "TransportError"),
     "chaos": ("ChaosConfig", "ChaosTransport"),
     "remote": ("RemoteSimilarityClient", "SimilarityServer"),
-    "cluster": ("ClusterCoordinator", "ShardWorker"),
+    "cluster": ("ShardWorker",),
+    "coordinator": ("ClusterCoordinator",),
     "gateway": ("SimilarityGateway",),
 }
 
@@ -115,9 +129,10 @@ __all__ = [
 ]
 
 # PEP 562 (see :mod:`repro._lazy`): a process imports what it serves. A
-# shard worker that takes ``repro.api.cluster`` pays for no HTTP gateway
-# (``http.server``, ``ssl``) and no fault injection (``chaos``); one fed
-# vectors never loads the model code either. The stock backends register
+# shard worker that takes ``repro.api.cluster`` pays for no engine, query
+# queue, remote client or coordinator, no HTTP gateway (``http.server``,
+# ``ssl``) and no fault injection (``chaos``); one fed vectors never
+# loads the model code either. The stock backends register
 # themselves when the registry is first asked
 # (:func:`repro.api.registry.backend_spec`), not here.
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, ("wire",))

@@ -127,10 +127,6 @@ def _build_trajcl(
     train: bool = True,
     **config_kwargs,
 ) -> EmbeddingBackend:
-    from ..core import (
-        FeatureEnrichment, TrajCL, TrajCLConfig, TrajCLTrainer, load_pipeline,
-    )
-
     if (model is not None or checkpoint is not None) and config_kwargs:
         # nothing configures a model that is already built
         raise TypeError("backend 'trajcl' got unexpected keyword "
@@ -138,6 +134,8 @@ def _build_trajcl(
     if model is not None:
         return EmbeddingBackend("trajcl", model)
     if checkpoint is not None:
+        from ..core import load_pipeline
+
         return EmbeddingBackend("trajcl", load_pipeline(checkpoint))
     if trajectories is None:
         raise TypeError(
@@ -145,6 +143,9 @@ def _build_trajcl(
             "trajectories="
         )
 
+    # each branch imports what it runs (repro.core loads its names on
+    # first use): serving a built model loads no trainer or checkpoint code
+    from ..core import FeatureEnrichment, TrajCL, TrajCLConfig, TrajCLTrainer
     from ..graph import node2vec_embeddings
 
     grid = _grid_of(trajectories, grid_cells_per_side)

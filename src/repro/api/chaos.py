@@ -20,7 +20,7 @@ and, driven by a seeded :class:`random.Random`, injects
 Same seed, same call sequence → same faults, so a test that survived a
 chaos schedule once survives it forever. The cluster CLI exposes this as
 ``repro cluster --chaos "seed=7,drop=0.05"`` (see :meth:`ChaosConfig.from_spec`);
-:class:`~repro.api.cluster.ClusterCoordinator` accepts ``chaos=`` and
+:class:`~repro.api.coordinator.ClusterCoordinator` accepts ``chaos=`` and
 wraps every worker link, deriving a distinct per-link seed so the fault
 schedules of different workers are decorrelated but still reproducible.
 

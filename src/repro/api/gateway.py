@@ -11,7 +11,7 @@ never waits for a delayed ACK between head and body) and wraps
 :class:`~repro.api.serving.ShardedSimilarityService`, a
 :class:`~repro.api.serving.QueryQueue`, a
 :class:`~repro.api.remote.RemoteSimilarityClient`, or a
-:class:`~repro.api.cluster.ClusterCoordinator` — so one gateway can front
+:class:`~repro.api.coordinator.ClusterCoordinator` — so one gateway can front
 anything from a single process to a whole cluster.
 
 Routes (JSON in, JSON out; trajectories are ``[[x, y], ...]`` lists):

@@ -317,7 +317,7 @@ class KnnService(Protocol):
 
     :class:`~repro.api.service.SimilarityService`,
     :class:`~repro.api.serving.ShardedSimilarityService`,
-    :class:`~repro.api.cluster.ClusterCoordinator`,
+    :class:`~repro.api.coordinator.ClusterCoordinator`,
     :class:`~repro.api.remote.RemoteSimilarityClient` and
     :class:`~repro.api.serving.QueryQueue` all satisfy it — ``knn`` /
     ``pairwise`` / ``add`` / ``len`` / ``stats`` — so the front ends

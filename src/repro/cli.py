@@ -245,7 +245,7 @@ def _serve(args, stack, service, front_end, banner: str) -> int:
     ``stack`` then closes in reverse order: the front end first, the
     caller's service or client last.
     """
-    from .api.remote import install_signal_shutdown, write_ready_file
+    from .api.node import install_signal_shutdown, write_ready_file
 
     server = stack.enter_context(front_end(
         service, host=args.host, port=args.port,
@@ -354,7 +354,7 @@ def cmd_cluster_worker(args) -> int:
 def cmd_cluster(args) -> int:
     """Front a worker cluster with a TCP server (``repro cluster``)."""
     from .api import SimilarityServer
-    from .api.cluster import ClusterCoordinator
+    from .api.coordinator import ClusterCoordinator
 
     database = load_trajectories(args.data)
     workers = [w.strip() for w in args.workers.split(",") if w.strip()]

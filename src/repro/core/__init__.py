@@ -4,33 +4,33 @@ Pipeline (Fig. 2): augmentation → pointwise feature enrichment →
 dual-feature backbone encoder (DualSTB) → projection heads → InfoNCE with a
 momentum branch and a negative queue. Plus the §V-F fine-tuning path that
 turns a pre-trained TrajCL into a fast estimator of any heuristic measure.
+
+The names load on first use (PEP 562, see :mod:`repro._lazy`): a process
+that serves a TrajCL backend loads the model and its inference engine,
+never the augmentations, the trainer, fine-tuning or checkpoint files.
 """
 
-from .augmentation import (
-    available_augmentations,
-    get_augmentation,
-    make_view,
-    point_mask,
-    point_shift,
-    raw,
-    simplify,
-    simplify_vw,
-    truncate,
-)
-from .checkpoint import (
-    load_pipeline,
-    pipeline_from_state,
-    pipeline_state,
-    save_pipeline,
-)
-from .config import TrajCLConfig
-from .dual_attention import DualMSM
-from .encoder import ConcatSTB, DualSTB, DualSTBLayer, VanillaSTB, build_encoder
-from .features import FeatureEnrichment, sinusoidal_position_encoding, spatial_features
-from .finetune import FinetuneHistory, FrozenBackboneApproximator, HeuristicApproximator
-from .infer import InferenceEncoder
-from .model import NegativeQueue, TrajCL
-from .trainer import TrainHistory, TrajCLTrainer
+from .._lazy import lazy_exports
+
+#: submodule -> the names ``repro.core`` re-exports from it
+_EXPORTS = {
+    "augmentation": ("available_augmentations", "get_augmentation",
+                     "make_view", "point_mask", "point_shift", "raw",
+                     "simplify", "simplify_vw", "truncate"),
+    "checkpoint": ("load_pipeline", "pipeline_from_state", "pipeline_state",
+                   "save_pipeline"),
+    "config": ("TrajCLConfig",),
+    "dual_attention": ("DualMSM",),
+    "encoder": ("ConcatSTB", "DualSTB", "DualSTBLayer", "VanillaSTB",
+                "build_encoder"),
+    "features": ("FeatureEnrichment", "sinusoidal_position_encoding",
+                 "spatial_features"),
+    "finetune": ("FinetuneHistory", "FrozenBackboneApproximator",
+                 "HeuristicApproximator"),
+    "infer": ("InferenceEncoder",),
+    "model": ("NegativeQueue", "TrajCL"),
+    "trainer": ("TrainHistory", "TrajCLTrainer"),
+}
 
 __all__ = [
     "TrajCLConfig",
@@ -65,3 +65,5 @@ __all__ = [
     "FrozenBackboneApproximator",
     "FinetuneHistory",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

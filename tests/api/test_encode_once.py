@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.api import cluster as cluster_module
+from repro.api import coordinator as coordinator_module
 from repro.api import (
     ClusterCoordinator,
     ShardedSimilarityService,
@@ -355,7 +355,7 @@ def loaded(snapshot, shards):
     backend = counting_backend()
     workers = [ShardWorker() for _ in range(shards)]
     try:
-        with mock.patch.object(cluster_module, "restore_backend",
+        with mock.patch.object(coordinator_module, "restore_backend",
                                return_value=backend):
             coordinator = ClusterCoordinator.load(
                 snapshot, [w.address for w in workers], heartbeat_interval=0)

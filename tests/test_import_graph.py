@@ -4,18 +4,23 @@ Each case starts a fresh interpreter, imports one entry point or plays
 one serving role, and reads ``sys.modules`` back — module *sets*, not
 wall-clock, so nothing here can flake. scipy (the heuristic measures'
 ``cdist``) and networkx (``GridGraph.to_networkx``) load on the call that
-needs them, never on import. ``repro``, ``repro.api``, ``repro.index``
-and ``repro.trajectory`` resolve their names on first use (PEP 562,
+needs them, never on import. ``repro``, ``repro.api``, ``repro.index``,
+``repro.trajectory``, ``repro.core``, ``repro.nn`` and
+``repro.datasets`` resolve their names on first use (PEP 562,
 :mod:`repro._lazy`), and the index adapters import a structure when they
 first build one. So each serving role has a law on what it never loads:
 a shard worker that is fed vectors loads no model code, no HTTP stack,
 no index structure but its own, no measure, no fault injection, no
-trajectory preprocessing and no ``hashlib``; a trajcl coordinator loads
-no index structure, measure or fault injection. ``make bench-startup``
+trajectory preprocessing and no ``hashlib``; any shard worker, TCP or
+local, loads the worker side (``repro.api.shard``) and none of the owner
+side (the engine and query queue, the coordinator, the remote client and
+server, the gateway); a trajcl coordinator loads no index structure,
+measure, fault injection or training-only module. ``make bench-startup``
 records what this buys in seconds and MB.
 """
 
 import ast
+import functools
 import json
 import os
 import pathlib
@@ -73,6 +78,9 @@ def test_entry_point_loads_no_scipy_or_networkx(entry_point):
     if entry_point in ALONE:
         assert loaded(modules, entry_point) == [entry_point,
                                                 *ALONE[entry_point]]
+    if entry_point == "repro.api.cluster":
+        # the worker's module: the coordinator resolves on first use
+        assert loaded(modules, *OWNER_SIDE) == []
 
 
 def test_a_fresh_interpreter_writes_no_bytecode_when_told_not_to(
@@ -157,13 +165,18 @@ print(json.dumps(report))
 #: test_a_function_named_like_its_submodule_stays_that_function)
 ALONE = {
     "repro.api": [],
+    "repro.api.cluster": [],
     "repro.index": ["repro.index.distance", "repro.index.kmeans"],
     "repro.trajectory": ["repro.trajectory.trajectory",
                          "repro.trajectory.visvalingam"],
+    "repro.core": [],
+    "repro.nn": ["repro.nn.tensor"],
+    "repro.datasets": [],
 }
 #: one submodule of each, reached by attribute
 SUBMODULE = {"repro.api": "wire", "repro.index": "pq",
-             "repro.trajectory": "preprocess"}
+             "repro.trajectory": "preprocess", "repro.core": "trainer",
+             "repro.nn": "optim", "repro.datasets": "splits"}
 #: what ``from <package> import *`` gave while the package was eager
 STAR = {
     "repro.index": [
@@ -178,6 +191,33 @@ STAR = {
         "pack_trajectories", "pad_point_arrays", "point_segment_distance",
         "resample_to_length", "triangle_area", "unpack_trajectories",
         "visvalingam", "visvalingam_mask", "within_bbox"],
+    "repro.core": [
+        "ConcatSTB", "DualMSM", "DualSTB", "DualSTBLayer",
+        "FeatureEnrichment", "FinetuneHistory", "FrozenBackboneApproximator",
+        "HeuristicApproximator", "InferenceEncoder", "NegativeQueue",
+        "TrainHistory", "TrajCL", "TrajCLConfig", "TrajCLTrainer",
+        "VanillaSTB", "available_augmentations", "build_encoder",
+        "get_augmentation", "load_pipeline", "make_view",
+        "pipeline_from_state", "pipeline_state", "point_mask", "point_shift",
+        "raw", "save_pipeline", "simplify", "simplify_vw",
+        "sinusoidal_position_encoding", "spatial_features", "truncate"],
+    "repro.nn": [
+        "Adam", "AdaptiveAvgPool2d", "Conv2d", "DEFAULT_DTYPE", "Dropout",
+        "Embedding", "FeedForward", "GRU", "GRUCell", "LSTM", "LSTMCell",
+        "LayerNorm", "Linear", "MaxPool2d", "Module", "ModuleList",
+        "MultiHeadSelfAttention", "Optimizer", "Parameter", "ProjectionHead",
+        "ReLU", "SGD", "Sequential", "StepLR", "Tensor", "TransformerEncoder",
+        "TransformerEncoderLayer", "clip_grad_norm", "concatenate",
+        "functional", "info_nce_loss", "is_grad_enabled", "load_into",
+        "load_state", "maximum", "mse_loss", "no_grad", "ones",
+        "parameter_version", "save_state", "stack", "tensor",
+        "triplet_margin_loss", "weighted_rank_loss", "where", "zeros"],
+    "repro.datasets": [
+        "CHENGDU", "CITY_PRESETS", "CityPreset", "DatasetSplits", "GERMANY",
+        "PORTO", "QueryDatabase", "XIAN", "build_query_database", "distort",
+        "downsample", "downstream_split", "generate_city",
+        "generate_trajectory", "get_preset", "odd_even_split", "partition",
+        "perturb_instance"],
 }
 
 
@@ -223,23 +263,27 @@ def test_index_and_trajectory_resolve_their_exports_on_first_use(package):
 
 
 def test_a_function_named_like_its_submodule_stays_that_function():
-    """Importing a submodule binds it on its package. ``kmeans`` and
-    ``visvalingam`` are bound before anything can: the structures and
-    the augmentations import those submodules by name."""
+    """Importing a submodule binds it on its package. ``kmeans``,
+    ``visvalingam`` and ``tensor`` are bound before anything can: the
+    structures, the augmentations and the layers import those submodules
+    by name."""
     report = fresh_interpreter("""
 import inspect, json
 import repro.index.pq, repro.index.kmeans
 import repro.trajectory.visvalingam
-import repro.index, repro.trajectory
+import repro.nn.layers, repro.nn.tensor
+import repro.index, repro.trajectory, repro.nn
 from repro.index import kmeans
 
 print(json.dumps({
     "kmeans": inspect.isfunction(repro.index.kmeans),
     "imported": inspect.isfunction(kmeans),
     "visvalingam": inspect.isfunction(repro.trajectory.visvalingam),
+    "tensor": inspect.isfunction(repro.nn.tensor),
 }))
 """)
-    assert report == {"kmeans": True, "imported": True, "visvalingam": True}
+    assert report == {"kmeans": True, "imported": True, "visvalingam": True,
+                      "tensor": True}
 
 
 def test_registry_is_populated_whichever_module_came_first():
@@ -249,6 +293,11 @@ def test_registry_is_populated_whichever_module_came_first():
     assert {"trajcl", "hausdorff", "t2vec"} <= set(names)
 
 
+#: the owner side of sharded serving, which no shard worker runs: the
+#: engine and query queue, the coordinator, the remote client and server
+#: and the HTTP edge
+OWNER_SIDE = ("repro.api.serving", "repro.api.coordinator",
+              "repro.api.remote", "repro.api.gateway")
 #: what a shard worker of an embedding cluster must never pay for: the
 #: model code (its owner encodes) and the HTTP edge (it serves none)
 NOT_IN_A_VECTOR_FED_WORKER = ("repro.core", "repro.nn", "repro.baselines",
@@ -265,8 +314,11 @@ NOT_IN_A_BRUTEFORCE_SHARD = (
     "hashlib", "_hashlib")
 
 
-def test_vector_fed_cluster_worker_loads_no_model_and_no_http():
-    report = fresh_interpreter("""
+@functools.lru_cache(maxsize=None)
+def tcp_worker_report():
+    """A TCP shard worker joined as a trajcl coordinator joins it, fed two
+    vectors and asked one kNN: its module set and its answers."""
+    return fresh_interpreter("""
 import json, sys
 import numpy as np
 from repro.api.backends import shard_backend_state
@@ -291,6 +343,10 @@ worker.close()
 print(json.dumps({"modules": sorted(sys.modules), "sizes": sizes[0],
                   "ids": ids.tolist(), "kind": kind}))
 """)
+
+
+def test_vector_fed_cluster_worker_loads_no_model_and_no_http():
+    report = tcp_worker_report()
     assert report["sizes"] == 2 and report["ids"] == [[1, 0]]
     assert report["kind"] == "embedding"
     assert loaded(report["modules"], *NOT_IN_A_VECTOR_FED_WORKER) == []
@@ -299,14 +355,23 @@ print(json.dumps({"modules": sorted(sys.modules), "sizes": sizes[0],
                   "multiprocessing") == []
 
 
+def test_tcp_shard_worker_loads_no_owner_side():
+    """join / add / knn run the worker side alone: ``repro.api.shard`` and
+    the accept loop of ``repro.api.node``."""
+    report = tcp_worker_report()
+    assert report["ids"] == [[1, 0]]
+    assert {"repro.api.shard", "repro.api.node"} <= set(report["modules"])
+    assert loaded(report["modules"], *OWNER_SIDE) == []
+
+
 def test_spawned_pipe_worker_loads_no_model_and_no_http(tmp_path):
     # The worker process reports its own module set: its target is wrapped
     # from a module it can import (what benchmarks/e2e/spans.py does too).
     (tmp_path / "probe.py").write_text("""
 import json, os, sys
-from repro.api import serving
+from repro.api import shard
 
-_shard_worker = serving._shard_worker
+_shard_worker = shard._shard_worker
 
 
 def shard_worker(*args):
@@ -342,15 +407,28 @@ with open(os.environ["PROBE_OUT"]) as handle:
                       "kind": kind}))
 """, PYTHONPATH=f"{SRC}:{tmp_path}", PROBE_OUT=str(out))
     assert report["ids"] == [[1]] and report["kind"] == "embedding"
-    assert "repro.api.serving" in report["modules"]
+    # the spawned worker unpickles its target from repro.api.shard: it
+    # loads the worker side, not the engine that started it
+    assert "repro.api.shard" in report["modules"]
+    assert loaded(report["modules"], *OWNER_SIDE) == []
     assert loaded(report["modules"], *NOT_IN_A_VECTOR_FED_WORKER) == []
     # (multiprocessing is how a spawned worker starts: not forbidden here)
     assert loaded(report["modules"], *NOT_IN_A_BRUTEFORCE_SHARD) == []
 
 
+#: what only training, fine-tuning and the evaluation protocol run
+TRAINING_ONLY = (
+    *(f"repro.core.{name}" for name in
+      ("trainer", "finetune", "augmentation", "checkpoint")),
+    *(f"repro.nn.{name}" for name in
+      ("rnn", "conv", "optim", "serialization")),
+    "repro.datasets.queries", "repro.datasets.splits")
+
+
 def test_trajcl_coordinator_loads_no_structure_measure_or_chaos():
     """The owner encodes and merges; its shard worker (another process)
-    builds the index."""
+    builds the index. Serving a built model loads none of the training
+    code either."""
     report = fresh_interpreter("""
 import json, subprocess, sys
 import numpy as np
@@ -392,6 +470,7 @@ print(json.dumps({"modules": sorted(sys.modules), "size": size}))
     assert "repro.core" in report["modules"]
     assert loaded(report["modules"], *STRUCTURES, "repro.measures",
                   "repro.api.chaos") == []
+    assert loaded(report["modules"], *TRAINING_ONLY) == []
 
 
 def test_build_parser_loads_no_analyzer():

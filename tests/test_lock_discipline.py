@@ -31,13 +31,15 @@ LOCKED = re.compile(r"\w+_locked")
 #: ``(module, qualname, call, reason)``: where the design blocks under a
 #: lock on purpose. One row per call site.
 BLOCKING_ALLOWED = [
-    ("repro.api.cluster", "ClusterCoordinator._rereplicate_once", "request",
+    ("repro.api.coordinator", "ClusterCoordinator._rereplicate_once",
+     "request",
      "the repair export holds _rpc_lock to match the committed ids"),
-    ("repro.api.cluster", "ClusterCoordinator._rereplicate_once", "request",
+    ("repro.api.coordinator", "ClusterCoordinator._rereplicate_once",
+     "request",
      "same repair: the host/add pair must not interleave with queries"),
-    ("repro.api.cluster", "ClusterCoordinator._rereplicate_once", "request",
-     "second half of that host/add pair"),
-    ("repro.api.cluster", "ClusterCoordinator.rejoin", "request",
+    ("repro.api.coordinator", "ClusterCoordinator._rereplicate_once",
+     "request", "second half of that host/add pair"),
+    ("repro.api.coordinator", "ClusterCoordinator.rejoin", "request",
      "queries must not observe a half-restored replica"),
     ("repro.api.serving", "ShardMergeMixin.stats", "request",
      "the per-worker stats RPC holds _rpc_lock to keep frames paired"),
