@@ -91,10 +91,12 @@ golden-bits:
 	$(PYTHON) scripts/golden_bits.py
 	OPENBLAS_CORETYPE=Haswell $(PYTHON) scripts/golden_bits.py
 
-# ANN index sweep at 10^5 vectors (recall@10 vs bytes/vector vs q/s for
-# bruteforce/ivf/pq/int8/hnsw), merged scenario-by-scenario into the
-# index perf-trajectory record. Outside tier-1; the smoke variant runs a
-# downscaled sweep and asserts the recall/memory acceptance envelope.
+# ANN index sweep at 10^5 float32 vectors (recall@10 vs bytes/vector vs
+# q/s for bruteforce/ivf/int8/hnsw and pq with each of its options:
+# 16 x 256, 32 x 64, IVF-PQ and the float16 refine tail), merged
+# scenario-by-scenario into the index perf-trajectory record. Outside
+# tier-1; the smoke variant runs a downscaled sweep and asserts the
+# recall/memory acceptance envelope.
 bench-index:
 	$(PYTHON) benchmarks/bench_index.py --output benchmarks/results/BENCH_index.json
 

@@ -1,7 +1,8 @@
 """ANN index benchmark: recall@k vs bytes/vector vs queries/second.
 
 Sweeps the registered index backends (``bruteforce``, ``ivf``, ``pq``,
-``int8``, ``hnsw``) over a synthetic embedding database and records, per
+``int8``, ``hnsw``) over a synthetic float32 embedding database (the
+dtype the encoder serves) and records, per
 scenario: build time, resident ``memory_bytes`` (the compressed indexes
 drop their float originals after training), bytes/vector, query
 throughput, recall@k against the bruteforce ground truth, and — where
@@ -12,6 +13,12 @@ isotropic noise: learned trajectory embeddings concentrate near a
 low-dimensional manifold with cluster structure, and product
 quantization's per-subspace codebooks exploit exactly that. Isotropic
 data is the PQ worst case and says nothing about embedding workloads.
+
+``pq`` is the served default (16 subspaces x 256 centroids); three more
+``pq`` scenarios span its options: ``pq_32x64`` (32 subspaces of 64
+centroids, twice the code bytes), ``pq_ivf`` (IVF-PQ: 24 x 256 residual
+codes over ``--lists`` coarse cells, a quarter of them probed) and
+``pq_refine`` (``pq`` plus a float16 copy re-ranking 4 * k candidates).
 
 Results merge scenario-by-scenario into
 ``benchmarks/results/BENCH_index.json`` (same preserve-prior-numbers
@@ -40,12 +47,14 @@ import numpy as np
 
 def synthetic_embeddings(count: int, dim: int, *, rank: int = 10,
                          clusters: int = 64, seed: int = 0) -> np.ndarray:
-    """Low-rank clustered gaussians standing in for learned embeddings."""
+    """Low-rank clustered float32 gaussians standing in for learned
+    embeddings."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(clusters, dim))
     mix = rng.normal(size=(rank, dim))
     assign = rng.integers(0, clusters, size=count)
-    return centers[assign] + (rng.normal(size=(count, rank)) @ mix) * 0.5
+    vectors = centers[assign] + (rng.normal(size=(count, rank)) @ mix) * 0.5
+    return vectors.astype(np.float32)
 
 
 def recall_at_k(truth: np.ndarray, found: np.ndarray) -> float:
@@ -66,16 +75,20 @@ def _index_configs(args) -> Dict[str, Dict]:
         "pq": {"n_subspaces": args.pq_subspaces, "n_centroids": 256,
                "metric": args.metric, "train_sample": args.train_sample,
                "seed": args.seed},
+        "pq_32x64": {"n_subspaces": 32, "n_centroids": 64,
+                     "metric": args.metric, "train_sample": args.train_sample,
+                     "seed": args.seed},
+        "pq_ivf": {"n_subspaces": 24, "n_centroids": 256,
+                   "coarse_lists": args.lists,
+                   "n_probe": max(1, args.lists // 4), "metric": args.metric,
+                   "train_sample": args.train_sample, "seed": args.seed},
         "int8": {"metric": args.metric, "train_sample": args.train_sample},
         "hnsw": {"m": args.hnsw_m, "ef_construction": args.ef_construction,
                  "ef_search": args.ef_search, "metric": args.metric,
                  "seed": args.seed},
     }
-    if args.pq_refine:
-        configs["pq_refine"] = dict(
-            configs["pq"], refine_factor=args.pq_refine,
-            refine_dtype="float16",
-        )
+    configs["pq_refine"] = dict(configs["pq"], refine_factor=4,
+                                refine_dtype="float16")
     return {name: configs[name] for name in args.indexes}
 
 
@@ -148,13 +161,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--metric", default="l1", choices=["l1", "l2"])
     parser.add_argument("--indexes", nargs="+",
-                        default=["bruteforce", "ivf", "pq", "int8", "hnsw"],
-                        help="scenario names; pq_refine adds the re-rank "
-                             "variant when --pq-refine is set")
+                        default=["bruteforce", "ivf", "pq", "pq_32x64",
+                                 "pq_ivf", "pq_refine", "int8", "hnsw"],
+                        help="scenario names")
     parser.add_argument("--lists", type=int, default=64)
-    parser.add_argument("--pq-subspaces", type=int, default=32)
-    parser.add_argument("--pq-refine", type=int, default=0,
-                        help="re-rank factor for the pq_refine scenario")
+    parser.add_argument("--pq-subspaces", type=int, default=16)
     parser.add_argument("--hnsw-m", type=int, default=16)
     parser.add_argument("--ef-construction", type=int, default=64)
     parser.add_argument("--ef-search", type=int, default=32)
@@ -164,8 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="merge the result JSON here, keyed by scenario "
                              "(e.g. benchmarks/results/BENCH_index.json)")
     args = parser.parse_args(argv)
-    if args.pq_refine and "pq_refine" not in args.indexes:
-        args.indexes = list(args.indexes) + ["pq_refine"]
 
     config = {
         "count": args.count, "dim": args.dim, "rank": args.rank,

@@ -5,14 +5,15 @@ entry point ``make bench-index`` and CI use — on a downscaled sweep and
 checks the acceptance envelope the full 10^5 run is held to:
 
 * the result JSON parses and carries one scenario per requested index;
-* pq reaches recall@10 >= 0.8 at >= 4x memory reduction vs float32;
+* pq at 32 subspaces x 256 centroids reaches recall@10 >= 0.8 at >= 4x
+  memory reduction vs float32;
 * hnsw reaches recall@10 >= 0.9 while evaluating far fewer distances
   per query than the bruteforce scan (one per database vector);
 * int8 lands at ~4x memory reduction with near-exact recall;
-* the float indexes store what they are given: the sweep's float64
-  vectors cost bruteforce ``8 * dim`` bytes each, and float32 vectors
-  cost bruteforce and the (untrained) pq adapter ``4 * dim`` — 256 at
-  d = 64, not 512 — before and after a snapshot round-trip.
+* the float indexes store what they are given: the sweep's float32
+  vectors cost bruteforce ``4 * dim`` bytes each, and so do the
+  (untrained) pq adapter's — 256 at d = 64, not 512 — before and after a
+  snapshot round-trip.
 
 Exits nonzero on the first failure, like the other smoke scripts.
 """
@@ -38,11 +39,10 @@ def check_float32_residency(root: str, dim: int) -> None:
     """float32 in -> itemsize x dim bytes per vector, snapshot included."""
     sys.path.insert(0, os.path.join(root, "src"))
     sys.path.insert(0, os.path.join(root, "benchmarks"))
-    import numpy as np
     from bench_index import synthetic_embeddings
     from repro.api import get_index
 
-    vectors = synthetic_embeddings(COUNT, dim).astype(np.float32)
+    vectors = synthetic_embeddings(COUNT, dim)
     for name in ("bruteforce", "pq"):  # pq: the buffer its first search trains on
         index = get_index(name)
         for start in range(0, COUNT, 512):
@@ -62,7 +62,7 @@ def main() -> None:
         proc = run(
             [sys.executable, "benchmarks/bench_index.py",
              "--count", str(COUNT), "--queries", str(QUERIES),
-             "--train-sample", str(COUNT),
+             "--train-sample", str(COUNT), "--pq-subspaces", "32",
              "--indexes", "bruteforce", "pq", "int8", "hnsw",
              "--output", output],
             cwd=root, capture_output=True, text=True, timeout=300,
@@ -107,10 +107,10 @@ def main() -> None:
              f"{int8['memory_reduction_vs_float32']} < 3.5x")
 
     dim = payload["scenarios"][f"bruteforce_n{COUNT}"]["config"]["dim"]
-    if results("bruteforce")["bytes_per_vector"] != 8 * dim:
-        fail(f"bruteforce stored the sweep's float64 vectors at "
+    if results("bruteforce")["bytes_per_vector"] != 4 * dim:
+        fail(f"bruteforce stored the sweep's float32 vectors at "
              f"{results('bruteforce')['bytes_per_vector']} B/vector, "
-             f"not {8 * dim}")
+             f"not {4 * dim}")
     check_float32_residency(root, dim)
 
     print(f"bench-index smoke OK: pq recall {pq['recall_at_10']} at "

@@ -147,11 +147,13 @@ class ThreadedNodeServer:
             transport = SocketTransport(sock)
             thread = threading.Thread(target=self._serve_connection,
                                       args=(transport,), daemon=True)
-            # Started before it is listed: a close() that gives this loop
-            # no grace must never find a thread it cannot join (one it
-            # misses ends by itself at its next shutdown-flag poll).
-            thread.start()
+            # The transport is listed before its thread starts, so a stats
+            # read after any answer on it counts it; the thread is listed
+            # after it starts, so a close() that gives this loop no grace
+            # never finds a thread it cannot join (one it misses ends by
+            # itself at its next shutdown-flag poll).
             self._connections.append(transport)
+            thread.start()
             self._connection_threads.append(thread)
 
     def _serve_connection(self, transport: SocketTransport) -> None:

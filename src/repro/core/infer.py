@@ -275,6 +275,7 @@ class _TransformerLayer:
         if self.residual is None:
             return None, weights, reciprocal
         attended = self.attn.project(weights, reciprocal, value)
+        del value  # and the QKV product it views
         return self.residual(x, attended), weights, reciprocal
 
 
@@ -312,6 +313,7 @@ class _DualLayer:
         fused, reciprocal, value = self.attn.coefficients(structural, batch,
                                                           bias)
         for spatial_layer in self.spatial_layers:
+            weights = None  # the previous block's, dead before this one runs
             spatial, weights, spatial_reciprocal = spatial_layer(spatial, batch,
                                                                  bias)
         # Eq. 15: C_ts = (A_t + γ A_s) V_t, heads merged through W_o. With
@@ -328,7 +330,9 @@ class _DualLayer:
             reciprocal[...] = 1.0
         weights *= factor
         fused += weights
+        del weights
         c_ts = self.attn.project(fused, reciprocal, value)
+        del fused, value  # the QKV product goes with its value view
         return self.residual(structural, c_ts), spatial
 
 
