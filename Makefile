@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sanitized test-all smoke serve-smoke cluster-smoke chaos-smoke http-smoke golden-bits bench bench-encode bench-index bench-index-smoke bench-startup bench-transport bench-e2e bench-e2e-selftest bench-e2e-smoke
+.PHONY: test test-sanitized test-all smoke serve-smoke cluster-smoke chaos-smoke http-smoke golden-bits train-histories bench bench-encode bench-index bench-index-smoke bench-startup bench-transport bench-e2e bench-e2e-selftest bench-e2e-smoke
 
 # Tier-1 suite (the repo's verification gate; deselects `slow`-marked
 # serving stress tests — see pytest.ini). It holds the lock-discipline
@@ -90,6 +90,15 @@ bench-encode:
 golden-bits:
 	$(PYTHON) scripts/golden_bits.py
 	OPENBLAS_CORETYPE=Haswell $(PYTHON) scripts/golden_bits.py
+
+# Every learner's same-seed training history on tiny data: per-epoch
+# losses as float hex, a sha256 of the parameters and of the distance
+# matrix (TrajCL's trainer and two fine-tune heads, the eight baselines;
+# the trainer and CSTRM runs end each epoch on a skipped batch of one).
+# Diff its output between two checkouts to show a change to the training
+# loop changed no step. Outside tier-1; always exits 0.
+train-histories:
+	$(PYTHON) scripts/train_histories.py
 
 # ANN index sweep at 10^5 float32 vectors (recall@10 vs bytes/vector vs
 # q/s for bruteforce/ivf/int8/hnsw and pq with each of its options:

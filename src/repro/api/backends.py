@@ -19,7 +19,7 @@ snapshots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -377,8 +377,6 @@ def restore_backend(meta: Dict, arrays: Dict[str, np.ndarray]):
     if scaler is not None and _AUX_PREFIX + "scaler_min_xy" in arrays:
         scaler.min_xy = arrays[_AUX_PREFIX + "scaler_min_xy"]
         scaler.scale = arrays[_AUX_PREFIX + "scaler_scale"]
-        if hasattr(model, "_fitted_scaler"):
-            model._fitted_scaler = True
     for attr in _AUX_ATTRS:
         if _AUX_PREFIX + attr in arrays:
             setattr(model, attr, arrays[_AUX_PREFIX + attr])

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from .transport import FrameError, TransientError, TransportClosed
+from .transport import FrameError, TransientError, TransportClosed, close_quietly
 
 __all__ = ["ChaosConfig", "ChaosTransport"]
 
@@ -172,10 +172,7 @@ class ChaosTransport:
                 and self._rng.random() < config.truncate_rate)
 
     def _close_wrapped(self) -> None:
-        try:
-            self._transport.close()
-        except Exception:
-            pass
+        close_quietly(self._transport)
 
     # ------------------------------------------------------------------
     # Transport protocol

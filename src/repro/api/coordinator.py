@@ -98,6 +98,7 @@ from .transport import (
     SocketTransport,
     TransportClosed,
     TransportError,
+    close_quietly,
     request,
 )
 
@@ -112,6 +113,23 @@ MANIFEST_NAME = "manifest.json"
 _BACKEND_FILE = "backend.npz"
 _SHARD_FILE = "shard_{:04d}.npz"
 _SNAPSHOT_KIND = "repro-cluster-snapshot"
+
+
+class _ClusterLink(_WorkerLink):
+    """A TCP worker's link: where it listens, and the second channel the
+    heartbeat pings it on."""
+
+    __slots__ = ("address", "heartbeat")
+
+    def __init__(self, worker: int, address: Tuple[str, int],
+                 shards: Sequence[int]):
+        super().__init__(worker, shards)
+        self.address = address
+        self.heartbeat = None
+
+    @property
+    def label(self) -> str:
+        return f"{self.address[0]}:{self.address[1]}"
 
 
 class ClusterCoordinator(ShardMergeMixin):
@@ -213,6 +231,16 @@ class ClusterCoordinator(ShardMergeMixin):
     # ------------------------------------------------------------------
     # Connections / placement
     # ------------------------------------------------------------------
+    def _new_link(self, worker: int, address: Tuple[str, int],
+                  shards: Sequence[int]) -> _ClusterLink:
+        return _ClusterLink(worker, address, shards)
+
+    def _degrade(self, link: _ClusterLink, reason: str) -> None:
+        """The engine's degrade, plus the link's heartbeat channel."""
+        if link.alive:
+            super()._degrade(link, reason)
+            close_quietly(link.heartbeat)
+
     def _new_transport(self, address: Tuple[str, int]):
         transport = SocketTransport.connect(
             *address, retries=self._connect_retries,
@@ -238,7 +266,7 @@ class ClusterCoordinator(ShardMergeMixin):
         return [s for s in range(self._num_shards)
                 if 0 < len(self._replicas(s)) < self.replication]
 
-    def _resolve_link(self, worker) -> _WorkerLink:
+    def _resolve_link(self, worker) -> _ClusterLink:
         if isinstance(worker, int):
             return self._links[worker]
         for link in self._links:
@@ -451,15 +479,11 @@ class ClusterCoordinator(ShardMergeMixin):
                 link.reason = None
                 return restored
             except BaseException:
-                for channel in (transport, heartbeat):
-                    if channel is not None:
-                        try:
-                            channel.close()
-                        except Exception:
-                            pass
+                close_quietly(transport)
+                close_quietly(heartbeat)
                 raise
 
-    def _restore_shard(self, link: _WorkerLink, shard: int, transport,
+    def _restore_shard(self, link: _ClusterLink, shard: int, transport,
                        snapshot: Optional[str]) -> str:
         """Refill one shard on a rejoining worker; caller holds _rpc_lock."""
         want = self._shard_ids[shard].rows.tolist()
@@ -740,11 +764,7 @@ class ClusterCoordinator(ShardMergeMixin):
         # wakes it now (its error path sees _stop and returns instead of
         # degrading anyone).
         for link in self._links:
-            if link.heartbeat is not None:
-                try:
-                    link.heartbeat.close()
-                except Exception:
-                    pass
+            close_quietly(link.heartbeat)
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout=2.0)
         super().close(shutdown_workers)

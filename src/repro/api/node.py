@@ -21,7 +21,8 @@ import socket
 import threading
 from typing import Dict, List, Optional, Tuple, Union
 
-from .transport import ServiceNode, SocketTransport, merge_transport_stats
+from .transport import (ServiceNode, SocketTransport, close_quietly,
+                        merge_transport_stats)
 
 __all__ = ["ThreadedNodeServer", "parse_address", "install_signal_shutdown",
            "write_ready_file"]
@@ -200,10 +201,7 @@ class ThreadedNodeServer:
             pass
         if abort_connections:
             for transport in list(self._connections):
-                try:
-                    transport.close()
-                except Exception:
-                    pass
+                close_quietly(transport)
         self._accept_thread.join(timeout=grace)
         for thread in list(self._connection_threads):
             thread.join(timeout=grace)

@@ -57,6 +57,7 @@ from .transport import (
     TransientError,
     TransportClosed,
     TransportError,
+    close_quietly,
     request,
 )
 
@@ -232,10 +233,7 @@ class RemoteSimilarityClient:
                 # through — retrying a half-read exchange could pair this
                 # request with the previous reply.
                 self._retries += 1
-                try:
-                    self._transport.close()
-                except Exception:
-                    pass
+                close_quietly(self._transport)
                 # Jittered backoff so a fleet of clients does not
                 # reconnect in lockstep against a restarting server: a
                 # single bounded backoff before the one retry; the client

@@ -73,6 +73,7 @@ from .transport import (
     RemoteCallError,
     SocketTransport,
     TransportError,
+    close_quietly,
     merge_transport_stats,
     request,
 )
@@ -167,17 +168,13 @@ def shard_share(points: List[np.ndarray], vectors, rows=slice(None)):
 class _WorkerLink:
     """Owner-side state for one shard worker."""
 
-    __slots__ = ("worker", "worker_id", "address", "transport", "heartbeat",
-                 "alive", "reason", "shards")
+    __slots__ = ("worker", "worker_id", "transport", "alive", "reason",
+                 "shards")
 
-    def __init__(self, worker: int, address: Optional[Tuple[str, int]],
-                 shards: Sequence[int]):
+    def __init__(self, worker: int, shards: Sequence[int]):
         self.worker = worker
         self.worker_id = f"worker-{worker}"
-        #: ``(host, port)`` of a TCP worker; a local worker has none
-        self.address = address
         self.transport = None
-        self.heartbeat = None
         self.alive = False
         self.reason: Optional[str] = None
         #: logical shards this worker hosts (mirrors the owner's placement)
@@ -185,9 +182,8 @@ class _WorkerLink:
 
     @property
     def label(self) -> str:
-        if self.address is None:
-            return self.worker_id
-        return f"{self.address[0]}:{self.address[1]}"
+        """How ``stats()`` and errors name the worker."""
+        return self.worker_id
 
 
 class ShardMergeMixin:
@@ -239,8 +235,9 @@ class ShardMergeMixin:
         batch_size: int = 256,
         cache_size: int = 4096,
     ):
-        """``workers`` holds one entry per link: a TCP worker's ``(host,
-        port)``, ``None`` for a local worker. No link is connected yet."""
+        """``workers`` holds one entry per link, handed to
+        :meth:`_new_link` (a TCP worker's ``(host, port)``, ``None`` for a
+        local worker). No link is connected yet."""
         replication = int(replication)
         if not 1 <= replication <= len(workers):
             raise ValueError(
@@ -285,14 +282,18 @@ class ShardMergeMixin:
         self._closed = False
         self._rpc_lock = threading.Lock()
         self._links = [
-            _WorkerLink(worker, address,
-                        [s for s in range(self._num_shards)
-                         if worker in self._placement[s]])
-            for worker, address in enumerate(workers)]
+            self._new_link(worker, entry,
+                           [s for s in range(self._num_shards)
+                            if worker in self._placement[s]])
+            for worker, entry in enumerate(workers)]
 
     # ------------------------------------------------------------------
     # Links / placement
     # ------------------------------------------------------------------
+    def _new_link(self, worker: int, entry, shards: Sequence[int]) -> _WorkerLink:
+        """The owner-side state of ``workers[worker]`` (``entry``)."""
+        return _WorkerLink(worker, shards)
+
     def _join_payload(self, link: _WorkerLink) -> Dict:
         return dict(
             shard_recipe(self.backend, self.index_name, self._index_kwargs,
@@ -343,12 +344,7 @@ class ShardMergeMixin:
             return
         link.alive = False
         link.reason = str(reason)
-        for transport in (link.transport, link.heartbeat):
-            if transport is not None:
-                try:
-                    transport.close()
-                except Exception:
-                    pass
+        close_quietly(link.transport)
 
     # ------------------------------------------------------------------
     # Query routing
@@ -802,12 +798,7 @@ class ShardMergeMixin:
             for link in self._links:
                 if link.alive:
                     self._farewell(link.transport, farewell)
-                for transport in (link.transport, link.heartbeat):
-                    if transport is not None:
-                        try:
-                            transport.close()
-                        except Exception:
-                            pass
+                close_quietly(link.transport)
         finally:
             if acquired:
                 self._rpc_lock.release()

@@ -57,6 +57,7 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "request",
+    "close_quietly",
     "merge_transport_stats",
     "FRAME_HEADER",
     "MAX_FRAME_BYTES",
@@ -364,6 +365,16 @@ def request(transport: Transport, command: str, payload=None,
     if status != OK:
         raise RemoteCallError(f"{who} failed:\n{result}")
     return result
+
+
+def close_quietly(transport: Optional[Transport]) -> None:
+    """Close ``transport`` (``None``: nothing), swallowing what closing
+    raises: a link being torn down has nothing left to report."""
+    if transport is not None:
+        try:
+            transport.close()
+        except Exception:
+            pass
 
 
 class ServiceNode:

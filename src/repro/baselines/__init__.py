@@ -15,7 +15,8 @@ Supervised approximators of heuristic measures (§V-F):
 * :class:`TrajGAT` — distance-biased (graph) attention (KDD 2022)
 """
 
-from .base import CoordinateScaler, LearnedSimilarityMeasure, sample_training_pairs
+from ..core.learned import LearnedSimilarityMeasure, sample_training_pairs
+from .base import CoordinateScaler
 from .cstrm import CSTRM, MemoryBudgetExceeded
 from .e2dtc import E2DTC
 from .neutraj import NeuTraj

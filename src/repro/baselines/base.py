@@ -2,9 +2,10 @@
 
 Every baseline in the paper's comparison ultimately exposes the same
 contract as TrajCL: ``encode(trajectories) -> (N, d)`` embeddings compared
-with L1 distance. :class:`LearnedSimilarityMeasure` provides that contract
-plus batching; :class:`CoordinateScaler` normalizes raw coordinates for the
-models that consume them directly (the recurrent baselines).
+with L1 distance. :class:`repro.core.learned.LearnedSimilarityMeasure`
+provides that contract plus batching; :class:`CoordinateScaler` here
+normalizes raw coordinates for the models that consume them directly (the
+recurrent baselines).
 
 Faithfulness note (DESIGN.md §1): each baseline preserves its published
 *architecture class* — recurrent seq2seq (t2vec, E2DTC), CNN over rasters
@@ -16,12 +17,10 @@ substrate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import nn
-from ..index import distance
 from ..trajectory.preprocess import pad_point_arrays
 from ..trajectory.trajectory import TrajectoryLike, as_points
 
@@ -57,54 +56,3 @@ class CoordinateScaler:
         """Scaled, padded ``(B, L, 2)`` batch plus true lengths."""
         scaled = [self.transform(t) for t in trajectories]
         return pad_point_arrays(scaled, max_len=max_len)
-
-
-class LearnedSimilarityMeasure(nn.Module):
-    """Base class: batched encoding + L1 embedding distances."""
-
-    #: embedding dimensionality, set by subclasses
-    output_dim: int = 0
-    #: registry name, set by subclasses
-    name: str = "learned"
-
-    def embed_batch(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
-        """Differentiable embedding of a (small) batch. Subclasses implement."""
-        raise NotImplementedError
-
-    def encode(
-        self, trajectories: Sequence[TrajectoryLike], batch_size: int = 128
-    ) -> np.ndarray:
-        """Inference-mode embeddings ``(N, output_dim)``."""
-        was_training = self.training
-        self.eval()
-        chunks: List[np.ndarray] = []
-        with nn.no_grad():
-            for start in range(0, len(trajectories), batch_size):
-                batch = trajectories[start:start + batch_size]
-                chunks.append(self.embed_batch(batch).data.copy())
-        if was_training:
-            self.train()
-        return np.concatenate(chunks, axis=0)
-
-    def distance_matrix(
-        self,
-        queries: Sequence[TrajectoryLike],
-        database: Sequence[TrajectoryLike],
-    ) -> np.ndarray:
-        """L1 distances between query and database embeddings.
-
-        Blocked (:mod:`repro.index.distance`) — no ``(|Q|, |D|, d)`` broadcast.
-        """
-        return distance.pairwise(self.encode(queries), self.encode(database))
-
-
-def sample_training_pairs(
-    n: int,
-    count: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct random index pairs for supervised distance regression."""
-    left = rng.integers(0, n, size=count)
-    right = rng.integers(0, n, size=count)
-    keep = left != right
-    return left[keep], right[keep]

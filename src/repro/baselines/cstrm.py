@@ -26,10 +26,10 @@ import numpy as np
 
 from .. import nn
 from ..core.augmentation import point_mask, point_shift
+from ..core.learned import LearnedSimilarityMeasure
 from ..nn import functional as F
 from ..trajectory.grid import Grid
 from ..trajectory.trajectory import TrajectoryLike, as_points
-from .base import LearnedSimilarityMeasure
 from .t2vec import _cell_sequences
 
 
@@ -107,32 +107,22 @@ class CSTRM(LearnedSimilarityMeasure):
         rng = rng if rng is not None else np.random.default_rng(0)
         optimizer = nn.Adam(self.parameters(), lr=lr)
         point_lists = [as_points(t) for t in trajectories]
-        losses: List[float] = []
-        for _epoch in range(epochs):
-            order = rng.permutation(len(point_lists))
-            epoch_losses = []
-            for start in range(0, len(order), batch_size):
-                index = order[start:start + batch_size]
-                if len(index) < 2:
-                    continue
-                anchors = [point_shift(point_lists[i], rng) for i in index]
-                positives = [point_mask(point_lists[i], rng) for i in index]
 
-                optimizer.zero_grad()
-                z_a = F.normalize(self.embed_batch(anchors))
-                z_p = F.normalize(self.embed_batch(positives))
-                sims = z_a @ z_p.swapaxes(0, 1)               # (B, B) cosines
-                positive = sims[np.arange(len(index)), np.arange(len(index))]
-                # hinge: every off-diagonal negative must trail the positive
-                # by at least the margin
-                negative_mask = ~np.eye(len(index), dtype=bool)
-                violations = (
-                    sims - positive.expand_dims(1) + self.margin
-                ).relu() * nn.Tensor(negative_mask.astype(np.float64))
-                loss = violations.sum() * (1.0 / max(negative_mask.sum(), 1))
-                loss.backward()
-                nn.clip_grad_norm(self.parameters(), max_norm=5.0)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            losses.append(float(np.mean(epoch_losses)))
-        return losses
+        def batch_loss(index: np.ndarray) -> nn.Tensor:
+            anchors = [point_shift(point_lists[i], rng) for i in index]
+            positives = [point_mask(point_lists[i], rng) for i in index]
+            z_a = F.normalize(self.embed_batch(anchors))
+            z_p = F.normalize(self.embed_batch(positives))
+            sims = z_a @ z_p.swapaxes(0, 1)               # (B, B) cosines
+            positive = sims[np.arange(len(index)), np.arange(len(index))]
+            # hinge: every off-diagonal negative must trail the positive
+            # by at least the margin
+            negative_mask = ~np.eye(len(index), dtype=bool)
+            violations = (
+                sims - positive.expand_dims(1) + self.margin
+            ).relu() * nn.Tensor(negative_mask.astype(np.float64))
+            return violations.sum() * (1.0 / max(negative_mask.sum(), 1))
+
+        return [nn.train_epoch(optimizer, len(point_lists), batch_size, rng,
+                               batch_loss, min_batch=2)
+                for _epoch in range(epochs)]

@@ -88,24 +88,16 @@ class E2DTC(T2Vec):
         self.cluster_centers = _kmeans_centers(embeddings, self.n_clusters, rng)
 
         optimizer = nn.Adam(self.parameters(), lr=lr * 0.1)
-        indices = np.arange(len(trajectories))
-        for _round in range(cluster_epochs):
-            order = rng.permutation(indices)
-            round_losses = []
-            for start in range(0, len(order), batch_size):
-                batch_idx = order[start:start + batch_size]
-                batch = [trajectories[i] for i in batch_idx]
-                optimizer.zero_grad()
-                h = self.embed_batch(batch)
-                q = self._soft_assignment(h)
-                p = self._target_distribution(q.data)
-                # KL(p || q) over the batch
-                kl = (nn.Tensor(p) * (nn.Tensor(np.log(p + 1e-12)) - q.log())).sum(
-                    axis=1
-                ).mean()
-                kl.backward()
-                nn.clip_grad_norm(self.parameters(), max_norm=5.0)
-                optimizer.step()
-                round_losses.append(kl.item())
-            losses.append(float(np.mean(round_losses)))
+
+        def batch_loss(index: np.ndarray) -> nn.Tensor:
+            q = self._soft_assignment(self.embed_batch([trajectories[i] for i in index]))
+            p = self._target_distribution(q.data)
+            # KL(p || q) over the batch
+            return (nn.Tensor(p) * (nn.Tensor(np.log(p + 1e-12)) - q.log())).sum(
+                axis=1
+            ).mean()
+
+        losses.extend(nn.train_epoch(optimizer, len(trajectories), batch_size,
+                                     rng, batch_loss)
+                      for _round in range(cluster_epochs))
         return losses

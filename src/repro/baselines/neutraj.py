@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import nn
+from ..core.learned import l1_regression_loss
 from ..trajectory import Grid
 from ..trajectory.trajectory import TrajectoryLike
-from .base import CoordinateScaler
 from .supervised import SupervisedApproximator
 
 
@@ -46,19 +46,11 @@ class NeuTraj(SupervisedApproximator):
         self.memory_decay = memory_decay
         self.lstm = nn.LSTM(2, hidden_dim, rng=rng)
         self.memory_gate = nn.Linear(2 * hidden_dim, hidden_dim, rng=rng)
-        self.scaler = CoordinateScaler()
-        self._fitted_scaler = False
         #: non-learned spatial memory (updated by EMA during embedding)
         self.cell_memory = np.zeros((grid.n_cells, hidden_dim))
 
-    def _ensure_scaler(self, trajectories: Sequence[TrajectoryLike]) -> None:
-        if not self._fitted_scaler:
-            self.scaler.fit(trajectories)
-            self._fitted_scaler = True
-
     def embed_batch(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
-        self._ensure_scaler(trajectories)
-        batch, lengths = self.scaler.transform_batch(trajectories, max_len=self.max_len)
+        batch, lengths = self._scaled_batch(trajectories)
         outputs, final_hidden = self.lstm(nn.Tensor(batch), lengths=lengths)
 
         # Spatial memory read: average the memory of cells each trajectory
@@ -82,8 +74,6 @@ class NeuTraj(SupervisedApproximator):
                   measure, rng):
         """NeuTraj's distance-weighted MSE: near pairs get larger weight."""
         del batch_left, batch_right, measure, rng
-        predicted = (emb_left - emb_right).abs().sum(axis=-1)
         weights = np.exp(-targets)  # targets are mean-normalized distances
-        weights = weights / weights.mean()
-        diff = predicted - nn.Tensor(targets)
-        return (diff * diff * nn.Tensor(weights)).mean()
+        return l1_regression_loss(emb_left, emb_right, targets,
+                                  weights / weights.mean())

@@ -20,11 +20,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .. import nn
+from ..core.learned import LearnedSimilarityMeasure
 from ..graph.grid_graph import GridGraph
 from ..nn import functional as F
 from ..trajectory.grid import Grid
 from ..trajectory.trajectory import TrajectoryLike, as_points
-from .base import LearnedSimilarityMeasure
 
 
 def _cell_sequences(
@@ -115,48 +115,39 @@ class T2Vec(LearnedSimilarityMeasure):
             raise ValueError("no training trajectories")
         rng = rng if rng is not None else np.random.default_rng(0)
         optimizer = nn.Adam(self.parameters(), lr=lr)
-        losses: List[float] = []
         point_lists = [as_points(t) for t in trajectories]
-        for _epoch in range(epochs):
-            order = rng.permutation(len(point_lists))
-            epoch_losses = []
-            for start in range(0, len(order), batch_size):
-                index = order[start:start + batch_size]
-                originals = [point_lists[i] for i in index]
-                noisy = [self._denoise(p, rng) for p in originals]
 
-                noisy_tokens, noisy_lengths = _cell_sequences(
-                    noisy, self.grid, self.max_len
+        def batch_loss(index: np.ndarray) -> nn.Tensor:
+            originals = [point_lists[i] for i in index]
+            noisy = [self._denoise(p, rng) for p in originals]
+            noisy_tokens, noisy_lengths = _cell_sequences(
+                noisy, self.grid, self.max_len
+            )
+            target_tokens, target_lengths = _cell_sequences(
+                originals, self.grid, self.max_len
+            )
+            encoded = self.cell_embedding(noisy_tokens)
+            _, hidden = self.encoder(encoded, lengths=noisy_lengths)
+            # Teacher forcing: decoder sees the (embedded) target sequence
+            # shifted right; first input is the encoder summary itself.
+            decoder_inputs = self.cell_embedding(
+                np.concatenate(
+                    [np.zeros((len(index), 1), dtype=np.int64),
+                     target_tokens[:, :-1]],
+                    axis=1,
                 )
-                target_tokens, target_lengths = _cell_sequences(
-                    originals, self.grid, self.max_len
-                )
+            )
+            outputs, _ = self.decoder(decoder_inputs, lengths=target_lengths,
+                                      h0=hidden)
+            logits = self.output_proj(outputs)          # (B, L, n_cells)
+            log_probs = F.log_softmax(logits, axis=-1)
+            targets = self._smoothed_targets(target_tokens)
+            mask = (
+                np.arange(self.max_len)[None, :] < target_lengths[:, None]
+            ).astype(np.float64)
+            per_token = -(log_probs * nn.Tensor(targets)).sum(axis=-1)
+            return (per_token * nn.Tensor(mask)).sum() * (1.0 / max(mask.sum(), 1))
 
-                optimizer.zero_grad()
-                encoded = self.cell_embedding(noisy_tokens)
-                _, hidden = self.encoder(encoded, lengths=noisy_lengths)
-                # Teacher forcing: decoder sees the (embedded) target sequence
-                # shifted right; first input is the encoder summary itself.
-                decoder_inputs = self.cell_embedding(
-                    np.concatenate(
-                        [np.zeros((len(index), 1), dtype=np.int64),
-                         target_tokens[:, :-1]],
-                        axis=1,
-                    )
-                )
-                outputs, _ = self.decoder(decoder_inputs, lengths=target_lengths,
-                                          h0=hidden)
-                logits = self.output_proj(outputs)          # (B, L, n_cells)
-                log_probs = F.log_softmax(logits, axis=-1)
-                targets = self._smoothed_targets(target_tokens)
-                mask = (
-                    np.arange(self.max_len)[None, :] < target_lengths[:, None]
-                ).astype(np.float64)
-                per_token = -(log_probs * nn.Tensor(targets)).sum(axis=-1)
-                loss = (per_token * nn.Tensor(mask)).sum() * (1.0 / max(mask.sum(), 1))
-                loss.backward()
-                nn.clip_grad_norm(self.parameters(), max_norm=5.0)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            losses.append(float(np.mean(epoch_losses)))
-        return losses
+        return [nn.train_epoch(optimizer, len(point_lists), batch_size, rng,
+                               batch_loss)
+                for _epoch in range(epochs)]

@@ -18,7 +18,6 @@ from .. import nn
 from ..nn import functional as F
 from ..trajectory import Grid
 from ..trajectory.trajectory import TrajectoryLike
-from .base import CoordinateScaler
 from .supervised import SupervisedApproximator
 from .t2vec import _cell_sequences
 
@@ -48,24 +47,14 @@ class T3S(SupervisedApproximator):
             hidden_dim, num_heads, num_layers, dropout=dropout, rng=rng
         )
         self.lstm = nn.LSTM(2, hidden_dim, rng=rng)
-        self.scaler = CoordinateScaler()
-        self._fitted_scaler = False
-
-    def _ensure_scaler(self, trajectories: Sequence[TrajectoryLike]) -> None:
-        if not self._fitted_scaler:
-            self.scaler.fit(trajectories)
-            self._fitted_scaler = True
 
     def embed_batch(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
-        self._ensure_scaler(trajectories)
         # Structural view: attention over cell tokens.
         tokens, lengths = _cell_sequences(trajectories, self.grid, self.max_len)
         mask = np.arange(self.max_len)[None, :] >= lengths[:, None]
         hidden, _ = self.attention(self.cell_embedding(tokens), key_padding_mask=mask)
         structural = F.mean_pool(hidden, lengths=lengths)
         # Spatial view: LSTM over scaled coordinates.
-        coords, coord_lengths = self.scaler.transform_batch(
-            trajectories, max_len=self.max_len
-        )
+        coords, coord_lengths = self._scaled_batch(trajectories)
         _, spatial = self.lstm(nn.Tensor(coords), lengths=coord_lengths)
         return structural + spatial

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import nn
+from ..core.learned import l1_regression_loss
 from ..trajectory.trajectory import TrajectoryLike
-from .base import CoordinateScaler
 from .supervised import SupervisedApproximator
 
 
@@ -38,25 +38,15 @@ class Traj2SimVec(SupervisedApproximator):
         self.output_dim = hidden_dim
         self.aux_weight = aux_weight
         self.gru = nn.GRU(2, hidden_dim, rng=rng)
-        self.scaler = CoordinateScaler()
-        self._fitted_scaler = False
-
-    def _ensure_scaler(self, trajectories: Sequence[TrajectoryLike]) -> None:
-        if not self._fitted_scaler:
-            self.scaler.fit(trajectories)
-            self._fitted_scaler = True
 
     def embed_batch(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
-        self._ensure_scaler(trajectories)
-        batch, lengths = self.scaler.transform_batch(trajectories, max_len=self.max_len)
+        batch, lengths = self._scaled_batch(trajectories)
         _, final_hidden = self.gru(nn.Tensor(batch), lengths=lengths)
         return final_hidden
 
     def pair_loss(self, emb_left, emb_right, targets, batch_left, batch_right,
                   measure, rng):
-        predicted = (emb_left - emb_right).abs().sum(axis=-1)
-        diff = predicted - nn.Tensor(targets)
-        loss = (diff * diff).mean()
+        loss = l1_regression_loss(emb_left, emb_right, targets)
 
         # Sub-trajectory auxiliary term: one random prefix fraction per batch.
         fraction = float(rng.uniform(0.3, 0.8))
@@ -65,8 +55,6 @@ class Traj2SimVec(SupervisedApproximator):
         prefix_targets = np.array([
             measure.distance(a, b) for a, b in zip(prefix_left, prefix_right)
         ]) / self.target_scale
-        emb_pl = self.embed_batch(prefix_left)
-        emb_pr = self.embed_batch(prefix_right)
-        predicted_prefix = (emb_pl - emb_pr).abs().sum(axis=-1)
-        aux_diff = predicted_prefix - nn.Tensor(prefix_targets)
-        return loss + self.aux_weight * (aux_diff * aux_diff).mean()
+        return loss + self.aux_weight * l1_regression_loss(
+            self.embed_batch(prefix_left), self.embed_batch(prefix_right),
+            prefix_targets)

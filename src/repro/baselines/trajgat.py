@@ -24,7 +24,6 @@ from .. import nn
 from ..measures.base import point_distances
 from ..nn import functional as F
 from ..trajectory.trajectory import TrajectoryLike
-from .base import CoordinateScaler
 from .supervised import SupervisedApproximator
 
 
@@ -82,17 +81,9 @@ class TrajGAT(SupervisedApproximator):
             SpatialBiasAttentionLayer(hidden_dim, num_heads, dropout, rng)
             for _ in range(num_layers)
         )
-        self.scaler = CoordinateScaler()
-        self._fitted_scaler = False
-
-    def _ensure_scaler(self, trajectories: Sequence[TrajectoryLike]) -> None:
-        if not self._fitted_scaler:
-            self.scaler.fit(trajectories)
-            self._fitted_scaler = True
 
     def embed_batch(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
-        self._ensure_scaler(trajectories)
-        coords, lengths = self.scaler.transform_batch(trajectories, max_len=self.max_len)
+        coords, lengths = self._scaled_batch(trajectories)
         batch, seq_len, _ = coords.shape
         # Negative pairwise distances as the graph bias: nearby points
         # attend to each other more (soft adjacency).

@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
+from ..core.learned import LearnedSimilarityMeasure
 from ..trajectory.trajectory import TrajectoryLike, as_points
-from .base import CoordinateScaler, LearnedSimilarityMeasure
 
 
 def rasterize(
@@ -121,23 +121,14 @@ class TrjSR(LearnedSimilarityMeasure):
             raise ValueError("no training trajectories")
         rng = rng if rng is not None else np.random.default_rng(0)
         optimizer = nn.Adam(self.parameters(), lr=lr)
-        losses: List[float] = []
-        for _epoch in range(epochs):
-            order = rng.permutation(len(trajectories))
-            epoch_losses = []
-            for start in range(0, len(order), batch_size):
-                index = order[start:start + batch_size]
-                batch = [trajectories[i] for i in index]
-                low = nn.Tensor(self._raster_batch(batch, self.low_res))
-                high = self._raster_batch(batch, self.high_res)
 
-                optimizer.zero_grad()
-                reconstructed = self._reconstruct(low)
-                diff = reconstructed - nn.Tensor(high)
-                loss = (diff * diff).mean()
-                loss.backward()
-                nn.clip_grad_norm(self.parameters(), max_norm=5.0)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            losses.append(float(np.mean(epoch_losses)))
-        return losses
+        def batch_loss(index: np.ndarray) -> nn.Tensor:
+            batch = [trajectories[i] for i in index]
+            low = nn.Tensor(self._raster_batch(batch, self.low_res))
+            high = self._raster_batch(batch, self.high_res)
+            diff = self._reconstruct(low) - nn.Tensor(high)
+            return (diff * diff).mean()
+
+        return [nn.train_epoch(optimizer, len(trajectories), batch_size, rng,
+                               batch_loss)
+                for _epoch in range(epochs)]

@@ -18,14 +18,19 @@ after. Two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+import sys
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .. import nn
-from ..index import distance
 from ..trajectory.trajectory import TrajectoryLike
+from .learned import (
+    FinetuneHistory,
+    HeuristicRegressor,
+    l1_regression_loss,
+    regression_pairs,
+)
 from .model import TrajCL
 
 if TYPE_CHECKING:  # a serving process that loads the model loads no measure
@@ -34,44 +39,29 @@ if TYPE_CHECKING:  # a serving process that loads the model loads no measure
 FINETUNE_MODES = ("last_layer", "all", "head_only")
 
 
-class FrozenBackboneApproximator(nn.Module):
-    """Heuristic approximation head over any pre-trained embedding model.
+class _RegressionHead(HeuristicRegressor):
+    """A backbone plus "a two-layer MLP where the size of each layer is
+    the same as d", fit to regress a heuristic measure."""
 
-    Used for the Table X rows of the *self-supervised baselines* (t2vec,
-    TrjSR, E2DTC, CSTRM): their pre-trained encoder is frozen and a
-    two-layer MLP is trained on top to regress a heuristic measure, the
-    "Pre-trained + fine-tuning" protocol of §V-F. (Backpropagating through
-    the recurrent baselines would be needlessly slow; the MLP head carries
-    the adaptation, a documented simplification.)
-
-    ``base`` may be anything exposing ``encode(trajectories) -> (N, d)``.
-    """
+    #: global gradient-norm bound of :meth:`fit` (``None``: no clipping)
+    max_norm: Optional[float] = 5.0
 
     def __init__(self, base, dim: int, rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.base = base if not isinstance(base, nn.Module) else base  # kept frozen
-        self._base_encode = base.encode
+        self.base = base
         self.mlp = nn.Sequential(
             nn.Linear(dim, dim, rng=rng),
             nn.ReLU(),
             nn.Linear(dim, dim, rng=rng),
         )
-        self.target_scale: float = 1.0
 
     def trainable_parameters(self) -> List[nn.Parameter]:
         return self.mlp.parameters()
 
-    def encode(self, trajectories: Sequence[TrajectoryLike]) -> np.ndarray:
-        base_embeddings = self._base_encode(list(trajectories))
-        with nn.no_grad():
-            refined = self.mlp(nn.Tensor(base_embeddings))
-        return refined.data.copy()
-
-    def distance_matrix(self, queries, database) -> np.ndarray:
-        return self.target_scale * distance.pairwise(
-            self.encode(queries), self.encode(database)
-        )
+    def _pair_embedder(self, trajectories) -> Callable[[np.ndarray], nn.Tensor]:
+        """Differentiable refined embeddings of ``trajectories[indices]``."""
+        return lambda index: self.embed_batch([trajectories[i] for i in index])
 
     def fit(
         self,
@@ -82,54 +72,59 @@ class FrozenBackboneApproximator(nn.Module):
         batch_size: int = 32,
         lr: float = 1e-3,
         rng: Optional[np.random.Generator] = None,
-    ) -> "FinetuneHistory":
-        """MSE-regress the measure on frozen base embeddings."""
-        if len(trajectories) < 2:
-            raise ValueError("need at least two trajectories to form pairs")
+    ) -> FinetuneHistory:
+        """Regress the heuristic ``measure`` on random pairs of ``trajectories``.
+
+        The pairs and their heuristic targets (the expensive calls) are
+        sampled once; every epoch revisits them in a new order.
+        """
         rng = rng if rng is not None else np.random.default_rng(0)
-        base_embeddings = self._base_encode(list(trajectories))
-
-        n = len(trajectories)
-        left = rng.integers(0, n, size=pairs_per_epoch)
-        right = rng.integers(0, n, size=pairs_per_epoch)
-        distinct = left != right
-        left, right = left[distinct], right[distinct]
-        targets = np.array([
-            measure.distance(trajectories[i], trajectories[j])
-            for i, j in zip(left, right)
-        ])
-        self.target_scale = float(targets.mean()) or 1.0
-        targets = targets / self.target_scale
-
+        left, right, targets, self.target_scale = regression_pairs(
+            trajectories, measure, pairs_per_epoch, rng)
+        embed = self._pair_embedder(trajectories)
         optimizer = nn.Adam(self.trainable_parameters(), lr=lr)
-        history = FinetuneHistory()
-        for _epoch in range(epochs):
-            order = rng.permutation(len(left))
-            epoch_losses = []
-            for start in range(0, len(order), batch_size):
-                index = order[start:start + batch_size]
-                optimizer.zero_grad()
-                emb_left = self.mlp(nn.Tensor(base_embeddings[left[index]]))
-                emb_right = self.mlp(nn.Tensor(base_embeddings[right[index]]))
-                predicted = (emb_left - emb_right).abs().sum(axis=-1)
-                diff = predicted - nn.Tensor(targets[index])
-                loss = (diff * diff).mean()
-                loss.backward()
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            history.losses.append(float(np.mean(epoch_losses)))
-        return history
+
+        def batch_loss(index: np.ndarray) -> nn.Tensor:
+            return l1_regression_loss(embed(left[index]), embed(right[index]),
+                                      targets[index])
+
+        return FinetuneHistory([
+            nn.train_epoch(optimizer, len(left), batch_size, rng, batch_loss,
+                           max_norm=self.max_norm)
+            for _epoch in range(epochs)])
 
 
-@dataclass
-class FinetuneHistory:
-    """Per-epoch MSE losses from :meth:`HeuristicApproximator.fit`."""
+class FrozenBackboneApproximator(_RegressionHead):
+    """Heuristic approximation head over any pre-trained embedding model.
 
-    losses: List[float] = field(default_factory=list)
+    Used for the Table X rows of the *self-supervised baselines* (t2vec,
+    TrjSR, E2DTC, CSTRM): their pre-trained encoder is frozen and a
+    two-layer MLP is trained on top to regress a heuristic measure, the
+    "Pre-trained + fine-tuning" protocol of §V-F. (Backpropagating through
+    the recurrent baselines would be needlessly slow; the MLP head carries
+    the adaptation, a documented simplification.)
+
+    ``base`` may be anything exposing ``encode(trajectories) -> (N, d)``.
+    It is kept frozen and chunks its own encode, so the head maps a whole
+    ``encode`` call at once.
+    """
+
+    max_norm = None
+    encode_chunk = sys.maxsize
+
+    def embed_batch(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
+        return self.mlp(nn.Tensor(self.base.encode(list(trajectories))))
+
+    def _pair_embedder(self, trajectories):
+        # the base is frozen: embed every trajectory once, not per batch
+        base_embeddings = self.base.encode(list(trajectories))
+        return lambda index: self.mlp(nn.Tensor(base_embeddings[index]))
 
 
-class HeuristicApproximator(nn.Module):
+class HeuristicApproximator(_RegressionHead):
     """TrajCL backbone + 2-layer MLP head regressing a heuristic measure."""
+
+    encode_chunk = 256
 
     def __init__(
         self,
@@ -137,21 +132,12 @@ class HeuristicApproximator(nn.Module):
         mode: str = "last_layer",
         rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__()
         if mode not in FINETUNE_MODES:
             raise ValueError(f"mode must be one of {FINETUNE_MODES}")
-        rng = rng if rng is not None else np.random.default_rng(model.config.seed + 1)
-        self.base = model
+        super().__init__(
+            model, model.encoder.output_dim,
+            rng if rng is not None else np.random.default_rng(model.config.seed + 1))
         self.mode = mode
-        dim = model.encoder.output_dim
-        # "a two-layer MLP where the size of each layer is the same as d"
-        self.mlp = nn.Sequential(
-            nn.Linear(dim, dim, rng=rng),
-            nn.ReLU(),
-            nn.Linear(dim, dim, rng=rng),
-        )
-        #: learned scale of the heuristic targets (set during fit)
-        self.target_scale: float = 1.0
         self._configure_freezing()
 
     def _configure_freezing(self) -> None:
@@ -168,10 +154,7 @@ class HeuristicApproximator(nn.Module):
         params = [p for p in self.base.encoder.parameters() if p.requires_grad]
         return params + self.mlp.parameters()
 
-    # ------------------------------------------------------------------
-    # Forward paths
-    # ------------------------------------------------------------------
-    def refined_embeddings(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
+    def embed_batch(self, trajectories: Sequence[TrajectoryLike]) -> nn.Tensor:
         """Differentiable path: backbone embedding → MLP refinement."""
         structural, spatial, mask, lengths = self.base.features.encode_batch(trajectories)
         h = self.base.encoder(
@@ -179,84 +162,3 @@ class HeuristicApproximator(nn.Module):
             key_padding_mask=mask, lengths=lengths,
         )
         return self.mlp(h)
-
-    def encode(self, trajectories: Sequence[TrajectoryLike],
-               batch_size: int = 256) -> np.ndarray:
-        """Inference path: refined embeddings as a numpy array."""
-        self.eval()
-        chunks = []
-        with nn.no_grad():
-            for start in range(0, len(trajectories), batch_size):
-                chunk = trajectories[start:start + batch_size]
-                chunks.append(self.refined_embeddings(chunk).data.copy())
-        self.train()
-        return np.concatenate(chunks, axis=0)
-
-    def distance_matrix(
-        self,
-        queries: Sequence[TrajectoryLike],
-        database: Sequence[TrajectoryLike],
-    ) -> np.ndarray:
-        """Predicted heuristic distances ``(|Q|, |D|)`` (L1 in refined space)."""
-        return self.target_scale * distance.pairwise(
-            self.encode(queries), self.encode(database)
-        )
-
-    # ------------------------------------------------------------------
-    # Training
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        trajectories: Sequence[TrajectoryLike],
-        measure: TrajectorySimilarityMeasure,
-        epochs: int = 5,
-        pairs_per_epoch: int = 512,
-        batch_size: int = 32,
-        lr: float = 1e-3,
-        rng: Optional[np.random.Generator] = None,
-    ) -> FinetuneHistory:
-        """Regress the heuristic ``measure`` on random pairs of ``trajectories``.
-
-        Targets are normalized by their mean so the MSE scale is measure-
-        independent; the scale is retained for :meth:`distance_matrix`.
-        """
-        if len(trajectories) < 2:
-            raise ValueError("need at least two trajectories to form pairs")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        optimizer = nn.Adam(self.trainable_parameters(), lr=lr)
-        history = FinetuneHistory()
-
-        # Pre-sample the supervision pairs and their heuristic targets once
-        # (the expensive O(n^2)-per-pair heuristic calls).
-        n = len(trajectories)
-        left = rng.integers(0, n, size=pairs_per_epoch)
-        right = rng.integers(0, n, size=pairs_per_epoch)
-        distinct = left != right
-        left, right = left[distinct], right[distinct]
-        targets = np.array([
-            measure.distance(trajectories[i], trajectories[j])
-            for i, j in zip(left, right)
-        ])
-        self.target_scale = float(targets.mean()) or 1.0
-        targets = targets / self.target_scale
-
-        for _epoch in range(epochs):
-            order = rng.permutation(len(left))
-            epoch_losses = []
-            for start in range(0, len(order), batch_size):
-                index = order[start:start + batch_size]
-                batch_left = [trajectories[i] for i in left[index]]
-                batch_right = [trajectories[j] for j in right[index]]
-
-                optimizer.zero_grad()
-                emb_left = self.refined_embeddings(batch_left)
-                emb_right = self.refined_embeddings(batch_right)
-                predicted = (emb_left - emb_right).abs().sum(axis=-1)
-                diff = predicted - nn.Tensor(targets[index])
-                loss = (diff * diff).mean()
-                loss.backward()
-                nn.clip_grad_norm(self.trainable_parameters(), max_norm=5.0)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            history.losses.append(float(np.mean(epoch_losses)))
-        return history

@@ -64,25 +64,16 @@ class TrajCLTrainer:
         """One pass over the training set; returns the mean batch loss."""
         self.model.encoder.train()
         self.model.projector.train()
-        order = self.rng.permutation(len(trajectories))
-        batch_size = self.config.batch_size
-        losses = []
-        for start in range(0, len(order), batch_size):
-            index = order[start:start + batch_size]
-            if len(index) < 2:
-                continue  # InfoNCE needs at least two anchors to be meaningful
-            views = [self.make_views(trajectories[i]) for i in index]
-            views_online = [v[0] for v in views]
-            views_momentum = [v[1] for v in views]
 
-            self.optimizer.zero_grad()
-            loss = self.model.contrastive_loss(views_online, views_momentum)
-            loss.backward()
-            nn.clip_grad_norm(self.model.trainable_parameters(), max_norm=5.0)
-            self.optimizer.step()
-            self.model.momentum_update()
-            losses.append(loss.item())
-        return float(np.mean(losses)) if losses else float("nan")
+        def batch_loss(index: np.ndarray) -> nn.Tensor:
+            views = [self.make_views(trajectories[i]) for i in index]
+            return self.model.contrastive_loss([v[0] for v in views],
+                                               [v[1] for v in views])
+
+        # InfoNCE needs at least two anchors to be meaningful
+        return nn.train_epoch(self.optimizer, len(trajectories),
+                              self.config.batch_size, self.rng, batch_loss,
+                              min_batch=2, after_step=self.model.momentum_update)
 
     def fit(
         self,

@@ -29,7 +29,8 @@ _EXPORTS = {
                "weighted_rank_loss"),
     "module": ("Module", "ModuleList", "Parameter", "Sequential",
                "parameter_version"),
-    "optim": ("SGD", "Adam", "Optimizer", "StepLR", "clip_grad_norm"),
+    "optim": ("SGD", "Adam", "Optimizer", "StepLR", "clip_grad_norm",
+              "train_epoch"),
     "rnn": ("GRU", "LSTM", "GRUCell", "LSTMCell"),
     "serialization": ("load_into", "load_state", "save_state"),
     "tensor": ("DEFAULT_DTYPE", "Tensor", "concatenate", "is_grad_enabled",
@@ -76,6 +77,7 @@ __all__ = [
     "Adam",
     "StepLR",
     "clip_grad_norm",
+    "train_epoch",
     "info_nce_loss",
     "mse_loss",
     "triplet_margin_loss",

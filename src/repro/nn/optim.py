@@ -1,18 +1,20 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers, learning-rate schedules and the one training loop.
 
 The paper trains TrajCL with Adam, initial learning rate 0.001, halved every
 5 epochs (§V-A). :class:`Adam`, :class:`SGD` and :class:`StepLR` reproduce
-the exact update rules; :func:`clip_grad_norm` is provided for the recurrent
-baselines, whose BPTT gradients can spike.
+the exact update rules; :func:`clip_grad_norm` bounds the global gradient
+norm. :func:`train_epoch` is the minibatch loop every learner steps
+through: TrajCL's pre-training, its fine-tune heads and the baselines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
 from .module import Parameter
+from .tensor import Tensor
 
 
 class Optimizer:
@@ -132,3 +134,41 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
         for p in params:
             p.grad *= scale
     return total
+
+
+def train_epoch(
+    optimizer: Optimizer,
+    size: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    batch_loss: Callable[[np.ndarray], Tensor],
+    *,
+    min_batch: int = 1,
+    max_norm: Optional[float] = 5.0,
+    after_step: Optional[Callable[[], None]] = None,
+) -> float:
+    """One pass over ``size`` examples in a fresh ``rng`` order; returns
+    the mean batch loss (NaN when no batch was long enough).
+
+    Each batch of example indices shorter than ``min_batch`` is skipped;
+    otherwise the step is: zero the gradients, ``batch_loss(indices)``,
+    backpropagate, clip the global gradient norm to ``max_norm`` (``None``
+    clips nothing), ``optimizer.step()``, then ``after_step()`` (TrajCL's
+    momentum update).
+    """
+    order = rng.permutation(size)
+    losses = []
+    for start in range(0, size, batch_size):
+        index = order[start:start + batch_size]
+        if len(index) < min_batch:
+            continue
+        optimizer.zero_grad()
+        loss = batch_loss(index)
+        loss.backward()
+        if max_norm is not None:
+            clip_grad_norm(optimizer.params, max_norm)
+        optimizer.step()
+        if after_step is not None:
+            after_step()
+        losses.append(loss.item())
+    return float(np.mean(losses)) if losses else float("nan")

@@ -1,9 +1,12 @@
 """Tests for fine-tuning TrajCL to approximate heuristic measures (§V-F)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import HeuristicApproximator, TrajCL
+from repro import nn
+from repro.core import FrozenBackboneApproximator, HeuristicApproximator, TrajCL
 from repro.measures import Hausdorff
 
 from .conftest import make_trajectories
@@ -97,3 +100,79 @@ class TestTraining:
             spearmanr(predicted[i], actual[i]).statistic for i in range(len(queries))
         ]
         assert np.mean(correlations) > 0.4, f"rank correlation too low: {correlations}"
+
+
+class TestEncodeMode:
+    """``encode`` leaves every module in the mode it found it in."""
+
+    @pytest.fixture()
+    def dropout_model(self, small_setup):
+        config, features, _ = small_setup
+        return TrajCL(features, dataclasses.replace(config, dropout=0.1),
+                      rng=np.random.default_rng(2))
+
+    def test_encode_keeps_an_evaluating_head_in_eval_mode(
+            self, dropout_model, small_setup):
+        batch = small_setup[2][:4]
+        approx = HeuristicApproximator(dropout_model,
+                                       rng=np.random.default_rng(0))
+        approx.eval()
+        approx.encode(batch)
+        assert not approx.training
+        assert not dropout_model.encoder.training
+        with nn.no_grad():  # no dropout draws: the same batch, the same bits
+            first = approx.embed_batch(batch).data
+            second = approx.embed_batch(batch).data
+        np.testing.assert_array_equal(first, second)
+
+    def test_encode_restores_each_module_on_its_own(
+            self, dropout_model, small_setup):
+        approx = HeuristicApproximator(dropout_model,
+                                       rng=np.random.default_rng(0))
+        before = [module.training for module in approx.modules()]
+        approx.encode(small_setup[2][:4])
+        assert [module.training for module in approx.modules()] == before
+        # the momentum branch is in eval mode for good
+        assert approx.training
+        assert not dropout_model.momentum_encoder.training
+
+
+class TestFrozenBackbone:
+    """The Table X head over a frozen pre-trained model."""
+
+    @pytest.fixture()
+    def head(self, small_model):
+        return FrozenBackboneApproximator(
+            small_model, dim=small_model.encoder.output_dim,
+            rng=np.random.default_rng(0))
+
+    @staticmethod
+    def fit(head, trajectories, epochs=5):
+        return head.fit(trajectories, Hausdorff(), epochs=epochs,
+                        pairs_per_epoch=64, batch_size=16,
+                        rng=np.random.default_rng(1))
+
+    def test_fit_lowers_the_mse(self, head, small_setup):
+        history = self.fit(head, small_setup[2])
+        assert len(history.losses) == 5
+        assert history.losses[-1] < history.losses[0]
+
+    def test_fit_leaves_the_base_parameters_unchanged(
+            self, head, small_model, small_setup):
+        before = small_model.state_dict()
+        self.fit(head, small_setup[2], epochs=2)
+        after = small_model.state_dict()
+        assert sorted(after) == sorted(before)
+        for name, value in before.items():
+            np.testing.assert_array_equal(after[name], value, err_msg=name)
+
+    def test_distance_matrix_is_the_scaled_l1_of_encode(
+            self, head, small_setup):
+        trajectories = small_setup[2]
+        self.fit(head, trajectories, epochs=1)
+        assert head.target_scale != 1.0
+        queries, database = trajectories[:3], trajectories[3:10]
+        l1 = np.abs(head.encode(queries)[:, None, :]
+                    - head.encode(database)[None, :, :]).sum(axis=-1)
+        np.testing.assert_allclose(head.distance_matrix(queries, database),
+                                   head.target_scale * l1, rtol=1e-12)

@@ -210,7 +210,7 @@ STAR = {
         "TransformerEncoderLayer", "clip_grad_norm", "concatenate",
         "functional", "info_nce_loss", "is_grad_enabled", "load_into",
         "load_state", "maximum", "mse_loss", "no_grad", "ones",
-        "parameter_version", "save_state", "stack", "tensor",
+        "parameter_version", "save_state", "stack", "tensor", "train_epoch",
         "triplet_margin_loss", "weighted_rank_loss", "where", "zeros"],
     "repro.datasets": [
         "CHENGDU", "CITY_PRESETS", "CityPreset", "DatasetSplits", "GERMANY",
