@@ -150,17 +150,20 @@ bench-e2e-selftest:
 # traced in-process run (every name the span shims patch resolves), one
 # untraced and one traced run through the HTTP edge (the traced one
 # checks that the shims still find their names inside the edge and TCP
-# worker processes), one traced run behind the forked local workers —
-# the run that crosses both a fork and the vector path (its 512-row
-# set-up chunks deal each shard a 64 KiB float32 array over an AF_UNIX
-# socket pair) — and one traced run of the only workload on an index
-# that trains (pq: pending floats -> k-means inside the first traced
-# search -> the residency gauge flips), each once at --quick length.
+# worker processes), one untraced and one traced run behind the forked
+# local workers — the runs that cross both a fork and the vector path
+# (their 512-row set-up chunks deal each shard a 64 KiB float32 array
+# over an AF_UNIX socket pair; the untraced one is the path
+# remote_sharded's peak_rss_mb is measured on) — and one traced run of
+# the only workload on an index that trains (pq: pending floats ->
+# k-means inside the first traced search -> the residency gauge flips),
+# each once at --quick length.
 # Exit 0 only when every answer matches the oracle and nothing leaked:
 # no process, no /dev/shm/repro_wire_* segment.
 bench-e2e-smoke: bench-e2e-selftest
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload scan_inproc --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload edge_http --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload edge_http --trace 1
+	$(PYTHON) benchmarks/e2e/run.py --quick --workload remote_sharded --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload remote_sharded --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --quick --workload ann_inproc --trace 1

@@ -20,8 +20,17 @@ set-up chunk as an owner deals it to a shard — 512 porto trajectories
 (``(L, 2)`` float64) beside their ``(512, 64)`` float32 embeddings —
 as medians with quartiles, plus the frame's byte count.
 
+A third scenario, ``shard_store``, is memory, not time: 4 000 porto
+trajectories and their ``(·, 64)`` float32 embeddings go to one
+vector-fed :class:`~repro.api.shard.Shard` as an owner deals them —
+512-row chunks, each through ``encode_frame`` and ``decode_payload``
+over a buffer sized like a transport's receive — and the row is the
+tracemalloc bytes the shard then holds per trajectory, beside the bytes
+per trajectory of what it was sent (points and vectors).
+
 Rows merge into ``benchmarks/results/BENCH_transport.json`` by name
-(``<link>_<size>_cpu<n>`` and ``ingest_512``, plus ``@label``), so a
+(``<link>_<size>_cpu<n>``, ``ingest_512`` and ``shard_store``, plus
+``@label``), so a
 before row is the same command against another checkout::
 
     PYTHONPATH=/path/to/parent/src python benchmarks/bench_transport.py \
@@ -56,6 +65,8 @@ INGEST_CHUNK = 512
 INGEST_DIM = 64
 #: encode + decode pairs timed for ``ingest_512``
 INGEST_REPEATS = 300
+#: trajectories the ``shard_store`` shard is fed
+STORE_TRAJECTORIES = 4000
 
 
 def _links() -> Dict[str, Callable[[], Tuple]]:
@@ -168,13 +179,61 @@ def _ingest_codec(cpu: int) -> Dict:
             "points": sum(len(t) for t in trajectories)}
 
 
+def _shard_store(cpu: int) -> Dict:
+    """Bytes one vector-fed shard holds per trajectory once fed through
+    the codec, beside the bytes per trajectory it was sent."""
+    import tracemalloc
+
+    from repro.api.backends import shard_backend_state
+    from repro.api.protocols import BackendDescription
+    from repro.api.shard import Shard
+    from repro.api.transport import FRAME_HEADER, decode_payload, encode_frame
+    from repro.datasets import generate_city, get_preset
+
+    os.sched_setaffinity(0, {cpu})
+    trajectories = [np.asarray(t, dtype=np.float64) for t in generate_city(
+        get_preset("porto"), STORE_TRAJECTORIES, seed=0)]
+    vectors = np.random.default_rng(0).standard_normal(
+        (STORE_TRAJECTORIES, INGEST_DIM)).astype(np.float32)
+    recipe = shard_backend_state(
+        BackendDescription("trajcl", "l1", 1.0, INGEST_DIM))
+
+    def feed(shard: Shard, sent: List[bytes]) -> None:
+        for frame in sent:
+            # what a transport receives the frame body into
+            body = np.empty(len(frame) - FRAME_HEADER.size, dtype=np.uint8)
+            body[:] = np.frombuffer(frame, np.uint8, offset=FRAME_HEADER.size)
+            shard.add(decode_payload(body)[1][0])
+
+    # the owner's side, encoded before anything is counted
+    sent = [encode_frame(("add", {0: (trajectories[start:start + INGEST_CHUNK],
+                                      vectors[start:start + INGEST_CHUNK])}))
+            for start in range(0, STORE_TRAJECTORIES, INGEST_CHUNK)]
+    feed(Shard(recipe, index="bruteforce"), sent[:1])  # imports, uncounted
+    tracemalloc.start()
+    try:
+        shard = Shard(recipe, index="bruteforce")
+        feed(shard, sent)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(shard) == STORE_TRAJECTORIES
+    data = sum(t.nbytes for t in trajectories) + vectors.nbytes
+    return {"trajectories": STORE_TRAJECTORIES, "chunk": INGEST_CHUNK,
+            "held_bytes": held,
+            "held_per_trajectory": round(held / STORE_TRAJECTORIES, 1),
+            "data_per_trajectory": round(data / STORE_TRAJECTORIES, 1),
+            "held_per_data_byte": round(held / data, 3)}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="suffix every row `@label`")
     parser.add_argument("--scenarios", nargs="+",
-                        choices=["links", "ingest"],
-                        default=["links", "ingest"],
-                        help="the link sweep, the ingest codec, or both")
+                        choices=["links", "ingest", "store"],
+                        default=["links", "ingest", "store"],
+                        help="the link sweep, the ingest codec, the shard "
+                             "store's bytes, or any of them")
     parser.add_argument("--output",
                         help="merge the rows here, keyed by name (e.g. "
                              "benchmarks/results/BENCH_transport.json)")
@@ -206,6 +265,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ms = result[step]
             rows.append([f"{row} {step[:6]}", ms["median"],
                          f"{ms['q1']}-{ms['q3']}"])
+    if "store" in args.scenarios:
+        row = f"shard_store{suffix}"
+        result = _shard_store(available[0])
+        scenarios[row] = {"results": result}
+        rows.append([f"{row} B/traj", result["held_per_trajectory"],
+                     f"data {result['data_per_trajectory']}"])
     os.sched_setaffinity(0, available)
 
     from repro.eval import format_table

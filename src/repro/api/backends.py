@@ -333,7 +333,9 @@ def shard_backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
     return {"family": "description", "name": backend.name,
             "metric": getattr(backend, "metric", "l1"),
             "scale": float(getattr(backend, "scale", 1.0)),
-            "output_dim": backend.output_dim}, {}
+            "output_dim": backend.output_dim,
+            "dtype": (None if backend.dtype is None
+                      else np.dtype(backend.dtype).str)}, {}
 
 
 def restore_backend(meta: Dict, arrays: Dict[str, np.ndarray]):
@@ -343,7 +345,8 @@ def restore_backend(meta: Dict, arrays: Dict[str, np.ndarray]):
         return get_backend(meta["name"])
     if family == "description":
         return BackendDescription(meta["name"], meta["metric"],
-                                  meta["scale"], meta["output_dim"])
+                                  meta["scale"], meta["output_dim"],
+                                  meta.get("dtype"))
     if family == "trajcl":
         from ..core import pipeline_from_state
 

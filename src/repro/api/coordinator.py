@@ -651,10 +651,7 @@ class ClusterCoordinator(ShardMergeMixin):
                 **pack_trajectories(trajectories),
             }
             if self._encoder is not None:
-                vectors = np.asarray(exported[1])
-                # an empty shard exports (0, 0); its file says (0, d)
-                payload["vectors"] = (vectors if len(vectors) else np.empty(
-                    (0, self._encoder.dim), self.backend.dtype))
+                payload["vectors"] = exported[1]
             np.savez_compressed(os.path.join(directory, name), **payload)
             shard_files.append(name)
         backend_meta, backend_arrays = backend_state(self.backend)

@@ -106,7 +106,8 @@ class EmbeddedInputError(ValueError):
 
 
 class NoEncoderError(RuntimeError):
-    """A vector-fed service was asked to embed trajectories itself."""
+    """A vector-fed service was asked for what only its owner has: a
+    model to embed trajectories with, or to snapshot."""
 
 
 class Embedded:
@@ -141,23 +142,29 @@ class Embedded:
 class BackendDescription(SimilarityBackend):
     """What a vector-fed shard knows of its owner's embedding backend.
 
-    ``name``, ``metric``, ``scale`` and ``output_dim`` are all it takes
-    to index and compare vectors; model, weights and embedding cache
-    stay with the owner, which hands every shard :class:`Embedded` input.
+    ``name``, ``metric``, ``scale``, ``output_dim`` and ``dtype`` are all
+    it takes to index and compare vectors; model, weights and embedding
+    cache stay with the owner, which hands every shard :class:`Embedded`
+    input.
     """
 
     kind = EMBEDDING
 
     def __init__(self, name: str, metric: str = "l1", scale: float = 1.0,
-                 output_dim: Optional[int] = None):
+                 output_dim: Optional[int] = None, dtype=None):
         self.name = name
         self.metric = metric
         self.scale = float(scale)
         self._output_dim = output_dim
+        self._dtype = None if dtype is None else np.dtype(dtype)
 
     @property
     def output_dim(self) -> Optional[int]:
         return self._output_dim
+
+    @property
+    def dtype(self) -> Optional[np.dtype]:
+        return self._dtype
 
     def _refuse(self, *_args):
         raise NoEncoderError(

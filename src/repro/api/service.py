@@ -23,6 +23,12 @@ already computed — and then skip only the encode. A service built over a
 :class:`~repro.api.protocols.BackendDescription` is *vector-fed* (every
 shard of a sharded embedding service is): no model, nothing but
 ``Embedded`` input, the vectors kept beside the trajectories.
+
+The database is one :class:`~repro.trajectory.trajectory.Ragged`: each
+``add`` appends its batch as it came — the caller's checked list by
+reference in process, the decoded block behind a wire hop — and a
+vector-fed service keeps the vectors it was handed as they came too, so
+its index holds the only float copy it makes.
 """
 
 from __future__ import annotations
@@ -35,15 +41,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..index.rows import RowStore
 from ..trajectory.trajectory import (
-    TrajectoryLike, as_points_batch, pack_trajectories, unpack_trajectories,
+    Ragged, TrajectoryLike, as_points_batch, pack_trajectories,
+    unpack_trajectories,
 )
 from .backends import backend_state, restore_backend
 from .indexes import get_index
 from .protocols import (
     DISTANCE, EMBEDDING, BackendDescription, Embedded, EmbeddedInputError,
-    Index, SimilarityBackend, as_backend, as_float_array,
+    Index, NoEncoderError, SimilarityBackend, as_backend, as_float_array,
 )
 from .registry import get_backend
 
@@ -68,10 +74,13 @@ def _default_index_for(backend: SimilarityBackend) -> Optional[str]:
     return None  # generic distance backends fall back to a pairwise scan
 
 
-def _as_batch(trajectories) -> List:
-    """A bare (L, 2) array is one trajectory, not L of them."""
+def _as_batch(trajectories) -> Sequence:
+    """A bare (L, 2) array is one trajectory, not L of them; a
+    :class:`Ragged` stays as it is."""
     if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
         return [trajectories]
+    if isinstance(trajectories, Ragged):
+        return trajectories
     return list(trajectories)
 
 
@@ -247,10 +256,11 @@ class SimilarityService:
         self.index = index
 
         self.encoder = CachedEncoder(backend, batch_size, cache_size)
-        self.trajectories: List[np.ndarray] = []
-        #: the vectors behind ``trajectories``, kept only by a vector-fed
-        #: service (anyone else re-derives them through the encoder)
-        self.vectors: Optional[RowStore] = None
+        self.trajectories = Ragged()
+        #: the vectors behind ``trajectories``, one array per add as it
+        #: was handed in, kept only by a vector-fed service (anyone else
+        #: re-derives them through the encoder)
+        self._vectors: List[np.ndarray] = []
         # Held by add / knn / pairwise / stats / save, so the service is
         # safe from any thread; reentrant because knn's scan calls pairwise.
         self._lock = threading.RLock()
@@ -283,19 +293,25 @@ class SimilarityService:
                                                else given)
                     self.index.add(vectors)
                     if self.vector_fed:
-                        if self.vectors is None:
-                            self.vectors = RowStore(
-                                np.empty_like(vectors[:0]))
-                        self.vectors.append(vectors)
+                        self._vectors.append(vectors)
                 else:
                     self.index.add(points)
-            self.trajectories.extend(points)
+            self.trajectories.append(points)
             return self
 
     def __len__(self) -> int:
         return len(self.trajectories)
 
     _as_batch = staticmethod(_as_batch)
+
+    def stored_vectors(self) -> np.ndarray:
+        """The ``(N, d)`` vectors a vector-fed service was handed, in id
+        order (``(0, d)`` before any add)."""
+        if len(self._vectors) == 1:
+            return self._vectors[0]
+        if self._vectors:
+            return np.concatenate(self._vectors)
+        return np.empty((0, self.encoder.dim), self.backend.dtype)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -313,7 +329,7 @@ class SimilarityService:
             raise EmbeddedInputError(
                 f"backend {self.backend.name!r} is a distance backend; it "
                 "compares trajectories, not embeddings")
-        dim = (self.vectors.rows.shape[1] if self.vectors is not None
+        dim = (self._vectors[0].shape[1] if self._vectors
                else self.encoder.dim)
         if dim and items.vectors.shape[1] != dim:
             raise EmbeddedInputError(
@@ -394,7 +410,7 @@ class SimilarityService:
 
                 metric = getattr(self.backend, "metric", "l1")
                 scale = getattr(self.backend, "scale", 1.0)
-                stored = (self.vectors.rows if self.vectors is not None
+                stored = (self.stored_vectors() if self.vector_fed
                           else self.encode_batch(database))
                 return scale * distance.pairwise(
                     self._vectors_of(queries), stored, metric)
@@ -489,8 +505,17 @@ class SimilarityService:
 
         ``include_cache=True`` additionally persists the embedding cache
         (keys + vectors, in LRU order) so a restored service answers its
-        first queries warm instead of re-running the encoder.
+        first queries warm instead of re-running the encoder. A vector-fed
+        service has no model to snapshot: :class:`NoEncoderError`, before
+        anything is written — its owner's snapshot
+        (``ClusterCoordinator.save``) holds the shards.
         """
+        if self.vector_fed:
+            raise NoEncoderError(
+                f"a vector-fed service of backend {self.backend.name!r} holds "
+                "no model to snapshot; save its owner instead "
+                "(ClusterCoordinator.save writes every shard's trajectories "
+                "and vectors)")
         with self._lock:
             backend_meta, backend_arrays = backend_state(self.backend)
             index_meta: Optional[Dict] = None
@@ -551,7 +576,7 @@ class SimilarityService:
             backend=backend, index=index,
             batch_size=meta["batch_size"], cache_size=meta["cache_size"],
         )
-        service.trajectories = trajectories
+        service.trajectories.append(trajectories)
         if index is not None and index.consumes == "trajectories" and not len(index):
             index.add(service.trajectories)
         if meta.get("cache_keys") and _CACHE_VECTORS_KEY in state:

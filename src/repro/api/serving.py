@@ -41,7 +41,7 @@ Encode once: for an embedding backend the tier that owns a request (the
 sharded service here, the cluster coordinator) holds the only model and
 the only embedding cache, a :class:`~repro.api.service.CachedEncoder`.
 It embeds each added trajectory and each query once, and its shards
-store and search *vectors*: a worker is sent a four-field
+store and search *vectors*: a worker is sent a five-field
 :class:`~repro.api.protocols.BackendDescription`, never weights, ``add``
 deals ``(points, vectors)`` and ``knn``/``pairwise`` fan out one
 ``(N, d)`` array. A distance backend is only a name: it travels whole
@@ -150,6 +150,22 @@ def shard_recipe(backend: SimilarityBackend, index: Optional[str],
         "service_kwargs": {"batch_size": batch_size,
                            "cache_size": cache_size},
     }
+
+
+def deal(sizes: Dict[int, int], count: int) -> np.ndarray:
+    """The shard each of ``count`` new trajectories goes to, in order.
+
+    The rule is per item — each to the currently-smallest of ``sizes``'
+    shards, ties to the lower shard id — and so is a merge of every
+    shard's free slots ``(size, shard)``, ``(size + 1, shard)``, ...:
+    the batch takes the ``count`` smallest, in one sort.
+    """
+    shards = np.array(sorted(sizes), dtype=np.int64)
+    start = np.array([sizes[shard] for shard in shards.tolist()],
+                     dtype=np.int64)
+    levels = (start[:, None] + np.arange(count)).ravel()
+    owners = np.repeat(shards, count)
+    return owners[np.lexsort((owners, levels))[:count]]
 
 
 def shard_share(points: List[np.ndarray], vectors, rows=slice(None)):
@@ -499,21 +515,27 @@ class ShardMergeMixin:
                 f"no alive shard workers ({degraded} degraded)")
         return shards
 
+    def _deal_into(self, chunks: Dict, items: List[Tuple]) -> None:
+        """Deal ``(points, global_id)`` items onto the eligible shards by
+        :func:`deal`, counting what ``chunks`` already holds."""
+        sizes = {shard: len(self._shard_ids[shard])
+                 + (len(chunks[shard][1]) if shard in chunks else 0)
+                 for shard in self._eligible_shards()}
+        for (points, global_id), shard in zip(
+                items, deal(sizes, len(items)).tolist()):
+            chunk = chunks.setdefault(shard, ([], []))
+            chunk[0].append(points)
+            chunk[1].append(global_id)
+
     def _add_locked(self, batch: List[np.ndarray], vectors
                     ) -> List[Tuple[int, List[int], List[np.ndarray]]]:
         """Deal, write and commit ``batch``; returns the committed
         ``(shard, global_ids, points)`` chunks. Caller holds ``_rpc_lock``."""
         committed = []
-        eligible = self._eligible_shards()
-        sizes = {s: len(self._shard_ids[s]) for s in eligible}
-        chunks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}
         base = self._size  # global id of the batch's (and vectors') row 0
-        for offset, points in enumerate(batch):
-            shard = min(eligible, key=lambda s: (sizes[s], s))
-            sizes[shard] += 1
-            chunk = chunks.setdefault(shard, ([], []))
-            chunk[0].append(points)
-            chunk[1].append(base + offset)
+        chunks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}
+        self._deal_into(chunks, list(zip(batch, range(base,
+                                                      base + len(batch)))))
         while chunks:
             # (Re)plan against the currently-alive replicas.
             plan: Dict[int, Dict[int, object]] = {}
@@ -534,16 +556,7 @@ class ShardMergeMixin:
                 for shard in orphans:
                     points, ids = chunks.pop(shard)
                     spilled.extend(zip(points, ids))
-                eligible = self._eligible_shards()
-                sizes = {s: len(self._shard_ids[s]) + len(chunks[s][1])
-                         if s in chunks else len(self._shard_ids[s])
-                         for s in eligible}
-                for points, global_id in spilled:
-                    shard = min(eligible, key=lambda s: (sizes[s], s))
-                    sizes[shard] += 1
-                    chunk = chunks.setdefault(shard, ([], []))
-                    chunk[0].append(points)
-                    chunk[1].append(global_id)
+                self._deal_into(chunks, spilled)
                 continue
             replies, refused = self._exchange(
                 {worker: ("add", shares) for worker, shares in plan.items()})

@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..trajectory.trajectory import Ragged
 from .backends import restore_backend
 from .protocols import Embedded
 from .service import SimilarityService
@@ -43,9 +44,9 @@ class Shard:
     Under a distance backend the wire carries trajectories. Built from
     a description the service is vector-fed: ``add`` takes and
     :meth:`export` returns ``(points, vectors)`` and queries arrive as
-    one bare ``(N, d)`` array — plain tuples, lists and arrays, so the
-    codec needs no type of its own for them; a list of trajectories
-    crosses in its dense form (one header, offsets and buffer).
+    one bare ``(N, d)`` array. Trajectories cross as one packed block
+    (one header, offsets and buffer) and the service keeps each block as
+    it arrived, the vectors beside it as views of the same frame.
     """
 
     def __init__(self, backend, index=None, index_kwargs=None,
@@ -85,12 +86,13 @@ class Shard:
 
     def export(self):
         """Everything this shard holds, in the form :meth:`add` takes back
-        — so refilling a replica from it costs no encode."""
-        points = list(self.service.trajectories)
+        — so refilling a replica from it costs no encode. The points are
+        the store's blocks, not its items: the wire writes them as one
+        packed block."""
+        points = Ragged([self.service.trajectories])
         if not self.service.vector_fed:
             return points
-        held = self.service.vectors
-        return points, (held.rows if held is not None else np.empty((0, 0)))
+        return points, self.service.stored_vectors()
 
 
 class _ShardHost:

@@ -34,11 +34,15 @@ A ``list`` of one or more plain ``np.ndarray`` items (exact type) that
 share one dtype, one rank >= 1 and one trailing shape — a batch of
 trajectories, the stack's busiest payload — takes the dense form ``r``:
 one header, one offsets array and one buffer instead of one ``a``
-header per item. It decodes to a ``list`` of zero-copy views of one
-base array, each item's dtype, shape and values as sent. Any other list
-is ``l``. The decoder checks the whole ``r`` header — rank, offsets that
-start at 0, never decrease and fit the payload, a body of exactly
-``last offset x row bytes`` — before it builds the base array.
+header per item. A :class:`~repro.trajectory.trajectory.Ragged` is
+encoded exactly as its list form, each packed block's base written as
+one slice. ``r`` decodes to a read-only ``Ragged`` of one packed block:
+the base array and the offsets are zero-copy views of the payload, and
+an item — its dtype, shape and values as sent — is a view made when it
+is read. Any other list is ``l``. The decoder checks the whole ``r``
+header — rank, offsets that start at 0, never decrease and fit the
+payload, a body of exactly ``last offset x row bytes`` — before it
+builds the base array.
 
 That vocabulary is closed: the set of types it carries is the one
 above, ``r`` being only a denser spelling of a list. A value outside it
@@ -62,6 +66,8 @@ import struct
 from typing import Any, List
 
 import numpy as np
+
+from ..trajectory.trajectory import Ragged
 
 __all__ = [
     "WIRE_VERSION",
@@ -105,6 +111,10 @@ _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
+#: the dtype of ragged offsets (a byte-swapped dtype is a new object per
+#: ``np.dtype`` call, and every decoded block would keep its own)
+_OFFSETS = np.dtype(">u8")
+
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -147,37 +157,38 @@ def _encode_array(array: np.ndarray, out: List[Any]) -> None:
     out.append(_array_body(array))
 
 
-def _is_ragged(items: list) -> bool:
-    """Whether *items* take the dense form: one or more plain arrays of
+def _is_ragged(arrays: list) -> bool:
+    """Whether *arrays* take the dense form: one or more plain arrays of
     one dtype, one rank >= 1 and one trailing shape."""
-    if not items:
+    if not arrays:
         return False
-    first = items[0]
+    first = arrays[0]
     if (type(first) is not np.ndarray or first.ndim == 0
             or not _plain_dtype(first.dtype)):
         return False
     dtype, trailing = first.dtype, first.shape[1:]
     return all(type(item) is np.ndarray and item.dtype == dtype
-               and item.shape[1:] == trailing for item in items)
+               and item.shape[1:] == trailing for item in arrays)
 
 
-def _encode_ragged(items: list, out: List[Any]) -> None:
-    first = items[0]
+def _encode_ragged(arrays: list, lengths, out: List[Any]) -> None:
+    """``r`` of items whose ``lengths`` tile the rows of ``arrays``."""
+    first = arrays[0]
     dtype_str = _dtype_wire_str(first.dtype)
-    offsets = np.zeros(len(items) + 1, dtype=">u8")
-    np.cumsum([len(item) for item in items], out=offsets[1:])
+    offsets = np.zeros(len(lengths) + 1, dtype=_OFFSETS)
+    np.cumsum(lengths, out=offsets[1:])
     out.append(_TAG_RAGGED)
     out.append(_U8.pack(len(dtype_str)))
     out.append(dtype_str)
     out.append(_U8.pack(first.ndim))
     for dim in first.shape[1:]:
         out.append(_U64.pack(dim))
-    out.append(_U32.pack(len(items)))
+    out.append(_U32.pack(len(lengths)))
     out.append(offsets.tobytes())
-    out.append(_U64.pack(sum(item.nbytes for item in items)))
+    out.append(_U64.pack(sum(array.nbytes for array in arrays)))
     # a C-contiguous array is its own raw buffer to ``bytes.join``
-    out.extend(item if item.flags.c_contiguous else _array_body(item)
-               for item in items)
+    out.extend(array if array.flags.c_contiguous else _array_body(array)
+               for array in arrays)
 
 
 def _encode_value(value: Any, out: List[Any], depth: int) -> None:
@@ -231,9 +242,11 @@ def _encode_value(value: Any, out: List[Any], depth: int) -> None:
         out.append(_TAG_BYTES)
         out.append(_U64.pack(len(value)))
         out.append(value)
-    elif type(value) is list:
-        if _is_ragged(value):
-            _encode_ragged(value, out)
+    elif type(value) is list or type(value) is Ragged:
+        arrays = value.arrays() if type(value) is Ragged else value
+        if _is_ragged(arrays):
+            _encode_ragged(arrays, value.lengths() if type(value) is Ragged
+                           else [len(item) for item in value], out)
             return
         out.append(_TAG_LIST)
         out.append(_U32.pack(len(value)))
@@ -283,6 +296,20 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def array(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """The next bytes as an array of ``shape`` over the whole payload's
+        view: no copy, and no buffer slice of its own to keep alive."""
+        start = self.pos
+        count = 1
+        for dim in shape:
+            count *= dim
+        self.take(count * dtype.itemsize)
+        try:
+            return np.ndarray(shape, dtype, buffer=self.view, offset=start)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise WireError(
+                f"array of shape {shape}, dtype {dtype}: {exc}") from exc
+
     def u8(self) -> int:
         return _U8.unpack(self.take(1))[0]
 
@@ -310,6 +337,8 @@ def _read_dtype(reader: _Reader) -> np.dtype:
         raise WireError(f"bad dtype in payload: {text!r}") from exc
     if not _plain_dtype(dtype):
         raise WireError(f"refusing non-plain wire dtype {dtype!r}")
+    if dtype.itemsize == 0:
+        raise WireError(f"refusing zero-itemsize dtype {dtype!r}")
     return dtype
 
 
@@ -332,18 +361,12 @@ def _decode_array(reader: _Reader) -> np.ndarray:
             f"array body of {nbytes} bytes does not match shape "
             f"{shape} of dtype {dtype}"
         )
-    body = reader.take(nbytes)
-    try:
-        # zero-copy: the view aliases the received payload buffer
-        return np.frombuffer(body, dtype=dtype, count=count).reshape(shape)
-    except ValueError as exc:  # zero itemsize, a dimension past ssize_t
-        raise WireError(f"array of shape {shape}, dtype {dtype}: {exc}") from exc
+    # zero-copy: the view aliases the received payload buffer
+    return reader.array(shape, dtype)
 
 
-def _decode_ragged(reader: _Reader) -> List[np.ndarray]:
+def _decode_ragged(reader: _Reader) -> Ragged:
     dtype = _read_dtype(reader)
-    if dtype.itemsize == 0:
-        raise WireError(f"refusing zero-itemsize dtype {dtype!r}")
     rank = reader.u8()
     if not 1 <= rank <= 32:
         raise WireError(f"implausible ragged rank {rank}")
@@ -357,7 +380,7 @@ def _decode_ragged(reader: _Reader) -> List[np.ndarray]:
         raise WireError(
             f"{count + 1} ragged offsets do not fit in the {left} bytes left")
     # a view over bytes known to be there: reading it allocates nothing
-    offsets = np.frombuffer(reader.take(8 * (count + 1)), dtype=">u8")
+    offsets = reader.array((count + 1,), _OFFSETS)
     if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
         raise WireError("ragged offsets must start at 0 and never decrease")
     rows = int(offsets[-1])
@@ -368,16 +391,9 @@ def _decode_ragged(reader: _Reader) -> List[np.ndarray]:
         raise WireError(
             f"ragged body of {nbytes} bytes does not match {rows} rows "
             f"of {row_bytes} bytes")
-    body = reader.take(nbytes)
-    try:
-        base = np.frombuffer(body, dtype=dtype,
-                             count=nbytes // dtype.itemsize)
-        base = base.reshape((rows,) + trailing)
-    except ValueError as exc:  # a dimension past ssize_t
-        raise WireError(
-            f"ragged rows of shape {trailing}, dtype {dtype}: {exc}") from exc
-    bounds = offsets.tolist()
-    return [base[low:high] for low, high in zip(bounds, bounds[1:])]
+    base = reader.array((rows,) + trailing, dtype)
+    base.flags.writeable = False
+    return Ragged([(base, offsets)])
 
 
 def _decode_value(reader: _Reader, depth: int) -> Any:

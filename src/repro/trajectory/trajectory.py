@@ -8,11 +8,16 @@ box, segment lengths) and supports slicing. :func:`as_points` lets public
 APIs accept either form; :func:`as_points_batch` is the same check for a
 whole chunk at once. :func:`pack_trajectories` and
 :func:`unpack_trajectories` are the one way trajectories sit in an
-``.npz``: two arrays, whatever their number.
+``.npz``: two arrays, whatever their number. :class:`Ragged` is the one
+way they sit in memory once they arrived packed: the blocks as they
+came, no per-item object.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections.abc
+import operator
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,15 +40,115 @@ def as_points(trajectory: TrajectoryLike) -> PointArray:
     return points
 
 
-def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> List[PointArray]:
+class Ragged(collections.abc.Sequence):
+    """A sequence of like arrays kept as the blocks they arrived in.
+
+    A block is a ``(base, offsets)`` pair — item ``i`` is the view
+    ``base[offsets[i]:offsets[i + 1]]``, made only when it is read — or a
+    list of arrays, held by reference. The wire decodes a list of like
+    arrays to one packed block and encodes a :class:`Ragged` exactly as
+    its list form, so a store that appends each block as it came copies
+    nothing and keeps no per-item object for what arrived packed.
+    """
+
+    __slots__ = ("blocks", "_ends")
+
+    def __init__(self, blocks: Iterable = ()):
+        self.blocks: List = []
+        self._ends: List[int] = []  # items up to and including each block
+        for block in blocks:
+            self.append(block)
+
+    def append(self, block) -> None:
+        """Append one block (each block of a :class:`Ragged`); an empty
+        block is dropped."""
+        if isinstance(block, Ragged):
+            for inner in block.blocks:
+                self.append(inner)
+            return
+        count = len(block[1]) - 1 if type(block) is tuple else len(block)
+        if count > 0:
+            self.blocks.append(block)
+            self._ends.append(len(self) + count)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("Ragged index out of range")
+        at = bisect.bisect_right(self._ends, position)
+        local = position - (self._ends[at - 1] if at else 0)
+        block = self.blocks[at]
+        if type(block) is list:
+            return block[local]
+        base, offsets = block
+        return base[int(offsets[local]):int(offsets[local + 1])]
+
+    def __iter__(self):
+        for block in self.blocks:
+            if type(block) is list:
+                yield from block
+                continue
+            base, offsets = block
+            bounds = offsets.tolist()
+            for low, high in zip(bounds, bounds[1:]):
+                yield base[low:high]
+
+    def arrays(self) -> List[np.ndarray]:
+        """Arrays whose rows, in order, are every item's rows: the used
+        slice of each packed block, the items of each list block."""
+        out: List[np.ndarray] = []
+        for block in self.blocks:
+            if type(block) is list:
+                out.extend(block)
+            else:
+                base, offsets = block
+                out.append(base[int(offsets[0]):int(offsets[-1])])
+        return out
+
+    def lengths(self) -> np.ndarray:
+        """Every item's length along axis 0, ``int64``."""
+        return np.concatenate([np.zeros(0, np.int64)] + [
+            np.fromiter(map(len, block), np.int64, len(block))
+            if type(block) is list else np.diff(block[1]).astype(np.int64)
+            for block in self.blocks])
+
+
+def _packed_points(block) -> bool:
+    """Whether ``block`` is a packed block of valid trajectories: float64
+    ``(P, 2)`` rows, every item at least one point, all finite — checked
+    in one pass over its base."""
+    if type(block) is not tuple:
+        return False
+    base, offsets = block
+    return (base.dtype == np.float64 and base.ndim == 2
+            and base.shape[1] == 2 and bool((np.diff(offsets) >= 1).all())
+            and bool(np.isfinite(
+                base[int(offsets[0]):int(offsets[-1])]).all()))
+
+
+def as_points_batch(trajectories: Sequence[TrajectoryLike]
+                    ) -> Union[List[PointArray], Ragged]:
     """:func:`as_points` of every item, paying one finiteness reduction for
     the whole batch instead of one per trajectory.
 
-    Items are coerced and shape-checked one by one, then all their points
-    are checked in one pass. Anything short of a clean batch re-runs the
-    per-item loop, so the error raised is exactly the one
-    :func:`as_points` raises for the first offending item.
+    A :class:`Ragged` of packed blocks is checked in one pass over each
+    base and comes back as it is. Otherwise items are coerced and
+    shape-checked one by one, then all their points are checked in one
+    pass. Anything short of a clean batch re-runs the per-item loop, so
+    the error raised is exactly the one :func:`as_points` raises for the
+    first offending item.
     """
+    if isinstance(trajectories, Ragged):
+        if all(map(_packed_points, trajectories.blocks)):
+            return trajectories
+        trajectories = list(trajectories)
     try:
         batch = [
             t.points if isinstance(t, Trajectory)
@@ -69,9 +174,11 @@ def pack_trajectories(batch: Sequence[TrajectoryLike],
     longer depends on how many trajectories it holds.
     """
     batch = as_points_batch(batch)
-    lengths = [len(points) for points in batch]
-    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-    points = np.concatenate(batch) if batch else np.empty((0, 2))
+    if not isinstance(batch, Ragged):
+        batch = Ragged([batch])
+    offsets = np.concatenate(([0], np.cumsum(batch.lengths())))
+    arrays = batch.arrays()
+    points = np.concatenate(arrays) if arrays else np.empty((0, 2))
     return {prefix + "points": points, prefix + "offsets": offsets}
 
 

@@ -401,6 +401,26 @@ def test_snapshot_rejoin_encodes_nothing(tmp_path_factory, database, later):
         assert cluster.backend.model.rows == before
 
 
+def test_a_cluster_with_an_empty_shard_round_trips_its_snapshot(tmp_path):
+    snapshot = str(tmp_path / "snapshot")
+    database = make_trajectories(n=2, seed=4)
+    with Cluster(3) as cluster:
+        cluster.coordinator.add(database)
+        assert cluster.coordinator.shard_sizes == [1, 1, 0]
+        expected = (cluster.coordinator.knn(database, k=2),
+                    cluster.coordinator.pairwise(database))
+        cluster.coordinator.save(snapshot)
+    with np.load(os.path.join(snapshot, "shard_0002.npz")) as archive:
+        # the empty shard exports (0, d) rows of the backend's dtype
+        assert archive["vectors"].shape == (0, CountingModel.output_dim)
+        assert archive["vectors"].dtype == np.float64
+    with loaded(snapshot, 3) as (coordinator, backend):
+        assert backend.model.rows == 0
+        assert coordinator.shard_sizes == [1, 1, 0]
+        assert_same_bits(coordinator.knn(database, k=2), expected[0])
+        assert_same_bits(coordinator.pairwise(database), expected[1])
+
+
 def rewritten(path, **changes):
     """Rewrite one ``.npz`` with members replaced (``None`` drops one)."""
     with np.load(path) as archive:
@@ -461,7 +481,8 @@ def test_vector_fed_add_refuses_bad_rows_before_touching_the_index(vectors):
     points = [np.zeros((2, 2)), np.ones((3, 2))]
     with pytest.raises(EmbeddedInputError):
         service.add(Embedded(vectors, points))
-    assert len(service) == len(service.index) == len(service.vectors) == 2
+    assert (len(service) == len(service.index)
+            == len(service.stored_vectors()) == 2)
 
 
 @GENERATED

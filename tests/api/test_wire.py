@@ -6,6 +6,7 @@ pickle blobs fail at the receiver without running), malformed-payload
 rejection (every prefix and bit flip is a typed error, never a truncated
 ``np.frombuffer``)."""
 
+import hashlib
 import pickle
 import struct
 import tracemalloc
@@ -19,6 +20,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from repro.api import wire
 from repro.api.transport import FrameError, decode_payload
 from repro.api.wire import WireError
+from repro.trajectory.trajectory import Ragged
 
 
 def round_trip(message):
@@ -208,10 +210,19 @@ class TestRaggedForm:
         payload = wire.encode(items)
         assert payload[1:2] == b"r"
         result = wire.decode(payload)
-        assert type(result) is list
+        assert type(result) is Ragged and len(result.blocks) == 1
         assert_same(result, items)
         base = result[0].base
         assert all(item.base is base for item in result)
+        assert not base.flags.writeable
+
+    def test_a_block_encodes_as_its_list_form(self):
+        items = [np.arange(6.0).reshape(3, 2), np.empty((0, 2)),
+                 np.arange(8.0).reshape(4, 2)]
+        block = wire.decode(wire.encode(items))
+        store = Ragged([block, [np.ones((2, 2))], block])
+        for value in (block, store, Ragged()):
+            assert wire.encode(value) == wire.encode(list(value))
 
     @pytest.mark.parametrize("items", [
         [],
@@ -445,7 +456,11 @@ trees = st.recursive(
 
 
 def assert_same(got, want):
-    """Equality in value *and* type/dtype/shape; NaN equals itself."""
+    """Equality in value *and* type/dtype/shape; NaN equals itself. A
+    list of like arrays comes back as the one packed block of them."""
+    if type(got) is Ragged:
+        assert type(want) is list and wire._is_ragged(want)
+        got = list(got)
     assert type(got) is type(want)
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -479,6 +494,21 @@ KNN_REQUEST = ("knn", ([np.arange(6, dtype=np.float64).reshape(3, 2)],
 INGEST_SHARE = ("add", {1: ([np.arange(6, dtype=np.float64).reshape(3, 2),
                              np.arange(2, dtype=np.float64).reshape(1, 2)],
                             np.ones((2, 4), dtype=np.float32))})
+
+
+@pytest.mark.parametrize("message, digest", [
+    (KNN_REQUEST,
+     "fda12fc68736832549df00c1afc30b50ca69440a32d74fcf0ea5a1960b8d2aad"),
+    (INGEST_SHARE,
+     "c7c4b9090c3ce32fa86414da0b876a10ea5e9f907028da97901afba8c386c993"),
+], ids=["knn_request", "ingest_share"])
+def test_the_busiest_frames_keep_their_bytes(message, digest):
+    # pinned when decode began returning packed blocks: what a peer of
+    # either build sends is byte for byte what it sent before, and so is
+    # a decoded frame sent on again
+    payload = wire.encode(message)
+    assert hashlib.sha256(payload).hexdigest() == digest
+    assert wire.encode(wire.decode(payload)) == payload
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -18,6 +18,7 @@ from repro.trajectory import (
     point_segment_distance,
     resample_to_length,
 )
+from repro.trajectory.trajectory import Ragged, pack_trajectories
 
 RNG = np.random.default_rng(3)
 
@@ -140,6 +141,53 @@ class TestAsPointsBatch:
         for item in batch:
             as_points(item)
         assert len(calls) == 300
+
+
+def packed(batch):
+    """``batch`` as one packed block: one base, offsets, no items."""
+    lengths = [len(item) for item in batch]
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(">u8")
+    return Ragged([(np.concatenate(batch), offsets)])
+
+
+class TestPackedBlocks:
+    """A :class:`Ragged` of packed blocks is checked in one pass over its
+    base, refused exactly as its list form is, and packs as its list form."""
+
+    def test_a_clean_block_comes_back_as_itself(self, monkeypatch):
+        block = packed([random_walk(n, seed=n) for n in range(1, 300)])
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(
+            np, "isfinite",
+            lambda *args, **kwargs: calls.append(1) or isfinite(*args, **kwargs))
+        assert as_points_batch(block) is block
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["nan beyond max_len",
+                                      "inf beyond max_len",
+                                      "empty trajectory",
+                                      "one bad among 300"])
+    def test_a_bad_block_raises_what_its_list_form_raises(self, name):
+        batch = bad_batches()[name]
+        with pytest.raises(ValueError) as raised:
+            as_points_batch(packed(batch))
+        assert str(raised.value) == first_error(batch)
+
+    def test_a_float32_block_is_converted_like_its_list_form(self):
+        batch = [random_walk(n, seed=n).astype(np.float32) for n in (3, 5)]
+        got = as_points_batch(packed(batch))
+        assert [item.tobytes() for item in got] == [
+            as_points(item).tobytes() for item in batch]
+
+    def test_packing_a_store_of_blocks_is_packing_its_list_form(self):
+        walks = [random_walk(n, seed=n) for n in (1, 4, 9, 2)]
+        store = Ragged([packed(walks[:2]), walks[2:3], packed(walks[3:])])
+        assert len(store) == 4 and store[-2] is walks[2]
+        assert [item.tobytes() for item in store] == [
+            item.tobytes() for item in walks]
+        for key, value in pack_trajectories(store).items():
+            assert value.tobytes() == pack_trajectories(walks)[key].tobytes()
 
 
 class TestTrajectory:
