@@ -55,7 +55,8 @@ cluster-smoke:
 # Fault-tolerance smoke: three real worker processes behind a
 # replication=2 coordinator; SIGKILLs one mid-traffic (kNN must stay
 # bit-exact with zero failed queries), rejoins a replacement, then
-# reruns traffic under a seeded ChaosTransport drop/latency schedule.
+# reruns traffic under a seeded ChaosTransport drop/latency schedule
+# (the test harness in tests/chaos.py wraps every link).
 chaos-smoke:
 	$(PYTHON) scripts/chaos_smoke.py
 

@@ -11,10 +11,10 @@ processes:
 3. boots a replacement process, ``rejoin``\\ s it under the dead
    worker's id, and verifies the cluster reports fully healthy again
    (all shards back to R healthy replicas) with parity intact;
-4. re-fronts the same workers through a seeded
-   :class:`~repro.api.chaos.ChaosTransport` schedule (connection drops +
-   latency spikes on every link) and demands the same: injected faults,
-   zero failed queries, exact answers.
+4. re-fronts the same workers through the test harness's
+   ``ChaosCoordinator`` (``tests/chaos.py``): a seeded schedule of
+   connection drops and latency spikes on every link, and demands the
+   same — injected faults, zero failed queries, exact answers.
 
 Everything is deterministic — fixed data seed, fixed chaos seed — so a
 run that passes once passes forever.
@@ -29,13 +29,11 @@ from smoke_common import (TIMEOUT, fail, popen, repo_root, terminate,
                           wait_for_ready)
 
 sys.path.insert(0, os.path.join(repo_root(), "src"))
+sys.path.insert(0, repo_root())  # the fault-injection harness, tests/chaos.py
 
 N_WORKERS = 3
 KILL_AT = 8          # query index at which worker 1 is SIGKILLed
 ROUNDS = 20
-# Seeded so the schedule is reproducible: drops land on query traffic
-# (handled by replica failover), never on the join handshake.
-CHAOS_SPEC = "seed=4,drop=0.04,latency=0.3:2"
 
 
 def boot_worker(python, tmp, name):
@@ -57,6 +55,12 @@ def main() -> int:
     import tempfile
 
     from repro.api import ClusterCoordinator, SimilarityService
+    from tests.chaos import ChaosConfig, ChaosCoordinator
+
+    # Seeded so the schedule is reproducible: drops land on query traffic
+    # (handled by replica failover), never on the join handshake.
+    chaos = ChaosConfig(seed=4, drop_rate=0.04, latency_rate=0.3,
+                        latency_ms=2.0)
 
     python = sys.executable
     rng = np.random.default_rng(0)
@@ -120,9 +124,9 @@ def main() -> int:
             cluster = None
 
             # -- phase 4: seeded chaos schedule on every link --
-            cluster = ClusterCoordinator(
-                [addresses[0], address, addresses[2]], backend="hausdorff",
-                replication=2, heartbeat_interval=0, chaos=CHAOS_SPEC)
+            cluster = ChaosCoordinator(
+                chaos, [addresses[0], address, addresses[2]],
+                backend="hausdorff", replication=2, heartbeat_interval=0)
             cluster.add(trajectories)
             failures = 0
             for round_number in range(12):
@@ -134,18 +138,18 @@ def main() -> int:
                     failures += 1
                     continue
                 expect_parity(got, expected, f"chaos query {round_number}")
-            chaos = cluster.stats().get("chaos") or {}
+            injected = cluster.stats()["chaos"]
             if failures:
                 return fail(f"chaos-smoke: {failures} failed queries under "
-                            f"chaos '{CHAOS_SPEC}' (expected zero)")
-            if not chaos.get("operations"):
+                            f"{chaos} (expected zero)")
+            if not injected["operations"]:
                 return fail("chaos-smoke: chaos stats recorded no "
                             "operations — injection was not armed")
-            if not chaos.get("drops"):
+            if not injected["drops"]:
                 return fail("chaos-smoke: the seeded schedule injected no "
                             "connection drops — nothing was survived")
-            print(f"chaos-smoke: 12 queries exact under chaos "
-                  f"'{CHAOS_SPEC}' (injected: {chaos})", flush=True)
+            print(f"chaos-smoke: 12 queries exact under {chaos} "
+                  f"(injected: {injected})", flush=True)
             cluster.close(shutdown_workers=True)
             cluster = None
 

@@ -41,8 +41,7 @@ process loads only what it runs:
 * :mod:`repro.api.coordinator` — the cluster's owner
   (:class:`ClusterCoordinator` over N :class:`ShardWorker` servers, with
   N-way replication, heartbeats, failover, automatic
-  rejoin/re-replication and sharded snapshots — :mod:`repro.api.chaos`
-  fault-injects that stack deterministically);
+  rejoin/re-replication and sharded snapshots);
 * :mod:`repro.api.gateway` — the HTTP/JSON edge
   (:class:`SimilarityGateway` over any of the above, with rate limiting,
   deadlines, load shedding and a Prometheus ``/metrics`` endpoint).
@@ -72,7 +71,6 @@ _EXPORTS = {
     "transport": ("RemoteCallError", "ServiceNode", "SocketTransport",
                   "TransientError", "Transport", "TransportClosed",
                   "TransportError"),
-    "chaos": ("ChaosConfig", "ChaosTransport"),
     "remote": ("RemoteSimilarityClient", "SimilarityServer"),
     "cluster": ("ShardWorker",),
     "coordinator": ("ClusterCoordinator",),
@@ -117,8 +115,6 @@ __all__ = [
     "TransportClosed",
     "TransientError",
     "RemoteCallError",
-    "ChaosConfig",
-    "ChaosTransport",
     "SocketTransport",
     "ServiceNode",
     "SimilarityServer",
@@ -130,9 +126,9 @@ __all__ = [
 
 # PEP 562 (see :mod:`repro._lazy`): a process imports what it serves. A
 # shard worker that takes ``repro.api.cluster`` pays for no engine, query
-# queue, remote client or coordinator, no HTTP gateway (``http.server``,
-# ``ssl``) and no fault injection (``chaos``); one fed vectors never
-# loads the model code either. The stock backends register
+# queue, remote client or coordinator and no HTTP gateway
+# (``http.server``, ``ssl``); one fed vectors never loads the model code
+# either. The stock backends register
 # themselves when the registry is first asked
 # (:func:`repro.api.registry.backend_spec`), not here.
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, ("wire",))

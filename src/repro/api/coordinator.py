@@ -50,11 +50,6 @@ shard (ties broken by shard id — identical to round-robin when
 balanced), which doubles as skew-triggered rebalancing when shards drift
 apart.
 
-Fault injection: pass ``chaos=`` (a :class:`~repro.api.chaos.ChaosConfig`
-or a ``"seed=7,drop=0.05"`` spec string) and every worker link is wrapped
-in a deterministic :class:`~repro.api.chaos.ChaosTransport`; the CLI
-exposes this as ``repro cluster --chaos``.
-
 Sharded snapshots: :meth:`ClusterCoordinator.save` writes one ``.npz``
 per shard (ids, trajectories and, under an embedding backend, vectors)
 plus a JSON manifest (shard count, backend config, index kind, format
@@ -81,9 +76,7 @@ import json
 import os
 import threading
 from collections import deque
-from typing import (
-    TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -102,9 +95,6 @@ from .transport import (
     request,
 )
 
-if TYPE_CHECKING:
-    from .chaos import ChaosConfig
-
 __all__ = ["ClusterCoordinator", "SNAPSHOT_FORMAT_VERSION", "MANIFEST_NAME"]
 
 #: version stamp of the sharded snapshot layout (manifest + shard files)
@@ -113,6 +103,10 @@ MANIFEST_NAME = "manifest.json"
 _BACKEND_FILE = "backend.npz"
 _SHARD_FILE = "shard_{:04d}.npz"
 _SNAPSHOT_KIND = "repro-cluster-snapshot"
+#: committed adds one dead replica of one shard may miss before its
+#: catch-up log is dropped (rejoin then needs a replica or a snapshot
+#: that covers the shard)
+CATCHUP_LIMIT = 4096
 
 
 class _ClusterLink(_WorkerLink):
@@ -145,9 +139,8 @@ class ClusterCoordinator(ShardMergeMixin):
     merge per-shard top-k — bit-identical to a single
     :class:`~repro.api.service.SimilarityService` for exact shard
     indexes, recall-≥ for IVF. What this class adds to the engine is
-    what TCP and a fleet need: connecting with retries, ``chaos``, the
-    heartbeat, re-replication, :meth:`rejoin`, :meth:`save` /
-    :meth:`load`.
+    what TCP and a fleet need: connecting with retries, the heartbeat,
+    re-replication, :meth:`rejoin`, :meth:`save` / :meth:`load`.
 
     ``heartbeat_interval > 0`` starts a background pinger; a worker whose
     process or link has died (pings answer lock-free on the worker, so a
@@ -178,9 +171,6 @@ class ClusterCoordinator(ShardMergeMixin):
         connect_retries: int = 5,
         retry_wait: float = 0.1,
         shutdown_workers_on_close: bool = False,
-        chaos: Union[ChaosConfig, str, None] = None,
-        catchup_limit: int = 4096,
-        rereplicate: bool = True,
     ):
         addresses = [parse_address(worker) for worker in workers]
         if not addresses:
@@ -194,22 +184,13 @@ class ClusterCoordinator(ShardMergeMixin):
         self.shutdown_workers_on_close = bool(shutdown_workers_on_close)
         self._connect_retries = int(connect_retries)
         self._connect_wait = float(retry_wait)
-        self._rereplicate_enabled = bool(rereplicate)
         self._rereplications = 0
-        self._catchup_limit = int(catchup_limit)
         #: ``(worker, shard)`` -> the ``(global_id, points, vector-or-None)``
         #: adds committed while that replica was down, replayed on rejoin
         self._catchup: Dict[Tuple[int, int], deque] = {}
-        #: ``(worker, shard)`` logs that overflowed ``catchup_limit``
+        #: ``(worker, shard)`` logs that overflowed :data:`CATCHUP_LIMIT`
         #: (replay no longer possible)
         self._catchup_overflow: Set[Tuple[int, int]] = set()
-        if isinstance(chaos, str):
-            # fault injection loads only where it is asked for
-            from .chaos import ChaosConfig
-
-            chaos = ChaosConfig.from_spec(chaos)
-        self._chaos = chaos
-        self._chaos_children = 0
         self._last_snapshot: Optional[str] = None
         self._stop = threading.Event()
         self._heartbeat_thread: Optional[threading.Thread] = None
@@ -242,18 +223,9 @@ class ClusterCoordinator(ShardMergeMixin):
             close_quietly(link.heartbeat)
 
     def _new_transport(self, address: Tuple[str, int]):
-        transport = SocketTransport.connect(
+        return SocketTransport.connect(
             *address, retries=self._connect_retries,
             retry_wait=self._connect_wait)
-        if self._chaos is not None and self._chaos.active:
-            from .chaos import ChaosTransport
-
-            # Distinct per-connection seed: the fault schedules of
-            # different links are decorrelated but still reproducible.
-            self._chaos_children += 1
-            transport = ChaosTransport(
-                transport, self._chaos.spawn(self._chaos_children))
-        return transport
 
     @property
     def degraded_shards(self) -> List[int]:
@@ -307,7 +279,7 @@ class ClusterCoordinator(ShardMergeMixin):
                         # this thread; that hangup is not a worker death.
                         return
                     self._degrade(link, f"heartbeat failed: {error}")
-            if self._rereplicate_enabled and not self._stop.is_set():
+            if not self._stop.is_set():
                 try:
                     self._rereplicate_once()
                 except Exception:
@@ -409,7 +381,7 @@ class ClusterCoordinator(ShardMergeMixin):
             return
         log = self._catchup.setdefault(key, deque())
         for entry in missed:
-            if len(log) >= self._catchup_limit:
+            if len(log) >= CATCHUP_LIMIT:
                 # Overflow: the tail is no longer complete, so replay is
                 # off the table — drop the log (rejoin falls back to a
                 # replica export or a full-coverage snapshot).
@@ -582,9 +554,8 @@ class ClusterCoordinator(ShardMergeMixin):
 
     def stats(self) -> Dict:
         """The engine's report plus what only a cluster has: the
-        ``"catchup"`` backlog of each dead ``"worker_links"`` entry, the
-        count of background ``"rereplications"`` and, under fault
-        injection, the ``"chaos"`` tallies."""
+        ``"catchup"`` backlog of each dead ``"worker_links"`` entry and
+        the count of background ``"rereplications"``."""
         result = super().stats()
         for entry in result["worker_links"]:
             if not entry["alive"]:
@@ -593,22 +564,7 @@ class ClusterCoordinator(ShardMergeMixin):
                     for (worker, _), log in list(self._catchup.items())
                     if worker == entry["worker"])
         result["rereplications"] = self._rereplications
-        if self._chaos:
-            result["chaos"] = self._chaos_stats()
         return result
-
-    def _chaos_stats(self) -> Dict:
-        from .chaos import ChaosTransport
-
-        total = {"drops": 0, "truncations": 0, "latency": 0, "kills": 0,
-                 "operations": 0}
-        for link in self._links:
-            for transport in (link.transport, link.heartbeat):
-                if isinstance(transport, ChaosTransport):
-                    for key, value in transport.injected.items():
-                        total[key] += value
-                    total["operations"] += transport.operations
-        return total
 
     # ------------------------------------------------------------------
     # Sharded snapshots

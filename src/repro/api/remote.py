@@ -186,9 +186,10 @@ class RemoteSimilarityClient:
     Thread-safe: one request/response exchange at a time per client.
 
     A connection reset *between* requests (the server restarted, an idle
-    socket was reaped, a chaos drop) is retried once transparently on a
-    fresh connection after a jittered backoff; ``stats()["retries"]``
-    counts these. A failure after part of a reply arrived
+    socket was reaped, a :class:`~repro.api.transport.TransientError`) is
+    retried once transparently on a fresh connection after a jittered
+    backoff; ``stats()["retries"]`` counts these. A failure after part of
+    a reply arrived
     (:class:`~repro.api.transport.FrameError`) is never retried — the
     exchange's outcome is unknowable, so it propagates.
     """

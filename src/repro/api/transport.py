@@ -80,11 +80,13 @@ class TransportClosed(TransportError):
 
 
 class TransientError(TransportError):
-    """A failure that is expected to clear on retry (reset, injected drop).
+    """A failure that is expected to clear on retry (a reset link).
 
-    The chaos harness raises this for injected connection drops, and
-    retry layers (the remote client's single retry, the coordinator's
-    replica failover) treat it exactly like :class:`TransportClosed`:
+    No transport here raises it; one that wraps another does when its
+    link dropped between frames (the test suite's fault injector does,
+    for injected drops and kills). Retry layers (the remote client's
+    single retry, the coordinator's replica failover) treat it exactly
+    like :class:`TransportClosed`:
     the exchange died *between* frames, so repeating it elsewhere — or
     on a fresh connection — is safe. Contrast :class:`FrameError`,
     which means a reply was partially consumed and must never be

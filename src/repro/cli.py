@@ -358,7 +358,6 @@ def cmd_cluster(args) -> int:
 
     database = load_trajectories(args.data)
     workers = [w.strip() for w in args.workers.split(",") if w.strip()]
-    chaos_note = f", chaos '{args.chaos}'" if args.chaos else ""
     with ExitStack() as stack:
         cluster = stack.enter_context(ClusterCoordinator(
             workers, replication=args.replication,
@@ -366,13 +365,13 @@ def cmd_cluster(args) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             connect_retries=args.connect_retries, retry_wait=args.retry_wait,
             shutdown_workers_on_close=args.shutdown_workers,
-            chaos=args.chaos, **_service_options(args, database)))
+            **_service_options(args, database)))
         cluster.add(database)
         return _serve(
             args, stack, cluster, SimilarityServer,
             f"cluster front-end: backend {cluster.backend.name}, "
             f"{len(database)} trajectories over {len(workers)} worker(s) "
-            f"(replication={args.replication}{chaos_note}), serving on ")
+            f"(replication={args.replication}), serving on ")
 
 
 # ----------------------------------------------------------------------
@@ -560,10 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replication", type=int, default=1,
                    help="replicas per logical shard (N-way replication: a "
                         "worker death costs capacity, never data)")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="deterministic fault injection on every worker "
-                        "link, e.g. 'seed=7,drop=0.05,latency=0.1:20,"
-                        "kill=100' (smoke/soak testing)")
     p.set_defaults(func=cmd_cluster)
     return parser
 

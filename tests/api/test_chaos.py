@@ -1,14 +1,12 @@
-"""Tests for the fault-injection harness (repro.api.chaos) and the
-retry behaviour it exists to exercise: the chaos config/spec surface,
-deterministic injection, the transport-level failure taxonomy
-(TransientError vs FrameError), the remote client's transparent single
-retry, and a chaos-wrapped cluster still answering exactly."""
+"""Tests for the fault-injection harness (tests/chaos.py) and the
+retry behaviour it exists to exercise: the chaos config, deterministic
+injection, the transport-level failure taxonomy (TransientError vs
+FrameError), the remote client's transparent single retry, and a
+chaos-wrapped cluster still answering exactly."""
 
 import pytest
 
 from repro.api import (
-    ChaosConfig,
-    ChaosTransport,
     ClusterCoordinator,
     RemoteSimilarityClient,
     ShardWorker,
@@ -18,6 +16,7 @@ from repro.api import (
 )
 from repro.api.transport import FrameError
 
+from ..chaos import ChaosConfig, ChaosCoordinator, ChaosTransport
 from .test_registry import make_trajectories
 
 
@@ -60,20 +59,7 @@ class _ScriptedTransport:
 
 
 class TestChaosConfig:
-    def test_spec_round_trip(self):
-        config = ChaosConfig.from_spec(
-            "seed=7, drop=0.05, truncate=0.01, latency=0.1:20, kill=100")
-        assert config.seed == 7
-        assert config.drop_rate == 0.05
-        assert config.truncate_rate == 0.01
-        assert config.latency_rate == 0.1
-        assert config.latency_ms == 20.0
-        assert config.kill_after == 100
-        assert config.active
-
-    def test_spec_rejects_unknown_keys_and_bad_rates(self):
-        with pytest.raises(ValueError, match="unknown chaos spec key"):
-            ChaosConfig.from_spec("dorp=0.1")
+    def test_rejects_bad_rates_and_kill_after(self):
         with pytest.raises(ValueError, match="drop_rate"):
             ChaosConfig(drop_rate=1.5)
         with pytest.raises(ValueError, match="kill_after"):
@@ -187,13 +173,13 @@ class TestClusterChaos:
     def test_chaos_wrapped_cluster_stays_exact(self, single_service,
                                                trajectories):
         """Latency-only chaos on every worker link: answers stay
-        bit-exact and the coordinator aggregates injection counters."""
+        bit-exact and the harness sums the injection counters."""
         workers = [ShardWorker(), ShardWorker()]
         try:
-            with ClusterCoordinator(
+            with ChaosCoordinator(
+                    ChaosConfig(seed=11, latency_rate=0.5, latency_ms=1.0),
                     [w.address for w in workers], backend="hausdorff",
-                    heartbeat_interval=0,
-                    chaos="seed=11,latency=0.5:1") as cluster:
+                    heartbeat_interval=0) as cluster:
                 cluster.add(trajectories)
                 expected = single_service.knn(trajectories[:3], k=4)
                 got = cluster.knn(trajectories[:3], k=4)

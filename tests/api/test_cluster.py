@@ -20,11 +20,13 @@ from repro.api import (
     QueryQueue,
     RemoteCallError,
     RemoteSimilarityClient,
+    ShardLostError,
     ShardWorker,
     SimilarityServer,
     SimilarityService,
     get_backend,
 )
+from repro.api import coordinator
 from repro.api.cluster import SNAPSHOT_FORMAT_VERSION
 from repro.api.transport import SocketTransport, request
 from repro.trajectory import unpack_trajectories
@@ -510,8 +512,6 @@ class TestReplication:
                 replacement.close()
 
     def test_lost_shard_raises_shard_lost_error(self, trio, trajectories):
-        from repro.api import ShardLostError
-
         with make_cluster(trio, replication=2) as cluster:
             cluster.add(trajectories)
             # shard 1 lives on workers 1 and 2 (ring placement).
@@ -523,7 +523,7 @@ class TestReplication:
             assert 1 in stats["degraded"]
 
     def test_snapshot_plus_catchup_restores_a_lost_shard(
-            self, trio, single_service, trajectories, tmp_path):
+            self, trio, single_service, trajectories, tmp_path, monkeypatch):
         with make_cluster(trio, replication=2) as cluster:
             cluster.add(trajectories[:12])
             cluster.save(str(tmp_path / "snap"))
@@ -543,6 +543,28 @@ class TestReplication:
                 assert got[1].tobytes() == expected[1].tobytes()
             finally:
                 replacement.close()
+        # A log that would outgrow CATCHUP_LIMIT is dropped, not cut: a
+        # replica that missed 3 adds per shard under a limit of 2 has no
+        # backlog, and the snapshot alone cannot restore shard 1.
+        monkeypatch.setattr(coordinator, "CATCHUP_LIMIT", 2)
+        four = [ShardWorker() for _ in range(4)]  # three and a replacement
+        try:
+            with make_cluster(four[:3], replication=2) as cluster:
+                cluster.add(trajectories[:9])
+                cluster.save(str(tmp_path / "short"))
+                four[1].close()
+                cluster.knn(trajectories[0], k=1)  # notice the death
+                cluster.add(trajectories[9:])      # 3 per shard
+                dead = [entry for entry in cluster.stats()["worker_links"]
+                        if not entry["alive"]]
+                assert [entry["catchup"] for entry in dead] == [0]
+                four[2].close()
+                with pytest.raises(ShardLostError,
+                                   match="3 of 6 trajectories recoverable"):
+                    cluster.rejoin(1, address=four[3].address)
+        finally:
+            for worker in four:
+                worker.close()
 
     def test_background_rereplication_heals_the_copy_count(
             self, single_service, trajectories):
@@ -623,8 +645,7 @@ class TestFailoverEdgeCases:
             with ClusterCoordinator([w.address for w in four],
                                     backend="hausdorff", replication=2,
                                     heartbeat_interval=0.1,
-                                    heartbeat_timeout=1.0,
-                                    rereplicate=False) as cluster:
+                                    heartbeat_timeout=1.0) as cluster:
                 cluster.add(trajectories)
                 four[1].close()
                 four[3].close()

@@ -1,7 +1,7 @@
-"""Deterministic fault injection for the serving stack.
+"""Deterministic fault injection for the serving stack's tests.
 
 Robustness claims are only as good as the failures they were tested
-against, so this module makes failures *reproducible*: a
+against, so this harness makes failures *reproducible*: a
 :class:`ChaosTransport` wraps any :class:`~repro.api.transport.Transport`
 and, driven by a seeded :class:`random.Random`, injects
 
@@ -18,21 +18,23 @@ and, driven by a seeded :class:`random.Random`, injects
   coordinator's side of the socket.
 
 Same seed, same call sequence → same faults, so a test that survived a
-chaos schedule once survives it forever. The cluster CLI exposes this as
-``repro cluster --chaos "seed=7,drop=0.05"`` (see :meth:`ChaosConfig.from_spec`);
-:class:`~repro.api.coordinator.ClusterCoordinator` accepts ``chaos=`` and
-wraps every worker link, deriving a distinct per-link seed so the fault
-schedules of different workers are decorrelated but still reproducible.
+chaos schedule once survives it forever. :class:`ChaosCoordinator` is a
+:class:`~repro.api.coordinator.ClusterCoordinator` whose every worker
+link is wrapped, each with its own child seed, so the fault schedules of
+different links are decorrelated but still reproducible.
 
-Quickstart::
+This module imports numpy and ``repro`` only (no pytest), so
+``scripts/chaos_smoke.py`` (``make chaos-smoke``) runs it too::
 
-    from repro.api.chaos import ChaosConfig, ChaosTransport
+    from tests.chaos import ChaosConfig, ChaosCoordinator, ChaosTransport
 
     config = ChaosConfig(seed=7, drop_rate=0.05, latency_rate=0.1,
                          latency_ms=5.0)
     flaky = ChaosTransport(transport, config)     # quacks like Transport
     flaky.send(("ping", None))                    # may raise TransientError
     flaky.stats()["chaos"]                        # injection counters
+    cluster = ChaosCoordinator(config, addresses, backend="hausdorff")
+    cluster.stats()["chaos"]                      # summed over every link
 """
 
 from __future__ import annotations
@@ -40,11 +42,17 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from .transport import FrameError, TransientError, TransportClosed, close_quietly
+from repro.api.coordinator import ClusterCoordinator
+from repro.api.transport import (
+    FrameError,
+    TransientError,
+    TransportClosed,
+    close_quietly,
+)
 
-__all__ = ["ChaosConfig", "ChaosTransport"]
+__all__ = ["ChaosConfig", "ChaosCoordinator", "ChaosTransport"]
 
 
 @dataclass(frozen=True)
@@ -80,42 +88,6 @@ class ChaosConfig:
         # apart, and the same (seed, n) always lands on the same child.
         child = (self.seed * 0x9E3779B1 + n * 0x85EBCA77 + 1) % (1 << 63)
         return replace(self, seed=child)
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "ChaosConfig":
-        """Parse the CLI form: ``"seed=7,drop=0.05,latency=0.1:20,kill=100"``.
-
-        Keys: ``seed`` (int), ``drop`` / ``truncate`` (probability),
-        ``latency`` (``rate`` or ``rate:ms``), ``kill`` (operation
-        count). Unknown keys raise — a typo must not silently disable
-        the fault it meant to enable.
-        """
-        kwargs: Dict = {}
-        for part in filter(None, (p.strip() for p in spec.split(","))):
-            if "=" not in part:
-                raise ValueError(
-                    f"chaos spec entry {part!r} is not key=value")
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "seed":
-                kwargs["seed"] = int(value)
-            elif key == "drop":
-                kwargs["drop_rate"] = float(value)
-            elif key == "truncate":
-                kwargs["truncate_rate"] = float(value)
-            elif key == "latency":
-                rate, _, ms = value.partition(":")
-                kwargs["latency_rate"] = float(rate)
-                if ms:
-                    kwargs["latency_ms"] = float(ms)
-            elif key == "kill":
-                kwargs["kill_after"] = int(value)
-            else:
-                raise ValueError(
-                    f"unknown chaos spec key {key!r} "
-                    "(expected seed/drop/truncate/latency/kill)")
-        return cls(**kwargs)
 
     @property
     def active(self) -> bool:
@@ -221,3 +193,41 @@ class ChaosTransport:
         return (f"ChaosTransport(seed={self.config.seed}, "
                 f"operations={self._operations}, "
                 f"injected={self.injected})")
+
+
+class ChaosCoordinator(ClusterCoordinator):
+    """A cluster coordinator whose every new worker link is a
+    :class:`ChaosTransport`.
+
+    Links are numbered as they are opened — request then heartbeat, per
+    worker, and again on each ``rejoin`` — and link ``n`` runs the child
+    schedule ``config.spawn(n)``. An inactive config wraps nothing.
+    ``stats()`` adds a ``"chaos"`` block: the injection counters and
+    operation counts of every link it holds now, summed.
+    """
+
+    def __init__(self, config: ChaosConfig, workers, **kwargs):
+        # set before the base class opens (and so numbers) any link
+        self.chaos = config
+        self._chaos_links = 0
+        super().__init__(workers, **kwargs)
+
+    def _new_transport(self, address: Tuple[str, int]):
+        transport = super()._new_transport(address)
+        if not self.chaos.active:
+            return transport
+        self._chaos_links += 1
+        return ChaosTransport(transport, self.chaos.spawn(self._chaos_links))
+
+    def stats(self) -> Dict:
+        result = super().stats()
+        total = {"drops": 0, "truncations": 0, "latency": 0, "kills": 0,
+                 "operations": 0}
+        for link in self._links:
+            for transport in (link.transport, link.heartbeat):
+                if isinstance(transport, ChaosTransport):
+                    for key, value in transport.injected.items():
+                        total[key] += value
+                    total["operations"] += transport.operations
+        result["chaos"] = total
+        return result

@@ -174,7 +174,7 @@ CLI_CONTRACT = {
         opt("--connect-retries", type=int, default=5),
         opt("--retry-wait", type=float, default=0.1),
         opt("--shutdown-workers", default=False),
-        opt("--replication", type=int, default=1), opt("--chaos"),
+        opt("--replication", type=int, default=1),
     },
 }
 
@@ -204,7 +204,7 @@ class TestCliContract:
         assert actual == CLI_CONTRACT[command]
 
     def test_settable_points(self):
-        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 111
+        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 110
 
 
 class TestGenerate:

@@ -10,12 +10,13 @@ needs them, never on import. ``repro``, ``repro.api``, ``repro.index``,
 :mod:`repro._lazy`), and the index adapters import a structure when they
 first build one. So each serving role has a law on what it never loads:
 a shard worker that is fed vectors loads no model code, no HTTP stack,
-no index structure but its own, no measure, no fault injection, no
-trajectory preprocessing and no ``hashlib``; any shard worker, TCP or
-local, loads the worker side (``repro.api.shard``) and none of the owner
-side (the engine and query queue, the coordinator, the remote client and
-server, the gateway); a trajcl coordinator loads no index structure,
-measure, fault injection or training-only module. ``make bench-startup``
+no index structure but its own, no measure, no trajectory preprocessing
+and no ``hashlib``; any shard worker, TCP or local, loads the worker
+side (``repro.api.shard``) and none of the owner side (the engine and
+query queue, the coordinator, the remote client and server, the
+gateway); a trajcl coordinator loads no index structure, measure or
+training-only module. Fault injection is test code (``tests/chaos.py``),
+which no product module imports. ``make bench-startup``
 records what this buys in seconds and MB.
 """
 
@@ -306,11 +307,10 @@ NOT_IN_A_VECTOR_FED_WORKER = ("repro.core", "repro.nn", "repro.baselines",
 STRUCTURES = tuple(f"repro.index.{name}" for name in
                    ("bruteforce", "hnsw", "ivf", "pq", "quant", "segment"))
 #: what a bruteforce shard never runs either: the other structures, the
-#: heuristic measures, fault injection (a coordinator's option),
-#: preprocessing (training's) and hashing (its owner keys the cache)
+#: heuristic measures, preprocessing (training's) and hashing (its owner
+#: keys the cache)
 NOT_IN_A_BRUTEFORCE_SHARD = (
-    *STRUCTURES[1:], "repro.measures", "repro.api.chaos",
-    "repro.trajectory.preprocess", "repro.trajectory.simplify",
+    *STRUCTURES[1:], "repro.measures", "repro.trajectory.preprocess", "repro.trajectory.simplify",
     "hashlib", "_hashlib")
 
 
@@ -425,7 +425,7 @@ TRAINING_ONLY = (
     "repro.datasets.queries", "repro.datasets.splits")
 
 
-def test_trajcl_coordinator_loads_no_structure_measure_or_chaos():
+def test_trajcl_coordinator_loads_no_structure_or_measure():
     """The owner encodes and merges; its shard worker (another process)
     builds the index. Serving a built model loads none of the training
     code either."""
@@ -468,8 +468,7 @@ print(json.dumps({"modules": sorted(sys.modules), "size": size}))
 """)
     assert report["size"] == 4
     assert "repro.core" in report["modules"]
-    assert loaded(report["modules"], *STRUCTURES, "repro.measures",
-                  "repro.api.chaos") == []
+    assert loaded(report["modules"], *STRUCTURES, "repro.measures") == []
     assert loaded(report["modules"], *TRAINING_ONLY) == []
 
 
@@ -499,8 +498,9 @@ def test_the_analyzer_package_is_gone():
 
 
 def test_no_product_module_imports_the_tests():
-    """The lock sanitizer and the lock laws live under ``tests/``; no
-    module of the product imports anything from there."""
+    """The lock sanitizer, the lock laws and the fault injector live under
+    ``tests/``; no module of the product imports anything from there,
+    and ``repro.api`` exports none of the injector's names."""
     def imported(node):
         if isinstance(node, ast.Import):
             return [alias.name for alias in node.names]
@@ -514,6 +514,9 @@ def test_no_product_module_imports_the_tests():
         for node in ast.walk(ast.parse(path.read_text()))
         for name in imported(node) if name.split(".")[0] == "tests")
     assert importers == []
+    import repro.api
+
+    assert [name for name in dir(repro.api) if name.startswith("Chaos")] == []
 
 
 def test_lint_is_not_a_command(capsys):
