@@ -41,7 +41,7 @@ def test_fig6_knn_query_time(benchmark, xian_pipeline):
             ivf.search(query_embeddings, k=K)
             ivf_seconds = time.perf_counter() - start
 
-            segment = SegmentHausdorffIndex(bucket_size=400)
+            segment = SegmentHausdorffIndex()
             segment.build(database)
             start = time.perf_counter()
             for query in queries:

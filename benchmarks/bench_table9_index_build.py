@@ -38,7 +38,7 @@ def test_table9_index_build_costs(benchmark, xian_pipeline):
             ivf_seconds = time.perf_counter() - start
 
             start = time.perf_counter()
-            segment = SegmentHausdorffIndex(bucket_size=400)
+            segment = SegmentHausdorffIndex()
             segment.build(database)
             segment_seconds = time.perf_counter() - start
 

@@ -41,13 +41,10 @@ def main() -> None:
     ivf_query_seconds = time.perf_counter() - t0
 
     # --- Hausdorff + segment index --------------------------------------
-    hausdorff = SimilarityService(
-        backend="hausdorff", index="segment",
-        index_kwargs={"bucket_size": 400},
-    )
+    hausdorff = SimilarityService(backend="hausdorff", index="segment")
     t0 = time.perf_counter()
     hausdorff.add(database)
-    _ = hausdorff.knn(queries[:1], k=1)  # force the lazy bucket build
+    _ = hausdorff.knn(queries[:1], k=1)  # force the lazy box build
     segment_build_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()

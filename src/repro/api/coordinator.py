@@ -80,7 +80,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..trajectory.trajectory import pack_trajectories, unpack_trajectories
+from ..trajectory.trajectory import (
+    Ragged, pack_trajectories, unpack_trajectories,
+)
 from .backends import backend_state, restore_backend
 from .node import parse_address
 from .protocols import SimilarityBackend
@@ -185,8 +187,9 @@ class ClusterCoordinator(ShardMergeMixin):
         self._connect_retries = int(connect_retries)
         self._connect_wait = float(retry_wait)
         self._rereplications = 0
-        #: ``(worker, shard)`` -> the ``(global_id, points, vector-or-None)``
-        #: adds committed while that replica was down, replayed on rejoin
+        #: ``(worker, shard)`` -> the ``(global_ids, share)`` adds committed
+        #: while that replica was down, each share as the live replicas
+        #: were sent it, replayed on rejoin
         self._catchup: Dict[Tuple[int, int], deque] = {}
         #: ``(worker, shard)`` logs that overflowed :data:`CATCHUP_LIMIT`
         #: (replay no longer possible)
@@ -358,37 +361,31 @@ class ClusterCoordinator(ShardMergeMixin):
     # ------------------------------------------------------------------
     # Catch-up log
     # ------------------------------------------------------------------
-    def _add_locked(self, batch: List[np.ndarray], vectors):
-        """The engine's add, then a log entry per committed trajectory for
-        every dead replica of its shard. Caller holds ``_rpc_lock``."""
-        base = self._size  # global id of the batch's (and vectors') row 0
+    def _add_locked(self, batch: Ragged, vectors):
+        """The engine's add, then each committed share logged for every
+        dead replica of its shard. Caller holds ``_rpc_lock``."""
         committed = super()._add_locked(batch, vectors)
-        for shard, ids, points in committed:
-            dead = [worker for worker in self._placement[shard]
-                    if not self._links[worker].alive]
-            if dead:
-                missed = [(g, pts, None if vectors is None
-                           else vectors[g - base])
-                          for g, pts in zip(ids, points)]
-                for worker in dead:
-                    self._log_catchup((worker, shard), missed)
+        for shard, ids, share in committed:
+            for worker in self._placement[shard]:
+                if not self._links[worker].alive:
+                    self._log_catchup((worker, shard), ids, share)
         return committed
 
-    def _log_catchup(self, key: Tuple[int, int],
-                     missed: Sequence[Tuple]) -> None:
-        """Record committed writes a dead replica missed (bounded)."""
+    def _log_catchup(self, key: Tuple[int, int], ids: np.ndarray,
+                     share) -> None:
+        """Record a committed share a dead replica missed (bounded at
+        :data:`CATCHUP_LIMIT` trajectories per log)."""
         if key in self._catchup_overflow:
             return
         log = self._catchup.setdefault(key, deque())
-        for entry in missed:
-            if len(log) >= CATCHUP_LIMIT:
-                # Overflow: the tail is no longer complete, so replay is
-                # off the table — drop the log (rejoin falls back to a
-                # replica export or a full-coverage snapshot).
-                self._catchup.pop(key, None)
-                self._catchup_overflow.add(key)
-                return
-            log.append(entry)
+        if sum(len(held) for held, _ in log) + len(ids) > CATCHUP_LIMIT:
+            # Overflow: the tail would no longer be complete, so replay is
+            # off the table — drop the log (rejoin falls back to a
+            # replica export or a full-coverage snapshot).
+            self._catchup.pop(key, None)
+            self._catchup_overflow.add(key)
+            return
+        log.append((ids, share))
 
     def _drop_catchup(self, key: Tuple[int, int]) -> None:
         self._catchup.pop(key, None)
@@ -484,23 +481,25 @@ class ClusterCoordinator(ShardMergeMixin):
                         who=f"cluster worker {link.label}")
             self._drop_catchup(key)
             return "replica"
-        # global id -> (points, vector or None), from the shard file and
-        # then the log. A global id never changes hands, so both sources
-        # hold the same trajectory for an id they share.
-        rows: Dict[int, Tuple] = {}
+        # The shard file's block, then the log's shares, read as one
+        # store. A global id never changes hands, so two sources hold the
+        # same trajectory for an id they share.
+        held = []  # (ids, points, vectors or None) per source
         directory = snapshot if snapshot is not None else self._last_snapshot
         path = (os.path.join(directory, _SHARD_FILE.format(shard))
                 if directory is not None else None)
         if path is not None and os.path.exists(path):
-            ids, points, vectors = self._read_shard_file(path)
-            if vectors is None:
-                vectors = [None] * len(ids)
-            rows.update(zip(ids.tolist(), zip(points, vectors)))
-        from_snapshot = any(g in rows for g in want)
+            held.append(self._read_shard_file(path))
+        from_snapshot = bool(held) and bool(np.isin(want, held[0][0]).any())
         if key not in self._catchup_overflow:
-            for global_id, points, vector in self._catchup.get(key, ()):
-                rows[global_id] = (points, vector)
-        missing = [g for g in want if g not in rows]
+            for ids, share in self._catchup.get(key, ()):
+                points, vectors = ((share, None) if self._encoder is None
+                                   else share)
+                held.append((ids, points, vectors))
+        ids = np.concatenate([np.empty(0, np.int64)]
+                             + [ids for ids, _, _ in held])
+        row = {g: i for i, g in enumerate(ids.tolist())}  # row in the store
+        missing = [g for g in want if g not in row]
         if missing:
             raise ShardLostError(
                 f"shard {shard} has no healthy replica and the "
@@ -509,10 +508,11 @@ class ClusterCoordinator(ShardMergeMixin):
                 "recoverable); restore from an older snapshot or "
                 "accept the loss")
         if want:
-            points = [rows[g][0] for g in want]
-            vectors = (None if self._encoder is None
-                       else np.stack([rows[g][1] for g in want]))
-            request(transport, "add", {shard: shard_share(points, vectors)},
+            vectors = (None if self._encoder is None else
+                       np.concatenate([vectors for _, _, vectors in held]))
+            share = shard_share(Ragged(points for _, points, _ in held),
+                                vectors, np.array([row[g] for g in want]))
+            request(transport, "add", {shard: share},
                     who=f"cluster worker {link.label}")
         self._drop_catchup(key)
         return "snapshot" if from_snapshot else "catchup"
@@ -560,9 +560,9 @@ class ClusterCoordinator(ShardMergeMixin):
         for entry in result["worker_links"]:
             if not entry["alive"]:
                 entry["catchup"] = sum(
-                    len(log)
+                    len(ids)
                     for (worker, _), log in list(self._catchup.items())
-                    if worker == entry["worker"])
+                    if worker == entry["worker"] for ids, _ in log)
         result["rereplications"] = self._rereplications
         return result
 
@@ -681,12 +681,11 @@ class ClusterCoordinator(ShardMergeMixin):
                 # Global-id order, dealt as one add of stored vectors: the
                 # ids come back as they were and nothing is encoded.
                 order = np.argsort(ids)
-                points = [p for held in files for p in held[1]]
+                points = Ragged(held[1] for held in files)
                 vectors = (None if coordinator._encoder is None else
                            np.concatenate([held[2] for held in files])[order])
                 with coordinator._rpc_lock:
-                    coordinator._add_locked(
-                        [points[i] for i in order.tolist()], vectors)
+                    coordinator._add_locked(points.take(order), vectors)
         except Exception:
             coordinator.close()
             raise
@@ -702,10 +701,10 @@ class ClusterCoordinator(ShardMergeMixin):
         coordinator's shards so a future one can ``join`` fresh); with
         ``shutdown_workers=True`` — or ``shutdown_workers_on_close`` set
         at construction — each worker is told to exit instead, including
-        a best-effort fresh connection to workers that were degraded but
-        whose process may still be running. A worker that died after
-        being degraded can neither hang the cascade nor leak a
-        transport error out of it.
+        a best-effort fresh connection to every worker that was degraded,
+        or whose shutdown send failed, but whose process may still be
+        running. A worker that died after being degraded can neither hang
+        the cascade nor leak a transport error out of it.
         """
         if self._closed:
             return
@@ -726,9 +725,9 @@ class ClusterCoordinator(ShardMergeMixin):
         for link in self._links:
             if link.alive:
                 continue
-            # A degraded worker may still be running (only its link
-            # died); a cascade shutdown owes it a fresh, short-lived
-            # connection attempt.
+            # A degraded worker — its farewell failed included — may
+            # still be running (only its link died); a cascade shutdown
+            # owes it a fresh, short-lived connection attempt.
             try:
                 transport = SocketTransport.connect(*link.address,
                                                     timeout=1.0)

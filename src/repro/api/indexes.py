@@ -46,17 +46,13 @@ call. With the mixin, each public class is wrapped exactly once.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..index import distance
 from ..index.rows import RowStore
-from ..trajectory.trajectory import as_points
 from .protocols import Index
-
-if TYPE_CHECKING:
-    from ..index.segment import SegmentHausdorffIndex
 
 __all__ = [
     "BruteForceBackendIndex",
@@ -268,7 +264,7 @@ class IVFBackendIndex(_VectorLifecycle, Index):
 
 @register_index("segment")
 class SegmentBackendIndex(Index):
-    """Exact Hausdorff kNN over raw trajectories (segment buckets + pruning)."""
+    """Exact Hausdorff kNN over raw trajectories (bounding-box pruning)."""
 
     name = "segment"
     consumes = "trajectories"
@@ -276,48 +272,41 @@ class SegmentBackendIndex(Index):
     #: with a different distance backend
     measure_name = "hausdorff"
 
-    def __init__(self, bucket_size: float = 500.0):
-        self.bucket_size = bucket_size
-        self._trajectories: List[np.ndarray] = []
-        self._inner: Optional[SegmentHausdorffIndex] = None
+    def __init__(self):
+        from ..index.segment import SegmentHausdorffIndex
+
+        #: holds the blocks the service stores, not a copy of them
+        self._inner = SegmentHausdorffIndex()
 
     def add(self, items) -> None:
-        self._trajectories.extend(as_points(t) for t in items)
-        self._inner = None  # rebuilt lazily with the new contents
-
-    def _build(self) -> SegmentHausdorffIndex:
-        if self._inner is None:
-            from ..index.segment import SegmentHausdorffIndex
-
-            inner = SegmentHausdorffIndex(bucket_size=self.bucket_size)
-            inner.build(self._trajectories)
-            self._inner = inner
-        return self._inner
+        self._inner.add(items)
 
     def search(self, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        if not self._trajectories:
+        if not len(self._inner):
             raise RuntimeError("index is empty")
         # One batched lower-bound pass for every query (rows padded to k
         # with inf/-1, mirroring the vector indexes); only the pruned
         # exact Hausdorff evaluations remain per-query work.
-        return self._build().knn_batch(list(queries), k)
+        return self._inner.knn_batch(queries, k)
 
     def __len__(self) -> int:
-        return len(self._trajectories)
+        return len(self._inner)
 
     @property
     def memory_bytes(self) -> int:
-        """Approximate resident size (points + MBRs + segment buckets)."""
-        return 0 if not self._trajectories else self._build().memory_bytes
+        """Approximate resident size of DFT (points + MBRs + segment
+        bucket entries; see ``SegmentHausdorffIndex.memory_bytes``)."""
+        return self._inner.memory_bytes
 
     def state(self):
-        # Trajectories are stored by the service itself; the segment
-        # structure is deterministic, so only the knob needs recording.
-        return {"type": self.name, "bucket_size": self.bucket_size}, {}
+        # Trajectories are stored by the service itself and the structure
+        # is deterministic: nothing but the kind needs recording.
+        return {"type": self.name}, {}
 
     @classmethod
     def restore(cls, meta, arrays) -> "SegmentBackendIndex":
-        return cls(bucket_size=meta["bucket_size"])
+        # a stored "bucket_size" (a knob that changed nothing) is ignored
+        return cls()
 
 
 @register_index("pq")

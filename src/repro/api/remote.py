@@ -51,7 +51,6 @@ from .node import (
     parse_address,
     write_ready_file,
 )
-from .service import SimilarityService
 from .transport import (
     SocketTransport,
     TransientError,
@@ -60,8 +59,6 @@ from .transport import (
     close_quietly,
     request,
 )
-
-_as_batch = SimilarityService._as_batch
 
 __all__ = [
     "SimilarityServer",
@@ -251,7 +248,7 @@ class RemoteSimilarityClient:
     # ------------------------------------------------------------------
     def add(self, trajectories: Sequence[TrajectoryLike]) -> int:
         """Append to the remote database; returns the new database size."""
-        batch = as_points_batch(_as_batch(trajectories))
+        batch = as_points_batch(trajectories)
         return self._call("add", batch)
 
     def knn(
@@ -262,7 +259,7 @@ class RemoteSimilarityClient:
         dedupe_eps: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Remote ``(distances, ids)`` — the wrapped service's exact answer."""
-        batch = as_points_batch(_as_batch(queries))
+        batch = as_points_batch(queries)
         return self._call("knn", (batch, k, exclude, dedupe_eps))
 
     def pairwise(
@@ -271,9 +268,9 @@ class RemoteSimilarityClient:
         database: Optional[Sequence[TrajectoryLike]] = None,
     ) -> np.ndarray:
         """Remote dense distance block (D defaults to the server database)."""
-        batch = as_points_batch(_as_batch(queries))
+        batch = as_points_batch(queries)
         if database is not None:
-            database = as_points_batch(_as_batch(database))
+            database = as_points_batch(database)
         return self._call("pairwise", (batch, database))
 
     distance_matrix = pairwise

@@ -74,16 +74,6 @@ def _default_index_for(backend: SimilarityBackend) -> Optional[str]:
     return None  # generic distance backends fall back to a pairwise scan
 
 
-def _as_batch(trajectories) -> Sequence:
-    """A bare (L, 2) array is one trajectory, not L of them; a
-    :class:`Ragged` stays as it is."""
-    if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
-        return [trajectories]
-    if isinstance(trajectories, Ragged):
-        return trajectories
-    return list(trajectories)
-
-
 @functools.lru_cache(maxsize=16)
 def _dtype_tag(dtype: np.dtype) -> bytes:
     """``str(dtype)`` as cache-key bytes, formatted once per dtype rather
@@ -124,7 +114,7 @@ class CachedEncoder:
 
     def encode(self, trajectories: Sequence[TrajectoryLike]) -> np.ndarray:
         """Chunked, cached embeddings ``(N, d)`` (embedding backends only)."""
-        batch = as_points_batch(_as_batch(trajectories))
+        batch = as_points_batch(trajectories)
         keys = [self.key(points) for points in batch]  # hashed unlocked
         with self._lock:
             out: List[Optional[np.ndarray]] = [None] * len(batch)
@@ -152,7 +142,7 @@ class CachedEncoder:
                 # Entries keep the backend's own dtype (float32 for
                 # trajcl): nothing between encode and search casts.
                 encoded = as_float_array(
-                    self.backend.encode([batch[i] for i in chunk]))
+                    self.backend.encode(batch.take(chunk)))
                 for row, position in enumerate(chunk):
                     vector = encoded[row]
                     out[position] = vector
@@ -284,7 +274,7 @@ class SimilarityService:
                         "add() stores what it indexes: pass "
                         "Embedded(vectors, trajectories)")
                 trajectories = given.trajectories
-            points = as_points_batch(self._as_batch(trajectories))
+            points = as_points_batch(trajectories)
             if not points:
                 return self
             if self.index is not None:
@@ -301,8 +291,6 @@ class SimilarityService:
 
     def __len__(self) -> int:
         return len(self.trajectories)
-
-    _as_batch = staticmethod(_as_batch)
 
     def stored_vectors(self) -> np.ndarray:
         """The ``(N, d)`` vectors a vector-fed service was handed, in id
@@ -343,12 +331,6 @@ class SimilarityService:
         if isinstance(items, Embedded):
             return items.vectors
         return self.encoder.encode(items)
-
-    # The knobs and counters that predate :class:`CachedEncoder` read through.
-    batch_size = property(lambda self: self.encoder.batch_size)
-    cache_size = property(lambda self: self.encoder.cache_size)
-    cache_hits = property(lambda self: self.encoder.hits)
-    cache_misses = property(lambda self: self.encoder.misses)
 
     def cache_info(self) -> CacheInfo:
         """Embedding-cache counters: ``(hits, misses, size, maxsize)``."""
@@ -391,7 +373,7 @@ class SimilarityService:
         """Dense ``(|Q|, |D|)`` distances; D defaults to the added database."""
         with self._lock:
             if self._given(queries) is None:
-                queries = self._as_batch(queries)
+                queries = as_points_batch(queries)
             if database is None:
                 database = self.trajectories
             if len(queries) == 0 or len(database) == 0:
@@ -410,10 +392,14 @@ class SimilarityService:
 
                 metric = getattr(self.backend, "metric", "l1")
                 scale = getattr(self.backend, "scale", 1.0)
-                stored = (self.stored_vectors() if self.vector_fed
-                          else self.encode_batch(database))
-                return scale * distance.pairwise(
-                    self._vectors_of(queries), stored, metric)
+                vectors = self._vectors_of(queries)
+                # the kernel is split-invariant: one call per stored block
+                # gives the bits of one call over their concatenation
+                stored = (self._vectors if self.vector_fed
+                          else [self.encode_batch(database)])
+                return scale * np.concatenate(
+                    [distance.pairwise(vectors, block, metric)
+                     for block in stored], axis=1)
             if isinstance(queries, Embedded):
                 raise EmbeddedInputError(
                     "already-embedded queries compare against the stored "
@@ -447,7 +433,7 @@ class SimilarityService:
             if k < 1:
                 raise ValueError("k must be >= 1")
             if self._given(queries) is None:
-                queries = as_points_batch(self._as_batch(queries))
+                queries = as_points_batch(queries)
             if not len(queries):
                 return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
             n = len(self.trajectories)
@@ -528,8 +514,8 @@ class SimilarityService:
                 "format_version": _FORMAT_VERSION,
                 "backend": backend_meta,
                 "index": index_meta,
-                "batch_size": self.batch_size,
-                "cache_size": self.cache_size,
+                "batch_size": self.encoder.batch_size,
+                "cache_size": self.encoder.cache_size,
             }
             cache = self.encoder.cache
             if include_cache and cache:

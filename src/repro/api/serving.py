@@ -62,11 +62,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..index.rows import RowStore
-from ..trajectory.trajectory import TrajectoryLike, as_points, as_points_batch
+from ..trajectory.trajectory import (
+    Ragged, TrajectoryLike, as_points, as_points_batch,
+)
 from .backends import shard_backend_state
 from .protocols import EMBEDDING, KnnService, SimilarityBackend, as_backend
 from .registry import get_backend
-from .service import CachedEncoder, SimilarityService, _default_index_for
+from .service import CachedEncoder, _default_index_for
 from .shard import _shard_worker, merge_cache_counters
 from .transport import (
     OK,
@@ -77,10 +79,6 @@ from .transport import (
     merge_transport_stats,
     request,
 )
-
-#: one batch-normalization rule shared with the single-process service —
-#: the two must never disagree on what counts as one trajectory
-_as_batch = SimilarityService._as_batch
 
 __all__ = ["ShardedSimilarityService", "QueryQueue", "QueueStats",
            "LatencyHistogram",
@@ -168,11 +166,13 @@ def deal(sizes: Dict[int, int], count: int) -> np.ndarray:
     return owners[np.lexsort((owners, levels))[:count]]
 
 
-def shard_share(points: List[np.ndarray], vectors, rows=slice(None)):
+def shard_share(batch: Ragged, vectors, rows: np.ndarray):
     """One shard's share of an owner's ``add``, as
-    :meth:`~repro.api.shard.Shard.add` takes it: ``points`` are rows
-    ``rows`` of the batch that ``vectors`` embeds (``None`` for a distance
-    backend, whose shards take the points)."""
+    :meth:`~repro.api.shard.Shard.add` takes it: rows ``rows`` of
+    ``batch`` (:meth:`Ragged.take <repro.trajectory.Ragged.take>`) with
+    their rows of the ``vectors`` that embed ``batch`` (``None`` for a
+    distance backend, whose shards take the points)."""
+    points = batch.take(rows)
     if vectors is None:
         return points
     return points, vectors[rows]
@@ -491,7 +491,7 @@ class ShardMergeMixin:
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        batch = as_points_batch(_as_batch(trajectories))
+        batch = as_points_batch(trajectories)
         if not batch:
             return self
         vectors = (self._encoder.encode(batch)
@@ -515,51 +515,46 @@ class ShardMergeMixin:
                 f"no alive shard workers ({degraded} degraded)")
         return shards
 
-    def _deal_into(self, chunks: Dict, items: List[Tuple]) -> None:
-        """Deal ``(points, global_id)`` items onto the eligible shards by
-        :func:`deal`, counting what ``chunks`` already holds."""
+    def _deal_into(self, chunks: Dict[int, np.ndarray],
+                   rows: np.ndarray) -> None:
+        """Deal batch ``rows`` onto the eligible shards by :func:`deal`,
+        counting what ``chunks`` already holds; a shard's rows keep their
+        order."""
         sizes = {shard: len(self._shard_ids[shard])
-                 + (len(chunks[shard][1]) if shard in chunks else 0)
+                 + len(chunks.get(shard, ()))
                  for shard in self._eligible_shards()}
-        for (points, global_id), shard in zip(
-                items, deal(sizes, len(items)).tolist()):
-            chunk = chunks.setdefault(shard, ([], []))
-            chunk[0].append(points)
-            chunk[1].append(global_id)
+        owners = deal(sizes, len(rows))
+        for shard in sorted(set(owners.tolist())):
+            chunks[shard] = np.concatenate(
+                (chunks.get(shard, np.empty(0, np.int64)),
+                 rows[owners == shard]))
 
-    def _add_locked(self, batch: List[np.ndarray], vectors
-                    ) -> List[Tuple[int, List[int], List[np.ndarray]]]:
+    def _add_locked(self, batch: Ragged, vectors
+                    ) -> List[Tuple[int, np.ndarray, object]]:
         """Deal, write and commit ``batch``; returns the committed
-        ``(shard, global_ids, points)`` chunks. Caller holds ``_rpc_lock``."""
+        ``(shard, global_ids, share)`` chunks. Caller holds ``_rpc_lock``."""
         committed = []
         base = self._size  # global id of the batch's (and vectors') row 0
-        chunks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}
-        self._deal_into(chunks, list(zip(batch, range(base,
-                                                      base + len(batch)))))
+        chunks: Dict[int, np.ndarray] = {}  # shard -> its rows of batch
+        self._deal_into(chunks, np.arange(len(batch)))
         while chunks:
             # (Re)plan against the currently-alive replicas.
-            plan: Dict[int, Dict[int, object]] = {}
-            orphans = []
-            for shard in sorted(chunks):
-                replicas = self._replicas(shard)
-                if not replicas:
-                    orphans.append(shard)
-                    continue
-                points, ids = chunks[shard]
-                share = shard_share(points, vectors, [g - base for g in ids])
-                for link in replicas:
-                    plan.setdefault(link.worker, {})[shard] = share
+            orphans = [shard for shard in sorted(chunks)
+                       if not self._replicas(shard)]
             if orphans:
                 # Every replica of these shards died before any ack:
                 # requeue the chunks onto shards that can still commit.
-                spilled: List[Tuple[np.ndarray, int]] = []
-                for shard in orphans:
-                    points, ids = chunks.pop(shard)
-                    spilled.extend(zip(points, ids))
-                self._deal_into(chunks, spilled)
+                self._deal_into(chunks, np.concatenate(
+                    [chunks.pop(shard) for shard in orphans]))
                 continue
+            shares = {shard: shard_share(batch, vectors, rows)
+                      for shard, rows in chunks.items()}
+            plan: Dict[int, Dict[int, object]] = {}
+            for shard in sorted(chunks):
+                for link in self._replicas(shard):
+                    plan.setdefault(link.worker, {})[shard] = shares[shard]
             replies, refused = self._exchange(
-                {worker: ("add", shares) for worker, shares in plan.items()})
+                {worker: ("add", owed) for worker, owed in plan.items()})
             if refused is not None and not (replies or committed):
                 raise refused  # no live worker holds any of the batch
             if refused is not None:
@@ -585,17 +580,16 @@ class ShardMergeMixin:
             for shard in sorted(chunks):
                 if acks.get(shard, 0) < 1:
                     continue  # no replica acked; the loop requeues it
-                points, ids = chunks.pop(shard)
+                ids = chunks.pop(shard) + base
                 # Commit the ids AND the size together, still under
                 # _rpc_lock: a concurrent stats() snapshot must always
                 # see sum(shard_sizes) == size, even between requeue
                 # rounds of a partially failed add. add() wraps this whole
                 # method in _rpc_lock; the commit is not reachable any other
                 # way.
-                self._shard_ids[shard].append(
-                    np.asarray(ids, dtype=np.int64))
+                self._shard_ids[shard].append(ids)
                 self._size += len(ids)
-                committed.append((shard, ids, points))
+                committed.append((shard, ids, shares[shard]))
         return committed
 
     # ------------------------------------------------------------------
@@ -710,7 +704,7 @@ class ShardMergeMixin:
         database: Optional[Sequence[TrajectoryLike]] = None,
     ) -> np.ndarray:
         """Dense ``(|Q|, |D|)`` distances; D defaults to the sharded database."""
-        queries = _as_batch(queries)
+        queries = as_points_batch(queries)
         if database is not None:
             return self.backend.pairwise(queries, database)
         if not queries or self._size == 0:
@@ -745,7 +739,7 @@ class ShardMergeMixin:
             raise RuntimeError("service database is empty; call add() first")
         if k < 1:
             raise ValueError("k must be >= 1")
-        queries = as_points_batch(_as_batch(queries))
+        queries = as_points_batch(queries)
         if not queries:
             return (np.empty((0, k)), np.empty((0, k), dtype=np.int64))
         # One round. Each shard drops ``d <= dedupe_eps`` itself and sends
@@ -781,9 +775,8 @@ class ShardMergeMixin:
     def _for_shards(self, trajectories):
         """What the shards are asked with: the trajectories themselves, or
         — the owner of an embedding backend encodes — their vectors."""
-        if self._encoder is None:
-            return list(trajectories)
-        return self._encoder.encode(trajectories)
+        return (trajectories if self._encoder is None
+                else self._encoder.encode(trajectories))
 
     def __len__(self) -> int:
         return self._size
@@ -796,8 +789,9 @@ class ShardMergeMixin:
 
         An alive worker is told ``leave`` (it drops this owner's shards,
         so a future one can ``join`` fresh) and ``stop`` (this connection
-        is done) — or, with ``shutdown_workers``, to exit. Every step is
-        bounded: a worker that is already gone, or wedged in a long
+        is done) — or, with ``shutdown_workers``, to exit. A worker whose
+        farewell failed is degraded: it may still be running. Every step
+        is bounded: a worker that is already gone, or wedged in a long
         request, costs a short reply window, never a hang.
         """
         if self._closed:
@@ -809,25 +803,28 @@ class ShardMergeMixin:
         acquired = self._rpc_lock.acquire(timeout=5.0)
         try:
             for link in self._links:
-                if link.alive:
-                    self._farewell(link.transport, farewell)
+                if link.alive and not self._farewell(link.transport,
+                                                     farewell):
+                    self._degrade(link, "farewell failed")
                 close_quietly(link.transport)
         finally:
             if acquired:
                 self._rpc_lock.release()
 
     @staticmethod
-    def _farewell(transport, commands: Sequence[str]) -> None:
-        """Best-effort goodbye on one channel; all failures stay inside
-        (a worker that dies mid-farewell must not break the cascade for
-        the links behind it)."""
+    def _farewell(transport, commands: Sequence[str]) -> bool:
+        """Best-effort goodbye on one channel: whether it went through.
+        A failure is reported, never raised (a worker that dies
+        mid-farewell must not break the cascade for the links behind
+        it)."""
         for command in commands:
             try:
                 transport.send((command, None))
                 if transport.poll(1.0):
                     transport.recv()
             except Exception:
-                break
+                return False
+        return True
 
     def __enter__(self):
         return self
@@ -1095,7 +1092,7 @@ class QueryQueue:
         """Enqueue a pairwise block; returns a Future of the ``(|Q|, |D|)``
         matrix. Calls with ``database=None`` (the service database)
         coalesce into one stacked service call per flush."""
-        batch = as_points_batch(_as_batch(queries))
+        batch = as_points_batch(queries)
         return self._enqueue([(_PAIRWISE, batch, database)], deadline)[0]
 
     def _enqueue(self, entries, deadline):
@@ -1148,8 +1145,8 @@ class QueryQueue:
         queries share its flushes. Past ``deadline`` it raises
         :class:`DeadlineExceededError`."""
         futures = self._enqueue(
-            [(_KNN, as_points(query), k, exclude, dedupe_eps)
-             for query in _as_batch(queries)], deadline)
+            [(_KNN, query, k, exclude, dedupe_eps)
+             for query in as_points_batch(queries)], deadline)
         rows = [self._wait(future, deadline) for future in futures]
         if not rows:
             return np.empty((0, k)), np.empty((0, k), dtype=np.int64)
@@ -1278,17 +1275,13 @@ class QueryQueue:
                               queries=len(futures))
         if shared_pairwise:
             futures = [future for future, _ in shared_pairwise]
-            counts = [len(queries) for _, queries in shared_pairwise]
-            stacked = [points for _, queries in shared_pairwise
-                       for points in queries]
+            stacked = Ragged(queries for _, queries in shared_pairwise)
+            ends = np.cumsum([len(queries) for _, queries in shared_pairwise])
             matrix = self._serve(futures,
                                  lambda: self.service.pairwise(stacked))
             if matrix is not None:
-                results, offset = [], 0
-                for count in counts:
-                    results.append(matrix[offset:offset + count])
-                    offset += count
-                self._resolve(futures, results, queries=len(stacked))
+                self._resolve(futures, np.split(matrix, ends[:-1]),
+                              queries=len(stacked))
         for future, queries, database in adhoc_pairwise:
             matrix = self._serve(
                 [future], lambda: self.service.pairwise(queries, database))

@@ -53,8 +53,9 @@ import numpy as np
 TRAJECTORY_FORMAT_VERSION = 2
 
 
-def load_trajectories(path: str) -> List[np.ndarray]:
-    """Read trajectories from an ``.npz`` written by ``save_trajectories``."""
+def load_trajectories(path: str) -> Sequence[np.ndarray]:
+    """Read trajectories from an ``.npz`` written by ``save_trajectories``:
+    one :class:`~repro.trajectory.Ragged` block over the file's arrays."""
     from .trajectory import unpack_trajectories
 
     with np.load(path) as archive:

@@ -18,12 +18,14 @@ the information content of the features.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..trajectory.grid import Grid
-from ..trajectory.trajectory import TrajectoryLike, as_points, as_points_batch
+from ..trajectory.trajectory import (
+    Ragged, TrajectoryLike, as_points, as_points_batch,
+)
 
 
 def sinusoidal_position_encoding(length: int, dim: int) -> np.ndarray:
@@ -122,19 +124,15 @@ class FeatureEnrichment:
         spatial = spatial_features(points, self.grid) + self._pe_spatial[: len(points)]
         return structural, spatial
 
-    def prepare(
-        self, trajectories: Sequence[TrajectoryLike]
-    ) -> List[np.ndarray]:
-        """Validated, ``max_len``-truncated ``(n, 2)`` float64 point arrays.
-
-        Validation is :func:`~repro.trajectory.as_points` itself, in its
-        batch form (run before truncation, so non-finite coordinates are
-        rejected even beyond ``max_len``) — the fast and reference paths
-        accept exactly the same inputs.
-        """
+    def prepare(self, trajectories: Sequence[TrajectoryLike]) -> Ragged:
+        """The batch as a validated :class:`~repro.trajectory.Ragged`:
+        :func:`~repro.trajectory.as_points_batch` on the whole items (a
+        non-finite point beyond ``max_len`` is refused too), so the fast
+        and reference paths accept exactly the same inputs. Items are cut
+        to ``max_len`` when gathered (``take(rows, max_len)``)."""
         if len(trajectories) == 0:
             raise ValueError("empty batch")
-        return [p[: self.max_len] for p in as_points_batch(trajectories)]
+        return as_points_batch(trajectories)
 
     def _flat_spatial_features(
         self, flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
@@ -180,18 +178,17 @@ class FeatureEnrichment:
         )
 
     def point_features(
-        self, points: Sequence[np.ndarray]
+        self, batch: Ragged
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-point features of pre-:meth:`prepare`-d point arrays, in
-        the order of their concatenated points: cell ids ``(P,)``, Eq. 8
-        spatial features ``(P, 4)`` and the ``(B,)`` lengths that cut them
-        into trajectories. No padding: :meth:`pad_features` lays any run of
+        """Per-point features of :meth:`prepare`-d trajectories, in the
+        order of their packed points (:meth:`Ragged.pack
+        <repro.trajectory.Ragged.pack>`): cell ids ``(P,)``, Eq. 8 spatial
+        features ``(P, 4)`` and the ``(B,)`` lengths that cut them into
+        trajectories. No padding: :meth:`pad_features` lays any run of
         whole trajectories out as a batch.
         """
-        lengths = np.array([len(p) for p in points], dtype=np.int64)
-        flat = (np.concatenate(points, axis=0) if len(points) > 1
-                else np.asarray(points[0]))
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        flat, offsets = batch.pack()
+        lengths = np.diff(offsets)
         return (self.grid.cell_of_validated(flat),
                 self._flat_spatial_features(flat, offsets, lengths), lengths)
 
@@ -245,5 +242,7 @@ class FeatureEnrichment:
         land in the padded layout directly; the position encodings are
         added to whole rows.
         """
-        cells, spatial, lengths = self.point_features(self.prepare(trajectories))
+        batch = self.prepare(trajectories)
+        cells, spatial, lengths = self.point_features(
+            batch.take(np.arange(len(batch)), self.max_len))
         return (*self.pad_features(cells, spatial, lengths, pad_len), lengths)

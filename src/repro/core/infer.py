@@ -474,25 +474,28 @@ class InferenceEncoder:
         """Embed trajectories as ``(N, output_dim)`` in the engine dtype.
 
         Trajectories are sorted by (truncated) length and featurised per
-        point in groups of ``batch_size``; a group runs through the forward
-        in buckets, each laid out padded only to its own maximum length —
-        so attention (O(L²)) is paid at the bucket's true length, not the
-        model's ``max_len``, and no group-sized padded block is built —
-        and sized so its temporaries stay cache-resident
-        (:meth:`_bucket_rows`, from the group's longest trajectory).
+        point in groups of ``batch_size``, each gathered from the batch's
+        blocks in one pass (:meth:`~repro.trajectory.Ragged.take`); a
+        group runs through the forward in buckets, each laid out padded
+        only to its own maximum length — so attention (O(L²)) is paid at
+        the bucket's true length, not the model's ``max_len``, and no
+        group-sized padded block is built — and sized so its temporaries
+        stay cache-resident (:meth:`_bucket_rows`, from the group's
+        longest trajectory).
         Embeddings are returned in the input order and are independent of
         the bucketing (padded positions are excluded from attention and
         pooling exactly as in the reference path).
         """
-        points = self.features.prepare(trajectories)
-        lengths = np.array([len(p) for p in points], dtype=np.int64)
-        order = np.argsort(lengths, kind="stable")
-        out = np.empty((len(points), self.output_dim), dtype=self.dtype)
+        batch = self.features.prepare(trajectories)
+        max_len = self.features.max_len
+        order = np.argsort(np.minimum(batch.lengths(), max_len),
+                           kind="stable")
+        out = np.empty((len(batch), self.output_dim), dtype=self.dtype)
         group_size = max(1, int(batch_size))
         for start in range(0, len(order), group_size):
             group = order[start:start + group_size]
             cells, spatial, group_lengths = self.features.point_features(
-                [points[i] for i in group])             # ascending lengths
+                batch.take(group, max_len))             # ascending lengths
             offsets = np.concatenate(([0], np.cumsum(group_lengths)))
             step = self._bucket_rows(int(group_lengths[-1]))
             for low in range(0, len(group), step):

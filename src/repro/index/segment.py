@@ -9,79 +9,81 @@ measure:
   (point-to-bounding-box distances, valid for the symmetric Hausdorff
   distance) and exact O(n·m) evaluations stop once the bound exceeds the
   current k-th best;
-* **heavy auxiliary memory** — per-segment entries are materialized into
+* **heavy auxiliary memory** — DFT materializes every segment into
   uniform grid buckets (segment MBR + trajectory id), which is what makes
-  DFT's memory footprint balloon with the database size (Table IX's OOM at
-  \|D\| = 10M).
+  its memory footprint balloon with the database size (Table IX's OOM at
+  \|D\| = 10M). Nothing here reads such buckets, so none are built:
+  :attr:`SegmentHausdorffIndex.memory_bytes` models their entries.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..measures.hausdorff import hausdorff_distance
-from ..trajectory.trajectory import TrajectoryLike, as_points
+from ..trajectory.trajectory import Ragged, TrajectoryLike, as_points_batch
+
+
+def _boxes(batch: Ragged) -> np.ndarray:
+    """``(min_x, min_y, max_x, max_y)`` of every item of a validated
+    batch, in two array passes over its points."""
+    if not batch:
+        return np.empty((0, 4))
+    points, offsets = batch.pack()
+    return np.concatenate([np.minimum.reduceat(points, offsets[:-1]),
+                           np.maximum.reduceat(points, offsets[:-1])], axis=1)
 
 
 class SegmentHausdorffIndex:
-    """Trajectory kNN under Hausdorff with segment buckets + pruning."""
+    """Trajectory kNN under Hausdorff with bounding-box pruning."""
 
-    def __init__(self, bucket_size: float = 500.0):
-        if bucket_size <= 0:
-            raise ValueError("bucket_size must be positive")
-        self.bucket_size = bucket_size
-        self._trajectories: List[np.ndarray] = []
-        self._boxes: Optional[np.ndarray] = None
-        #: bucket -> list of (trajectory_id, segment_index)
-        self._segment_buckets: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._n_segments = 0
+    def __init__(self):
+        self._trajectories = Ragged()
+        self._boxes = np.empty((0, 4))
+        self._n_points = 0
 
     # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
     def build(self, trajectories: Sequence[TrajectoryLike]) -> None:
-        """Materialize the segment buckets and per-trajectory MBRs."""
-        if not trajectories:
+        """Index exactly ``trajectories``, dropping what was held."""
+        if not len(trajectories):
             raise ValueError("no trajectories to index")
-        self._trajectories = [as_points(t) for t in trajectories]
-        self._segment_buckets = {}
-        self._n_segments = 0
-        boxes = np.empty((len(self._trajectories), 4))
-        for traj_id, points in enumerate(self._trajectories):
-            mins = points.min(axis=0)
-            maxs = points.max(axis=0)
-            boxes[traj_id] = (mins[0], mins[1], maxs[0], maxs[1])
-            # Per-segment bucket entries (midpoint bucketing).
-            midpoints = 0.5 * (points[:-1] + points[1:])
-            cells = np.floor(midpoints / self.bucket_size).astype(np.int64)
-            for seg_index, (cx, cy) in enumerate(map(tuple, cells)):
-                self._segment_buckets.setdefault((cx, cy), []).append(
-                    (traj_id, seg_index)
-                )
-            self._n_segments += max(len(points) - 1, 0)
-        self._boxes = boxes
+        self._trajectories = Ragged()
+        self._boxes, self._n_points = np.empty((0, 4)), 0
+        self.add(trajectories)
+
+    def add(self, trajectories: Sequence[TrajectoryLike]) -> None:
+        """Hold the trajectories (their blocks, as they are) and compute
+        their MBRs in array passes over the points."""
+        batch = as_points_batch(trajectories)
+        self._trajectories.append(batch)
+        self._boxes = np.concatenate([self._boxes, _boxes(batch)])
+        self._n_points += int(batch.lengths().sum())
         # Bbox corner points (N, 4, 2), precomputed for the vectorized
         # backward lower bound.
-        self._corners = boxes[:, [0, 1, 0, 3, 2, 1, 2, 3]].reshape(-1, 4, 2)
+        self._corners = self._boxes[:, [0, 1, 0, 3, 2, 1, 2, 3]].reshape(
+            -1, 4, 2)
 
     def __len__(self) -> int:
         return len(self._trajectories)
 
     @property
     def memory_bytes(self) -> int:
-        """Approximate resident size: points + MBRs + segment bucket entries.
+        """Approximate resident size of DFT: points + MBRs + one segment
+        bucket entry per segment.
 
-        Bucket entries are costed at the 2×8-byte tuple payload plus Python
-        object overhead (~48 bytes each) — the auxiliary data that makes
-        segment indexes memory-hungry.
+        The entries model DFT's grid buckets, costed at the 2×8-byte
+        ``(trajectory id, segment)`` payload plus Python object overhead
+        (~48 bytes each) — the auxiliary data that makes segment indexes
+        memory-hungry. This index builds no buckets; it reports what DFT
+        would hold.
         """
-        points = sum(t.nbytes for t in self._trajectories)
-        boxes = self._boxes.nbytes if self._boxes is not None else 0
-        buckets = self._n_segments * 64
-        return points + boxes + buckets
+        segments = self._n_points - len(self._trajectories)
+        return self._n_points * 16 + self._boxes.nbytes + segments * 64
 
     # ------------------------------------------------------------------
     # Query
@@ -101,27 +103,20 @@ class SegmentHausdorffIndex:
         point, which cannot change a max) and processed in blocks of
         ``~max_elements`` scalars so memory stays bounded.
         """
-        return self._lower_bounds_prepared([as_points(q) for q in queries],
-                                           max_elements)
-
-    def _lower_bounds_prepared(
-        self, points: List[np.ndarray], max_elements: int = 2 ** 23
-    ) -> np.ndarray:
-        """:meth:`lower_bounds_batch` over already-validated point arrays."""
-        if self._boxes is None:
+        if not self._trajectories:
             raise RuntimeError("index must be built before querying")
-        n_queries, n = len(points), len(self._trajectories)
+        queries = as_points_batch(queries)
+        n_queries, n = len(queries), len(self._trajectories)
         boxes = self._boxes
         if n_queries == 0:
             return np.empty((0, n))
-        max_pts = max(len(p) for p in points)
-        padded = np.empty((n_queries, max_pts, 2))
-        query_boxes = np.empty((n_queries, 4))
-        for i, pts in enumerate(points):
-            padded[i, :len(pts)] = pts
-            padded[i, len(pts):] = pts[0]
-            query_boxes[i] = (pts[:, 0].min(), pts[:, 1].min(),
-                              pts[:, 0].max(), pts[:, 1].max())
+        query_boxes = _boxes(queries)
+        points, offsets = queries.pack()
+        lengths = np.diff(offsets)[:, None]
+        max_pts = int(lengths.max())
+        columns = np.arange(max_pts)
+        padded = points[offsets[:-1, None]
+                        + np.where(columns < lengths, columns, 0)]
 
         bounds = np.empty((n_queries, n))
         corner_x = self._corners[None, :, :, 0]          # (1, N, 4)
@@ -192,13 +187,9 @@ class SegmentHausdorffIndex:
         number of exact evaluations in :attr:`last_exact_evaluations` for
         the pruning-effectiveness tests.
         """
-        if self._boxes is None:
-            raise RuntimeError("index must be built before querying")
-        query_points = as_points(query)
-        bounds = self._lower_bounds_prepared([query_points])[0]
-        distances, indices, evaluations = self._knn_one(query_points, bounds, k)
-        self.last_exact_evaluations = evaluations
-        return distances, indices
+        distances, indices = self.knn_batch([query], k)
+        found = indices[0] >= 0
+        return distances[0][found], indices[0][found]
 
     def knn_batch(
         self, queries: Sequence[TrajectoryLike], k: int
@@ -212,10 +203,8 @@ class SegmentHausdorffIndex:
         ``k`` trajectories. :attr:`last_exact_evaluations` records the
         total across the batch.
         """
-        if self._boxes is None:
-            raise RuntimeError("index must be built before querying")
-        points = [as_points(q) for q in queries]
-        bounds = self._lower_bounds_prepared(points)
+        points = as_points_batch(queries)
+        bounds = self.lower_bounds_batch(points)
         out_d = np.full((len(points), k), np.inf)
         out_i = np.full((len(points), k), -1, dtype=np.int64)
         total_evaluations = 0

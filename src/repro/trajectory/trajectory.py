@@ -18,7 +18,9 @@ from __future__ import annotations
 import bisect
 import collections.abc
 import operator
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -119,6 +121,45 @@ class Ragged(collections.abc.Sequence):
             if type(block) is list else np.diff(block[1]).astype(np.int64)
             for block in self.blocks])
 
+    def pack(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every item as one packed block ``(base, offsets)``, offsets
+        from 0: a view of the block when there is one packed block, else
+        the blocks' arrays joined."""
+        if len(self.blocks) == 1 and type(self.blocks[0]) is tuple:
+            base, offsets = self.blocks[0]
+            low = int(offsets[0])
+            return (base[low:int(offsets[-1])],
+                    offsets.astype(np.int64) - low)
+        offsets = np.zeros(len(self) + 1, np.int64)
+        np.cumsum(self.lengths(), out=offsets[1:])
+        arrays = self.arrays()
+        return (arrays[0] if len(arrays) == 1
+                else np.concatenate(arrays)), offsets
+
+    def take(self, rows, limit: Optional[int] = None) -> "Ragged":
+        """Items ``rows``, each cut to its first ``limit`` rows, as a
+        :class:`Ragged` of one block. A store holding list blocks gives
+        the items themselves, by reference. A packed store gives one
+        packed block: a view when the items lie back to back, else one
+        gather from the base (:meth:`pack` joins several blocks first).
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if any(type(block) is list for block in self.blocks):
+            items = self.blocks[0] if len(self.blocks) == 1 else list(self)
+            return Ragged([[items[row][:limit] for row in rows.tolist()]])
+        base, offsets = self.pack()
+        starts = offsets[rows]
+        lengths = offsets[rows + 1] - starts
+        if limit is not None:
+            np.minimum(lengths, limit, out=lengths)
+        bounds = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        if (starts[1:] == starts[:-1] + lengths[:-1]).all():
+            low = int(starts[0]) if len(rows) else 0
+            return Ragged([(base[low:low + int(bounds[-1])], bounds)])
+        return Ragged([(base[np.repeat(starts - bounds[:-1], lengths)
+                             + np.arange(bounds[-1])], bounds)])
+
 
 def _packed_points(block) -> bool:
     """Whether ``block`` is a packed block of valid trajectories: float64
@@ -133,22 +174,24 @@ def _packed_points(block) -> bool:
                 base[int(offsets[0]):int(offsets[-1])]).all()))
 
 
-def as_points_batch(trajectories: Sequence[TrajectoryLike]
-                    ) -> Union[List[PointArray], Ragged]:
-    """:func:`as_points` of every item, paying one finiteness reduction for
-    the whole batch instead of one per trajectory.
+def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> Ragged:
+    """:func:`as_points` of every item as a :class:`Ragged`, paying one
+    finiteness reduction for the whole batch instead of one per item.
 
-    A :class:`Ragged` of packed blocks is checked in one pass over each
+    A bare ``(L, 2)`` array is one trajectory, not ``L`` of them. A
+    :class:`Ragged` of packed blocks is checked in one pass over each
     base and comes back as it is. Otherwise items are coerced and
     shape-checked one by one, then all their points are checked in one
-    pass. Anything short of a clean batch re-runs the per-item loop, so
-    the error raised is exactly the one :func:`as_points` raises for the
-    first offending item.
+    pass, and come back as one list block. Anything short of a clean
+    batch re-runs the per-item loop, so the error raised is exactly the
+    one :func:`as_points` raises for the first offending item.
     """
     if isinstance(trajectories, Ragged):
         if all(map(_packed_points, trajectories.blocks)):
             return trajectories
-        trajectories = list(trajectories)
+    elif isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
+        trajectories = [trajectories]
+    trajectories = list(trajectories)
     try:
         batch = [
             t.points if isinstance(t, Trajectory)
@@ -157,11 +200,12 @@ def as_points_batch(trajectories: Sequence[TrajectoryLike]
         ]
     except (TypeError, ValueError):
         batch = None  # numpy refused an item; as_points says which, below
-    if (batch is not None
-            and all(p.ndim == 2 and p.shape[1] == 2 and len(p) for p in batch)
-            and (not batch or np.isfinite(np.concatenate(batch)).all())):
-        return batch
-    return [as_points(t) for t in trajectories]
+    if (batch is None
+            or not all(p.ndim == 2 and p.shape[1] == 2 and len(p)
+                       for p in batch)
+            or (batch and not np.isfinite(np.concatenate(batch)).all())):
+        batch = [as_points(t) for t in trajectories]
+    return Ragged([batch])
 
 
 def pack_trajectories(batch: Sequence[TrajectoryLike],
@@ -174,18 +218,17 @@ def pack_trajectories(batch: Sequence[TrajectoryLike],
     longer depends on how many trajectories it holds.
     """
     batch = as_points_batch(batch)
-    if not isinstance(batch, Ragged):
-        batch = Ragged([batch])
-    offsets = np.concatenate(([0], np.cumsum(batch.lengths())))
-    arrays = batch.arrays()
-    points = np.concatenate(arrays) if arrays else np.empty((0, 2))
+    if not batch:
+        points, offsets = np.empty((0, 2)), np.zeros(1, np.int64)
+    else:
+        points, offsets = batch.pack()
     return {prefix + "points": points, prefix + "offsets": offsets}
 
 
 def unpack_trajectories(arrays: Mapping[str, np.ndarray],
-                        prefix: str = "") -> List[PointArray]:
+                        prefix: str = "") -> Ragged:
     """The trajectories :func:`pack_trajectories` wrote under ``prefix``,
-    as views into the one points array.
+    as a :class:`Ragged` of the one packed block the two arrays are.
 
     Raises ``ValueError`` before building anything when the two arrays do
     not describe a valid batch: a missing array, the wrong rank or dtype,
@@ -214,8 +257,7 @@ def unpack_trajectories(arrays: Mapping[str, np.ndarray],
             "start at 0, step by at least 1 and end at the point count")
     if not np.isfinite(points).all():
         raise ValueError(f"{names[0]!r} holds non-finite coordinates")
-    bounds = offsets.tolist()
-    return [points[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    return Ragged([(points, offsets)])
 
 
 class Trajectory:

@@ -4,6 +4,11 @@ injection, the transport-level failure taxonomy (TransientError vs
 FrameError), the remote client's transparent single retry, and a
 chaos-wrapped cluster still answering exactly."""
 
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.api import (
@@ -18,6 +23,8 @@ from repro.api.transport import FrameError
 
 from ..chaos import ChaosConfig, ChaosCoordinator, ChaosTransport
 from .test_registry import make_trajectories
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +230,28 @@ class TestClusterChaos:
         finally:
             for worker in workers:
                 worker.close()
+
+    def test_a_lost_shutdown_send_still_stops_a_live_worker(self, tmp_path):
+        """The ``shutdown`` frame to a live worker fails (its request link
+        dies at that send, the worker process lives on): a cascade close
+        must still stop the process, over a fresh connection."""
+        ready = tmp_path / "worker-ready"
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cluster-worker", "--port", "0",
+             "--ready-file", str(ready)],
+            env={**os.environ, "PYTHONPATH": SRC})
+        try:
+            deadline = time.monotonic() + 30
+            while not ready.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            # link 1 (requests) passes the join's send and recv; its
+            # third operation, the shutdown send, is the fault
+            cluster = ChaosCoordinator(
+                ChaosConfig(kill_after=2), [ready.read_text().strip()],
+                backend="hausdorff", heartbeat_interval=0)
+            cluster.close(shutdown_workers=True)
+            assert worker.wait(timeout=20) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()

@@ -232,7 +232,7 @@ def test_ivf_retrains_from_its_own_lists_in_id_order():
 # ----------------------------------------------------------------------
 # Declarations: the keyword table is the signature
 # ----------------------------------------------------------------------
-def test_the_keywords_and_defaults_are_the_23_there_were():
+def test_the_keywords_and_defaults_are_the_22_there_are():
     settable = {kind: vars(get_index(kind)) for kind in (*KINDS, "segment")}
     want = {
         "bruteforce": {"metric": "l1"},
@@ -244,13 +244,13 @@ def test_the_keywords_and_defaults_are_the_23_there_were():
         "int8": {"metric": "l1", "train_sample": 65536},
         "hnsw": {"m": 16, "ef_construction": 64, "ef_search": 32,
                  "metric": "l1", "seed": 0},
-        "segment": {"bucket_size": 500.0},
+        "segment": {},
     }
     for kind, keywords in want.items():
         public = {key: value for key, value in settable[kind].items()
                   if not key.startswith("_") and key != "train_count"}
         assert public == keywords, kind
-    assert sum(map(len, want.values())) == 23
+    assert sum(map(len, want.values())) == 22
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -171,11 +171,12 @@ class TestCache:
     def test_encode_batch_caches_by_content(self, trajcl_backend, trajectories):
         service = SimilarityService(backend=trajcl_backend, batch_size=4)
         first = service.encode_batch(trajectories)
-        misses = service.cache_misses
+        misses = service.cache_info().misses
         second = service.encode_batch(list(trajectories))
         np.testing.assert_allclose(first, second)
-        assert service.cache_misses == misses  # all hits the second time
-        assert service.cache_hits >= len(trajectories)
+        info = service.cache_info()
+        assert info.misses == misses  # all hits the second time
+        assert info.hits >= len(trajectories)
 
     def test_cache_eviction_bounds_memory(self, trajcl_backend, trajectories):
         service = SimilarityService(backend=trajcl_backend, cache_size=4)
@@ -258,7 +259,7 @@ class TestCache:
         service.encode_batch(trajectories[:4])
         service.encode_batch(trajectories[:4])
         info = service.cache_info()
-        assert info == (4, 4, 4, service.cache_size)
+        assert info == (4, 4, 4, service.encoder.cache_size)
 
     @pytest.fixture()
     def encode_calls(self, trajcl_backend, monkeypatch):

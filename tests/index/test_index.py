@@ -351,7 +351,7 @@ def random_trajectories(n=60, seed=0):
 class TestSegmentHausdorffIndex:
     def test_knn_matches_bruteforce(self):
         trajs = random_trajectories()
-        index = SegmentHausdorffIndex(bucket_size=400)
+        index = SegmentHausdorffIndex()
         index.build(trajs)
         query = trajs[7]
         distances, indices = index.knn(query, k=5)
@@ -369,7 +369,7 @@ class TestSegmentHausdorffIndex:
 
     def test_pruning_skips_evaluations(self):
         trajs = random_trajectories(n=200, seed=2)
-        index = SegmentHausdorffIndex(bucket_size=400)
+        index = SegmentHausdorffIndex()
         index.build(trajs)
         index.knn(trajs[0], k=3)
         assert index.last_exact_evaluations < len(trajs), (
@@ -395,8 +395,6 @@ class TestSegmentHausdorffIndex:
     def test_build_validation(self):
         with pytest.raises(ValueError):
             SegmentHausdorffIndex().build([])
-        with pytest.raises(ValueError):
-            SegmentHausdorffIndex(bucket_size=0)
         index = SegmentHausdorffIndex()
         with pytest.raises(RuntimeError):
             index.knn(np.zeros((3, 2)), 1)
@@ -407,7 +405,7 @@ class TestSegmentHausdorffIndex:
         """One vectorized pass over all queries must reproduce the
         per-query bound exactly (same pruning decisions)."""
         trajs = random_trajectories(n=50, seed=5)
-        index = SegmentHausdorffIndex(bucket_size=400)
+        index = SegmentHausdorffIndex()
         index.build(trajs)
         queries = [trajs[0], trajs[7][:3], trajs[20]]
         batched = index.lower_bounds_batch(queries)
@@ -423,7 +421,7 @@ class TestSegmentHausdorffIndex:
 
     def test_knn_batch_matches_per_query_knn(self):
         trajs = random_trajectories(n=60, seed=6)
-        index = SegmentHausdorffIndex(bucket_size=400)
+        index = SegmentHausdorffIndex()
         index.build(trajs)
         queries = [trajs[2], trajs[11], trajs[33][:5]]
         batch_d, batch_i = index.knn_batch(queries, k=4)

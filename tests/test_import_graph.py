@@ -428,7 +428,8 @@ TRAINING_ONLY = (
 def test_trajcl_coordinator_loads_no_structure_or_measure():
     """The owner encodes and merges; its shard worker (another process)
     builds the index. Serving a built model loads none of the training
-    code either."""
+    code either, nor ``numpy.ma`` (~1.7 MB of resident memory; numpy 2's
+    ``np.unique`` imports it)."""
     report = fresh_interpreter("""
 import json, subprocess, sys
 import numpy as np
@@ -468,7 +469,8 @@ print(json.dumps({"modules": sorted(sys.modules), "size": size}))
 """)
     assert report["size"] == 4
     assert "repro.core" in report["modules"]
-    assert loaded(report["modules"], *STRUCTURES, "repro.measures") == []
+    assert loaded(report["modules"], *STRUCTURES, "repro.measures",
+                  "numpy.ma") == []
     assert loaded(report["modules"], *TRAINING_ONLY) == []
 
 

@@ -44,7 +44,7 @@ def test_an_empty_batch_is_two_arrays_and_unpacks_to_nothing():
     packed = pack_trajectories([])
     assert packed["points"].shape == (0, 2)
     assert packed["offsets"].tolist() == [0]
-    assert unpack_trajectories(packed) == []
+    assert list(unpack_trajectories(packed)) == []
 
 
 def corrupt_offsets(offsets, points, how):

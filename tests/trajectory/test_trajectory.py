@@ -86,7 +86,7 @@ class TestAsPointsBatch:
         # float64 arrays and Trajectory points pass through uncopied
         assert all(ours is item for ours, item in zip(got, walks))
         assert got[4] is batch[4].points
-        assert as_points_batch([]) == []
+        assert list(as_points_batch([])) == []
 
     @pytest.mark.parametrize("name", sorted(bad_batches()))
     def test_raises_what_as_points_raises_first(self, name):
