@@ -9,13 +9,12 @@ model's ``max_len`` regardless of the actual trajectory lengths.
 
 :class:`InferenceEncoder` removes five costs: those three, and two a plain
 numpy forward brings with it — memory traffic and per-row reduction
-overhead that the arithmetic does not need (the matmuls are under half of
-a trajectory's encode time):
+overhead that the arithmetic does not need:
 
 * :meth:`InferenceEncoder.from_model` exports a trained encoder's weights
   into plain contiguous numpy arrays (Q/K/V projections fused into one
-  matrix per attention block, ``1/sqrt(head_dim)`` folded into its query
-  columns) — the forward pass is raw numpy with no ``Tensor`` objects or
+  matrix per attention block, ``log2(e)/sqrt(head_dim)`` folded into its
+  query columns) — the forward pass is raw numpy with no ``Tensor`` objects or
   tape on the hot path;
 * compute runs in float32 — weights, the cell table and the position
   encodings are cast once at export, the padded feature batch is built
@@ -30,26 +29,35 @@ a trajectory's encode time):
   Padded key positions receive a ``-1e9`` logit bias exactly as in the
   reference attention, so embeddings are independent of the padding width
   and the bucketing is invisible to callers;
-* activations stay 2-D row-major ``(B·L, d)`` from the one reshape at entry
-  to the one at the masked pooling, and every residual, LayerNorm and
-  FFN stage writes in place into an array the forward allocated itself
-  (never its input). Q, K and V are strided head views of the fused
-  product, not copies. Attention is computed *transposed*: the logits are
-  ``K Qᵀ`` written into one C-contiguous ``(L_key, B, H, L_query)`` array
-  — by the matmul of the wide stream and by the outer product of the
-  ``head_dim == 1`` spatial stream alike — because softmax reduces over
-  keys: its sum then adds whole contiguous rows of ``B·H·L`` elements
-  instead of reducing inside ``L``-long ones, which is what numpy is slow
-  at;
-* softmax makes no pass the result does not need. ``exp`` runs on the
-  unshifted logits, and the row sums it needs anyway are the overflow
-  guard: while every sum lies in ``(tiny/eps, eps/tiny)`` of the compute
-  dtype, no term overflowed and no mass was lost; otherwise that one
-  attention is recomputed with the per-query max shift. The normalisers
-  go where they are cheapest: ``1/Σ`` scales the ``(B,H,L,hd)`` contexts,
-  not the ``L×L`` weights, and Eq. 15's ``γ·r_s/r_t`` is one factor on the
-  spatial weights. No max, shift, normalise or γ pass is left over the
-  ``L×L`` arrays;
+* activations stay 2-D from the one reshape at entry to the one at the
+  masked pooling, and every residual, LayerNorm and FFN stage writes in
+  place into an array the forward allocated itself (never its input).
+  The structural stream is row-major ``(B·L, d)``; the spatial stream is
+  feature-major ``(d_s, B·L)`` — it is 4 features wide, so row-major it
+  would reduce and broadcast over 4-float rows, while feature-major its
+  projections, LayerNorms and FFN run over rows of ``B·L`` contiguous
+  floats. Q, K and V are strided head views of the fused product, not
+  copies. Attention is computed *transposed*: the logits are ``K Qᵀ``
+  written into one C-contiguous ``(L_key, B, H, L_query)`` array, because
+  softmax reduces over keys: its sum then adds whole contiguous rows of
+  ``B·H·L`` elements instead of reducing inside ``L``-long ones, which is
+  what numpy is slow at. The wide stream's logits are one batched matmul
+  (Qᵀ copied to rows first: BLAS reads the strided view at half speed);
+  the ``head_dim == 1`` spatial logits are an outer product, written as
+  one GEMM per trajectory, ``K_b (L, H) @ blockdiag(Q_b) (H, H·L)`` —
+  each entry one product plus exact zeros, so the outer product's bits,
+  without numpy's ``B·H·L`` inner loops of ``L`` floats;
+* softmax makes no pass the result does not need. ``log2 e`` rides in
+  the query columns beside ``1/sqrt(head_dim)``, so ``exp2`` (cheaper than
+  ``exp``) runs on the unshifted logits, and the row sums it needs anyway
+  are the overflow guard: while every sum lies in ``(tiny/eps, eps/tiny)``
+  of the compute dtype, no term overflowed and no mass was lost; otherwise
+  that one attention is recomputed with the per-query max shift. The
+  normalisers go where they are cheapest: ``1/Σ`` scales the
+  ``(B,H,L,hd)`` contexts inside the head-merge copy, not the ``L×L``
+  weights, and Eq. 15's ``γ·r_s/r_t`` is one factor on the spatial
+  weights. No max, shift, normalise or γ pass is left over the ``L×L``
+  arrays;
 * the bucket size is derived, not passed: as many trajectories as keep the
   forward's widest temporary — the FFN hidden or one softmax's logits —
   at about 1 MiB, so a bucket's working set stays in L2 (32 trajectories
@@ -109,24 +117,30 @@ def resolve_dtype(dtype) -> np.dtype:
 # ----------------------------------------------------------------------
 # Raw-numpy building blocks (eval-mode forward only, no tape)
 #
-# Activations are 2-D row-major ``(B·L, d)``; a block never writes to its
+# The structural stream's activations are row-major ``(B·L, d)``; the
+# spatial stream's are feature-major ``(d_s, B·L)`` (``feature_major``),
+# so that its few-feature rows are long. A block never writes to its
 # input, only to arrays it allocated itself.
 # ----------------------------------------------------------------------
 class _Attention:
     """Fused Q/K/V self-attention weights of one MSM block."""
 
-    __slots__ = ("wqkv", "wo", "num_heads", "sum_range")
+    __slots__ = ("wqkv", "wo", "num_heads", "sum_range", "feature_major")
 
-    def __init__(self, w_query, w_key, w_value, w_out, num_heads: int, dtype):
-        # 1/sqrt(head_dim) rides in the query columns: no pass over the logits
-        scale = 1.0 / np.sqrt(w_query.shape[0] // num_heads)
-        self.wqkv = np.ascontiguousarray(
-            np.concatenate([w_query * scale, w_key, w_value], axis=1),
-            dtype=dtype,
-        )
-        self.wo = np.ascontiguousarray(w_out, dtype=dtype)
+    def __init__(self, w_query, w_key, w_value, w_out, num_heads: int, dtype,
+                 feature_major: bool = False):
+        # 1/sqrt(head_dim) and log2(e) ride in the query columns: the
+        # logits come out in base 2, for exp2, with no pass over them
+        scale = np.log2(np.e) / np.sqrt(w_query.shape[0] // num_heads)
+        wqkv = np.concatenate([w_query * scale, w_key, w_value], axis=1)
+        # a feature-major stream is multiplied from the left: W^T x
+        self.wqkv = np.ascontiguousarray(wqkv.T if feature_major else wqkv,
+                                         dtype=dtype)
+        self.wo = np.ascontiguousarray(w_out.T if feature_major else w_out,
+                                       dtype=dtype)
         self.num_heads = num_heads
-        #: row sums of the unshifted exp inside this open range prove no
+        self.feature_major = feature_major
+        #: row sums of the unshifted exp2 inside this open range prove no
         #: term overflowed (each is below the sum) and no mass was lost (a
         #: subnormal term is below eps of the sum); the upper end leaves
         #: 1/eps of headroom for the value products
@@ -134,18 +148,37 @@ class _Attention:
         self.sum_range = (float(info.tiny / info.eps),
                           float(info.eps / info.tiny))
 
+    def _qkv(self, x: np.ndarray, batch: int) -> np.ndarray:
+        """Q, K, V as ``(3, B, H, L, hd)`` strided views of the fused
+        product (nothing is copied)."""
+        heads = self.num_heads
+        if self.feature_major:
+            dim = x.shape[0]
+            qkv = (self.wqkv @ x).reshape(3, heads, dim // heads, batch, -1)
+            return qkv.transpose(0, 3, 1, 4, 2)
+        qkv = (x @ self.wqkv).reshape(batch, -1, 3, heads, x.shape[1] // heads)
+        return qkv.transpose(2, 0, 3, 1, 4)
+
     def _logits(self, query, key, bias: Optional[np.ndarray]) -> np.ndarray:
         """``K Qᵀ`` (+ the padding bias) laid out keys-outermost:
         ``(L_key, B, H, L_query)``, C-contiguous."""
         batch, heads, seq_len, head_dim = query.shape
         logits = np.empty((seq_len, batch, heads, seq_len), dtype=query.dtype)
         if head_dim == 1:
-            # head_dim 1 (the 4-wide spatial stream): K = 1 is an outer
-            # product, not a matmul
-            np.multiply(key.transpose(2, 0, 1, 3),
-                        np.ascontiguousarray(query[..., 0]), out=logits)
+            # head_dim 1 (the 4-wide spatial stream): per trajectory, one
+            # GEMM K_b (L, H) @ blockdiag(Q_b) (H, H·L) writes row j of the
+            # (L, H·L) slab logits[:, b] — each entry one product k·q plus
+            # exact zeros, so the bits of the outer product
+            blocks = np.zeros((batch, heads, heads, seq_len), query.dtype)
+            blocks.reshape(batch, heads * heads, seq_len)[:, ::heads + 1] = \
+                query[..., 0]
+            np.matmul(key[..., 0].swapaxes(1, 2),
+                      blocks.reshape(batch, heads, heads * seq_len),
+                      out=logits.reshape(seq_len, batch, -1).swapaxes(0, 1))
         else:
-            np.matmul(key, query.swapaxes(-1, -2),
+            # Qᵀ copied to (B, H, hd, L) rows: BLAS reads the strided Qᵀ
+            # view at half the speed the copy costs
+            np.matmul(key, np.ascontiguousarray(query.swapaxes(-1, -2)),
                       out=logits.transpose(1, 2, 0, 3))
         if bias is not None:
             logits += bias
@@ -158,28 +191,26 @@ class _Attention:
         value (B,H,L,hd))`` of Eq. 12: the attention is ``weights ·
         reciprocal``, a product nobody forms (:meth:`project`).
 
-        Q, K, V are strided head views of the fused product (unit inner
-        stride: BLAS takes the row stride, nothing is copied). The logits
-        are ``K Qᵀ`` laid out keys-outermost, so the softmax's sum runs
-        down axis 0, across contiguous rows of ``B·H·L`` elements.
+        Q, K, V are strided head views of the fused product. The logits
+        are ``K Qᵀ`` in base 2 laid out keys-outermost, so the softmax's
+        sum runs down axis 0, across contiguous rows of ``B·H·L``
+        elements.
 
-        The weights are ``exp`` of the unshifted logits. The row sums are
+        The weights are ``exp2`` of the unshifted logits. The row sums are
         the overflow guard: when one lies outside :attr:`sum_range`, this
-        attention alone is recomputed with the per-query max shift (exp
-        then sees ≤ 0, and every sum is in ``[1, L]``).
+        attention alone is recomputed with the per-query max shift (exp2
+        then sees ≤ 0, and every sum is in ``[1, L]``). The caller mutes
+        numpy's overflow warning (:meth:`InferenceEncoder._forward`).
         """
-        heads = self.num_heads
-        qkv = (x @ self.wqkv).reshape(batch, -1, 3, heads, x.shape[1] // heads)
-        query, key, value = qkv.transpose(2, 0, 3, 1, 4)       # (B,H,L,hd)
+        query, key, value = self._qkv(x, batch)                # (B,H,L,hd)
         weights = self._logits(query, key, bias)
-        with np.errstate(over="ignore"):
-            np.exp(weights, out=weights)
-            sums = weights.sum(axis=0)
+        np.exp2(weights, out=weights)
+        sums = weights.sum(axis=0)
         low, high = self.sum_range
         if not low < sums.min() <= sums.max() < high:
             weights = self._logits(query, key, bias)
             weights -= weights.max(axis=0)
-            np.exp(weights, out=weights)
+            np.exp2(weights, out=weights)
             sums = weights.sum(axis=0)
         return weights, np.reciprocal(sums, out=sums), value
 
@@ -187,46 +218,68 @@ class _Attention:
                 value: np.ndarray) -> np.ndarray:
         """``A V`` with the heads concatenated through ``W_o`` (Eq. 14),
         ``A = weights · reciprocal``: the reciprocal sums scale the
-        ``(B,H,L,hd)`` contexts, not the ``L×L`` weights."""
+        ``(B,H,L,hd)`` contexts as the head-merge copies them, not the
+        ``L×L`` weights."""
         context = weights.transpose(1, 2, 3, 0) @ value        # (B,H,L,hd)
-        context *= reciprocal[..., None]
-        merged = context.transpose(0, 2, 1, 3).reshape(-1, self.wo.shape[0])
-        return merged @ self.wo
+        batch, heads, seq_len, head_dim = context.shape
+        if self.feature_major:                                 # (H,hd,B,L)
+            merged = np.empty((heads, head_dim, batch, seq_len), context.dtype)
+            np.multiply(context.transpose(1, 3, 0, 2),
+                        reciprocal.transpose(1, 0, 2)[:, None], out=merged)
+            return self.wo @ merged.reshape(heads * head_dim, -1)
+        merged = np.empty((batch, seq_len, heads, head_dim), context.dtype)
+        np.multiply(context.transpose(0, 2, 1, 3),
+                    reciprocal.transpose(0, 2, 1)[..., None], out=merged)
+        return merged.reshape(batch * seq_len, -1) @ self.wo
 
 
 class _FeedForward:
-    __slots__ = ("w1", "b1", "w2", "b2")
+    __slots__ = ("w1", "b1", "w2", "b2", "feature_major")
 
-    def __init__(self, fc1, fc2, dtype):
-        self.w1 = np.ascontiguousarray(fc1.weight.data, dtype=dtype)
-        self.b1 = np.ascontiguousarray(fc1.bias.data, dtype=dtype)
-        self.w2 = np.ascontiguousarray(fc2.weight.data, dtype=dtype)
-        self.b2 = np.ascontiguousarray(fc2.bias.data, dtype=dtype)
+    def __init__(self, fc1, fc2, dtype, feature_major: bool = False):
+        weights = fc1.weight.data, fc1.bias.data, fc2.weight.data, fc2.bias.data
+        if feature_major:  # W^T x + b as a column
+            weights = [w.T if w.ndim == 2 else w[:, None] for w in weights]
+        self.w1, self.b1, self.w2, self.b2 = (
+            np.ascontiguousarray(w, dtype=dtype) for w in weights)
+        self.feature_major = feature_major
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        hidden = x @ self.w1
+        hidden = self.w1 @ x if self.feature_major else x @ self.w1
         hidden += self.b1
         np.maximum(hidden, 0.0, out=hidden)
-        out = hidden @ self.w2
+        out = self.w2 @ hidden if self.feature_major else hidden @ self.w2
         out += self.b2
         return out
 
 
 class _LayerNormP:
-    __slots__ = ("gamma", "beta", "eps", "mean")
+    __slots__ = ("gamma", "beta", "eps", "mean", "feature_major")
 
-    def __init__(self, norm, dtype):
-        self.gamma = np.ascontiguousarray(norm.gamma.data, dtype=dtype)
-        self.beta = np.ascontiguousarray(norm.beta.data, dtype=dtype)
+    def __init__(self, norm, dtype, feature_major: bool = False):
+        dim = len(norm.gamma.data)
+        shape = (dim, 1) if feature_major else (dim,)
+        self.gamma = np.ascontiguousarray(norm.gamma.data, dtype).reshape(shape)
+        self.beta = np.ascontiguousarray(norm.beta.data, dtype).reshape(shape)
         self.eps = float(norm.eps)
-        #: ``x @ mean`` is the row mean as one BLAS call
-        dim = len(self.gamma)
+        #: ``x @ mean`` is the row mean of a row-major block as one BLAS
+        #: call
         self.mean = np.full((dim, 1), 1.0 / dim, dtype=dtype)
+        self.feature_major = feature_major
+
+    def _mean(self, x: np.ndarray) -> np.ndarray:
+        if self.feature_major:
+            # a sum of whole rows, not BLAS's (1, d) @ (d, N): its rounding
+            # would depend on N, so on a trajectory's bucket mates
+            total = np.add.reduce(x, axis=0, keepdims=True)
+            total *= self.mean[0, 0]
+            return total
+        return x @ self.mean
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """LayerNorm over the last axis, overwriting ``x``."""
-        x -= x @ self.mean
-        var = np.multiply(x, x) @ self.mean
+        """LayerNorm over the feature axis, overwriting ``x``."""
+        x -= self._mean(x)
+        var = self._mean(np.multiply(x, x))
         x *= 1.0 / np.sqrt(var + self.eps)
         x *= self.gamma
         x += self.beta
@@ -238,10 +291,11 @@ class _Residual:
 
     __slots__ = ("norm1", "norm2", "ffn")
 
-    def __init__(self, layer, dtype):
-        self.norm1 = _LayerNormP(layer.norm1, dtype)
-        self.norm2 = _LayerNormP(layer.norm2, dtype)
-        self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2, dtype)
+    def __init__(self, layer, dtype, feature_major: bool = False):
+        self.norm1 = _LayerNormP(layer.norm1, dtype, feature_major)
+        self.norm2 = _LayerNormP(layer.norm2, dtype, feature_major)
+        self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2, dtype,
+                                feature_major)
 
     def __call__(self, x: np.ndarray, attended: np.ndarray) -> np.ndarray:
         attended += x
@@ -256,16 +310,18 @@ class _TransformerLayer:
 
     __slots__ = ("attn", "residual")
 
-    def __init__(self, layer, dtype, coefficients_only: bool = False):
+    def __init__(self, layer, dtype, coefficients_only: bool = False,
+                 feature_major: bool = False):
         attn = layer.attn
         self.attn = _Attention(
             attn.w_query.weight.data, attn.w_key.weight.data,
             attn.w_value.weight.data, attn.w_out.weight.data,
-            attn.num_heads, dtype,
+            attn.num_heads, dtype, feature_major,
         )
         #: None where nothing reads the block's output: only its attention
         #: coefficients are computed
-        self.residual = None if coefficients_only else _Residual(layer, dtype)
+        self.residual = (None if coefficients_only
+                         else _Residual(layer, dtype, feature_major))
 
     def __call__(
         self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
@@ -298,7 +354,8 @@ class _DualLayer:
         depth = len(msm.spatial_encoder.layers)
         self.spatial_layers = [
             _TransformerLayer(spatial, dtype,
-                              coefficients_only=last and i == depth - 1)
+                              coefficients_only=last and i == depth - 1,
+                              feature_major=True)
             for i, spatial in enumerate(msm.spatial_encoder.layers)
         ]
         self.residual = _Residual(layer, dtype)
@@ -319,9 +376,8 @@ class _DualLayer:
         # Eq. 15: C_ts = (A_t + γ A_s) V_t, heads merged through W_o. With
         # A = E·r that is r_t (E_t + (γ r_s / r_t) E_s) V_t: one (B,H,L)
         # factor on the spatial weights, r_t on the contexts.
-        with np.errstate(over="ignore"):
-            factor = spatial_reciprocal / reciprocal
-            factor *= self.gamma
+        factor = spatial_reciprocal / reciprocal
+        factor *= self.gamma
         if not np.isfinite(factor).all():
             # the two maps' sums lie too many decades apart for the ratio:
             # normalise each on its own
@@ -439,17 +495,24 @@ class InferenceEncoder:
             bias = bias.T[:, :, None, None]
         structural = structural.reshape(batch * seq_len, -1)
         spatial = spatial.reshape(batch * seq_len, -1)
-        if self.variant == "dual":
-            for layer in self.layers:
-                structural, spatial = layer(structural, spatial, batch, bias)
-            hidden = structural
-        else:
-            if self.variant == "concat":
-                hidden = np.concatenate([structural, spatial], axis=1)
-            else:  # msm: structural stream only
+        # exp2 of unshifted logits and Eq. 15's ratio of sums may overflow
+        # by design: the guards after each detect it and recompute. One
+        # errstate for the bucket, not one per map (~4 µs each, a tenth of
+        # a one-trajectory forward's overhead).
+        with np.errstate(over="ignore"):
+            if self.variant == "dual":
+                spatial = np.ascontiguousarray(spatial.T)   # feature-major
+                for layer in self.layers:
+                    structural, spatial = layer(structural, spatial, batch,
+                                                bias)
                 hidden = structural
-            for layer in self.layers:
-                hidden, _, _ = layer(hidden, batch, bias)
+            else:
+                if self.variant == "concat":
+                    hidden = np.concatenate([structural, spatial], axis=1)
+                else:  # msm: structural stream only
+                    hidden = structural
+                for layer in self.layers:
+                    hidden, _, _ = layer(hidden, batch, bias)
         # Masked average pooling over valid positions (§IV-C).
         hidden = hidden.reshape(batch, seq_len, -1)
         if bias is not None:

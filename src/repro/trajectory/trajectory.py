@@ -53,11 +53,15 @@ class Ragged(collections.abc.Sequence):
     nothing and keeps no per-item object for what arrived packed.
     """
 
-    __slots__ = ("blocks", "_ends")
+    __slots__ = ("blocks", "_ends", "_checked")
 
     def __init__(self, blocks: Iterable = ()):
         self.blocks: List = []
         self._ends: List[int] = []  # items up to and including each block
+        #: leading blocks :func:`as_points_batch` validated (it built them,
+        #: or :meth:`take` cut them from such blocks); blocks are only ever
+        #: appended, so an append leaves this count behind
+        self._checked = 0
         for block in blocks:
             self.append(block)
 
@@ -143,7 +147,12 @@ class Ragged(collections.abc.Sequence):
         packed block: a view when the items lie back to back, else one
         gather from the base (:meth:`pack` joins several blocks first).
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        out = self._take(np.asarray(rows, dtype=np.int64), limit)
+        if self._checked == len(self.blocks) and (limit is None or limit > 0):
+            out._checked = len(out.blocks)  # items of valid items
+        return out
+
+    def _take(self, rows: np.ndarray, limit: Optional[int]) -> "Ragged":
         if any(type(block) is list for block in self.blocks):
             items = self.blocks[0] if len(self.blocks) == 1 else list(self)
             return Ragged([[items[row][:limit] for row in rows.tolist()]])
@@ -179,6 +188,9 @@ def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> Ragged:
     finiteness reduction for the whole batch instead of one per item.
 
     A bare ``(L, 2)`` array is one trajectory, not ``L`` of them. A
+    :class:`Ragged` this function built (or :meth:`Ragged.take` cut from
+    one) comes back as it is, unchecked: each layer a chunk passes
+    through calls this, and the first one's pass stands for them all. A
     :class:`Ragged` of packed blocks is checked in one pass over each
     base and comes back as it is. Otherwise items are coerced and
     shape-checked one by one, then all their points are checked in one
@@ -187,7 +199,8 @@ def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> Ragged:
     one :func:`as_points` raises for the first offending item.
     """
     if isinstance(trajectories, Ragged):
-        if all(map(_packed_points, trajectories.blocks)):
+        if (trajectories._checked == len(trajectories.blocks)
+                or all(map(_packed_points, trajectories.blocks))):
             return trajectories
     elif isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
         trajectories = [trajectories]
@@ -205,7 +218,9 @@ def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> Ragged:
                        for p in batch)
             or (batch and not np.isfinite(np.concatenate(batch)).all())):
         batch = [as_points(t) for t in trajectories]
-    return Ragged([batch])
+    checked = Ragged([batch])
+    checked._checked = len(checked.blocks)
+    return checked
 
 
 def pack_trajectories(batch: Sequence[TrajectoryLike],

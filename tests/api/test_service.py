@@ -321,6 +321,30 @@ class TestValidationParity:
         assert len(service) == len(service.index) == len(trajectories)
 
 
+    @pytest.mark.parametrize("index", [None, "bruteforce"])
+    def test_a_list_add_checks_finiteness_once(self, trajcl_backend,
+                                               trajectories, index,
+                                               monkeypatch):
+        """The service, the cache and the engine each take a chunk through
+        ``as_points_batch``; the batch the first one built passes the
+        others unchecked: one finiteness pass over the points per add (the
+        engine's Eq. 15 guard checks its ``(B, H, L)`` factors, not
+        points)."""
+        service = SimilarityService(backend=trajcl_backend, index=index)
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(array, *args, **kwargs):
+            if np.ndim(array) == 2 and np.shape(array)[1] == 2:
+                calls.append(len(array))
+            return isfinite(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        service.add(list(trajectories))
+        assert calls == [sum(map(len, trajectories))]
+        assert len(service) == len(trajectories)
+
+
 class TestSaveLoad:
     def test_trajcl_roundtrip_knn_identical(self, trajcl_service, trajectories,
                                             tmp_path):

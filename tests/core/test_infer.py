@@ -322,6 +322,20 @@ class TestForwardLaws:
         rtol, atol = (1e-9, 1e-12) if dtype == "float64" else (1e-4, 1e-5)
         np.testing.assert_allclose(together, alone, rtol=rtol, atol=atol)
 
+    @pytest.mark.parametrize("variant", ["dual", "msm"])
+    def test_bucket_mates_move_no_bit(self, small_setup, variant):
+        """At one padded length a row's bits do not depend on how many
+        trajectories share its bucket: no kernel in the forward rounds by
+        the bucket's width (BLAS's (1, d) @ (d, N) does, by N). The
+        ``concat`` ablation's 20-wide stream has never kept this; it is
+        held to the parity tolerances only."""
+        model = make_model(small_setup, variant)
+        batch = walks([40, 45, 52] * 11, seed=14)     # all cut to max_len
+        whole = model.encode(batch)
+        for count in (1, 2, 3, 5, 8, 13, 21):
+            assert (model.encode(batch[:count]).tobytes()
+                    == whole[:count].tobytes())
+
     @pytest.mark.parametrize("variant", ["dual", "msm", "concat"])
     def test_shortest_beside_longest(self, small_setup, variant):
         """One point next to ``max_len`` points: the bias branch at its
@@ -525,28 +539,16 @@ class TestAttentionLayout:
     @pytest.mark.parametrize("head_dim", [1, 16])
     def test_keys_outermost_contiguous_rows_sum_to_one(self, head_dim,
                                                        padded):
+        """Either layout: row-major ``(B·L, d)`` and feature-major
+        ``(d, B·L)`` activations give the same attention."""
         heads, batch, seq_len = 4, 3, 11
         dim = heads * head_dim
         rng = np.random.default_rng(head_dim)
         w_query, w_key, w_value, w_out = rng.standard_normal((4, dim, dim))
-        attn = infer._Attention(w_query, w_key, w_value, w_out, heads,
-                                np.float32)
         x = rng.standard_normal((batch * seq_len, dim)).astype(np.float32)
         lengths = np.array([seq_len, 4, 1]) if padded else np.full(3, seq_len)
         valid = np.arange(seq_len) < lengths[:, None]
-        bias = None
-        if padded:
-            bias = np.where(valid, 0.0, -1e9).astype(np.float32)
-            bias = bias.T[:, :, None, None]
-        weights, reciprocal, value = attn.coefficients(x, batch, bias)
-        assert weights.shape == (seq_len, batch, heads, seq_len)
-        assert weights.flags.c_contiguous
-        assert reciprocal.shape == (batch, heads, seq_len)
-        assert value.shape == (batch, heads, seq_len, head_dim)
-        assert (weights[~valid.T] == 0.0).all()
-        # the weights times their reciprocal sums are the attention
-        attention = weights * reciprocal
-        np.testing.assert_allclose(attention.sum(axis=0), 1.0, rtol=1e-5)
+        bias = padding_bias(valid, np.float32) if padded else None
         # axis 0 is the key: the plain softmax(Q K^T / sqrt(hd)) transposed
         x64 = x.astype(np.float64).reshape(batch, seq_len, dim)
 
@@ -559,41 +561,112 @@ class TestAttentionLayout:
         logits += np.where(valid, 0.0, -1e9)[:, None, None, :]
         expected = np.exp(logits - logits.max(axis=-1, keepdims=True))
         expected /= expected.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(attention.transpose(1, 2, 3, 0), expected,
-                                   rtol=2e-3, atol=1e-5)
+        for feature_major in (False, True):
+            attn = infer._Attention(w_query, w_key, w_value, w_out, heads,
+                                    np.float32, feature_major)
+            with np.errstate(over="ignore"):  # as the forward calls it
+                weights, reciprocal, value = attn.coefficients(
+                    np.ascontiguousarray(x.T) if feature_major else x,
+                    batch, bias)
+            assert weights.shape == (seq_len, batch, heads, seq_len)
+            assert weights.flags.c_contiguous
+            assert reciprocal.shape == (batch, heads, seq_len)
+            assert value.shape == (batch, heads, seq_len, head_dim)
+            assert (weights[~valid.T] == 0.0).all()
+            # the weights times their reciprocal sums are the attention
+            attention = weights * reciprocal
+            np.testing.assert_allclose(attention.sum(axis=0), 1.0, rtol=1e-5)
+            np.testing.assert_allclose(attention.transpose(1, 2, 3, 0),
+                                       expected, rtol=2e-3, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("feature_major", [False, True])
+    def test_head_dim_1_logits_are_the_outer_product(self, feature_major,
+                                                     padded, dtype):
+        """The ``head_dim == 1`` logits are one GEMM per trajectory against
+        a block-diagonal Q; every entry is k·q plus exact zeros, so the
+        bits are the outer product's (+ the bias), in either layout."""
+        heads, batch, seq_len = 4, 5, 13
+        rng = np.random.default_rng(23)
+        weights = rng.standard_normal((4, heads, heads)) * 3
+        attn = infer._Attention(*weights, heads, dtype, feature_major)
+        x = rng.standard_normal((batch * seq_len, heads)).astype(dtype)
+        query, key, _ = attn._qkv(
+            np.ascontiguousarray(x.T) if feature_major else x, batch)
+        assert query.shape == key.shape == (batch, heads, seq_len, 1)
+        lengths = np.array([13, 1, 7, 13, 2]) if padded else np.full(5, 13)
+        valid = np.arange(seq_len) < lengths[:, None]
+        bias = padding_bias(valid, dtype) if padded else None
+        expected = key.transpose(2, 0, 1, 3) * query[..., 0]   # K Qᵀ
+        if padded:
+            expected += bias
+        logits = attn._logits(query, key, bias)
+        assert logits.flags.c_contiguous
+        assert logits.tobytes() == expected.astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_feature_major_block_is_the_row_major_one_transposed(
+            self, small_setup, last):
+        """The spatial stream runs feature-major ``(d_s, B·L)``: the same
+        block, the same numbers, transposed (float64)."""
+        layer = make_model(small_setup).encoder.layers[0]
+        spatial = layer.dual_msm.spatial_encoder.layers[0]
+        rows, columns = (infer._TransformerLayer(
+            spatial, np.float64, coefficients_only=last, feature_major=major)
+            for major in (False, True))
+        batch, seq_len = 6, 9
+        x = np.random.default_rng(2).standard_normal((batch * seq_len, 4))
+        valid = np.arange(seq_len) < np.array([9, 1, 4, 9, 8, 2])[:, None]
+        bias = padding_bias(valid, np.float64)
+        by_rows = rows(x, batch, bias)
+        by_columns = columns(np.ascontiguousarray(x.T), batch, bias)
+        if last:
+            assert by_rows[0] is by_columns[0] is None
+        else:
+            assert by_columns[0].shape == (4, batch * seq_len)
+            np.testing.assert_allclose(by_columns[0].T, by_rows[0],
+                                       rtol=1e-12, atol=1e-12)
+        for got, want in zip(by_columns[1:], by_rows[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
+def padding_bias(valid, dtype):
+    """The forward's padding bias, keys outermost: ``(L, B, 1, 1)``."""
+    return np.where(valid, 0.0, -1e9).astype(dtype).T[:, :, None, None]
 
 
 # ----------------------------------------------------------------------
 # Golden bits: the served float32 embeddings of one fixed model, pinned
 # as digests. Re-recorded (`make golden-bits`, both kernel families) when
-# softmax dropped its max shift and its normalisers moved: exp of the
-# unshifted logits, 1/Σ applied to the contexts instead of the weights,
-# and γ·r_s/r_t as one factor on Eq. 15's spatial weights round
-# differently; each row stays within the parity tolerance of the float64
-# graph.
+# softmax went to base 2 and the spatial stream went feature-major. Each
+# rounds differently: exp2 of logits scaled by log2 e, the spatial
+# LayerNorm means as row sums, the spatial matmuls taken the other way
+# round. Every row stays within the parity tolerance of the float64
+# graph. The kernel probe runs exp2, the function the forward calls.
 # ----------------------------------------------------------------------
 def _float32_kernels() -> str:
-    """Names the float32 matmul / exp kernels this process runs (OpenBLAS
+    """Names the float32 matmul / exp2 kernels this process runs (OpenBLAS
     picks them by CPU): equal digests round the same way."""
     rng = np.random.default_rng(0)
     left = rng.standard_normal((96, 64)).astype(np.float32)
     right = rng.standard_normal((64, 192)).astype(np.float32)
-    product = np.exp(left @ right * np.float32(0.1))
+    product = np.exp2(left @ right * np.float32(0.1))
     return hashlib.sha256(product.tobytes()).hexdigest()[:16]
 
 
 #: kernels → sha256 of ``model.encode(golden_batch(), batch_size)`` for
 #: batch_size 1, 7 and 256
 _GOLDEN = {
-    "204a67683f6d0549": {   # OpenBLAS SkylakeX
-        1: "f726b8ee0826ccc4aa1ac7b12c058c7e8214e8496464fb33b2336caa8534b879",
-        7: "fa34e3174fae9b73c2ee30e6fa5390c31289c3c5feb6c51967a9138e678ac9d3",
-        256: "0d603bf62443d914211e2f9342a4f73524a740fac5df6228643e5477bb82f2bf",
+    "6840d710fffd6180": {   # OpenBLAS SkylakeX
+        1: "1fbab0ca64ac80c0b52324ec3dd2ec5a42ca8dfb83675f27839da4b9cd53372f",
+        7: "661ad5cb1b96cb3b677d2a32547c0c9954889dd6b4234cb4cd2f2494e9a971e0",
+        256: "b88965d27a7767ca84011dfb6863208e352c2dc5c8f4b7e28e3d38844bc09cdc",
     },
-    "87ed5b28fb61a90e": {   # OpenBLAS Haswell / Zen
-        1: "37c6b44bd6028b1ae42c46be0fa654f4a4d69c350b15539e812ec3e6fd80711c",
-        7: "c76ac1dee738945b3933c5c4e15cd947e28d3fca426b972cd0db6d72a9dcfd9e",
-        256: "ebcdf37992a2e35e3a6d287c1f04181d86c039d398974f3f1775b52cc49b70cf",
+    "0a5c9814f7e030a0": {   # OpenBLAS Haswell / Zen
+        1: "9d9e1ca61857ebc3b47616e4e5368b97d18c3ce0aaad0b4061af090b8913edf0",
+        7: "ccf1f9b0b2d0ce9c238aabe38e1f6ec92a5715678c9fde1c0e34043b1d4e7c19",
+        256: "a5e6ab0dbe94bbf6514a8879d6f047107e8ce7842f5982669df3b6d9d4abbc11",
     },
 }
 

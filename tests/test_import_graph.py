@@ -474,6 +474,28 @@ print(json.dumps({"modules": sorted(sys.modules), "size": size}))
     assert loaded(report["modules"], *TRAINING_ONLY) == []
 
 
+def test_an_ivf_index_trains_and_adds_without_numpy_ma():
+    """``numpy.ma`` is ~1.7 MB of resident memory, and numpy 2's
+    ``np.unique`` imports it: the IVF add groups its rows without it."""
+    report = fresh_interpreter("""
+import json, sys
+import numpy as np
+from repro.api import get_index
+
+rng = np.random.default_rng(0)
+index = get_index("ivf", n_lists=4)
+index.add(rng.standard_normal((64, 8)).astype(np.float32))
+index.search(rng.standard_normal((2, 8)).astype(np.float32), 3)  # trains
+index.add(rng.standard_normal((32, 8)).astype(np.float32))
+ids, _ = index.search(rng.standard_normal((2, 8)).astype(np.float32), 3)
+print(json.dumps({"modules": sorted(sys.modules), "size": len(index),
+                  "stats": index.stats()["trained"]}))
+""")
+    assert report["size"] == 96 and report["stats"]
+    assert "repro.index.ivf" in report["modules"]
+    assert loaded(report["modules"], "numpy.ma") == []
+
+
 def test_build_parser_loads_no_analyzer():
     """Every `repro knn`/`serve`/`cluster-worker` builds the whole parser:
     it loads no lint framework (there is none) and nothing the tests own,
