@@ -23,7 +23,10 @@ codes over ``--lists`` coarse cells, a quarter of them probed) and
 Results merge scenario-by-scenario into
 ``benchmarks/results/BENCH_index.json`` (same preserve-prior-numbers
 discipline as ``BENCH_encode.json``), so the recall/memory/latency
-trajectory accumulates across PRs.
+trajectory accumulates across PRs. ``--label`` suffixes the row names,
+so a before/after pair is the same command run against two checkouts
+(the script needs only ``repro.index``/``repro.api`` from its
+``PYTHONPATH``).
 
 Run via ``make bench-index`` (10^5 vectors) or directly::
 
@@ -143,7 +146,8 @@ def run_scenarios(args) -> Dict[str, Dict]:
         if evals_after is not None:
             results["distance_evals_per_query"] = round(
                 (evals_after - (evals_before or 0)) / args.queries, 1)
-        scenarios[f"{name}_n{args.count}"] = {"results": results}
+        label = f"@{args.label}" if args.label else ""
+        scenarios[f"{name}_n{args.count}{label}"] = {"results": results}
     return scenarios
 
 
@@ -171,6 +175,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--ef-search", type=int, default=32)
     parser.add_argument("--train-sample", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--label",
+                        help="suffix the rows `@label` (a before/after pair "
+                             "from two checkouts in one record)")
     parser.add_argument("--output",
                         help="merge the result JSON here, keyed by scenario "
                              "(e.g. benchmarks/results/BENCH_index.json)")

@@ -61,9 +61,9 @@ def spatial_features(points: np.ndarray, grid: Grid) -> np.ndarray:
             mean_len[1:-1] = 0.5 * (seg[:-1] + seg[1:])
             before = points[:-2] - points[1:-1]
             after = points[2:] - points[1:-1]
-            denom = np.maximum(
-                np.linalg.norm(before, axis=1) * np.linalg.norm(after, axis=1), 1e-12
-            )
+            # |before| and |after| are the segment lengths: ``before`` is
+            # a segment negated, exactly
+            denom = np.maximum(seg[:-1] * seg[1:], 1e-12)
             cos = np.clip((before * after).sum(axis=1) / denom, -1.0, 1.0)
             radians[1:-1] = np.arccos(cos)
     return np.stack(
@@ -166,10 +166,9 @@ class FeatureEnrichment:
                 mean_len[inner] = 0.5 * (seg[inner - 1] + seg[inner])
                 before = flat[inner - 1] - flat[inner]
                 after = flat[inner + 1] - flat[inner]
-                denom = np.maximum(
-                    np.linalg.norm(before, axis=1) * np.linalg.norm(after, axis=1),
-                    1e-12,
-                )
+                # their norms are the two segment lengths (negation is
+                # exact)
+                denom = np.maximum(seg[inner - 1] * seg[inner], 1e-12)
                 cos = np.clip((before * after).sum(axis=1) / denom, -1.0, 1.0)
                 radians[inner] = np.arccos(cos)
         return np.stack(
@@ -209,6 +208,13 @@ class FeatureEnrichment:
                 f"pad_len={pad_len} must be in [{longest}, {self.max_len}]"
             )
         mask = np.arange(pad_len) >= lengths[:, None]
+        if int(lengths.min()) == pad_len:  # no padded slot: no scatter
+            structural = self.cell_embeddings[cells.reshape(batch, pad_len)]
+            structural += self._pe_structural[:pad_len]
+            padded = np.empty((batch, pad_len, self.spatial_dim), self.dtype)
+            np.add(spatial.reshape(padded.shape), self._pe_spatial[:pad_len],
+                   out=padded)
+            return structural, padded, mask
         valid = ~mask  # row-major True positions are the flat point order
 
         # One gather per stream, straight into the padded layout (padded

@@ -53,11 +53,14 @@ overhead that the arithmetic does not need:
   are the overflow guard: while every sum lies in ``(tiny/eps, eps/tiny)``
   of the compute dtype, no term overflowed and no mass was lost; otherwise
   that one attention is recomputed with the per-query max shift. The
-  normalisers go where they are cheapest: ``1/Σ`` scales the
-  ``(B,H,L,hd)`` contexts inside the head-merge copy, not the ``L×L``
-  weights, and Eq. 15's ``γ·r_s/r_t`` is one factor on the spatial
-  weights. No max, shift, normalise or γ pass is left over the ``L×L``
-  arrays;
+  normalisers go where they are cheapest: in a plain block ``1/Σ``
+  scales the ``(B,H,L,hd)`` contexts inside the head-merge copy, not the
+  ``L×L`` weights; in a DualSTB Eq. 15's two maps are normalised in
+  place (``E_t *= r_t``, ``E_s *= γ·r_s``: one ``(B,H,L)`` factor
+  against each contiguous key row) and summed, and the context product
+  writes straight into the ``(B,L,H,hd)`` merge layout — no copy, and no
+  ratio of the two maps' sums to overflow. No max or shift pass is left
+  over the ``L×L`` arrays;
 * the bucket size is derived, not passed: as many trajectories as keep the
   forward's widest temporary — the FFN hidden or one softmax's logits —
   at about 1 MiB, so a bucket's working set stays in L2 (32 trajectories
@@ -214,22 +217,28 @@ class _Attention:
             sums = weights.sum(axis=0)
         return weights, np.reciprocal(sums, out=sums), value
 
-    def project(self, weights: np.ndarray, reciprocal: np.ndarray,
+    def project(self, weights: np.ndarray, reciprocal: Optional[np.ndarray],
                 value: np.ndarray) -> np.ndarray:
         """``A V`` with the heads concatenated through ``W_o`` (Eq. 14),
         ``A = weights · reciprocal``: the reciprocal sums scale the
         ``(B,H,L,hd)`` contexts as the head-merge copies them, not the
-        ``L×L`` weights."""
-        context = weights.transpose(1, 2, 3, 0) @ value        # (B,H,L,hd)
-        batch, heads, seq_len, head_dim = context.shape
+        ``L×L`` weights. With ``reciprocal`` None the weights are ``A``
+        already, and the context product writes straight into the
+        row-major merge layout ``(B,L,H,hd)``: no copy."""
+        batch, heads, seq_len, head_dim = value.shape
+        weights = weights.transpose(1, 2, 3, 0)                # (B,H,Lq,Lk)
         if self.feature_major:                                 # (H,hd,B,L)
-            merged = np.empty((heads, head_dim, batch, seq_len), context.dtype)
+            context = weights @ value
+            merged = np.empty((heads, head_dim, batch, seq_len), value.dtype)
             np.multiply(context.transpose(1, 3, 0, 2),
                         reciprocal.transpose(1, 0, 2)[:, None], out=merged)
             return self.wo @ merged.reshape(heads * head_dim, -1)
-        merged = np.empty((batch, seq_len, heads, head_dim), context.dtype)
-        np.multiply(context.transpose(0, 2, 1, 3),
-                    reciprocal.transpose(0, 2, 1)[..., None], out=merged)
+        merged = np.empty((batch, seq_len, heads, head_dim), value.dtype)
+        if reciprocal is None:
+            np.matmul(weights, value, out=merged.transpose(0, 2, 1, 3))
+        else:
+            np.multiply(weights @ value, reciprocal[..., None],
+                        out=merged.transpose(0, 2, 1, 3))
         return merged.reshape(batch * seq_len, -1) @ self.wo
 
 
@@ -374,20 +383,15 @@ class _DualLayer:
             spatial, weights, spatial_reciprocal = spatial_layer(spatial, batch,
                                                                  bias)
         # Eq. 15: C_ts = (A_t + γ A_s) V_t, heads merged through W_o. With
-        # A = E·r that is r_t (E_t + (γ r_s / r_t) E_s) V_t: one (B,H,L)
-        # factor on the spatial weights, r_t on the contexts.
-        factor = spatial_reciprocal / reciprocal
-        factor *= self.gamma
-        if not np.isfinite(factor).all():
-            # the two maps' sums lie too many decades apart for the ratio:
-            # normalise each on its own
-            fused *= reciprocal
-            factor = spatial_reciprocal * self.gamma
-            reciprocal[...] = 1.0
-        weights *= factor
+        # A = E·r, each map is normalised in place — its (B,H,L) factor
+        # multiplies every key row of B·H·L contiguous weights — and the
+        # two summed; the context product then writes the merge layout.
+        fused *= reciprocal
+        spatial_reciprocal *= self.gamma
+        weights *= spatial_reciprocal
         fused += weights
         del weights
-        c_ts = self.attn.project(fused, reciprocal, value)
+        c_ts = self.attn.project(fused, None, value)
         del fused, value  # the QKV product goes with its value view
         return self.residual(structural, c_ts), spatial
 
@@ -495,10 +499,10 @@ class InferenceEncoder:
             bias = bias.T[:, :, None, None]
         structural = structural.reshape(batch * seq_len, -1)
         spatial = spatial.reshape(batch * seq_len, -1)
-        # exp2 of unshifted logits and Eq. 15's ratio of sums may overflow
-        # by design: the guards after each detect it and recompute. One
-        # errstate for the bucket, not one per map (~4 µs each, a tenth of
-        # a one-trajectory forward's overhead).
+        # exp2 of unshifted logits may overflow by design: the guard after
+        # it detects that and recomputes. One errstate for the bucket, not
+        # one per map (~4 µs each, a tenth of a one-trajectory forward's
+        # overhead).
         with np.errstate(over="ignore"):
             if self.variant == "dual":
                 spatial = np.ascontiguousarray(spatial.T)   # feature-major

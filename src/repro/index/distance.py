@@ -95,11 +95,23 @@ def _blocks(n_queries: int, n: int, dim: int) -> Iterator[Tuple[int, int, int, i
             yield q0, q1, n0, min(n0 + data_step, n)
 
 
-def _strips(n_queries: int, n: int) -> Iterator[Tuple[int, int]]:
-    """Query ranges whose ``(rows, n)`` strip fits :data:`_STRIP_ELEMENTS`."""
-    step = max(1, _STRIP_ELEMENTS // max(n, 1))
+def _strips(n_queries: int, n: int,
+            budget: int = _STRIP_ELEMENTS) -> Iterator[Tuple[int, int]]:
+    """Query ranges whose ``(rows, n)`` strip fits ``budget`` scalars.
+
+    A range never holds one row alone unless there is only one: a
+    one-row matrix product is a matrix-vector call, whose bits differ
+    from GEMM's, so the last row's argmin would depend on where a strip
+    ended (a two-row last strip may overshoot ``budget`` by a row).
+    """
+    step = max(2, budget // max(n, 1))
     for q0 in range(0, n_queries, step):
-        yield q0, min(q0 + step, n_queries)
+        q1 = min(q0 + step, n_queries)
+        if q1 == n_queries - 1:
+            q1 = n_queries
+        yield q0, q1
+        if q1 == n_queries:
+            return
 
 
 def _fill(queries: np.ndarray, data: np.ndarray, metric: str,
@@ -184,7 +196,7 @@ def assign(queries, data, metric: str = "l1") -> np.ndarray:
         half_norms = 0.5 * np.einsum("ij,ij->i", data, data)
     strip = None
     for q0, q1 in _strips(len(queries), len(data)):
-        if strip is None:
+        if strip is None or len(strip) < q1 - q0:  # or a widened last one
             strip = np.empty((q1 - q0, len(data)), dtype=queries.dtype)
         rows = strip[:q1 - q0]
         if metric == "l1":
@@ -210,7 +222,7 @@ def topk(queries, data, k: int, metric: str = "l1") -> Tuple[np.ndarray, np.ndar
     out_indices = np.full((len(queries), k), -1, dtype=np.int64)
     strip = None
     for q0, q1 in _strips(len(queries), len(data)):
-        if strip is None:
+        if strip is None or len(strip) < q1 - q0:  # or a widened last one
             strip = np.empty((q1 - q0, len(data)), dtype=queries.dtype)
         rows = strip[:q1 - q0]
         _fill(queries[q0:q1], data, metric, rows)

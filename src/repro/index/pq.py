@@ -20,9 +20,11 @@ Two optional stages trade memory back for recall:
 
 Everything here is float32 — training vectors, codebooks, LUTs, ADC
 accumulators and outputs — and codes stay uint8 (the law is
-``tests/index/test_ann.py::test_compressed_search_distances_stay_float32``);
-sub-space assignment, the LUTs and the re-rank all go through
-:mod:`repro.index.distance`.
+``tests/index/test_ann.py::test_compressed_search_distances_stay_float32``).
+Training is one stacked :func:`~repro.index.kmeans.kmeans` call over
+every sub-space; codes and LUTs are one pass over every sub-space
+(:func:`assign_subspaces`, :func:`pairwise_subspaces`), summed in the
+order of :mod:`repro.index.distance`, which the re-rank calls directly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,124 @@ from .kmeans import kmeans
 from .rows import RowStore
 
 _REFINE_DTYPES = (None, "float16", "float32")
+#: scalars in the difference cube a one-pass code or LUT block holds
+_CUBE_ELEMENTS = 1 << 17
+
+
+# ----------------------------------------------------------------------
+# Every sub-space in one pass
+#
+# A PQ code or LUT is m small distance problems, one per sub-space. These
+# kernels run them stacked — ``(|Q|, m, s)`` sub-vectors against ``(m, k,
+# s)`` books — with the summation order of :func:`distance._fill`, so each
+# entry has the bits a per-sub-space :func:`distance.assign` /
+# :func:`distance.pairwise` call gives it.
+# ----------------------------------------------------------------------
+def _fill_subspaces(queries: np.ndarray, books: np.ndarray, metric: str,
+                    out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the ``(|Q|, m, k)`` sub-space distances of same-dtype
+    ``(|Q|, m, s)`` queries and ``(m, k, s)`` books into ``out``, a
+    difference cube of whole query rows at a time in ``scratch``: the
+    ``(s, rows, m, k)`` planes reduced over their leading axis below
+    ``distance._PLANE_DIMS`` terms, an ``(rows, m, k, s)`` cube over its
+    trailing one from there on — ``_fill``'s two orders."""
+    n_queries, m, dim = queries.shape
+    if dim == 0 or out.size == 0:
+        out[...] = 0
+        return
+    step = max(1, len(scratch) // (out[0].size * dim))
+    if dim < distance._PLANE_DIMS:
+        left = queries.transpose(2, 0, 1)[..., None]           # (s, Q, m, 1)
+        right = books.transpose(2, 0, 1)[:, None]              # (s, 1, m, k)
+    for q0 in range(0, n_queries, step):
+        q1 = min(q0 + step, n_queries)
+        block = out[q0:q1]
+        if dim < distance._PLANE_DIMS:
+            shape, axis = (dim,) + block.shape, 0
+            pair = left[:, q0:q1], right
+        else:
+            shape, axis = block.shape + (dim,), 3
+            pair = queries[q0:q1, :, None, :], books[None]
+        cube = scratch[:block.size * dim].reshape(shape)
+        np.subtract(*pair, out=cube)
+        if metric == "l1":
+            np.abs(cube, out=cube)
+        else:
+            np.multiply(cube, cube, out=cube)
+        np.add.reduce(cube, axis=axis, out=block)
+    if metric == "l2":
+        np.sqrt(out, out=out)
+
+
+def _cube_rows(n_queries: int, books: np.ndarray) -> int:
+    """Query rows per :func:`_fill_subspaces` cube of
+    :data:`_CUBE_ELEMENTS` scalars (at least one)."""
+    return min(n_queries, max(1, _CUBE_ELEMENTS // max(books.size, 1)))
+
+
+def _subspace_operands(queries, books) -> Tuple[np.ndarray, np.ndarray]:
+    queries = np.asarray(queries)
+    books = np.asarray(books)
+    if queries.ndim != 3 or books.ndim != 3:
+        raise ValueError("sub-space operands must be (|Q|, m, s) and (m, k, s)")
+    if queries.shape[1:] != (books.shape[0], books.shape[2]):
+        raise ValueError(
+            f"sub-space mismatch: {queries.shape[1:]} vs "
+            f"{(books.shape[0], books.shape[2])}")
+    dtype = distance.float_dtype(queries.dtype, books.dtype)
+    return queries.astype(dtype, copy=False), books.astype(dtype, copy=False)
+
+
+def pairwise_subspaces(queries, books, metric: str = "l1") -> np.ndarray:
+    """Distances ``(|Q|, m, k)`` of every query's ``m`` sub-vectors to
+    the ``k`` rows of their sub-space's book: entry ``(i, j, c)`` has the
+    bits of ``distance.pairwise(queries[:, j], books[j])[i, c]``."""
+    distance._check_metric(metric)
+    queries, books = _subspace_operands(queries, books)
+    out = np.empty((len(queries), len(books), books.shape[1]),
+                   dtype=queries.dtype)
+    scratch = np.empty(_cube_rows(len(queries), books) * books.size,
+                       dtype=queries.dtype)
+    _fill_subspaces(queries, books, metric, out, scratch)
+    return out
+
+
+def assign_subspaces(queries, books, metric: str = "l1") -> np.ndarray:
+    """uint8 codes ``(|Q|, m)``: the nearest row of each sub-space's book
+    (at most 256 rows; ties to the lowest) for every query's ``m``
+    sub-vectors. Column ``j`` is ``distance.assign(queries[:, j],
+    books[j])`` — for ``l2`` by its ``|c|^2/2 - x.c`` ranking, one matrix
+    product per sub-space and strip."""
+    distance._check_metric(metric)
+    queries, books = _subspace_operands(queries, books)
+    n_subspaces, k, _ = books.shape
+    if not 1 <= k <= 256:
+        raise ValueError(f"a uint8 code needs 1 to 256 book rows, got {k}")
+    out = np.empty((len(queries), n_subspaces), dtype=np.uint8)
+    if metric == "l1":
+        # one cube of whole rows at a time, its distances argmin'd as it
+        # is reduced: no (rows, m, k) strip beyond the cube's own
+        step = _cube_rows(len(queries), books)
+        scratch = np.empty(step * books.size, dtype=queries.dtype)
+        rows = np.empty((step, n_subspaces, k), dtype=queries.dtype)
+        for q0 in range(0, len(queries), step):
+            q1 = min(q0 + step, len(queries))
+            _fill_subspaces(queries[q0:q1], books, metric, rows[:q1 - q0],
+                            scratch)
+            out[q0:q1] = np.argmin(rows[:q1 - q0], axis=2)
+        return out
+    half_norms = 0.5 * np.einsum("mij,mij->mi", books, books)[:, None]
+    rows_of = books.transpose(0, 2, 1)
+    strip = None
+    for q0, q1 in distance._strips(len(queries), n_subspaces * k):
+        size = (q1 - q0) * n_subspaces * k
+        if strip is None or len(strip) < size:
+            strip = np.empty(size, dtype=queries.dtype)
+        rows = strip[:size].reshape(n_subspaces, q1 - q0, k)
+        np.matmul(queries[q0:q1].transpose(1, 0, 2), rows_of, out=rows)
+        np.subtract(half_norms, rows, out=rows)
+        out[q0:q1] = np.argmin(rows, axis=2).T
+    return out
 
 
 class ProductQuantizer:
@@ -83,29 +203,28 @@ class ProductQuantizer:
         out[:, :self.dim] = vectors
         return out
 
+    def _split(self, padded: np.ndarray) -> np.ndarray:
+        """``(N, m, sub_dim)`` view of padded vectors: every sub-space at
+        once."""
+        return padded.reshape(len(padded), self.n_subspaces, self.sub_dim)
+
     def train(self, vectors: np.ndarray, rng: Optional[np.random.Generator] = None) -> None:
-        """Fit one k-means codebook per subspace (k clamped to the data)."""
+        """Fit every subspace's k-means codebook in one stacked call (k
+        clamped to the data); the seeding draws go sub-space by
+        sub-space, as one call per sub-space would take them."""
         padded = self._pad(vectors)
         if len(padded) == 0:
             raise ValueError("cannot train a product quantizer on zero vectors")
         k = min(self.n_centroids, len(padded))
-        books = []
-        for j in range(self.n_subspaces):
-            sub = padded[:, j * self.sub_dim:(j + 1) * self.sub_dim]
-            centers, _ = kmeans(sub, k, iterations=self.iterations, rng=rng)
-            books.append(centers)
-        self.codebooks = np.stack(books)
+        self.codebooks, _ = kmeans(self._split(padded).transpose(1, 0, 2), k,
+                                   iterations=self.iterations, rng=rng)
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Nearest-centroid uint8 code per subspace: ``(N, n_subspaces)``."""
         if not self.trained:
             raise RuntimeError("product quantizer is untrained")
-        padded = self._pad(vectors)
-        codes = np.empty((len(padded), self.n_subspaces), dtype=np.uint8)
-        for j in range(self.n_subspaces):
-            sub = padded[:, j * self.sub_dim:(j + 1) * self.sub_dim]
-            codes[:, j] = distance.assign(sub, self.codebooks[j], self.metric)
-        return codes
+        return assign_subspaces(self._split(self._pad(vectors)),
+                                self.codebooks, self.metric)
 
     def lut(self, queries: np.ndarray) -> np.ndarray:
         """Per-query sub-distance tables, float32 ``(|Q|, m, k)``.
@@ -115,12 +234,8 @@ class ProductQuantizer:
         """
         if not self.trained:
             raise RuntimeError("product quantizer is untrained")
-        padded = self._pad(queries)
-        k = self.codebooks.shape[1]
-        tables = np.empty((len(padded), self.n_subspaces, k), dtype=np.float32)
-        for j in range(self.n_subspaces):
-            sub = padded[:, j * self.sub_dim:(j + 1) * self.sub_dim]
-            tables[:, j, :] = distance.pairwise(sub, self.codebooks[j], self.metric)
+        tables = pairwise_subspaces(
+            self._split(self._pad(queries)), self.codebooks, self.metric)
         if self.metric == "l2":
             np.square(tables, out=tables)
         return tables
@@ -138,10 +253,8 @@ class ProductQuantizer:
         """Reconstruct float32 ``(N, dim)`` centroid concatenations."""
         if not self.trained:
             raise RuntimeError("product quantizer is untrained")
-        out = np.empty((len(codes), self.padded_dim), dtype=np.float32)
-        for j in range(self.n_subspaces):
-            out[:, j * self.sub_dim:(j + 1) * self.sub_dim] = self.codebooks[j][codes[:, j]]
-        return out[:, :self.dim]
+        parts = self.codebooks[np.arange(self.n_subspaces), codes]
+        return parts.reshape(len(codes), self.padded_dim)[:, :self.dim]
 
 
 class PQIndex:

@@ -192,7 +192,8 @@ def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> Ragged:
     one) comes back as it is, unchecked: each layer a chunk passes
     through calls this, and the first one's pass stands for them all. A
     :class:`Ragged` of packed blocks is checked in one pass over each
-    base and comes back as it is. Otherwise items are coerced and
+    base and comes back as it is, marked checked, so the layers after
+    the first pass it through too. Otherwise items are coerced and
     shape-checked one by one, then all their points are checked in one
     pass, and come back as one list block. Anything short of a clean
     batch re-runs the per-item loop, so the error raised is exactly the
@@ -201,6 +202,7 @@ def as_points_batch(trajectories: Sequence[TrajectoryLike]) -> Ragged:
     if isinstance(trajectories, Ragged):
         if (trajectories._checked == len(trajectories.blocks)
                 or all(map(_packed_points, trajectories.blocks))):
+            trajectories._checked = len(trajectories.blocks)
             return trajectories
     elif isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
         trajectories = [trajectories]

@@ -12,6 +12,7 @@ from repro.api import (
     get_index,
 )
 from repro.api.service import CachedEncoder
+from repro.trajectory import pack_trajectories, unpack_trajectories
 
 from ..trajectory.test_trajectory import bad_batches, first_error
 from .test_registry import make_trajectories
@@ -327,9 +328,7 @@ class TestValidationParity:
                                                monkeypatch):
         """The service, the cache and the engine each take a chunk through
         ``as_points_batch``; the batch the first one built passes the
-        others unchecked: one finiteness pass over the points per add (the
-        engine's Eq. 15 guard checks its ``(B, H, L)`` factors, not
-        points)."""
+        others unchecked: one finiteness pass over the points per add."""
         service = SimilarityService(backend=trajcl_backend, index=index)
         calls = []
         isfinite = np.isfinite
@@ -341,6 +340,27 @@ class TestValidationParity:
 
         monkeypatch.setattr(np, "isfinite", counted)
         service.add(list(trajectories))
+        assert calls == [sum(map(len, trajectories))]
+        assert len(service) == len(trajectories)
+
+    def test_a_packed_add_checks_finiteness_once(self, trajcl_backend,
+                                                 trajectories, monkeypatch):
+        """What ``wire.decode`` hands a remote or sharded add — a
+        ``Ragged`` of one packed block — is checked in one pass over its
+        base, and that pass is marked: the cache's ``take`` and the
+        engine pass it on unchecked."""
+        service = SimilarityService(backend=trajcl_backend)
+        batch = unpack_trajectories(pack_trajectories(trajectories))
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(array, *args, **kwargs):
+            if np.ndim(array) == 2 and np.shape(array)[1] == 2:
+                calls.append(len(array))
+            return isfinite(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        service.add(batch)
         assert calls == [sum(map(len, trajectories))]
         assert len(service) == len(trajectories)
 

@@ -659,14 +659,14 @@ def _float32_kernels() -> str:
 #: batch_size 1, 7 and 256
 _GOLDEN = {
     "6840d710fffd6180": {   # OpenBLAS SkylakeX
-        1: "1fbab0ca64ac80c0b52324ec3dd2ec5a42ca8dfb83675f27839da4b9cd53372f",
-        7: "661ad5cb1b96cb3b677d2a32547c0c9954889dd6b4234cb4cd2f2494e9a971e0",
-        256: "b88965d27a7767ca84011dfb6863208e352c2dc5c8f4b7e28e3d38844bc09cdc",
+        1: "53519020b79122804c9025c3048116856bbed0246ad273387eed5dfabbaa1cef",
+        7: "dcbad981b293dcc4194fb2d3b0a30bb40b4742e12166dae81d59b8cd7745c7b2",
+        256: "1ceedf5a16df651104fe11664749ae3a7ceb4a497883143b3bad8d933e30a4c0",
     },
     "0a5c9814f7e030a0": {   # OpenBLAS Haswell / Zen
-        1: "9d9e1ca61857ebc3b47616e4e5368b97d18c3ce0aaad0b4061af090b8913edf0",
-        7: "ccf1f9b0b2d0ce9c238aabe38e1f6ec92a5715678c9fde1c0e34043b1d4e7c19",
-        256: "a5e6ab0dbe94bbf6514a8879d6f047107e8ce7842f5982669df3b6d9d4abbc11",
+        1: "d924d35cfd9bec170588eb7e5e96679f5a219da76de84d3d68b876bb0092c1e9",
+        7: "72b33d4a90aa6149dad14998b755fa3b2d3bc7c6bd7857f0f4b95d4939d62ccf",
+        256: "86964c00f3e0e15adf4328e99303ae0fb851dd03281f515cc58c2213c79d45f9",
     },
 }
 

@@ -99,7 +99,8 @@ def test_empty_cluster_is_reseeded_like_the_loop(monkeypatch):
                            rng.normal(size=(40, 3)) + 9.0,
                            [[40.0, -40.0, 40.0]]])
     rows = np.array([3, 50, 50])
-    monkeypatch.setattr(kmeans_module, "_seed_rows", lambda *_: rows)
+    # the seam answers (m, k) rows, one row of seeds per sub-space
+    monkeypatch.setattr(kmeans_module, "_seed_rows", lambda *_: rows[None])
     for iterations in (1, 25):
         centers, assignment = kmeans(data, 3, iterations=iterations)
         want_centers, want_assignment = reference_lloyd(
@@ -173,3 +174,135 @@ def test_pq_recall_is_where_the_loop_left_it():
     found = index.search(queries, 10)[1]
     hits = sum(len(set(t) & set(f)) for t, f in zip(truth, found))
     assert hits / truth.size == pytest.approx(0.727, abs=0.01)
+
+
+# ----------------------------------------------------------------------
+# m sub-spaces in one call ≡ m single calls, draws taken in order
+# ----------------------------------------------------------------------
+def subspace(kind, n, dim, k, rng):
+    """One sub-space's ``(n, dim)`` rows: ``gaussian`` keeps moving for
+    many Lloyd steps; ``copies`` holds exactly ``k`` distinct rows, so
+    its seeds are those rows and it converges after one step; ``few``
+    holds fewer than ``k``, so its D² mass runs out, seeds repeat and
+    the repeats' clusters are empty."""
+    if kind == "gaussian":
+        return rng.normal(size=(n, dim)) + rng.normal(size=dim) * 3.0
+    distinct = k if kind == "copies" else max(1, k // 2)
+    rows = rng.normal(size=(distinct, dim)) * 4.0
+    return rows[np.arange(n) % distinct]
+
+
+def single_calls(stacked, k, iterations, seed, tolerance=1e-6):
+    rng = np.random.default_rng(seed)
+    runs = [kmeans(sub, k, iterations=iterations, rng=rng,
+                   tolerance=tolerance) for sub in stacked]
+    return np.stack([c for c, _ in runs]), np.stack([a for _, a in runs])
+
+
+def assert_one_call_is_the_loop(stacked, k, iterations, seed,
+                                tolerance=1e-6):
+    centers, assignment = kmeans(stacked, k, iterations=iterations,
+                                 rng=np.random.default_rng(seed),
+                                 tolerance=tolerance)
+    want_centers, want_assignment = single_calls(stacked, k, iterations,
+                                                 seed, tolerance)
+    assert centers.dtype == stacked.dtype
+    np.testing.assert_array_equal(centers, want_centers)
+    np.testing.assert_array_equal(assignment, want_assignment)
+
+
+@st.composite
+def stacked_subspaces(draw):
+    k = draw(st.integers(2, 9))
+    n = draw(st.integers(k, 120))
+    dim = draw(st.integers(1, 9))
+    kinds = draw(st.lists(st.sampled_from(["gaussian", "copies", "few"]),
+                          min_size=1, max_size=5))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    stacked = np.stack([subspace(kind, n, dim, k, rng) for kind in kinds])
+    # a coarse tolerance stops a sub-space while its centres still move,
+    # so one updated past its stop would show
+    tolerance = draw(st.sampled_from([1e-6, 0.05, 0.5]))
+    return (stacked.astype(dtype), k, draw(st.sampled_from([1, 3, 25])),
+            seed, tolerance)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(stacked_subspaces())
+def test_one_stacked_call_is_a_loop_of_single_calls(case):
+    stacked, k, iterations, seed, tolerance = case
+    assert_one_call_is_the_loop(stacked, k, iterations, seed, tolerance)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_law_covers_empty_clusters_and_early_convergence(dtype):
+    """The generated law's two hard cases, pinned: a sub-space whose
+    seeds repeat (so clusters start empty) beside one that converges
+    after one step and one that keeps moving."""
+    k, n = 6, 90
+    rng = np.random.default_rng(8)
+    stacked = np.stack([subspace(kind, n, 3, k, rng)
+                        for kind in ("gaussian", "few", "copies")]
+                       ).astype(dtype)
+    centred = stacked - stacked.mean(axis=1, keepdims=True)
+    seeds = kmeans_module._seed_rows(centred, k, np.random.default_rng(1))
+    assert len(set(seeds[1].tolist())) < k       # repeated seeds: empty
+    assert len(set(seeds[2].tolist())) == k
+    one_step = kmeans(stacked, k, iterations=1, rng=np.random.default_rng(1))
+    many = kmeans(stacked, k, iterations=25, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(one_step[0][2], many[0][2])  # converged
+    assert not np.array_equal(one_step[0][0], many[0][0])      # still moving
+    for iterations in (1, 2, 25):
+        assert_one_call_is_the_loop(stacked, k, iterations, 1)
+
+
+def test_fewer_distinct_rows_than_k_spend_every_draw():
+    """The documented difference from the per-sub-space loop: a
+    sub-space that runs out of D² mass repeats its first seed (the
+    loop's rows) but still spends all ``k - 1`` uniforms, so the next
+    sub-space's draws are the ones after them — deterministically."""
+    k = 5
+    few = np.repeat(np.arange(6.0).reshape(2, 3), 10, axis=0)  # 2 distinct
+    rng = np.random.default_rng(3)
+    data = np.stack([few, rng.normal(size=(20, 3))])
+    rows = kmeans_module._seed_rows(data - data.mean(axis=1, keepdims=True),
+                                    k, np.random.default_rng(0))
+    np.testing.assert_array_equal(
+        data[0][rows[0]],
+        reference_init(few, k, np.random.default_rng(0)))
+    draws = np.random.default_rng(0)
+    draws.integers(0, 20)
+    draws.random(k - 1)  # all k - 1, where the loop drew only one
+    assert rows[1, 0] == draws.integers(0, 20)
+    again = kmeans_module._seed_rows(
+        data - data.mean(axis=1, keepdims=True), k, np.random.default_rng(0))
+    np.testing.assert_array_equal(rows, again)
+
+
+def test_product_quantizer_trains_in_one_kmeans_call(monkeypatch):
+    """PQ hands every sub-space to one ``kmeans`` call, through the
+    module name the benchmark's span shim patches, and its codebooks are
+    the per-sub-space loop's bits on the served shape (float32, 16 x 4
+    sub-spaces, 128 centres)."""
+    pq_module = importlib.import_module("repro.index.pq")
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(40, 64)).astype(np.float32)
+    data = (base[rng.integers(0, 40, 1200)]
+            + 0.3 * rng.normal(size=(1200, 64))).astype(np.float32)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(pq_module, "kmeans", counted)
+    quantizer = pq_module.ProductQuantizer(64, n_subspaces=16,
+                                           n_centroids=128)
+    quantizer.train(data, rng=np.random.default_rng(2))
+    assert calls == [(16, 1200, 4)]
+    want, _ = single_calls(data.reshape(1200, 16, 4).transpose(1, 0, 2),
+                           128, quantizer.iterations, 2)
+    assert quantizer.codebooks.dtype == np.float32
+    np.testing.assert_array_equal(quantizer.codebooks, want)
