@@ -1,18 +1,15 @@
-"""Frame-size sweep of the local worker link: one round trip, by link kind.
+"""Frame-size sweep of the local worker link: one round trip.
 
 One frame holding a ``(rows, 64)`` float32 array goes to a forked
 :class:`~repro.api.transport.ServiceNode` that echoes it back; the row
 is the median round trip in milliseconds (with quartiles) at 64 KiB,
 1 MiB, 16 MiB and 64 MiB, with both processes pinned to one CPU and
-with one CPU each. The link kinds are whatever the checkout on
-``PYTHONPATH`` has:
-
-* ``socketpair`` — :class:`~repro.api.transport.SocketTransport` over an
-  ``AF_UNIX`` ``socket.socketpair()``, the link a
-  ``ShardedSimilarityService`` puts under each worker;
-* ``pipe`` / ``pipe_shm`` — the ``multiprocessing`` pipe link, without
-  and with its shared-memory side channel (64 KiB threshold), in trees
-  that still have it.
+with one CPU each. The link, ``socketpair``, is
+:class:`~repro.api.transport.SocketTransport` over an ``AF_UNIX``
+``socket.socketpair()``, the link a ``ShardedSimilarityService`` puts
+under each worker. (The ``pipe_*@parent`` rows of
+``BENCH_transport.json`` are the ``multiprocessing`` pipe link, with and
+without shared memory, recorded before it was removed.)
 
 A second scenario, ``ingest_512``, times the codec alone on the
 stack's busiest payload: ``wire.encode`` and ``wire.decode`` of one
@@ -59,7 +56,6 @@ SIZES = {"64KiB": 64 << 10, "1MiB": 1 << 20, "16MiB": 16 << 20,
 COLUMNS = 64
 #: round trips timed per size: enough samples for quartiles, bounded time
 REPEATS = {"64KiB": 400, "1MiB": 100, "16MiB": 20, "64MiB": 8}
-SHM_THRESHOLD = 64 * 1024
 #: trajectories in one set-up chunk (``benchmarks/e2e``'s SETUP_CHUNK)
 INGEST_CHUNK = 512
 INGEST_DIM = 64
@@ -75,27 +71,9 @@ def _links() -> Dict[str, Callable[[], Tuple]]:
 
     from repro.api import transport
 
-    links: Dict[str, Callable[[], Tuple]] = {}
     sockets = transport.SocketTransport
-    links["socketpair"] = getattr(sockets, "pair", None) or (
-        lambda: tuple(map(sockets, socket.socketpair())))
-    pipes = getattr(transport, "PipeTransport", None)
-    if pipes is not None:
-        import multiprocessing
-
-        from multiprocessing import resource_tracker
-
-        fork = multiprocessing.get_context("fork")
-
-        def pipe_shm():
-            # as ShardedSimilarityService did: one tracker, started before
-            # the fork, for both ends' segments
-            resource_tracker.ensure_running()
-            return pipes.pair(fork, shm_threshold=SHM_THRESHOLD)
-
-        links["pipe"] = lambda: pipes.pair(fork)
-        links["pipe_shm"] = pipe_shm
-    return links
+    return {"socketpair": getattr(sockets, "pair", None) or (
+        lambda: tuple(map(sockets, socket.socketpair())))}
 
 
 def _echo_node(child_end, cpus) -> None:

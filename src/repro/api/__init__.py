@@ -19,8 +19,9 @@ measures all resolve by name and answer the same contract::
 Backends come in two kinds: ``"embedding"`` (``encode(trajectories) ->
 (N, d)``, L1 similarity) and ``"distance"`` (``distance(a, b) -> float``).
 The :class:`SimilarityService` composes a backend with a pluggable kNN
-index (``"bruteforce"``, ``"ivf"``, ``"segment"``), chunks and caches
-embeddings, and snapshots config + weights + index state to one ``.npz``.
+index (``"bruteforce"``, ``"ivf"``, ``"pq"``, ``"int8"``, ``"hnsw"`` or
+``"segment"``: :func:`available_indexes`), chunks and caches embeddings,
+and snapshots config + weights + index state to one ``.npz``.
 
 For serving at scale, the modules split along process roles, so each
 process loads only what it runs:

@@ -21,19 +21,12 @@ the only model and embedding cache and feeds its workers vectors
 process never imports this module.
 
 Fault tolerance (``replication=R``): each logical shard is placed on R
-distinct workers. ``add`` writes to every replica and commits on the
-first ack; a replica that missed a committed write gets it recorded in a
-bounded per-shard *catch-up log*, kept here (a local service has no
-replica to miss a write). Queries route to one healthy replica per
-shard and fail over mid-request — a worker that dies between frames
-is degraded in place and its shards are re-asked on the surviving
-replicas, so a kill mid-traffic costs zero failed queries and the
-answers stay bit-identical (replicas hold byte-identical shard state by
-construction). Only when *every* replica of a shard is down does a query
-raise :class:`~repro.api.serving.ShardLostError`; an unreplicated
-cluster (R=1) loses capacity instead (the degraded shard is skipped and
-reported via ``stats()``) — the engine's policy, the same for local
-workers.
+distinct workers. What a worker's death costs, and how ``close`` tears
+down, is the engine's one policy, written in
+:class:`~repro.api.serving.ShardMergeMixin`; replicas hold byte-identical
+shard state, so failover changes no answer. What only a cluster adds: a
+replica that missed a committed write gets it recorded in a bounded
+per-shard *catch-up log*.
 
 Recovery: :meth:`ClusterCoordinator.rejoin` brings a restarted worker
 back — it is re-identified by worker id, restored from a healthy replica
@@ -111,23 +104,6 @@ _SNAPSHOT_KIND = "repro-cluster-snapshot"
 CATCHUP_LIMIT = 4096
 
 
-class _ClusterLink(_WorkerLink):
-    """A TCP worker's link: where it listens, and the second channel the
-    heartbeat pings it on."""
-
-    __slots__ = ("address", "heartbeat")
-
-    def __init__(self, worker: int, address: Tuple[str, int],
-                 shards: Sequence[int]):
-        super().__init__(worker, shards)
-        self.address = address
-        self.heartbeat = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.address[0]}:{self.address[1]}"
-
-
 class ClusterCoordinator(ShardMergeMixin):
     """kNN serving over a database partitioned across remote shard workers.
 
@@ -146,10 +122,10 @@ class ClusterCoordinator(ShardMergeMixin):
 
     ``heartbeat_interval > 0`` starts a background pinger; a worker whose
     process or link has died (pings answer lock-free on the worker, so a
-    busy shard never trips this) is marked degraded within
-    ``heartbeat_timeout`` and failed over — in-flight requests against it
-    unblock and re-route to the surviving replicas instead of hanging.
-    With ``replication >= 2`` the same loop also re-replicates
+    busy shard never trips this) is degraded within ``heartbeat_timeout``
+    by the engine's failure policy (see
+    :class:`~repro.api.serving.ShardMergeMixin`, which also owns the
+    teardown). With ``replication >= 2`` the same loop also re-replicates
     under-copied shards onto spare workers. Worker RPC is serialized
     through an internal lock, so the coordinator is safe from any thread
     and ``stats()`` from a monitoring thread can never interleave frames
@@ -172,7 +148,6 @@ class ClusterCoordinator(ShardMergeMixin):
         heartbeat_timeout: float = 10.0,
         connect_retries: int = 5,
         retry_wait: float = 0.1,
-        shutdown_workers_on_close: bool = False,
     ):
         addresses = [parse_address(worker) for worker in workers]
         if not addresses:
@@ -183,7 +158,6 @@ class ClusterCoordinator(ShardMergeMixin):
             batch_size=batch_size, cache_size=cache_size)
         self.heartbeat_interval = float(heartbeat_interval or 0.0)
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self.shutdown_workers_on_close = bool(shutdown_workers_on_close)
         self._connect_retries = int(connect_retries)
         self._connect_wait = float(retry_wait)
         self._rereplications = 0
@@ -215,16 +189,6 @@ class ClusterCoordinator(ShardMergeMixin):
     # ------------------------------------------------------------------
     # Connections / placement
     # ------------------------------------------------------------------
-    def _new_link(self, worker: int, address: Tuple[str, int],
-                  shards: Sequence[int]) -> _ClusterLink:
-        return _ClusterLink(worker, address, shards)
-
-    def _degrade(self, link: _ClusterLink, reason: str) -> None:
-        """The engine's degrade, plus the link's heartbeat channel."""
-        if link.alive:
-            super()._degrade(link, reason)
-            close_quietly(link.heartbeat)
-
     def _new_transport(self, address: Tuple[str, int]):
         return SocketTransport.connect(
             *address, retries=self._connect_retries,
@@ -235,13 +199,7 @@ class ClusterCoordinator(ShardMergeMixin):
         """Shards with *zero* healthy replicas (their data is unreachable)."""
         return [s for s in range(self._num_shards) if not self._replicas(s)]
 
-    @property
-    def underreplicated_shards(self) -> List[int]:
-        """Shards still served but below the configured replication."""
-        return [s for s in range(self._num_shards)
-                if 0 < len(self._replicas(s)) < self.replication]
-
-    def _resolve_link(self, worker) -> _ClusterLink:
+    def _resolve_link(self, worker) -> _WorkerLink:
         if isinstance(worker, int):
             return self._links[worker]
         for link in self._links:
@@ -421,6 +379,7 @@ class ClusterCoordinator(ShardMergeMixin):
             if link.alive:
                 raise ValueError(
                     f"worker {link.worker_id} ({link.label}) is already up")
+            previous = link.address
             if address is not None:
                 link.address = parse_address(address)
             # Shards re-replicated onto spares while this worker was down
@@ -448,11 +407,12 @@ class ClusterCoordinator(ShardMergeMixin):
                 link.reason = None
                 return restored
             except BaseException:
+                link.address = previous
                 close_quietly(transport)
                 close_quietly(heartbeat)
                 raise
 
-    def _restore_shard(self, link: _ClusterLink, shard: int, transport,
+    def _restore_shard(self, link: _WorkerLink, shard: int, transport,
                        snapshot: Optional[str]) -> str:
         """Refill one shard on a rejoining worker; caller holds _rpc_lock."""
         want = self._shard_ids[shard].rows.tolist()
@@ -694,22 +654,12 @@ class ClusterCoordinator(ShardMergeMixin):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self, shutdown_workers: Optional[bool] = None) -> None:
-        """Detach from the workers (idempotent).
-
-        By default the workers keep running (``leave`` clears this
-        coordinator's shards so a future one can ``join`` fresh); with
-        ``shutdown_workers=True`` — or ``shutdown_workers_on_close`` set
-        at construction — each worker is told to exit instead, including
-        a best-effort fresh connection to every worker that was degraded,
-        or whose shutdown send failed, but whose process may still be
-        running. A worker that died after being degraded can neither hang
-        the cascade nor leak a transport error out of it.
-        """
+    def close(self, shutdown_workers: bool = False) -> None:
+        """Stop the heartbeat, then the engine's one teardown
+        (:meth:`ShardMergeMixin.close
+        <repro.api.serving.ShardMergeMixin.close>`)."""
         if self._closed:
             return
-        if shutdown_workers is None:
-            shutdown_workers = self.shutdown_workers_on_close
         self._stop.set()
         # Sever the heartbeat channels first: the pinger may be blocked
         # in a poll() of up to heartbeat_timeout, and a closed socket
@@ -720,18 +670,3 @@ class ClusterCoordinator(ShardMergeMixin):
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout=2.0)
         super().close(shutdown_workers)
-        if not shutdown_workers:
-            return
-        for link in self._links:
-            if link.alive:
-                continue
-            # A degraded worker — its farewell failed included — may
-            # still be running (only its link died); a cascade shutdown
-            # owes it a fresh, short-lived connection attempt.
-            try:
-                transport = SocketTransport.connect(*link.address,
-                                                    timeout=1.0)
-            except (TransportError, OSError):
-                continue
-            self._farewell(transport, ("shutdown",))
-            transport.close()

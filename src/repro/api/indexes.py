@@ -80,7 +80,9 @@ def register_index(name: str):
 
 
 def get_index(name: str, **kwargs) -> Index:
-    """Instantiate a registered index (``"bruteforce"``/``"ivf"``/``"segment"``)."""
+    """Instantiate a registered index by name: one of
+    :func:`available_indexes` (``"bruteforce"``, ``"hnsw"``, ``"int8"``,
+    ``"ivf"``, ``"pq"``, ``"segment"``)."""
     try:
         factory = _INDEXES[name]
     except KeyError:

@@ -12,8 +12,9 @@ the scalable serving path the ROADMAP calls for:
   :class:`~repro.api.transport.Transport` links, fails over, and merges
   one round of per-shard top-k (each shard applies ``dedupe_eps``) with
   one distance-then-id sort — for exact indexes the merged result is
-  identical to a single service over the same database. It has two
-  link kinds:
+  identical to a single service over the same database. Its docstring
+  is where the failure policy and the teardown are written down. It
+  has two link kinds:
   :class:`ShardedSimilarityService` here (worker *processes* on
   ``AF_UNIX`` socket pairs) and
   :class:`~repro.api.coordinator.ClusterCoordinator` (worker *machines*
@@ -182,15 +183,20 @@ def shard_share(batch: Ragged, vectors, rows: np.ndarray):
 # Owner side: the one fan-out engine
 # ----------------------------------------------------------------------
 class _WorkerLink:
-    """Owner-side state for one shard worker."""
+    """Owner-side state for one shard worker: a TCP worker's ``address``
+    and ``heartbeat`` channel, or a local worker's ``process``."""
 
-    __slots__ = ("worker", "worker_id", "transport", "alive", "reason",
-                 "shards")
+    __slots__ = ("worker", "worker_id", "address", "transport", "heartbeat",
+                 "process", "alive", "reason", "shards")
 
-    def __init__(self, worker: int, shards: Sequence[int]):
+    def __init__(self, worker: int, address: Optional[Tuple[str, int]],
+                 shards: Sequence[int]):
         self.worker = worker
         self.worker_id = f"worker-{worker}"
+        self.address = address
         self.transport = None
+        self.heartbeat = None
+        self.process = None
         self.alive = False
         self.reason: Optional[str] = None
         #: logical shards this worker hosts (mirrors the owner's placement)
@@ -199,7 +205,9 @@ class _WorkerLink:
     @property
     def label(self) -> str:
         """How ``stats()`` and errors name the worker."""
-        return self.worker_id
+        if self.address is None:
+            return self.worker_id
+        return f"{self.address[0]}:{self.address[1]}"
 
 
 class ShardMergeMixin:
@@ -211,15 +219,16 @@ class ShardMergeMixin:
     (worker *machines* on TCP) differ only in how a command reaches the
     shards: each puts one connected
     :class:`~repro.api.transport.Transport` per worker in
-    ``link.transport`` and calls :meth:`_join`. Everything after that is
-    here, once — ``len(workers)`` logical shards placed on ``replication``
-    workers each, the id bookkeeping, :meth:`_shard_query` (one healthy
-    replica per shard, re-routed mid-request), the write-all :meth:`add`,
-    :meth:`stats`, the bounded :meth:`close`, and the merge: one round in
-    which every shard answers its own top ``k`` (one more under
-    ``exclude``) past ``dedupe_eps``, and one distance-then-id sort of the
-    pooled replies — for exact shard indexes bit-identical to one
-    unsharded service.
+    ``link.transport`` (a TCP link also has a ``heartbeat`` channel, a
+    local one its worker ``process``) and calls :meth:`_join`.
+    Everything after that is here, once — ``len(workers)`` logical
+    shards placed on ``replication`` workers each, the id bookkeeping,
+    :meth:`_shard_query` (one healthy replica per shard, re-routed
+    mid-request), the write-all :meth:`add`, :meth:`stats`, the bounded
+    :meth:`close`, and the merge: one round in which every shard answers
+    its own top ``k`` (one more under ``exclude``) past ``dedupe_eps``,
+    and one distance-then-id sort of the pooled replies — for exact
+    shard indexes bit-identical to one unsharded service.
 
     Every exchange on the request transports, and every commit of the id
     bookkeeping, happens under ``_rpc_lock``: a ``stats()`` probe from a
@@ -228,7 +237,7 @@ class ShardMergeMixin:
     but ``size``. The owner's encoder runs outside the lock.
 
     One failure policy for both link kinds. A worker whose channel fails
-    is degraded in place (transports closed, the reason kept for
+    is degraded in place (both channels closed, the reason kept for
     ``stats()``) and not spoken to again. With ``replication >= 2`` its
     shards are re-asked on the surviving replicas and a shard with none
     left raises :class:`ShardLostError`; with ``replication == 1`` the
@@ -237,6 +246,16 @@ class ShardMergeMixin:
     raises. A worker that *answers* with an error is a different matter:
     the error propagates, and nobody is degraded unless another replica
     serves what it could not.
+
+    One teardown for both link kinds, :meth:`close`. Each alive worker
+    is told ``leave`` (it drops this owner's shards, so a later owner
+    can ``join`` fresh) and ``stop`` — or, with ``shutdown_workers``, to
+    exit — and both channels of every link are closed; a worker whose
+    farewell fails is degraded. Then every worker that may still run
+    gets the bounded stop of its kind: a local process is joined, then
+    terminated, then killed; under ``shutdown_workers`` a degraded TCP
+    worker is told ``shutdown`` on a fresh connection. A worker that is
+    gone, or wedged in a long request, costs a short wait, never a hang.
     """
 
     def __init__(
@@ -251,9 +270,8 @@ class ShardMergeMixin:
         batch_size: int = 256,
         cache_size: int = 4096,
     ):
-        """``workers`` holds one entry per link, handed to
-        :meth:`_new_link` (a TCP worker's ``(host, port)``, ``None`` for a
-        local worker). No link is connected yet."""
+        """``workers`` holds one entry per link: a TCP worker's ``(host,
+        port)``, ``None`` for a local worker. No link is connected yet."""
         replication = int(replication)
         if not 1 <= replication <= len(workers):
             raise ValueError(
@@ -298,18 +316,14 @@ class ShardMergeMixin:
         self._closed = False
         self._rpc_lock = threading.Lock()
         self._links = [
-            self._new_link(worker, entry,
-                           [s for s in range(self._num_shards)
-                            if worker in self._placement[s]])
-            for worker, entry in enumerate(workers)]
+            _WorkerLink(worker, address,
+                        [s for s in range(self._num_shards)
+                         if worker in self._placement[s]])
+            for worker, address in enumerate(workers)]
 
     # ------------------------------------------------------------------
     # Links / placement
     # ------------------------------------------------------------------
-    def _new_link(self, worker: int, entry, shards: Sequence[int]) -> _WorkerLink:
-        """The owner-side state of ``workers[worker]`` (``entry``)."""
-        return _WorkerLink(worker, shards)
-
     def _join_payload(self, link: _WorkerLink) -> Dict:
         return dict(
             shard_recipe(self.backend, self.index_name, self._index_kwargs,
@@ -361,6 +375,7 @@ class ShardMergeMixin:
         link.alive = False
         link.reason = str(reason)
         close_quietly(link.transport)
+        close_quietly(link.heartbeat)
 
     # ------------------------------------------------------------------
     # Query routing
@@ -785,15 +800,8 @@ class ShardMergeMixin:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self, shutdown_workers: bool = False) -> None:
-        """Say goodbye to the workers and drop the links (idempotent).
-
-        An alive worker is told ``leave`` (it drops this owner's shards,
-        so a future one can ``join`` fresh) and ``stop`` (this connection
-        is done) — or, with ``shutdown_workers``, to exit. A worker whose
-        farewell failed is degraded: it may still be running. Every step
-        is bounded: a worker that is already gone, or wedged in a long
-        request, costs a short reply window, never a hang.
-        """
+        """Say goodbye to the workers, drop the links and stop what may
+        still run (idempotent; the teardown described above)."""
         if self._closed:
             return
         self._closed = True
@@ -807,9 +815,31 @@ class ShardMergeMixin:
                                                      farewell):
                     self._degrade(link, "farewell failed")
                 close_quietly(link.transport)
+                close_quietly(link.heartbeat)
         finally:
             if acquired:
                 self._rpc_lock.release()
+        for link in self._links:
+            if link.process is not None:
+                link.process.join(timeout=2.0)
+                if link.process.is_alive():
+                    link.process.terminate()
+                    link.process.join(timeout=2.0)
+                if link.process.is_alive():
+                    # terminate() can be ignored mid-syscall; kill cannot
+                    link.process.kill()
+                    link.process.join(timeout=1.0)
+            elif shutdown_workers and link.address and not link.alive:
+                # Degraded (its farewell failed included) but maybe still
+                # running: only its link died. It is owed a fresh,
+                # short-lived connection.
+                try:
+                    transport = SocketTransport.connect(*link.address,
+                                                        timeout=1.0)
+                except (TransportError, OSError):
+                    continue
+                self._farewell(transport, ("shutdown",))
+                transport.close()
 
     @staticmethod
     def _farewell(transport, commands: Sequence[str]) -> bool:
@@ -855,7 +885,8 @@ class ShardedSimilarityService(ShardMergeMixin):
     :meth:`SocketTransport.pair` carrying the same frames as a TCP link;
     there is no replication and no heartbeat — a dead worker is noticed
     by the next call that speaks to it, and a worker whose owner dies
-    reads EOF and exits. With exact per-shard indexes
+    reads EOF and exits. Failures and :meth:`close` follow the engine's
+    one policy (:class:`ShardMergeMixin`). With exact per-shard indexes
     (``bruteforce``/``segment``/scan) the merged result is *identical* to
     a single service over the unsharded database, and with IVF shards the
     union of probed cells can only grow recall.
@@ -863,8 +894,7 @@ class ShardedSimilarityService(ShardMergeMixin):
     An embedding backend never leaves the parent: ``batch_size`` and
     ``cache_size`` size the one encoder here and the workers are fed
     vectors. The parent also answers ``pairwise`` against ad-hoc
-    databases; worker lifecycle is explicit: :meth:`close`, or use the
-    service as a context manager.
+    databases.
     """
 
     def __init__(
@@ -885,7 +915,6 @@ class ShardedSimilarityService(ShardMergeMixin):
             [None] * int(num_workers), backend, index,
             backend_kwargs=backend_kwargs, index_kwargs=index_kwargs,
             batch_size=batch_size, cache_size=cache_size)
-        self._processes: List = []
         # Loaded by the one class that starts processes: a worker process,
         # and a TCP worker or coordinator, never pays for it.
         import multiprocessing as mp
@@ -909,33 +938,13 @@ class ShardedSimilarityService(ShardMergeMixin):
                     args=(child_transport, inherited), daemon=True,
                 )
                 process.start()
+                link.process = process
                 child_transport.close_fd()  # the worker's now, not ours
-                self._processes.append(process)
             for link in self._links:
                 self._join(link)  # surfaces construction errors eagerly
         except Exception:
             self.close()
             raise
-
-    def close(self) -> None:
-        """Stop the workers (idempotent, and robust to dead/hung workers).
-
-        The engine's farewell first, then bounded joins: a worker that is
-        already gone — or wedged in a long request — can delay
-        :meth:`close` by at most a few seconds, never block it
-        indefinitely. After the join timeout the worker is terminated,
-        and killed if termination itself does not stick.
-        """
-        super().close()
-        for process in self._processes:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-            if process.is_alive():
-                # terminate() can be ignored mid-syscall; kill cannot.
-                process.kill()
-                process.join(timeout=1.0)
 
 
 # ----------------------------------------------------------------------

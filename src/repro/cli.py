@@ -360,13 +360,13 @@ def cmd_cluster(args) -> int:
     database = load_trajectories(args.data)
     workers = [w.strip() for w in args.workers.split(",") if w.strip()]
     with ExitStack() as stack:
-        cluster = stack.enter_context(ClusterCoordinator(
+        cluster = ClusterCoordinator(
             workers, replication=args.replication,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
             connect_retries=args.connect_retries, retry_wait=args.retry_wait,
-            shutdown_workers_on_close=args.shutdown_workers,
-            **_service_options(args, database)))
+            **_service_options(args, database))
+        stack.callback(cluster.close, shutdown_workers=args.shutdown_workers)
         cluster.add(database)
         return _serve(
             args, stack, cluster, SimilarityServer,

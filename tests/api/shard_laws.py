@@ -45,7 +45,7 @@ class Sharded:
         try:
             self.service = ClusterCoordinator(
                 [w.address for w in self.workers], backend=backend,
-                heartbeat_interval=0, **kwargs)
+                **{"heartbeat_interval": 0, **kwargs})
         except Exception:
             self.close_workers()
             raise
@@ -54,7 +54,8 @@ class Sharded:
     def processes(self):
         """The worker processes the service must reap (none over TCP:
         those workers are threads of this process, closed here)."""
-        return getattr(self.service, "_processes", [])
+        return [link.process for link in self.service._links
+                if link.process is not None]
 
     def kill(self, worker):
         """The worker dies the way its kind dies: SIGTERM to the process,
@@ -401,3 +402,37 @@ def close_survives_a_dead_worker(links, trajectories):
         assert time.monotonic() - start < 10.0
         sharded.service.close()  # still idempotent afterwards
         assert not any(p.is_alive() for p in sharded.processes)
+
+
+@pytest.mark.parametrize("shutdown", [False, True], ids=["leave", "shutdown"])
+@pytest.mark.parametrize("state", ["healthy", "killed", "refused"])
+def close_leaves_nothing_running(links, trajectories, state, shutdown):
+    """One teardown for both link kinds, whatever the workers' state —
+    all up, one killed, or one whose farewell send is refused: after
+    close() no local worker process runs, neither owner channel of any
+    link is open and no heartbeat thread is left; over TCP,
+    ``shutdown_workers`` stops every worker."""
+    heartbeat = {} if links == "pipes" else {"heartbeat_interval": 0.1,
+                                             "heartbeat_timeout": 1.0}
+    with Sharded(links, "hausdorff", **heartbeat) as sharded:
+        service = sharded.service
+        service.add(trajectories)
+        if state == "killed":
+            sharded.kill(0)
+        elif state == "refused":
+            first = service._links[0]
+            first.transport = RefusesOnce(first.transport)
+        service.close(shutdown_workers=shutdown)
+        assert not any(p.is_alive() for p in sharded.processes)
+        for link in service._links:
+            for channel in (link.transport, link.heartbeat):
+                assert channel is None or channel._closed
+        thread = getattr(service, "_heartbeat_thread", None)
+        assert thread is None or not thread.is_alive()
+        if shutdown and sharded.workers:
+            # a worker flips its flag just after it answers ``shutdown``
+            deadline = time.monotonic() + 5.0
+            while (not all(w.closed for w in sharded.workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert [w.closed for w in sharded.workers] == [True, True]

@@ -511,6 +511,31 @@ class TestReplication:
             finally:
                 replacement.close()
 
+    def test_a_failed_rejoin_keeps_the_worker_address(
+            self, trio, single_service, trajectories):
+        """A rejoin whose handshake fails leaves the link where it was:
+        stats() still names the worker by its own address, and the next
+        rejoin dials that address, not the one that failed."""
+        from repro.api import TransportError
+
+        with make_cluster(trio, replication=2, connect_retries=0) as cluster:
+            cluster.add(trajectories)
+            link = cluster._links[0]
+            cluster._degrade(link, "link dropped")  # the worker runs on
+            with pytest.raises(TransportError):
+                cluster.rejoin("worker-0",
+                               address=f"127.0.0.1:{free_port()}")
+            host, port = trio[0].address
+            assert link.address == (host, port)
+            assert cluster.stats()["worker_links"][0]["address"] == \
+                f"{host}:{port}"
+            assert set(cluster.rejoin("worker-0").values()) == {"replica"}
+            assert cluster.stats()["alive_workers"] == 3
+            expected = single_service.knn(trajectories[:3], k=5)
+            got = cluster.knn(trajectories[:3], k=5)
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+
     def test_lost_shard_raises_shard_lost_error(self, trio, trajectories):
         with make_cluster(trio, replication=2) as cluster:
             cluster.add(trajectories)
@@ -735,6 +760,8 @@ class TestFailoverEdgeCases:
 class TestCloseRegression:
     test_close_survives_a_dead_worker = staticmethod(
         laws.close_survives_a_dead_worker)
+    test_close_leaves_nothing_running = staticmethod(
+        laws.close_leaves_nothing_running)
 
     def test_close_survives_workers_that_died_after_degrade(
             self, trio, trajectories):

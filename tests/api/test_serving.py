@@ -97,6 +97,8 @@ class TestShardedParity:
         laws.refused_send_leaves_every_link_in_step)
     test_close_survives_a_dead_worker = staticmethod(
         laws.close_survives_a_dead_worker)
+    test_close_leaves_nothing_running = staticmethod(
+        laws.close_leaves_nothing_running)
 
     def test_distance_backend_parity(self, trajectories):
         single = SimilarityService(backend="hausdorff").add(trajectories)
@@ -230,7 +232,7 @@ import os, signal
 from repro.api import ShardedSimilarityService
 
 service = ShardedSimilarityService(backend="hausdorff", num_workers=2)
-print(*(process.pid for process in service._processes), flush=True)
+print(*(link.process.pid for link in service._links), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
