@@ -32,6 +32,27 @@ command run against two checkouts::
 Run via ``make bench-encode`` (which pins one BLAS thread, as the e2e
 benchmark does). Not part of the tier-1 test suite.
 
+``--base <rev>`` is an in-process, interleaved A/B of the encoder alone,
+for a change to ``src/repro/core/infer.py``. It ``git archive``\ s that
+file as of ``rev`` into a temp dir and loads it as a second module of
+``repro.core`` (so it runs on this checkout's features and ``nn``),
+exports both engines from one e2e-shape model and alternates their
+encode of the 5000 trajectories in calls of 256 for ``--rounds`` rounds
+(default 10; the side that goes first swaps every round), pinned to one
+CPU and timed in process CPU time. It prints the median paired ratio
+(change / base, below 1 is faster), the wins, the smallest and largest
+ratio and the largest ``|Δ|`` between the two sides' embeddings; with
+``--output`` it merges that as the ``ab_chunk256@<base commit>`` row::
+
+    python benchmarks/bench_encode.py --base HEAD~1 --rounds 16 \
+        --output benchmarks/results/BENCH_encode.json
+
+Timings taken in separate processes can drift by more than an encoder
+change moves them (on a busy 2-vCPU machine the same 5000-trajectory
+encode read 0.65 to 0.97 s within minutes); pairs taken in one process
+cancel that drift.
+The script defaults ``OPENBLAS_NUM_THREADS`` to 1 when it is unset.
+
 Comparing two checkouts — here or with ``benchmarks/e2e`` — compare trees
 whose ``__pycache__`` is in the same state (both without, e.g. ``git
 clone`` and a ``git ls-files | tar`` copy, or both after the same warm-up
@@ -46,13 +67,24 @@ interpreters compiling at start) where the like-for-like pair read
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
+# one BLAS thread, as the e2e benchmark runs the encoder (read at import)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: the engine module ``--base`` compares, relative to the repository root
+_ENGINE = "src/repro/core/infer.py"
 
 #: the end-to-end benchmark's encoder shape (``benchmarks/e2e/workloads.py``)
 E2E_DIM, E2E_MAX_LEN = 64, 32
@@ -155,6 +187,87 @@ def run_e2e_shape(args) -> Dict[str, Dict]:
     return rows
 
 
+def load_base_engine(rev: str):
+    """``repro/core/infer.py`` as of ``rev``, loaded as a second module of
+    this checkout's ``repro.core`` (its relative imports resolve here)."""
+    import importlib.util
+
+    import repro.core  # noqa: F401  (the package the copy joins)
+
+    archive = subprocess.run(["git", "-C", _ROOT, "archive", rev, _ENGINE],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extract(_ENGINE, tmp)
+        spec = importlib.util.spec_from_file_location(
+            "repro.core._base_infer", os.path.join(tmp, _ENGINE))
+        module = importlib.util.module_from_spec(spec)
+        module.__package__ = "repro.core"
+        spec.loader.exec_module(module)
+    return module
+
+
+def run_ab(args) -> Dict[str, Dict]:
+    """Interleaved A/B of the base revision's engine against this one's on
+    the e2e shape: paired CPU-time ratios, wins and the embeddings' largest
+    difference."""
+    from repro.core.infer import InferenceEncoder
+
+    commit = subprocess.run(
+        ["git", "-C", _ROOT, "rev-parse", "--short", args.base],
+        capture_output=True, check=True, text=True).stdout.strip()
+    base_module = load_base_engine(args.base)
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    model, trajectories = _build(args, E2E_COUNT, E2E_DIM, E2E_MAX_LEN)
+    engines = {"base": base_module.InferenceEncoder.from_model(model),
+               "change": InferenceEncoder.from_model(model)}
+    chunks = [trajectories[start:start + E2E_CHUNK]
+              for start in range(0, E2E_COUNT, E2E_CHUNK)]
+
+    def encode(side: str):
+        start = time.process_time()
+        out = [engines[side].encode(chunk) for chunk in chunks]
+        return time.process_time() - start, np.concatenate(out)
+
+    outputs = {side: encode(side)[1] for side in engines}     # warm-up
+    seconds: Dict[str, List[float]] = {"base": [], "change": []}
+    for round_ in range(args.rounds):
+        for side in (("base", "change") if round_ % 2 == 0
+                     else ("change", "base")):
+            seconds[side].append(encode(side)[0])
+    ratios = np.array(seconds["change"]) / np.array(seconds["base"])
+    delta = np.abs(outputs["change"].astype(np.float64) - outputs["base"])
+
+    def quartiles(values) -> Dict:
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        return {"median": round(float(median), 4), "q1": round(float(q1), 4),
+                "q3": round(float(q3), 4)}
+
+    result = {
+        "mode": "ab", "dtype": str(outputs["change"].dtype),
+        "batch": E2E_CHUNK, "base": commit, "rounds": args.rounds,
+        "base_s": quartiles(seconds["base"]),
+        "change_s": quartiles(seconds["change"]),
+        "ratio": {**quartiles(ratios), "min": round(float(ratios.min()), 4),
+                  "max": round(float(ratios.max()), 4)},
+        "wins": int((ratios < 1.0).sum()),
+        "max_abs_diff": float(delta.max()),
+        "max_abs_diff_rel": float(delta.max() / np.abs(outputs["base"]).max()),
+    }
+    print(f"base {args.base} ({commit}) vs this tree, e2e shape, "
+          f"{E2E_COUNT} trajectories in calls of {E2E_CHUNK}, "
+          f"{args.rounds} rounds, CPU time")
+    print(f"  base   {result['base_s']['median']:.4f} s   "
+          f"change {result['change_s']['median']:.4f} s")
+    print(f"  median paired ratio {result['ratio']['median']:.4f}  wins "
+          f"{result['wins']}/{args.rounds}  min {result['ratio']['min']:.4f}"
+          f"  max {result['ratio']['max']:.4f}")
+    print(f"  max |delta| {result['max_abs_diff']:.3g} "
+          f"({result['max_abs_diff_rel']:.3g} of the largest magnitude)")
+    return {f"ab_chunk{E2E_CHUNK}@{commit}": {"results": result}}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="TrajCL encode-throughput benchmark (fast vs reference)"
@@ -176,6 +289,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--label",
                         help="suffix the e2e rows `@label` (a before/after "
                              "pair from two checkouts in one record)")
+    parser.add_argument("--base", metavar="REV",
+                        help="instead of the scenarios: an interleaved "
+                             "in-process A/B of REV's infer.py against this "
+                             "tree's, on the e2e shape")
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="paired rounds of the --base A/B")
     parser.add_argument("--train-epochs", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output",
@@ -185,15 +304,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     shared = {"city": args.city, "train_epochs": args.train_epochs,
               "seed": args.seed}
+    e2e_config = {**shared, "count": E2E_COUNT, "dim": E2E_DIM,
+                  "max_len": E2E_MAX_LEN}
     runs = []  # (scenarios, the config they ran under)
-    if "sweep" in args.scenarios:
-        runs.append((run_sweep(args), {
-            **shared, "count": args.count, "dim": args.dim,
-            "max_len": args.max_len, "repeats": args.repeats}))
-    if "e2e" in args.scenarios:
-        runs.append((run_e2e_shape(args), {
-            **shared, "count": E2E_COUNT, "dim": E2E_DIM,
-            "max_len": E2E_MAX_LEN}))
+    if args.base:
+        runs.append((run_ab(args), e2e_config))
+    else:
+        if "sweep" in args.scenarios:
+            runs.append((run_sweep(args), {
+                **shared, "count": args.count, "dim": args.dim,
+                "max_len": args.max_len, "repeats": args.repeats}))
+        if "e2e" in args.scenarios:
+            runs.append((run_e2e_shape(args), e2e_config))
     scenarios = {name: row for rows, _ in runs for name, row in rows.items()}
 
     from repro.eval import format_table
@@ -201,13 +323,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rows: List[List] = []
     for name in sorted(scenarios):
         r = scenarios[name]["results"]
+        if "ms_per_traj" not in r:  # the A/B row printed its own summary
+            continue
         ms = r["ms_per_traj"]
         rows.append([name, r["batch"], r["dtype"], ms["median"],
                      f"{ms['q1']}-{ms['q3']}", r["traj_per_sec"],
                      r.get("speedup_vs_reference", "")])
-    print(format_table(
-        ["scenario", "batch", "dtype", "ms/traj", "quartiles", "traj/s",
-         "vs reference"], rows))
+    if rows:
+        print(format_table(
+            ["scenario", "batch", "dtype", "ms/traj", "quartiles", "traj/s",
+             "vs reference"], rows))
 
     if args.output:
         from common import merge_bench_scenarios

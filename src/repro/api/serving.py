@@ -831,15 +831,22 @@ class ShardMergeMixin:
                     link.process.join(timeout=1.0)
             elif shutdown_workers and link.address and not link.alive:
                 # Degraded (its farewell failed included) but maybe still
-                # running: only its link died. It is owed a fresh,
-                # short-lived connection.
-                try:
-                    transport = SocketTransport.connect(*link.address,
-                                                        timeout=1.0)
-                except (TransportError, OSError):
-                    continue
-                self._farewell(transport, ("shutdown",))
-                transport.close()
+                # running: only its link died.
+                self.shutdown_worker(link.address)
+
+    @classmethod
+    def shutdown_worker(cls, address: Tuple[str, int]) -> bool:
+        """Tell the TCP worker at ``address`` to exit, on a fresh,
+        short-lived connection: whether the request went through. A
+        worker that is gone costs one refused connection, never a raise."""
+        try:
+            transport = SocketTransport.connect(*address, timeout=1.0)
+        except (TransportError, OSError):
+            return False
+        try:
+            return cls._farewell(transport, ("shutdown",))
+        finally:
+            transport.close()
 
     @staticmethod
     def _farewell(transport, commands: Sequence[str]) -> bool:

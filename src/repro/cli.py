@@ -356,16 +356,28 @@ def cmd_cluster(args) -> int:
     """Front a worker cluster with a TCP server (``repro cluster``)."""
     from .api import SimilarityServer
     from .api.coordinator import ClusterCoordinator
+    from .api.node import parse_address
+    from .api.transport import RemoteCallError, TransportError
 
     database = load_trajectories(args.data)
     workers = [w.strip() for w in args.workers.split(",") if w.strip()]
     with ExitStack() as stack:
-        cluster = ClusterCoordinator(
-            workers, replication=args.replication,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            connect_retries=args.connect_retries, retry_wait=args.retry_wait,
-            **_service_options(args, database))
+        try:
+            cluster = ClusterCoordinator(
+                workers, replication=args.replication,
+                heartbeat_interval=args.heartbeat_interval,
+                heartbeat_timeout=args.heartbeat_timeout,
+                connect_retries=args.connect_retries,
+                retry_wait=args.retry_wait,
+                **_service_options(args, database))
+        except (TransportError, RemoteCallError) as error:
+            # The constructor's own teardown left every worker it reached
+            # running; --shutdown-workers still owes each an exit.
+            if args.shutdown_workers:
+                for worker in workers:
+                    ClusterCoordinator.shutdown_worker(parse_address(worker))
+            raise SystemExit(f"repro cluster: could not start: {error}") \
+                from None
         stack.callback(cluster.close, shutdown_workers=args.shutdown_workers)
         cluster.add(database)
         return _serve(

@@ -61,11 +61,20 @@ overhead that the arithmetic does not need:
   writes straight into the ``(B,L,H,hd)`` merge layout — no copy, and no
   ratio of the two maps' sums to overflow. No max or shift pass is left
   over the ``L×L`` arrays;
+* biases and LayerNorm affines live in the exported weights, formed in
+  float64 and cast once: the FFN's first bias and ``norm1``'s β become
+  its ReLU threshold and output bias (:class:`_FeedForward`), and the
+  last block's ``norm2`` affine applies to the pooled rows
+  (:class:`_Residual`) — per bucket, no bias pass over any FFN hidden,
+  no ``+ β`` after ``norm1`` and no affine before the pooling. Each fold
+  is exact in real arithmetic; in float32 only the rounding moves;
 * the bucket size is derived, not passed: as many trajectories as keep the
   forward's widest temporary — the FFN hidden or one softmax's logits —
   at about 1 MiB, so a bucket's working set stays in L2 (32 trajectories
-  at d = 64, L = 32; 1 at the paper's d = 256, L = 200). A
-  value the code can work out from its inputs is not an option.
+  at d = 64, L = 32; 1 at the paper's d = 256, L = 200). With the folds
+  in, an interleaved sweep of the budget still ranks 1 MiB first, ahead
+  of 512 KiB and 256 KiB. A value the code can work out from its inputs
+  is not an option.
 
 All three encoder variants of the paper's Fig. 7 ablation are supported
 (``dual``/``msm``/``concat``). Dropout is inactive at inference, so the
@@ -243,29 +252,49 @@ class _Attention:
 
 
 class _FeedForward:
-    __slots__ = ("w1", "b1", "w2", "b2", "feature_major")
+    """The MLP of Eq. 11 with its first bias and ``norm1``'s β folded in.
 
-    def __init__(self, fc1, fc2, dtype, feature_major: bool = False):
-        weights = fc1.weight.data, fc1.bias.data, fc2.weight.data, fc2.bias.data
-        if feature_major:  # W^T x + b as a column
+    The block hands it ``z``, ``norm1``'s output stopped after ``× γ``: the
+    true input is ``z + β``. With ``c = b1 + β W1``, ``relu((z + β) W1 +
+    b1) W2 + b2 = max(z W1, −c) W2 + (c W2 + b2)``: the ReLU's threshold
+    absorbs the first bias, so no pass adds it to the ``(B·L, ffn)``
+    hidden, and the output bias ``c W2 + b2 + β`` also carries the β the
+    residual ``+ z`` leaves out (:class:`_Residual`). The folded biases are
+    formed in float64 and cast once.
+    """
+
+    __slots__ = ("w1", "threshold", "w2", "bias", "feature_major")
+
+    def __init__(self, fc1, fc2, beta, dtype, feature_major: bool = False):
+        w1, b1, w2, b2, beta = (
+            np.asarray(p, dtype=np.float64) for p in
+            (fc1.weight.data, fc1.bias.data, fc2.weight.data, fc2.bias.data,
+             beta))
+        shift = b1 + beta @ w1                                   # c
+        weights = w1, -shift, w2, shift @ w2 + b2 + beta
+        if feature_major:  # W^T z, the biases as columns
             weights = [w.T if w.ndim == 2 else w[:, None] for w in weights]
-        self.w1, self.b1, self.w2, self.b2 = (
+        self.w1, self.threshold, self.w2, self.bias = (
             np.ascontiguousarray(w, dtype=dtype) for w in weights)
         self.feature_major = feature_major
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        hidden = self.w1 @ x if self.feature_major else x @ self.w1
-        hidden += self.b1
-        np.maximum(hidden, 0.0, out=hidden)
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        hidden = self.w1 @ z if self.feature_major else z @ self.w1
+        np.maximum(hidden, self.threshold, out=hidden)
         out = self.w2 @ hidden if self.feature_major else hidden @ self.w2
-        out += self.b2
+        out += self.bias
         return out
 
 
 class _LayerNormP:
-    __slots__ = ("gamma", "beta", "eps", "mean", "feature_major")
+    """LayerNorm over the feature axis, in place. ``scale`` / ``shift``
+    say whether its ``× γ`` / ``+ β`` run here or are folded elsewhere."""
 
-    def __init__(self, norm, dtype, feature_major: bool = False):
+    __slots__ = ("gamma", "beta", "eps", "mean", "feature_major", "scale",
+                 "shift")
+
+    def __init__(self, norm, dtype, feature_major: bool = False,
+                 scale: bool = True, shift: bool = True):
         dim = len(norm.gamma.data)
         shape = (dim, 1) if feature_major else (dim,)
         self.gamma = np.ascontiguousarray(norm.gamma.data, dtype).reshape(shape)
@@ -275,6 +304,8 @@ class _LayerNormP:
         #: call
         self.mean = np.full((dim, 1), 1.0 / dim, dtype=dtype)
         self.feature_major = feature_major
+        self.scale = scale
+        self.shift = shift
 
     def _mean(self, x: np.ndarray) -> np.ndarray:
         if self.feature_major:
@@ -289,28 +320,44 @@ class _LayerNormP:
         """LayerNorm over the feature axis, overwriting ``x``."""
         x -= self._mean(x)
         var = self._mean(np.multiply(x, x))
-        x *= 1.0 / np.sqrt(var + self.eps)
-        x *= self.gamma
-        x += self.beta
+        var += self.eps
+        np.sqrt(var, out=var)
+        x *= np.reciprocal(var, out=var)
+        if self.scale:
+            x *= self.gamma
+        if self.shift:
+            x += self.beta
         return x
 
 
 class _Residual:
-    """The two Add&LN stages every block ends with (Eq. 10–11)."""
+    """The two Add&LN stages every block ends with (Eq. 10–11).
+
+    ``norm1`` stops after ``× γ``: its β rides in the FFN's biases
+    (:class:`_FeedForward`), so the residual adds ``z = x − β`` and the
+    output bias puts β back. Under ``pooled`` (the last block, which only
+    the masked mean reads) ``norm2`` stops after normalising: the mean is
+    one ``(B,1,L) @ (B,L,d)`` product with ``valid / length`` weights,
+    which sum to 1 per trajectory, so its γ and β apply to the pooled
+    ``(B, d)`` rows instead (:meth:`InferenceEncoder._forward`).
+    """
 
     __slots__ = ("norm1", "norm2", "ffn")
 
-    def __init__(self, layer, dtype, feature_major: bool = False):
-        self.norm1 = _LayerNormP(layer.norm1, dtype, feature_major)
-        self.norm2 = _LayerNormP(layer.norm2, dtype, feature_major)
-        self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2, dtype,
-                                feature_major)
+    def __init__(self, layer, dtype, feature_major: bool = False,
+                 pooled: bool = False):
+        self.norm1 = _LayerNormP(layer.norm1, dtype, feature_major,
+                                 shift=False)
+        self.norm2 = _LayerNormP(layer.norm2, dtype, feature_major,
+                                 scale=not pooled, shift=not pooled)
+        self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2,
+                                layer.norm1.beta.data, dtype, feature_major)
 
     def __call__(self, x: np.ndarray, attended: np.ndarray) -> np.ndarray:
         attended += x
-        x = self.norm1(attended)                               # Eq. 10
-        out = self.ffn(x)
-        out += x
+        z = self.norm1(attended)                               # Eq. 10 − β
+        out = self.ffn(z)
+        out += z
         return self.norm2(out)                                 # Eq. 11
 
 
@@ -320,7 +367,7 @@ class _TransformerLayer:
     __slots__ = ("attn", "residual")
 
     def __init__(self, layer, dtype, coefficients_only: bool = False,
-                 feature_major: bool = False):
+                 feature_major: bool = False, pooled: bool = False):
         attn = layer.attn
         self.attn = _Attention(
             attn.w_query.weight.data, attn.w_key.weight.data,
@@ -330,7 +377,7 @@ class _TransformerLayer:
         #: None where nothing reads the block's output: only its attention
         #: coefficients are computed
         self.residual = (None if coefficients_only
-                         else _Residual(layer, dtype, feature_major))
+                         else _Residual(layer, dtype, feature_major, pooled))
 
     def __call__(
         self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
@@ -367,7 +414,7 @@ class _DualLayer:
                               feature_major=True)
             for i, spatial in enumerate(msm.spatial_encoder.layers)
         ]
-        self.residual = _Residual(layer, dtype)
+        self.residual = _Residual(layer, dtype, pooled=last)
 
     def __call__(
         self,
@@ -468,10 +515,9 @@ class InferenceEncoder:
             layers = [_DualLayer(layer, dtype, last=(i == depth - 1))
                       for i, layer in enumerate(encoder.layers)]
         else:  # msm / concat wrap a vanilla TransformerEncoder
-            layers = [
-                _TransformerLayer(layer, dtype)
-                for layer in encoder.encoder.layers
-            ]
+            depth = len(encoder.encoder.layers)
+            layers = [_TransformerLayer(layer, dtype, pooled=(i == depth - 1))
+                      for i, layer in enumerate(encoder.encoder.layers)]
         return cls(
             features=model.features.astype(dtype),
             variant=variant,
@@ -517,12 +563,17 @@ class InferenceEncoder:
                     hidden = structural
                 for layer in self.layers:
                     hidden, _, _ = layer(hidden, batch, bias)
-        # Masked average pooling over valid positions (§IV-C).
-        hidden = hidden.reshape(batch, seq_len, -1)
-        if bias is not None:
-            hidden = hidden * valid[:, :, None]
-        denom = np.maximum(lengths, 1).astype(self.dtype)[:, None]
-        return hidden.sum(axis=1) / denom
+        # Masked average pooling over valid positions (§IV-C), then the
+        # last block's norm2 affine (its weights sum to 1: _Residual).
+        weights = valid / np.maximum(lengths, 1)[:, None]
+        pooled = np.matmul(weights.astype(self.dtype)[:, None, :],
+                           hidden.reshape(batch, seq_len, -1))
+        pooled = pooled.reshape(batch, -1)
+        if self.layers:
+            norm = self.layers[-1].residual.norm2
+            pooled *= norm.gamma
+            pooled += norm.beta
+        return pooled
 
     def _bucket_rows(self, pad_len: int) -> int:
         """Trajectories per bucket: the widest temporary of a forward —

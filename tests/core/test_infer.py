@@ -65,6 +65,22 @@ class TestParity:
                                    atol=1e-5 * scale)
         assert np.abs(fast - reference).max() <= 1e-5 * scale
 
+    @pytest.mark.parametrize("variant", ["dual", "msm", "concat"])
+    def test_parity_with_live_biases_and_affines(self, small_setup,
+                                                 mixed_trajectories,
+                                                 variant):
+        """The folds at work: every LayerNorm γ / β and FFN bias away from
+        its initial value, both dtypes at their usual tolerances."""
+        model = live_affines(make_model(small_setup, variant), seed=2)
+        reference = model.encode(mixed_trajectories, fast=False,
+                                 dtype="float64")
+        np.testing.assert_allclose(
+            model.encode(mixed_trajectories, dtype="float64"), reference,
+            rtol=1e-10, atol=1e-12)
+        served = model.encode(mixed_trajectories)
+        assert np.abs(served - reference).max() \
+            <= 1e-5 * np.abs(reference).max()
+
     def test_default_encode_routes_through_engine(self, small_setup,
                                                   mixed_trajectories):
         model = make_model(small_setup)
@@ -637,12 +653,136 @@ def padding_bias(valid, dtype):
 
 
 # ----------------------------------------------------------------------
+# Laws of the folds: the FFN's first bias, norm1's β and the last block's
+# norm2 affine leave the float32 forward for weights formed at export.
+# A fresh model's biases are 0 and its γ 1, which would make every fold
+# trivial; these laws give each one live values.
+# ----------------------------------------------------------------------
+def live_affines(model, seed=0):
+    """Every LayerNorm γ / β and FFN bias of ``model``'s encoder drawn
+    away from its initial 1 / 0 (assigned, so the engine recompiles)."""
+    rng = np.random.default_rng(seed)
+    for name, param in model.encoder.named_parameters():
+        if name.endswith("gamma") and "norm" in name:
+            param.data = 1.0 + 0.3 * rng.standard_normal(param.data.shape)
+        elif name.endswith(("beta", "bias")):
+            param.data = 0.3 * rng.standard_normal(param.data.shape)
+    return model
+
+
+def linear(weight, bias):
+    layer = nn.Linear(*weight.shape)
+    layer.weight.data, layer.bias.data = weight, bias
+    return layer
+
+
+class TestFolds:
+    def test_relu_fold_at_the_threshold_and_at_signed_zero(self):
+        """``relu(h + b1) = max(h, −b1) + b1``, also where ``h = −b1``
+        exactly and where ``h + b1`` is +0 or −0. ``W1 = I`` makes ``h``
+        the input itself (float64)."""
+        width = 6
+        rng = np.random.default_rng(3)
+        b1 = rng.standard_normal(width)
+        b1[:2] = 0.0, -0.0
+        w2 = rng.standard_normal((width, width))
+        b2 = rng.standard_normal(width)
+        ffn = infer._FeedForward(linear(np.eye(width), b1), linear(w2, b2),
+                                 np.zeros(width), np.float64)
+        h = np.stack([-b1, np.zeros(width), -np.zeros(width),
+                      rng.standard_normal(width)])
+        h[3, :2] = 0.0, -0.0
+        expected = np.maximum(h + b1, 0.0) @ w2 + b2
+        np.testing.assert_allclose(ffn(h), expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(ffn.threshold, -b1)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("feature_major", [False, True])
+    def test_folded_residual_is_the_tensor_block(self, small_setup,
+                                                 feature_major, pooled):
+        """norm1's β in the FFN's biases: the block still computes
+        ``norm2(t + ffn(t))``, ``t = norm1(x + attended)``, in either
+        layout; under ``pooled`` up to norm2's affine (float64)."""
+        model = live_affines(make_model(small_setup, "msm"), seed=5)
+        layer = model.encoder.encoder.layers[0]
+        residual = infer._Residual(layer, np.float64, feature_major, pooled)
+        rng = np.random.default_rng(6)
+        x, attended = rng.standard_normal((2, 30, 16))
+        with nn.no_grad():
+            t = layer.norm1(nn.Tensor(x + attended))
+            expected = layer.norm2(t + layer.ffn(t)).data
+
+        def layout(array):
+            return np.ascontiguousarray(array.T) if feature_major else array
+
+        out = layout(residual(layout(x), layout(attended)))
+        if pooled:
+            out = out * layer.norm2.gamma.data + layer.norm2.beta.data
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bucket", ["padded", "unpadded", "length_1"])
+    @pytest.mark.parametrize("variant", ["dual", "msm", "concat"])
+    def test_pooled_then_affine_is_affine_then_pooled(
+            self, small_setup, variant, bucket, monkeypatch):
+        """The masked mean weighs each trajectory's rows by weights summing
+        to 1, so the last norm2's γ and β commute with it (float64)."""
+        model = live_affines(make_model(small_setup, variant), seed=7)
+        engine = model.inference_encoder("float64")
+        lengths = {"padded": [9, 4, 1, 7], "unpadded": [9] * 4,
+                   "length_1": [1, 1]}[bucket]
+        structural, spatial, _, lengths = engine.features.encode_batch(
+            walks(lengths, seed=8))
+        unscaled = []
+        normalise = infer._LayerNormP.__call__
+
+        def record(norm, x):
+            out = normalise(norm, x)
+            if not norm.scale:
+                unscaled.append((norm, out.copy()))
+            return out
+
+        monkeypatch.setattr(infer._LayerNormP, "__call__", record)
+        pooled = engine._forward(structural, spatial, lengths)
+        (norm, hidden), = unscaled                 # the last block's norm2
+        batch, seq_len = structural.shape[:2]
+        hidden = (hidden * norm.gamma + norm.beta).reshape(batch, seq_len, -1)
+        valid = np.arange(seq_len) < lengths[:, None]
+        expected = ((hidden * valid[:, :, None]).sum(axis=1)
+                    / lengths[:, None])
+        np.testing.assert_allclose(pooled, expected, rtol=1e-12, atol=1e-12)
+
+    def test_folded_biases_are_formed_in_float64_before_the_cast(
+            self, small_setup):
+        """The served engine's threshold and output bias are the float64
+        folds cast once, not folds of float32 casts."""
+        model = live_affines(make_model(small_setup), seed=9)
+        layer = model.encoder.layers[0]
+        ffn = model.inference_encoder().layers[0].residual.ffn
+        w1, b1, w2, b2 = (p.data for p in (layer.ffn.fc1.weight,
+                                           layer.ffn.fc1.bias,
+                                           layer.ffn.fc2.weight,
+                                           layer.ffn.fc2.bias))
+        beta = layer.norm1.beta.data
+        shift = b1 + beta @ w1
+        assert ffn.threshold.dtype == ffn.bias.dtype == np.float32
+        assert ffn.threshold.tobytes() == (-shift).astype(np.float32).tobytes()
+        assert ffn.bias.tobytes() == (
+            shift @ w2 + b2 + beta).astype(np.float32).tobytes()
+        f32 = [a.astype(np.float32) for a in (w1, b1, w2, b2, beta)]
+        shift32 = f32[1] + f32[4] @ f32[0]
+        assert (shift32 @ f32[2] + f32[3] + f32[4]).tobytes() \
+            != ffn.bias.tobytes()
+
+
+# ----------------------------------------------------------------------
 # Golden bits: the served float32 embeddings of one fixed model, pinned
 # as digests. Re-recorded (`make golden-bits`, both kernel families) when
-# softmax went to base 2 and the spatial stream went feature-major. Each
-# rounds differently: exp2 of logits scaled by log2 e, the spatial
-# LayerNorm means as row sums, the spatial matmuls taken the other way
-# round. Every row stays within the parity tolerance of the float64
+# softmax went to base 2 and the spatial stream went feature-major, and
+# again when the FFN biases and LayerNorm affines were folded into the
+# export. Each rounds differently: exp2 of logits scaled by log2 e, the
+# spatial LayerNorm means as row sums, the spatial matmuls taken the
+# other way round, the masked mean as a product with valid / length
+# weights. Every row stays within the parity tolerance of the float64
 # graph. The kernel probe runs exp2, the function the forward calls.
 # ----------------------------------------------------------------------
 def _float32_kernels() -> str:
@@ -659,14 +799,14 @@ def _float32_kernels() -> str:
 #: batch_size 1, 7 and 256
 _GOLDEN = {
     "6840d710fffd6180": {   # OpenBLAS SkylakeX
-        1: "53519020b79122804c9025c3048116856bbed0246ad273387eed5dfabbaa1cef",
-        7: "dcbad981b293dcc4194fb2d3b0a30bb40b4742e12166dae81d59b8cd7745c7b2",
-        256: "1ceedf5a16df651104fe11664749ae3a7ceb4a497883143b3bad8d933e30a4c0",
+        1: "d2745540b67c8c1ab2d66a2e1fde2eae34c5bd8c6b6cc6d51d67ede44b128692",
+        7: "2ea907a2a7409d9e96f00c5de0047194fcdd1eda39ed900b64b420f0ba2fc499",
+        256: "10896479408726ff6c52bf42192a9802ba86307c664df7ba60c805421baf2626",
     },
     "0a5c9814f7e030a0": {   # OpenBLAS Haswell / Zen
-        1: "d924d35cfd9bec170588eb7e5e96679f5a219da76de84d3d68b876bb0092c1e9",
-        7: "72b33d4a90aa6149dad14998b755fa3b2d3bc7c6bd7857f0f4b95d4939d62ccf",
-        256: "86964c00f3e0e15adf4328e99303ae0fb851dd03281f515cc58c2213c79d45f9",
+        1: "43254e0e84d567ed58607ff79632b095f10a0fea11682a903217ba38a136efbb",
+        7: "98149c44544f0823c68e362059f2b19cb07de639755f38aa810daaf75749225d",
+        256: "9325f9ea65c2b20204c4d5e00df4d78eb65562be1395c082fb26ab6e5b6164cb",
     },
 }
 

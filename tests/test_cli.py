@@ -458,6 +458,36 @@ class TestClusterCli:
         assert not thread.is_alive()
         assert rc.get("cluster") == 0
 
+    @pytest.mark.parametrize("live_first", [True, False])
+    def test_a_failed_start_shuts_down_the_workers_it_reached(
+            self, dataset_path, capsys, live_first):
+        """``--shutdown-workers`` holds when the start fails: a worker the
+        constructor joined before a dead address stops it (and one listed
+        after it too). The failure is a one-line error and a non-zero
+        exit, not a traceback."""
+        from repro.api import ShardWorker
+
+        worker = ShardWorker()
+        live = "{}:{}".format(*worker.address)
+        addresses = [live, "127.0.0.1:1"][::1 if live_first else -1]
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["cluster", "--data", dataset_path,
+                      "--backend", "hausdorff", "--workers",
+                      ",".join(addresses), "--port", "0",
+                      "--heartbeat-interval", "0", "--connect-retries", "0",
+                      "--shutdown-workers"])
+            message = exit_info.value.code
+            assert isinstance(message, str)       # exit status 1, no trace
+            assert message.startswith("repro cluster: could not start:")
+            assert "\n" not in message
+            deadline = time.monotonic() + 5
+            while not worker.closed and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert worker.closed
+        finally:
+            worker.close()
+
     def test_cluster_worker_serves_until_shutdown(self, tmp_path):
         import threading
 
