@@ -23,7 +23,7 @@ EPOCHS = 2
 
 def test_fig10_embedding_dimensionality(benchmark, porto_pipeline):
     trajectories = porto_pipeline.trajectories
-    grid = porto_pipeline.grid
+    grid = porto_pipeline.model.features.grid
     base = make_instance(trajectories, n_queries=N_QUERIES,
                          database_size=DB_SIZE, seed=SEED + 130)
     instance = perturb_instance(base, "downsample", 0.2,
@@ -33,7 +33,7 @@ def test_fig10_embedding_dimensionality(benchmark, porto_pipeline):
         rows = []
         for dim in DIMS:
             cells = node2vec_embeddings(grid, dim=dim, seed=SEED + 132)
-            config = porto_pipeline.config.with_overrides(structural_dim=dim)
+            config = porto_pipeline.model.config.with_overrides(structural_dim=dim)
             features = FeatureEnrichment(grid, cells, max_len=config.max_len)
             model = TrajCL(features, config, rng=np.random.default_rng(SEED + 133))
             TrajCLTrainer(model, rng=np.random.default_rng(SEED + 134)).fit(

@@ -27,8 +27,8 @@ def test_fig11_encoder_layers(benchmark, porto_pipeline):
     def run():
         rows = []
         for n_layers in LAYER_COUNTS:
-            config = porto_pipeline.config.with_overrides(num_layers=n_layers)
-            model = TrajCL(porto_pipeline.features, config,
+            config = porto_pipeline.model.config.with_overrides(num_layers=n_layers)
+            model = TrajCL(porto_pipeline.model.features, config,
                            rng=np.random.default_rng(SEED + 142))
             history = TrajCLTrainer(
                 model, rng=np.random.default_rng(SEED + 143)

@@ -28,8 +28,8 @@ def test_fig12_negative_queue_size(benchmark, porto_pipeline):
     def run():
         rows = []
         for queue_size in QUEUE_SIZES:
-            config = porto_pipeline.config.with_overrides(queue_size=queue_size)
-            model = TrajCL(porto_pipeline.features, config,
+            config = porto_pipeline.model.config.with_overrides(queue_size=queue_size)
+            model = TrajCL(porto_pipeline.model.features, config,
                            rng=np.random.default_rng(SEED + 152))
             history = TrajCLTrainer(
                 model, rng=np.random.default_rng(SEED + 153)

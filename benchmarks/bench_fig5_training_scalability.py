@@ -27,7 +27,7 @@ def test_fig5a_mean_rank_vs_epochs(benchmark, porto_pipeline, porto_instance):
     hard_instance = perturb_instance(
         porto_instance, "downsample", 0.3, np.random.default_rng(SEED + 69)
     )
-    model = TrajCL(porto_pipeline.features, porto_pipeline.config,
+    model = TrajCL(porto_pipeline.model.features, porto_pipeline.model.config,
                    rng=np.random.default_rng(SEED + 70))
     trainer = TrajCLTrainer(model, rng=np.random.default_rng(SEED + 71))
     curve = []
@@ -63,7 +63,7 @@ def test_fig5b_mean_rank_vs_training_size(benchmark, porto_pipeline):
     def run():
         rows = []
         for size in TRAIN_SIZES:
-            model = TrajCL(porto_pipeline.features, porto_pipeline.config,
+            model = TrajCL(porto_pipeline.model.features, porto_pipeline.model.config,
                            rng=np.random.default_rng(SEED + 73))
             trainer = TrajCLTrainer(model, rng=np.random.default_rng(SEED + 74))
             history = trainer.fit(porto_pipeline.trajectories[:size], epochs=3)

@@ -46,7 +46,7 @@ def test_fig7_component_ablation(benchmark, porto_pipeline):
     def run():
         rows = []
         for variant, label in VARIANTS:
-            model = TrajCL(porto_pipeline.features, porto_pipeline.config,
+            model = TrajCL(porto_pipeline.model.features, porto_pipeline.model.config,
                            encoder_variant=variant,
                            rng=np.random.default_rng(SEED + 99))
             TrajCLTrainer(model, rng=np.random.default_rng(SEED + 100)).fit(

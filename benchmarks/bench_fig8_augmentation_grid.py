@@ -40,10 +40,10 @@ def test_fig8_augmentation_grid(benchmark, porto_pipeline):
         grid_scores = {}
         for aug_a in AUGS:
             for aug_b in AUGS:
-                config = porto_pipeline.config.with_overrides(
+                config = porto_pipeline.model.config.with_overrides(
                     augmentations=(aug_a, aug_b)
                 )
-                model = TrajCL(porto_pipeline.features, config,
+                model = TrajCL(porto_pipeline.model.features, config,
                                rng=np.random.default_rng(SEED + 112))
                 TrajCLTrainer(model, rng=np.random.default_rng(SEED + 113)).fit(
                     trajectories, epochs=GRID_EPOCHS

@@ -30,12 +30,12 @@ def test_fig9_augmentation_parameters(benchmark, porto_pipeline):
         scores = {}
         for mask_ratio in MASK_RATIOS:
             for keep in KEEP_RATIOS:
-                config = porto_pipeline.config.with_overrides(
+                config = porto_pipeline.model.config.with_overrides(
                     augmentations=("mask", "truncate"),
                     mask_ratio=mask_ratio,
                     truncate_keep=keep,
                 )
-                model = TrajCL(porto_pipeline.features, config,
+                model = TrajCL(porto_pipeline.model.features, config,
                                rng=np.random.default_rng(SEED + 122))
                 TrajCLTrainer(model, rng=np.random.default_rng(SEED + 123)).fit(
                     trajectories, epochs=GRID_EPOCHS

@@ -34,7 +34,7 @@ def test_table10_heuristic_approximation(benchmark, porto_pipeline, porto_selfsu
         porto_pipeline.trajectories, rng=np.random.default_rng(SEED + 90)
     )
     queries, database = test[:10], test
-    grid = porto_pipeline.grid
+    grid = porto_pipeline.model.features.grid
 
     def run():
         rows = []

@@ -11,7 +11,7 @@ distribution.
 import numpy as np
 
 from repro.baselines import T2Vec
-from repro.core import FeatureEnrichment, TrajCL
+from repro.core import TrajCL
 from repro.datasets import perturb_instance
 from repro.eval import evaluate_mean_rank, format_table, make_instance
 
@@ -21,11 +21,7 @@ from benchmarks.common import DB_SIZE, N_QUERIES, SEED, save_result
 def test_table6_cross_dataset(benchmark, porto_pipeline, xian_pipeline, porto_selfsup):
     # Transfer the Porto-trained encoder onto Xi'an's feature pipeline.
     transferred = TrajCL(
-        FeatureEnrichment(
-            xian_pipeline.grid, xian_pipeline.cell_embeddings,
-            max_len=xian_pipeline.config.max_len,
-        ),
-        xian_pipeline.config,
+        xian_pipeline.model.features, xian_pipeline.model.config,
         rng=np.random.default_rng(SEED + 40),
     )
     transferred.encoder.load_state_dict(porto_pipeline.model.encoder.state_dict())

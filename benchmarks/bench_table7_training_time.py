@@ -19,7 +19,7 @@ from benchmarks.common import SEED, save_result
 
 def test_table7_training_time(benchmark, porto_pipeline):
     trajectories = porto_pipeline.trajectories[:150]
-    grid = porto_pipeline.grid
+    grid = porto_pipeline.model.features.grid
     bbox = (grid.min_x, grid.min_y, grid.max_x, grid.max_y)
 
     def one_epoch_times():
@@ -52,7 +52,7 @@ def test_table7_training_time(benchmark, porto_pipeline):
                   rng=np.random.default_rng(SEED))
         rows.append(["CSTRM", time.perf_counter() - start])
 
-        model = TrajCL(porto_pipeline.features, porto_pipeline.config,
+        model = TrajCL(porto_pipeline.model.features, porto_pipeline.model.config,
                        rng=np.random.default_rng(SEED))
         trainer = TrajCLTrainer(model, rng=np.random.default_rng(SEED))
         start = time.perf_counter()

@@ -52,7 +52,7 @@ def porto_instance(porto_pipeline):
 def porto_selfsup(porto_pipeline):
     """Self-supervised baselines trained on the Porto pipeline's data."""
     trajectories = porto_pipeline.trajectories
-    grid = porto_pipeline.grid
+    grid = porto_pipeline.model.features.grid
     bbox = (grid.min_x, grid.min_y, grid.max_x, grid.max_y)
     rng_seed = SEED + 50
 

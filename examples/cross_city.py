@@ -13,7 +13,7 @@ Run:  python examples/cross_city.py
 
 import numpy as np
 
-from repro.core import FeatureEnrichment, TrajCL
+from repro.core import TrajCL
 from repro.eval import (
     build_city_pipeline,
     evaluate_mean_rank,
@@ -30,12 +30,8 @@ def main() -> None:
     xian = build_city_pipeline("xian", n_trajectories=240, train=False, seed=5)
 
     # Transfer: Porto-trained encoder weights + Xi'an feature pipeline.
-    transferred = TrajCL(
-        FeatureEnrichment(xian.grid, xian.cell_embeddings,
-                          max_len=xian.config.max_len),
-        xian.config,
-        rng=np.random.default_rng(9),
-    )
+    transferred = TrajCL(xian.model.features, xian.model.config,
+                         rng=np.random.default_rng(9))
     transferred.encoder.load_state_dict(porto.model.encoder.state_dict())
 
     print("Training a native Xi'an model for reference...")

@@ -7,7 +7,11 @@ the eight baselines. For each, this prints the per-epoch losses as float
 hex, a sha256 of the parameters and, where the learner has one, of its
 ``distance_matrix`` (with the fitted ``target_scale`` as hex). The
 trainer and CSTRM runs end every epoch on a batch of one, which both
-skip.
+skip. Two more rows build TrajCL from raw trajectories the way a user
+does, through ``build_city_pipeline`` and through
+``get_backend("trajcl", trajectories=...)`` (node2vec cell table, the
+builders' preset configuration, one epoch), and add a sha256 of the
+cell table.
 
 Diffing the output of two checkouts shows whether a change to the
 training code left every step as it was::
@@ -34,6 +38,7 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
 import numpy as np  # noqa: E402
 
 from repro import baselines  # noqa: E402
+from repro.api import get_backend  # noqa: E402
 from repro.core import (  # noqa: E402
     FeatureEnrichment,
     FrozenBackboneApproximator,
@@ -42,6 +47,7 @@ from repro.core import (  # noqa: E402
     TrajCLConfig,
     TrajCLTrainer,
 )
+from repro.eval import build_city_pipeline  # noqa: E402
 from repro.measures import Hausdorff  # noqa: E402
 from repro.trajectory import Grid  # noqa: E402
 
@@ -68,10 +74,12 @@ def parameters_sha(module) -> str:
     return sha(*(state[name] for name in sorted(state)))
 
 
-def report(name, losses, module, *, matrix=None, scale=None):
+def report(name, losses, module, *, matrix=None, scale=None, cells=None):
     print(f"{name}")
     print(f"  losses  {' '.join(float(loss).hex() for loss in losses)}")
     print(f"  params  {parameters_sha(module)}")
+    if cells is not None:
+        print(f"  cells   {sha(cells)}")
     if scale is not None:
         print(f"  scale   {float(scale).hex()}")
     if matrix is not None:
@@ -101,6 +109,33 @@ def run_trajcl(data):
         report(f"trajcl-finetune-{mode}", history.losses, head,
                matrix=head.distance_matrix(data[:3], data),
                scale=head.target_scale)
+
+
+def run_builders():
+    """The two public ways to build TrajCL from raw trajectories."""
+    pipeline = build_city_pipeline("xian", n_trajectories=24,
+                                   grid_cells_per_side=8, train_epochs=1)
+    model = pipeline.model
+    report("build-city-pipeline", pipeline.history.losses, model,
+           cells=model.features.cell_embeddings)
+
+    # the factory keeps no history: read the losses off the trainer
+    losses = []
+    fit = TrajCLTrainer.fit
+
+    def recording_fit(self, *args, **kwargs):
+        history = fit(self, *args, **kwargs)
+        losses.extend(history.losses)
+        return history
+
+    TrajCLTrainer.fit = recording_fit
+    try:
+        model = get_backend("trajcl", trajectories=pipeline.trajectories,
+                            dim=8, max_len=16, grid_cells_per_side=8).model
+    finally:
+        TrajCLTrainer.fit = fit
+    report("trajcl-backend-factory", losses, model,
+           cells=model.features.cell_embeddings)
 
 
 def run_self_supervised(data, grid, bbox):
@@ -161,6 +196,7 @@ def main() -> int:
     bbox = (*points.min(axis=0), *points.max(axis=0))
     print(f"# {len(data)} trajectories, {EPOCHS} epochs per learner")
     run_trajcl(data)
+    run_builders()
     run_self_supervised(data, grid, bbox)
     run_supervised(data, grid)
     return 0

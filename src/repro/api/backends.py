@@ -145,28 +145,22 @@ def _build_trajcl(
 
     # each branch imports what it runs (repro.core loads its names on
     # first use): serving a built model loads no trainer or checkpoint code
-    from ..core import FeatureEnrichment, TrajCL, TrajCLConfig, TrajCLTrainer
-    from ..graph import node2vec_embeddings
+    from ..core import TrajCLConfig, build_trajcl
 
-    grid = _grid_of(trajectories, grid_cells_per_side)
-    config = TrajCLConfig(
+    config = TrajCLConfig.reduced().with_overrides(
         structural_dim=dim,
         max_len=max_len,
         projection_dim=min(16, dim),
         queue_size=64,
         batch_size=8,
         max_epochs=max(epochs, 1),
-        momentum=0.95,
         **config_kwargs,
     )
-    cells = node2vec_embeddings(grid, dim=config.structural_dim, seed=seed + 1)
-    features = FeatureEnrichment(grid, cells, max_len=config.max_len)
-    trajcl = TrajCL(features, config, encoder_variant=encoder_variant,
-                    rng=np.random.default_rng(seed + 2))
-    if train and epochs > 0:
-        TrajCLTrainer(trajcl, rng=np.random.default_rng(seed + 3)).fit(
-            trajectories, epochs=epochs
-        )
+    trajcl, _ = build_trajcl(
+        trajectories, _grid_of(trajectories, grid_cells_per_side), config,
+        encoder_variant=encoder_variant, epochs=epochs, train=train,
+        seed=seed,
+    )
     return EmbeddingBackend("trajcl", trajcl)
 
 

@@ -28,42 +28,10 @@ _EXPORTS = {
     "finetune": ("FinetuneHistory", "FrozenBackboneApproximator",
                  "HeuristicApproximator"),
     "infer": ("InferenceEncoder",),
-    "model": ("NegativeQueue", "TrajCL"),
+    "model": ("NegativeQueue", "TrajCL", "build_trajcl"),
     "trainer": ("TrainHistory", "TrajCLTrainer"),
 }
 
-__all__ = [
-    "TrajCLConfig",
-    "point_shift",
-    "point_mask",
-    "truncate",
-    "simplify",
-    "simplify_vw",
-    "raw",
-    "save_pipeline",
-    "load_pipeline",
-    "pipeline_state",
-    "pipeline_from_state",
-    "make_view",
-    "get_augmentation",
-    "available_augmentations",
-    "FeatureEnrichment",
-    "spatial_features",
-    "sinusoidal_position_encoding",
-    "DualMSM",
-    "DualSTB",
-    "DualSTBLayer",
-    "VanillaSTB",
-    "ConcatSTB",
-    "build_encoder",
-    "TrajCL",
-    "NegativeQueue",
-    "InferenceEncoder",
-    "TrajCLTrainer",
-    "TrainHistory",
-    "HeuristicApproximator",
-    "FrozenBackboneApproximator",
-    "FinetuneHistory",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

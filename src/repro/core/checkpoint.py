@@ -26,6 +26,9 @@ _MODEL_PREFIX = "model/"
 _META_KEY = "__meta__"
 _CELLS_KEY = "__cell_embeddings__"
 _FORMAT_VERSION = 1
+#: config keys older checkpoints carry: the grid stores its own cell size,
+#: and FeatureEnrichment always emits 4 spatial columns
+_RETIRED_FIELDS = ("cell_size", "spatial_dim")
 
 
 def pipeline_state(model: TrajCL) -> dict:
@@ -74,6 +77,11 @@ def pipeline_from_state(
         )
 
     config_dict = dict(meta["config"])
+    retired = {key: config_dict.pop(key) for key in _RETIRED_FIELDS
+               if key in config_dict}
+    if retired.get("spatial_dim", 4) != 4:
+        raise ValueError(f"checkpoint spatial_dim {retired['spatial_dim']!r}"
+                         " is not the 4 spatial feature columns")
     config_dict["augmentations"] = tuple(config_dict["augmentations"])
     config = TrajCLConfig(**config_dict)
     grid_info = meta["grid"]

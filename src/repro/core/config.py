@@ -3,14 +3,15 @@
 Defaults follow the paper's §V-A settings where they matter for behaviour
 (augmentation pair, ρ parameters, heads, layers, temperature, momentum,
 schedule), with *scale* parameters (embedding dim, queue size, batch size)
-reduced to CPU-trainable sizes. Every benchmark can override any field, so
-the paper-scale configuration remains one constructor call away
-(:meth:`TrajCLConfig.paper_scale`).
+reduced to CPU-trainable sizes. The builders start from
+:meth:`TrajCLConfig.reduced` (:func:`repro.core.build_trajcl`, so
+``build_city_pipeline`` and the ``trajcl`` backend factory);
+:meth:`TrajCLConfig.paper_scale` is the paper's own scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 
@@ -19,13 +20,10 @@ class TrajCLConfig:
     """All knobs of the TrajCL pipeline in one place."""
 
     # ---------------- feature enrichment (paper §IV-B) ----------------
-    #: grid cell side length in coordinate units (paper: 100 m)
-    cell_size: float = 100.0
+    # grid, cell size and the 4 spatial columns belong to FeatureEnrichment
     #: structural (cell) embedding dimensionality d_t; this is also the
     #: model width d, since C_ts lives in R^{l x d_t}
     structural_dim: int = 32
-    #: spatial feature dimensionality d_s (paper fixes 4: x, y, radian, length)
-    spatial_dim: int = 4
     #: maximum points per trajectory l; longer inputs are truncated,
     #: shorter ones zero-padded (paper §IV-C)
     max_len: int = 64
@@ -83,8 +81,8 @@ class TrajCLConfig:
     def __post_init__(self):
         if self.structural_dim % self.num_heads:
             raise ValueError("structural_dim must be divisible by num_heads")
-        if self.spatial_dim % self.num_heads:
-            raise ValueError("spatial_dim must be divisible by num_heads")
+        if 4 % self.num_heads:
+            raise ValueError("num_heads must divide the 4 spatial columns")
         if not 0 < self.truncate_keep < 1:
             raise ValueError("truncate_keep must be in (0, 1)")
         if not 0 <= self.mask_ratio < 1:
@@ -95,6 +93,11 @@ class TrajCLConfig:
     def with_overrides(self, **kwargs) -> "TrajCLConfig":
         """Functional update (dataclasses.replace wrapper)."""
         return replace(self, **kwargs)
+
+    @classmethod
+    def reduced(cls) -> "TrajCLConfig":
+        """The builders' preset: smaller queue and batch, 3 epochs, m 0.95."""
+        return cls(queue_size=256, batch_size=16, max_epochs=3, momentum=0.95)
 
     @classmethod
     def paper_scale(cls) -> "TrajCLConfig":

@@ -43,9 +43,11 @@ class DualMSM(nn.Module):
         super().__init__()
         if structural_dim % num_heads or spatial_dim % num_heads:
             raise ValueError("feature dims must be divisible by num_heads")
+        if num_spatial_layers < 1:  # Eq. 15 fuses the last one's A_s
+            raise ValueError("DualMSM needs num_spatial_layers >= 1, got "
+                             f"{num_spatial_layers}")
         rng = rng if rng is not None else np.random.default_rng()
         self.structural_dim = structural_dim
-        self.spatial_dim = spatial_dim
         self.num_heads = num_heads
         self.head_dim = structural_dim // num_heads
         self.scale = 1.0 / np.sqrt(self.head_dim)

@@ -13,23 +13,28 @@ Implements the MoCo-style dual-branch framework of Fig. 2:
 
 After training, ``encode`` exposes the detached feature-enrichment +
 backbone pipeline: trajectory → embedding ``h``, compared with L1 distance
-(the paper's similarity convention).
+(the paper's similarity convention). :func:`build_trajcl` builds it all
+from raw trajectories.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn.losses import info_nce_loss
 from ..index import distance
+from ..trajectory.grid import Grid
 from ..trajectory.trajectory import TrajectoryLike
 from .config import TrajCLConfig
 from .encoder import build_encoder
 from .features import FeatureEnrichment
 from .infer import InferenceEncoder, resolve_dtype
+
+if TYPE_CHECKING:
+    from .trainer import TrainHistory
 
 
 class NegativeQueue:
@@ -102,7 +107,7 @@ class TrajCL(nn.Module):
 
         encoder_kwargs = dict(
             structural_dim=config.structural_dim,
-            spatial_dim=config.spatial_dim,
+            spatial_dim=features.spatial_dim,
             num_heads=config.num_heads,
             num_layers=config.num_layers,
             dropout=config.dropout,
@@ -279,3 +284,25 @@ class TrajCL(nn.Module):
         ``(|Q|, |D|, d)`` broadcast), in the encoder's dtype.
         """
         return distance.pairwise(self.encode(queries), self.encode(database))
+
+
+def build_trajcl(trajectories: Sequence[TrajectoryLike], grid: Grid,
+                 config: Optional[TrajCLConfig] = None, *,
+                 encoder_variant: str = "dual", epochs: Optional[int] = None,
+                 train: bool = True, seed: int = 0,
+                 ) -> Tuple[TrajCL, Optional[TrainHistory]]:
+    """node2vec cells over ``grid`` (``seed + 1``) → :class:`TrajCL`
+    (``seed + 2``) → pre-training (``seed + 3``; no history unless
+    ``train``). ``config`` defaults to :meth:`TrajCLConfig.reduced`."""
+    from ..graph import node2vec_embeddings
+    from .trainer import TrajCLTrainer
+
+    config = config if config is not None else TrajCLConfig.reduced()
+    cells = node2vec_embeddings(grid, dim=config.structural_dim, seed=seed + 1)
+    model = TrajCL(FeatureEnrichment(grid, cells, max_len=config.max_len),
+                   config, encoder_variant=encoder_variant,
+                   rng=np.random.default_rng(seed + 2))
+    if not train:
+        return model, None
+    trainer = TrajCLTrainer(model, rng=np.random.default_rng(seed + 3))
+    return model, trainer.fit(trajectories, epochs=epochs)

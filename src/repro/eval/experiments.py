@@ -1,11 +1,12 @@
 """Shared experiment pipeline used by every benchmark and example.
 
-Builds the full TrajCL stack for a synthetic city (data → grid → node2vec
-cell embeddings → contrastive pre-training) at a configurable reduced
-scale, and provides the evaluation entry points the paper's tables use:
-mean rank over a Q/D instance (§V-B) and the HR@k / R5@20 approximation
-metrics (§V-F). Heuristic measures and learned models are dispatched
-through one helper so benchmark code treats them uniformly.
+Builds the full TrajCL stack for a synthetic city (data → grid →
+:func:`repro.core.build_trajcl`: node2vec cell embeddings → contrastive
+pre-training) from :meth:`TrajCLConfig.reduced` unless the caller passes a
+configuration, and provides the evaluation entry points the paper's tables
+use: mean rank over a Q/D instance (§V-B) and the HR@k / R5@20
+approximation metrics (§V-F). Heuristic measures and learned models are
+dispatched through one helper so benchmark code treats them uniformly.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core import FeatureEnrichment, TrajCL, TrajCLConfig, TrajCLTrainer
+from ..core import TrajCL, TrajCLConfig, build_trajcl
 from ..core.trainer import TrainHistory
 from ..datasets import build_query_database, generate_city, get_preset
 from ..datasets.queries import QueryDatabase
-from ..graph import node2vec_embeddings
 from ..measures.base import TrajectorySimilarityMeasure
 from ..trajectory import Grid
 from .hitratio import hit_ratio, recall_n_at_m
@@ -28,14 +28,11 @@ from .ranking import mean_rank
 
 @dataclass
 class CityPipeline:
-    """Everything needed to run experiments against one synthetic city."""
+    """Everything needed to run experiments against one synthetic city
+    (grid, cells and config are ``model.features`` / ``model.config``)."""
 
     city: str
     trajectories: List[np.ndarray]
-    grid: Grid
-    cell_embeddings: np.ndarray
-    config: TrajCLConfig
-    features: FeatureEnrichment
     model: TrajCL
     history: Optional[TrainHistory]
 
@@ -54,38 +51,19 @@ def build_city_pipeline(
 
     ``grid_cells_per_side`` replaces the paper's absolute 100 m cell size
     so every city preset yields a node2vec graph of tractable size at
-    reduced scale; the paper-scale is recovered by raising it.
+    reduced scale; the paper-scale is recovered by raising it. ``config``
+    defaults to :meth:`TrajCLConfig.reduced`.
     """
     preset = get_preset(city)
     trajectories = generate_city(preset, n_trajectories, seed=seed)
-    cell_size = preset.extent / grid_cells_per_side
-    grid = Grid.covering(trajectories, cell_size=cell_size)
-
-    config = config if config is not None else TrajCLConfig(
-        structural_dim=32,
-        max_len=64,
-        projection_dim=16,
-        queue_size=256,
-        batch_size=16,
-        max_epochs=3,
-        momentum=0.95,
+    grid = Grid.covering(trajectories,
+                         cell_size=preset.extent / grid_cells_per_side)
+    model, history = build_trajcl(
+        trajectories, grid, config, encoder_variant=encoder_variant,
+        epochs=train_epochs, train=train, seed=seed,
     )
-    cell_embeddings = node2vec_embeddings(
-        grid, dim=config.structural_dim, seed=seed + 1
-    )
-    features = FeatureEnrichment(grid, cell_embeddings, max_len=config.max_len)
-    model = TrajCL(features, config, encoder_variant=encoder_variant,
-                   rng=np.random.default_rng(seed + 2))
-
-    history = None
-    if train:
-        trainer = TrajCLTrainer(model, rng=np.random.default_rng(seed + 3))
-        history = trainer.fit(trajectories, epochs=train_epochs)
-    return CityPipeline(
-        city=city, trajectories=trajectories, grid=grid,
-        cell_embeddings=cell_embeddings, config=config, features=features,
-        model=model, history=history,
-    )
+    return CityPipeline(city=city, trajectories=trajectories, model=model,
+                        history=history)
 
 
 def distance_matrix_of(

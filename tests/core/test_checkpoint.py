@@ -1,9 +1,13 @@
 """Tests for full-pipeline checkpointing (repro.core.checkpoint)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import TrajCL, load_pipeline, save_pipeline
+from repro.core import (
+    TrajCL, load_pipeline, pipeline_from_state, pipeline_state, save_pipeline,
+)
 
 from .conftest import make_trajectories
 
@@ -58,3 +62,37 @@ class TestPipelineCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_pipeline(str(tmp_path / "missing.npz"))
+
+
+def with_config_keys(state, **keys):
+    """``state`` with ``keys`` added to its config dict, as a checkpoint
+    written by an older version carries them."""
+    meta = json.loads(bytes(state["__meta__"]).decode("utf-8"))
+    meta["config"].update(keys)
+    encoded = json.dumps(meta).encode("utf-8")
+    return {**state, "__meta__": np.frombuffer(encoded, dtype=np.uint8)}
+
+
+class TestRetiredConfigFields:
+    """Checkpoints and service snapshots written while the config still
+    had ``cell_size`` and ``spatial_dim`` keep loading."""
+
+    def test_old_state_loads_and_encodes_bit_identically(self, small_model,
+                                                         small_setup):
+        _, _, trajectories = small_setup
+        state = with_config_keys(pipeline_state(small_model),
+                                 cell_size=100.0, spatial_dim=4)
+        restored = pipeline_from_state(state)
+        assert restored.config == small_model.config
+        assert (restored.encode(trajectories[:6]).tobytes()
+                == small_model.encode(trajectories[:6]).tobytes())
+
+    def test_a_spatial_dim_other_than_4_fails_typed(self, small_model):
+        state = with_config_keys(pipeline_state(small_model), spatial_dim=6)
+        with pytest.raises(ValueError, match="spatial_dim"):
+            pipeline_from_state(state)
+
+    def test_any_other_unknown_key_still_fails(self, small_model):
+        state = with_config_keys(pipeline_state(small_model), cell_sise=1.0)
+        with pytest.raises(TypeError, match="cell_sise"):
+            pipeline_from_state(state)

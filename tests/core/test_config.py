@@ -1,5 +1,7 @@
 """Tests for TrajCLConfig validation and derived configurations."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import TrajCLConfig
@@ -12,7 +14,6 @@ class TestValidation:
         assert config.num_heads == 4
         assert config.num_layers == 2
         assert config.num_spatial_layers == 2
-        assert config.cell_size == 100.0
         assert config.augmentations == ("mask", "truncate")
         assert config.mask_ratio == 0.3
         assert config.truncate_keep == 0.7
@@ -27,7 +28,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrajCLConfig(structural_dim=30, num_heads=4)
         with pytest.raises(ValueError):
-            TrajCLConfig(spatial_dim=6, num_heads=4)
+            TrajCLConfig(num_heads=8)  # 32 divides, the 4 spatial columns not
 
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
@@ -54,3 +55,9 @@ class TestValidation:
         assert paper.max_len == 200
         assert paper.queue_size == 2048
         assert paper.max_epochs == 20
+
+    def test_reduced_profile_changes_only_the_training_scale(self):
+        default = dataclasses.asdict(TrajCLConfig())
+        reduced = dataclasses.asdict(TrajCLConfig.reduced())
+        assert {name for name in default if default[name] != reduced[name]} \
+            == {"queue_size", "batch_size", "max_epochs", "momentum"}

@@ -34,6 +34,12 @@ class TestDualMSM:
         with pytest.raises(ValueError):
             DualMSM(16, 5, 4)
 
+    def test_needs_a_spatial_layer(self):
+        """Eq. 15 fuses the last spatial layer's A_s: with no spatial layer
+        there is none, so construction fails instead of the forward."""
+        with pytest.raises(ValueError, match="num_spatial_layers"):
+            DualMSM(16, 4, 4, num_spatial_layers=0)
+
     def test_gamma_is_learnable_and_fuses_spatial(self):
         """With γ=0 the output must equal pure structural attention."""
         msm = self.make()

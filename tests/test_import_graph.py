@@ -178,7 +178,8 @@ ALONE = {
 SUBMODULE = {"repro.api": "wire", "repro.index": "pq",
              "repro.trajectory": "preprocess", "repro.core": "trainer",
              "repro.nn": "optim", "repro.datasets": "splits"}
-#: what ``from <package> import *`` gave while the package was eager
+#: what ``from <package> import *`` gave while the package was eager,
+#: plus the names added since (``repro.core.build_trajcl``)
 STAR = {
     "repro.index": [
         "BruteForceIndex", "HNSWIndex", "IVFFlatIndex", "Int8FlatIndex",
@@ -197,7 +198,7 @@ STAR = {
         "FeatureEnrichment", "FinetuneHistory", "FrozenBackboneApproximator",
         "HeuristicApproximator", "InferenceEncoder", "NegativeQueue",
         "TrainHistory", "TrajCL", "TrajCLConfig", "TrajCLTrainer",
-        "VanillaSTB", "available_augmentations", "build_encoder",
+        "VanillaSTB", "available_augmentations", "build_encoder", "build_trajcl",
         "get_augmentation", "load_pipeline", "make_view",
         "pipeline_from_state", "pipeline_state", "point_mask", "point_shift",
         "raw", "save_pipeline", "simplify", "simplify_vw",
