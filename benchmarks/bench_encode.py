@@ -33,18 +33,32 @@ Run via ``make bench-encode`` (which pins one BLAS thread, as the e2e
 benchmark does). Not part of the tier-1 test suite.
 
 ``--base <rev>`` is an in-process, interleaved A/B of the encoder alone,
-for a change to ``src/repro/core/infer.py``. It ``git archive``\ s that
-file as of ``rev`` into a temp dir and loads it as a second module of
-``repro.core`` (so it runs on this checkout's features and ``nn``),
-exports both engines from one e2e-shape model and alternates their
-encode of the 5000 trajectories in calls of 256 for ``--rounds`` rounds
-(default 10; the side that goes first swaps every round), pinned to one
-CPU and timed in process CPU time. It prints the median paired ratio
+for a change to ``src/repro/core/infer.py`` or ``features.py``. It ``git
+archive``\ s both files as of ``rev`` into a temp dir and loads them as
+second modules of ``repro.core`` (so they run on this checkout's ``nn``),
+exports the base engine on the base ``FeatureEnrichment`` and this tree's
+on its own, from one e2e-shape model, and alternates their encode of the
+5000 trajectories in calls of 256 for ``--rounds`` rounds (default 10;
+the side that goes first swaps every round), pinned to one CPU and timed
+in process CPU time. It prints the median paired ratio
 (change / base, below 1 is faster), the wins, the smallest and largest
 ratio and the largest ``|Δ|`` between the two sides' embeddings; with
 ``--output`` it merges that as the ``ab_chunk256@<base commit>`` row::
 
     python benchmarks/bench_encode.py --base HEAD~1 --rounds 16 \
+        --output benchmarks/results/BENCH_encode.json
+
+``--stages`` splits the same encode by stage (ms per 5000-trajectory
+pass, median and quartiles over ``--rounds``, one CPU): the exclusive
+time of the engine's methods named in :data:`_STAGE_METHODS` — FFN, QKV,
+LayerNorm, logits, project, spatial, fusion, featuriser — and ``other``
+for the rest, beside one unwrapped pass per round (the wrappers' own
+cost). With ``--base <rev>`` it splits ``rev``'s engine too, loaded as
+above, the two sides alternating every round. With ``--output`` it
+merges the ``stages_chunk256`` row (and ``stages_chunk256@<base
+commit>``)::
+
+    python benchmarks/bench_encode.py --stages --base HEAD~1 --rounds 9 \
         --output benchmarks/results/BENCH_encode.json
 
 Timings taken in separate processes can drift by more than an encoder
@@ -83,8 +97,35 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: the engine module ``--base`` compares, relative to the repository root
+#: the modules ``--base`` swaps, relative to the repository root: the
+#: engine and the featuriser it runs on
 _ENGINE = "src/repro/core/infer.py"
+_FEATURES = "src/repro/core/features.py"
+
+#: ``--stages``: the methods whose exclusive time makes each stage (a name
+#: a checkout lacks is skipped). Under a dual layer's spatial blocks and
+#: under the featuriser every nested call counts to them; ``logits`` is
+#: ``K Qᵀ`` with its bias, exp2, sums and guard; ``fusion`` is the
+#: DualSTB's own lines (Eq. 15); ``other`` is what is left (sort, gather,
+#: residual adds, pooling, bucketing).
+_STAGE_METHODS = (
+    ("features", "FeatureEnrichment", "prepare", "featuriser"),
+    ("features", "FeatureEnrichment", "point_features", "featuriser"),
+    ("features", "FeatureEnrichment", "pad_features", "featuriser"),
+    ("infer", "_TransformerLayer", "__call__", "spatial"),
+    ("infer", "_Residual", "__call__", "other"),
+    ("infer", "_DualLayer", "__call__", "fusion"),
+    ("infer", "_FeedForward", "__call__", "FFN"),
+    ("infer", "_LayerNormP", "__call__", "LayerNorm"),
+    ("infer", "_LayerNormP", "moments", "LayerNorm"),
+    ("infer", "_Attention", "_qkv", "QKV"),
+    ("infer", "_Attention", "coefficients", "logits"),
+    ("infer", "_Attention", "_logits", "logits"),
+    ("infer", "_Attention", "project", "project"),
+)
+_STICKY_STAGES = ("spatial", "featuriser")
+_STAGES = ("FFN", "QKV", "LayerNorm", "logits", "project", "spatial",
+           "fusion", "featuriser", "other")
 
 #: the end-to-end benchmark's encoder shape (``benchmarks/e2e/workloads.py``)
 E2E_DIM, E2E_MAX_LEN = 64, 32
@@ -158,8 +199,7 @@ def run_sweep(args) -> Dict[str, Dict]:
 def run_e2e_shape(args) -> Dict[str, Dict]:
     model, trajectories = _build(args, E2E_COUNT, E2E_DIM, E2E_MAX_LEN)
     suffix = f"@{args.label}" if args.label else ""
-    chunks = [trajectories[start:start + E2E_CHUNK]
-              for start in range(0, E2E_COUNT, E2E_CHUNK)]
+    chunks = _e2e_chunks(trajectories)
     singles = [[t] for t in trajectories[:E2E_SINGLES]]
 
     def float64(batch):
@@ -187,24 +227,170 @@ def run_e2e_shape(args) -> Dict[str, Dict]:
     return rows
 
 
-def load_base_engine(rev: str):
-    """``repro/core/infer.py`` as of ``rev``, loaded as a second module of
-    this checkout's ``repro.core`` (its relative imports resolve here)."""
+def _pin_one_cpu() -> None:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _e2e_chunks(trajectories) -> List[Sequence]:
+    return [trajectories[start:start + E2E_CHUNK]
+            for start in range(0, E2E_COUNT, E2E_CHUNK)]
+
+
+def _quartiles(values) -> Dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4)}
+
+
+class _StageClock:
+    """Exclusive wall time per stage across nested wrapped calls."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        self.totals = dict.fromkeys(_STAGES, 0.0)
+        self.stack = ["other"]
+        self.mark = time.perf_counter()
+
+    def switch(self) -> None:
+        now = time.perf_counter()
+        self.totals[self.stack[-1]] += now - self.mark
+        self.mark = now
+
+    def wrap(self, stage: str, function: Callable) -> Callable:
+        def timed(*args, **kwargs):
+            self.switch()
+            top = self.stack[-1]
+            self.stack.append(top if top in _STICKY_STAGES else stage)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self.switch()
+                self.stack.pop()
+        return timed
+
+
+def run_stages(args) -> Dict[str, Dict]:
+    """The e2e-shape encode split by stage (:data:`_STAGE_METHODS`): ms
+    per 5000-trajectory pass in calls of 256, median and quartiles over
+    ``--rounds``, one CPU. Each round also times one pass unwrapped, the
+    figure the wrappers' own cost is read against. Under ``--base`` the
+    base revision's engine is split too, in the same process, the two
+    sides alternating every round (their drift cancels)."""
+    import importlib
+
+    _pin_one_cpu()
+    model, trajectories = _build(args, E2E_COUNT, E2E_DIM, E2E_MAX_LEN)
+    chunks = _e2e_chunks(trajectories)
+    modules = {name: importlib.import_module(f"repro.core.{name}")
+               for name in ("infer", "features")}
+    sides = {f"@{args.label}" if args.label else "":
+             (model.inference_encoder(), modules)}
+    if args.base:
+        modules = load_base_modules(args.base)
+        sides[f"@{_short_commit(args.base)}"] = (
+            base_engine(modules, model), modules)
+    clock = _StageClock()
+    patches = {}  # side -> (plain, wrapped) (class, name, function) lists
+    for side, (_, owned) in sides.items():
+        plain, wrapped = patches[side] = [], []
+        for module, owner_name, name, stage in _STAGE_METHODS:
+            owner = getattr(owned[module], owner_name, None)
+            if owner is not None and name in vars(owner):
+                plain.append((owner, name, vars(owner)[name]))
+                wrapped.append((owner, name,
+                                clock.wrap(stage, vars(owner)[name])))
+
+    def encode(side: str, timed: bool) -> float:
+        engine = sides[side][0]
+        for owner, name, function in patches[side][timed]:
+            setattr(owner, name, function)
+        clock.reset()
+        start = time.perf_counter()
+        for chunk in chunks:
+            engine.encode(chunk)
+        clock.switch()
+        return (time.perf_counter() - start) * 1e3
+
+    samples = {side: {name: [] for name in (*_STAGES, "total", "unwrapped")}
+               for side in sides}
+    order = list(sides)
+    try:
+        for side in order:
+            encode(side, False)                                 # warm-up
+        for round_ in range(args.rounds):
+            for side in order[round_ % 2:] + order[:round_ % 2]:
+                samples[side]["unwrapped"].append(encode(side, False))
+                samples[side]["total"].append(encode(side, True))
+                for name, seconds in clock.totals.items():
+                    samples[side][name].append(seconds * 1e3)
+    finally:
+        for plain, _ in patches.values():
+            for owner, name, function in plain:
+                setattr(owner, name, function)
+    from repro.eval import format_table
+
+    rows, table = {}, []
+    for side, values in samples.items():
+        stages = {name: _quartiles(column) for name, column in values.items()}
+        rows[f"stages_chunk{E2E_CHUNK}{side}"] = {"results": {
+            "mode": "stages", "dtype": str(sides[side][0].dtype),
+            "batch": E2E_CHUNK, "rounds": args.rounds, "ms": stages}}
+        total = stages["total"]["median"]
+        table += [[side or "this tree", name, row["median"],
+                   f"{row['q1']}-{row['q3']}",
+                   f"{row['median'] / total:.1%}" if name in _STAGES else ""]
+                  for name, row in stages.items()]
+    print(format_table(["side", "stage", "ms", "quartiles", "share"], table))
+    return rows
+
+
+def _short_commit(rev: str) -> str:
+    return subprocess.run(
+        ["git", "-C", _ROOT, "rev-parse", "--short", rev],
+        capture_output=True, check=True, text=True).stdout.strip()
+
+
+def _load_base_module(rev: str, path: str, name: str):
+    """``path`` as of ``rev``, loaded as the module ``repro.core.<name>``
+    beside this checkout's (its relative imports resolve here)."""
     import importlib.util
 
     import repro.core  # noqa: F401  (the package the copy joins)
 
-    archive = subprocess.run(["git", "-C", _ROOT, "archive", rev, _ENGINE],
+    archive = subprocess.run(["git", "-C", _ROOT, "archive", rev, path],
                              capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extract(_ENGINE, tmp)
+            tar.extract(path, tmp)
         spec = importlib.util.spec_from_file_location(
-            "repro.core._base_infer", os.path.join(tmp, _ENGINE))
+            f"repro.core.{name}", os.path.join(tmp, path))
         module = importlib.util.module_from_spec(spec)
         module.__package__ = "repro.core"
         spec.loader.exec_module(module)
     return module
+
+
+def load_base_modules(rev: str) -> Dict:
+    """``rev``'s ``infer.py`` and ``features.py`` as second modules of
+    this checkout's ``repro.core``, keyed ``infer`` / ``features``."""
+    return {"infer": _load_base_module(rev, _ENGINE, "_base_infer"),
+            "features": _load_base_module(rev, _FEATURES, "_base_features")}
+
+
+def base_engine(modules: Dict, model):
+    """``model``'s engine as the base ``infer`` module exports it, on the
+    base ``FeatureEnrichment``."""
+    from types import SimpleNamespace
+
+    own = model.features
+    base = SimpleNamespace(
+        encoder=model.encoder, encoder_variant=model.encoder_variant,
+        features=modules["features"].FeatureEnrichment(
+            own.grid, own.cell_embeddings, own.max_len))
+    return modules["infer"].InferenceEncoder.from_model(base)
 
 
 def run_ab(args) -> Dict[str, Dict]:
@@ -213,17 +399,12 @@ def run_ab(args) -> Dict[str, Dict]:
     difference."""
     from repro.core.infer import InferenceEncoder
 
-    commit = subprocess.run(
-        ["git", "-C", _ROOT, "rev-parse", "--short", args.base],
-        capture_output=True, check=True, text=True).stdout.strip()
-    base_module = load_base_engine(args.base)
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    commit = _short_commit(args.base)
+    _pin_one_cpu()
     model, trajectories = _build(args, E2E_COUNT, E2E_DIM, E2E_MAX_LEN)
-    engines = {"base": base_module.InferenceEncoder.from_model(model),
+    engines = {"base": base_engine(load_base_modules(args.base), model),
                "change": InferenceEncoder.from_model(model)}
-    chunks = [trajectories[start:start + E2E_CHUNK]
-              for start in range(0, E2E_COUNT, E2E_CHUNK)]
+    chunks = _e2e_chunks(trajectories)
 
     def encode(side: str):
         start = time.process_time()
@@ -239,17 +420,12 @@ def run_ab(args) -> Dict[str, Dict]:
     ratios = np.array(seconds["change"]) / np.array(seconds["base"])
     delta = np.abs(outputs["change"].astype(np.float64) - outputs["base"])
 
-    def quartiles(values) -> Dict:
-        q1, median, q3 = np.percentile(values, [25, 50, 75])
-        return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-                "q3": round(float(q3), 4)}
-
     result = {
         "mode": "ab", "dtype": str(outputs["change"].dtype),
         "batch": E2E_CHUNK, "base": commit, "rounds": args.rounds,
-        "base_s": quartiles(seconds["base"]),
-        "change_s": quartiles(seconds["change"]),
-        "ratio": {**quartiles(ratios), "min": round(float(ratios.min()), 4),
+        "base_s": _quartiles(seconds["base"]),
+        "change_s": _quartiles(seconds["change"]),
+        "ratio": {**_quartiles(ratios), "min": round(float(ratios.min()), 4),
                   "max": round(float(ratios.max()), 4)},
         "wins": int((ratios < 1.0).sum()),
         "max_abs_diff": float(delta.max()),
@@ -291,10 +467,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "pair from two checkouts in one record)")
     parser.add_argument("--base", metavar="REV",
                         help="instead of the scenarios: an interleaved "
-                             "in-process A/B of REV's infer.py against this "
-                             "tree's, on the e2e shape")
+                             "in-process A/B of REV's infer.py and "
+                             "features.py against this tree's, on the e2e "
+                             "shape")
     parser.add_argument("--rounds", type=int, default=10,
-                        help="paired rounds of the --base A/B")
+                        help="paired rounds of the --base A/B, or rounds "
+                             "of --stages")
+    parser.add_argument("--stages", action="store_true",
+                        help="instead of the scenarios: the e2e-shape "
+                             "encode split by stage (stages_chunk256); with "
+                             "--base, REV's too, interleaved")
     parser.add_argument("--train-epochs", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output",
@@ -307,7 +489,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     e2e_config = {**shared, "count": E2E_COUNT, "dim": E2E_DIM,
                   "max_len": E2E_MAX_LEN}
     runs = []  # (scenarios, the config they ran under)
-    if args.base:
+    if args.stages:
+        runs.append((run_stages(args), e2e_config))
+    elif args.base:
         runs.append((run_ab(args), e2e_config))
     else:
         if "sweep" in args.scenarios:

@@ -119,23 +119,10 @@ def run_builders():
     report("build-city-pipeline", pipeline.history.losses, model,
            cells=model.features.cell_embeddings)
 
-    # the factory keeps no history: read the losses off the trainer
-    losses = []
-    fit = TrajCLTrainer.fit
-
-    def recording_fit(self, *args, **kwargs):
-        history = fit(self, *args, **kwargs)
-        losses.extend(history.losses)
-        return history
-
-    TrajCLTrainer.fit = recording_fit
-    try:
-        model = get_backend("trajcl", trajectories=pipeline.trajectories,
-                            dim=8, max_len=16, grid_cells_per_side=8).model
-    finally:
-        TrajCLTrainer.fit = fit
-    report("trajcl-backend-factory", losses, model,
-           cells=model.features.cell_embeddings)
+    backend = get_backend("trajcl", trajectories=pipeline.trajectories,
+                          dim=8, max_len=16, grid_cells_per_side=8)
+    report("trajcl-backend-factory", backend.history.losses, backend.model,
+           cells=backend.model.features.cell_embeddings)
 
 
 def run_self_supervised(data, grid, bbox):

@@ -145,7 +145,7 @@ def _build_trajcl(
 
     # each branch imports what it runs (repro.core loads its names on
     # first use): serving a built model loads no trainer or checkpoint code
-    from ..core import TrajCLConfig, build_trajcl
+    from ..core import TrainHistory, TrajCLConfig, build_trajcl
 
     config = TrajCLConfig.reduced().with_overrides(
         structural_dim=dim,
@@ -156,12 +156,14 @@ def _build_trajcl(
         max_epochs=max(epochs, 1),
         **config_kwargs,
     )
-    trajcl, _ = build_trajcl(
+    trajcl, history = build_trajcl(
         trajectories, _grid_of(trajectories, grid_cells_per_side), config,
         encoder_variant=encoder_variant, epochs=epochs, train=train,
         seed=seed,
     )
-    return EmbeddingBackend("trajcl", trajcl)
+    backend = EmbeddingBackend("trajcl", trajcl)
+    backend.history = TrainHistory() if history is None else history
+    return backend
 
 
 # ----------------------------------------------------------------------

@@ -189,6 +189,10 @@ class EmbeddingBackend(SimilarityBackend):
     """
 
     kind = EMBEDDING
+    #: the training record of a model its factory trained (``trajcl``
+    #: from ``trajectories=``: one loss per epoch, none under
+    #: ``train=False``); None for a model that came built
+    history = None
 
     def __init__(self, name: str, model, metric: str = "l1"):
         if not hasattr(model, "encode"):

@@ -116,6 +116,25 @@ class FeatureEnrichment:
         return FeatureEnrichment(self.grid, self.cell_embeddings,
                                  self.max_len, dtype)
 
+    def projected(self, weight: np.ndarray, dtype) -> "FeatureEnrichment":
+        """This pipeline in ``dtype``, each structural row followed by its
+        product with ``weight`` (formed in float64): one gather and one
+        add give a padded row and its projection. The cell table grows
+        ``weight.shape[1] / d_t``-fold."""
+        def widen(table):
+            table = np.asarray(table, np.float64)
+            wide = np.empty((len(table), table.shape[1] + weight.shape[1]),
+                            dtype)
+            wide[:, :table.shape[1]] = table
+            wide[:, table.shape[1]:] = table @ weight
+            return wide
+
+        wide = FeatureEnrichment(self.grid, widen(self.cell_embeddings),
+                                 self.max_len, dtype)
+        wide._pe_structural = widen(sinusoidal_position_encoding(
+            self.max_len, self.structural_dim))
+        return wide
+
     def encode_one(self, trajectory: TrajectoryLike) -> Tuple[np.ndarray, np.ndarray]:
         """Unpadded ``(T, S)`` matrices for a single trajectory."""
         points = as_points(trajectory)[: self.max_len]
@@ -139,38 +158,35 @@ class FeatureEnrichment:
     ) -> np.ndarray:
         """Eq. 8 features of concatenated trajectories, ``(sum(n), 4)``.
 
-        Identical per-element arithmetic to :func:`spatial_features`, with
-        trajectory boundaries handled by index masks instead of a Python
-        loop per trajectory.
+        Identical per-element arithmetic to :func:`spatial_features`, on
+        shifted slices of the packed points; each trajectory's two ends
+        are then overwritten (what straddles a boundary is never kept).
         """
         total = len(flat)
         grid = self.grid
-        x = (flat[:, 0] - grid.min_x) / (grid.max_x - grid.min_x)
-        y = (flat[:, 1] - grid.min_y) / (grid.max_y - grid.min_y)
+        xs, ys = np.ascontiguousarray(flat.T)
+        x = (xs - grid.min_x) / (grid.max_x - grid.min_x)
+        y = (ys - grid.min_y) / (grid.max_y - grid.min_y)
         radians = np.full(total, np.pi)
         mean_len = np.zeros(total)
-        starts = offsets[:-1]
-        ends = offsets[1:] - 1
         if total > 1:
-            # Segment lengths between consecutive flat points; entries that
-            # cross a trajectory boundary exist but are never read.
-            seg = np.linalg.norm(flat[1:] - flat[:-1], axis=1)
+            # np.linalg.norm's and .sum(axis=1)'s sums of two, by column
+            dx, dy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+            seg = np.sqrt(dx * dx + dy * dy)
+            if total > 2:
+                mean_len[1:-1] = 0.5 * (seg[:-1] + seg[1:])
+                # (before · after) / (|before| |after|): ``before`` is a
+                # segment negated, exactly
+                dot = ((xs[:-2] - xs[1:-1]) * (xs[2:] - xs[1:-1])
+                       + (ys[:-2] - ys[1:-1]) * (ys[2:] - ys[1:-1]))
+                dot /= np.maximum(seg[:-1] * seg[1:], 1e-12)
+                radians[1:-1] = np.arccos(np.clip(dot, -1.0, 1.0, out=dot))
+            starts, ends = offsets[:-1], offsets[1:] - 1
+            radians[starts] = radians[ends] = np.pi
+            mean_len[starts] = mean_len[ends] = 0.0
             multi = lengths >= 2
             mean_len[starts[multi]] = seg[starts[multi]]
             mean_len[ends[multi]] = seg[ends[multi] - 1]
-            interior = np.ones(total, dtype=bool)
-            interior[starts] = False
-            interior[ends] = False
-            inner = np.flatnonzero(interior)
-            if len(inner):
-                mean_len[inner] = 0.5 * (seg[inner - 1] + seg[inner])
-                before = flat[inner - 1] - flat[inner]
-                after = flat[inner + 1] - flat[inner]
-                # their norms are the two segment lengths (negation is
-                # exact)
-                denom = np.maximum(seg[inner - 1] * seg[inner], 1e-12)
-                cos = np.clip((before * after).sum(axis=1) / denom, -1.0, 1.0)
-                radians[inner] = np.arccos(cos)
         return np.stack(
             [x, y, radians / np.pi, mean_len / grid.cell_size], axis=1,
             dtype=self.dtype, casting="same_kind",

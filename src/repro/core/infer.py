@@ -1,92 +1,32 @@
 """Autograd-free inference engine for the TrajCL backbone encoders.
 
-Training needs the :mod:`repro.nn` tape; serving does not. Every kNN and
-pairwise query in the ``repro.api`` stack funnels into
-:meth:`TrajCL.encode <repro.core.model.TrajCL.encode>`, and under
-``nn.no_grad`` the reference path still pays for a Python :class:`~repro.nn.Tensor`
-wrapper per operation, computes in float64 only, and pads every batch to the
-model's ``max_len`` regardless of the actual trajectory lengths.
+:meth:`TrajCL.encode <repro.core.model.TrajCL.encode>` (every kNN and
+pairwise query) runs here; its reference is the float64 Tensor graph.
 
-:class:`InferenceEncoder` removes five costs: those three, and two a plain
-numpy forward brings with it — memory traffic and per-row reduction
-overhead that the arithmetic does not need:
+* :meth:`~InferenceEncoder.from_model` exports the weights once in the
+  engine dtype (float32 served, ~1e-5 off the graph; float64 for parity,
+  ~1e-10), with what can be formed at export formed in float64: fused
+  Q/K/V with ``log2(e)/sqrt(hd)`` in the query columns, the FFN biases
+  and ``norm1``'s β (:class:`_FeedForward`), the first DualSTB's
+  structural Q/K/V as columns of the cell table and position encoding
+  (:meth:`~repro.core.features.FeatureEnrichment.projected`), each
+  spatial LayerNorm's centring and γ as one matrix.
+* :meth:`~InferenceEncoder.encode` sorts by length and pads each bucket to
+  its own longest, sized to :data:`_BUCKET_BYTES`; masked keys weigh 0.
+* Activations stay 2-D: structural row-major ``(B·L, d)``, spatial
+  feature-major ``(d_s, B·L)``; a block writes only its own arrays.
+  Logits are ``K Qᵀ`` keys-outermost, ``(L_key, B, H, L_query)``; exp2
+  runs unshifted and its row sums are the overflow guard
+  (:attr:`_Attention.sum_range`).
+  ``head_dim == 1`` logits are one GEMM per trajectory against a
+  block-diagonal Q (the outer product's bits).
+* Only what the embedding reads is computed: the last DualSTB's last
+  spatial block is its attention alone; the last ``norm2`` folds into
+  the masked mean (:meth:`_forward`).
 
-* :meth:`InferenceEncoder.from_model` exports a trained encoder's weights
-  into plain contiguous numpy arrays (Q/K/V projections fused into one
-  matrix per attention block, ``log2(e)/sqrt(head_dim)`` folded into its
-  query columns) — the forward pass is raw numpy with no ``Tensor`` objects or
-  tape on the hot path;
-* compute runs in float32 — weights, the cell table and the position
-  encodings are cast once at export, the padded feature batch is built
-  in float32, and the embeddings come out float32: ~1e-5 relative to the
-  reference path at roughly twice the matmul throughput and half the
-  memory. ``dtype=float64`` is the parity suite's handle (~1e-10), not
-  something served;
-* :meth:`InferenceEncoder.encode` sorts the batch by length and pads each
-  bucket to *its own* maximum length (length-bucketed batching), so a
-  bucket of short trajectories never pays ``max_len``-sized attention;
-  the padded features exist one bucket at a time.
-  Padded key positions receive a ``-1e9`` logit bias exactly as in the
-  reference attention, so embeddings are independent of the padding width
-  and the bucketing is invisible to callers;
-* activations stay 2-D from the one reshape at entry to the one at the
-  masked pooling, and every residual, LayerNorm and FFN stage writes in
-  place into an array the forward allocated itself (never its input).
-  The structural stream is row-major ``(B·L, d)``; the spatial stream is
-  feature-major ``(d_s, B·L)`` — it is 4 features wide, so row-major it
-  would reduce and broadcast over 4-float rows, while feature-major its
-  projections, LayerNorms and FFN run over rows of ``B·L`` contiguous
-  floats. Q, K and V are strided head views of the fused product, not
-  copies. Attention is computed *transposed*: the logits are ``K Qᵀ``
-  written into one C-contiguous ``(L_key, B, H, L_query)`` array, because
-  softmax reduces over keys: its sum then adds whole contiguous rows of
-  ``B·H·L`` elements instead of reducing inside ``L``-long ones, which is
-  what numpy is slow at. The wide stream's logits are one batched matmul
-  (Qᵀ copied to rows first: BLAS reads the strided view at half speed);
-  the ``head_dim == 1`` spatial logits are an outer product, written as
-  one GEMM per trajectory, ``K_b (L, H) @ blockdiag(Q_b) (H, H·L)`` —
-  each entry one product plus exact zeros, so the outer product's bits,
-  without numpy's ``B·H·L`` inner loops of ``L`` floats;
-* softmax makes no pass the result does not need. ``log2 e`` rides in
-  the query columns beside ``1/sqrt(head_dim)``, so ``exp2`` (cheaper than
-  ``exp``) runs on the unshifted logits, and the row sums it needs anyway
-  are the overflow guard: while every sum lies in ``(tiny/eps, eps/tiny)``
-  of the compute dtype, no term overflowed and no mass was lost; otherwise
-  that one attention is recomputed with the per-query max shift. The
-  normalisers go where they are cheapest: in a plain block ``1/Σ``
-  scales the ``(B,H,L,hd)`` contexts inside the head-merge copy, not the
-  ``L×L`` weights; in a DualSTB Eq. 15's two maps are normalised in
-  place (``E_t *= r_t``, ``E_s *= γ·r_s``: one ``(B,H,L)`` factor
-  against each contiguous key row) and summed, and the context product
-  writes straight into the ``(B,L,H,hd)`` merge layout — no copy, and no
-  ratio of the two maps' sums to overflow. No max or shift pass is left
-  over the ``L×L`` arrays;
-* biases and LayerNorm affines live in the exported weights, formed in
-  float64 and cast once: the FFN's first bias and ``norm1``'s β become
-  its ReLU threshold and output bias (:class:`_FeedForward`), and the
-  last block's ``norm2`` affine applies to the pooled rows
-  (:class:`_Residual`) — per bucket, no bias pass over any FFN hidden,
-  no ``+ β`` after ``norm1`` and no affine before the pooling. Each fold
-  is exact in real arithmetic; in float32 only the rounding moves;
-* the bucket size is derived, not passed: as many trajectories as keep the
-  forward's widest temporary — the FFN hidden or one softmax's logits —
-  at about 1 MiB, so a bucket's working set stays in L2 (32 trajectories
-  at d = 64, L = 32; 1 at the paper's d = 256, L = 200). With the folds
-  in, an interleaved sweep of the budget still ranks 1 MiB first, ahead
-  of 512 KiB and 256 KiB. A value the code can work out from its inputs
-  is not an option.
-
-All three encoder variants of the paper's Fig. 7 ablation are supported
-(``dual``/``msm``/``concat``). Dropout is inactive at inference, so the
-exported forward omits it entirely. So is the one block whose output
-nothing reads: only the structural stream of the last DualSTB is pooled,
-so the last spatial block under it is exported as its attention alone (its
-coefficients enter Eq. 15) — fixed at :meth:`~InferenceEncoder.from_model`,
-where the float64 Tensor graph, the oracle, still runs the whole model.
-
-A compiled engine is current while :func:`repro.nn.parameter_version` has
-not moved and the model holds the same encoder and feature tables
-(:meth:`InferenceEncoder.is_current`): a cache hit reads no weight.
+Variants ``dual``/``msm``/``concat`` (Fig. 7) are supported. An engine is
+current while :func:`repro.nn.parameter_version` has not moved and the
+model holds the same encoder and tables (:meth:`InferenceEncoder.is_current`).
 """
 
 from __future__ import annotations
@@ -99,10 +39,6 @@ from ..nn.module import parameter_version
 from ..trajectory.trajectory import TrajectoryLike
 
 __all__ = ["InferenceEncoder", "resolve_dtype"]
-
-#: additive attention bias at padded key positions (matches
-#: :func:`repro.nn.functional.attention_mask_bias`)
-_MASK_BIAS = -1e9
 
 #: target size of a forward's widest temporary: a bucket of this many bytes
 #: (and the handful of same-sized arrays alive beside it) stays in L2
@@ -132,8 +68,17 @@ def resolve_dtype(dtype) -> np.dtype:
 # The structural stream's activations are row-major ``(B·L, d)``; the
 # spatial stream's are feature-major ``(d_s, B·L)`` (``feature_major``),
 # so that its few-feature rows are long. A block never writes to its
-# input, only to arrays it allocated itself.
+# input, only to arrays it allocated itself. ``padded`` is None or the
+# masked (key, trajectory) rows of the keys-outermost maps, flat.
 # ----------------------------------------------------------------------
+def _fused_qkv(w_query, w_key, w_value, num_heads: int) -> np.ndarray:
+    """``[W_q · log2(e)/sqrt(hd), W_k, W_v]`` in float64: the logits come
+    out in base 2, for exp2, with no pass over them."""
+    scale = np.log2(np.e) / np.sqrt(w_query.shape[0] // num_heads)
+    return np.concatenate([np.asarray(w, np.float64) for w in
+                           (w_query * scale, w_key, w_value)], axis=1)
+
+
 class _Attention:
     """Fused Q/K/V self-attention weights of one MSM block."""
 
@@ -141,10 +86,7 @@ class _Attention:
 
     def __init__(self, w_query, w_key, w_value, w_out, num_heads: int, dtype,
                  feature_major: bool = False):
-        # 1/sqrt(head_dim) and log2(e) ride in the query columns: the
-        # logits come out in base 2, for exp2, with no pass over them
-        scale = np.log2(np.e) / np.sqrt(w_query.shape[0] // num_heads)
-        wqkv = np.concatenate([w_query * scale, w_key, w_value], axis=1)
+        wqkv = _fused_qkv(w_query, w_key, w_value, num_heads)
         # a feature-major stream is multiplied from the left: W^T x
         self.wqkv = np.ascontiguousarray(wqkv.T if feature_major else wqkv,
                                          dtype=dtype)
@@ -160,20 +102,23 @@ class _Attention:
         self.sum_range = (float(info.tiny / info.eps),
                           float(info.eps / info.tiny))
 
-    def _qkv(self, x: np.ndarray, batch: int) -> np.ndarray:
+    def _qkv(self, x: np.ndarray, batch: int,
+             qkv: Optional[np.ndarray] = None) -> np.ndarray:
         """Q, K, V as ``(3, B, H, L, hd)`` strided views of the fused
-        product (nothing is copied)."""
+        product, or of the rows ``qkv`` when the caller has them. The
+        product is laid out ``(3d, B·L)`` in either layout, so Qᵀ has rows
+        (:meth:`_logits`)."""
         heads = self.num_heads
-        if self.feature_major:
-            dim = x.shape[0]
-            qkv = (self.wqkv @ x).reshape(3, heads, dim // heads, batch, -1)
+        if qkv is None:
+            qkv = self.wqkv @ x if self.feature_major else self.wqkv.T @ x.T
+            qkv = qkv.reshape(3, heads, -1, batch, qkv.shape[1] // batch)
             return qkv.transpose(0, 3, 1, 4, 2)
-        qkv = (x @ self.wqkv).reshape(batch, -1, 3, heads, x.shape[1] // heads)
+        qkv = qkv.reshape(batch, -1, 3, heads, qkv.shape[1] // (3 * heads))
         return qkv.transpose(2, 0, 3, 1, 4)
 
-    def _logits(self, query, key, bias: Optional[np.ndarray]) -> np.ndarray:
-        """``K Qᵀ`` (+ the padding bias) laid out keys-outermost:
-        ``(L_key, B, H, L_query)``, C-contiguous."""
+    def _logits(self, query, key) -> np.ndarray:
+        """``K Qᵀ`` laid out keys-outermost: ``(L_key, B, H, L_query)``,
+        C-contiguous."""
         batch, heads, seq_len, head_dim = query.shape
         logits = np.empty((seq_len, batch, heads, seq_len), dtype=query.dtype)
         if head_dim == 1:
@@ -188,39 +133,46 @@ class _Attention:
                       blocks.reshape(batch, heads, heads * seq_len),
                       out=logits.reshape(seq_len, batch, -1).swapaxes(0, 1))
         else:
-            # Qᵀ copied to (B, H, hd, L) rows: BLAS reads the strided Qᵀ
-            # view at half the speed the copy costs
-            np.matmul(key, np.ascontiguousarray(query.swapaxes(-1, -2)),
-                      out=logits.transpose(1, 2, 0, 3))
-        if bias is not None:
-            logits += bias
+            # Qᵀ in rows: BLAS reads a strided Qᵀ at half the speed a copy
+            # costs, so gathered rows are copied
+            transposed = query.swapaxes(-1, -2)
+            if transposed.strides[-1] != transposed.itemsize:
+                transposed = np.ascontiguousarray(transposed)
+            np.matmul(key, transposed, out=logits.transpose(1, 2, 0, 3))
         return logits
 
+    @staticmethod
+    def _mask(weights: np.ndarray, padded: Optional[np.ndarray],
+              value: float) -> None:
+        """Write ``value`` over the ``padded`` (key, trajectory) rows."""
+        if padded is not None:
+            seq_len, batch = weights.shape[:2]
+            weights.reshape(seq_len * batch, -1)[padded] = value
+
     def coefficients(
-        self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
+        self, x: np.ndarray, batch: int, padded: Optional[np.ndarray],
+        qkv: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(weights (L_key,B,H,L_query), reciprocal sums (B,H,L_query),
         value (B,H,L,hd))`` of Eq. 12: the attention is ``weights ·
         reciprocal``, a product nobody forms (:meth:`project`).
 
-        Q, K, V are strided head views of the fused product. The logits
-        are ``K Qᵀ`` in base 2 laid out keys-outermost, so the softmax's
-        sum runs down axis 0, across contiguous rows of ``B·H·L``
-        elements.
-
-        The weights are ``exp2`` of the unshifted logits. The row sums are
-        the overflow guard: when one lies outside :attr:`sum_range`, this
-        attention alone is recomputed with the per-query max shift (exp2
-        then sees ≤ 0, and every sum is in ``[1, L]``). The caller mutes
-        numpy's overflow warning (:meth:`InferenceEncoder._forward`).
+        The weights are ``exp2`` of the unshifted logits, 0 at the
+        ``padded`` keys. The row sums are the overflow guard: when one lies
+        outside :attr:`sum_range`, this attention alone is recomputed with
+        the per-query max shift (exp2 then sees ≤ 0, and every sum is in
+        ``[1, L]``). The caller mutes numpy's overflow warning
+        (:meth:`InferenceEncoder._forward`).
         """
-        query, key, value = self._qkv(x, batch)                # (B,H,L,hd)
-        weights = self._logits(query, key, bias)
+        query, key, value = self._qkv(x, batch, qkv)           # (B,H,L,hd)
+        weights = self._logits(query, key)
         np.exp2(weights, out=weights)
+        self._mask(weights, padded, 0.0)
         sums = weights.sum(axis=0)
         low, high = self.sum_range
         if not low < sums.min() <= sums.max() < high:
-            weights = self._logits(query, key, bias)
+            weights = self._logits(query, key)
+            self._mask(weights, padded, -np.inf)
             weights -= weights.max(axis=0)
             np.exp2(weights, out=weights)
             sums = weights.sum(axis=0)
@@ -287,47 +239,70 @@ class _FeedForward:
 
 
 class _LayerNormP:
-    """LayerNorm over the feature axis, in place. ``scale`` / ``shift``
-    say whether its ``× γ`` / ``+ β`` run here or are folded elsewhere."""
+    """LayerNorm over the feature axis; ``shift`` says whether its ``+ β``
+    runs here or is folded elsewhere.
 
-    __slots__ = ("gamma", "beta", "eps", "mean", "feature_major", "scale",
-                 "shift")
+    Row-major it works in place. Feature-major one GEMM with ``centre``
+    gives ``x − mean`` (rows ``:d``) and ``√d·γ·(x − mean)`` (rows ``d:``),
+    which is divided by ``sqrt(Σ (x − mean)² + d·eps)``: six calls on the
+    ``(d, B·L)`` block, not eleven.
+    """
+
+    __slots__ = ("gamma", "beta", "eps", "mean", "feature_major", "shift",
+                 "centre")
 
     def __init__(self, norm, dtype, feature_major: bool = False,
-                 scale: bool = True, shift: bool = True):
-        dim = len(norm.gamma.data)
+                 shift: bool = True):
+        gamma = np.asarray(norm.gamma.data, np.float64)
+        dim = len(gamma)
         shape = (dim, 1) if feature_major else (dim,)
-        self.gamma = np.ascontiguousarray(norm.gamma.data, dtype).reshape(shape)
+        self.gamma = np.ascontiguousarray(gamma, dtype).reshape(shape)
         self.beta = np.ascontiguousarray(norm.beta.data, dtype).reshape(shape)
         self.eps = float(norm.eps)
         #: ``x @ mean`` is the row mean of a row-major block as one BLAS
         #: call
         self.mean = np.full((dim, 1), 1.0 / dim, dtype=dtype)
+        centre = np.eye(dim) - 1.0 / dim
+        self.centre = np.ascontiguousarray(np.vstack(
+            [centre, np.sqrt(dim) * gamma[:, None] * centre]),
+            dtype=dtype) if feature_major else None
         self.feature_major = feature_major
-        self.scale = scale
         self.shift = shift
 
-    def _mean(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """LayerNorm over the feature axis (row-major: overwriting ``x``)."""
         if self.feature_major:
+            dim = len(x)
+            both = self.centre @ x
+            centred, x = both[:dim], both[dim:]
             # a sum of whole rows, not BLAS's (1, d) @ (d, N): its rounding
             # would depend on N, so on a trajectory's bucket mates
-            total = np.add.reduce(x, axis=0, keepdims=True)
-            total *= self.mean[0, 0]
-            return total
-        return x @ self.mean
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """LayerNorm over the feature axis, overwriting ``x``."""
-        x -= self._mean(x)
-        var = self._mean(np.multiply(x, x))
-        var += self.eps
-        np.sqrt(var, out=var)
-        x *= np.reciprocal(var, out=var)
-        if self.scale:
+            var = np.add.reduce(np.multiply(centred, centred, out=centred),
+                                axis=0, keepdims=True)
+            var += dim * self.eps
+            x /= np.sqrt(var, out=var)
+        else:
+            x -= x @ self.mean
+            var = np.multiply(x, x) @ self.mean
+            var += self.eps
+            np.sqrt(var, out=var)
+            x *= np.reciprocal(var, out=var)
             x *= self.gamma
         if self.shift:
             x += self.beta
         return x
+
+    def moments(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row means and ``1/σ`` of a row-major block, ``(N,)`` each, from
+        one pass over it and a GEMV: ``σ² = E[x²] − μ² + eps`` (the
+        difference clamped at 0), nothing written to ``x``."""
+        mean = (x @ self.mean)[:, 0]
+        var = np.einsum("ij,ij->i", x, x)
+        var *= self.mean[0, 0]
+        var -= mean * mean
+        np.maximum(var, 0.0, out=var)
+        var += self.eps
+        return mean, np.reciprocal(np.sqrt(var, out=var), out=var)
 
 
 class _Residual:
@@ -336,29 +311,27 @@ class _Residual:
     ``norm1`` stops after ``× γ``: its β rides in the FFN's biases
     (:class:`_FeedForward`), so the residual adds ``z = x − β`` and the
     output bias puts β back. Under ``pooled`` (the last block, which only
-    the masked mean reads) ``norm2`` stops after normalising: the mean is
-    one ``(B,1,L) @ (B,L,d)`` product with ``valid / length`` weights,
-    which sum to 1 per trajectory, so its γ and β apply to the pooled
-    ``(B, d)`` rows instead (:meth:`InferenceEncoder._forward`).
+    the masked mean reads) ``norm2`` is not applied: the pooling folds it
+    in (:meth:`InferenceEncoder._forward`).
     """
 
-    __slots__ = ("norm1", "norm2", "ffn")
+    __slots__ = ("norm1", "norm2", "ffn", "pooled")
 
     def __init__(self, layer, dtype, feature_major: bool = False,
                  pooled: bool = False):
         self.norm1 = _LayerNormP(layer.norm1, dtype, feature_major,
                                  shift=False)
-        self.norm2 = _LayerNormP(layer.norm2, dtype, feature_major,
-                                 scale=not pooled, shift=not pooled)
+        self.norm2 = _LayerNormP(layer.norm2, dtype, feature_major)
         self.ffn = _FeedForward(layer.ffn.fc1, layer.ffn.fc2,
                                 layer.norm1.beta.data, dtype, feature_major)
+        self.pooled = pooled
 
     def __call__(self, x: np.ndarray, attended: np.ndarray) -> np.ndarray:
         attended += x
         z = self.norm1(attended)                               # Eq. 10 − β
         out = self.ffn(z)
         out += z
-        return self.norm2(out)                                 # Eq. 11
+        return out if self.pooled else self.norm2(out)         # Eq. 11
 
 
 class _TransformerLayer:
@@ -380,10 +353,10 @@ class _TransformerLayer:
                          else _Residual(layer, dtype, feature_major, pooled))
 
     def __call__(
-        self, x: np.ndarray, batch: int, bias: Optional[np.ndarray]
+        self, x: np.ndarray, batch: int, padded: Optional[np.ndarray]
     ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
         """``(output or None, weights, reciprocal sums)``."""
-        weights, reciprocal, value = self.attn.coefficients(x, batch, bias)
+        weights, reciprocal, value = self.attn.coefficients(x, batch, padded)
         if self.residual is None:
             return None, weights, reciprocal
         attended = self.attn.project(weights, reciprocal, value)
@@ -392,11 +365,14 @@ class _TransformerLayer:
 
 
 class _DualLayer:
-    """One DualSTB block: DualMSM fusion + the residual stages."""
+    """One DualSTB block: DualMSM fusion + the residual stages. Under
+    ``gathered`` (the first) its structural input arrives as rows ``[x,
+    x W_qkv]`` (:meth:`FeatureEnrichment.projected
+    <repro.core.features.FeatureEnrichment.projected>`)."""
 
-    __slots__ = ("attn", "gamma", "spatial_layers", "residual")
+    __slots__ = ("attn", "gamma", "spatial_layers", "residual", "gathered")
 
-    def __init__(self, layer, dtype, last: bool):
+    def __init__(self, layer, dtype, last: bool, gathered: bool = False):
         msm = layer.dual_msm
         self.attn = _Attention(
             msm.w_query.weight.data, msm.w_key.weight.data,
@@ -415,20 +391,26 @@ class _DualLayer:
             for i, spatial in enumerate(msm.spatial_encoder.layers)
         ]
         self.residual = _Residual(layer, dtype, pooled=last)
+        self.gathered = gathered
 
     def __call__(
         self,
         structural: np.ndarray,
         spatial: np.ndarray,
         batch: int,
-        bias: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        padded: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(x, C_ts, spatial)``: the residual is the caller's."""
+        qkv = None
+        if self.gathered:
+            dim = self.attn.wo.shape[1]
+            structural, qkv = structural[:, :dim], structural[:, dim:]
         fused, reciprocal, value = self.attn.coefficients(structural, batch,
-                                                          bias)
+                                                          padded, qkv)
         for spatial_layer in self.spatial_layers:
             weights = None  # the previous block's, dead before this one runs
             spatial, weights, spatial_reciprocal = spatial_layer(spatial, batch,
-                                                                 bias)
+                                                                 padded)
         # Eq. 15: C_ts = (A_t + γ A_s) V_t, heads merged through W_o. With
         # A = E·r, each map is normalised in place — its (B,H,L) factor
         # multiplies every key row of B·H·L contiguous weights — and the
@@ -440,7 +422,9 @@ class _DualLayer:
         del weights
         c_ts = self.attn.project(fused, None, value)
         del fused, value  # the QKV product goes with its value view
-        return self.residual(structural, c_ts), spatial
+        if self.gathered:  # a copy: the gathered rows die before the FFN
+            structural = np.ascontiguousarray(structural)
+        return structural, c_ts, spatial
 
 
 # ----------------------------------------------------------------------
@@ -510,16 +494,23 @@ class InferenceEncoder:
         source = (parameter_version(), model.encoder, model.features,
                   model.features.cell_embeddings)
         encoder = model.encoder
+        features = model.features.astype(dtype)
         if variant == "dual":
             depth = len(encoder.layers)
-            layers = [_DualLayer(layer, dtype, last=(i == depth - 1))
+            layers = [_DualLayer(layer, dtype, last=(i == depth - 1),
+                                 gathered=(i == 0))
                       for i, layer in enumerate(encoder.layers)]
+            if layers:
+                msm = encoder.layers[0].dual_msm
+                features = model.features.projected(_fused_qkv(
+                    msm.w_query.weight.data, msm.w_key.weight.data,
+                    msm.w_value.weight.data, msm.num_heads), dtype)
         else:  # msm / concat wrap a vanilla TransformerEncoder
             depth = len(encoder.encoder.layers)
             layers = [_TransformerLayer(layer, dtype, pooled=(i == depth - 1))
                       for i, layer in enumerate(encoder.encoder.layers)]
         return cls(
-            features=model.features.astype(dtype),
+            features=features,
             variant=variant,
             layers=layers,
             dtype=dtype,
@@ -538,11 +529,8 @@ class InferenceEncoder:
     ) -> np.ndarray:
         batch, seq_len, _ = structural.shape
         valid = np.arange(seq_len) < lengths[:, None]               # (B, L)
-        bias = None
-        if not valid.all():
-            # keys are axis 0 of the logits
-            bias = np.where(valid, 0.0, _MASK_BIAS).astype(self.dtype)
-            bias = bias.T[:, :, None, None]
+        # the masked (key, trajectory) rows of the keys-outermost maps
+        padded = None if valid.all() else np.flatnonzero(~valid.T)
         structural = structural.reshape(batch * seq_len, -1)
         spatial = spatial.reshape(batch * seq_len, -1)
         # exp2 of unshifted logits may overflow by design: the guard after
@@ -553,8 +541,11 @@ class InferenceEncoder:
             if self.variant == "dual":
                 spatial = np.ascontiguousarray(spatial.T)   # feature-major
                 for layer in self.layers:
-                    structural, spatial = layer(structural, spatial, batch,
-                                                bias)
+                    # the stream is rebound before the residual runs, so
+                    # the first layer's gathered block is freed by then
+                    structural, attended, spatial = layer(
+                        structural, spatial, batch, padded)
+                    structural = layer.residual(structural, attended)
                 hidden = structural
             else:
                 if self.variant == "concat":
@@ -562,15 +553,20 @@ class InferenceEncoder:
                 else:  # msm: structural stream only
                     hidden = structural
                 for layer in self.layers:
-                    hidden, _, _ = layer(hidden, batch, bias)
-        # Masked average pooling over valid positions (§IV-C), then the
-        # last block's norm2 affine (its weights sum to 1: _Residual).
-        weights = valid / np.maximum(lengths, 1)[:, None]
-        pooled = np.matmul(weights.astype(self.dtype)[:, None, :],
-                           hidden.reshape(batch, seq_len, -1))
-        pooled = pooled.reshape(batch, -1)
+                    hidden, _, _ = layer(hidden, batch, padded)
+        # Masked average pooling over valid positions (§IV-C): weights
+        # valid / length sum to 1 per trajectory, so the last norm2 folds
+        # in as Σ (wᵢ/σᵢ) yᵢ − Σ wᵢ μᵢ/σᵢ, then its γ and β
+        weights = (valid / np.maximum(lengths, 1)[:, None]).astype(self.dtype)
         if self.layers:
             norm = self.layers[-1].residual.norm2
+            mean, scale = norm.moments(hidden)
+            weights *= scale.reshape(batch, seq_len)
+        weights = weights[:, None, :]
+        pooled = np.matmul(weights, hidden.reshape(batch, seq_len, -1))
+        pooled = pooled.reshape(batch, -1)
+        if self.layers:
+            pooled -= np.matmul(weights, mean.reshape(batch, seq_len, 1))[:, 0]
             pooled *= norm.gamma
             pooled += norm.beta
         return pooled
@@ -620,11 +616,13 @@ class InferenceEncoder:
                 high = min(low + step, len(group))
                 rows = slice(offsets[low], offsets[high])
                 bucket_lengths = group_lengths[low:high]
-                structural, padded, _ = self.features.pad_features(
+                padded = list(self.features.pad_features(
                     cells[rows], spatial[rows], bucket_lengths,
-                    pad_len=int(bucket_lengths[-1]))
-                out[group[low:high]] = self._forward(structural, padded,
-                                                     bucket_lengths)
+                    pad_len=int(bucket_lengths[-1])))
+                # popped into the call, so only _forward holds the padded
+                # block: the first layer's gathered columns die in it
+                out[group[low:high]] = self._forward(
+                    padded.pop(0), padded.pop(0), bucket_lengths)
         return out
 
     def __repr__(self) -> str:

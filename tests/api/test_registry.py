@@ -90,6 +90,35 @@ class TestRegistry:
             get_backend("t2vec")
 
 
+class TestTrajCLHistory:
+    """The ``trajcl`` factory keeps the training record it made."""
+
+    def test_one_loss_per_epoch(self, tiny_trajectories):
+        backend = get_backend("trajcl", trajectories=tiny_trajectories,
+                              dim=8, max_len=16, epochs=2, seed=0)
+        history = backend.history
+        assert history.epochs_run == len(history.losses) == 2
+        assert np.isfinite(history.losses).all()
+        assert len(history.epoch_seconds) == 2
+
+    def test_empty_when_nothing_trained(self, tiny_trajectories):
+        backend = get_backend("trajcl", trajectories=tiny_trajectories,
+                              dim=8, max_len=16, train=False)
+        assert backend.history.losses == []
+        assert backend.history.epochs_run == 0
+
+    def test_none_for_a_model_that_came_built(self, tiny_trajectories,
+                                              tmp_path):
+        from repro.core import save_pipeline
+
+        model = get_backend("trajcl", trajectories=tiny_trajectories,
+                            dim=8, max_len=16, train=False).model
+        assert get_backend("trajcl", model=model).history is None
+        path = str(tmp_path / "trajcl.npz")
+        save_pipeline(path, model)
+        assert get_backend("trajcl", checkpoint=path).history is None
+
+
 class TestAsBackend:
     def test_backend_passthrough(self):
         backend = get_backend("hausdorff")

@@ -147,6 +147,22 @@ class TestFeatureEnrichment:
             assert not spatial[i, n:].tobytes().strip(b"\0")
             assert not mask[i, :n].any() and mask[i, n:].all()
 
+    @pytest.mark.parametrize("lengths", [
+        [1], [2], [1, 1], [2, 2], [2, 1, 2], [1, 7, 2, 1],
+        [3, 1, 1, 5, 2], [16, 2, 1, 9, 1]])
+    def test_flat_spatial_features_are_the_per_trajectory_bits(self,
+                                                               lengths):
+        """Shifted slices over the packed points, each trajectory's ends
+        overwritten: the bits of ``spatial_features``, one trajectory at
+        a time, for ragged, 1-point and 2-point runs at either end."""
+        enrichment, _, grid = self.make_enrichment()
+        batch = [walk(n, seed=i) for i, n in enumerate(lengths)]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        flat = enrichment._flat_spatial_features(
+            np.concatenate(batch), offsets, np.diff(offsets))
+        expected = np.concatenate([spatial_features(t, grid) for t in batch])
+        assert flat.tobytes() == expected.tobytes()
+
     def test_pad_len_narrows_batch(self):
         enrichment, _, _ = self.make_enrichment(max_len=16)
         batch = [walk(5, seed=1), walk(8, seed=2)]

@@ -393,8 +393,8 @@ class TestForwardLaws:
         expected = model.encode(mixed_trajectories)
         plain = infer._Attention.coefficients
 
-        def split(self, x, batch, bias):
-            weights, reciprocal, value = plain(self, x, batch, bias)
+        def split(self, *args):
+            weights, reciprocal, value = plain(self, *args)
             shift = np.float32(1e-30 if value.shape[-1] == 1 else 1e30)
             weights *= shift
             reciprocal /= shift
@@ -564,7 +564,7 @@ class TestAttentionLayout:
         x = rng.standard_normal((batch * seq_len, dim)).astype(np.float32)
         lengths = np.array([seq_len, 4, 1]) if padded else np.full(3, seq_len)
         valid = np.arange(seq_len) < lengths[:, None]
-        bias = padding_bias(valid, np.float32) if padded else None
+        rows = padded_rows(valid)
         # axis 0 is the key: the plain softmax(Q K^T / sqrt(hd)) transposed
         x64 = x.astype(np.float64).reshape(batch, seq_len, dim)
 
@@ -583,7 +583,7 @@ class TestAttentionLayout:
             with np.errstate(over="ignore"):  # as the forward calls it
                 weights, reciprocal, value = attn.coefficients(
                     np.ascontiguousarray(x.T) if feature_major else x,
-                    batch, bias)
+                    batch, rows)
             assert weights.shape == (seq_len, batch, heads, seq_len)
             assert weights.flags.c_contiguous
             assert reciprocal.shape == (batch, heads, seq_len)
@@ -602,7 +602,8 @@ class TestAttentionLayout:
                                                      padded, dtype):
         """The ``head_dim == 1`` logits are one GEMM per trajectory against
         a block-diagonal Q; every entry is k·q plus exact zeros, so the
-        bits are the outer product's (+ the bias), in either layout."""
+        bits are the outer product's, in either layout; masking writes
+        exact zeros over the padded keys' rows and nothing else."""
         heads, batch, seq_len = 4, 5, 13
         rng = np.random.default_rng(23)
         weights = rng.standard_normal((4, heads, heads)) * 3
@@ -613,12 +614,12 @@ class TestAttentionLayout:
         assert query.shape == key.shape == (batch, heads, seq_len, 1)
         lengths = np.array([13, 1, 7, 13, 2]) if padded else np.full(5, 13)
         valid = np.arange(seq_len) < lengths[:, None]
-        bias = padding_bias(valid, dtype) if padded else None
         expected = key.transpose(2, 0, 1, 3) * query[..., 0]   # K Qᵀ
-        if padded:
-            expected += bias
-        logits = attn._logits(query, key, bias)
+        logits = attn._logits(query, key)
         assert logits.flags.c_contiguous
+        assert logits.tobytes() == expected.astype(dtype).tobytes()
+        attn._mask(logits, padded_rows(valid), 0.0)
+        expected[~valid.T] = 0.0
         assert logits.tobytes() == expected.astype(dtype).tobytes()
 
     @pytest.mark.parametrize("last", [False, True])
@@ -634,9 +635,9 @@ class TestAttentionLayout:
         batch, seq_len = 6, 9
         x = np.random.default_rng(2).standard_normal((batch * seq_len, 4))
         valid = np.arange(seq_len) < np.array([9, 1, 4, 9, 8, 2])[:, None]
-        bias = padding_bias(valid, np.float64)
-        by_rows = rows(x, batch, bias)
-        by_columns = columns(np.ascontiguousarray(x.T), batch, bias)
+        padded = padded_rows(valid)
+        by_rows = rows(x, batch, padded)
+        by_columns = columns(np.ascontiguousarray(x.T), batch, padded)
         if last:
             assert by_rows[0] is by_columns[0] is None
         else:
@@ -647,9 +648,10 @@ class TestAttentionLayout:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
 
-def padding_bias(valid, dtype):
-    """The forward's padding bias, keys outermost: ``(L, B, 1, 1)``."""
-    return np.where(valid, 0.0, -1e9).astype(dtype).T[:, :, None, None]
+def padded_rows(valid):
+    """The forward's masked (key, trajectory) rows of a keys-outermost
+    map, or None."""
+    return None if valid.all() else np.flatnonzero(~valid.T)
 
 
 # ----------------------------------------------------------------------
@@ -702,7 +704,8 @@ class TestFolds:
                                                  feature_major, pooled):
         """norm1's β in the FFN's biases: the block still computes
         ``norm2(t + ffn(t))``, ``t = norm1(x + attended)``, in either
-        layout; under ``pooled`` up to norm2's affine (float64)."""
+        layout; under ``pooled`` norm2's input, which the pooling
+        normalises (float64)."""
         model = live_affines(make_model(small_setup, "msm"), seed=5)
         layer = model.encoder.encoder.layers[0]
         residual = infer._Residual(layer, np.float64, feature_major, pooled)
@@ -710,14 +713,13 @@ class TestFolds:
         x, attended = rng.standard_normal((2, 30, 16))
         with nn.no_grad():
             t = layer.norm1(nn.Tensor(x + attended))
-            expected = layer.norm2(t + layer.ffn(t)).data
+            y = t + layer.ffn(t)
+            expected = (y if pooled else layer.norm2(y)).data
 
         def layout(array):
             return np.ascontiguousarray(array.T) if feature_major else array
 
         out = layout(residual(layout(x), layout(attended)))
-        if pooled:
-            out = out * layer.norm2.gamma.data + layer.norm2.beta.data
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("bucket", ["padded", "unpadded", "length_1"])
@@ -725,31 +727,120 @@ class TestFolds:
     def test_pooled_then_affine_is_affine_then_pooled(
             self, small_setup, variant, bucket, monkeypatch):
         """The masked mean weighs each trajectory's rows by weights summing
-        to 1, so the last norm2's γ and β commute with it (float64)."""
+        to 1, so the last norm2 folds into it: one weighted product over
+        its unnormalised rows, ``Σ (wᵢ/σᵢ) yᵢ − Σ wᵢ μᵢ/σᵢ``, then γ and
+        β — the unfused LayerNorm-then-mean (float64)."""
         model = live_affines(make_model(small_setup, variant), seed=7)
         engine = model.inference_encoder("float64")
         lengths = {"padded": [9, 4, 1, 7], "unpadded": [9] * 4,
                    "length_1": [1, 1]}[bucket]
         structural, spatial, _, lengths = engine.features.encode_batch(
             walks(lengths, seed=8))
-        unscaled = []
-        normalise = infer._LayerNormP.__call__
+        inputs = []
+        moments = infer._LayerNormP.moments
 
-        def record(norm, x):
-            out = normalise(norm, x)
-            if not norm.scale:
-                unscaled.append((norm, out.copy()))
-            return out
+        def record(norm, y):
+            inputs.append((norm, y.copy()))
+            return moments(norm, y)
 
-        monkeypatch.setattr(infer._LayerNormP, "__call__", record)
+        monkeypatch.setattr(infer._LayerNormP, "moments", record)
         pooled = engine._forward(structural, spatial, lengths)
-        (norm, hidden), = unscaled                 # the last block's norm2
+        (norm, y), = inputs                        # the last block's norm2
+        centred = y - y.mean(axis=1, keepdims=True)
+        normed = centred / np.sqrt((centred ** 2).mean(axis=1, keepdims=True)
+                                   + norm.eps)
         batch, seq_len = structural.shape[:2]
-        hidden = (hidden * norm.gamma + norm.beta).reshape(batch, seq_len, -1)
+        hidden = (normed * norm.gamma + norm.beta).reshape(batch, seq_len, -1)
         valid = np.arange(seq_len) < lengths[:, None]
         expected = ((hidden * valid[:, :, None]).sum(axis=1)
                     / lengths[:, None])
         np.testing.assert_allclose(pooled, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_feature_major_layer_norm_is_one_centring_gemm(self, small_setup,
+                                                           shift):
+        """``[C; √d·γ·C] x`` with ``C = I − 1/d``, divided by
+        ``sqrt(Σ (x − mean)² + d·eps)``: the unfused LayerNorm over the
+        feature axis, times γ (+ β) (float64)."""
+        layer = live_affines(make_model(small_setup), seed=3).encoder \
+            .layers[0].dual_msm.spatial_encoder.layers[0]
+        norm = infer._LayerNormP(layer.norm2, np.float64, feature_major=True,
+                                 shift=shift)
+        x = np.random.default_rng(4).standard_normal((4, 90)) * 3 + 1
+        kept = x.copy()
+        centred = x - x.mean(axis=0)
+        expected = centred / np.sqrt((centred ** 2).mean(axis=0)
+                                     + layer.norm2.eps)
+        expected *= layer.norm2.gamma.data[:, None]
+        if shift:
+            expected += layer.norm2.beta.data[:, None]
+        np.testing.assert_allclose(norm(x), expected, rtol=1e-12, atol=1e-12)
+        assert x.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("feature_major", [False, True])
+    def test_masked_keys_weigh_what_the_bias_gave_them(self, feature_major):
+        """Padded keys zeroed after exp2 — or, on the shifted path, set to
+        −inf before the max — are the ``-1e9`` logit bias's softmax
+        (float64)."""
+        heads, batch, seq_len, dim = 4, 3, 11, 8
+        rng = np.random.default_rng(12)
+        weights = rng.standard_normal((4, dim, dim))
+        attn = infer._Attention(*weights, heads, np.float64, feature_major)
+        x = rng.standard_normal((batch * seq_len, dim))
+        if feature_major:
+            x = np.ascontiguousarray(x.T)
+        valid = np.arange(seq_len) < np.array([11, 4, 1])[:, None]
+        query, key, _ = attn._qkv(x, batch)
+        logits = attn._logits(query, key)
+        logits += np.where(valid, 0.0, -1e9).T[:, :, None, None]
+        expected = np.exp2(logits - logits.max(axis=0))
+        expected /= expected.sum(axis=0)
+        for scale in (1.0, 1e3):              # unshifted, then past exp2
+            attn.wqkv *= scale
+            with np.errstate(over="ignore"):
+                got, reciprocal, _ = attn.coefficients(
+                    x, batch, padded_rows(valid))
+            attn.wqkv /= scale
+            if scale == 1.0:
+                np.testing.assert_allclose(got * reciprocal, expected,
+                                           rtol=1e-12, atol=1e-300)
+            assert (got[~valid.T] == 0.0).all() and np.isfinite(got).all()
+
+    def test_transposed_qkv_product_is_the_row_major_one(self):
+        """Row-major Q, K, V are views of ``W_qkvᵀ xᵀ``, ``(3d, B·L)``, so
+        Qᵀ has rows: the product ``x W_qkv`` split into heads (float64)."""
+        heads, batch, seq_len, dim = 4, 3, 7, 16
+        rng = np.random.default_rng(13)
+        attn = infer._Attention(*rng.standard_normal((4, dim, dim)), heads,
+                                np.float64)
+        x = rng.standard_normal((batch * seq_len, dim))
+        product = (x @ attn.wqkv).reshape(batch, seq_len, 3, heads, -1)
+        qkv = attn._qkv(x, batch)
+        assert qkv.shape == (3, batch, heads, seq_len, dim // heads)
+        assert qkv[0].swapaxes(-1, -2).strides[-1] == x.itemsize
+        np.testing.assert_allclose(qkv, product.transpose(2, 0, 3, 1, 4),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_first_layer_qkv_is_gathered_with_the_rows(self, small_setup):
+        """The dual engine's structural rows arrive as ``[x, x W_qkv]``,
+        gathered from a cell table and position encoding widened at
+        export: ``x`` bit for bit, ``x W_qkv`` to 1e-12 (float64)."""
+        model = live_affines(make_model(small_setup), seed=14)
+        engine = model.inference_encoder("float64")
+        batch = walks([9, 4, 1, 7], seed=15)
+        wide = engine.features.encode_batch(batch)[0]
+        plain = model.features.encode_batch(batch)[0]
+        dim = plain.shape[-1]
+        assert wide.shape[-1] == 4 * dim
+        assert wide[..., :dim].tobytes() == plain.tobytes()
+        msm = model.encoder.layers[0].dual_msm
+        w_qkv = infer._fused_qkv(msm.w_query.weight.data,
+                                 msm.w_key.weight.data,
+                                 msm.w_value.weight.data, msm.num_heads)
+        np.testing.assert_allclose(wide[..., dim:], plain @ w_qkv,
+                                   rtol=1e-12, atol=1e-12)
+        assert (engine.layers[0].gathered, engine.layers[1].gathered) \
+            == (True, False)
 
     def test_folded_biases_are_formed_in_float64_before_the_cast(
             self, small_setup):
@@ -786,7 +877,10 @@ class TestFolds:
 # graph. The kernel probe runs exp2, the function the forward calls.
 # Re-recorded once more when the golden model's LayerNorm affines and
 # FFN biases were drawn away from 1 / 0 (`live_affines`): with a fresh
-# model's zeros, a fold that dropped a bias kept every digest.
+# model's zeros, a fold that dropped a bias kept every digest. And when
+# the first DualSTB's structural Q/K/V came from the widened cell table,
+# the spatial LayerNorms became one centring GEMM and the last norm2 was
+# folded into the pooling (σ² as E[y²] − μ²).
 # ----------------------------------------------------------------------
 def _float32_kernels() -> str:
     """Names the float32 matmul / exp2 kernels this process runs (OpenBLAS
@@ -802,14 +896,14 @@ def _float32_kernels() -> str:
 #: batch_size 1, 7 and 256
 _GOLDEN = {
     "6840d710fffd6180": {   # OpenBLAS SkylakeX
-        1: "d26e77d95c028fd15989dd583f3bcd6942892c3fe09cc0e7c6be4cda7d577350",
-        7: "97736b47583539ea8fe007ddeab53a087f99d89c0f111bbc1638376fc3cba470",
-        256: "0db343b4c7276961dec763da048f55e7e5d3b85c65213589ac526b484e844052",
+        1: "a4fa2102b36a53c4a935a26294f92baf99ed0f2a919ce3931c8c79d79a2882b5",
+        7: "da9c6da3ab270a6999c018e1c269437bd4fa7c9cc0d15754f87885158208e8f2",
+        256: "8478b2f08a2d18e40276ac447bb81b688a978facb6eb346fcdfe2ab2d3c97a28",
     },
     "0a5c9814f7e030a0": {   # OpenBLAS Haswell / Zen
-        1: "b05fbe95adc92aca069f4e5b3e51e459d041e62ade041083fd72b8de1679e9b4",
-        7: "70ee5c873d3dec0543912290fc971e7f24efb788dab3cdb6d2cf721c96217545",
-        256: "e3a425b5e09b5ee2c507f0cd62b20bc2a81adf3f4cc1caae50f23a3c14b73d53",
+        1: "da5f3e408e270c9987be01a26ef796df1a35d8be079f1745ed3f0230c4982cc4",
+        7: "5258485e8cf5f45a1c2dc301f68925dc2adce84fd452709f52509f4c0fef689f",
+        256: "18fde2fa62921c7b164ad7a33b6bbb84972fd39254f2ab635cc947337377db4d",
     },
 }
 
