@@ -72,23 +72,20 @@ def recall_at_k(truth: np.ndarray, found: np.ndarray) -> float:
 def _index_configs(args) -> Dict[str, Dict]:
     """Scenario name -> get_index kwargs for the sweep."""
     configs: Dict[str, Dict] = {
-        "bruteforce": {"metric": args.metric},
+        "bruteforce": {},
         "ivf": {"n_lists": args.lists, "n_probe": max(1, args.lists // 4),
-                "metric": args.metric, "seed": args.seed},
+                "seed": args.seed},
         "pq": {"n_subspaces": args.pq_subspaces, "n_centroids": 256,
-               "metric": args.metric, "train_sample": args.train_sample,
-               "seed": args.seed},
+               "train_sample": args.train_sample, "seed": args.seed},
         "pq_32x64": {"n_subspaces": 32, "n_centroids": 64,
-                     "metric": args.metric, "train_sample": args.train_sample,
-                     "seed": args.seed},
+                     "train_sample": args.train_sample, "seed": args.seed},
         "pq_ivf": {"n_subspaces": 24, "n_centroids": 256,
                    "coarse_lists": args.lists,
-                   "n_probe": max(1, args.lists // 4), "metric": args.metric,
+                   "n_probe": max(1, args.lists // 4),
                    "train_sample": args.train_sample, "seed": args.seed},
-        "int8": {"metric": args.metric, "train_sample": args.train_sample},
+        "int8": {"train_sample": args.train_sample},
         "hnsw": {"m": args.hnsw_m, "ef_construction": args.ef_construction,
-                 "ef_search": args.ef_search, "metric": args.metric,
-                 "seed": args.seed},
+                 "ef_search": args.ef_search, "seed": args.seed},
     }
     configs["pq_refine"] = dict(configs["pq"], refine_factor=4,
                                 refine_dtype="float16")
@@ -110,7 +107,7 @@ def run_scenarios(args) -> Dict[str, Dict]:
     float32_bytes = args.count * args.dim * 4
 
     # Ground truth once, from the exact scan.
-    truth_index = get_index("bruteforce", metric=args.metric)
+    truth_index = get_index("bruteforce")
     truth_index.add(data)
     _, truth = truth_index.search(queries, args.k)
 
@@ -163,7 +160,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--clusters", type=int, default=64)
     parser.add_argument("--queries", type=int, default=200)
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--metric", default="l1", choices=["l1", "l2"])
     parser.add_argument("--indexes", nargs="+",
                         default=["bruteforce", "ivf", "pq", "pq_32x64",
                                  "pq_ivf", "pq_refine", "int8", "hnsw"],
@@ -186,8 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = {
         "count": args.count, "dim": args.dim, "rank": args.rank,
         "clusters": args.clusters, "queries": args.queries, "k": args.k,
-        "metric": args.metric, "train_sample": args.train_sample,
-        "seed": args.seed,
+        "train_sample": args.train_sample, "seed": args.seed,
     }
     print(f"config: {json.dumps(config, sort_keys=True)}")
     scenarios = run_scenarios(args)

@@ -174,7 +174,7 @@ def _shard_store(cpu: int) -> Dict:
     vectors = np.random.default_rng(0).standard_normal(
         (STORE_TRAJECTORIES, INGEST_DIM)).astype(np.float32)
     recipe = shard_backend_state(
-        BackendDescription("trajcl", "l1", 1.0, INGEST_DIM))
+        BackendDescription("trajcl", 1.0, INGEST_DIM))
 
     def feed(shard: Shard, sent: List[bytes]) -> None:
         for frame in sent:

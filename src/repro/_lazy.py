@@ -12,6 +12,7 @@ attribute too: every key of the table, and each of ``submodules``.
 A name that is also a submodule (``repro.index.kmeans`` the function,
 ``repro.index.kmeans`` the module) must be bound eagerly instead: the
 first import of the submodule would rebind the attribute to the module.
+Each submodule in ``eager`` is imported at once and its names bound.
 """
 
 from importlib import import_module
@@ -19,10 +20,15 @@ from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 
 def lazy_exports(namespace: Dict, exports: Mapping[str, Iterable[str]],
-                 submodules: Iterable[str] = ()) -> Tuple[Callable, Callable]:
+                 submodules: Iterable[str] = (),
+                 eager: Iterable[str] = ()) -> Tuple[Callable, Callable]:
     """``(__getattr__, __dir__)`` for the package whose globals are
     ``namespace``; ``__dir__`` lists its globals and its ``__all__``."""
     package = namespace["__name__"]
+    for module in eager:
+        source = import_module(f"{package}.{module}")
+        namespace.update((name, getattr(source, name))
+                         for name in exports[module])
     home = {name: module for module, names in exports.items() for name in names}
     reachable = {*exports, *submodules}
 

@@ -78,52 +78,11 @@ _EXPORTS = {
     "gateway": ("SimilarityGateway",),
 }
 
-__all__ = [
-    "EMBEDDING",
-    "DISTANCE",
-    "SimilarityBackend",
-    "EmbeddingBackend",
-    "MeasureBackend",
-    "Index",
-    "KnnService",
-    "as_backend",
-    "BackendSpec",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "backend_spec",
-    "backend_state",
-    "restore_backend",
-    "register_index",
-    "get_index",
-    "available_indexes",
-    "BruteForceBackendIndex",
-    "IVFBackendIndex",
-    "SegmentBackendIndex",
-    "PQBackendIndex",
-    "Int8BackendIndex",
-    "HNSWBackendIndex",
-    "CacheInfo",
-    "SimilarityService",
-    "ShardedSimilarityService",
-    "QueryQueue",
-    "QueueStats",
-    "QueueFullError",
-    "DeadlineExceededError",
-    "ShardLostError",
-    "Transport",
-    "TransportError",
-    "TransportClosed",
-    "TransientError",
-    "RemoteCallError",
-    "SocketTransport",
-    "ServiceNode",
-    "SimilarityServer",
-    "RemoteSimilarityClient",
-    "ClusterCoordinator",
-    "ShardWorker",
-    "SimilarityGateway",
-]
+#: submodules ``repro.api`` re-exports whole
+_SUBMODULES = ("wire",)
+
+__all__ = [*_SUBMODULES, *(name for names in _EXPORTS.values()
+                           for name in names)]
 
 # PEP 562 (see :mod:`repro._lazy`): a process imports what it serves. A
 # shard worker that takes ``repro.api.cluster`` pays for no engine, query
@@ -132,4 +91,4 @@ __all__ = [
 # either. The stock backends register
 # themselves when the registry is first asked
 # (:func:`repro.api.registry.backend_spec`), not here.
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, ("wire",))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, _SUBMODULES)

@@ -27,6 +27,7 @@ from ..trajectory.grid import Grid
 from ..trajectory.trajectory import TrajectoryLike, as_points
 from .protocols import (
     DISTANCE, EMBEDDING, BackendDescription, EmbeddingBackend, MeasureBackend,
+    refuse_other_metric,
 )
 from .registry import get_backend, register_backend
 
@@ -286,11 +287,10 @@ def backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
         return {"family": "measure", "name": backend.name}, {}
 
     model = backend.model
-    metric = getattr(backend, "metric", "l1")
     from ..core import TrajCL, pipeline_state
 
     if isinstance(model, TrajCL):
-        meta = {"family": "trajcl", "name": backend.name, "metric": metric}
+        meta = {"family": "trajcl", "name": backend.name}
         return meta, pipeline_state(model)
 
     rebuild = getattr(backend, "rebuild_meta", None)
@@ -304,7 +304,7 @@ def backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
         _STATE_PREFIX + key: value for key, value in model.state_dict().items()
     }
     meta = {"family": "baseline", "name": backend.name, "rebuild": rebuild,
-            "metric": metric, "aux_scalars": {}}
+            "aux_scalars": {}}
     scaler = getattr(model, "scaler", None)
     if scaler is not None and scaler.min_xy is not None:
         arrays[_AUX_PREFIX + "scaler_min_xy"] = scaler.min_xy
@@ -327,7 +327,6 @@ def shard_backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
     if backend.kind == DISTANCE:
         return backend_state(backend)
     return {"family": "description", "name": backend.name,
-            "metric": getattr(backend, "metric", "l1"),
             "scale": float(getattr(backend, "scale", 1.0)),
             "output_dim": backend.output_dim,
             "dtype": (None if backend.dtype is None
@@ -336,21 +335,20 @@ def shard_backend_state(backend) -> Tuple[Dict, Dict[str, np.ndarray]]:
 
 def restore_backend(meta: Dict, arrays: Dict[str, np.ndarray]):
     """Inverse of :func:`backend_state` (and :func:`shard_backend_state`)."""
+    refuse_other_metric(meta)
     family = meta.get("family")
     if family == "measure":
         return get_backend(meta["name"])
     if family == "description":
-        return BackendDescription(meta["name"], meta["metric"],
-                                  meta["scale"], meta["output_dim"],
-                                  meta.get("dtype"))
+        return BackendDescription(meta["name"], meta["scale"],
+                                  meta["output_dim"], meta.get("dtype"))
     if family == "trajcl":
         from ..core import pipeline_from_state
 
         # An older snapshot's ``encode`` block (route + dtype preferences)
         # is read past: there is one way to encode.
         model = pipeline_from_state(dict(arrays))
-        return EmbeddingBackend(meta["name"], model,
-                                metric=meta.get("metric", "l1"))
+        return EmbeddingBackend(meta["name"], model)
     if family != "baseline":
         raise ValueError(f"unknown backend snapshot family {family!r}")
 
@@ -381,8 +379,7 @@ def restore_backend(meta: Dict, arrays: Dict[str, np.ndarray]):
             setattr(model, attr, arrays[_AUX_PREFIX + attr])
     for attr, value in meta.get("aux_scalars", {}).items():
         setattr(model, attr, value)
-    backend = EmbeddingBackend(meta["name"], model,
-                               metric=meta.get("metric", "l1"))
+    backend = EmbeddingBackend(meta["name"], model)
     backend.rebuild_meta = rebuild
     return backend
 

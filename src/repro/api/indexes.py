@@ -52,7 +52,7 @@ import numpy as np
 
 from ..index import distance
 from ..index.rows import RowStore
-from .protocols import Index
+from .protocols import Index, refuse_other_metric
 
 __all__ = [
     "BruteForceBackendIndex",
@@ -221,6 +221,7 @@ class _VectorLifecycle:
 
     @classmethod
     def restore(cls, meta, arrays):
+        refuse_other_metric(meta)
         index = cls(**{key: meta[key] for key in cls.defaults if key in meta})
         if meta.get("trained") or meta.get("built"):
             inner = index._new_structure(int(meta["dim"]))
@@ -241,7 +242,7 @@ class BruteForceBackendIndex(_VectorLifecycle, Index):
 
     name = "bruteforce"
     structure = "bruteforce.BruteForceIndex"
-    defaults = {"metric": "l1"}
+    defaults = {}
 
 
 @register_index("ivf")
@@ -258,7 +259,7 @@ class IVFBackendIndex(_VectorLifecycle, Index):
     name = "ivf"
     exact = False
     structure = "ivf.IVFFlatIndex"
-    defaults = {"n_lists": 16, "n_probe": 4, "metric": "l1", "seed": 0,
+    defaults = {"n_lists": 16, "n_probe": 4, "seed": 0,
                 "retrain_factor": 2.0}
     rows_key = "vectors"
     clamped = "n_lists"
@@ -325,7 +326,7 @@ class PQBackendIndex(_VectorLifecycle, Index):
     name = "pq"
     exact = False
     structure = "pq.PQIndex"
-    defaults = {"n_subspaces": 16, "n_centroids": 256, "metric": "l1",
+    defaults = {"n_subspaces": 16, "n_centroids": 256,
                 "coarse_lists": 0, "n_probe": 8, "refine_factor": 4,
                 "refine_dtype": None, "train_sample": 20000, "seed": 0}
     rows_key = "buffer"
@@ -353,7 +354,7 @@ class Int8BackendIndex(_VectorLifecycle, Index):
     name = "int8"
     exact = False
     structure = "quant.Int8FlatIndex"
-    defaults = {"metric": "l1", "train_sample": 65536}
+    defaults = {"train_sample": 65536}
     rows_key = "buffer"
 
 
@@ -371,7 +372,7 @@ class HNSWBackendIndex(_VectorLifecycle, Index):
     exact = False
     structure = "hnsw.HNSWIndex"
     defaults = {"m": 16, "ef_construction": 64, "ef_search": 32,
-                "metric": "l1", "seed": 0}
+                "seed": 0}
 
     @property
     def distance_evaluations(self) -> int:

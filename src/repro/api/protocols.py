@@ -5,8 +5,8 @@ baselines and the four heuristic measures — is exposed to callers through
 one of two backend *kinds*:
 
 * ``"embedding"`` — the method maps trajectories to vectors
-  (``encode(trajectories) -> (N, d)``) and similarity is a vector metric
-  (L1 throughout the paper);
+  (``encode(trajectories) -> (N, d)``) and similarity is the L1 distance
+  between vectors (the paper's, and the only one served);
 * ``"distance"`` — the method scores pairs directly
   (``distance(a, b) -> float``), the contract of the heuristic measures.
 
@@ -33,6 +33,16 @@ from ..trajectory.trajectory import TrajectoryLike
 #: backend kinds
 EMBEDDING = "embedding"
 DISTANCE = "distance"
+
+
+def refuse_other_metric(meta: Dict) -> None:
+    """Snapshot meta is input from outside the program: one that names an
+    embedding distance other than L1 (the only one served) is refused,
+    never served as L1. Meta naming ``"l1"``, or none, passes."""
+    metric = meta.get("metric", "l1")
+    if metric != "l1":
+        raise ValueError(f"snapshot names the {metric!r} embedding "
+                         "distance; L1 is the only one served")
 
 
 def as_float_array(values) -> np.ndarray:
@@ -142,18 +152,16 @@ class Embedded:
 class BackendDescription(SimilarityBackend):
     """What a vector-fed shard knows of its owner's embedding backend.
 
-    ``name``, ``metric``, ``scale``, ``output_dim`` and ``dtype`` are all
-    it takes to index and compare vectors; model, weights and embedding
-    cache stay with the owner, which hands every shard :class:`Embedded`
-    input.
+    ``name``, ``scale``, ``output_dim`` and ``dtype`` are all it takes to
+    index and compare vectors; model, weights and embedding cache stay
+    with the owner, which hands every shard :class:`Embedded` input.
     """
 
     kind = EMBEDDING
 
-    def __init__(self, name: str, metric: str = "l1", scale: float = 1.0,
+    def __init__(self, name: str, scale: float = 1.0,
                  output_dim: Optional[int] = None, dtype=None):
         self.name = name
-        self.metric = metric
         self.scale = float(scale)
         self._output_dim = output_dim
         self._dtype = None if dtype is None else np.dtype(dtype)
@@ -194,17 +202,14 @@ class EmbeddingBackend(SimilarityBackend):
     #: ``train=False``); None for a model that came built
     history = None
 
-    def __init__(self, name: str, model, metric: str = "l1"):
+    def __init__(self, name: str, model):
         if not hasattr(model, "encode"):
             raise TypeError(
                 f"{type(model).__name__} has no encode(); cannot wrap it as "
                 "an embedding backend"
             )
-        if metric not in ("l1", "l2"):
-            raise ValueError("metric must be 'l1' or 'l2'")
         self.name = name
         self.model = model
-        self.metric = metric
 
     def encode(self, trajectories: Sequence[TrajectoryLike]) -> np.ndarray:
         return as_float_array(self.model.encode(trajectories))
@@ -224,9 +229,8 @@ class EmbeddingBackend(SimilarityBackend):
             return own(queries, database)
         from ..index import distance
 
-        return self.scale * distance.pairwise(
-            self.encode(queries), self.encode(database), self.metric
-        )
+        return self.scale * distance.pairwise(self.encode(queries),
+                                              self.encode(database))
 
     @property
     def scale(self) -> float:

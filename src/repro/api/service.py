@@ -213,16 +213,7 @@ class SimilarityService:
         if index is None:
             index = _default_index_for(backend)
         if isinstance(index, str):
-            kwargs = dict(index_kwargs or {})
-            if "metric" not in kwargs and hasattr(backend, "metric"):
-                # Vector indexes must rank by the backend's own metric or
-                # knn and pairwise would disagree.
-                try:
-                    index = get_index(index, metric=backend.metric, **kwargs)
-                except TypeError:
-                    index = get_index(index, **kwargs)
-            else:
-                index = get_index(index, **kwargs)
+            index = get_index(index, **(index_kwargs or {}))
         if index is not None:
             if index.consumes == "vectors" and backend.kind != EMBEDDING:
                 raise ValueError(
@@ -390,7 +381,6 @@ class SimilarityService:
                 # supervised approximators).
                 from ..index import distance
 
-                metric = getattr(self.backend, "metric", "l1")
                 scale = getattr(self.backend, "scale", 1.0)
                 vectors = self._vectors_of(queries)
                 # the kernel is split-invariant: one call per stored block
@@ -398,7 +388,7 @@ class SimilarityService:
                 stored = (self._vectors if self.vector_fed
                           else [self.encode_batch(database)])
                 return scale * np.concatenate(
-                    [distance.pairwise(vectors, block, metric)
+                    [distance.pairwise(vectors, block)
                      for block in stored], axis=1)
             if isinstance(queries, Embedded):
                 raise EmbeddedInputError(

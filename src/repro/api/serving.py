@@ -42,7 +42,7 @@ Encode once: for an embedding backend the tier that owns a request (the
 sharded service here, the cluster coordinator) holds the only model and
 the only embedding cache, a :class:`~repro.api.service.CachedEncoder`.
 It embeds each added trajectory and each query once, and its shards
-store and search *vectors*: a worker is sent a five-field
+store and search *vectors*: a worker is sent a four-field
 :class:`~repro.api.protocols.BackendDescription`, never weights, ``add``
 deals ``(points, vectors)`` and ``knn``/``pairwise`` fan out one
 ``(N, d)`` array. A distance backend is only a name: it travels whole

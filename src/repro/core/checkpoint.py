@@ -27,8 +27,10 @@ _META_KEY = "__meta__"
 _CELLS_KEY = "__cell_embeddings__"
 _FORMAT_VERSION = 1
 #: config keys older checkpoints carry: the grid stores its own cell size,
-#: and FeatureEnrichment always emits 4 spatial columns
-_RETIRED_FIELDS = ("cell_size", "spatial_dim")
+#: FeatureEnrichment always emits 4 spatial columns, and its cell table is
+#: a plain array no optimiser steps (``train_cell_embedding`` changed
+#: nothing)
+_RETIRED_FIELDS = ("cell_size", "spatial_dim", "train_cell_embedding")
 
 
 def pipeline_state(model: TrajCL) -> dict:

@@ -27,10 +27,6 @@ class TrajCLConfig:
     #: maximum points per trajectory l; longer inputs are truncated,
     #: shorter ones zero-padded (paper §IV-C)
     max_len: int = 64
-    #: whether the node2vec cell-embedding table is updated during
-    #: contrastive training (kept frozen by default: node2vec is trained
-    #: separately per §IV-B)
-    train_cell_embedding: bool = False
 
     # ---------------- backbone encoder (paper §IV-C) ----------------
     #: attention heads h (paper: 4)

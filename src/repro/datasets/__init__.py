@@ -17,25 +17,6 @@ _EXPORTS = {
     "synthetic": ("CityPreset", "generate_city", "generate_trajectory"),
 }
 
-__all__ = [
-    "CityPreset",
-    "generate_city",
-    "generate_trajectory",
-    "CITY_PRESETS",
-    "PORTO",
-    "CHENGDU",
-    "XIAN",
-    "GERMANY",
-    "get_preset",
-    "odd_even_split",
-    "QueryDatabase",
-    "build_query_database",
-    "downsample",
-    "distort",
-    "perturb_instance",
-    "DatasetSplits",
-    "partition",
-    "downstream_split",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,37 +11,25 @@ quantizers nor the segment index and its Hausdorff measure.
 
 from .._lazy import lazy_exports
 
-# A function named like its submodule is bound here, before any structure
-# imports that submodule and rebinds the name to it.
-from .kmeans import kmeans, kmeans_plus_plus_init
-
 #: submodule -> the names ``repro.index`` re-exports from it
 _EXPORTS = {
-    "bruteforce": ("BruteForceIndex", "pairwise_distances"),
+    "bruteforce": ("BruteForceIndex",),
     "distance": ("topk_rows",),
     "hnsw": ("HNSWIndex",),
     "ivf": ("IVFFlatIndex",),
+    "kmeans": ("kmeans", "kmeans_plus_plus_init"),
     "pq": ("PQIndex", "ProductQuantizer"),
     "quant": ("Int8FlatIndex", "ScalarQuantizer"),
     "rows": ("RowStore",),
     "segment": ("SegmentHausdorffIndex",),
 }
+#: submodules ``repro.index`` re-exports whole
+_SUBMODULES = ("distance",)
+#: bound at import: a function named like its submodule would be rebound
+#: to the module when any structure first imports it
+_EAGER = ("kmeans",)
 
-__all__ = [
-    "distance",
-    "BruteForceIndex",
-    "pairwise_distances",
-    "kmeans",
-    "kmeans_plus_plus_init",
-    "IVFFlatIndex",
-    "SegmentHausdorffIndex",
-    "Int8FlatIndex",
-    "ScalarQuantizer",
-    "topk_rows",
-    "ProductQuantizer",
-    "PQIndex",
-    "HNSWIndex",
-    "RowStore",
-]
+__all__ = [*_SUBMODULES, *(name for names in _EXPORTS.values()
+                           for name in names)]
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, _SUBMODULES, _EAGER)

@@ -1,8 +1,8 @@
 """Exact brute-force kNN over embedding vectors (the accuracy reference).
 
-Supports the L1 metric used throughout the paper and L2, both through
-the shared kernel in :mod:`repro.index.distance`. The IVF index's recall
-is measured against this index in the tests.
+Ranks by the paper's L1 distance through the shared kernel in
+:mod:`repro.index.distance`. The IVF index's recall is measured against
+this index in the tests.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ from . import distance
 from .rows import RowStore
 
 
-def pairwise_distances(queries: np.ndarray, data: np.ndarray, metric: str) -> np.ndarray:
-    """Dense ``(|Q|, |D|)`` distances under ``l1`` or ``l2``."""
-    return distance.pairwise(queries, data, metric)
-
-
 class BruteForceIndex:
     """Store vectors; answer kNN by full scan.
 
@@ -29,11 +24,8 @@ class BruteForceIndex:
     encoder pays 4 bytes per dimension, not 8.
     """
 
-    def __init__(self, dim: int, metric: str = "l1"):
-        if metric not in ("l1", "l2"):
-            raise ValueError("metric must be 'l1' or 'l2'")
+    def __init__(self, dim: int):
         self.dim = dim
-        self.metric = metric
         self._store = RowStore(np.empty((0, dim), dtype=np.float64))
 
     @property
@@ -73,4 +65,4 @@ class BruteForceIndex:
         # free, promoting the whole database per search is not.
         queries = np.asarray(queries, dtype=self._store.dtype)
         return distance.topk(queries, self._data,
-                             max(0, min(k, len(self._store))), self.metric)
+                             max(0, min(k, len(self._store))))

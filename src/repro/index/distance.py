@@ -1,9 +1,10 @@
-"""The one L1/L2 distance kernel every index in :mod:`repro.index` scans with.
+"""The one L1 distance kernel every index in :mod:`repro.index` scans with.
 
-TrajCL's similarity is an L1 distance between embeddings, so brute
-force, the IVF list scans, PQ's sub-space assignment and re-rank, the
-int8 code scan, k-means assignment and the service's pairwise matrix all
-call into this module instead of each writing
+TrajCL's similarity is an L1 distance between embeddings, the only
+embedding distance this package serves, so brute force, the IVF list
+scans, PQ's sub-space assignment and re-rank, the int8 code scan,
+k-means assignment and the service's pairwise matrix all call into this
+module instead of each writing
 ``abs(a[:, None, :] - b[None, :, :]).sum(2)`` and materialising a
 ``(q, n, d)`` cube of their own.
 
@@ -24,9 +25,7 @@ Three rules hold for every entry point:
   terms of its own ``(i, j)`` pair, so its bits depend on the two
   vectors alone, never on the batch they arrived in or on where a block
   boundary fell. Sharded kNN being bit-identical to single-service kNN
-  rests on that. (:func:`assign` promises only the argmin; for ``l2``
-  it ranks by ``|c|^2 - 2 x.c``, one matrix product per strip, which is
-  what makes k-means cheap.)
+  rests on that.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 __all__ = ["pairwise", "assign", "topk", "topk_rows", "float_dtype",
            "as_floats"]
 
-_METRICS = ("l1", "l2")
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 #: scalars in the (query block, data block, dim) difference scratch
 _CUBE_ELEMENTS = 1 << 15
@@ -51,11 +49,6 @@ _STRIP_ELEMENTS = 1 << 18
 #: gives the same bits as one over the trailing axis of ``(q, n, dim)``
 #: — without running every inner loop over a handful of elements
 _PLANE_DIMS = 8
-
-
-def _check_metric(metric: str) -> None:
-    if metric not in _METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
 
 
 def float_dtype(*dtypes) -> np.dtype:
@@ -114,8 +107,8 @@ def _strips(n_queries: int, n: int,
             return
 
 
-def _fill(queries: np.ndarray, data: np.ndarray, metric: str,
-          out: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
+def _fill(queries: np.ndarray, data: np.ndarray, out: np.ndarray,
+          weights: Optional[np.ndarray] = None) -> None:
     """Write the ``(|Q|, N)`` distances of same-dtype operands into ``out``.
 
     With ``weights`` (one per dimension) the differences are formed in
@@ -145,78 +138,58 @@ def _fill(queries: np.ndarray, data: np.ndarray, metric: str,
         cube = scratch[:size].reshape(shape)
         np.subtract(left, right, out=cube)
         if weights is not None:
-            # a code difference fits the code dtype, its square does not:
-            # from here on the block is floating, and the weighted sum is
-            # one matrix-vector product (nothing downstream of quantized
+            # a code difference is exact in the code dtype; from here on
+            # the block is floating, and the weighted sum is one
+            # matrix-vector product (nothing downstream of quantized
             # codes needs the split-invariant reduction below)
             terms = floats[:size].reshape(shape)
             np.copyto(terms, cube)
-            if metric == "l1":
-                np.abs(terms, out=terms)
-            else:
-                np.multiply(terms, terms, out=terms)
+            np.abs(terms, out=terms)
             np.matmul(terms, weights, out=out[q0:q1, n0:n1])
             continue
-        if metric == "l1":
-            np.abs(cube, out=cube)
-        else:
-            np.multiply(cube, cube, out=cube)
+        np.abs(cube, out=cube)
         np.add.reduce(cube, axis=axis, out=out[q0:q1, n0:n1])
-    if metric == "l2":
-        np.sqrt(out, out=out)
 
 
-def pairwise(queries, data, metric: str = "l1",
+def pairwise(queries, data,
              weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense ``(|Q|, |D|)`` distances under ``l1`` or ``l2``.
+    """Dense ``(|Q|, |D|)`` L1 distances.
 
-    ``weights`` turns the sum into ``sum_d w_d |a_d - b_d|`` (``l1``) or
-    ``sqrt(sum_d w_d (a_d - b_d)^2)`` (``l2``) over operands taken *as
-    they are* — the int8 index passes int16 codes and its float32 grid
-    steps — and the result has the dtype of ``weights``.
+    ``weights`` turns the sum into ``sum_d w_d |a_d - b_d|`` over
+    operands taken *as they are* — the int8 index passes int16 codes and
+    its float32 grid steps — and the result has the dtype of ``weights``.
     """
-    _check_metric(metric)
     if weights is None:
         queries, data = _operands(queries, data)
         out = np.empty((len(queries), len(data)), dtype=queries.dtype)
     else:
         out = np.empty((len(queries), len(data)), dtype=weights.dtype)
-    _fill(queries, data, metric, out, weights)
+    _fill(queries, data, out, weights)
     return out
 
 
-def assign(queries, data, metric: str = "l1") -> np.ndarray:
+def assign(queries, data) -> np.ndarray:
     """Index of the nearest ``data`` row per query (ties to the lowest)."""
-    _check_metric(metric)
     queries, data = _operands(queries, data)
     if len(data) == 0:
         raise ValueError("nothing to assign to: data has no rows")
     nearest = np.empty(len(queries), dtype=np.int64)
-    if metric == "l2":
-        half_norms = 0.5 * np.einsum("ij,ij->i", data, data)
     strip = None
     for q0, q1 in _strips(len(queries), len(data)):
         if strip is None or len(strip) < q1 - q0:  # or a widened last one
             strip = np.empty((q1 - q0, len(data)), dtype=queries.dtype)
         rows = strip[:q1 - q0]
-        if metric == "l1":
-            _fill(queries[q0:q1], data, metric, rows)
-        else:
-            # argmin_c |x - c|^2 = argmin_c (|c|^2 / 2 - x.c); a strided
-            # strip (a sub-space of wider vectors) would miss the BLAS path
-            np.matmul(np.ascontiguousarray(queries[q0:q1]), data.T, out=rows)
-            np.subtract(half_norms, rows, out=rows)
+        _fill(queries[q0:q1], data, rows)
         np.argmin(rows, axis=1, out=nearest[q0:q1])
     return nearest
 
 
-def topk(queries, data, k: int, metric: str = "l1") -> Tuple[np.ndarray, np.ndarray]:
+def topk(queries, data, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The ``k`` nearest ``data`` rows per query: ``(distances, indices)``.
 
     Ranked and padded as :func:`topk_rows` does; the ``(|Q|, N)`` matrix
     exists only one query strip at a time.
     """
-    _check_metric(metric)
     queries, data = _operands(queries, data)
     out_distances = np.full((len(queries), k), np.inf, dtype=queries.dtype)
     out_indices = np.full((len(queries), k), -1, dtype=np.int64)
@@ -225,7 +198,7 @@ def topk(queries, data, k: int, metric: str = "l1") -> Tuple[np.ndarray, np.ndar
         if strip is None or len(strip) < q1 - q0:  # or a widened last one
             strip = np.empty((q1 - q0, len(data)), dtype=queries.dtype)
         rows = strip[:q1 - q0]
-        _fill(queries[q0:q1], data, metric, rows)
+        _fill(queries[q0:q1], data, rows)
         out_distances[q0:q1], out_indices[q0:q1] = topk_rows(rows, k)
     return out_distances, out_indices
 

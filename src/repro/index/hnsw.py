@@ -41,18 +41,14 @@ class HNSWIndex:
         m: int = 16,
         ef_construction: int = 64,
         ef_search: int = 32,
-        metric: str = "l1",
         seed: int = 0,
         max_level_cap: int = 32,
     ):
-        if metric not in ("l1", "l2"):
-            raise ValueError("metric must be 'l1' or 'l2'")
         if m < 2:
             raise ValueError("m must be >= 2")
         if ef_construction < 1 or ef_search < 1:
             raise ValueError("ef_construction and ef_search must be >= 1")
         self.dim = dim
-        self.metric = metric
         self.m = m
         self.m0 = 2 * m
         self.ef_construction = ef_construction
@@ -93,15 +89,7 @@ class HNSWIndex:
     def _distances_to(self, query: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Distances from one float32 query row to the given node ids."""
         self.distance_evaluations += len(ids)
-        diff = self._data[ids] - query
-        if self.metric == "l1":
-            return np.abs(diff).sum(axis=1)
-        return np.sqrt((diff * diff).sum(axis=1))
-
-    def _distance_pair(self, a: int, b: int) -> float:
-        return float(
-            self._distances_to(self._data[a], np.array([b], dtype=np.int64))[0]
-        )
+        return np.abs(self._data[ids] - query).sum(axis=1)
 
     # ------------------------------------------------------------------
     # Build
@@ -189,7 +177,7 @@ class HNSWIndex:
         # single-element numpy round-trip per (candidate, kept) pair.
         ids = np.array([node for _, node in candidates], dtype=np.int64)
         vectors = self._data[ids]
-        cross = distance.pairwise(vectors, vectors, self.metric)
+        cross = distance.pairwise(vectors, vectors)
         self.distance_evaluations += len(ids) * (len(ids) - 1) // 2
         target = np.array([distance for distance, _ in candidates],
                           dtype=np.float32)

@@ -25,15 +25,11 @@ class IVFFlatIndex:
         self,
         dim: int,
         n_lists: int = 16,
-        metric: str = "l1",
         n_probe: int = 4,
     ):
-        if metric not in ("l1", "l2"):
-            raise ValueError("metric must be 'l1' or 'l2'")
         if n_lists < 1:
             raise ValueError("n_lists must be positive")
         self.dim = dim
-        self.metric = metric
         self.n_lists = n_lists
         self.n_probe = max(1, min(n_probe, n_lists))
         self.centers: Optional[np.ndarray] = None
@@ -73,7 +69,7 @@ class IVFFlatIndex:
         vectors = np.asarray(vectors, dtype=self.centers.dtype)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
-        assignment = distance.assign(vectors, self.centers, self.metric)
+        assignment = distance.assign(vectors, self.centers)
         # each cell's rows, ascending (a stable sort); np.unique would load
         # numpy.ma, ~1.7 MB resident
         counts = np.bincount(assignment, minlength=self.n_lists)
@@ -134,7 +130,7 @@ class IVFFlatIndex:
         queries = np.atleast_2d(np.asarray(queries, dtype=self.centers.dtype))
         probe = max(1, min(n_probe if n_probe is not None else self.n_probe,
                            self.n_lists))
-        center_distances = distance.pairwise(queries, self.centers, self.metric)
+        center_distances = distance.pairwise(queries, self.centers)
         probed = np.argsort(center_distances, axis=1)[:, :probe]
 
         out_distances = np.full((len(queries), k), np.inf,
@@ -145,8 +141,7 @@ class IVFFlatIndex:
             if len(candidate_ids) == 0:
                 continue
             distances = np.concatenate([
-                distance.pairwise(queries[row:row + 1], self._lists[c],
-                                  self.metric)[0]
+                distance.pairwise(queries[row:row + 1], self._lists[c])[0]
                 for c in cells
             ])
             take = min(k, len(distances))

@@ -51,8 +51,8 @@ _CUBE_ELEMENTS = 1 << 17
 # entry has the bits a per-sub-space :func:`distance.assign` /
 # :func:`distance.pairwise` call gives it.
 # ----------------------------------------------------------------------
-def _fill_subspaces(queries: np.ndarray, books: np.ndarray, metric: str,
-                    out: np.ndarray, scratch: np.ndarray) -> None:
+def _fill_subspaces(queries: np.ndarray, books: np.ndarray, out: np.ndarray,
+                    scratch: np.ndarray) -> None:
     """Write the ``(|Q|, m, k)`` sub-space distances of same-dtype
     ``(|Q|, m, s)`` queries and ``(m, k, s)`` books into ``out``, a
     difference cube of whole query rows at a time in ``scratch``: the
@@ -78,13 +78,8 @@ def _fill_subspaces(queries: np.ndarray, books: np.ndarray, metric: str,
             pair = queries[q0:q1, :, None, :], books[None]
         cube = scratch[:block.size * dim].reshape(shape)
         np.subtract(*pair, out=cube)
-        if metric == "l1":
-            np.abs(cube, out=cube)
-        else:
-            np.multiply(cube, cube, out=cube)
+        np.abs(cube, out=cube)
         np.add.reduce(cube, axis=axis, out=block)
-    if metric == "l2":
-        np.sqrt(out, out=out)
 
 
 def _cube_rows(n_queries: int, books: np.ndarray) -> int:
@@ -106,55 +101,38 @@ def _subspace_operands(queries, books) -> Tuple[np.ndarray, np.ndarray]:
     return queries.astype(dtype, copy=False), books.astype(dtype, copy=False)
 
 
-def pairwise_subspaces(queries, books, metric: str = "l1") -> np.ndarray:
+def pairwise_subspaces(queries, books) -> np.ndarray:
     """Distances ``(|Q|, m, k)`` of every query's ``m`` sub-vectors to
     the ``k`` rows of their sub-space's book: entry ``(i, j, c)`` has the
     bits of ``distance.pairwise(queries[:, j], books[j])[i, c]``."""
-    distance._check_metric(metric)
     queries, books = _subspace_operands(queries, books)
     out = np.empty((len(queries), len(books), books.shape[1]),
                    dtype=queries.dtype)
     scratch = np.empty(_cube_rows(len(queries), books) * books.size,
                        dtype=queries.dtype)
-    _fill_subspaces(queries, books, metric, out, scratch)
+    _fill_subspaces(queries, books, out, scratch)
     return out
 
 
-def assign_subspaces(queries, books, metric: str = "l1") -> np.ndarray:
+def assign_subspaces(queries, books) -> np.ndarray:
     """uint8 codes ``(|Q|, m)``: the nearest row of each sub-space's book
     (at most 256 rows; ties to the lowest) for every query's ``m``
     sub-vectors. Column ``j`` is ``distance.assign(queries[:, j],
-    books[j])`` — for ``l2`` by its ``|c|^2/2 - x.c`` ranking, one matrix
-    product per sub-space and strip."""
-    distance._check_metric(metric)
+    books[j])``."""
     queries, books = _subspace_operands(queries, books)
     n_subspaces, k, _ = books.shape
     if not 1 <= k <= 256:
         raise ValueError(f"a uint8 code needs 1 to 256 book rows, got {k}")
     out = np.empty((len(queries), n_subspaces), dtype=np.uint8)
-    if metric == "l1":
-        # one cube of whole rows at a time, its distances argmin'd as it
-        # is reduced: no (rows, m, k) strip beyond the cube's own
-        step = _cube_rows(len(queries), books)
-        scratch = np.empty(step * books.size, dtype=queries.dtype)
-        rows = np.empty((step, n_subspaces, k), dtype=queries.dtype)
-        for q0 in range(0, len(queries), step):
-            q1 = min(q0 + step, len(queries))
-            _fill_subspaces(queries[q0:q1], books, metric, rows[:q1 - q0],
-                            scratch)
-            out[q0:q1] = np.argmin(rows[:q1 - q0], axis=2)
-        return out
-    half_norms = 0.5 * np.einsum("mij,mij->mi", books, books)[:, None]
-    rows_of = books.transpose(0, 2, 1)
-    strip = None
-    for q0, q1 in distance._strips(len(queries), n_subspaces * k):
-        size = (q1 - q0) * n_subspaces * k
-        if strip is None or len(strip) < size:
-            strip = np.empty(size, dtype=queries.dtype)
-        rows = strip[:size].reshape(n_subspaces, q1 - q0, k)
-        np.matmul(queries[q0:q1].transpose(1, 0, 2), rows_of, out=rows)
-        np.subtract(half_norms, rows, out=rows)
-        out[q0:q1] = np.argmin(rows, axis=2).T
+    # one cube of whole rows at a time, its distances argmin'd as it is
+    # reduced: no (rows, m, k) strip beyond the cube's own
+    step = _cube_rows(len(queries), books)
+    scratch = np.empty(step * books.size, dtype=queries.dtype)
+    rows = np.empty((step, n_subspaces, k), dtype=queries.dtype)
+    for q0 in range(0, len(queries), step):
+        q1 = min(q0 + step, len(queries))
+        _fill_subspaces(queries[q0:q1], books, rows[:q1 - q0], scratch)
+        out[q0:q1] = np.argmin(rows[:q1 - q0], axis=2)
     return out
 
 
@@ -171,11 +149,8 @@ class ProductQuantizer:
         dim: int,
         n_subspaces: int = 8,
         n_centroids: int = 256,
-        metric: str = "l1",
         iterations: int = 20,
     ):
-        if metric not in ("l1", "l2"):
-            raise ValueError("metric must be 'l1' or 'l2'")
         if n_subspaces < 1:
             raise ValueError("n_subspaces must be positive")
         if not 1 <= n_centroids <= 256:
@@ -183,7 +158,6 @@ class ProductQuantizer:
         self.dim = dim
         self.n_subspaces = min(n_subspaces, dim)
         self.n_centroids = n_centroids
-        self.metric = metric
         self.iterations = iterations
         self.sub_dim = -(-dim // self.n_subspaces)  # ceil
         self.padded_dim = self.sub_dim * self.n_subspaces
@@ -224,29 +198,20 @@ class ProductQuantizer:
         if not self.trained:
             raise RuntimeError("product quantizer is untrained")
         return assign_subspaces(self._split(self._pad(vectors)),
-                                self.codebooks, self.metric)
+                                self.codebooks)
 
     def lut(self, queries: np.ndarray) -> np.ndarray:
-        """Per-query sub-distance tables, float32 ``(|Q|, m, k)``.
-
-        For ``l2`` the tables hold *squared* sub-distances so ADC can sum
-        them and take one square root at the end.
-        """
+        """Per-query sub-distance tables, float32 ``(|Q|, m, k)``."""
         if not self.trained:
             raise RuntimeError("product quantizer is untrained")
-        tables = pairwise_subspaces(
-            self._split(self._pad(queries)), self.codebooks, self.metric)
-        if self.metric == "l2":
-            np.square(tables, out=tables)
-        return tables
+        return pairwise_subspaces(self._split(self._pad(queries)),
+                                  self.codebooks)
 
     def adc(self, tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """ADC distances float32 ``(|Q|, N)`` from LUT gathers only."""
         acc = np.zeros((tables.shape[0], len(codes)), dtype=np.float32)
         for j in range(self.n_subspaces):
             acc += tables[:, j, codes[:, j]]
-        if self.metric == "l2":
-            np.sqrt(acc, out=acc)
         return acc
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
@@ -276,7 +241,6 @@ class PQIndex:
         dim: int,
         n_subspaces: int = 8,
         n_centroids: int = 256,
-        metric: str = "l1",
         coarse_lists: int = 0,
         n_probe: int = 8,
         refine_factor: int = 4,
@@ -291,10 +255,9 @@ class PQIndex:
             raise ValueError(f"refine_dtype must be one of {_REFINE_DTYPES}")
         self.pq = ProductQuantizer(
             dim, n_subspaces=n_subspaces, n_centroids=n_centroids,
-            metric=metric, iterations=iterations,
+            iterations=iterations,
         )
         self.dim = dim
-        self.metric = metric
         self.coarse_lists = coarse_lists
         self.n_probe = n_probe
         self.refine_factor = refine_factor
@@ -352,9 +315,7 @@ class PQIndex:
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (*, {self.dim}) vectors")
         if self.coarse_lists:
-            assignment = distance.assign(
-                vectors, self.centers, self.metric
-            ).astype(np.int32)
+            assignment = distance.assign(vectors, self.centers).astype(np.int32)
             encoded = self.pq.encode(vectors - self.centers[assignment])
             self._assign.append(assignment)
             self._cell_members = None
@@ -442,7 +403,7 @@ class PQIndex:
                        n_probe: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
         probe = max(1, min(n_probe if n_probe is not None else self.n_probe,
                            self.coarse_lists))
-        center_distances = distance.pairwise(queries, self.centers, self.metric)
+        center_distances = distance.pairwise(queries, self.centers)
         probed = np.argsort(center_distances, axis=1)[:, :probe]
         members = self._members()
         out_distances = np.full((len(queries), fetch), np.inf, dtype=np.float32)
@@ -480,9 +441,8 @@ class PQIndex:
             ids = ids[ids >= 0]
             if len(ids) == 0:
                 continue
-            exact = distance.pairwise(
-                queries[row:row + 1], self._tail.rows[ids], self.metric
-            )[0]
+            exact = distance.pairwise(queries[row:row + 1],
+                                      self._tail.rows[ids])[0]
             take = min(k, len(ids))
             chosen = np.lexsort((ids, exact))[:take]
             out_distances[row, :take] = exact[chosen]

@@ -69,11 +69,8 @@ class Int8FlatIndex:
     changed, so old codes are meaningless) and the caller re-adds.
     """
 
-    def __init__(self, dim: int, metric: str = "l1"):
-        if metric not in ("l1", "l2"):
-            raise ValueError("metric must be 'l1' or 'l2'")
+    def __init__(self, dim: int):
         self.dim = dim
-        self.metric = metric
         self.quantizer = ScalarQuantizer(dim)
         self._codes = RowStore(np.empty((0, dim), dtype=np.uint8))
         self.train_count = 0
@@ -137,6 +134,5 @@ class Int8FlatIndex:
 
     def _scan(self, qcodes: np.ndarray) -> np.ndarray:
         """Dense ``(|Q|, N)`` float32 distances from int16 query codes."""
-        scale = self.quantizer.scale
-        weights = scale * scale if self.metric == "l2" else scale
-        return distance.pairwise(qcodes, self._codes.rows, self.metric, weights)
+        return distance.pairwise(qcodes, self._codes.rows,
+                                 self.quantizer.scale)

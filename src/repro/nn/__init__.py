@@ -14,10 +14,6 @@ optimizers nor weight files.
 
 from .._lazy import lazy_exports
 
-# A function named like its submodule is bound here, before any layer
-# imports that submodule and rebinds the name to it.
-from .tensor import tensor
-
 #: submodule -> the names ``repro.nn`` re-exports from it
 _EXPORTS = {
     "attention": ("MultiHeadSelfAttention", "TransformerEncoder",
@@ -34,57 +30,16 @@ _EXPORTS = {
     "rnn": ("GRU", "LSTM", "GRUCell", "LSTMCell"),
     "serialization": ("load_into", "load_state", "save_state"),
     "tensor": ("DEFAULT_DTYPE", "Tensor", "concatenate", "is_grad_enabled",
-               "maximum", "no_grad", "ones", "stack", "where", "zeros"),
+               "maximum", "no_grad", "ones", "stack", "tensor", "where",
+               "zeros"),
 }
+#: submodules ``repro.nn`` re-exports whole
+_SUBMODULES = ("functional",)
+#: bound at import: a function named like its submodule would be rebound
+#: to the module when any layer first imports it
+_EAGER = ("tensor",)
 
-__all__ = [
-    "DEFAULT_DTYPE",
-    "Tensor",
-    "concatenate",
-    "is_grad_enabled",
-    "maximum",
-    "no_grad",
-    "ones",
-    "stack",
-    "tensor",
-    "where",
-    "zeros",
-    "functional",
-    "Module",
-    "ModuleList",
-    "Parameter",
-    "parameter_version",
-    "Sequential",
-    "Linear",
-    "Embedding",
-    "LayerNorm",
-    "Dropout",
-    "ReLU",
-    "FeedForward",
-    "ProjectionHead",
-    "MultiHeadSelfAttention",
-    "TransformerEncoder",
-    "TransformerEncoderLayer",
-    "GRU",
-    "GRUCell",
-    "LSTM",
-    "LSTMCell",
-    "Conv2d",
-    "MaxPool2d",
-    "AdaptiveAvgPool2d",
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "StepLR",
-    "clip_grad_norm",
-    "train_epoch",
-    "info_nce_loss",
-    "mse_loss",
-    "triplet_margin_loss",
-    "weighted_rank_loss",
-    "save_state",
-    "load_state",
-    "load_into",
-]
+__all__ = [*_SUBMODULES, *(name for names in _EXPORTS.values()
+                           for name in names)]
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, ("functional",))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, _SUBMODULES, _EAGER)

@@ -7,10 +7,6 @@ the simplification and preprocessing code that training runs.
 
 from .._lazy import lazy_exports
 
-# A function named like its submodule is bound here, before anything
-# imports that submodule and rebinds the name to it.
-from .visvalingam import triangle_area, visvalingam, visvalingam_mask
-
 #: submodule -> the names ``repro.trajectory`` re-exports from it
 _EXPORTS = {
     "grid": ("Grid",),
@@ -22,29 +18,12 @@ _EXPORTS = {
     "trajectory": ("PointArray", "Trajectory", "TrajectoryLike", "as_points",
                    "as_points_batch", "pack_trajectories",
                    "unpack_trajectories"),
+    "visvalingam": ("triangle_area", "visvalingam", "visvalingam_mask"),
 }
+#: bound at import: a function named like its submodule would be rebound
+#: to the module when anything first imports it
+_EAGER = ("visvalingam",)
 
-__all__ = [
-    "Trajectory",
-    "TrajectoryLike",
-    "PointArray",
-    "as_points",
-    "as_points_batch",
-    "pack_trajectories",
-    "unpack_trajectories",
-    "Grid",
-    "douglas_peucker",
-    "douglas_peucker_mask",
-    "point_segment_distance",
-    "visvalingam",
-    "visvalingam_mask",
-    "triangle_area",
-    "filter_trajectories",
-    "pad_point_arrays",
-    "resample_to_length",
-    "within_bbox",
-    "MIN_POINTS_DEFAULT",
-    "MAX_POINTS_DEFAULT",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, eager=_EAGER)

@@ -1,8 +1,12 @@
 """Tests for the ANN indexes behind the service stack: registration and
 stats, SimilarityService composition (exclude/dedupe, stats), snapshot
-round-trips for all three compressed indexes, incremental add after
-training, the sharded service over every approximate index, and a
-cluster snapshot restored onto a different worker count."""
+round-trips for all three compressed indexes, the embedding distance a
+snapshot's meta names, incremental add after training, the sharded
+service over every approximate index, and a cluster snapshot restored
+onto a different worker count."""
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -37,6 +41,8 @@ def make_service(backend, name):
     # Tiny-corpus knobs: codebooks clamp to the corpus size anyway, and a
     # small train_sample keeps the lazy k-means fast.
     kwargs = {
+        "bruteforce": {},
+        "ivf": {"n_lists": 4, "seed": 0},
         "pq": {"n_subspaces": 8, "seed": 0},
         "int8": {},
         "hnsw": {"seed": 0},
@@ -123,6 +129,85 @@ class TestSnapshots:
         _, ids = restored.knn(trajectories[:2], k=3)
         assert ids.shape == (2, 3)
         assert len(restored) == len(trajectories)
+
+
+class TestSnapshotMetric:
+    """Snapshot meta is input from outside the program. Every snapshot
+    written while the embedding distance was a choice names its
+    ``"metric"`` — in the backend meta and in a vector index's meta of a
+    service snapshot, in the backend meta of a cluster manifest. ``"l1"``
+    loads and answers as before; any other is refused, never served as
+    L1. Every vector index kind wrote the key, each into its own layout,
+    so the index case runs over all five, saved after a search: the
+    trained structure is what the snapshot carries."""
+
+    @pytest.fixture()
+    def workers(self):
+        pair = [ShardWorker(), ShardWorker()]
+        yield [w.address for w in pair]
+        for worker in pair:
+            worker.close()
+
+    @staticmethod
+    def service_snapshot(backend, trajectories, tmp_path, where, name, metric,
+                         _workers):
+        path = str(tmp_path / "service.npz")
+        service = make_service(backend, name).add(trajectories)
+        service.knn(trajectories[:1], k=1)  # train / build the structure
+        service.save(path)
+        with np.load(path) as archive:
+            state = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(state["__service__"]).decode("utf-8"))
+        meta[where]["metric"] = metric
+        state["__service__"] = np.frombuffer(json.dumps(meta).encode(),
+                                             dtype=np.uint8)
+        np.savez_compressed(path, **state)
+        return service, lambda: SimilarityService.load(path)
+
+    @staticmethod
+    def cluster_snapshot(backend, trajectories, tmp_path, where, _name,
+                         metric, workers):
+        snapshot = str(tmp_path / "cluster")
+        with ClusterCoordinator(workers, backend=backend,
+                                heartbeat_interval=0) as cluster:
+            cluster.add(trajectories)
+            cluster.save(snapshot)
+        manifest_path = os.path.join(snapshot, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest[where]["metric"] = metric
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        # the exact single service the cluster's answers are bit-identical to
+        single = SimilarityService(backend=backend).add(trajectories)
+        return single, lambda: ClusterCoordinator.load(
+            snapshot, workers, heartbeat_interval=0)
+
+    @pytest.mark.parametrize("metric", ["l1", "l2"])
+    @pytest.mark.parametrize("kind,where,name", [
+        ("service", "backend", "bruteforce"),
+        *[("service", "index", name)
+          for name in ["bruteforce", "ivf", *ANN_NAMES]],
+        ("cluster", "backend", "bruteforce")])
+    def test_l1_loads_bit_identically_and_any_other_is_refused(
+            self, backend, trajectories, tmp_path, workers, kind, where,
+            name, metric):
+        make = getattr(self, f"{kind}_snapshot")
+        reference, load = make(backend, trajectories, tmp_path, where, name,
+                               metric, workers)
+        queries = [points + 0.5 for points in trajectories[:3]]  # cold both
+        if metric != "l1":
+            with pytest.raises(ValueError, match=repr(metric)):
+                load()
+            return
+        restored = load()
+        try:
+            got = restored.knn(queries, k=4)
+        finally:
+            getattr(restored, "close", lambda: None)()
+        want = reference.knn(queries, k=4)
+        assert want[0].tobytes() == got[0].tobytes()
+        assert want[1].tobytes() == got[1].tobytes()
 
 
 class TestDtypeResidency:

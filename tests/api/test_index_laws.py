@@ -132,22 +132,21 @@ def test_every_kind_reports_the_one_stats_core(kind):
 # ----------------------------------------------------------------------
 # (d) the snapshot layout, pinned as literals
 # ----------------------------------------------------------------------
-IVF_META = {"type", "metric", "n_lists", "n_probe", "seed", "retrain_factor"}
-PQ_META = {"type", "metric", "n_subspaces", "n_centroids", "coarse_lists",
+IVF_META = {"type", "n_lists", "n_probe", "seed", "retrain_factor"}
+PQ_META = {"type", "n_subspaces", "n_centroids", "coarse_lists",
            "n_probe", "refine_factor", "refine_dtype", "train_sample", "seed",
            "trained"}
-HNSW_META = {"type", "metric", "m", "ef_construction", "ef_search", "seed",
+HNSW_META = {"type", "m", "ef_construction", "ef_search", "seed",
              "built", "dim", "graph"}
 LAYOUT = {  # kind -> (cold meta, cold arrays, trained meta, trained arrays)
-    "bruteforce": ({"type", "metric"}, {"data"},
-                   {"type", "metric"}, {"data"}),
+    "bruteforce": ({"type"}, {"data"}, {"type"}, {"data"}),
     "ivf": (IVF_META, {"vectors"},
             IVF_META | {"trained", "dim"}, {"vectors", "centers", "assign"}),
     "pq": (PQ_META, {"buffer"},
            PQ_META | {"dim"},
            {"codebooks", "codes", "assign", "centers", "tail"}),
-    "int8": ({"type", "metric", "train_sample", "trained"}, {"buffer"},
-             {"type", "metric", "train_sample", "trained", "dim"},
+    "int8": ({"type", "train_sample", "trained"}, {"buffer"},
+             {"type", "train_sample", "trained", "dim"},
              {"codes", "scale", "offset"}),
     "hnsw": (HNSW_META, {"data", "levels", "link_counts", "links_flat"},
              HNSW_META, {"data", "levels", "link_counts", "links_flat"}),
@@ -172,6 +171,7 @@ def test_a_flat_pq_writes_no_coarse_or_tail_arrays():
 
 
 ROWS_ONLY = {  # what these two kinds wrote before they snapshot a structure
+    # (and while every vector index still named its metric)
     "bruteforce": ({"type": "bruteforce", "metric": "l1"}, "data"),
     "ivf": ({"type": "ivf", "metric": "l1", "n_lists": 8, "n_probe": 3,
              "seed": 1, "retrain_factor": 2.0}, "vectors"),
@@ -183,7 +183,7 @@ def test_a_rows_only_snapshot_still_loads(kind, kmeans_calls):
     """Such a file restores as if the rows had just been added: ``ivf``
     trains lazily on its first search, exactly as it did."""
     meta, key = ROWS_ONLY[kind]
-    assert meta.keys() == LAYOUT[kind][0]
+    assert meta.keys() == LAYOUT[kind][0] | {"metric"}
     fresh = build(kind, "cold")
     restored = type(fresh).restore(meta, {key: rows(400, 0)})
     assert len(restored) == 400 and train_count(restored) == 0
@@ -232,25 +232,25 @@ def test_ivf_retrains_from_its_own_lists_in_id_order():
 # ----------------------------------------------------------------------
 # Declarations: the keyword table is the signature
 # ----------------------------------------------------------------------
-def test_the_keywords_and_defaults_are_the_22_there_are():
+def test_the_keywords_and_defaults_are_the_17_there_are():
     settable = {kind: vars(get_index(kind)) for kind in (*KINDS, "segment")}
     want = {
-        "bruteforce": {"metric": "l1"},
-        "ivf": {"n_lists": 16, "n_probe": 4, "metric": "l1", "seed": 0,
+        "bruteforce": {},
+        "ivf": {"n_lists": 16, "n_probe": 4, "seed": 0,
                 "retrain_factor": 2.0},
-        "pq": {"n_subspaces": 16, "n_centroids": 256, "metric": "l1",
+        "pq": {"n_subspaces": 16, "n_centroids": 256,
                "coarse_lists": 0, "n_probe": 8, "refine_factor": 4,
                "refine_dtype": None, "train_sample": 20000, "seed": 0},
-        "int8": {"metric": "l1", "train_sample": 65536},
+        "int8": {"train_sample": 65536},
         "hnsw": {"m": 16, "ef_construction": 64, "ef_search": 32,
-                 "metric": "l1", "seed": 0},
+                 "seed": 0},
         "segment": {},
     }
     for kind, keywords in want.items():
         public = {key: value for key, value in settable[kind].items()
                   if not key.startswith("_") and key != "train_count"}
         assert public == keywords, kind
-    assert sum(map(len, want.values())) == 22
+    assert sum(map(len, want.values())) == 17
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -57,15 +57,6 @@ class TestComposition:
         with pytest.raises(ValueError, match="wrong measure"):
             SimilarityService(backend="edr", index="segment")
 
-    def test_default_index_follows_backend_metric(self, trajcl_backend):
-        from repro.api import EmbeddingBackend
-
-        l2_backend = EmbeddingBackend("trajcl", trajcl_backend.model,
-                                      metric="l2")
-        service = SimilarityService(backend=l2_backend)
-        assert service.index.metric == "l2"
-        assert SimilarityService(backend=l2_backend, index="ivf").index.metric == "l2"
-
 
 class TestKnn:
     def test_exclude_keeps_k_results(self, trajcl_service, trajectories):
@@ -409,23 +400,6 @@ class TestSaveLoad:
         )
         after = restored.knn(trajectories[4], k=3, exclude=4)
         np.testing.assert_array_equal(before[1], after[1])
-
-    def test_roundtrip_preserves_metric(self, trajcl_backend, trajectories,
-                                        tmp_path):
-        from repro.api import EmbeddingBackend
-
-        path = str(tmp_path / "l2.npz")
-        l2_backend = EmbeddingBackend("trajcl", trajcl_backend.model,
-                                      metric="l2")
-        service = SimilarityService(backend=l2_backend).add(trajectories)
-        query = trajectories[0] + 0.5  # warm on neither side (see above)
-        before = service.knn(query, k=3, exclude=0)
-        service.save(path)
-        restored = SimilarityService.load(path)
-        assert restored.backend.metric == "l2"
-        after = restored.knn(query, k=3, exclude=0)
-        np.testing.assert_array_equal(before[1], after[1])
-        np.testing.assert_allclose(before[0], after[0])
 
     def test_load_rejects_wrong_files(self, tmp_path):
         path = str(tmp_path / "junk.npz")

@@ -29,7 +29,7 @@ CHUNK = 512
 
 
 def vector_fed_shard():
-    description = BackendDescription("trajcl", "l1", 1.0, DIM, np.float32)
+    description = BackendDescription("trajcl", 1.0, DIM, np.float32)
     return Shard(shard_backend_state(description), index="bruteforce")
 
 
@@ -133,7 +133,7 @@ def test_an_empty_embedding_shard_exports_0_by_d_vectors():
 
 def test_saving_a_vector_fed_service_names_the_owners_snapshot(tmp_path):
     service = SimilarityService(
-        backend=BackendDescription("trajcl", "l1", 1.0, 4))
+        backend=BackendDescription("trajcl", 1.0, 4))
     service.add(Embedded(np.ones((1, 4)), [np.zeros((2, 2))]))
     path = tmp_path / "shard.npz"
     with pytest.raises(NoEncoderError,

@@ -109,7 +109,7 @@ class Witness(Index):
 # The services, each yielding (service, witness or None)
 # ----------------------------------------------------------------------
 def witnessed(kind: str = "bruteforce"):
-    witness = Witness(get_index(kind, metric="l1"))
+    witness = Witness(get_index(kind))
     return SimilarityService(backend=MODEL, index=witness), witness
 
 

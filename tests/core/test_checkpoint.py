@@ -75,13 +75,26 @@ def with_config_keys(state, **keys):
 
 class TestRetiredConfigFields:
     """Checkpoints and service snapshots written while the config still
-    had ``cell_size`` and ``spatial_dim`` keep loading."""
+    had ``cell_size``, ``spatial_dim`` and ``train_cell_embedding`` keep
+    loading."""
 
     def test_old_state_loads_and_encodes_bit_identically(self, small_model,
                                                          small_setup):
         _, _, trajectories = small_setup
         state = with_config_keys(pipeline_state(small_model),
                                  cell_size=100.0, spatial_dim=4)
+        restored = pipeline_from_state(state)
+        assert restored.config == small_model.config
+        assert (restored.encode(trajectories[:6]).tobytes()
+                == small_model.encode(trajectories[:6]).tobytes())
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_train_cell_embedding_either_way_loads_bit_identically(
+            self, small_model, small_setup, value):
+        # the cell table is a plain array whatever the flag said
+        _, _, trajectories = small_setup
+        state = with_config_keys(pipeline_state(small_model),
+                                 train_cell_embedding=value)
         restored = pipeline_from_state(state)
         assert restored.config == small_model.config
         assert (restored.encode(trajectories[:6]).tobytes()

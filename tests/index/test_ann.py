@@ -44,7 +44,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def ground_truth(corpus):
     data, queries = corpus
-    exact = BruteForceIndex(data.shape[1], metric="l1")
+    exact = BruteForceIndex(data.shape[1])
     exact.add(data)
     return exact.search(queries, 10)[1]
 
@@ -128,13 +128,12 @@ class TestRecallFloors:
 
 @pytest.mark.parametrize("factory", [
     lambda dim: Int8FlatIndex(dim),
-    lambda dim: Int8FlatIndex(dim, metric="l2"),
     lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32),
     lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32, coarse_lists=4),
     lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32,
                         refine_dtype="float16"),
     lambda dim: HNSWIndex(dim),
-], ids=["int8", "int8-l2", "pq", "ivf-pq", "pq-refine16", "hnsw"])
+], ids=["int8", "pq", "ivf-pq", "pq-refine16", "hnsw"])
 def test_compressed_search_distances_stay_float32(corpus, factory):
     """A compressed scan never widens to float64: that would double its
     working set and hand the caller 8-byte distances."""
@@ -190,7 +189,7 @@ class TestProductQuantizerShapes:
 
     def test_adc_matches_decoded_distances(self):
         data = clustered(200, dim=16, seed=3)
-        pq = ProductQuantizer(16, n_subspaces=4, n_centroids=16, metric="l1")
+        pq = ProductQuantizer(16, n_subspaces=4, n_centroids=16)
         pq.train(data, rng=np.random.default_rng(0))
         codes = pq.encode(data)
         queries = data[:5]

@@ -1,4 +1,4 @@
-"""The shared L1/L2 kernel (``repro.index.distance``): equal to the naive
+"""The shared L1 kernel (``repro.index.distance``): equal to the naive
 broadcast, dtype-preserving, bit-for-bit invariant to how the operands
 are split into batches and blocks, and small in memory.
 
@@ -16,17 +16,14 @@ from hypothesis import strategies as st
 
 from repro.index import distance
 
-METRICS = ("l1", "l2")
 FLOATS = (np.float32, np.float64)
 
 
-def naive(queries, data, metric):
+def naive(queries, data):
     """The textbook broadcast, in float64."""
     diff = (queries.astype(np.float64)[:, None, :]
             - data.astype(np.float64)[None, :, :])
-    if metric == "l1":
-        return np.abs(diff).sum(axis=2)
-    return np.sqrt((diff * diff).sum(axis=2))
+    return np.abs(diff).sum(axis=2)
 
 
 def laid_out(array, layout):
@@ -63,74 +60,67 @@ def tolerance(dtype, dim):
 # Equal to the naive broadcast, in the promoted input dtype
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(operands(), st.sampled_from(METRICS))
-def test_pairwise_equals_naive_broadcast(pair, metric):
+@given(operands())
+def test_pairwise_equals_naive_broadcast(pair):
     queries, data = pair
-    out = distance.pairwise(queries, data, metric)
+    out = distance.pairwise(queries, data)
     promoted = np.result_type(queries.dtype, data.dtype)
     assert out.dtype == promoted
     assert out.shape == (len(queries), len(data))
-    expected = naive(queries, data, metric)
+    expected = naive(queries, data)
     scale = max(1.0, float(expected.max(initial=0.0)))
     np.testing.assert_allclose(
         out, expected, rtol=0, atol=scale * tolerance(promoted, queries.shape[1]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(operands(max_rows=120), st.sampled_from(METRICS), st.integers(1, 12))
-def test_topk_and_assign_agree_with_pairwise(pair, metric, k):
+@given(operands(max_rows=120), st.integers(1, 12))
+def test_topk_and_assign_agree_with_pairwise(pair, k):
     queries, data = pair
-    full = distance.pairwise(queries, data, metric)
-    got_d, got_i = distance.topk(queries, data, k, metric)
+    full = distance.pairwise(queries, data)
+    got_d, got_i = distance.topk(queries, data, k)
     want_d, want_i = distance.topk_rows(full, k)
     np.testing.assert_array_equal(got_i, want_i)
     np.testing.assert_array_equal(got_d, want_d)
     if len(data) == 0:
         with pytest.raises(ValueError):
-            distance.assign(queries, data, metric)
+            distance.assign(queries, data)
         return
-    nearest = distance.assign(queries, data, metric)
+    nearest = distance.assign(queries, data)
     assert nearest.dtype == np.int64 and nearest.shape == (len(queries),)
-    if metric == "l1":
-        np.testing.assert_array_equal(nearest, full.argmin(axis=1))
-    else:
-        # the expanded form ranks like the exact one up to round-off
-        rows = np.arange(len(queries))
-        slack = tolerance(full.dtype, queries.shape[1]) * max(
-            1.0, float(full.max(initial=0.0)))
-        assert (full[rows, nearest] <= full.min(axis=1) + 64 * slack).all()
+    np.testing.assert_array_equal(nearest, full.argmin(axis=1))
 
 
 # ----------------------------------------------------------------------
 # Split invariance, bit for bit
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(operands(), st.sampled_from(METRICS), st.randoms(use_true_random=False))
-def test_batches_and_blocks_do_not_move_a_bit(pair, metric, random):
+@given(operands(), st.randoms(use_true_random=False))
+def test_batches_and_blocks_do_not_move_a_bit(pair, random):
     """One row at a time, one column at a time, or cut anywhere: the
     same bits as the whole matrix."""
     queries, data = pair
-    full = distance.pairwise(queries, data, metric)
+    full = distance.pairwise(queries, data)
     for i in range(len(queries)):
         np.testing.assert_array_equal(
-            distance.pairwise(queries[i:i + 1], data, metric)[0], full[i])
+            distance.pairwise(queries[i:i + 1], data)[0], full[i])
     for j in range(len(data)):
         np.testing.assert_array_equal(
-            distance.pairwise(queries, data[j:j + 1], metric)[:, 0],
+            distance.pairwise(queries, data[j:j + 1])[:, 0],
             full[:, j])
     q_cut = random.randint(0, len(queries))
     d_cut = random.randint(0, len(data))
     for rows in (slice(0, q_cut), slice(q_cut, None)):
         for columns in (slice(0, d_cut), slice(d_cut, None)):
             np.testing.assert_array_equal(
-                distance.pairwise(queries[rows], data[columns], metric),
+                distance.pairwise(queries[rows], data[columns]),
                 full[rows, columns])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(operands(max_rows=24), st.sampled_from(METRICS),
-       st.sampled_from((1, 64, 1 << 15)), st.sampled_from((1, 3, 256)))
-def test_every_pair_alone_equals_its_cell(pair, metric, cube, data_block):
+@given(operands(max_rows=24), st.sampled_from((1, 64, 1 << 15)),
+       st.sampled_from((1, 3, 256)))
+def test_every_pair_alone_equals_its_cell(pair, cube, data_block):
     """``pairwise(Q, D)[i, j] == pairwise(Q[i:i+1], D[j:j+1])[0, 0]`` for
     every pair, wherever the block boundaries fall (the constants are
     shrunk so they fall inside these small operands)."""
@@ -138,12 +128,12 @@ def test_every_pair_alone_equals_its_cell(pair, metric, cube, data_block):
     saved = distance._CUBE_ELEMENTS, distance._DATA_BLOCK
     distance._CUBE_ELEMENTS, distance._DATA_BLOCK = cube, data_block
     try:
-        full = distance.pairwise(queries, data, metric)
+        full = distance.pairwise(queries, data)
     finally:
         distance._CUBE_ELEMENTS, distance._DATA_BLOCK = saved
     for i in range(len(queries)):
         for j in range(len(data)):
-            alone = distance.pairwise(queries[i:i + 1], data[j:j + 1], metric)
+            alone = distance.pairwise(queries[i:i + 1], data[j:j + 1])
             assert alone[0, 0] == full[i, j]
 
 
@@ -157,18 +147,18 @@ def test_l1_bits_are_those_of_the_contiguous_broadcast():
             data = rng.normal(size=(301, dim)).astype(dtype)
             expected = np.abs(queries[:, None, :] - data[None, :, :]).sum(axis=2)
             np.testing.assert_array_equal(
-                distance.pairwise(queries, data, "l1"), expected)
+                distance.pairwise(queries, data), expected)
 
 
 def test_topk_strips_do_not_change_the_answer(monkeypatch):
     rng = np.random.default_rng(8)
     queries, data = rng.normal(size=(23, 16)), rng.normal(size=(200, 16))
-    whole = distance.topk(queries, data, 7, "l1")
+    whole = distance.topk(queries, data, 7)
     monkeypatch.setattr(distance, "_STRIP_ELEMENTS", 450)  # two rows a strip
-    for got, want in zip(distance.topk(queries, data, 7, "l1"), whole):
+    for got, want in zip(distance.topk(queries, data, 7), whole):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(
-        distance.assign(queries, data, "l1"), whole[1][:, 0])
+        distance.assign(queries, data), whole[1][:, 0])
 
 
 # ----------------------------------------------------------------------
@@ -177,17 +167,17 @@ def test_topk_strips_do_not_change_the_answer(monkeypatch):
 def test_a_scan_allocates_a_cache_sized_scratch_not_a_cube():
     rng = np.random.default_rng(2)
     queries, data = rng.normal(size=(16, 64)), rng.normal(size=(20000, 64))
-    distance.pairwise(queries[:1], data[:10], "l1")  # imports, caches
+    distance.pairwise(queries[:1], data[:10])  # imports, caches
     budget = 4 * 2 ** 20  # the (16, 20000, 64) cube would be 164 MB
 
     tracemalloc.start()
     try:
-        out = distance.pairwise(queries, data, "l1")
+        out = distance.pairwise(queries, data)
         pairwise_peak = tracemalloc.get_traced_memory()[1]
         del out
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        distance.topk(queries, data, 10, "l1")
+        distance.topk(queries, data, 10)
         topk_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -210,29 +200,24 @@ def test_a_scan_allocates_a_cache_sized_scratch_not_a_cube():
 def test_result_dtype(q_dtype, d_dtype, expected):
     queries = np.arange(12).reshape(3, 4).astype(q_dtype)
     data = np.arange(20).reshape(5, 4).astype(d_dtype)
-    for metric in METRICS:
-        out = distance.pairwise(queries, data, metric)
-        assert out.dtype == expected
-        np.testing.assert_allclose(out, naive(queries, data, metric),
-                                   rtol=1e-6)
+    out = distance.pairwise(queries, data)
+    assert out.dtype == expected
+    np.testing.assert_allclose(out, naive(queries, data), rtol=1e-6)
     assert distance.topk(queries, data, 2)[0].dtype == expected
 
 
 @pytest.mark.parametrize("dim", [3, 64])
-@pytest.mark.parametrize("metric", METRICS)
-def test_weighted_code_distances(dim, metric):
+def test_weighted_code_distances(dim):
     """The int8 index's form: integer codes as they are, float32 weights."""
     rng = np.random.default_rng(dim)
     q_codes = rng.integers(0, 256, size=(5, dim)).astype(np.int16)
     codes = rng.integers(0, 256, size=(700, dim)).astype(np.uint8)
     weights = rng.uniform(0.01, 0.1, size=dim).astype(np.float32)
-    out = distance.pairwise(q_codes, codes, metric, weights)
+    out = distance.pairwise(q_codes, codes, weights)
     assert out.dtype == np.float32
     gap = np.abs(q_codes.astype(np.float64)[:, None, :]
                  - codes.astype(np.float64)[None, :, :])
-    expected = ((gap * weights).sum(axis=2) if metric == "l1"
-                else np.sqrt((gap * gap * weights).sum(axis=2)))
-    np.testing.assert_allclose(out, expected, rtol=1e-5)
+    np.testing.assert_allclose(out, (gap * weights).sum(axis=2), rtol=1e-5)
 
 
 def test_empty_operands_keep_shape_and_dtype():
@@ -253,8 +238,6 @@ def test_one_dimensional_query_is_one_row():
 
 
 def test_bad_arguments():
-    with pytest.raises(ValueError, match="unknown metric"):
-        distance.pairwise(np.zeros((1, 2)), np.zeros((1, 2)), "cosine")
     with pytest.raises(ValueError, match="dimension mismatch"):
         distance.pairwise(np.zeros((1, 2)), np.zeros((1, 3)))
     with pytest.raises(ValueError, match="nothing to assign to"):

@@ -9,8 +9,8 @@ from repro.index import (
     BruteForceIndex,
     IVFFlatIndex,
     SegmentHausdorffIndex,
+    distance,
     kmeans,
-    pairwise_distances,
 )
 from repro.measures import hausdorff_distance
 
@@ -21,16 +21,7 @@ class TestPairwiseDistances:
     def test_l1_matches_direct(self):
         q, d = RNG.standard_normal((5, 8)), RNG.standard_normal((7, 8))
         expected = np.abs(q[:, None] - d[None]).sum(axis=2)
-        np.testing.assert_allclose(pairwise_distances(q, d, "l1"), expected)
-
-    def test_l2_matches_direct(self):
-        q, d = RNG.standard_normal((5, 8)), RNG.standard_normal((7, 8))
-        expected = np.linalg.norm(q[:, None] - d[None], axis=2)
-        np.testing.assert_allclose(pairwise_distances(q, d, "l2"), expected, atol=1e-9)
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            pairwise_distances(np.zeros((1, 2)), np.zeros((1, 2)), "cosine")
+        np.testing.assert_allclose(distance.pairwise(q, d), expected)
 
 
 class TestKMeans:
@@ -62,7 +53,7 @@ class TestKMeans:
 
 class TestBruteForceIndex:
     def test_exact_nearest(self):
-        index = BruteForceIndex(4, metric="l1")
+        index = BruteForceIndex(4)
         data = RNG.standard_normal((50, 4))
         index.add(data)
         query = data[17] + 0.001
@@ -112,8 +103,6 @@ class TestBruteForceIndex:
         index = BruteForceIndex(3)
         with pytest.raises(ValueError):
             index.add(np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            BruteForceIndex(2, metric="cosine")
 
     @pytest.mark.parametrize("given,stored", [
         (np.float32, np.float32), (np.float64, np.float64),

@@ -165,10 +165,10 @@ def test_pq_recall_is_where_the_loop_left_it():
     pool = (centers[rng.integers(0, 24, size=2100)]
             + (rng.normal(size=(2100, 6)) @ mix) * 0.5)
     data, queries = pool[:2000], pool[2000:]
-    exact = BruteForceIndex(32, metric="l1")
+    exact = BruteForceIndex(32)
     exact.add(data)
     truth = exact.search(queries, 10)[1]
-    index = PQIndex(32, n_subspaces=8, n_centroids=64, metric="l1")
+    index = PQIndex(32, n_subspaces=8, n_centroids=64)
     index.train(data, rng=np.random.default_rng(3))
     index.add(data)
     found = index.search(queries, 10)[1]

@@ -185,7 +185,7 @@ STAR = {
         "BruteForceIndex", "HNSWIndex", "IVFFlatIndex", "Int8FlatIndex",
         "PQIndex", "ProductQuantizer", "RowStore", "ScalarQuantizer",
         "SegmentHausdorffIndex", "distance", "kmeans",
-        "kmeans_plus_plus_init", "pairwise_distances", "topk_rows"],
+        "kmeans_plus_plus_init", "topk_rows"],
     "repro.trajectory": [
         "Grid", "MAX_POINTS_DEFAULT", "MIN_POINTS_DEFAULT", "PointArray",
         "Trajectory", "TrajectoryLike", "as_points", "as_points_batch",
@@ -331,7 +331,7 @@ worker = ShardWorker()
 link = SocketTransport.connect(*worker.address)
 # what a coordinator ships of its trajcl backend (describing a
 # description is the identity, and needs no model here)
-described = shard_backend_state(BackendDescription("trajcl", "l1", 1.0, 4))
+described = shard_backend_state(BackendDescription("trajcl", 1.0, 4))
 request(link, "join", {"backend": described, "index": "bruteforce",
                        "shards": [0], "worker_id": "worker-0"})
 points = [np.zeros((3, 2)), np.ones((2, 2))]
