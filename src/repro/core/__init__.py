@@ -16,7 +16,7 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "augmentation": ("available_augmentations", "get_augmentation",
                      "make_view", "point_mask", "point_shift", "raw",
-                     "simplify", "simplify_vw", "truncate"),
+                     "simplify", "truncate"),
     "checkpoint": ("load_pipeline", "pipeline_from_state", "pipeline_state",
                    "save_pipeline"),
     "config": ("TrajCLConfig",),

@@ -16,12 +16,13 @@ of Fig. 8 (Raw / Shift / Mask / Trun. / Simp.).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..trajectory.simplify import douglas_peucker
 from ..trajectory.trajectory import TrajectoryLike, as_points
+from .config import TrajCLConfig
 
 AugmentationFn = Callable[..., np.ndarray]
 
@@ -116,31 +117,13 @@ def simplify(
     return simplified
 
 
-def simplify_vw(
-    points: TrajectoryLike,
-    rng: np.random.Generator = None,
-    min_area: float = 5000.0,
-) -> np.ndarray:
-    """Visvalingam–Whyatt simplification — the paper's "other simplification
-    methods also apply" extension point. ``min_area`` (m²) plays the role of
-    ρ_p; 5000 m² ≈ a 100 m × 100 m triangle's area, matching the DP default
-    scale."""
-    from ..trajectory.visvalingam import visvalingam
-
-    pts = as_points(points)
-    simplified = visvalingam(pts, min_area)
-    if len(simplified) < 2:
-        return pts.copy()
-    return simplified
-
-
-_REGISTRY: Dict[str, AugmentationFn] = {
-    "raw": raw,
-    "shift": point_shift,
-    "mask": point_mask,
-    "truncate": truncate,
-    "simplify": simplify,
-    "simplify_vw": simplify_vw,
+#: name -> (augmentation, {its keyword: the TrajCLConfig field it reads})
+_REGISTRY: Dict[str, Tuple[AugmentationFn, Dict[str, str]]] = {
+    "raw": (raw, {}),
+    "shift": (point_shift, {"radius": "shift_radius", "sigma": "shift_sigma"}),
+    "mask": (point_mask, {"ratio": "mask_ratio"}),
+    "truncate": (truncate, {"keep": "truncate_keep"}),
+    "simplify": (simplify, {"epsilon": "simplify_epsilon"}),
 }
 
 
@@ -149,14 +132,18 @@ def available_augmentations() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def get_augmentation(name: str) -> AugmentationFn:
-    """Look up an augmentation function by registry name."""
+def _entry(name: str) -> Tuple[AugmentationFn, Dict[str, str]]:
     try:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown augmentation {name!r}; available: {available_augmentations()}"
         ) from None
+
+
+def get_augmentation(name: str) -> AugmentationFn:
+    """Look up an augmentation function by registry name."""
+    return _entry(name)[0]
 
 
 def make_view(
@@ -171,21 +158,7 @@ def make_view(
     the paper defaults); this is the single entry point the trainer and the
     Fig. 8 / Fig. 9 benchmarks use.
     """
-    if name == "raw":
-        return raw(points)
-    if name == "shift":
-        radius = config.shift_radius if config else 100.0
-        sigma = config.shift_sigma if config else 0.5
-        return point_shift(points, rng, radius=radius, sigma=sigma)
-    if name == "mask":
-        ratio = config.mask_ratio if config else 0.3
-        return point_mask(points, rng, ratio=ratio)
-    if name == "truncate":
-        keep = config.truncate_keep if config else 0.7
-        return truncate(points, rng, keep=keep)
-    if name == "simplify":
-        epsilon = config.simplify_epsilon if config else 100.0
-        return simplify(points, epsilon=epsilon)
-    if name == "simplify_vw":
-        return simplify_vw(points)
-    raise KeyError(f"unknown augmentation {name!r}")
+    augmentation, fields = _entry(name)
+    config = config or TrajCLConfig()
+    return augmentation(points, rng, **{keyword: getattr(config, field)
+                                        for keyword, field in fields.items()})

@@ -1,8 +1,10 @@
 """``repro.index`` — kNN indexes: brute force, IVFFlat (Faiss stand-in),
 the segment-based Hausdorff index (DFT stand-in), and the compressed /
 approximate structures (int8 scalar quantization, product quantization,
-HNSW graph). Every vector distance any of them computes comes from the
-one blocked, dtype-preserving kernel in :mod:`repro.index.distance`.
+HNSW graph). Their L1 distances come from the one kernel in
+:mod:`repro.index.distance` (PQ's codes and LUTs as stacked sub-space
+calls) but HNSW's graph walk, which sums rows to the kernel's bits;
+k-means ranks centres with its own L2 GEMM, the Lloyd objective.
 
 The structures load on first use (PEP 562, see :mod:`repro._lazy`): a
 shard that builds a brute-force index loads neither the graph, the

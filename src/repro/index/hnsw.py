@@ -87,7 +87,9 @@ class HNSWIndex:
     # Distance kernel (float32, counted)
     # ------------------------------------------------------------------
     def _distances_to(self, query: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Distances from one float32 query row to the given node ids."""
+        """Distances from one float32 query row to the given node ids: a
+        row sum of its own, with :mod:`.distance`'s bits (a law holds them
+        equal), as a 32-id :func:`distance.pairwise` call costs over 2x."""
         self.distance_evaluations += len(ids)
         return np.abs(self._data[ids] - query).sum(axis=1)
 

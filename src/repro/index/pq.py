@@ -22,9 +22,11 @@ Everything here is float32 — training vectors, codebooks, LUTs, ADC
 accumulators and outputs — and codes stay uint8 (the law is
 ``tests/index/test_ann.py::test_compressed_search_distances_stay_float32``).
 Training is one stacked :func:`~repro.index.kmeans.kmeans` call over
-every sub-space; codes and LUTs are one pass over every sub-space
-(:func:`assign_subspaces`, :func:`pairwise_subspaces`), summed in the
-order of :mod:`repro.index.distance`, which the re-rank calls directly.
+every sub-space, which ranks centres under its own L2 GEMM (the Lloyd
+objective). Codes and LUTs are one stacked L1
+:func:`~repro.index.distance.assign` / :func:`~repro.index.distance.pairwise`
+call over every sub-space, the kernel the coarse step and the re-rank
+call too; the ADC scan only adds table entries.
 """
 
 from __future__ import annotations
@@ -38,102 +40,6 @@ from .kmeans import kmeans
 from .rows import RowStore
 
 _REFINE_DTYPES = (None, "float16", "float32")
-#: scalars in the difference cube a one-pass code or LUT block holds
-_CUBE_ELEMENTS = 1 << 17
-
-
-# ----------------------------------------------------------------------
-# Every sub-space in one pass
-#
-# A PQ code or LUT is m small distance problems, one per sub-space. These
-# kernels run them stacked — ``(|Q|, m, s)`` sub-vectors against ``(m, k,
-# s)`` books — with the summation order of :func:`distance._fill`, so each
-# entry has the bits a per-sub-space :func:`distance.assign` /
-# :func:`distance.pairwise` call gives it.
-# ----------------------------------------------------------------------
-def _fill_subspaces(queries: np.ndarray, books: np.ndarray, out: np.ndarray,
-                    scratch: np.ndarray) -> None:
-    """Write the ``(|Q|, m, k)`` sub-space distances of same-dtype
-    ``(|Q|, m, s)`` queries and ``(m, k, s)`` books into ``out``, a
-    difference cube of whole query rows at a time in ``scratch``: the
-    ``(s, rows, m, k)`` planes reduced over their leading axis below
-    ``distance._PLANE_DIMS`` terms, an ``(rows, m, k, s)`` cube over its
-    trailing one from there on — ``_fill``'s two orders."""
-    n_queries, m, dim = queries.shape
-    if dim == 0 or out.size == 0:
-        out[...] = 0
-        return
-    step = max(1, len(scratch) // (out[0].size * dim))
-    if dim < distance._PLANE_DIMS:
-        left = queries.transpose(2, 0, 1)[..., None]           # (s, Q, m, 1)
-        right = books.transpose(2, 0, 1)[:, None]              # (s, 1, m, k)
-    for q0 in range(0, n_queries, step):
-        q1 = min(q0 + step, n_queries)
-        block = out[q0:q1]
-        if dim < distance._PLANE_DIMS:
-            shape, axis = (dim,) + block.shape, 0
-            pair = left[:, q0:q1], right
-        else:
-            shape, axis = block.shape + (dim,), 3
-            pair = queries[q0:q1, :, None, :], books[None]
-        cube = scratch[:block.size * dim].reshape(shape)
-        np.subtract(*pair, out=cube)
-        np.abs(cube, out=cube)
-        np.add.reduce(cube, axis=axis, out=block)
-
-
-def _cube_rows(n_queries: int, books: np.ndarray) -> int:
-    """Query rows per :func:`_fill_subspaces` cube of
-    :data:`_CUBE_ELEMENTS` scalars (at least one)."""
-    return min(n_queries, max(1, _CUBE_ELEMENTS // max(books.size, 1)))
-
-
-def _subspace_operands(queries, books) -> Tuple[np.ndarray, np.ndarray]:
-    queries = np.asarray(queries)
-    books = np.asarray(books)
-    if queries.ndim != 3 or books.ndim != 3:
-        raise ValueError("sub-space operands must be (|Q|, m, s) and (m, k, s)")
-    if queries.shape[1:] != (books.shape[0], books.shape[2]):
-        raise ValueError(
-            f"sub-space mismatch: {queries.shape[1:]} vs "
-            f"{(books.shape[0], books.shape[2])}")
-    dtype = distance.float_dtype(queries.dtype, books.dtype)
-    return queries.astype(dtype, copy=False), books.astype(dtype, copy=False)
-
-
-def pairwise_subspaces(queries, books) -> np.ndarray:
-    """Distances ``(|Q|, m, k)`` of every query's ``m`` sub-vectors to
-    the ``k`` rows of their sub-space's book: entry ``(i, j, c)`` has the
-    bits of ``distance.pairwise(queries[:, j], books[j])[i, c]``."""
-    queries, books = _subspace_operands(queries, books)
-    out = np.empty((len(queries), len(books), books.shape[1]),
-                   dtype=queries.dtype)
-    scratch = np.empty(_cube_rows(len(queries), books) * books.size,
-                       dtype=queries.dtype)
-    _fill_subspaces(queries, books, out, scratch)
-    return out
-
-
-def assign_subspaces(queries, books) -> np.ndarray:
-    """uint8 codes ``(|Q|, m)``: the nearest row of each sub-space's book
-    (at most 256 rows; ties to the lowest) for every query's ``m``
-    sub-vectors. Column ``j`` is ``distance.assign(queries[:, j],
-    books[j])``."""
-    queries, books = _subspace_operands(queries, books)
-    n_subspaces, k, _ = books.shape
-    if not 1 <= k <= 256:
-        raise ValueError(f"a uint8 code needs 1 to 256 book rows, got {k}")
-    out = np.empty((len(queries), n_subspaces), dtype=np.uint8)
-    # one cube of whole rows at a time, its distances argmin'd as it is
-    # reduced: no (rows, m, k) strip beyond the cube's own
-    step = _cube_rows(len(queries), books)
-    scratch = np.empty(step * books.size, dtype=queries.dtype)
-    rows = np.empty((step, n_subspaces, k), dtype=queries.dtype)
-    for q0 in range(0, len(queries), step):
-        q1 = min(q0 + step, len(queries))
-        _fill_subspaces(queries[q0:q1], books, rows[:q1 - q0], scratch)
-        out[q0:q1] = np.argmin(rows[:q1 - q0], axis=2)
-    return out
 
 
 class ProductQuantizer:
@@ -197,15 +103,18 @@ class ProductQuantizer:
         """Nearest-centroid uint8 code per subspace: ``(N, n_subspaces)``."""
         if not self.trained:
             raise RuntimeError("product quantizer is untrained")
-        return assign_subspaces(self._split(self._pad(vectors)),
-                                self.codebooks)
+        if not 1 <= len(self.codebooks[0]) <= 256:
+            raise ValueError("a uint8 code needs 1 to 256 centroids, "
+                             f"got {len(self.codebooks[0])}")
+        return distance.assign(self._split(self._pad(vectors)),
+                               self.codebooks).astype(np.uint8)
 
     def lut(self, queries: np.ndarray) -> np.ndarray:
         """Per-query sub-distance tables, float32 ``(|Q|, m, k)``."""
         if not self.trained:
             raise RuntimeError("product quantizer is untrained")
-        return pairwise_subspaces(self._split(self._pad(queries)),
-                                  self.codebooks)
+        return distance.pairwise(self._split(self._pad(queries)),
+                                 self.codebooks)
 
     def adc(self, tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """ADC distances float32 ``(|Q|, N)`` from LUT gathers only."""

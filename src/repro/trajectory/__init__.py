@@ -18,12 +18,8 @@ _EXPORTS = {
     "trajectory": ("PointArray", "Trajectory", "TrajectoryLike", "as_points",
                    "as_points_batch", "pack_trajectories",
                    "unpack_trajectories"),
-    "visvalingam": ("triangle_area", "visvalingam", "visvalingam_mask"),
 }
-#: bound at import: a function named like its submodule would be rebound
-#: to the module when anything first imports it
-_EAGER = ("visvalingam",)
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
 
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS, eager=_EAGER)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

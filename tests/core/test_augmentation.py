@@ -138,7 +138,7 @@ class TestSimplify:
 class TestRegistryAndMakeView:
     def test_available(self):
         assert set(available_augmentations()) == {
-            "raw", "shift", "mask", "truncate", "simplify", "simplify_vw"
+            "raw", "shift", "mask", "truncate", "simplify"
         }
 
     def test_get_augmentation(self):

@@ -1,12 +1,16 @@
-"""PQ's one-pass sub-space kernels against the per-sub-space loop.
+"""Every L1 sum in ``repro.index`` has the bits of a 2-D
+:func:`~repro.index.distance.pairwise` call.
 
-``loop_*`` below is how :class:`~repro.index.pq.ProductQuantizer` coded
-and built LUTs before: one :func:`~repro.index.distance.assign` /
-:func:`~repro.index.distance.pairwise` call per sub-space. The stacked
-kernels (``repro.index.pq.assign_subspaces`` / ``pairwise_subspaces``)
+``loop_*`` below is one :func:`~repro.index.distance.assign` /
+:func:`~repro.index.distance.pairwise` call per sub-space. One stacked
+call over ``(|Q|, m, s)`` sub-vectors and ``(m, k, s)`` books — what
+:class:`~repro.index.pq.ProductQuantizer` codes and builds LUTs with —
 must give the same bits (codes, tables, decoded rows), whatever the
-sub-space width (both of ``_fill``'s summation orders), padding, dtype
-or row count — a last cube of one row included.
+sub-space width (both of ``_fill``'s summation orders), padding, dtype,
+row count or block boundary — a last block of one row included.
+
+HNSW sums its own rows (a 32-id call through the kernel costs more than
+twice as much); its distances must still be the kernel's bits.
 """
 
 import numpy as np
@@ -14,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import ProductQuantizer, distance
-from repro.index.pq import assign_subspaces, pairwise_subspaces
+from repro.index import HNSWIndex, ProductQuantizer, distance
 
 
 def loop_assign(queries, books):
@@ -46,29 +49,37 @@ def subspace_problem(draw):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(subspace_problem())
-def test_one_pass_is_the_per_subspace_loop(problem):
+@given(subspace_problem(), st.sampled_from((1 << 10, 1 << 15)),
+       st.sampled_from((3, 256)))
+def test_one_stacked_call_is_the_per_subspace_loop(problem, cube,
+                                                   data_block):
+    """The kernel's constants are shrunk in some examples, so tiles cut
+    the book rows of every sub-space at once."""
     queries, books = problem
-    codes = assign_subspaces(queries, books)
-    assert codes.dtype == np.uint8
+    saved = distance._CUBE_ELEMENTS, distance._DATA_BLOCK
+    distance._CUBE_ELEMENTS, distance._DATA_BLOCK = cube, data_block
+    try:
+        codes = distance.assign(queries, books)
+        tables = distance.pairwise(queries, books)
+    finally:
+        distance._CUBE_ELEMENTS, distance._DATA_BLOCK = saved
+    assert codes.shape == (len(queries), len(books))
     np.testing.assert_array_equal(codes, loop_assign(queries, books))
-    tables = pairwise_subspaces(queries, books)
     assert tables.dtype == queries.dtype
-    np.testing.assert_array_equal(tables,
-                                  loop_pairwise(queries, books))
+    np.testing.assert_array_equal(tables, loop_pairwise(queries, books))
 
 
 @pytest.mark.parametrize("rows", [2, 129, 257, 2049])
 def test_strip_boundaries_move_no_code(rows):
-    """Cubes of 16 rows in the one pass (16 x 128 x 4 differences a row
-    in 2^17) and strips of 2048 rows in each per-sub-space
-    ``distance.assign``: a row count one past either boundary moves no
-    code."""
+    """Tiles of 4 rows and strips of 128 in the stacked call (16 books of
+    128 rows of 4: 16 x 128 x 4 differences a row), strips of 2048 rows
+    in each per-sub-space ``distance.assign``: a row count one past
+    either boundary moves no code."""
     rng = np.random.default_rng(rows)
     books = rng.normal(size=(16, 128, 4)).astype(np.float32)
     queries = rng.normal(size=(rows, 16, 4)).astype(np.float32)
     np.testing.assert_array_equal(
-        assign_subspaces(queries, books),
+        distance.assign(queries, books),
         loop_assign(queries, books))
 
 
@@ -100,8 +111,26 @@ def test_quantizer_codes_tables_and_rows_are_the_loops(dim, m):
 
 def test_mismatched_subspaces_are_refused():
     with pytest.raises(ValueError, match="sub-space"):
-        pairwise_subspaces(np.zeros((3, 4, 2)), np.zeros((4, 5, 3)))
+        distance.pairwise(np.zeros((3, 4, 2)), np.zeros((4, 5, 3)))
     with pytest.raises(ValueError, match="sub-space"):
-        assign_subspaces(np.zeros((3, 8)), np.zeros((4, 5, 2)))
+        distance.assign(np.zeros((3, 8)), np.zeros((4, 5, 2)))
+    quantizer = ProductQuantizer(8, n_subspaces=4)
+    quantizer.codebooks = np.zeros((4, 257, 2), dtype=np.float32)
     with pytest.raises(ValueError, match="256"):
-        assign_subspaces(np.zeros((3, 4, 2)), np.zeros((4, 257, 2)))
+        quantizer.encode(np.zeros((3, 8), dtype=np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 3, 7, 8, 9, 64])
+def test_hnsw_row_sum_is_the_kernels_bits(dim, dtype):
+    rng = np.random.default_rng(dim)
+    data = rng.normal(size=(301, dim)).astype(dtype)
+    index = HNSWIndex(dim)
+    index._data = data  # the row sum computes in what it holds
+    for count in (1, 32, 301):
+        ids = rng.integers(0, len(data), size=count)
+        query = rng.normal(size=dim).astype(dtype)
+        got = index._distances_to(query, ids)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(
+            got, distance.pairwise(query[None], data[ids])[0])

@@ -168,8 +168,7 @@ ALONE = {
     "repro.api": [],
     "repro.api.cluster": [],
     "repro.index": ["repro.index.distance", "repro.index.kmeans"],
-    "repro.trajectory": ["repro.trajectory.trajectory",
-                         "repro.trajectory.visvalingam"],
+    "repro.trajectory": [],
     "repro.core": [],
     "repro.nn": ["repro.nn.tensor"],
     "repro.datasets": [],
@@ -179,7 +178,8 @@ SUBMODULE = {"repro.api": "wire", "repro.index": "pq",
              "repro.trajectory": "preprocess", "repro.core": "trainer",
              "repro.nn": "optim", "repro.datasets": "splits"}
 #: what ``from <package> import *`` gave while the package was eager,
-#: plus the names added since (``repro.core.build_trajcl``)
+#: plus the names added since (``repro.core.build_trajcl``), less the
+#: Visvalingam simplifier's, deleted
 STAR = {
     "repro.index": [
         "BruteForceIndex", "HNSWIndex", "IVFFlatIndex", "Int8FlatIndex",
@@ -191,8 +191,7 @@ STAR = {
         "Trajectory", "TrajectoryLike", "as_points", "as_points_batch",
         "douglas_peucker", "douglas_peucker_mask", "filter_trajectories",
         "pack_trajectories", "pad_point_arrays", "point_segment_distance",
-        "resample_to_length", "triangle_area", "unpack_trajectories",
-        "visvalingam", "visvalingam_mask", "within_bbox"],
+        "resample_to_length", "unpack_trajectories", "within_bbox"],
     "repro.core": [
         "ConcatSTB", "DualMSM", "DualSTB", "DualSTBLayer",
         "FeatureEnrichment", "FinetuneHistory", "FrozenBackboneApproximator",
@@ -201,7 +200,7 @@ STAR = {
         "VanillaSTB", "available_augmentations", "build_encoder", "build_trajcl",
         "get_augmentation", "load_pipeline", "make_view",
         "pipeline_from_state", "pipeline_state", "point_mask", "point_shift",
-        "raw", "save_pipeline", "simplify", "simplify_vw",
+        "raw", "save_pipeline", "simplify",
         "sinusoidal_position_encoding", "spatial_features", "truncate"],
     "repro.nn": [
         "Adam", "AdaptiveAvgPool2d", "Conv2d", "DEFAULT_DTYPE", "Dropout",
@@ -265,27 +264,23 @@ def test_index_and_trajectory_resolve_their_exports_on_first_use(package):
 
 
 def test_a_function_named_like_its_submodule_stays_that_function():
-    """Importing a submodule binds it on its package. ``kmeans``,
-    ``visvalingam`` and ``tensor`` are bound before anything can: the
-    structures, the augmentations and the layers import those submodules
-    by name."""
+    """Importing a submodule binds it on its package. ``kmeans`` and
+    ``tensor`` are bound before anything can: the structures and the
+    layers import those submodules by name."""
     report = fresh_interpreter("""
 import inspect, json
 import repro.index.pq, repro.index.kmeans
-import repro.trajectory.visvalingam
 import repro.nn.layers, repro.nn.tensor
-import repro.index, repro.trajectory, repro.nn
+import repro.index, repro.nn
 from repro.index import kmeans
 
 print(json.dumps({
     "kmeans": inspect.isfunction(repro.index.kmeans),
     "imported": inspect.isfunction(kmeans),
-    "visvalingam": inspect.isfunction(repro.trajectory.visvalingam),
     "tensor": inspect.isfunction(repro.nn.tensor),
 }))
 """)
-    assert report == {"kmeans": True, "imported": True, "visvalingam": True,
-                      "tensor": True}
+    assert report == {"kmeans": True, "imported": True, "tensor": True}
 
 
 def test_registry_is_populated_whichever_module_came_first():
