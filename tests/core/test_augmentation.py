@@ -134,6 +134,12 @@ class TestSimplify:
         out = simplify(t, epsilon=1e12)
         assert len(out) >= 2
 
+    def test_degenerate_input_returned_whole(self):
+        single = np.array([[3.0, 4.0]])
+        out = simplify(single, epsilon=100.0)
+        np.testing.assert_array_equal(out, single)
+        assert out is not single
+
 
 class TestRegistryAndMakeView:
     def test_available(self):
@@ -164,6 +170,25 @@ class TestRegistryAndMakeView:
         t = walk(30)
         out = make_view(t, "mask", np.random.default_rng(RNG_SEED), config)
         assert len(out) == 15
+
+    @pytest.mark.parametrize("name, function, keywords, config", [
+        ("shift", point_shift, {"radius": 7.0, "sigma": 0.2},
+         TrajCLConfig(shift_radius=7.0, shift_sigma=0.2)),
+        ("truncate", truncate, {"keep": 0.4}, TrajCLConfig(truncate_keep=0.4)),
+        ("simplify", simplify, {"epsilon": 5.0},
+         TrajCLConfig(simplify_epsilon=5.0)),
+    ])
+    def test_make_view_passes_each_config_field(self, name, function,
+                                                keywords, config):
+        """A view is the augmentation called with the config's fields
+        (values off the defaults, so a dropped keyword shows)."""
+        t = walk(30)
+        expected = function(t, np.random.default_rng(RNG_SEED), **keywords)
+        assert not np.array_equal(
+            expected, make_view(t, name, np.random.default_rng(RNG_SEED)))
+        np.testing.assert_array_equal(
+            make_view(t, name, np.random.default_rng(RNG_SEED), config),
+            expected)
 
     def test_make_view_unknown(self):
         with pytest.raises(KeyError):
