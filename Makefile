@@ -103,7 +103,7 @@ train-histories:
 
 # ANN index sweep at 10^5 float32 vectors (recall@10 vs bytes/vector vs
 # q/s for bruteforce/ivf/int8/hnsw and pq with each of its options:
-# 16 x 256, 32 x 64, IVF-PQ and the float16 refine tail), merged
+# 16 x 256, 24 x 256, 32 x 64 and the float16 refine tail), merged
 # scenario-by-scenario into the index perf-trajectory record. Outside
 # tier-1; the smoke variant runs a downscaled sweep and asserts the
 # recall/memory acceptance envelope.

@@ -15,10 +15,10 @@ quantization's per-subspace codebooks exploit exactly that. Isotropic
 data is the PQ worst case and says nothing about embedding workloads.
 
 ``pq`` is the served default (16 subspaces x 256 centroids); three more
-``pq`` scenarios span its options: ``pq_32x64`` (32 subspaces of 64
-centroids, twice the code bytes), ``pq_ivf`` (IVF-PQ: 24 x 256 residual
-codes over ``--lists`` coarse cells, a quarter of them probed) and
-``pq_refine`` (``pq`` plus a float16 copy re-ranking 4 * k candidates).
+``pq`` scenarios span its options: ``pq_24x256`` (24 subspaces, 1.5x the
+code bytes), ``pq_32x64`` (32 subspaces of 64 centroids, twice the code
+bytes) and ``pq_refine`` (``pq`` plus a float16 copy re-ranking 4 * k
+candidates).
 
 Results merge scenario-by-scenario into
 ``benchmarks/results/BENCH_index.json`` (same preserve-prior-numbers
@@ -79,10 +79,8 @@ def _index_configs(args) -> Dict[str, Dict]:
                "train_sample": args.train_sample, "seed": args.seed},
         "pq_32x64": {"n_subspaces": 32, "n_centroids": 64,
                      "train_sample": args.train_sample, "seed": args.seed},
-        "pq_ivf": {"n_subspaces": 24, "n_centroids": 256,
-                   "coarse_lists": args.lists,
-                   "n_probe": max(1, args.lists // 4),
-                   "train_sample": args.train_sample, "seed": args.seed},
+        "pq_24x256": {"n_subspaces": 24, "n_centroids": 256,
+                      "train_sample": args.train_sample, "seed": args.seed},
         "int8": {"train_sample": args.train_sample},
         "hnsw": {"m": args.hnsw_m, "ef_construction": args.ef_construction,
                  "ef_search": args.ef_search, "seed": args.seed},
@@ -161,8 +159,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--queries", type=int, default=200)
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--indexes", nargs="+",
-                        default=["bruteforce", "ivf", "pq", "pq_32x64",
-                                 "pq_ivf", "pq_refine", "int8", "hnsw"],
+                        default=["bruteforce", "ivf", "pq", "pq_24x256",
+                                 "pq_32x64", "pq_refine", "int8", "hnsw"],
                         help="scenario names")
     parser.add_argument("--lists", type=int, default=64)
     parser.add_argument("--pq-subspaces", type=int, default=16)

@@ -57,8 +57,8 @@ from .._lazy import lazy_exports
 #: submodule -> the names it defines that ``repro.api`` re-exports
 _EXPORTS = {
     "protocols": ("DISTANCE", "EMBEDDING", "EmbeddingBackend", "Index",
-                  "KnnService", "MeasureBackend", "SimilarityBackend",
-                  "as_backend"),
+                  "KnnService", "MeasureBackend", "RetiredOptionError",
+                  "SimilarityBackend", "as_backend"),
     "registry": ("BackendSpec", "available_backends", "backend_spec",
                  "get_backend", "register_backend"),
     "backends": ("backend_state", "restore_backend"),

@@ -28,10 +28,10 @@ the inverted lists in id order and the next search re-trains on them.
 the ``structure`` it wraps, and ``defaults`` — the keyword → default table
 that is the constructor's signature *and* the snapshot's meta — plus
 only what truly differs (``rows_key``, ``clamped``, two ``stats``
-extras). ``structure`` is a name, ``"module.Class"`` under
-:mod:`repro.index`, imported when an index first needs the class: a
-process loads the structures it builds, and a sharded owner, which
-builds none, loads none. The storage format of a trained structure
+extras, ``pq``'s refusal of IVF-PQ). ``structure`` is a name,
+``"module.Class"`` under :mod:`repro.index`, imported when an index
+first needs the class: a process loads the structures it builds, and a
+sharded owner, which builds none, loads none. The storage format of a trained structure
 belongs to :mod:`repro.index` (``export`` / ``restore``); nothing here reads a
 structure's private attribute. ``restore(*state())`` answers with the
 saved index's bytes for all five, with no k-means run.
@@ -52,7 +52,7 @@ import numpy as np
 
 from ..index import distance
 from ..index.rows import RowStore
-from .protocols import Index, refuse_other_metric
+from .protocols import Index, flat_pq_options, refuse_other_metric
 
 __all__ = [
     "BruteForceBackendIndex",
@@ -314,7 +314,7 @@ class SegmentBackendIndex(Index):
 
 @register_index("pq")
 class PQBackendIndex(_VectorLifecycle, Index):
-    """Product-quantized kNN (optionally IVF-PQ residual + exact refine).
+    """Product-quantized kNN: one flat ADC scan, plus an exact refine tail.
 
     The codebooks train once on up to ``train_sample`` pending vectors and
     everything is encoded to uint8 code rows. ``refine_dtype``
@@ -326,17 +326,21 @@ class PQBackendIndex(_VectorLifecycle, Index):
     name = "pq"
     exact = False
     structure = "pq.PQIndex"
-    defaults = {"n_subspaces": 16, "n_centroids": 256,
-                "coarse_lists": 0, "n_probe": 8, "refine_factor": 4,
+    defaults = {"n_subspaces": 16, "n_centroids": 256, "refine_factor": 4,
                 "refine_dtype": None, "train_sample": 20000, "seed": 0}
     rows_key = "buffer"
-    clamped = "coarse_lists"
+
+    def __init__(self, **options):
+        super().__init__(**flat_pq_options(options))
+
+    @classmethod
+    def restore(cls, meta, arrays):
+        return super().restore(flat_pq_options(meta, arrays), arrays)
 
     def stats(self) -> Dict:
         info = super().stats()
         info.update(n_subspaces=self.n_subspaces,
                     n_centroids=self.n_centroids,
-                    coarse_lists=self.coarse_lists,
                     refine_dtype=self.refine_dtype)
         if self._inner is not None:
             info["codebook_shape"] = list(self._inner.pq.codebooks.shape)

@@ -35,14 +35,34 @@ EMBEDDING = "embedding"
 DISTANCE = "distance"
 
 
+class RetiredOptionError(TypeError, ValueError):
+    """A removed option, refused with a message naming what replaces it."""
+
+
 def refuse_other_metric(meta: Dict) -> None:
     """Snapshot meta is input from outside the program: one that names an
     embedding distance other than L1 (the only one served) is refused,
     never served as L1. Meta naming ``"l1"``, or none, passes."""
     metric = meta.get("metric", "l1")
     if metric != "l1":
-        raise ValueError(f"snapshot names the {metric!r} embedding "
-                         "distance; L1 is the only one served")
+        raise RetiredOptionError(f"snapshot names the {metric!r} embedding "
+                                 "distance; L1 is the only one served")
+
+
+def flat_pq_options(options: Optional[Dict], arrays=()) -> Dict:
+    """``pq`` options without the removed IVF-PQ layer: ``coarse_lists`` 0
+    (and any ``n_probe``) is flat pq as written before and drops out; any
+    other ``coarse_lists``/``n_probe``, or the layer's arrays, is refused."""
+    options = dict(options or {})
+    if options.get("coarse_lists") == 0:
+        del options["coarse_lists"]
+        options.pop("n_probe", None)
+    if ({"coarse_lists", "n_probe"} & set(options)
+            or {"assign", "centers"} & set(arrays)):
+        raise RetiredOptionError("IVF-PQ (coarse_lists, n_probe) is gone; "
+                                 "use flat `pq`: more `n_subspaces` for "
+                                 "recall")
+    return options
 
 
 def as_float_array(values) -> np.ndarray:

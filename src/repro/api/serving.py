@@ -67,7 +67,8 @@ from ..trajectory.trajectory import (
     Ragged, TrajectoryLike, as_points, as_points_batch,
 )
 from .backends import shard_backend_state
-from .protocols import EMBEDDING, KnnService, SimilarityBackend, as_backend
+from .protocols import (EMBEDDING, KnnService, SimilarityBackend,
+                        as_backend, flat_pq_options)
 from .registry import get_backend
 from .service import CachedEncoder, _default_index_for
 from .shard import _shard_worker, merge_cache_counters
@@ -295,6 +296,8 @@ class ShardMergeMixin:
             # Resolve the backend's default here so the name is reportable
             # and the workers build exactly what a single service would.
             index = _default_index_for(backend)
+        if index == "pq" and index_kwargs:  # before any worker builds one
+            index_kwargs = flat_pq_options(index_kwargs)
         self.index_name = index
         self._index_kwargs = index_kwargs
         self._batch_size = int(batch_size)

@@ -193,15 +193,13 @@ def cmd_evaluate(args) -> int:
 
 #: per-index kwargs builders (a dict, not an if/elif chain, so adding an
 #: index stays a registry-style one-liner). The adapters clamp their own
-#: knobs (n_lists, coarse_lists, codebook size) to the database.
+#: knobs (n_lists, codebook size) to the database.
 _INDEX_KWARG_BUILDERS = {
     "ivf": lambda args: {"n_lists": args.lists,
                          "n_probe": max(1, args.lists // 4),
                          "seed": args.seed},
     "pq": lambda args: {"n_subspaces": args.pq_subspaces,
                         "n_centroids": args.pq_centroids,
-                        "coarse_lists": args.lists if args.pq_coarse else 0,
-                        "n_probe": max(1, args.lists // 4),
                         "refine_factor": args.pq_refine or 4,
                         "refine_dtype": "float16" if args.pq_refine else None,
                         "seed": args.seed},
@@ -411,13 +409,11 @@ def _add_service_args(p: argparse.ArgumentParser, *, data_required=True,
                    help="kNN index (auto: exact default for the backend; "
                         "pq/int8/hnsw are compressed/approximate)")
     p.add_argument("--lists", type=int, default=16,
-                   help="coarse lists for ivf (and pq with --pq-coarse)")
+                   help="ivf: coarse lists (a quarter of them probed)")
     p.add_argument("--pq-subspaces", type=int, default=16,
                    help="pq: codebooks, i.e. bytes per stored vector")
     p.add_argument("--pq-centroids", type=int, default=256,
                    help="pq: centroids per codebook (<= 256)")
-    p.add_argument("--pq-coarse", action="store_true",
-                   help="pq: IVF-PQ residual variant over --lists cells")
     p.add_argument("--pq-refine", type=int, default=0, metavar="FACTOR",
                    help="pq: re-rank FACTOR*k ADC candidates against a "
                         "retained float16 tail (0: off)")

@@ -22,7 +22,9 @@ Three rules hold for every entry point:
 * **blocked on both axes** — the difference cube lives in one scratch
   of :data:`_CUBE_ELEMENTS` scalars cut along the query *and* the data
   axis (never across sub-spaces), so a ``16 x 5000 x 64`` scan and a
-  ``3500 x 16 x 128 x 4`` stacked assignment both stay cache-sized.
+  ``3500 x 16 x 128 x 4`` stacked assignment both stay cache-sized. A
+  block spans every sub-space, so the scratch is at least ``m * s``: PQ's
+  re-rank stacks its queries as sub-spaces, ``|Q| * d`` scalars.
 * **split-invariant** — every distance :func:`pairwise` and
   :func:`topk` return is one left-to-right/pairwise sum over the ``d``
   terms of its own ``(i, j)`` pair (or sub-space pair), so its bits

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import (
     ClusterCoordinator,
+    RetiredOptionError,
     ShardWorker,
     ShardedSimilarityService,
     SimilarityService,
@@ -254,8 +255,8 @@ class TestIncrementalAdd:
         ("int8", {}),
         ("pq", {"n_subspaces": 4, "n_centroids": 16, "seed": 0}),
         ("pq", {"n_subspaces": 4, "n_centroids": 16, "seed": 0,
-                "coarse_lists": 4, "refine_dtype": "float16"}),
-    ], ids=["int8", "pq", "ivf-pq-refine"])
+                "refine_dtype": "float16"}),
+    ], ids=["int8", "pq", "pq-refine"])
     def test_many_small_adds_equal_one_big_add(self, name, kwargs):
         """Code storage doubles its capacity; state, bytes and answers
         only ever see the used rows."""
@@ -282,6 +283,119 @@ class TestIncrementalAdd:
         for got, want in zip(pieces.search(rows[:8], 5),
                              whole.search(rows[:8], 5)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestIVFPQIsRefused:
+    """IVF-PQ (a coarse layer over pq's codes) is gone. A caller, service
+    snapshot or cluster manifest that asks for it gets a typed error naming
+    flat pq, never a flat index in its place; a flat pq snapshot from
+    before, whose meta still carries ``coarse_lists`` 0 and ``n_probe``,
+    restores and answers bit-identically."""
+
+    REPLACEMENT = "flat `pq`: more `n_subspaces` for recall"
+
+    @staticmethod
+    def rewritten_snapshot(backend, trajectories, tmp_path, trained,
+                           rewrite):
+        path = str(tmp_path / "service.npz")
+        service = make_service(backend, "pq").add(trajectories)
+        if trained:
+            service.knn(trajectories[:1], k=1)
+        service.save(path)
+        with np.load(path) as archive:
+            state = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(state["__service__"]).decode("utf-8"))
+        rewrite(meta["index"], state)
+        state["__service__"] = np.frombuffer(json.dumps(meta).encode(),
+                                             dtype=np.uint8)
+        np.savez_compressed(path, **state)
+        return service, path
+
+    @pytest.mark.parametrize("options", [
+        {"coarse_lists": 4}, {"coarse_lists": 4, "n_probe": 2},
+        {"n_probe": 8}])
+    def test_a_coarse_keyword_is_refused(self, options):
+        with pytest.raises(RetiredOptionError, match=self.REPLACEMENT):
+            get_index("pq", **options)
+
+    def test_the_old_flat_keywords_build_flat_pq(self):
+        index = get_index("pq", coarse_lists=0, n_probe=8, n_subspaces=4)
+        assert index.state()[0] == get_index("pq", n_subspaces=4).state()[0]
+
+    @pytest.mark.parametrize("trained", [False, True],
+                             ids=["cold", "trained"])
+    def test_a_snapshot_with_coarse_lists_is_refused(
+            self, backend, trajectories, tmp_path, trained):
+        _, path = self.rewritten_snapshot(
+            backend, trajectories, tmp_path, trained,
+            lambda meta, state: meta.update(coarse_lists=4))
+        with pytest.raises(RetiredOptionError, match=self.REPLACEMENT):
+            SimilarityService.load(path)
+
+    @pytest.mark.parametrize("array", ["assign", "centers"])
+    def test_snapshot_arrays_of_a_coarse_layer_are_refused(
+            self, backend, trajectories, tmp_path, array):
+        def add_array(meta, state):
+            state[f"index/{array}"] = np.zeros(len(trajectories),
+                                               dtype=np.int32)
+        _, path = self.rewritten_snapshot(backend, trajectories, tmp_path,
+                                          True, add_array)
+        with pytest.raises(RetiredOptionError, match=self.REPLACEMENT):
+            SimilarityService.load(path)
+
+    @pytest.mark.parametrize("old", [
+        {"coarse_lists": 4}, {"coarse_lists": 0, "n_probe": 8}],
+        ids=["ivf-pq", "flat"])
+    def test_a_manifest_with_coarse_lists_is_refused_unless_flat(
+            self, backend, trajectories, tmp_path, old):
+        """An IVF-PQ manifest fails at the owner, before any worker builds
+        an index; the flat manifest the old CLI wrote (``coarse_lists`` 0
+        and ``n_probe``) loads as flat pq and answers bit-identically."""
+        snapshot = str(tmp_path / "cluster")
+        workers = [ShardWorker(), ShardWorker()]
+        addresses = [worker.address for worker in workers]
+        queries = [points + 0.5 for points in trajectories[:3]]
+        try:
+            with ClusterCoordinator(
+                    addresses, backend=backend, index="pq",
+                    index_kwargs={"n_subspaces": 8, "seed": 0},
+                    heartbeat_interval=0) as cluster:
+                cluster.add(trajectories)
+                want = cluster.knn(queries, k=4)
+                cluster.save(snapshot)
+            manifest_path = os.path.join(snapshot, "manifest.json")
+            with open(manifest_path) as handle:
+                manifest = json.load(handle)
+            manifest["index_kwargs"].update(old)
+            with open(manifest_path, "w") as handle:
+                json.dump(manifest, handle)
+            if old["coarse_lists"]:
+                with pytest.raises(RetiredOptionError,
+                                   match=self.REPLACEMENT):
+                    ClusterCoordinator.load(snapshot, addresses,
+                                            heartbeat_interval=0)
+                return
+            with ClusterCoordinator.load(snapshot, addresses,
+                                         heartbeat_interval=0) as cluster:
+                got = cluster.knn(queries, k=4)
+            for left, right in zip(got, want):
+                assert left.tobytes() == right.tobytes()
+        finally:
+            for worker in workers:
+                worker.close()
+
+    @pytest.mark.parametrize("trained", [False, True],
+                             ids=["cold", "trained"])
+    def test_a_flat_snapshot_with_the_old_meta_answers_bit_identically(
+            self, backend, trajectories, tmp_path, trained):
+        service, path = self.rewritten_snapshot(
+            backend, trajectories, tmp_path, trained,
+            lambda meta, state: meta.update(coarse_lists=0, n_probe=8))
+        restored = SimilarityService.load(path)
+        queries = [points + 0.5 for points in trajectories[:3]]
+        for got, want in zip(restored.knn(queries, k=4),
+                             service.knn(queries, k=4)):
+            assert got.tobytes() == want.tobytes()
 
 
 #: knobs small enough that each approximate index misses neighbours on

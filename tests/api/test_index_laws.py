@@ -25,7 +25,7 @@ KINDS = {
     "bruteforce": {},
     "ivf": {"n_lists": 8, "n_probe": 3, "seed": 1},
     "pq": {"n_subspaces": 4, "n_centroids": 16, "seed": 2,
-           "coarse_lists": 4, "refine_dtype": "float16"},
+           "refine_dtype": "float16"},
     "int8": {},
     "hnsw": {"m": 4, "ef_construction": 16, "seed": 3},
 }
@@ -133,9 +133,8 @@ def test_every_kind_reports_the_one_stats_core(kind):
 # (d) the snapshot layout, pinned as literals
 # ----------------------------------------------------------------------
 IVF_META = {"type", "n_lists", "n_probe", "seed", "retrain_factor"}
-PQ_META = {"type", "n_subspaces", "n_centroids", "coarse_lists",
-           "n_probe", "refine_factor", "refine_dtype", "train_sample", "seed",
-           "trained"}
+PQ_META = {"type", "n_subspaces", "n_centroids", "refine_factor",
+           "refine_dtype", "train_sample", "seed", "trained"}
 HNSW_META = {"type", "m", "ef_construction", "ef_search", "seed",
              "built", "dim", "graph"}
 LAYOUT = {  # kind -> (cold meta, cold arrays, trained meta, trained arrays)
@@ -144,7 +143,7 @@ LAYOUT = {  # kind -> (cold meta, cold arrays, trained meta, trained arrays)
             IVF_META | {"trained", "dim"}, {"vectors", "centers", "assign"}),
     "pq": (PQ_META, {"buffer"},
            PQ_META | {"dim"},
-           {"codebooks", "codes", "assign", "centers", "tail"}),
+           {"codebooks", "codes", "tail"}),
     "int8": ({"type", "train_sample", "trained"}, {"buffer"},
              {"type", "train_sample", "trained", "dim"},
              {"codes", "scale", "offset"}),
@@ -232,14 +231,13 @@ def test_ivf_retrains_from_its_own_lists_in_id_order():
 # ----------------------------------------------------------------------
 # Declarations: the keyword table is the signature
 # ----------------------------------------------------------------------
-def test_the_keywords_and_defaults_are_the_17_there_are():
+def test_the_keywords_and_defaults_are_the_15_there_are():
     settable = {kind: vars(get_index(kind)) for kind in (*KINDS, "segment")}
     want = {
         "bruteforce": {},
         "ivf": {"n_lists": 16, "n_probe": 4, "seed": 0,
                 "retrain_factor": 2.0},
-        "pq": {"n_subspaces": 16, "n_centroids": 256,
-               "coarse_lists": 0, "n_probe": 8, "refine_factor": 4,
+        "pq": {"n_subspaces": 16, "n_centroids": 256, "refine_factor": 4,
                "refine_dtype": None, "train_sample": 20000, "seed": 0},
         "int8": {"train_sample": 65536},
         "hnsw": {"m": 16, "ef_construction": 64, "ef_search": 32,
@@ -250,7 +248,7 @@ def test_the_keywords_and_defaults_are_the_17_there_are():
         public = {key: value for key, value in settable[kind].items()
                   if not key.startswith("_") and key != "train_count"}
         assert public == keywords, kind
-    assert sum(map(len, want.values())) == 17
+    assert sum(map(len, want.values())) == 15
 
 
 @pytest.mark.parametrize("kind", KINDS)

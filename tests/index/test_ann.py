@@ -1,12 +1,13 @@
 """Tests for the compressed-residency ANN structures: product
-quantization (flat and IVF-PQ residual), int8 scalar quantization, and
-the HNSW graph — recall floors against the exact scan, determinism under
-a fixed seed, snapshot-grade state round-trips, memory accounting, and
-the empty/one-vector edges."""
+quantization (flat, with its blocked ADC and refine tail), int8 scalar
+quantization, and the HNSW graph — recall floors against the exact scan,
+determinism under a fixed seed, snapshot-grade state round-trips, memory
+accounting, and the empty/one-vector edges."""
 
 import numpy as np
 import pytest
 
+import repro.index.pq
 from repro.index import (
     BruteForceIndex,
     HNSWIndex,
@@ -114,26 +115,14 @@ class TestRecallFloors:
         assert better > base
         assert better >= 0.9
 
-    def test_ivf_pq_residual_variant_answers(self, corpus, ground_truth):
-        data, queries = corpus
-        index = PQIndex(data.shape[1], n_subspaces=16, coarse_lists=8,
-                        n_probe=4)
-        index.train(data, rng=np.random.default_rng(0))
-        index.add(data)
-        assert recall(ground_truth, index.search(queries, 10)[1]) >= 0.6
-        # Probing every list recovers the flat-PQ recall level.
-        assert recall(
-            ground_truth, index.search(queries, 10, n_probe=8)[1]) >= 0.7
-
 
 @pytest.mark.parametrize("factory", [
     lambda dim: Int8FlatIndex(dim),
     lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32),
-    lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32, coarse_lists=4),
     lambda dim: PQIndex(dim, n_subspaces=8, n_centroids=32,
                         refine_dtype="float16"),
     lambda dim: HNSWIndex(dim),
-], ids=["int8", "pq", "ivf-pq", "pq-refine16", "hnsw"])
+], ids=["int8", "pq", "pq-refine16", "hnsw"])
 def test_compressed_search_distances_stay_float32(corpus, factory):
     """A compressed scan never widens to float64: that would double its
     working set and hand the caller 8-byte distances."""
@@ -197,6 +186,33 @@ class TestProductQuantizerShapes:
         decoded = pq.decode(codes)
         direct = np.abs(queries[:, None] - decoded[None]).sum(axis=2)
         np.testing.assert_allclose(adc, direct, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("m", [1, 16, 24])
+    @pytest.mark.parametrize("n_queries", [1, 3, 17])
+    @pytest.mark.parametrize("elements", [1, 100, None],
+                             ids=["one-row", "uneven", "shipped"])
+    def test_blocked_adc_keeps_the_bits_of_one_pass(self, monkeypatch, m,
+                                                    n_queries, elements):
+        """Row blocks of ``ADC_BLOCK_ELEMENTS // |Q|`` take the sub-spaces
+        in order. One row a block, 1001 rows cut unevenly (with a one-row
+        last block at one query) and the shipped constant (one block
+        here) all give the bits of one pass over the whole matrix."""
+        rng = np.random.default_rng(m + n_queries)
+        pq = ProductQuantizer(2 * m, n_subspaces=m)
+        # magnitudes 1e-3..1e3: a sum taken in another order rounds apart
+        tables = (rng.random((n_queries, m, 256))
+                  * 10.0 ** rng.integers(-3, 4, size=(n_queries, m, 256))
+                  ).astype(np.float32)
+        codes = rng.integers(0, 256, size=(1001, m)).astype(np.uint8)
+        want = np.zeros((n_queries, len(codes)), dtype=np.float32)
+        for j in range(m):
+            want += tables[:, j, codes[:, j]]
+        if elements is not None:
+            monkeypatch.setattr(repro.index.pq, "ADC_BLOCK_ELEMENTS",
+                                elements)
+        got = pq.adc(tables, codes)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEdges:

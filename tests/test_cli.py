@@ -106,7 +106,6 @@ _SERVICE = {
     opt("--lists", type=int, default=16),
     opt("--pq-subspaces", type=int, default=16),
     opt("--pq-centroids", type=int, default=256),
-    opt("--pq-coarse", default=False),
     opt("--pq-refine", type=int, default=0),
     opt("--hnsw-m", type=int, default=16),
     opt("--ef-construction", type=int, default=64),
@@ -204,7 +203,7 @@ class TestCliContract:
         assert actual == CLI_CONTRACT[command]
 
     def test_settable_points(self):
-        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 110
+        assert sum(len(rows) for rows in CLI_CONTRACT.values()) == 106
 
 
 class TestGenerate:
